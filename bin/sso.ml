@@ -359,7 +359,9 @@ let simulate_cmd =
       Printf.printf "%-18s makespan %4d  max queue %4d  waits %5d\n" name
         stats.Simulator.makespan stats.Simulator.max_queue stats.Simulator.total_waits
     in
-    Printf.printf "packets %d  integral congestion %.0f  lower bound %d steps\n\n"
+    Printf.printf
+      "packets %d  integral congestion %.0f  lower bound %d steps (dilation, \
+       per-direction edge load)\n\n"
       (Demand.support_size demand) congestion
       (Simulator.lower_bound g assignment);
     report "fifo" Simulator.Fifo;

@@ -15,6 +15,7 @@ let span_lp_unrestricted = Obs.span "opt.lp_unrestricted"
 let mwu_iterations = Obs.counter "mwu.iterations"
 let mwu_oracle_calls = Obs.counter "mwu.oracle_calls"
 let mwu_sssp_batches = Obs.counter "mwu.sssp_batches"
+let mwu_sssp_settled = Obs.counter "mwu.sssp_settled"
 
 type candidates = ((int * int) * Path.t list) list
 
@@ -134,18 +135,22 @@ let lp_on_paths g cands demand =
 
 module Path_map = Map.Make (Path)
 
-(* Best-response oracles come in two shapes.  A [Per_pair] oracle answers
-   one commodity at a time (candidate-set lookup, where each answer is
-   O(candidates)).  A [Batched] oracle answers every commodity sharing a
+(* Best-response oracles come in two shapes, both reading the round's
+   flat per-edge weight array.  A [Per_pair] oracle answers one commodity
+   at a time.  A [Batched] oracle answers every commodity sharing a
    source from one single-source computation (Dijkstra / hop-limited DP),
    which is where the support of real demands — gravity matrices, incast,
    ladders — collapses many pairs onto few sources.  Both shapes must
-   return, per pair, exactly the path the per-pair computation would. *)
+   return, per pair, exactly the path the per-pair computation would,
+   along with the number of vertices the call's search settled (0 for
+   the hop-limited DP). *)
 type oracle =
-  | Per_pair of (weight:(int -> float) -> int -> int -> Path.t option)
-  | Batched of (weight:(int -> float) -> int -> int array -> Path.t option array)
+  | Per_pair of (float array -> int -> int -> Path.t option * int)
+  | Batched of (float array -> int -> int array -> Path.t option array * int)
 
-let mwu_generic ?pool ?(iters = 300) ?warm ?(label = "mwu") g ~oracle demand =
+(* [avoid] edges are masked to [infinity] once per round, into a second
+   buffer, before any oracle reads the weights. *)
+let mwu_generic ?pool ?(iters = 300) ?avoid ~label g ~oracle demand =
   if iters <= 0 then invalid_arg "Min_congestion: iters must be positive";
   if Demand.support_size demand = 0 then Some (Routing.make [], 0.0)
   else Obs.with_span span_mwu @@ fun () -> begin
@@ -187,25 +192,35 @@ let mwu_generic ?pool ?(iters = 300) ?warm ?(label = "mwu") g ~oracle demand =
        for any job count.  Tiny supports stay serial — the dispatch
        overhead would dominate (the cutoff is a constant, never the job
        count, to preserve determinism). *)
-    let best_responses ~weight =
+    let view =
+      match avoid with
+      | None -> Fun.id
+      | Some avoid ->
+          let keep = List.filter (fun e -> not (avoid e)) (List.init m Fun.id) in
+          let keep = Array.of_list keep in
+          let masked = Array.make m infinity in
+          fun w ->
+            Array.iter (fun e -> masked.(e) <- w.(e)) keep;
+            masked
+    in
+    let map f a = if pairs < 4 then Array.map f a else Pool.parallel_map ?pool f a in
+    let total_settled answers = Array.fold_left (fun acc (_, k) -> acc + k) 0 answers in
+    (* Returns the answers in support order and the vertices settled. *)
+    let best_responses w =
+      let w = view w in
       Obs.incr ~by:pairs mwu_oracle_calls;
       match oracle with
       | Per_pair oracle ->
-          if pairs < 4 then Array.map (fun (s, t) -> oracle ~weight s t) support_arr
-          else Pool.parallel_map ?pool (fun (s, t) -> oracle ~weight s t) support_arr
+          let answers = map (fun (s, t) -> oracle w s t) support_arr in
+          (Array.map fst answers, total_settled answers)
       | Batched oracle ->
           Obs.incr ~by:(Array.length groups) mwu_sssp_batches;
-          let per_group =
-            if pairs < 4 then
-              Array.map (fun (s, ts) -> oracle ~weight s ts) groups
-            else Pool.parallel_map ?pool (fun (s, ts) -> oracle ~weight s ts) groups
-          in
-          Array.concat (Array.to_list per_group)
+          let answers = map (fun (s, ts) -> oracle w s ts) groups in
+          (Array.concat (Array.to_list (Array.map fst answers)), total_settled answers)
     in
     (* Feasibility probe with uniform weights; also yields the width
        normalizer U (congestion of the probe routing). *)
-    let probe_weight e = 1.0 /. caps.(e) in
-    let probe = best_responses ~weight:probe_weight in
+    let probe, _ = best_responses (Array.map (fun c -> 1.0 /. c) caps) in
     if Array.exists (fun p -> p = None) probe then None
     else begin
       let loads = Array.make m 0.0 in
@@ -227,39 +242,6 @@ let mwu_generic ?pool ?(iters = 300) ?warm ?(label = "mwu") g ~oracle demand =
       let eta = Float.sqrt (4.0 *. Float.log (float_of_int (max 2 m)) /. float_of_int iters) in
       let cum = Array.make m 0.0 in
       let counts = Hashtbl.create pairs in
-      (* Warm start: treat a previous routing as [weight] already-played
-         rounds — seed both the play counts (so the average is anchored)
-         and the cumulative loads (so the adversary remembers). *)
-      (match warm with
-      | None -> ()
-      | Some (previous, weight) ->
-          if weight <= 0 then invalid_arg "Min_congestion: warm-start weight must be positive";
-          let wf = float_of_int weight in
-          Array.iteri
-            (fun i (s, t) ->
-              match Routing.distribution previous s t with
-              | [] -> ()
-              | dist ->
-                  let entry =
-                    List.fold_left
-                      (fun acc (w, p) ->
-                        Path_map.update p
-                          (function
-                            | None -> Some (w *. wf) | Some c -> Some (c +. (w *. wf)))
-                          acc)
-                      Path_map.empty dist
-                  in
-                  Hashtbl.replace counts (s, t) entry;
-                  let amount = amounts.(i) in
-                  List.iter
-                    (fun (w, (p : Path.t)) ->
-                      Array.iter
-                        (fun e ->
-                          cum.(e) <-
-                            cum.(e) +. (wf *. w *. amount /. (caps.(e) *. u_norm)))
-                        p.Path.edges)
-                    dist)
-            support_arr);
       let record pair p =
         let cur = try Hashtbl.find counts pair with Not_found -> Path_map.empty in
         let cur =
@@ -271,16 +253,14 @@ let mwu_generic ?pool ?(iters = 300) ?warm ?(label = "mwu") g ~oracle demand =
          flat buffer (hoisting the exp out of the oracles' inner loops, and
          off of every edge visit), reused across rounds. *)
       let warr = Array.make m 0.0 in
-      let round_weight e = warr.(e) in
       let round_loads = Array.make m 0.0 in
-      let base_plays = match warm with None -> 0 | Some (_, w) -> w in
       for round = 1 to iters do
         Obs.incr mwu_iterations;
         let max_cum = Array.fold_left Float.max neg_infinity cum in
         for e = 0 to m - 1 do
           warr.(e) <- Float.exp (eta *. (cum.(e) -. max_cum)) /. caps.(e)
         done;
-        let responses = best_responses ~weight:round_weight in
+        let responses, settled = best_responses warr in
         Array.fill round_loads 0 m 0.0;
         Array.iteri
           (fun i response ->
@@ -299,7 +279,7 @@ let mwu_generic ?pool ?(iters = 300) ?warm ?(label = "mwu") g ~oracle demand =
         (* Per-round convergence telemetry.  The cumulative normalized load
            satisfies cum(e)·u_norm = (total load on e so far)/cap(e), so
            max_e cum · u_norm / plays is exactly the congestion of the
-           routing averaged over all plays (warm start included). *)
+           routing averaged over all plays. *)
         if Obs.tracing () then begin
           let round_peak = ref 0.0 and cum_peak = ref neg_infinity in
           for e = 0 to m - 1 do
@@ -307,7 +287,7 @@ let mwu_generic ?pool ?(iters = 300) ?warm ?(label = "mwu") g ~oracle demand =
             if rc > !round_peak then round_peak := rc;
             if cum.(e) > !cum_peak then cum_peak := cum.(e)
           done;
-          let plays = float_of_int (base_plays + round) in
+          let plays = float_of_int round in
           let support_paths =
             Hashtbl.fold (fun _ dist acc -> acc + Path_map.cardinal dist) counts 0
           in
@@ -320,6 +300,7 @@ let mwu_generic ?pool ?(iters = 300) ?warm ?(label = "mwu") g ~oracle demand =
                 ("avg_congestion", Trace.Float (!cum_peak *. u_norm /. plays));
                 ("potential", Trace.Float !cum_peak);
                 ("support_paths", Trace.Int support_paths);
+                ("sssp_settled", Trace.Int settled);
               ]
         end
       done;
@@ -530,33 +511,48 @@ let mwu_on_paths_warm ?pool ?iters ~warm ~warm_weight g cands demand =
     (slice_candidates_of_list g cands)
     demand
 
-let unrestricted_oracle ?(batched = true) g =
+(* Dijkstra best responses.  The batched oracle stops each search once
+   its source's targets have settled; the per-pair one is the reference
+   full run.  Every call adds the vertices its search settled to
+   [mwu.sssp_settled] (a per-call figure, so the total is the same at any
+   job count). *)
+let dijkstra_oracle ~batched g =
+  let settled () =
+    let k = Shortest.Workspace.settled_count (Shortest.Workspace.for_current_domain ()) in
+    Obs.incr ~by:k mwu_sssp_settled;
+    k
+  in
   if batched then
-    Batched (fun ~weight s ts -> Shortest.dijkstra_paths g ~weight s ts)
-  else Per_pair (fun ~weight s t -> Shortest.dijkstra_path g ~weight s t)
+    Batched
+      (fun weights s ts ->
+        let paths = Shortest.dijkstra_targets g ~weights s ts in
+        (paths, settled ()))
+  else
+    Per_pair
+      (fun weights s t ->
+        let path = Shortest.dijkstra_path g ~weight:(Array.get weights) s t in
+        (path, settled ()))
 
-let mwu_unrestricted ?pool ?iters ?batched g demand =
+let mwu_unrestricted ?pool ?iters ?(batched = true) g demand =
   match
     mwu_generic ?pool ?iters ~label:"unrestricted" g
-      ~oracle:(unrestricted_oracle ?batched g) demand
+      ~oracle:(dijkstra_oracle ~batched g) demand
   with
   | Some result -> result
   | None -> invalid_arg "Min_congestion.mwu_unrestricted: graph is disconnected"
 
 let mwu_unrestricted_avoiding ?pool ?iters ?(batched = true) ~avoid g demand =
-  let mask weight e = if avoid e then infinity else weight e in
-  let oracle =
-    if batched then
-      Batched (fun ~weight s ts -> Shortest.dijkstra_paths g ~weight:(mask weight) s ts)
-    else Per_pair (fun ~weight s t -> Shortest.dijkstra_path g ~weight:(mask weight) s t)
-  in
-  mwu_generic ?pool ?iters ~label:"avoiding" g ~oracle demand
+  mwu_generic ?pool ?iters ~avoid ~label:"avoiding" g
+    ~oracle:(dijkstra_oracle ~batched g) demand
 
 let mwu_hop_limited ?pool ?iters ?(batched = true) ~max_hops g demand =
   let oracle =
     if batched then
-      Batched (fun ~weight s ts -> Shortest.hop_limited_paths g ~weight ~max_hops s ts)
-    else Per_pair (fun ~weight s t -> Shortest.hop_limited_path g ~weight ~max_hops s t)
+      Batched (fun weights s ts -> (Shortest.hop_limited_paths g ~weights ~max_hops s ts, 0))
+    else
+      Per_pair
+        (fun weights s t ->
+          (Shortest.hop_limited_path g ~weight:(Array.get weights) ~max_hops s t, 0))
   in
   mwu_generic ?pool ?iters ~label:"hop_limited" g ~oracle demand
 

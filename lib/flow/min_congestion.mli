@@ -93,10 +93,12 @@ val mwu_unrestricted :
 
     With [batched] (the default), each round groups the demand's support by
     source — [Demand.support] is sorted, so groups are consecutive runs —
-    and answers all of a source's targets from one Dijkstra pass
-    ({!Sso_graph.Shortest.dijkstra_paths}).  The routing is bit-identical
-    to the per-pair oracle ([batched:false]) and to any [pool] size; the
-    flag exists so tests can assert exactly that. *)
+    and answers all of a source's targets from one Dijkstra pass over the
+    round's flat weight array that stops once they have settled
+    ({!Sso_graph.Shortest.dijkstra_targets}).  The routing is bit-identical
+    to the per-pair oracle ([batched:false], full runs) and to any [pool]
+    size; the flag exists so tests can assert exactly that.  Each search
+    adds its settled vertices to the [mwu.sssp_settled] counter. *)
 
 val mwu_unrestricted_avoiding :
   ?pool:Sso_engine.Pool.t ->

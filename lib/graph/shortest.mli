@@ -1,13 +1,16 @@
 (** Shortest-path computations: BFS, Dijkstra, and hop-limited variants.
 
-    Dijkstra takes an arbitrary non-negative per-edge weight function, which
-    is how the MWU flow solvers and the Räcke construction re-weight the
-    graph between iterations without rebuilding it.  The weight function is
-    validated (and snapshotted) once per edge per call — not on every edge
-    visit — and traversals run over the graph's flat CSR arrays.
+    Dijkstra takes non-negative per-edge weights, either as a function
+    (validated and snapshotted once per edge per call) or as a flat
+    [float array] (each entry checked as its edge is relaxed) — the latter
+    is how the MWU flow solvers and the FRT construction re-weight the
+    graph between calls without a per-call O(m) sweep.  Traversals run
+    over the graph's flat CSR arrays.
 
-    All entry points are bit-compatible with the historical boxed-adjacency
-    implementation: identical [dist]/[pred] tables, identical paths. *)
+    Every Dijkstra entry point runs one allocation-free core: the same
+    neighbor order, heap sift and strict-improvement test as the
+    historical boxed implementation, so [dist]/[pred] tables and paths
+    are bit-identical to it. *)
 
 val bfs_dist : Graph.t -> int -> int array
 (** Hop distances from a source; [max_int] for unreachable vertices. *)
@@ -15,12 +18,19 @@ val bfs_dist : Graph.t -> int -> int array
 val bfs_path : Graph.t -> int -> int -> Path.t option
 (** A minimum-hop path, if the destination is reachable. *)
 
-(** Reusable single-source workspace: dist/pred/settled state, the
-    validated-weight snapshot, and a monomorphic int-payload heap, all
-    epoch-stamped so starting a run costs one integer increment instead of
-    O(n) clearing.  A workspace is single-threaded state; use
+(** Reusable single-source workspace: dist/pred/settled state, target
+    marks, the validated-weight snapshot and the heap arrays, all
+    epoch-stamped so starting a run costs one integer increment instead
+    of O(n) clearing.  A workspace is single-threaded state; use
     {!Workspace.for_current_domain} to get the calling domain's private
-    one (pool workers each reuse their own across oracle calls). *)
+    one (pool workers each reuse their own across oracle calls).
+
+    The readers below answer for the last run.  A vertex that run settled
+    reads its final distance and predecessor.  An unsettled vertex reads
+    as unreached ([infinity], [-1], [None]) when the run drained its heap
+    (full runs, balls), and raises [Invalid_argument] when the run stopped
+    early ({!dijkstra_targets}, {!dijkstra_paths}, or a [visit] callback
+    that raised): its state there is partial, never a stale answer. *)
 module Workspace : sig
   type t
 
@@ -39,6 +49,10 @@ module Workspace : sig
   val path : t -> Graph.t -> int -> Path.t option
   (** Reconstruct the path from the last run's source to a vertex.
       @raise Invalid_argument if no run has completed. *)
+
+  val settled_count : t -> int
+  (** Vertices the last run settled: [n] (of the source's component) for
+      a full run, fewer when a target-bounded run stopped early. *)
 end
 
 val dijkstra_ball_into :
@@ -73,11 +87,11 @@ val dijkstra_ball_into :
     nothing; [infinity] recovers the full single/multi-source run. *)
 
 val dijkstra_into : Workspace.t -> Graph.t -> weight:(int -> float) -> int -> unit
-(** [dijkstra_into ws g ~weight src] runs Dijkstra from [src], leaving the
-    results in [ws] (read them with {!Workspace.dist} /
-    {!Workspace.pred_edge} / {!Workspace.path}).  Performs no per-call
-    allocation beyond heap growth on first use.  [weight e] must be
-    non-negative; validated once per edge. *)
+(** [dijkstra_into ws g ~weight src] runs Dijkstra from [src] to
+    completion, leaving the results in [ws] (read them with
+    {!Workspace.dist} / {!Workspace.pred_edge} / {!Workspace.path}).
+    Allocates nothing beyond workspace growth on first use.  [weight e]
+    must be non-negative; validated once per edge. *)
 
 val dijkstra : Graph.t -> weight:(int -> float) -> int -> float array * int array
 (** [dijkstra g ~weight src] returns [(dist, pred_edge)] where
@@ -90,13 +104,31 @@ val dijkstra : Graph.t -> weight:(int -> float) -> int -> float array * int arra
 val dijkstra_path : Graph.t -> weight:(int -> float) -> int -> int -> Path.t option
 (** A minimum-weight path between two vertices. *)
 
+val dijkstra_targets :
+  ?workspace:Workspace.t ->
+  Graph.t -> weights:float array -> int -> int array -> Path.t option array
+(** [dijkstra_targets g ~weights src targets] answers every target from
+    one Dijkstra pass that stops as soon as the last distinct target has
+    settled — the MWU best-response oracle.  Entry [i] is exactly
+    [dijkstra_into] followed by [Workspace.path] for [targets.(i)]
+    ([None] when unreachable, e.g. behind [infinity]-weight edges):
+    settle order is the full run's, and a settled vertex's predecessor
+    chain is final.  Targets may repeat and may include [src].
+
+    [weights] is a flat per-edge array (length [>= m]); entries must be
+    non-negative and are checked as their edges are relaxed.  Each path
+    is built straight into an exact-size edge array; apart from the
+    results the call allocates nothing.  [workspace] defaults to the
+    calling domain's.
+    @raise Invalid_argument on a short [weights] array or an out-of-range
+    vertex. *)
+
 val dijkstra_paths :
   ?workspace:Workspace.t ->
   Graph.t -> weight:(int -> float) -> int -> int array -> Path.t option array
-(** [dijkstra_paths g ~weight src targets] answers every target from one
-    Dijkstra pass — the source-batched oracle: identical results to
-    calling {!dijkstra_path} per target, at 1/|targets| of the cost.
-    [workspace] defaults to the calling domain's. *)
+(** {!dijkstra_targets} with a weight function (validated once per edge):
+    identical results to calling {!dijkstra_path} per target, from one
+    target-bounded pass. *)
 
 val hop_limited_path :
   Graph.t -> weight:(int -> float) -> max_hops:int -> int -> int -> Path.t option
@@ -107,10 +139,12 @@ val hop_limited_path :
 
 val hop_limited_paths :
   Graph.t ->
-  weight:(int -> float) -> max_hops:int -> int -> int array -> Path.t option array
-(** Source-batched {!hop_limited_path}: the DP tables depend only on the
-    source, so one O(max_hops · m) pass answers every target.  Identical
-    results to the per-target calls. *)
+  weights:float array -> max_hops:int -> int -> int array -> Path.t option array
+(** Source-batched {!hop_limited_path} over a flat per-edge weight array
+    (length [>= m], entries non-negative, checked as relaxed): the DP
+    tables depend only on the source, so one O(max_hops · m) pass answers
+    every target.  Identical results to the per-target calls with
+    [weight e = weights.(e)]. *)
 
 val eccentricity : Graph.t -> int -> int
 (** Maximum hop distance from a vertex to any reachable vertex. *)

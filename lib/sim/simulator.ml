@@ -116,10 +116,30 @@ let build_packets g rng_opt assignment =
     assignment;
   (st, List.rev !packets)
 
+(* The simulator moves at most ⌊cap⌋ packets per step across an edge in
+   each direction, so no schedule beats the dilation, nor any (edge,
+   direction)'s packet count over that width. *)
 let lower_bound g assignment =
   let st, packets = build_packets g None assignment in
-  let cong, dil = congestion_and_dilation g st packets in
-  max cong dil
+  let loads = Array.make (2 * Graph.m g) 0 in
+  let dil = ref 0 in
+  List.iter
+    (fun p ->
+      dil := max !dil p.nhops;
+      for j = 0 to p.nhops - 1 do
+        let e = st.eflat.(p.eoff + j) in
+        let u, _ = Graph.endpoints g e in
+        let slot = (2 * e) + if st.vflat.(p.voff + j) = u then 0 else 1 in
+        loads.(slot) <- loads.(slot) + 1
+      done)
+    packets;
+  let bound = ref !dil in
+  Array.iteri
+    (fun slot c ->
+      let width = max 1 (int_of_float (Float.floor (Graph.cap g (slot / 2)))) in
+      bound := max !bound ((c + width - 1) / width))
+    loads;
+  !bound
 
 let upper_bound_cd g assignment =
   let st, packets = build_packets g None assignment in

@@ -70,7 +70,10 @@ val run :
     statistics.  [discipline] defaults to {!Fifo}. *)
 
 val lower_bound : Sso_graph.Graph.t -> Sso_flow.Rounding.assignment -> int
-(** [max(dilation, ⌈max-edge congestion⌉)] — no schedule can beat it. *)
+(** [max(dilation, max over (edge, direction) of ⌈packets / ⌊cap⌋⌉)] — the
+    simulator's service model moves at most [⌊cap⌋] (at least one)
+    packets per step across an edge in each direction, so no schedule of
+    {!run} can beat it. *)
 
 val upper_bound_cd : Sso_graph.Graph.t -> Sso_flow.Rounding.assignment -> int
 (** The trivial schedule bound [c·d + d]: every packet waits at most [c-1]

@@ -616,6 +616,32 @@ let test_mwu_unrestricted_batched_matches_per_pair () =
   exact_same_routing "per-pair jobs 4" reference (solve ~pool:p4 ~batched:false);
   exact_same_routing "batched jobs 4" reference (solve ~pool:p4 ~batched:true)
 
+let test_sssp_settled_counter () =
+  (* [mwu.sssp_settled] adds each search's settled vertices: the same at
+     any job count, all n per full (per-pair) run, and fewer once the
+     batched oracle stops at its targets. *)
+  let settled = Sso_obs.Obs.counter "mwu.sssp_settled" in
+  let g = Gen.hypercube 5 in
+  let d = Demand.bit_reversal 5 in
+  let iters = 20 in
+  let count ~pool ~batched =
+    let before = Sso_obs.Obs.counter_value settled in
+    ignore (Min_congestion.mwu_unrestricted ~pool ~iters ~batched g d);
+    Sso_obs.Obs.counter_value settled - before
+  in
+  with_pool 1 @@ fun p1 ->
+  with_pool 4 @@ fun p4 ->
+  let bounded = count ~pool:p1 ~batched:true in
+  Alcotest.(check int) "jobs 4" bounded (count ~pool:p4 ~batched:true);
+  let full = count ~pool:p1 ~batched:false in
+  Alcotest.(check int) "full runs settle every vertex"
+    ((iters + 1) * Demand.support_size d * Graph.n g)
+    full;
+  Alcotest.(check bool)
+    (Printf.sprintf "early exit settles fewer (%d < %d)" bounded full)
+    true
+    (0 < bounded && bounded < full)
+
 let test_mwu_hop_limited_batched_matches_per_pair () =
   let rng = Rng.create 22 in
   let g = Gen.random_regular rng 16 4 in
@@ -631,6 +657,56 @@ let test_mwu_hop_limited_batched_matches_per_pair () =
   exact_same_routing "batched jobs 1" reference (solve ~pool:p1 ~batched:true);
   exact_same_routing "per-pair jobs 4" reference (solve ~pool:p4 ~batched:false);
   exact_same_routing "batched jobs 4" reference (solve ~pool:p4 ~batched:true)
+
+(* Golden pins for Stage 5: digests of the full routing (pairs, weight
+   bits, edge sequences) and of the value's bits, recorded before the
+   Dijkstra oracle moved to flat weights and a target-bounded,
+   allocation-free core.  Any change to float order, tie-breaking or path
+   reconstruction moves them. *)
+let stage5_digest (r, value) =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (s, t) ->
+      Printf.bprintf b "%d %d:" s t;
+      List.iter
+        (fun (w, (p : Path.t)) ->
+          Printf.bprintf b " %Lx@%d>%d[" (Int64.bits_of_float w) p.Path.src p.Path.dst;
+          Array.iter (Printf.bprintf b "%d,") p.Path.edges;
+          Buffer.add_char b ']')
+        (Routing.distribution r s t);
+      Buffer.add_char b '\n')
+    (Routing.pairs r);
+  Printf.bprintf b "value %Lx" (Int64.bits_of_float value);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_stage5_golden () =
+  let g = Gen.hypercube 6 in
+  let bitrev = Demand.bit_reversal 6 in
+  let perm = Demand.random_permutation (Rng.create 2023) (Graph.n g) in
+  let pin label want got = Alcotest.(check string) label want got in
+  let opt = function Some x -> stage5_digest x | None -> "none" in
+  pin "unrestricted bit-reversal" "b2dd69a31fcb5e8b97cfca1fb21ccac5"
+    (stage5_digest (Min_congestion.mwu_unrestricted ~iters:300 g bitrev));
+  pin "unrestricted permutation" "052f53de9b1c5eeaf99edd587e8b8ce1"
+    (stage5_digest (Min_congestion.mwu_unrestricted ~iters:300 g perm));
+  pin "avoiding" "182498c02fd974352ce32846a98f0d7d"
+    (opt
+       (Min_congestion.mwu_unrestricted_avoiding ~iters:300
+          ~avoid:(fun e -> e mod 7 = 3)
+          g perm));
+  pin "avoiding, vertex 0 cut off" "none"
+    (opt
+       (Min_congestion.mwu_unrestricted_avoiding ~iters:300
+          ~avoid:(fun e ->
+            let u, v = Graph.endpoints g e in
+            u = 0 || v = 0)
+          g perm));
+  pin "hop-limited 7" "138ccad0ca94d2391378d6c1b2f713f2"
+    (opt (Min_congestion.mwu_hop_limited ~iters:300 ~max_hops:7 g perm));
+  pin "hop-limited 6" "77e181f84399139ff8438c507ce7d844"
+    (opt (Min_congestion.mwu_hop_limited ~iters:300 ~max_hops:6 g perm));
+  pin "hop-limited 6, bit-reversal" "8e233675bb534756a1d41e15ee3ad8b5"
+    (opt (Min_congestion.mwu_hop_limited ~iters:300 ~max_hops:6 g bitrev))
 
 let () =
   Alcotest.run "flow"
@@ -670,6 +746,8 @@ let () =
             test_mwu_unrestricted_batched_matches_per_pair;
           Alcotest.test_case "hop limited batched = per-pair" `Quick
             test_mwu_hop_limited_batched_matches_per_pair;
+          Alcotest.test_case "stage 5 golden pins" `Quick test_stage5_golden;
+          Alcotest.test_case "sssp settled counter" `Quick test_sssp_settled_counter;
           Alcotest.test_case "lower bound sound" `Slow test_lower_bound_sound;
           Alcotest.test_case "lower bound bottleneck" `Quick test_lower_bound_tight_on_bottleneck;
         ] );

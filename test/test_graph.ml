@@ -525,110 +525,181 @@ let test_gen_with_unit_caps () =
   Alcotest.(check (float 1e-9)) "all caps one" (float_of_int (Graph.m g))
     (Graph.total_capacity u)
 
-(* Heap *)
+(* Heap: the Dijkstra core keeps its binary heap in the workspace and
+   sifts it in place, so its pop order is observed as settle order —
+   a star from vertex 0 settles its leaves in key order. *)
 
-module Heap = Sso_graph.Heap
+let star weights =
+  let b = Graph.Builder.create (List.length weights + 1) in
+  List.iteri (fun i _ -> ignore (Graph.Builder.add_edge b 0 (i + 1))) weights;
+  let weights = Array.of_list weights in
+  (Graph.Builder.build b, weights)
+
+let settle_order g weights src =
+  let ws = Shortest.Workspace.create () in
+  let order = ref [] in
+  Shortest.dijkstra_ball_into ws g ~weights ~radius:infinity ~sources:[| src |]
+    (fun v d -> order := (v, d) :: !order);
+  List.rev !order
 
 let test_heap_ordering () =
-  let h = Heap.create () in
-  List.iter (fun k -> Heap.push h k (int_of_float k)) [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
-  Alcotest.(check int) "size" 5 (Heap.size h);
-  let order = List.init 5 (fun _ -> match Heap.pop h with Some (k, _) -> k | None -> nan) in
-  Alcotest.(check (list (float 1e-9))) "ascending" [ 1.0; 2.0; 3.0; 4.0; 5.0 ] order;
-  Alcotest.(check bool) "empty after" true (Heap.is_empty h);
-  Alcotest.(check bool) "pop empty" true (Heap.pop h = None)
+  let g, weights = star [ 5.0; 1.0; 3.0; 2.0; 4.0 ] in
+  let order = settle_order g weights 0 in
+  Alcotest.(check (list int)) "leaves by key" [ 0; 2; 4; 3; 5; 1 ] (List.map fst order);
+  Alcotest.(check (list (float 0.0))) "ascending keys"
+    [ 0.0; 1.0; 2.0; 3.0; 4.0; 5.0 ] (List.map snd order)
 
 let test_heap_interleaved () =
-  let h = Heap.create () in
-  Heap.push h 2.0 2;
-  Heap.push h 1.0 1;
-  (match Heap.pop h with
-  | Some (_, v) -> Alcotest.(check int) "min first" 1 v
-  | None -> Alcotest.fail "expected element");
-  Heap.push h 0.5 0;
-  (match Heap.pop h with
-  | Some (_, v) -> Alcotest.(check int) "new min" 0 v
-  | None -> Alcotest.fail "expected element");
-  match Heap.pop h with
-  | Some (_, v) -> Alcotest.(check int) "remaining" 2 v
-  | None -> Alcotest.fail "expected element"
+  (* Vertex 3 enters the heap after two pops and still beats vertex 1,
+     which was pushed first. *)
+  let b = Graph.Builder.create 4 in
+  ignore (Graph.Builder.add_edge b 0 1);
+  ignore (Graph.Builder.add_edge b 0 2);
+  ignore (Graph.Builder.add_edge b 2 3);
+  let g = Graph.Builder.build b in
+  let order = settle_order g [| 2.0; 1.0; 0.5 |] 0 in
+  Alcotest.(check (list int)) "settle order" [ 0; 2; 3; 1 ] (List.map fst order)
 
 let test_heap_duplicates () =
-  let h = Heap.create () in
-  for i = 0 to 9 do
-    Heap.push h 1.0 i
-  done;
-  let seen = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | Some (_, v) ->
-        seen := v :: !seen;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check int) "all ten popped" 10 (List.length !seen)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap pops in sorted order" ~count:100
-    QCheck.(list_of_size (QCheck.Gen.int_range 1 60) (float_range (-50.0) 50.0))
-    (fun keys ->
-      let h = Heap.create () in
-      List.iteri (fun i k -> Heap.push h k i) keys;
-      let rec drain acc =
-        match Heap.pop h with Some (k, _) -> drain (k :: acc) | None -> List.rev acc
-      in
-      let popped = drain [] in
-      popped = List.sort compare keys)
+  let g, weights = star (List.init 10 (fun _ -> 1.0)) in
+  let order = settle_order g weights 0 in
+  Alcotest.(check int) "all ten leaves settle" 11 (List.length order);
+  List.iter
+    (fun (v, d) -> if v > 0 then Alcotest.(check (float 0.0)) "tied key" 1.0 d)
+    order
 
 let test_heap_clear () =
-  let h = Heap.create () in
-  Heap.push h 1.0 "a";
-  Heap.push h 2.0 "b";
-  Heap.clear h;
-  Alcotest.(check int) "empty after clear" 0 (Heap.size h);
-  Heap.push h 3.0 "c";
-  match Heap.pop h with
-  | Some (k, v) ->
-      Alcotest.(check (float 0.0)) "key" 3.0 k;
-      Alcotest.(check string) "value" "c" v
-  | None -> Alcotest.fail "expected element after reuse"
-
-(* The monomorphic int heap must pop in exactly the same order as the
-   polymorphic heap (ties included) — Dijkstra's bit-compatibility across
-   the workspace migration rests on this. *)
-let prop_heap_int_matches_poly =
-  QCheck.Test.make ~name:"Heap.Int pops identically to the polymorphic heap"
-    ~count:200
-    QCheck.(list_of_size (QCheck.Gen.int_range 1 80) (float_range 0.0 4.0))
-    (fun keys ->
-      (* Coarse keys force plenty of ties, exercising tie-break order. *)
-      let keys = List.map (fun k -> Float.round k) keys in
-      let hp = Heap.create () in
-      let hi = Heap.Int.create () in
-      List.iteri
-        (fun i k ->
-          Heap.push hp k i;
-          Heap.Int.push hi k i)
-        keys;
-      let rec drain acc =
-        match (Heap.pop hp, Heap.Int.pop hi) with
-        | Some a, Some b -> if a = b then drain ((a, b) :: acc) else false
-        | None, None -> true
-        | _ -> false
-      in
-      drain [])
+  (* A target-bounded run stops with entries still in the heap; the next
+     run on the same workspace must start from an empty one. *)
+  let g = Gen.random_regular (Rng.create 41) 30 4 in
+  let wr = Rng.create 42 in
+  let weights = Array.init (Graph.m g) (fun _ -> 0.25 +. Rng.float wr) in
+  let weight e = weights.(e) in
+  let ws = Shortest.Workspace.create () in
+  ignore (Shortest.dijkstra_targets ~workspace:ws g ~weights 0 [| 1 |]);
+  Shortest.dijkstra_into ws g ~weight 7;
+  let dist, pred = Shortest.dijkstra g ~weight 7 in
+  for v = 0 to Graph.n g - 1 do
+    Alcotest.(check (float 0.0)) "dist" dist.(v) (Shortest.Workspace.dist ws v);
+    Alcotest.(check int) "pred" pred.(v) (Shortest.Workspace.pred_edge ws v)
+  done
 
 let test_heap_int_clear () =
-  let h = Heap.Int.create () in
-  Heap.Int.push h 5.0 7;
-  Heap.Int.clear h;
-  Alcotest.(check bool) "empty after clear" true (Heap.Int.is_empty h);
-  Heap.Int.push h 2.0 3;
-  Alcotest.(check (float 0.0)) "min key" 2.0 (Heap.Int.min_key h);
-  Alcotest.(check int) "min value" 3 (Heap.Int.min_value h);
-  Heap.Int.remove_min h;
-  Alcotest.(check bool) "drained" true (Heap.Int.is_empty h)
+  (* Vertex-keyed reuse: a run stopped at its first target leaves the
+     star's leaves queued; the next run from leaf 3 must pop its own
+     source first and settle every vertex exactly once. *)
+  let g, weights = star [ 5.0; 1.0; 3.0; 2.0; 4.0 ] in
+  let ws = Shortest.Workspace.create () in
+  ignore (Shortest.dijkstra_targets ~workspace:ws g ~weights 0 [| 2 |]);
+  let order = ref [] in
+  Shortest.dijkstra_ball_into ws g ~weights ~radius:infinity ~sources:[| 3 |]
+    (fun v d -> order := (v, d) :: !order);
+  match List.rev !order with
+  | (v, d) :: _ as all ->
+      Alcotest.(check int) "min value" 3 v;
+      Alcotest.(check (float 0.0)) "min key" 0.0 d;
+      Alcotest.(check (list int)) "drained, each vertex once" [ 0; 1; 2; 3; 4; 5 ]
+        (List.sort compare (List.map fst all));
+      Alcotest.(check int) "settled count" (Graph.n g) (Shortest.Workspace.settled_count ws)
+  | [] -> Alcotest.fail "expected the source to settle"
+
+let prop_settle_order_sorted =
+  QCheck.Test.make ~name:"Dijkstra settles in distance order" ~count:100
+    QCheck.(pair small_int (int_range 4 40))
+    (fun (seed, n) ->
+      let rng = Rng.create (3000 + seed) in
+      let g = Gen.random_regular rng (max 5 n) 4 in
+      let weights = Array.init (Graph.m g) (fun _ -> Float.round (4.0 *. Rng.float rng)) in
+      let ds = List.map snd (settle_order g weights 0) in
+      List.length ds = Graph.n g && ds = List.sort Float.compare ds)
+
+(* The historical implementation, kept here as the reference the core
+   must match bit for bit: a lazy-deletion Dijkstra over [Graph.adj] on
+   a standalone array heap with the same swap-based sift. *)
+module Reference = struct
+  type heap = { mutable keys : float array; mutable vals : int array; mutable size : int }
+
+  let swap h i j =
+    let k = h.keys.(i) and x = h.vals.(i) in
+    h.keys.(i) <- h.keys.(j);
+    h.vals.(i) <- h.vals.(j);
+    h.keys.(j) <- k;
+    h.vals.(j) <- x
+
+  let push h key v =
+    if h.size = Array.length h.keys then begin
+      h.keys <- Array.append h.keys (Array.make (h.size + 1) 0.0);
+      h.vals <- Array.append h.vals (Array.make (h.size + 1) 0)
+    end;
+    h.keys.(h.size) <- key;
+    h.vals.(h.size) <- v;
+    let i = ref h.size in
+    h.size <- h.size + 1;
+    while !i > 0 && h.keys.((!i - 1) / 2) > h.keys.(!i) do
+      swap h !i ((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done
+
+  let pop h =
+    let key = h.keys.(0) and v = h.vals.(0) in
+    h.size <- h.size - 1;
+    h.keys.(0) <- h.keys.(h.size);
+    h.vals.(0) <- h.vals.(h.size);
+    let i = ref 0 and continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+      let smallest = ref !i in
+      if l < h.size && h.keys.(l) < h.keys.(!smallest) then smallest := l;
+      if r < h.size && h.keys.(r) < h.keys.(!smallest) then smallest := r;
+      if !smallest = !i then continue := false
+      else begin
+        swap h !i !smallest;
+        i := !smallest
+      end
+    done;
+    (key, v)
+
+  let dijkstra g weights src =
+    let n = Graph.n g in
+    let dist = Array.make n infinity and pred = Array.make n (-1) in
+    let settled = Array.make n false and order = ref [] in
+    let h = { keys = [||]; vals = [||]; size = 0 } in
+    dist.(src) <- 0.0;
+    push h 0.0 src;
+    while h.size > 0 do
+      let d, v = pop h in
+      if not settled.(v) then begin
+        settled.(v) <- true;
+        order := v :: !order;
+        Array.iter
+          (fun (e, w) ->
+            if not settled.(w) then begin
+              let nd = d +. weights.(e) in
+              if nd < dist.(w) then begin
+                dist.(w) <- nd;
+                pred.(w) <- e;
+                push h nd w
+              end
+            end)
+          (Graph.adj g v)
+      end
+    done;
+    (dist, pred, List.rev !order)
+end
+
+let prop_core_matches_reference =
+  QCheck.Test.make ~name:"core pops like the reference heap" ~count:200
+    QCheck.(pair small_int (int_range 2 40))
+    (fun (seed, n) ->
+      (* Coarse weights (zeros included) force plenty of ties. *)
+      let rng = Rng.create (4000 + seed) in
+      let g = Gen.random_regular rng (max 5 n) 4 in
+      let weights = Array.init (Graph.m g) (fun _ -> Float.round (3.0 *. Rng.float rng)) in
+      let src = seed mod Graph.n g in
+      let rdist, rpred, rorder = Reference.dijkstra g weights src in
+      let dist, pred = Shortest.dijkstra g ~weight:(fun e -> weights.(e)) src in
+      List.map fst (settle_order g weights src) = rorder
+      && dist = rdist && pred = rpred)
 
 (* CSR layer: packed arrays must list each vertex's incidences in exactly
    [Graph.adj] order — traversal-order (and hence output) compatibility of
@@ -683,6 +754,87 @@ let test_dijkstra_rejects_negative_weight () =
     (fun () -> ignore (Shortest.hop_limited_path g ~weight ~max_hops:4 0 1))
 
 (* Extra shortest-path coverage *)
+
+(* Target-bounded oracle: every answer is exactly the full run's. *)
+
+let prop_targets_match_full_run =
+  QCheck.Test.make ~name:"dijkstra_targets = full run + path" ~count:300
+    QCheck.(triple small_int (int_range 5 30) (list_of_size (QCheck.Gen.int_range 0 8) small_nat))
+    (fun (seed, n, raw) ->
+      let rng = Rng.create (5000 + seed) in
+      let g = Gen.random_regular rng (max 5 n) 4 in
+      let n = Graph.n g in
+      let src = Rng.int rng n in
+      (* Ties, zeros and masked edges; sometimes a vertex is cut off
+         entirely, so its answer must be [None]. *)
+      let cut = if seed mod 4 = 1 then (src + 1) mod n else -1 in
+      let weights =
+        Array.init (Graph.m g) (fun e ->
+            let u, v = Graph.endpoints g e in
+            if u = cut || v = cut then infinity
+            else
+              match Rng.int rng 6 with
+              | 0 -> 0.0
+              | 1 -> infinity
+              | 2 -> 1.0
+              | _ -> Float.round (3.0 *. Rng.float rng))
+      in
+      let targets = List.map (fun t -> t mod n) raw in
+      let targets = if cut >= 0 then cut :: targets else targets in
+      let targets = if seed mod 3 = 0 then src :: (targets @ [ src ]) else targets in
+      let targets = Array.of_list (targets @ targets) in
+      let got = Shortest.dijkstra_targets g ~weights src targets in
+      let ws = Shortest.Workspace.create () in
+      Shortest.dijkstra_into ws g ~weight:(fun e -> weights.(e)) src;
+      let want = Array.map (Shortest.Workspace.path ws g) targets in
+      got = want
+      && (cut < 0 || Shortest.dijkstra_targets g ~weights src [| cut |] = [| None |]))
+
+let test_targets_stop_early () =
+  let g = Gen.path_graph 6 in
+  let weights = Array.make (Graph.m g) 1.0 in
+  let ws = Shortest.Workspace.create () in
+  (match Shortest.dijkstra_targets ~workspace:ws g ~weights 0 [| 2 |] with
+  | [| Some p |] -> Alcotest.(check int) "two hops" 2 (Path.hops p)
+  | _ -> Alcotest.fail "expected one path");
+  Alcotest.(check int) "settled through the target only" 3
+    (Shortest.Workspace.settled_count ws);
+  Alcotest.(check (float 0.0)) "settled vertex reads" 2.0 (Shortest.Workspace.dist ws 2);
+  Alcotest.check_raises "unsettled vertex is not read as unreachable"
+    (Invalid_argument "Shortest.Workspace: vertex not settled by a run that stopped early")
+    (fun () -> ignore (Shortest.Workspace.dist ws 4));
+  Alcotest.check_raises "short weights"
+    (Invalid_argument "Shortest.dijkstra_targets: weights shorter than edge count")
+    (fun () -> ignore (Shortest.dijkstra_targets g ~weights:[| 1.0 |] 0 [| 1 |]));
+  Alcotest.check_raises "negative weight"
+    (Invalid_argument "Shortest.dijkstra_targets: negative edge weight") (fun () ->
+      ignore (Shortest.dijkstra_targets g ~weights:(Array.make 5 (-1.0)) 0 [| 1 |]))
+
+let test_targets_allocation () =
+  (* Warm single-target calls on the 64-node hypercube allocate only
+     their results: a boxed float anywhere in the kernel would cost
+     words per relaxation (the closure-weight version allocated ~800
+     words per call). *)
+  let g = Gen.hypercube 6 in
+  let n = Graph.n g in
+  let rng = Rng.create 43 in
+  let weights = Array.init (Graph.m g) (fun _ -> 0.1 +. Rng.float rng) in
+  let ws = Shortest.Workspace.create () in
+  let targets = Array.init n (fun s -> [| ((s * 37) + 11) mod n |]) in
+  let calls = 2000 in
+  let run () =
+    for i = 0 to calls - 1 do
+      let s = i mod n in
+      ignore (Sys.opaque_identity (Shortest.dijkstra_targets ~workspace:ws g ~weights s targets.(s)))
+    done
+  in
+  run ();
+  let before = Gc.minor_words () in
+  run ();
+  let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per call < 100" per_call)
+    true (per_call < 100.0)
 
 let test_dijkstra_infinite_weight_masks () =
   let g = Gen.cycle 4 in
@@ -1264,6 +1416,8 @@ let () =
       ( "shortest extra",
         [
           Alcotest.test_case "infinite weight masks" `Quick test_dijkstra_infinite_weight_masks;
+          Alcotest.test_case "targets stop early" `Quick test_targets_stop_early;
+          Alcotest.test_case "targets allocation" `Quick test_targets_allocation;
           Alcotest.test_case "hop-limited = dijkstra when loose" `Quick
             test_hop_limited_equals_dijkstra_when_loose;
           Alcotest.test_case "eccentricity vs diameter" `Quick test_eccentricity_bounds_diameter;
@@ -1317,8 +1471,9 @@ let () =
             prop_cut_bounded_by_degree;
             prop_yen_sorted;
             prop_tree_path_valid;
-            prop_heap_sorts;
-            prop_heap_int_matches_poly;
+            prop_settle_order_sorted;
+            prop_core_matches_reference;
+            prop_targets_match_full_run;
             prop_csr_matches_adj;
             prop_bridges_match_cut_of_one;
           ] );

@@ -13,6 +13,7 @@ module Simulator = Sso_sim.Simulator
 module Valiant = Sso_oblivious.Valiant
 module Sampler = Sso_core.Sampler
 module Integral = Sso_core.Integral
+module Semi_oblivious = Sso_core.Semi_oblivious
 
 let assignment_of_paths entries : Rounding.assignment =
   Array.of_list (List.map (fun (pair, paths) -> (pair, Array.of_list paths)) entries)
@@ -130,6 +131,29 @@ let test_disciplines_all_deliver () =
       in
       Alcotest.(check int) "all delivered" expected stats.Simulator.delivered)
     [ Simulator.Fifo; Simulator.Random_rank (Rng.create 9); Simulator.Longest_remaining ]
+
+let test_lower_bound_holds_on_hypercube () =
+  (* Random-rank runs of 16-packet random permutations on the 64-node
+     hypercube, routed on an α=6 Valiant sample and rounded: every one
+     finishes at or above the per-direction bound (summing both
+     directions of an edge overstated it, and most such runs finished
+     below). *)
+  let g = Gen.hypercube 6 in
+  let system = Sampler.alpha_sample (Rng.create 61) (Valiant.routing g) ~alpha:6 in
+  List.iter
+    (fun seed ->
+      let rng = Rng.create seed in
+      let d = Demand.scale 16.0 (Demand.random_permutation (Rng.split rng) (Graph.n g)) in
+      let r, _ = Semi_oblivious.route g system d in
+      let a = Rounding.round (Rng.split rng) r d in
+      let stats = run ~discipline:(Simulator.Random_rank (Rng.split rng)) g a in
+      let lb = Simulator.lower_bound g a in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: makespan %d >= lower bound %d" seed
+           stats.Simulator.makespan lb)
+        true
+        (stats.Simulator.makespan >= lb))
+    (List.init 10 (fun i -> 100 + i))
 
 let test_makespan_near_cong_plus_dil () =
   (* The empirical heart of Section 7: delivery time tracks c + d, far
@@ -285,6 +309,8 @@ let () =
           Alcotest.test_case "within bounds" `Slow test_random_instances_within_bounds;
           Alcotest.test_case "all disciplines deliver" `Slow test_disciplines_all_deliver;
           Alcotest.test_case "makespan ~ c+d" `Slow test_makespan_near_cong_plus_dil;
+          Alcotest.test_case "lower bound on hypercube" `Quick
+            test_lower_bound_holds_on_hypercube;
         ] );
       ( "disciplines",
         [
