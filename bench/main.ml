@@ -45,7 +45,6 @@ module Completion = Sso_core.Completion
 module Lower_bound = Sso_core.Lower_bound
 module Stats = Sso_stats.Stats
 module Pool = Sso_engine.Pool
-module Metrics = Sso_engine.Metrics
 module Obs = Sso_obs.Obs
 module Trace = Sso_obs.Trace
 module Codec = Sso_artifact.Codec
@@ -780,7 +779,9 @@ let e18 () =
         match !previous with
         | None -> cold
         | Some prev ->
-            snd (Min_congestion.mwu_on_paths_warm ~iters:20 ~warm:prev ~warm_weight:60 g cands d)
+            snd
+              (Semi_oblivious.reoptimize ~solver:(Semi_oblivious.Mwu 20)
+                 ~warm_start:(prev, 60) g system d)
       in
       (* Stale: keep yesterday's rates where defined, first candidate for
          new pairs, and never re-optimize. *)
@@ -1875,7 +1876,7 @@ let () =
   if has "--metrics" then begin
     header
       (Printf.sprintf "metrics  (jobs = %d)" (Pool.default_jobs ()));
-    print_string (Metrics.table ())
+    print_string (Obs.metrics_table ())
   end;
   (match trace_path with
   | None -> ()
@@ -1910,7 +1911,7 @@ let () =
         String.concat ", " (List.map f entries)
       in
       let cache_counter name =
-        Metrics.counter_value (Metrics.counter ("artifact." ^ name))
+        Obs.counter_value (Obs.counter ("artifact." ^ name))
       in
       let json =
         Printf.sprintf
@@ -1938,7 +1939,7 @@ let () =
                  Printf.sprintf "\"%s\": %.17g" (escape name) v
                else Printf.sprintf "\"%s\": \"%.17g\"" (escape name) v)
              !scalars)
-          (Metrics.json ())
+          (Obs.metrics_json ())
       in
       Out_channel.with_open_bin path (fun oc ->
           Out_channel.output_string oc json)

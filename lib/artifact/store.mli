@@ -15,7 +15,7 @@
     payload is never deserialized.
 
     A human-readable [manifest.txt] in the store directory logs one line per
-    write.  {!Sso_engine.Metrics} counters [artifact.hit], [artifact.miss],
+    write.  {!Sso_obs.Obs} counters [artifact.hit], [artifact.miss],
     [artifact.corrupt], [artifact.bytes_read], and [artifact.bytes_written]
     expose cache behaviour to [--metrics]. *)
 

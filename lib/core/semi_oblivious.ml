@@ -23,59 +23,14 @@ let route ?(solver = default_solver) g ps demand =
 
 let congestion ?solver g ps demand = snd (route ?solver g ps demand)
 
-let resolve ?(solver = default_solver) ?warm_start g ps demand =
-  let cands = Path_system.to_candidates ps (Demand.support demand) in
-  let warm =
-    match warm_start with
-    | None -> None
-    | Some (warm, warm_weight) ->
-        (* Keep only warm mass on paths the (possibly pruned) candidate
-           sets still offer; pairs whose entire distribution died are
-           dropped and re-learned by the fresh MWU rounds. *)
-        let filtered =
-          List.filter_map
-            (fun ((s, t), alive_paths) ->
-              let dist =
-                List.filter
-                  (fun (_, p) ->
-                    List.exists (Sso_graph.Path.equal p) alive_paths)
-                  (Routing.distribution warm s t)
-              in
-              if dist = [] || List.for_all (fun (w, _) -> w <= 0.0) dist then None
-              else Some (((s, t), dist), warm_weight))
-            cands
-        in
-        if filtered = [] then None
-        else begin
-          let dists, weights = List.split filtered in
-          Some (Routing.make dists, List.hd weights)
-        end
-  in
-  match (solver, warm) with
-  | Mwu iters, Some (warm, warm_weight) ->
-      Min_congestion.mwu_on_paths_warm ~iters ~warm ~warm_weight g cands demand
+let reoptimize ?(solver = default_solver) ?warm_start g ps demand =
+  match (solver, warm_start) with
+  | Mwu iters, Some warm ->
+      let sc = Path_system.to_slice_candidates ps (Demand.support demand) in
+      Min_congestion.mwu_on_slices ~iters ~warm g sc demand
   | (Lp | Gk _ | Mwu _), _ ->
       (* LP and GK have no incremental form; a cold solve is the warm
          start. *)
-      route ~solver g ps demand
-
-let reoptimize ?(solver = default_solver) ?warm_start g ps demand =
-  match (solver, warm_start) with
-  | Mwu iters, Some (warm, warm_weight) ->
-      (* Demand churn, unlike failure recovery, leaves the candidate sets
-         intact: surviving pairs keep their warm distributions verbatim
-         (no per-path survival filtering needed), departed pairs are
-         dropped, and newly arrived pairs — which the warm routing does
-         not cover — are learned by the fresh rounds alone. *)
-      let support = Demand.support demand in
-      let warm = Routing.restrict warm support in
-      if Routing.pairs warm = [] then route ~solver g ps demand
-      else begin
-        let sc = Path_system.to_slice_candidates ps support in
-        Min_congestion.mwu_on_slices_warm ~iters ~warm ~warm_weight g sc demand
-      end
-  | (Lp | Gk _ | Mwu _), _ ->
-      (* As in [resolve]: LP and GK have no incremental form. *)
       route ~solver g ps demand
 
 let opt ?(solver = default_solver) g demand =

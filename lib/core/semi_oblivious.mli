@@ -29,40 +29,26 @@ val congestion :
   Sso_graph.Graph.t -> Path_system.t -> Sso_demand.Demand.t -> float
 (** [cong_ℝ(P,d)]. *)
 
-val resolve :
-  ?solver:solver ->
-  ?warm_start:Sso_flow.Routing.t * int ->
-  Sso_graph.Graph.t -> Path_system.t -> Sso_demand.Demand.t ->
-  Sso_flow.Routing.t * float
-(** Stage-4 re-optimization after the path system or graph changed —
-    the recovery step of the fault experiments.  With
-    [~warm_start:(r, w)] and an MWU solver, the multiplicative-weights
-    iteration starts from the pre-failure routing [r] (restricted to
-    paths the candidate sets still offer, counted as [w] virtual rounds)
-    instead of from scratch, so few fresh rounds recover a good routing
-    — the operational claim behind "re-optimize rates on survivors".
-    Pairs whose warm distribution died entirely are re-learned from
-    scratch.  Without [warm_start], or with the [Lp]/[Gk] solvers (which
-    have no incremental form), this is {!route}.
-    @raise Invalid_argument if some demanded pair has no candidates. *)
-
 val reoptimize :
   ?solver:solver ->
   ?warm_start:Sso_flow.Routing.t * int ->
   Sso_graph.Graph.t -> Path_system.t -> Sso_demand.Demand.t ->
   Sso_flow.Routing.t * float
-(** Stage-4 re-optimization after the {e demand} changed — {!resolve}'s
-    warm start generalized from fault recovery to demand churn, the inner
-    loop of the routing service.  The candidate sets are intact (nothing
-    failed), so with [~warm_start:(r, w)] and an MWU solver the previous
-    routing is restricted to the pairs the new demand still asks for
-    (departed commodities retire with their distributions) and seeds the
-    iteration as [w] virtual rounds; newly arrived pairs, which [r] does
-    not cover, are learned by the fresh rounds alone.  Runs on the slice
+(** Stage-4 re-optimization after the demand, the path system or both
+    changed — the one warm start, used by the routing service on every
+    warm tick (demand churn, with or without failed edges) and by the
+    fault experiments' recovery ladder.  With [~warm_start:(r, w)] and an
+    MWU solver, the iteration starts from [r] counted as [w] virtual
+    rounds instead of from scratch, so few fresh rounds recover a good
+    routing.  [r] is restricted to the pairs [d] demands and to the paths
+    [P] still offers (looked up in the slice index): a pair that lost no
+    path keeps its distribution verbatim, a pair that lost some has its
+    surviving mass renormalized, and a pair left with nothing — or newly
+    arrived — is learned by the fresh rounds alone.  Runs on the slice
     index, so admitting a commodity costs one arena append and no path
-    system rebuild.  Without [warm_start], with an empty surviving
-    intersection, or with the [Lp]/[Gk] solvers, this is {!route}.
-    Output is bit-identical at any [--jobs].
+    system rebuild.  Without [warm_start], or with the [Lp]/[Gk] solvers
+    (which have no incremental form), this is {!route}.  Output is
+    bit-identical at any [--jobs].
     @raise Invalid_argument if some demanded pair has no candidates. *)
 
 val opt :

@@ -113,8 +113,20 @@ let reverse_bits d v =
   done;
   !r
 
+(* [1 lsl d] wraps for d >= 63 (and [List.init] fails on the negative n
+   at 62), so a vertex count passed where the dimension belongs would
+   silently build an empty or degenerate demand. *)
+let check_dimension fn d =
+  if d > 30 then
+    invalid_arg
+      (Printf.sprintf
+         "%s: dimension %d exceeds 30 (the argument is the hypercube dimension d, not \
+          the vertex count 2^d)"
+         fn d)
+
 let bit_reversal d =
   if d < 1 then invalid_arg "Demand.bit_reversal: dimension must be >= 1";
+  check_dimension "Demand.bit_reversal" d;
   let n = 1 lsl d in
   of_list
     (List.filter_map
@@ -124,6 +136,7 @@ let bit_reversal d =
        (List.init n Fun.id))
 
 let transpose d =
+  check_dimension "Demand.transpose" d;
   if d < 2 || d mod 2 <> 0 then
     invalid_arg "Demand.transpose: dimension must be even and >= 2";
   let half = d / 2 in

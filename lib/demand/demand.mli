@@ -73,12 +73,14 @@ val random_pairs : Sso_prng.Rng.t -> n:int -> pairs:int -> t
 val bit_reversal : int -> t
 (** On a [2^d]-vertex hypercube: [s → reverse of s's bit pattern].  The
     classical adversarial permutation for deterministic oblivious routing
-    ([KKT91]-style instances). *)
+    ([KKT91]-style instances).  @raise Invalid_argument unless
+    [1 <= d <= 30] — [d] is the dimension, not the vertex count. *)
 
 val transpose : int -> t
 (** On a [2^d]-vertex hypercube with even [d]: swap the low and high halves
     of the address bits — the matrix-transpose permutation, the other
-    classical hard instance. *)
+    classical hard instance.  @raise Invalid_argument unless [d] is even
+    and [2 <= d <= 30]. *)
 
 val all_to_all : int -> t
 (** Demand 1 between every ordered pair ([n(n-1)] packets). *)

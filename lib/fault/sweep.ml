@@ -146,7 +146,7 @@ let evaluate ~solver ~iters ~recovery ~pre_routing g ps demand scenario =
                 | [] -> (-1, nan)
                 | rounds :: rest ->
                     let _, warm =
-                      Semi_oblivious.resolve ~solver:(Semi_oblivious.Mwu rounds)
+                      Semi_oblivious.reoptimize ~solver:(Semi_oblivious.Mwu rounds)
                         ~warm_start:(pre, rc.warm_weight) g' survivors demand
                     in
                     if warm <= rc.tolerance *. achieved then (rounds, warm)

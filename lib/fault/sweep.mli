@@ -7,7 +7,7 @@
     multi-failure, capacity-aware generalization of
     [Sso_core.Robustness.single_failures].  Optionally it also measures
     {e time-to-recover}: how many warm-started MWU rounds
-    ({!Sso_core.Semi_oblivious.resolve}) bring the post-failure routing
+    ({!Sso_core.Semi_oblivious.reoptimize}) bring the post-failure routing
     within tolerance of the from-scratch solution.
 
     Scenarios are evaluated concurrently on the engine pool; the report

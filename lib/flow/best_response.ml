@@ -1,0 +1,227 @@
+(* Best responses of the min-congestion game as int handles.
+
+   A store answers, for pair [i] of a solve's support and a per-edge
+   weight array, with the handle of the cheapest admissible path.  Two
+   stores exist.  [Candidates] handles are the canonical candidate indices
+   of a slice index: the path set is fixed up front.  [Interned] handles
+   name the paths a search (Dijkstra or the hop-limited DP) has returned
+   so far: the first sighting of a path for a pair appends it, and later
+   sightings map back to the same handle.  Solvers tally per-handle
+   statistics in a [tally] and emit routings through [distribution], so
+   the MWU and Garg–Könemann loops never see which store they run on. *)
+
+module Graph = Sso_graph.Graph
+module Path = Sso_graph.Path
+module Shortest = Sso_graph.Shortest
+module Pool = Sso_engine.Pool
+module Obs = Sso_obs.Obs
+module Path_map = Map.Make (Path)
+
+let sssp_batches = Obs.counter "mwu.sssp_batches"
+
+(* A search answers one pair, or every target of one source, and reports
+   how many vertices it settled (0 for the hop-limited DP). *)
+type search =
+  | Per_pair of (float array -> int -> int -> Path.t option * int)
+  | Batched of (float array -> int -> int array -> Path.t option array * int)
+
+type interned = {
+  search : search;
+  view : float array -> float array;  (* applied once per call, before the search *)
+  groups : (int * int array) array;  (* source runs of the support *)
+  known : int Path_map.t array;  (* support position -> path -> handle *)
+  mutable paths : Path.t array;  (* handle -> path *)
+  mutable count : int;
+}
+
+type store = Candidates of Slice_candidates.t * int array | Interned of interned
+
+type t = { pool : Pool.t option; support : (int * int) array; store : store }
+
+let candidates ?pool sc support =
+  { pool; support; store = Candidates (sc, Array.map (Slice_candidates.position sc) support) }
+
+(* [Demand.support] is lexicographically sorted, so equal sources form
+   consecutive runs; flattening the group answers in group order restores
+   support order exactly. *)
+let source_groups support =
+  let pairs = Array.length support in
+  let acc = ref [] in
+  let i = ref 0 in
+  while !i < pairs do
+    let s = fst support.(!i) in
+    let j = ref !i in
+    while !j < pairs && fst support.(!j) = s do incr j done;
+    acc := (s, Array.init (!j - !i) (fun k -> snd support.(!i + k))) :: !acc;
+    i := !j
+  done;
+  Array.of_list (List.rev !acc)
+
+let searched ?pool ?(view = Fun.id) search support =
+  let store =
+    {
+      search;
+      view;
+      groups = source_groups support;
+      known = Array.make (Array.length support) Path_map.empty;
+      paths = [||];
+      count = 0;
+    }
+  in
+  { pool; support; store = Interned store }
+
+(* Every call adds the vertices its search settled to the total it
+   returns; the batched search stops once the source's targets settle,
+   the per-pair one is the reference full run. *)
+let dijkstra ?pool ?avoid ~batched g support =
+  let settled () = Shortest.Workspace.settled_count (Shortest.Workspace.for_current_domain ()) in
+  let view =
+    match avoid with
+    | None -> Fun.id
+    | Some avoid ->
+        (* Avoided edges are masked to [infinity] once per call, into a
+           second buffer, before any search reads the weights. *)
+        let m = Graph.m g in
+        let keep = Array.of_list (List.filter (fun e -> not (avoid e)) (List.init m Fun.id)) in
+        let masked = Array.make m infinity in
+        fun w ->
+          Array.iter (fun e -> masked.(e) <- w.(e)) keep;
+          masked
+  in
+  let search =
+    if batched then
+      Batched
+        (fun weights s ts ->
+          let paths = Shortest.dijkstra_targets g ~weights s ts in
+          (paths, settled ()))
+    else
+      Per_pair
+        (fun weights s t ->
+          let path = Shortest.dijkstra_path g ~weight:(Array.get weights) s t in
+          (path, settled ()))
+  in
+  searched ?pool ~view search support
+
+let hop_limited ?pool ~batched ~max_hops g support =
+  let search =
+    if batched then
+      Batched (fun weights s ts -> (Shortest.hop_limited_paths g ~weights ~max_hops s ts, 0))
+    else
+      Per_pair
+        (fun weights s t ->
+          (Shortest.hop_limited_path g ~weight:(Array.get weights) ~max_hops s t, 0))
+  in
+  searched ?pool search support
+
+let intern st i (p : Path.t) =
+  match Path_map.find_opt p st.known.(i) with
+  | Some h -> h
+  | None ->
+      let h = st.count in
+      if h = Array.length st.paths then begin
+        let grown = Array.make (max 16 (2 * h)) p in
+        Array.blit st.paths 0 grown 0 h;
+        st.paths <- grown
+      end;
+      st.paths.(h) <- p;
+      st.count <- h + 1;
+      st.known.(i) <- Path_map.add p h st.known.(i);
+      h
+
+let intern_answer st i = function None -> -1 | Some p -> intern st i p
+
+let respond t weights i =
+  match t.store with
+  | Candidates (sc, positions) ->
+      let p = positions.(i) in
+      if p < 0 then -1
+      else
+        let c = Slice_candidates.cheapest sc ~weights p in
+        if c < 0 then -1 else Slice_candidates.canonical sc c
+  | Interned st -> (
+      let weights = st.view weights in
+      let s, dst = t.support.(i) in
+      match st.search with
+      | Per_pair search -> intern_answer st i (fst (search weights s dst))
+      | Batched search -> intern_answer st i (fst (search weights s [| dst |])).(0))
+
+(* Answers are independent within a call, so they fan out on the pool and
+   come back in support order; interning then runs serially in that
+   order, so handles — and everything the solvers derive from them — are
+   the same for any job count.  Tiny supports stay serial: the dispatch
+   overhead would dominate (the cutoff is a constant, never the job count,
+   to preserve determinism). *)
+let respond_all t weights =
+  let pairs = Array.length t.support in
+  let map f a = if pairs < 4 then Array.map f a else Pool.parallel_map ?pool:t.pool f a in
+  match t.store with
+  | Candidates _ ->
+      let answer i = respond t weights i in
+      let handles =
+        if pairs < 4 then Array.init pairs answer
+        else Pool.parallel_init ?pool:t.pool pairs answer
+      in
+      (handles, 0)
+  | Interned st ->
+      let weights = st.view weights in
+      let answers, settled =
+        match st.search with
+        | Per_pair search ->
+            let answers = map (fun (s, dst) -> search weights s dst) t.support in
+            (Array.map fst answers, Array.fold_left (fun acc (_, k) -> acc + k) 0 answers)
+        | Batched search ->
+            Obs.incr ~by:(Array.length st.groups) sssp_batches;
+            let answers = map (fun (s, ts) -> search weights s ts) st.groups in
+            ( Array.concat (Array.to_list (Array.map fst answers)),
+              Array.fold_left (fun acc (_, k) -> acc + k) 0 answers )
+      in
+      (Array.mapi (intern_answer st) answers, settled)
+
+let iter_edges t h f =
+  match t.store with
+  | Candidates (sc, _) -> Slice_candidates.iter_edges sc h f
+  | Interned st -> Array.iter f st.paths.(h).Path.edges
+
+let find t i p =
+  match t.store with
+  | Candidates (sc, positions) ->
+      let pos = positions.(i) in
+      let c = if pos < 0 then -1 else Slice_candidates.find sc pos p in
+      if c < 0 then -1 else Slice_candidates.canonical sc c
+  | Interned st -> intern st i p
+
+(* ---------- Per-handle statistics ---------- *)
+
+type tally = { mutable weight : float array; mutable seen : bool array }
+
+let tally t =
+  let n = match t.store with Candidates (sc, _) -> Slice_candidates.ncands sc | Interned _ -> 16 in
+  { weight = Array.make n 0.0; seen = Array.make n false }
+
+let add tally h x =
+  let n = Array.length tally.weight in
+  if h >= n then begin
+    let n' = max (h + 1) (2 * n) in
+    let weight = Array.make n' 0.0 and seen = Array.make n' false in
+    Array.blit tally.weight 0 weight 0 n;
+    Array.blit tally.seen 0 seen 0 n;
+    tally.weight <- weight;
+    tally.seen <- seen
+  end;
+  tally.weight.(h) <- tally.weight.(h) +. x;
+  tally.seen.(h) <- true
+
+let seen tally h = h < Array.length tally.seen && tally.seen.(h)
+let seen_count tally = Array.fold_left (fun n s -> if s then n + 1 else n) 0 tally.seen
+
+(* The tallied distribution of pair [i] in descending path order, boxed
+   paths materialized here and only here. *)
+let distribution t tally i =
+  let acc = ref [] in
+  let emit path h = if seen tally h then acc := (tally.weight.(h), path h) :: !acc in
+  (match t.store with
+  | Candidates (sc, positions) ->
+      if positions.(i) >= 0 then
+        Slice_candidates.iter_ascending sc positions.(i) (emit (Slice_candidates.path sc))
+  | Interned st -> Path_map.iter (fun _ h -> emit (Array.get st.paths) h) st.known.(i));
+  !acc

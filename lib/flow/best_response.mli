@@ -1,0 +1,76 @@
+(** Best responses of the min-congestion game as int handles.
+
+    Both flow engines — the MWU game of {!Min_congestion} and the
+    Garg–Könemann phases of {!Concurrent_flow} — ask one question per
+    commodity: under these per-edge weights, which admissible path is
+    cheapest?  A store built over a solve's support (the demanded pairs,
+    sorted) answers with an int handle, [-1] when the pair has no
+    admissible path:
+
+    - {!candidates}: the canonical candidate index in a slice index — the
+      path set P is fixed up front (Stage 4, [cong_ℝ(P,d)]);
+    - {!dijkstra} and {!hop_limited}: the search result interned per pair
+      — the first sighting of a path appends it to the store, later ones
+      map back to its handle (Stage 5's [opt_{G,ℝ}(d)] and the
+      hop-constrained optimum).
+
+    Solvers tally per-handle statistics in a {!tally} and emit each pair's
+    distribution through {!distribution}, in descending
+    {!Sso_graph.Path.compare} order. *)
+
+type t
+
+val candidates :
+  ?pool:Sso_engine.Pool.t -> Slice_candidates.t -> (int * int) array -> t
+(** Cheapest-candidate responses over a slice index; pairs absent from the
+    index have no admissible path. *)
+
+val dijkstra :
+  ?pool:Sso_engine.Pool.t ->
+  ?avoid:(int -> bool) ->
+  batched:bool ->
+  Sso_graph.Graph.t -> (int * int) array -> t
+(** Shortest-path responses over all simple paths.  [avoid]ed edges are
+    masked to [infinity].  With [batched], {!respond_all} answers every
+    target of a source from one target-bounded search
+    ({!Sso_graph.Shortest.dijkstra_targets}, counted in
+    [mwu.sssp_batches]); otherwise each pair runs its own full search.
+    Both return the same paths. *)
+
+val hop_limited :
+  ?pool:Sso_engine.Pool.t ->
+  batched:bool -> max_hops:int -> Sso_graph.Graph.t -> (int * int) array -> t
+(** Responses restricted to at most [max_hops] edges (the hop-limited DP,
+    one pass per source when [batched]). *)
+
+val respond : t -> float array -> int -> int
+(** [respond t weights i]: the handle of pair [i]'s best response. *)
+
+val respond_all : t -> float array -> int array * int
+(** Every pair's handle, in support order, and the number of vertices the
+    searches settled ([0] for candidates and the DP).  Answers fan out on
+    the pool; interning then runs serially in support order, so handles
+    are the same for any job count. *)
+
+val iter_edges : t -> int -> (int -> unit) -> unit
+(** The edge ids of a handle's path, in path order. *)
+
+val find : t -> int -> Sso_graph.Path.t -> int
+(** The handle of a given path for pair [i] — warm-start seeding.  [-1]
+    when a candidate store does not offer it; a search store interns it. *)
+
+type tally
+(** Per-handle accumulated weight, and whether the handle was ever
+    credited. *)
+
+val tally : t -> tally
+
+val add : tally -> int -> float -> unit
+(** Credit a handle. *)
+
+val seen_count : tally -> int
+(** Number of handles credited so far (the support of the routing). *)
+
+val distribution : t -> tally -> int -> (float * Sso_graph.Path.t) list
+(** Pair [i]'s credited handles with their weights, in descending path
+    order.  Boxed paths are materialized here and only here. *)

@@ -29,7 +29,7 @@ val on_slices :
   Min_congestion.slice_candidates ->
   Sso_demand.Demand.t ->
   Routing.t * float
-(** {!on_paths} on a prebuilt slice index — same phase structure and
+(** {!on_paths} on a prebuilt slice index — the same phase loop and
     bit-identical output, walking the flat candidate arrays in place. *)
 
 val unrestricted :

@@ -1,11 +1,9 @@
 module Graph = Sso_graph.Graph
 module Path = Sso_graph.Path
-module Arena = Sso_graph.Arena
 module Shortest = Sso_graph.Shortest
 module Maxflow = Sso_graph.Maxflow
 module Demand = Sso_demand.Demand
 module Simplex = Sso_lp.Simplex
-module Pool = Sso_engine.Pool
 module Obs = Sso_obs.Obs
 module Trace = Sso_obs.Trace
 
@@ -14,7 +12,6 @@ let span_mwu = Obs.span "stage4.mwu"
 let span_lp_unrestricted = Obs.span "opt.lp_unrestricted"
 let mwu_iterations = Obs.counter "mwu.iterations"
 let mwu_oracle_calls = Obs.counter "mwu.oracle_calls"
-let mwu_sssp_batches = Obs.counter "mwu.sssp_batches"
 let mwu_sssp_settled = Obs.counter "mwu.sssp_settled"
 
 type candidates = ((int * int) * Path.t list) list
@@ -133,31 +130,24 @@ let lp_on_paths g cands demand =
    admissible path under those weights; the average of the best responses
    converges to the min-congestion routing at rate O(width·√(ln m / T)). *)
 
-module Path_map = Map.Make (Path)
+(* The one MWU core.  Best responses arrive as int handles from a
+   {!Best_response} store built over the demand's support — candidate
+   indices for Stage 4, interned search results for Stage 5 and the
+   hop-limited optimum — and are tallied per handle.
 
-(* Best-response oracles come in two shapes, both reading the round's
-   flat per-edge weight array.  A [Per_pair] oracle answers one commodity
-   at a time.  A [Batched] oracle answers every commodity sharing a
-   source from one single-source computation (Dijkstra / hop-limited DP),
-   which is where the support of real demands — gravity matrices, incast,
-   ladders — collapses many pairs onto few sources.  Both shapes must
-   return, per pair, exactly the path the per-pair computation would,
-   along with the number of vertices the call's search settled (0 for
-   the hop-limited DP). *)
-type oracle =
-  | Per_pair of (float array -> int -> int -> Path.t option * int)
-  | Batched of (float array -> int -> int array -> Path.t option array * int)
-
-(* [avoid] edges are masked to [infinity] once per round, into a second
-   buffer, before any oracle reads the weights. *)
-let mwu_generic ?pool ?(iters = 300) ?avoid ~label g ~oracle demand =
+   With [warm = (previous, w)] the game starts from [previous] counted as
+   [w] already-played rounds.  Each demanded pair keeps the warm paths the
+   store still offers: a pair that lost none seeds its distribution
+   verbatim, a pair that lost some renormalizes the survivors (as
+   [Routing.make] would), and a pair that lost all is learned by the fresh
+   rounds alone, like a pair the warm routing never covered. *)
+let mwu ?(iters = 300) ?warm ~label g oracle demand =
   if iters <= 0 then invalid_arg "Min_congestion: iters must be positive";
   if Demand.support_size demand = 0 then Some (Routing.make [], 0.0)
   else Obs.with_span span_mwu @@ fun () -> begin
     let m = Graph.m g in
-    let support = Demand.support demand in
-    let support_arr = Array.of_list support in
-    let pairs = Array.length support_arr in
+    let support = Array.of_list (Demand.support demand) in
+    let pairs = Array.length support in
     if Obs.tracing () then
       Obs.event "mwu.solve"
         ~attrs:
@@ -168,70 +158,31 @@ let mwu_generic ?pool ?(iters = 300) ?avoid ~label g ~oracle demand =
           ];
     (* Per-round invariants, hoisted out of the relaxation/accumulation
        inner loops: demand amounts and edge capacities are loop constants. *)
-    let amounts = Array.map (fun (s, t) -> Demand.get demand s t) support_arr in
+    let amounts = Array.map (fun (s, t) -> Demand.get demand s t) support in
     let caps = Array.init m (Graph.cap g) in
-    (* Group the support by source.  [Demand.support] is lexicographically
-       sorted, so equal sources form consecutive runs; grouping runs (and
-       flattening group answers in group order) therefore preserves support
-       order exactly — the determinism argument needs nothing more. *)
-    let groups =
-      let acc = ref [] in
-      let i = ref 0 in
-      while !i < pairs do
-        let s = fst support_arr.(!i) in
-        let j = ref !i in
-        while !j < pairs && fst support_arr.(!j) = s do incr j done;
-        acc := (s, Array.init (!j - !i) (fun k -> snd support_arr.(!i + k))) :: !acc;
-        i := !j
-      done;
-      Array.of_list (List.rev !acc)
-    in
-    (* Per-commodity best responses are independent within a round, so they
-       fan out on the pool; results come back in support order, and loads
-       are folded serially in that order, so the routing is bit-identical
-       for any job count.  Tiny supports stay serial — the dispatch
-       overhead would dominate (the cutoff is a constant, never the job
-       count, to preserve determinism). *)
-    let view =
-      match avoid with
-      | None -> Fun.id
-      | Some avoid ->
-          let keep = List.filter (fun e -> not (avoid e)) (List.init m Fun.id) in
-          let keep = Array.of_list keep in
-          let masked = Array.make m infinity in
-          fun w ->
-            Array.iter (fun e -> masked.(e) <- w.(e)) keep;
-            masked
-    in
-    let map f a = if pairs < 4 then Array.map f a else Pool.parallel_map ?pool f a in
-    let total_settled answers = Array.fold_left (fun acc (_, k) -> acc + k) 0 answers in
-    (* Returns the answers in support order and the vertices settled. *)
+    let oracle : Best_response.t = oracle support in
+    (* Handles in support order, and the vertices the searches settled. *)
     let best_responses w =
-      let w = view w in
       Obs.incr ~by:pairs mwu_oracle_calls;
-      match oracle with
-      | Per_pair oracle ->
-          let answers = map (fun (s, t) -> oracle w s t) support_arr in
-          (Array.map fst answers, total_settled answers)
-      | Batched oracle ->
-          Obs.incr ~by:(Array.length groups) mwu_sssp_batches;
-          let answers = map (fun (s, ts) -> oracle w s ts) groups in
-          (Array.concat (Array.to_list (Array.map fst answers)), total_settled answers)
+      let ((_, settled) as answers) = Best_response.respond_all oracle w in
+      Obs.incr ~by:settled mwu_sssp_settled;
+      answers
     in
-    (* Feasibility probe with uniform weights; also yields the width
-       normalizer U (congestion of the probe routing). *)
-    let probe, _ = best_responses (Array.map (fun c -> 1.0 /. c) caps) in
-    if Array.exists (fun p -> p = None) probe then None
+    let add_loads loads h amount =
+      Best_response.iter_edges oracle h (fun e ->
+          Array.unsafe_set loads e (Array.unsafe_get loads e +. amount))
+    in
+    (* The adversary weight is recomputed once per edge per round into a
+       flat buffer (hoisting the exp out of the oracles' inner loops, and
+       off of every edge visit), reused across rounds.  Its first use is
+       the feasibility probe with uniform weights, which also yields the
+       width normalizer U (congestion of the probe routing). *)
+    let warr = Array.map (fun c -> 1.0 /. c) caps in
+    let probe, _ = best_responses warr in
+    if Array.exists (fun h -> h < 0) probe then None
     else begin
       let loads = Array.make m 0.0 in
-      Array.iteri
-        (fun i p ->
-          match p with
-          | Some (p : Path.t) ->
-              let amount = amounts.(i) in
-              Array.iter (fun e -> loads.(e) <- loads.(e) +. amount) p.Path.edges
-          | None -> assert false)
-        probe;
+      Array.iteri (fun i h -> add_loads loads h amounts.(i)) probe;
       let u_norm = ref 1e-12 in
       Array.iteri
         (fun e load ->
@@ -241,18 +192,41 @@ let mwu_generic ?pool ?(iters = 300) ?avoid ~label g ~oracle demand =
       let u_norm = !u_norm in
       let eta = Float.sqrt (4.0 *. Float.log (float_of_int (max 2 m)) /. float_of_int iters) in
       let cum = Array.make m 0.0 in
-      let counts = Hashtbl.create pairs in
-      let record pair p =
-        let cur = try Hashtbl.find counts pair with Not_found -> Path_map.empty in
-        let cur =
-          Path_map.update p (function None -> Some 1.0 | Some c -> Some (c +. 1.0)) cur
-        in
-        Hashtbl.replace counts pair cur
+      let tally = Best_response.tally oracle in
+      let base_plays =
+        match warm with
+        | None -> 0
+        | Some (previous, weight) ->
+            if weight <= 0 then invalid_arg "Min_congestion: warm-start weight must be positive";
+            let wf = float_of_int weight in
+            let seeded = ref false in
+            Array.iteri
+              (fun i (s, t) ->
+                let dist = Routing.distribution previous s t in
+                let kept =
+                  List.filter_map
+                    (fun (w, p) ->
+                      let h = Best_response.find oracle i p in
+                      if h < 0 then None else Some (w, h))
+                    dist
+                in
+                let kept =
+                  if List.compare_lengths kept dist = 0 then kept
+                  else
+                    let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 kept in
+                    List.map (fun (w, h) -> (w /. total, h)) kept
+                in
+                let amount = amounts.(i) in
+                List.iter
+                  (fun (w, h) ->
+                    seeded := true;
+                    Best_response.add tally h (w *. wf);
+                    Best_response.iter_edges oracle h (fun e ->
+                        cum.(e) <- cum.(e) +. (wf *. w *. amount /. (caps.(e) *. u_norm))))
+                  kept)
+              support;
+            if !seeded then weight else 0
       in
-      (* The adversary weight is recomputed once per edge per round into a
-         flat buffer (hoisting the exp out of the oracles' inner loops, and
-         off of every edge visit), reused across rounds. *)
-      let warr = Array.make m 0.0 in
       let round_loads = Array.make m 0.0 in
       for round = 1 to iters do
         Obs.incr mwu_iterations;
@@ -263,15 +237,10 @@ let mwu_generic ?pool ?(iters = 300) ?avoid ~label g ~oracle demand =
         let responses, settled = best_responses warr in
         Array.fill round_loads 0 m 0.0;
         Array.iteri
-          (fun i response ->
-            match response with
-            | None -> assert false (* probed feasible above *)
-            | Some p ->
-                record support_arr.(i) p;
-                let amount = amounts.(i) in
-                Array.iter
-                  (fun e -> round_loads.(e) <- round_loads.(e) +. amount)
-                  p.Path.edges)
+          (fun i h ->
+            if h < 0 then assert false (* probed feasible above *);
+            Best_response.add tally h 1.0;
+            add_loads round_loads h amounts.(i))
           responses;
         for e = 0 to m - 1 do
           cum.(e) <- cum.(e) +. (round_loads.(e) /. (caps.(e) *. u_norm))
@@ -287,10 +256,7 @@ let mwu_generic ?pool ?(iters = 300) ?avoid ~label g ~oracle demand =
             if rc > !round_peak then round_peak := rc;
             if cum.(e) > !cum_peak then cum_peak := cum.(e)
           done;
-          let plays = float_of_int round in
-          let support_paths =
-            Hashtbl.fold (fun _ dist acc -> acc + Path_map.cardinal dist) counts 0
-          in
+          let plays = float_of_int (base_plays + round) in
           Obs.event "mwu.round"
             ~attrs:
               [
@@ -299,262 +265,48 @@ let mwu_generic ?pool ?(iters = 300) ?avoid ~label g ~oracle demand =
                 ("round_congestion", Trace.Float !round_peak);
                 ("avg_congestion", Trace.Float (!cum_peak *. u_norm /. plays));
                 ("potential", Trace.Float !cum_peak);
-                ("support_paths", Trace.Int support_paths);
+                ("support_paths", Trace.Int (Best_response.seen_count tally));
                 ("sssp_settled", Trace.Int settled);
               ]
         end
       done;
       let routing =
         Routing.make
-          (List.map
-             (fun (s, t) ->
-               let dist = Hashtbl.find counts (s, t) in
-               ((s, t), Path_map.fold (fun p c acc -> (c, p) :: acc) dist []))
-             support)
+          (Array.to_list
+             (Array.mapi (fun i pair -> (pair, Best_response.distribution oracle tally i)) support))
       in
       Some (routing, Routing.congestion g routing demand)
     end
   end
-
-(* ---------- Candidate sets as arena slices ----------
-
-   Stage-4 candidate solving runs on the flat index of {!Slice_candidates}:
-   the candidate set is unpacked once per solve and every round's
-   oracle/accumulation loops walk int arrays in place. *)
 
 type slice_candidates = Slice_candidates.t
 
 let slice_candidates_of_arena = Slice_candidates.of_arena
 let slice_candidates_of_list g (cands : candidates) = Slice_candidates.of_list g cands
 
-(* The MWU game of [mwu_generic], specialized to candidate slices: same
-   dispatch structure, counters, trace events and float operation order,
-   with best responses as candidate indices instead of boxed paths. *)
-let mwu_slices ?pool ?(iters = 300) ?warm ~label g sc demand =
-  if iters <= 0 then invalid_arg "Min_congestion: iters must be positive";
-  if Demand.support_size demand = 0 then Some (Routing.make [], 0.0)
-  else Obs.with_span span_mwu @@ fun () -> begin
-    let m = Graph.m g in
-    let support = Demand.support demand in
-    let support_arr = Array.of_list support in
-    let pairs = Array.length support_arr in
-    if Obs.tracing () then
-      Obs.event "mwu.solve"
-        ~attrs:
-          [
-            ("solver", Trace.String label);
-            ("pairs", Trace.Int pairs);
-            ("iters", Trace.Int iters);
-          ];
-    let amounts = Array.map (fun (s, t) -> Demand.get demand s t) support_arr in
-    let caps = Array.init m (Graph.cap g) in
-    (* Pair positions in the candidate index, [-1] for uncovered pairs. *)
-    let positions = Array.map (Slice_candidates.position sc) support_arr in
-    let answer ~weight i =
-      let p = positions.(i) in
-      if p < 0 then -1 else Slice_candidates.cheapest sc ~weight p
-    in
-    let best_responses ~weight =
-      Obs.incr ~by:pairs mwu_oracle_calls;
-      if pairs < 4 then Array.init pairs (fun i -> answer ~weight i)
-      else Pool.parallel_init ?pool pairs (fun i -> answer ~weight i)
-    in
-    let add_loads loads c amount =
-      Slice_candidates.iter_edges sc c (fun e ->
-          Array.unsafe_set loads e (Array.unsafe_get loads e +. amount))
-    in
-    let probe_weight e = 1.0 /. caps.(e) in
-    let probe = best_responses ~weight:probe_weight in
-    if Array.exists (fun c -> c < 0) probe then None
-    else begin
-      let loads = Array.make m 0.0 in
-      Array.iteri (fun i c -> add_loads loads c amounts.(i)) probe;
-      let u_norm = ref 1e-12 in
-      Array.iteri
-        (fun e load ->
-          let c = load /. caps.(e) in
-          if c > !u_norm then u_norm := c)
-        loads;
-      let u_norm = !u_norm in
-      let eta = Float.sqrt (4.0 *. Float.log (float_of_int (max 2 m)) /. float_of_int iters) in
-      let cum = Array.make m 0.0 in
-      let ncands = Slice_candidates.ncands sc in
-      let counts = Array.make ncands 0.0 in
-      let present = Array.make ncands false in
-      let overflow : (int, (Path.t * float) list) Hashtbl.t = Hashtbl.create 7 in
-      (match warm with
-      | None -> ()
-      | Some (previous, weight) ->
-          if weight <= 0 then invalid_arg "Min_congestion: warm-start weight must be positive";
-          let wf = float_of_int weight in
-          Array.iteri
-            (fun i (s, t) ->
-              match Routing.distribution previous s t with
-              | [] -> ()
-              | dist ->
-                  let over = ref Path_map.empty in
-                  List.iter
-                    (fun (w, p) ->
-                      let c =
-                        if positions.(i) < 0 then -1
-                        else Slice_candidates.find sc positions.(i) p
-                      in
-                      if c >= 0 then begin
-                        let cc = Slice_candidates.canonical sc c in
-                        counts.(cc) <- counts.(cc) +. (w *. wf);
-                        present.(cc) <- true
-                      end
-                      else
-                        over :=
-                          Path_map.update p
-                            (function
-                              | None -> Some (w *. wf) | Some c -> Some (c +. (w *. wf)))
-                            !over)
-                    dist;
-                  if not (Path_map.is_empty !over) then
-                    Hashtbl.replace overflow i
-                      (Path_map.fold (fun p c acc -> (p, c) :: acc) !over []
-                      |> List.rev);
-                  let amount = amounts.(i) in
-                  List.iter
-                    (fun (w, (p : Path.t)) ->
-                      Array.iter
-                        (fun e ->
-                          cum.(e) <-
-                            cum.(e) +. (wf *. w *. amount /. (caps.(e) *. u_norm)))
-                        p.Path.edges)
-                    dist)
-            support_arr);
-      let record c =
-        let cc = Slice_candidates.canonical sc c in
-        counts.(cc) <- counts.(cc) +. 1.0;
-        present.(cc) <- true
-      in
-      let warr = Array.make m 0.0 in
-      let round_weight e = warr.(e) in
-      let round_loads = Array.make m 0.0 in
-      let base_plays = match warm with None -> 0 | Some (_, w) -> w in
-      for round = 1 to iters do
-        Obs.incr mwu_iterations;
-        let max_cum = Array.fold_left Float.max neg_infinity cum in
-        for e = 0 to m - 1 do
-          warr.(e) <- Float.exp (eta *. (cum.(e) -. max_cum)) /. caps.(e)
-        done;
-        let responses = best_responses ~weight:round_weight in
-        Array.fill round_loads 0 m 0.0;
-        Array.iteri
-          (fun i c ->
-            if c < 0 then assert false (* probed feasible above *);
-            record c;
-            add_loads round_loads c amounts.(i))
-          responses;
-        for e = 0 to m - 1 do
-          cum.(e) <- cum.(e) +. (round_loads.(e) /. (caps.(e) *. u_norm))
-        done;
-        if Obs.tracing () then begin
-          let round_peak = ref 0.0 and cum_peak = ref neg_infinity in
-          for e = 0 to m - 1 do
-            let rc = round_loads.(e) /. caps.(e) in
-            if rc > !round_peak then round_peak := rc;
-            if cum.(e) > !cum_peak then cum_peak := cum.(e)
-          done;
-          let plays = float_of_int (base_plays + round) in
-          let support_paths =
-            let n = ref 0 in
-            Array.iter (fun p -> if p then incr n) present;
-            Hashtbl.iter (fun _ over -> n := !n + List.length over) overflow;
-            !n
-          in
-          Obs.event "mwu.round"
-            ~attrs:
-              [
-                ("solver", Trace.String label);
-                ("round", Trace.Int round);
-                ("round_congestion", Trace.Float !round_peak);
-                ("avg_congestion", Trace.Float (!cum_peak *. u_norm /. plays));
-                ("potential", Trace.Float !cum_peak);
-                ("support_paths", Trace.Int support_paths);
-              ]
-        end
-      done;
-      let routing =
-        Routing.make
-          (List.mapi
-             (fun i pair ->
-               ( pair,
-                 Slice_candidates.pair_distribution sc ~counts ~present
-                   ~overflow:(Hashtbl.find_opt overflow i)
-                   positions.(i) ))
-             support)
-      in
-      Some (routing, Routing.congestion g routing demand)
-    end
-  end
-
-let mwu_on_slices ?pool ?iters g sc demand =
-  match mwu_slices ?pool ?iters ~label:"on_paths" g sc demand with
+let mwu_on_slices ?pool ?iters ?warm g sc demand =
+  let label = if Option.is_none warm then "on_paths" else "on_paths_warm" in
+  match mwu ?iters ?warm ~label g (Best_response.candidates ?pool sc) demand with
   | Some result -> result
   | None -> invalid_arg "Min_congestion.mwu_on_paths: demanded pair has no candidates"
-
-let mwu_on_slices_warm ?pool ?iters ~warm ~warm_weight g sc demand =
-  match
-    mwu_slices ?pool ?iters ~warm:(warm, warm_weight) ~label:"on_paths_warm" g sc demand
-  with
-  | Some result -> result
-  | None -> invalid_arg "Min_congestion.mwu_on_paths_warm: demanded pair has no candidates"
 
 let mwu_on_paths ?pool ?iters g cands demand =
   mwu_on_slices ?pool ?iters g (slice_candidates_of_list g cands) demand
 
-let mwu_on_paths_warm ?pool ?iters ~warm ~warm_weight g cands demand =
-  mwu_on_slices_warm ?pool ?iters ~warm ~warm_weight g
-    (slice_candidates_of_list g cands)
-    demand
-
-(* Dijkstra best responses.  The batched oracle stops each search once
-   its source's targets have settled; the per-pair one is the reference
-   full run.  Every call adds the vertices its search settled to
-   [mwu.sssp_settled] (a per-call figure, so the total is the same at any
-   job count). *)
-let dijkstra_oracle ~batched g =
-  let settled () =
-    let k = Shortest.Workspace.settled_count (Shortest.Workspace.for_current_domain ()) in
-    Obs.incr ~by:k mwu_sssp_settled;
-    k
-  in
-  if batched then
-    Batched
-      (fun weights s ts ->
-        let paths = Shortest.dijkstra_targets g ~weights s ts in
-        (paths, settled ()))
-  else
-    Per_pair
-      (fun weights s t ->
-        let path = Shortest.dijkstra_path g ~weight:(Array.get weights) s t in
-        (path, settled ()))
-
 let mwu_unrestricted ?pool ?iters ?(batched = true) g demand =
   match
-    mwu_generic ?pool ?iters ~label:"unrestricted" g
-      ~oracle:(dijkstra_oracle ~batched g) demand
+    mwu ?iters ~label:"unrestricted" g (Best_response.dijkstra ?pool ~batched g) demand
   with
   | Some result -> result
   | None -> invalid_arg "Min_congestion.mwu_unrestricted: graph is disconnected"
 
 let mwu_unrestricted_avoiding ?pool ?iters ?(batched = true) ~avoid g demand =
-  mwu_generic ?pool ?iters ~avoid ~label:"avoiding" g
-    ~oracle:(dijkstra_oracle ~batched g) demand
+  mwu ?iters ~label:"avoiding" g (Best_response.dijkstra ?pool ~avoid ~batched g) demand
 
 let mwu_hop_limited ?pool ?iters ?(batched = true) ~max_hops g demand =
-  let oracle =
-    if batched then
-      Batched (fun weights s ts -> (Shortest.hop_limited_paths g ~weights ~max_hops s ts, 0))
-    else
-      Per_pair
-        (fun weights s t ->
-          (Shortest.hop_limited_path g ~weight:(Array.get weights) ~max_hops s t, 0))
-  in
-  mwu_generic ?pool ?iters ~label:"hop_limited" g ~oracle demand
+  mwu ?iters ~label:"hop_limited" g
+    (Best_response.hop_limited ?pool ~batched ~max_hops g)
+    demand
 
 (* ---------- Exact unrestricted LP (edge formulation) ---------- *)
 

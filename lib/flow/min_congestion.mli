@@ -8,9 +8,10 @@
     Two engines are provided and cross-validated in the test suite:
 
     - an exact LP (path formulation, dense simplex) for small instances;
-    - a multiplicative-weights (no-regret game) solver whose path oracle is
-      pluggable: candidate-set lookup for path-restricted routing, Dijkstra
-      for the unrestricted optimum, and a hop-limited DP for the
+    - a multiplicative-weights (no-regret game) solver with one round loop
+      whose best responses come from a {!Best_response} store: candidate
+      indices for path-restricted routing, interned Dijkstra paths for the
+      unrestricted optimum, and interned hop-limited DP paths for the
       hop-constrained optimum used by the completion-time results. *)
 
 type candidates = ((int * int) * Sso_graph.Path.t list) list
@@ -34,17 +35,21 @@ val slice_candidates_of_list :
 val mwu_on_slices :
   ?pool:Sso_engine.Pool.t ->
   ?iters:int ->
+  ?warm:Routing.t * int ->
   Sso_graph.Graph.t -> slice_candidates -> Sso_demand.Demand.t -> Routing.t * float
 (** {!mwu_on_paths} on a prebuilt slice index — candidate systems already
-    stored in an arena solve without materializing any path list. *)
+    stored in an arena solve without materializing any path list.
 
-val mwu_on_slices_warm :
-  ?pool:Sso_engine.Pool.t ->
-  ?iters:int ->
-  warm:Routing.t ->
-  warm_weight:int ->
-  Sso_graph.Graph.t -> slice_candidates -> Sso_demand.Demand.t -> Routing.t * float
-(** {!mwu_on_paths_warm} on a prebuilt slice index. *)
+    [~warm:(r, w)] re-optimizes incrementally: the MWU starts from the
+    routing [r] counted as [w] (positive) already-played rounds, then runs
+    [iters] fresh rounds.  This is the traffic-engineering control loop —
+    when the demand drifts or a few candidates fail between snapshots, a
+    handful of warm rounds recovers near-optimal rates at a fraction of a
+    cold solve's cost.  [r] is restricted to the demanded pairs and to the
+    paths the index still offers: a pair that lost no path keeps its
+    distribution verbatim, a pair that lost some has its surviving mass
+    renormalized, and a pair left with nothing (or absent from [r]) is
+    learned by the fresh rounds alone. *)
 
 val lp_on_paths :
   Sso_graph.Graph.t -> candidates -> Sso_demand.Demand.t -> Routing.t * float
@@ -59,24 +64,9 @@ val mwu_on_paths :
   ?iters:int ->
   Sso_graph.Graph.t -> candidates -> Sso_demand.Demand.t -> Routing.t * float
 (** Approximate version of {!lp_on_paths} via multiplicative weights
-    ([iters] defaults to 300; error decays as [O(1/√iters)]).  Candidate
-    lookups go through a hashtable index built once per solve.  Results are
-    bit-identical for any [pool]. *)
-
-val mwu_on_paths_warm :
-  ?pool:Sso_engine.Pool.t ->
-  ?iters:int ->
-  warm:Routing.t ->
-  warm_weight:int ->
-  Sso_graph.Graph.t -> candidates -> Sso_demand.Demand.t -> Routing.t * float
-(** Incremental re-optimization: seed the MWU with a previous routing
-    counted as [warm_weight] already-played rounds, then run [iters] fresh
-    rounds.  This is the traffic-engineering control loop — when the
-    demand drifts slightly between snapshots, a handful of warm rounds
-    recovers near-optimal rates at a fraction of a cold solve's cost.  The
-    warm routing should be supported on the same candidate system (its
-    paths enter the averaged output verbatim); pairs it does not cover are
-    handled by the fresh rounds alone. *)
+    ([iters] defaults to 300; error decays as [O(1/√iters)]): the list
+    entry point, indexing the candidates into a private arena.  Results
+    are bit-identical for any [pool]. *)
 
 val lp_unrestricted :
   Sso_graph.Graph.t -> Sso_demand.Demand.t -> float

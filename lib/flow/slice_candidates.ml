@@ -5,14 +5,12 @@
    flat)] int arrays, and every round's oracle/accumulation loops run over
    those arrays — no per-path boxed array is touched until the final
    routing is emitted.  Candidates keep their generation order (the order
-   the boxed oracles scanned lists in), and [rank] additionally stores, per
-   pair, the candidate order ascending by [Path.compare] — the order the
-   boxed solvers' [Path_map] imposed on outputs — so results stay
-   bit-identical to the list-based implementation this replaces. *)
+   the cheapest-path scan breaks ties in), and [rank] additionally stores,
+   per pair, the candidate order ascending by [Path.compare] — the order
+   routings are emitted in. *)
 
 module Path = Sso_graph.Path
 module Arena = Sso_graph.Arena
-module Path_map = Map.Make (Path)
 
 type t = {
   arena : Arena.t;
@@ -21,8 +19,7 @@ type t = {
   slice_ids : int array;  (* candidate -> arena slice handle *)
   canon : int array;
       (* candidate -> canonical candidate: duplicate paths inside one
-         pair's list collapse onto their first occurrence, the way a
-         [Path_map] keyed by path merged them. *)
+         pair's list collapse onto their first occurrence. *)
   rank : int array;
       (* per pair range: candidates ascending by path order (ties — i.e.
          duplicates — broken by position, so the canonical copy leads) *)
@@ -108,19 +105,18 @@ let of_list g cands =
 
 let position sc pair = match Hashtbl.find_opt sc.pos pair with Some i -> i | None -> -1
 let ncands sc = sc.cand_off.(Array.length sc.cand_off - 1)
-let is_empty_at sc i = sc.cand_off.(i) >= sc.cand_off.(i + 1)
 
-(* Cheapest candidate of pair position [i] under [weight]: the same strict
-   [<] left fold the boxed oracle ran over the candidate list, on the flat
-   arrays.  [-1] when the pair has no candidates. *)
-let cheapest sc ~weight i =
+(* Cheapest candidate of pair position [i] under [weights]: a strict [<]
+   left fold over the candidates in generation order, on the flat arrays.
+   [-1] when the pair has no candidates. *)
+let cheapest sc ~weights i =
   let lo = sc.cand_off.(i) and hi = sc.cand_off.(i + 1) in
   if lo >= hi then -1
   else begin
     let score c =
       let acc = ref 0.0 in
       for k = sc.edge_off.(c) to sc.edge_off.(c + 1) - 1 do
-        acc := !acc +. weight (Array.unsafe_get sc.flat k)
+        acc := !acc +. weights.(Array.unsafe_get sc.flat k)
       done;
       !acc
     in
@@ -142,11 +138,6 @@ let iter_edges sc c f =
     f (Array.unsafe_get sc.flat k)
   done
 
-let fold_edges sc c f init =
-  let acc = ref init in
-  iter_edges sc c (fun e -> acc := f !acc e);
-  !acc
-
 (* Find the candidate of pair position [i] whose edge sequence equals [p]
    (first occurrence in generation order), for warm-start seeding. *)
 let find sc i (p : Path.t) =
@@ -167,23 +158,9 @@ let find sc i (p : Path.t) =
   in
   go lo
 
-(* Averaged per-pair distribution in descending path order — the order
-   [Path_map.fold ... (c, p) :: acc] produced — merging candidate counts
-   with any overflow paths (warm-start paths outside the candidate set). *)
-let pair_distribution sc ~counts ~present ~overflow i =
-  let lo = sc.cand_off.(i) and hi = sc.cand_off.(i + 1) in
-  let ascending = ref [] in
-  for k = hi - 1 downto lo do
-    let c = sc.rank.(k) in
-    if sc.canon.(c) = c && present.(c) then
-      ascending := (Arena.to_path sc.arena sc.slice_ids.(c), counts.(c)) :: !ascending
-  done;
-  let merged =
-    match overflow with
-    | None -> !ascending
-    | Some bindings ->
-        (* Both inputs ascend by path order and never collide: an overflow
-           path equal to a candidate would have been seeded as one. *)
-        List.merge (fun (p, _) (q, _) -> Path.compare p q) !ascending bindings
-  in
-  List.fold_left (fun acc (p, c) -> (c, p) :: acc) [] merged
+let iter_ascending sc i f =
+  for k = sc.cand_off.(i) to sc.cand_off.(i + 1) - 1 do
+    f sc.rank.(k)
+  done
+
+let path sc c = Arena.to_path sc.arena sc.slice_ids.(c)

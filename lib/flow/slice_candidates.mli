@@ -5,9 +5,9 @@
     pair, [edge_off] per candidate, [flat] edge ids), so per-round oracle
     and accumulation loops never touch a boxed path.  Alongside the
     generation order the index stores, per pair, the candidate permutation
-    ascending by {!Sso_graph.Path.compare} — the order the boxed solvers'
-    [Path_map] imposed on outputs — so slice-based solves produce
-    bit-identical routings to the list-based implementation they replace. *)
+    ascending by {!Sso_graph.Path.compare}, the order routings are emitted
+    in.  Candidate indices are the handles {!Best_response} hands the
+    solvers. *)
 
 type t
 
@@ -26,40 +26,27 @@ val position : t -> int * int -> int
 val ncands : t -> int
 (** Total number of candidates across all pairs. *)
 
-val is_empty_at : t -> int -> bool
-(** Does pair position [i] have an empty candidate set? *)
-
-val cheapest : t -> weight:(int -> float) -> int -> int
-(** Cheapest candidate of pair position [i] under [weight] — the same
-    strict [<] left fold over candidates in generation order (ties keep the
-    first) and the same per-path left-to-right weight sum as the boxed
-    oracle.  [-1] when the pair has no candidates. *)
+val cheapest : t -> weights:float array -> int -> int
+(** Cheapest candidate of pair position [i] under the per-edge [weights]:
+    a strict [<] left fold over candidates in generation order (ties keep
+    the first), each path's weight summed left to right.  [-1] when the
+    pair has no candidates. *)
 
 val canonical : t -> int -> int
 (** Canonical representative of a candidate: duplicate paths inside one
-    pair's list collapse onto their first occurrence, the way a [Path_map]
-    keyed by path merged them.  Accumulate per-candidate statistics at the
-    canonical index. *)
+    pair's list collapse onto their first occurrence.  Accumulate
+    per-candidate statistics at the canonical index. *)
 
 val iter_edges : t -> int -> (int -> unit) -> unit
 (** Edge ids of a candidate, in path order. *)
-
-val fold_edges : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
 
 val find : t -> int -> Sso_graph.Path.t -> int
 (** First candidate of pair position [i] (generation order) whose edge
     sequence equals the path's, or [-1] — warm-start seeding. *)
 
-val pair_distribution :
-  t ->
-  counts:float array ->
-  present:bool array ->
-  overflow:(Sso_graph.Path.t * float) list option ->
-  int ->
-  (float * Sso_graph.Path.t) list
-(** The averaged distribution of pair position [i] in descending path
-    order (the order [Path_map.fold (fun p c acc -> (c, p) :: acc)]
-    produced): canonical candidates with [present], weighted by [counts],
-    merged with the ascending [overflow] list (warm-start paths outside
-    the candidate set).  Boxed paths are materialized here and only
-    here. *)
+val iter_ascending : t -> int -> (int -> unit) -> unit
+(** The candidates of pair position [i] in ascending path order
+    (duplicates follow their canonical copy). *)
+
+val path : t -> int -> Sso_graph.Path.t
+(** A candidate as a boxed path, decoded from the arena. *)

@@ -2,6 +2,12 @@ module Rng = Sso_prng.Rng
 
 let hypercube d =
   if d < 1 then invalid_arg "Gen.hypercube: dimension must be >= 1";
+  if d > 30 then
+    invalid_arg
+      (Printf.sprintf
+         "Gen.hypercube: dimension %d exceeds 30 (the argument is the dimension d, not \
+          the vertex count 2^d)"
+         d);
   let n = 1 lsl d in
   let b = Graph.Builder.create n in
   for v = 0 to n - 1 do

@@ -8,7 +8,8 @@
 
 val hypercube : int -> Graph.t
 (** [hypercube d] is the [2^d]-vertex boolean hypercube; vertex ids are the
-    bit patterns. *)
+    bit patterns.  @raise Invalid_argument unless [1 <= d <= 30] — [d] is
+    the dimension, not the vertex count. *)
 
 val grid : int -> int -> Graph.t
 (** [grid rows cols]: vertex [(r, c)] has id [r * cols + c]. *)

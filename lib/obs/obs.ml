@@ -133,8 +133,7 @@ let traced ?(attrs = []) name f =
 (* ---- metrics registry ----
 
    Counters and accumulators are atomics so hot paths never take the
-   registry lock; the lock only guards find-or-create and enumeration.
-   This is the old Engine.Metrics registry extended with histograms. *)
+   registry lock; the lock only guards find-or-create and enumeration. *)
 
 type counter = { cname : string; value : int Atomic.t }
 

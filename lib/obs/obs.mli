@@ -3,9 +3,8 @@
     Two layers share one module:
 
     - {b Always-on aggregates} — counters, spans (wall time + calls), and
-      log-scale histograms in a thread-safe registry.  These subsume the
-      old [Engine.Metrics] registry; [metrics_table]/[metrics_json]
-      reproduce its output byte-for-byte.
+      log-scale histograms in a thread-safe registry, rendered by
+      [metrics_table]/[metrics_json] for [--metrics].
     - {b Trace events} — gated by [set_tracing].  When tracing is off,
       [event] is a flag test and [traced] runs its thunk directly; call
       sites guard attribute construction with [tracing ()] so the
@@ -161,13 +160,15 @@ val sample_gc_gauges : unit -> unit
 
 val metrics_snapshot : unit -> (string * int) list * (string * int * int) list
 (** Non-zero counters [(name, value)] and spans [(name, total_ns, calls)],
-    sorted by name — the format [Engine.Metrics.snapshot] used. *)
+    sorted by name. *)
 
 val metrics_table : unit -> string
-(** Byte-identical to the old [Engine.Metrics.table]. *)
+(** Human-readable table of all non-zero counters and spans, sorted by
+    name.  Empty string when nothing was recorded. *)
 
 val metrics_json : unit -> string
-(** Byte-identical to the old [Engine.Metrics.json]. *)
+(** The same data as a JSON object
+    [{"counters": {...}, "spans": {name: {"ns": n, "calls": c}}}]. *)
 
 (** {1 Trace collection} *)
 

@@ -345,15 +345,10 @@ let step t ~tick ?(faults = []) events =
     else
       match (mode, t.routing) with
       | Degraded, Some stale -> patch_stale t live stale routable solve_demand
-      | Warm, Some warm when Hashtbl.length t.failed = 0 ->
-          Semi_oblivious.reoptimize
-            ~solver:(Semi_oblivious.Mwu t.config.warm_iters)
-            ~warm_start:(warm, t.config.warm_weight)
-            t.graph t.system demand
       | Warm, Some warm ->
-          (* Failures in play: re-optimize on the surviving candidates,
-             the fault-recovery ladder's warm step. *)
-          Semi_oblivious.resolve
+          (* With failures in play [live] offers only the surviving
+             candidates, and the warm start drops the dead ones. *)
+          Semi_oblivious.reoptimize
             ~solver:(Semi_oblivious.Mwu t.config.warm_iters)
             ~warm_start:(warm, t.config.warm_weight)
             t.graph live solve_demand

@@ -25,8 +25,9 @@
     - {e Faults in the loop}: {!step} takes per-tick {!fault} events that
       fail or repair edges.  While edges are down the solve runs on the
       surviving candidates ({!Sso_core.Path_system.filter_paths}), warm
-      ticks re-optimize with {!Sso_core.Semi_oblivious.resolve} exactly
-      like the fault-recovery ladder, and pairs left with no surviving
+      ticks re-optimize with the same {!Sso_core.Semi_oblivious.reoptimize}
+      call (which drops the warm mass on dead paths), exactly like the
+      fault-recovery ladder, and pairs left with no surviving
       candidate are excluded from the solve (counted [unroutable]) until
       a repair brings them back.
     - {e Overload shedding}: with a positive [event_budget], a tick

@@ -4,7 +4,7 @@
 
 module Rng = Sso_prng.Rng
 module Pool = Sso_engine.Pool
-module Metrics = Sso_engine.Metrics
+module Obs = Sso_obs.Obs
 module Graph = Sso_graph.Graph
 module Path = Sso_graph.Path
 module Gen = Sso_graph.Gen
@@ -43,7 +43,7 @@ let with_store f =
       try Unix.rmdir dir with _ -> ())
     (fun () -> f st)
 
-let cval name = Metrics.counter_value (Metrics.counter ("artifact." ^ name))
+let cval name = Obs.counter_value (Obs.counter ("artifact." ^ name))
 
 let raises_corrupt f =
   match f () with

@@ -98,6 +98,29 @@ let test_transpose () =
     (Invalid_argument "Demand.transpose: dimension must be even and >= 2") (fun () ->
       ignore (Demand.transpose 3))
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* The hypercube permutations take the dimension d; the vertex count 2^d
+   in its place used to wrap [1 lsl d] into an empty demand (63, 64) or a
+   failing [List.init] (62). *)
+let test_dimension_not_vertex_count () =
+  List.iter
+    (fun (name, f) ->
+      List.iter
+        (fun d ->
+          match f d with
+          | _ -> Alcotest.failf "%s %d accepted" name d
+          | exception Invalid_argument msg ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s %d names the dimension" name d)
+                true
+                (contains msg "not the vertex count"))
+        [ 62; 63; 64 ])
+    [ ("bit_reversal", Demand.bit_reversal); ("transpose", Demand.transpose) ]
+
 let test_all_to_all () =
   let d = Demand.all_to_all 5 in
   Alcotest.(check int) "support" 20 (Demand.support_size d);
@@ -383,6 +406,8 @@ let () =
           Alcotest.test_case "random pairs" `Quick test_random_pairs;
           Alcotest.test_case "bit reversal" `Quick test_bit_reversal;
           Alcotest.test_case "transpose" `Quick test_transpose;
+          Alcotest.test_case "dimension, not vertex count" `Quick
+            test_dimension_not_vertex_count;
           Alcotest.test_case "all to all" `Quick test_all_to_all;
           Alcotest.test_case "gravity" `Quick test_gravity;
           Alcotest.test_case "single pair" `Quick test_single_pair;

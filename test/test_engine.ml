@@ -2,7 +2,7 @@
    propagation, nested calls, and the metrics registry. *)
 
 module Pool = Sso_engine.Pool
-module Metrics = Sso_engine.Metrics
+module Obs = Sso_obs.Obs
 module Rng = Sso_prng.Rng
 module Graph = Sso_graph.Graph
 module Gen = Sso_graph.Gen
@@ -167,55 +167,55 @@ let test_robustness_sweep_determinism () =
 (* ---- metrics ---- *)
 
 let test_counter_registry () =
-  Metrics.reset ();
-  let c = Metrics.counter "test.counter" in
-  Metrics.incr c;
-  Metrics.incr ~by:41 c;
-  Alcotest.(check int) "accumulated" 42 (Metrics.counter_value c);
+  Obs.reset_metrics ();
+  let c = Obs.counter "test.counter" in
+  Obs.incr c;
+  Obs.incr ~by:41 c;
+  Alcotest.(check int) "accumulated" 42 (Obs.counter_value c);
   Alcotest.(check bool) "find-or-create returns the same counter" true
-    (Metrics.counter "test.counter" == c);
-  Metrics.reset ();
-  Alcotest.(check int) "reset zeroes" 0 (Metrics.counter_value c)
+    (Obs.counter "test.counter" == c);
+  Obs.reset_metrics ();
+  Alcotest.(check int) "reset zeroes" 0 (Obs.counter_value c)
 
 let test_counter_concurrent () =
-  Metrics.reset ();
-  let c = Metrics.counter "test.concurrent" in
+  Obs.reset_metrics ();
+  let c = Obs.counter "test.concurrent" in
   with_pool 4 (fun p ->
       ignore
         (Pool.parallel_init ~pool:p 8 (fun _ ->
              for _ = 1 to 1000 do
-               Metrics.incr c
+               Obs.incr c
              done)));
-  Alcotest.(check int) "no lost updates" 8000 (Metrics.counter_value c)
+  Alcotest.(check int) "no lost updates" 8000 (Obs.counter_value c)
 
 let test_spans () =
-  Metrics.reset ();
-  let sp = Metrics.span "test.span" in
-  let v = Metrics.with_span sp (fun () -> 12) in
+  Obs.reset_metrics ();
+  let sp = Obs.span "test.span" in
+  let v = Obs.with_span sp (fun () -> 12) in
   Alcotest.(check int) "passes result through" 12 v;
   Alcotest.check_raises "records on exceptions too" Exit (fun () ->
-      Metrics.with_span sp (fun () -> raise Exit));
-  Alcotest.(check int) "two calls" 2 (Metrics.span_calls sp);
-  Alcotest.(check bool) "non-negative time" true (Metrics.span_total_ns sp >= 0)
+      Obs.with_span sp (fun () -> raise Exit));
+  Alcotest.(check int) "two calls" 2 (Obs.span_calls sp);
+  Alcotest.(check bool) "non-negative time" true (Obs.span_total_ns sp >= 0)
 
 let test_table_and_json () =
-  Metrics.reset ();
-  Alcotest.(check string) "empty registry, empty table" "" (Metrics.table ());
-  Metrics.incr ~by:7 (Metrics.counter "test.table");
-  Metrics.time "test.tspan" (fun () -> ());
+  Obs.reset_metrics ();
+  Alcotest.(check string) "empty registry, empty table" "" (Obs.metrics_table ());
+  Obs.incr ~by:7 (Obs.counter "test.table");
+  Obs.time "test.tspan" (fun () -> ());
   let contains hay needle =
     let lh = String.length hay and ln = String.length needle in
     let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
     go 0
   in
-  let tbl = Metrics.table () in
+  let tbl = Obs.metrics_table () in
   Alcotest.(check bool) "table lists the counter" true (contains tbl "test.table");
   Alcotest.(check bool) "table lists the span" true (contains tbl "test.tspan");
-  let js = Metrics.json () in
+  let js = Obs.metrics_json () in
   Alcotest.(check bool) "json has the counter" true
     (contains js "\"test.table\": 7");
   Alcotest.(check bool) "json has the span" true (contains js "\"test.tspan\"");
-  Metrics.reset ()
+  Obs.reset_metrics ()
 
 let () =
   Alcotest.run "engine"

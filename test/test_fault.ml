@@ -256,18 +256,54 @@ let test_sweep_recovery_measured () =
     (Float.is_finite s.Sweep.mean_recovery_rounds)
 
 let test_resolve_warm_start_matches_cold_quality () =
-  (* Warm-started resolve reaches (at least) cold-solve quality with few
+  (* A warm-started re-solve reaches (at least) cold-solve quality with few
      rounds on a small instance. *)
   let g, ps, d = redundant_fixture () in
   let pre, _ = Semi_oblivious.route ~solver g ps d in
   let _, cold = Semi_oblivious.route ~solver:(Semi_oblivious.Mwu 40) g ps d in
   let _, warm =
-    Semi_oblivious.resolve ~solver:(Semi_oblivious.Mwu 40) ~warm_start:(pre, 60) g ps d
+    Semi_oblivious.reoptimize ~solver:(Semi_oblivious.Mwu 40) ~warm_start:(pre, 60) g ps d
   in
   Alcotest.(check bool)
     (Printf.sprintf "warm %.4f <= 1.1 * cold %.4f" warm cold)
     true
     (warm <= (1.1 *. cold) +. 1e-9)
+
+(* Golden pin for warm recovery on a survivor system, recorded before the
+   two warm-start routines were merged: the pre-failure routing seeds the
+   re-solve on [Path_system.without_edge], so some pairs lose candidates
+   (their surviving mass is renormalized) and the rest keep theirs. *)
+let routing_digest (r, value) =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (s, t) ->
+      Printf.bprintf b "%d %d:" s t;
+      List.iter
+        (fun (w, (p : Path.t)) ->
+          Printf.bprintf b " %Lx[" (Int64.bits_of_float w);
+          Array.iter (Printf.bprintf b "%d,") p.Path.edges;
+          Buffer.add_char b ']')
+        (Sso_flow.Routing.distribution r s t);
+      Buffer.add_char b '\n')
+    (Sso_flow.Routing.pairs r);
+  Printf.bprintf b "value %Lx" (Int64.bits_of_float value);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_warm_recovery_golden () =
+  let g, system, d, _ = torus_sweep_fixture 5 in
+  let pre, _ = Semi_oblivious.route ~solver g system d in
+  (* The first edge of the heaviest path of the first pair fails. *)
+  let s, t = List.hd (Demand.support d) in
+  let failed =
+    match Sso_flow.Routing.distribution pre s t with
+    | (_, p) :: _ -> p.Path.edges.(0)
+    | [] -> Alcotest.fail "pre-failure routing misses a demanded pair"
+  in
+  let survivors = Path_system.without_edge failed system in
+  Alcotest.(check string) "warm recovery on survivors" "af3752173c2c07ed7fd0f64a04e21cac"
+    (routing_digest
+       (Semi_oblivious.reoptimize ~solver:(Semi_oblivious.Mwu 40) ~warm_start:(pre, 60) g
+          survivors d))
 
 (* ---------- Timeline / mid-flight failover ---------- *)
 
@@ -412,6 +448,7 @@ let () =
           Alcotest.test_case "recovery measured" `Quick test_sweep_recovery_measured;
           Alcotest.test_case "warm resolve quality" `Quick
             test_resolve_warm_start_matches_cold_quality;
+          Alcotest.test_case "warm recovery golden pin" `Quick test_warm_recovery_golden;
         ] );
       ( "timeline",
         [

@@ -367,7 +367,8 @@ let test_warm_start_preserves_good_solution () =
   let d = Demand.single_pair 0 3 2.0 in
   let optimal, lp = Min_congestion.lp_on_paths g cands d in
   let _, warm =
-    Min_congestion.mwu_on_paths_warm ~iters:5 ~warm:optimal ~warm_weight:100 g cands d
+    Min_congestion.mwu_on_slices ~iters:5 ~warm:(optimal, 100) g
+      (Min_congestion.slice_candidates_of_list g cands) d
   in
   Alcotest.(check bool)
     (Printf.sprintf "stays near optimum (lp %.3f warm %.3f)" lp warm)
@@ -386,7 +387,8 @@ let test_warm_start_recovers_from_bad_seed () =
   let cands = [ ((0, 3), square_paths g) ] in
   let d = Demand.single_pair 0 3 2.0 in
   let _, recovered =
-    Min_congestion.mwu_on_paths_warm ~iters:600 ~warm:bad ~warm_weight:1 g cands d
+    Min_congestion.mwu_on_slices ~iters:600 ~warm:(bad, 1) g
+      (Min_congestion.slice_candidates_of_list g cands) d
   in
   Alcotest.(check bool) (Printf.sprintf "recovered %.3f" recovered) true (recovered <= 1.15)
 
@@ -401,7 +403,8 @@ let test_warm_start_handles_new_pairs () =
     cands_old @ [ ((2, 6), Yen.k_shortest g ~weight:(fun _ -> 1.0) ~k:3 2 6) ]
   in
   let routing, cong =
-    Min_congestion.mwu_on_paths_warm ~iters:200 ~warm ~warm_weight:50 g cands_new d_new
+    Min_congestion.mwu_on_slices ~iters:200 ~warm:(warm, 50) g
+      (Min_congestion.slice_candidates_of_list g cands_new) d_new
   in
   Alcotest.(check bool) "covers the new pair" true (Routing.covers routing d_new);
   Alcotest.(check bool) "finite congestion" true (Float.is_finite cong && cong > 0.0)
@@ -413,7 +416,10 @@ let test_warm_start_rejects_bad_weight () =
   let warm, _ = Min_congestion.lp_on_paths g cands d in
   Alcotest.(check bool) "raises" true
     (try
-       ignore (Min_congestion.mwu_on_paths_warm ~iters:10 ~warm ~warm_weight:0 g cands d);
+       ignore
+         (Min_congestion.mwu_on_slices ~iters:10 ~warm:(warm, 0) g
+            (Min_congestion.slice_candidates_of_list g cands)
+            d);
        false
      with Invalid_argument _ -> true)
 
@@ -708,6 +714,48 @@ let test_stage5_golden () =
   pin "hop-limited 6, bit-reversal" "8e233675bb534756a1d41e15ee3ad8b5"
     (opt (Min_congestion.mwu_hop_limited ~iters:300 ~max_hops:6 g bitrev))
 
+(* Golden pins for the warm-started Stage-4 solve and for Garg–Könemann,
+   recorded before the twin solver bodies were folded into one MWU core
+   and one phase loop.  The warm pin re-solves after churn: half of the
+   old pairs depart, new ones arrive, so the warm routing covers a strict
+   subset of the new support. *)
+let erdos_renyi_instance () =
+  let rng = Rng.create 1511 in
+  let g = Gen.erdos_renyi rng 18 0.3 in
+  let d = Demand.random_pairs rng ~n:18 ~pairs:8 in
+  (rng, g, d, random_candidates rng g 4 d)
+
+let test_warm_and_gk_golden () =
+  let pin label want got = Alcotest.(check string) label want got in
+  let rng, g, d, cands = erdos_renyi_instance () in
+  let sc = Min_congestion.slice_candidates_of_list g cands in
+  let warm, _ = Min_congestion.mwu_on_slices ~iters:120 g sc d in
+  let kept =
+    List.filteri (fun i _ -> i mod 2 = 0) (Demand.support d)
+    |> List.map (fun (s, t) -> (s, t, Demand.get d s t *. 1.5))
+  in
+  let arrivals =
+    Demand.support (Demand.random_pairs rng ~n:18 ~pairs:5)
+    |> List.map (fun (s, t) -> (s, t, 1.0))
+  in
+  let d_new =
+    Demand.of_list
+      (kept
+      @ List.filter
+          (fun (s, t, _) -> not (List.exists (fun (s', t', _) -> s = s' && t = t') kept))
+          arrivals)
+  in
+  let sc_new =
+    Min_congestion.slice_candidates_of_list g (random_candidates rng g 4 d_new)
+  in
+  pin "warm under churn" "c869d032d8986709c56f3af4c03ca191"
+    (stage5_digest
+       (Min_congestion.mwu_on_slices ~iters:40 ~warm:(warm, 60) g sc_new d_new));
+  pin "gk on slices" "6cac6ab6b4513c6a81181e0b9794d809"
+    (stage5_digest (Concurrent_flow.on_slices ~epsilon:0.2 g sc d));
+  pin "gk unrestricted" "c0eb211ca82777957c58cbdef79d0472"
+    (stage5_digest (Concurrent_flow.unrestricted ~epsilon:0.2 g d))
+
 let () =
   Alcotest.run "flow"
     [
@@ -747,6 +795,7 @@ let () =
           Alcotest.test_case "hop limited batched = per-pair" `Quick
             test_mwu_hop_limited_batched_matches_per_pair;
           Alcotest.test_case "stage 5 golden pins" `Quick test_stage5_golden;
+          Alcotest.test_case "warm and gk golden pins" `Quick test_warm_and_gk_golden;
           Alcotest.test_case "sssp settled counter" `Quick test_sssp_settled_counter;
           Alcotest.test_case "lower bound sound" `Slow test_lower_bound_sound;
           Alcotest.test_case "lower bound bottleneck" `Quick test_lower_bound_tight_on_bottleneck;

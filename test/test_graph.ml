@@ -419,6 +419,25 @@ let test_gen_hypercube () =
   Alcotest.(check int) "regular" 4 (Graph.max_degree g);
   Alcotest.(check bool) "connected" true (Graph.is_connected g)
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* 1 lsl 64 = 1 on a 64-bit host: a vertex count passed as the dimension
+   used to build a 1-vertex (64), empty (63) or failing (62) graph. *)
+let test_gen_hypercube_rejects_vertex_count () =
+  List.iter
+    (fun d ->
+      match Gen.hypercube d with
+      | _ -> Alcotest.failf "hypercube %d accepted" d
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "hypercube %d names the dimension" d)
+            true
+            (contains msg "not the vertex count"))
+    [ 62; 63; 64 ]
+
 let test_gen_grid () =
   let g = Gen.grid 4 5 in
   Alcotest.(check int) "n" 20 (Graph.n g);
@@ -1384,6 +1403,8 @@ let () =
       ( "gen",
         [
           Alcotest.test_case "hypercube" `Quick test_gen_hypercube;
+          Alcotest.test_case "hypercube dimension bound" `Quick
+            test_gen_hypercube_rejects_vertex_count;
           Alcotest.test_case "grid" `Quick test_gen_grid;
           Alcotest.test_case "torus" `Quick test_gen_torus;
           Alcotest.test_case "complete" `Quick test_gen_complete;

@@ -1,15 +1,15 @@
 (* Tests for Sso_obs: JSONL codec round-trips, the load error contract,
-   ring-buffer saturation, the Metrics compatibility shim, and — the load-
-   bearing property — identical trace event sequences at any job count. *)
+   ring-buffer saturation, and — the load-bearing property — identical
+   trace event sequences at any job count. *)
 
 module Obs = Sso_obs.Obs
 module Trace = Sso_obs.Trace
 module Pool = Sso_engine.Pool
-module Metrics = Sso_engine.Metrics
 module Rng = Sso_prng.Rng
 module Graph = Sso_graph.Graph
 module Gen = Sso_graph.Gen
 module Demand = Sso_demand.Demand
+module Yen = Sso_graph.Yen
 module Min_congestion = Sso_flow.Min_congestion
 module Racke = Sso_oblivious.Racke
 
@@ -184,24 +184,6 @@ let test_load_contract () =
   expect_corrupt "truncated" (fun () -> Trace.load path);
   write path "";
   expect_corrupt "empty file" (fun () -> Trace.load path)
-
-(* ---- metrics shim ---- *)
-
-let test_metrics_shim () =
-  (* Engine.Metrics must be the same registry as Obs, not a copy: call
-     sites migrated one at a time must keep seeing each other's counts. *)
-  let a = Metrics.counter "obs.shim.test" in
-  let b = Obs.counter "obs.shim.test" in
-  Alcotest.(check bool) "same physical counter" true (a == b);
-  Metrics.incr ~by:5 a;
-  Alcotest.(check int) "visible through Obs" 5 (Obs.counter_value b);
-  let s1 = Metrics.span "obs.shim.span" in
-  let s2 = Obs.span "obs.shim.span" in
-  Alcotest.(check bool) "same physical span" true (s1 == s2);
-  Metrics.with_span s1 (fun () -> ());
-  Alcotest.(check int) "calls recorded" 1 (Obs.span_calls s2);
-  Alcotest.(check string) "same table" (Metrics.table ()) (Obs.metrics_table ());
-  Alcotest.(check string) "same json" (Metrics.json ()) (Obs.metrics_json ())
 
 (* ---- ring saturation ---- *)
 
@@ -529,6 +511,74 @@ let test_mwu_convergence () =
         final.Trace.r_avg
   | solves -> Alcotest.failf "expected one solve, got %d" (List.length solves)
 
+(* One MWU core serves every best-response oracle, so a candidate solve,
+   an unrestricted (Dijkstra) solve and a hop-limited (DP) solve emit the
+   same [mwu.round] attribute set — [sssp_settled] is 0 where nothing is
+   searched — and the convergence aggregation reads all three. *)
+let test_mwu_round_attrs_uniform () =
+  let g = Gen.grid 4 4 in
+  let d = Demand.random_pairs (Rng.create 5) ~n:(Graph.n g) ~pairs:6 in
+  let cands =
+    List.map
+      (fun (s, t) -> ((s, t), Yen.k_shortest g ~weight:(fun _ -> 1.0) ~k:3 s t))
+      (Demand.support d)
+  in
+  Obs.clear_trace ();
+  Obs.set_tracing true;
+  Fun.protect ~finally:(fun () -> Obs.set_tracing false) (fun () ->
+      ignore (Min_congestion.mwu_on_paths ~iters:4 g cands d);
+      ignore (Min_congestion.mwu_unrestricted ~iters:4 g d);
+      ignore (Min_congestion.mwu_hop_limited ~iters:4 ~max_hops:8 g d));
+  let events = Obs.events () in
+  Obs.clear_trace ();
+  let rounds label =
+    List.filter
+      (fun (e : Trace.event) ->
+        e.Trace.name = "mwu.round"
+        && List.assoc_opt "solver" e.Trace.attrs = Some (Trace.String label))
+      events
+  in
+  let keys (e : Trace.event) = List.sort compare (List.map fst e.Trace.attrs) in
+  let settled (e : Trace.event) =
+    match List.assoc_opt "sssp_settled" e.Trace.attrs with
+    | Some (Trace.Int k) -> k
+    | _ -> Alcotest.fail "mwu.round without an integer sssp_settled"
+  in
+  let reference = keys (List.hd (rounds "unrestricted")) in
+  Alcotest.(check bool) "sssp_settled reported" true (List.mem "sssp_settled" reference);
+  List.iter
+    (fun label ->
+      let rs = rounds label in
+      Alcotest.(check int) (label ^ " rounds") 4 (List.length rs);
+      List.iter
+        (fun e -> Alcotest.(check (list string)) (label ^ " attribute keys") reference (keys e))
+        rs)
+    [ "on_paths"; "unrestricted"; "hop_limited" ];
+  List.iter
+    (fun label ->
+      List.iter
+        (fun e -> Alcotest.(check int) (label ^ " searches nothing") 0 (settled e))
+        (rounds label))
+    [ "on_paths"; "hop_limited" ];
+  List.iter
+    (fun e -> Alcotest.(check bool) "unrestricted settles vertices" true (settled e > 0))
+    (rounds "unrestricted");
+  let solves = Trace.mwu_solves events in
+  Alcotest.(check (list string)) "aggregated solves"
+    [ "on_paths"; "unrestricted"; "hop_limited" ]
+    (List.map (fun s -> s.Trace.s_solver) solves);
+  List.iter
+    (fun (s : Trace.solve) ->
+      Alcotest.(check (list int)) (s.Trace.s_solver ^ " rounds in order") [ 1; 2; 3; 4 ]
+        (List.map (fun r -> r.Trace.r_round) s.Trace.s_rounds);
+      List.iter
+        (fun (r : Trace.round) ->
+          Alcotest.(check bool) (s.Trace.s_solver ^ " averaged congestion read") true
+            (Float.is_finite r.Trace.r_avg && r.Trace.r_avg > 0.0);
+          Alcotest.(check bool) (s.Trace.s_solver ^ " support read") true (r.Trace.r_paths >= 6))
+        s.Trace.s_rounds)
+    solves
+
 let () =
   Alcotest.run "sso_obs"
     [
@@ -542,7 +592,6 @@ let () =
         [ Alcotest.test_case "load errors" `Quick test_load_contract ] );
       ( "registry",
         [
-          Alcotest.test_case "metrics shim" `Quick test_metrics_shim;
           Alcotest.test_case "ring saturation" `Quick test_ring_saturation;
           Alcotest.test_case "capacity validation" `Quick
             test_capacity_validation;
@@ -562,5 +611,7 @@ let () =
           Alcotest.test_case "flame jobs invariant" `Quick
             test_flame_jobs_invariant;
           Alcotest.test_case "mwu convergence" `Quick test_mwu_convergence;
+          Alcotest.test_case "mwu round attributes uniform" `Quick
+            test_mwu_round_attrs_uniform;
         ] );
     ]

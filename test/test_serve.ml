@@ -568,6 +568,31 @@ let digest_of srv =
   | Some r -> Codec.hex_of_key (Codec.fnv1a64 (Codec.encode_routing r))
   | None -> Alcotest.fail "expected a routing"
 
+(* Golden pin for a faulted replay, recorded before the fault-recovery
+   and churn warm starts were merged into one routine: an edge fails
+   mid-stream and is repaired two ticks later.  The digest covers the
+   final routing and every tick's congestion bits, at jobs 1 and 4. *)
+let test_faulted_replay_golden () =
+  let faults = [ (3, [ Serve.Fail 4 ]); (5, [ Serve.Repair 4 ]) ] in
+  List.iter
+    (fun jobs ->
+      let before = Pool.default_jobs () in
+      Fun.protect ~finally:(fun () -> Pool.set_default_jobs before) @@ fun () ->
+      Pool.set_default_jobs jobs;
+      let srv = make_service () in
+      let reports = Serve.replay ~faults srv churn_events in
+      let congestion =
+        String.concat " "
+          (List.map
+             (fun r -> Printf.sprintf "%Lx" (Int64.bits_of_float r.Serve.congestion))
+             reports)
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "faulted replay (jobs %d)" jobs)
+        "b7b557a82c482a45 4e8128952e6332d0786888cc1372ed81"
+        (digest_of srv ^ " " ^ Digest.to_hex (Digest.string congestion)))
+    [ 1; 4 ]
+
 let check_kill_and_resume ~faults ~cut jobs =
   let before = Pool.default_jobs () in
   Fun.protect ~finally:(fun () -> Pool.set_default_jobs before) @@ fun () ->
@@ -846,6 +871,8 @@ let () =
           Alcotest.test_case "unroutable pair" `Quick
             test_unroutable_pair_sheds_and_recovers;
           Alcotest.test_case "timeline bridge" `Quick test_faults_of_timeline;
+          Alcotest.test_case "faulted replay golden pin" `Quick
+            test_faulted_replay_golden;
           Alcotest.test_case "jobs-invariant faulted replay" `Quick
             test_fault_replay_jobs_invariant;
         ] );
