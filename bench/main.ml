@@ -616,7 +616,7 @@ let e13 () =
 
 let e14 () =
   header "E14 robustness: single-link failures on Abilene";
-  let module Robustness = Sso_core.Robustness in
+  let module Fault_sweep = Sso_fault.Sweep in
   let rng = seeded 43 in
   let g, _ = Gen.abilene () in
   let d = Demand.random_pairs (Rng.split rng) ~n:(Graph.n g) ~pairs:10 in
@@ -625,10 +625,12 @@ let e14 () =
   Printf.printf "%-26s %12s %12s %12s\n" "path system" "unsurvivable"
     "mean ratio" "worst ratio";
   let evaluate name system =
-    let reports = Robustness.single_failures ~solver:stage4 g system d in
-    let s = Robustness.summary reports in
-    Printf.printf "%-26s %12d %12.3f %12.3f\n" name s.Robustness.unsurvivable
-      s.Robustness.mean_ratio s.Robustness.worst_ratio
+    let s =
+      Fault_sweep.summary
+        (Fault_sweep.run ~solver:stage4 g system d (Fault_sweep.singles g))
+    in
+    Printf.printf "%-26s %12d %12.3f %12.3f\n" name s.Fault_sweep.unsurvivable
+      s.Fault_sweep.mean_ratio s.Fault_sweep.worst_ratio
   in
   evaluate "KSP-4 support" (Path_system.of_oblivious_support (Ksp.routing ~k:4 g));
   List.iter

@@ -66,12 +66,150 @@ let set_jobs = function
       exit 124
   | None -> ()
 
-let read_graph path =
+let read_file path =
   let ic = open_in path in
   let len = in_channel_length ic in
   let text = really_input_string ic len in
   close_in ic;
-  Gio.of_string text
+  text
+
+let read_graph path = Gio.of_string (read_file path)
+
+(* ---- spec flags ----
+
+   Each spec-valued flag has exactly one parser below.  [spec_arg] keeps
+   the spelling as typed (reports echo it) next to the parsed value, and
+   turns a malformed value into a one-line usage error that exits 124. *)
+
+let spec_arg ~name ~default ~expected ~doc parse =
+  let spelling =
+    Arg.(
+      value & opt string default
+      & info [ name ] ~docv:(String.uppercase_ascii name) ~doc)
+  in
+  let check spec =
+    match parse spec with
+    | Some value -> Ok (spec, value)
+    | None ->
+        Error
+          (`Msg
+             (Printf.sprintf
+                "option '--%s': invalid value '%s', expected one of: %s" name
+                spec (String.concat ", " expected)))
+  in
+  Term.(term_result (const check $ spelling))
+
+let int_at_least lo s =
+  match int_of_string_opt s with Some i when i >= lo -> Some i | _ -> None
+
+let solver_arg ~doc =
+  spec_arg ~name:"solver" ~default:"mwu"
+    ~expected:[ "mwu[:ITERS] (ITERS >= 1)"; "gk[:EPS] (0 < EPS < 1)"; "lp" ]
+    ~doc (fun spec ->
+      match String.split_on_char ':' spec with
+      | [ "lp" ] -> Some Semi_oblivious.Lp
+      | [ "mwu" ] -> Some Semi_oblivious.default_solver
+      | [ "mwu"; iters ] ->
+          Option.map (fun i -> Semi_oblivious.Mwu i) (int_at_least 1 iters)
+      | [ "gk" ] -> Some (Semi_oblivious.Gk 0.1)
+      | [ "gk"; eps ] -> (
+          match float_of_string_opt eps with
+          | Some eps when eps > 0.0 && eps < 1.0 -> Some (Semi_oblivious.Gk eps)
+          | _ -> None)
+      | _ -> None)
+
+(* The base oblivious routing, built once the graph is known.  Only racke
+   draws randomness, from its own split of [rng]. *)
+let base_arg ?(ecube = false) ~doc () =
+  spec_arg ~name:"base" ~default:"racke"
+    ~expected:
+      ([ "racke"; "valiant"; "ksp"; "shortest" ]
+      @ if ecube then [ "ecube" ] else [])
+    ~doc (fun spec ->
+      match spec with
+      | "racke" ->
+          Some (fun ~store ~alpha:_ rng g -> Memo.racke ?store (Rng.split rng) g)
+      | "valiant" -> Some (fun ~store:_ ~alpha:_ _ g -> Valiant.routing g)
+      | "ksp" -> Some (fun ~store:_ ~alpha _ g -> Ksp.routing ~k:(max 4 alpha) g)
+      | "shortest" ->
+          Some (fun ~store:_ ~alpha:_ _ g -> Deterministic.shortest_path g)
+      | "ecube" when ecube ->
+          Some (fun ~store:_ ~alpha:_ _ g -> Deterministic.ecube g)
+      | _ -> None)
+
+(* The demand workload, drawn from [rng] once the graph is known. *)
+let demand_arg ?(file = false) ~default ~doc () =
+  spec_arg ~name:"demand" ~default
+    ~expected:
+      ([ "permutation"; "pairs:N (N >= 0)"; "gravity:TOTAL (TOTAL > 0)";
+         "all-to-all" ]
+      @ if file then [ "file:PATH" ] else [])
+    ~doc (fun spec ->
+      match String.split_on_char ':' spec with
+      | [ "permutation" ] ->
+          Some (fun rng g -> Demand.random_permutation rng (Graph.n g))
+      | [ "pairs"; count ] ->
+          Option.map
+            (fun pairs rng g -> Demand.random_pairs rng ~n:(Graph.n g) ~pairs)
+            (int_at_least 0 count)
+      | [ "gravity"; total ] -> (
+          match float_of_string_opt total with
+          | Some total when total > 0.0 ->
+              Some (fun rng g -> Demand.gravity rng ~n:(Graph.n g) ~total)
+          | _ -> None)
+      | [ "all-to-all" ] -> Some (fun _ g -> Demand.all_to_all (Graph.n g))
+      | [ "file"; path ] when file ->
+          Some (fun _ _ -> Demand.of_string (read_file path))
+      | _ -> None)
+
+(* A generated graph family, for the commands that need the generator's
+   vertex layout.  Only expander draws randomness from [rng]. *)
+let family_arg ?(expander = false) ~doc () =
+  spec_arg ~name:"family" ~default:"torus"
+    ~expected:
+      ([ "torus"; "fat-tree"; "abilene"; "b4" ]
+      @ if expander then [ "expander" ] else [])
+    ~doc (fun spec ->
+      match spec with
+      | "torus" -> Some (fun _ size -> Gen.torus size size)
+      | "fat-tree" -> Some (fun _ size -> Gen.fat_tree size)
+      | "abilene" -> Some (fun _ _ -> fst (Gen.abilene ()))
+      | "b4" -> Some (fun _ _ -> fst (Gen.b4 ()))
+      | "expander" when expander ->
+          Some (fun rng size -> Gen.random_regular rng size 4)
+      | _ -> None)
+
+(* ---- JSON writers ---- *)
+
+let jstr s =
+  let buf = Buffer.create (String.length s + 2) in
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | c when Char.code c < 32 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
+(* Non-finite floats are quoted: JSON has no literal for them. *)
+let jfloat f =
+  if Float.is_nan f then "\"nan\""
+  else if f = infinity then "\"inf\""
+  else if f = neg_infinity then "\"-inf\""
+  else Printf.sprintf "%.17g" f
+
+(* The artifact-store hit/miss counts, as a trailing report field. *)
+let cache_json = function
+  | None -> ""
+  | Some _ ->
+      Printf.sprintf ",\n  \"cache\": {\"hit\": %d, \"miss\": %d}"
+        (Obs.counter_value (Obs.counter "artifact.hit"))
+        (Obs.counter_value (Obs.counter "artifact.miss"))
 
 (* ---- artifact-cache arguments ---- *)
 
@@ -194,8 +332,8 @@ let info_cmd =
 
 let route_cmd =
   let base_arg =
-    let doc = "Base oblivious routing: racke, valiant, ksp, shortest, ecube." in
-    Arg.(value & opt string "racke" & info [ "base" ] ~docv:"BASE" ~doc)
+    base_arg ~ecube:true
+      ~doc:"Base oblivious routing: racke, valiant, ksp, shortest, ecube." ()
   in
   let alpha_arg =
     let doc = "Paths sampled per pair (the paper's α); 0 = use the full support." in
@@ -206,65 +344,34 @@ let route_cmd =
     Arg.(value & flag & info [ "with-cut" ] ~doc)
   in
   let demand_arg =
-    let doc =
-      "Demand workload: permutation, pairs:N, gravity:TOTAL, all-to-all, or \
-       file:PATH (one 's t amount' line per pair)."
-    in
-    Arg.(value & opt string "permutation" & info [ "demand" ] ~docv:"DEMAND" ~doc)
+    demand_arg ~file:true ~default:"permutation"
+      ~doc:
+        "Demand workload: permutation, pairs:N, gravity:TOTAL, all-to-all, or \
+         file:PATH (one 's t amount' line per pair)."
+      ()
   in
   let solver_arg =
-    let doc =
-      "Stage-4 solver: mwu[:ITERS] (default), gk[:EPS] (Garg-Konemann), or \
-       lp (exact, small instances)."
-    in
-    Arg.(value & opt string "mwu" & info [ "solver" ] ~docv:"SOLVER" ~doc)
+    solver_arg
+      ~doc:
+        "Stage-4 solver: mwu[:ITERS] (default), gk[:EPS] (Garg-Konemann), or \
+         lp (exact, small instances)."
   in
-  let run path base alpha with_cut demand_spec solver_spec seed jobs cache
+  let run path (_, base) alpha with_cut (_, demand) (_, solver) seed jobs cache
       no_cache cache_dir trace =
     set_jobs jobs;
     start_trace trace;
     let store = open_store cache no_cache cache_dir in
     let g = read_graph path in
     let rng = Rng.create seed in
-    let base_routing =
-      match base with
-      | "racke" -> Memo.racke ?store (Rng.split rng) g
-      | "valiant" -> Valiant.routing g
-      | "ksp" -> Ksp.routing ~k:(max 4 alpha) g
-      | "shortest" -> Deterministic.shortest_path g
-      | "ecube" -> Deterministic.ecube g
-      | other -> failwith (Printf.sprintf "unknown base routing %S" other)
-    in
+    let base_routing = base ~store ~alpha rng g in
     let system =
       if alpha = 0 then Path_system.of_oblivious_support base_routing
       else if with_cut then Sampler.alpha_cut_sample (Rng.split rng) base_routing ~alpha
       else Sampler.alpha_sample (Rng.split rng) base_routing ~alpha
     in
-    let demand =
-      match String.split_on_char ':' demand_spec with
-      | [ "permutation" ] -> Demand.random_permutation (Rng.split rng) (Graph.n g)
-      | [ "pairs"; count ] ->
-          Demand.random_pairs (Rng.split rng) ~n:(Graph.n g) ~pairs:(int_of_string count)
-      | [ "gravity"; total ] ->
-          Demand.gravity (Rng.split rng) ~n:(Graph.n g) ~total:(float_of_string total)
-      | [ "all-to-all" ] -> Demand.all_to_all (Graph.n g)
-      | [ "file"; path ] ->
-          let ic = open_in path in
-          let len = in_channel_length ic in
-          let text = really_input_string ic len in
-          close_in ic;
-          Demand.of_string text
-      | _ -> failwith (Printf.sprintf "unknown demand spec %S" demand_spec)
-    in
-    let solver =
-      match String.split_on_char ':' solver_spec with
-      | [ "lp" ] -> Semi_oblivious.Lp
-      | [ "mwu" ] -> Semi_oblivious.default_solver
-      | [ "mwu"; iters ] -> Semi_oblivious.Mwu (int_of_string iters)
-      | [ "gk" ] -> Semi_oblivious.Gk 0.1
-      | [ "gk"; eps ] -> Semi_oblivious.Gk (float_of_string eps)
-      | _ -> failwith (Printf.sprintf "unknown solver %S" solver_spec)
-    in
+    (* The last draw: splitting for a workload that draws nothing leaves
+       every result unchanged. *)
+    let demand = demand (Rng.split rng) g in
     let congestion = Semi_oblivious.congestion ~solver g system demand in
     let opt = Semi_oblivious.opt g demand in
     let oblivious_congestion = Oblivious.congestion base_routing demand in
@@ -386,10 +493,7 @@ let faults_cmd =
   (* Fault experiments generate their graph from a named family instead of
      reading a file: the SRLG derivations need the generator's vertex
      layout (torus rows, fat-tree pods). *)
-  let family_arg =
-    let doc = "Graph family: torus, fat-tree, abilene, b4." in
-    Arg.(value & opt string "torus" & info [ "family" ] ~docv:"FAMILY" ~doc)
-  in
+  let family_arg = family_arg ~doc:"Graph family: torus, fat-tree, abilene, b4." () in
   let size_arg =
     let doc = "Family size (torus side, fat-tree k; ignored for WANs)." in
     Arg.(value & opt int 4 & info [ "size" ] ~docv:"SIZE" ~doc)
@@ -399,28 +503,18 @@ let faults_cmd =
     Arg.(value & opt int 4 & info [ "alpha" ] ~docv:"ALPHA" ~doc)
   in
   let base_arg =
-    let doc = "Base oblivious routing: racke, valiant, ksp, shortest." in
-    Arg.(value & opt string "racke" & info [ "base" ] ~docv:"BASE" ~doc)
+    base_arg ~doc:"Base oblivious routing: racke, valiant, ksp, shortest." ()
   in
   let demand_arg =
-    let doc = "Demand workload: pairs:N, permutation, gravity:TOTAL, all-to-all." in
-    Arg.(value & opt string "pairs:6" & info [ "demand" ] ~docv:"DEMAND" ~doc)
+    demand_arg ~default:"pairs:6"
+      ~doc:"Demand workload: pairs:N, permutation, gravity:TOTAL, all-to-all." ()
   in
   let solver_arg =
-    let doc = "Stage-4 solver: mwu[:ITERS] (default), gk[:EPS], or lp." in
-    Arg.(value & opt string "mwu" & info [ "solver" ] ~docv:"SOLVER" ~doc)
+    solver_arg ~doc:"Stage-4 solver: mwu[:ITERS] (default), gk[:EPS], or lp."
   in
   let json_arg =
     let doc = "Emit deterministic JSON (byte-identical for any $(b,--jobs))." in
     Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let build_family family size =
-    match family with
-    | "torus" -> Gen.torus size size
-    | "fat-tree" -> Gen.fat_tree size
-    | "abilene" -> fst (Gen.abilene ())
-    | "b4" -> fst (Gen.b4 ())
-    | other -> failwith (Printf.sprintf "unknown family %S" other)
   in
   let srlgs g family size =
     match family with
@@ -430,41 +524,16 @@ let faults_cmd =
         (* WAN topologies: model node failures as shared-risk groups. *)
         List.init (Graph.n g) (Scenario.incident g)
   in
-  let parse_solver solver_spec =
-    match String.split_on_char ':' solver_spec with
-    | [ "lp" ] -> Semi_oblivious.Lp
-    | [ "mwu" ] -> Semi_oblivious.default_solver
-    | [ "mwu"; iters ] -> Semi_oblivious.Mwu (int_of_string iters)
-    | [ "gk" ] -> Semi_oblivious.Gk 0.1
-    | [ "gk"; eps ] -> Semi_oblivious.Gk (float_of_string eps)
-    | _ -> failwith (Printf.sprintf "unknown solver %S" solver_spec)
-  in
-  let parse_demand rng g demand_spec =
-    match String.split_on_char ':' demand_spec with
-    | [ "permutation" ] -> Demand.random_permutation rng (Graph.n g)
-    | [ "pairs"; count ] ->
-        Demand.random_pairs rng ~n:(Graph.n g) ~pairs:(int_of_string count)
-    | [ "gravity"; total ] ->
-        Demand.gravity rng ~n:(Graph.n g) ~total:(float_of_string total)
-    | [ "all-to-all" ] -> Demand.all_to_all (Graph.n g)
-    | _ -> failwith (Printf.sprintf "unknown demand spec %S" demand_spec)
-  in
   (* Same draw order as [sso route]/[sso simulate]: base, system, demand,
      then scenario randomness — so every command sees the same sampled
-     system for the same seed. *)
-  let setup ?store ~family ~size ~base ~alpha ~demand:demand_spec ~seed () =
-    let g = build_family family size in
+     system for the same seed.  The fault families draw nothing. *)
+  let setup ?store ~family:(family, build_graph) ~size ~base:(base, build_base)
+      ~alpha ~demand ~seed () =
     let rng = Rng.create seed in
-    let base_routing =
-      match base with
-      | "racke" -> Memo.racke ?store (Rng.split rng) g
-      | "valiant" -> Valiant.routing g
-      | "ksp" -> Ksp.routing ~k:(max 4 alpha) g
-      | "shortest" -> Deterministic.shortest_path g
-      | other -> failwith (Printf.sprintf "unknown base routing %S" other)
-    in
+    let g = build_graph rng size in
+    let base_routing = build_base ~store ~alpha rng g in
     let system = Sampler.alpha_sample (Rng.split rng) base_routing ~alpha in
-    let demand = parse_demand (Rng.split rng) g demand_spec in
+    let demand = demand (Rng.split rng) g in
     let scen_rng = Rng.split rng in
     let system_key =
       Printf.sprintf "fam=%s;size=%d;base=%s;alpha=%d;seed=%d" family size base
@@ -472,35 +541,7 @@ let faults_cmd =
     in
     (g, system, demand, scen_rng, system_key)
   in
-  let jstr s =
-    let buf = Buffer.create (String.length s + 2) in
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | c when Char.code c < 32 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.add_char buf '"';
-    Buffer.contents buf
-  in
-  let jfloat f =
-    if Float.is_nan f then "\"nan\""
-    else if f = infinity then "\"inf\""
-    else if f = neg_infinity then "\"-inf\""
-    else Printf.sprintf "%.17g" f
-  in
   let jbool b = if b then "true" else "false" in
-  let cache_json store =
-    match store with
-    | None -> ""
-    | Some _ ->
-        Printf.sprintf ",\n  \"cache\": {\"hit\": %d, \"miss\": %d}"
-          (Obs.counter_value (Obs.counter "artifact.hit"))
-          (Obs.counter_value (Obs.counter "artifact.miss"))
-  in
   let report_json (r : Fsweep.report) =
     Printf.sprintf
       "{\"label\": %s, \"edges\": [%s], \"connected\": %s, \"survivable\": %s, \
@@ -547,18 +588,19 @@ let faults_cmd =
       let doc = "Also measure warm-started time-to-recover per scenario." in
       Arg.(value & flag & info [ "recovery" ] ~doc)
     in
-    let run family size alpha base demand_spec solver_spec scen_spec recovery
-        json seed jobs cache no_cache cache_dir trace =
+    let run ((family_name, _) as family) size alpha ((base_name, _) as base)
+        (demand_spec, demand) (solver_spec, solver) scen_spec recovery json seed
+        jobs cache no_cache cache_dir trace =
       set_jobs jobs;
       start_trace trace;
       let store = open_store cache no_cache cache_dir in
       let g, system, demand, scen_rng, system_key =
-        setup ?store ~family ~size ~base ~alpha ~demand:demand_spec ~seed ()
+        setup ?store ~family ~size ~base ~alpha ~demand ~seed ()
       in
       let scenarios =
         match String.split_on_char ':' scen_spec with
         | [ "singles" ] -> Fsweep.singles g
-        | [ "srlg" ] -> srlgs g family size
+        | [ "srlg" ] -> srlgs g family_name size
         | [ "random"; k; count ] ->
             let k = int_of_string k and count = int_of_string count in
             List.init count (fun i ->
@@ -568,7 +610,6 @@ let faults_cmd =
             List.init (Graph.m g) (fun e -> Scenario.degrade g ~factor [ e ])
         | _ -> failwith (Printf.sprintf "unknown scenario spec %S" scen_spec)
       in
-      let solver = parse_solver solver_spec in
       let recovery = if recovery then Some Fsweep.default_recovery else None in
       let reports =
         Fsweep.run ~solver ?store ~system_key ?recovery g system demand
@@ -581,7 +622,7 @@ let faults_cmd =
            \"family\": %s,\n  \"size\": %d,\n  \"base\": %s,\n  \"alpha\": \
            %d,\n  \"demand\": %s,\n  \"solver\": %s,\n  \"scenarios\": %s,\n  \
            \"seed\": %d,\n  \"reports\": [\n"
-          (jstr family) size (jstr base) alpha (jstr demand_spec)
+          (jstr family_name) size (jstr base_name) alpha (jstr demand_spec)
           (jstr solver_spec) (jstr scen_spec) seed;
         List.iteri
           (fun i r ->
@@ -593,7 +634,7 @@ let faults_cmd =
       end
       else begin
         Printf.printf "family %s  size %d  alpha %d  demand %s  scenarios %d\n\n"
-          family size alpha demand_spec (List.length scenarios);
+          family_name size alpha demand_spec (List.length scenarios);
         List.iter print_report_line reports;
         Printf.printf
           "\nsummary: %d scenarios, %d disconnected, %d unsurvivable, mean \
@@ -630,19 +671,21 @@ let faults_cmd =
       let doc = "Number of random unit packets to inject." in
       Arg.(value & opt int 12 & info [ "packets" ] ~docv:"N" ~doc)
     in
-    let run family size alpha base scen_spec fail_at repair_at packets json seed
-        jobs cache no_cache cache_dir trace =
+    let run ((family_name, _) as family) size alpha base scen_spec fail_at
+        repair_at packets json seed jobs cache no_cache cache_dir trace =
       set_jobs jobs;
       start_trace trace;
       let store = open_store cache no_cache cache_dir in
       let g, system, demand, scen_rng, _system_key =
         setup ?store ~family ~size ~base ~alpha
-          ~demand:(Printf.sprintf "pairs:%d" packets) ~seed ()
+          ~demand:(fun rng g ->
+            Demand.random_pairs rng ~n:(Graph.n g) ~pairs:packets)
+          ~seed ()
       in
       let scenario =
         match String.split_on_char ':' scen_spec with
         | [ "srlg"; i ] -> (
-            let groups = srlgs g family size in
+            let groups = srlgs g family_name size in
             match List.nth_opt groups (int_of_string i) with
             | Some s -> s
             | None -> failwith "srlg index out of range")
@@ -680,7 +723,7 @@ let faults_cmd =
            \"delivered\": %d,\n  \"dropped\": %d,\n  \"rerouted\": %d,\n  \
            \"recovery_makespan\": %d,\n  \"max_queue\": %d,\n  \
            \"total_waits\": %d%s\n}\n"
-          (jstr family) size alpha
+          (jstr family_name) size alpha
           (jstr scenario.Scenario.label)
           fail_at
           (match repair_at with Some r -> string_of_int r | None -> "null")
@@ -723,15 +766,14 @@ let faults_cmd =
       let doc = "Candidate pool: the N most damaging single edges." in
       Arg.(value & opt int 8 & info [ "candidates" ] ~docv:"N" ~doc)
     in
-    let run family size alpha base demand_spec solver_spec k candidates json
-        seed jobs cache no_cache cache_dir trace =
+    let run ((family_name, _) as family) size alpha base (_, demand) (_, solver)
+        k candidates json seed jobs cache no_cache cache_dir trace =
       set_jobs jobs;
       start_trace trace;
       let store = open_store cache no_cache cache_dir in
       let g, system, demand, _scen_rng, system_key =
-        setup ?store ~family ~size ~base ~alpha ~demand:demand_spec ~seed ()
+        setup ?store ~family ~size ~base ~alpha ~demand ~seed ()
       in
-      let solver = parse_solver solver_spec in
       let worst =
         Fsweep.worst_k ~solver ?store ~system_key ~candidates g system demand ~k
       in
@@ -740,9 +782,9 @@ let faults_cmd =
           "{\n  \"schema\": \"sso-faults-worst-k\",\n  \"version\": 1,\n  \
            \"family\": %s,\n  \"size\": %d,\n  \"alpha\": %d,\n  \"k\": %d,\n  \
            \"seed\": %d,\n  \"worst\": %s%s\n}\n"
-          (jstr family) size alpha k seed (report_json worst) (cache_json store)
+          (jstr family_name) size alpha k seed (report_json worst) (cache_json store)
       else begin
-        Printf.printf "greedy worst-%d on %s (pool %d):\n" k family candidates;
+        Printf.printf "greedy worst-%d on %s (pool %d):\n" k family_name candidates;
         print_report_line worst
       end;
       finish_trace ~seed trace
@@ -767,8 +809,8 @@ let serve_cmd =
   let module Workload = Sso_demand.Workload in
   let module Codec = Sso_artifact.Codec in
   let family_arg =
-    let doc = "Graph family: torus, fat-tree, abilene, b4, expander." in
-    Arg.(value & opt string "torus" & info [ "family" ] ~docv:"FAMILY" ~doc)
+    family_arg ~expander:true
+      ~doc:"Graph family: torus, fat-tree, abilene, b4, expander." ()
   in
   let size_arg =
     let doc =
@@ -777,27 +819,11 @@ let serve_cmd =
     in
     Arg.(value & opt int 4 & info [ "size" ] ~docv:"SIZE" ~doc)
   in
-  let build_family rng family size =
-    match family with
-    | "torus" -> Gen.torus size size
-    | "fat-tree" -> Gen.fat_tree size
-    | "abilene" -> fst (Gen.abilene ())
-    | "b4" -> fst (Gen.b4 ())
-    | "expander" -> Gen.random_regular rng size 4
-    | other -> failwith (Printf.sprintf "unknown family %S" other)
-  in
   let stream_pos =
     let doc = "Update stream recorded with $(b,sso serve generate)." in
     (* [string], not [file]: a missing path must surface as our exit 10,
        not cmdliner's 124. *)
     Arg.(required & pos 0 (some string) None & info [] ~docv:"STREAM" ~doc)
-  in
-  let jstr s = Printf.sprintf "%S" s in
-  let jfloat f =
-    if Float.is_nan f then "\"nan\""
-    else if f = infinity then "\"inf\""
-    else if f = neg_infinity then "\"-inf\""
-    else Printf.sprintf "%.17g" f
   in
   let generate_cmd =
     let ticks_arg =
@@ -823,9 +849,9 @@ let serve_cmd =
         & opt (some string) None
         & info [ "o"; "output" ] ~docv:"FILE" ~doc)
     in
-    let run family size ticks pairs churn rate_churn output seed =
+    let run (_, build_graph) size ticks pairs churn rate_churn output seed =
       let rng = Rng.create seed in
-      let g = build_family (Rng.split rng) family size in
+      let g = build_graph (Rng.split rng) size in
       let events =
         Workload.generate ~rate_churn (Rng.split rng) ~n:(Graph.n g) ~ticks
           ~pairs ~churn
@@ -850,12 +876,10 @@ let serve_cmd =
       Arg.(value & opt int 4 & info [ "alpha" ] ~docv:"ALPHA" ~doc)
     in
     let base_arg =
-      let doc = "Base oblivious routing: racke, valiant, ksp, shortest." in
-      Arg.(value & opt string "racke" & info [ "base" ] ~docv:"BASE" ~doc)
+      base_arg ~doc:"Base oblivious routing: racke, valiant, ksp, shortest." ()
     in
     let solver_arg =
-      let doc = "Cold-solve engine: mwu[:ITERS] (default), gk[:EPS], or lp." in
-      Arg.(value & opt string "mwu" & info [ "solver" ] ~docv:"SOLVER" ~doc)
+      solver_arg ~doc:"Cold-solve engine: mwu[:ITERS] (default), gk[:EPS], or lp."
     in
     let warm_iters_arg =
       let doc = "Fresh MWU rounds per warm tick." in
@@ -970,15 +994,6 @@ let serve_cmd =
       in
       Arg.(value & opt int 4 & info [ "max-staleness" ] ~docv:"N" ~doc)
     in
-    let parse_solver solver_spec =
-      match String.split_on_char ':' solver_spec with
-      | [ "lp" ] -> Semi_oblivious.Lp
-      | [ "mwu" ] -> Semi_oblivious.default_solver
-      | [ "mwu"; iters ] -> Semi_oblivious.Mwu (int_of_string iters)
-      | [ "gk" ] -> Semi_oblivious.Gk 0.1
-      | [ "gk"; eps ] -> Semi_oblivious.Gk (float_of_string eps)
-      | _ -> failwith (Printf.sprintf "unknown solver %S" solver_spec)
-    in
     let mode_name = function
       | Serve.Cold -> "cold"
       | Serve.Warm -> "warm"
@@ -1049,7 +1064,8 @@ let serve_cmd =
       in
       Serve.faults_of_timeline entries
     in
-    let run stream family size alpha base solver_spec warm_iters warm_weight
+    let run stream (family, build_graph) size alpha (base, build_base)
+        (solver_spec, solver) warm_iters warm_weight
         refresh simulate period json metrics_out slo_p99_ms overload_ms
         faults_spec checkpoint_every checkpoint_dir resume crash_after
         event_budget max_staleness seed jobs cache no_cache cache_dir trace =
@@ -1101,20 +1117,13 @@ let serve_cmd =
          consumer randomness — the same seed sees the same sampled system
          everywhere. *)
       let rng = Rng.create seed in
-      let g = build_family (Rng.split rng) family size in
-      let base_routing =
-        match base with
-        | "racke" -> Memo.racke ?store (Rng.split rng) g
-        | "valiant" -> Valiant.routing g
-        | "ksp" -> Ksp.routing ~k:(max 4 alpha) g
-        | "shortest" -> Deterministic.shortest_path g
-        | other -> failwith (Printf.sprintf "unknown base routing %S" other)
-      in
+      let g = build_graph (Rng.split rng) size in
+      let base_routing = build_base ~store ~alpha rng g in
       let system = Sampler.alpha_sample (Rng.split rng) base_routing ~alpha in
       let sim_rng = Rng.split rng in
       let fault_rng = Rng.split rng in
       let config =
-        { Serve.solver = parse_solver solver_spec;
+        { Serve.solver = solver;
           warm_iters;
           warm_weight;
           refresh_every = refresh;
@@ -1289,12 +1298,7 @@ let serve_cmd =
           "  ],\n  \"final\": {\"pairs\": %d, \"congestion\": %s, \"digest\": \
            %s}%s%s\n}\n"
           final_pairs (jfloat final_congestion) (jstr digest) sim_json
-          (match store with
-          | None -> ""
-          | Some _ ->
-              Printf.sprintf ",\n  \"cache\": {\"hit\": %d, \"miss\": %d}"
-                (Obs.counter_value (Obs.counter "artifact.hit"))
-                (Obs.counter_value (Obs.counter "artifact.miss")))
+          (cache_json store)
       end
       else begin
         Printf.printf "family %s  size %d  alpha %d  base %s  solver %s\n"

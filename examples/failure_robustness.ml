@@ -16,7 +16,6 @@ module Graph = Sso_graph.Graph
 module Demand = Sso_demand.Demand
 module Racke = Sso_oblivious.Racke
 module Sampler = Sso_core.Sampler
-module Robustness = Sso_core.Robustness
 module Scenario = Sso_fault.Scenario
 module Sweep = Sso_fault.Sweep
 
@@ -33,11 +32,10 @@ let () =
   List.iter
     (fun alpha ->
       let system = Sampler.alpha_sample (Rng.split rng) base ~alpha in
-      let reports = Robustness.single_failures g system demand in
-      let s = Robustness.summary reports in
+      let s = Sweep.summary (Sweep.run g system demand (Sweep.singles g)) in
       Printf.printf "%8d | %10d/%-3d %12.3f %12.3f\n" alpha
-        s.Robustness.unsurvivable s.Robustness.edges_tested s.Robustness.mean_ratio
-        s.Robustness.worst_ratio)
+        s.Sweep.unsurvivable s.Sweep.scenarios s.Sweep.mean_ratio
+        s.Sweep.worst_ratio)
     [ 1; 2; 4; 8 ];
   Printf.printf
     "\n'stranded' counts failures that left some flow without a surviving\n";

@@ -3,10 +3,10 @@
 
     For each scenario the sweep drops the dead candidate paths, scales the
     degraded capacities, re-optimizes Stage-4 rates on the survivors, and
-    compares against the optimum of the damaged network — the
-    multi-failure, capacity-aware generalization of
-    [Sso_core.Robustness.single_failures].  Optionally it also measures
-    {e time-to-recover}: how many warm-started MWU rounds
+    compares against the optimum of the damaged network.  Over {!singles}
+    it is the single-link failure analysis (bench E14); other scenario
+    sets make it multi-failure and capacity-aware.  Optionally it also
+    measures {e time-to-recover}: how many warm-started MWU rounds
     ({!Sso_core.Semi_oblivious.reoptimize}) bring the post-failure routing
     within tolerance of the from-scratch solution.
 

@@ -228,6 +228,16 @@ let mwu ?(iters = 300) ?warm ~label g oracle demand =
             if !seeded then weight else 0
       in
       let round_loads = Array.make m 0.0 in
+      (* Telemetry only: a warm solve's unseeded pairs have played [round]
+         times, not [base_plays + round], so their loads are averaged
+         apart from the seeded ones. *)
+      let unseeded =
+        if base_plays > 0 && Obs.tracing () then
+          Some
+            ( Array.init pairs (fun i -> Best_response.distribution oracle tally i = []),
+              Array.make m 0.0 )
+        else None
+      in
       for round = 1 to iters do
         Obs.incr mwu_iterations;
         let max_cum = Array.fold_left Float.max neg_infinity cum in
@@ -257,13 +267,31 @@ let mwu ?(iters = 300) ?warm ~label g oracle demand =
             if cum.(e) > !cum_peak then cum_peak := cum.(e)
           done;
           let plays = float_of_int (base_plays + round) in
+          let avg_congestion =
+            match unseeded with
+            | None -> !cum_peak *. u_norm /. plays
+            | Some (fresh, fresh_loads) ->
+                Array.iteri
+                  (fun i h -> if fresh.(i) then add_loads fresh_loads h amounts.(i))
+                  responses;
+                let peak = ref 0.0 in
+                for e = 0 to m - 1 do
+                  let total = cum.(e) *. u_norm *. caps.(e) in
+                  let load =
+                    ((total -. fresh_loads.(e)) /. plays)
+                    +. (fresh_loads.(e) /. float_of_int round)
+                  in
+                  peak := Float.max !peak (load /. caps.(e))
+                done;
+                !peak
+          in
           Obs.event "mwu.round"
             ~attrs:
               [
                 ("solver", Trace.String label);
                 ("round", Trace.Int round);
                 ("round_congestion", Trace.Float !round_peak);
-                ("avg_congestion", Trace.Float (!cum_peak *. u_norm /. plays));
+                ("avg_congestion", Trace.Float avg_congestion);
                 ("potential", Trace.Float !cum_peak);
                 ("support_paths", Trace.Int (Best_response.seen_count tally));
                 ("sssp_settled", Trace.Int settled);

@@ -23,7 +23,7 @@ module Completion = Sso_core.Completion
 module Lower_bound = Sso_core.Lower_bound
 module Special = Sso_core.Special
 module Pool = Sso_engine.Pool
-module Obs = Sso_obs.Obs
+module Sweep = Sso_fault.Sweep
 
 let all_pairs n =
   List.concat_map
@@ -776,6 +776,21 @@ let test_theory_validates_input () =
        false
      with Invalid_argument _ -> true)
 
+(* Every single-link failure, evaluated by the fault sweep. *)
+let single_failures ?pool g ps d =
+  Sweep.run ?pool ~solver:(Semi_oblivious.Mwu 100) g ps d (Sweep.singles g)
+
+(* A report as its exact bits: reports carry nan fields, so [=] between
+   two identical report lists is false. *)
+let report_bits (r : Sweep.report) =
+  Printf.sprintf "%s %b %b %Lx %Lx %Lx %d %Lx" r.Sweep.scenario.Sso_fault.Scenario.label
+    r.Sweep.connected r.Sweep.survivable
+    (Int64.bits_of_float r.Sweep.achieved)
+    (Int64.bits_of_float r.Sweep.post_opt)
+    (Int64.bits_of_float r.Sweep.ratio)
+    r.Sweep.recovery_rounds
+    (Int64.bits_of_float r.Sweep.warm_congestion)
+
 let test_robustness_agrees_with_bridges () =
   (* Failures the network itself cannot survive are exactly the bridges
      separating some demanded pair. *)
@@ -785,22 +800,20 @@ let test_robustness_agrees_with_bridges () =
   let d = Demand.single_pair s t 1.0 in
   let base = Ksp.routing ~k:4 g in
   let system = Sso_core.Path_system.of_oblivious_support base in
-  let reports = Sso_core.Robustness.single_failures ~solver:(Semi_oblivious.Mwu 100) g system d in
+  let reports = single_failures g system d in
   let bridges = Sso_graph.Bridges.find g in
-  List.iter
-    (fun r ->
-      let network_dead = not (Float.is_finite r.Sso_core.Robustness.post_opt) in
+  List.iteri
+    (fun e (r : Sweep.report) ->
+      let network_dead = not (Float.is_finite r.Sweep.post_opt) in
       let is_separating_bridge =
-        List.mem r.Sso_core.Robustness.failed_edge bridges
+        List.mem e bridges
         &&
         (* The bridge must separate s from t, i.e., lie on every (s,t)
            path: in C(n,k) those are exactly the two leaf edges. *)
-        (let u, v = Graph.endpoints g r.Sso_core.Robustness.failed_edge in
+        (let u, v = Graph.endpoints g e in
          u = s || v = s || u = t || v = t)
       in
-      Alcotest.(check bool)
-        (Printf.sprintf "edge %d" r.Sso_core.Robustness.failed_edge)
-        is_separating_bridge network_dead)
+      Alcotest.(check bool) (Printf.sprintf "edge %d" e) is_separating_bridge network_dead)
     reports
 
 (* Oracle (demand-aware baseline) *)
@@ -881,9 +894,7 @@ let test_attack_in_family_unknown_alpha () =
        in
        contains "alpha = 99" && contains "available")
 
-(* Robustness *)
-
-module Robustness = Sso_core.Robustness
+(* Single-link failures, evaluated by the fault sweep *)
 
 let test_without_edge_filters () =
   let g = Gen.multi_path [ 2; 2 ] in
@@ -912,15 +923,15 @@ let test_robustness_redundant_candidates_survive () =
   let b = Path.of_vertices g [ 0; 3; 1 ] in
   let ps = Path_system.of_pairs g [ ((0, 1), [ a; b ]) ] in
   let d = Demand.single_pair 0 1 1.0 in
-  let reports = Robustness.single_failures ~solver:(Semi_oblivious.Mwu 100) g ps d in
+  let reports = single_failures g ps d in
   Alcotest.(check int) "all edges tested" (Graph.m g) (List.length reports);
   List.iter
-    (fun r ->
-      Alcotest.(check bool) "survivable" true r.Robustness.survivable;
-      Alcotest.(check bool) "near optimal" true (r.Robustness.ratio <= 1.2))
+    (fun (r : Sweep.report) ->
+      Alcotest.(check bool) "survivable" true r.Sweep.survivable;
+      Alcotest.(check bool) "near optimal" true (r.Sweep.ratio <= 1.2))
     reports;
-  let s = Robustness.summary reports in
-  Alcotest.(check int) "none unsurvivable" 0 s.Robustness.unsurvivable
+  let s = Sweep.summary reports in
+  Alcotest.(check int) "none unsurvivable" 0 s.Sweep.unsurvivable
 
 let test_robustness_single_candidate_fails () =
   (* One candidate path only: failing its edges strands the pair even
@@ -929,9 +940,8 @@ let test_robustness_single_candidate_fails () =
   let a = Path.of_vertices g [ 0; 2; 1 ] in
   let ps = Path_system.of_pairs g [ ((0, 1), [ a ]) ] in
   let d = Demand.single_pair 0 1 1.0 in
-  let reports = Robustness.single_failures ~solver:(Semi_oblivious.Mwu 100) g ps d in
-  let s = Robustness.summary reports in
-  Alcotest.(check int) "two stranding failures" 2 s.Robustness.unsurvivable
+  let s = Sweep.summary (single_failures g ps d) in
+  Alcotest.(check int) "two stranding failures" 2 s.Sweep.unsurvivable
 
 let test_robustness_bridge_is_networks_fault () =
   (* Failing a bridge disconnects the network itself; such failures are
@@ -940,31 +950,31 @@ let test_robustness_bridge_is_networks_fault () =
   let p = Path.of_vertices g [ 0; 1; 2 ] in
   let ps = Path_system.of_pairs g [ ((0, 2), [ p ]) ] in
   let d = Demand.single_pair 0 2 1.0 in
-  let reports = Robustness.single_failures ~solver:(Semi_oblivious.Mwu 100) g ps d in
+  let reports = single_failures g ps d in
   List.iter
-    (fun r ->
-      Alcotest.(check bool) "network-level failure" false (Float.is_finite r.Robustness.post_opt))
+    (fun (r : Sweep.report) ->
+      Alcotest.(check bool) "network-level failure" false (Float.is_finite r.Sweep.post_opt))
     reports;
-  let s = Robustness.summary reports in
-  Alcotest.(check int) "not charged to the system" 0 s.Robustness.unsurvivable
+  let s = Sweep.summary reports in
+  Alcotest.(check int) "not charged to the system" 0 s.Sweep.unsurvivable
 
 let test_robustness_summary_degenerate_is_nan () =
   (* No reports at all: both aggregates are nan, not a vacuous 0. *)
-  let empty = Robustness.summary [] in
-  Alcotest.(check bool) "empty mean nan" true (Float.is_nan empty.Robustness.mean_ratio);
-  Alcotest.(check bool) "empty worst nan" true (Float.is_nan empty.Robustness.worst_ratio);
+  let empty = Sweep.summary [] in
+  Alcotest.(check bool) "empty mean nan" true (Float.is_nan empty.Sweep.mean_ratio);
+  Alcotest.(check bool) "empty worst nan" true (Float.is_nan empty.Sweep.worst_ratio);
   (* All-unsurvivable: the single-candidate fixture strands the pair on
      its two path edges; keep only those stranding reports. *)
   let g = Gen.multi_path [ 2; 2 ] in
   let a = Path.of_vertices g [ 0; 2; 1 ] in
   let ps = Path_system.of_pairs g [ ((0, 1), [ a ]) ] in
   let d = Demand.single_pair 0 1 1.0 in
-  let reports = Robustness.single_failures ~solver:(Semi_oblivious.Mwu 100) g ps d in
-  let stranded = List.filter (fun r -> not r.Robustness.survivable) reports in
+  let reports = single_failures g ps d in
+  let stranded = List.filter (fun (r : Sweep.report) -> not r.Sweep.survivable) reports in
   Alcotest.(check bool) "fixture strands something" true (stranded <> []);
-  let s = Robustness.summary stranded in
-  Alcotest.(check bool) "no survivors: mean nan" true (Float.is_nan s.Robustness.mean_ratio);
-  Alcotest.(check bool) "no survivors: worst nan" true (Float.is_nan s.Robustness.worst_ratio)
+  let s = Sweep.summary stranded in
+  Alcotest.(check bool) "no survivors: mean nan" true (Float.is_nan s.Sweep.mean_ratio);
+  Alcotest.(check bool) "no survivors: worst nan" true (Float.is_nan s.Sweep.worst_ratio)
 
 (* Two parallel (0,1) edges plus a 2-hop detour; the system routes over
    one parallel edge and the detour. *)
@@ -982,25 +992,20 @@ let parallel_edge_fixture () =
 
 let test_robustness_parallel_edges_share_solves () =
   let g, ps, d = parallel_edge_fixture () in
-  let solves = Obs.counter "robustness.opt_solves" in
-  let before = Obs.counter_value solves in
-  let reports = Robustness.single_failures ~solver:(Semi_oblivious.Mwu 100) g ps d in
-  (* 4 edges but 3 (u, v, cap) classes: the parallel pair shares one
-     damaged-optimum solve. *)
+  let reports = single_failures g ps d in
   Alcotest.(check int) "one report per edge" 4 (List.length reports);
-  Alcotest.(check int) "solves = classes" 3 (Obs.counter_value solves - before);
+  (* Failing either parallel edge damages isomorphic networks: the same
+     optimum, to the bit. *)
   let r0 = List.nth reports 0 and r1 = List.nth reports 1 in
-  Alcotest.(check (float 0.0)) "shared post_opt" r0.Robustness.post_opt
-    r1.Robustness.post_opt;
+  Alcotest.(check int64) "shared post_opt"
+    (Int64.bits_of_float r0.Sweep.post_opt)
+    (Int64.bits_of_float r1.Sweep.post_opt);
   (* Both survivable: losing either parallel edge leaves the other. *)
-  Alcotest.(check bool) "e0 survivable" true r0.Robustness.survivable;
-  Alcotest.(check bool) "e1 survivable" true r1.Robustness.survivable;
-  (* And the report list is identical at any job count. *)
-  let at_jobs jobs =
-    let pool = Pool.create ~jobs () in
-    Robustness.single_failures ~pool ~solver:(Semi_oblivious.Mwu 100) g ps d
-  in
-  Alcotest.(check bool) "jobs-invariant" true (at_jobs 1 = at_jobs 4)
+  Alcotest.(check bool) "e0 survivable" true r0.Sweep.survivable;
+  Alcotest.(check bool) "e1 survivable" true r1.Sweep.survivable;
+  (* And the report list is bit-identical at any job count. *)
+  let at_jobs jobs = List.map report_bits (single_failures ~pool:(Pool.create ~jobs ()) g ps d) in
+  Alcotest.(check (list string)) "jobs-invariant" (at_jobs 1) (at_jobs 4)
 
 (* Auxiliary graph (Corollary 6.2) *)
 

@@ -1,6 +1,6 @@
 (* Tests for the fault-injection subsystem: scenario construction and
-   codec, SRLG derivation, offline sweeps (agreement with the classic
-   single-failure analysis, jobs-invariance, warm-started recovery), and
+   codec, SRLG derivation, offline sweeps (golden single-failure pins,
+   jobs-invariance, warm-started recovery), and
    mid-flight failover in the simulator. *)
 
 module Rng = Sso_prng.Rng
@@ -12,7 +12,7 @@ module Rounding = Sso_flow.Rounding
 module Path_system = Sso_core.Path_system
 module Sampler = Sso_core.Sampler
 module Semi_oblivious = Sso_core.Semi_oblivious
-module Robustness = Sso_core.Robustness
+module Ksp = Sso_oblivious.Ksp
 module Pool = Sso_engine.Pool
 module Codec = Sso_artifact.Codec
 module Simulator = Sso_sim.Simulator
@@ -147,16 +147,60 @@ let redundant_fixture () =
   let ps = Path_system.of_pairs g [ ((0, 1), [ a; b ]) ] in
   (g, ps, Demand.single_pair 0 1 1.0)
 
+(* Golden pins: (edge, survivable, achieved bits, post_opt bits) as the
+   former dedicated single-failure evaluator reported them, before
+   [Sweep.run (Sweep.singles g)] replaced it.  Recorded, not derived. *)
+let singles_redundant_pin =
+  [
+    (0, true, 0x3ff0000000000000L, 0x3ff0000000000000L);
+    (1, true, 0x3ff0000000000000L, 0x3ff0000000000000L);
+    (2, true, 0x3ff0000000000000L, 0x3ff0000000000000L);
+    (3, true, 0x3ff0000000000000L, 0x3ff0000000000000L);
+  ]
+
+(* Bench E14's KSP-4 system: Abilene, 10 unit flows from child 43 of
+   seed 0, Mwu 200. *)
+let singles_e14_ksp4_pin =
+  [
+    (0, true, 0x3fd34395810624ddL, 0x3fd34395810624ddL);
+    (1, true, 0x3fd3645a1cac0831L, 0x3fd3645a1cac0832L);
+    (2, true, 0x3fd3333333333333L, 0x3fd3333333333333L);
+    (3, true, 0x3fd35c28f5c28f5cL, 0x3fd3645a1cac0832L);
+    (4, true, 0x3fe3333333333333L, 0x3fe3333333333334L);
+    (5, true, 0x3fe3333333333333L, 0x3fe3333333333333L);
+    (6, true, 0x3fd3645a1cac0832L, 0x3fd3645a1cac0832L);
+    (7, false, 0x7ff0000000000000L, 0x3fd9999999999999L);
+    (8, true, 0x3fd999999999999aL, 0x3fd999999999999aL);
+    (9, true, 0x3fd34395810624deL, 0x3fd34395810624ddL);
+    (10, true, 0x3fd3333333333333L, 0x3fd34395810624ddL);
+    (11, true, 0x3fd33b645a1cac08L, 0x3fd34bc6a7ef9db2L);
+    (12, true, 0x3fd34395810624deL, 0x3fd34395810624ddL);
+    (13, true, 0x3fd33b645a1cac08L, 0x3fd33b645a1cac0aL);
+  ]
+
 let test_sweep_singles_agrees_with_robustness () =
+  let show (e, survivable, achieved, post_opt) =
+    Printf.sprintf "edge %d %b %Lx %Lx" e survivable achieved post_opt
+  in
+  let check name pin ~solver g ps d =
+    let got =
+      List.mapi
+        (fun e (r : Sweep.report) ->
+          ( e,
+            r.Sweep.survivable,
+            Int64.bits_of_float r.Sweep.achieved,
+            Int64.bits_of_float r.Sweep.post_opt ))
+        (Sweep.run ~solver g ps d (Sweep.singles g))
+    in
+    Alcotest.(check (list string)) name (List.map show pin) (List.map show got)
+  in
   let g, ps, d = redundant_fixture () in
-  let classic = Robustness.single_failures ~solver g ps d in
-  let sweep = Sweep.run ~solver g ps d (Sweep.singles g) in
-  List.iter2
-    (fun (r : Robustness.report) (w : Sweep.report) ->
-      Alcotest.(check bool) "same survivable" r.Robustness.survivable w.Sweep.survivable;
-      Alcotest.(check (float 1e-9)) "same achieved" r.Robustness.achieved w.Sweep.achieved;
-      Alcotest.(check (float 1e-9)) "same post_opt" r.Robustness.post_opt w.Sweep.post_opt)
-    classic sweep
+  check "redundant fixture" singles_redundant_pin ~solver g ps d;
+  let rng = Rng.split_at (Rng.create 0) 43 in
+  let g, _ = Gen.abilene () in
+  let d = Demand.random_pairs (Rng.split rng) ~n:(Graph.n g) ~pairs:10 in
+  let ps = Path_system.of_oblivious_support (Ksp.routing ~k:4 g) in
+  check "E14 KSP-4" singles_e14_ksp4_pin ~solver:(Semi_oblivious.Mwu 200) g ps d
 
 let test_sweep_multi_failure_strands () =
   (* Three disjoint routes but only two installed as candidates.  One

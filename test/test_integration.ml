@@ -26,7 +26,7 @@ module Sampler = Sso_core.Sampler
 module Semi_oblivious = Sso_core.Semi_oblivious
 module Integral = Sso_core.Integral
 module Completion = Sso_core.Completion
-module Robustness = Sso_core.Robustness
+module Sweep = Sso_fault.Sweep
 module Simulator = Sso_sim.Simulator
 
 (* Full pipeline on one (graph, base, demand) combination: sample, solve
@@ -164,14 +164,22 @@ let test_failure_then_simulate () =
   let base = Racke.routing (Rng.split rng) g in
   let system = Sampler.alpha_sample (Rng.split rng) base ~alpha:6 in
   let d = Demand.random_pairs (Rng.split rng) ~n:16 ~pairs:6 in
-  let reports = Robustness.single_failures ~solver:(Semi_oblivious.Mwu 150) g system d in
-  let survivable = List.filter (fun r -> r.Robustness.survivable) reports in
+  let reports =
+    Sweep.run ~solver:(Semi_oblivious.Mwu 150) g system d (Sweep.singles g)
+  in
+  let survivable =
+    List.filter_map
+      (fun (r : Sweep.report) ->
+        if r.Sweep.survivable then Some (List.hd (Sso_fault.Scenario.edges r.Sweep.scenario))
+        else None)
+      reports
+  in
   Alcotest.(check bool) "most failures survivable" true
     (List.length survivable >= Graph.m g / 2);
   match survivable with
   | [] -> Alcotest.fail "expected a survivable failure"
-  | r :: _ ->
-      let survivors = Path_system.without_edge r.Robustness.failed_edge system in
+  | failed :: _ ->
+      let survivors = Path_system.without_edge failed system in
       let assignment, _ =
         Integral.congestion_upper (Rng.split rng) g survivors d
       in
@@ -185,7 +193,7 @@ let test_failure_then_simulate () =
           Array.iter
             (fun p ->
               Alcotest.(check bool) "avoids failed edge" false
-                (Path.mem_edge p r.Robustness.failed_edge))
+                (Path.mem_edge p failed))
             paths)
         assignment
 

@@ -481,35 +481,58 @@ let test_flame_jobs_invariant () =
 
 (* ---- MWU convergence semantics ---- *)
 
-let test_mwu_convergence () =
-  let g = Gen.grid 4 4 in
-  let d = Demand.random_pairs (Rng.create 5) ~n:(Graph.n g) ~pairs:6 in
+(* Trace one solve; return its congestion and its [mwu.round] records. *)
+let traced_solve solve =
   Obs.clear_trace ();
   Obs.set_tracing true;
-  let _, congestion =
-    Fun.protect ~finally:(fun () -> Obs.set_tracing false) (fun () ->
-        Min_congestion.mwu_unrestricted ~iters:8 g d)
-  in
+  let _, congestion = Fun.protect ~finally:(fun () -> Obs.set_tracing false) solve in
   let events = Obs.events () in
   Obs.clear_trace ();
   match Trace.mwu_solves events with
-  | [ s ] ->
-      Alcotest.(check string) "solver label" "unrestricted" s.Trace.s_solver;
-      Alcotest.(check int) "pairs" 6 s.Trace.s_pairs;
-      Alcotest.(check int) "iters" 8 s.Trace.s_iters;
-      let rounds = s.Trace.s_rounds in
-      Alcotest.(check (list int)) "rounds in order" [ 1; 2; 3; 4; 5; 6; 7; 8 ]
-        (List.map (fun r -> r.Trace.r_round) rounds);
-      List.iter
-        (fun (r : Trace.round) ->
-          Alcotest.(check bool) "positive congestion" true (r.Trace.r_cong > 0.0);
-          Alcotest.(check bool) "support grows" true (r.Trace.r_paths >= 6))
-        rounds;
-      let final = List.nth rounds (List.length rounds - 1) in
-      Alcotest.(check (float 1e-6))
-        "final averaged congestion matches the returned routing" congestion
-        final.Trace.r_avg
+  | [ s ] -> (congestion, s)
   | solves -> Alcotest.failf "expected one solve, got %d" (List.length solves)
+
+let final_avg (s : Trace.solve) =
+  (List.nth s.Trace.s_rounds (List.length s.Trace.s_rounds - 1)).Trace.r_avg
+
+let test_mwu_convergence () =
+  let g = Gen.grid 4 4 in
+  let d = Demand.random_pairs (Rng.create 5) ~n:(Graph.n g) ~pairs:6 in
+  let congestion, s =
+    traced_solve (fun () -> Min_congestion.mwu_unrestricted ~iters:8 g d)
+  in
+  Alcotest.(check string) "solver label" "unrestricted" s.Trace.s_solver;
+  Alcotest.(check int) "pairs" 6 s.Trace.s_pairs;
+  Alcotest.(check int) "iters" 8 s.Trace.s_iters;
+  let rounds = s.Trace.s_rounds in
+  Alcotest.(check (list int)) "rounds in order" [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+    (List.map (fun r -> r.Trace.r_round) rounds);
+  List.iter
+    (fun (r : Trace.round) ->
+      Alcotest.(check bool) "positive congestion" true (r.Trace.r_cong > 0.0);
+      Alcotest.(check bool) "support grows" true (r.Trace.r_paths >= 6))
+    rounds;
+  Alcotest.(check (float 1e-6))
+    "final averaged congestion matches the returned routing" congestion
+    (final_avg s);
+  (* A warm solve whose routing seeds only one of the two pairs: the
+     seeded pair has played [weight + round] times, the new pair only
+     [round], and the averaged congestion must weigh each accordingly. *)
+  let g = Gen.grid 3 3 in
+  let ksp s t = Yen.k_shortest g ~weight:(fun _ -> 1.0) ~k:3 s t in
+  let cands_old = [ ((0, 8), ksp 0 8) ] in
+  let warm, _ = Min_congestion.lp_on_paths g cands_old (Demand.single_pair 0 8 1.0) in
+  let sc =
+    Min_congestion.slice_candidates_of_list g (cands_old @ [ ((2, 6), ksp 2 6) ])
+  in
+  let d = Demand.of_list [ (0, 8, 1.0); (2, 6, 1.0) ] in
+  let congestion, s =
+    traced_solve (fun () ->
+        Min_congestion.mwu_on_slices ~iters:20 ~warm:(warm, 50) g sc d)
+  in
+  Alcotest.(check (float 1e-6))
+    "partially seeded warm solve: final averaged congestion matches" congestion
+    (final_avg s)
 
 (* One MWU core serves every best-response oracle, so a candidate solve,
    an unrestricted (Dijkstra) solve and a hop-limited (DP) solve emit the
