@@ -81,26 +81,56 @@ let read_graph path = Gio.of_string (read_file path)
    the spelling as typed (reports echo it) next to the parsed value, and
    turns a malformed value into a one-line usage error that exits 124. *)
 
+let check_spec ~name ~expected parse spec =
+  match parse spec with
+  | Some value -> Ok (spec, value)
+  | None ->
+      Error
+        (`Msg
+           (Printf.sprintf
+              "option '--%s': invalid value '%s', expected one of: %s" name spec
+              (String.concat ", " expected)))
+
+let spec_info ~name ~doc = Arg.info [ name ] ~docv:(String.uppercase_ascii name) ~doc
+
 let spec_arg ~name ~default ~expected ~doc parse =
-  let spelling =
-    Arg.(
-      value & opt string default
-      & info [ name ] ~docv:(String.uppercase_ascii name) ~doc)
-  in
-  let check spec =
-    match parse spec with
-    | Some value -> Ok (spec, value)
-    | None ->
-        Error
-          (`Msg
-             (Printf.sprintf
-                "option '--%s': invalid value '%s', expected one of: %s" name
-                spec (String.concat ", " expected)))
+  let spelling = Arg.(value & opt string default & spec_info ~name ~doc) in
+  let check = check_spec ~name ~expected parse in
+  Term.(term_result (const check $ spelling))
+
+(* A spec flag with no default: [None] when absent. *)
+let spec_opt_arg ~name ~expected ~doc parse =
+  let spelling = Arg.(value & opt (some string) None & spec_info ~name ~doc) in
+  let check_spec = check_spec ~name ~expected parse in
+  let check = function
+    | None -> Ok None
+    | Some spec -> Result.map Option.some (check_spec spec)
   in
   Term.(term_result (const check $ spelling))
 
+(* A value that parses but does not fit — an edge id past the graph's
+   edges, a repair before the failure — is a usage error too: one line on
+   stderr, exit 124. *)
+let misfit ~name fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "sso: option '--%s': %s\n" name msg;
+      exit 124)
+    fmt
+
+let edge_id ~name g e =
+  if e < Graph.m g then e
+  else misfit ~name "edge id %d out of range (the graph has %d edges)" e (Graph.m g)
+
+let edge_count ~name g k =
+  if k <= Graph.m g then k
+  else misfit ~name "%d edges requested, the graph has %d" k (Graph.m g)
+
 let int_at_least lo s =
   match int_of_string_opt s with Some i when i >= lo -> Some i | _ -> None
+
+let all_some xs =
+  if List.for_all Option.is_some xs then Some (List.map Option.get xs) else None
 
 let solver_arg ~doc =
   spec_arg ~name:"solver" ~default:"mwu"
@@ -270,11 +300,25 @@ let finish_trace ~seed = function
 
 let gen_cmd =
   let kind_arg =
-    let doc =
-      "Topology: hypercube, grid, torus, cycle, path, complete, expander, \
-       two-cliques, abilene, c-gadget."
-    in
-    Arg.(value & opt string "grid" & info [ "kind" ] ~docv:"KIND" ~doc)
+    spec_arg ~name:"kind" ~default:"grid"
+      ~expected:
+        [ "hypercube"; "grid"; "torus"; "cycle"; "path"; "complete"; "expander";
+          "two-cliques"; "abilene"; "c-gadget" ]
+      ~doc:
+        "Topology: hypercube, grid, torus, cycle, path, complete, expander, \
+         two-cliques, abilene, c-gadget."
+      (function
+        | "hypercube" -> Some (fun _ size _ -> Gen.hypercube size)
+        | "grid" -> Some (fun _ size _ -> Gen.grid size size)
+        | "torus" -> Some (fun _ size _ -> Gen.torus size size)
+        | "cycle" -> Some (fun _ size _ -> Gen.cycle size)
+        | "path" -> Some (fun _ size _ -> Gen.path_graph size)
+        | "complete" -> Some (fun _ size _ -> Gen.complete size)
+        | "expander" -> Some (fun rng size aux -> Gen.random_regular rng size aux)
+        | "two-cliques" -> Some (fun _ size _ -> Gen.two_cliques size)
+        | "abilene" -> Some (fun _ _ _ -> fst (Gen.abilene ()))
+        | "c-gadget" -> Some (fun _ size aux -> (Gen.c_graph size aux).Gen.c_graph)
+        | _ -> None)
   in
   let size_arg =
     let doc =
@@ -287,23 +331,8 @@ let gen_cmd =
     let doc = "Secondary size (middles for c-gadget, degree for expander)." in
     Arg.(value & opt int 3 & info [ "aux" ] ~docv:"K" ~doc)
   in
-  let run kind size aux seed =
-    let rng = Rng.create seed in
-    let g =
-      match kind with
-      | "hypercube" -> Gen.hypercube size
-      | "grid" -> Gen.grid size size
-      | "torus" -> Gen.torus size size
-      | "cycle" -> Gen.cycle size
-      | "path" -> Gen.path_graph size
-      | "complete" -> Gen.complete size
-      | "expander" -> Gen.random_regular rng size aux
-      | "two-cliques" -> Gen.two_cliques size
-      | "abilene" -> fst (Gen.abilene ())
-      | "c-gadget" -> (Gen.c_graph size aux).Gen.c_graph
-      | other -> failwith (Printf.sprintf "unknown topology %S" other)
-    in
-    print_string (Gio.to_string g)
+  let run (_, build) size aux seed =
+    print_string (Gio.to_string (build (Rng.create seed) size aux))
   in
   let doc = "generate a graph and print it as an edge list" in
   Cmd.v (Cmd.info "gen" ~doc)
@@ -577,20 +606,45 @@ let faults_cmd =
   in
   let sweep_cmd =
     let scenarios_arg =
-      let doc =
-        "Scenario set: singles (every edge), srlg (rows/pods/nodes of the \
-         family), random:K:COUNT (COUNT random K-edge sets), or \
-         degrade:FACTOR (every edge at partial capacity)."
-      in
-      Arg.(value & opt string "singles" & info [ "scenarios" ] ~docv:"SPEC" ~doc)
+      let name = "scenarios" in
+      spec_arg ~name ~default:"singles"
+        ~expected:
+          [ "singles"; "srlg"; "random:K:COUNT (K, COUNT >= 1)";
+            "degrade:FACTOR (0 < FACTOR < 1)" ]
+        ~doc:
+          "Scenario set: singles (every edge), srlg (rows/pods/nodes of the \
+           family), random:K:COUNT (COUNT random K-edge sets), or \
+           degrade:FACTOR (every edge at partial capacity)."
+        (fun spec ->
+          match String.split_on_char ':' spec with
+          | [ "singles" ] -> Some (fun ~srlgs:_ _ g -> Fsweep.singles g)
+          | [ "srlg" ] -> Some (fun ~srlgs _ _ -> srlgs ())
+          | [ "random"; k; count ] -> (
+              match (int_at_least 1 k, int_at_least 1 count) with
+              | Some k, Some count ->
+                  Some
+                    (fun ~srlgs:_ rng g ->
+                      let k = edge_count ~name g k in
+                      List.init count (fun i ->
+                          Scenario.random_k (Rng.split_at rng i) g ~k))
+              | _ -> None)
+          | [ "degrade"; factor ] -> (
+              match float_of_string_opt factor with
+              | Some factor when factor > 0.0 && factor < 1.0 ->
+                  Some
+                    (fun ~srlgs:_ _ g ->
+                      List.init (Graph.m g) (fun e ->
+                          Scenario.degrade g ~factor [ e ]))
+              | _ -> None)
+          | _ -> None)
     in
     let recovery_arg =
       let doc = "Also measure warm-started time-to-recover per scenario." in
       Arg.(value & flag & info [ "recovery" ] ~doc)
     in
     let run ((family_name, _) as family) size alpha ((base_name, _) as base)
-        (demand_spec, demand) (solver_spec, solver) scen_spec recovery json seed
-        jobs cache no_cache cache_dir trace =
+        (demand_spec, demand) (solver_spec, solver) (scen_spec, scenarios)
+        recovery json seed jobs cache no_cache cache_dir trace =
       set_jobs jobs;
       start_trace trace;
       let store = open_store cache no_cache cache_dir in
@@ -598,17 +652,7 @@ let faults_cmd =
         setup ?store ~family ~size ~base ~alpha ~demand ~seed ()
       in
       let scenarios =
-        match String.split_on_char ':' scen_spec with
-        | [ "singles" ] -> Fsweep.singles g
-        | [ "srlg" ] -> srlgs g family_name size
-        | [ "random"; k; count ] ->
-            let k = int_of_string k and count = int_of_string count in
-            List.init count (fun i ->
-                Scenario.random_k (Rng.split_at scen_rng i) g ~k)
-        | [ "degrade"; factor ] ->
-            let factor = float_of_string factor in
-            List.init (Graph.m g) (fun e -> Scenario.degrade g ~factor [ e ])
-        | _ -> failwith (Printf.sprintf "unknown scenario spec %S" scen_spec)
+        scenarios ~srlgs:(fun () -> srlgs g family_name size) scen_rng g
       in
       let recovery = if recovery then Some Fsweep.default_recovery else None in
       let reports =
@@ -656,8 +700,33 @@ let faults_cmd =
   in
   let timeline_cmd =
     let scenario_arg =
-      let doc = "What fails: srlg:I (the I-th group), edge:E, or random:K." in
-      Arg.(value & opt string "srlg:0" & info [ "scenario" ] ~docv:"SPEC" ~doc)
+      let name = "scenario" in
+      spec_arg ~name ~default:"srlg:0"
+        ~expected:[ "srlg:I (I >= 0)"; "edge:E (E >= 0)"; "random:K (K >= 1)" ]
+        ~doc:"What fails: srlg:I (the I-th group), edge:E, or random:K."
+        (fun spec ->
+          match String.split_on_char ':' spec with
+          | [ "srlg"; i ] ->
+              Option.map
+                (fun i ~srlgs _ _ ->
+                  let groups = srlgs () in
+                  match List.nth_opt groups i with
+                  | Some s -> s
+                  | None ->
+                      misfit ~name
+                        "SRLG index %d out of range (the family has %d groups)" i
+                        (List.length groups))
+                (int_at_least 0 i)
+          | [ "edge"; e ] ->
+              Option.map
+                (fun e ~srlgs:_ _ g -> Scenario.single g (edge_id ~name g e))
+                (int_at_least 0 e)
+          | [ "random"; k ] ->
+              Option.map
+                (fun k ~srlgs:_ rng g ->
+                  Scenario.random_k rng g ~k:(edge_count ~name g k))
+                (int_at_least 1 k)
+          | _ -> None)
     in
     let fail_at_arg =
       let doc = "Step at which the failure strikes (mid-flight)." in
@@ -671,8 +740,14 @@ let faults_cmd =
       let doc = "Number of random unit packets to inject." in
       Arg.(value & opt int 12 & info [ "packets" ] ~docv:"N" ~doc)
     in
-    let run ((family_name, _) as family) size alpha base scen_spec fail_at
+    let run ((family_name, _) as family) size alpha base (_, scenario) fail_at
         repair_at packets json seed jobs cache no_cache cache_dir trace =
+      if fail_at < 1 then misfit ~name:"fail-at" "the step must be >= 1, got %d" fail_at;
+      (match repair_at with
+      | Some r when r <= fail_at ->
+          misfit ~name:"repair-at" "the step must come after --fail-at %d, got %d"
+            fail_at r
+      | _ -> ());
       set_jobs jobs;
       start_trace trace;
       let store = open_store cache no_cache cache_dir in
@@ -683,16 +758,9 @@ let faults_cmd =
           ~seed ()
       in
       let scenario =
-        match String.split_on_char ':' scen_spec with
-        | [ "srlg"; i ] -> (
-            let groups = srlgs g family_name size in
-            match List.nth_opt groups (int_of_string i) with
-            | Some s -> s
-            | None -> failwith "srlg index out of range")
-        | [ "edge"; e ] -> Scenario.single g (int_of_string e)
-        | [ "random"; k ] ->
-            Scenario.random_k (Rng.split_at scen_rng 0) g ~k:(int_of_string k)
-        | _ -> failwith (Printf.sprintf "unknown scenario spec %S" scen_spec)
+        scenario
+          ~srlgs:(fun () -> srlgs g family_name size)
+          (Rng.split_at scen_rng 0) g
       in
       let assignment, congestion =
         Sso_core.Integral.congestion_upper (Rng.split scen_rng) g system demand
@@ -937,16 +1005,68 @@ let serve_cmd =
         & info [ "overload-ms" ] ~docv:"MS" ~doc)
     in
     let faults_arg =
-      let doc =
-        "Live fault schedule: comma-separated items of the form \
-         $(b,edges:E1+E2\\@T[-R]) (fail the listed edge ids at tick T, repair \
-         at R), $(b,random:K\\@T[-R]) (K seed-derived random edges), or \
-         $(b,worst:K\\@T[-R]) (the greedy worst-K adversarial set computed \
-         against the stream's initial demand).  Failed edges take their \
-         candidate paths down with them; the solve runs on the survivors.  \
-         Ticks are >= 1."
+      let module Scenario = Sso_fault.Scenario in
+      let module Timeline = Sso_fault.Timeline in
+      let module Sweep = Sso_fault.Sweep in
+      let name = "faults" in
+      let scenario kind =
+        match String.split_on_char ':' kind with
+        | [ "edges"; ids ] -> (
+            match all_some (List.map (int_at_least 0) (String.split_on_char '+' ids)) with
+            | Some ids when List.length (List.sort_uniq compare ids) = List.length ids ->
+                Some
+                  (fun g _ _ _ -> Scenario.of_edges g (List.map (edge_id ~name g) ids))
+            | _ -> None)
+        | [ "random"; k ] ->
+            Option.map
+              (fun k g _ _ rng -> Scenario.random_k rng g ~k:(edge_count ~name g k))
+              (int_at_least 1 k)
+        | [ "worst"; k ] ->
+            Option.map
+              (fun k g system events _ ->
+                let demand0 =
+                  match Update.by_tick events with
+                  | (_, batch) :: _ -> Update.apply Demand.empty batch
+                  | [] -> Demand.empty
+                in
+                if Demand.support demand0 = [] then
+                  misfit ~name "worst:K needs a stream with initial demand";
+                let k = edge_count ~name g k in
+                (Sweep.worst_k g system demand0 ~k).Sweep.scenario)
+              (int_at_least 1 k)
+        | _ -> None
       in
-      Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"SPEC" ~doc)
+      (* TICK or TICK-REPAIR, with 1 <= TICK < REPAIR. *)
+      let window w =
+        match all_some (List.map (int_at_least 1) (String.split_on_char '-' w)) with
+        | Some [ at ] -> Some (at, None)
+        | Some [ at; r ] when r > at -> Some (at, Some r)
+        | _ -> None
+      in
+      let item s =
+        match String.split_on_char '@' s with
+        | [ kind; w ] -> (
+            match (scenario kind, window w) with
+            | Some scenario, Some (at, repair_at) ->
+                Some
+                  (fun g system events rng ->
+                    Timeline.entry ?repair_at ~at (scenario g system events rng))
+            | _ -> None)
+        | _ -> None
+      in
+      spec_opt_arg ~name
+        ~expected:
+          [ "edges:E1+E2@T[-R]"; "random:K@T[-R]"; "worst:K@T[-R]";
+            "a comma-separated list of these (1 <= T < R, K >= 1)" ]
+        ~doc:
+          "Live fault schedule: comma-separated items of the form \
+           $(b,edges:E1+E2@T[-R]) (fail the listed edge ids at tick T, \
+           repair at R), $(b,random:K@T[-R]) (K seed-derived random edges), \
+           or $(b,worst:K@T[-R]) (the greedy worst-K adversarial set \
+           computed against the stream's initial demand).  Failed edges take \
+           their candidate paths down with them; the solve runs on the \
+           survivors.  Ticks are >= 1."
+        (fun spec -> all_some (List.map item (String.split_on_char ',' spec)))
     in
     let checkpoint_every_arg =
       let doc =
@@ -1011,58 +1131,6 @@ let serve_cmd =
         r.Serve.retired r.Serve.deferred r.Serve.failed_edges r.Serve.rerouted
         r.Serve.unroutable (jfloat r.Serve.congestion)
         (jstr (mode_name r.Serve.mode)) r.Serve.staleness
-    in
-    (* --faults SPEC parses to a fault timeline, then bridges into the
-       per-tick Fail/Repair schedule the service consumes. *)
-    let parse_faults g system events rng spec =
-      let module Scenario = Sso_fault.Scenario in
-      let module Timeline = Sso_fault.Timeline in
-      let module Sweep = Sso_fault.Sweep in
-      let parse_window s =
-        match String.split_on_char '-' s with
-        | [ a ] -> (int_of_string a, None)
-        | [ a; b ] -> (int_of_string a, Some (int_of_string b))
-        | _ -> failwith (Printf.sprintf "bad fault window %S" s)
-      in
-      let entries =
-        List.map
-          (fun item ->
-            match String.split_on_char '@' item with
-            | [ kind; window ] ->
-                let at, repair_at = parse_window window in
-                let scenario =
-                  match String.split_on_char ':' kind with
-                  | [ "edges"; ids ] ->
-                      Scenario.of_edges g
-                        (List.map int_of_string (String.split_on_char '+' ids))
-                  | [ "random"; k ] ->
-                      Scenario.random_k rng g ~k:(int_of_string k)
-                  | [ "worst"; k ] ->
-                      let demand0 =
-                        match Update.by_tick events with
-                        | (_, batch) :: _ ->
-                            Update.apply Sso_demand.Demand.empty batch
-                        | [] -> Sso_demand.Demand.empty
-                      in
-                      if Sso_demand.Demand.support demand0 = [] then
-                        failwith
-                          "worst:K fault needs a stream with initial demand";
-                      let report =
-                        Sweep.worst_k g system demand0 ~k:(int_of_string k)
-                      in
-                      report.Sweep.scenario
-                  | _ ->
-                      failwith
-                        (Printf.sprintf "unknown fault kind in %S" item)
-                in
-                Timeline.entry ?repair_at ~at scenario
-            | _ ->
-                failwith
-                  (Printf.sprintf
-                     "bad fault item %S (expected KIND@TICK[-REPAIR])" item))
-          (String.split_on_char ',' spec)
-      in
-      Serve.faults_of_timeline entries
     in
     let run stream (family, build_graph) size alpha (base, build_base)
         (solver_spec, solver) warm_iters warm_weight
@@ -1130,15 +1198,14 @@ let serve_cmd =
           event_budget;
           max_staleness }
       in
+      (* The schedule bridges into the per-tick Fail/Repair events the
+         service consumes. *)
       let faults =
         match faults_spec with
         | None -> []
-        | Some spec -> (
-            match parse_faults g system events fault_rng spec with
-            | faults -> faults
-            | exception Failure msg ->
-                Printf.eprintf "sso serve: --faults %s\n" msg;
-                exit 124)
+        | Some (_, items) ->
+            Serve.faults_of_timeline
+              (List.map (fun item -> item g system events fault_rng) items)
       in
       if simulate && faults <> [] then begin
         Printf.eprintf
@@ -1287,7 +1354,7 @@ let serve_cmd =
            \"events\": %d,\n  \"ticks\": [\n"
           (jstr family) size alpha (jstr base) (jstr solver_spec) warm_iters
           warm_weight refresh event_budget max_staleness
-          (match faults_spec with None -> "null" | Some s -> jstr s)
+          (match faults_spec with None -> "null" | Some (s, _) -> jstr s)
           seed (List.length events);
         List.iteri
           (fun i r ->

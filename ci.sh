@@ -8,9 +8,10 @@
 # subsystem by recording a kernel trace at two job counts (identical
 # event sequences) and running the `sso trace` analyzers over it, and
 # the fault-injection subsystem via `sso faults` (jobs-invariant sweeps,
-# a dropped-free mid-flight SRLG failover, cached warm sweeps), the
-# arena path storage at scale (--scale on a 50k-switch fat-tree,
-# warm-cache byte-identical to cold, bytes/pair reduction gate), the
+# cached warm sweeps; the mid-flight failover timelines are pinned by
+# the test/cli/simulate.t cram test), the arena path storage at scale
+# (--scale on a 50k-switch fat-tree, warm-cache byte-identical to cold,
+# bytes/pair reduction gate), the
 # routing service via `sso serve` (a 10k-update churn stream replayed
 # byte-identically at --jobs 1 and 4, stream exit codes 10/11 honored),
 # the telemetry layer (a --metrics-out Prometheus exposition scrape

@@ -1,11 +1,10 @@
 #!/bin/sh
 # Fault-injection smoke test: `sso faults sweep` output is byte-identical
-# at --jobs 1 and --jobs 4 on a torus and a fat-tree, a mid-flight SRLG
-# timeline run where every demanded pair keeps a surviving candidate
-# reports dropped = 0, sweeps cache through the artifact store (warm runs
-# record hits and stay byte-identical modulo the hit counters), the
-# fault.* trace events are emitted, and the exit-code contract (10 for an
-# unreadable store) holds.
+# at --jobs 1 and --jobs 4 on a torus and a fat-tree, sweeps cache
+# through the artifact store (warm runs record hits and stay
+# byte-identical modulo the hit counters), the fault.* trace events are
+# emitted, and the exit-code contract (10 for an unreadable store) holds.
+# The mid-flight timeline runs are pinned in full by test/cli/simulate.t.
 . "$(dirname "$0")/smoke_lib.sh"
 
 # Jobs-invariance: singles sweep on a torus, SRLG sweep on a fat-tree.
@@ -21,25 +20,6 @@ cmp "$dir/torus.j1" "$dir/torus.j4" || {
   > "$dir/ft.j4"
 cmp "$dir/ft.j1" "$dir/ft.j4" || {
   echo "faults_smoke: fat-tree SRLG sweep differs between --jobs 1 and --jobs 4" >&2
-  exit 1
-}
-
-# Mid-flight failover: a torus row fails at step 2; with this seed every
-# demanded pair retains a surviving candidate, so nothing may be dropped.
-# (The seed is re-pinned whenever the sampled trees change — e.g. the
-# ball-growing FRT rewrite altered the level count draw.)
-"$SSO" faults timeline --family torus --size 4 --scenario srlg:2 --fail-at 2 \
-  --seed 2 --json > "$dir/timeline.json"
-grep -q '"all_pairs_retain_candidate": true' "$dir/timeline.json" || {
-  echo "faults_smoke: expected every pair to retain a candidate" >&2
-  exit 1
-}
-grep -q '"dropped": 0' "$dir/timeline.json" || {
-  echo "faults_smoke: packets dropped despite surviving candidates" >&2
-  exit 1
-}
-grep -q '"completed": true' "$dir/timeline.json" || {
-  echo "faults_smoke: timeline run blew its step budget" >&2
   exit 1
 }
 

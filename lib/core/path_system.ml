@@ -185,8 +185,6 @@ let restrict_hops ~max_hops ps =
 let filter_paths keep ps =
   of_generator ps.graph (fun s t -> List.filter keep (paths ps s t))
 
-let without_edge e ps = filter_paths (fun p -> not (Path.mem_edge p e)) ps
-
 let of_routing_support g r =
   of_pairs g
     (List.map

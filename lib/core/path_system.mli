@@ -94,10 +94,6 @@ val restrict_hops : max_hops:int -> t -> t
 val filter_paths : (Sso_graph.Path.t -> bool) -> t -> t
 (** Keep only candidates satisfying the predicate. *)
 
-val without_edge : int -> t -> t
-(** Drop every candidate crossing the given edge — the failure model of
-    the robustness experiments: when a link dies, the installed paths
-    through it die with it and Stage 4 re-optimizes over the survivors. *)
 
 val of_routing_support : Sso_graph.Graph.t -> Sso_flow.Routing.t -> t
 (** [supp(R)] as a path system. *)

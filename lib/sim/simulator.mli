@@ -12,7 +12,11 @@
     Model: time proceeds in synchronous steps.  Each packet occupies a
     vertex and follows its preassigned path.  In one step an edge transmits
     at most [⌊cap⌋] packets (at least 1) {e per direction}.  Contending
-    packets are ordered by the queue discipline. *)
+    packets are ordered by the queue discipline.
+
+    {!run}, {!run_faulted} and {!run_timed} drive one and the same step
+    loop.  They differ only in when packets are released, whether
+    capacities change mid-run, and which statistics they report. *)
 
 type discipline =
   | Fifo  (** Earlier-injected packet first (ties by packet id). *)
@@ -134,9 +138,10 @@ val run_faulted :
 
 (** {1 Timed injection}
 
-    The one-shot model above measures makespan; traffic engineering also
-    cares about per-packet {e latency} under sustained load.  A timed run
-    injects each packet at its release step and reports latency
+    {!run} and {!run_faulted} release every packet at step 0 and measure
+    makespan; traffic engineering also cares about per-packet {e latency}
+    under sustained load.  A timed run gives each packet its own release
+    step (FIFO serves earlier releases first) and reports latency
     statistics (arrival − release − hops = queueing delay). *)
 
 type timed_packet = {

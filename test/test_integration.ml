@@ -179,7 +179,9 @@ let test_failure_then_simulate () =
   match survivable with
   | [] -> Alcotest.fail "expected a survivable failure"
   | failed :: _ ->
-      let survivors = Path_system.without_edge failed system in
+      let survivors =
+        Path_system.filter_paths (fun p -> not (Path.mem_edge p failed)) system
+      in
       let assignment, _ =
         Integral.congestion_upper (Rng.split rng) g survivors d
       in

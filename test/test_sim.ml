@@ -14,6 +14,9 @@ module Valiant = Sso_oblivious.Valiant
 module Sampler = Sso_core.Sampler
 module Integral = Sso_core.Integral
 module Semi_oblivious = Sso_core.Semi_oblivious
+module Path_system = Sso_core.Path_system
+module Scenario = Sso_fault.Scenario
+module Timeline = Sso_fault.Timeline
 
 let assignment_of_paths entries : Rounding.assignment =
   Array.of_list (List.map (fun (pair, paths) -> (pair, Array.of_list paths)) entries)
@@ -272,6 +275,283 @@ let test_timed_rejects_negative_release () =
     (Invalid_argument "Simulator.run_timed: negative release time") (fun () ->
       ignore (run_timed g [ timed (0, 1) p (-1) ]))
 
+(* ---------- Golden pins ----------
+
+   Exact outcomes recorded before the three step loops were folded into
+   one engine; any change here is a behaviour change of the simulator,
+   not a refactor. *)
+
+let show_outcome show = function
+  | Simulator.Completed s -> "completed " ^ show s
+  | Simulator.Out_of_budget s -> "out_of_budget " ^ show s
+
+let show_stats (s : Simulator.stats) =
+  Printf.sprintf "makespan %d delivered %d max_queue %d waits %d" s.Simulator.makespan
+    s.Simulator.delivered s.Simulator.max_queue s.Simulator.total_waits
+
+let show_fault (f : Simulator.fault_stats) =
+  Printf.sprintf "%s dropped %d rerouted %d recovery %d" (show_stats f.Simulator.base)
+    f.Simulator.dropped f.Simulator.rerouted f.Simulator.recovery_makespan
+
+let show_load (l : Simulator.load_stats) =
+  Printf.sprintf "finish %d packets %d delivered %d mean %h p99 %h queueing %h peak %d"
+    l.Simulator.finish_time l.Simulator.packets l.Simulator.delivered
+    l.Simulator.mean_latency l.Simulator.p99_latency l.Simulator.mean_queueing
+    l.Simulator.peak_queue
+
+let golden name want got = Alcotest.(check string) name want got
+
+let disciplines seed =
+  [
+    ("fifo", Simulator.Fifo);
+    ("random-rank", Simulator.Random_rank (Rng.create seed));
+    ("longest-remaining", Simulator.Longest_remaining);
+  ]
+
+(* test_sim's random instances, plus two contended ones: 16 packets per
+   pair of a 64-node hypercube permutation. *)
+let golden_instances () =
+  List.map
+    (fun seed ->
+      let g, a, _ = run_random_instance seed Simulator.Fifo in
+      (Printf.sprintf "seed %d" seed, g, a))
+    [ 1; 2; 3 ]
+  @ List.map
+      (fun seed ->
+        let rng = Rng.create seed in
+        let g = Gen.hypercube 6 in
+        let system = Sampler.alpha_sample (Rng.split rng) (Valiant.routing g) ~alpha:6 in
+        let d = Demand.scale 16.0 (Demand.random_permutation (Rng.split rng) (Graph.n g)) in
+        let r, _ = Semi_oblivious.route g system d in
+        (Printf.sprintf "cube6 seed %d" seed, g, Rounding.round (Rng.split rng) r d))
+      [ 100; 101 ]
+
+let test_golden_run () =
+  List.iter2
+    (fun (label, g, a) expected ->
+      List.iter2
+        (fun (name, discipline) want ->
+          golden (label ^ " " ^ name) want
+            (show_outcome show_stats (Simulator.run ~discipline g a)))
+        (disciplines 9) expected)
+    (golden_instances ())
+    [
+      [
+        "completed makespan 7 delivered 31 max_queue 2 waits 3";
+        "completed makespan 7 delivered 31 max_queue 2 waits 2";
+        "completed makespan 7 delivered 31 max_queue 2 waits 3";
+      ];
+      [
+        "completed makespan 7 delivered 32 max_queue 2 waits 2";
+        "completed makespan 8 delivered 32 max_queue 2 waits 2";
+        "completed makespan 7 delivered 32 max_queue 2 waits 2";
+      ];
+      [
+        "completed makespan 6 delivered 29 max_queue 2 waits 1";
+        "completed makespan 6 delivered 29 max_queue 2 waits 1";
+        "completed makespan 6 delivered 29 max_queue 2 waits 1";
+      ];
+      [
+        "completed makespan 38 delivered 1024 max_queue 16 waits 10639";
+        "completed makespan 36 delivered 1024 max_queue 16 waits 9826";
+        "completed makespan 34 delivered 1024 max_queue 16 waits 11918";
+      ];
+      [
+        "completed makespan 36 delivered 992 max_queue 16 waits 9560";
+        "completed makespan 36 delivered 992 max_queue 16 waits 8712";
+        "completed makespan 33 delivered 992 max_queue 16 waits 10505";
+      ];
+    ]
+
+let dumbbell () =
+  let g = Gen.multi_path [ 1; 3 ] in
+  let direct = Path.of_vertices g [ 0; 1 ] in
+  let long = Path.of_vertices g [ 0; 2; 3; 1 ] in
+  (g, direct, long)
+
+let test_golden_faulted () =
+  let g, direct, long = dumbbell () in
+  let a = assignment_of_paths [ ((0, 1), [ direct; direct ]) ] in
+  let kill = [ Timeline.entry ~at:1 (Scenario.of_edges g [ direct.Path.edges.(0) ]) ] in
+  let reroute = Path_system.of_pairs g [ ((0, 1), [ direct; long ]) ] in
+  let drop = Path_system.of_pairs g [ ((0, 1), [ direct ]) ] in
+  let b = Graph.Builder.create 2 in
+  ignore (Graph.Builder.add_edge ~cap:2.0 b 0 1);
+  let g2 = Graph.Builder.build b in
+  let p2 = Path.of_vertices g2 [ 0; 1 ] in
+  let a2 = assignment_of_paths [ ((0, 1), List.init 6 (fun _ -> p2)) ] in
+  let ps2 = Path_system.of_pairs g2 [ ((0, 1), [ p2 ]) ] in
+  let degrade =
+    [ Timeline.entry ~repair_at:4 ~at:2 (Scenario.degrade g2 ~factor:0.5 [ 0 ]) ]
+  in
+  List.iter
+    (fun (name, (g, ps, a, tl), expected) ->
+      List.iter2
+        (fun (dname, discipline) want ->
+          golden (name ^ " " ^ dname) want
+            (show_outcome show_fault (Timeline.simulate ~discipline g ps a tl)))
+        (disciplines 5) expected)
+    [
+      ( "reroute",
+        (g, reroute, a, kill),
+        [
+          "completed makespan 4 delivered 2 max_queue 2 waits 1 dropped 0 rerouted 2 recovery 3";
+          "completed makespan 4 delivered 2 max_queue 2 waits 1 dropped 0 rerouted 2 recovery 3";
+          "completed makespan 4 delivered 2 max_queue 2 waits 1 dropped 0 rerouted 2 recovery 3";
+        ] );
+      ( "drop",
+        (g, drop, a, kill),
+        [
+          "completed makespan 1 delivered 0 max_queue 0 waits 0 dropped 2 rerouted 0 recovery 0";
+          "completed makespan 1 delivered 0 max_queue 0 waits 0 dropped 2 rerouted 0 recovery 0";
+          "completed makespan 1 delivered 0 max_queue 0 waits 0 dropped 2 rerouted 0 recovery 0";
+        ] );
+      ( "degrade-repair",
+        (g2, ps2, a2, degrade),
+        [
+          "completed makespan 4 delivered 6 max_queue 6 waits 9 dropped 0 rerouted 0 recovery 0";
+          "completed makespan 4 delivered 6 max_queue 6 waits 9 dropped 0 rerouted 0 recovery 0";
+          "completed makespan 4 delivered 6 max_queue 6 waits 9 dropped 0 rerouted 0 recovery 0";
+        ] );
+    ]
+
+let test_golden_faulted_hypercube () =
+  (* Random 4-edge failures at step 2, repaired at step 6, under 4 packets
+     per pair of a 32-node hypercube permutation; packets fail over to
+     surviving candidates of the sampled system. *)
+  List.iter
+    (fun (seed, expected) ->
+      let rng = Rng.create seed in
+      let g = Gen.hypercube 5 in
+      let system = Sampler.alpha_sample (Rng.split rng) (Valiant.routing g) ~alpha:5 in
+      let d = Demand.scale 4.0 (Demand.random_permutation (Rng.split rng) (Graph.n g)) in
+      let r, _ = Semi_oblivious.route g system d in
+      let a = Rounding.round (Rng.split rng) r d in
+      let s = Scenario.random_k (Rng.split rng) g ~k:4 in
+      let tl = [ Timeline.entry ~repair_at:6 ~at:2 s ] in
+      List.iter2
+        (fun (name, discipline) want ->
+          golden
+            (Printf.sprintf "seed %d %s" seed name)
+            want
+            (show_outcome show_fault (Timeline.simulate ~discipline g system a tl)))
+        (disciplines seed) expected)
+    [
+      ( 1,
+        [
+          "completed makespan 17 delivered 124 max_queue 6 waits 286 dropped 0 rerouted 10 recovery 10";
+          "completed makespan 16 delivered 124 max_queue 6 waits 295 dropped 0 rerouted 10 recovery 10";
+          "completed makespan 14 delivered 124 max_queue 6 waits 302 dropped 0 rerouted 10 recovery 10";
+        ] );
+      ( 2,
+        [
+          "completed makespan 13 delivered 121 max_queue 4 waits 229 dropped 7 rerouted 18 recovery 11";
+          "completed makespan 13 delivered 121 max_queue 4 waits 221 dropped 7 rerouted 18 recovery 11";
+          "completed makespan 10 delivered 121 max_queue 4 waits 245 dropped 7 rerouted 18 recovery 7";
+        ] );
+    ]
+
+let test_golden_timed () =
+  let g = Gen.path_graph 2 in
+  let p = Path.of_vertices g [ 0; 1 ] in
+  let burst = List.init 10 (fun _ -> timed (0, 1) p 0) in
+  let staggered = [ timed (0, 1) p 0; timed (0, 1) p 5 ] in
+  (* Contended releases on a 5-path: long and short routes interleave. *)
+  let g5 = Gen.path_graph 5 in
+  let long = Path.of_vertices g5 [ 0; 1; 2; 3; 4 ] in
+  let short = Path.of_vertices g5 [ 1; 2 ] in
+  let back = Path.of_vertices g5 [ 4; 3; 2 ] in
+  let mixed =
+    List.init 12 (fun i ->
+        match i mod 3 with
+        | 0 -> timed (0, 4) long (i / 2)
+        | 1 -> timed (1, 2) short (i / 3)
+        | _ -> timed (4, 2) back 1)
+  in
+  (* The contended cube6 instance, released in five waves. *)
+  let _, gc, ac = List.nth (golden_instances ()) 3 in
+  let waves =
+    List.concat_map
+      (fun (pair, paths) -> Array.to_list (Array.map (fun p -> (pair, p)) paths))
+      (Array.to_list ac)
+    |> List.mapi (fun i (pair, p) -> timed pair p (i mod 5))
+  in
+  List.iter
+    (fun (name, g, packets, expected) ->
+      List.iter2
+        (fun (dname, discipline) want ->
+          golden (name ^ " " ^ dname) want
+            (show_outcome show_load (Simulator.run_timed ~discipline g packets)))
+        (disciplines 3) expected)
+    [
+      ( "cube6 waves",
+        gc, waves,
+        [
+          "completed finish 34 packets 1024 delivered 1024 mean 0x1.8348p+3 p99 0x1.bp+4 queueing 0x1.f17p+2 peak 14";
+          "completed finish 33 packets 1024 delivered 1024 mean 0x1.84e8p+3 p99 0x1.cp+4 queueing 0x1.f4bp+2 peak 14";
+          "completed finish 33 packets 1024 delivered 1024 mean 0x1.c37p+3 p99 0x1.bp+4 queueing 0x1.38ep+3 peak 15";
+        ] );
+      ( "burst",
+        g, burst,
+        [
+          "completed finish 10 packets 10 delivered 10 mean 0x1.6p+2 p99 0x1.4p+3 queueing 0x1.2p+2 peak 10";
+          "completed finish 10 packets 10 delivered 10 mean 0x1.6p+2 p99 0x1.4p+3 queueing 0x1.2p+2 peak 10";
+          "completed finish 10 packets 10 delivered 10 mean 0x1.6p+2 p99 0x1.4p+3 queueing 0x1.2p+2 peak 10";
+        ] );
+      ( "staggered",
+        g, staggered,
+        [
+          "completed finish 6 packets 2 delivered 2 mean 0x1p+0 p99 0x1p+0 queueing 0x0p+0 peak 1";
+          "completed finish 6 packets 2 delivered 2 mean 0x1p+0 p99 0x1p+0 queueing 0x0p+0 peak 1";
+          "completed finish 6 packets 2 delivered 2 mean 0x1p+0 p99 0x1p+0 queueing 0x0p+0 peak 1";
+        ] );
+      ( "mixed",
+        g5, mixed,
+        [
+          "completed finish 10 packets 12 delivered 12 mean 0x1.d555555555555p+1 p99 0x1.8p+2 queueing 0x1.5555555555555p+0 peak 4";
+          "completed finish 10 packets 12 delivered 12 mean 0x1.d555555555555p+1 p99 0x1.8p+2 queueing 0x1.5555555555555p+0 peak 4";
+          "completed finish 8 packets 12 delivered 12 mean 0x1.d555555555555p+1 p99 0x1.4p+2 queueing 0x1.5555555555555p+0 peak 4";
+        ] );
+    ]
+
+(* ---------- Step budgets ---------- *)
+
+let test_faulted_budget_is_fixed () =
+  (* Both packets fail over onto the 3-hop detour at step 1 and would
+     finish at step 4.  An explicit budget of 3 does not grow with the
+     reroutes: the run stops at step 3 with one packet delivered. *)
+  let g, direct, long = dumbbell () in
+  let a = assignment_of_paths [ ((0, 1), [ direct; direct ]) ] in
+  let ps = Path_system.of_pairs g [ ((0, 1), [ direct; long ]) ] in
+  let tl = [ Timeline.entry ~at:1 (Scenario.of_edges g [ direct.Path.edges.(0) ]) ] in
+  match Timeline.simulate ~max_steps:3 g ps a tl with
+  | Simulator.Completed _ -> Alcotest.fail "expected Out_of_budget"
+  | Simulator.Out_of_budget fs ->
+      Alcotest.(check int) "three steps ran" 3 fs.Simulator.base.Simulator.makespan;
+      Alcotest.(check int) "one delivered" 1 fs.Simulator.base.Simulator.delivered;
+      Alcotest.(check int) "both rerouted" 2 fs.Simulator.rerouted;
+      Alcotest.(check int) "none dropped" 0 fs.Simulator.dropped;
+      Alcotest.(check int) "recovery up to the last arrival" 2
+        fs.Simulator.recovery_makespan
+
+let test_timed_budget_partial_latency () =
+  (* A 10-packet burst on a unit edge delivers one packet per step; after
+     4 steps the latency statistics cover those 4 packets only. *)
+  let g = Gen.path_graph 2 in
+  let p = Path.of_vertices g [ 0; 1 ] in
+  match Simulator.run_timed ~max_steps:4 g (List.init 10 (fun _ -> timed (0, 1) p 0)) with
+  | Simulator.Completed _ -> Alcotest.fail "expected Out_of_budget"
+  | Simulator.Out_of_budget s ->
+      Alcotest.(check int) "all injected" 10 s.Simulator.packets;
+      Alcotest.(check int) "four delivered" 4 s.Simulator.delivered;
+      Alcotest.(check int) "last arrival" 4 s.Simulator.finish_time;
+      Alcotest.(check (float 1e-9)) "mean latency over delivered" 2.5
+        s.Simulator.mean_latency;
+      Alcotest.(check (float 1e-9)) "mean queueing over delivered" 1.5
+        s.Simulator.mean_queueing;
+      Alcotest.(check (float 1e-9)) "p99 over delivered" 4.0 s.Simulator.p99_latency;
+      Alcotest.(check int) "peak queue" 10 s.Simulator.peak_queue
+
 let prop_makespan_at_least_dilation =
   QCheck.Test.make ~name:"makespan ≥ dilation" ~count:30 QCheck.small_int
     (fun seed ->
@@ -328,6 +608,19 @@ let () =
           Alcotest.test_case "trivial" `Quick test_timed_trivial_packet;
           Alcotest.test_case "rejects negative release" `Quick
             test_timed_rejects_negative_release;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "run" `Quick test_golden_run;
+          Alcotest.test_case "run_faulted fixtures" `Quick test_golden_faulted;
+          Alcotest.test_case "run_faulted hypercube" `Quick test_golden_faulted_hypercube;
+          Alcotest.test_case "run_timed" `Quick test_golden_timed;
+        ] );
+      ( "budgets",
+        [
+          Alcotest.test_case "faulted budget is fixed" `Quick test_faulted_budget_is_fixed;
+          Alcotest.test_case "timed partial latency" `Quick
+            test_timed_budget_partial_latency;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_makespan_at_least_dilation ] );
