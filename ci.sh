@@ -17,9 +17,10 @@
 # the telemetry layer (a --metrics-out Prometheus exposition scrape
 # validated line by line, the --slo-p99-ms burn exit, and jobs-invariant
 # `sso trace flame` folded stacks), and the crash-safety layer via the
-# chaos harness (kill-and-resume digest-identical, bit-flipped
-# checkpoints and streams always exit 11, faulted replays
-# jobs-invariant).
+# chaos harness (kill-and-resume digest-identical at several ticks,
+# bit-flipped streams always exit 11, faulted replays jobs-invariant;
+# the bit-flipped checkpoint lives in the cram test
+# test/cli/checkpoint.t, run by the test suite).
 #
 # Fails fast: the first failing step stops the run, and the last stderr
 # line names the step that broke.

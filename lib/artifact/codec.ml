@@ -107,8 +107,9 @@ let tag_distributions = 0x52 (* 'R' *)
 let tag_forest = 0x46 (* 'F' *)
 let tag_arena = 0x41 (* 'A' *)
 
-(* Path systems moved to the arena slot encoding in v2; v1 payloads (edge
-   ids per path) remain decodable so existing caches stay warm. *)
+(* Path systems moved to the arena slot encoding in v2.  v1 payloads (edge
+   ids per path) decode as [Corrupt]: the store treats them as misses and
+   rebuilds. *)
 let path_system_version = 2
 let arena_version = 1
 
@@ -120,14 +121,13 @@ let write_header_v w tag v =
   write_u8 w tag;
   write_u8 w v
 
-let read_header_upto r tag ~max =
+let read_header_v r tag version =
   let got = read_u8 r in
   if got <> tag then corrupt "codec: tag mismatch (want %#x, got %#x)" tag got;
   let v = read_u8 r in
-  if v < 1 || v > max then corrupt "codec: unsupported format version %d" v;
-  v
+  if v <> version then corrupt "codec: unsupported format version %d" v
 
-let read_header r tag = ignore (read_header_upto r tag ~max:format_version)
+let read_header r tag = read_header_v r tag format_version
 
 (* Wrap Invalid_argument from reconstruction (Builder, Path.of_edges, ...)
    into Corrupt: a payload describing an impossible object is damage, not a
@@ -246,30 +246,17 @@ let read_pairs r read_value =
 
 (* v2 path bodies: hop count, then the arena's packed CSR-slot bytes
    verbatim (one LEB128 varint per hop) — the whole candidate collection
-   serializes as one blit from the arena's shared buffer. *)
+   serializes as one blit from the arena's shared buffer, and decodes as
+   one validated append per slice. *)
 
-let read_slot_path_body r g ~src ~dst =
+let read_slice r a ~src ~dst =
   let hops = read_varint r in
-  let n = Graph.n g in
-  if src < 0 || src >= n || dst < 0 || dst >= n then
-    corrupt "codec: path endpoint out of range";
-  (* Each packed hop takes at least one byte. *)
-  if hops > String.length r.data - r.pos then corrupt "codec: truncated path";
-  let offs = Graph.csr_offsets g in
-  let eids = Graph.csr_edge_ids g in
-  let tgts = Graph.csr_targets g in
-  let edges = Array.make hops 0 in
-  let v = ref src in
-  for j = 0 to hops - 1 do
-    let slot = read_varint r in
-    let base = offs.(!v) in
-    if slot >= offs.(!v + 1) - base then
-      corrupt "codec: hop slot outside adjacency row";
-    edges.(j) <- eids.(base + slot);
-    v := tgts.(base + slot)
-  done;
-  if !v <> dst then corrupt "codec: path does not end at dst";
-  guarded (fun () -> Path.of_edges g ~src ~dst edges)
+  guarded (fun () ->
+      let _, consumed =
+        Arena.append_encoded a ~src ~dst ~hops (Bytes.unsafe_of_string r.data)
+          ~pos:r.pos
+      in
+      r.pos <- r.pos + consumed)
 
 let encode_path_system_slices arena ranges =
   let w = writer () in
@@ -296,17 +283,28 @@ let encode_path_system g entries =
   in
   encode_path_system_slices a ranges
 
-let decode_path_system g s =
+let decode_path_system_slices g s =
   let r = reader s in
-  let version = read_header_upto r tag_path_system ~max:path_system_version in
-  let read_body = if version = 1 then read_path_body else read_slot_path_body in
-  let entries =
+  read_header_v r tag_path_system path_system_version;
+  let a = Arena.create g in
+  let ranges =
     read_pairs r (fun src dst ->
         let count = read_varint r in
-        read_list count (fun () -> read_body r g ~src ~dst))
+        let first = Arena.length a in
+        for _ = 1 to count do
+          read_slice r a ~src ~dst
+        done;
+        (first, count))
   in
   expect_end r;
-  entries
+  (a, ranges)
+
+let decode_path_system g s =
+  let a, ranges = decode_path_system_slices g s in
+  List.map
+    (fun (pair, (first, count)) ->
+      (pair, List.init count (fun k -> Arena.to_path a (first + k))))
+    ranges
 
 (* ---- standalone arenas ---- *)
 
@@ -324,17 +322,13 @@ let encode_arena a =
 
 let decode_arena g s =
   let r = reader s in
-  ignore (read_header_upto r tag_arena ~max:arena_version);
+  read_header_v r tag_arena arena_version;
   let count = read_varint r in
   let a = Arena.create ~capacity:count g in
-  let data = Bytes.unsafe_of_string r.data in
   for _ = 1 to count do
     let src = read_varint r in
     let dst = read_varint r in
-    let hops = read_varint r in
-    guarded (fun () ->
-        let _, consumed = Arena.append_encoded a ~src ~dst ~hops data ~pos:r.pos in
-        r.pos <- r.pos + consumed)
+    read_slice r a ~src ~dst
   done;
   expect_end r;
   a

@@ -88,10 +88,22 @@ val encode_path_system_slices :
     blitted verbatim from the arena's data buffer — no boxed path is
     materialized on the save path. *)
 
+val decode_path_system_slices :
+  Sso_graph.Graph.t ->
+  string ->
+  Sso_graph.Arena.t * ((int * int) * (int * int)) list
+(** Decode the v2 layout straight into a fresh arena over the graph:
+    every slice goes through {!Sso_graph.Arena.append_encoded}, which
+    rejects slots outside their adjacency row, non-canonical varints,
+    endpoints out of range and walks that miss [dst] ({!Corrupt}).
+    Returns the arena and, per pair in payload order, its [(first,
+    count)] slice range.  The retired v1 layout (edge-id varints per
+    path) is refused as {!Corrupt}, which the store treats as a miss. *)
+
 val decode_path_system :
   Sso_graph.Graph.t -> string -> ((int * int) * Sso_graph.Path.t list) list
-(** Accepts both the v1 layout (edge-id varints per path) and v2 — old
-    cache entries stay readable. *)
+(** Boxed view of {!decode_path_system_slices}: each range rebuilt as
+    {!Sso_graph.Path.t} values. *)
 
 val encode_arena : Sso_graph.Arena.t -> string
 val decode_arena : Sso_graph.Graph.t -> string -> Sso_graph.Arena.t

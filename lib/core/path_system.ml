@@ -4,6 +4,7 @@ module Path_arena = Sso_graph.Arena
 module Routing = Sso_flow.Routing
 module Oblivious = Sso_oblivious.Oblivious
 module Pool = Sso_engine.Pool
+module PS = Set.Make (Path)
 
 (* Where the slices of one pair live in the arena: [count] consecutive
    handles starting at [first], in generation order. *)
@@ -27,7 +28,6 @@ let compare_pair (s1, t1) (s2, t2) =
   match Int.compare s1 s2 with 0 -> Int.compare t1 t2 | c -> c
 
 let validate s t paths =
-  let module PS = Set.Make (Path) in
   let set =
     List.fold_left
       (fun acc (p : Path.t) ->
@@ -175,7 +175,6 @@ let is_alpha_sparse ps ~alpha pair_list = sparsity_on ps pair_list <= alpha
 
 let union a b =
   of_generator a.graph (fun s t ->
-      let module PS = Set.Make (Path) in
       PS.elements (PS.union (PS.of_list (paths a s t)) (PS.of_list (paths b s t))))
 
 let restrict_hops ~max_hops ps =
@@ -191,9 +190,19 @@ let of_routing_support g r =
        (fun (s, t) -> ((s, t), List.map snd (Routing.distribution r s t)))
        (Routing.pairs r))
 
+(* A mixture can put the same path in several components (two trees that
+   share an (s,t) path each contribute it), so the support keeps the first
+   occurrence of each path, in distribution order. *)
 let of_oblivious_support obl =
   of_generator (Oblivious.graph obl) (fun s t ->
-      List.map snd (Oblivious.distribution obl s t))
+      let _, support =
+        List.fold_left
+          (fun (seen, acc) (_, p) ->
+            if PS.mem p seen then (seen, acc) else (PS.add p seen, p :: acc))
+          (PS.empty, [])
+          (Oblivious.distribution obl s t)
+      in
+      List.rev support)
 
 let to_candidates ps pair_list =
   List.map

@@ -100,7 +100,10 @@ val of_routing_support : Sso_graph.Graph.t -> Sso_flow.Routing.t -> t
 
 val of_oblivious_support : Sso_oblivious.Oblivious.t -> t
 (** The (lazily queried) full support of an oblivious routing — the
-    "dense" system the paper's sparse samples are measured against. *)
+    "dense" system the paper's sparse samples are measured against.  A
+    path that several mixture components share (e.g. two spanning trees
+    with the same (s,t) path) appears once, at its first occurrence in
+    the distribution. *)
 
 val to_candidates : t -> (int * int) list -> Sso_flow.Min_congestion.candidates
 (** Materialize candidate lists for the given pairs (input to the

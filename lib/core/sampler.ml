@@ -7,9 +7,9 @@ module Rng = Sso_prng.Rng
 module PS = Set.Make (Path)
 
 let draw rng obl count s t =
+  let sample = Oblivious.sampler obl s t in
   let rec go k acc =
-    if k = 0 then PS.elements acc
-    else go (k - 1) (PS.add (Oblivious.sample rng obl s t) acc)
+    if k = 0 then PS.elements acc else go (k - 1) (PS.add (sample rng) acc)
   in
   go count PS.empty
 

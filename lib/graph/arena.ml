@@ -150,6 +150,23 @@ let append_all into from =
   done;
   first
 
+let equal_slices a i b j =
+  if not (a.graph == b.graph) then
+    invalid_arg "Arena.equal_slices: arenas are over different graphs";
+  if i < 0 || i >= a.count || j < 0 || j >= b.count then
+    invalid_arg "Arena.equal_slices: bad handle";
+  a.ends.(i) = b.ends.(j)
+  && hops a i = hops b j
+  &&
+  let ai, a_stop = byte_range a i and bj, b_stop = byte_range b j in
+  let len = a_stop - ai in
+  let rec same k =
+    k = len
+    || Bytes.unsafe_get a.data (ai + k) = Bytes.unsafe_get b.data (bj + k)
+       && same (k + 1)
+  in
+  len = b_stop - bj && same 0
+
 let iter_edges_vertices a i f =
   let g = a.graph in
   let off = Graph.csr_offsets g in

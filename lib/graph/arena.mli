@@ -74,6 +74,14 @@ val hops : t -> int -> int
 val src : t -> int -> int
 val dst : t -> int -> int
 
+val equal_slices : t -> int -> t -> int -> bool
+(** [equal_slices a i b j] — do slice [i] of [a] and slice [j] of [b]
+    hold the same path?  Compares endpoints, hop counts and packed slot
+    bytes, allocating nothing.  Every append path stores canonical
+    varints, so over one graph equal bytes from the same source are
+    exactly equal edge sequences.  @raise Invalid_argument on a graph
+    mismatch (physical equality, as {!append_slice}) or a bad handle. *)
+
 (** {1 Iteration kernels}
 
     All kernels decode the packed hops in place; none allocates a per-path

@@ -1,6 +1,33 @@
 module Rng = Sso_prng.Rng
 
-type t = { root : int; parent_edge : int array }
+type t = {
+  root : int;
+  parent_edge : int array;
+  parent : int array;
+  depth : int array;
+}
+
+(* Complete a parent-edge array into a rooted tree: parent vertices, and
+   depths memoized so each vertex is filled once — O(n) in all. *)
+let rooted g root parent_edge =
+  let n = Graph.n g in
+  let parent =
+    Array.init n (fun v ->
+        let e = parent_edge.(v) in
+        if e < 0 then -1 else Graph.other_end g e v)
+  in
+  let depth = Array.make n (-1) in
+  depth.(root) <- 0;
+  let rec fill v =
+    if depth.(v) < 0 then begin
+      fill parent.(v);
+      depth.(v) <- depth.(parent.(v)) + 1
+    end
+  in
+  for v = 0 to n - 1 do
+    fill v
+  done;
+  { root; parent_edge; parent; depth }
 
 let bfs_tree g root =
   let n = Graph.n g in
@@ -23,7 +50,7 @@ let bfs_tree g root =
       (Graph.adj g v)
   done;
   if !visited <> n then invalid_arg "Tree.bfs_tree: graph is disconnected";
-  { root; parent_edge }
+  rooted g root parent_edge
 
 let wilson rng g =
   let n = Graph.n g in
@@ -54,36 +81,43 @@ let wilson rng g =
       done
     end
   done;
-  { root; parent_edge }
+  rooted g root parent_edge
 
 let edges t =
   Array.to_list (Array.of_seq (Seq.filter (fun e -> e >= 0) (Array.to_seq t.parent_edge)))
 
-let depth g t v =
-  let rec go v acc =
-    if t.parent_edge.(v) < 0 then acc
-    else go (Graph.other_end g t.parent_edge.(v) v) (acc + 1)
-  in
-  go v 0
+let depth t v = t.depth.(v)
 
-let path g t s dst =
+let path t s dst =
   if s = dst then Path.trivial s
   else begin
-    (* Collect edges up to the root from both ends, then let simplify
-       excise the shared root segment. *)
-    let to_root v =
-      let rec go v acc =
-        if t.parent_edge.(v) < 0 then List.rev acc
-        else
-          let e = t.parent_edge.(v) in
-          go (Graph.other_end g e v) (e :: acc)
-      in
-      go v []
-    in
-    let up = to_root s in
-    let down = List.rev (to_root dst) in
-    let walk =
-      Path.of_edges g ~src:s ~dst (Array.of_list (up @ down))
-    in
-    Path.simplify g walk
+    let parent = t.parent and depth = t.depth in
+    (* Lift the deeper endpoint to the other's depth, then both together
+       until they meet at the lowest common ancestor. *)
+    let a = ref s and b = ref dst in
+    while depth.(!a) > depth.(!b) do
+      a := parent.(!a)
+    done;
+    while depth.(!b) > depth.(!a) do
+      b := parent.(!b)
+    done;
+    while !a <> !b do
+      a := parent.(!a);
+      b := parent.(!b)
+    done;
+    let up = depth.(s) - depth.(!a) in
+    let hops = up + depth.(dst) - depth.(!a) in
+    (* Up from [s] fills the front; up from [dst] fills the back, reversed. *)
+    let edges = Array.make hops 0 in
+    let v = ref s in
+    for i = 0 to up - 1 do
+      edges.(i) <- t.parent_edge.(!v);
+      v := parent.(!v)
+    done;
+    let v = ref dst in
+    for i = hops - 1 downto up do
+      edges.(i) <- t.parent_edge.(!v);
+      v := parent.(!v)
+    done;
+    Path.unsafe_of_edges ~src:s ~dst edges
   end

@@ -7,9 +7,16 @@
     and the unique tree path between two vertices — used by the
     tree-routing baselines and the base-quality ablation experiment. *)
 
-type t = private { root : int; parent_edge : int array }
+type t = private {
+  root : int;
+  parent_edge : int array;
+  parent : int array;
+  depth : int array;
+}
 (** Rooted spanning tree: [parent_edge.(v)] is the edge towards the root
-    ([-1] at the root itself). *)
+    and [parent.(v)] the vertex it leads to ([-1] for both at the root
+    itself); [depth.(v)] is the hop distance to the root.  All three are
+    filled once at construction. *)
 
 val bfs_tree : Graph.t -> int -> t
 (** Shortest-path (hop) tree rooted at the given vertex.
@@ -23,8 +30,10 @@ val wilson : Sso_prng.Rng.t -> Graph.t -> t
 val edges : t -> int list
 (** The n-1 tree edge ids. *)
 
-val path : Graph.t -> t -> int -> int -> Path.t
-(** The unique tree path between two vertices (simple by construction). *)
+val path : t -> int -> int -> Path.t
+(** The unique tree path between two vertices (simple by construction),
+    in O(depth): both endpoints climb to their lowest common ancestor and
+    the edge array is written directly. *)
 
-val depth : Graph.t -> t -> int -> int
-(** Hop distance to the root along the tree. *)
+val depth : t -> int -> int
+(** Hop distance to the root along the tree — O(1), read from [depth]. *)

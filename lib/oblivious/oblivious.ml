@@ -65,11 +65,13 @@ let preload r entries =
       Hashtbl.replace r.cache (s, t) dist)
     entries
 
-let sample rng r s t =
+let sampler r s t =
   let dist = distribution r s t in
   let weights = Array.of_list (List.map fst dist) in
   let paths = Array.of_list (List.map snd dist) in
-  paths.(Rng.discrete rng weights)
+  fun rng -> paths.(Rng.discrete rng weights)
+
+let sample rng r s t = sampler r s t rng
 
 let to_routing r pairs =
   Routing.make

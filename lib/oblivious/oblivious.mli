@@ -37,9 +37,14 @@ val preload : t -> ((int * int) * (float * Sso_graph.Path.t) list) list -> unit
     @raise Invalid_argument on empty lists, non-positive weights, or
     endpoint mismatches. *)
 
+val sampler : t -> int -> int -> Sso_prng.Rng.t -> Sso_graph.Path.t
+(** [sampler r s t] looks the distribution up once and returns a drawer:
+    each application draws one path from [R(s,t)] with a single
+    [Rng.discrete] call — the sampling primitive behind α-samples, which
+    draw α times per pair. *)
+
 val sample : Sso_prng.Rng.t -> t -> int -> int -> Sso_graph.Path.t
-(** Draw one path from [R(s,t)] — the sampling primitive behind
-    α-samples. *)
+(** Draw one path from [R(s,t)]: [sampler r s t rng]. *)
 
 val to_routing : t -> (int * int) list -> Sso_flow.Routing.t
 (** Restriction of the oblivious routing to a finite set of pairs, as a

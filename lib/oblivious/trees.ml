@@ -1,7 +1,7 @@
 module Tree = Sso_graph.Tree
 
 let single g tree =
-  Oblivious.make ~name:"tree" g (fun s t -> [ (1.0, Tree.path g tree s t) ])
+  Oblivious.make ~name:"tree" g (fun s t -> [ (1.0, Tree.path tree s t) ])
 
 let uniform rng ?(count = 8) g =
   if count <= 0 then invalid_arg "Trees.uniform: count must be positive";
@@ -10,4 +10,4 @@ let uniform rng ?(count = 8) g =
   Oblivious.make
     ~name:(Printf.sprintf "wilson-%d" count)
     g
-    (fun s t -> List.map (fun tree -> (weight, Tree.path g tree s t)) forest)
+    (fun s t -> List.map (fun tree -> (weight, Tree.path tree s t)) forest)

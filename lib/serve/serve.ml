@@ -3,6 +3,7 @@ module Obs = Sso_obs.Obs
 module Trace = Sso_obs.Trace
 module Graph = Sso_graph.Graph
 module Path = Sso_graph.Path
+module Arena = Sso_graph.Arena
 module Demand = Sso_demand.Demand
 module Update = Sso_demand.Update
 module Routing = Sso_flow.Routing
@@ -579,20 +580,30 @@ let restore ?(config = default_config) graph system state =
   (* Re-derive the arena through the system's own generator, in the
      payload's canonical pair order, and insist the candidates match:
      a checkpoint taken against a different seed, α, or base routing
-     must be rejected, never silently resumed. *)
-  let decoded = Codec.decode_path_system graph state.s_system in
+     must be rejected, never silently resumed.  The payload decodes into
+     a scratch arena over the system's graph, so each regenerated slice
+     is compared with its saved one as packed slot bytes. *)
+  let arena = Path_system.arena system in
+  let saved, ranges =
+    Codec.decode_path_system_slices (Path_system.graph system) state.s_system
+  in
   List.iter
-    (fun ((s, d), paths) ->
+    (fun ((s, d), (first, count)) ->
       if s < 0 || s >= n || d < 0 || d >= n then
         state_corrupt "checkpoint pair %d->%d out of range (graph has %d \
                        vertices)" s d n;
-      let regenerated = Path_system.paths system s d in
-      if not (List.equal Path.equal regenerated paths) then
+      let first', count' = Path_system.slice_range system s d in
+      let rec same k =
+        k = count
+        || Arena.equal_slices arena (first' + k) saved (first + k)
+           && same (k + 1)
+      in
+      if not (count = count' && same 0) then
         state_corrupt
           "checkpoint pair %d->%d disagrees with the regenerated candidates \
            (different sampler seed, alpha, or base routing?)" s d;
       Hashtbl.replace t.seen (s, d) ())
-    decoded;
+    ranges;
   List.iter
     (fun (s, d) ->
       if s < 0 || s >= n || d < 0 || d >= n then

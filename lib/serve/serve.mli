@@ -39,9 +39,9 @@
     - {e Checkpoint/restore}: {!snapshot} captures the full service state
       as a plain {!state} value and {!restore} rebuilds a service from
       it, re-deriving the arena from the system's own generator and
-      refusing ({!Sso_artifact.Codec.Corrupt}) if the regenerated
-      candidates disagree with the checkpointed ones.  See
-      {!Checkpoint} for the on-disk format.
+      refusing ({!Sso_artifact.Codec.Corrupt}) if any regenerated
+      candidate slice differs, as packed slot bytes, from the
+      checkpointed one.  See {!Checkpoint} for the on-disk format.
 
     Everything is deterministic: the same stream, seed, configuration,
     and fault schedule produce bit-identical routings, reports, and
@@ -198,9 +198,10 @@ val simulate :
     arena is captured as the v2 slice payload of every materialized
     pair ({!Sso_artifact.Codec.encode_path_system_slices}), and
     {!restore} re-derives it from the (per-pair deterministic) generator
-    of a freshly sampled system, comparing against the payload so a
-    checkpoint from a different seed, α, or base routing is rejected as
-    {!Sso_artifact.Codec.Corrupt} rather than silently resumed. *)
+    of a freshly sampled system, comparing every regenerated slice with
+    the payload's so a checkpoint from a different seed, α, or base
+    routing is rejected as {!Sso_artifact.Codec.Corrupt} rather than
+    silently resumed. *)
 
 type state = {
   s_tick : int;  (** [last_tick]; [-1] before the first step. *)
@@ -221,9 +222,14 @@ val snapshot : t -> state
 val restore :
   ?config:config -> Sso_graph.Graph.t -> Sso_core.Path_system.t -> state -> t
 (** Rebuild a service from a snapshot over a freshly created system
-    (same graph, same sampler seed).  Every checkpointed pair is
-    materialized through the system's generator in canonical (sorted)
-    order and compared path-by-path against the payload.
+    (same graph, same sampler seed).  The payload is decoded into a
+    scratch arena over the system's graph
+    ({!Sso_artifact.Codec.decode_path_system_slices}); every checkpointed
+    pair is then materialized through the system's generator in
+    canonical (sorted) order, and its candidate count and each slice
+    (endpoints, hops, packed slot bytes — {!Sso_graph.Arena.equal_slices})
+    must equal the saved ones.  The error names the first pair that
+    disagrees; no boxed path is built for the comparison.
     @raise Sso_artifact.Codec.Corrupt if the payload is damaged, the
     regenerated candidates differ (wrong seed/α/base), or any endpoint,
     edge id, or failed-edge list is out of contract. *)

@@ -280,17 +280,12 @@ let entries_equal ea eb =
          && List.for_all2 path_equal ps ps')
        ea eb
 
-let test_path_system_v1_readable () =
-  (* The writer now emits v2 (CSR-slot bodies); payloads laid down by the
-     v1 format — edge-id varints per hop — must keep decoding. *)
-  let g, entries = sample_system_entries 3 in
-  let canonical =
-    List.sort (fun ((a : int * int), _) (b, _) -> compare a b) entries
-  in
+(* The retired v1 layout: edge-id varints per hop. *)
+let v1_path_system_payload entries =
   let w = Codec.writer () in
   Codec.write_u8 w 0x50 (* tag 'P' *);
   Codec.write_u8 w 1 (* version 1 *);
-  Codec.write_varint w (List.length canonical);
+  Codec.write_varint w (List.length entries);
   List.iter
     (fun ((s, t), paths) ->
       Codec.write_varint w s;
@@ -301,9 +296,48 @@ let test_path_system_v1_readable () =
           Codec.write_varint w (Array.length p.Path.edges);
           Array.iter (Codec.write_varint w) p.Path.edges)
         paths)
-    canonical;
-  let entries' = Codec.decode_path_system g (Codec.contents w) in
-  Alcotest.(check bool) "v1 payload decodes" true (entries_equal canonical entries')
+    (List.sort (fun ((a : int * int), _) (b, _) -> compare a b) entries);
+  Codec.contents w
+
+let test_path_system_v1_refused () =
+  (* v1 payloads are no longer decoded: they are refused as Corrupt, and
+     the α-sample cache counts them as damage and re-samples, so a v1
+     entry left in a store costs one rebuild and nothing else. *)
+  let g, entries = sample_system_entries 3 in
+  Alcotest.(check bool) "v1 payload refused" true
+    (raises_corrupt (fun () ->
+         Codec.decode_path_system g (v1_path_system_payload entries)));
+  with_store @@ fun st ->
+  let base = Ksp.routing ~k:4 g in
+  let pairs = [ (0, 15); (1, 14) ] in
+  let cold = Sampler.alpha_sample (Rng.create 7) base ~alpha:3 in
+  let cold_entries =
+    List.map (fun (s, t) -> ((s, t), Path_system.paths cold s t)) pairs
+  in
+  (* The recipe [Memo.alpha_sample] files this sample under. *)
+  let recipe =
+    Store.recipe ~kind:"alpha-sample"
+      [
+        ("graph", Codec.hex_of_key (Codec.graph_digest g));
+        ("base", "ksp4");
+        ("oblivious", Oblivious.name base);
+        ("alpha", "3");
+        ("rng", Codec.hex_of_key (Rng.fingerprint (Rng.create 7)));
+        ("pairs", Codec.hex_of_key (Codec.pairs_digest pairs));
+      ]
+  in
+  Store.put st recipe (v1_path_system_payload cold_entries);
+  let c0 = cval "corrupt" in
+  let warm =
+    Memo.alpha_sample ~store:st ~base_key:"ksp4" (Rng.create 7) base ~alpha:3
+      ~pairs
+  in
+  Alcotest.(check int) "v1 entry counted as damage" (c0 + 1) (cval "corrupt");
+  List.iter
+    (fun ((s, t), paths) ->
+      Alcotest.(check bool) (Printf.sprintf "re-sampled %d->%d" s t) true
+        (List.equal path_equal paths (Path_system.paths warm s t)))
+    cold_entries
 
 let test_path_system_corrupt_contract () =
   (* Damaging any single byte of a v2 payload either still decodes — the
@@ -651,8 +685,8 @@ let () =
           Alcotest.test_case "routing roundtrip" `Quick test_routing_roundtrip;
           Alcotest.test_case "forest roundtrip" `Quick test_forest_roundtrip;
           Alcotest.test_case "damage detection" `Quick test_codec_rejects_damage;
-          Alcotest.test_case "v1 path systems readable" `Quick
-            test_path_system_v1_readable;
+          Alcotest.test_case "v1 path systems refused" `Quick
+            test_path_system_v1_refused;
           Alcotest.test_case "v2 corrupt-byte contract" `Quick
             test_path_system_corrupt_contract;
           Alcotest.test_case "v2 round-trip" `Quick

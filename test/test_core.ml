@@ -14,6 +14,7 @@ module Valiant = Sso_oblivious.Valiant
 module Deterministic = Sso_oblivious.Deterministic
 module Ksp = Sso_oblivious.Ksp
 module Racke = Sso_oblivious.Racke
+module Trees = Sso_oblivious.Trees
 module Path_system = Sso_core.Path_system
 module Sampler = Sso_core.Sampler
 module Semi_oblivious = Sso_core.Semi_oblivious
@@ -161,6 +162,25 @@ let test_of_oblivious_support () =
   let obl = Ksp.routing ~k:3 g in
   let ps = Path_system.of_oblivious_support obl in
   Alcotest.(check int) "matches distribution" 3 (List.length (Path_system.paths ps 0 8))
+
+let test_of_oblivious_support_tree_mixture () =
+  (* Eight spanning trees of a 4x4 torus share many (s,t) paths, so the
+     mixture's distribution repeats them; the support lists each path
+     once, in first-occurrence order. *)
+  let g = Gen.torus 4 4 in
+  let obl = Trees.uniform (Rng.create 1) ~count:8 g in
+  let ps = Path_system.of_oblivious_support obl in
+  let dist = List.map snd (Oblivious.distribution obl 0 1) in
+  let first_seen =
+    List.rev
+      (List.fold_left
+         (fun acc p -> if List.exists (Path.equal p) acc then acc else p :: acc)
+         [] dist)
+  in
+  Alcotest.(check bool) "the mixture repeats a path" true
+    (List.length first_seen < List.length dist);
+  Alcotest.(check bool) "deduplicated, first-occurrence order" true
+    (List.equal Path.equal first_seen (Path_system.paths ps 0 1))
 
 (* Sampler *)
 
@@ -1178,6 +1198,8 @@ let () =
           Alcotest.test_case "union" `Quick test_path_system_union;
           Alcotest.test_case "restrict hops" `Quick test_path_system_restrict_hops;
           Alcotest.test_case "oblivious support" `Quick test_of_oblivious_support;
+          Alcotest.test_case "tree-mixture support deduplicates" `Quick
+            test_of_oblivious_support_tree_mixture;
           Alcotest.test_case "slice view matches paths" `Quick
             test_slice_view_matches_paths;
           Alcotest.test_case "materialize_parallel jobs-invariant" `Quick

@@ -932,8 +932,8 @@ let test_bfs_tree_structure () =
   let g = Gen.grid 3 3 in
   let t = Tree.bfs_tree g 0 in
   Alcotest.(check int) "n-1 edges" 8 (count_tree_edges t);
-  Alcotest.(check int) "root depth" 0 (Tree.depth g t 0);
-  Alcotest.(check int) "corner depth = bfs dist" 4 (Tree.depth g t 8)
+  Alcotest.(check int) "root depth" 0 (Tree.depth t 0);
+  Alcotest.(check int) "corner depth = bfs dist" 4 (Tree.depth t 8)
 
 let test_bfs_tree_disconnected () =
   let b = Graph.Builder.create 4 in
@@ -952,7 +952,7 @@ let test_wilson_is_spanning_tree () =
     Alcotest.(check int) "n-1 edges" (Graph.n g - 1) (count_tree_edges t);
     (* Every vertex reaches the root: depth terminates and paths exist. *)
     for v = 0 to Graph.n g - 1 do
-      Alcotest.(check bool) "depth finite" true (Tree.depth g t v < Graph.n g)
+      Alcotest.(check bool) "depth finite" true (Tree.depth t v < Graph.n g)
     done
   done
 
@@ -979,12 +979,12 @@ let test_wilson_uniformity_on_triangle () =
 let test_tree_path () =
   let g = Gen.grid 3 3 in
   let t = Tree.bfs_tree g 0 in
-  let p = Tree.path g t 6 2 in
+  let p = Tree.path t 6 2 in
   Alcotest.(check bool) "simple" true (Path.is_simple g p);
   let vs = Path.vertices g p in
   Alcotest.(check int) "src" 6 vs.(0);
   Alcotest.(check int) "dst" 2 vs.(Array.length vs - 1);
-  Alcotest.(check int) "self" 0 (Path.hops (Tree.path g t 4 4))
+  Alcotest.(check int) "self" 0 (Path.hops (Tree.path t 4 4))
 
 let prop_tree_path_valid =
   QCheck.Test.make ~name:"tree paths are valid simple paths" ~count:40
@@ -993,9 +993,46 @@ let prop_tree_path_valid =
       let rng = Rng.create seed in
       let g = Gen.erdos_renyi rng 20 0.25 in
       let tree = Tree.wilson rng g in
-      let p = Tree.path g tree s t in
+      let p = Tree.path tree s t in
       Path.is_simple g p
       && p.Path.src = s && p.Path.dst = t)
+
+(* The construction [Tree.path] replaced, kept here as the reference:
+   both endpoints' walks to the root joined at the root, the shared
+   segment excised by [Path.simplify]. *)
+let reference_tree_path g (tree : Tree.t) s dst =
+  let to_root v =
+    let rec go v acc =
+      let e = tree.Tree.parent_edge.(v) in
+      if e < 0 then List.rev acc else go (Graph.other_end g e v) (e :: acc)
+    in
+    go v []
+  in
+  if s = dst then Path.trivial s
+  else
+    Path.simplify g
+      (Path.of_edges g ~src:s ~dst
+         (Array.of_list (to_root s @ List.rev (to_root dst))))
+
+let prop_tree_path_matches_root_walk =
+  QCheck.Test.make ~name:"tree path = loop-erased root walk" ~count:60
+    QCheck.(triple small_int (int_range 2 30) bool)
+    (fun (seed, n, use_wilson) ->
+      let rng = Rng.create seed in
+      let g = Gen.erdos_renyi rng n 0.3 in
+      let tree =
+        if use_wilson then Tree.wilson rng g else Tree.bfs_tree g (Rng.int rng n)
+      in
+      let vertices = List.init n Fun.id in
+      let walked v = Path.hops (reference_tree_path g tree v tree.Tree.root) in
+      List.for_all (fun v -> Tree.depth tree v = walked v) vertices
+      && List.for_all
+           (fun s ->
+             List.for_all
+               (fun t ->
+                 Path.equal (Tree.path tree s t) (reference_tree_path g tree s t))
+               vertices)
+           vertices)
 
 (* Bridges *)
 
@@ -1314,6 +1351,31 @@ let prop_arena_path_roundtrip =
       && Arena.weight a w i = Path.weight w p
       && Arena.edges a i = p.Path.edges)
 
+let prop_arena_equal_slices =
+  QCheck.Test.make ~name:"arena equal_slices iff paths equal" ~count:100
+    QCheck.(pair small_int bool)
+    (fun (seed, wide) ->
+      (* A 140-leaf star stores the hub's slots as two-byte varints. *)
+      let g = if wide then Gen.star 140 else Gen.grid 3 3 in
+      let rng = Rng.create seed in
+      let fill () =
+        let a = Arena.create g in
+        for _ = 1 to 10 do
+          let s = if wide then 0 else Rng.int rng 9 in
+          ignore (Arena.append_path a (random_walk rng g s (Rng.int rng 4)))
+        done;
+        a
+      in
+      let a = fill () and b = fill () in
+      List.for_all
+        (fun i ->
+          List.for_all
+            (fun j ->
+              Arena.equal_slices a i b j
+              = Path.equal (Arena.to_path a i) (Arena.to_path b j))
+            (List.init 10 Fun.id))
+        (List.init 10 Fun.id))
+
 let prop_arena_byte_regions_contiguous =
   QCheck.Test.make ~name:"arena byte regions tile the buffer" ~count:100
     QCheck.(pair small_int (int_range 1 12))
@@ -1492,6 +1554,8 @@ let () =
             prop_cut_bounded_by_degree;
             prop_yen_sorted;
             prop_tree_path_valid;
+            prop_tree_path_matches_root_walk;
+            prop_arena_equal_slices;
             prop_settle_order_sorted;
             prop_core_matches_reference;
             prop_targets_match_full_run;

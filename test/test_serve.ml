@@ -10,6 +10,8 @@ module Update = Sso_demand.Update
 module Workload = Sso_demand.Workload
 module Routing = Sso_flow.Routing
 module Ksp = Sso_oblivious.Ksp
+module Trees = Sso_oblivious.Trees
+module Arena = Sso_graph.Arena
 module Sampler = Sso_core.Sampler
 module Path_system = Sso_core.Path_system
 module Serve = Sso_serve.Serve
@@ -559,6 +561,13 @@ let make_parts () =
   let obl = Ksp.routing ~k:4 g in
   (g, Sampler.alpha_sample (Rng.create 5) obl ~alpha:3)
 
+(* The base of perf's wan-churn workload: an α=4 sample of a 4-tree uniform
+   spanning-tree mixture. *)
+let make_tree_parts () =
+  let g = Gen.torus 4 4 in
+  let obl = Trees.uniform (Rng.create 3) ~count:4 g in
+  (g, Sampler.alpha_sample (Rng.create 5) obl ~alpha:4)
+
 let split_events cut events =
   ( List.filter (fun (e : Update.t) -> e.Update.tick <= cut) events,
     List.filter (fun (e : Update.t) -> e.Update.tick > cut) events )
@@ -593,10 +602,14 @@ let test_faulted_replay_golden () =
         (digest_of srv ^ " " ^ Digest.to_hex (Digest.string congestion)))
     [ 1; 4 ]
 
-let check_kill_and_resume ~faults ~cut jobs =
+let check_kill_and_resume ?(parts = make_parts) ~faults ~cut jobs =
   let before = Pool.default_jobs () in
   Fun.protect ~finally:(fun () -> Pool.set_default_jobs before) @@ fun () ->
   Pool.set_default_jobs jobs;
+  let make_service () =
+    let g, system = parts () in
+    Serve.create g system
+  in
   let full = make_service () in
   ignore (Serve.replay ~faults full churn_events);
   let reference = digest_of full in
@@ -608,7 +621,7 @@ let check_kill_and_resume ~faults ~cut jobs =
   let interrupted = make_service () in
   ignore (Serve.replay ~faults:pre_faults interrupted prefix);
   let stream_digest = Checkpoint.events_digest churn_events in
-  let g, system = make_parts () in
+  let g, system = parts () in
   let blob =
     Checkpoint.encode ~stream_digest ~graph:g ~config:Serve.default_config
       (Serve.snapshot interrupted)
@@ -638,6 +651,15 @@ let test_kill_and_resume_with_faults () =
     [ (1, [ Serve.Fail 4; Serve.Fail 9 ]); (6, [ Serve.Repair 4 ]) ]
   in
   List.iter (fun jobs -> check_kill_and_resume ~faults ~cut:3 jobs) [ 1; 4 ]
+
+let test_kill_and_resume_tree_mixture () =
+  List.iter
+    (fun jobs ->
+      List.iter
+        (fun cut ->
+          check_kill_and_resume ~parts:make_tree_parts ~faults:[] ~cut jobs)
+        [ 2; 5 ])
+    [ 1; 4 ]
 
 let test_checkpoint_contract () =
   let srv = make_service () in
@@ -674,6 +696,81 @@ let test_checkpoint_contract () =
   match Serve.restore g other state with
   | (_ : Serve.t) -> Alcotest.fail "mismatched sampler accepted"
   | exception Codec.Corrupt _ -> ()
+
+(* Damage inside [s_system] itself, past the checkpoint checksum: the
+   payload decoder or the per-pair comparison must refuse it as
+   [Corrupt], and no other exception may escape. *)
+let test_restore_rejects_damaged_system () =
+  let srv = make_service () in
+  ignore (Serve.replay srv (fst (split_events 3 churn_events)));
+  let state = Serve.snapshot srv in
+  let g, _ = make_parts () in
+  let payload = state.Serve.s_system in
+  let a, ranges = Codec.decode_path_system_slices g payload in
+  let refused name s_system =
+    let _, system = make_parts () in
+    match Serve.restore g system { state with Serve.s_system } with
+    | (_ : Serve.t) -> Alcotest.failf "%s: damaged system accepted" name
+    | exception Codec.Corrupt _ -> ()
+    | exception e ->
+        Alcotest.failf "%s: raised %s, not Corrupt" name (Printexc.to_string e)
+  in
+  (* The undamaged payload restores. *)
+  ignore (Serve.restore g (snd (make_parts ())) state);
+  (* Byte offset of the first pair's first slot: header, pair count,
+     endpoints, candidate count, hop count. *)
+  let first_slot =
+    let (s, d), (first, count) = List.hd ranges in
+    let w = Codec.writer () in
+    Codec.write_u8 w (Char.code payload.[0]);
+    Codec.write_u8 w (Char.code payload.[1]);
+    List.iter (Codec.write_varint w)
+      [ List.length ranges; s; d; count; Arena.hops a first ];
+    let prefix = Codec.contents w in
+    Alcotest.(check bool) "slot offset located" true
+      (count > 0 && String.starts_with ~prefix payload);
+    String.length prefix
+  in
+  let flip pos mask =
+    let b = Bytes.of_string payload in
+    Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor mask));
+    Bytes.to_string b
+  in
+  List.iter
+    (fun mask ->
+      refused (Printf.sprintf "first slot ^ %#x" mask) (flip first_slot mask);
+      refused (Printf.sprintf "last slot ^ %#x" mask)
+        (flip (String.length payload - 1) mask))
+    [ 0x01; 0x02; 0x80 ];
+  (* Two same-length candidates of one pair swapped: endpoints, hop
+     counts and the candidate count all agree, only the slot bytes do
+     not. *)
+  (match
+     List.find_opt
+       (fun (_, (first, count)) ->
+         count >= 2 && Arena.hops a first = Arena.hops a (first + 1))
+       ranges
+   with
+  | None -> Alcotest.fail "no pair with two same-length candidates"
+  | Some (_, (first, _)) ->
+      let b = Arena.create g in
+      for i = 0 to Arena.length a - 1 do
+        let j =
+          if i = first then first + 1 else if i = first + 1 then first else i
+        in
+        ignore (Arena.append_slice b a j)
+      done;
+      refused "same-length candidates swapped"
+        (Codec.encode_path_system_slices b ranges));
+  let reencode ranges = Codec.encode_path_system_slices a ranges in
+  let (pair, (first, count)), rest = (List.hd ranges, List.tl ranges) in
+  refused "one candidate dropped"
+    (reencode ((pair, (first, count - 1)) :: rest));
+  let n = Sso_graph.Graph.n g in
+  refused "empty out-of-range pair" (reencode (((n, 0), (0, 0)) :: ranges));
+  refused "populated out-of-range pair"
+    (reencode (((0, n), (first, count)) :: rest));
+  refused "trailing bytes" (payload ^ "\000")
 
 let test_checkpoint_files () =
   let dir =
@@ -889,6 +986,10 @@ let () =
             test_kill_and_resume_j1;
           Alcotest.test_case "kill and resume (jobs 4)" `Quick
             test_kill_and_resume_j4;
+          Alcotest.test_case "kill and resume over a tree mixture" `Quick
+            test_kill_and_resume_tree_mixture;
+          Alcotest.test_case "restore rejects a damaged system" `Quick
+            test_restore_rejects_damaged_system;
           Alcotest.test_case "kill and resume across faults" `Quick
             test_kill_and_resume_with_faults;
           Alcotest.test_case "corruption contract" `Quick
