@@ -73,7 +73,20 @@ let read_file path =
   close_in ic;
   text
 
-let read_graph path = Gio.of_string (read_file path)
+(* A GRAPH file that cannot be read exits [exit_unreadable] and one that
+   does not parse exits [exit_corrupt], each with one stderr line naming
+   the file. *)
+let read_graph path =
+  match read_file path with
+  | exception Sys_error msg ->
+      Printf.eprintf "sso: cannot read graph %s: %s\n" path msg;
+      exit exit_unreadable
+  | text -> (
+      match Gio.of_string text with
+      | g -> g
+      | exception (Failure msg | Invalid_argument msg) ->
+          Printf.eprintf "sso: malformed graph %s: %s\n" path msg;
+          exit exit_corrupt)
 
 (* ---- spec flags ----
 

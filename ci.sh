@@ -3,7 +3,9 @@
 # parallel engine by running the E3 adversary experiment on 2 worker
 # domains (its output is deterministic for any job count), the
 # artifact cache by running E5 cold/warm in a temporary store
-# (byte-identical output, at least one recorded hit), the kernel
+# (byte-identical output, at least one recorded hit; the `sso cache`
+# exit codes and cold/warm `sso route` are pinned by the cram test
+# test/cli/cache.t, run by the test suite), the kernel
 # micro-benchmarks by validating their JSON schema, the tracing
 # subsystem by recording a kernel trace at two job counts (identical
 # event sequences) and running the `sso trace` analyzers over it, and

@@ -60,39 +60,70 @@ let is_simple g p =
       end)
     vs
 
+(* Per-domain loop-erasure scratch.  [stamp.(v) = epoch] iff [v] is on the
+   retained prefix, at depth [pos.(v)]; [verts.(d)] is the prefix's vertex
+   at depth d and [kept.(d)] the edge entering [verts.(d + 1)].  A run
+   starts with one epoch bump (no O(n) clearing), the arrays grow to the
+   largest graph seen, and a stale stamp from another graph can never equal
+   a fresh epoch.  The prefix is simple, so n slots always suffice. *)
+type eraser = {
+  mutable stamp : int array;
+  mutable pos : int array;
+  mutable verts : int array;
+  mutable kept : int array;
+  mutable epoch : int;
+}
+
+let eraser_key =
+  Domain.DLS.new_key (fun () ->
+      { stamp = [||]; pos = [||]; verts = [||]; kept = [||]; epoch = 0 })
+
+let eraser_for n =
+  let er = Domain.DLS.get eraser_key in
+  if Array.length er.stamp < n then begin
+    er.stamp <- Array.make n (-1);
+    er.pos <- Array.make n 0;
+    er.verts <- Array.make n 0;
+    er.kept <- Array.make n 0
+  end;
+  er.epoch <- er.epoch + 1;
+  er
+
 let simplify g p =
   (* Walk the path, and when a vertex repeats drop the loop between the two
-     occurrences.  A single left-to-right pass with a last-seen index table
-     suffices because excising a loop never creates an earlier repeat. *)
-  let vs = vertices g p in
-  let len = Array.length vs in
-  let keep_edges = ref [] in
-  let last_seen = Hashtbl.create len in
-  (* [keep_edges] holds (vertex-index, edge) pairs of the retained prefix in
-     reverse; on a repeat of vertex v we pop edges back to v's occurrence. *)
-  Hashtbl.add last_seen vs.(0) 0;
-  let depth = ref 0 in
-  for i = 1 to len - 1 do
-    let v = vs.(i) in
-    (match Hashtbl.find_opt last_seen v with
-    | Some d ->
-        (* Pop retained edges until depth d, removing vertices from the
-           table as they leave the retained prefix. *)
-        while !depth > d do
-          match !keep_edges with
-          | (u, _) :: rest ->
-              Hashtbl.remove last_seen u;
-              keep_edges := rest;
-              decr depth
-          | [] -> assert false
-        done
-    | None ->
-        keep_edges := (v, p.edges.(i - 1)) :: !keep_edges;
+     occurrences.  A single left-to-right pass suffices because excising a
+     loop never creates an earlier repeat. *)
+  if Array.length p.edges = 0 then p
+  else begin
+    let er = eraser_for (Graph.n g) in
+    let epoch = er.epoch and stamp = er.stamp and pos = er.pos in
+    let verts = er.verts and kept = er.kept in
+    stamp.(p.src) <- epoch;
+    pos.(p.src) <- 0;
+    verts.(0) <- p.src;
+    let depth = ref 0 and cur = ref p.src in
+    for i = 0 to Array.length p.edges - 1 do
+      let e = p.edges.(i) in
+      let v = Graph.other_end g e !cur in
+      cur := v;
+      if stamp.(v) = epoch then begin
+        (* Pop the loop: vertices above v's depth leave the prefix. *)
+        let d = pos.(v) in
+        for k = d + 1 to !depth do
+          stamp.(verts.(k)) <- -1
+        done;
+        depth := d
+      end
+      else begin
+        kept.(!depth) <- e;
         incr depth;
-        Hashtbl.replace last_seen v !depth)
-  done;
-  let edge_list = List.rev_map snd !keep_edges in
-  { src = p.src; dst = p.dst; edges = Array.of_list edge_list }
+        verts.(!depth) <- v;
+        stamp.(v) <- epoch;
+        pos.(v) <- !depth
+      end
+    done;
+    { src = p.src; dst = p.dst; edges = Array.sub kept 0 !depth }
+  end
 
 let concat g p q =
   if p.dst <> q.src then invalid_arg "Path.concat: endpoints do not meet";

@@ -46,7 +46,14 @@ val is_simple : Graph.t -> t -> bool
 
 val simplify : Graph.t -> t -> t
 (** Excise loops so that the result is simple; endpoints are preserved and
-    the edge set of the result is a subset of the input's. *)
+    the edge set of the result is a subset of the input's.  Chronological
+    loop erasure: walking left to right, a repeated vertex drops the loop
+    since its first retained occurrence, so erasing a walk [a·b] equals
+    erasing [(simplify a)·b] — segments can be appended first and erased
+    once.  O(hops)
+    over a per-domain scratch of O(n) ints, grown on demand and reused
+    without clearing; the only allocation is the result.
+    @raise Invalid_argument if the edges do not form a walk from [src]. *)
 
 val concat : Graph.t -> t -> t -> t
 (** [concat g p q] joins [p] ([s → x]) and [q] ([x → t]) into a walk

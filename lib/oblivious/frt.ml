@@ -43,6 +43,7 @@ let min_length = 1e-9
 let build_span = Obs.span "frt.build"
 let metric_span = Obs.span "frt.metric"
 let hub_evict_counter = Obs.counter "frt.hub_evict"
+let hub_fill_counter = Obs.counter "frt.hub_fill"
 
 (* Per-tree budget on cached hub-tree bindings.  The default keeps the
    cache O(n): a handful of coarse (near-full-graph) trees plus thousands
@@ -326,6 +327,33 @@ let of_parts g p =
   Array.iter
     (fun row -> Array.iter (fun c -> if c < 0 || c >= n then invalid_arg "Frt.of_parts: center out of range") row)
     p.p_chain;
+  (* Structure, O(n·levels): level-0 clusters are the singletons {v}
+     centered at v, there is one top cluster with one center, and clusters
+     nest — vertices sharing a level-i cluster share its center and their
+     level-(i+1) cluster.  [route] relies on all three: the meet level
+     exists, and the up- and down-chains reach the same center. *)
+  let levels = p.p_levels and chain = p.p_chain and cid = p.p_cluster_id in
+  let bad what = invalid_arg ("Frt.of_parts: " ^ what) in
+  let singletons = Hashtbl.create n in
+  for v = 0 to n - 1 do
+    if chain.(v).(0) <> v then bad "level-0 cluster not centered at its vertex";
+    if Hashtbl.mem singletons cid.(v).(0) then bad "level-0 cluster ids repeat";
+    Hashtbl.add singletons cid.(v).(0) ()
+  done;
+  for v = 1 to n - 1 do
+    if cid.(v).(levels) <> cid.(0).(levels) || chain.(v).(levels) <> chain.(0).(levels)
+    then bad "more than one top-level cluster or center"
+  done;
+  for i = 1 to levels - 1 do
+    let parent = Hashtbl.create 64 in
+    for v = 0 to n - 1 do
+      match Hashtbl.find_opt parent cid.(v).(i) with
+      | None -> Hashtbl.add parent cid.(v).(i) (cid.(v).(i + 1), chain.(v).(i))
+      | Some (up, center) ->
+          if up <> cid.(v).(i + 1) || center <> chain.(v).(i) then
+            bad "clusters do not nest"
+    done
+  done;
   let lengths = Array.copy p.p_lengths in
   let delta = Array.fold_left Float.min infinity lengths in
   make_tree g ~levels:p.p_levels ~chain:(Array.map Array.copy p.p_chain)
@@ -372,6 +400,7 @@ exception Filled
    tentative predecessor — so the handful that the truncation radius
    misses by a float hair fall back to the escalating uncached search. *)
 let fill_hub t hub plevel =
+  Obs.incr hub_fill_counter;
   let kids =
     match Hashtbl.find_opt t.children (hub, plevel) with
     | Some k -> k
@@ -496,7 +525,10 @@ let route t s t_ =
        center — a bounded set of hubs whose trees truncate to the cluster
        scale.  (Rooting the down-chain at the child, as the historical
        code did, makes every routed destination a hub: an O(n)-entry cache
-       of full predecessor trees.) *)
+       of full predecessor trees.)  The walk s -> hub -> t is the
+       up-segments reversed, then the down-segments, loop-erased once:
+       chronological loop erasure satisfies LE(LE(a)·b) = LE(a·b), so this
+       equals erasing segment by segment. *)
     let up =
       List.init j (fun i ->
           Path.reverse
@@ -507,8 +539,6 @@ let route t s t_ =
           let lvl = j - i in
           hub_path t ~plevel:lvl t.chain.(t_).(lvl) t.chain.(t_).(lvl - 1))
     in
-    let full =
-      List.fold_left (fun acc p -> Path.concat t.graph acc p) (Path.trivial s) (up @ down)
-    in
-    Path.simplify t.graph full
+    let walk = Array.concat (List.map (fun (p : Path.t) -> p.edges) (up @ down)) in
+    Path.simplify t.graph (Path.unsafe_of_edges ~src:s ~dst:t_ walk)
   end

@@ -48,15 +48,23 @@ val to_parts : t -> parts
 (** Extract the serializable state (arrays are copies). *)
 
 val of_parts : Sso_graph.Graph.t -> parts -> t
-(** Reconstruct a tree over [g].  @raise Invalid_argument if the dimensions
-    or values do not fit [g]. *)
+(** Reconstruct a tree over [g], validating the structure in O(n·levels):
+    level-0 clusters are singletons centered at their vertex, the top level
+    is one cluster with one center, and clusters nest (vertices sharing a
+    level-i cluster share its center and their level-(i+1) cluster).
+    @raise Invalid_argument if the dimensions or values do not fit [g] or
+    the structure is violated, so a tree that loads never routes a pair
+    to the wrong endpoint. *)
 
 val levels : t -> int
 (** Height of the decomposition (Θ(log (diameter/min-distance))). *)
 
 val route : t -> int -> int -> Sso_graph.Path.t
-(** The unique tree path between two vertices, mapped into the graph
-    (concatenated center-to-center shortest paths, simplified). *)
+(** The unique tree path between two vertices, mapped into the graph: the
+    center-to-center shortest paths up from [s] and down to [t], appended
+    into one walk and loop-erased once by {!Sso_graph.Path.simplify}.
+    Always a simple path from [s] to [t].  Segments come from a per-hub
+    cache; each hub Dijkstra that fills it counts [frt.hub_fill]. *)
 
 val cluster_center : t -> int -> int -> int
 (** [cluster_center t v level] is the center of the cluster containing [v]

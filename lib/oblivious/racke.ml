@@ -6,14 +6,31 @@ module Obs = Sso_obs.Obs
 module Trace = Sso_obs.Trace
 
 let build_span = Obs.span "racke.build"
+let tree_loads_span = Obs.span "racke.tree_loads"
 let trees_counter = Obs.counter "racke.trees"
 
 (* Edges are routed in fixed chunks (never a function of the job count):
-   each chunk accumulates its loads into a sparse map of the edges its
-   routes actually touch — a dense per-chunk array would be O(m) floats per
-   worker — and the chunks merge serially in chunk order, ascending edge id
-   within a chunk, so the float sums are identical at any [--jobs]. *)
+   each chunk sums its routes' loads into its domain's dense scratch, in
+   edge-index order, and emits the touched edges as a sparse
+   (edge, partial) array sorted by edge id; the chunks merge serially in
+   chunk order, so the float sums are identical at any [--jobs].  The
+   scratch is O(m) once per domain, not per chunk, and a chunk leaves it
+   zeroed.  Capacities are positive, so a zero sum marks an edge the chunk
+   has not touched yet. *)
 let tree_load_chunks = 64
+
+type load_scratch = { mutable sums : float array; mutable touched : int array }
+
+let load_scratch_key =
+  Domain.DLS.new_key (fun () -> { sums = [||]; touched = [||] })
+
+let load_scratch_for m =
+  let sc = Domain.DLS.get load_scratch_key in
+  if Array.length sc.sums < m then begin
+    sc.sums <- Array.make m 0.0;
+    sc.touched <- Array.make m 0
+  end;
+  sc
 
 let tree_loads ?pool g tree =
   let m = Graph.m g in
@@ -24,23 +41,32 @@ let tree_loads ?pool g tree =
     let partials =
       Pool.parallel_init ?pool chunks (fun k ->
           let lo = k * m / chunks and hi = (k + 1) * m / chunks in
-          let tbl = Hashtbl.create 256 in
-          for idx = lo to hi - 1 do
-            let e : Graph.edge = edges.(idx) in
-            let p = Frt.route tree e.u e.v in
-            Array.iter
-              (fun e' ->
-                let cur =
-                  match Hashtbl.find_opt tbl e' with Some c -> c | None -> 0.0
-                in
-                Hashtbl.replace tbl e' (cur +. e.cap))
-              p.Path.edges
-          done;
-          let arr =
-            Array.of_list (Hashtbl.fold (fun e' l acc -> (e', l) :: acc) tbl [])
-          in
-          Array.sort (fun ((a : int), _) ((b : int), _) -> compare a b) arr;
-          arr)
+          let sc = load_scratch_for m in
+          let sums = sc.sums and touched = sc.touched in
+          let count = ref 0 in
+          (* Zero what was touched even if a route raises, so the next
+             chunk on this domain starts from clean scratch. *)
+          Fun.protect
+            ~finally:(fun () ->
+              for i = 0 to !count - 1 do
+                sums.(touched.(i)) <- 0.0
+              done)
+            (fun () ->
+              for idx = lo to hi - 1 do
+                let e : Graph.edge = edges.(idx) in
+                let hops = (Frt.route tree e.u e.v).Path.edges in
+                for h = 0 to Array.length hops - 1 do
+                  let e' = hops.(h) in
+                  if sums.(e') = 0.0 then begin
+                    touched.(!count) <- e';
+                    incr count
+                  end;
+                  sums.(e') <- sums.(e') +. e.cap
+                done
+              done;
+              let ids = Array.sub touched 0 !count in
+              Array.sort Int.compare ids;
+              Array.map (fun e' -> (e', sums.(e'))) ids))
     in
     Array.iter
       (Array.iter (fun (e', partial) -> loads.(e') <- loads.(e') +. partial))
@@ -87,7 +113,10 @@ let forest ?pool rng ?trees ?(batch = 4) g =
           Array.init b (fun i ->
               let tree_rng = Rng.split_at base_rng (first + i) in
               let tree = Frt.build ?pool tree_rng g ~length in
-              (tree, tree_loads ?pool g tree))
+              let loads =
+                Obs.with_span tree_loads_span (fun () -> tree_loads ?pool g tree)
+              in
+              (tree, loads))
         in
         Array.iteri
           (fun i (tree, loads) ->

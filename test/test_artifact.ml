@@ -634,6 +634,44 @@ let test_memo_corrupt_payload_rebuilds () =
   Alcotest.(check bool) "cache repopulated after rebuild" true
     (Store.find st recipe <> None)
 
+let test_memo_structurally_damaged_forest_rebuilds () =
+  (* A forest entry that passes the store checksum and decodes, but whose
+     trees would route wrongly (level-0 clusters collapsed into one), is
+     refused by [Frt.of_parts]: counted as damage and rebuilt, with routes
+     equal to the cold build. *)
+  with_store @@ fun st ->
+  let g = Gen.grid 4 4 in
+  let cold = Racke.forest (Rng.create 5) ~trees:4 g in
+  let damaged =
+    List.map
+      (fun tree ->
+        let p = Frt.to_parts tree in
+        Array.iter (fun row -> row.(0) <- 0) p.Frt.p_cluster_id;
+        p)
+      cold
+  in
+  let recipe = Memo.racke_recipe ~trees:4 ~rng:(Rng.create 5) g in
+  Store.put st recipe (Codec.encode_forest damaged);
+  let c0 = cval "corrupt" in
+  let warm = Memo.racke_forest ~store:st (Rng.create 5) ~trees:4 g in
+  Alcotest.(check int) "counted as damage" (c0 + 1) (cval "corrupt");
+  List.iter2
+    (fun a b ->
+      for s = 0 to 15 do
+        for t = 0 to 15 do
+          Alcotest.(check bool)
+            (Printf.sprintf "route %d->%d equals cold" s t)
+            true
+            (path_equal (Frt.route a s t) (Frt.route b s t))
+        done
+      done)
+    cold warm;
+  match Store.find st recipe with
+  | Some payload ->
+      Alcotest.(check bool) "entry replaced by the rebuild" true
+        (Codec.decode_forest payload = List.map Frt.to_parts cold)
+  | None -> Alcotest.fail "rebuild not stored"
+
 (* ---- end-to-end determinism: cold vs warm, jobs 1 vs 4 ---- *)
 
 let test_e2e_cold_warm_jobs () =
@@ -719,5 +757,7 @@ let () =
             test_memo_corrupt_payload_rebuilds;
           Alcotest.test_case "e2e cold/warm jobs 1 and 4" `Slow
             test_e2e_cold_warm_jobs;
+          Alcotest.test_case "structurally damaged forest rebuilds" `Quick
+            test_memo_structurally_damaged_forest_rebuilds;
         ] );
     ]

@@ -113,6 +113,73 @@ let test_path_concat_cancels () =
   let r = Path.concat g p q in
   Alcotest.(check (array int)) "back-tracking removed" [| 0; 1 |] (Path.vertices g r)
 
+(* The table-backed eraser [Path.simplify] replaced, kept here as the
+   reference: a last-seen table over the vertex sequence and a list of the
+   retained (vertex, edge) prefix. *)
+let reference_simplify g (p : Path.t) =
+  let vs = Path.vertices g p in
+  let keep = ref [] and depth = ref 0 in
+  let last_seen = Hashtbl.create (Array.length vs) in
+  Hashtbl.add last_seen vs.(0) 0;
+  for i = 1 to Array.length vs - 1 do
+    let v = vs.(i) in
+    match Hashtbl.find_opt last_seen v with
+    | Some d ->
+        while !depth > d do
+          match !keep with
+          | (u, _) :: rest ->
+              Hashtbl.remove last_seen u;
+              keep := rest;
+              decr depth
+          | [] -> assert false
+        done
+    | None ->
+        keep := (v, p.edges.(i - 1)) :: !keep;
+        incr depth;
+        Hashtbl.replace last_seen v !depth
+  done;
+  Array.of_list (List.rev_map snd !keep)
+
+(* A connected multigraph (a spanning path plus random extra edges,
+   parallel ones included) and a random walk on it; short graphs and long
+   walks make loops, nested loops and revisits of erased vertices common. *)
+let random_walk_instance seed =
+  let rng = Rng.create seed in
+  let n = 2 + Rng.int rng 30 in
+  let b = Graph.Builder.create n in
+  for v = 1 to n - 1 do
+    ignore (Graph.Builder.add_edge b (v - 1) v)
+  done;
+  for _ = 1 to Rng.int rng (2 * n) do
+    let u = Rng.int rng n and v = Rng.int rng n in
+    if u <> v then ignore (Graph.Builder.add_edge b u v)
+  done;
+  let g = Graph.Builder.build b in
+  let src = Rng.int rng n in
+  let steps = Rng.int rng (if Rng.int rng 4 = 0 then 400 else 20) in
+  let cur = ref src in
+  let edges =
+    Array.init steps (fun _ ->
+        let adj = Graph.adj g !cur in
+        let e, w = adj.(Rng.int rng (Array.length adj)) in
+        cur := w;
+        e)
+  in
+  (g, Path.of_edges g ~src ~dst:!cur edges)
+
+let prop_simplify_matches_reference =
+  QCheck.Test.make ~name:"simplify = table-backed loop erasure" ~count:500
+    QCheck.small_int (fun seed ->
+      let g, walk = random_walk_instance seed in
+      let simple = Path.simplify g walk in
+      simple.Path.src = walk.Path.src
+      && simple.Path.dst = walk.Path.dst
+      && simple.Path.edges = reference_simplify g walk
+      && Path.is_simple g simple
+      && Path.equal simple
+           (Path.of_edges g ~src:walk.Path.src ~dst:walk.Path.dst
+              simple.Path.edges))
+
 let test_path_reverse () =
   let g = Gen.path_graph 4 in
   let p = Path.of_vertices g [ 0; 1; 2 ] in
@@ -1418,6 +1485,7 @@ let () =
           Alcotest.test_case "concat cancels" `Quick test_path_concat_cancels;
           Alcotest.test_case "reverse" `Quick test_path_reverse;
           Alcotest.test_case "weight" `Quick test_path_weight;
+          QCheck_alcotest.to_alcotest prop_simplify_matches_reference;
         ] );
       ( "shortest",
         [

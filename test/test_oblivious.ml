@@ -184,20 +184,27 @@ let test_ksp_handles_scarce_paths () =
 (* FRT *)
 
 let test_frt_routes_valid () =
-  let rng = Rng.create 3 in
-  let g = Gen.grid 4 4 in
-  let tree = Frt.build rng g ~length:(fun _ -> 1.0) in
-  Alcotest.(check bool) "levels positive" true (Frt.levels tree >= 1);
-  for s = 0 to 15 do
-    for t = 0 to 15 do
-      if s <> t then begin
-        let p = Frt.route tree s t in
-        Alcotest.(check int) "src" s p.Path.src;
-        Alcotest.(check int) "dst" t p.Path.dst;
-        Alcotest.(check bool) "simple" true (Path.is_simple g p)
-      end
-    done
-  done
+  (* Every route is an s->t walk [Path.of_edges] accepts, and simple —
+     over every ordered pair of several topologies. *)
+  List.iter
+    (fun (name, g) ->
+      let tree = Frt.build (Rng.create 3) g ~length:(fun _ -> 1.0) in
+      Alcotest.(check bool) "levels positive" true (Frt.levels tree >= 1);
+      let n = Graph.n g in
+      for s = 0 to n - 1 do
+        for t = 0 to n - 1 do
+          let p = Frt.route tree s t in
+          let walk = Path.of_edges g ~src:s ~dst:t p.Path.edges in
+          if not (Path.equal walk p && Path.is_simple g p) then
+            Alcotest.failf "%s: route %d->%d is not a simple s-t walk" name s t
+        done
+      done)
+    [
+      ("grid 4x4", Gen.grid 4 4);
+      ("fat-tree 4", Gen.fat_tree 4);
+      ("hypercube 4", Gen.hypercube 4);
+      ("random regular 40", Gen.random_regular (Rng.create 12) 40 3);
+    ]
 
 let test_frt_trivial_pair () =
   let rng = Rng.create 3 in
@@ -257,6 +264,125 @@ let test_frt_rejects_disconnected () =
        "Frt.build: graph is disconnected (vertex 2 is unreachable from \
         vertex 0)")
     (fun () -> ignore (Frt.build (Rng.create 1) g ~length:(fun _ -> 1.0)))
+
+(* Digests over a forest's parts (lengths as raw float bits) and over the
+   routes of every ordered pair in every tree. *)
+let forest_parts_digest forest =
+  let b = Buffer.create 65536 in
+  let ints = Array.iter (fun x -> Printf.bprintf b "%d," x) in
+  List.iter
+    (fun tree ->
+      let p = Frt.to_parts tree in
+      Printf.bprintf b "L%d;" p.Frt.p_levels;
+      Array.iter ints p.Frt.p_chain;
+      Array.iter ints p.Frt.p_cluster_id;
+      Array.iter
+        (fun l -> Printf.bprintf b "%Lx," (Int64.bits_of_float l))
+        p.Frt.p_lengths)
+    forest;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let forest_routes_digest g forest =
+  let b = Buffer.create 65536 in
+  let n = Graph.n g in
+  List.iter
+    (fun tree ->
+      for s = 0 to n - 1 do
+        for t = 0 to n - 1 do
+          Array.iter (fun e -> Printf.bprintf b "%d," e) (Frt.route tree s t).Path.edges;
+          Buffer.add_char b ';'
+        done
+      done)
+    forest;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_racke_fat_tree_golden () =
+  (* Pinned from the segment-by-segment route and the table-backed tree
+     loads that the single-erasure route and dense load sums replaced: the
+     default forest on the k=8 fat-tree, and every route through it. *)
+  let g = Gen.fat_tree 8 in
+  let forest = Racke.forest (Rng.create 1) g in
+  Alcotest.(check int) "default tree count" 18 (List.length forest);
+  Alcotest.(check string) "parts digest" "2faeb7a5d4ec77e4043072af8af05a56"
+    (forest_parts_digest forest);
+  Alcotest.(check string) "routes digest" "6475b718e7307d1cc9e8dd7cf86a9e62"
+    (forest_routes_digest g forest)
+
+let test_tree_loads_scratch_and_jobs () =
+  (* Dense per-domain sums: bit-identical at 1 and 4 jobs and across
+     back-to-back calls (each chunk leaves its scratch zeroed), on graphs
+     with fewer than 64 edges and with m not a multiple of 64. *)
+  let loads jobs g tree =
+    let pool = Pool.create ~jobs () in
+    Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () ->
+        Array.map Int64.bits_of_float (Racke.tree_loads ~pool g tree))
+  in
+  List.iter
+    (fun (name, g) ->
+      let tree = Frt.build (Rng.create 21) g ~length:(fun _ -> 1.0) in
+      let serial = loads 1 g tree in
+      let again = loads 1 g tree in
+      let par = loads 4 g tree in
+      Alcotest.(check bool) (name ^ ": back-to-back identical") true (serial = again);
+      Alcotest.(check bool) (name ^ ": jobs 1 = jobs 4") true (serial = par))
+    [
+      ("cycle 6 (m=6)", Gen.cycle 6);
+      ("grid 5x5 (m=40)", Gen.grid 5 5);
+      ("hypercube 5 (m=80)", Gen.hypercube 5);
+      ("grid 9x9 (m=144)", Gen.grid 9 9);
+    ]
+
+(* Structurally damaged parts: each violation [route] relies on is refused
+   by [of_parts]. *)
+let test_frt_of_parts_rejects_bad_structure () =
+  let g = Gen.grid 4 4 in
+  let n = Graph.n g in
+  let tree = Frt.build (Rng.create 5) g ~length:(fun _ -> 1.0) in
+  let levels = Frt.levels tree in
+  let damaged what reason damage =
+    let p = Frt.to_parts tree in
+    damage p;
+    match Frt.of_parts g p with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument msg ->
+        Alcotest.(check string) what ("Frt.of_parts: " ^ reason) msg
+  in
+  ignore (Frt.of_parts g (Frt.to_parts tree));
+  damaged "level-0 ids collapsed" "level-0 cluster ids repeat" (fun p ->
+      Array.iter (fun row -> row.(0) <- 0) p.Frt.p_cluster_id);
+  damaged "level-0 center moved" "level-0 cluster not centered at its vertex"
+    (fun p -> p.Frt.p_chain.(0).(0) <- 1);
+  let top = "more than one top-level cluster or center" in
+  damaged "second top cluster" top (fun p ->
+      p.Frt.p_cluster_id.(n - 1).(levels) <- p.Frt.p_cluster_id.(n - 1).(levels) + 1000);
+  damaged "second top center" top (fun p ->
+      let c = p.Frt.p_chain.(0).(levels) in
+      p.Frt.p_chain.(n - 1).(levels) <- (c + 1) mod n);
+  (* Nesting: find two vertices in different level-i clusters.  Merging
+     v's level-i cluster id into w's without its center breaks "shared
+     cluster, shared center"; merging id and center while v and w sit in
+     different level-(i+1) clusters breaks "shared parent". *)
+  let p0 = Frt.to_parts tree in
+  let cid = p0.Frt.p_cluster_id and chain = p0.Frt.p_chain in
+  let find pred =
+    let found = ref None in
+    for i = 1 to levels - 1 do
+      for v = 0 to n - 1 do
+        for w = 0 to n - 1 do
+          if !found = None && cid.(v).(i) <> cid.(w).(i) && pred i v w then
+            found := Some (i, v, w)
+        done
+      done
+    done;
+    match !found with Some x -> x | None -> Alcotest.fail "no fixture pair"
+  in
+  let i, v, w = find (fun i v w -> chain.(v).(i) <> chain.(w).(i)) in
+  damaged "shared cluster, two centers" "clusters do not nest" (fun p ->
+      p.Frt.p_cluster_id.(v).(i) <- cid.(w).(i));
+  let i, v, w = find (fun i v w -> cid.(v).(i + 1) <> cid.(w).(i + 1)) in
+  damaged "shared cluster, two parents" "clusters do not nest" (fun p ->
+      p.Frt.p_cluster_id.(v).(i) <- cid.(w).(i);
+      p.Frt.p_chain.(v).(i) <- chain.(w).(i))
 
 let test_frt_hub_cache_budget () =
   (* A starvation-level hub cache budget forces evictions but must not
@@ -647,6 +773,8 @@ let () =
           Alcotest.test_case "cluster centers" `Quick test_frt_cluster_centers;
           Alcotest.test_case "rejects disconnected" `Quick test_frt_rejects_disconnected;
           Alcotest.test_case "hub cache budget" `Quick test_frt_hub_cache_budget;
+          Alcotest.test_case "of_parts rejects bad structure" `Quick
+            test_frt_of_parts_rejects_bad_structure;
         ] );
       ( "racke",
         [
@@ -655,6 +783,9 @@ let () =
           Alcotest.test_case "competitive small" `Slow test_racke_competitive_small;
           Alcotest.test_case "spreads on two cliques" `Slow test_racke_spreads_on_two_cliques;
           Alcotest.test_case "tree loads" `Quick test_tree_loads_positive;
+          Alcotest.test_case "tree loads scratch and jobs" `Quick
+            test_tree_loads_scratch_and_jobs;
+          Alcotest.test_case "fat-tree golden" `Quick test_racke_fat_tree_golden;
           Alcotest.test_case "forest jobs invariant" `Quick
             test_frt_forest_jobs_invariant;
         ] );
