@@ -1,11 +1,7 @@
 #!/bin/sh
 # CI entry point: build everything, run the test suite, then smoke-test the
 # parallel engine by running the E3 adversary experiment on 2 worker
-# domains (its output is deterministic for any job count), the
-# artifact cache by running E5 cold/warm in a temporary store
-# (byte-identical output, at least one recorded hit; the `sso cache`
-# exit codes and cold/warm `sso route` are pinned by the cram test
-# test/cli/cache.t, run by the test suite), the kernel
+# domains (its output is deterministic for any job count), the kernel
 # micro-benchmarks by validating their JSON schema, the tracing
 # subsystem by recording a kernel trace at two job counts (identical
 # event sequences) and running the `sso trace` analyzers over it, and
@@ -40,7 +36,6 @@ run_step() {
 run_step dune build
 run_step dune runtest
 run_step dune exec bench/main.exe -- --experiment E3 --no-timing --jobs 2
-run_step ./cache_smoke.sh
 run_step ./kernels_smoke.sh
 run_step ./trace_smoke.sh
 run_step ./faults_smoke.sh

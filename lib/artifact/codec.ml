@@ -101,17 +101,14 @@ let hex_of_key k = Printf.sprintf "%016Lx" k
 
 let tag_graph = 0x47 (* 'G' *)
 let tag_demand = 0x44 (* 'D' *)
-let tag_path = 0x70 (* 'p' *)
 let tag_path_system = 0x50 (* 'P' *)
 let tag_distributions = 0x52 (* 'R' *)
 let tag_forest = 0x46 (* 'F' *)
-let tag_arena = 0x41 (* 'A' *)
 
 (* Path systems moved to the arena slot encoding in v2.  v1 payloads (edge
    ids per path) decode as [Corrupt]: the store treats them as misses and
    rebuilds. *)
 let path_system_version = 2
-let arena_version = 1
 
 let write_header w tag =
   write_u8 w tag;
@@ -196,7 +193,7 @@ let decode_demand s =
   expect_end r;
   Demand.of_list triples
 
-(* ---- paths ---- *)
+(* ---- boxed path bodies (distributions) ---- *)
 
 let write_path_body w (p : Path.t) =
   write_varint w (Array.length p.Path.edges);
@@ -206,23 +203,6 @@ let read_path_body r g ~src ~dst =
   let hops = read_varint r in
   let edges = Array.init hops (fun _ -> read_varint r) in
   guarded (fun () -> Path.of_edges g ~src ~dst edges)
-
-let encode_path p =
-  let w = writer () in
-  write_header w tag_path;
-  write_varint w p.Path.src;
-  write_varint w p.Path.dst;
-  write_path_body w p;
-  contents w
-
-let decode_path g s =
-  let r = reader s in
-  read_header r tag_path;
-  let src = read_varint r in
-  let dst = read_varint r in
-  let p = read_path_body r g ~src ~dst in
-  expect_end r;
-  p
 
 (* ---- pair tables (path systems and distributions) ---- *)
 
@@ -269,26 +249,19 @@ let encode_path_system_slices arena ranges =
       done);
   contents w
 
-let encode_path_system g entries =
-  (* Appending into a scratch arena both validates the paths as walks of
-     [g] and produces the slot bytes the v2 format stores. *)
-  let a = Arena.create g in
-  let ranges =
-    List.map
-      (fun ((s, t), paths) ->
-        let first = Arena.length a in
-        List.iter (fun p -> ignore (Arena.append_path a p)) paths;
-        ((s, t), (first, List.length paths)))
-      entries
-  in
-  encode_path_system_slices a ranges
-
 let decode_path_system_slices g s =
   let r = reader s in
   read_header_v r tag_path_system path_system_version;
   let a = Arena.create g in
+  (* The encoder writes each pair once, in ascending order; anything else
+     would install a pair twice. *)
+  let prev = ref (-1, -1) in
   let ranges =
     read_pairs r (fun src dst ->
+        let ps, pt = !prev in
+        if src < ps || (src = ps && dst <= pt) then
+          corrupt "codec: path-system pair %d->%d out of order" src dst;
+        prev := (src, dst);
         let count = read_varint r in
         let first = Arena.length a in
         for _ = 1 to count do
@@ -298,40 +271,6 @@ let decode_path_system_slices g s =
   in
   expect_end r;
   (a, ranges)
-
-let decode_path_system g s =
-  let a, ranges = decode_path_system_slices g s in
-  List.map
-    (fun (pair, (first, count)) ->
-      (pair, List.init count (fun k -> Arena.to_path a (first + k))))
-    ranges
-
-(* ---- standalone arenas ---- *)
-
-let encode_arena a =
-  let w = writer () in
-  write_header_v w tag_arena arena_version;
-  write_varint w (Arena.length a);
-  for i = 0 to Arena.length a - 1 do
-    write_varint w (Arena.src a i);
-    write_varint w (Arena.dst a i);
-    write_varint w (Arena.hops a i);
-    Arena.write_encoding a i w
-  done;
-  contents w
-
-let decode_arena g s =
-  let r = reader s in
-  read_header_v r tag_arena arena_version;
-  let count = read_varint r in
-  let a = Arena.create ~capacity:count g in
-  for _ = 1 to count do
-    let src = read_varint r in
-    let dst = read_varint r in
-    read_slice r a ~src ~dst
-  done;
-  expect_end r;
-  a
 
 let encode_distributions entries =
   let w = writer () in

@@ -12,7 +12,11 @@
     Every top-level codec writes a one-byte kind tag and a format-version
     byte.  Bump {!format_version} on any layout change: old cache entries
     then decode as {!Corrupt} and are treated as misses (never
-    half-deserialized). *)
+    half-deserialized).
+
+    Candidate path collections have exactly one encoding, the arena slice
+    layout of {!encode_path_system_slices}; only weighted distributions
+    ({!encode_distributions}) still carry paths as edge-id lists. *)
 
 exception Corrupt of string
 (** Raised by every [decode_*]/[read_*] on malformed, truncated, or
@@ -70,47 +74,28 @@ val graph_digest : Sso_graph.Graph.t -> int64
 val encode_demand : Sso_demand.Demand.t -> string
 val decode_demand : string -> Sso_demand.Demand.t
 
-val encode_path : Sso_graph.Path.t -> string
-val decode_path : Sso_graph.Graph.t -> string -> Sso_graph.Path.t
-(** Decoding validates the edge sequence against the graph. *)
-
-val encode_path_system :
-  Sso_graph.Graph.t -> ((int * int) * Sso_graph.Path.t list) list -> string
-(** Materialized candidate sets, canonically ordered by pair.  Writes the
-    v2 layout: paths are stored as packed CSR-slot bytes (the
-    {!Sso_graph.Arena} encoding) against the graph, roughly one byte per
-    hop.  @raise Invalid_argument if a path is not a walk of the graph. *)
-
 val encode_path_system_slices :
   Sso_graph.Arena.t -> ((int * int) * (int * int)) list -> string
-(** Same format, written directly from an arena: per pair the [count]
-    slices starting at [first] (ranges as [(pair, (first, count))]) are
-    blitted verbatim from the arena's data buffer — no boxed path is
-    materialized on the save path. *)
+(** The one path-system encoding: per pair (written once each, in
+    ascending pair order), the [count] slices starting at [first] (ranges
+    as [(pair, (first, count))]), each as its hop count followed by the
+    arena's packed CSR-slot bytes, blitted verbatim — roughly one byte per
+    hop, and no boxed path on the save path. *)
 
 val decode_path_system_slices :
   Sso_graph.Graph.t ->
   string ->
   Sso_graph.Arena.t * ((int * int) * (int * int)) list
-(** Decode the v2 layout straight into a fresh arena over the graph:
-    every slice goes through {!Sso_graph.Arena.append_encoded}, which
-    rejects slots outside their adjacency row, non-canonical varints,
-    endpoints out of range and walks that miss [dst] ({!Corrupt}).
-    Returns the arena and, per pair in payload order, its [(first,
-    count)] slice range.  The retired v1 layout (edge-id varints per
-    path) is refused as {!Corrupt}, which the store treats as a miss. *)
-
-val decode_path_system :
-  Sso_graph.Graph.t -> string -> ((int * int) * Sso_graph.Path.t list) list
-(** Boxed view of {!decode_path_system_slices}: each range rebuilt as
-    {!Sso_graph.Path.t} values. *)
-
-val encode_arena : Sso_graph.Arena.t -> string
-val decode_arena : Sso_graph.Graph.t -> string -> Sso_graph.Arena.t
-(** A whole arena as one block: slice count, then per slice
-    [src, dst, hops] varints followed by its packed slot bytes.  Decoding
-    re-validates every slot against the graph's adjacency rows
-    ({!Corrupt} on any malformed byte). *)
+(** Decode straight into a fresh arena over the graph: every slice goes
+    through {!Sso_graph.Arena.append_encoded}, which rejects slots outside
+    their adjacency row, non-canonical varints, endpoints out of range and
+    walks that miss [dst] ({!Corrupt}).  Pairs must be strictly ascending
+    (a repeated or out-of-order pair is {!Corrupt}).  Returns the arena
+    and, per pair in payload order, its [(first, count)] slice range.
+    Candidate-set rules (no repeated path within a pair) are checked where
+    the slices are installed, {!Sso_core.Path_system.preload}.  The
+    retired v1 layout (edge-id varints per path) is refused as
+    {!Corrupt}, which the store treats as a miss. *)
 
 val encode_distributions :
   ((int * int) * (float * Sso_graph.Path.t) list) list -> string

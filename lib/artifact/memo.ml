@@ -136,17 +136,17 @@ let alpha_sample ?store ~base_key rng r ~alpha ~pairs =
           (Codec.encode_path_system_slices (Path_system.arena fallback) ranges);
         fallback
       in
-      (match found with
+      match found with
       | None -> save ()
       | Some payload -> (
-          match Codec.decode_path_system g payload with
-          | entries ->
-              let table = Hashtbl.create (List.length entries) in
-              List.iter (fun (pair, ps) -> Hashtbl.replace table pair ps) entries;
-              Path_system.of_generator g (fun s t ->
-                  match Hashtbl.find_opt table (s, t) with
-                  | Some ps -> ps
-                  | None -> Path_system.paths fallback s t)
+          (* A payload that decodes but breaks the candidate contract (a
+             repeated path within a pair) is damage too. *)
+          match
+            let arena, ranges = Codec.decode_path_system_slices g payload in
+            try Path_system.preload fallback arena ranges
+            with Invalid_argument msg -> raise (Codec.Corrupt msg)
+          with
+          | () -> fallback
           | exception Codec.Corrupt _ ->
               semantic_corrupt ();
-              save ()))
+              save ())

@@ -8,7 +8,8 @@
 
     - payloads round-trip bit-exactly ({!Codec}), and decoded objects are
       installed through trusted constructors ({!Sso_oblivious.Oblivious.preload},
-      {!Sso_flow.Routing.of_normalized}) that skip re-normalization;
+      {!Sso_flow.Routing.of_normalized}) that skip re-normalization, or,
+      for α-samples, copied slice by slice ({!Sso_core.Path_system.preload});
     - RNG consumption visible to the caller is the same on hit and miss.
       Pass each wrapper a {e dedicated} generator (callers here always pass
       [Rng.split parent], which advances the parent at the call site
@@ -85,6 +86,10 @@ val alpha_sample :
     recipe that built it): the sampled paths depend on the base routing's
     distributions, which the oblivious name + graph digest alone do not
     pin down.  The fallback sampler is constructed on both hit and miss,
-    so caller-visible RNG consumption is identical; pairs outside the
+    so caller-visible RNG consumption is identical.  A hit decodes the
+    payload into an arena and {!Sso_core.Path_system.preload}s its slices
+    into the fallback (byte copies, no boxed paths); pairs outside the
     cached set sample from their own [split_at] children exactly as a cold
-    run would. *)
+    run would.  A payload that decodes but fails the candidate checks (a
+    pair listed twice, a path repeated within a pair) is counted as
+    [artifact.corrupt] and re-sampled, like any damaged entry. *)

@@ -162,17 +162,9 @@ let append_manifest t line =
 
 let put t r payload =
   let path = entry_file t r in
-  let tmp =
-    Printf.sprintf "%s.tmp.%d" path (Unix.getpid ())
-  in
   let data = encode_entry ~kind:r.kind ~description:(describe r) payload in
-  (try
-     Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_string oc data)
-   with Sys_error msg -> unreadable "cannot write %s: %s" tmp msg);
-  (try Sys.rename tmp path
-   with Sys_error msg ->
-     (try Sys.remove tmp with Sys_error _ -> ());
-     unreadable "cannot rename %s: %s" tmp msg);
+  (try Sso_obs.Atomic_file.write path (fun oc -> output_string oc data)
+   with Sys_error msg -> unreadable "cannot write %s: %s" path msg);
   Obs.incr ~by:(String.length payload) c_bytes_written;
   Obs.observe h_payload (String.length payload);
   if Obs.tracing () then
@@ -201,7 +193,7 @@ type listing = { entries : entry list; corrupt : string list }
 
 let is_entry_file name = Filename.check_suffix name ".art"
 
-(* [put] writes "<key>.art.tmp.<pid>". *)
+(* [put] writes "<key>.art.tmp.<pid>" (Sso_obs.Atomic_file). *)
 let is_tmp_file name =
   let needle = ".tmp." in
   let n = String.length name and k = String.length needle in

@@ -1,5 +1,5 @@
 module Graph = Sso_graph.Graph
-module Path = Sso_graph.Path
+module Arena = Sso_graph.Arena
 module Shortest = Sso_graph.Shortest
 module Demand = Sso_demand.Demand
 module Routing = Sso_flow.Routing
@@ -33,37 +33,34 @@ let completion_time g r d = Routing.congestion g r d +. float_of_int (Routing.di
 let route ?solver g ps demand =
   if Demand.support_size demand = 0 then (Routing.make [], 0.0, 0)
   else begin
-    (* Hop thresholds worth trying: the distinct candidate path lengths. *)
+    (* Hop thresholds worth trying: the distinct candidate path lengths
+       that leave every demanded pair a candidate, i.e. at least each
+       pair's shortest one. *)
+    let arena = Path_system.arena ps in
+    let lengths, need =
+      Demand.fold
+        (fun s t _ (lengths, need) ->
+          let lengths = ref lengths and shortest = ref max_int in
+          Path_system.iter_slices ps s t (fun i ->
+              let h = Arena.hops arena i in
+              lengths := h :: !lengths;
+              shortest := min !shortest h);
+          (!lengths, max need !shortest))
+        demand ([], 0)
+    in
     let thresholds =
-      Demand.fold
-        (fun s t _ acc ->
-          List.fold_left
-            (fun acc p -> List.cons (Path.hops p) acc)
-            acc (Path_system.paths ps s t))
-        demand []
-      |> List.sort_uniq Int.compare
+      List.filter (fun h -> h >= need) (List.sort_uniq Int.compare lengths)
     in
-    (* A threshold is feasible only if every demanded pair retains a
-       candidate. *)
-    let feasible h =
-      Demand.fold
-        (fun s t _ acc ->
-          acc && List.exists (fun p -> Path.hops p <= h) (Path_system.paths ps s t))
-        demand true
-    in
-    let candidates_at h = Path_system.restrict_hops ~max_hops:h ps in
+    let candidates_at h = Path_system.filter (fun a i -> Arena.hops a i <= h) ps in
     let best =
       List.fold_left
         (fun acc h ->
-          if not (feasible h) then acc
-          else begin
-            let routing, cong = Semi_oblivious.route ?solver g (candidates_at h) demand in
-            let dil = Routing.dilation routing demand in
-            let value = cong +. float_of_int dil in
-            match acc with
-            | Some (bv, _, _, _) when bv <= value -> acc
-            | _ -> Some (value, routing, cong, dil)
-          end)
+          let routing, cong = Semi_oblivious.route ?solver g (candidates_at h) demand in
+          let dil = Routing.dilation routing demand in
+          let value = cong +. float_of_int dil in
+          match acc with
+          | Some (bv, _, _, _) when bv <= value -> acc
+          | _ -> Some (value, routing, cong, dil))
         None thresholds
     in
     match best with

@@ -1,7 +1,6 @@
 module Graph = Sso_graph.Graph
 module Path = Sso_graph.Path
 module Path_arena = Sso_graph.Arena
-module Routing = Sso_flow.Routing
 module Oblivious = Sso_oblivious.Oblivious
 module Pool = Sso_engine.Pool
 module PS = Set.Make (Path)
@@ -10,9 +9,14 @@ module PS = Set.Make (Path)
    handles starting at [first], in generation order. *)
 type entry = { first : int; count : int }
 
+(* One pair's candidates as a generator hands them over: boxed paths (the
+   samplers, [of_pairs]) or slice handles of another arena over the same
+   graph (views, preloaded payloads). *)
+type source = Paths of Path.t list | Slices of Path_arena.t * int list
+
 type t = {
   graph : Graph.t;
-  generate : int -> int -> Path.t list;
+  generate : int -> int -> source;
   arena : Path_arena.t;
   index : (int * int, entry) Hashtbl.t;
   (* Guards [index] and arena appends, and serializes [generate] so systems
@@ -27,56 +31,77 @@ type t = {
 let compare_pair (s1, t1) (s2, t2) =
   match Int.compare s1 s2 with 0 -> Int.compare t1 t2 | c -> c
 
-let validate s t paths =
-  let set =
-    List.fold_left
-      (fun acc (p : Path.t) ->
-        if p.Path.src <> s || p.Path.dst <> t then
-          invalid_arg "Path_system: path endpoints do not match pair";
-        if PS.mem p acc then invalid_arg "Path_system: duplicate path in candidate set";
-        PS.add p acc)
-      PS.empty paths
-  in
-  ignore set;
-  paths
+let locked ps f =
+  Mutex.lock ps.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock ps.lock) f
 
-(* Lock held.  Validation runs before any append so a rejected candidate
-   list leaves no entry behind. *)
-let install_locked ps s t path_list =
-  let paths = validate s t path_list in
-  let first = Path_arena.length ps.arena in
-  List.iter (fun p -> ignore (Path_arena.append_path ps.arena p)) paths;
-  let entry = { first; count = Path_arena.length ps.arena - first } in
-  Hashtbl.replace ps.index (s, t) entry;
-  entry
+(* The candidate contract, checked on slices of [a]: every slice runs
+   s → t, and no path repeats.  Repeats are found by sorting the handles
+   by their byte hash ([Path_arena.hash_slice], ties broken by edge
+   order), O(k log k) for any list size: full oblivious supports offer
+   hundreds of paths per pair.  A list with both defects reports the one
+   a scan in list order meets first: the repeat only if both copies lie
+   before the first bad endpoint. *)
+let check a s t handles =
+  let n = Array.length handles in
+  (* Index of the first bad endpoint, [n] if none. *)
+  let bad = ref 0 in
+  while
+    !bad < n && Path_arena.src a handles.(!bad) = s && Path_arena.dst a handles.(!bad) = t
+  do
+    incr bad
+  done;
+  let keyed = Array.init !bad (fun k -> (Path_arena.hash_slice a handles.(k), handles.(k))) in
+  Array.sort
+    (fun (h1, i1) (h2, i2) ->
+      match Int.compare h1 h2 with 0 -> Path_arena.compare_within_pair a i1 i2 | c -> c)
+    keyed;
+  for k = 1 to !bad - 1 do
+    let h1, i1 = keyed.(k - 1) and h2, i2 = keyed.(k) in
+    if h1 = h2 && Path_arena.equal_slices a i1 a i2 then
+      invalid_arg "Path_system: duplicate path in candidate set"
+  done;
+  if !bad < n then invalid_arg "Path_system: path endpoints do not match pair"
+
+let copy_slices into a handles =
+  let first = Path_arena.length into in
+  Array.iter (fun i -> ignore (Path_arena.append_slice into a i)) handles;
+  { first; count = Array.length handles }
+
+(* Append one pair's candidates to [into], in source order, and check
+   them.  Slices are checked where they live and then blitted; boxed
+   paths are encoded first, checked on their new slices and truncated
+   away if rejected.  Callers publish the entry only after this returns,
+   so a rejected list installs nothing. *)
+let append into s t = function
+  | Slices (a, handles) ->
+      let handles = Array.of_list handles in
+      check a s t handles;
+      copy_slices into a handles
+  | Paths paths -> (
+      let first = Path_arena.length into in
+      try
+        List.iter (fun p -> ignore (Path_arena.append_path into p)) paths;
+        let count = Path_arena.length into - first in
+        check into s t (Array.init count (fun k -> first + k));
+        { first; count }
+      with e ->
+        Path_arena.truncate into first;
+        raise e)
+
+(* Lock held. *)
+let install_locked ps s t source =
+  let e = append ps.arena s t source in
+  Hashtbl.replace ps.index (s, t) e;
+  e
 
 let entry ps s t =
-  Mutex.lock ps.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock ps.lock)
-    (fun () ->
+  locked ps (fun () ->
       match Hashtbl.find_opt ps.index (s, t) with
       | Some e -> e
       | None -> install_locked ps s t (ps.generate s t))
 
-let of_pairs graph entries =
-  let ps =
-    {
-      graph;
-      generate = (fun _ _ -> []);
-      arena = Path_arena.create ~capacity:(4 * max 1 (List.length entries)) graph;
-      index = Hashtbl.create (max 16 (List.length entries));
-      lock = Mutex.create ();
-    }
-  in
-  List.iter
-    (fun ((s, t), paths) ->
-      if Hashtbl.mem ps.index (s, t) then invalid_arg "Path_system.of_pairs: duplicate pair";
-      ignore (install_locked ps s t paths))
-    entries;
-  ps
-
-let of_generator graph generate =
+let of_source graph generate =
   {
     graph;
     generate;
@@ -84,6 +109,36 @@ let of_generator graph generate =
     index = Hashtbl.create 64;
     lock = Mutex.create ();
   }
+
+let of_pairs graph entries =
+  let ps = of_source graph (fun _ _ -> Paths []) in
+  List.iter
+    (fun ((s, t), paths) ->
+      if Hashtbl.mem ps.index (s, t) then invalid_arg "Path_system.of_pairs: duplicate pair";
+      ignore (install_locked ps s t (Paths paths)))
+    entries;
+  ps
+
+let of_generator graph generate = of_source graph (fun s t -> Paths (generate s t))
+
+let preload ps a ranges =
+  if not (Path_arena.graph a == ps.graph) then
+    invalid_arg "Path_system.preload: arena over another graph";
+  locked ps @@ fun () ->
+  (* Check every range before installing any: a rejected payload leaves
+     the system as it was. *)
+  let checked =
+    List.map
+      (fun (((s, t) as pair), (first, count)) ->
+        if Hashtbl.mem ps.index pair then invalid_arg "Path_system.preload: duplicate pair";
+        let handles = Array.init count (fun k -> first + k) in
+        check a s t handles;
+        (pair, handles))
+      ranges
+  in
+  List.iter
+    (fun (pair, handles) -> Hashtbl.replace ps.index pair (copy_slices ps.arena a handles))
+    checked
 
 let graph ps = ps.graph
 let arena ps = ps.arena
@@ -140,33 +195,25 @@ let materialize_parallel ?pool ps pair_list =
           let entries =
             Array.init (hi - lo) (fun k ->
                 let s, t = arr.(lo + k) in
-                let paths = validate s t (ps.generate s t) in
-                let first = Path_arena.length builder in
-                List.iter (fun p -> ignore (Path_arena.append_path builder p)) paths;
-                ((s, t), first, Path_arena.length builder - first))
+                ((s, t), append builder s t (ps.generate s t)))
           in
           (builder, entries))
     in
-    Mutex.lock ps.lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock ps.lock)
-      (fun () ->
+    locked ps (fun () ->
         Array.iter
           (fun (builder, entries) ->
             let base = Path_arena.append_all ps.arena builder in
             Array.iter
-              (fun (pair, first, count) ->
+              (fun (pair, e) ->
                 if not (Hashtbl.mem ps.index pair) then
-                  Hashtbl.replace ps.index pair { first = base + first; count })
+                  Hashtbl.replace ps.index pair { e with first = base + e.first })
               entries)
           built)
   end
 
 let known_pairs ps =
-  Mutex.lock ps.lock;
-  let pairs = Hashtbl.fold (fun pair _ acc -> pair :: acc) ps.index [] in
-  Mutex.unlock ps.lock;
-  List.sort compare_pair pairs
+  List.sort compare_pair
+    (locked ps (fun () -> Hashtbl.fold (fun pair _ acc -> pair :: acc) ps.index []))
 
 let sparsity_on ps pair_list =
   List.fold_left (fun acc (s, t) -> max acc (slice_count ps s t)) 0 pair_list
@@ -177,18 +224,11 @@ let union a b =
   of_generator a.graph (fun s t ->
       PS.elements (PS.union (PS.of_list (paths a s t)) (PS.of_list (paths b s t))))
 
-let restrict_hops ~max_hops ps =
-  of_generator ps.graph (fun s t ->
-      List.filter (fun p -> Path.hops p <= max_hops) (paths ps s t))
-
-let filter_paths keep ps =
-  of_generator ps.graph (fun s t -> List.filter keep (paths ps s t))
-
-let of_routing_support g r =
-  of_pairs g
-    (List.map
-       (fun (s, t) -> ((s, t), List.map snd (Routing.distribution r s t)))
-       (Routing.pairs r))
+let filter keep ps =
+  of_source ps.graph (fun s t ->
+      let first, count = slice_range ps s t in
+      let handles = List.init count (fun k -> first + k) in
+      Slices (ps.arena, List.filter (keep ps.arena) handles))
 
 (* A mixture can put the same path in several components (two trees that
    share an (s,t) path each contribute it), so the support keeps the first

@@ -20,15 +20,43 @@
 
 type t
 
+(** {1 Construction}
+
+    Candidates enter a system through one install routine, whatever their
+    source: boxed paths from a generator ({!of_pairs}, {!of_generator}),
+    slices of another system's arena ({!filter}) or of a decoded payload
+    ({!preload}).  Every pair's list is checked on arena slices before its
+    index entry is published: each path must run from [s] to [t]
+    ([Invalid_argument "Path_system: path endpoints do not match pair"])
+    and no path may repeat within the pair
+    ([Invalid_argument "Path_system: duplicate path in candidate set"]).
+    A rejected list installs nothing: no index entry, and no bytes in
+    the arena.  Repeats are found by sorting the pair's handles by
+    {!Sso_graph.Arena.hash_slice}, O(k log k) for [k] candidates.  Boxed
+    paths must also be walks of the graph (the arena append checks that);
+    slices are copied as packed bytes, without building a
+    {!Sso_graph.Path.t}. *)
+
 val of_pairs : Sso_graph.Graph.t -> ((int * int) * Sso_graph.Path.t list) list -> t
-(** Eager construction over a graph.  Paths must match their pair's
-    endpoints, be deduplicated, and be walks of the graph
-    ([Invalid_argument] otherwise); pairs must be distinct. *)
+(** Eager construction over a graph; pairs must be distinct
+    ([Invalid_argument "Path_system.of_pairs: duplicate pair"]). *)
 
 val of_generator : Sso_graph.Graph.t -> (int -> int -> Sso_graph.Path.t list) -> t
-(** Lazy construction; the generator is consulted once per pair and must
-    return valid deduplicated paths on the given graph.  Validation happens
-    at query time. *)
+(** Lazy construction; the generator is consulted once per pair, and its
+    paths are checked when the pair is first queried. *)
+
+val preload : t -> Sso_graph.Arena.t -> ((int * int) * (int * int)) list -> unit
+(** [preload ps a ranges] installs, per [(pair, (first, count))], the
+    slices [first .. first + count - 1] of [a] as the pair's candidates,
+    in slice order.  [a] must be over the system's graph (the same
+    value, e.g. a payload decoded against {!graph}).  Every range is
+    checked before any is installed, so on [Invalid_argument] the system
+    is unchanged.
+    The pairs must not be installed yet
+    ([Invalid_argument "Path_system.preload: duplicate pair"]).  They
+    must also be distinct, which is not checked here: ranges come from
+    [Codec.decode_path_system_slices], and the decoder rejects a
+    repeated pair.  Other pairs still come from the system's generator. *)
 
 val graph : t -> Sso_graph.Graph.t
 (** The graph the system's paths live on. *)
@@ -87,16 +115,12 @@ val union : t -> t -> t
 (** Pointwise union of candidate sets (used by the completion-time ladder
     of Lemma 2.8, which unions one sample per hop scale). *)
 
-val restrict_hops : max_hops:int -> t -> t
-(** Drop candidate paths longer than [max_hops] (used when optimizing
-    congestion + dilation). *)
-
-val filter_paths : (Sso_graph.Path.t -> bool) -> t -> t
-(** Keep only candidates satisfying the predicate. *)
-
-
-val of_routing_support : Sso_graph.Graph.t -> Sso_flow.Routing.t -> t
-(** [supp(R)] as a path system. *)
+val filter : (Sso_graph.Arena.t -> int -> bool) -> t -> t
+(** [filter keep ps] is the lazy view of [ps] that offers, per pair, the
+    candidates whose slice [i] in [arena ps] satisfies [keep (arena ps) i],
+    in the parent's order.  Failure views pass
+    [fun a i -> not (Arena.exists a i down)]; hop caps pass
+    [fun a i -> Arena.hops a i <= h].  Survivors are copied as slices. *)
 
 val of_oblivious_support : Sso_oblivious.Oblivious.t -> t
 (** The (lazily queried) full support of an oblivious routing — the

@@ -173,8 +173,6 @@ let gravity rng ~n ~total =
   let mass = List.fold_left (fun acc (_, _, v) -> acc +. v) 0.0 raw in
   of_list (List.map (fun (s, t, v) -> (s, t, v *. total /. mass)) raw)
 
-let uniform_value v pairs = of_list (List.map (fun (s, t) -> (s, t, v)) pairs)
-
 let to_string d =
   let buf = Buffer.create 256 in
   fold

@@ -92,9 +92,6 @@ val gravity : Sso_prng.Rng.t -> n:int -> total:float -> t
     SMORE's evaluation): each vertex draws an activity level [a_v] uniform
     in [(0, 1]]; [d(s,t) ∝ a_s · a_t] scaled so that [siz d = total]. *)
 
-val uniform_value : float -> (int * int) list -> t
-(** The demand that is [v] on the given pairs and [0] elsewhere. *)
-
 val hotspot : n:int -> target:int -> t
 (** All-to-one: every other vertex sends one packet to [target] — the
     incast workload where any single-path system collapses onto the

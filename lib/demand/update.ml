@@ -149,15 +149,8 @@ let save path events =
     (Printf.sprintf "{\"schema\":%S,\"version\":%d,\"events\":%d}\n" schema_tag
        schema_version (List.length events));
   List.iter (add_event buf) events;
-  let tmp = path ^ ".tmp" in
-  match
-    let oc = open_out_bin tmp in
-    output_string oc (Buffer.contents buf);
-    close_out oc;
-    Sys.rename tmp path
-  with
-  | () -> ()
-  | exception Sys_error msg -> raise (Unreadable msg)
+  try Sso_obs.Atomic_file.write path (fun oc -> Buffer.output_buffer oc buf)
+  with Sys_error msg -> raise (Unreadable msg)
 
 let corrupt fmt = Printf.ksprintf (fun msg -> raise (Corrupt msg)) fmt
 

@@ -54,7 +54,7 @@ val by_tick : t list -> (int * t list) list
     ticks are not non-decreasing. *)
 
 val save : string -> t list -> unit
-(** Write a stream atomically (temp + rename).  @raise Unreadable on I/O
+(** Write a stream atomically ({!Sso_obs.Atomic_file.write}).  @raise Unreadable on I/O
     errors, [Invalid_argument] if the events violate the stream
     invariants (they would not round-trip). *)
 

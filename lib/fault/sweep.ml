@@ -1,5 +1,5 @@
 module Graph = Sso_graph.Graph
-module Path = Sso_graph.Path
+module Arena = Sso_graph.Arena
 module Demand = Sso_demand.Demand
 module Routing = Sso_flow.Routing
 module Min_congestion = Sso_flow.Min_congestion
@@ -101,9 +101,7 @@ let evaluate ~solver ~iters ~recovery ~pre_routing g ps demand scenario =
   let g' = Scenario.apply g scenario in
   let removed = Scenario.removed scenario in
   let survivors =
-    Path_system.filter_paths
-      (fun (p : Path.t) -> not (Array.exists removed p.Path.edges))
-      ps
+    Path_system.filter (fun a i -> not (Arena.exists a i removed)) ps
   in
   let candidates_remain =
     List.for_all (fun (s, t) -> Path_system.slice_count survivors s t > 0) support

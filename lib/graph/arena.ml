@@ -132,6 +132,13 @@ let append_slice into from i =
   into.data_len <- into.data_len + len;
   record into ~src:(src from i) ~dst:(dst from i) ~hops:(hops from i) ~byte_off
 
+let truncate a len =
+  if len < 0 || len > a.count then invalid_arg "Arena.truncate: bad length";
+  if len < a.count then begin
+    a.data_len <- a.meta.(len) lsr hop_bits;
+    a.count <- len
+  end
+
 let append_all into from =
   if not (into.graph == from.graph) then
     invalid_arg "Arena.append_all: arenas are over different graphs";
@@ -166,6 +173,14 @@ let equal_slices a i b j =
        && same (k + 1)
   in
   len = b_stop - bj && same 0
+
+let hash_slice a i =
+  let start, stop = byte_range a i in
+  let h = ref (hops a i) in
+  for k = start to stop - 1 do
+    h := (!h * 0x100000001b3) lxor Char.code (Bytes.unsafe_get a.data k)
+  done;
+  !h
 
 let iter_edges_vertices a i f =
   let g = a.graph in

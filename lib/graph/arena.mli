@@ -68,6 +68,11 @@ val append_all : t -> t -> int
     returns the handle the first one received.  Used to merge per-worker
     builder arenas deterministically. *)
 
+val truncate : t -> int -> unit
+(** [truncate a len] drops slices [len ..] and their bytes, so a rejected
+    batch of appends leaves no trace; handles below [len] stay valid.
+    @raise Invalid_argument unless [0 <= len <= length a]. *)
+
 (** {1 O(1) slice accessors} *)
 
 val hops : t -> int -> int
@@ -81,6 +86,12 @@ val equal_slices : t -> int -> t -> int -> bool
     varints, so over one graph equal bytes from the same source are
     exactly equal edge sequences.  @raise Invalid_argument on a graph
     mismatch (physical equality, as {!append_slice}) or a bad handle. *)
+
+val hash_slice : t -> int -> int
+(** A hash of slice [i]'s hop count and packed slot bytes, allocating
+    nothing.  Slices from one source vertex that hold the same path hash
+    equal, so sorting a pair's handles by it puts repeats side by side
+    ([Path_system] finds repeated candidates this way). *)
 
 (** {1 Iteration kernels}
 

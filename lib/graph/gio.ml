@@ -46,18 +46,3 @@ let of_string text =
           | _ -> failwith "Gio.of_string: bad edge line")
         rest;
       Graph.Builder.build b
-
-let to_dot ?labels g =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "graph G {\n";
-  (match labels with
-  | Some names ->
-      Array.iteri
-        (fun i name -> Buffer.add_string buf (Printf.sprintf "  %d [label=\"%s\"];\n" i name))
-        names
-  | None -> ());
-  Graph.fold_edges
-    (fun _ u v _ () -> Buffer.add_string buf (Printf.sprintf "  %d -- %d;\n" u v))
-    g ();
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf

@@ -8,6 +8,3 @@ val to_string : Graph.t -> string
 
 val of_string : string -> Graph.t
 (** @raise Failure on malformed input. *)
-
-val to_dot : ?labels:string array -> Graph.t -> string
-(** Graphviz rendering (undirected), mostly for debugging/docs. *)

@@ -163,8 +163,3 @@ let compare p q =
   | c -> c
 
 let weight w p = Array.fold_left (fun acc e -> acc +. w e) 0.0 p.edges
-
-let pp g fmt p =
-  let vs = vertices g p in
-  Format.pp_print_string fmt
-    (String.concat "-" (Array.to_list (Array.map string_of_int vs)))

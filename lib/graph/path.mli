@@ -71,5 +71,3 @@ val compare : t -> t -> int
 val weight : (int -> float) -> t -> float
 (** Sum of a per-edge weight function over the path's edges. *)
 
-val pp : Graph.t -> Format.formatter -> t -> unit
-(** Prints the vertex sequence, e.g. ["0-3-7"]. *)

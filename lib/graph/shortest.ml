@@ -378,7 +378,12 @@ let dijkstra_path g ~weight src dst =
 (* Target-bounded run: mark each distinct target with the epoch, stop as
    soon as the last one settles, and read every path straight off the
    (final) predecessor chains. *)
-let targets_into ws g weights ~context src targets =
+let dijkstra_targets ?workspace g ~weights src targets =
+  let context = "Shortest.dijkstra_targets" in
+  check_weights g weights ~context;
+  let ws =
+    match workspace with Some ws -> ws | None -> Workspace.for_current_domain ()
+  in
   let n = Graph.n g in
   if src < 0 || src >= n then invalid_arg (context ^ ": source out of range");
   start ws g ~src;
@@ -400,21 +405,6 @@ let targets_into ws g weights ~context src targets =
       if ws.Workspace.settled.(t) = ep then Some (Workspace.build_path ws g t)
       else None)
     targets
-
-let dijkstra_targets ?workspace g ~weights src targets =
-  let context = "Shortest.dijkstra_targets" in
-  check_weights g weights ~context;
-  let ws =
-    match workspace with Some ws -> ws | None -> Workspace.for_current_domain ()
-  in
-  targets_into ws g weights ~context src targets
-
-let dijkstra_paths ?workspace g ~weight src targets =
-  let ws =
-    match workspace with Some ws -> ws | None -> Workspace.for_current_domain ()
-  in
-  let context = "Shortest.dijkstra" in
-  targets_into ws g (fill_weights ws g ~weight ~context) ~context src targets
 
 (* ---------- Hop-limited (Bellman–Ford over hop counts) ---------- *)
 

@@ -29,8 +29,7 @@ val bfs_path : Graph.t -> int -> int -> Path.t option
     reads its final distance and predecessor.  An unsettled vertex reads
     as unreached ([infinity], [-1], [None]) when the run drained its heap
     (full runs, balls), and raises [Invalid_argument] when the run stopped
-    early ({!dijkstra_targets}, {!dijkstra_paths}, or a [visit] callback
-    that raised): its state there is partial, never a stale answer. *)
+    early ({!dijkstra_targets} or a [visit] callback that raised): its state there is partial, never a stale answer. *)
 module Workspace : sig
   type t
 
@@ -122,13 +121,6 @@ val dijkstra_targets :
     calling domain's.
     @raise Invalid_argument on a short [weights] array or an out-of-range
     vertex. *)
-
-val dijkstra_paths :
-  ?workspace:Workspace.t ->
-  Graph.t -> weight:(int -> float) -> int -> int array -> Path.t option array
-(** {!dijkstra_targets} with a weight function (validated once per edge):
-    identical results to calling {!dijkstra_path} per target, from one
-    target-bounded pass. *)
 
 val hop_limited_path :
   Graph.t -> weight:(int -> float) -> max_hops:int -> int -> int -> Path.t option

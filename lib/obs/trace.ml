@@ -129,12 +129,8 @@ let encode_histogram buf h =
   Buffer.add_string buf "}}"
 
 let save path t =
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
   try
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
+    Atomic_file.write path (fun oc ->
         let buf = Buffer.create 65536 in
         encode_header buf t;
         Buffer.add_char buf '\n';
@@ -152,8 +148,7 @@ let save path t =
             encode_histogram buf h;
             Buffer.add_char buf '\n')
           t.histograms;
-        Buffer.output_buffer oc buf);
-    Sys.rename tmp path
+        Buffer.output_buffer oc buf)
   with Sys_error msg -> raise (Unreadable msg)
 
 (* ---------- generic JSON parsing ---------- *)

@@ -52,7 +52,7 @@ type t = {
 }
 
 val save : string -> t -> unit
-(** Write atomically (temp + rename).  @raise Unreadable on I/O errors. *)
+(** Write atomically ({!Atomic_file.write}).  @raise Unreadable on I/O errors. *)
 
 val load : string -> t
 (** @raise Unreadable when the file cannot be read, [Corrupt] when it

@@ -74,8 +74,6 @@ let fingerprint t =
   fold t.s3;
   !h
 
-let bits30 t = Int64.to_int (Int64.shift_right_logical (int64 t) 34)
-
 let bits62 t = Int64.to_int (Int64.shift_right_logical (int64 t) 2)
 
 let int t bound =

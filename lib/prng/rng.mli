@@ -39,9 +39,6 @@ val fingerprint : t -> int64
 val int64 : t -> int64
 (** Next raw 64-bit output. *)
 
-val bits30 : t -> int
-(** 30 uniform bits as a non-negative [int]. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be positive and
     fit in 62 bits.  Uses rejection sampling, hence exactly uniform. *)

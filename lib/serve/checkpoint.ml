@@ -155,20 +155,7 @@ let write ~dir ~stream_digest ~graph ~config state =
   | Unix.Unix_error (err, _, _) ->
       unreadable "checkpoint dir %s: %s" dir (Unix.error_message err));
   let path = Filename.concat dir (filename ~tick:state.Serve.s_tick) in
-  let tmp = path ^ ".tmp." ^ string_of_int (Unix.getpid ()) in
-  (try
-     Fun.protect
-       ~finally:(fun () ->
-         if Sys.file_exists tmp then
-           try Sys.remove tmp with Sys_error _ -> ())
-       (fun () ->
-         let oc = open_out_bin tmp in
-         (try output_string oc blob
-          with e ->
-            close_out_noerr oc;
-            raise e);
-         close_out oc;
-         Sys.rename tmp path)
+  (try Sso_obs.Atomic_file.write path (fun oc -> output_string oc blob)
    with Sys_error msg -> unreadable "checkpoint %s: %s" path msg);
   path
 

@@ -65,7 +65,7 @@ type t = {
   seen : ((int * int), unit) Hashtbl.t;  (* pairs materialized so far *)
   failed : (int, unit) Hashtbl.t;  (* edges currently down *)
   mutable survivors : Path_system.t option;
-      (* cached filter_paths view over [system]; dropped on any fault *)
+      (* cached filter view over [system]; dropped on any fault *)
   mutable pending : Update.t list;  (* shed events, oldest first *)
   mutable demand : Demand.t;
   mutable routing : Routing.t option;
@@ -188,7 +188,7 @@ let apply_faults t ~tick faults =
   newly
 
 (* The path system the solve runs on: the full system while nothing is
-   failed, otherwise a cached filter_paths view keeping candidates whose
+   failed, otherwise a cached filter view keeping candidates whose
    edges are all up.  The predicate captures a snapshot of the failed
    set, so the lazily memoized view stays internally consistent; any
    fault event drops the cache. *)
@@ -200,9 +200,7 @@ let live_system t =
     | None ->
         let down = Hashtbl.copy t.failed in
         let s =
-          Path_system.filter_paths
-            (fun p -> not (Array.exists (Hashtbl.mem down) p.Path.edges))
-            t.system
+          Path_system.filter (fun a i -> not (Arena.exists a i (Hashtbl.mem down))) t.system
         in
         t.survivors <- Some s;
         s
@@ -641,20 +639,7 @@ let restore ?(config = default_config) graph system state =
 let write_metrics ~path =
   Obs.sample_gc_gauges ();
   let body = Obs.expose (Obs.snapshot ()) in
-  let tmp = path ^ ".tmp." ^ string_of_int (Unix.getpid ()) in
-  Fun.protect
-    ~finally:(fun () ->
-      (* Never leave a stale .tmp beside the target: if the write or the
-         rename failed, the temporary goes with it. *)
-      if Sys.file_exists tmp then try Sys.remove tmp with Sys_error _ -> ())
-    (fun () ->
-      let oc = open_out_bin tmp in
-      (try output_string oc body
-       with e ->
-         close_out_noerr oc;
-         raise e);
-      close_out oc;
-      Sys.rename tmp path)
+  Sso_obs.Atomic_file.write path (fun oc -> output_string oc body)
 
 (* ---------- SLO ---------- *)
 

@@ -24,7 +24,7 @@
 
     - {e Faults in the loop}: {!step} takes per-tick {!fault} events that
       fail or repair edges.  While edges are down the solve runs on the
-      surviving candidates ({!Sso_core.Path_system.filter_paths}), warm
+      surviving candidates ({!Sso_core.Path_system.filter}), warm
       ticks re-optimize with the same {!Sso_core.Semi_oblivious.reoptimize}
       call (which drops the warm mass on dead paths), exactly like the
       fault-recovery ladder, and pairs left with no surviving
@@ -245,10 +245,9 @@ val restore :
 
 val write_metrics : path:string -> unit
 (** Snapshot the registry (GC gauges sampled) as Prometheus text
-    exposition to [path], atomically: the text is written to a [.tmp]
-    sibling and renamed over the target.  The temporary is removed on
-    {e any} failure — an interrupted write never leaves a stale [.tmp]
-    beside the target.  @raise Sys_error when the write fails. *)
+    exposition to [path], atomically ({!Sso_obs.Atomic_file.write}): an
+    interrupted write never leaves a stale [.tmp] beside the target.
+    @raise Sys_error when the write fails. *)
 
 type slo = {
   p99_budget_ms : float;  (** The budget checked against. *)

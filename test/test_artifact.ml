@@ -151,6 +151,23 @@ let prop_demand_roundtrip =
            (fun (s, t) -> bits (Demand.get d s t) = bits (Demand.get d' s t))
            (Demand.support d))
 
+(* Path collections have one encoding, the arena slice codec.  Per pair,
+   the edge sequences of its range. *)
+let range_edges a ranges =
+  List.map
+    (fun (pair, (first, count)) ->
+      (pair, List.init count (fun k -> Arena.edges a (first + k))))
+    ranges
+
+(* Decoding returns the ranges in ascending pair order with every slice's
+   edges intact. *)
+let slices_roundtrip a ranges =
+  let a', ranges' =
+    Codec.decode_path_system_slices (Arena.graph a)
+      (Codec.encode_path_system_slices a ranges)
+  in
+  range_edges a' ranges' = range_edges a (List.sort compare ranges)
+
 let prop_path_roundtrip =
   QCheck.Test.make ~name:"path codec round-trips exact edge sequences"
     ~count:50
@@ -160,29 +177,27 @@ let prop_path_roundtrip =
       match Shortest.bfs_path g 0 (n - 1) with
       | None -> QCheck.assume_fail ()
       | Some p ->
-          path_equal p (Codec.decode_path g (Codec.encode_path p)))
+          let a = Arena.create g in
+          ignore (Arena.append_path a p);
+          slices_roundtrip a [ ((0, n - 1), (0, 1)) ])
+
+(* A sampled system's candidate ranges, as [Memo.alpha_sample] saves them. *)
+let sample_system seed =
+  let g = Gen.grid 4 4 in
+  let system = Sampler.alpha_sample (Rng.create seed) (Ksp.routing ~k:4 g) ~alpha:3 in
+  let ranges =
+    List.map
+      (fun (s, t) -> ((s, t), Path_system.slice_range system s t))
+      [ (5, 10); (0, 15); (3, 12) ]
+  in
+  (g, system, ranges)
 
 let prop_path_system_roundtrip =
   QCheck.Test.make ~name:"path-system codec round-trips candidate sets"
     ~count:25 QCheck.small_int
     (fun seed ->
-      let g = Gen.grid 4 4 in
-      let base = Ksp.routing ~k:4 g in
-      let system = Sampler.alpha_sample (Rng.create seed) base ~alpha:3 in
-      let pairs = [ (0, 15); (3, 12); (5, 10) ] in
-      Path_system.materialize system pairs;
-      let entries =
-        List.map (fun (s, t) -> ((s, t), Path_system.paths system s t)) pairs
-      in
-      let entries' =
-        Codec.decode_path_system g (Codec.encode_path_system g entries)
-      in
-      List.for_all2
-        (fun (pair, ps) (pair', ps') ->
-          pair = pair'
-          && List.length ps = List.length ps'
-          && List.for_all2 path_equal ps ps')
-        entries entries')
+      let _, system, ranges = sample_system seed in
+      slices_roundtrip (Path_system.arena system) ranges)
 
 let prop_distributions_roundtrip =
   QCheck.Test.make
@@ -261,24 +276,7 @@ let test_codec_rejects_damage () =
     (raises_corrupt (fun () ->
          Codec.decode_graph (Codec.encode_demand (Demand.all_to_all 3))))
 
-(* ---- v2 path systems and standalone arenas ---- *)
-
-let sample_system_entries seed =
-  let g = Gen.grid 4 4 in
-  let base = Ksp.routing ~k:4 g in
-  let system = Sampler.alpha_sample (Rng.create seed) base ~alpha:3 in
-  let pairs = [ (0, 15); (3, 12); (5, 10) ] in
-  Path_system.materialize system pairs;
-  (g, List.map (fun (s, t) -> ((s, t), Path_system.paths system s t)) pairs)
-
-let entries_equal ea eb =
-  List.length ea = List.length eb
-  && List.for_all2
-       (fun (pair, ps) (pair', ps') ->
-         pair = pair'
-         && List.length ps = List.length ps'
-         && List.for_all2 path_equal ps ps')
-       ea eb
+(* ---- v2 path systems ---- *)
 
 (* The retired v1 layout: edge-id varints per hop. *)
 let v1_path_system_payload entries =
@@ -299,14 +297,42 @@ let v1_path_system_payload entries =
     (List.sort (fun ((a : int * int), _) (b, _) -> compare a b) entries);
   Codec.contents w
 
+(* The recipe [Memo.alpha_sample] files a Ksp-4, α = 3, seed-7 sample
+   under. *)
+let alpha_recipe g base pairs =
+  Store.recipe ~kind:"alpha-sample"
+    [
+      ("graph", Codec.hex_of_key (Codec.graph_digest g));
+      ("base", "ksp4");
+      ("oblivious", Oblivious.name base);
+      ("alpha", "3");
+      ("rng", Codec.hex_of_key (Rng.fingerprint (Rng.create 7)));
+      ("pairs", Codec.hex_of_key (Codec.pairs_digest pairs));
+    ]
+
+let warm_sample st base pairs =
+  Memo.alpha_sample ~store:st ~base_key:"ksp4" (Rng.create 7) base ~alpha:3 ~pairs
+
+(* [warm] offers the same candidates as a storeless sample, pair by pair,
+   in the same order. *)
+let check_equals_cold base warm pairs =
+  let cold = Sampler.alpha_sample (Rng.create 7) base ~alpha:3 in
+  List.iter
+    (fun (s, t) ->
+      Alcotest.(check bool) (Printf.sprintf "candidates %d->%d equal the cold sample" s t)
+        true
+        (List.equal path_equal (Path_system.paths cold s t) (Path_system.paths warm s t)))
+    pairs
+
 let test_path_system_v1_refused () =
   (* v1 payloads are no longer decoded: they are refused as Corrupt, and
      the α-sample cache counts them as damage and re-samples, so a v1
      entry left in a store costs one rebuild and nothing else. *)
-  let g, entries = sample_system_entries 3 in
+  let g, system, ranges = sample_system 3 in
+  let boxed = List.map (fun ((s, t), _) -> ((s, t), Path_system.paths system s t)) ranges in
   Alcotest.(check bool) "v1 payload refused" true
     (raises_corrupt (fun () ->
-         Codec.decode_path_system g (v1_path_system_payload entries)));
+         Codec.decode_path_system_slices g (v1_path_system_payload boxed)));
   with_store @@ fun st ->
   let base = Ksp.routing ~k:4 g in
   let pairs = [ (0, 15); (1, 14) ] in
@@ -314,43 +340,25 @@ let test_path_system_v1_refused () =
   let cold_entries =
     List.map (fun (s, t) -> ((s, t), Path_system.paths cold s t)) pairs
   in
-  (* The recipe [Memo.alpha_sample] files this sample under. *)
-  let recipe =
-    Store.recipe ~kind:"alpha-sample"
-      [
-        ("graph", Codec.hex_of_key (Codec.graph_digest g));
-        ("base", "ksp4");
-        ("oblivious", Oblivious.name base);
-        ("alpha", "3");
-        ("rng", Codec.hex_of_key (Rng.fingerprint (Rng.create 7)));
-        ("pairs", Codec.hex_of_key (Codec.pairs_digest pairs));
-      ]
-  in
-  Store.put st recipe (v1_path_system_payload cold_entries);
+  Store.put st (alpha_recipe g base pairs) (v1_path_system_payload cold_entries);
   let c0 = cval "corrupt" in
-  let warm =
-    Memo.alpha_sample ~store:st ~base_key:"ksp4" (Rng.create 7) base ~alpha:3
-      ~pairs
-  in
+  let warm = warm_sample st base pairs in
   Alcotest.(check int) "v1 entry counted as damage" (c0 + 1) (cval "corrupt");
-  List.iter
-    (fun ((s, t), paths) ->
-      Alcotest.(check bool) (Printf.sprintf "re-sampled %d->%d" s t) true
-        (List.equal path_equal paths (Path_system.paths warm s t)))
-    cold_entries
+  check_equals_cold base warm pairs
 
 let test_path_system_corrupt_contract () =
   (* Damaging any single byte of a v2 payload either still decodes — the
      flip can land on another representable collection — or raises
      [Corrupt]; no other exception may escape, and structural damage must
      be caught. *)
-  let g, entries = sample_system_entries 4 in
-  let encoded = Codec.encode_path_system g entries in
+  let g, system, ranges = sample_system 4 in
+  let encoded = Codec.encode_path_system_slices (Path_system.arena system) ranges in
+  let decode s = Codec.decode_path_system_slices g s in
   let flipped_ok = ref true in
   for i = 0 to String.length encoded - 1 do
     let b = Bytes.of_string encoded in
     Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x5b));
-    match Codec.decode_path_system g (Bytes.to_string b) with
+    match decode (Bytes.to_string b) with
     | _ -> ()
     | exception Codec.Corrupt _ -> ()
     | exception _ -> flipped_ok := false
@@ -358,56 +366,53 @@ let test_path_system_corrupt_contract () =
   Alcotest.(check bool) "only Corrupt escapes byte flips" true !flipped_ok;
   Alcotest.(check bool) "truncated" true
     (raises_corrupt (fun () ->
-         Codec.decode_path_system g
-           (String.sub encoded 0 (String.length encoded - 2))));
+         decode (String.sub encoded 0 (String.length encoded - 2))));
   Alcotest.(check bool) "trailing bytes" true
-    (raises_corrupt (fun () -> Codec.decode_path_system g (encoded ^ "x")));
+    (raises_corrupt (fun () -> decode (encoded ^ "x")));
   (* Versions above the writer's are from the future: refused. *)
   let future = Bytes.of_string encoded in
   Bytes.set future 1 (Char.chr 99);
   Alcotest.(check bool) "future version" true
+    (raises_corrupt (fun () -> decode (Bytes.to_string future)));
+  Alcotest.(check bool) "graph codec tag refused" true
+    (raises_corrupt (fun () -> decode (Codec.encode_graph g)));
+  (* Each pair is written once, in ascending order. *)
+  Alcotest.(check bool) "repeated pair" true
     (raises_corrupt (fun () ->
-         Codec.decode_path_system g (Bytes.to_string future)))
+         decode
+           (Codec.encode_path_system_slices (Path_system.arena system)
+              (List.hd ranges :: ranges))));
+  let empty_pairs pairs =
+    let w = Codec.writer () in
+    Codec.write_u8 w 0x50;
+    Codec.write_u8 w 2;
+    Codec.write_varint w (List.length pairs);
+    List.iter
+      (fun (s, t) ->
+        Codec.write_varint w s;
+        Codec.write_varint w t;
+        Codec.write_varint w 0)
+      pairs;
+    Codec.contents w
+  in
+  Alcotest.(check int) "ascending empty pairs decode" 2
+    (List.length (snd (decode (empty_pairs [ (0, 15); (3, 12) ]))));
+  Alcotest.(check bool) "descending pairs" true
+    (raises_corrupt (fun () -> decode (empty_pairs [ (3, 12); (0, 15) ])))
 
 let test_v2_roundtrip_matches_v1_semantics () =
-  let g, entries = sample_system_entries 5 in
-  let canonical =
-    List.sort (fun ((a : int * int), _) (b, _) -> compare a b) entries
-  in
-  let entries' = Codec.decode_path_system g (Codec.encode_path_system g entries) in
-  Alcotest.(check bool) "round-trip" true (entries_equal canonical entries')
-
-let test_arena_codec_roundtrip () =
-  let g, entries = sample_system_entries 6 in
+  let g, system, ranges = sample_system 5 in
+  Alcotest.(check bool) "round-trip" true
+    (slices_roundtrip (Path_system.arena system) ranges);
+  (* A trivial s = t candidate is a zero-hop slice and survives too. *)
   let a = Arena.create g in
   ignore (Arena.append_path a (Path.trivial 7));
-  List.iter
-    (fun (_, ps) -> List.iter (fun p -> ignore (Arena.append_path a p)) ps)
-    entries;
-  let encoded = Codec.encode_arena a in
-  let b = Codec.decode_arena g encoded in
-  Alcotest.(check int) "length" (Arena.length a) (Arena.length b);
-  for i = 0 to Arena.length a - 1 do
-    Alcotest.(check bool)
-      (Printf.sprintf "slice %d" i)
-      true
-      (path_equal (Arena.to_path a i) (Arena.to_path b i))
-  done;
-  let flipped_ok = ref true in
-  for i = 0 to String.length encoded - 1 do
-    let d = Bytes.of_string encoded in
-    Bytes.set d i (Char.chr (Char.code (Bytes.get d i) lxor 0x2d));
-    match Codec.decode_arena g (Bytes.to_string d) with
-    | _ -> ()
-    | exception Codec.Corrupt _ -> ()
-    | exception _ -> flipped_ok := false
-  done;
-  Alcotest.(check bool) "only Corrupt escapes byte flips" true !flipped_ok;
-  Alcotest.(check bool) "truncated" true
-    (raises_corrupt (fun () ->
-         Codec.decode_arena g (String.sub encoded 0 (String.length encoded - 1))));
-  Alcotest.(check bool) "graph codec tag refused" true
-    (raises_corrupt (fun () -> Codec.decode_arena g (Codec.encode_graph g)))
+  let a', ranges' =
+    Codec.decode_path_system_slices g
+      (Codec.encode_path_system_slices a [ ((7, 7), (0, 1)) ])
+  in
+  Alcotest.(check bool) "trivial slice" true
+    (ranges' = [ ((7, 7), (0, 1)) ] && path_equal (Path.trivial 7) (Arena.to_path a' 0))
 
 let test_pairs_digest_canonical () =
   let a = Codec.pairs_digest [ (1, 2); (0, 3); (1, 2) ] in
@@ -585,35 +590,68 @@ let test_memo_hop_constrained_warm () =
            (Oblivious.distribution warm s t)))
     pairs
 
+let all_pairs n =
+  List.concat_map
+    (fun s -> List.filter_map (fun t -> if s = t then None else Some (s, t)) (List.init n Fun.id))
+    (List.init n Fun.id)
+
 let test_memo_alpha_sample_warm () =
   with_store @@ fun st ->
   let g = Gen.grid 4 4 in
   let base = Ksp.routing ~k:4 g in
-  let pairs = [ (0, 15); (1, 14) ] in
-  let cold =
-    Memo.alpha_sample ~store:st ~base_key:"ksp4" (Rng.create 7) base ~alpha:3
-      ~pairs
-  in
-  let h0 = cval "hit" in
-  let warm =
-    Memo.alpha_sample ~store:st ~base_key:"ksp4" (Rng.create 7) base ~alpha:3
-      ~pairs
-  in
+  let pairs = [ (0, 15); (1, 14); (6, 9) ] in
+  ignore (warm_sample st base pairs);
+  let h0 = cval "hit" and c0 = cval "corrupt" in
+  let warm = warm_sample st base pairs in
   Alcotest.(check int) "sample hit" (h0 + 1) (cval "hit");
-  let check_pair (s, t) =
-    let ps = Path_system.paths cold s t and ps' = Path_system.paths warm s t in
-    Alcotest.(check int) (Printf.sprintf "count %d->%d" s t)
-      (List.length ps) (List.length ps');
-    List.iter2
-      (fun a b ->
-        Alcotest.(check bool) (Printf.sprintf "path %d->%d" s t) true
-          (path_equal a b))
-      ps ps'
-  in
-  List.iter check_pair pairs;
-  (* A pair outside the cached set falls through to the always-constructed
-     fallback sampler, whose split_at-keyed draws match the cold run. *)
-  check_pair (2, 13)
+  Alcotest.(check int) "nothing counted as damage" c0 (cval "corrupt");
+  (* The cached pairs come from the payload; every other pair falls
+     through to the always-constructed fallback sampler, whose
+     split_at-keyed draws match the cold run. *)
+  check_equals_cold base warm (all_pairs (Graph.n g))
+
+(* Payloads that pass the store checksum and decode, but would install a
+   broken system, are damage: counted, then re-sampled and re-stored. *)
+let check_damaged_sample_rebuilds name damage =
+  with_store @@ fun st ->
+  let g = Gen.grid 4 4 in
+  let base = Ksp.routing ~k:4 g in
+  let pairs = [ (0, 15); (3, 12) ] in
+  let cold = Sampler.alpha_sample (Rng.create 7) base ~alpha:3 in
+  let ranges = List.map (fun (s, t) -> ((s, t), Path_system.slice_range cold s t)) pairs in
+  let recipe = alpha_recipe g base pairs in
+  Store.put st recipe (damage (Path_system.arena cold) ranges);
+  let c0 = cval "corrupt" in
+  let warm = warm_sample st base pairs in
+  Alcotest.(check int) (name ^ ": counted as damage") (c0 + 1) (cval "corrupt");
+  check_equals_cold base warm pairs;
+  let h0 = cval "hit" in
+  ignore (warm_sample st base pairs);
+  Alcotest.(check (pair int int)) (name ^ ": the rebuild was stored") (h0 + 1, c0 + 1)
+    (cval "hit", cval "corrupt")
+
+let test_memo_repeated_slice_is_damage () =
+  (* Pair (0,15) lists its first candidate twice. *)
+  check_damaged_sample_rebuilds "repeated slice" (fun a ranges ->
+      let b = Arena.create (Arena.graph a) in
+      let ranges' =
+        List.mapi
+          (fun k (pair, (first, count)) ->
+            let start = Arena.length b in
+            if k = 0 then ignore (Arena.append_slice b a first);
+            for i = first to first + count - 1 do
+              ignore (Arena.append_slice b a i)
+            done;
+            (pair, (start, Arena.length b - start)))
+          ranges
+      in
+      Codec.encode_path_system_slices b ranges')
+
+let test_memo_repeated_pair_is_damage () =
+  (* Pair (0,15) is listed twice, the second time with one candidate. *)
+  check_damaged_sample_rebuilds "repeated pair" (fun a ranges ->
+      let pair, (first, _) = List.hd ranges in
+      Codec.encode_path_system_slices a (ranges @ [ (pair, (first, 1)) ]))
 
 let test_memo_corrupt_payload_rebuilds () =
   with_store @@ fun st ->
@@ -729,7 +767,6 @@ let () =
             test_path_system_corrupt_contract;
           Alcotest.test_case "v2 round-trip" `Quick
             test_v2_roundtrip_matches_v1_semantics;
-          Alcotest.test_case "arena round-trip" `Quick test_arena_codec_roundtrip;
           Alcotest.test_case "pairs digest" `Quick test_pairs_digest_canonical;
         ] );
       ( "store",
@@ -759,5 +796,9 @@ let () =
             test_e2e_cold_warm_jobs;
           Alcotest.test_case "structurally damaged forest rebuilds" `Quick
             test_memo_structurally_damaged_forest_rebuilds;
+          Alcotest.test_case "repeated slice in a sample is damage" `Quick
+            test_memo_repeated_slice_is_damage;
+          Alcotest.test_case "repeated pair in a sample is damage" `Quick
+            test_memo_repeated_pair_is_damage;
         ] );
     ]

@@ -81,8 +81,67 @@ let test_path_system_restrict_hops () =
   let direct = Path.of_vertices g [ 0; 1 ] in
   let detour = Path.of_vertices g [ 0; 2; 3; 1 ] in
   let ps = Path_system.of_pairs g [ ((0, 1), [ direct; detour ]) ] in
-  let short = Path_system.restrict_hops ~max_hops:1 ps in
+  let short = Path_system.filter (fun a i -> Sso_graph.Arena.hops a i <= 1) ps in
   Alcotest.(check int) "only the direct edge" 1 (List.length (Path_system.paths short 0 1))
+
+let test_path_system_preload () =
+  (* Preloaded slices are copied in order and checked with the install
+     contract; a rejected call installs nothing, so later pairs still come
+     from the generator. *)
+  let g = Gen.cycle 4 in
+  let p = Path.of_vertices g [ 0; 1; 2 ] and q = Path.of_vertices g [ 0; 3; 2 ] in
+  let r = Path.of_vertices g [ 1; 2 ] in
+  let a = Sso_graph.Arena.create g in
+  List.iter (fun x -> ignore (Sso_graph.Arena.append_path a x)) [ q; p; p; r ];
+  let fresh () = Path_system.of_generator g (fun _ _ -> []) in
+  let rejects msg ranges =
+    let ps = fresh () in
+    Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+        Path_system.preload ps a ranges);
+    Alcotest.(check (list (pair int int))) (msg ^ ": nothing installed") []
+      (Path_system.known_pairs ps)
+  in
+  rejects "Path_system: duplicate path in candidate set"
+    [ ((1, 2), (3, 1)); ((0, 2), (1, 2)) ];
+  rejects "Path_system: path endpoints do not match pair" [ ((0, 2), (2, 2)) ];
+  let other = Path_system.of_generator (Gen.cycle 4) (fun _ _ -> []) in
+  Alcotest.check_raises "another graph"
+    (Invalid_argument "Path_system.preload: arena over another graph") (fun () ->
+      Path_system.preload other a []);
+  let ps = fresh () in
+  Path_system.preload ps a [ ((0, 2), (0, 2)); ((1, 2), (3, 1)) ];
+  Alcotest.(check bool) "copied in slice order" true
+    (List.equal Path.equal [ q; p ] (Path_system.paths ps 0 2));
+  Alcotest.(check int) "other pairs from the generator" 0 (Path_system.slice_count ps 0 3);
+  Alcotest.check_raises "already installed"
+    (Invalid_argument "Path_system.preload: duplicate pair") (fun () ->
+      Path_system.preload ps a [ ((1, 2), (3, 1)) ])
+
+let test_path_system_rejects_cleanly () =
+  (* A rejected generator list installs nothing, not even arena bytes; a
+     list with both defects reports the one a scan in list order meets
+     first; a repeat is found in a full support of hundreds of paths. *)
+  let g = Gen.cycle 4 in
+  let p = Path.of_vertices g [ 0; 1; 2 ] and q = Path.of_vertices g [ 0; 3; 2 ] in
+  let bad = Path.of_vertices g [ 0; 1 ] in
+  let ps = Path_system.of_generator g (fun _ _ -> [ p; q; p ]) in
+  Alcotest.check_raises "repeat"
+    (Invalid_argument "Path_system: duplicate path in candidate set") (fun () ->
+      ignore (Path_system.slice_count ps 0 2));
+  Alcotest.(check int) "no arena bytes" 0 (Sso_graph.Arena.length (Path_system.arena ps));
+  Alcotest.(check (list (pair int int))) "no entry" [] (Path_system.known_pairs ps);
+  Alcotest.check_raises "repeat before the bad endpoint"
+    (Invalid_argument "Path_system: duplicate path in candidate set") (fun () ->
+      ignore (Path_system.of_pairs g [ ((0, 2), [ p; p; bad ]) ]));
+  Alcotest.check_raises "bad endpoint before the repeat"
+    (Invalid_argument "Path_system: path endpoints do not match pair") (fun () ->
+      ignore (Path_system.of_pairs g [ ((0, 2), [ p; bad; p ]) ]));
+  let cube = Gen.hypercube 6 in
+  let full = Path_system.paths (Path_system.of_oblivious_support (Valiant.routing cube)) 0 63 in
+  Alcotest.(check bool) "a large support" true (List.length full > 50);
+  Alcotest.check_raises "repeat in a large support"
+    (Invalid_argument "Path_system: duplicate path in candidate set") (fun () ->
+      ignore (Path_system.of_pairs cube [ ((0, 63), full @ [ List.nth full 17 ]) ]))
 
 let test_slice_view_matches_paths () =
   (* The arena slice index and the boxed compatibility view describe the
@@ -922,17 +981,17 @@ let test_without_edge_filters () =
   let b = Path.of_vertices g [ 0; 3; 1 ] in
   let ps = Path_system.of_pairs g [ ((0, 1), [ a; b ]) ] in
   let failed = a.Path.edges.(0) in
-  let survivors = Path_system.filter_paths (fun p -> not (Path.mem_edge p failed)) ps in
+  let survivors = Path_system.filter (fun a i -> not (Sso_graph.Arena.mem_edge a i failed)) ps in
   Alcotest.(check int) "one survivor" 1 (List.length (Path_system.paths survivors 0 1));
   Alcotest.(check bool) "the right one" true
     (Path.equal b (List.hd (Path_system.paths survivors 0 1)))
 
-let test_filter_paths_by_hops () =
+let test_filter_by_hops () =
   let g = Gen.multi_path [ 1; 3 ] in
   let direct = Path.of_vertices g [ 0; 1 ] in
   let detour = Path.of_vertices g [ 0; 2; 3; 1 ] in
   let ps = Path_system.of_pairs g [ ((0, 1), [ direct; detour ]) ] in
-  let long_only = Path_system.filter_paths (fun p -> Path.hops p > 1) ps in
+  let long_only = Path_system.filter (fun a i -> Sso_graph.Arena.hops a i > 1) ps in
   Alcotest.(check int) "kept the detour" 1 (List.length (Path_system.paths long_only 0 1))
 
 let test_robustness_redundant_candidates_survive () =
@@ -1136,6 +1195,60 @@ let test_aux_rejects_diagonal () =
 
 (* Properties *)
 
+(* Failure and hop views run over slices.  Reference: the boxed
+   [List.filter] over the parent's paths, which the views replaced. *)
+let prop_filter_views_match_boxed_filter =
+  QCheck.Test.make ~name:"filter views = boxed List.filter, same Stage-4 digest"
+    ~count:40
+    QCheck.(triple small_nat bool bool)
+    (fun (seed, use_grid, use_racke) ->
+      let rng = Rng.create seed in
+      let g =
+        if use_grid then Gen.grid (3 + (seed mod 3)) 4
+        else Gen.random_regular (Rng.split rng) (8 + (2 * (seed mod 4))) 3
+      in
+      let base =
+        if use_racke then Racke.routing (Rng.split rng) ~trees:3 g else Ksp.routing ~k:4 g
+      in
+      let ps = Sampler.alpha_sample (Rng.split rng) base ~alpha:3 in
+      let n = Graph.n g in
+      let pairs =
+        List.sort_uniq compare
+          (List.init 6 (fun _ ->
+               let s = Rng.int rng n in
+               (s, (s + 1 + Rng.int rng (n - 1)) mod n)))
+      in
+      let failed = Array.init (Graph.m g) (fun _ -> Rng.float rng < 0.15) in
+      let down e = failed.(e) in
+      let cap = 1 + Rng.int rng 6 in
+      let views =
+        [
+          ( (fun (p : Path.t) -> not (Array.exists down p.Path.edges)),
+            Path_system.filter (fun a i -> not (Sso_graph.Arena.exists a i down)) ps );
+          ( (fun p -> Path.hops p <= cap),
+            Path_system.filter (fun a i -> Sso_graph.Arena.hops a i <= cap) ps );
+        ]
+      in
+      let digest system d =
+        let r, _ = Semi_oblivious.route ~solver:(Semi_oblivious.Mwu 30) g system d in
+        Sso_artifact.Codec.fnv1a64 (Sso_artifact.Codec.encode_routing r)
+      in
+      List.for_all
+        (fun (keep, view) ->
+          let expected =
+            List.map (fun (s, t) -> ((s, t), List.filter keep (Path_system.paths ps s t))) pairs
+          in
+          List.for_all
+            (fun ((s, t), paths) -> List.equal Path.equal paths (Path_system.paths view s t))
+            expected
+          &&
+          let routable = List.filter (fun (_, paths) -> paths <> []) expected in
+          routable = []
+          ||
+          let d = Demand.of_list (List.map (fun ((s, t), _) -> (s, t, 1.0)) routable) in
+          digest view d = digest (Path_system.of_pairs g routable) d)
+        views)
+
 let prop_alpha_sample_always_sparse =
   QCheck.Test.make ~name:"α-samples are α-sparse" ~count:30
     QCheck.(pair small_int (int_range 1 6))
@@ -1204,6 +1317,10 @@ let () =
             test_slice_view_matches_paths;
           Alcotest.test_case "materialize_parallel jobs-invariant" `Quick
             test_materialize_parallel_jobs_invariant;
+          Alcotest.test_case "preload checks before installing" `Quick
+            test_path_system_preload;
+          Alcotest.test_case "rejected lists install nothing" `Quick
+            test_path_system_rejects_cleanly;
         ] );
       ( "sampler",
         [
@@ -1312,7 +1429,7 @@ let () =
       ( "robustness",
         [
           Alcotest.test_case "without edge" `Quick test_without_edge_filters;
-          Alcotest.test_case "filter by hops" `Quick test_filter_paths_by_hops;
+          Alcotest.test_case "filter by hops" `Quick test_filter_by_hops;
           Alcotest.test_case "redundancy survives" `Quick
             test_robustness_redundant_candidates_survive;
           Alcotest.test_case "single candidate strands" `Quick
@@ -1343,5 +1460,6 @@ let () =
             prop_stage4_never_beats_unrestricted;
             prop_certified_never_beats_exact_stage4;
             prop_weak_route_kept_within_gamma;
+            prop_filter_views_match_boxed_filter;
           ] );
     ]

@@ -345,7 +345,7 @@ let test_warm_recovery_golden () =
     | [] -> Alcotest.fail "pre-failure routing misses a demanded pair"
   in
   let survivors =
-    Path_system.filter_paths (fun p -> not (Path.mem_edge p failed)) system
+    Path_system.filter (fun a i -> not (Sso_graph.Arena.mem_edge a i failed)) system
   in
   Alcotest.(check string) "warm recovery on survivors" "af3752173c2c07ed7fd0f64a04e21cac"
     (routing_digest

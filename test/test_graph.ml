@@ -1443,6 +1443,24 @@ let prop_arena_equal_slices =
             (List.init 10 Fun.id))
         (List.init 10 Fun.id))
 
+let test_arena_truncate () =
+  let g = Gen.grid 3 3 in
+  let a = Arena.create g in
+  let p = Path.of_vertices g [ 0; 1; 2 ] and q = Path.of_vertices g [ 0; 3; 6 ] in
+  ignore (Arena.append_path a p);
+  let bytes = Arena.memory_bytes a in
+  ignore (Arena.append_path a q);
+  ignore (Arena.append_path a p);
+  Arena.truncate a 1;
+  Alcotest.(check int) "length" 1 (Arena.length a);
+  Alcotest.(check int) "bytes dropped" bytes (Arena.memory_bytes a);
+  Alcotest.(check bool) "kept slice intact" true (Path.equal p (Arena.to_path a 0));
+  let iq = Arena.append_path a q in
+  Alcotest.(check bool) "appends reuse the space" true (Path.equal q (Arena.to_path a iq));
+  Arena.truncate a 2;
+  Alcotest.check_raises "past the end" (Invalid_argument "Arena.truncate: bad length")
+    (fun () -> Arena.truncate a 3)
+
 let prop_arena_byte_regions_contiguous =
   QCheck.Test.make ~name:"arena byte regions tile the buffer" ~count:100
     QCheck.(pair small_int (int_range 1 12))
@@ -1609,6 +1627,7 @@ let () =
           Alcotest.test_case "rejects non-walk" `Quick test_arena_rejects_non_walk;
           Alcotest.test_case "merge" `Quick test_arena_merge;
           Alcotest.test_case "unpack" `Quick test_arena_unpack;
+          Alcotest.test_case "truncate" `Quick test_arena_truncate;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

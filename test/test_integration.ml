@@ -180,7 +180,7 @@ let test_failure_then_simulate () =
   | [] -> Alcotest.fail "expected a survivable failure"
   | failed :: _ ->
       let survivors =
-        Path_system.filter_paths (fun p -> not (Path.mem_edge p failed)) system
+        Path_system.filter (fun a i -> not (Sso_graph.Arena.mem_edge a i failed)) system
       in
       let assignment, _ =
         Integral.congestion_upper (Rng.split rng) g survivors d

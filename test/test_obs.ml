@@ -105,6 +105,31 @@ let test_empty_roundtrip () =
   Sys.remove path;
   Alcotest.(check bool) "empty trace round-trips" true (trace_equal t loaded)
 
+let test_save_failure_cleans_up () =
+  (* Saving onto a directory fails with [Unreadable], and the temporary
+     written beside it is removed. *)
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "sso_obs_save_test.%d" (Unix.getpid ()))
+  in
+  Unix.mkdir dir 0o700;
+  let target = Filename.concat dir "trace.jsonl" in
+  Unix.mkdir target 0o700;
+  Fun.protect ~finally:(fun () ->
+      Array.iter
+        (fun f ->
+          let p = Filename.concat dir f in
+          if Sys.is_directory p then Unix.rmdir p else Sys.remove p)
+        (Sys.readdir dir);
+      Unix.rmdir dir)
+  @@ fun () ->
+  Alcotest.(check bool) "Unreadable" true
+    (match Trace.save target sample_trace with
+    | () -> false
+    | exception Trace.Unreadable _ -> true);
+  Alcotest.(check (list string)) "no temporary left" [ "trace.jsonl" ]
+    (Array.to_list (Sys.readdir dir))
+
 let prop_attrs_roundtrip =
   let open QCheck in
   let value_gen =
@@ -610,6 +635,8 @@ let () =
           Alcotest.test_case "round-trip" `Quick test_roundtrip;
           Alcotest.test_case "empty round-trip" `Quick test_empty_roundtrip;
           prop_attrs_roundtrip;
+          Alcotest.test_case "failed save cleans up" `Quick
+            test_save_failure_cleans_up;
         ] );
       ( "contract",
         [ Alcotest.test_case "load errors" `Quick test_load_contract ] );

@@ -846,6 +846,58 @@ let test_write_metrics_cleanup () =
   Alcotest.(check int) "no stale .tmp after failure" 1
     (Array.length (Sys.readdir dir))
 
+(* Every in-place writer, handed a target that is a directory, must fail
+   with its own error and leave nothing beside the target.  [write]
+   receives the target path and raises; the result is what is left in the
+   enclosing directory. *)
+let leftovers_after_failed_write name write =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "sso_writer_test.%d.%s" (Unix.getpid ()) name)
+  in
+  Unix.mkdir dir 0o700;
+  let target = Filename.concat dir name in
+  Unix.mkdir target 0o700;
+  Fun.protect ~finally:(fun () ->
+      Array.iter
+        (fun f ->
+          let p = Filename.concat dir f in
+          if Sys.is_directory p then Unix.rmdir p else Sys.remove p)
+        (Sys.readdir dir);
+      Unix.rmdir dir)
+  @@ fun () ->
+  Alcotest.(check bool) (name ^ ": write fails") true (write dir target);
+  Alcotest.(check (list string)) (name ^ ": no temporary left") [ name ]
+    (Array.to_list (Sys.readdir dir))
+
+let test_writers_clean_up () =
+  leftovers_after_failed_write "stream.jsonl" (fun _ target ->
+      match Update.save target [ ev 0 0 1 (Update.Arrive 1.0) ] with
+      | () -> false
+      | exception Update.Unreadable _ -> true);
+  let srv = make_service () in
+  let g, _ = make_parts () in
+  ignore (Serve.step srv ~tick:0 [ ev 0 0 1 (Update.Arrive 1.0) ]);
+  leftovers_after_failed_write (Checkpoint.filename ~tick:0) (fun dir _ ->
+      match
+        Checkpoint.write ~dir ~stream_digest:1L ~graph:g
+          ~config:Serve.default_config (Serve.snapshot srv)
+      with
+      | _ -> false
+      | exception Checkpoint.Unreadable _ -> true);
+  let recipe = Sso_artifact.Store.recipe ~kind:"writer-test" [] in
+  leftovers_after_failed_write
+    (Codec.hex_of_key (Sso_artifact.Store.key recipe) ^ ".art")
+    (fun dir _ ->
+      let st = Sso_artifact.Store.open_ ~dir () in
+      match Sso_artifact.Store.put st recipe "payload" with
+      | () -> false
+      | exception Sso_artifact.Store.Unreadable _ -> true);
+  leftovers_after_failed_write "metrics.prom" (fun _ target ->
+      match Serve.write_metrics ~path:target with
+      | () -> false
+      | exception Sys_error _ -> true)
+
 (* ---- parser fuzzing: byte mutations never escape the contract ---- *)
 
 let mutate content kind pos extra =
@@ -1000,6 +1052,8 @@ let () =
         [
           Alcotest.test_case "atomic snapshot hygiene" `Quick
             test_write_metrics_cleanup;
+          Alcotest.test_case "failed writers leave no temporary" `Quick
+            test_writers_clean_up;
         ] );
       ( "equivalence",
         [
