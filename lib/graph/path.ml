@@ -129,10 +129,6 @@ let concat g p q =
   if p.dst <> q.src then invalid_arg "Path.concat: endpoints do not meet";
   simplify g { src = p.src; dst = q.dst; edges = Array.append p.edges q.edges }
 
-let reverse p =
-  let n = Array.length p.edges in
-  { src = p.dst; dst = p.src; edges = Array.init n (fun i -> p.edges.(n - 1 - i)) }
-
 let unsafe_of_edges ~src ~dst edges = { src; dst; edges }
 
 (* Edge sequences are ordered like the polymorphic compare on int arrays

@@ -60,9 +60,6 @@ val concat : Graph.t -> t -> t -> t
     [s → t] and {!simplify}s it.  @raise Invalid_argument if
     [p.dst <> q.src]. *)
 
-val reverse : t -> t
-(** The same edges traversed backwards. *)
-
 val equal : t -> t -> bool
 (** Structural equality on (src, dst, edge sequence). *)
 

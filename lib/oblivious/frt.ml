@@ -13,14 +13,15 @@ module Trace = Sso_obs.Trace
    harvests the paths to {e all} of that hub's children at once — the
    children are known from the chain table — so the number of Dijkstras a
    tree ever runs is bounded by its cluster count, not by its query count,
-   and the cache stores O(n) total hops instead of n-word predecessor
-   arrays.  Total cached hops are bounded ([hub_cap]);
-   least-recently-used hubs are evicted past the budget. *)
-type hub_entry = {
-  h_paths : (int, Path.t) Hashtbl.t; (* child center -> path hub -> child *)
-  h_hops : int; (* total stored hops: the entry's weight against hub_cap *)
-  mutable h_last_use : int;
-}
+   and the cache stores one path per tree edge instead of n-word
+   predecessor arrays.  Nothing is evicted: a tree has at most one tree
+   edge per (vertex, level), so the cache never outgrows one path per
+   entry of the chain table.
+
+   [route] does not look hubs up per segment: a dense index with one slot
+   per (vertex v, level i >= 1) holds the edges of the tree edge
+   chain.(v).(i) -> chain.(v).(i-1), taken from the hub's paths on the
+   slot's first use.  A hit is one array read — no lock, no table. *)
 
 type t = {
   graph : Graph.t;
@@ -31,34 +32,23 @@ type t = {
   delta : float; (* min clamped edge length ([infinity] when m = 0) *)
   children : (int * int, int array) Hashtbl.t;
       (* (hub, parent level) -> distinct child centers below it *)
-  hub_cache : (int * int, hub_entry) Hashtbl.t; (* key (hub, parent level) *)
-  mutable hub_clock : int; (* LRU clock, bumped per lookup *)
-  mutable hub_bindings : int; (* total hops across cached entries *)
-  hub_cap : int;
-  hub_lock : Mutex.t; (* guards the cache: trees route from pool workers *)
+  segments : int array array;
+      (* segments.(v·levels + i - 1): edges of the tree edge from
+         chain.(v).(i) down to chain.(v).(i-1), [unfilled] until first use *)
+  hub_cache : (int * int, (int, Path.t) Hashtbl.t) Hashtbl.t;
+      (* (hub, parent level) -> child center -> path hub -> child *)
+  hub_lock : Mutex.t; (* guards [hub_cache]: trees route from pool workers *)
 }
 
 let min_length = 1e-9
 
+(* The empty-slot marker of [segments], told apart by physical equality: a
+   trivial segment (hub = child) is the empty array. *)
+let unfilled = [| -1 |]
+
 let build_span = Obs.span "frt.build"
 let metric_span = Obs.span "frt.metric"
-let hub_evict_counter = Obs.counter "frt.hub_evict"
 let hub_fill_counter = Obs.counter "frt.hub_fill"
-
-(* Per-tree budget on cached hub-tree bindings.  The default keeps the
-   cache O(n): a handful of coarse (near-full-graph) trees plus thousands
-   of fine ones.  Overridable for tests and tuning; routing results never
-   depend on the budget, only miss counts do. *)
-let default_hub_budget n = max 65536 (8 * n)
-let hub_budget_override = ref None
-
-let set_hub_cache_budget = function
-  | Some b when b < 1 ->
-      invalid_arg "Frt.set_hub_cache_budget: budget must be >= 1"
-  | o -> hub_budget_override := o
-
-let hub_budget n =
-  match !hub_budget_override with Some b -> b | None -> default_hub_budget n
 
 (* Enumerate the tree edges (hub at level i+1 -> child center at level i),
    grouped by hub.  O(n·levels); the same center can head several clusters
@@ -93,10 +83,8 @@ let make_tree g ~levels ~chain ~cluster_id ~lengths ~delta =
     lengths;
     delta;
     children = children_table ~levels ~chain (Graph.n g);
+    segments = Array.make (Graph.n g * levels) unfilled;
     hub_cache = Hashtbl.create 64;
-    hub_clock = 0;
-    hub_bindings = 0;
-    hub_cap = hub_budget (Graph.n g);
     hub_lock = Mutex.create ();
   }
 
@@ -437,79 +425,42 @@ let fill_hub t hub plevel =
       Hashtbl.replace paths c
         (path_by_search t hub c ~radius:(4.0 *. hub_radius t plevel)))
     (List.rev !missing);
-  let hops = Hashtbl.fold (fun _ p acc -> acc + Path.hops p) paths 0 in
-  { h_paths = paths; h_hops = max 1 hops; h_last_use = 0 }
+  paths
 
 let hub_entry t hub plevel =
   let key = (hub, plevel) in
-  Mutex.lock t.hub_lock;
-  t.hub_clock <- t.hub_clock + 1;
-  let clock = t.hub_clock in
-  let cached =
-    match Hashtbl.find_opt t.hub_cache key with
-    | Some e ->
-        e.h_last_use <- clock;
-        Some e
-    | None -> None
-  in
-  Mutex.unlock t.hub_lock;
-  match cached with
-  | Some e -> e
+  match Mutex.protect t.hub_lock (fun () -> Hashtbl.find_opt t.hub_cache key) with
+  | Some paths -> paths
   | None ->
       (* The Dijkstra runs outside the lock; a racing duplicate computes
          the same paths (the fill is a function of the key), so whichever
          insert lands is equivalent.  Entries are immutable once
          published: concurrent readers never see writes. *)
-      let entry = fill_hub t hub plevel in
-      Mutex.lock t.hub_lock;
-      let entry =
-        match Hashtbl.find_opt t.hub_cache key with
-        | Some e ->
-            e.h_last_use <- t.hub_clock;
-            e
-        | None ->
-            entry.h_last_use <- clock;
-            Hashtbl.replace t.hub_cache key entry;
-            t.hub_bindings <- t.hub_bindings + entry.h_hops;
-            (* Evict least-recently-used hubs past the budget; the entry
-               just inserted is never the victim (it is only spared
-               explicitly, since a budget below its own weight would
-               otherwise evict it before its caller ever reads it). *)
-            let keep_evicting = ref (t.hub_bindings > t.hub_cap) in
-            while !keep_evicting && Hashtbl.length t.hub_cache > 1 do
-              let worst = ref None in
-              Hashtbl.iter
-                (fun k (e : hub_entry) ->
-                  if k <> key then
-                    match !worst with
-                    | Some (_, w) when w.h_last_use <= e.h_last_use -> ()
-                    | _ -> worst := Some (k, e))
-                t.hub_cache;
-              (match !worst with
-              | Some (k, e) ->
-                  Hashtbl.remove t.hub_cache k;
-                  t.hub_bindings <- t.hub_bindings - e.h_hops;
-                  Obs.incr hub_evict_counter
-              | None -> ());
-              keep_evicting :=
-                t.hub_bindings > t.hub_cap && !worst <> None
-            done;
-            entry
-      in
-      Mutex.unlock t.hub_lock;
-      entry
+      let paths = fill_hub t hub plevel in
+      Mutex.protect t.hub_lock (fun () ->
+          match Hashtbl.find_opt t.hub_cache key with
+          | Some first -> first
+          | None ->
+              Hashtbl.replace t.hub_cache key paths;
+              paths)
 
-(* Path hub → child along the memoized tree edge ([hub] the level-[plevel]
-   center, [child] the center of one of its child clusters). *)
-let hub_path t ~plevel hub child =
-  if hub = child then Path.trivial child
+(* The edges of v's level-[i] tree edge, from the index.  A miss takes
+   them from the hub's paths, which cover every child center of the
+   [children] table; racing writers of a slot store equal arrays (the fill
+   is a function of (hub, level) alone), so whichever lands is
+   equivalent. *)
+let segment t v i =
+  let slot = (v * t.levels) + i - 1 in
+  let seg = t.segments.(slot) in
+  if seg != unfilled then seg
   else begin
-    let e = hub_entry t hub plevel in
-    match Hashtbl.find_opt e.h_paths child with
-    | Some p -> p
-    | None ->
-        (* Not a tree edge of this hub (never reached via [route]). *)
-        path_by_search t hub child ~radius:(4.0 *. hub_radius t plevel)
+    let hub = t.chain.(v).(i) and child = t.chain.(v).(i - 1) in
+    let seg =
+      if hub = child then [||]
+      else (Hashtbl.find (hub_entry t hub i) child).Path.edges
+    in
+    t.segments.(slot) <- seg;
+    seg
   end
 
 let route t s t_ =
@@ -521,24 +472,31 @@ let route t s t_ =
       if t.cluster_id.(s).(i) = t.cluster_id.(t_).(i) then i else meet (i + 1)
     in
     let j = meet 0 in
-    (* Both chains root every segment at its parent (level i+1 >= 1)
-       center — a bounded set of hubs whose trees truncate to the cluster
-       scale.  (Rooting the down-chain at the child, as the historical
-       code did, makes every routed destination a hub: an O(n)-entry cache
-       of full predecessor trees.)  The walk s -> hub -> t is the
-       up-segments reversed, then the down-segments, loop-erased once:
-       chronological loop erasure satisfies LE(LE(a)·b) = LE(a·b), so this
-       equals erasing segment by segment. *)
-    let up =
-      List.init j (fun i ->
-          Path.reverse
-            (hub_path t ~plevel:(i + 1) t.chain.(s).(i + 1) t.chain.(s).(i)))
-    in
-    let down =
-      List.init j (fun i ->
-          let lvl = j - i in
-          hub_path t ~plevel:lvl t.chain.(t_).(lvl) t.chain.(t_).(lvl - 1))
-    in
-    let walk = Array.concat (List.map (fun (p : Path.t) -> p.edges) (up @ down)) in
+    (* Both chains root every segment at its parent (level i >= 1) center —
+       a bounded set of hubs whose trees truncate to the cluster scale.
+       (Rooting the down-chain at the child, as the historical code did,
+       makes every routed destination a hub: an O(n)-entry cache of full
+       predecessor trees.)  The walk s -> hub -> t is the up-segments
+       reversed, then the down-segments, loop-erased once: chronological
+       loop erasure satisfies LE(LE(a)·b) = LE(a·b), so this equals
+       erasing segment by segment. *)
+    let len = ref 0 in
+    for i = 1 to j do
+      len := !len + Array.length (segment t s i) + Array.length (segment t t_ i)
+    done;
+    let walk = Array.make !len 0 and pos = ref 0 in
+    for i = 1 to j do
+      let seg = segment t s i in
+      let k = Array.length seg in
+      for h = 0 to k - 1 do
+        walk.(!pos + h) <- seg.(k - 1 - h)
+      done;
+      pos := !pos + k
+    done;
+    for i = j downto 1 do
+      let seg = segment t t_ i in
+      Array.blit seg 0 walk !pos (Array.length seg);
+      pos := !pos + Array.length seg
+    done;
     Path.simplify t.graph (Path.unsafe_of_edges ~src:s ~dst:t_ walk)
   end

@@ -24,14 +24,6 @@ val build :
     [pool]; chains and cluster ids are bit-identical at any job count.
     @raise Invalid_argument if the graph is disconnected. *)
 
-val set_hub_cache_budget : int option -> unit
-(** Override the per-tree budget (total cached predecessor-map bindings)
-    for the hub shortest-path-tree cache of trees built afterwards.
-    [None] restores the default ([max 65536 (8·n)]).  Exceeding the budget
-    evicts least-recently-used hub trees (counted by the [frt.hub_evict]
-    counter); routing results never depend on the budget.
-    @raise Invalid_argument on a non-positive budget. *)
-
 type parts = {
   p_levels : int;
   p_chain : int array array;  (** [n × (levels+1)] cluster centers *)
@@ -63,8 +55,16 @@ val route : t -> int -> int -> Sso_graph.Path.t
 (** The unique tree path between two vertices, mapped into the graph: the
     center-to-center shortest paths up from [s] and down to [t], appended
     into one walk and loop-erased once by {!Sso_graph.Path.simplify}.
-    Always a simple path from [s] to [t].  Segments come from a per-hub
-    cache; each hub Dijkstra that fills it counts [frt.hub_fill]. *)
+    Always a simple path from [s] to [t].
+
+    Segments come from a dense per-tree index, one slot per (vertex,
+    level): one word each, next to the chain and cluster-id tables it
+    mirrors.  A slot is filled on first use from its hub's paths — one
+    truncated Dijkstra per (hub, level) finds the paths to all of that
+    hub's children and counts [frt.hub_fill] — and is never evicted.  A
+    filled slot is read without a lock or a table lookup, so trees route
+    concurrently from pool workers; racing fills store equal paths, and
+    routes never depend on the order in which slots fill. *)
 
 val cluster_center : t -> int -> int -> int
 (** [cluster_center t v level] is the center of the cluster containing [v]

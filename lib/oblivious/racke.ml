@@ -81,8 +81,8 @@ let default_trees g =
 
 let forest ?pool rng ?trees ?(batch = 4) g =
   let count = match trees with Some c -> c | None -> default_trees g in
-  if count <= 0 then invalid_arg "Racke.routing: need at least one tree";
-  if batch <= 0 then invalid_arg "Racke.routing: batch must be positive";
+  if count <= 0 then invalid_arg "Racke.forest: need at least one tree";
+  if batch <= 0 then invalid_arg "Racke.forest: batch must be positive";
   let m = Graph.m g in
   let cum = Array.make m 0.0 in
   (* Exponential penalties, normalized for stability; eta balances greed

@@ -36,7 +36,9 @@ val forest :
   Sso_prng.Rng.t -> ?trees:int -> ?batch:int -> Sso_graph.Graph.t -> Frt.t list
 (** The MWU-sampled tree mixture behind {!routing}, exposed so the artifact
     store can persist it ({!Frt.to_parts}) and rebuild the routing without
-    re-running the construction. *)
+    re-running the construction.
+    @raise Invalid_argument naming [Racke.forest] if [trees] or [batch] is
+    not positive ({!routing} raises the same). *)
 
 val of_forest : Sso_graph.Graph.t -> Frt.t list -> Oblivious.t
 (** The uniform mixture over an already-built forest.

@@ -180,12 +180,6 @@ let prop_simplify_matches_reference =
            (Path.of_edges g ~src:walk.Path.src ~dst:walk.Path.dst
               simple.Path.edges))
 
-let test_path_reverse () =
-  let g = Gen.path_graph 4 in
-  let p = Path.of_vertices g [ 0; 1; 2 ] in
-  let r = Path.reverse p in
-  Alcotest.(check (array int)) "reversed" [| 2; 1; 0 |] (Path.vertices g r)
-
 let test_path_weight () =
   let g = Gen.path_graph 4 in
   let p = Path.of_vertices g [ 0; 1; 2; 3 ] in
@@ -1501,7 +1495,6 @@ let () =
           Alcotest.test_case "simplify identity" `Quick test_path_simplify_identity;
           Alcotest.test_case "concat" `Quick test_path_concat;
           Alcotest.test_case "concat cancels" `Quick test_path_concat_cancels;
-          Alcotest.test_case "reverse" `Quick test_path_reverse;
           Alcotest.test_case "weight" `Quick test_path_weight;
           QCheck_alcotest.to_alcotest prop_simplify_matches_reference;
         ] );

@@ -384,32 +384,39 @@ let test_frt_of_parts_rejects_bad_structure () =
       p.Frt.p_cluster_id.(v).(i) <- cid.(w).(i);
       p.Frt.p_chain.(v).(i) <- chain.(w).(i))
 
-let test_frt_hub_cache_budget () =
-  (* A starvation-level hub cache budget forces evictions but must not
-     change any route. *)
-  let g = Gen.grid 4 4 in
-  let length _ = 1.0 in
-  let corners = [ 0; 3; 5; 10; 12; 15 ] in
-  let pairs =
-    List.concat_map
-      (fun s ->
-        List.filter_map (fun t -> if s = t then None else Some (s, t)) corners)
-      corners
+let test_frt_segment_index_fills () =
+  (* The segment index fills lazily, from pool workers and in whatever
+     order pairs are routed; none of that may change a route or a load.
+     Fresh trees keep the index cold, so jobs 4 races its fills. *)
+  let bits a = Array.map Int64.bits_of_float a in
+  let with_pool jobs f =
+    let p = Pool.create ~jobs () in
+    Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
   in
-  let routes tree = List.map (fun (s, t) -> Frt.route tree s t) pairs in
-  let reference = routes (Frt.build (Rng.create 77) g ~length) in
-  let evict = Obs.counter "frt.hub_evict" in
-  let before = Obs.counter_value evict in
-  Frt.set_hub_cache_budget (Some 1);
-  Fun.protect
-    ~finally:(fun () -> Frt.set_hub_cache_budget None)
-    (fun () ->
-      let tiny = Frt.build (Rng.create 77) g ~length in
-      let got = routes tiny in
-      Alcotest.(check bool) "routes independent of budget" true
-        (List.for_all2 Path.equal reference got));
-  Alcotest.(check bool) "evictions counted" true
-    (Obs.counter_value evict > before)
+  List.iter
+    (fun (name, g) ->
+      let length e = 1.0 +. float_of_int (e mod 3) in
+      let build () = Frt.build (Rng.create 31) g ~length in
+      let loads jobs =
+        with_pool jobs (fun pool -> bits (Racke.tree_loads ~pool g (build ())))
+      in
+      Alcotest.(check bool) (name ^ ": cold-index loads, jobs 1 = jobs 4") true
+        (loads 1 = loads 4);
+      let n = Graph.n g in
+      let pairs = List.init (n * n) (fun k -> (k / n, k mod n)) in
+      let tree = build () in
+      let forward = List.map (fun (s, t) -> Frt.route tree s t) pairs in
+      let rebuilt = Frt.of_parts g (Frt.to_parts (build ())) in
+      let backward =
+        List.rev_map (fun (s, t) -> Frt.route rebuilt s t) (List.rev pairs)
+      in
+      Alcotest.(check bool) (name ^ ": of_parts, reverse order, same routes") true
+        (List.for_all2 Path.equal forward backward))
+    [
+      ("fat-tree 4", Gen.fat_tree 4);
+      ("grid 5x5", Gen.grid 5 5);
+      ("random 3-regular 30", Gen.random_regular (Rng.create 8) 30 3);
+    ]
 
 (* Räcke *)
 
@@ -582,6 +589,15 @@ let test_ecube_is_shortest_on_cube () =
     let rec popcount v = if v = 0 then 0 else (v land 1) + popcount (v lsr 1) in
     Alcotest.(check int) "greedy is shortest" (popcount t) (Path.hops p)
   done
+
+let test_racke_forest_rejects_bad_counts () =
+  let g = Gen.grid 3 3 in
+  Alcotest.check_raises "no trees"
+    (Invalid_argument "Racke.forest: need at least one tree") (fun () ->
+      ignore (Racke.forest (Rng.create 1) ~trees:0 g));
+  Alcotest.check_raises "no batch"
+    (Invalid_argument "Racke.forest: batch must be positive") (fun () ->
+      ignore (Racke.forest (Rng.create 1) ~batch:0 g))
 
 let test_frt_forest_jobs_invariant () =
   (* Bit-identical forests at any job count: the batched ball-growing
@@ -772,7 +788,7 @@ let () =
           Alcotest.test_case "stretch reasonable" `Quick test_frt_stretch_reasonable;
           Alcotest.test_case "cluster centers" `Quick test_frt_cluster_centers;
           Alcotest.test_case "rejects disconnected" `Quick test_frt_rejects_disconnected;
-          Alcotest.test_case "hub cache budget" `Quick test_frt_hub_cache_budget;
+          Alcotest.test_case "segment index fills" `Quick test_frt_segment_index_fills;
           Alcotest.test_case "of_parts rejects bad structure" `Quick
             test_frt_of_parts_rejects_bad_structure;
         ] );
@@ -788,6 +804,8 @@ let () =
           Alcotest.test_case "fat-tree golden" `Quick test_racke_fat_tree_golden;
           Alcotest.test_case "forest jobs invariant" `Quick
             test_frt_forest_jobs_invariant;
+          Alcotest.test_case "forest rejects bad counts" `Quick
+            test_racke_forest_rejects_bad_counts;
         ] );
       ( "trees",
         [
