@@ -2,12 +2,13 @@
 # CI entry point: build everything, run the test suite, then smoke-test the
 # parallel engine by running the E3 adversary experiment on 2 worker
 # domains (its output is deterministic for any job count), the kernel
-# micro-benchmarks by validating their JSON schema, the tracing
-# subsystem by recording a kernel trace at two job counts (identical
-# event sequences) and running the `sso trace` analyzers over it, and
-# the fault-injection subsystem via `sso faults` (jobs-invariant sweeps,
-# cached warm sweeps; the mid-flight failover timelines are pinned by
-# the test/cli/simulate.t cram test), the arena path storage at scale
+# micro-benchmarks by validating their JSON schema (the tracing
+# subsystem, a kernel trace recorded at two job counts with identical
+# event sequences and the `sso trace` analyzers over it, is the cram
+# test test/cli/trace.t, run by the test suite), the fault-injection
+# subsystem via `sso faults` (jobs-invariant sweeps, cached warm sweeps;
+# the mid-flight failover timelines are pinned by the
+# test/cli/simulate.t cram test), the arena path storage at scale
 # (--scale on a 50k-switch fat-tree, warm-cache byte-identical to cold,
 # bytes/pair reduction gate), the
 # routing service via `sso serve` (a 10k-update churn stream replayed
@@ -37,7 +38,6 @@ run_step dune build
 run_step dune runtest
 run_step dune exec bench/main.exe -- --experiment E3 --no-timing --jobs 2
 run_step ./kernels_smoke.sh
-run_step ./trace_smoke.sh
 run_step ./faults_smoke.sh
 run_step ./scale_smoke.sh
 run_step ./serve_smoke.sh

@@ -36,10 +36,15 @@ type interned = {
 
 type store = Candidates of Slice_candidates.t * int array | Interned of interned
 
-type t = { pool : Pool.t option; support : (int * int) array; store : store }
+type t = { pool : Pool.t option; support : (int * int) array; store : store; edges : int array }
 
 let candidates ?pool sc support =
-  { pool; support; store = Candidates (sc, Array.map (Slice_candidates.position sc) support) }
+  {
+    pool;
+    support;
+    store = Candidates (sc, Array.map (Slice_candidates.position sc) support);
+    edges = Slice_candidates.edges sc;
+  }
 
 (* [Demand.support] is lexicographically sorted, so equal sources form
    consecutive runs; flattening the group answers in group order restores
@@ -57,7 +62,7 @@ let source_groups support =
   done;
   Array.of_list (List.rev !acc)
 
-let searched ?pool ?(view = Fun.id) search support =
+let searched ?pool ?(view = Fun.id) g search support =
   let store =
     {
       search;
@@ -68,7 +73,7 @@ let searched ?pool ?(view = Fun.id) search support =
       count = 0;
     }
   in
-  { pool; support; store = Interned store }
+  { pool; support; store = Interned store; edges = Array.init (Graph.m g) Fun.id }
 
 (* Every call adds the vertices its search settled to the total it
    returns; the batched search stops once the source's targets settle,
@@ -100,7 +105,7 @@ let dijkstra ?pool ?avoid ~batched g support =
           let path = Shortest.dijkstra_path g ~weight:(Array.get weights) s t in
           (path, settled ()))
   in
-  searched ?pool ~view search support
+  searched ?pool ~view g search support
 
 let hop_limited ?pool ~batched ~max_hops g support =
   let search =
@@ -111,7 +116,7 @@ let hop_limited ?pool ~batched ~max_hops g support =
         (fun weights s t ->
           (Shortest.hop_limited_path g ~weight:(Array.get weights) ~max_hops s t, 0))
   in
-  searched ?pool search support
+  searched ?pool g search support
 
 let intern st i (p : Path.t) =
   match Path_map.find_opt p st.known.(i) with
@@ -176,6 +181,8 @@ let respond_all t weights =
               Array.fold_left (fun acc (_, k) -> acc + k) 0 answers )
       in
       (Array.mapi (intern_answer st) answers, settled)
+
+let edges t = t.edges
 
 let iter_edges t h f =
   match t.store with

@@ -52,6 +52,13 @@ val respond_all : t -> float array -> int array * int
     the pool; interning then runs serially in support order, so handles
     are the same for any job count. *)
 
+val edges : t -> int array
+(** Every edge a response can load, ascending: a candidate store's
+    distinct candidate edges ({!Slice_candidates.edges}), all m edges for
+    a search store.  Responses never read a weight outside this set, so a
+    solver may leave those weights stale and skip those edges in its
+    per-round loops.  Do not mutate. *)
+
 val iter_edges : t -> int -> (int -> unit) -> unit
 (** The edge ids of a handle's path, in path order. *)
 

@@ -161,6 +161,15 @@ let mwu ?(iters = 300) ?warm ~label g oracle demand =
     let amounts = Array.map (fun (s, t) -> Demand.get demand s t) support in
     let caps = Array.init m (Graph.cap g) in
     let oracle : Best_response.t = oracle support in
+    (* Every per-round edge loop below runs over [active], the edges the
+       store's responses can load: a candidate store's distinct edges
+       (often a few percent of E), all m edges for a search store.  Off
+       [active], [cum] and [round_loads] stay exactly 0.0 and no response
+       reads [warr], so skipping those edges changes no value: with
+       [cum >= 0] the max folds, started from 0.0, equal the full ones
+       (float max is order-independent). *)
+    let active = Best_response.edges oracle in
+    let nactive = Array.length active in
     (* Handles in support order, and the vertices the searches settled. *)
     let best_responses w =
       Obs.incr ~by:pairs mwu_oracle_calls;
@@ -172,11 +181,11 @@ let mwu ?(iters = 300) ?warm ~label g oracle demand =
       Best_response.iter_edges oracle h (fun e ->
           Array.unsafe_set loads e (Array.unsafe_get loads e +. amount))
     in
-    (* The adversary weight is recomputed once per edge per round into a
-       flat buffer (hoisting the exp out of the oracles' inner loops, and
-       off of every edge visit), reused across rounds.  Its first use is
-       the feasibility probe with uniform weights, which also yields the
-       width normalizer U (congestion of the probe routing). *)
+    (* The adversary weight is recomputed once per active edge per round
+       into a flat buffer (hoisting the exp out of the oracles' inner
+       loops, and off of every edge visit), reused across rounds.  Its
+       first use is the feasibility probe with uniform weights, which also
+       yields the width normalizer U (congestion of the probe routing). *)
     let warr = Array.map (fun c -> 1.0 /. c) caps in
     let probe, _ = best_responses warr in
     if Array.exists (fun h -> h < 0) probe then None
@@ -240,19 +249,27 @@ let mwu ?(iters = 300) ?warm ~label g oracle demand =
       in
       for round = 1 to iters do
         Obs.incr mwu_iterations;
-        let max_cum = Array.fold_left Float.max neg_infinity cum in
-        for e = 0 to m - 1 do
+        let max_cum = ref 0.0 in
+        for k = 0 to nactive - 1 do
+          max_cum := Float.max !max_cum cum.(Array.unsafe_get active k)
+        done;
+        let max_cum = !max_cum in
+        for k = 0 to nactive - 1 do
+          let e = Array.unsafe_get active k in
           warr.(e) <- Float.exp (eta *. (cum.(e) -. max_cum)) /. caps.(e)
         done;
         let responses, settled = best_responses warr in
-        Array.fill round_loads 0 m 0.0;
+        for k = 0 to nactive - 1 do
+          round_loads.(Array.unsafe_get active k) <- 0.0
+        done;
         Array.iteri
           (fun i h ->
             if h < 0 then assert false (* probed feasible above *);
             Best_response.add tally h 1.0;
             add_loads round_loads h amounts.(i))
           responses;
-        for e = 0 to m - 1 do
+        for k = 0 to nactive - 1 do
+          let e = Array.unsafe_get active k in
           cum.(e) <- cum.(e) +. (round_loads.(e) /. (caps.(e) *. u_norm))
         done;
         (* Per-round convergence telemetry.  The cumulative normalized load
@@ -260,8 +277,9 @@ let mwu ?(iters = 300) ?warm ~label g oracle demand =
            max_e cum · u_norm / plays is exactly the congestion of the
            routing averaged over all plays. *)
         if Obs.tracing () then begin
-          let round_peak = ref 0.0 and cum_peak = ref neg_infinity in
-          for e = 0 to m - 1 do
+          let round_peak = ref 0.0 and cum_peak = ref 0.0 in
+          for k = 0 to nactive - 1 do
+            let e = Array.unsafe_get active k in
             let rc = round_loads.(e) /. caps.(e) in
             if rc > !round_peak then round_peak := rc;
             if cum.(e) > !cum_peak then cum_peak := cum.(e)
@@ -275,7 +293,8 @@ let mwu ?(iters = 300) ?warm ~label g oracle demand =
                   (fun i h -> if fresh.(i) then add_loads fresh_loads h amounts.(i))
                   responses;
                 let peak = ref 0.0 in
-                for e = 0 to m - 1 do
+                for k = 0 to nactive - 1 do
+                  let e = Array.unsafe_get active k in
                   let total = cum.(e) *. u_norm *. caps.(e) in
                   let load =
                     ((total -. fresh_loads.(e)) /. plays)

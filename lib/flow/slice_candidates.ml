@@ -25,6 +25,7 @@ type t = {
          duplicates — broken by position, so the canonical copy leads) *)
   edge_off : int array;  (* candidate -> edge range, ncands + 1 *)
   flat : int array;  (* concatenated edge ids, path order *)
+  edges : int array;  (* distinct edge ids of [flat], ascending *)
 }
 
 (* Order two candidates the way [Path.compare] orders paths of one pair:
@@ -43,6 +44,18 @@ let compare_cands edge_off flat c1 c2 =
     in
     go 0
   end
+
+(* The distinct ids in [flat], ascending, by one mark pass over the m
+   edges of the arena's graph.  The marks are bytes: an index is built per
+   solve, and an m-word scratch would land in the major heap each time. *)
+let distinct_edges arena flat =
+  let mark = Bytes.make (Sso_graph.Graph.m (Arena.graph arena)) '\000' in
+  Array.iter (fun e -> Bytes.set mark e '\001') flat;
+  let edges = ref [] in
+  for e = Bytes.length mark - 1 downto 0 do
+    if Bytes.get mark e <> '\000' then edges := e :: !edges
+  done;
+  Array.of_list !edges
 
 let of_arena arena ranges =
   let entries = Array.of_list ranges in
@@ -84,7 +97,7 @@ let of_arena arena ranges =
       if compare_cands edge_off flat prev cur = 0 then canon.(cur) <- canon.(prev)
     done
   done;
-  { arena; pos; cand_off; slice_ids; canon; rank; edge_off; flat }
+  { arena; pos; cand_off; slice_ids; canon; rank; edge_off; flat; edges = distinct_edges arena flat }
 
 let of_list g cands =
   let arena = Arena.create ~capacity:(4 * max 1 (List.length cands)) g in
@@ -132,6 +145,7 @@ let cheapest sc ~weights i =
   end
 
 let canonical sc c = sc.canon.(c)
+let edges sc = sc.edges
 
 let iter_edges sc c f =
   for k = sc.edge_off.(c) to sc.edge_off.(c + 1) - 1 do

@@ -40,6 +40,12 @@ val canonical : t -> int -> int
 val iter_edges : t -> int -> (int -> unit) -> unit
 (** Edge ids of a candidate, in path order. *)
 
+val edges : t -> int array
+(** The distinct edge ids of all candidates, ascending — collected once
+    when the index is built.  {!cheapest} reads weights only there, so a
+    solver's per-round edge loops run over this set, not over all m edges.
+    Do not mutate. *)
+
 val find : t -> int -> Sso_graph.Path.t -> int
 (** First candidate of pair position [i] (generation order) whose edge
     sequence equals the path's, or [-1] — warm-start seeding. *)

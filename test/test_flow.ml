@@ -11,6 +11,16 @@ module Routing = Sso_flow.Routing
 module Min_congestion = Sso_flow.Min_congestion
 module Rounding = Sso_flow.Rounding
 module Concurrent_flow = Sso_flow.Concurrent_flow
+module Arena = Sso_graph.Arena
+module Obs = Sso_obs.Obs
+module Trace = Sso_obs.Trace
+module Codec = Sso_artifact.Codec
+module Racke = Sso_oblivious.Racke
+module Valiant = Sso_oblivious.Valiant
+module Ksp = Sso_oblivious.Ksp
+module Best_response = Sso_flow.Best_response
+module Sampler = Sso_core.Sampler
+module Path_system = Sso_core.Path_system
 
 let square () =
   (* 0-1-3 and 0-2-3: two disjoint two-hop routes. *)
@@ -756,6 +766,136 @@ let test_warm_and_gk_golden () =
   pin "gk unrestricted" "c0eb211ca82777957c58cbdef79d0472"
     (stage5_digest (Concurrent_flow.unrestricted ~epsilon:0.2 g d))
 
+(* Golden pins for Stage-4 solves on sampled path systems, recorded before
+   the MWU rounds were restricted to the candidates' edges: the routing
+   codec's FNV digest, the congestion's bits and a digest of the traced
+   [mwu.round] attribute stream.  The fat-tree candidates cover a strict
+   subset of the edges, the hypercube ones cover every edge. *)
+let traced_stage4 solve =
+  Obs.clear_trace ();
+  Obs.set_tracing true;
+  let r, c = Fun.protect ~finally:(fun () -> Obs.set_tracing false) solve in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (e : Trace.event) ->
+      if e.Trace.name = "mwu.round" then begin
+        List.iter
+          (fun (k, v) ->
+            match v with
+            | Trace.Int i -> Printf.bprintf b "%s=%d;" k i
+            | Trace.Float f -> Printf.bprintf b "%s=%Lx;" k (Int64.bits_of_float f)
+            | Trace.Bool x -> Printf.bprintf b "%s=%b;" k x
+            | Trace.String s -> Printf.bprintf b "%s=%s;" k s)
+          e.Trace.attrs;
+        Buffer.add_char b '\n'
+      end)
+    (Obs.events ());
+  Obs.clear_trace ();
+  Printf.sprintf "%Lx %Lx %s"
+    (Codec.fnv1a64 (Codec.encode_routing r))
+    (Int64.bits_of_float c)
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let fat_tree_instance () =
+  let g = Gen.fat_tree 8 in
+  let rng = Rng.create 2024 in
+  let ps = Sampler.alpha_sample (Rng.split_at rng 0) (Racke.routing (Rng.split_at rng 1) g) ~alpha:4 in
+  (* Edge switches of the k=8 fat-tree: per pod, the last 4 of its 8. *)
+  let sw = Array.init 32 (fun i -> 16 + (i / 4 * 8) + 4 + (i mod 4)) in
+  let d =
+    Demand.of_list
+      (List.init 6 (fun i ->
+           (sw.(5 * i), sw.(((5 * i) + 13) mod 32), 1.0 +. float_of_int (i mod 3))))
+  in
+  (g, ps, d)
+
+let test_stage4_golden () =
+  let pin label want got = Alcotest.(check string) label want got in
+  let g, ps, d = fat_tree_instance () in
+  let slices ps d = Path_system.to_slice_candidates ps (Demand.support d) in
+  let covered ps d =
+    Array.length
+      (Best_response.edges
+         (Best_response.candidates (slices ps d) (Array.of_list (Demand.support d))))
+  in
+  Alcotest.(check bool) "fat-tree candidates: a strict subset of E" true
+    (covered ps d < Graph.m g);
+  let cold, _ = Min_congestion.mwu_on_slices g (slices ps d) d in
+  pin "fat-tree cold"
+    "37fc7a7d691e1c11 3ffc51eb851eb852 f4000e5a0cb61ed0a42387ef15e5fc0e"
+    (traced_stage4 (fun () -> Min_congestion.mwu_on_slices g (slices ps d) d));
+  (* Warm from the cold routing of every other pair: the solve has seeded
+     and unseeded pairs. *)
+  let warm = Routing.restrict cold (List.filteri (fun i _ -> i mod 2 = 0) (Demand.support d)) in
+  pin "fat-tree warm"
+    "a12d7e47ce39b97a 3fff4e81b4e81b4e 2f9a11db00c7a5fe3c51eac2e4118401"
+    (traced_stage4 (fun () ->
+         Min_congestion.mwu_on_slices ~warm:(warm, 60) g (slices ps d) d));
+  (* Fail the first edge of two pairs' first candidates; pairs left with
+     no candidate leave the demand. *)
+  let down =
+    List.filteri (fun i _ -> i < 2) (Demand.support d)
+    |> List.map (fun (s, t) -> (List.hd (Path_system.paths ps s t)).Path.edges.(0))
+  in
+  let view = Path_system.filter (fun a i -> not (Arena.exists a i (fun e -> List.mem e down))) ps in
+  let d_view =
+    Demand.of_list
+      (List.filter_map
+         (fun (s, t) ->
+           if Path_system.slice_count view s t > 0 then Some (s, t, Demand.get d s t) else None)
+         (Demand.support d))
+  in
+  pin "fat-tree filter view"
+    "fade79f48ca6e782 4000000000000000 8c358500b06522b80b082c2ec41394ec"
+    (traced_stage4 (fun () -> Min_congestion.mwu_on_slices g (slices view d_view) d_view));
+  let cube = Gen.hypercube 4 in
+  let cube_ps = Sampler.alpha_sample (Rng.create 4) (Valiant.routing cube) ~alpha:6 in
+  let perm = Demand.random_permutation (Rng.create 5) (Graph.n cube) in
+  Alcotest.(check int) "hypercube candidates: every edge" (Graph.m cube) (covered cube_ps perm);
+  pin "hypercube valiant"
+    "e8d57981407159d2 3ff8e81b4e81b4e8 8a3cc35d50ea291ef65c56a77f4ecb12"
+    (traced_stage4 (fun () ->
+         Min_congestion.mwu_on_slices cube (slices cube_ps perm) perm))
+
+(* A candidate store's edge set is exactly the sorted distinct union of
+   its pairs' candidate edges, and responses never read a weight outside
+   it: a huge negative weight on every other edge changes no answer.
+   Grids and random 3-regular graphs, Ksp and Räcke samples, random failure
+   views (pairs may lose every candidate), and empty demands. *)
+let prop_store_edges_are_candidate_edges =
+  QCheck.Test.make ~name:"store edge set = distinct union of candidate edges" ~count:40
+    QCheck.(triple small_nat bool bool)
+    (fun (seed, on_grid, racke) ->
+      let rng = Rng.create seed in
+      let g =
+        if on_grid then Gen.grid (3 + Rng.int rng 2) (3 + Rng.int rng 3)
+        else Gen.random_regular rng (8 + (2 * Rng.int rng 4)) 3
+      in
+      let n = Graph.n g and m = Graph.m g in
+      let base = if racke then Racke.routing (Rng.split rng) g else Ksp.routing ~k:3 g in
+      let ps = Sampler.alpha_sample (Rng.split rng) base ~alpha:(1 + Rng.int rng 3) in
+      let down = List.init (Rng.int rng 4) (fun _ -> Rng.int rng m) in
+      let view = Path_system.filter (fun a i -> not (Arena.exists a i (fun e -> List.mem e down))) ps in
+      let d = Demand.random_pairs rng ~n ~pairs:(Rng.int rng 7) in
+      let support = Demand.support d in
+      let store =
+        Best_response.candidates (Path_system.to_slice_candidates view support) (Array.of_list support)
+      in
+      let union =
+        List.concat_map
+          (fun (s, t) ->
+            List.concat_map (fun (p : Path.t) -> Array.to_list p.Path.edges) (Path_system.paths view s t))
+          support
+        |> List.sort_uniq Int.compare
+      in
+      let edges = Best_response.edges store in
+      let w = Array.init m (fun _ -> 0.5 +. Rng.float rng) in
+      let poisoned = Array.make m (-1e9) in
+      Array.iter (fun e -> poisoned.(e) <- w.(e)) edges;
+      Array.to_list edges = union
+      && fst (Best_response.respond_all store w) = fst (Best_response.respond_all store poisoned)
+      && (support <> [] || snd (Min_congestion.mwu_on_slices g (Path_system.to_slice_candidates view []) d) = 0.0))
+
 let () =
   Alcotest.run "flow"
     [
@@ -796,6 +936,7 @@ let () =
             test_mwu_hop_limited_batched_matches_per_pair;
           Alcotest.test_case "stage 5 golden pins" `Quick test_stage5_golden;
           Alcotest.test_case "warm and gk golden pins" `Quick test_warm_and_gk_golden;
+          Alcotest.test_case "stage 4 golden pins" `Quick test_stage4_golden;
           Alcotest.test_case "sssp settled counter" `Quick test_sssp_settled_counter;
           Alcotest.test_case "lower bound sound" `Slow test_lower_bound_sound;
           Alcotest.test_case "lower bound bottleneck" `Quick test_lower_bound_tight_on_bottleneck;
@@ -839,5 +980,6 @@ let () =
             test_local_search_preserves_demand;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_round_preserves_counts ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_round_preserves_counts; prop_store_edges_are_candidate_edges ] );
     ]
