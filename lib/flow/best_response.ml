@@ -8,7 +8,10 @@
    so far: the first sighting of a path for a pair appends it, and later
    sightings map back to the same handle.  Solvers tally per-handle
    statistics in a [tally] and emit routings through [distribution], so
-   the MWU and Garg–Könemann loops never see which store they run on. *)
+   the MWU and Garg–Könemann loops never see which store they run on.
+   Both stores address edges by slot ([edges] maps a slot to its edge
+   id): a candidate store's slots are its candidates' distinct edges, a
+   search store's are all m edges in order. *)
 
 module Graph = Sso_graph.Graph
 module Path = Sso_graph.Path
@@ -36,7 +39,12 @@ type interned = {
 
 type store = Candidates of Slice_candidates.t * int array | Interned of interned
 
-type t = { pool : Pool.t option; support : (int * int) array; store : store; edges : int array }
+type t = {
+  pool : Pool.t option;
+  support : (int * int) array;
+  store : store;
+  edges : int array;  (* slot -> edge id; weights and path edges are slots *)
+}
 
 let candidates ?pool sc support =
   {
@@ -73,6 +81,7 @@ let searched ?pool ?(view = Fun.id) g search support =
       count = 0;
     }
   in
+  (* A search may load any edge, so slot [e] is edge [e]. *)
   { pool; support; store = Interned store; edges = Array.init (Graph.m g) Fun.id }
 
 (* Every call adds the vertices its search settled to the total it

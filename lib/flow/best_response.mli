@@ -16,7 +16,11 @@
 
     Solvers tally per-handle statistics in a {!tally} and emit each pair's
     distribution through {!distribution}, in descending
-    {!Sso_graph.Path.compare} order. *)
+    {!Sso_graph.Path.compare} order.
+
+    Weights and path edges are addressed by slot, the position of an edge
+    id in {!edges}: a candidate store's slots cover only its candidates'
+    edges, a search store's slot [e] is edge [e]. *)
 
 type t
 
@@ -44,7 +48,8 @@ val hop_limited :
     one pass per source when [batched]). *)
 
 val respond : t -> float array -> int -> int
-(** [respond t weights i]: the handle of pair [i]'s best response. *)
+(** [respond t weights i]: the handle of pair [i]'s best response under
+    per-slot [weights]. *)
 
 val respond_all : t -> float array -> int array * int
 (** Every pair's handle, in support order, and the number of vertices the
@@ -53,14 +58,13 @@ val respond_all : t -> float array -> int array * int
     are the same for any job count. *)
 
 val edges : t -> int array
-(** Every edge a response can load, ascending: a candidate store's
-    distinct candidate edges ({!Slice_candidates.edges}), all m edges for
-    a search store.  Responses never read a weight outside this set, so a
-    solver may leave those weights stale and skip those edges in its
-    per-round loops.  Do not mutate. *)
+(** Slot -> edge id: every edge a response can load, ascending — a
+    candidate store's distinct candidate edges
+    ({!Slice_candidates.edges}), all m edges for a search store.  Do not
+    mutate. *)
 
 val iter_edges : t -> int -> (int -> unit) -> unit
-(** The edge ids of a handle's path, in path order. *)
+(** The edge slots of a handle's path, in path order. *)
 
 val find : t -> int -> Sso_graph.Path.t -> int
 (** The handle of a given path for pair [i] — warm-start seeding.  [-1]

@@ -41,10 +41,14 @@ let solve ?(epsilon = 0.1) g oracle demand =
     let support = Array.of_list (Demand.support demand) in
     let oracle : Best_response.t = oracle support in
     let flows = Best_response.tally oracle in
+    (* The store reads [length] through its slots: [weights] mirrors it
+       slot by slot, and [volume] keeps the full fold above. *)
+    let edges = Best_response.edges oracle in
+    let weights = Array.map (Array.get length) edges in
     (* Feasibility probe: every commodity must have at least one path. *)
     Array.iteri
       (fun i _ ->
-        if Best_response.respond oracle length i < 0 then
+        if Best_response.respond oracle weights i < 0 then
           invalid_arg "Concurrent_flow: demanded pair has no route")
       support;
     if Obs.tracing () then
@@ -64,16 +68,18 @@ let solve ?(epsilon = 0.1) g oracle demand =
         (fun i (s, t) ->
           let remaining = ref (Demand.get demand s t) in
           while !remaining > 1e-12 && volume () < 1.0 do
-            let h = Best_response.respond oracle length i in
+            let h = Best_response.respond oracle weights i in
             if h < 0 then remaining := 0.0
             else begin
               let bottleneck = ref infinity in
-              Best_response.iter_edges oracle h (fun e ->
-                  bottleneck := Float.min !bottleneck caps.(e));
+              Best_response.iter_edges oracle h (fun k ->
+                  bottleneck := Float.min !bottleneck caps.(edges.(k)));
               let amount = Float.min !remaining !bottleneck in
               Best_response.add flows h amount;
-              Best_response.iter_edges oracle h (fun e ->
-                  length.(e) <- length.(e) *. (1.0 +. (epsilon *. amount /. caps.(e))));
+              Best_response.iter_edges oracle h (fun k ->
+                  let e = edges.(k) in
+                  length.(e) <- length.(e) *. (1.0 +. (epsilon *. amount /. caps.(e)));
+                  weights.(k) <- length.(e));
               remaining := !remaining -. amount
             end
           done)

@@ -156,20 +156,20 @@ let mwu ?(iters = 300) ?warm ~label g oracle demand =
             ("pairs", Trace.Int pairs);
             ("iters", Trace.Int iters);
           ];
+    let oracle : Best_response.t = oracle support in
+    (* Every per-edge array below is indexed by the store's slots
+       ([Best_response.edges]): a candidate store's distinct edges (often
+       a few percent of E), all m edges for a search store.  No response
+       loads an edge outside them, so there [cum] and the loads would stay
+       exactly 0.0: with [cum >= 0] the max folds over the slots, started
+       from 0.0, equal the folds over all m edges (float max is
+       order-independent), and a solve on candidates allocates no m-float
+       array. *)
+    let slots = Array.length (Best_response.edges oracle) in
     (* Per-round invariants, hoisted out of the relaxation/accumulation
        inner loops: demand amounts and edge capacities are loop constants. *)
     let amounts = Array.map (fun (s, t) -> Demand.get demand s t) support in
-    let caps = Array.init m (Graph.cap g) in
-    let oracle : Best_response.t = oracle support in
-    (* Every per-round edge loop below runs over [active], the edges the
-       store's responses can load: a candidate store's distinct edges
-       (often a few percent of E), all m edges for a search store.  Off
-       [active], [cum] and [round_loads] stay exactly 0.0 and no response
-       reads [warr], so skipping those edges changes no value: with
-       [cum >= 0] the max folds, started from 0.0, equal the full ones
-       (float max is order-independent). *)
-    let active = Best_response.edges oracle in
-    let nactive = Array.length active in
+    let caps = Array.map (Graph.cap g) (Best_response.edges oracle) in
     (* Handles in support order, and the vertices the searches settled. *)
     let best_responses w =
       Obs.incr ~by:pairs mwu_oracle_calls;
@@ -181,16 +181,16 @@ let mwu ?(iters = 300) ?warm ~label g oracle demand =
       Best_response.iter_edges oracle h (fun e ->
           Array.unsafe_set loads e (Array.unsafe_get loads e +. amount))
     in
-    (* The adversary weight is recomputed once per active edge per round
-       into a flat buffer (hoisting the exp out of the oracles' inner
-       loops, and off of every edge visit), reused across rounds.  Its
-       first use is the feasibility probe with uniform weights, which also
-       yields the width normalizer U (congestion of the probe routing). *)
+    (* The adversary weight is recomputed once per slot per round into a
+       flat buffer (hoisting the exp out of the oracles' inner loops, and
+       off of every edge visit), reused across rounds.  Its first use is
+       the feasibility probe with uniform weights, which also yields the
+       width normalizer U (congestion of the probe routing). *)
     let warr = Array.map (fun c -> 1.0 /. c) caps in
     let probe, _ = best_responses warr in
     if Array.exists (fun h -> h < 0) probe then None
     else begin
-      let loads = Array.make m 0.0 in
+      let loads = Array.make slots 0.0 in
       Array.iteri (fun i h -> add_loads loads h amounts.(i)) probe;
       let u_norm = ref 1e-12 in
       Array.iteri
@@ -200,7 +200,7 @@ let mwu ?(iters = 300) ?warm ~label g oracle demand =
         loads;
       let u_norm = !u_norm in
       let eta = Float.sqrt (4.0 *. Float.log (float_of_int (max 2 m)) /. float_of_int iters) in
-      let cum = Array.make m 0.0 in
+      let cum = Array.make slots 0.0 in
       let tally = Best_response.tally oracle in
       let base_plays =
         match warm with
@@ -236,7 +236,7 @@ let mwu ?(iters = 300) ?warm ~label g oracle demand =
               support;
             if !seeded then weight else 0
       in
-      let round_loads = Array.make m 0.0 in
+      let round_loads = Array.make slots 0.0 in
       (* Telemetry only: a warm solve's unseeded pairs have played [round]
          times, not [base_plays + round], so their loads are averaged
          apart from the seeded ones. *)
@@ -244,32 +244,28 @@ let mwu ?(iters = 300) ?warm ~label g oracle demand =
         if base_plays > 0 && Obs.tracing () then
           Some
             ( Array.init pairs (fun i -> Best_response.distribution oracle tally i = []),
-              Array.make m 0.0 )
+              Array.make slots 0.0 )
         else None
       in
       for round = 1 to iters do
         Obs.incr mwu_iterations;
         let max_cum = ref 0.0 in
-        for k = 0 to nactive - 1 do
-          max_cum := Float.max !max_cum cum.(Array.unsafe_get active k)
+        for e = 0 to slots - 1 do
+          max_cum := Float.max !max_cum cum.(e)
         done;
         let max_cum = !max_cum in
-        for k = 0 to nactive - 1 do
-          let e = Array.unsafe_get active k in
+        for e = 0 to slots - 1 do
           warr.(e) <- Float.exp (eta *. (cum.(e) -. max_cum)) /. caps.(e)
         done;
         let responses, settled = best_responses warr in
-        for k = 0 to nactive - 1 do
-          round_loads.(Array.unsafe_get active k) <- 0.0
-        done;
+        Array.fill round_loads 0 slots 0.0;
         Array.iteri
           (fun i h ->
             if h < 0 then assert false (* probed feasible above *);
             Best_response.add tally h 1.0;
             add_loads round_loads h amounts.(i))
           responses;
-        for k = 0 to nactive - 1 do
-          let e = Array.unsafe_get active k in
+        for e = 0 to slots - 1 do
           cum.(e) <- cum.(e) +. (round_loads.(e) /. (caps.(e) *. u_norm))
         done;
         (* Per-round convergence telemetry.  The cumulative normalized load
@@ -278,8 +274,7 @@ let mwu ?(iters = 300) ?warm ~label g oracle demand =
            routing averaged over all plays. *)
         if Obs.tracing () then begin
           let round_peak = ref 0.0 and cum_peak = ref 0.0 in
-          for k = 0 to nactive - 1 do
-            let e = Array.unsafe_get active k in
+          for e = 0 to slots - 1 do
             let rc = round_loads.(e) /. caps.(e) in
             if rc > !round_peak then round_peak := rc;
             if cum.(e) > !cum_peak then cum_peak := cum.(e)
@@ -293,8 +288,7 @@ let mwu ?(iters = 300) ?warm ~label g oracle demand =
                   (fun i h -> if fresh.(i) then add_loads fresh_loads h amounts.(i))
                   responses;
                 let peak = ref 0.0 in
-                for k = 0 to nactive - 1 do
-                  let e = Array.unsafe_get active k in
+                for e = 0 to slots - 1 do
                   let total = cum.(e) *. u_norm *. caps.(e) in
                   let load =
                     ((total -. fresh_loads.(e)) /. plays)
@@ -322,7 +316,23 @@ let mwu ?(iters = 300) ?warm ~label g oracle demand =
           (Array.to_list
              (Array.mapi (fun i pair -> (pair, Best_response.distribution oracle tally i)) support))
       in
-      Some (routing, Routing.congestion g routing demand)
+      (* [Routing.congestion] of the routing, summed over the slots: the
+         same loads in the same order (support order is the demand's fold
+         order), so the same bits, without an m-float array. *)
+      Array.fill loads 0 slots 0.0;
+      Array.iteri
+        (fun i (s, t) ->
+          List.iter
+            (fun (w, p) -> add_loads loads (Best_response.find oracle i p) (amounts.(i) *. w))
+            (Routing.distribution routing s t))
+        support;
+      let congestion = ref 0.0 in
+      Array.iteri
+        (fun e load ->
+          let c = load /. caps.(e) in
+          if c > !congestion then congestion := c)
+        loads;
+      Some (routing, !congestion)
     end
   end
 

@@ -7,7 +7,12 @@
    routing is emitted.  Candidates keep their generation order (the order
    the cheapest-path scan breaks ties in), and [rank] additionally stores,
    per pair, the candidate order ascending by [Path.compare] — the order
-   routings are emitted in. *)
+   routings are emitted in.
+
+   Edges are stored as slots: [edges] lists the distinct edge ids of all
+   candidates in ascending order, and [flat] holds each edge's position
+   in it.  A solver sizes its per-edge arrays by the candidates' edges,
+   not by the graph. *)
 
 module Path = Sso_graph.Path
 module Arena = Sso_graph.Arena
@@ -24,12 +29,13 @@ type t = {
       (* per pair range: candidates ascending by path order (ties — i.e.
          duplicates — broken by position, so the canonical copy leads) *)
   edge_off : int array;  (* candidate -> edge range, ncands + 1 *)
-  flat : int array;  (* concatenated edge ids, path order *)
-  edges : int array;  (* distinct edge ids of [flat], ascending *)
+  flat : int array;  (* concatenated edge slots, path order *)
+  edges : int array;  (* slot -> edge id: the candidates' distinct edges, ascending *)
 }
 
 (* Order two candidates the way [Path.compare] orders paths of one pair:
-   fewer hops first, then lexicographic on edge ids. *)
+   fewer hops first, then lexicographic on edge ids — or on their slots,
+   which ascend with the ids. *)
 let compare_cands edge_off flat c1 c2 =
   let h1 = edge_off.(c1 + 1) - edge_off.(c1) in
   let h2 = edge_off.(c2 + 1) - edge_off.(c2) in
@@ -45,17 +51,31 @@ let compare_cands edge_off flat c1 c2 =
     go 0
   end
 
-(* The distinct ids in [flat], ascending, by one mark pass over the m
-   edges of the arena's graph.  The marks are bytes: an index is built per
-   solve, and an m-word scratch would land in the major heap each time. *)
-let distinct_edges arena flat =
-  let mark = Bytes.make (Sso_graph.Graph.m (Arena.graph arena)) '\000' in
-  Array.iter (fun e -> Bytes.set mark e '\001') flat;
-  let edges = ref [] in
-  for e = Bytes.length mark - 1 downto 0 do
-    if Bytes.get mark e <> '\000' then edges := e :: !edges
+(* The distinct ids in [flat], ascending, with [flat] rewritten in place
+   from edge ids to their slots, by one mark pass over the m edges of the
+   arena's graph.  The map edge -> slot + 1 (0: no candidate uses it) is
+   int32 bytes: an index is built per solve, and an m-word scratch would
+   land in the major heap and be scanned each time. *)
+let slot_edges arena flat =
+  let m = Sso_graph.Graph.m (Arena.graph arena) in
+  let slot_of = Bytes.make (4 * m) '\000' in
+  let get e = Int32.to_int (Bytes.get_int32_le slot_of (4 * e)) in
+  let set e v = Bytes.set_int32_le slot_of (4 * e) (Int32.of_int v) in
+  Array.iter (fun e -> set e 1) flat;
+  let slots = ref 0 in
+  for e = 0 to m - 1 do
+    if get e <> 0 then begin
+      incr slots;
+      set e !slots
+    end
   done;
-  Array.of_list !edges
+  let edges = Array.make !slots 0 in
+  for e = 0 to m - 1 do
+    let k = get e in
+    if k <> 0 then edges.(k - 1) <- e
+  done;
+  Array.iteri (fun k e -> flat.(k) <- get e - 1) flat;
+  edges
 
 let of_arena arena ranges =
   let entries = Array.of_list ranges in
@@ -78,6 +98,7 @@ let of_arena arena ranges =
     done
   done;
   let edge_off, flat = Arena.unpack arena slice_ids in
+  let edges = slot_edges arena flat in
   let rank = Array.init ncands Fun.id in
   let cmp c1 c2 =
     match compare_cands edge_off flat c1 c2 with
@@ -97,7 +118,7 @@ let of_arena arena ranges =
       if compare_cands edge_off flat prev cur = 0 then canon.(cur) <- canon.(prev)
     done
   done;
-  { arena; pos; cand_off; slice_ids; canon; rank; edge_off; flat; edges = distinct_edges arena flat }
+  { arena; pos; cand_off; slice_ids; canon; rank; edge_off; flat; edges }
 
 let of_list g cands =
   let arena = Arena.create ~capacity:(4 * max 1 (List.length cands)) g in
@@ -119,30 +140,23 @@ let of_list g cands =
 let position sc pair = match Hashtbl.find_opt sc.pos pair with Some i -> i | None -> -1
 let ncands sc = sc.cand_off.(Array.length sc.cand_off - 1)
 
-(* Cheapest candidate of pair position [i] under [weights]: a strict [<]
-   left fold over the candidates in generation order, on the flat arrays.
-   [-1] when the pair has no candidates. *)
+(* Cheapest candidate of pair position [i] under per-slot [weights]: a
+   strict [<] left fold over the candidates in generation order, on the
+   flat arrays, with no boxed float per candidate.  [-1] when the pair
+   has no candidates. *)
 let cheapest sc ~weights i =
-  let lo = sc.cand_off.(i) and hi = sc.cand_off.(i + 1) in
-  if lo >= hi then -1
-  else begin
-    let score c =
-      let acc = ref 0.0 in
-      for k = sc.edge_off.(c) to sc.edge_off.(c + 1) - 1 do
-        acc := !acc +. weights.(Array.unsafe_get sc.flat k)
-      done;
-      !acc
-    in
-    let best = ref lo and bw = ref (score lo) in
-    for c = lo + 1 to hi - 1 do
-      let w = score c in
-      if w < !bw then begin
-        bw := w;
-        best := c
-      end
+  let best = ref (-1) and bw = ref 0.0 in
+  for c = sc.cand_off.(i) to sc.cand_off.(i + 1) - 1 do
+    let w = ref 0.0 in
+    for k = sc.edge_off.(c) to sc.edge_off.(c + 1) - 1 do
+      w := !w +. weights.(Array.unsafe_get sc.flat k)
     done;
-    !best
-  end
+    if !best < 0 || !w < !bw then begin
+      bw := !w;
+      best := c
+    end
+  done;
+  !best
 
 let canonical sc c = sc.canon.(c)
 let edges sc = sc.edges
@@ -163,7 +177,8 @@ let find sc i (p : Path.t) =
       sc.edge_off.(c + 1) - sc.edge_off.(c) = h
       && begin
            let rec eq k =
-             k = h || (sc.flat.(sc.edge_off.(c) + k) = p.Path.edges.(k) && eq (k + 1))
+             k = h
+             || (sc.edges.(sc.flat.(sc.edge_off.(c) + k)) = p.Path.edges.(k) && eq (k + 1))
            in
            eq 0
          end

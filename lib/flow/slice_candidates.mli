@@ -7,7 +7,13 @@
     generation order the index stores, per pair, the candidate permutation
     ascending by {!Sso_graph.Path.compare}, the order routings are emitted
     in.  Candidate indices are the handles {!Best_response} hands the
-    solvers. *)
+    solvers.
+
+    Edges are addressed by slot: the position of an edge id in {!edges},
+    the candidates' distinct edges in ascending order.  Weights passed to
+    {!cheapest} and edges yielded by {!iter_edges} are slots, so a solver's
+    per-edge arrays have one entry per candidate edge, not one per graph
+    edge. *)
 
 type t
 
@@ -27,7 +33,7 @@ val ncands : t -> int
 (** Total number of candidates across all pairs. *)
 
 val cheapest : t -> weights:float array -> int -> int
-(** Cheapest candidate of pair position [i] under the per-edge [weights]:
+(** Cheapest candidate of pair position [i] under the per-slot [weights]:
     a strict [<] left fold over candidates in generation order (ties keep
     the first), each path's weight summed left to right.  [-1] when the
     pair has no candidates. *)
@@ -38,13 +44,11 @@ val canonical : t -> int -> int
     per-candidate statistics at the canonical index. *)
 
 val iter_edges : t -> int -> (int -> unit) -> unit
-(** Edge ids of a candidate, in path order. *)
+(** Edge slots of a candidate, in path order. *)
 
 val edges : t -> int array
-(** The distinct edge ids of all candidates, ascending — collected once
-    when the index is built.  {!cheapest} reads weights only there, so a
-    solver's per-round edge loops run over this set, not over all m edges.
-    Do not mutate. *)
+(** Slot -> edge id: the distinct edge ids of all candidates, ascending,
+    collected once when the index is built.  Do not mutate. *)
 
 val find : t -> int -> Sso_graph.Path.t -> int
 (** First candidate of pair position [i] (generation order) whose edge

@@ -857,11 +857,13 @@ let test_stage4_golden () =
     (traced_stage4 (fun () ->
          Min_congestion.mwu_on_slices cube (slices cube_ps perm) perm))
 
-(* A candidate store's edge set is exactly the sorted distinct union of
-   its pairs' candidate edges, and responses never read a weight outside
-   it: a huge negative weight on every other edge changes no answer.
-   Grids and random 3-regular graphs, Ksp and Räcke samples, random failure
-   views (pairs may lose every candidate), and empty demands. *)
+(* A candidate store's slots are exactly the sorted distinct union of its
+   pairs' candidate edges, and a response under per-slot weights is the
+   path a left-to-right scan of the pair's candidates under the same
+   per-edge weights picks (strict [<], first wins), its edges read back
+   through the slots.  Grids and random 3-regular graphs, Ksp and Räcke
+   samples, random failure views (pairs may lose every candidate), and
+   empty demands. *)
 let prop_store_edges_are_candidate_edges =
   QCheck.Test.make ~name:"store edge set = distinct union of candidate edges" ~count:40
     QCheck.(triple small_nat bool bool)
@@ -890,10 +892,26 @@ let prop_store_edges_are_candidate_edges =
       in
       let edges = Best_response.edges store in
       let w = Array.init m (fun _ -> 0.5 +. Rng.float rng) in
-      let poisoned = Array.make m (-1e9) in
-      Array.iter (fun e -> poisoned.(e) <- w.(e)) edges;
+      let scanned (s, t) =
+        List.fold_left
+          (fun best (p : Path.t) ->
+            let c = Array.fold_left (fun acc e -> acc +. w.(e)) 0.0 p.Path.edges in
+            match best with Some (bc, _) when not (c < bc) -> best | _ -> Some (c, p))
+          None (Path_system.paths view s t)
+        |> Option.map (fun (_, (p : Path.t)) -> Array.to_list p.Path.edges)
+      in
+      let answered h =
+        if h < 0 then None
+        else begin
+          let acc = ref [] in
+          Best_response.iter_edges store h (fun k -> acc := edges.(k) :: !acc);
+          Some (List.rev !acc)
+        end
+      in
       Array.to_list edges = union
-      && fst (Best_response.respond_all store w) = fst (Best_response.respond_all store poisoned)
+      && List.map answered
+           (Array.to_list (fst (Best_response.respond_all store (Array.map (Array.get w) edges))))
+         = List.map scanned support
       && (support <> [] || snd (Min_congestion.mwu_on_slices g (Path_system.to_slice_candidates view []) d) = 0.0))
 
 let () =
