@@ -28,8 +28,7 @@ type t = {
   lock : Mutex.t;
 }
 
-let compare_pair (s1, t1) (s2, t2) =
-  match Int.compare s1 s2 with 0 -> Int.compare t1 t2 | c -> c
+let compare_pair = Sso_demand.Demand.Pair.compare
 
 let locked ps f =
   Mutex.lock ps.lock;
@@ -249,7 +248,9 @@ let to_candidates ps pair_list =
     (fun (s, t) -> ((s, t), paths ps s t))
     (List.sort_uniq compare_pair pair_list)
 
+let unpack_pair ps s t = Sso_flow.Slice_candidates.unpack ps.arena (slice_range ps s t)
+
 let to_slice_candidates ps pair_list =
   let pairs = List.sort_uniq compare_pair pair_list in
-  let ranges = List.map (fun (s, t) -> ((s, t), slice_range ps s t)) pairs in
-  Sso_flow.Min_congestion.slice_candidates_of_arena ps.arena ranges
+  Sso_flow.Slice_candidates.concat ps.graph
+    (List.map (fun (s, t) -> ((s, t), unpack_pair ps s t)) pairs)

@@ -14,8 +14,8 @@
     Storage is a shared {!Sso_graph.Arena}: each pair maps to a range of
     consecutive slice handles, so sparsity queries are O(1) per pair, the
     Stage-4 solvers index candidates without materializing path lists
-    ({!to_slice_candidates}), and failover policies walk candidate slices
-    in place.  {!paths} remains as a compatibility view that reconstructs
+    ({!unpack_pair}, {!to_slice_candidates}), and failover policies walk
+    candidate slices in place.  {!paths} remains as a compatibility view that reconstructs
     boxed {!Sso_graph.Path.t} values on demand. *)
 
 type t
@@ -134,9 +134,20 @@ val to_candidates : t -> (int * int) list -> Sso_flow.Min_congestion.candidates
     list-based Stage-4 entry points).  Pairs are deduplicated and sorted
     with a monomorphic pair comparator. *)
 
+val unpack_pair : t -> int -> int -> Sso_flow.Slice_candidates.piece
+(** One pair's candidates unpacked from {!arena} (generated on first
+    query, like {!slice_range}): the per-pair step of
+    {!to_slice_candidates}.  A pair's candidates never change once
+    installed, so a caller that solves overlapping supports on one
+    system may keep its pieces and join them with
+    {!Sso_flow.Slice_candidates.concat}.  The routing service does so for
+    its active pairs, and drops them all whenever its live system is
+    replaced: a failure view offers other candidates. *)
+
 val to_slice_candidates :
   t -> (int * int) list -> Sso_flow.Min_congestion.slice_candidates
-(** The slice-index equivalent of {!to_candidates}: candidate ranges of
-    the shared arena, no path lists materialized.  Input to
-    {!Sso_flow.Min_congestion.mwu_on_slices} and
+(** The slice-index equivalent of {!to_candidates}: every pair (sorted,
+    deduplicated) through {!unpack_pair}, joined by
+    {!Sso_flow.Slice_candidates.concat}; no path lists materialized.
+    Input to {!Sso_flow.Min_congestion.mwu_on_slices} and
     {!Sso_flow.Concurrent_flow.on_slices}. *)

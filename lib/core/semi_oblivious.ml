@@ -8,30 +8,31 @@ type solver = Lp | Mwu of int | Gk of float
 
 let default_solver = Mwu 300
 
-let route ?(solver = default_solver) g ps demand =
+let slices ?index ps demand =
+  match index with
+  | Some sc -> sc
+  | None -> Path_system.to_slice_candidates ps (Demand.support demand)
+
+let route ?(solver = default_solver) ?index g ps demand =
   match solver with
   | Lp ->
       (* The simplex tableau wants explicit per-pair path lists. *)
       let cands = Path_system.to_candidates ps (Demand.support demand) in
       Min_congestion.lp_on_paths g cands demand
-  | Mwu iters ->
-      let sc = Path_system.to_slice_candidates ps (Demand.support demand) in
-      Min_congestion.mwu_on_slices ~iters g sc demand
+  | Mwu iters -> Min_congestion.mwu_on_slices ~iters g (slices ?index ps demand) demand
   | Gk epsilon ->
-      let sc = Path_system.to_slice_candidates ps (Demand.support demand) in
-      Sso_flow.Concurrent_flow.on_slices ~epsilon g sc demand
+      Sso_flow.Concurrent_flow.on_slices ~epsilon g (slices ?index ps demand) demand
 
 let congestion ?solver g ps demand = snd (route ?solver g ps demand)
 
-let reoptimize ?(solver = default_solver) ?warm_start g ps demand =
+let reoptimize ?(solver = default_solver) ?warm_start ?index g ps demand =
   match (solver, warm_start) with
   | Mwu iters, Some warm ->
-      let sc = Path_system.to_slice_candidates ps (Demand.support demand) in
-      Min_congestion.mwu_on_slices ~iters ~warm g sc demand
+      Min_congestion.mwu_on_slices ~iters ~warm g (slices ?index ps demand) demand
   | (Lp | Gk _ | Mwu _), _ ->
       (* LP and GK have no incremental form; a cold solve is the warm
          start. *)
-      route ~solver g ps demand
+      route ~solver ?index g ps demand
 
 let opt ?(solver = default_solver) g demand =
   match solver with

@@ -18,10 +18,17 @@ val default_solver : solver
 
 val route :
   ?solver:solver ->
+  ?index:Sso_flow.Slice_candidates.t ->
   Sso_graph.Graph.t -> Path_system.t -> Sso_demand.Demand.t ->
   Sso_flow.Routing.t * float
 (** Stage 4: the adaptive min-congestion routing of [d] on [P] and its
     congestion [cong_ℝ(P,d)] (exact for [Lp], near-optimal for [Mwu]).
+    The [Mwu] and [Gk] solvers run on [index] when given, otherwise on
+    [Path_system.to_slice_candidates P (supp d)].  A given [index] must
+    equal that one: the {!Path_system.unpack_pair} pieces of [supp d]
+    in [P], in support order, joined by
+    {!Sso_flow.Slice_candidates.concat} (the routing service passes the
+    pieces it keeps across ticks).  [Lp] ignores it.
     @raise Invalid_argument if some demanded pair has no candidates. *)
 
 val congestion :
@@ -32,6 +39,7 @@ val congestion :
 val reoptimize :
   ?solver:solver ->
   ?warm_start:Sso_flow.Routing.t * int ->
+  ?index:Sso_flow.Slice_candidates.t ->
   Sso_graph.Graph.t -> Path_system.t -> Sso_demand.Demand.t ->
   Sso_flow.Routing.t * float
 (** Stage-4 re-optimization after the demand, the path system or both
@@ -45,9 +53,10 @@ val reoptimize :
     path keeps its distribution verbatim, a pair that lost some has its
     surviving mass renormalized, and a pair left with nothing — or newly
     arrived — is learned by the fresh rounds alone.  Runs on the slice
-    index, so admitting a commodity costs one arena append and no path
-    system rebuild.  Without [warm_start], or with the [Lp]/[Gk] solvers
-    (which have no incremental form), this is {!route}.  Output is
+    index ([index] as in {!route}), so admitting a commodity costs one
+    arena append and no path system rebuild.  Without [warm_start], or
+    with the [Lp]/[Gk] solvers (which have no incremental form), this is
+    {!route}.  Output is
     bit-identical at any [--jobs].
     @raise Invalid_argument if some demanded pair has no candidates. *)
 

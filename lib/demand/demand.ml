@@ -3,7 +3,9 @@ module Rng = Sso_prng.Rng
 module Pair = struct
   type t = int * int
 
-  let compare = compare
+  (* Lexicographic, as polymorphic [compare] orders int pairs, without
+     its generic dispatch. *)
+  let compare (s1, t1) (s2, t2) = match Int.compare s1 s2 with 0 -> Int.compare t1 t2 | c -> c
 end
 
 module Pmap = Map.Make (Pair)
@@ -25,6 +27,15 @@ let of_list triples =
 let empty = Pmap.empty
 
 let get d s t = match Pmap.find_opt (s, t) d with Some v -> v | None -> 0.0
+
+let mem d s t = Pmap.mem (s, t) d
+
+let set d s t v =
+  if s = t then invalid_arg "Demand.set: diagonal entry";
+  if not (v > 0.0) then invalid_arg "Demand.set: amount must be positive";
+  Pmap.add (s, t) v d
+
+let remove d s t = Pmap.remove (s, t) d
 
 let support d = List.map fst (Pmap.bindings d)
 

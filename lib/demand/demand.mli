@@ -5,6 +5,14 @@
     the experiments are sparse.  Construction normalizes: zero entries are
     dropped, repeated pairs are summed, and diagonal entries are rejected. *)
 
+module Pair : sig
+  type t = int * int
+
+  val compare : t -> t -> int
+  (** Lexicographic order on [(s, t)] with [Int.compare]: the order of
+      polymorphic [compare] on int pairs. *)
+end
+
 type t
 (** Immutable demand. *)
 
@@ -16,6 +24,16 @@ val empty : t
 
 val get : t -> int -> int -> float
 (** [get d s t] is [d(s,t)] (0 outside the support). *)
+
+val mem : t -> int -> int -> bool
+(** [(s, t)] is in the support. *)
+
+val set : t -> int -> int -> float -> t
+(** [set d s t v] is [d] with [d(s,t) = v], O(log |supp d|).
+    @raise Invalid_argument for a diagonal pair or [v] not positive. *)
+
+val remove : t -> int -> int -> t
+(** [remove d s t] is [d] with [(s, t)] out of the support. *)
 
 val support : t -> (int * int) list
 (** [supp(d)]: pairs with positive demand, in lexicographic order. *)

@@ -69,40 +69,31 @@ let stream_violation events =
 
 (* ---- applying batches ---- *)
 
+(* One [Demand.set]/[Demand.remove] per event on the demand map itself:
+   O(events · log pairs), whatever the size of the active demand. *)
 let apply demand events =
-  let table = Hashtbl.create 64 in
-  Demand.fold
-    (fun s t amount () -> Hashtbl.replace table (s, t) amount)
-    demand ();
-  List.iter
-    (fun e ->
+  List.fold_left
+    (fun d e ->
       (match event_violation e with
       | Some msg -> raise (Corrupt ("invalid event: " ^ msg))
       | None -> ());
-      let pair = (e.src, e.dst) in
       match e.kind with
-      | Arrive r ->
-          let old =
-            match Hashtbl.find_opt table pair with Some v -> v | None -> 0.0
-          in
-          Hashtbl.replace table pair (old +. r)
+      | Arrive r -> Demand.set d e.src e.dst (Demand.get d e.src e.dst +. r)
       | Depart ->
-          if not (Hashtbl.mem table pair) then
+          if not (Demand.mem d e.src e.dst) then
             raise
               (Corrupt
                  (Printf.sprintf "tick %d: departure of inactive pair %d->%d"
                     e.tick e.src e.dst));
-          Hashtbl.remove table pair
+          Demand.remove d e.src e.dst
       | Set_rate r ->
-          if not (Hashtbl.mem table pair) then
+          if not (Demand.mem d e.src e.dst) then
             raise
               (Corrupt
                  (Printf.sprintf "tick %d: rate change of inactive pair %d->%d"
                     e.tick e.src e.dst));
-          Hashtbl.replace table pair r)
-    events;
-  Demand.of_list
-    (Hashtbl.fold (fun (s, t) amount acc -> (s, t, amount) :: acc) table [])
+          Demand.set d e.src e.dst r)
+    demand events
 
 let by_tick events =
   (match stream_violation events with

@@ -180,23 +180,22 @@ let execute pool task n =
     | None -> Array.map (function Some v -> v | None -> assert false) results
   end
 
-let parallel_map ?pool f input =
+let parallel_init ?pool n f =
+  if n < 0 then invalid_arg "Engine.Pool.parallel_init: negative length";
   let pool = match pool with Some p -> p | None -> default () in
-  let n = Array.length input in
   if n = 0 then [||]
-  else if inside_task () then Array.map f input
+  else if inside_task () then Array.init n f
   else if not (Obs.tracing ()) then
-    if pool.jobs = 1 || pool.stop || n = 1 then Array.map f input
-    else execute pool (fun i -> f input.(i)) n
+    if pool.jobs = 1 || pool.stop || n = 1 then Array.init n f else execute pool f n
   else begin
     (* Tracing: pre-assign one stream slot per task, in submission order.
        Event keys then depend only on the task index — not on which domain
        runs a task or when — so the merged trace is identical at any
        --jobs.  The serial path wraps tasks the same way (and marks the
-       domain busy so nested parallel calls degrade to Array.map exactly
+       domain busy so nested parallel calls degrade to Array.init exactly
        as they would on a worker). *)
     let base = Obs.reserve_slots n in
-    let task i = Obs.in_task (base + i) (fun () -> f input.(i)) in
+    let task i = Obs.in_task (base + i) (fun () -> f i) in
     Fun.protect ~finally:Obs.fresh_stream (fun () ->
         if pool.jobs = 1 || pool.stop || n = 1 then begin
           Domain.DLS.set busy_key true;
@@ -207,9 +206,7 @@ let parallel_map ?pool f input =
         else execute pool task n)
   end
 
-let parallel_init ?pool n f =
-  if n < 0 then invalid_arg "Engine.Pool.parallel_init: negative length";
-  parallel_map ?pool f (Array.init n Fun.id)
+let parallel_map ?pool f input = parallel_init ?pool (Array.length input) (fun i -> f input.(i))
 
 let parallel_list_map ?pool f l =
   Array.to_list (parallel_map ?pool f (Array.of_list l))

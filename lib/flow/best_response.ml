@@ -50,7 +50,7 @@ let candidates ?pool sc support =
   {
     pool;
     support;
-    store = Candidates (sc, Array.map (Slice_candidates.position sc) support);
+    store = Candidates (sc, Slice_candidates.positions sc support);
     edges = Slice_candidates.edges sc;
   }
 
@@ -198,12 +198,16 @@ let iter_edges t h f =
   | Candidates (sc, _) -> Slice_candidates.iter_edges sc h f
   | Interned st -> Array.iter f st.paths.(h).Path.edges
 
+let add_loads t loads h amount =
+  match t.store with
+  | Candidates (sc, _) -> Slice_candidates.add_loads sc loads h amount
+  | Interned st -> Array.iter (fun e -> loads.(e) <- loads.(e) +. amount) st.paths.(h).Path.edges
+
 let find t i p =
   match t.store with
   | Candidates (sc, positions) ->
       let pos = positions.(i) in
-      let c = if pos < 0 then -1 else Slice_candidates.find sc pos p in
-      if c < 0 then -1 else Slice_candidates.canonical sc c
+      if pos < 0 then -1 else Slice_candidates.find sc pos p
   | Interned st -> intern st i p
 
 (* ---------- Per-handle statistics ---------- *)

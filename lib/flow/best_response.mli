@@ -66,6 +66,11 @@ val edges : t -> int array
 val iter_edges : t -> int -> (int -> unit) -> unit
 (** The edge slots of a handle's path, in path order. *)
 
+val add_loads : t -> float array -> int -> float -> unit
+(** [add_loads t loads h x] adds [x] to [loads] at each edge slot of
+    handle [h], in path order: {!iter_edges} specialized to the solvers'
+    load accumulation. *)
+
 val find : t -> int -> Sso_graph.Path.t -> int
 (** The handle of a given path for pair [i] — warm-start seeding.  [-1]
     when a candidate store does not offer it; a search store interns it. *)

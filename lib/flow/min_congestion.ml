@@ -177,10 +177,7 @@ let mwu ?(iters = 300) ?warm ~label g oracle demand =
       Obs.incr ~by:settled mwu_sssp_settled;
       answers
     in
-    let add_loads loads h amount =
-      Best_response.iter_edges oracle h (fun e ->
-          Array.unsafe_set loads e (Array.unsafe_get loads e +. amount))
-    in
+    let add_loads loads h amount = Best_response.add_loads oracle loads h amount in
     (* The adversary weight is recomputed once per slot per round into a
        flat buffer (hoisting the exp out of the oracles' inner loops, and
        off of every edge visit), reused across rounds.  Its first use is
@@ -338,7 +335,6 @@ let mwu ?(iters = 300) ?warm ~label g oracle demand =
 
 type slice_candidates = Slice_candidates.t
 
-let slice_candidates_of_arena = Slice_candidates.of_arena
 let slice_candidates_of_list g (cands : candidates) = Slice_candidates.of_list g cands
 
 let mwu_on_slices ?pool ?iters ?warm g sc demand =

@@ -24,10 +24,6 @@ type slice_candidates = Slice_candidates.t
     through this representation, so both entry points run the same
     engine. *)
 
-val slice_candidates_of_arena :
-  Sso_graph.Arena.t -> ((int * int) * (int * int)) list -> slice_candidates
-(** Index per-pair slice ranges [(first, count)] of a shared arena. *)
-
 val slice_candidates_of_list :
   Sso_graph.Graph.t -> candidates -> slice_candidates
 (** Index boxed candidate lists (appending them into a private arena). *)

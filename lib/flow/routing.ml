@@ -3,11 +3,7 @@ module Graph = Sso_graph.Graph
 module Demand = Sso_demand.Demand
 module Rng = Sso_prng.Rng
 
-module Pair_map = Map.Make (struct
-  type t = int * int
-
-  let compare = compare
-end)
+module Pair_map = Map.Make (Demand.Pair)
 
 module Path_map = Map.Make (Path)
 

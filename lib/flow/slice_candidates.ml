@@ -1,27 +1,38 @@
 (* Candidate path sets as arena slices — the flat index Stage-4 solvers
    walk in place.
 
-   The candidate set is unpacked once per solve into [(cand_off, edge_off,
-   flat)] int arrays, and every round's oracle/accumulation loops run over
-   those arrays — no per-path boxed array is touched until the final
-   routing is emitted.  Candidates keep their generation order (the order
-   the cheapest-path scan breaks ties in), and [rank] additionally stores,
-   per pair, the candidate order ascending by [Path.compare] — the order
-   routings are emitted in.
+   An index is built in two steps.  [unpack] decodes one pair's slices
+   into a [piece]: the pair's candidates as boxed paths, in generation
+   order, plus their order ascending by [Path.compare] ([rank]) and the
+   duplicate map ([canon]), both local to the pair.  [concat] joins the
+   pieces of a solve's support, in support order, into [(cand_off,
+   edge_off, flat)] int arrays, and every round's oracle/accumulation
+   loops run over those arrays.  A piece depends only on its pair's
+   slices, so a caller that solves many overlapping supports over one
+   arena (the routing service) keeps its pieces and unpacks only the
+   pairs that are new to it.  The routings a solve emits share the
+   pieces' boxed paths, so a kept piece is decoded once, not once per
+   solve.
 
    Edges are stored as slots: [edges] lists the distinct edge ids of all
    candidates in ascending order, and [flat] holds each edge's position
    in it.  A solver sizes its per-edge arrays by the candidates' edges,
-   not by the graph. *)
+   not by the graph.  Slots are assigned per [concat], over the solve's
+   own candidates. *)
 
 module Path = Sso_graph.Path
 module Arena = Sso_graph.Arena
 
+type piece = {
+  cands : Path.t array;  (* generation order *)
+  p_rank : int array;  (* candidates ascending by path order *)
+  p_canon : int array;  (* candidate -> its first duplicate in path order *)
+}
+
 type t = {
-  arena : Arena.t;
-  pos : (int * int, int) Hashtbl.t;  (* pair -> pair position (first wins) *)
+  pairs : (int * int) array;  (* pair position -> pair *)
   cand_off : int array;  (* pair position -> candidate range, npairs + 1 *)
-  slice_ids : int array;  (* candidate -> arena slice handle *)
+  paths : Path.t array;  (* candidate -> path *)
   canon : int array;
       (* candidate -> canonical candidate: duplicate paths inside one
          pair's list collapse onto their first occurrence. *)
@@ -33,97 +44,105 @@ type t = {
   edges : int array;  (* slot -> edge id: the candidates' distinct edges, ascending *)
 }
 
-(* Order two candidates the way [Path.compare] orders paths of one pair:
-   fewer hops first, then lexicographic on edge ids — or on their slots,
-   which ascend with the ids. *)
-let compare_cands edge_off flat c1 c2 =
-  let h1 = edge_off.(c1 + 1) - edge_off.(c1) in
-  let h2 = edge_off.(c2 + 1) - edge_off.(c2) in
-  if h1 <> h2 then Int.compare h1 h2
-  else begin
-    let rec go k =
-      if k = h1 then 0
-      else
-        match Int.compare flat.(edge_off.(c1) + k) flat.(edge_off.(c2) + k) with
-        | 0 -> go (k + 1)
-        | c -> c
-    in
-    go 0
-  end
+let unpack arena (first, count) =
+  let cands = Array.init count (fun k -> Arena.to_path arena (first + k)) in
+  let rank = Array.init count Fun.id in
+  Array.sort
+    (fun c1 c2 ->
+      match Path.compare cands.(c1) cands.(c2) with 0 -> Int.compare c1 c2 | c -> c)
+    rank;
+  let canon = Array.init count Fun.id in
+  for k = 1 to count - 1 do
+    let prev = rank.(k - 1) and cur = rank.(k) in
+    if Path.equal cands.(prev) cands.(cur) then canon.(cur) <- canon.(prev)
+  done;
+  { cands; p_rank = rank; p_canon = canon }
 
-(* The distinct ids in [flat], ascending, with [flat] rewritten in place
-   from edge ids to their slots, by one mark pass over the m edges of the
-   arena's graph.  The map edge -> slot + 1 (0: no candidate uses it) is
-   int32 bytes: an index is built per solve, and an m-word scratch would
-   land in the major heap and be scanned each time. *)
-let slot_edges arena flat =
-  let m = Sso_graph.Graph.m (Arena.graph arena) in
-  let slot_of = Bytes.make (4 * m) '\000' in
-  let get e = Int32.to_int (Bytes.get_int32_le slot_of (4 * e)) in
-  let set e v = Bytes.set_int32_le slot_of (4 * e) (Int32.of_int v) in
-  Array.iter (fun e -> set e 1) flat;
+let count p = Array.length p.cands
+
+(* Per-domain scratch for the slot pass, grown to the graph's m on
+   demand and epoch-stamped, so a solve neither allocates nor clears an
+   m-word array (one per solve would land in the major heap each time):
+   edge [e] is used by the current solve iff [stamp.(e) = epoch], and
+   then its slot is [slot.(e)]. *)
+type scratch = { mutable stamp : int array; mutable slot : int array; mutable epoch : int }
+
+let scratch_key = Domain.DLS.new_key (fun () -> { stamp = [||]; slot = [||]; epoch = 0 })
+
+let scratch_for m =
+  let sc = Domain.DLS.get scratch_key in
+  if Array.length sc.stamp < m then begin
+    sc.stamp <- Array.make m (-1);
+    sc.slot <- Array.make m 0
+  end;
+  sc.epoch <- sc.epoch + 1;
+  sc
+
+(* Filler for fresh path arrays: a block allocated once, so filling a
+   large array with it does not force a minor collection (which
+   [Array.make] does for a young initial value). *)
+let no_path = Path.trivial 0
+
+let concat g entries =
+  let npairs = List.length entries in
+  let pairs = Array.make npairs (0, 0) in
+  let cand_off = Array.make (npairs + 1) 0 in
+  List.iteri
+    (fun i (pair, p) ->
+      pairs.(i) <- pair;
+      cand_off.(i + 1) <- cand_off.(i) + count p)
+    entries;
+  let ncands = cand_off.(npairs) in
+  let paths = Array.make ncands no_path in
+  let canon = Array.make ncands 0 and rank = Array.make ncands 0 in
+  let edge_off = Array.make (ncands + 1) 0 in
+  List.iteri
+    (fun i (_, p) ->
+      let cb = cand_off.(i) in
+      for k = 0 to count p - 1 do
+        paths.(cb + k) <- p.cands.(k);
+        canon.(cb + k) <- cb + p.p_canon.(k);
+        rank.(cb + k) <- cb + p.p_rank.(k);
+        edge_off.(cb + k + 1) <- edge_off.(cb + k) + Path.hops p.cands.(k)
+      done)
+    entries;
+  let nedges = edge_off.(ncands) in
+  let flat = Array.make nedges 0 in
+  let m = Sso_graph.Graph.m g in
+  let sc = scratch_for m in
+  let stamp = sc.stamp and epoch = sc.epoch in
+  (* Copy the edge ids, stamping each on the way. *)
+  for c = 0 to ncands - 1 do
+    let pe = paths.(c).Path.edges and base = edge_off.(c) in
+    for k = 0 to Array.length pe - 1 do
+      let e = Array.unsafe_get pe k in
+      stamp.(e) <- epoch;
+      Array.unsafe_set flat (base + k) e
+    done
+  done;
+  (* Slots ascend with edge ids: one scan of the m stamps, then [flat]
+     is rewritten from edge ids to slots in place. *)
+  let slot = sc.slot in
   let slots = ref 0 in
   for e = 0 to m - 1 do
-    if get e <> 0 then begin
-      incr slots;
-      set e !slots
+    if Array.unsafe_get stamp e = epoch then begin
+      Array.unsafe_set slot e !slots;
+      incr slots
     end
   done;
   let edges = Array.make !slots 0 in
-  for e = 0 to m - 1 do
-    let k = get e in
-    if k <> 0 then edges.(k - 1) <- e
+  for k = 0 to nedges - 1 do
+    let e = Array.unsafe_get flat k in
+    let s = Array.unsafe_get slot e in
+    Array.unsafe_set edges s e;
+    Array.unsafe_set flat k s
   done;
-  Array.iteri (fun k e -> flat.(k) <- get e - 1) flat;
-  edges
-
-let of_arena arena ranges =
-  let entries = Array.of_list ranges in
-  let npairs = Array.length entries in
-  let pos = Hashtbl.create ((2 * npairs) + 1) in
-  Array.iteri
-    (fun i (pair, _) -> if not (Hashtbl.mem pos pair) then Hashtbl.add pos pair i)
-    entries;
-  let cand_off = Array.make (npairs + 1) 0 in
-  for i = 0 to npairs - 1 do
-    let _, (_, count) = entries.(i) in
-    cand_off.(i + 1) <- cand_off.(i) + count
-  done;
-  let ncands = cand_off.(npairs) in
-  let slice_ids = Array.make ncands 0 in
-  for i = 0 to npairs - 1 do
-    let _, (first, count) = entries.(i) in
-    for k = 0 to count - 1 do
-      slice_ids.(cand_off.(i) + k) <- first + k
-    done
-  done;
-  let edge_off, flat = Arena.unpack arena slice_ids in
-  let edges = slot_edges arena flat in
-  let rank = Array.init ncands Fun.id in
-  let cmp c1 c2 =
-    match compare_cands edge_off flat c1 c2 with
-    | 0 -> Int.compare c1 c2
-    | c -> c
-  in
-  for i = 0 to npairs - 1 do
-    let lo = cand_off.(i) and hi = cand_off.(i + 1) in
-    let seg = Array.sub rank lo (hi - lo) in
-    Array.sort cmp seg;
-    Array.blit seg 0 rank lo (hi - lo)
-  done;
-  let canon = Array.init ncands Fun.id in
-  for i = 0 to npairs - 1 do
-    for k = cand_off.(i) + 1 to cand_off.(i + 1) - 1 do
-      let prev = rank.(k - 1) and cur = rank.(k) in
-      if compare_cands edge_off flat prev cur = 0 then canon.(cur) <- canon.(prev)
-    done
-  done;
-  { arena; pos; cand_off; slice_ids; canon; rank; edge_off; flat; edges }
+  { pairs; cand_off; paths; canon; rank; edge_off; flat; edges }
 
 let of_list g cands =
   let arena = Arena.create ~capacity:(4 * max 1 (List.length cands)) g in
   let seen = Hashtbl.create ((2 * List.length cands) + 1) in
-  let ranges =
+  let pieces =
     List.filter_map
       (fun (pair, paths) ->
         if Hashtbl.mem seen pair then None
@@ -131,13 +150,33 @@ let of_list g cands =
           Hashtbl.add seen pair ();
           let first = Arena.length arena in
           List.iter (fun (p : Path.t) -> ignore (Arena.append_path arena p)) paths;
-          Some (pair, (first, Arena.length arena - first))
+          Some (pair, unpack arena (first, Arena.length arena - first))
         end)
       cands
   in
-  of_arena arena ranges
+  concat g pieces
 
-let position sc pair = match Hashtbl.find_opt sc.pos pair with Some i -> i | None -> -1
+let lt_pair ((s1 : int), (t1 : int)) (s2, t2) = s1 < s2 || (s1 = s2 && t1 < t2)
+
+(* A solve's index is usually built over its own support, in support
+   order: then pair [i] sits at position [i], checked in one pass with
+   int comparisons.  Otherwise positions come from a table of the
+   index's pairs (the first binding of a duplicated pair wins). *)
+let positions sc support =
+  let n = Array.length support in
+  let rec aligned i =
+    i = n
+    || (let ((s, t) as pair) = sc.pairs.(i) in
+        let s', t' = support.(i) in
+        s = s' && t = t' && (i = 0 || lt_pair sc.pairs.(i - 1) pair) && aligned (i + 1))
+  in
+  if n = Array.length sc.pairs && aligned 0 then Array.init n Fun.id
+  else begin
+    let pos = Hashtbl.create ((2 * Array.length sc.pairs) + 1) in
+    Array.iteri (fun i pair -> if not (Hashtbl.mem pos pair) then Hashtbl.add pos pair i) sc.pairs;
+    Array.map (fun pair -> match Hashtbl.find_opt pos pair with Some i -> i | None -> -1) support
+  end
+
 let ncands sc = sc.cand_off.(Array.length sc.cand_off - 1)
 
 (* Cheapest candidate of pair position [i] under per-slot [weights]: a
@@ -166,30 +205,26 @@ let iter_edges sc c f =
     f (Array.unsafe_get sc.flat k)
   done
 
-(* Find the candidate of pair position [i] whose edge sequence equals [p]
-   (first occurrence in generation order), for warm-start seeding. *)
+let add_loads sc loads c amount =
+  for k = sc.edge_off.(c) to sc.edge_off.(c + 1) - 1 do
+    let e = Array.unsafe_get sc.flat k in
+    loads.(e) <- loads.(e) +. amount
+  done
+
+(* The canonical candidate of pair position [i] whose path equals [p],
+   for warm-start seeding.  A routing emitted from this index shares its
+   paths, so a physical match is tried first; any equal candidate has
+   the same canonical one. *)
 let find sc i (p : Path.t) =
-  let h = Array.length p.Path.edges in
   let lo = sc.cand_off.(i) and hi = sc.cand_off.(i + 1) in
-  let rec go c =
-    if c >= hi then -1
-    else if
-      sc.edge_off.(c + 1) - sc.edge_off.(c) = h
-      && begin
-           let rec eq k =
-             k = h
-             || (sc.edges.(sc.flat.(sc.edge_off.(c) + k)) = p.Path.edges.(k) && eq (k + 1))
-           in
-           eq 0
-         end
-    then c
-    else go (c + 1)
-  in
-  go lo
+  let rec same c = if c >= hi then -1 else if sc.paths.(c) == p then c else same (c + 1) in
+  let rec equal c = if c >= hi then -1 else if Path.equal sc.paths.(c) p then c else equal (c + 1) in
+  let c = match same lo with -1 -> equal lo | c -> c in
+  if c < 0 then -1 else sc.canon.(c)
 
 let iter_ascending sc i f =
   for k = sc.cand_off.(i) to sc.cand_off.(i + 1) - 1 do
     f sc.rank.(k)
   done
 
-let path sc c = Arena.to_path sc.arena sc.slice_ids.(c)
+let path sc c = sc.paths.(c)

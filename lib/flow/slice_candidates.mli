@@ -1,33 +1,58 @@
 (** Candidate path sets as arena slices.
 
     The flat per-solve index the Stage-4 solvers walk in place: candidate
-    edge ids are unpacked once into contiguous int arrays ([cand_off] per
-    pair, [edge_off] per candidate, [flat] edge ids), so per-round oracle
-    and accumulation loops never touch a boxed path.  Alongside the
+    edge ids are unpacked into contiguous int arrays ([cand_off] per pair,
+    [edge_off] per candidate, [flat] edge ids), so per-round oracle and
+    accumulation loops never touch a boxed path.  Alongside the
     generation order the index stores, per pair, the candidate permutation
     ascending by {!Sso_graph.Path.compare}, the order routings are emitted
     in.  Candidate indices are the handles {!Best_response} hands the
     solvers.
 
+    An index is built in two steps.  {!unpack} decodes one pair's slices
+    into a {!piece} (the boxed candidates, their ascending order and the
+    duplicate map, all local to the pair); {!concat} joins the pieces of a
+    solve's support in support order, flattens their edges and assigns
+    the edge slots.  A piece depends only on its pair's slices, so it can
+    be kept across solves over the same arena: the routing service keeps
+    the pieces of its active pairs and unpacks, per tick, only the pairs
+    new to the solve (see {!Sso_core.Path_system.unpack_pair}).  Both
+    routes run the same [concat], so the index — and every solve on it —
+    is the same either way.  Routings emitted from an index share its
+    pieces' paths ({!path}).
+
     Edges are addressed by slot: the position of an edge id in {!edges},
     the candidates' distinct edges in ascending order.  Weights passed to
     {!cheapest} and edges yielded by {!iter_edges} are slots, so a solver's
     per-edge arrays have one entry per candidate edge, not one per graph
-    edge. *)
+    edge.  Slots are assigned per {!concat}, over that solve's
+    candidates only. *)
 
 type t
 
-val of_arena : Sso_graph.Arena.t -> ((int * int) * (int * int)) list -> t
-(** [of_arena arena ranges] indexes, per pair, the [count] consecutive
-    arena slices starting at [first] (ranges as [(pair, (first, count))];
-    the first binding of a duplicated pair wins). *)
+type piece
+(** One pair's candidates, unpacked: immutable, and independent of the
+    arena once built. *)
+
+val unpack : Sso_graph.Arena.t -> int * int -> piece
+(** [unpack arena (first, count)] decodes the [count] consecutive arena
+    slices starting at [first], in slice (generation) order. *)
+
+val count : piece -> int
+(** Number of candidates in a piece. *)
+
+val concat : Sso_graph.Graph.t -> ((int * int) * piece) list -> t
+(** Index the pieces (of paths on [g]), with pair positions in list
+    order (the first binding of a duplicated pair wins a lookup). *)
 
 val of_list : Sso_graph.Graph.t -> ((int * int) * Sso_graph.Path.t list) list -> t
 (** Index boxed candidate lists by appending them into a private arena
     (validating each path against [g]). *)
 
-val position : t -> int * int -> int
-(** Pair position of a pair, [-1] when the pair is not in the index. *)
+val positions : t -> (int * int) array -> int array
+(** Pair position of each pair, [-1] for a pair not in the index.  An
+    index built over exactly these pairs, strictly ascending, maps pair
+    [i] to [i] without a lookup table. *)
 
 val ncands : t -> int
 (** Total number of candidates across all pairs. *)
@@ -46,17 +71,21 @@ val canonical : t -> int -> int
 val iter_edges : t -> int -> (int -> unit) -> unit
 (** Edge slots of a candidate, in path order. *)
 
+val add_loads : t -> float array -> int -> float -> unit
+(** [add_loads sc loads c x] adds [x] to [loads] at each edge slot of
+    candidate [c], in path order: {!iter_edges} without a closure. *)
+
 val edges : t -> int array
 (** Slot -> edge id: the distinct edge ids of all candidates, ascending,
     collected once when the index is built.  Do not mutate. *)
 
 val find : t -> int -> Sso_graph.Path.t -> int
-(** First candidate of pair position [i] (generation order) whose edge
-    sequence equals the path's, or [-1] — warm-start seeding. *)
+(** The canonical candidate of pair position [i] whose path equals the
+    given one, or [-1] — warm-start seeding. *)
 
 val iter_ascending : t -> int -> (int -> unit) -> unit
 (** The candidates of pair position [i] in ascending path order
     (duplicates follow their canonical copy). *)
 
 val path : t -> int -> Sso_graph.Path.t
-(** A candidate as a boxed path, decoded from the arena. *)
+(** A candidate as a boxed path: the piece's own value, not a copy. *)

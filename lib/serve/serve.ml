@@ -7,6 +7,7 @@ module Arena = Sso_graph.Arena
 module Demand = Sso_demand.Demand
 module Update = Sso_demand.Update
 module Routing = Sso_flow.Routing
+module Slice_candidates = Sso_flow.Slice_candidates
 module Path_system = Sso_core.Path_system
 module Semi_oblivious = Sso_core.Semi_oblivious
 module Simulator = Sso_sim.Simulator
@@ -66,6 +67,10 @@ type t = {
   failed : (int, unit) Hashtbl.t;  (* edges currently down *)
   mutable survivors : Path_system.t option;
       (* cached filter view over [system]; dropped on any fault *)
+  pieces : (int, Slice_candidates.piece) Hashtbl.t;
+      (* s·n + d -> the pair's candidates unpacked from [pieces_of], kept
+         for active pairs only *)
+  mutable pieces_of : Path_system.t option;  (* the live system of [pieces] *)
   mutable pending : Update.t list;  (* shed events, oldest first *)
   mutable demand : Demand.t;
   mutable routing : Routing.t option;
@@ -89,6 +94,8 @@ let create ?(config = default_config) graph system =
     seen = Hashtbl.create 256;
     failed = Hashtbl.create 16;
     survivors = None;
+    pieces = Hashtbl.create 256;
+    pieces_of = None;
     pending = [];
     demand = Demand.empty;
     routing = None;
@@ -114,6 +121,8 @@ let deferred_counter = Obs.counter "serve.deferred"
 let cold_counter = Obs.counter "serve.cold_solves"
 let warm_counter = Obs.counter "serve.warm_solves"
 let degraded_counter = Obs.counter "serve.degraded_solves"
+let unpacked_counter = Obs.counter "serve.index_unpacked"
+let resets_counter = Obs.counter "serve.index_resets"
 
 (* Live telemetry: rolling per-tick latency quantiles plus throughput and
    staleness gauges.  All wall-clock — they surface only through
@@ -293,30 +302,62 @@ let step t ~tick ?(faults = []) events =
     end
   in
   Obs.observe_quantile admit_q admit_ns;
-  let retired =
-    List.length
-      (List.filter
-         (fun (s, d) -> Demand.get demand s d <= 0.0)
-         (Demand.support before))
+  (* Only a departure takes a pair out of the demand; it retires if it
+     was active before the batch and did not re-arrive within it. *)
+  let retired_pairs =
+    List.sort_uniq Demand.Pair.compare
+      (List.filter_map
+         (fun (e : Update.t) ->
+           let s = e.Update.src and d = e.Update.dst in
+           match e.Update.kind with
+           | Update.Depart when Demand.mem before s d && not (Demand.mem demand s d) ->
+               Some (s, d)
+           | Update.Arrive _ | Update.Depart | Update.Set_rate _ -> None)
+         applied)
   in
+  let retired = List.length retired_pairs in
   let live = live_system t in
+  (* The persistent part of the Stage-4 index: the active pairs'
+     candidates, unpacked from [live].  Another live system (a fault or
+     repair tick) offers other candidates and resets them all; a retired
+     pair drops its piece; a pair new to the solve is unpacked once. *)
+  (match t.pieces_of with
+  | Some v when v != live ->
+      Hashtbl.reset t.pieces;
+      Obs.incr resets_counter
+  | Some _ | None -> ());
+  t.pieces_of <- Some live;
+  let key (s, d) = (s * Graph.n t.graph) + d in
+  List.iter (fun p -> Hashtbl.remove t.pieces (key p)) retired_pairs;
+  let unpacked = ref 0 in
+  let piece ((s, d) as p) =
+    match Hashtbl.find_opt t.pieces (key p) with
+    | Some pc -> pc
+    | None ->
+        incr unpacked;
+        let pc = Path_system.unpack_pair live s d in
+        Hashtbl.replace t.pieces (key p) pc;
+        pc
+  in
+  let routable_pair p = Slice_candidates.count (piece p) > 0 in
   (* Under failures a pair can lose every candidate; it is shed from the
      solve (its demand stays active, so a repair brings it straight
-     back).  Probing slice_count here also materializes the surviving
-     view's pairs in support order — serially, so the view's arena
-     layout is independent of the job count. *)
+     back).  Unpacking here also materializes the surviving view's pairs
+     in support order — serially, so the view's arena layout is
+     independent of the job count. *)
   let routable, unroutable_pairs =
     if Hashtbl.length t.failed = 0 then (support, [])
-    else
-      List.partition
-        (fun (s, d) -> Path_system.slice_count live s d > 0)
-        support
+    else List.partition routable_pair support
   in
   let unroutable = List.length unroutable_pairs in
   let solve_demand =
     if unroutable = 0 then demand
-    else Demand.filter (fun s d _ -> Path_system.slice_count live s d > 0)
-        demand
+    else Demand.filter (fun s d _ -> routable_pair (s, d)) demand
+  in
+  (* [routable] is [solve_demand]'s support, in order. *)
+  let index () =
+    Slice_candidates.concat t.graph
+      (List.map (fun p -> (p, piece p)) routable)
   in
   let warm_capable =
     match t.config.solver with
@@ -350,10 +391,10 @@ let step t ~tick ?(faults = []) events =
           Semi_oblivious.reoptimize
             ~solver:(Semi_oblivious.Mwu t.config.warm_iters)
             ~warm_start:(warm, t.config.warm_weight)
-            t.graph live solve_demand
+            ~index:(index ()) t.graph live solve_demand
       | (Cold | Warm | Degraded), _ ->
-          Semi_oblivious.route ~solver:t.config.solver t.graph live
-            solve_demand
+          Semi_oblivious.route ~solver:t.config.solver ~index:(index ())
+            t.graph live solve_demand
   in
   let solve_ns = Obs.now_ns () - t0 in
   Obs.observe_quantile solve_q solve_ns;
@@ -376,6 +417,7 @@ let step t ~tick ?(faults = []) events =
   Obs.incr ~by:(List.length applied) events_counter;
   Obs.incr ~by:(List.length fresh) admitted_counter;
   Obs.incr ~by:retired retired_counter;
+  Obs.incr ~by:!unpacked unpacked_counter;
   Obs.incr ~by:deferred deferred_counter;
   let tick_ns = Obs.now_ns () - tick_t0 in
   let report =
@@ -409,6 +451,7 @@ let step t ~tick ?(faults = []) events =
           ("failed_edges", Trace.Int report.failed_edges);
           ("rerouted", Trace.Int report.rerouted);
           ("unroutable", Trace.Int report.unroutable);
+          ("unpacked", Trace.Int !unpacked);
           ("congestion", Trace.Float congestion);
           ("mode",
            Trace.String

@@ -18,7 +18,12 @@
     - re-solves incrementally with {!Sso_core.Semi_oblivious.reoptimize},
       carrying the previous routing as MWU warm-start weight, falling
       back to a cold solve on the first tick and every [refresh_every]-th
-      solve thereafter.
+      solve thereafter.  The solve's slice index is joined from candidates
+      the service keeps unpacked for its active pairs
+      ({!Sso_core.Path_system.unpack_pair}): a tick unpacks only the pairs
+      new to it, a retired pair drops its candidates, and a tick that
+      changes the live system (a fault or repair) drops them all.
+      {!restore} unpacks nothing.
 
     Three robustness layers wrap that loop (DESIGN.md §14):
 
@@ -46,8 +51,10 @@
     Everything is deterministic: the same stream, seed, configuration,
     and fault schedule produce bit-identical routings, reports, and
     digests at any [--jobs].  Per-tick telemetry flows through [serve.*]
-    counters/spans and, when tracing is on, a [serve.tick] trace event
-    per batch. *)
+    counters/spans (among them [serve.index_unpacked], the pairs
+    unpacked into the kept index, and [serve.index_resets], the
+    live-system changes that dropped it) and, when tracing is on, a
+    [serve.tick] trace event per batch. *)
 
 type config = {
   solver : Sso_core.Semi_oblivious.solver;

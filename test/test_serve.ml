@@ -21,6 +21,8 @@ module Timeline = Sso_fault.Timeline
 module Simulator = Sso_sim.Simulator
 module Pool = Sso_engine.Pool
 module Codec = Sso_artifact.Codec
+module Obs = Sso_obs.Obs
+module Semi_oblivious = Sso_core.Semi_oblivious
 
 let ev tick src dst kind = { Update.tick; src; dst; kind }
 
@@ -134,6 +136,86 @@ let test_apply () =
   corrupts "inactive depart" [ ev 3 0 1 Update.Depart ];
   corrupts "inactive set" [ ev 3 0 1 (Update.Set_rate 1.0) ]
 
+(* The batch fold as it was before it became an O(events · log pairs)
+   update of the demand map: the whole demand rebuilt through a table on
+   every batch, with the same checks in the same order. *)
+let rebuild_apply demand events =
+  let violation (e : Update.t) =
+    if e.Update.tick < 0 then Some (Printf.sprintf "negative tick %d" e.Update.tick)
+    else if e.Update.src < 0 || e.Update.dst < 0 then
+      Some (Printf.sprintf "negative endpoint in %d->%d" e.Update.src e.Update.dst)
+    else if e.Update.src = e.Update.dst then
+      Some (Printf.sprintf "diagonal pair %d->%d" e.Update.src e.Update.dst)
+    else
+      match e.Update.kind with
+      | Update.Depart -> None
+      | Update.Arrive r | Update.Set_rate r ->
+          if Float.is_finite r && r > 0.0 then None
+          else
+            Some
+              (Printf.sprintf "%s %d->%d with non-positive rate %g"
+                 (match e.Update.kind with Update.Arrive _ -> "arrive" | _ -> "set")
+                 e.Update.src e.Update.dst r)
+  in
+  let table = Hashtbl.create 64 in
+  Demand.fold (fun s t amount () -> Hashtbl.replace table (s, t) amount) demand ();
+  List.iter
+    (fun (e : Update.t) ->
+      (match violation e with
+      | Some msg -> raise (Update.Corrupt ("invalid event: " ^ msg))
+      | None -> ());
+      let pair = (e.Update.src, e.Update.dst) in
+      match e.Update.kind with
+      | Update.Arrive r ->
+          let old = match Hashtbl.find_opt table pair with Some v -> v | None -> 0.0 in
+          Hashtbl.replace table pair (old +. r)
+      | Update.Depart ->
+          if not (Hashtbl.mem table pair) then
+            raise
+              (Update.Corrupt
+                 (Printf.sprintf "tick %d: departure of inactive pair %d->%d" e.Update.tick
+                    e.Update.src e.Update.dst));
+          Hashtbl.remove table pair
+      | Update.Set_rate r ->
+          if not (Hashtbl.mem table pair) then
+            raise
+              (Update.Corrupt
+                 (Printf.sprintf "tick %d: rate change of inactive pair %d->%d" e.Update.tick
+                    e.Update.src e.Update.dst));
+          Hashtbl.replace table pair r)
+    events;
+  Demand.of_list (Hashtbl.fold (fun (s, t) amount acc -> (s, t, amount) :: acc) table [])
+
+let prop_apply_matches_rebuild =
+  (* Pairs among 4 vertices, so batches hit active pairs, repeat pairs
+     and re-arrivals.  About a quarter of the batches are valid; the rest
+     fail on an inactive departure or rate change, a non-positive rate, a
+     diagonal pair or a negative endpoint. *)
+  let commodity = QCheck.Gen.(map (fun (s, k) -> (s, (s + 1 + k) mod 4)) (pair (0 -- 3) (0 -- 2))) in
+  let initial = QCheck.Gen.(list_size (0 -- 8) (pair commodity (float_range 0.1 5.0)))
+  and event =
+    QCheck.Gen.(
+      map3
+        (fun kind (s, d) rate ->
+          match kind with
+          | 0 | 1 | 2 | 3 -> ev 7 s d (Update.Arrive rate)
+          | 4 | 5 -> ev 7 s d Update.Depart
+          | 6 | 7 -> ev 7 s d (Update.Set_rate rate)
+          | 8 -> ev 7 s s Update.Depart
+          | _ -> ev 7 (-1) d (Update.Arrive rate))
+        (0 -- 9) commodity (float_range (-0.5) 5.0))
+  in
+  QCheck.Test.make ~name:"Update.apply equals the rebuilding fold" ~count:500
+    (QCheck.make QCheck.Gen.(pair initial (list_size (0 -- 8) event)))
+    (fun (initial, events) ->
+      let demand = Demand.of_list (List.map (fun ((s, t), v) -> (s, t, v)) initial) in
+      let outcome f =
+        match f demand events with
+        | d -> Ok (Demand.fold (fun s t v acc -> (s, t, Int64.bits_of_float v) :: acc) d [])
+        | exception Update.Corrupt msg -> Error msg
+      in
+      outcome Update.apply = outcome rebuild_apply)
+
 let test_by_tick () =
   let events =
     [
@@ -181,6 +263,28 @@ let test_step_admits_and_retires () =
   Alcotest.(check int) "re-admission is free" 0 r2.Serve.admitted;
   Alcotest.(check int) "three active" 3 r2.Serve.active_pairs;
   Alcotest.(check bool) "congestion positive" true (r2.Serve.congestion > 0.0)
+
+(* The Stage-4 index the service keeps across ticks holds the active
+   pairs only: a retired pair's candidates are unpacked again when it
+   returns, and a live-system change (fail, repair) resets the index. *)
+let test_index_follows_changes () =
+  let srv = make_service () in
+  let unpacked = Obs.counter "serve.index_unpacked" in
+  let resets = Obs.counter "serve.index_resets" in
+  let step tick ?faults events =
+    let u0 = Obs.counter_value unpacked and r0 = Obs.counter_value resets in
+    ignore (Serve.step srv ~tick ?faults events);
+    (Obs.counter_value unpacked - u0, Obs.counter_value resets - r0)
+  in
+  let expect name want got = Alcotest.(check (pair int int)) name want got in
+  expect "two arrivals" (2, 0)
+    (step 0 [ ev 0 0 1 (Update.Arrive 1.0); ev 0 2 3 (Update.Arrive 1.0) ]);
+  expect "a departure unpacks nothing" (0, 0) (step 1 [ ev 1 2 3 Update.Depart ]);
+  expect "a returning pair is unpacked again" (1, 0) (step 2 [ ev 2 2 3 (Update.Arrive 1.0) ]);
+  expect "a rate change unpacks nothing" (0, 0) (step 3 [ ev 3 0 1 (Update.Set_rate 2.0) ]);
+  expect "a failure resets" (2, 1) (step 4 ~faults:[ Serve.Fail 4 ] []);
+  expect "a quiet tick under failure" (0, 0) (step 5 []);
+  expect "a repair resets" (2, 1) (step 6 ~faults:[ Serve.Repair 4 ] [])
 
 let test_step_rejects_bad_batches () =
   let srv = make_service () in
@@ -602,6 +706,75 @@ let test_faulted_replay_golden () =
         (digest_of srv ^ " " ^ Digest.to_hex (Digest.string congestion)))
     [ 1; 4 ]
 
+(* The index the service keeps across ticks against a fresh one: every
+   tick of a churn replay through a fail/repair window must serve the
+   routing, bit for bit, that [Semi_oblivious.reoptimize] (on a cold
+   tick, [route]) gives on a freshly built index of the live candidates,
+   from the same warm routing.  The index counters must show that tick
+   work follows the changes: a tick unpacks only the pairs new to it, and
+   only a fault or repair tick, which replaces the live system, resets
+   the index and unpacks the whole support. *)
+let check_index_matches_fresh jobs =
+  let before = Pool.default_jobs () in
+  Fun.protect ~finally:(fun () -> Pool.set_default_jobs before) @@ fun () ->
+  Pool.set_default_jobs jobs;
+  let g, system = make_parts () in
+  let config = Serve.default_config in
+  let srv = Serve.create ~config g system in
+  let faults =
+    [ (2, [ Serve.Fail 4; Serve.Fail 9 ]); (4, [ Serve.Repair 4 ]); (6, [ Serve.Repair 9 ]) ]
+  in
+  let batches = Update.by_tick churn_events in
+  let unpacked = Obs.counter "serve.index_unpacked" in
+  let resets = Obs.counter "serve.index_resets" in
+  let failed = ref [] and previous = ref [] in
+  for tick = 0 to 7 do
+    let batch = Option.value (List.assoc_opt tick batches) ~default:[] in
+    let fs = Option.value (List.assoc_opt tick faults) ~default:[] in
+    let warm = Serve.routing srv in
+    let u0 = Obs.counter_value unpacked and r0 = Obs.counter_value resets in
+    let report = Serve.step srv ~tick ~faults:fs batch in
+    List.iter
+      (function
+        | Serve.Fail e -> failed := e :: !failed
+        | Serve.Repair e -> failed := List.filter (fun e' -> e' <> e) !failed)
+      fs;
+    let down = !failed in
+    let live =
+      if down = [] then system
+      else Path_system.filter (fun a i -> not (Arena.exists a i (fun e -> List.mem e down))) system
+    in
+    let demand = Serve.demand srv in
+    let routable = Demand.filter (fun s d _ -> Path_system.slice_count live s d > 0) demand in
+    let routing, congestion =
+      match (report.Serve.mode, warm) with
+      | _ when Demand.support_size routable = 0 -> (Routing.make [], 0.0)
+      | Serve.Warm, Some warm ->
+          Semi_oblivious.reoptimize
+            ~solver:(Semi_oblivious.Mwu config.Serve.warm_iters)
+            ~warm_start:(warm, config.Serve.warm_weight) g live routable
+      | (Serve.Cold | Serve.Warm | Serve.Degraded), _ ->
+          Semi_oblivious.route ~solver:config.Serve.solver g live routable
+    in
+    let label what = Printf.sprintf "tick %d: %s (jobs %d)" tick what jobs in
+    Alcotest.(check string) (label "routing digest")
+      (Codec.hex_of_key (Codec.fnv1a64 (Codec.encode_routing routing)))
+      (digest_of srv);
+    Alcotest.(check int64) (label "congestion bits") (Int64.bits_of_float congestion)
+      (Int64.bits_of_float report.Serve.congestion);
+    let support = Demand.support demand in
+    let fresh = List.filter (fun p -> not (List.mem p !previous)) support in
+    Alcotest.(check int) (label "index resets") (if fs = [] then 0 else 1)
+      (Obs.counter_value resets - r0);
+    Alcotest.(check int) (label "pairs unpacked")
+      (List.length (if fs = [] then fresh else support))
+      (Obs.counter_value unpacked - u0);
+    previous := support
+  done
+
+let test_index_matches_fresh_j1 () = check_index_matches_fresh 1
+let test_index_matches_fresh_j4 () = check_index_matches_fresh 4
+
 let check_kill_and_resume ?(parts = make_parts) ~faults ~cut jobs =
   let before = Pool.default_jobs () in
   Fun.protect ~finally:(fun () -> Pool.set_default_jobs before) @@ fun () ->
@@ -1006,6 +1179,7 @@ let () =
         [
           Alcotest.test_case "admit and retire" `Quick
             test_step_admits_and_retires;
+          Alcotest.test_case "index follows changes" `Quick test_index_follows_changes;
           Alcotest.test_case "bad batches" `Quick test_step_rejects_bad_batches;
           Alcotest.test_case "empty demand" `Quick test_step_to_empty_demand;
           Alcotest.test_case "refresh and staleness" `Quick
@@ -1063,6 +1237,10 @@ let () =
             test_warm_tracks_cold_j4;
           Alcotest.test_case "jobs-invariant replay" `Quick
             test_replay_jobs_invariant;
+          Alcotest.test_case "kept index equals a fresh one (jobs 1)" `Quick
+            test_index_matches_fresh_j1;
+          Alcotest.test_case "kept index equals a fresh one (jobs 4)" `Quick
+            test_index_matches_fresh_j4;
         ] );
       ( "simulation",
         [ Alcotest.test_case "timed load" `Quick test_simulate ] );
@@ -1070,6 +1248,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_stream_roundtrip;
+            prop_apply_matches_rebuild;
             prop_stream_mutations_never_escape;
             prop_checkpoint_mutations_never_escape;
           ] );
