@@ -68,6 +68,10 @@ let racke_routing rng g = Memo.racke ?store:!store rng g
 let scalars : (string * float) list ref = ref []
 let scalar name v = scalars := !scalars @ [ (name, v) ]
 
+(* --no-timing: tables print "-" for their wall-clock columns, so two
+   runs print the same bytes. *)
+let no_timing = ref false
+
 let header title =
   Printf.printf "\n=== %s ===\n" title
 
@@ -562,10 +566,11 @@ let e12 () =
       let (_, gk), gk_t =
         timed (fun () -> Concurrent_flow.on_paths ~epsilon:0.05 g cands d)
       in
-      Printf.printf "%8d %6d %6d | %10.3f %7.3f %10.3f %7.3f %10.3f %7.3f\n" n
+      let secs t = if !no_timing then "-" else Printf.sprintf "%.3f" t in
+      Printf.printf "%8d %6d %6d | %10.3f %7s %10.3f %7s %10.3f %7s\n" n
         pairs
         (Path_system.sparsity_on system (Demand.support d))
-        lp lp_t mwu mwu_t gk gk_t)
+        lp (secs lp_t) mwu (secs mwu_t) gk (secs gk_t))
     [ (12, 5); (20, 10); (30, 20) ];
   Printf.printf "shape: all three agree within the approximation tolerance;\n";
   Printf.printf "the iterative engines scale past where the dense LP stops.\n"
@@ -1774,6 +1779,7 @@ let () =
   let args = Array.to_list Sys.argv in
   let has flag = List.mem flag args in
   if has "--big" then big_scale := true;
+  if has "--no-timing" then no_timing := true;
   let rec find_value flag = function
     | f :: v :: _ when f = flag -> Some v
     | _ :: rest -> find_value flag rest

@@ -1584,7 +1584,7 @@ let trace_cmd =
     | Trace.Bool b -> string_of_bool b
     | Trace.String s -> s
   in
-  let print_solves ~all solves =
+  let print_solves solves =
     List.iteri
       (fun i (s : Trace.solve) ->
         let rounds = Array.of_list s.Trace.s_rounds in
@@ -1594,9 +1594,8 @@ let trace_cmd =
         if n > 0 then begin
           Printf.printf "%8s %12s %12s %12s %8s\n" "round" "congestion"
             "avg-cong" "potential" "paths";
-          let keep r =
-            all || r = 1 || r = n || r land (r - 1) = 0 (* powers of two *)
-          in
+          (* Log-spaced: the first, last and power-of-two rounds. *)
+          let keep r = r = 1 || r = n || r land (r - 1) = 0 in
           Array.iter
             (fun (r : Trace.round) ->
               if keep r.Trace.r_round then
@@ -1622,12 +1621,20 @@ let trace_cmd =
            dropped, so the aggregates below are incomplete (raise \
            Obs.set_ring_capacity or trace a smaller run)\n"
           t.Trace.dropped;
-      let spans = Trace.span_totals t.Trace.events in
+      let spans = Trace.self_totals t.Trace.events in
       if spans <> [] then begin
-        Printf.printf "\n%-36s %8s %12s\n" "span" "calls" "total ms";
+        (* Ranked by self time (duration minus child spans); self% is the
+           share of all traced self time, so the column sums to 100. *)
+        let traced_self =
+          List.fold_left (fun acc (_, _, _, self) -> acc + self) 0 spans
+        in
+        Printf.printf "\n%-36s %8s %12s %12s %7s\n" "span" "calls" "total ms"
+          "self ms" "self%";
         List.iter
-          (fun (name, calls, total_ns) ->
-            Printf.printf "%-36s %8d %12.3f\n" name calls (ms total_ns))
+          (fun (name, calls, total_ns, self_ns) ->
+            Printf.printf "%-36s %8d %12.3f %12.3f %6.1f%%\n" name calls
+              (ms total_ns) (ms self_ns)
+              (100.0 *. float_of_int self_ns /. float_of_int (max 1 traced_self)))
           spans
       end;
       let counts = Trace.event_counts t.Trace.events in
@@ -1639,55 +1646,15 @@ let trace_cmd =
       end;
       let solves = Trace.mwu_solves t.Trace.events in
       if solves <> [] then begin
-        Printf.printf "\nMWU convergence (log-spaced rounds; 'sso trace \
-                       convergence' for all):\n";
-        print_solves ~all:false solves
+        Printf.printf "\nMWU convergence (log-spaced rounds):\n";
+        print_solves solves
       end
     in
-    let doc = "overview: meta, span totals, event counts, MWU convergence" in
+    let doc =
+      "overview: meta, spans ranked by self time, event counts, MWU \
+       convergence"
+    in
     Cmd.v (Cmd.info "summary" ~doc) Term.(const run $ trace_pos 0)
-  in
-  let spans_cmd =
-    let run path =
-      let t = load path in
-      (* Aggregate per (name); indent by the minimum depth the span was
-         observed at, so nesting survives aggregation. *)
-      let depth = Hashtbl.create 16 in
-      List.iter
-        (fun (e : Trace.event) ->
-          if e.Trace.kind = Trace.Span then
-            let d =
-              match Hashtbl.find_opt depth e.Trace.name with
-              | Some d -> min d e.Trace.depth
-              | None -> e.Trace.depth
-            in
-            Hashtbl.replace depth e.Trace.name d)
-        t.Trace.events;
-      Printf.printf "%-44s %8s %12s %12s\n" "span" "calls" "total ms"
-        "mean ms";
-      List.iter
-        (fun (name, calls, total_ns) ->
-          let d = Option.value ~default:0 (Hashtbl.find_opt depth name) in
-          let label = String.make (2 * d) ' ' ^ name in
-          Printf.printf "%-44s %8d %12.3f %12.4f\n" label calls (ms total_ns)
-            (ms total_ns /. float_of_int (max 1 calls)))
-        (Trace.span_totals t.Trace.events)
-    in
-    let doc = "per-span aggregation, indented by nesting depth" in
-    Cmd.v (Cmd.info "spans" ~doc) Term.(const run $ trace_pos 0)
-  in
-  let convergence_cmd =
-    let run path =
-      let t = load path in
-      match Trace.mwu_solves t.Trace.events with
-      | [] ->
-          Printf.printf
-            "no MWU solves in this trace (was the traced run using the LP or \
-             GK solver?)\n"
-      | solves -> print_solves ~all:true solves
-    in
-    let doc = "per-round MWU telemetry for every solve in the trace" in
-    Cmd.v (Cmd.info "convergence" ~doc) Term.(const run $ trace_pos 0)
   in
   let diff_cmd =
     let run path_a path_b =
@@ -1695,8 +1662,8 @@ let trace_cmd =
       let totals t =
         let tbl = Hashtbl.create 16 in
         List.iter
-          (fun (name, _, total_ns) -> Hashtbl.replace tbl name total_ns)
-          (Trace.span_totals t.Trace.events);
+          (fun (name, _, total_ns, _) -> Hashtbl.replace tbl name total_ns)
+          (Trace.self_totals t.Trace.events);
         tbl
       in
       let ta = totals a and tb = totals b in
@@ -1786,29 +1753,9 @@ let trace_cmd =
     let doc = "folded flamegraph stacks (span path, self weight) from a trace" in
     Cmd.v (Cmd.info "flame" ~doc) Term.(const run $ trace_pos 0 $ weight_arg)
   in
-  let top_cmd =
-    let run path =
-      let t = load path in
-      let rows = Trace.self_totals t.Trace.events in
-      let traced_self =
-        List.fold_left (fun acc (_, _, _, self) -> acc + self) 0 rows
-      in
-      Printf.printf "%-36s %8s %12s %12s %7s\n" "span" "calls" "self ms"
-        "total ms" "self%";
-      List.iter
-        (fun (name, calls, total_ns, self_ns) ->
-          Printf.printf "%-36s %8d %12.3f %12.3f %6.1f%%\n" name calls
-            (ms self_ns) (ms total_ns)
-            (100.0 *. float_of_int self_ns
-            /. float_of_int (max 1 traced_self)))
-        rows
-    in
-    let doc = "rank spans by self time (duration minus child spans)" in
-    Cmd.v (Cmd.info "top" ~doc) Term.(const run $ trace_pos 0)
-  in
   let doc = "analyze JSONL execution traces recorded with --trace" in
   Cmd.group (Cmd.info "trace" ~doc)
-    [ summary_cmd; spans_cmd; convergence_cmd; diff_cmd; flame_cmd; top_cmd ]
+    [ summary_cmd; diff_cmd; flame_cmd ]
 
 (* ---- theory ---- *)
 

@@ -194,8 +194,8 @@ let parallel_init ?pool n f =
        --jobs.  The serial path wraps tasks the same way (and marks the
        domain busy so nested parallel calls degrade to Array.init exactly
        as they would on a worker). *)
-    let base = Obs.reserve_slots n in
-    let task i = Obs.in_task (base + i) (fun () -> f i) in
+    let base = Obs.reserve_slots n and depth = Obs.span_depth () in
+    let task i = Obs.in_task ~depth (base + i) (fun () -> f i) in
     Fun.protect ~finally:Obs.fresh_stream (fun () ->
         if pool.jobs = 1 || pool.stop || n = 1 then begin
           Domain.DLS.set busy_key true;

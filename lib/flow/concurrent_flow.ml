@@ -13,13 +13,15 @@ module Demand = Sso_demand.Demand
 module Obs = Sso_obs.Obs
 module Trace = Sso_obs.Trace
 
-let span_gk = Obs.span "stage4.gk"
+(* Spans by role: Stage 4 solves on candidates, Stage 5 the optimum. *)
+let span_stage4 = Obs.span "stage4.gk"
+let span_stage5 = Obs.span "stage5.gk"
 
-let solve ?(epsilon = 0.1) g oracle demand =
+let solve ~span ?(epsilon = 0.1) g oracle demand =
   if not (epsilon > 0.0 && epsilon < 1.0) then
     invalid_arg "Concurrent_flow: epsilon must lie in (0,1)";
   if Demand.support_size demand = 0 then (Routing.make [], 0.0)
-  else Obs.with_span span_gk @@ fun () -> begin
+  else Obs.with_span span @@ fun () -> begin
     let m = Graph.m g in
     let mf = float_of_int (max 2 m) in
     let delta = (1.0 +. epsilon) /. Float.pow ((1.0 +. epsilon) *. mf) (1.0 /. epsilon) in
@@ -94,10 +96,11 @@ let solve ?(epsilon = 0.1) g oracle demand =
     (routing, Routing.congestion g routing demand)
   end
 
-let on_slices ?epsilon g sc demand = solve ?epsilon g (Best_response.candidates sc) demand
+let on_slices ?epsilon g sc demand =
+  solve ~span:span_stage4 ?epsilon g (Best_response.candidates sc) demand
 
 let on_paths ?epsilon g cands demand =
   on_slices ?epsilon g (Slice_candidates.of_list g cands) demand
 
 let unrestricted ?epsilon g demand =
-  solve ?epsilon g (Best_response.dijkstra ~batched:false g) demand
+  solve ~span:span_stage5 ?epsilon g (Best_response.dijkstra ~batched:false g) demand

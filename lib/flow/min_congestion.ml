@@ -7,9 +7,12 @@ module Simplex = Sso_lp.Simplex
 module Obs = Sso_obs.Obs
 module Trace = Sso_obs.Trace
 
+(* Spans by role: Stage 4 solves on candidate paths, Stage 5 finds the
+   optimum over all paths (or all hop-limited paths). *)
 let span_lp = Obs.span "stage4.lp"
 let span_mwu = Obs.span "stage4.mwu"
-let span_lp_unrestricted = Obs.span "opt.lp_unrestricted"
+let span_lp_unrestricted = Obs.span "stage5.lp"
+let span_mwu_unrestricted = Obs.span "stage5.mwu"
 let mwu_iterations = Obs.counter "mwu.iterations"
 let mwu_oracle_calls = Obs.counter "mwu.oracle_calls"
 let mwu_sssp_settled = Obs.counter "mwu.sssp_settled"
@@ -141,10 +144,10 @@ let lp_on_paths g cands demand =
    verbatim, a pair that lost some renormalizes the survivors (as
    [Routing.make] would), and a pair that lost all is learned by the fresh
    rounds alone, like a pair the warm routing never covered. *)
-let mwu ?(iters = 300) ?warm ~label g oracle demand =
+let mwu ?(iters = 300) ?warm ~span ~label g oracle demand =
   if iters <= 0 then invalid_arg "Min_congestion: iters must be positive";
   if Demand.support_size demand = 0 then Some (Routing.make [], 0.0)
-  else Obs.with_span span_mwu @@ fun () -> begin
+  else Obs.with_span span @@ fun () -> begin
     let m = Graph.m g in
     let support = Array.of_list (Demand.support demand) in
     let pairs = Array.length support in
@@ -339,7 +342,9 @@ let slice_candidates_of_list g (cands : candidates) = Slice_candidates.of_list g
 
 let mwu_on_slices ?pool ?iters ?warm g sc demand =
   let label = if Option.is_none warm then "on_paths" else "on_paths_warm" in
-  match mwu ?iters ?warm ~label g (Best_response.candidates ?pool sc) demand with
+  match
+    mwu ?iters ?warm ~span:span_mwu ~label g (Best_response.candidates ?pool sc) demand
+  with
   | Some result -> result
   | None -> invalid_arg "Min_congestion.mwu_on_paths: demanded pair has no candidates"
 
@@ -348,16 +353,20 @@ let mwu_on_paths ?pool ?iters g cands demand =
 
 let mwu_unrestricted ?pool ?iters ?(batched = true) g demand =
   match
-    mwu ?iters ~label:"unrestricted" g (Best_response.dijkstra ?pool ~batched g) demand
+    mwu ?iters ~span:span_mwu_unrestricted ~label:"unrestricted" g
+      (Best_response.dijkstra ?pool ~batched g)
+      demand
   with
   | Some result -> result
   | None -> invalid_arg "Min_congestion.mwu_unrestricted: graph is disconnected"
 
 let mwu_unrestricted_avoiding ?pool ?iters ?(batched = true) ~avoid g demand =
-  mwu ?iters ~label:"avoiding" g (Best_response.dijkstra ?pool ~avoid ~batched g) demand
+  mwu ?iters ~span:span_mwu_unrestricted ~label:"avoiding" g
+    (Best_response.dijkstra ?pool ~avoid ~batched g)
+    demand
 
 let mwu_hop_limited ?pool ?iters ?(batched = true) ~max_hops g demand =
-  mwu ?iters ~label:"hop_limited" g
+  mwu ?iters ~span:span_mwu_unrestricted ~label:"hop_limited" g
     (Best_response.hop_limited ?pool ~batched ~max_hops g)
     demand
 

@@ -31,16 +31,18 @@ let current_stream () =
 
 let fresh_stream () = Domain.DLS.get stream_key := None
 
-(* Span nesting depth, per domain.  [in_task] resets it so a task's spans
-   report the same depths whether it ran inline (jobs=1) or on a worker. *)
+(* Span nesting depth, per domain.  [in_task] sets it to the submitter's
+   depth, so a task's spans report the same depths whether it ran inline
+   (jobs=1) or on a worker, and nest under the span open at submission. *)
 let depth_key : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
+let span_depth () = !(Domain.DLS.get depth_key)
 
-let in_task slot f =
+let in_task ~depth slot f =
   let r = Domain.DLS.get stream_key in
   let d = Domain.DLS.get depth_key in
   let old_stream = !r and old_depth = !d in
   r := Some { slot; next_seq = 0 };
-  d := 0;
+  d := depth;
   Fun.protect
     ~finally:(fun () ->
       r := old_stream;

@@ -32,9 +32,15 @@ val tracing : unit -> bool
 val reserve_slots : int -> int
 (** Atomically reserve [n] consecutive stream slots; returns the first. *)
 
-val in_task : int -> (unit -> 'a) -> 'a
-(** Run the thunk with a fresh stream on the given slot (and span depth
-    reset to 0), restoring the caller's stream and depth afterwards. *)
+val span_depth : unit -> int
+(** The current domain's span nesting depth. *)
+
+val in_task : depth:int -> int -> (unit -> 'a) -> 'a
+(** Run the thunk with a fresh stream on the given slot, at span depth
+    [depth] (the submitter's {!span_depth}, read when the region reserved
+    its slots), restoring the caller's stream and depth afterwards.  A
+    task's spans then report the same depths inline or on a worker, and
+    nest under the span that was open when the region was submitted. *)
 
 val fresh_stream : unit -> unit
 (** Drop the current domain's stream; the next event lazily reserves a

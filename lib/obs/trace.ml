@@ -448,18 +448,6 @@ let value_equal a b =
 
 (* ---------- aggregation ---------- *)
 
-let span_totals events =
-  let tbl = Hashtbl.create 32 in
-  List.iter
-    (fun e ->
-      if e.kind = Span then begin
-        let calls, total = try Hashtbl.find tbl e.name with Not_found -> (0, 0) in
-        Hashtbl.replace tbl e.name (calls + 1, total + e.dur_ns)
-      end)
-    events;
-  Hashtbl.fold (fun name (calls, total) acc -> (name, calls, total) :: acc) tbl []
-  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-
 let event_counts events =
   let tbl = Hashtbl.create 32 in
   List.iter
@@ -479,26 +467,19 @@ type span_node = {
   n_children : span_node list; (* in emission order *)
 }
 
-(* Spans are recorded at exit (post-order): within one slot every child's
-   span event precedes its parent's and carries a strictly greater depth
-   ([in_task] resets depth to 0 per slot).  Scanning a slot in seq order
-   with a pending stack therefore rebuilds the call tree: a span at depth
-   [d] claims every pending node of depth > [d] as its children. *)
+(* Spans are recorded at exit (post-order) with their nesting depth, and a
+   parallel region's tasks start at the depth of the span open when it was
+   submitted ([Obs.in_task]).  That span closes on the submitter's
+   post-region slot, which sorts after the task slots.  So in (slot, seq)
+   order every child's span event precedes its parent's and carries a
+   strictly greater depth, and one scan with a pending stack rebuilds the
+   whole call tree: a span at depth [d] claims every pending node of depth
+   > [d] as its children.  What is still pending at the end is a root. *)
 let span_forest events =
-  let acc = ref [] in (* completed roots, most recent first *)
   let pending = ref [] in (* (depth, node), most recent first *)
-  let slot = ref min_int in
-  let flush () =
-    List.iter (fun (_, n) -> acc := n :: !acc) (List.rev !pending);
-    pending := []
-  in
   List.iter
     (fun e ->
       if e.kind = Span then begin
-        if e.slot <> !slot then begin
-          flush ();
-          slot := e.slot
-        end;
         let rec claim children = function
           | (d, n) :: rest when d > e.depth -> claim ((d, n) :: children) rest
           | rest -> (children, rest)
@@ -512,8 +493,7 @@ let span_forest events =
         pending := (e.depth, node) :: rest
       end)
     events;
-  flush ();
-  List.rev !acc
+  List.rev_map snd !pending
 
 (* Depth-first walk accumulating [f acc path node self_ns]; [path] is the
    ;-joined span names from the root, self time is the node's duration

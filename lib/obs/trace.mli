@@ -63,9 +63,6 @@ val value_equal : value -> value -> bool
 
 (** {1 Aggregation} *)
 
-val span_totals : event list -> (string * int * int) list
-(** Per span name: (name, calls, total ns), sorted by name. *)
-
 val event_counts : event list -> (string * int) list
 (** Per point-event name: (name, count), sorted by name. *)
 
@@ -73,12 +70,14 @@ val attr : event -> string -> value option
 
 (** {1 Span-tree profiling}
 
-    Spans are recorded at exit (post-order) with their nesting depth, so
-    the call tree is reconstructible per slot: scanning a slot in [seq]
-    order, a span at depth [d] is the parent of every not-yet-claimed
-    span of greater depth.  Paths and call counts depend only on the
-    deterministic [(slot, seq)] order — jobs-invariant; the ns weights
-    are wall clock. *)
+    Spans are recorded at exit (post-order) with their nesting depth, and
+    a parallel region's tasks inherit the depth of the span open at
+    submission ({!Obs.in_task}), which closes after them in [(slot, seq)]
+    order.  So the whole trace is one call tree: scanning it in
+    [(slot, seq)] order, a span at depth [d] is the parent of every
+    not-yet-claimed span of greater depth, across slots.  Paths and call
+    counts depend only on the deterministic [(slot, seq)] order —
+    jobs-invariant; the ns weights are wall clock. *)
 
 val folded_stacks : event list -> (string * int * int) list
 (** Folded flamegraph lines: ([;]-joined span path from the root, calls,
@@ -88,7 +87,8 @@ val folded_stacks : event list -> (string * int * int) list
 
 val self_totals : event list -> (string * int * int * int) list
 (** Per span name: (name, calls, total ns, self ns), sorted by self ns
-    descending then name. *)
+    descending then name.  Every span event is one node of the tree, so
+    calls and total ns count every span event of that name. *)
 
 type round = {
   r_round : int;

@@ -10,7 +10,16 @@
 # payloads the cold run deposited.  A one-tree Räcke forest rides along
 # (--scale-racke-trees 1): its printed digest must agree between the cold
 # run and both warm runs, which read the forest back from the cache.
-. "$(dirname "$0")/smoke_lib.sh"
+#
+# $BENCH and $SSO override the binary locations (the @ci rule points them
+# at the freshly built executables).
+set -eu
+
+BENCH="${BENCH:-_build/default/bench/main.exe}"
+SSO="${SSO:-_build/default/bin/sso.exe}"
+
+dir=$(mktemp -d)
+trap 'rm -rf "$dir"' EXIT INT TERM
 cache="$dir/cache"
 
 run() {

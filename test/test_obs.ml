@@ -504,6 +504,57 @@ let test_flame_jobs_invariant () =
   Alcotest.(check (list (triple string int int)))
     "folded stacks jobs:1 = jobs:4" (folded 1) (folded 4)
 
+(* A parallel region's tasks start at the submitter's span depth, so the
+   spans they close nest under the span open at submission — at any job
+   count, one tree rather than an orphan root per task. *)
+let test_task_spans_nest () =
+  let capture jobs =
+    let pool = Pool.create ~jobs () in
+    Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+    Obs.clear_trace ();
+    Obs.set_tracing true;
+    Fun.protect ~finally:(fun () -> Obs.set_tracing false) (fun () ->
+        Obs.traced "region.outer" (fun () ->
+            Obs.traced "region.before" ignore;
+            ignore
+              (Pool.parallel_init ~pool 6 (fun i ->
+                   Obs.traced "region.task" (fun () ->
+                       Obs.traced "region.leaf" (fun () -> Unix.sleepf 0.001);
+                       i)))));
+    let events = Obs.events () in
+    Obs.clear_trace ();
+    events
+  in
+  let stacks jobs =
+    let events = capture jobs in
+    let folded = Trace.folded_stacks events in
+    let dur name =
+      List.fold_left
+        (fun acc (e : Trace.event) -> if e.Trace.name = name then acc + e.Trace.dur_ns else acc)
+        0 events
+    in
+    let outer_self =
+      match List.find_opt (fun (path, _, _) -> path = "region.outer") folded with
+      | Some (_, _, self) -> self
+      | None -> Alcotest.fail "region.outer is not a root"
+    in
+    Alcotest.(check int)
+      (Printf.sprintf "jobs %d: parent self = duration - children, clamped" jobs)
+      (max 0 (dur "region.outer" - dur "region.before" - dur "region.task"))
+      outer_self;
+    List.map (fun (path, calls, _) -> (path, calls)) folded
+  in
+  let expected =
+    [
+      ("region.outer", 1);
+      ("region.outer;region.before", 1);
+      ("region.outer;region.task", 6);
+      ("region.outer;region.task;region.leaf", 6);
+    ]
+  in
+  Alcotest.(check (list (pair string int))) "jobs 1: one tree" expected (stacks 1);
+  Alcotest.(check (list (pair string int))) "jobs 4: one tree" expected (stacks 4)
+
 (* ---- MWU convergence semantics ---- *)
 
 (* Trace one solve; return its congestion and its [mwu.round] records. *)
@@ -660,6 +711,8 @@ let () =
           Alcotest.test_case "folded stacks" `Quick test_folded_stacks;
           Alcotest.test_case "flame jobs invariant" `Quick
             test_flame_jobs_invariant;
+          Alcotest.test_case "task spans nest under submitter" `Quick
+            test_task_spans_nest;
           Alcotest.test_case "mwu convergence" `Quick test_mwu_convergence;
           Alcotest.test_case "mwu round attributes uniform" `Quick
             test_mwu_round_attrs_uniform;
