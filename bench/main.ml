@@ -1,13 +1,12 @@
 (* Experiment harness: regenerates every quantitative claim of the paper
-   (the per-theorem experiments E1–E9 indexed in DESIGN.md/EXPERIMENTS.md)
-   and provides a Bechamel micro-benchmark per experiment family.
+   (the experiments E1–E20 indexed in PAPER_MAP.md and EXPERIMENTS.md).
+   Performance is measured by the pipeline benchmark under perf/.
 
    Usage:
-     dune exec bench/main.exe                 # all experiments + timings
+     dune exec bench/main.exe                 # all experiments
      dune exec bench/main.exe -- --experiment E3
      dune exec bench/main.exe -- --list
-     dune exec bench/main.exe -- --no-timing  # experiment tables only
-     dune exec bench/main.exe -- --timing     # Bechamel suite only
+     dune exec bench/main.exe -- --no-timing  # "-" in wall-clock columns
      dune exec bench/main.exe -- --big        # widen instance ranges
      dune exec bench/main.exe -- --jobs 4     # worker domains (default: cores)
      dune exec bench/main.exe -- --seed 7     # master seed for every experiment
@@ -16,11 +15,7 @@
      dune exec bench/main.exe -- --cache-dir D # cache in D (implies --cache)
      dune exec bench/main.exe -- --no-cache   # force the cache off
      dune exec bench/main.exe -- --json F     # write wall times / scalars to F
-     dune exec bench/main.exe -- --kernels    # shortest-path/MWU kernel micro-benches
-     dune exec bench/main.exe -- --faults     # fault-injection sweeps / timeline / worst-k
-     dune exec bench/main.exe -- --scale      # arena storage at fat-tree scale
-     dune exec bench/main.exe -- --scale-k 200 --scale-pairs 512  # smaller instance
-     dune exec bench/main.exe -- --serve      # routing service: warm vs cold re-solve *)
+     dune exec bench/main.exe -- --trace F    # write a JSONL trace to F *)
 
 module Rng = Sso_prng.Rng
 module Graph = Sso_graph.Graph
@@ -34,13 +29,10 @@ module Oblivious = Sso_oblivious.Oblivious
 module Valiant = Sso_oblivious.Valiant
 module Deterministic = Sso_oblivious.Deterministic
 module Ksp = Sso_oblivious.Ksp
-module Frt = Sso_oblivious.Frt
-module Racke = Sso_oblivious.Racke
 module Sampler = Sso_core.Sampler
 module Path_system = Sso_core.Path_system
 module Semi_oblivious = Sso_core.Semi_oblivious
 module Integral = Sso_core.Integral
-module Process = Sso_core.Process
 module Completion = Sso_core.Completion
 module Lower_bound = Sso_core.Lower_bound
 module Stats = Sso_stats.Stats
@@ -926,822 +918,6 @@ let e20 () =
   Printf.printf "quadratically-logarithmic as Lemma 2.8 charges.\n"
 
 (* ------------------------------------------------------------------ *)
-(* --kernels: wall-clock micro-benchmarks of the shortest-path/MWU
-   kernel stack (the hot path every experiment bottoms out in).  Each
-   bench records a [kernels.<name>.seconds] scalar, so
-   [--kernels --json F] tracks the perf trajectory; BENCH_kernels.json
-   holds the committed baseline. *)
-
-let kernel_cases () =
-  let module Shortest = Sso_graph.Shortest in
-  let module Concurrent_flow = Sso_flow.Concurrent_flow in
-  (* Expander-ish substrate: large enough that the oracle dominates. *)
-  let g = Gen.random_regular (seeded 97) 96 4 in
-  let weight e = 1.0 +. (float_of_int e *. 1e-6) in
-  (* The MWU-dominated family: multi-commodity demand whose commodities
-     share sources (4 sources x 8 targets), the regime source-batched
-     oracles are built for. *)
-  let shared =
-    Demand.of_list
-      (List.concat_map
-         (fun s -> List.init 8 (fun i -> (s, 40 + (8 * s) + i, 1.0)))
-         [ 0; 1; 2; 3 ])
-  in
-  let grid = Gen.grid 7 7 in
-  let d = Demand.random_pairs (seeded 98) ~n:49 ~pairs:24 in
-  let base = Ksp.routing ~k:4 grid in
-  let system = Sampler.alpha_sample (seeded 99) base ~alpha:4 in
-  let cands = Path_system.to_candidates system (Demand.support d) in
-  [
-    ( "sssp_all_sources",
-      fun () ->
-        for v = 0 to Graph.n g - 1 do
-          ignore (Shortest.dijkstra g ~weight v)
-        done );
-    ( "mwu_unrestricted_shared",
-      fun () -> ignore (Min_congestion.mwu_unrestricted ~iters:100 g shared) );
-    ( "mwu_hop_limited_shared",
-      fun () ->
-        ignore (Min_congestion.mwu_hop_limited ~iters:20 ~max_hops:10 g shared)
-    );
-    ( "mwu_candidates",
-      fun () -> ignore (Min_congestion.mwu_on_paths ~iters:150 grid cands d) );
-    ( "gk_candidates",
-      fun () -> ignore (Concurrent_flow.on_paths ~epsilon:0.1 grid cands d) );
-    ( "frt_build_grid",
-      fun () -> ignore (Frt.build (seeded 100) grid ~length:(fun _ -> 1.0)) );
-    ( "racke_forest_grid",
-      fun () -> ignore (Racke.forest (seeded 101) ~trees:4 ~batch:2 grid) );
-  ]
-
-let timed_best ?(reps = 3) f =
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    ignore (Sys.opaque_identity (f ()));
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt
-  done;
-  !best
-
-let kernels () =
-  header "kernels  (wall-clock, best of 3 runs)";
-  let bench (name, f) =
-    let s = timed_best (fun () -> Obs.traced ("kernels." ^ name) f) in
-    scalar (Printf.sprintf "kernels.%s.seconds" name) s;
-    Printf.printf "%-36s %12.4f s\n" name s
-  in
-  List.iter bench (kernel_cases ());
-  Printf.printf
-    "families: sssp (Dijkstra kernel), mwu_* (oracle-dominated solves),\n";
-  Printf.printf
-    "gk (sequential cheapest-path packing), frt/racke (ball-growing FRT,\n";
-  Printf.printf "MWU tree mixture).\n"
-
-(* ------------------------------------------------------------------ *)
-(* --obs-guard: assert that the observability layer is cheap enough to
-   leave on.  Three guarded surfaces:
-
-   1. tracing off — the kernel suite runs twice with tracing disabled
-      (their spread bounds machine noise) and is compared against the
-      committed BENCH_kernels.json post_seconds baseline recorded before
-      lib/obs existed;
-   2. live telemetry — a third pass wraps every kernel call exactly like
-      a serve tick (wall-timed, duration into a rolling quantile, a
-      gauge set) and is gated against the tracing-off pass, so the
-      serve-loop instrumentation provably rides for free;
-   3. primitive cost — ns/op microbenches for [set_gauge] and
-      [observe_quantile] plus one [snapshot]+[expose] render, recorded
-      as scalars (not gated: absolute ns, not a ratio).
-
-   A fourth, tracing-enabled pass is reported for context but not gated
-   (event emission is allowed to cost). *)
-
-let obs_guard () =
-  header "obs-guard  (tracing-off + telemetry overhead vs BENCH_kernels.json)";
-  let cases = kernel_cases () in
-  let measure () =
-    List.map (fun (name, f) -> (name, timed_best ~reps:5 f)) cases
-  in
-  Obs.set_tracing false;
-  let off1 = measure () in
-  let off2 = measure () in
-  let tel =
-    List.map
-      (fun (name, f) ->
-        let q = Obs.quantile (Printf.sprintf "obs_guard.%s.ns" name) in
-        let g = Obs.gauge (Printf.sprintf "obs_guard.%s.last_ns" name) in
-        ( name,
-          timed_best ~reps:5 (fun () ->
-              let t0 = Obs.now_ns () in
-              f ();
-              let d = Obs.now_ns () - t0 in
-              Obs.observe_quantile q d;
-              Obs.set_gauge g (float_of_int d)) ))
-      cases
-  in
-  Obs.set_tracing true;
-  let on_ = measure () in
-  Obs.set_tracing false;
-  Obs.clear_trace ();
-  let micro_ns ops f =
-    let t0 = Obs.now_ns () in
-    for i = 1 to ops do
-      f i
-    done;
-    float_of_int (Obs.now_ns () - t0) /. float_of_int ops
-  in
-  let mq = Obs.quantile "obs_guard.micro_quantile" in
-  let mg = Obs.gauge "obs_guard.micro_gauge" in
-  let quantile_ns = micro_ns 1_000_000 (fun i -> Obs.observe_quantile mq i) in
-  let gauge_ns = micro_ns 1_000_000 (fun i -> Obs.set_gauge mg (float_of_int i)) in
-  let expose_s =
-    timed_best ~reps:5 (fun () -> ignore (Obs.expose (Obs.snapshot ())))
-  in
-  scalar "obs_guard.quantile_ns_per_op" quantile_ns;
-  scalar "obs_guard.gauge_ns_per_op" gauge_ns;
-  scalar "obs_guard.expose_seconds" expose_s;
-  Printf.printf
-    "primitives: observe_quantile %.0f ns/op  set_gauge %.0f ns/op  \
-     snapshot+expose %.4f s\n"
-    quantile_ns gauge_ns expose_s;
-  let baseline =
-    match In_channel.with_open_bin "BENCH_kernels.json" In_channel.input_all with
-    | text -> (
-        match Trace.Json.member "kernels" (Trace.Json.parse text) with
-        | Some (Trace.Json.Obj entries) ->
-            List.filter_map
-              (fun (name, v) ->
-                Option.map
-                  (fun f -> (name, f))
-                  (Option.bind
-                     (Trace.Json.member "post_seconds" v)
-                     Trace.Json.number))
-              entries
-        | _ -> []
-        | exception Trace.Corrupt _ -> [])
-    | exception Sys_error _ ->
-        Printf.printf "(no BENCH_kernels.json in cwd: baseline gate skipped)\n";
-        []
-  in
-  Printf.printf "%-26s %10s %10s %10s %7s %7s %10s %7s\n" "kernel" "off(s)"
-    "tel(s)" "on(s)" "tel_x" "drift%" "base(s)" "ratio";
-  let failed = ref false in
-  List.iter
-    (fun (name, a) ->
-      let b = List.assoc name off2 in
-      let t_tel = List.assoc name tel in
-      let t_on = List.assoc name on_ in
-      let off = Float.min a b in
-      let drift = Float.abs (a -. b) /. Float.max a b *. 100.0 in
-      let tel_ratio = t_tel /. off in
-      scalar (Printf.sprintf "obs_guard.%s.off_seconds" name) off;
-      scalar (Printf.sprintf "obs_guard.%s.tel_seconds" name) t_tel;
-      scalar (Printf.sprintf "obs_guard.%s.tel_ratio" name) tel_ratio;
-      scalar (Printf.sprintf "obs_guard.%s.on_seconds" name) t_on;
-      scalar (Printf.sprintf "obs_guard.%s.drift_pct" name) drift;
-      let base = List.assoc_opt name baseline in
-      let ratio = Option.map (fun b0 -> off /. b0) base in
-      Printf.printf "%-26s %10.4f %10.4f %10.4f %7.2f %6.1f%% %10s %7s\n" name
-        off t_tel t_on tel_ratio drift
-        (match base with Some b0 -> Printf.sprintf "%.4f" b0 | None -> "-")
-        (match ratio with Some r -> Printf.sprintf "%.2f" r | None -> "-");
-      if tel_ratio > 1.25 then begin
-        failed := true;
-        Printf.printf "FAIL %s: per-call telemetry run is %.2fx tracing-off\n"
-          name tel_ratio
-      end;
-      (match ratio with
-      | Some r ->
-          scalar (Printf.sprintf "obs_guard.%s.ratio" name) r;
-          if r > 1.25 then begin
-            failed := true;
-            Printf.printf "FAIL %s: disabled-tracing run is %.2fx baseline\n"
-              name r
-          end
-      | None -> ());
-      if drift > 15.0 then
-        Printf.printf "warn %s: %.1f%% drift between disabled runs (noisy box)\n"
-          name drift)
-    off1;
-  if !failed then begin
-    Printf.printf
-      "obs-guard: FAILED (tracing-off or telemetry overhead above 1.25x)\n";
-    exit 1
-  end
-  else
-    Printf.printf
-      "obs-guard: ok (tracing off and per-call telemetry within noise)\n"
-
-(* ------------------------------------------------------------------ *)
-(* --faults: the fault-injection family (BENCH_faults.json): scenario
-   sweeps with warm-started recovery, an SRLG timeline run with
-   mid-flight failover, and the greedy worst-k search. *)
-
-let faults () =
-  header "faults  (scenario sweeps, timeline failover, worst-k)";
-  let module Scenario = Sso_fault.Scenario in
-  let module Timeline = Sso_fault.Timeline in
-  let module Fault_sweep = Sso_fault.Sweep in
-  let module Simulator = Sso_sim.Simulator in
-  let solver = stage4 in
-  let bench name f =
-    let s = timed_best (fun () -> Obs.traced ("faults." ^ name) f) in
-    scalar (Printf.sprintf "faults.%s.seconds" name) s;
-    Printf.printf "%-36s %12.4f s\n" name s
-  in
-  (* Abilene: every single-link failure, with the warm-restart ladder. *)
-  let g, _ = Gen.abilene () in
-  let rng = seeded 71 in
-  let base = racke_routing (Rng.split rng) g in
-  let system = Sampler.alpha_sample (Rng.split rng) base ~alpha:4 in
-  let demand = Demand.random_pairs (Rng.split rng) ~n:(Graph.n g) ~pairs:8 in
-  let system_key = Printf.sprintf "bench-abilene-a4-seed%d" !master_seed in
-  let reports = ref [] in
-  bench "abilene_singles" (fun () ->
-      reports :=
-        Fault_sweep.run ?store:!store ~system_key ~solver
-          ~recovery:Fault_sweep.default_recovery g system demand
-          (Fault_sweep.singles g));
-  let s = Fault_sweep.summary !reports in
-  scalar "faults.abilene.mean_ratio" s.Fault_sweep.mean_ratio;
-  scalar "faults.abilene.worst_ratio" s.Fault_sweep.worst_ratio;
-  scalar "faults.abilene.unsurvivable" (float_of_int s.Fault_sweep.unsurvivable);
-  scalar "faults.abilene.mean_recovery_rounds" s.Fault_sweep.mean_recovery_rounds;
-  Printf.printf
-    "abilene singles: %d scenarios, %d unsurvivable, mean ratio %.3f, mean \
-     recovery %.1f mwu rounds\n"
-    s.Fault_sweep.scenarios s.Fault_sweep.unsurvivable s.Fault_sweep.mean_ratio
-    s.Fault_sweep.mean_recovery_rounds;
-  (* Torus: correlated row SRLGs, then one of them failed mid-flight. *)
-  let rows = 5 and cols = 5 in
-  let gt = Gen.torus rows cols in
-  let rng_t = seeded 72 in
-  let base_t = racke_routing (Rng.split rng_t) gt in
-  let system_t = Sampler.alpha_sample (Rng.split rng_t) base_t ~alpha:4 in
-  let demand_t =
-    Demand.random_pairs (Rng.split rng_t) ~n:(Graph.n gt) ~pairs:10
-  in
-  let srlgs = Scenario.torus_rows gt ~rows ~cols in
-  let reports_t = ref [] in
-  bench "torus_srlg" (fun () ->
-      reports_t := Fault_sweep.run ~solver gt system_t demand_t srlgs);
-  let st = Fault_sweep.summary !reports_t in
-  scalar "faults.torus.mean_ratio" st.Fault_sweep.mean_ratio;
-  scalar "faults.torus.worst_ratio" st.Fault_sweep.worst_ratio;
-  scalar "faults.torus.unsurvivable" (float_of_int st.Fault_sweep.unsurvivable);
-  Printf.printf "torus row SRLGs: %d scenarios, %d unsurvivable, mean ratio %.3f\n"
-    st.Fault_sweep.scenarios st.Fault_sweep.unsurvivable st.Fault_sweep.mean_ratio;
-  let assignment, _ =
-    Integral.congestion_upper (Rng.split rng_t) gt system_t demand_t
-  in
-  let timeline = [ Timeline.entry ~at:3 (List.nth srlgs 2) ] in
-  let fs = ref None in
-  bench "torus_timeline" (fun () ->
-      fs := Some (Simulator.value (Timeline.simulate gt system_t assignment timeline)));
-  (match !fs with
-  | None -> ()
-  | Some fs ->
-      scalar "faults.timeline.makespan" (float_of_int fs.Simulator.base.Simulator.makespan);
-      scalar "faults.timeline.dropped" (float_of_int fs.Simulator.dropped);
-      scalar "faults.timeline.rerouted" (float_of_int fs.Simulator.rerouted);
-      scalar "faults.timeline.recovery_makespan"
-        (float_of_int fs.Simulator.recovery_makespan);
-      Printf.printf
-        "timeline (row SRLG at step 3): makespan %d, rerouted %d, dropped %d, \
-         recovery makespan %d\n"
-        fs.Simulator.base.Simulator.makespan fs.Simulator.rerouted
-        fs.Simulator.dropped fs.Simulator.recovery_makespan);
-  (* Greedy worst-k on Abilene. *)
-  let worst = ref None in
-  bench "abilene_worst2" (fun () ->
-      worst :=
-        Some (Fault_sweep.worst_k ?store:!store ~system_key ~solver g system demand ~k:2));
-  (match !worst with
-  | None -> ()
-  | Some w ->
-      scalar "faults.worst2.ratio" w.Fault_sweep.ratio;
-      Printf.printf "greedy worst-2: %s ratio %.3f\n"
-        w.Fault_sweep.scenario.Scenario.label w.Fault_sweep.ratio)
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel timing suite: one micro-benchmark per experiment family. *)
-
-let timing () =
-  let open Bechamel in
-  header "timing  (Bechamel, monotonic clock, ns/run)";
-  let cube = Gen.hypercube 6 in
-  let valiant = Valiant.routing cube in
-  (* Warm the distribution caches so the benches time the algorithm, not
-     cache population. *)
-  ignore (Oblivious.distribution valiant 0 63);
-  let grid = Gen.grid 5 5 in
-  let cliques = Gen.two_cliques 12 in
-  let c_gadget = Gen.c_graph 12 6 in
-  let prepared_system =
-    Sampler.alpha_sample (Rng.create 3) valiant ~alpha:6
-  in
-  let perm = Demand.random_permutation (Rng.create 4) 64 in
-  (* Pre-materialize candidates for the stage-4 bench. *)
-  ignore (Path_system.to_candidates prepared_system (Demand.support perm));
-  let attack_base = Ksp.routing ~k:12 c_gadget.Gen.c_graph in
-  let attack_system = Sampler.alpha_sample (Rng.create 5) attack_base ~alpha:2 in
-  ignore (Lower_bound.attack c_gadget attack_system);
-  let tests =
-    [
-      Test.make ~name:"sample: draw 1 path (valiant)"
-        (Staged.stage (fun () ->
-             let rng = Rng.create 1 in
-             ignore (Oblivious.sample rng valiant 0 63)));
-      Test.make ~name:"stage4: mwu-50 on hypercube perm"
-        (Staged.stage (fun () ->
-             ignore
-               (Semi_oblivious.congestion ~solver:(Semi_oblivious.Mwu 50) cube
-                  prepared_system perm)));
-      Test.make ~name:"stage4: exact LP, 4 pairs on grid"
-        (Staged.stage
-           (let d = Demand.random_pairs (Rng.create 6) ~n:25 ~pairs:4 in
-            let base = Ksp.routing ~k:3 grid in
-            let system = Sampler.alpha_sample (Rng.create 7) base ~alpha:3 in
-            ignore (Semi_oblivious.congestion ~solver:Semi_oblivious.Lp grid system d);
-            fun () ->
-              ignore
-                (Semi_oblivious.congestion ~solver:Semi_oblivious.Lp grid system d)));
-      Test.make ~name:"maxflow: dinic cut on two-cliques-12"
-        (Staged.stage (fun () -> ignore (Maxflow.cut cliques 0 23)));
-      Test.make ~name:"frt: build tree on 5x5 grid"
-        (Staged.stage
-           (let rng = Rng.create 8 in
-            fun () -> ignore (Frt.build rng grid ~length:(fun _ -> 1.0))));
-      Test.make ~name:"adversary: attack C(12,6) a=2"
-        (Staged.stage (fun () -> ignore (Lower_bound.attack c_gadget attack_system)));
-      Test.make ~name:"process: weak_route hypercube perm"
-        (Staged.stage (fun () ->
-             ignore (Process.weak_route ~gamma:8.0 cube prepared_system perm)));
-    ]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~kde:None () in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances (Test.make_grouped ~name:"g" [ test ]) in
-      let analyzed = Analyze.all ols Toolkit.Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          let name =
-            match String.index_opt name '/' with
-            | Some i -> String.sub name (i + 1) (String.length name - i - 1)
-            | None -> name
-          in
-          match Analyze.OLS.estimates ols_result with
-          | Some [ ns ] ->
-              if ns >= 1e6 then Printf.printf "%-40s %12.3f ms/run\n" name (ns /. 1e6)
-              else Printf.printf "%-40s %12.1f ns/run\n" name ns
-          | _ -> Printf.printf "%-40s %12s\n" name "n/a")
-        analyzed)
-    tests
-
-(* ------------------------------------------------------------------ *)
-(* --scale: arena-backed path storage at fat-tree scale
-   (BENCH_scale.json).  Builds a k-ary fat-tree (k = 284 by default:
-   n = (k/2)^2 + k^2 = 100,820 switches), alpha-samples a Wilson-forest
-   oblivious base for a batch of random pairs through
-   [Path_system.materialize_parallel], and reports sampling throughput
-   (path-nodes appended per second) plus per-pair storage for the packed
-   arena against the boxed list-of-[Path.t] view of the same candidate
-   sets.  The run fails if the arena is not at least 4x smaller.  A
-   digest of the sampled system is printed so scale_smoke.sh can check
-   warm-cache runs byte-identical to cold ones. *)
-
-let scale_k = ref 284
-let scale_pairs = ref 1024
-let scale_racke_trees = ref 2
-
-let scale () =
-  let module Trees = Sso_oblivious.Trees in
-  let module Arena = Sso_graph.Arena in
-  let k = !scale_k in
-  header (Printf.sprintf "scale  (fat-tree k = %d, arena-backed sampling)" k);
-  let g = Gen.fat_tree k in
-  let n = Graph.n g in
-  scalar "scale.n" (float_of_int n);
-  scalar "scale.m" (float_of_int (Graph.m g));
-  Printf.printf "fat-tree: n = %d, m = %d\n" n (Graph.m g);
-  let obl = Trees.uniform (seeded 131) ~count:4 g in
-  let npairs = !scale_pairs in
-  let pairs =
-    let pr = seeded 132 in
-    let seen = Hashtbl.create npairs in
-    let rec draw acc c =
-      if c = 0 then List.rev acc
-      else
-        let s = Rng.int pr n in
-        let t = Rng.int pr n in
-        if s = t || Hashtbl.mem seen (s, t) then draw acc c
-        else begin
-          Hashtbl.add seen (s, t) ();
-          draw ((s, t) :: acc) (c - 1)
-        end
-    in
-    draw [] npairs
-  in
-  let alpha = 4 in
-  let ps =
-    match !store with
-    | Some st ->
-        Memo.alpha_sample ~store:st ~base_key:"wilson-4" (seeded 133) obl
-          ~alpha ~pairs
-    | None -> Sampler.alpha_sample (seeded 133) obl ~alpha
-  in
-  let t0 = Unix.gettimeofday () in
-  Path_system.materialize_parallel ps pairs;
-  let dt = Unix.gettimeofday () -. t0 in
-  let arena = Path_system.arena ps in
-  let slices = Arena.length arena in
-  let path_nodes = ref 0 in
-  for i = 0 to slices - 1 do
-    path_nodes := !path_nodes + Arena.hops arena i + 1
-  done;
-  let nodes_per_sec = float_of_int !path_nodes /. dt in
-  let arena_bytes = Arena.memory_bytes arena in
-  (* The boxed baseline reconstructs the same candidate sets as the
-     pre-arena representation: a list of ((s,t), Path.t list) with one
-     fresh edge array per path.  [Obj.reachable_words] measures exactly
-     that structure (paths share nothing with the graph). *)
-  let boxed = List.map (fun (s, t) -> ((s, t), Path_system.paths ps s t)) pairs in
-  let boxed_bytes = Obj.reachable_words (Obj.repr boxed) * (Sys.word_size / 8) in
-  let bpp_arena = float_of_int arena_bytes /. float_of_int npairs in
-  let bpp_boxed = float_of_int boxed_bytes /. float_of_int npairs in
-  let reduction = bpp_boxed /. bpp_arena in
-  scalar "scale.pairs" (float_of_int npairs);
-  scalar "scale.alpha" (float_of_int alpha);
-  scalar "scale.paths" (float_of_int slices);
-  scalar "scale.path_nodes" (float_of_int !path_nodes);
-  scalar "scale.materialize_seconds" dt;
-  scalar "scale.nodes_per_sec" nodes_per_sec;
-  scalar "scale.bytes_per_pair.arena" bpp_arena;
-  scalar "scale.bytes_per_pair.boxed" bpp_boxed;
-  scalar "scale.bytes_per_pair.reduction" reduction;
-  Printf.printf "pairs = %d, alpha = %d, stored paths = %d, path-nodes = %d\n"
-    npairs alpha slices !path_nodes;
-  Printf.printf "materialize: %.4f s (%.3e path-nodes/sec)\n" dt nodes_per_sec;
-  Printf.printf "bytes/pair: arena %.1f vs boxed %.1f (%.2fx smaller)\n"
-    bpp_arena bpp_boxed reduction;
-  (* The candidate sets themselves are deterministic for any job count;
-     the digest covers src/dst/hop content of every slice in canonical
-     pair order, so cold and warm-cache runs must print the same line. *)
-  let ranges =
-    List.map (fun (s, t) -> ((s, t), Path_system.slice_range ps s t)) pairs
-  in
-  let digest =
-    Codec.hex_of_key
-      (Codec.fnv1a64 (Codec.encode_path_system_slices arena ranges))
-  in
-  Printf.printf "system digest: %s\n" digest;
-  if reduction < 4.0 then begin
-    Printf.printf "FAIL scale: arena reduction %.2fx below the 4x floor\n"
-      reduction;
-    exit 1
-  end
-  else Printf.printf "scale: ok (arena %.2fx under the boxed baseline)\n" reduction;
-  (* Räcke at scale: the paper's own Stage-1 construction on the same
-     fat-tree, built level-wise by ball growing (no n×n distance matrix —
-     memory stays O(n·levels + m)).  batch = 1 keeps the MWU maximally
-     sequential: every tree sees the penalties of all its predecessors.
-     The forest digest covers every tree's parts, so warm-cache runs must
-     print the same line as cold ones. *)
-  let trees = !scale_racke_trees in
-  let t0 = Unix.gettimeofday () in
-  let forest =
-    match !store with
-    | Some st -> Memo.racke_forest ~store:st (seeded 134) ~trees ~batch:1 g
-    | None -> Racke.forest (seeded 134) ~trees ~batch:1 g
-  in
-  let racke_dt = Unix.gettimeofday () -. t0 in
-  let max_levels = List.fold_left (fun acc t -> max acc (Frt.levels t)) 0 forest in
-  let racke_nodes_per_sec = float_of_int (n * trees) /. racke_dt in
-  (* Every tree references the input graph, so the forest's own working
-     set is what [(forest, g)] reaches beyond [g] alone (the graph counted
-     once); the graph is reported beside it. *)
-  let bytes words = float_of_int (words * (Sys.word_size / 8)) in
-  let graph_bytes = bytes (Obj.reachable_words (Obj.repr g)) in
-  let working_set = bytes (Obj.reachable_words (Obj.repr (forest, g))) -. graph_bytes in
-  scalar "racke.trees" (float_of_int trees);
-  scalar "racke.levels" (float_of_int max_levels);
-  scalar "racke.build_seconds" racke_dt;
-  scalar "racke.nodes_per_sec" racke_nodes_per_sec;
-  scalar "racke.working_set_bytes" working_set;
-  Printf.printf "racke: %d trees, max %d levels, batch 1\n" trees max_levels;
-  Printf.printf "racke build: %.2f s (%.0f nodes/sec, working set %.1f MB beside a %.1f MB graph)\n"
-    racke_dt racke_nodes_per_sec (working_set /. 1048576.0) (graph_bytes /. 1048576.0);
-  let forest_digest =
-    Codec.hex_of_key
-      (Codec.fnv1a64 (Codec.encode_forest (List.map Frt.to_parts forest)))
-  in
-  Printf.printf "racke forest digest: %s\n" forest_digest;
-  (* Throughput floor in the --obs-guard pattern: gate against the
-     committed baseline, but only when it describes this instance (the
-     smoke runs a smaller k) and with a 2x allowance for machine noise —
-     the gate exists to catch the construction regressing to super-linear
-     behavior, not jitter. *)
-  let baseline key =
-    match In_channel.with_open_bin "BENCH_scale.json" In_channel.input_all with
-    | text -> (
-        match Trace.Json.member "scalars" (Trace.Json.parse text) with
-        | Some scalars ->
-            Option.bind (Trace.Json.member key scalars) Trace.Json.number
-        | None -> None
-        | exception Trace.Corrupt _ -> None)
-    | exception Sys_error _ -> None
-  in
-  match (baseline "scale.n", baseline "racke.nodes_per_sec") with
-  | Some n0, Some floor_base when int_of_float n0 = n ->
-      if racke_nodes_per_sec < floor_base /. 2.0 then begin
-        Printf.printf
-          "FAIL racke: %.0f nodes/sec below half the %.0f baseline\n"
-          racke_nodes_per_sec floor_base;
-        exit 1
-      end
-      else
-        Printf.printf "racke: ok (throughput within 2x of committed baseline)\n"
-  | _ -> Printf.printf "racke: ok (no matching baseline: floor gate skipped)\n"
-
-(* --serve: the routing-service family (BENCH_serve.json).  Generates a
-   churn stream on a WAN-scale random-regular topology, replays it twice
-   through [Serve] — once warm (MWU weights carried across ticks, the
-   service's operating mode) and once with a cold re-solve forced every
-   tick — and reports replay throughput (updates/sec) plus the per-tick
-   re-solve latency distribution of both modes.  The run fails unless the
-   warm p99 is at least 3x faster than the cold p99: carrying the weights
-   must beat re-solving from scratch by a wide margin, or the service has
-   no reason to exist.  Quality is tracked alongside (warm vs cold final
-   congestion) so the speedup is never bought with a bad routing. *)
-
-let serve_nodes = ref 64
-let serve_ticks = ref 40
-let serve_churn_pairs = ref 64
-
-let serve () =
-  let module Serve = Sso_serve.Serve in
-  let module Workload = Sso_demand.Workload in
-  let module Trees = Sso_oblivious.Trees in
-  let n = !serve_nodes in
-  header
-    (Printf.sprintf "serve  (churn service, %d-node WAN, %d ticks)" n
-       !serve_ticks);
-  let g = Gen.random_regular (seeded 140) n 4 in
-  scalar "serve.n" (float_of_int (Graph.n g));
-  scalar "serve.m" (float_of_int (Graph.m g));
-  let obl = Trees.uniform (seeded 141) ~count:4 g in
-  let events =
-    Workload.generate ~rate_churn:0.2 (seeded 142) ~n ~ticks:!serve_ticks
-      ~pairs:!serve_churn_pairs ~churn:0.15
-  in
-  let nevents = List.length events in
-  Printf.printf "stream: %d events over %d ticks (%d active pairs)\n" nevents
-    !serve_ticks !serve_churn_pairs;
-  scalar "serve.events" (float_of_int nevents);
-  scalar "serve.ticks" (float_of_int !serve_ticks);
-  scalar "serve.pairs" (float_of_int !serve_churn_pairs);
-  let replay config =
-    (* A fresh sampled system per mode: both runs admit the same pairs
-       from the same rng child, so the candidate sets are identical. *)
-    let system = Sampler.alpha_sample (seeded 143) obl ~alpha:4 in
-    let srv = Serve.create ~config g system in
-    let t0 = Unix.gettimeofday () in
-    let reports = Serve.replay srv events in
-    let dt = Unix.gettimeofday () -. t0 in
-    (reports, dt)
-  in
-  let warm_cfg = Serve.default_config in
-  let cold_cfg = { Serve.default_config with refresh_every = 1 } in
-  (* Cold first, warm second: the warm numbers are the cache-hot ones the
-     gate judges, as they would be in a long-lived process. *)
-  let cold_reports, _cold_dt = replay cold_cfg in
-  let warm_reports, warm_dt = replay warm_cfg in
-  let updates_per_sec = float_of_int nevents /. warm_dt in
-  (* Per-tick re-solve latency, skipping tick 0: both modes solve it cold
-     (the service has no history yet), so it measures nothing. *)
-  let tick_ms reports =
-    List.filter_map
-      (fun (r : Serve.report) ->
-        if r.Serve.tick = 0 then None
-        else Some (float_of_int r.Serve.solve_ns /. 1e6))
-      reports
-  in
-  let mean xs = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs) in
-  let p99 xs =
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    a.((99 * (Array.length a - 1) + 50) / 100)
-  in
-  let warm_ms = tick_ms warm_reports and cold_ms = tick_ms cold_reports in
-  let final_congestion reports =
-    match List.rev reports with
-    | (r : Serve.report) :: _ -> r.Serve.congestion
-    | [] -> nan
-  in
-  let warm_final = final_congestion warm_reports in
-  let cold_final = final_congestion cold_reports in
-  let speedup_mean = mean cold_ms /. mean warm_ms in
-  let speedup_p99 = p99 cold_ms /. p99 warm_ms in
-  let max_staleness =
-    List.fold_left
-      (fun acc (r : Serve.report) -> max acc r.Serve.staleness)
-      0 warm_reports
-  in
-  scalar "serve.updates_per_sec" updates_per_sec;
-  scalar "serve.warm_tick_ms.mean" (mean warm_ms);
-  scalar "serve.warm_tick_ms.p99" (p99 warm_ms);
-  scalar "serve.cold_tick_ms.mean" (mean cold_ms);
-  scalar "serve.cold_tick_ms.p99" (p99 cold_ms);
-  scalar "serve.speedup.mean" speedup_mean;
-  scalar "serve.speedup.p99" speedup_p99;
-  scalar "serve.congestion.warm" warm_final;
-  scalar "serve.congestion.cold" cold_final;
-  scalar "serve.quality_ratio" (warm_final /. cold_final);
-  scalar "serve.staleness.max" (float_of_int max_staleness);
-  Printf.printf "throughput: %.0f updates/sec (warm replay, %.1f ms total)\n"
-    updates_per_sec (warm_dt *. 1e3);
-  Printf.printf
-    "re-solve per tick: warm mean %.2f ms p99 %.2f ms | cold mean %.2f ms \
-     p99 %.2f ms\n"
-    (mean warm_ms) (p99 warm_ms) (mean cold_ms) (p99 cold_ms);
-  Printf.printf "speedup: mean %.1fx, p99 %.1fx\n" speedup_mean speedup_p99;
-  Printf.printf
-    "quality: warm congestion %.4f vs cold %.4f (ratio %.3f), max staleness \
-     %d\n"
-    warm_final cold_final (warm_final /. cold_final) max_staleness;
-  if speedup_p99 < 3.0 then begin
-    Printf.printf
-      "FAIL serve: warm p99 speedup %.2fx below the 3x floor\n" speedup_p99;
-    exit 1
-  end
-  else
-    Printf.printf "serve: ok (warm re-solve %.1fx faster at p99)\n" speedup_p99
-
-(* --serve-faults: the fault-in-the-loop family (also BENCH_serve.json).
-   Same WAN and churn stream as --serve, but a worst-k outage (picked by
-   the Sweep adversary against the demand the service is carrying at the
-   failure instant) strikes a third of the way in and repairs at two
-   thirds.  Three replays: warm (the operating mode), per-tick cold (the
-   quality oracle under the same faults), and warm with a small event
-   budget (to measure how much of the outage window is served stale).
-   The gate is the recovery makespan — the number of ticks after the
-   failure the warm service needs before its congestion is back within
-   10% of the faulted cold oracle.  A long makespan means carrying the
-   weights across a topology change does not work and the service would
-   have to fall back to cold re-solves exactly when it can least afford
-   them. *)
-
-let serve_fault_k = ref 3
-let serve_fault_budget = ref 24
-
-let serve_faults () =
-  let module Serve = Sso_serve.Serve in
-  let module Workload = Sso_demand.Workload in
-  let module Update = Sso_demand.Update in
-  let module Trees = Sso_oblivious.Trees in
-  let module Scenario = Sso_fault.Scenario in
-  let module Timeline = Sso_fault.Timeline in
-  let module Fault_sweep = Sso_fault.Sweep in
-  let n = !serve_nodes in
-  let k = !serve_fault_k in
-  header
-    (Printf.sprintf "serve-faults  (worst-%d outage, %d-node WAN, %d ticks)" k
-       n !serve_ticks);
-  let g = Gen.random_regular (seeded 140) n 4 in
-  let obl = Trees.uniform (seeded 141) ~count:4 g in
-  let events =
-    Workload.generate ~rate_churn:0.2 (seeded 142) ~n ~ticks:!serve_ticks
-      ~pairs:!serve_churn_pairs ~churn:0.15
-  in
-  let fail_at = max 1 (!serve_ticks / 3) in
-  let repair_at = max (fail_at + 1) (2 * !serve_ticks / 3) in
-  (* The adversary picks the k edges that hurt the demand the service is
-     actually carrying when the outage strikes. *)
-  let demand0 =
-    Update.apply Demand.empty
-      (List.filter (fun (e : Update.t) -> e.Update.tick < fail_at) events)
-  in
-  let sweep_system = Sampler.alpha_sample (seeded 143) obl ~alpha:4 in
-  let worst = Fault_sweep.worst_k ?store:!store g sweep_system demand0 ~k in
-  let scenario = worst.Fault_sweep.scenario in
-  Printf.printf "scenario: %s — fails tick %d, repairs tick %d\n"
-    scenario.Scenario.label fail_at repair_at;
-  let faults =
-    Serve.faults_of_timeline [ Timeline.entry ~at:fail_at ~repair_at scenario ]
-  in
-  let replay ?(faults = faults) config =
-    let system = Sampler.alpha_sample (seeded 143) obl ~alpha:4 in
-    let srv = Serve.create ~config g system in
-    let reports = Serve.replay ~faults srv events in
-    reports
-  in
-  let cold_reports =
-    replay { Serve.default_config with refresh_every = 1 }
-  in
-  let warm_reports = replay Serve.default_config in
-  let baseline_reports = replay ~faults:[] Serve.default_config in
-  let congestion_at reports t =
-    List.find_map
-      (fun (r : Serve.report) ->
-        if r.Serve.tick = t then Some r.Serve.congestion else None)
-      reports
-  in
-  (* Recovery makespan: once the outage is repaired the topology is back
-     to normal, so the faulted warm replay must converge to its own
-     unfaulted trajectory — the last tick >= repair_at still more than
-     10% above it, counted from the repair (0 = instant re-absorption).
-     The outage window itself is excluded: there, congestion is
-     legitimately higher because the edges are gone (reported separately
-     against the faulted cold oracle). *)
-  let recovery_makespan =
-    List.fold_left
-      (fun acc (r : Serve.report) ->
-        match congestion_at baseline_reports r.Serve.tick with
-        | Some base
-          when r.Serve.tick >= repair_at
-               && r.Serve.congestion > (1.10 *. base) +. 1e-9 ->
-            max acc (r.Serve.tick - repair_at + 1)
-        | _ -> acc)
-      0 warm_reports
-  in
-  let sum_field f reports =
-    List.fold_left (fun acc r -> acc + f r) 0 reports
-  in
-  let rerouted = sum_field (fun r -> r.Serve.rerouted) warm_reports in
-  let max_unroutable =
-    List.fold_left (fun acc r -> max acc r.Serve.unroutable) 0 warm_reports
-  in
-  (* Degraded-tick fraction: replay the same outage with a small event
-     budget and count the ticks served stale. *)
-  let degraded_reports =
-    replay { Serve.default_config with event_budget = !serve_fault_budget }
-  in
-  let degraded_ticks =
-    sum_field
-      (fun r -> if r.Serve.mode = Serve.Degraded then 1 else 0)
-      degraded_reports
-  in
-  let deferred_total = sum_field (fun r -> r.Serve.deferred) degraded_reports in
-  let degraded_fraction =
-    float_of_int degraded_ticks /. float_of_int (List.length degraded_reports)
-  in
-  scalar "serve_faults.k" (float_of_int k);
-  scalar "serve_faults.fail_tick" (float_of_int fail_at);
-  scalar "serve_faults.repair_tick" (float_of_int repair_at);
-  scalar "serve_faults.post_opt_ratio" worst.Fault_sweep.ratio;
-  scalar "serve_faults.rerouted" (float_of_int rerouted);
-  scalar "serve_faults.unroutable.max" (float_of_int max_unroutable);
-  scalar "serve_faults.recovery_makespan" (float_of_int recovery_makespan);
-  scalar "serve_faults.event_budget" (float_of_int !serve_fault_budget);
-  scalar "serve_faults.degraded_ticks" (float_of_int degraded_ticks);
-  scalar "serve_faults.degraded_fraction" degraded_fraction;
-  scalar "serve_faults.deferred_total" (float_of_int deferred_total);
-  let show name reports =
-    let during =
-      match congestion_at reports (repair_at - 1) with
-      | Some c -> c
-      | None -> nan
-    in
-    let final =
-      match List.rev reports with
-      | (r : Serve.report) :: _ -> r.Serve.congestion
-      | [] -> nan
-    in
-    scalar (Printf.sprintf "serve_faults.congestion.%s.outage" name) during;
-    scalar (Printf.sprintf "serve_faults.congestion.%s.final" name) final;
-    Printf.printf "%-8s congestion: %.4f during outage, %.4f final\n" name
-      during final
-  in
-  show "warm" warm_reports;
-  show "cold" cold_reports;
-  Printf.printf
-    "outage: %d commodities displaced, %d unroutable at worst, recovery \
-     makespan %d ticks\n"
-    rerouted max_unroutable recovery_makespan;
-  Printf.printf
-    "degraded replay (budget %d): %d/%d ticks served stale (%.0f%%), %d \
-     deferrals\n"
-    !serve_fault_budget degraded_ticks
-    (List.length degraded_reports)
-    (100.0 *. degraded_fraction)
-    deferred_total;
-  if recovery_makespan > 6 then begin
-    Printf.printf
-      "FAIL serve-faults: recovery makespan %d ticks above the 6-tick floor\n"
-      recovery_makespan;
-    exit 1
-  end
-  else
-    Printf.printf "serve-faults: ok (recovered within %d ticks of the outage)\n"
-      recovery_makespan
-
-(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -1776,7 +952,21 @@ let git_describe () =
   | exception _ -> "unknown"
 
 let () =
-  let args = Array.to_list Sys.argv in
+  let args = List.tl (Array.to_list Sys.argv) in
+  (* Anything else is refused, so a mistyped flag cannot silently run the
+     whole harness. *)
+  let switches = [ "--list"; "--big"; "--no-timing"; "--metrics"; "--cache"; "--no-cache" ] in
+  let valued = [ "--experiment"; "--jobs"; "--seed"; "--cache-dir"; "--json"; "--trace" ] in
+  let rec check = function
+    | [] -> ()
+    | f :: rest when List.mem f switches -> check rest
+    | f :: _ :: rest when List.mem f valued -> check rest
+    | f :: _ ->
+        if List.mem f valued then Printf.eprintf "%s expects a value\n" f
+        else Printf.eprintf "unknown argument %s\n" f;
+        exit 1
+  in
+  check args;
   let has flag = List.mem flag args in
   if has "--big" then big_scale := true;
   if has "--no-timing" then no_timing := true;
@@ -1785,7 +975,6 @@ let () =
     | _ :: rest -> find_value flag rest
     | [] -> None
   in
-  let find_experiment args = find_value "--experiment" args in
   (match find_value "--jobs" args with
   | Some v -> (
       match int_of_string_opt v with
@@ -1819,70 +1008,15 @@ let () =
   in
   if has "--list" then
     List.iter (fun (id, title, _) -> Printf.printf "%-4s %s\n" id title) experiments
-  else if has "--kernels" then kernels ()
-  else if has "--faults" then faults ()
-  else if has "--obs-guard" then obs_guard ()
-  else if has "--scale" then begin
-    (match find_value "--scale-k" args with
-    | Some v -> (
-        match int_of_string_opt v with
-        | Some k when k >= 2 && k mod 2 = 0 -> scale_k := k
-        | _ ->
-            Printf.eprintf "--scale-k expects an even integer >= 2, got %s\n" v;
-            exit 1)
-    | None -> ());
-    (match find_value "--scale-pairs" args with
-    | Some v -> (
-        match int_of_string_opt v with
-        | Some p when p >= 1 -> scale_pairs := p
-        | _ ->
-            Printf.eprintf "--scale-pairs expects a positive integer, got %s\n" v;
-            exit 1)
-    | None -> ());
-    (match find_value "--scale-racke-trees" args with
-    | Some v -> (
-        match int_of_string_opt v with
-        | Some t when t >= 1 -> scale_racke_trees := t
-        | _ ->
-            Printf.eprintf
-              "--scale-racke-trees expects a positive integer, got %s\n" v;
-            exit 1)
-    | None -> ());
-    scale ()
-  end
-  else if has "--serve" || has "--serve-faults" then begin
-    let int_knob flag min_v target =
-      match find_value flag args with
-      | Some v -> (
-          match int_of_string_opt v with
-          | Some x when x >= min_v -> target := x
-          | _ ->
-              Printf.eprintf "%s expects an integer >= %d, got %s\n" flag min_v
-                v;
-              exit 1)
-      | None -> ()
-    in
-    int_knob "--serve-nodes" 8 serve_nodes;
-    int_knob "--serve-ticks" 2 serve_ticks;
-    int_knob "--serve-pairs" 1 serve_churn_pairs;
-    int_knob "--serve-fault-k" 1 serve_fault_k;
-    int_knob "--serve-fault-budget" 1 serve_fault_budget;
-    if has "--serve" then serve ();
-    if has "--serve-faults" then serve_faults ()
-  end
   else begin
-    (match find_experiment args with
+    match find_value "--experiment" args with
     | Some id -> (
         match List.find_opt (fun (eid, _, _) -> eid = id) experiments with
         | Some (eid, _, run) -> timed_run eid run
         | None ->
             Printf.eprintf "unknown experiment %s (try --list)\n" id;
             exit 1)
-    | None ->
-        if not (has "--timing") then
-          List.iter (fun (id, _, run) -> timed_run id run) experiments);
-    if (has "--timing" || not (has "--no-timing")) && find_experiment args = None
-    then timing ()
+    | None -> List.iter (fun (id, _, run) -> timed_run id run) experiments
   end;
   if has "--metrics" then begin
     header

@@ -70,7 +70,7 @@ let source_groups support =
   done;
   Array.of_list (List.rev !acc)
 
-let searched ?pool ?(view = Fun.id) g search support =
+let searched ?pool ~view g search support =
   let store =
     {
       search;
@@ -115,17 +115,6 @@ let dijkstra ?pool ?avoid ~batched g support =
           (path, settled ()))
   in
   searched ?pool ~view g search support
-
-let hop_limited ?pool ~batched ~max_hops g support =
-  let search =
-    if batched then
-      Batched (fun weights s ts -> (Shortest.hop_limited_paths g ~weights ~max_hops s ts, 0))
-    else
-      Per_pair
-        (fun weights s t ->
-          (Shortest.hop_limited_path g ~weight:(Array.get weights) ~max_hops s t, 0))
-  in
-  searched ?pool g search support
 
 let intern st i (p : Path.t) =
   match Path_map.find_opt p st.known.(i) with

@@ -9,10 +9,9 @@
 
     - {!candidates}: the canonical candidate index in a slice index — the
       path set P is fixed up front (Stage 4, [cong_ℝ(P,d)]);
-    - {!dijkstra} and {!hop_limited}: the search result interned per pair
-      — the first sighting of a path appends it to the store, later ones
-      map back to its handle (Stage 5's [opt_{G,ℝ}(d)] and the
-      hop-constrained optimum).
+    - {!dijkstra}: the search result interned per pair — the first
+      sighting of a path appends it to the store, later ones map back to
+      its handle (Stage 5's [opt_{G,ℝ}(d)]).
 
     Solvers tally per-handle statistics in a {!tally} and emit each pair's
     distribution through {!distribution}, in descending
@@ -41,21 +40,15 @@ val dijkstra :
     [mwu.sssp_batches]); otherwise each pair runs its own full search.
     Both return the same paths. *)
 
-val hop_limited :
-  ?pool:Sso_engine.Pool.t ->
-  batched:bool -> max_hops:int -> Sso_graph.Graph.t -> (int * int) array -> t
-(** Responses restricted to at most [max_hops] edges (the hop-limited DP,
-    one pass per source when [batched]). *)
-
 val respond : t -> float array -> int -> int
 (** [respond t weights i]: the handle of pair [i]'s best response under
     per-slot [weights]. *)
 
 val respond_all : t -> float array -> int array * int
 (** Every pair's handle, in support order, and the number of vertices the
-    searches settled ([0] for candidates and the DP).  Answers fan out on
-    the pool; interning then runs serially in support order, so handles
-    are the same for any job count. *)
+    searches settled ([0] for candidates).  Answers fan out on the pool;
+    interning then runs serially in support order, so handles are the
+    same for any job count. *)
 
 val edges : t -> int array
 (** Slot -> edge id: every edge a response can load, ascending — a

@@ -365,11 +365,6 @@ let mwu_unrestricted_avoiding ?pool ?iters ?(batched = true) ~avoid g demand =
     (Best_response.dijkstra ?pool ~avoid ~batched g)
     demand
 
-let mwu_hop_limited ?pool ?iters ?(batched = true) ~max_hops g demand =
-  mwu ?iters ~span:span_mwu_unrestricted ~label:"hop_limited" g
-    (Best_response.hop_limited ?pool ~batched ~max_hops g)
-    demand
-
 (* ---------- Exact unrestricted LP (edge formulation) ---------- *)
 
 let lp_unrestricted g demand =

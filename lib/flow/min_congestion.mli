@@ -10,9 +10,8 @@
     - an exact LP (path formulation, dense simplex) for small instances;
     - a multiplicative-weights (no-regret game) solver with one round loop
       whose best responses come from a {!Best_response} store: candidate
-      indices for path-restricted routing, interned Dijkstra paths for the
-      unrestricted optimum, and interned hop-limited DP paths for the
-      hop-constrained optimum used by the completion-time results. *)
+      indices for path-restricted routing and interned Dijkstra paths for
+      the unrestricted optimum. *)
 
 type candidates = ((int * int) * Sso_graph.Path.t list) list
 (** Candidate path sets per pair — a path system restricted to the pairs of
@@ -95,16 +94,6 @@ val mwu_unrestricted_avoiding :
 (** Like {!mwu_unrestricted} but never using edges for which [avoid] is
     true — the post-failure optimum of the robustness experiments.
     [None] if a demanded pair is disconnected by the failures. *)
-
-val mwu_hop_limited :
-  ?pool:Sso_engine.Pool.t ->
-  ?iters:int ->
-  ?batched:bool ->
-  max_hops:int ->
-  Sso_graph.Graph.t -> Sso_demand.Demand.t -> (Routing.t * float) option
-(** Approximate [opt^{(h)}_{G,ℝ}(d)]: min congestion over routings with
-    dilation ≤ [max_hops].  [None] if some demanded pair is not reachable
-    within the hop budget. *)
 
 val lower_bound_sparse_cut : Sso_graph.Graph.t -> Sso_demand.Demand.t -> float
 (** A cheap certified lower bound on [opt_{G,ℝ}(d)]: the max over demanded

@@ -44,8 +44,7 @@ val length : t -> int
 
 val memory_bytes : t -> int
 (** Live bytes of path storage: packed hop bytes plus the two per-path
-    metadata words.  This is the figure [BENCH_scale.json] reports as
-    bytes/pair (divided by the pair count). *)
+    metadata words. *)
 
 (** {1 Appending} *)
 

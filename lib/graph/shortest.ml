@@ -411,70 +411,48 @@ let dijkstra_targets ?workspace g ~weights src targets =
 (* dist.(k).(v) = min weight of a walk src→v with at most k hops.  The
    per-level predecessor edge makes reconstruction hop-bounded even in
    the presence of zero-weight edges (a flat pred array could cycle). *)
-let hop_limited_run g ~(weights : float array) ~max_hops src =
-  let n = Graph.n g in
-  check_weights g weights ~context:"Shortest.hop_limited_path";
-  let dist = Array.make_matrix (max_hops + 1) n infinity in
-  let pred = Array.make_matrix (max_hops + 1) n (-1) in
-  dist.(0).(src) <- 0.0;
-  let graph_edges = Graph.edges g in
-  for k = 1 to max_hops do
-    let dk = dist.(k) and dk1 = dist.(k - 1) and pk = pred.(k) in
-    Array.blit dk1 0 dk 0 n;
-    Array.iter
-      (fun (e : Graph.edge) ->
-        let we = weights.(e.id) in
-        if we < 0.0 then invalid_arg "Shortest.hop_limited_path: negative edge weight";
-        if dk1.(e.u) +. we < dk.(e.v) then begin
-          dk.(e.v) <- dk1.(e.u) +. we;
-          pk.(e.v) <- e.id
-        end;
-        if dk1.(e.v) +. we < dk.(e.u) then begin
-          dk.(e.u) <- dk1.(e.v) +. we;
-          pk.(e.u) <- e.id
-        end)
-      graph_edges
-  done;
-  (dist, pred)
-
-let hop_limited_extract g ~max_hops src (dist, pred) dst =
-  if dist.(max_hops).(dst) = infinity then None
-  else begin
-    (* Walk levels downward: a [-1] predecessor means the value was
-       carried over from the previous level. *)
-    let rec collect v k acc =
-      if v = src && dist.(k).(v) = 0.0 && pred.(k).(v) = -1 then acc
-      else if pred.(k).(v) = -1 then collect v (k - 1) acc
-      else
-        let e = pred.(k).(v) in
-        collect (Graph.other_end g e v) (k - 1) (e :: acc)
-    in
-    let edge_ids = Array.of_list (collect dst max_hops []) in
-    let walk = Path.of_edges g ~src ~dst edge_ids in
-    Some (Path.simplify g walk)
-  end
-
 let hop_limited_path g ~weight ~max_hops src dst =
   if src = dst then Some (Path.trivial src)
   else if max_hops <= 0 then None
-  else
-    let tables =
-      hop_limited_run g ~weights:(Array.init (Graph.m g) weight) ~max_hops src
-    in
-    hop_limited_extract g ~max_hops src tables dst
-
-let hop_limited_paths g ~weights ~max_hops src targets =
-  if max_hops <= 0 then
-    Array.map
-      (fun dst -> if src = dst then Some (Path.trivial src) else None)
-      targets
   else begin
-    let tables = lazy (hop_limited_run g ~weights ~max_hops src) in
-    Array.map
-      (fun dst ->
-        if src = dst then Some (Path.trivial src)
-        else hop_limited_extract g ~max_hops src (Lazy.force tables) dst)
-      targets
+    let n = Graph.n g in
+    let weights = Array.init (Graph.m g) weight in
+    let dist = Array.make_matrix (max_hops + 1) n infinity in
+    let pred = Array.make_matrix (max_hops + 1) n (-1) in
+    dist.(0).(src) <- 0.0;
+    let graph_edges = Graph.edges g in
+    for k = 1 to max_hops do
+      let dk = dist.(k) and dk1 = dist.(k - 1) and pk = pred.(k) in
+      Array.blit dk1 0 dk 0 n;
+      Array.iter
+        (fun (e : Graph.edge) ->
+          let we = weights.(e.id) in
+          if we < 0.0 then invalid_arg "Shortest.hop_limited_path: negative edge weight";
+          if dk1.(e.u) +. we < dk.(e.v) then begin
+            dk.(e.v) <- dk1.(e.u) +. we;
+            pk.(e.v) <- e.id
+          end;
+          if dk1.(e.v) +. we < dk.(e.u) then begin
+            dk.(e.u) <- dk1.(e.v) +. we;
+            pk.(e.u) <- e.id
+          end)
+        graph_edges
+    done;
+    if dist.(max_hops).(dst) = infinity then None
+    else begin
+      (* Walk levels downward: a [-1] predecessor means the value was
+         carried over from the previous level. *)
+      let rec collect v k acc =
+        if v = src && dist.(k).(v) = 0.0 && pred.(k).(v) = -1 then acc
+        else if pred.(k).(v) = -1 then collect v (k - 1) acc
+        else
+          let e = pred.(k).(v) in
+          collect (Graph.other_end g e v) (k - 1) (e :: acc)
+      in
+      let edge_ids = Array.of_list (collect dst max_hops []) in
+      let walk = Path.of_edges g ~src ~dst edge_ids in
+      Some (Path.simplify g walk)
+    end
   end
 
 let eccentricity g v =

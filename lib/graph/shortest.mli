@@ -129,15 +129,6 @@ val hop_limited_path :
     style dynamic program over hop counts, O(max_hops · m).  Returns [None]
     when no walk within the hop budget exists. *)
 
-val hop_limited_paths :
-  Graph.t ->
-  weights:float array -> max_hops:int -> int -> int array -> Path.t option array
-(** Source-batched {!hop_limited_path} over a flat per-edge weight array
-    (length [>= m], entries non-negative, checked as relaxed): the DP
-    tables depend only on the source, so one O(max_hops · m) pass answers
-    every target.  Identical results to the per-target calls with
-    [weight e = weights.(e)]. *)
-
 val eccentricity : Graph.t -> int -> int
 (** Maximum hop distance from a vertex to any reachable vertex. *)
 

@@ -112,8 +112,8 @@ val mwu_solves : event list -> solve list
 
 (** {1 Generic JSON access}
 
-    The parser behind [load], exposed so other tools (the bench overhead
-    guard reading BENCH_kernels.json) can read small JSON files without a
+    The parser behind [load], exposed so other tools (the update-stream
+    codec, the pipeline benchmark) can read small JSON files without a
     dependency. *)
 module Json : sig
   type t =

@@ -216,6 +216,42 @@ let test_materialize_parallel_jobs_invariant () =
   Alcotest.(check bool) "parallel content = serial content" true
     (content j1 = content (build None))
 
+(* The packed arena against the boxed list-of-[Path.t] view of the same
+   candidate sets, the representation it replaced: an α = 4 sample of a
+   4-tree Wilson mixture on a k = 16 fat-tree, 256 distinct random pairs.
+   [Obj.reachable_words] measures the boxed structure exactly (paths share
+   nothing with the graph); the arena must be at least 4x smaller. *)
+let test_arena_smaller_than_boxed () =
+  let seeded k = Rng.split_at (Rng.create 0) k in
+  let g = Gen.fat_tree 16 in
+  let n = Graph.n g in
+  let obl = Trees.uniform (seeded 131) ~count:4 g in
+  let pairs =
+    let rng = seeded 132 in
+    let seen = Hashtbl.create 256 in
+    let rec draw acc c =
+      if c = 0 then List.rev acc
+      else
+        let s = Rng.int rng n and t = Rng.int rng n in
+        if s = t || Hashtbl.mem seen (s, t) then draw acc c
+        else begin
+          Hashtbl.add seen (s, t) ();
+          draw ((s, t) :: acc) (c - 1)
+        end
+    in
+    draw [] 256
+  in
+  let ps = Sampler.alpha_sample (seeded 133) obl ~alpha:4 in
+  Path_system.materialize_parallel ps pairs;
+  let arena_bytes = Sso_graph.Arena.memory_bytes (Path_system.arena ps) in
+  let boxed = List.map (fun (s, t) -> ((s, t), Path_system.paths ps s t)) pairs in
+  let boxed_bytes = Obj.reachable_words (Obj.repr boxed) * (Sys.word_size / 8) in
+  let reduction = float_of_int boxed_bytes /. float_of_int arena_bytes in
+  Alcotest.(check bool)
+    (Printf.sprintf "arena %d B is %.2fx under boxed %d B (floor 4x)" arena_bytes
+       reduction boxed_bytes)
+    true (reduction >= 4.0)
+
 let test_of_oblivious_support () =
   let g = Gen.grid 3 3 in
   let obl = Ksp.routing ~k:3 g in
@@ -1317,6 +1353,8 @@ let () =
             test_slice_view_matches_paths;
           Alcotest.test_case "materialize_parallel jobs-invariant" `Quick
             test_materialize_parallel_jobs_invariant;
+          Alcotest.test_case "arena 4x smaller than boxed paths" `Quick
+            test_arena_smaller_than_boxed;
           Alcotest.test_case "preload checks before installing" `Quick
             test_path_system_preload;
           Alcotest.test_case "rejected lists install nothing" `Quick

@@ -262,23 +262,6 @@ let test_lp_unrestricted_known_value () =
   let d = Demand.single_pair 0 3 2.0 in
   Alcotest.(check (float 1e-5)) "square optimum" 1.0 (Min_congestion.lp_unrestricted g d)
 
-let test_hop_limited_forces_direct () =
-  (* multi_path [1;3]: a direct edge and a 3-hop detour.  With max_hops 1
-     everything must use the direct edge. *)
-  let g = Gen.multi_path [ 1; 3 ] in
-  let d = Demand.single_pair 0 1 2.0 in
-  (match Min_congestion.mwu_hop_limited ~iters:300 ~max_hops:1 g d with
-  | None -> Alcotest.fail "expected feasible"
-  | Some (_, cong) -> Alcotest.(check (float 1e-6)) "all on direct edge" 2.0 cong);
-  match Min_congestion.mwu_hop_limited ~iters:600 ~max_hops:3 g d with
-  | None -> Alcotest.fail "expected feasible"
-  | Some (_, cong) -> Alcotest.(check bool) "split when allowed" true (cong < 1.3)
-
-let test_hop_limited_infeasible () =
-  let g = Gen.path_graph 5 in
-  Alcotest.(check bool) "too few hops" true
-    (Min_congestion.mwu_hop_limited ~max_hops:2 g (Demand.single_pair 0 4 1.0) = None)
-
 let test_lower_bound_sound () =
   let rng = Rng.create 41 in
   for _ = 1 to 5 do
@@ -658,22 +641,6 @@ let test_sssp_settled_counter () =
     true
     (0 < bounded && bounded < full)
 
-let test_mwu_hop_limited_batched_matches_per_pair () =
-  let rng = Rng.create 22 in
-  let g = Gen.random_regular rng 16 4 in
-  let d = batched_demand () in
-  let solve ~pool ~batched =
-    match Min_congestion.mwu_hop_limited ~pool ~iters:30 ~batched ~max_hops:6 g d with
-    | Some (r, _) -> r
-    | None -> Alcotest.fail "hop-limited solve should be feasible"
-  in
-  with_pool 1 @@ fun p1 ->
-  with_pool 4 @@ fun p4 ->
-  let reference = solve ~pool:p1 ~batched:false in
-  exact_same_routing "batched jobs 1" reference (solve ~pool:p1 ~batched:true);
-  exact_same_routing "per-pair jobs 4" reference (solve ~pool:p4 ~batched:false);
-  exact_same_routing "batched jobs 4" reference (solve ~pool:p4 ~batched:true)
-
 (* Golden pins for Stage 5: digests of the full routing (pairs, weight
    bits, edge sequences) and of the value's bits, recorded before the
    Dijkstra oracle moved to flat weights and a target-bounded,
@@ -716,13 +683,7 @@ let test_stage5_golden () =
           ~avoid:(fun e ->
             let u, v = Graph.endpoints g e in
             u = 0 || v = 0)
-          g perm));
-  pin "hop-limited 7" "138ccad0ca94d2391378d6c1b2f713f2"
-    (opt (Min_congestion.mwu_hop_limited ~iters:300 ~max_hops:7 g perm));
-  pin "hop-limited 6" "77e181f84399139ff8438c507ce7d844"
-    (opt (Min_congestion.mwu_hop_limited ~iters:300 ~max_hops:6 g perm));
-  pin "hop-limited 6, bit-reversal" "8e233675bb534756a1d41e15ee3ad8b5"
-    (opt (Min_congestion.mwu_hop_limited ~iters:300 ~max_hops:6 g bitrev))
+          g perm))
 
 (* Golden pins for the warm-started Stage-4 solve and for Garg–Könemann,
    recorded before the twin solver bodies were folded into one MWU core
@@ -946,18 +907,14 @@ let () =
           Alcotest.test_case "square" `Quick test_mwu_on_square;
           Alcotest.test_case "unrestricted square" `Quick test_mwu_unrestricted_square;
           Alcotest.test_case "unrestricted vs lp" `Slow test_unrestricted_lp_matches_mwu;
-          Alcotest.test_case "hop limited direct" `Quick test_hop_limited_forces_direct;
-          Alcotest.test_case "hop limited infeasible" `Quick test_hop_limited_infeasible;
           Alcotest.test_case "unrestricted batched = per-pair" `Quick
             test_mwu_unrestricted_batched_matches_per_pair;
-          Alcotest.test_case "hop limited batched = per-pair" `Quick
-            test_mwu_hop_limited_batched_matches_per_pair;
-          Alcotest.test_case "stage 5 golden pins" `Quick test_stage5_golden;
-          Alcotest.test_case "warm and gk golden pins" `Quick test_warm_and_gk_golden;
-          Alcotest.test_case "stage 4 golden pins" `Quick test_stage4_golden;
           Alcotest.test_case "sssp settled counter" `Quick test_sssp_settled_counter;
           Alcotest.test_case "lower bound sound" `Slow test_lower_bound_sound;
           Alcotest.test_case "lower bound bottleneck" `Quick test_lower_bound_tight_on_bottleneck;
+          Alcotest.test_case "stage 5 golden pins" `Quick test_stage5_golden;
+          Alcotest.test_case "warm and gk golden pins" `Quick test_warm_and_gk_golden;
+          Alcotest.test_case "stage 4 golden pins" `Quick test_stage4_golden;
         ] );
       ( "routing extra",
         [

@@ -328,6 +328,30 @@ let test_quantile () =
     (Float.is_nan (Obs.quantile_estimate q 0.5));
   Alcotest.(check int) "reset zeroes the count" 0 (Obs.quantile_count q)
 
+(* Tracing off is one flag test: the trace-only wrappers and the serve
+   loop's quantile sketch allocate nothing per call, so instrumented hot
+   paths cost what they cost uninstrumented.  [with_span] is left out: it
+   always times its span for the metrics registry. *)
+let test_tracing_off_allocates_nothing () =
+  Obs.set_tracing false;
+  let q = Obs.quantile "obs.test.alloc_free" in
+  let body () = () in
+  let minor_words call =
+    let before = Gc.minor_words () in
+    for i = 1 to 1000 do
+      call i
+    done;
+    Gc.minor_words () -. before
+  in
+  let check name call =
+    Alcotest.(check (float 0.0)) (name ^ ": minor words over 1000 calls") 0.0
+      (minor_words call)
+  in
+  check "traced" (fun _ -> Obs.traced "obs.test.off" body);
+  check "event" (fun _ -> Obs.event "obs.test.off");
+  check "observe_quantile" (fun i -> Obs.observe_quantile q i);
+  Obs.reset_metrics ()
+
 (* ---- Prometheus exposition ---- *)
 
 let test_exposition () =
@@ -610,10 +634,10 @@ let test_mwu_convergence () =
     "partially seeded warm solve: final averaged congestion matches" congestion
     (final_avg s)
 
-(* One MWU core serves every best-response oracle, so a candidate solve,
-   an unrestricted (Dijkstra) solve and a hop-limited (DP) solve emit the
-   same [mwu.round] attribute set — [sssp_settled] is 0 where nothing is
-   searched — and the convergence aggregation reads all three. *)
+(* One MWU core serves every best-response oracle, so a candidate solve
+   and an unrestricted (Dijkstra) solve emit the same [mwu.round]
+   attribute set — [sssp_settled] is 0 where nothing is searched — and
+   the convergence aggregation reads both. *)
 let test_mwu_round_attrs_uniform () =
   let g = Gen.grid 4 4 in
   let d = Demand.random_pairs (Rng.create 5) ~n:(Graph.n g) ~pairs:6 in
@@ -626,8 +650,7 @@ let test_mwu_round_attrs_uniform () =
   Obs.set_tracing true;
   Fun.protect ~finally:(fun () -> Obs.set_tracing false) (fun () ->
       ignore (Min_congestion.mwu_on_paths ~iters:4 g cands d);
-      ignore (Min_congestion.mwu_unrestricted ~iters:4 g d);
-      ignore (Min_congestion.mwu_hop_limited ~iters:4 ~max_hops:8 g d));
+      ignore (Min_congestion.mwu_unrestricted ~iters:4 g d));
   let events = Obs.events () in
   Obs.clear_trace ();
   let rounds label =
@@ -652,19 +675,16 @@ let test_mwu_round_attrs_uniform () =
       List.iter
         (fun e -> Alcotest.(check (list string)) (label ^ " attribute keys") reference (keys e))
         rs)
-    [ "on_paths"; "unrestricted"; "hop_limited" ];
+    [ "on_paths"; "unrestricted" ];
   List.iter
-    (fun label ->
-      List.iter
-        (fun e -> Alcotest.(check int) (label ^ " searches nothing") 0 (settled e))
-        (rounds label))
-    [ "on_paths"; "hop_limited" ];
+    (fun e -> Alcotest.(check int) "on_paths searches nothing" 0 (settled e))
+    (rounds "on_paths");
   List.iter
     (fun e -> Alcotest.(check bool) "unrestricted settles vertices" true (settled e > 0))
     (rounds "unrestricted");
   let solves = Trace.mwu_solves events in
   Alcotest.(check (list string)) "aggregated solves"
-    [ "on_paths"; "unrestricted"; "hop_limited" ]
+    [ "on_paths"; "unrestricted" ]
     (List.map (fun s -> s.Trace.s_solver) solves);
   List.iter
     (fun (s : Trace.solve) ->
@@ -700,6 +720,8 @@ let () =
             test_multidomain_saturation;
           Alcotest.test_case "gauge" `Quick test_gauge;
           Alcotest.test_case "quantile" `Quick test_quantile;
+          Alcotest.test_case "tracing off allocates nothing" `Quick
+            test_tracing_off_allocates_nothing;
           Alcotest.test_case "exposition" `Quick test_exposition;
           Alcotest.test_case "histogram trailer" `Quick test_histogram_trailer;
           Alcotest.test_case "dropped in meta" `Quick

@@ -1160,6 +1160,70 @@ let test_create_rejects_bad_config () =
   reject "event_budget" { Serve.default_config with event_budget = -1 };
   reject "max_staleness" { Serve.default_config with max_staleness = -1 }
 
+(* ---- the service's economics on a WAN-sized instance ---- *)
+
+(* A 64-node 4-regular WAN, an α = 4 sample of a 4-tree Wilson mixture,
+   and a 40-tick churn stream over 64 pairs; seeds 140–143 are children of
+   master seed 0, as in [bench/main.exe]'s seeding. *)
+let wan_graph, wan_replay =
+  let seeded k = Rng.split_at (Rng.create 0) k in
+  let g = Gen.random_regular (seeded 140) 64 4 in
+  let obl = Trees.uniform (seeded 141) ~count:4 g in
+  let events =
+    Workload.generate ~rate_churn:0.2 (seeded 142) ~n:64 ~ticks:40 ~pairs:64 ~churn:0.15
+  in
+  ( g,
+    fun ?faults config ->
+      let system = Sampler.alpha_sample (seeded 143) obl ~alpha:4 in
+      Serve.replay ?faults (Serve.create ~config g system) events )
+
+(* Carrying the MWU weights across ticks must beat re-solving every tick
+   from scratch by a wide margin, or the service has no reason to exist:
+   the cold replay spends at least 3x the warm replay's MWU rounds. *)
+let test_warm_rounds_beat_cold () =
+  let iterations = Obs.counter "mwu.iterations" in
+  let rounds config =
+    let before = Obs.counter_value iterations in
+    ignore (wan_replay config);
+    Obs.counter_value iterations - before
+  in
+  let cold = rounds { Serve.default_config with refresh_every = 1 } in
+  let warm = rounds Serve.default_config in
+  Alcotest.(check bool)
+    (Printf.sprintf "cold %d MWU rounds >= 3 x warm %d" cold warm)
+    true
+    (cold >= 3 * warm)
+
+(* Recovery makespan: once an outage is repaired the topology is back to
+   normal, so the faulted warm replay must return within 10% of its own
+   unfaulted trajectory.  The makespan counts ticks from the repair to the
+   last tick still above that (0 = instant re-absorption) and must stay
+   within 6.  The outage is the one [Sweep.worst_k ~k:3] picks on this
+   instance against the demand live when it strikes: edge 1 alone, failed
+   a third of the way in and repaired at two thirds. *)
+let test_outage_recovery_makespan () =
+  let fail_at = 13 and repair_at = 26 in
+  let faults =
+    Serve.faults_of_timeline
+      [ Timeline.entry ~at:fail_at ~repair_at (Scenario.single wan_graph 1) ]
+  in
+  let faulted = wan_replay ~faults Serve.default_config in
+  let baseline = wan_replay Serve.default_config in
+  let makespan =
+    List.fold_left
+      (fun acc (r : Serve.report) ->
+        match List.find_opt (fun (b : Serve.report) -> b.Serve.tick = r.Serve.tick) baseline with
+        | Some b
+          when r.Serve.tick >= repair_at
+               && r.Serve.congestion > (1.10 *. b.Serve.congestion) +. 1e-9 ->
+            max acc (r.Serve.tick - repair_at + 1)
+        | _ -> acc)
+      0 faulted
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "recovery makespan %d ticks <= 6" makespan)
+    true (makespan <= 6)
+
 let () =
   Alcotest.run "serve"
     [
@@ -1198,6 +1262,8 @@ let () =
             test_faulted_replay_golden;
           Alcotest.test_case "jobs-invariant faulted replay" `Quick
             test_fault_replay_jobs_invariant;
+          Alcotest.test_case "outage recovery makespan" `Quick
+            test_outage_recovery_makespan;
         ] );
       ( "degradation",
         [
@@ -1237,6 +1303,8 @@ let () =
             test_warm_tracks_cold_j4;
           Alcotest.test_case "jobs-invariant replay" `Quick
             test_replay_jobs_invariant;
+          Alcotest.test_case "warm spends a third of cold's rounds" `Quick
+            test_warm_rounds_beat_cold;
           Alcotest.test_case "kept index equals a fresh one (jobs 1)" `Quick
             test_index_matches_fresh_j1;
           Alcotest.test_case "kept index equals a fresh one (jobs 4)" `Quick
