@@ -530,19 +530,18 @@ let e11 () =
   Printf.printf "tree cannot be rescued by Stage-4 adaptivity, Racke can.\n"
 
 (* ------------------------------------------------------------------ *)
-(* E12 — solver cross-validation: the exact LP, the MWU game solver and
-   Garg–Könemann agree on Stage-4 congestion; cost scales differently. *)
+(* E12 — solver cross-validation: the exact LP and the MWU game solver
+   agree on Stage-4 congestion; cost scales differently. *)
 
 let e12 () =
-  header "E12 Stage-4 engines: exact LP vs MWU vs Garg-Konemann";
-  let module Concurrent_flow = Sso_flow.Concurrent_flow in
+  header "E12 Stage-4 engines: exact LP vs MWU";
   let timed f =
     let t0 = Sys.time () in
     let v = f () in
     (v, Sys.time () -. t0)
   in
-  Printf.printf "%8s %6s %6s | %18s %18s %18s\n" "n" "pairs" "cands"
-    "LP (cong, s)" "MWU-400 (cong, s)" "GK-0.05 (cong, s)";
+  Printf.printf "%8s %6s %6s | %18s %18s\n" "n" "pairs" "cands"
+    "LP (cong, s)" "MWU-400 (cong, s)";
   List.iter
     (fun (n, pairs) ->
       let rng = seeded (800 + n) in
@@ -555,17 +554,14 @@ let e12 () =
       let (_, mwu), mwu_t =
         timed (fun () -> Min_congestion.mwu_on_paths ~iters:400 g cands d)
       in
-      let (_, gk), gk_t =
-        timed (fun () -> Concurrent_flow.on_paths ~epsilon:0.05 g cands d)
-      in
       let secs t = if !no_timing then "-" else Printf.sprintf "%.3f" t in
-      Printf.printf "%8d %6d %6d | %10.3f %7s %10.3f %7s %10.3f %7s\n" n
+      Printf.printf "%8d %6d %6d | %10.3f %7s %10.3f %7s\n" n
         pairs
         (Path_system.sparsity_on system (Demand.support d))
-        lp (secs lp_t) mwu (secs mwu_t) gk (secs gk_t))
+        lp (secs lp_t) mwu (secs mwu_t))
     [ (12, 5); (20, 10); (30, 20) ];
-  Printf.printf "shape: all three agree within the approximation tolerance;\n";
-  Printf.printf "the iterative engines scale past where the dense LP stops.\n"
+  Printf.printf "shape: MWU agrees with the LP within the approximation\n";
+  Printf.printf "tolerance and scales past where the dense LP stops.\n"
 
 (* ------------------------------------------------------------------ *)
 (* E13 — grids, the HKL07 territory: [HKL07] proved even polynomially

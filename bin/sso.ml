@@ -147,18 +147,13 @@ let all_some xs =
 
 let solver_arg ~doc =
   spec_arg ~name:"solver" ~default:"mwu"
-    ~expected:[ "mwu[:ITERS] (ITERS >= 1)"; "gk[:EPS] (0 < EPS < 1)"; "lp" ]
+    ~expected:[ "mwu[:ITERS] (ITERS >= 1)"; "lp" ]
     ~doc (fun spec ->
       match String.split_on_char ':' spec with
       | [ "lp" ] -> Some Semi_oblivious.Lp
       | [ "mwu" ] -> Some Semi_oblivious.default_solver
       | [ "mwu"; iters ] ->
           Option.map (fun i -> Semi_oblivious.Mwu i) (int_at_least 1 iters)
-      | [ "gk" ] -> Some (Semi_oblivious.Gk 0.1)
-      | [ "gk"; eps ] -> (
-          match float_of_string_opt eps with
-          | Some eps when eps > 0.0 && eps < 1.0 -> Some (Semi_oblivious.Gk eps)
-          | _ -> None)
       | _ -> None)
 
 (* The base oblivious routing, built once the graph is known.  Only racke
@@ -395,8 +390,7 @@ let route_cmd =
   let solver_arg =
     solver_arg
       ~doc:
-        "Stage-4 solver: mwu[:ITERS] (default), gk[:EPS] (Garg-Konemann), or \
-         lp (exact, small instances)."
+        "Stage-4 solver: mwu[:ITERS] (default) or lp (exact, small instances)."
   in
   let run path (_, base) alpha with_cut (_, demand) (_, solver) seed jobs cache
       no_cache cache_dir trace =
@@ -552,7 +546,7 @@ let faults_cmd =
       ~doc:"Demand workload: pairs:N, permutation, gravity:TOTAL, all-to-all." ()
   in
   let solver_arg =
-    solver_arg ~doc:"Stage-4 solver: mwu[:ITERS] (default), gk[:EPS], or lp."
+    solver_arg ~doc:"Stage-4 solver: mwu[:ITERS] (default) or lp."
   in
   let json_arg =
     let doc = "Emit deterministic JSON (byte-identical for any $(b,--jobs))." in
@@ -960,7 +954,7 @@ let serve_cmd =
       base_arg ~doc:"Base oblivious routing: racke, valiant, ksp, shortest." ()
     in
     let solver_arg =
-      solver_arg ~doc:"Cold-solve engine: mwu[:ITERS] (default), gk[:EPS], or lp."
+      solver_arg ~doc:"Cold-solve engine: mwu[:ITERS] (default) or lp."
     in
     let warm_iters_arg =
       let doc = "Fresh MWU rounds per warm tick." in

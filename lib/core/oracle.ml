@@ -25,7 +25,5 @@ let demand_aware_system ?(solver = Semi_oblivious.default_solver) g demand ~alph
            instead, which is path-based by construction. *)
         fst (Min_congestion.mwu_unrestricted ~iters:800 g demand)
     | Semi_oblivious.Mwu iters -> fst (Min_congestion.mwu_unrestricted ~iters g demand)
-    | Semi_oblivious.Gk epsilon ->
-        fst (Sso_flow.Concurrent_flow.unrestricted ~epsilon g demand)
   in
   top_paths g routing ~alpha

@@ -149,5 +149,4 @@ val to_slice_candidates :
 (** The slice-index equivalent of {!to_candidates}: every pair (sorted,
     deduplicated) through {!unpack_pair}, joined by
     {!Sso_flow.Slice_candidates.concat}; no path lists materialized.
-    Input to {!Sso_flow.Min_congestion.mwu_on_slices} and
-    {!Sso_flow.Concurrent_flow.on_slices}. *)
+    Input to {!Sso_flow.Min_congestion.mwu_on_slices}. *)

@@ -4,7 +4,7 @@ module Routing = Sso_flow.Routing
 module Min_congestion = Sso_flow.Min_congestion
 module Oblivious = Sso_oblivious.Oblivious
 
-type solver = Lp | Mwu of int | Gk of float
+type solver = Lp | Mwu of int
 
 let default_solver = Mwu 300
 
@@ -20,8 +20,6 @@ let route ?(solver = default_solver) ?index g ps demand =
       let cands = Path_system.to_candidates ps (Demand.support demand) in
       Min_congestion.lp_on_paths g cands demand
   | Mwu iters -> Min_congestion.mwu_on_slices ~iters g (slices ?index ps demand) demand
-  | Gk epsilon ->
-      Sso_flow.Concurrent_flow.on_slices ~epsilon g (slices ?index ps demand) demand
 
 let congestion ?solver g ps demand = snd (route ?solver g ps demand)
 
@@ -29,22 +27,14 @@ let reoptimize ?(solver = default_solver) ?warm_start ?index g ps demand =
   match (solver, warm_start) with
   | Mwu iters, Some warm ->
       Min_congestion.mwu_on_slices ~iters ~warm g (slices ?index ps demand) demand
-  | (Lp | Gk _ | Mwu _), _ ->
-      (* LP and GK have no incremental form; a cold solve is the warm
-         start. *)
+  | (Lp | Mwu _), _ ->
+      (* The LP has no incremental form; a cold solve is the warm start. *)
       route ~solver ?index g ps demand
 
 let opt ?(solver = default_solver) g demand =
   match solver with
   | Lp -> Min_congestion.lp_unrestricted g demand
-  | Mwu iters ->
-      let _, value = Min_congestion.mwu_unrestricted ~iters g demand in
-      (* MWU overestimates the optimum; clamp from below with the certified
-         bound so ratios do not inflate. *)
-      Float.max value (Min_congestion.lower_bound_sparse_cut g demand)
-  | Gk epsilon ->
-      let _, value = Sso_flow.Concurrent_flow.unrestricted ~epsilon g demand in
-      Float.max value (Min_congestion.lower_bound_sparse_cut g demand)
+  | Mwu iters -> snd (Min_congestion.mwu_unrestricted ~iters g demand)
 
 let competitive_ratio ?solver g ps demand =
   if Demand.support_size demand = 0 then 1.0

@@ -11,7 +11,6 @@
 type solver =
   | Lp  (** Exact simplex (small instances). *)
   | Mwu of int  (** Multiplicative weights with the given iteration count. *)
-  | Gk of float  (** Garg–Könemann with the given ε ∈ (0,1). *)
 
 val default_solver : solver
 (** [Mwu 300]. *)
@@ -23,7 +22,7 @@ val route :
   Sso_flow.Routing.t * float
 (** Stage 4: the adaptive min-congestion routing of [d] on [P] and its
     congestion [cong_ℝ(P,d)] (exact for [Lp], near-optimal for [Mwu]).
-    The [Mwu] and [Gk] solvers run on [index] when given, otherwise on
+    The [Mwu] solver runs on [index] when given, otherwise on
     [Path_system.to_slice_candidates P (supp d)].  A given [index] must
     equal that one: the {!Path_system.unpack_pair} pieces of [supp d]
     in [P], in support order, joined by
@@ -55,7 +54,7 @@ val reoptimize :
     arrived — is learned by the fresh rounds alone.  Runs on the slice
     index ([index] as in {!route}), so admitting a commodity costs one
     arena append and no path system rebuild.  Without [warm_start], or
-    with the [Lp]/[Gk] solvers (which have no incremental form), this is
+    with the [Lp] solver (which has no incremental form), this is
     {!route}.  Output is
     bit-identical at any [--jobs].
     @raise Invalid_argument if some demanded pair has no candidates. *)
@@ -68,11 +67,10 @@ val opt :
 val competitive_ratio :
   ?solver:solver ->
   Sso_graph.Graph.t -> Path_system.t -> Sso_demand.Demand.t -> float
-(** [cong_ℝ(P,d) / opt_{G,ℝ}(d)] (Stage 5); [1] for empty demands.  When
-    the MWU optimum estimate falls below the certified lower bound of
-    {!Sso_flow.Min_congestion.lower_bound_sparse_cut}, the bound is used
-    instead, so the reported ratio never exaggerates the system's
-    quality. *)
+(** [cong_ℝ(P,d) / opt_{G,ℝ}(d)] (Stage 5); [1] for empty demands.  With
+    an [Mwu] solver both terms are congestions of feasible routings, so
+    each is an upper bound on its exact value and the ratio is an
+    estimate; [Lp] makes both exact. *)
 
 val competitive_with :
   ?solver:solver ->

@@ -74,7 +74,6 @@ let decode_report scenario data =
 let solver_repr = function
   | Semi_oblivious.Lp -> "lp"
   | Semi_oblivious.Mwu i -> Printf.sprintf "mwu:%d" i
-  | Semi_oblivious.Gk eps -> Printf.sprintf "gk:%.17g" eps
 
 let recovery_repr = function
   | None -> "none"
@@ -120,10 +119,7 @@ let evaluate ~solver ~iters ~recovery ~pre_routing g ps demand scenario =
         recovery_rounds = -1;
         warm_congestion = nan;
       }
-  | Some (_, post) ->
-      (* The intact network's certified bound is still a valid lower bound
-         after losing capacity. *)
-      let post_opt = Float.max post (Min_congestion.lower_bound_sparse_cut g demand) in
+  | Some (_, post_opt) ->
       if not candidates_remain then
         {
           scenario;
@@ -168,11 +164,7 @@ let evaluate ~solver ~iters ~recovery ~pre_routing g ps demand scenario =
 
 let run ?pool ?(solver = Semi_oblivious.default_solver) ?store ?system_key
     ?recovery g ps demand scenarios =
-  let iters =
-    match solver with
-    | Semi_oblivious.Mwu i -> i
-    | Semi_oblivious.Lp | Semi_oblivious.Gk _ -> 300
-  in
+  let iters = match solver with Semi_oblivious.Mwu i -> i | Semi_oblivious.Lp -> 300 in
   let support = Demand.support demand in
   (* Materialize the parent system before fanning out: derived survivor
      systems must not trigger generation inside pool tasks, so generation

@@ -4,14 +4,14 @@
    weight array, with the handle of the cheapest admissible path.  Two
    stores exist.  [Candidates] handles are the canonical candidate indices
    of a slice index: the path set is fixed up front.  [Interned] handles
-   name the paths a search (Dijkstra or the hop-limited DP) has returned
-   so far: the first sighting of a path for a pair appends it, and later
-   sightings map back to the same handle.  Solvers tally per-handle
-   statistics in a [tally] and emit routings through [distribution], so
-   the MWU and Garg–Könemann loops never see which store they run on.
-   Both stores address edges by slot ([edges] maps a slot to its edge
-   id): a candidate store's slots are its candidates' distinct edges, a
-   search store's are all m edges in order. *)
+   name the paths the Dijkstra search has returned so far: the first
+   sighting of a path for a pair appends it, and later sightings map back
+   to the same handle.  The MWU loop tallies per-handle statistics in a
+   [tally] and emits routings through [distribution], so it never sees
+   which store it runs on.  Both stores address edges by slot ([edges]
+   maps a slot to its edge id): a candidate store's slots are its
+   candidates' distinct edges, a search store's are all m edges in
+   order. *)
 
 module Graph = Sso_graph.Graph
 module Path = Sso_graph.Path
@@ -22,14 +22,8 @@ module Path_map = Map.Make (Path)
 
 let sssp_batches = Obs.counter "mwu.sssp_batches"
 
-(* A search answers one pair, or every target of one source, and reports
-   how many vertices it settled (0 for the hop-limited DP). *)
-type search =
-  | Per_pair of (float array -> int -> int -> Path.t option * int)
-  | Batched of (float array -> int -> int array -> Path.t option array * int)
-
 type interned = {
-  search : search;
+  graph : Graph.t;
   view : float array -> float array;  (* applied once per call, before the search *)
   groups : (int * int array) array;  (* source runs of the support *)
   known : int Path_map.t array;  (* support position -> path -> handle *)
@@ -70,25 +64,7 @@ let source_groups support =
   done;
   Array.of_list (List.rev !acc)
 
-let searched ?pool ~view g search support =
-  let store =
-    {
-      search;
-      view;
-      groups = source_groups support;
-      known = Array.make (Array.length support) Path_map.empty;
-      paths = [||];
-      count = 0;
-    }
-  in
-  (* A search may load any edge, so slot [e] is edge [e]. *)
-  { pool; support; store = Interned store; edges = Array.init (Graph.m g) Fun.id }
-
-(* Every call adds the vertices its search settled to the total it
-   returns; the batched search stops once the source's targets settle,
-   the per-pair one is the reference full run. *)
-let dijkstra ?pool ?avoid ~batched g support =
-  let settled () = Shortest.Workspace.settled_count (Shortest.Workspace.for_current_domain ()) in
+let dijkstra ?pool ?avoid g support =
   let view =
     match avoid with
     | None -> Fun.id
@@ -102,19 +78,18 @@ let dijkstra ?pool ?avoid ~batched g support =
           Array.iter (fun e -> masked.(e) <- w.(e)) keep;
           masked
   in
-  let search =
-    if batched then
-      Batched
-        (fun weights s ts ->
-          let paths = Shortest.dijkstra_targets g ~weights s ts in
-          (paths, settled ()))
-    else
-      Per_pair
-        (fun weights s t ->
-          let path = Shortest.dijkstra_path g ~weight:(Array.get weights) s t in
-          (path, settled ()))
+  let store =
+    {
+      graph = g;
+      view;
+      groups = source_groups support;
+      known = Array.make (Array.length support) Path_map.empty;
+      paths = [||];
+      count = 0;
+    }
   in
-  searched ?pool ~view g search support
+  (* A search may load any edge, so slot [e] is edge [e]. *)
+  { pool; support; store = Interned store; edges = Array.init (Graph.m g) Fun.id }
 
 let intern st i (p : Path.t) =
   match Path_map.find_opt p st.known.(i) with
@@ -133,21 +108,6 @@ let intern st i (p : Path.t) =
 
 let intern_answer st i = function None -> -1 | Some p -> intern st i p
 
-let respond t weights i =
-  match t.store with
-  | Candidates (sc, positions) ->
-      let p = positions.(i) in
-      if p < 0 then -1
-      else
-        let c = Slice_candidates.cheapest sc ~weights p in
-        if c < 0 then -1 else Slice_candidates.canonical sc c
-  | Interned st -> (
-      let weights = st.view weights in
-      let s, dst = t.support.(i) in
-      match st.search with
-      | Per_pair search -> intern_answer st i (fst (search weights s dst))
-      | Batched search -> intern_answer st i (fst (search weights s [| dst |])).(0))
-
 (* Answers are independent within a call, so they fan out on the pool and
    come back in support order; interning then runs serially in that
    order, so handles — and everything the solvers derive from them — are
@@ -156,10 +116,15 @@ let respond t weights i =
    to preserve determinism). *)
 let respond_all t weights =
   let pairs = Array.length t.support in
-  let map f a = if pairs < 4 then Array.map f a else Pool.parallel_map ?pool:t.pool f a in
   match t.store with
-  | Candidates _ ->
-      let answer i = respond t weights i in
+  | Candidates (sc, positions) ->
+      let answer i =
+        let p = positions.(i) in
+        if p < 0 then -1
+        else
+          let c = Slice_candidates.cheapest sc ~weights p in
+          if c < 0 then -1 else Slice_candidates.canonical sc c
+      in
       let handles =
         if pairs < 4 then Array.init pairs answer
         else Pool.parallel_init ?pool:t.pool pairs answer
@@ -167,18 +132,19 @@ let respond_all t weights =
       (handles, 0)
   | Interned st ->
       let weights = st.view weights in
-      let answers, settled =
-        match st.search with
-        | Per_pair search ->
-            let answers = map (fun (s, dst) -> search weights s dst) t.support in
-            (Array.map fst answers, Array.fold_left (fun acc (_, k) -> acc + k) 0 answers)
-        | Batched search ->
-            Obs.incr ~by:(Array.length st.groups) sssp_batches;
-            let answers = map (fun (s, ts) -> search weights s ts) st.groups in
-            ( Array.concat (Array.to_list (Array.map fst answers)),
-              Array.fold_left (fun acc (_, k) -> acc + k) 0 answers )
+      Obs.incr ~by:(Array.length st.groups) sssp_batches;
+      (* One target-bounded search per source: it stops once the source's
+         targets settle, and reports how many vertices it settled. *)
+      let search (s, ts) =
+        let paths = Shortest.dijkstra_targets st.graph ~weights s ts in
+        (paths, Shortest.Workspace.settled_count (Shortest.Workspace.for_current_domain ()))
       in
-      (Array.mapi (intern_answer st) answers, settled)
+      let answers =
+        if pairs < 4 then Array.map search st.groups
+        else Pool.parallel_map ?pool:t.pool search st.groups
+      in
+      let paths = Array.concat (Array.to_list (Array.map fst answers)) in
+      (Array.mapi (intern_answer st) paths, Array.fold_left (fun acc (_, k) -> acc + k) 0 answers)
 
 let edges t = t.edges
 

@@ -1,11 +1,10 @@
 (** Best responses of the min-congestion game as int handles.
 
-    Both flow engines — the MWU game of {!Min_congestion} and the
-    Garg–Könemann phases of {!Concurrent_flow} — ask one question per
-    commodity: under these per-edge weights, which admissible path is
-    cheapest?  A store built over a solve's support (the demanded pairs,
-    sorted) answers with an int handle, [-1] when the pair has no
-    admissible path:
+    The MWU game of {!Min_congestion} asks one question per commodity:
+    under these per-edge weights, which admissible path is cheapest?  A
+    store built over a solve's support (the demanded pairs, sorted)
+    answers with an int handle, [-1] when the pair has no admissible
+    path:
 
     - {!candidates}: the canonical candidate index in a slice index — the
       path set P is fixed up front (Stage 4, [cong_ℝ(P,d)]);
@@ -13,8 +12,8 @@
       sighting of a path appends it to the store, later ones map back to
       its handle (Stage 5's [opt_{G,ℝ}(d)]).
 
-    Solvers tally per-handle statistics in a {!tally} and emit each pair's
-    distribution through {!distribution}, in descending
+    The solver tallies per-handle statistics in a {!tally} and emits each
+    pair's distribution through {!distribution}, in descending
     {!Sso_graph.Path.compare} order.
 
     Weights and path edges are addressed by slot, the position of an edge
@@ -31,21 +30,16 @@ val candidates :
 val dijkstra :
   ?pool:Sso_engine.Pool.t ->
   ?avoid:(int -> bool) ->
-  batched:bool ->
   Sso_graph.Graph.t -> (int * int) array -> t
 (** Shortest-path responses over all simple paths.  [avoid]ed edges are
-    masked to [infinity].  With [batched], {!respond_all} answers every
-    target of a source from one target-bounded search
+    masked to [infinity].  {!respond_all} answers every target of a
+    source from one target-bounded search
     ({!Sso_graph.Shortest.dijkstra_targets}, counted in
-    [mwu.sssp_batches]); otherwise each pair runs its own full search.
-    Both return the same paths. *)
-
-val respond : t -> float array -> int -> int
-(** [respond t weights i]: the handle of pair [i]'s best response under
-    per-slot [weights]. *)
+    [mwu.sssp_batches]). *)
 
 val respond_all : t -> float array -> int array * int
-(** Every pair's handle, in support order, and the number of vertices the
+(** Every pair's handle under per-slot weights ([-1] when the pair has no
+    admissible path), in support order, and the number of vertices the
     searches settled ([0] for candidates).  Answers fan out on the pool;
     interning then runs serially in support order, so handles are the
     same for any job count. *)

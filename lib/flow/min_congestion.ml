@@ -8,7 +8,7 @@ module Obs = Sso_obs.Obs
 module Trace = Sso_obs.Trace
 
 (* Spans by role: Stage 4 solves on candidate paths, Stage 5 finds the
-   optimum over all paths (or all hop-limited paths). *)
+   optimum over all paths. *)
 let span_lp = Obs.span "stage4.lp"
 let span_mwu = Obs.span "stage4.mwu"
 let span_lp_unrestricted = Obs.span "stage5.lp"
@@ -135,8 +135,8 @@ let lp_on_paths g cands demand =
 
 (* The one MWU core.  Best responses arrive as int handles from a
    {!Best_response} store built over the demand's support — candidate
-   indices for Stage 4, interned search results for Stage 5 and the
-   hop-limited optimum — and are tallied per handle.
+   indices for Stage 4, interned search results for Stage 5 — and are
+   tallied per handle.
 
    With [warm = (previous, w)] the game starts from [previous] counted as
    [w] already-played rounds.  Each demanded pair keeps the warm paths the
@@ -351,18 +351,18 @@ let mwu_on_slices ?pool ?iters ?warm g sc demand =
 let mwu_on_paths ?pool ?iters g cands demand =
   mwu_on_slices ?pool ?iters g (slice_candidates_of_list g cands) demand
 
-let mwu_unrestricted ?pool ?iters ?(batched = true) g demand =
+let mwu_unrestricted ?pool ?iters g demand =
   match
     mwu ?iters ~span:span_mwu_unrestricted ~label:"unrestricted" g
-      (Best_response.dijkstra ?pool ~batched g)
+      (Best_response.dijkstra ?pool g)
       demand
   with
   | Some result -> result
   | None -> invalid_arg "Min_congestion.mwu_unrestricted: graph is disconnected"
 
-let mwu_unrestricted_avoiding ?pool ?iters ?(batched = true) ~avoid g demand =
+let mwu_unrestricted_avoiding ?pool ?iters ~avoid g demand =
   mwu ?iters ~span:span_mwu_unrestricted ~label:"avoiding" g
-    (Best_response.dijkstra ?pool ~avoid ~batched g)
+    (Best_response.dijkstra ?pool ~avoid g)
     demand
 
 (* ---------- Exact unrestricted LP (edge formulation) ---------- *)

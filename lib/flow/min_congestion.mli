@@ -11,7 +11,8 @@
     - a multiplicative-weights (no-regret game) solver with one round loop
       whose best responses come from a {!Best_response} store: candidate
       indices for path-restricted routing and interned Dijkstra paths for
-      the unrestricted optimum. *)
+      the unrestricted optimum.  It is the only engine at experiment
+      scale. *)
 
 type candidates = ((int * int) * Sso_graph.Path.t list) list
 (** Candidate path sets per pair — a path system restricted to the pairs of
@@ -71,24 +72,21 @@ val lp_unrestricted :
 val mwu_unrestricted :
   ?pool:Sso_engine.Pool.t ->
   ?iters:int ->
-  ?batched:bool ->
   Sso_graph.Graph.t -> Sso_demand.Demand.t -> Routing.t * float
 (** Approximate [opt_{G,ℝ}(d)] with a Dijkstra best-response oracle.  The
     returned routing is supported on the paths the oracle produced.
 
-    With [batched] (the default), each round groups the demand's support by
-    source — [Demand.support] is sorted, so groups are consecutive runs —
-    and answers all of a source's targets from one Dijkstra pass over the
-    round's flat weight array that stops once they have settled
-    ({!Sso_graph.Shortest.dijkstra_targets}).  The routing is bit-identical
-    to the per-pair oracle ([batched:false], full runs) and to any [pool]
-    size; the flag exists so tests can assert exactly that.  Each search
-    adds its settled vertices to the [mwu.sssp_settled] counter. *)
+    Each round groups the demand's support by source — [Demand.support]
+    is sorted, so groups are consecutive runs — and answers all of a
+    source's targets from one Dijkstra pass over the round's flat weight
+    array that stops once they have settled
+    ({!Sso_graph.Shortest.dijkstra_targets}).  The routing is
+    bit-identical for any [pool] size.  Each search adds its settled
+    vertices to the [mwu.sssp_settled] counter. *)
 
 val mwu_unrestricted_avoiding :
   ?pool:Sso_engine.Pool.t ->
   ?iters:int ->
-  ?batched:bool ->
   avoid:(int -> bool) ->
   Sso_graph.Graph.t -> Sso_demand.Demand.t -> (Routing.t * float) option
 (** Like {!mwu_unrestricted} but never using edges for which [avoid] is
@@ -98,5 +96,5 @@ val mwu_unrestricted_avoiding :
 val lower_bound_sparse_cut : Sso_graph.Graph.t -> Sso_demand.Demand.t -> float
 (** A cheap certified lower bound on [opt_{G,ℝ}(d)]: the max over demanded
     pairs of [d(s,t) / cut-capacity(s,t)], and the average-load bound
-    [siz(d) · (min-hop distance) / total capacity].  Used to sanity-check
-    the approximate optima from below in tests and experiments. *)
+    [siz(d) · (min-hop distance) / total capacity].  The tests use it as
+    an independent check of the optima from below. *)

@@ -216,7 +216,7 @@ let build ?pool rng g ~length =
          the claim/record state frozen at batch start (workers only read
          it) and merged serially in permutation order, so the outcome is
          independent of scheduling.  Pruning on the frozen records is
-         sound batched: a path entering a recorded vertex certifies an
+         sound within a batch: a path entering a recorded vertex certifies an
          earlier center at least as close to everything downstream, so the
          only vertices a batched ball misses (relative to its serial run)
          are ones an earlier batch already claimed. *)

@@ -50,7 +50,6 @@ let config_repr (c : Serve.config) =
     match c.Serve.solver with
     | Semi_oblivious.Lp -> "lp"
     | Semi_oblivious.Mwu n -> Printf.sprintf "mwu-%d" n
-    | Semi_oblivious.Gk eps -> Printf.sprintf "gk-%h" eps
   in
   Printf.sprintf "solver=%s;warm_iters=%d;warm_weight=%d;refresh_every=%d;\
                   event_budget=%d;max_staleness=%d"

@@ -360,9 +360,7 @@ let step t ~tick ?(faults = []) events =
       (List.map (fun p -> (p, piece p)) routable)
   in
   let warm_capable =
-    match t.config.solver with
-    | Semi_oblivious.Mwu _ -> true
-    | Semi_oblivious.Lp | Semi_oblivious.Gk _ -> false
+    match t.config.solver with Semi_oblivious.Mwu _ -> true | Semi_oblivious.Lp -> false
   in
   let overloaded = deferred > 0 in
   let mode =

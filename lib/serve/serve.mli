@@ -59,7 +59,7 @@
 type config = {
   solver : Sso_core.Semi_oblivious.solver;
       (** Cold-solve engine (default [Mwu 300]).  Warm ticks need an MWU
-          solver; with [Lp]/[Gk] every tick is a cold solve. *)
+          solver; with [Lp] every tick is a cold solve. *)
   warm_iters : int;  (** Fresh MWU rounds per warm tick (default 20). *)
   warm_weight : int;
       (** Virtual rounds the carried routing counts as (default 60). *)

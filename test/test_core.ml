@@ -338,16 +338,21 @@ let test_route_adapts_to_demand () =
   let _, cong = Semi_oblivious.route ~solver:Semi_oblivious.Lp g ps d in
   Alcotest.(check (float 1e-6)) "splits perfectly" 1.0 cong
 
-let test_gk_solver_variant () =
+let test_mwu_solver_variant () =
+  (* The same instance through the MWU solver, Stage 4 and Stage 5: both
+     values are congestions of feasible routings, so they sit at or above
+     the optimum 1. *)
   let g = Gen.multi_path [ 2; 2 ] in
   let a = Path.of_vertices g [ 0; 2; 1 ] in
   let b = Path.of_vertices g [ 0; 3; 1 ] in
   let ps = Path_system.of_pairs g [ ((0, 1), [ a; b ]) ] in
   let d = Demand.single_pair 0 1 2.0 in
-  let cong = Semi_oblivious.congestion ~solver:(Semi_oblivious.Gk 0.05) g ps d in
-  Alcotest.(check bool) (Printf.sprintf "gk near 1 (%.3f)" cong) true (cong <= 1.1);
-  let opt = Semi_oblivious.opt ~solver:(Semi_oblivious.Gk 0.05) g d in
-  Alcotest.(check bool) "gk opt sane" true (opt >= 1.0 -. 1e-6 && opt <= 1.1)
+  let cong = Semi_oblivious.congestion ~solver:(Semi_oblivious.Mwu 300) g ps d in
+  Alcotest.(check bool) (Printf.sprintf "mwu near 1 (%.3f)" cong) true
+    (cong >= 1.0 -. 1e-9 && cong <= 1.1);
+  let opt = Semi_oblivious.opt ~solver:(Semi_oblivious.Mwu 300) g d in
+  Alcotest.(check bool) (Printf.sprintf "mwu opt sane (%.3f)" opt) true
+    (opt >= 1.0 -. 1e-9 && opt <= 1.1)
 
 let test_congestion_solvers_agree () =
   let rng = Rng.create 11 in
@@ -1371,7 +1376,7 @@ let () =
       ( "semi-oblivious",
         [
           Alcotest.test_case "adapts to demand" `Quick test_route_adapts_to_demand;
-          Alcotest.test_case "gk solver variant" `Quick test_gk_solver_variant;
+          Alcotest.test_case "mwu solver variant" `Quick test_mwu_solver_variant;
           Alcotest.test_case "solvers agree" `Slow test_congestion_solvers_agree;
           Alcotest.test_case "full support ≤ base" `Slow
             test_full_support_is_1_competitive_with_base;

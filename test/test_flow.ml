@@ -10,7 +10,6 @@ module Demand = Sso_demand.Demand
 module Routing = Sso_flow.Routing
 module Min_congestion = Sso_flow.Min_congestion
 module Rounding = Sso_flow.Rounding
-module Concurrent_flow = Sso_flow.Concurrent_flow
 module Arena = Sso_graph.Arena
 module Obs = Sso_obs.Obs
 module Trace = Sso_obs.Trace
@@ -166,15 +165,25 @@ let test_lp_on_paths_competing_pairs () =
 
 let test_lp_missing_candidates () =
   let g = square () in
+  let d = Demand.single_pair 0 3 1.0 in
   Alcotest.check_raises "no candidates"
     (Invalid_argument "Min_congestion.lp_on_paths: demanded pair has no candidates")
-    (fun () ->
-      ignore (Min_congestion.lp_on_paths g [] (Demand.single_pair 0 3 1.0)))
+    (fun () -> ignore (Min_congestion.lp_on_paths g [] d));
+  Alcotest.check_raises "mwu: no candidates"
+    (Invalid_argument "Min_congestion.mwu_on_paths: demanded pair has no candidates")
+    (fun () -> ignore (Min_congestion.mwu_on_paths g [] d))
 
 let test_lp_empty_demand () =
   let g = square () in
-  let _, cong = Min_congestion.lp_on_paths g [] Demand.empty in
-  Alcotest.(check (float 1e-9)) "empty" 0.0 cong
+  List.iter
+    (fun (label, solve) ->
+      let r, cong = solve () in
+      Alcotest.(check int) (label ^ ": no pairs") 0 (List.length (Routing.pairs r));
+      Alcotest.(check (float 1e-9)) (label ^ ": empty") 0.0 cong)
+    [
+      ("lp", fun () -> Min_congestion.lp_on_paths g [] Demand.empty);
+      ("mwu", fun () -> Min_congestion.mwu_on_paths g [] Demand.empty);
+    ]
 
 (* MWU vs LP cross-validation *)
 
@@ -189,7 +198,7 @@ let random_candidates rng g k demand =
 let test_slice_engine_matches_list_engine () =
   (* The list API is a thin wrapper over the slice engine; running both
      on the same candidate sets must produce bit-identical routings and
-     congestion, for MWU and for GK. *)
+     congestion. *)
   let rng = Rng.create 23 in
   for trial = 1 to 3 do
     let g = Gen.erdos_renyi rng 14 0.3 in
@@ -204,31 +213,44 @@ let test_slice_engine_matches_list_engine () =
       (Int64.bits_of_float c_list = Int64.bits_of_float c_slice);
     Alcotest.(check bool)
       (Printf.sprintf "trial %d: mwu routings identical" trial)
-      true (r_list = r_slice);
-    let gr_list, gc_list = Concurrent_flow.on_paths ~epsilon:0.2 g cands d in
-    let gr_slice, gc_slice = Concurrent_flow.on_slices ~epsilon:0.2 g sc d in
-    Alcotest.(check bool)
-      (Printf.sprintf "trial %d: gk congestion bit-identical" trial)
-      true
-      (Int64.bits_of_float gc_list = Int64.bits_of_float gc_slice);
-    Alcotest.(check bool)
-      (Printf.sprintf "trial %d: gk routings identical" trial)
-      true (gr_list = gr_slice)
+      true (r_list = r_slice)
   done
 
 let test_mwu_matches_lp () =
+  let within label g cands d =
+    let _, lp = Min_congestion.lp_on_paths g cands d in
+    let _, mwu = Min_congestion.mwu_on_paths ~iters:800 g cands d in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: mwu within 15%% of lp (lp=%.3f mwu=%.3f)" label lp mwu)
+      true
+      (mwu >= lp -. 1e-6 && mwu <= (lp *. 1.15) +. 0.05)
+  in
   let rng = Rng.create 21 in
   for trial = 1 to 5 do
     let g = Gen.erdos_renyi rng 12 0.35 in
     let d = Demand.random_pairs rng ~n:12 ~pairs:5 in
-    let cands = random_candidates rng g 4 d in
-    let _, lp = Min_congestion.lp_on_paths g cands d in
-    let _, mwu = Min_congestion.mwu_on_paths ~iters:800 g cands d in
-    Alcotest.(check bool)
-      (Printf.sprintf "trial %d: mwu within 15%% of lp (lp=%.3f mwu=%.3f)" trial lp mwu)
-      true
-      (mwu >= lp -. 1e-6 && mwu <= (lp *. 1.15) +. 0.05)
-  done
+    within (Printf.sprintf "trial %d" trial) g (random_candidates rng g 4 d) d
+  done;
+  let rng = Rng.create 73 in
+  let g = Gen.grid 4 4 in
+  let d = Demand.random_pairs rng ~n:16 ~pairs:6 in
+  within "grid" g (random_candidates rng g 4 d) d
+
+let test_mwu_respects_capacities () =
+  (* Unequal parallel capacities: the optimal split is proportional to
+     them, 3 on the fat edge and 1 on the thin one, congestion 1. *)
+  let b = Graph.Builder.create 2 in
+  ignore (Graph.Builder.add_edge ~cap:3.0 b 0 1);
+  ignore (Graph.Builder.add_edge ~cap:1.0 b 0 1);
+  let g = Graph.Builder.build b in
+  let p0 = Path.of_edges g ~src:0 ~dst:1 [| 0 |] in
+  let p1 = Path.of_edges g ~src:0 ~dst:1 [| 1 |] in
+  let cands = [ ((0, 1), [ p0; p1 ]) ] in
+  let d = Demand.single_pair 0 1 4.0 in
+  Alcotest.(check (float 1e-6)) "lp" 1.0 (snd (Min_congestion.lp_on_paths g cands d));
+  let _, cong = Min_congestion.mwu_on_paths g cands d in
+  Alcotest.(check bool) (Printf.sprintf "prop split (got %.3f)" cong) true
+    (cong >= 1.0 -. 1e-9 && cong <= 1.1)
 
 let test_mwu_on_square () =
   let g = square () in
@@ -327,29 +349,6 @@ let test_lower_bound_volume_on_long_path () =
   Alcotest.(check bool) "volume bound" true
     (Min_congestion.lower_bound_sparse_cut g d >= 2.0 -. 1e-9)
 
-let test_gk_epsilon_tradeoff () =
-  let g = square () in
-  let cands = [ ((0, 3), square_paths g) ] in
-  let d = Demand.single_pair 0 3 2.0 in
-  let _, coarse = Concurrent_flow.on_paths ~epsilon:0.5 g cands d in
-  let _, fine = Concurrent_flow.on_paths ~epsilon:0.02 g cands d in
-  Alcotest.(check bool)
-    (Printf.sprintf "both near optimum (%.3f, %.3f)" coarse fine)
-    true
-    (fine <= 1.05 && coarse <= 1.6);
-  Alcotest.(check bool) "fine at least as good" true (fine <= coarse +. 1e-9)
-
-let test_gk_rejects_bad_epsilon () =
-  let g = square () in
-  Alcotest.(check bool) "raises" true
-    (try
-       ignore
-         (Concurrent_flow.on_paths ~epsilon:1.5 g
-            [ ((0, 3), square_paths g) ]
-            (Demand.single_pair 0 3 1.0));
-       false
-     with Invalid_argument _ -> true)
-
 (* Warm-started MWU *)
 
 let test_warm_start_preserves_good_solution () =
@@ -415,79 +414,6 @@ let test_warm_start_rejects_bad_weight () =
             d);
        false
      with Invalid_argument _ -> true)
-
-(* Garg–Könemann concurrent flow *)
-
-let test_gk_splits_square () =
-  let g = square () in
-  let cands = [ ((0, 3), square_paths g) ] in
-  let d = Demand.single_pair 0 3 2.0 in
-  let _, cong = Concurrent_flow.on_paths ~epsilon:0.05 g cands d in
-  Alcotest.(check bool) (Printf.sprintf "near 1.0 (got %.3f)" cong) true (cong <= 1.1)
-
-let test_gk_matches_lp () =
-  let rng = Rng.create 71 in
-  for trial = 1 to 4 do
-    let g = Gen.erdos_renyi rng 12 0.35 in
-    let d = Demand.random_pairs rng ~n:12 ~pairs:5 in
-    let cands = random_candidates rng g 4 d in
-    let _, lp = Min_congestion.lp_on_paths g cands d in
-    let _, gk = Concurrent_flow.on_paths ~epsilon:0.05 g cands d in
-    Alcotest.(check bool)
-      (Printf.sprintf "trial %d: gk within 15%% of lp (lp=%.3f gk=%.3f)" trial lp gk)
-      true
-      (gk >= lp -. 1e-6 && gk <= (lp *. 1.15) +. 0.05)
-  done
-
-let test_gk_unrestricted_matches_lp () =
-  let g = Gen.cycle 6 in
-  let d = Demand.of_list [ (0, 3, 1.0); (1, 4, 1.0) ] in
-  let lp = Min_congestion.lp_unrestricted g d in
-  let _, gk = Concurrent_flow.unrestricted ~epsilon:0.05 g d in
-  Alcotest.(check bool)
-    (Printf.sprintf "cycle (lp=%.3f gk=%.3f)" lp gk)
-    true
-    (gk >= lp -. 1e-6 && gk <= (lp *. 1.15) +. 0.05)
-
-let test_gk_three_engines_agree () =
-  (* LP (exact), MWU and GK must all land within a narrow band. *)
-  let rng = Rng.create 73 in
-  let g = Gen.grid 4 4 in
-  let d = Demand.random_pairs rng ~n:16 ~pairs:6 in
-  let cands = random_candidates rng g 4 d in
-  let _, lp = Min_congestion.lp_on_paths g cands d in
-  let _, mwu = Min_congestion.mwu_on_paths ~iters:800 g cands d in
-  let _, gk = Concurrent_flow.on_paths ~epsilon:0.05 g cands d in
-  Alcotest.(check bool)
-    (Printf.sprintf "agreement lp=%.3f mwu=%.3f gk=%.3f" lp mwu gk)
-    true
-    (mwu <= (lp *. 1.15) +. 0.05 && gk <= (lp *. 1.15) +. 0.05)
-
-let test_gk_empty_demand () =
-  let g = square () in
-  let _, cong = Concurrent_flow.on_paths g [] Demand.empty in
-  Alcotest.(check (float 1e-9)) "empty" 0.0 cong
-
-let test_gk_missing_candidates () =
-  let g = square () in
-  Alcotest.(check bool) "raises" true
-    (try
-       ignore (Concurrent_flow.on_paths g [] (Demand.single_pair 0 3 1.0));
-       false
-     with Invalid_argument _ -> true)
-
-let test_gk_respects_capacities () =
-  (* Unequal capacities: optimal split is proportional to caps. *)
-  let b = Graph.Builder.create 2 in
-  ignore (Graph.Builder.add_edge ~cap:3.0 b 0 1);
-  ignore (Graph.Builder.add_edge ~cap:1.0 b 0 1);
-  let g = Graph.Builder.build b in
-  let p0 = Path.of_edges g ~src:0 ~dst:1 [| 0 |] in
-  let p1 = Path.of_edges g ~src:0 ~dst:1 [| 1 |] in
-  let d = Demand.single_pair 0 1 4.0 in
-  let _, cong = Concurrent_flow.on_paths ~epsilon:0.05 g [ ((0, 1), [ p0; p1 ]) ] d in
-  (* Optimum: 3 on the fat edge, 1 on the thin → congestion 1. *)
-  Alcotest.(check bool) (Printf.sprintf "prop split (got %.3f)" cong) true (cong <= 1.1)
 
 (* Rounding *)
 
@@ -573,9 +499,10 @@ let prop_round_preserves_counts =
       let a = Rounding.round rng r d in
       Demand.equal (Rounding.demand_of a) d)
 
-(* Source-batched oracles: the batched MWU must return routings that are
-   byte-identical to the per-pair oracle, at any pool size.  This is the
-   determinism contract the kernel refactor promises (E3/E14 depend on it). *)
+(* Source-batched oracles: the unrestricted MWU must return byte-identical
+   routings at any pool size (E3/E14 depend on it).  That each batched
+   search returns the full run's path is the qcheck property
+   [dijkstra_targets = full run + path] in test_graph.ml. *)
 
 module Pool = Sso_engine.Pool
 
@@ -601,41 +528,32 @@ let with_pool jobs f =
   let p = Pool.create ~jobs () in
   Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
 
-let test_mwu_unrestricted_batched_matches_per_pair () =
+let test_mwu_unrestricted_jobs_invariant () =
   let rng = Rng.create 21 in
   let g = Gen.random_regular rng 16 4 in
   let d = batched_demand () in
-  let solve ~pool ~batched =
-    fst (Min_congestion.mwu_unrestricted ~pool ~iters:60 ~batched g d)
-  in
+  let solve pool = fst (Min_congestion.mwu_unrestricted ~pool ~iters:60 g d) in
   with_pool 1 @@ fun p1 ->
-  with_pool 4 @@ fun p4 ->
-  let reference = solve ~pool:p1 ~batched:false in
-  exact_same_routing "batched jobs 1" reference (solve ~pool:p1 ~batched:true);
-  exact_same_routing "per-pair jobs 4" reference (solve ~pool:p4 ~batched:false);
-  exact_same_routing "batched jobs 4" reference (solve ~pool:p4 ~batched:true)
+  with_pool 4 @@ fun p4 -> exact_same_routing "jobs 4" (solve p1) (solve p4)
 
 let test_sssp_settled_counter () =
   (* [mwu.sssp_settled] adds each search's settled vertices: the same at
-     any job count, all n per full (per-pair) run, and fewer once the
-     batched oracle stops at its targets. *)
+     any job count, and fewer than one full run per pair and round, since
+     each search stops once its source's targets settle. *)
   let settled = Sso_obs.Obs.counter "mwu.sssp_settled" in
   let g = Gen.hypercube 5 in
   let d = Demand.bit_reversal 5 in
   let iters = 20 in
-  let count ~pool ~batched =
+  let count pool =
     let before = Sso_obs.Obs.counter_value settled in
-    ignore (Min_congestion.mwu_unrestricted ~pool ~iters ~batched g d);
+    ignore (Min_congestion.mwu_unrestricted ~pool ~iters g d);
     Sso_obs.Obs.counter_value settled - before
   in
   with_pool 1 @@ fun p1 ->
   with_pool 4 @@ fun p4 ->
-  let bounded = count ~pool:p1 ~batched:true in
-  Alcotest.(check int) "jobs 4" bounded (count ~pool:p4 ~batched:true);
-  let full = count ~pool:p1 ~batched:false in
-  Alcotest.(check int) "full runs settle every vertex"
-    ((iters + 1) * Demand.support_size d * Graph.n g)
-    full;
+  let bounded = count p1 in
+  Alcotest.(check int) "jobs 4" bounded (count p4);
+  let full = (iters + 1) * Demand.support_size d * Graph.n g in
   Alcotest.(check bool)
     (Printf.sprintf "early exit settles fewer (%d < %d)" bounded full)
     true
@@ -685,18 +603,17 @@ let test_stage5_golden () =
             u = 0 || v = 0)
           g perm))
 
-(* Golden pins for the warm-started Stage-4 solve and for Garg–Könemann,
-   recorded before the twin solver bodies were folded into one MWU core
-   and one phase loop.  The warm pin re-solves after churn: half of the
-   old pairs depart, new ones arrive, so the warm routing covers a strict
-   subset of the new support. *)
+(* Golden pin for the warm-started Stage-4 solve, recorded before the twin
+   solver bodies were folded into one MWU core.  It re-solves after churn:
+   half of the old pairs depart, new ones arrive, so the warm routing
+   covers a strict subset of the new support. *)
 let erdos_renyi_instance () =
   let rng = Rng.create 1511 in
   let g = Gen.erdos_renyi rng 18 0.3 in
   let d = Demand.random_pairs rng ~n:18 ~pairs:8 in
   (rng, g, d, random_candidates rng g 4 d)
 
-let test_warm_and_gk_golden () =
+let test_warm_golden () =
   let pin label want got = Alcotest.(check string) label want got in
   let rng, g, d, cands = erdos_renyi_instance () in
   let sc = Min_congestion.slice_candidates_of_list g cands in
@@ -721,11 +638,7 @@ let test_warm_and_gk_golden () =
   in
   pin "warm under churn" "c869d032d8986709c56f3af4c03ca191"
     (stage5_digest
-       (Min_congestion.mwu_on_slices ~iters:40 ~warm:(warm, 60) g sc_new d_new));
-  pin "gk on slices" "6cac6ab6b4513c6a81181e0b9794d809"
-    (stage5_digest (Concurrent_flow.on_slices ~epsilon:0.2 g sc d));
-  pin "gk unrestricted" "c0eb211ca82777957c58cbdef79d0472"
-    (stage5_digest (Concurrent_flow.unrestricted ~epsilon:0.2 g d))
+       (Min_congestion.mwu_on_slices ~iters:40 ~warm:(warm, 60) g sc_new d_new))
 
 (* Golden pins for Stage-4 solves on sampled path systems, recorded before
    the MWU rounds were restricted to the candidates' edges: the routing
@@ -905,15 +818,16 @@ let () =
             test_slice_engine_matches_list_engine;
           Alcotest.test_case "matches lp" `Slow test_mwu_matches_lp;
           Alcotest.test_case "square" `Quick test_mwu_on_square;
+          Alcotest.test_case "respects capacities" `Quick test_mwu_respects_capacities;
           Alcotest.test_case "unrestricted square" `Quick test_mwu_unrestricted_square;
           Alcotest.test_case "unrestricted vs lp" `Slow test_unrestricted_lp_matches_mwu;
-          Alcotest.test_case "unrestricted batched = per-pair" `Quick
-            test_mwu_unrestricted_batched_matches_per_pair;
+          Alcotest.test_case "unrestricted jobs-invariant" `Quick
+            test_mwu_unrestricted_jobs_invariant;
           Alcotest.test_case "sssp settled counter" `Quick test_sssp_settled_counter;
           Alcotest.test_case "lower bound sound" `Slow test_lower_bound_sound;
           Alcotest.test_case "lower bound bottleneck" `Quick test_lower_bound_tight_on_bottleneck;
           Alcotest.test_case "stage 5 golden pins" `Quick test_stage5_golden;
-          Alcotest.test_case "warm and gk golden pins" `Quick test_warm_and_gk_golden;
+          Alcotest.test_case "warm golden pins" `Quick test_warm_golden;
           Alcotest.test_case "stage 4 golden pins" `Quick test_stage4_golden;
         ] );
       ( "routing extra",
@@ -923,8 +837,6 @@ let () =
           Alcotest.test_case "support sparsity" `Quick test_routing_support_sparsity;
           Alcotest.test_case "edge congestion" `Quick test_routing_edge_congestion;
           Alcotest.test_case "volume lower bound" `Quick test_lower_bound_volume_on_long_path;
-          Alcotest.test_case "gk epsilon tradeoff" `Quick test_gk_epsilon_tradeoff;
-          Alcotest.test_case "gk rejects bad epsilon" `Quick test_gk_rejects_bad_epsilon;
         ] );
       ( "warm start",
         [
@@ -934,16 +846,6 @@ let () =
             test_warm_start_recovers_from_bad_seed;
           Alcotest.test_case "handles new pairs" `Quick test_warm_start_handles_new_pairs;
           Alcotest.test_case "rejects bad weight" `Quick test_warm_start_rejects_bad_weight;
-        ] );
-      ( "garg-konemann",
-        [
-          Alcotest.test_case "splits square" `Quick test_gk_splits_square;
-          Alcotest.test_case "matches lp" `Slow test_gk_matches_lp;
-          Alcotest.test_case "unrestricted vs lp" `Slow test_gk_unrestricted_matches_lp;
-          Alcotest.test_case "three engines agree" `Slow test_gk_three_engines_agree;
-          Alcotest.test_case "empty demand" `Quick test_gk_empty_demand;
-          Alcotest.test_case "missing candidates" `Quick test_gk_missing_candidates;
-          Alcotest.test_case "respects capacities" `Quick test_gk_respects_capacities;
         ] );
       ( "rounding",
         [
