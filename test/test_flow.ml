@@ -165,25 +165,16 @@ let test_lp_on_paths_competing_pairs () =
 
 let test_lp_missing_candidates () =
   let g = square () in
-  let d = Demand.single_pair 0 3 1.0 in
   Alcotest.check_raises "no candidates"
     (Invalid_argument "Min_congestion.lp_on_paths: demanded pair has no candidates")
-    (fun () -> ignore (Min_congestion.lp_on_paths g [] d));
-  Alcotest.check_raises "mwu: no candidates"
-    (Invalid_argument "Min_congestion.mwu_on_paths: demanded pair has no candidates")
-    (fun () -> ignore (Min_congestion.mwu_on_paths g [] d))
+    (fun () ->
+      ignore (Min_congestion.lp_on_paths g [] (Demand.single_pair 0 3 1.0)))
 
 let test_lp_empty_demand () =
   let g = square () in
-  List.iter
-    (fun (label, solve) ->
-      let r, cong = solve () in
-      Alcotest.(check int) (label ^ ": no pairs") 0 (List.length (Routing.pairs r));
-      Alcotest.(check (float 1e-9)) (label ^ ": empty") 0.0 cong)
-    [
-      ("lp", fun () -> Min_congestion.lp_on_paths g [] Demand.empty);
-      ("mwu", fun () -> Min_congestion.mwu_on_paths g [] Demand.empty);
-    ]
+  let r, cong = Min_congestion.lp_on_paths g [] Demand.empty in
+  Alcotest.(check int) "no pairs" 0 (List.length (Routing.pairs r));
+  Alcotest.(check (float 1e-9)) "empty" 0.0 cong
 
 (* MWU vs LP cross-validation *)
 
@@ -216,25 +207,39 @@ let test_slice_engine_matches_list_engine () =
       true (r_list = r_slice)
   done
 
+let mwu_within_lp label g cands d =
+  let _, lp = Min_congestion.lp_on_paths g cands d in
+  let _, mwu = Min_congestion.mwu_on_paths ~iters:800 g cands d in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: mwu within 15%% of lp (lp=%.3f mwu=%.3f)" label lp mwu)
+    true
+    (mwu >= lp -. 1e-6 && mwu <= (lp *. 1.15) +. 0.05)
+
 let test_mwu_matches_lp () =
-  let within label g cands d =
-    let _, lp = Min_congestion.lp_on_paths g cands d in
-    let _, mwu = Min_congestion.mwu_on_paths ~iters:800 g cands d in
-    Alcotest.(check bool)
-      (Printf.sprintf "%s: mwu within 15%% of lp (lp=%.3f mwu=%.3f)" label lp mwu)
-      true
-      (mwu >= lp -. 1e-6 && mwu <= (lp *. 1.15) +. 0.05)
-  in
   let rng = Rng.create 21 in
   for trial = 1 to 5 do
     let g = Gen.erdos_renyi rng 12 0.35 in
     let d = Demand.random_pairs rng ~n:12 ~pairs:5 in
-    within (Printf.sprintf "trial %d" trial) g (random_candidates rng g 4 d) d
-  done;
+    mwu_within_lp (Printf.sprintf "trial %d" trial) g (random_candidates rng g 4 d) d
+  done
+
+let test_mwu_grid_matches_lp () =
   let rng = Rng.create 73 in
   let g = Gen.grid 4 4 in
   let d = Demand.random_pairs rng ~n:16 ~pairs:6 in
-  within "grid" g (random_candidates rng g 4 d) d
+  mwu_within_lp "grid" g (random_candidates rng g 4 d) d
+
+let test_mwu_empty_demand () =
+  let g = square () in
+  let r, cong = Min_congestion.mwu_on_paths g [] Demand.empty in
+  Alcotest.(check int) "no pairs" 0 (List.length (Routing.pairs r));
+  Alcotest.(check (float 1e-9)) "empty" 0.0 cong
+
+let test_mwu_missing_candidates () =
+  let g = square () in
+  Alcotest.check_raises "no candidates"
+    (Invalid_argument "Min_congestion.mwu_on_paths: demanded pair has no candidates")
+    (fun () -> ignore (Min_congestion.mwu_on_paths g [] (Demand.single_pair 0 3 1.0)))
 
 let test_mwu_respects_capacities () =
   (* Unequal parallel capacities: the optimal split is proportional to
@@ -818,7 +823,6 @@ let () =
             test_slice_engine_matches_list_engine;
           Alcotest.test_case "matches lp" `Slow test_mwu_matches_lp;
           Alcotest.test_case "square" `Quick test_mwu_on_square;
-          Alcotest.test_case "respects capacities" `Quick test_mwu_respects_capacities;
           Alcotest.test_case "unrestricted square" `Quick test_mwu_unrestricted_square;
           Alcotest.test_case "unrestricted vs lp" `Slow test_unrestricted_lp_matches_mwu;
           Alcotest.test_case "unrestricted jobs-invariant" `Quick
@@ -829,6 +833,10 @@ let () =
           Alcotest.test_case "stage 5 golden pins" `Quick test_stage5_golden;
           Alcotest.test_case "warm golden pins" `Quick test_warm_golden;
           Alcotest.test_case "stage 4 golden pins" `Quick test_stage4_golden;
+          Alcotest.test_case "respects capacities" `Quick test_mwu_respects_capacities;
+          Alcotest.test_case "grid matches lp" `Slow test_mwu_grid_matches_lp;
+          Alcotest.test_case "empty demand" `Quick test_mwu_empty_demand;
+          Alcotest.test_case "missing candidates" `Quick test_mwu_missing_candidates;
         ] );
       ( "routing extra",
         [
