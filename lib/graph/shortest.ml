@@ -63,9 +63,7 @@ module Workspace = struct
      per-call allocation.  The arrays grow to the largest graph seen and
      are reused across graphs (stale stamps from a previous graph can
      never equal a fresh epoch).  The heap is a binary min-heap stored as
-     two parallel arrays ([keys]/[vals]) and sifted in place by the
-     kernel itself, so no key ever crosses a call boundary as a boxed
-     float. *)
+     two parallel arrays ([keys]/[vals]), sifted inline by [settle]. *)
   type t = {
     mutable dist : float array;
     mutable pred : int array;
@@ -161,6 +159,10 @@ module Workspace = struct
   let for_current_domain () = Domain.DLS.get domain_key
 end
 
+(* A weight that fails the loops' one check [we >= 0.0] is negative or NaN. *)
+let invalid_weight ~context ~negative =
+  invalid_arg (context ^ if negative then ": negative edge weight" else ": NaN edge weight")
+
 (* Validate the weight function once per edge per call (not once per edge
    visit) while snapshotting it into the workspace buffer; the traversal
    then reads a flat float array. *)
@@ -170,54 +172,19 @@ let fill_weights ws g ~weight ~context =
   let wbuf = ws.Workspace.wbuf in
   for e = 0 to m - 1 do
     let we = weight e in
-    if we < 0.0 then invalid_arg (context ^ ": negative edge weight");
+    if not (we >= 0.0) then invalid_weight ~context ~negative:(we < 0.0);
     wbuf.(e) <- we
   done;
   wbuf
 
 (* ---------- The Dijkstra core ---------- *)
 
-(* Heap sifts take only arrays and int indices: keys are read and
-   compared inside, never passed or returned, so nothing is boxed.  The
-   sift logic (strict comparisons, swap-based, left child before right)
-   fixes the pop order among tied keys, which every path this module
-   returns depends on. *)
-let sift_up (keys : float array) (vals : int array) i =
-  let i = ref i in
-  while !i > 0 && keys.((!i - 1) / 2) > keys.(!i) do
-    let p = (!i - 1) / 2 in
-    let k = keys.(!i) and x = vals.(!i) in
-    keys.(!i) <- keys.(p);
-    vals.(!i) <- vals.(p);
-    keys.(p) <- k;
-    vals.(p) <- x;
-    i := p
-  done
-
-let sift_down (keys : float array) (vals : int array) size =
-  let i = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let smallest = ref !i in
-    if l < size && keys.(l) < keys.(!smallest) then smallest := l;
-    if r < size && keys.(r) < keys.(!smallest) then smallest := r;
-    if !smallest = !i then continue := false
-    else begin
-      let s = !smallest in
-      let k = keys.(!i) and x = vals.(!i) in
-      keys.(!i) <- keys.(s);
-      vals.(!i) <- vals.(s);
-      keys.(s) <- k;
-      vals.(s) <- x;
-      i := s
-    end
-  done
-
-let grow_heap ws =
+(* The heap's only growth site: room for at least [need] entries. *)
+let grow_heap ws need =
   let open Workspace in
   let cap = Array.length ws.keys in
-  let keys = Array.make (2 * cap) 0.0 and vals = Array.make (2 * cap) 0 in
+  let len = max need (2 * cap) in
+  let keys = Array.make len 0.0 and vals = Array.make len 0 in
   Array.blit ws.keys 0 keys 0 cap;
   Array.blit ws.vals 0 vals 0 cap;
   ws.keys <- keys;
@@ -232,16 +199,16 @@ let start ws g ~src =
   ws.Workspace.nsettled <- 0;
   ws.Workspace.complete <- false
 
+(* A run's sources all enter its empty heap at key 0.0: appending is a push. *)
 let push_source ws s =
   let open Workspace in
   if ws.stamp.(s) <> ws.epoch then begin
     ws.dist.(s) <- 0.0;
     ws.pred.(s) <- -1;
     ws.stamp.(s) <- ws.epoch;
-    if ws.hsize = Array.length ws.keys then grow_heap ws;
+    if ws.hsize = Array.length ws.keys then grow_heap ws (ws.hsize + 1);
     ws.keys.(ws.hsize) <- 0.0;
     ws.vals.(ws.hsize) <- s;
-    sift_up ws.keys ws.vals ws.hsize;
     ws.hsize <- ws.hsize + 1
   end
 
@@ -252,7 +219,22 @@ let push_source ws s =
    time.  The per-vertex state, settle order and predecessor edges are
    those of the historical full run (same CSR neighbor order, same heap,
    same strict improvement test): an early exit only stops the loop, and
-   a settled vertex's predecessor chain is final. *)
+   a settled vertex's predecessor chain is final.
+
+   The heap is a binary min-heap over the workspace's [keys]/[vals],
+   sifted inline so that no key crosses a call boundary as a boxed float.
+   Both sifts move entries into a hole and write the moving entry once,
+   at the end.  They make exactly the comparisons of the historical
+   swap-based sift (strict [<]/[>], left child before right; keys are
+   never NaN, since a NaN [nd] fails [nd <= radius]), which fix the pop
+   order among tied keys.  A pop takes the last entry [lk] out but leaves
+   its slot as it is, so that slot stands in for the missing right child
+   of the last internal node and the child pick needs no bounds test:
+   when [lk] wins that pick, [lk < lk] fails and the sift stops, as the
+   historical sift stops when a lone left child is not below [lk].
+   Before a vertex's scan the heap grows to hold every push that scan can
+   make, and a pop reads only slots below the size it starts from, so
+   the pushes and both sifts index unchecked. *)
 let settle ws g (weights : float array) ~(radius : float) ~prune ~visit ~context
     ~remaining =
   let off = Graph.csr_offsets g
@@ -265,26 +247,41 @@ let settle ws g (weights : float array) ~(radius : float) ~prune ~visit ~context
   and stamp = ws.stamp
   and settled = ws.settled
   and target = ws.target in
-  let keys = ref ws.keys and vals = ref ws.vals and size = ref ws.hsize in
-  let remaining = ref remaining and count = ref 0 in
+  let size = ref ws.hsize and remaining = ref remaining and count = ref 0 in
   while !size > 0 && !remaining > 0 do
-    let d = !keys.(0) and v = !vals.(0) in
+    let keys = ws.keys and vals = ws.vals in
+    let d = Array.unsafe_get keys 0 and v = Array.unsafe_get vals 0 in
     decr size;
-    !keys.(0) <- !keys.(!size);
-    !vals.(0) <- !vals.(!size);
-    sift_down !keys !vals !size;
+    let last = !size in
+    let lk = Array.unsafe_get keys last and lv = Array.unsafe_get vals last in
+    let hole = ref 0 and l = ref 1 in
+    while !l < last do
+      let c = !l + Bool.to_int (Array.unsafe_get keys (!l + 1) < Array.unsafe_get keys !l) in
+      if Array.unsafe_get keys c < lk then begin
+        Array.unsafe_set keys !hole (Array.unsafe_get keys c);
+        Array.unsafe_set vals !hole (Array.unsafe_get vals c);
+        hole := c;
+        l := (2 * c) + 1
+      end
+      else l := last (* stop *)
+    done;
+    Array.unsafe_set keys !hole lk;
+    Array.unsafe_set vals !hole lv;
     if settled.(v) <> ep then begin
       settled.(v) <- ep;
       incr count;
       (match visit with None -> () | Some f -> f v d);
       if target.(v) = ep then decr remaining;
-      if !remaining > 0 then
-        for i = off.(v) to off.(v + 1) - 1 do
+      if !remaining > 0 then begin
+        let lo = off.(v) and hi = off.(v + 1) in
+        if !size + (hi - lo) > Array.length keys then grow_heap ws (!size + (hi - lo));
+        let keys = ws.keys and vals = ws.vals in
+        for i = lo to hi - 1 do
           let w = dsts.(i) in
           if settled.(w) <> ep then begin
             let e = eids.(i) in
             let we = weights.(e) in
-            if we < 0.0 then invalid_arg (context ^ ": negative edge weight");
+            if not (we >= 0.0) then invalid_weight ~context ~negative:(we < 0.0);
             let nd = d +. we in
             if
               nd <= radius
@@ -295,19 +292,21 @@ let settle ws g (weights : float array) ~(radius : float) ~prune ~visit ~context
                 dist.(w) <- nd;
                 pred.(w) <- e;
                 stamp.(w) <- ep;
-                if !size = Array.length !keys then begin
-                  grow_heap ws;
-                  keys := ws.keys;
-                  vals := ws.vals
-                end;
-                !keys.(!size) <- nd;
-                !vals.(!size) <- w;
-                sift_up !keys !vals !size;
+                let hole = ref !size in
+                while !hole > 0 && Array.unsafe_get keys ((!hole - 1) / 2) > nd do
+                  let p = (!hole - 1) / 2 in
+                  Array.unsafe_set keys !hole (Array.unsafe_get keys p);
+                  Array.unsafe_set vals !hole (Array.unsafe_get vals p);
+                  hole := p
+                done;
+                Array.unsafe_set keys !hole nd;
+                Array.unsafe_set vals !hole w;
                 incr size
               end
             end
           end
         done
+      end
     end
   done;
   ws.hsize <- !size;
@@ -415,7 +414,7 @@ let hop_limited_path g ~weight ~max_hops src dst =
   if src = dst then Some (Path.trivial src)
   else if max_hops <= 0 then None
   else begin
-    let n = Graph.n g in
+    let n = Graph.n g and context = "Shortest.hop_limited_path" in
     let weights = Array.init (Graph.m g) weight in
     let dist = Array.make_matrix (max_hops + 1) n infinity in
     let pred = Array.make_matrix (max_hops + 1) n (-1) in
@@ -427,7 +426,7 @@ let hop_limited_path g ~weight ~max_hops src dst =
       Array.iter
         (fun (e : Graph.edge) ->
           let we = weights.(e.id) in
-          if we < 0.0 then invalid_arg "Shortest.hop_limited_path: negative edge weight";
+          if not (we >= 0.0) then invalid_weight ~context ~negative:(we < 0.0);
           if dk1.(e.u) +. we < dk.(e.v) then begin
             dk.(e.v) <- dk1.(e.u) +. we;
             pk.(e.v) <- e.id

@@ -1,14 +1,15 @@
 (** Shortest-path computations: BFS, Dijkstra, and hop-limited variants.
 
-    Dijkstra takes non-negative per-edge weights, either as a function
-    (validated and snapshotted once per edge per call) or as a flat
-    [float array] (each entry checked as its edge is relaxed) — the latter
-    is how the MWU flow solvers and the FRT construction re-weight the
-    graph between calls without a per-call O(m) sweep.  Traversals run
-    over the graph's flat CSR arrays.
+    Dijkstra takes non-negative per-edge weights (a negative or NaN weight
+    raises [Invalid_argument]), either as a function (validated and
+    snapshotted once per edge per call) or as a flat [float array] (each
+    entry checked as its edge is relaxed) — the latter is how the MWU flow
+    solvers and the FRT construction re-weight the graph between calls
+    without a per-call O(m) sweep.  Traversals run over the graph's flat
+    CSR arrays.
 
     Every Dijkstra entry point runs one allocation-free core: the same
-    neighbor order, heap sift and strict-improvement test as the
+    neighbor order, heap comparisons and strict-improvement test as the
     historical boxed implementation, so [dist]/[pred] tables and paths
     are bit-identical to it. *)
 

@@ -695,7 +695,10 @@ let prop_settle_order_sorted =
 
 (* The historical implementation, kept here as the reference the core
    must match bit for bit: a lazy-deletion Dijkstra over [Graph.adj] on
-   a standalone array heap with the same swap-based sift. *)
+   a standalone array heap with the same swap-based sift.  [run] follows
+   the rules of every [Shortest] entry point: all [sources] start at 0,
+   a candidate is admitted only within [radius] and outside [prune], and
+   the run stops once every vertex of [targets] has settled. *)
 module Reference = struct
   type heap = { mutable keys : float array; mutable vals : int array; mutable size : int }
 
@@ -739,47 +742,123 @@ module Reference = struct
     done;
     (key, v)
 
-  let dijkstra g weights src =
+  (* Returns the settled [dist]/[pred] (unsettled vertices read as
+     unreached, as the core's do) and the settle order with keys. *)
+  let run g weights ~sources ~radius ~prune ~targets =
     let n = Graph.n g in
     let dist = Array.make n infinity and pred = Array.make n (-1) in
     let settled = Array.make n false and order = ref [] in
-    let h = { keys = [||]; vals = [||]; size = 0 } in
-    dist.(src) <- 0.0;
-    push h 0.0 src;
-    while h.size > 0 do
-      let d, v = pop h in
-      if not settled.(v) then begin
-        settled.(v) <- true;
-        order := v :: !order;
+    let wanted = Array.make n false and remaining = ref 0 in
+    (match targets with
+    | None -> remaining := max_int
+    | Some ts ->
         Array.iter
-          (fun (e, w) ->
-            if not settled.(w) then begin
-              let nd = d +. weights.(e) in
-              if nd < dist.(w) then begin
-                dist.(w) <- nd;
-                pred.(w) <- e;
-                push h nd w
-              end
+          (fun t ->
+            if not wanted.(t) then begin
+              wanted.(t) <- true;
+              incr remaining
             end)
-          (Graph.adj g v)
-      end
-    done;
+          ts);
+    let h = { keys = [||]; vals = [||]; size = 0 } in
+    Array.iter
+      (fun s ->
+        if dist.(s) = infinity then begin
+          dist.(s) <- 0.0;
+          push h 0.0 s
+        end)
+      sources;
+    if 0.0 <= radius then
+      while h.size > 0 && !remaining > 0 do
+        let d, v = pop h in
+        if not settled.(v) then begin
+          settled.(v) <- true;
+          order := (v, d) :: !order;
+          if wanted.(v) then decr remaining;
+          if !remaining > 0 then
+            Array.iter
+              (fun (e, w) ->
+                if not settled.(w) then begin
+                  let nd = d +. weights.(e) in
+                  if nd <= radius && (not (prune w nd)) && nd < dist.(w) then begin
+                    dist.(w) <- nd;
+                    pred.(w) <- e;
+                    push h nd w
+                  end
+                end)
+              (Graph.adj g v)
+        end
+      done;
+    let dist = Array.mapi (fun v d -> if settled.(v) then d else infinity) dist in
+    let pred = Array.mapi (fun v e -> if settled.(v) then e else -1) pred in
     (dist, pred, List.rev !order)
+
+  let path g pred src t =
+    let rec walk v acc =
+      if v = src then acc else walk (Graph.other_end g pred.(v) v) (pred.(v) :: acc)
+    in
+    Path.of_edges g ~src ~dst:t (Array.of_list (walk t []))
 end
 
+(* Every entry point against the reference on tie-heavy weights (zeros
+   included).  One workspace serves a large dense graph first, whose
+   first scan outgrows the initial heap by more than one doubling, and
+   then a small graph, whose heap holds stale keys past its live
+   entries. *)
 let prop_core_matches_reference =
   QCheck.Test.make ~name:"core pops like the reference heap" ~count:200
     QCheck.(pair small_int (int_range 2 40))
     (fun (seed, n) ->
-      (* Coarse weights (zeros included) force plenty of ties. *)
       let rng = Rng.create (4000 + seed) in
-      let g = Gen.random_regular rng (max 5 n) 4 in
-      let weights = Array.init (Graph.m g) (fun _ -> Float.round (3.0 *. Rng.float rng)) in
-      let src = seed mod Graph.n g in
-      let rdist, rpred, rorder = Reference.dijkstra g weights src in
-      let dist, pred = Shortest.dijkstra g ~weight:(fun e -> weights.(e)) src in
-      List.map fst (settle_order g weights src) = rorder
-      && dist = rdist && pred = rpred)
+      let ws = Shortest.Workspace.create () in
+      let never _ _ = false in
+      let agrees g =
+        let n = Graph.n g in
+        let weights = Array.init (Graph.m g) (fun _ -> Float.round (3.0 *. Rng.float rng)) in
+        let read () =
+          (Array.init n (Shortest.Workspace.dist ws), Array.init n (Shortest.Workspace.pred_edge ws))
+        in
+        let ball ?prune ~radius sources =
+          let order = ref [] in
+          Shortest.dijkstra_ball_into ws g ~weights ~radius ?prune ~sources (fun v d ->
+              order := (v, d) :: !order);
+          List.rev !order
+        in
+        let src = Rng.int rng n in
+        let rdist, rpred, rorder =
+          Reference.run g weights ~sources:[| src |] ~radius:infinity ~prune:never ~targets:None
+        in
+        Shortest.dijkstra_into ws g ~weight:(fun e -> weights.(e)) src;
+        let full =
+          read () = (rdist, rpred) && ball ~radius:infinity [| src |] = rorder
+        in
+        (* Target-bounded: the same early stop, settled count and paths. *)
+        let targets = Array.init (Rng.int rng 5) (fun _ -> Rng.int rng n) in
+        let _, rpred, rorder =
+          Reference.run g weights ~sources:[| src |] ~radius:infinity ~prune:never
+            ~targets:(Some targets)
+        in
+        let got = Shortest.dijkstra_targets ~workspace:ws g ~weights src targets in
+        let want =
+          Array.map
+            (fun t ->
+              if List.mem_assoc t rorder then Some (Reference.path g rpred src t) else None)
+            targets
+        in
+        let targeted =
+          Shortest.Workspace.settled_count ws = List.length rorder
+          && Array.for_all2 (Option.equal Path.equal) got want
+        in
+        (* Multi-source ball with a finite radius and a prune. *)
+        let sources = Array.init (1 + Rng.int rng 3) (fun _ -> Rng.int rng n) in
+        let radius = 0.5 *. float_of_int (Rng.int rng 8) in
+        let prune w nd = (w + int_of_float nd) mod 5 = 0 in
+        let rdist, rpred, rorder = Reference.run g weights ~sources ~radius ~prune ~targets:None in
+        let balled = ball ~prune ~radius sources = rorder && read () = (rdist, rpred) in
+        full && targeted && balled
+      in
+      let big = Gen.erdos_renyi rng (60 + (seed mod 20)) 0.6 in
+      let small = Gen.random_regular rng (max 5 n) 4 in
+      agrees big && agrees small)
 
 (* CSR layer: packed arrays must list each vertex's incidences in exactly
    [Graph.adj] order — traversal-order (and hence output) compatibility of
@@ -892,9 +971,10 @@ let test_targets_stop_early () =
 
 let test_targets_allocation () =
   (* Warm single-target calls on the 64-node hypercube allocate only
-     their results: a boxed float anywhere in the kernel would cost
-     words per relaxation (the closure-weight version allocated ~800
-     words per call). *)
+     their results (~22 words: the answer array, a path record and its
+     edge array).  A boxed float in the kernel costs words per pop or
+     relaxation: one per pop alone adds ~70 words at the ~35 vertices a
+     call settles here (the closure-weight version allocated ~800). *)
   let g = Gen.hypercube 6 in
   let n = Graph.n g in
   let rng = Rng.create 43 in
@@ -913,8 +993,45 @@ let test_targets_allocation () =
   run ();
   let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
   Alcotest.(check bool)
-    (Printf.sprintf "%.1f words per call < 100" per_call)
-    true (per_call < 100.0)
+    (Printf.sprintf "%.1f words per call < 32" per_call)
+    true (per_call < 32.0)
+
+(* A NaN weight fails [nd <= radius], so without its own check its edge
+   would silently vanish: vertex 0's NaN edges cut it off, and a search
+   to the far corner answered [None].  Every entry point rejects it. *)
+let nan_grid () =
+  let g = Gen.grid 3 3 in
+  let weights =
+    Array.init (Graph.m g) (fun e ->
+        let u, v = Graph.endpoints g e in
+        if u = 0 || v = 0 then Float.nan else 1.0)
+  in
+  (g, weights)
+
+let rejects_nan context f =
+  Alcotest.check_raises context (Invalid_argument (context ^ ": NaN edge weight")) f
+
+let test_dijkstra_rejects_nan () =
+  let g, weights = nan_grid () in
+  let weight e = weights.(e) in
+  rejects_nan "Shortest.dijkstra" (fun () -> ignore (Shortest.dijkstra g ~weight 0));
+  rejects_nan "Shortest.dijkstra" (fun () -> ignore (Shortest.dijkstra_path g ~weight 0 8))
+
+let test_targets_reject_nan () =
+  let g, weights = nan_grid () in
+  rejects_nan "Shortest.dijkstra_targets" (fun () ->
+      ignore (Shortest.dijkstra_targets g ~weights 0 [| 8 |]))
+
+let test_ball_rejects_nan () =
+  let g, weights = nan_grid () in
+  let ws = Shortest.Workspace.create () in
+  rejects_nan "Shortest.dijkstra_ball" (fun () ->
+      Shortest.dijkstra_ball_into ws g ~weights ~radius:infinity ~sources:[| 0 |] (fun _ _ -> ()))
+
+let test_hop_limited_rejects_nan () =
+  let g, weights = nan_grid () in
+  rejects_nan "Shortest.hop_limited_path" (fun () ->
+      ignore (Shortest.hop_limited_path g ~weight:(fun e -> weights.(e)) ~max_hops:4 0 8))
 
 let test_dijkstra_infinite_weight_masks () =
   let g = Gen.cycle 4 in
@@ -1580,6 +1697,10 @@ let () =
           Alcotest.test_case "infinite weight masks" `Quick test_dijkstra_infinite_weight_masks;
           Alcotest.test_case "targets stop early" `Quick test_targets_stop_early;
           Alcotest.test_case "targets allocation" `Quick test_targets_allocation;
+          Alcotest.test_case "dijkstra rejects NaN" `Quick test_dijkstra_rejects_nan;
+          Alcotest.test_case "targets reject NaN" `Quick test_targets_reject_nan;
+          Alcotest.test_case "ball rejects NaN" `Quick test_ball_rejects_nan;
+          Alcotest.test_case "hop-limited rejects NaN" `Quick test_hop_limited_rejects_nan;
           Alcotest.test_case "hop-limited = dijkstra when loose" `Quick
             test_hop_limited_equals_dijkstra_when_loose;
           Alcotest.test_case "eccentricity vs diameter" `Quick test_eccentricity_bounds_diameter;
