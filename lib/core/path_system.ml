@@ -19,12 +19,15 @@ type t = {
   generate : int -> int -> source;
   arena : Path_arena.t;
   index : (int * int, entry) Hashtbl.t;
-  (* Guards [index] and arena appends, and serializes [generate] so systems
-     can be queried from pool workers.  Generation happens under the lock:
-     generators may share an RNG or memoize internally, and per-pair results
-     must not depend on which domain asks first.  Reads of installed slices
-     are lock-free: arena regions are immutable once their entry is
-     published. *)
+  (* Guards [index] and arena appends, so systems can be queried from pool
+     workers.  A single-pair query ([entry]) generates under this lock, but
+     [materialize_parallel] calls [generate] from pool workers outside it:
+     a generator must be safe to call concurrently and per-pair
+     deterministic, so that no result depends on which domain asks first.
+     The α-samplers qualify: each pair draws from its own RNG child, and
+     [Oblivious] serializes its routes under its own lock.  Reads of
+     installed slices are lock-free: arena regions are immutable once
+     their entry is published. *)
   lock : Mutex.t;
 }
 

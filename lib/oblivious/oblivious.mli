@@ -7,7 +7,10 @@
 
     Distributions are produced lazily per pair and memoized, because some
     routings (e.g. Valiant's trick) have supports of size Θ(n) per pair and
-    most experiments only touch the pairs in a demand's support. *)
+    most experiments only touch the pairs in a demand's support.  A routing
+    built by {!mixture} goes one step further: its {!sampler} routes only
+    the components it draws, so an α-sample of a k-component mixture costs
+    at most α routes per pair, not k. *)
 
 type t
 
@@ -19,7 +22,28 @@ val make :
 (** [make ~name g dist] wraps a per-pair distribution generator.  For every
     [s <> t], [dist s t] must return a non-empty list of weighted
     (s,t)-paths (weights need not be normalized; they are when used).  The
-    generator is called at most once per pair. *)
+    generator is called at most once per pair: {!distribution} and
+    {!sampler} both go through the memo cache.  Use it for routings whose
+    support is produced jointly (k shortest paths, hop-constrained,
+    deterministic); a fixed mixture of independently routed components
+    should be a {!mixture}. *)
+
+val mixture :
+  name:string ->
+  Sso_graph.Graph.t ->
+  float array ->
+  (int -> int -> int -> Sso_graph.Path.t) ->
+  t
+(** [mixture ~name g weights route] is the routing that, for every pair,
+    takes component [i] with probability proportional to [weights.(i)]
+    and routes it along [route s t i] (an (s,t)-path; [route] must be
+    deterministic).  Its {!distribution} is
+    [List.init k (fun i -> (w_i, route s t i))], with the weights
+    normalized as for {!make}, and is memoized the same way.  Its
+    {!sampler} draws from the same normalized weights but routes only the
+    components it draws.  The weights are normalized once, here.
+    @raise Invalid_argument if [weights] is empty or has an entry that is
+    not positive. *)
 
 val name : t -> string
 
@@ -38,10 +62,17 @@ val preload : t -> ((int * int) * (float * Sso_graph.Path.t) list) list -> unit
     endpoint mismatches. *)
 
 val sampler : t -> int -> int -> Sso_prng.Rng.t -> Sso_graph.Path.t
-(** [sampler r s t] looks the distribution up once and returns a drawer:
-    each application draws one path from [R(s,t)] with a single
-    [Rng.discrete] call — the sampling primitive behind α-samples, which
-    draw α times per pair. *)
+(** [sampler r s t] returns a drawer: each application draws one path
+    from [R(s,t)] with a single [Rng.discrete] call — the sampling
+    primitive behind α-samples, which draw α times per pair.  A routing
+    built by {!make}, and a pair whose distribution is already cached
+    (computed or {!preload}ed), draw from the memoized distribution.
+    Otherwise a {!mixture} draws a component from its normalized weights
+    and routes it on first draw only, under the routing's lock; the drawer
+    keeps the components it has routed and never fills the distribution
+    cache.  Either way the RNG is consumed the same and the same paths
+    come out.  A drawer belongs to one caller; the routing itself may be
+    shared by pool workers. *)
 
 val sample : Sso_prng.Rng.t -> t -> int -> int -> Sso_graph.Path.t
 (** Draw one path from [R(s,t)]: [sampler r s t rng]. *)

@@ -138,10 +138,11 @@ let forest ?pool rng ?trees ?(batch = 4) g =
   List.rev !forest_rev
 
 let of_forest g forest =
-  let count = List.length forest in
+  let forest = Array.of_list forest in
+  let count = Array.length forest in
   if count = 0 then invalid_arg "Racke.of_forest: empty forest";
-  let weight = 1.0 /. float_of_int count in
-  let generate s t = List.map (fun tree -> (weight, Frt.route tree s t)) forest in
-  Oblivious.make ~name:"racke" g generate
+  Oblivious.mixture ~name:"racke" g
+    (Array.make count (1.0 /. float_of_int count))
+    (fun s t i -> Frt.route forest.(i) s t)
 
 let routing ?pool rng ?trees ?batch g = of_forest g (forest ?pool rng ?trees ?batch g)

@@ -41,7 +41,8 @@ val forest :
     not positive ({!routing} raises the same). *)
 
 val of_forest : Sso_graph.Graph.t -> Frt.t list -> Oblivious.t
-(** The uniform mixture over an already-built forest.
+(** The uniform {!Oblivious.mixture} over an already-built forest:
+    sampling a pair routes only the trees it draws.
     [routing rng g = of_forest g (forest rng g)]. *)
 
 val tree_loads :

@@ -5,9 +5,9 @@ let single g tree =
 
 let uniform rng ?(count = 8) g =
   if count <= 0 then invalid_arg "Trees.uniform: count must be positive";
-  let forest = List.init count (fun _ -> Tree.wilson rng g) in
-  let weight = 1.0 /. float_of_int count in
-  Oblivious.make
+  let forest = Array.init count (fun _ -> Tree.wilson rng g) in
+  Oblivious.mixture
     ~name:(Printf.sprintf "wilson-%d" count)
     g
-    (fun s t -> List.map (fun tree -> (weight, Tree.path tree s t)) forest)
+    (Array.make count (1.0 /. float_of_int count))
+    (fun s t i -> Tree.path forest.(i) s t)

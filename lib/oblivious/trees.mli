@@ -12,5 +12,5 @@ val single : Sso_graph.Graph.t -> Sso_graph.Tree.t -> Oblivious.t
 (** Deterministic routing along one spanning tree. *)
 
 val uniform : Sso_prng.Rng.t -> ?count:int -> Sso_graph.Graph.t -> Oblivious.t
-(** Uniform mixture over [count] (default 8) independent uniformly random
-    spanning trees (Wilson). *)
+(** Uniform {!Oblivious.mixture} over [count] (default 8) independent
+    uniformly random spanning trees (Wilson). *)

@@ -28,14 +28,9 @@ let routing g =
   (* Validate that g is a hypercube before first use. *)
   let (_ : int) = dimension_of g in
   let n = Graph.n g in
-  let generate s t =
-    List.init n (fun r ->
-        let through =
-          Path.concat g (bitfix_path g s r) (bitfix_path g r t)
-        in
-        (1.0 /. float_of_int n, through))
-  in
-  Oblivious.make ~name:"valiant" g generate
+  Oblivious.mixture ~name:"valiant" g
+    (Array.make n (1.0 /. float_of_int n))
+    (fun s t r -> Path.concat g (bitfix_path g s r) (bitfix_path g r t))
 
 let generalized ~base =
   let g = Oblivious.graph base in
@@ -43,8 +38,6 @@ let generalized ~base =
   let leg a b =
     if a = b then Path.trivial a else snd (List.hd (Oblivious.distribution base a b))
   in
-  let generate s t =
-    List.init n (fun r ->
-        (1.0 /. float_of_int n, Path.concat g (leg s r) (leg r t)))
-  in
-  Oblivious.make ~name:("valiant+" ^ Oblivious.name base) g generate
+  Oblivious.mixture ~name:("valiant+" ^ Oblivious.name base) g
+    (Array.make n (1.0 /. float_of_int n))
+    (fun s t r -> Path.concat g (leg s r) (leg r t))

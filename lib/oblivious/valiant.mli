@@ -9,7 +9,9 @@
 
     The distribution enumerates all [2^d] intermediates, so only use
     {!Oblivious.distribution} on moderate dimensions; {!Oblivious.sample}
-    is what the α-sampler uses and is cheap. *)
+    is what the α-sampler uses and is cheap: the routing is an
+    {!Oblivious.mixture} over intermediates, so a draw concatenates only
+    the two legs through the intermediate it picks. *)
 
 val routing : Sso_graph.Graph.t -> Oblivious.t
 (** [routing g] for [g] a hypercube built by {!Sso_graph.Gen.hypercube}
@@ -25,4 +27,6 @@ val generalized : base:Oblivious.t -> Oblivious.t
     graph: route [s → r → t] through a uniformly random intermediate [r],
     with both legs taken from [base]'s (first) path.  Reduces to the
     classic hypercube trick when [base] is e-cube.  The per-pair support
-    is Θ(n), so use on moderate graphs. *)
+    is Θ(n), so use {!Oblivious.distribution} on moderate graphs; like
+    {!routing}, it is a mixture, so sampling routes only the drawn
+    intermediates. *)

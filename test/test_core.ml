@@ -31,6 +31,21 @@ let all_pairs n =
     (fun s -> List.filter_map (fun t -> if s = t then None else Some (s, t)) (List.init n Fun.id))
     (List.init n Fun.id)
 
+(* [count] distinct ordered pairs of [0, n), drawn in order. *)
+let distinct_pairs rng n count =
+  let seen = Hashtbl.create count in
+  let rec draw acc c =
+    if c = 0 then List.rev acc
+    else
+      let s = Rng.int rng n and t = Rng.int rng n in
+      if s = t || Hashtbl.mem seen (s, t) then draw acc c
+      else begin
+        Hashtbl.add seen (s, t) ();
+        draw ((s, t) :: acc) (c - 1)
+      end
+  in
+  draw [] count
+
 (* Path systems *)
 
 let test_path_system_of_pairs () =
@@ -189,18 +204,20 @@ let test_slice_view_matches_paths () =
 let test_materialize_parallel_jobs_invariant () =
   (* Chunked parallel materialization must produce the same arena layout
      and the same candidate sets at any job count, and must agree with the
-     serial path on content. *)
+     serial path on content: for a jointly generated base (KSP) and for
+     the mixtures, whose samplers route drawn components from pool
+     workers under the routing's lock. *)
   let pairs = [ (0, 24); (1, 23); (2, 22); (3, 21); (4, 20); (5, 19);
                 (6, 18); (7, 17); (8, 16); (9, 15); (10, 14); (11, 13) ] in
-  let build jobs =
-    let g = Gen.grid 5 5 in
-    let obl = Ksp.routing ~k:4 g in
+  let build base jobs =
+    let obl = base () in
     let ps = Sampler.alpha_sample (Rng.create 7) obl ~alpha:3 in
     (match jobs with
     | None -> Path_system.materialize ps pairs
     | Some jobs ->
         let pool = Pool.create ~jobs () in
-        Path_system.materialize_parallel ~pool ps pairs);
+        Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () ->
+            Path_system.materialize_parallel ~pool ps pairs));
     let arena = Path_system.arena ps in
     ( List.map
         (fun (s, t) ->
@@ -209,12 +226,20 @@ let test_materialize_parallel_jobs_invariant () =
       Sso_graph.Arena.length arena,
       Sso_graph.Arena.memory_bytes arena )
   in
-  let j1 = build (Some 1) in
-  let j4 = build (Some 4) in
-  Alcotest.(check bool) "jobs 1 = jobs 4 (layout and content)" true (j1 = j4);
-  let content (entries, _, _) = List.map (fun (p, _, ps) -> (p, ps)) entries in
-  Alcotest.(check bool) "parallel content = serial content" true
-    (content j1 = content (build None))
+  List.iter
+    (fun (name, base) ->
+      let j1 = build base (Some 1) in
+      let j4 = build base (Some 4) in
+      Alcotest.(check bool) (name ^ ": jobs 1 = jobs 4 (layout and content)") true (j1 = j4);
+      let content (entries, _, _) = List.map (fun (p, _, ps) -> (p, ps)) entries in
+      Alcotest.(check bool) (name ^ ": parallel content = serial content") true
+        (content j1 = content (build base None)))
+    [
+      ("ksp", fun () -> Ksp.routing ~k:4 (Gen.grid 5 5));
+      ("valiant", fun () -> Valiant.routing (Gen.hypercube 5));
+      ("wilson trees", fun () -> Trees.uniform (Rng.create 8) ~count:4 (Gen.grid 5 5));
+      ("racke", fun () -> Racke.routing (Rng.create 9) ~trees:4 (Gen.grid 5 5));
+    ]
 
 (* The packed arena against the boxed list-of-[Path.t] view of the same
    candidate sets, the representation it replaced: an α = 4 sample of a
@@ -226,21 +251,7 @@ let test_arena_smaller_than_boxed () =
   let g = Gen.fat_tree 16 in
   let n = Graph.n g in
   let obl = Trees.uniform (seeded 131) ~count:4 g in
-  let pairs =
-    let rng = seeded 132 in
-    let seen = Hashtbl.create 256 in
-    let rec draw acc c =
-      if c = 0 then List.rev acc
-      else
-        let s = Rng.int rng n and t = Rng.int rng n in
-        if s = t || Hashtbl.mem seen (s, t) then draw acc c
-        else begin
-          Hashtbl.add seen (s, t) ();
-          draw ((s, t) :: acc) (c - 1)
-        end
-    in
-    draw [] 256
-  in
+  let pairs = distinct_pairs (seeded 132) n 256 in
   let ps = Sampler.alpha_sample (seeded 133) obl ~alpha:4 in
   Path_system.materialize_parallel ps pairs;
   let arena_bytes = Sso_graph.Arena.memory_bytes (Path_system.arena ps) in
@@ -696,6 +707,85 @@ let test_attack_verified_measured_bound () =
        attack.Lower_bound.predicted_congestion)
     true
     (measured >= attack.Lower_bound.predicted_congestion -. 1e-6)
+
+(* Lazy mixture sampling *)
+
+module Codec = Sso_artifact.Codec
+
+(* The FNV digest of an α-sample's candidate sets over [pairs], in the
+   artifact slice encoding. *)
+let alpha_sample_digest rng obl ~alpha pairs =
+  let pairs = List.sort_uniq compare pairs in
+  let ps = Sampler.alpha_sample rng obl ~alpha in
+  Path_system.materialize ps pairs;
+  let ranges = List.map (fun (s, t) -> ((s, t), Path_system.slice_range ps s t)) pairs in
+  Codec.hex_of_key
+    (Codec.fnv1a64 (Codec.encode_path_system_slices (Path_system.arena ps) ranges))
+
+(* Golden pins, recorded while the samplers still built every pair's full
+   distribution before drawing: sampling only the drawn mixture components
+   must leave every sampled path where it was. *)
+let test_mixture_sample_goldens () =
+  (* Valiant on hypercube 6 over the pairs of the cube-ratio benchmark's
+     seed-1 demands: bit reversal, transpose and 28 random permutations. *)
+  let master = Rng.create 1 in
+  let demand_rng = Rng.split_at master 2 in
+  let cube = Gen.hypercube 6 in
+  let cube_pairs =
+    List.init 30 (fun i ->
+        match i with
+        | 0 -> Demand.bit_reversal 6
+        | 1 -> Demand.transpose 6
+        | i -> Demand.random_permutation (Rng.split_at demand_rng i) 64)
+    |> List.concat_map Demand.support
+  in
+  Alcotest.(check string) "valiant hypercube-6, alpha 6" "32f95193bf9babb7"
+    (alpha_sample_digest (Rng.split_at master 1) (Valiant.routing cube) ~alpha:6 cube_pairs);
+  let rr = Gen.random_regular (Rng.create 11) 256 4 in
+  Alcotest.(check string) "4 Wilson trees on a 4-regular n=256, alpha 4" "92d5aba73b1e80f1"
+    (alpha_sample_digest (Rng.create 13)
+       (Trees.uniform (Rng.create 12) ~count:4 rr)
+       ~alpha:4
+       (distinct_pairs (Rng.create 14) 256 500));
+  let ft = Gen.fat_tree 8 in
+  Alcotest.(check string) "racke fat-tree k=8, alpha 4" "0148ea09dd7ecbc6"
+    (alpha_sample_digest (Rng.create 16)
+       (Racke.routing (Rng.create 15) ft)
+       ~alpha:4
+       (all_pairs (Graph.n ft)))
+
+(* A 64-component mixture whose routes are counted: α-sampling a pair
+   routes at most the α components it draws, the pair's full
+   distribution routes all 64 once, and asking again routes nothing. *)
+let test_mixture_routes_only_drawn () =
+  let g = Gen.hypercube 6 in
+  let calls = ref 0 in
+  let obl =
+    Oblivious.mixture ~name:"counted" g (Array.make 64 1.0) (fun s t r ->
+        incr calls;
+        Path.concat g (Valiant.bitfix_path g s r) (Valiant.bitfix_path g r t))
+  in
+  let ps = Sampler.alpha_sample (Rng.create 5) obl ~alpha:6 in
+  let drawn = Path_system.slice_count ps 0 63 in
+  Alcotest.(check bool) (Printf.sprintf "alpha 6 routes %d <= 6" !calls) true (!calls <= 6);
+  Alcotest.(check bool) "at least one route per distinct path" true (!calls >= drawn);
+  calls := 0;
+  ignore (Oblivious.distribution obl 0 63);
+  Alcotest.(check int) "distribution routes every component" 64 !calls;
+  calls := 0;
+  ignore (Oblivious.distribution obl 0 63);
+  ignore (Path_system.paths (Sampler.alpha_sample (Rng.create 6) obl ~alpha:6) 0 63);
+  Alcotest.(check int) "cached pair routes nothing" 0 !calls;
+  (* A sampler routes a component once, however often it draws it. *)
+  calls := 0;
+  let two =
+    Oblivious.mixture ~name:"two" g [| 1.0; 1.0 |] (fun s t r ->
+        incr calls;
+        Path.concat g (Valiant.bitfix_path g s r) (Valiant.bitfix_path g r t))
+  in
+  ignore (Path_system.paths (Sampler.alpha_sample (Rng.create 7) two ~alpha:8) 5 9);
+  Alcotest.(check bool) (Printf.sprintf "8 draws of 2 components route %d <= 2" !calls) true
+    (!calls <= 2)
 
 (* Extra coverage *)
 
@@ -1290,6 +1380,38 @@ let prop_filter_views_match_boxed_filter =
           digest view d = digest (Path_system.of_pairs g routable) d)
         views)
 
+(* The lazy mixture sampler against the eager one it replaced: an
+   [Oblivious.make] over the same backend's full distributions (built
+   from a second, identical instance, so the lazy one's cache stays
+   empty).  Every mixture here has a power-of-two number of equal
+   components, so re-normalizing the eager copy's weights is exact.  The
+   pairs in [cached] have their distribution requested before sampling,
+   which makes the lazy sampler draw from the cached list. *)
+let prop_lazy_mixture_sample_equals_eager =
+  QCheck.Test.make ~name:"lazy mixture α-sample = eager α-sample" ~count:40
+    QCheck.(triple (int_range 1 8) small_nat (int_bound 3))
+    (fun (alpha, seed, backend) ->
+      let build () =
+        let rng = Rng.create (seed + 101) in
+        match backend with
+        | 0 -> Valiant.routing (Gen.hypercube 4)
+        | 1 -> Valiant.generalized ~base:(Deterministic.shortest_path (Gen.torus 4 4))
+        | 2 -> Trees.uniform rng ~count:4 (Gen.grid 4 4)
+        | _ -> Racke.routing rng ~trees:4 (Gen.grid 4 4)
+      in
+      let lazy_obl = build () and other = build () in
+      let g = Oblivious.graph other in
+      let eager = Oblivious.make ~name:"eager" g (Oblivious.distribution other) in
+      let pairs = all_pairs (Graph.n g) in
+      let cached = List.filteri (fun i _ -> (i + seed) mod 3 = 0) pairs in
+      List.iter (fun (s, t) -> ignore (Oblivious.distribution lazy_obl s t)) cached;
+      let lazy_ps = Sampler.alpha_sample (Rng.create seed) lazy_obl ~alpha in
+      let eager_ps = Sampler.alpha_sample (Rng.create seed) eager ~alpha in
+      List.for_all
+        (fun (s, t) ->
+          List.equal Path.equal (Path_system.paths lazy_ps s t) (Path_system.paths eager_ps s t))
+        pairs)
+
 let prop_alpha_sample_always_sparse =
   QCheck.Test.make ~name:"α-samples are α-sparse" ~count:30
     QCheck.(pair small_int (int_range 1 6))
@@ -1372,6 +1494,9 @@ let () =
           Alcotest.test_case "deterministic base" `Quick test_alpha_sample_deterministic_base;
           Alcotest.test_case "cnt and cut sample" `Quick test_cnt_and_cut_sample;
           Alcotest.test_case "reproducible" `Quick test_sample_reproducible;
+          Alcotest.test_case "mixture sample goldens" `Quick test_mixture_sample_goldens;
+          Alcotest.test_case "mixture routes only drawn components" `Quick
+            test_mixture_routes_only_drawn;
         ] );
       ( "semi-oblivious",
         [
@@ -1504,5 +1629,6 @@ let () =
             prop_certified_never_beats_exact_stage4;
             prop_weak_route_kept_within_gamma;
             prop_filter_views_match_boxed_filter;
+            prop_lazy_mixture_sample_equals_eager;
           ] );
     ]
