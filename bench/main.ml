@@ -549,10 +549,10 @@ let e12 () =
       let d = Demand.random_pairs (Rng.split rng) ~n ~pairs in
       let base = Ksp.routing ~k:4 g in
       let system = Sampler.alpha_sample (Rng.split rng) base ~alpha:4 in
-      let cands = Path_system.to_candidates system (Demand.support d) in
-      let (_, lp), lp_t = timed (fun () -> Min_congestion.lp_on_paths g cands d) in
+      let sc = Path_system.to_slice_candidates system (Demand.support d) in
+      let (_, lp), lp_t = timed (fun () -> Min_congestion.lp_on_slices g sc d) in
       let (_, mwu), mwu_t =
-        timed (fun () -> Min_congestion.mwu_on_paths ~iters:400 g cands d)
+        timed (fun () -> Min_congestion.mwu_on_slices ~iters:400 g sc d)
       in
       let secs t = if !no_timing then "-" else Printf.sprintf "%.3f" t in
       Printf.printf "%8d %6d %6d | %10.3f %7s %10.3f %7s\n" n
@@ -768,8 +768,7 @@ let e18 () =
   let previous = ref None in
   List.iteri
     (fun i d ->
-      let cands = Path_system.to_candidates system (Demand.support d) in
-      let cold_routing, cold = Min_congestion.mwu_on_paths ~iters:300 g cands d in
+      let cold_routing, cold = Semi_oblivious.route ~solver:(Semi_oblivious.Mwu 300) g system d in
       let warm =
         match !previous with
         | None -> cold
@@ -827,10 +826,7 @@ let e19 () =
         | Some p -> ((0, 1), p)
         | None -> assert false)
   in
-  let base =
-    Memo.hop_constrained ?store:!store ~paths_per_pair:8 ~max_hops:3
-      ~pairs:[ (0, 1) ] g
-  in
+  let base = Sso_oblivious.Hop_constrained.routing ~paths_per_pair:8 ~max_hops:3 g in
   let system = Sampler.alpha_sample (Rng.split rng) base ~alpha:4 in
   let semi_raw, _ = Integral.congestion_upper ~solver:stage4 (Rng.split rng) g system d in
   let semi_assignment =

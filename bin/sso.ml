@@ -142,6 +142,35 @@ let edge_count ~name g k =
 let int_at_least lo s =
   match int_of_string_opt s with Some i when i >= lo -> Some i | _ -> None
 
+(* Numeric flags with a range: a value outside it is a one-line usage
+   error (exit 124) at parse time, before any library call can reject
+   it. *)
+let ranged_arg ~name ~default ~docv ~doc kind ~ok ~show ~expected =
+  let value = Arg.(value & opt kind default & info [ name ] ~docv ~doc) in
+  let check v =
+    if ok v then Ok v
+    else
+      Error
+        (`Msg
+           (Printf.sprintf "option '--%s': invalid value '%s', expected %s" name (show v)
+              expected))
+  in
+  Term.(term_result (const check $ value))
+
+let int_arg ?(lo = 1) ~name ~default ~docv ~doc () =
+  ranged_arg ~name ~default ~docv ~doc Arg.int
+    ~ok:(fun n -> n >= lo)
+    ~show:string_of_int
+    ~expected:(Printf.sprintf "an integer >= %d" lo)
+
+let probability_arg ~name ~default ~doc =
+  ranged_arg ~name ~default ~docv:"P" ~doc Arg.float
+    ~ok:(fun p -> p >= 0.0 && p <= 1.0)
+    ~show:(Printf.sprintf "%g") ~expected:"a probability in [0,1]"
+
+let alpha_arg ?(lo = 1) ?(default = 4) ~doc () =
+  int_arg ~lo ~name:"alpha" ~default ~docv:"ALPHA" ~doc ()
+
 let all_some xs =
   if List.for_all Option.is_some xs then Some (List.map Option.get xs) else None
 
@@ -209,12 +238,25 @@ let family_arg ?(expander = false) ~doc () =
       @ if expander then [ "expander" ] else [])
     ~doc (fun spec ->
       match spec with
-      | "torus" -> Some (fun _ size -> Gen.torus size size)
-      | "fat-tree" -> Some (fun _ size -> Gen.fat_tree size)
+      | "torus" ->
+          Some
+            (fun _ size ->
+              if size < 3 then misfit ~name:"size" "a torus needs a side >= 3, got %d" size;
+              Gen.torus size size)
+      | "fat-tree" ->
+          Some
+            (fun _ size ->
+              if size < 2 || size mod 2 <> 0 then
+                misfit ~name:"size" "a fat-tree needs an even k >= 2, got %d" size;
+              Gen.fat_tree size)
       | "abilene" -> Some (fun _ _ -> fst (Gen.abilene ()))
       | "b4" -> Some (fun _ _ -> fst (Gen.b4 ()))
       | "expander" when expander ->
-          Some (fun rng size -> Gen.random_regular rng size 4)
+          Some
+            (fun rng size ->
+              if size < 5 then
+                misfit ~name:"size" "a 4-regular expander needs >= 5 vertices, got %d" size;
+              Gen.random_regular rng size 4)
       | _ -> None)
 
 (* ---- JSON writers ---- *)
@@ -373,8 +415,7 @@ let route_cmd =
       ~doc:"Base oblivious routing: racke, valiant, ksp, shortest, ecube." ()
   in
   let alpha_arg =
-    let doc = "Paths sampled per pair (the paper's α); 0 = use the full support." in
-    Arg.(value & opt int 4 & info [ "alpha" ] ~docv:"ALPHA" ~doc)
+    alpha_arg ~lo:0 ~doc:"Paths sampled per pair (the paper's α); 0 = use the full support." ()
   in
   let cut_arg =
     let doc = "Sample α + cut_G(s,t) paths instead of α (Definition 5.2)." in
@@ -432,17 +473,12 @@ let route_cmd =
 
 let attack_cmd =
   let leaves_arg =
-    let doc = "Leaves per star in C(n,k)." in
-    Arg.(value & opt int 12 & info [ "leaves" ] ~docv:"N" ~doc)
+    int_arg ~name:"leaves" ~default:12 ~docv:"N" ~doc:"Leaves per star in C(n,k)." ()
   in
   let middles_arg =
-    let doc = "Middle vertices in C(n,k)." in
-    Arg.(value & opt int 6 & info [ "middles" ] ~docv:"K" ~doc)
+    int_arg ~name:"middles" ~default:6 ~docv:"K" ~doc:"Middle vertices in C(n,k)." ()
   in
-  let alpha_arg =
-    let doc = "Sparsity of the sampled system under attack." in
-    Arg.(value & opt int 2 & info [ "alpha" ] ~docv:"ALPHA" ~doc)
-  in
+  let alpha_arg = alpha_arg ~default:2 ~doc:"Sparsity of the sampled system under attack." () in
   let run leaves middles alpha seed jobs trace =
     set_jobs jobs;
     start_trace trace;
@@ -474,10 +510,7 @@ let attack_cmd =
 
 let simulate_cmd =
   let module Simulator = Sso_sim.Simulator in
-  let alpha_arg =
-    let doc = "Paths sampled per pair." in
-    Arg.(value & opt int 4 & info [ "alpha" ] ~docv:"ALPHA" ~doc)
-  in
+  let alpha_arg = alpha_arg ~doc:"Paths sampled per pair." () in
   let packets_arg =
     let doc = "Number of random unit packets to inject." in
     Arg.(value & opt int 16 & info [ "packets" ] ~docv:"N" ~doc)
@@ -534,10 +567,7 @@ let faults_cmd =
     let doc = "Family size (torus side, fat-tree k; ignored for WANs)." in
     Arg.(value & opt int 4 & info [ "size" ] ~docv:"SIZE" ~doc)
   in
-  let alpha_arg =
-    let doc = "Paths sampled per pair (the paper's α)." in
-    Arg.(value & opt int 4 & info [ "alpha" ] ~docv:"ALPHA" ~doc)
-  in
+  let alpha_arg = alpha_arg ~doc:"Paths sampled per pair (the paper's α)." () in
   let base_arg =
     base_arg ~doc:"Base oblivious routing: racke, valiant, ksp, shortest." ()
   in
@@ -902,20 +932,20 @@ let serve_cmd =
   in
   let generate_cmd =
     let ticks_arg =
-      let doc = "Number of ticks (tick 0 carries the initial arrivals)." in
-      Arg.(value & opt int 50 & info [ "ticks" ] ~docv:"TICKS" ~doc)
+      int_arg ~name:"ticks" ~default:50 ~docv:"TICKS"
+        ~doc:"Number of ticks (tick 0 carries the initial arrivals)." ()
     in
     let pairs_arg =
-      let doc = "Active commodities maintained by the churn walk." in
-      Arg.(value & opt int 16 & info [ "pairs" ] ~docv:"PAIRS" ~doc)
+      int_arg ~name:"pairs" ~default:16 ~docv:"PAIRS"
+        ~doc:"Active commodities maintained by the churn walk." ()
     in
     let churn_arg =
-      let doc = "Per-tick resample probability for each active pair, in [0,1]." in
-      Arg.(value & opt float 0.1 & info [ "churn" ] ~docv:"P" ~doc)
+      probability_arg ~name:"churn" ~default:0.1
+        ~doc:"Per-tick resample probability for each active pair, in [0,1]."
     in
     let rate_churn_arg =
-      let doc = "Per-tick rate-drift probability for surviving pairs, in [0,1]." in
-      Arg.(value & opt float 0.0 & info [ "rate-churn" ] ~docv:"P" ~doc)
+      probability_arg ~name:"rate-churn" ~default:0.0
+        ~doc:"Per-tick rate-drift probability for surviving pairs, in [0,1]."
     in
     let output_arg =
       let doc = "Write the JSONL stream to $(docv)." in
@@ -927,6 +957,10 @@ let serve_cmd =
     let run (_, build_graph) size ticks pairs churn rate_churn output seed =
       let rng = Rng.create seed in
       let g = build_graph (Rng.split rng) size in
+      let n = Graph.n g in
+      if pairs > n * (n - 1) / 2 then
+        misfit ~name:"pairs" "%d pairs requested, the graph has %d unordered vertex pairs" pairs
+          (n * (n - 1) / 2);
       let events =
         Workload.generate ~rate_churn (Rng.split rng) ~n:(Graph.n g) ~ticks
           ~pairs ~churn
@@ -946,10 +980,7 @@ let serve_cmd =
         $ rate_churn_arg $ output_arg $ seed_arg)
   in
   let replay_cmd =
-    let alpha_arg =
-      let doc = "Paths sampled per pair (the paper's α)." in
-      Arg.(value & opt int 4 & info [ "alpha" ] ~docv:"ALPHA" ~doc)
-    in
+    let alpha_arg = alpha_arg ~doc:"Paths sampled per pair (the paper's α)." () in
     let base_arg =
       base_arg ~doc:"Base oblivious routing: racke, valiant, ksp, shortest." ()
     in
@@ -957,12 +988,11 @@ let serve_cmd =
       solver_arg ~doc:"Cold-solve engine: mwu[:ITERS] (default) or lp."
     in
     let warm_iters_arg =
-      let doc = "Fresh MWU rounds per warm tick." in
-      Arg.(value & opt int 20 & info [ "warm-iters" ] ~docv:"N" ~doc)
+      int_arg ~name:"warm-iters" ~default:20 ~docv:"N" ~doc:"Fresh MWU rounds per warm tick." ()
     in
     let warm_weight_arg =
-      let doc = "Virtual rounds the carried routing counts as." in
-      Arg.(value & opt int 60 & info [ "warm-weight" ] ~docv:"N" ~doc)
+      int_arg ~name:"warm-weight" ~default:60 ~docv:"N"
+        ~doc:"Virtual rounds the carried routing counts as." ()
     in
     let refresh_arg =
       let doc = "Cold re-solve every $(docv) solves (0 = never)." in
@@ -973,8 +1003,8 @@ let serve_cmd =
       Arg.(value & flag & info [ "simulate" ] ~doc)
     in
     let period_arg =
-      let doc = "Simulator steps between ticks (with $(b,--simulate))." in
-      Arg.(value & opt int 4 & info [ "period" ] ~docv:"STEPS" ~doc)
+      int_arg ~name:"period" ~default:4 ~docv:"STEPS"
+        ~doc:"Simulator steps between ticks (with $(b,--simulate))." ()
     in
     let json_arg =
       let doc = "Emit deterministic JSON (byte-identical for any $(b,--jobs))." in

@@ -4,7 +4,6 @@ module Obs = Sso_obs.Obs
 module Oblivious = Sso_oblivious.Oblivious
 module Racke = Sso_oblivious.Racke
 module Frt = Sso_oblivious.Frt
-module Hop_constrained = Sso_oblivious.Hop_constrained
 module Sampler = Sso_core.Sampler
 module Path_system = Sso_core.Path_system
 
@@ -50,52 +49,6 @@ let racke_forest ?store ?pool rng ?trees ?batch g =
 
 let racke ?store ?pool rng ?trees ?batch g =
   Racke.of_forest g (racke_forest ?store ?pool rng ?trees ?batch g)
-
-(* ---- hop-constrained distributions ---- *)
-
-let hop_constrained ?store ?(stretch = 2) ?(paths_per_pair = 8) ~max_hops
-    ~pairs g =
-  let routing = Hop_constrained.routing ~stretch ~paths_per_pair ~max_hops g in
-  match store with
-  | None -> routing
-  | Some st ->
-      let pairs = List.sort_uniq compare pairs in
-      let recipe =
-        Store.recipe ~kind:"hop-distributions"
-          [
-            ("graph", hex (Codec.graph_digest g));
-            ("stretch", string_of_int stretch);
-            ("paths_per_pair", string_of_int paths_per_pair);
-            ("max_hops", string_of_int max_hops);
-            ("pairs", hex (Codec.pairs_digest pairs));
-          ]
-      in
-      let warm payload =
-        match Codec.decode_distributions g payload with
-        | entries -> (
-            try
-              Oblivious.preload routing entries;
-              true
-            with Invalid_argument _ ->
-              semantic_corrupt ();
-              false)
-        | exception Codec.Corrupt _ ->
-            semantic_corrupt ();
-            false
-      in
-      let hit = match Store.find st recipe with
-        | Some payload -> warm payload
-        | None -> false
-      in
-      if not hit then begin
-        let entries =
-          List.map
-            (fun (s, t) -> ((s, t), Oblivious.distribution routing s t))
-            pairs
-        in
-        Store.put st recipe (Codec.encode_distributions entries)
-      end;
-      routing
 
 (* ---- α-samples ---- *)
 

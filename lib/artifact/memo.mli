@@ -7,9 +7,9 @@
     the cache, at any job count.  Two ingredients make that hold:
 
     - payloads round-trip bit-exactly ({!Codec}), and decoded objects are
-      installed through trusted constructors ({!Sso_oblivious.Oblivious.preload},
-      {!Sso_flow.Routing.of_normalized}) that skip re-normalization, or,
-      for α-samples, copied slice by slice ({!Sso_core.Path_system.preload});
+      installed as stored: a forest's trees through
+      {!Sso_oblivious.Frt.of_parts}, an α-sample's candidates copied slice
+      by slice ({!Sso_core.Path_system.preload});
     - RNG consumption visible to the caller is the same on hit and miss.
       Pass each wrapper a {e dedicated} generator (callers here always pass
       [Rng.split parent], which advances the parent at the call site
@@ -57,20 +57,6 @@ val racke :
     (FRT builds and capacity-routing passes) and rebuilds the routing with
     {!Sso_oblivious.Racke.of_forest}; shortest-path state is recomputed
     lazily and deterministically from the stored edge lengths. *)
-
-val hop_constrained :
-  ?store:Store.t ->
-  ?stretch:int ->
-  ?paths_per_pair:int ->
-  max_hops:int ->
-  pairs:(int * int) list ->
-  Sso_graph.Graph.t ->
-  Sso_oblivious.Oblivious.t
-(** {!Sso_oblivious.Hop_constrained.routing} with the per-pair
-    distributions for [pairs] cached.  On a miss the distributions for
-    [pairs] are computed eagerly (so unreachable-within-budget pairs raise
-    here rather than at first query); on a hit they are preloaded
-    bit-identically and other pairs fall through to the generator. *)
 
 val alpha_sample :
   ?store:Store.t ->

@@ -246,11 +246,6 @@ let of_oblivious_support obl =
       in
       List.rev support)
 
-let to_candidates ps pair_list =
-  List.map
-    (fun (s, t) -> ((s, t), paths ps s t))
-    (List.sort_uniq compare_pair pair_list)
-
 let unpack_pair ps s t = Sso_flow.Slice_candidates.unpack ps.arena (slice_range ps s t)
 
 let to_slice_candidates ps pair_list =

@@ -15,8 +15,10 @@
     consecutive slice handles, so sparsity queries are O(1) per pair, the
     Stage-4 solvers index candidates without materializing path lists
     ({!unpack_pair}, {!to_slice_candidates}), and failover policies walk
-    candidate slices in place.  {!paths} remains as a compatibility view that reconstructs
-    boxed {!Sso_graph.Path.t} values on demand. *)
+    candidate slices in place.  {!paths} reconstructs boxed
+    {!Sso_graph.Path.t} values on demand, for callers that inspect a
+    pair's candidates (samplers, failover, tests) rather than solve on
+    them. *)
 
 type t
 
@@ -129,11 +131,6 @@ val of_oblivious_support : Sso_oblivious.Oblivious.t -> t
     with the same (s,t) path) appears once, at its first occurrence in
     the distribution. *)
 
-val to_candidates : t -> (int * int) list -> Sso_flow.Min_congestion.candidates
-(** Materialize candidate lists for the given pairs (input to the
-    list-based Stage-4 entry points).  Pairs are deduplicated and sorted
-    with a monomorphic pair comparator. *)
-
 val unpack_pair : t -> int -> int -> Sso_flow.Slice_candidates.piece
 (** One pair's candidates unpacked from {!arena} (generated on first
     query, like {!slice_range}): the per-pair step of
@@ -144,9 +141,10 @@ val unpack_pair : t -> int -> int -> Sso_flow.Slice_candidates.piece
     its active pairs, and drops them all whenever its live system is
     replaced: a failure view offers other candidates. *)
 
-val to_slice_candidates :
-  t -> (int * int) list -> Sso_flow.Min_congestion.slice_candidates
-(** The slice-index equivalent of {!to_candidates}: every pair (sorted,
-    deduplicated) through {!unpack_pair}, joined by
-    {!Sso_flow.Slice_candidates.concat}; no path lists materialized.
-    Input to {!Sso_flow.Min_congestion.mwu_on_slices}. *)
+val to_slice_candidates : t -> (int * int) list -> Sso_flow.Slice_candidates.t
+(** The Stage-4 candidate index for the given pairs: every pair (sorted
+    with a monomorphic pair comparator, deduplicated) through
+    {!unpack_pair}, joined by {!Sso_flow.Slice_candidates.concat}; no
+    path lists materialized.  Input to both Stage-4 engines,
+    {!Sso_flow.Min_congestion.lp_on_slices} and
+    {!Sso_flow.Min_congestion.mwu_on_slices}. *)

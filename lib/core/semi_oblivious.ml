@@ -14,12 +14,10 @@ let slices ?index ps demand =
   | None -> Path_system.to_slice_candidates ps (Demand.support demand)
 
 let route ?(solver = default_solver) ?index g ps demand =
+  let sc = slices ?index ps demand in
   match solver with
-  | Lp ->
-      (* The simplex tableau wants explicit per-pair path lists. *)
-      let cands = Path_system.to_candidates ps (Demand.support demand) in
-      Min_congestion.lp_on_paths g cands demand
-  | Mwu iters -> Min_congestion.mwu_on_slices ~iters g (slices ?index ps demand) demand
+  | Lp -> Min_congestion.lp_on_slices g sc demand
+  | Mwu iters -> Min_congestion.mwu_on_slices ~iters g sc demand
 
 let congestion ?solver g ps demand = snd (route ?solver g ps demand)
 

@@ -22,12 +22,12 @@ val route :
   Sso_flow.Routing.t * float
 (** Stage 4: the adaptive min-congestion routing of [d] on [P] and its
     congestion [cong_ℝ(P,d)] (exact for [Lp], near-optimal for [Mwu]).
-    The [Mwu] solver runs on [index] when given, otherwise on
+    Either solver runs on [index] when given, otherwise on
     [Path_system.to_slice_candidates P (supp d)].  A given [index] must
     equal that one: the {!Path_system.unpack_pair} pieces of [supp d]
     in [P], in support order, joined by
     {!Sso_flow.Slice_candidates.concat} (the routing service passes the
-    pieces it keeps across ticks).  [Lp] ignores it.
+    pieces it keeps across ticks).
     @raise Invalid_argument if some demanded pair has no candidates. *)
 
 val congestion :

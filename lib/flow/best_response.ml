@@ -2,8 +2,8 @@
 
    A store answers, for pair [i] of a solve's support and a per-edge
    weight array, with the handle of the cheapest admissible path.  Two
-   stores exist.  [Candidates] handles are the canonical candidate indices
-   of a slice index: the path set is fixed up front.  [Interned] handles
+   stores exist.  [Candidates] handles are the candidate indices of a
+   slice index: the path set is fixed up front.  [Interned] handles
    name the paths the Dijkstra search has returned so far: the first
    sighting of a path for a pair appends it, and later sightings map back
    to the same handle.  The MWU loop tallies per-handle statistics in a
@@ -120,10 +120,7 @@ let respond_all t weights =
   | Candidates (sc, positions) ->
       let answer i =
         let p = positions.(i) in
-        if p < 0 then -1
-        else
-          let c = Slice_candidates.cheapest sc ~weights p in
-          if c < 0 then -1 else Slice_candidates.canonical sc c
+        if p < 0 then -1 else Slice_candidates.cheapest sc ~weights p
       in
       let handles =
         if pairs < 4 then Array.init pairs answer

@@ -6,7 +6,7 @@
     answers with an int handle, [-1] when the pair has no admissible
     path:
 
-    - {!candidates}: the canonical candidate index in a slice index — the
+    - {!candidates}: the candidate index in a slice index — the
       path set P is fixed up front (Stage 4, [cong_ℝ(P,d)]);
     - {!dijkstra}: the search result interned per pair — the first
       sighting of a path appends it to the store, later ones map back to

@@ -1,5 +1,4 @@
 module Graph = Sso_graph.Graph
-module Path = Sso_graph.Path
 module Shortest = Sso_graph.Shortest
 module Maxflow = Sso_graph.Maxflow
 module Demand = Sso_demand.Demand
@@ -17,81 +16,53 @@ let mwu_iterations = Obs.counter "mwu.iterations"
 let mwu_oracle_calls = Obs.counter "mwu.oracle_calls"
 let mwu_sssp_settled = Obs.counter "mwu.sssp_settled"
 
-type candidates = ((int * int) * Path.t list) list
+(* ---------- Exact LP on a candidate index ---------- *)
 
-(* Hashtable-backed index over the assoc-list candidates type: built once
-   per solve so per-round lookups are O(1) instead of O(pairs).  First
-   binding wins on duplicate pairs, matching [List.assoc_opt]. *)
-let index_candidates (cands : candidates) =
-  let tbl = Hashtbl.create ((2 * List.length cands) + 1) in
-  List.iter
-    (fun (pair, ps) -> if not (Hashtbl.mem tbl pair) then Hashtbl.add tbl pair ps)
-    cands;
-  tbl
-
-let candidates_for index s t =
-  match Hashtbl.find_opt index (s, t) with Some ps -> ps | None -> []
-
-(* ---------- Exact LP on a candidate path system ---------- *)
-
-let lp_on_paths g cands demand =
+let lp_on_slices g sc demand =
   if Demand.support_size demand = 0 then (Routing.make [], 0.0)
   else Obs.with_span span_lp @@ fun () -> begin
-    let index = index_candidates cands in
-    (* Variables: one absolute flow per (pair, candidate path), plus the
-       congestion bound z as the last variable. *)
-    let entries =
-      Demand.fold
-        (fun s t amount acc ->
-          match candidates_for index s t with
-          | [] -> invalid_arg "Min_congestion.lp_on_paths: demanded pair has no candidates"
-          | ps -> ((s, t), amount, ps) :: acc)
-        demand []
-    in
-    let num_paths =
-      List.fold_left (fun acc (_, _, ps) -> acc + List.length ps) 0 entries
-    in
-    let z = num_paths in
-    (* Assign variable indices. *)
-    let indexed =
-      let next = ref 0 in
+    let support = Array.of_list (Demand.support demand) in
+    let positions = Slice_candidates.positions sc support in
+    (* Variables: one absolute flow per candidate — pairs in descending
+       order, each pair's candidates in generation order — plus the
+       congestion bound z as the last variable.  [blocks] holds, per
+       pair, its first variable and its candidate range. *)
+    let next = ref 0 in
+    let blocks =
       List.map
-        (fun (pair, amount, ps) ->
-          let vars =
-            List.map
-              (fun p ->
-                let v = !next in
-                incr next;
-                (v, p))
-              ps
-          in
-          (pair, amount, vars))
-        entries
+        (fun (((s, t) as pair), p) ->
+          let first, count = if p < 0 then (0, 0) else Slice_candidates.range sc p in
+          if count = 0 then
+            invalid_arg "Min_congestion.lp_on_slices: demanded pair has no candidates";
+          let v = !next in
+          next := v + count;
+          (pair, Demand.get demand s t, v, first, count))
+        (List.rev (Array.to_list (Array.map2 (fun pair p -> (pair, p)) support positions)))
     in
+    let z = !next in
     (* Demand satisfaction: sum of a pair's path flows = demand. *)
     let demand_rows =
       List.map
-        (fun (_, amount, vars) ->
+        (fun (_, amount, v, _, count) ->
           {
-            Simplex.coeffs = List.map (fun (v, _) -> (v, 1.0)) vars;
+            Simplex.coeffs = List.init count (fun k -> (v + k, 1.0));
             relation = Simplex.Eq;
             rhs = amount;
           })
-        indexed
+        blocks
     in
     (* Capacity rows: per edge, total flow ≤ cap · z. *)
+    let edges = Slice_candidates.edges sc in
     let per_edge = Hashtbl.create 64 in
     List.iter
-      (fun (_, _, vars) ->
-        List.iter
-          (fun (v, (p : Path.t)) ->
-            Array.iter
-              (fun e ->
-                let cur = try Hashtbl.find per_edge e with Not_found -> [] in
-                Hashtbl.replace per_edge e ((v, 1.0) :: cur))
-              p.Path.edges)
-          vars)
-      indexed;
+      (fun (_, _, v, first, count) ->
+        for k = 0 to count - 1 do
+          Slice_candidates.iter_edges sc (first + k) (fun slot ->
+              let e = edges.(slot) in
+              let cur = try Hashtbl.find per_edge e with Not_found -> [] in
+              Hashtbl.replace per_edge e ((v + k, 1.0) :: cur))
+        done)
+      blocks;
     let capacity_rows =
       Hashtbl.fold
         (fun e coeffs acc ->
@@ -105,22 +76,24 @@ let lp_on_paths g cands demand =
     in
     let problem =
       {
-        Simplex.num_vars = num_paths + 1;
+        Simplex.num_vars = z + 1;
         objective = [ (z, 1.0) ];
         constraints = demand_rows @ capacity_rows;
       }
     in
     match Simplex.solve problem with
     | Simplex.Infeasible | Simplex.Unbounded ->
-        failwith "Min_congestion.lp_on_paths: LP should always be feasible and bounded"
+        failwith "Min_congestion.lp_on_slices: LP should always be feasible and bounded"
     | Simplex.Optimal { objective; solution } ->
         let routing =
           Routing.make
             (List.map
-               (fun (pair, _, vars) ->
+               (fun (pair, _, v, first, count) ->
                  (* Simplex solutions can carry -1e-15-scale noise. *)
-                 (pair, List.map (fun (v, p) -> (Float.max 0.0 solution.(v), p)) vars))
-               indexed)
+                 ( pair,
+                   List.init count (fun k ->
+                       (Float.max 0.0 solution.(v + k), Slice_candidates.path sc (first + k))) ))
+               blocks)
         in
         (routing, Float.max 0.0 objective)
   end
@@ -336,20 +309,13 @@ let mwu ?(iters = 300) ?warm ~span ~label g oracle demand =
     end
   end
 
-type slice_candidates = Slice_candidates.t
-
-let slice_candidates_of_list g (cands : candidates) = Slice_candidates.of_list g cands
-
 let mwu_on_slices ?pool ?iters ?warm g sc demand =
   let label = if Option.is_none warm then "on_paths" else "on_paths_warm" in
   match
     mwu ?iters ?warm ~span:span_mwu ~label g (Best_response.candidates ?pool sc) demand
   with
   | Some result -> result
-  | None -> invalid_arg "Min_congestion.mwu_on_paths: demanded pair has no candidates"
-
-let mwu_on_paths ?pool ?iters g cands demand =
-  mwu_on_slices ?pool ?iters g (slice_candidates_of_list g cands) demand
+  | None -> invalid_arg "Min_congestion.mwu_on_slices: demanded pair has no candidates"
 
 let mwu_unrestricted ?pool ?iters g demand =
   match

@@ -12,29 +12,31 @@
       whose best responses come from a {!Best_response} store: candidate
       indices for path-restricted routing and interned Dijkstra paths for
       the unrestricted optimum.  It is the only engine at experiment
-      scale. *)
+      scale.
 
-type candidates = ((int * int) * Sso_graph.Path.t list) list
-(** Candidate path sets per pair — a path system restricted to the pairs of
-    interest.  Every listed path must connect its pair. *)
+    Both Stage-4 engines read the candidate set P in one representation,
+    a {!Slice_candidates} index (built by
+    {!Sso_core.Path_system.to_slice_candidates}): the flat per-pair table
+    the solvers walk in place. *)
 
-type slice_candidates = Slice_candidates.t
-(** Candidate sets as arena slices — the flat index the solvers walk in
-    place (see {!Slice_candidates}).  The path-list API below converts
-    through this representation, so both entry points run the same
-    engine. *)
-
-val slice_candidates_of_list :
-  Sso_graph.Graph.t -> candidates -> slice_candidates
-(** Index boxed candidate lists (appending them into a private arena). *)
+val lp_on_slices :
+  Sso_graph.Graph.t -> Slice_candidates.t -> Sso_demand.Demand.t -> Routing.t * float
+(** Exact minimum congestion of fractionally routing [d] where each pair
+    only uses its candidate paths: one variable per candidate of each
+    demanded pair, in generation order.  Returns the optimal routing and
+    its congestion.  @raise Invalid_argument if some demanded pair has no
+    candidates.  Intended for instances with up to a few thousand
+    (pair, path) variables. *)
 
 val mwu_on_slices :
   ?pool:Sso_engine.Pool.t ->
   ?iters:int ->
   ?warm:Routing.t * int ->
-  Sso_graph.Graph.t -> slice_candidates -> Sso_demand.Demand.t -> Routing.t * float
-(** {!mwu_on_paths} on a prebuilt slice index — candidate systems already
-    stored in an arena solve without materializing any path list.
+  Sso_graph.Graph.t -> Slice_candidates.t -> Sso_demand.Demand.t -> Routing.t * float
+(** Approximate version of {!lp_on_slices} via multiplicative weights
+    ([iters] defaults to 300; error decays as [O(1/√iters)]).  Results
+    are bit-identical for any [pool].
+    @raise Invalid_argument if some demanded pair has no candidates.
 
     [~warm:(r, w)] re-optimizes incrementally: the MWU starts from the
     routing [r] counted as [w] (positive) already-played rounds, then runs
@@ -46,23 +48,6 @@ val mwu_on_slices :
     distribution verbatim, a pair that lost some has its surviving mass
     renormalized, and a pair left with nothing (or absent from [r]) is
     learned by the fresh rounds alone. *)
-
-val lp_on_paths :
-  Sso_graph.Graph.t -> candidates -> Sso_demand.Demand.t -> Routing.t * float
-(** Exact minimum congestion of fractionally routing [d] where each pair
-    only uses its candidate paths.  Returns the optimal routing and its
-    congestion.  @raise Invalid_argument if some demanded pair has no
-    candidates.  Intended for instances with up to a few thousand
-    (pair, path) variables. *)
-
-val mwu_on_paths :
-  ?pool:Sso_engine.Pool.t ->
-  ?iters:int ->
-  Sso_graph.Graph.t -> candidates -> Sso_demand.Demand.t -> Routing.t * float
-(** Approximate version of {!lp_on_paths} via multiplicative weights
-    ([iters] defaults to 300; error decays as [O(1/√iters)]): the list
-    entry point, indexing the candidates into a private arena.  Results
-    are bit-identical for any [pool]. *)
 
 val lp_unrestricted :
   Sso_graph.Graph.t -> Sso_demand.Demand.t -> float

@@ -3,14 +3,13 @@
 
    An index is built in two steps.  [unpack] decodes one pair's slices
    into a [piece]: the pair's candidates as boxed paths, in generation
-   order, plus their order ascending by [Path.compare] ([rank]) and the
-   duplicate map ([canon]), both local to the pair.  [concat] joins the
-   pieces of a solve's support, in support order, into [(cand_off,
-   edge_off, flat)] int arrays, and every round's oracle/accumulation
-   loops run over those arrays.  A piece depends only on its pair's
-   slices, so a caller that solves many overlapping supports over one
-   arena (the routing service) keeps its pieces and unpacks only the
-   pairs that are new to it.  The routings a solve emits share the
+   order, plus their order ascending by [Path.compare] ([rank]), local
+   to the pair.  [concat] joins the pieces of a solve's support, in
+   support order, into [(cand_off, edge_off, flat)] int arrays, and
+   every round's oracle/accumulation loops run over those arrays.  A
+   piece depends only on its pair's slices, so a caller that solves many
+   overlapping supports over one arena (the routing service) keeps its
+   pieces and unpacks only the pairs that are new to it.  The routings a solve emits share the
    pieces' boxed paths, so a kept piece is decoded once, not once per
    solve.
 
@@ -18,7 +17,11 @@
    candidates in ascending order, and [flat] holds each edge's position
    in it.  A solver sizes its per-edge arrays by the candidates' edges,
    not by the graph.  Slots are assigned per [concat], over the solve's
-   own candidates. *)
+   own candidates.
+
+   A pair's slices come from a path system, whose install check rejects
+   a path repeated within a pair, so no index holds a path twice within
+   a pair: a path names at most one candidate ([find]). *)
 
 module Path = Sso_graph.Path
 module Arena = Sso_graph.Arena
@@ -26,19 +29,13 @@ module Arena = Sso_graph.Arena
 type piece = {
   cands : Path.t array;  (* generation order *)
   p_rank : int array;  (* candidates ascending by path order *)
-  p_canon : int array;  (* candidate -> its first duplicate in path order *)
 }
 
 type t = {
   pairs : (int * int) array;  (* pair position -> pair *)
   cand_off : int array;  (* pair position -> candidate range, npairs + 1 *)
   paths : Path.t array;  (* candidate -> path *)
-  canon : int array;
-      (* candidate -> canonical candidate: duplicate paths inside one
-         pair's list collapse onto their first occurrence. *)
-  rank : int array;
-      (* per pair range: candidates ascending by path order (ties — i.e.
-         duplicates — broken by position, so the canonical copy leads) *)
+  rank : int array;  (* per pair range: candidates ascending by path order *)
   edge_off : int array;  (* candidate -> edge range, ncands + 1 *)
   flat : int array;  (* concatenated edge slots, path order *)
   edges : int array;  (* slot -> edge id: the candidates' distinct edges, ascending *)
@@ -47,16 +44,8 @@ type t = {
 let unpack arena (first, count) =
   let cands = Array.init count (fun k -> Arena.to_path arena (first + k)) in
   let rank = Array.init count Fun.id in
-  Array.sort
-    (fun c1 c2 ->
-      match Path.compare cands.(c1) cands.(c2) with 0 -> Int.compare c1 c2 | c -> c)
-    rank;
-  let canon = Array.init count Fun.id in
-  for k = 1 to count - 1 do
-    let prev = rank.(k - 1) and cur = rank.(k) in
-    if Path.equal cands.(prev) cands.(cur) then canon.(cur) <- canon.(prev)
-  done;
-  { cands; p_rank = rank; p_canon = canon }
+  Array.sort (fun c1 c2 -> Path.compare cands.(c1) cands.(c2)) rank;
+  { cands; p_rank = rank }
 
 let count p = Array.length p.cands
 
@@ -94,14 +83,13 @@ let concat g entries =
     entries;
   let ncands = cand_off.(npairs) in
   let paths = Array.make ncands no_path in
-  let canon = Array.make ncands 0 and rank = Array.make ncands 0 in
+  let rank = Array.make ncands 0 in
   let edge_off = Array.make (ncands + 1) 0 in
   List.iteri
     (fun i (_, p) ->
       let cb = cand_off.(i) in
       for k = 0 to count p - 1 do
         paths.(cb + k) <- p.cands.(k);
-        canon.(cb + k) <- cb + p.p_canon.(k);
         rank.(cb + k) <- cb + p.p_rank.(k);
         edge_off.(cb + k + 1) <- edge_off.(cb + k) + Path.hops p.cands.(k)
       done)
@@ -137,24 +125,7 @@ let concat g entries =
     Array.unsafe_set edges s e;
     Array.unsafe_set flat k s
   done;
-  { pairs; cand_off; paths; canon; rank; edge_off; flat; edges }
-
-let of_list g cands =
-  let arena = Arena.create ~capacity:(4 * max 1 (List.length cands)) g in
-  let seen = Hashtbl.create ((2 * List.length cands) + 1) in
-  let pieces =
-    List.filter_map
-      (fun (pair, paths) ->
-        if Hashtbl.mem seen pair then None
-        else begin
-          Hashtbl.add seen pair ();
-          let first = Arena.length arena in
-          List.iter (fun (p : Path.t) -> ignore (Arena.append_path arena p)) paths;
-          Some (pair, unpack arena (first, Arena.length arena - first))
-        end)
-      cands
-  in
-  concat g pieces
+  { pairs; cand_off; paths; rank; edge_off; flat; edges }
 
 let lt_pair ((s1 : int), (t1 : int)) (s2, t2) = s1 < s2 || (s1 = s2 && t1 < t2)
 
@@ -178,6 +149,7 @@ let positions sc support =
   end
 
 let ncands sc = sc.cand_off.(Array.length sc.cand_off - 1)
+let range sc i = (sc.cand_off.(i), sc.cand_off.(i + 1) - sc.cand_off.(i))
 
 (* Cheapest candidate of pair position [i] under per-slot [weights]: a
    strict [<] left fold over the candidates in generation order, on the
@@ -197,7 +169,6 @@ let cheapest sc ~weights i =
   done;
   !best
 
-let canonical sc c = sc.canon.(c)
 let edges sc = sc.edges
 
 let iter_edges sc c f =
@@ -211,16 +182,14 @@ let add_loads sc loads c amount =
     loads.(e) <- loads.(e) +. amount
   done
 
-(* The canonical candidate of pair position [i] whose path equals [p],
-   for warm-start seeding.  A routing emitted from this index shares its
-   paths, so a physical match is tried first; any equal candidate has
-   the same canonical one. *)
+(* The candidate of pair position [i] whose path equals [p], for
+   warm-start seeding.  A routing emitted from this index shares its
+   paths, so a physical match is tried first. *)
 let find sc i (p : Path.t) =
   let lo = sc.cand_off.(i) and hi = sc.cand_off.(i + 1) in
   let rec same c = if c >= hi then -1 else if sc.paths.(c) == p then c else same (c + 1) in
   let rec equal c = if c >= hi then -1 else if Path.equal sc.paths.(c) p then c else equal (c + 1) in
-  let c = match same lo with -1 -> equal lo | c -> c in
-  if c < 0 then -1 else sc.canon.(c)
+  match same lo with -1 -> equal lo | c -> c
 
 let iter_ascending sc i f =
   for k = sc.cand_off.(i) to sc.cand_off.(i + 1) - 1 do

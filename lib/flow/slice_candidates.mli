@@ -10,8 +10,8 @@
     solvers.
 
     An index is built in two steps.  {!unpack} decodes one pair's slices
-    into a {!piece} (the boxed candidates, their ascending order and the
-    duplicate map, all local to the pair); {!concat} joins the pieces of a
+    into a {!piece} (the boxed candidates and their ascending order, both
+    local to the pair); {!concat} joins the pieces of a
     solve's support in support order, flattens their edges and assigns
     the edge slots.  A piece depends only on its pair's slices, so it can
     be kept across solves over the same arena: the routing service keeps
@@ -20,6 +20,12 @@
     routes run the same [concat], so the index — and every solve on it —
     is the same either way.  Routings emitted from an index share its
     pieces' paths ({!path}).
+
+    Every index is built from {!Sso_core.Path_system.unpack_pair}
+    pieces, and a path system's install check rejects a path repeated
+    within a pair, so no pair holds the same path twice: a path names at
+    most one candidate of its pair ({!find}), and per-candidate
+    statistics need no duplicate map.
 
     Edges are addressed by slot: the position of an edge id in {!edges},
     the candidates' distinct edges in ascending order.  Weights passed to
@@ -36,7 +42,8 @@ type piece
 
 val unpack : Sso_graph.Arena.t -> int * int -> piece
 (** [unpack arena (first, count)] decodes the [count] consecutive arena
-    slices starting at [first], in slice (generation) order. *)
+    slices starting at [first], in slice (generation) order.  The slices
+    must be distinct paths, as one pair's slices in a path system are. *)
 
 val count : piece -> int
 (** Number of candidates in a piece. *)
@@ -44,10 +51,6 @@ val count : piece -> int
 val concat : Sso_graph.Graph.t -> ((int * int) * piece) list -> t
 (** Index the pieces (of paths on [g]), with pair positions in list
     order (the first binding of a duplicated pair wins a lookup). *)
-
-val of_list : Sso_graph.Graph.t -> ((int * int) * Sso_graph.Path.t list) list -> t
-(** Index boxed candidate lists by appending them into a private arena
-    (validating each path against [g]). *)
 
 val positions : t -> (int * int) array -> int array
 (** Pair position of each pair, [-1] for a pair not in the index.  An
@@ -57,16 +60,15 @@ val positions : t -> (int * int) array -> int array
 val ncands : t -> int
 (** Total number of candidates across all pairs. *)
 
+val range : t -> int -> int * int
+(** [(first, count)]: the candidates of pair position [i] are
+    [first .. first + count - 1], in generation order. *)
+
 val cheapest : t -> weights:float array -> int -> int
 (** Cheapest candidate of pair position [i] under the per-slot [weights]:
     a strict [<] left fold over candidates in generation order (ties keep
     the first), each path's weight summed left to right.  [-1] when the
     pair has no candidates. *)
-
-val canonical : t -> int -> int
-(** Canonical representative of a candidate: duplicate paths inside one
-    pair's list collapse onto their first occurrence.  Accumulate
-    per-candidate statistics at the canonical index. *)
 
 val iter_edges : t -> int -> (int -> unit) -> unit
 (** Edge slots of a candidate, in path order. *)
@@ -80,12 +82,11 @@ val edges : t -> int array
     collected once when the index is built.  Do not mutate. *)
 
 val find : t -> int -> Sso_graph.Path.t -> int
-(** The canonical candidate of pair position [i] whose path equals the
-    given one, or [-1] — warm-start seeding. *)
+(** The candidate of pair position [i] whose path equals the given one,
+    or [-1] — warm-start seeding. *)
 
 val iter_ascending : t -> int -> (int -> unit) -> unit
-(** The candidates of pair position [i] in ascending path order
-    (duplicates follow their canonical copy). *)
+(** The candidates of pair position [i] in ascending path order. *)
 
 val path : t -> int -> Sso_graph.Path.t
 (** A candidate as a boxed path: the piece's own value, not a copy. *)

@@ -87,21 +87,6 @@ let distribution r s t =
       Hashtbl.replace r.cache (s, t) dist;
       dist
 
-let preload r entries =
-  locked r @@ fun () ->
-  List.iter
-    (fun ((s, t), dist) ->
-      if s = t then invalid_arg "Oblivious.preload: s = t";
-      if dist = [] then invalid_arg "Oblivious.preload: empty distribution";
-      List.iter
-        (fun ((w, p) : float * Path.t) ->
-          if not (w > 0.0) then invalid_arg "Oblivious.preload: non-positive weight";
-          if p.Path.src <> s || p.Path.dst <> t then
-            invalid_arg "Oblivious.preload: path endpoints do not match pair")
-        dist;
-      Hashtbl.replace r.cache (s, t) dist)
-    entries
-
 let draw_from dist =
   let weights = Array.of_list (List.map fst dist) in
   let paths = Array.of_list (List.map snd dist) in

@@ -52,21 +52,13 @@ val graph : t -> Sso_graph.Graph.t
 val distribution : t -> int -> int -> (float * Sso_graph.Path.t) list
 (** Memoized, normalized distribution for a pair ([s <> t]). *)
 
-val preload : t -> ((int * int) * (float * Sso_graph.Path.t) list) list -> unit
-(** Install already-normalized distributions (as previously returned by
-    {!distribution}) into the memo cache, bypassing re-normalization so the
-    installed weights are bit-identical to the originals.  This is how the
-    artifact store warm-starts a routing: cached pairs answer from the
-    preloaded table, uncached pairs fall through to the generator.
-    @raise Invalid_argument on empty lists, non-positive weights, or
-    endpoint mismatches. *)
-
 val sampler : t -> int -> int -> Sso_prng.Rng.t -> Sso_graph.Path.t
 (** [sampler r s t] returns a drawer: each application draws one path
     from [R(s,t)] with a single [Rng.discrete] call — the sampling
     primitive behind α-samples, which draw α times per pair.  A routing
     built by {!make}, and a pair whose distribution is already cached
-    (computed or {!preload}ed), draw from the memoized distribution.
+    (by an earlier {!distribution} call), draw from the memoized
+    distribution.
     Otherwise a {!mixture} draws a component from its normalized weights
     and routes it on first draw only, under the routing's lock; the drawer
     keeps the components it has routed and never fills the distribution

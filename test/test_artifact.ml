@@ -573,23 +573,6 @@ let test_memo_racke_key_sensitivity () =
   ignore (Memo.racke ~store:st (Rng.create 5) ~trees:5 g);
   Alcotest.(check int) "seed and tree count each miss" (m0 + 3) (cval "miss")
 
-let test_memo_hop_constrained_warm () =
-  with_store @@ fun st ->
-  let g = Gen.grid 4 4 in
-  let pairs = [ (0, 15); (3, 12) ] in
-  let cold = Memo.hop_constrained ~store:st ~max_hops:6 ~pairs g in
-  let h0 = cval "hit" in
-  let warm = Memo.hop_constrained ~store:st ~max_hops:6 ~pairs g in
-  Alcotest.(check int) "distributions hit" (h0 + 1) (cval "hit");
-  List.iter
-    (fun (s, t) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "distribution %d->%d bit-identical" s t)
-        true
-        (dist_equal (Oblivious.distribution cold s t)
-           (Oblivious.distribution warm s t)))
-    pairs
-
 let all_pairs n =
   List.concat_map
     (fun s -> List.filter_map (fun t -> if s = t then None else Some (s, t)) (List.init n Fun.id))
@@ -609,6 +592,30 @@ let test_memo_alpha_sample_warm () =
      through to the always-constructed fallback sampler, whose
      split_at-keyed draws match the cold run. *)
   check_equals_cold base warm (all_pairs (Graph.n g))
+
+(* A preloaded sample feeds Stage 4 the same candidate index as the cold
+   sample: both engines return bit-identical routings on it, the LP's
+   variables and rows following the index's candidate order. *)
+let test_memo_alpha_sample_warm_solves () =
+  with_store @@ fun st ->
+  let g = Gen.grid 4 4 in
+  let base = Ksp.routing ~k:4 g in
+  let d = Demand.of_list [ (0, 15, 2.0); (1, 14, 1.0); (3, 12, 1.5); (6, 9, 1.0) ] in
+  let pairs = Demand.support d in
+  ignore (warm_sample st base pairs);
+  let h0 = cval "hit" in
+  let warm = warm_sample st base pairs in
+  Alcotest.(check int) "sample hit" (h0 + 1) (cval "hit");
+  let cold = Sampler.alpha_sample (Rng.create 7) base ~alpha:3 in
+  List.iter
+    (fun (name, solver) ->
+      let r_cold, c_cold = Semi_oblivious.route ~solver g cold d in
+      let r_warm, c_warm = Semi_oblivious.route ~solver g warm d in
+      Alcotest.(check bool) (name ^ ": routings identical") true
+        (Codec.encode_routing r_cold = Codec.encode_routing r_warm);
+      Alcotest.(check bool) (name ^ ": congestion bit-identical") true
+        (Int64.bits_of_float c_cold = Int64.bits_of_float c_warm))
+    [ ("lp", Semi_oblivious.Lp); ("mwu", Semi_oblivious.Mwu 100) ]
 
 (* Payloads that pass the store checksum and decode, but would install a
    broken system, are damage: counted, then re-sampled and re-stored. *)
@@ -786,8 +793,8 @@ let () =
             test_memo_racke_warm_identical;
           Alcotest.test_case "racke key sensitivity" `Quick
             test_memo_racke_key_sensitivity;
-          Alcotest.test_case "hop-constrained warm" `Quick
-            test_memo_hop_constrained_warm;
+          Alcotest.test_case "alpha-sample warm solves identically" `Quick
+            test_memo_alpha_sample_warm_solves;
           Alcotest.test_case "alpha-sample warm" `Quick
             test_memo_alpha_sample_warm;
           Alcotest.test_case "corrupt payload rebuilds" `Quick

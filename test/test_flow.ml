@@ -33,6 +33,11 @@ let square () =
 let square_paths g =
   [ Path.of_vertices g [ 0; 1; 3 ]; Path.of_vertices g [ 0; 2; 3 ] ]
 
+(* A Stage-4 candidate index over per-pair path lists, built the way
+   every index is: installed in a path system, then unpacked. *)
+let index g cands =
+  Path_system.to_slice_candidates (Path_system.of_pairs g cands) (List.map fst cands)
+
 (* Routing basics *)
 
 let test_routing_normalizes () =
@@ -136,43 +141,43 @@ let test_sample_path () =
       (Path.equal (Routing.sample_path rng r 0 3) upper)
   done
 
-(* LP on paths *)
+(* LP on a candidate index *)
 
-let test_lp_on_paths_splits () =
+let test_lp_splits () =
   let g = square () in
   let cands = [ ((0, 3), square_paths g) ] in
   let d = Demand.single_pair 0 3 2.0 in
-  let routing, cong = Min_congestion.lp_on_paths g cands d in
+  let routing, cong = Min_congestion.lp_on_slices g (index g cands) d in
   Alcotest.(check (float 1e-6)) "perfect split" 1.0 cong;
   Alcotest.(check (float 1e-6)) "consistent" 1.0 (Routing.congestion g routing d)
 
-let test_lp_on_paths_single_candidate () =
+let test_lp_single_candidate () =
   let g = square () in
   let cands = [ ((0, 3), [ List.hd (square_paths g) ]) ] in
   let d = Demand.single_pair 0 3 3.0 in
-  let _, cong = Min_congestion.lp_on_paths g cands d in
+  let _, cong = Min_congestion.lp_on_slices g (index g cands) d in
   Alcotest.(check (float 1e-6)) "forced congestion" 3.0 cong
 
-let test_lp_on_paths_competing_pairs () =
+let test_lp_competing_pairs () =
   (* Path graph 0-1-2: pairs (0,1) and (0,2) both must use edge 0. *)
   let g = Gen.path_graph 3 in
   let p01 = Path.of_vertices g [ 0; 1 ] in
   let p02 = Path.of_vertices g [ 0; 1; 2 ] in
   let cands = [ ((0, 1), [ p01 ]); ((0, 2), [ p02 ]) ] in
   let d = Demand.of_list [ (0, 1, 1.0); (0, 2, 1.0) ] in
-  let _, cong = Min_congestion.lp_on_paths g cands d in
+  let _, cong = Min_congestion.lp_on_slices g (index g cands) d in
   Alcotest.(check (float 1e-6)) "shared edge" 2.0 cong
 
 let test_lp_missing_candidates () =
   let g = square () in
   Alcotest.check_raises "no candidates"
-    (Invalid_argument "Min_congestion.lp_on_paths: demanded pair has no candidates")
+    (Invalid_argument "Min_congestion.lp_on_slices: demanded pair has no candidates")
     (fun () ->
-      ignore (Min_congestion.lp_on_paths g [] (Demand.single_pair 0 3 1.0)))
+      ignore (Min_congestion.lp_on_slices g (index g []) (Demand.single_pair 0 3 1.0)))
 
 let test_lp_empty_demand () =
   let g = square () in
-  let r, cong = Min_congestion.lp_on_paths g [] Demand.empty in
+  let r, cong = Min_congestion.lp_on_slices g (index g []) Demand.empty in
   Alcotest.(check int) "no pairs" 0 (List.length (Routing.pairs r));
   Alcotest.(check (float 1e-9)) "empty" 0.0 cong
 
@@ -186,30 +191,9 @@ let random_candidates rng g k demand =
       ((s, t), paths))
     (Demand.support demand)
 
-let test_slice_engine_matches_list_engine () =
-  (* The list API is a thin wrapper over the slice engine; running both
-     on the same candidate sets must produce bit-identical routings and
-     congestion. *)
-  let rng = Rng.create 23 in
-  for trial = 1 to 3 do
-    let g = Gen.erdos_renyi rng 14 0.3 in
-    let d = Demand.random_pairs rng ~n:14 ~pairs:6 in
-    let cands = random_candidates rng g 3 d in
-    let sc = Min_congestion.slice_candidates_of_list g cands in
-    let r_list, c_list = Min_congestion.mwu_on_paths ~iters:150 g cands d in
-    let r_slice, c_slice = Min_congestion.mwu_on_slices ~iters:150 g sc d in
-    Alcotest.(check bool)
-      (Printf.sprintf "trial %d: mwu congestion bit-identical" trial)
-      true
-      (Int64.bits_of_float c_list = Int64.bits_of_float c_slice);
-    Alcotest.(check bool)
-      (Printf.sprintf "trial %d: mwu routings identical" trial)
-      true (r_list = r_slice)
-  done
-
 let mwu_within_lp label g cands d =
-  let _, lp = Min_congestion.lp_on_paths g cands d in
-  let _, mwu = Min_congestion.mwu_on_paths ~iters:800 g cands d in
+  let _, lp = Min_congestion.lp_on_slices g (index g cands) d in
+  let _, mwu = Min_congestion.mwu_on_slices ~iters:800 g (index g cands) d in
   Alcotest.(check bool)
     (Printf.sprintf "%s: mwu within 15%% of lp (lp=%.3f mwu=%.3f)" label lp mwu)
     true
@@ -231,15 +215,16 @@ let test_mwu_grid_matches_lp () =
 
 let test_mwu_empty_demand () =
   let g = square () in
-  let r, cong = Min_congestion.mwu_on_paths g [] Demand.empty in
+  let r, cong = Min_congestion.mwu_on_slices g (index g []) Demand.empty in
   Alcotest.(check int) "no pairs" 0 (List.length (Routing.pairs r));
   Alcotest.(check (float 1e-9)) "empty" 0.0 cong
 
 let test_mwu_missing_candidates () =
   let g = square () in
   Alcotest.check_raises "no candidates"
-    (Invalid_argument "Min_congestion.mwu_on_paths: demanded pair has no candidates")
-    (fun () -> ignore (Min_congestion.mwu_on_paths g [] (Demand.single_pair 0 3 1.0)))
+    (Invalid_argument "Min_congestion.mwu_on_slices: demanded pair has no candidates")
+    (fun () ->
+      ignore (Min_congestion.mwu_on_slices g (index g []) (Demand.single_pair 0 3 1.0)))
 
 let test_mwu_respects_capacities () =
   (* Unequal parallel capacities: the optimal split is proportional to
@@ -252,8 +237,8 @@ let test_mwu_respects_capacities () =
   let p1 = Path.of_edges g ~src:0 ~dst:1 [| 1 |] in
   let cands = [ ((0, 1), [ p0; p1 ]) ] in
   let d = Demand.single_pair 0 1 4.0 in
-  Alcotest.(check (float 1e-6)) "lp" 1.0 (snd (Min_congestion.lp_on_paths g cands d));
-  let _, cong = Min_congestion.mwu_on_paths g cands d in
+  Alcotest.(check (float 1e-6)) "lp" 1.0 (snd (Min_congestion.lp_on_slices g (index g cands) d));
+  let _, cong = Min_congestion.mwu_on_slices g (index g cands) d in
   Alcotest.(check bool) (Printf.sprintf "prop split (got %.3f)" cong) true
     (cong >= 1.0 -. 1e-9 && cong <= 1.1)
 
@@ -261,7 +246,7 @@ let test_mwu_on_square () =
   let g = square () in
   let cands = [ ((0, 3), square_paths g) ] in
   let d = Demand.single_pair 0 3 2.0 in
-  let _, cong = Min_congestion.mwu_on_paths ~iters:500 g cands d in
+  let _, cong = Min_congestion.mwu_on_slices ~iters:500 g (index g cands) d in
   Alcotest.(check bool) "near 1.0" true (cong < 1.1)
 
 let test_mwu_unrestricted_square () =
@@ -362,10 +347,10 @@ let test_warm_start_preserves_good_solution () =
   let g = square () in
   let cands = [ ((0, 3), square_paths g) ] in
   let d = Demand.single_pair 0 3 2.0 in
-  let optimal, lp = Min_congestion.lp_on_paths g cands d in
+  let optimal, lp = Min_congestion.lp_on_slices g (index g cands) d in
   let _, warm =
     Min_congestion.mwu_on_slices ~iters:5 ~warm:(optimal, 100) g
-      (Min_congestion.slice_candidates_of_list g cands) d
+      (index g cands) d
   in
   Alcotest.(check bool)
     (Printf.sprintf "stays near optimum (lp %.3f warm %.3f)" lp warm)
@@ -385,7 +370,7 @@ let test_warm_start_recovers_from_bad_seed () =
   let d = Demand.single_pair 0 3 2.0 in
   let _, recovered =
     Min_congestion.mwu_on_slices ~iters:600 ~warm:(bad, 1) g
-      (Min_congestion.slice_candidates_of_list g cands) d
+      (index g cands) d
   in
   Alcotest.(check bool) (Printf.sprintf "recovered %.3f" recovered) true (recovered <= 1.15)
 
@@ -394,14 +379,14 @@ let test_warm_start_handles_new_pairs () =
   let g = Gen.grid 3 3 in
   let d_old = Demand.single_pair 0 8 1.0 in
   let cands_old = [ ((0, 8), Yen.k_shortest g ~weight:(fun _ -> 1.0) ~k:3 0 8) ] in
-  let warm, _ = Min_congestion.lp_on_paths g cands_old d_old in
+  let warm, _ = Min_congestion.lp_on_slices g (index g cands_old) d_old in
   let d_new = Demand.of_list [ (0, 8, 1.0); (2, 6, 1.0) ] in
   let cands_new =
     cands_old @ [ ((2, 6), Yen.k_shortest g ~weight:(fun _ -> 1.0) ~k:3 2 6) ]
   in
   let routing, cong =
     Min_congestion.mwu_on_slices ~iters:200 ~warm:(warm, 50) g
-      (Min_congestion.slice_candidates_of_list g cands_new) d_new
+      (index g cands_new) d_new
   in
   Alcotest.(check bool) "covers the new pair" true (Routing.covers routing d_new);
   Alcotest.(check bool) "finite congestion" true (Float.is_finite cong && cong > 0.0)
@@ -410,12 +395,12 @@ let test_warm_start_rejects_bad_weight () =
   let g = square () in
   let cands = [ ((0, 3), square_paths g) ] in
   let d = Demand.single_pair 0 3 1.0 in
-  let warm, _ = Min_congestion.lp_on_paths g cands d in
+  let warm, _ = Min_congestion.lp_on_slices g (index g cands) d in
   Alcotest.(check bool) "raises" true
     (try
        ignore
          (Min_congestion.mwu_on_slices ~iters:10 ~warm:(warm, 0) g
-            (Min_congestion.slice_candidates_of_list g cands)
+            (index g cands)
             d);
        false
      with Invalid_argument _ -> true)
@@ -455,7 +440,7 @@ let test_rounding_lemma_bound () =
         (fun (s, t) -> ((s, t), Yen.k_shortest g ~weight:(fun _ -> 1.0) ~k:3 s t))
         (Demand.support d)
     in
-    let fractional, frac_cong = Min_congestion.lp_on_paths g cands d in
+    let fractional, frac_cong = Min_congestion.lp_on_slices g (index g cands) d in
     let a = Rounding.best_round ~tries:20 rng g fractional d in
     let bound = (2.0 *. frac_cong) +. (3.0 *. Float.log (float_of_int (Graph.m g))) in
     Alcotest.(check bool)
@@ -621,7 +606,7 @@ let erdos_renyi_instance () =
 let test_warm_golden () =
   let pin label want got = Alcotest.(check string) label want got in
   let rng, g, d, cands = erdos_renyi_instance () in
-  let sc = Min_congestion.slice_candidates_of_list g cands in
+  let sc = index g cands in
   let warm, _ = Min_congestion.mwu_on_slices ~iters:120 g sc d in
   let kept =
     List.filteri (fun i _ -> i mod 2 = 0) (Demand.support d)
@@ -639,7 +624,7 @@ let test_warm_golden () =
           arrivals)
   in
   let sc_new =
-    Min_congestion.slice_candidates_of_list g (random_candidates rng g 4 d_new)
+    index g (random_candidates rng g 4 d_new)
   in
   pin "warm under churn" "c869d032d8986709c56f3af4c03ca191"
     (stage5_digest
@@ -736,6 +721,109 @@ let test_stage4_golden () =
     (traced_stage4 (fun () ->
          Min_congestion.mwu_on_slices cube (slices cube_ps perm) perm))
 
+(* Golden pins for the exact Stage-4 LP through [Semi_oblivious.route]:
+   the routing codec's FNV digest and the congestion's bits, recorded
+   while the LP still read boxed per-pair path lists.  Variable order,
+   row order and the emitted paths all move them. *)
+let test_lp_golden () =
+  let module Semi_oblivious = Sso_core.Semi_oblivious in
+  let module Lower_bound = Sso_core.Lower_bound in
+  let lp g ps d =
+    let r, c = Semi_oblivious.route ~solver:Semi_oblivious.Lp g ps d in
+    Printf.sprintf "%Lx %Lx" (Codec.fnv1a64 (Codec.encode_routing r)) (Int64.bits_of_float c)
+  in
+  let pin label want got = Alcotest.(check string) label want got in
+  let c = Gen.c_graph 12 6 in
+  List.iter
+    (fun (alpha, want) ->
+      let base = Ksp.routing ~k:12 c.Gen.c_graph in
+      let ps = Sampler.alpha_sample (Rng.create (300 + alpha)) base ~alpha in
+      let attack = Lower_bound.attack c ps in
+      pin (Printf.sprintf "C(12,6) alpha %d" alpha) want
+        (lp c.Gen.c_graph ps attack.Lower_bound.demand))
+    [
+      (1, "1f111078c9b57fa8 4018000000000000");
+      (2, "6cd43fa42f4c0f39 4014000000000000");
+      (3, "35b63991c3273902 4008000000000000");
+      (4, "961bd30b5b394204 4000000000000000");
+    ];
+  let rng = Rng.create 29 in
+  List.iteri
+    (fun trial want ->
+      let g = Gen.erdos_renyi rng 14 0.3 in
+      let d = Demand.random_pairs rng ~n:14 ~pairs:6 in
+      let ps = Sampler.alpha_sample (Rng.split rng) (Ksp.routing ~k:4 g) ~alpha:3 in
+      pin (Printf.sprintf "G(14,0.3) trial %d" trial) want (lp g ps d))
+    [
+      "d82c1f81263547dd 4000000000000000";
+      "f288fc2749f449cb 3ff0000000000000";
+      "4ded1db4af602572 3ff8000000000000";
+      "30361187a2ed9ac2 3ff0000000000000";
+      "837b6a861aa0c772 3ff6666666666666";
+    ];
+  let cube = Gen.hypercube 4 in
+  let cube_ps = Sampler.alpha_sample (Rng.create 41) (Valiant.routing cube) ~alpha:3 in
+  pin "hypercube valiant bit-reversal" "535fdf754c9a92fa 3ff924924924924a"
+    (lp cube cube_ps (Demand.bit_reversal 4));
+  let cliques = Gen.two_cliques 6 in
+  let rng = Rng.create 43 in
+  let cut_ps =
+    Sampler.alpha_cut_sample (Rng.split rng) (Racke.routing (Rng.split rng) cliques) ~alpha:1
+  in
+  pin "two cliques (alpha+cut)-sample" "2ddccda2c29d9f29 4000000000000000"
+    (lp cliques cut_ps (Demand.single_pair 0 11 6.0))
+
+(* No index holds a path twice within a pair: whatever built the path
+   system — an α-sample, a failure view, a union, or a preload of a
+   decoded payload — [find] maps each candidate's path, shared or copied,
+   back to that candidate. *)
+let prop_find_inverts_path =
+  QCheck.Test.make ~name:"index find inverts path" ~count:40
+    QCheck.(triple small_nat bool (int_bound 3))
+    (fun (seed, racke, source) ->
+      let module Slice_candidates = Sso_flow.Slice_candidates in
+      let rng = Rng.create seed in
+      let g = Gen.grid (3 + Rng.int rng 2) (3 + Rng.int rng 3) in
+      let base = if racke then Racke.routing (Rng.split rng) g else Ksp.routing ~k:4 g in
+      let sample () = Sampler.alpha_sample (Rng.split rng) base ~alpha:(1 + Rng.int rng 4) in
+      let d = Demand.random_pairs rng ~n:(Graph.n g) ~pairs:(1 + Rng.int rng 6) in
+      let support = Demand.support d in
+      let ps =
+        match source with
+        | 0 -> sample ()
+        | 1 ->
+            let down = List.init (1 + Rng.int rng 3) (fun _ -> Rng.int rng (Graph.m g)) in
+            Path_system.filter
+              (fun a i -> not (Arena.exists a i (fun e -> List.mem e down)))
+              (sample ())
+        | 2 -> Path_system.union (sample ()) (sample ())
+        | _ ->
+            let cold = sample () in
+            let ranges =
+              List.map (fun (s, t) -> ((s, t), Path_system.slice_range cold s t)) support
+            in
+            let arena, ranges =
+              Codec.decode_path_system_slices g
+                (Codec.encode_path_system_slices (Path_system.arena cold) ranges)
+            in
+            let warm = Path_system.of_generator g (fun _ _ -> []) in
+            Path_system.preload warm arena ranges;
+            warm
+      in
+      let sc = Path_system.to_slice_candidates ps support in
+      List.for_all
+        (fun i ->
+          let first, count = Slice_candidates.range sc i in
+          List.for_all
+            (fun c ->
+              let (p : Path.t) = Slice_candidates.path sc c in
+              let copy =
+                Path.unsafe_of_edges ~src:p.Path.src ~dst:p.Path.dst (Array.copy p.Path.edges)
+              in
+              Slice_candidates.find sc i p = c && Slice_candidates.find sc i copy = c)
+            (List.init count (fun k -> first + k)))
+        (List.init (List.length support) Fun.id))
+
 (* A candidate store's slots are exactly the sorted distinct union of its
    pairs' candidate edges, and a response under per-slot weights is the
    path a left-to-right scan of the pair's candidates under the same
@@ -810,17 +898,16 @@ let () =
         ] );
       ( "lp",
         [
-          Alcotest.test_case "splits" `Quick test_lp_on_paths_splits;
-          Alcotest.test_case "single candidate" `Quick test_lp_on_paths_single_candidate;
-          Alcotest.test_case "competing pairs" `Quick test_lp_on_paths_competing_pairs;
+          Alcotest.test_case "splits" `Quick test_lp_splits;
+          Alcotest.test_case "single candidate" `Quick test_lp_single_candidate;
+          Alcotest.test_case "competing pairs" `Quick test_lp_competing_pairs;
           Alcotest.test_case "missing candidates" `Quick test_lp_missing_candidates;
           Alcotest.test_case "empty demand" `Quick test_lp_empty_demand;
           Alcotest.test_case "unrestricted known value" `Quick test_lp_unrestricted_known_value;
         ] );
       ( "mwu",
         [
-          Alcotest.test_case "slice engine = list engine" `Quick
-            test_slice_engine_matches_list_engine;
+          QCheck_alcotest.to_alcotest prop_find_inverts_path;
           Alcotest.test_case "matches lp" `Slow test_mwu_matches_lp;
           Alcotest.test_case "square" `Quick test_mwu_on_square;
           Alcotest.test_case "unrestricted square" `Quick test_mwu_unrestricted_square;
@@ -833,6 +920,7 @@ let () =
           Alcotest.test_case "stage 5 golden pins" `Quick test_stage5_golden;
           Alcotest.test_case "warm golden pins" `Quick test_warm_golden;
           Alcotest.test_case "stage 4 golden pins" `Quick test_stage4_golden;
+          Alcotest.test_case "lp golden pins" `Quick test_lp_golden;
           Alcotest.test_case "respects capacities" `Quick test_mwu_respects_capacities;
           Alcotest.test_case "grid matches lp" `Slow test_mwu_grid_matches_lp;
           Alcotest.test_case "empty demand" `Quick test_mwu_empty_demand;
@@ -866,5 +954,8 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_round_preserves_counts; prop_store_edges_are_candidate_edges ] );
+          [
+            prop_round_preserves_counts;
+            prop_store_edges_are_candidate_edges;
+          ] );
     ]

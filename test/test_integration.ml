@@ -42,7 +42,7 @@ let pipeline ~name g base demand alpha seed =
   (* Stage 4 fractional: two engines agree. *)
   let routing, mwu = Semi_oblivious.route ~solver:(Semi_oblivious.Mwu 400) g system demand in
   Alcotest.(check bool) (name ^ ": covers") true (Routing.covers routing demand);
-  let _, lp = Min_congestion.lp_on_paths g (Path_system.to_candidates system pairs) demand in
+  let _, lp = Semi_oblivious.route ~solver:Semi_oblivious.Lp g system demand in
   Alcotest.(check bool)
     (Printf.sprintf "%s: engines agree (lp %.3f mwu %.3f)" name lp mwu)
     true

@@ -12,6 +12,12 @@ module Demand = Sso_demand.Demand
 module Yen = Sso_graph.Yen
 module Min_congestion = Sso_flow.Min_congestion
 module Racke = Sso_oblivious.Racke
+module Path_system = Sso_core.Path_system
+
+(* A Stage-4 candidate index over per-pair path lists, built the way
+   every index is: installed in a path system, then unpacked. *)
+let index g cands =
+  Path_system.to_slice_candidates (Path_system.of_pairs g cands) (List.map fst cands)
 
 let temp_trace () = Filename.temp_file "sso_obs_test" ".jsonl"
 
@@ -621,10 +627,8 @@ let test_mwu_convergence () =
   let g = Gen.grid 3 3 in
   let ksp s t = Yen.k_shortest g ~weight:(fun _ -> 1.0) ~k:3 s t in
   let cands_old = [ ((0, 8), ksp 0 8) ] in
-  let warm, _ = Min_congestion.lp_on_paths g cands_old (Demand.single_pair 0 8 1.0) in
-  let sc =
-    Min_congestion.slice_candidates_of_list g (cands_old @ [ ((2, 6), ksp 2 6) ])
-  in
+  let warm, _ = Min_congestion.lp_on_slices g (index g cands_old) (Demand.single_pair 0 8 1.0) in
+  let sc = index g (cands_old @ [ ((2, 6), ksp 2 6) ]) in
   let d = Demand.of_list [ (0, 8, 1.0); (2, 6, 1.0) ] in
   let congestion, s =
     traced_solve (fun () ->
@@ -649,7 +653,7 @@ let test_mwu_round_attrs_uniform () =
   Obs.clear_trace ();
   Obs.set_tracing true;
   Fun.protect ~finally:(fun () -> Obs.set_tracing false) (fun () ->
-      ignore (Min_congestion.mwu_on_paths ~iters:4 g cands d);
+      ignore (Min_congestion.mwu_on_slices ~iters:4 g (index g cands) d);
       ignore (Min_congestion.mwu_unrestricted ~iters:4 g d));
   let events = Obs.events () in
   Obs.clear_trace ();
