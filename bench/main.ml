@@ -309,7 +309,7 @@ let e6 () =
   let d = Demand.single_pair s t (float_of_int n) in
   let rng = seeded 23 in
   let base = racke_routing (Rng.split rng) g in
-  let opt = Min_congestion.lp_unrestricted g d in
+  let opt = snd (Min_congestion.lp_unrestricted g d) in
   Printf.printf "graph: two %d-cliques + %d bridges; demand: %d units %d->%d\n" n n n s t;
   Printf.printf "cut_G(s,t) = %d, offline optimum = %.3f\n\n" (Maxflow.cut g s t) opt;
   Printf.printf "%-24s %10s %12s %10s\n" "system" "paths" "congestion" "ratio";
@@ -724,7 +724,7 @@ let e16 () =
 
 let e17 () =
   header "E17 the Theorem 5.3 pipeline as an executable router";
-  let module Certified = Sso_core.Certified in
+  let module Theorem53 = Sso_core.Theorem53 in
   let dim = 5 in
   let g = Gen.hypercube dim in
   let obl = Valiant.routing g in
@@ -739,7 +739,7 @@ let e17 () =
   @@ Pool.parallel_init 3 (fun i ->
       let trial = i + 1 in
       let d = Demand.random_permutation (Rng.split_at rng trial) (Graph.n g) in
-      let _, pipeline = Certified.route ~gamma:60.0 ~alpha g ps d in
+      let _, pipeline = Theorem53.route ~gamma:60.0 ~alpha g ps d in
       let solver = Semi_oblivious.congestion ~solver:stage4 g ps d in
       Printf.sprintf "%8d | %14.2f %14.2f %9.1fx\n" trial pipeline solver
         (pipeline /. solver));

@@ -52,19 +52,7 @@ let seed_arg =
   let doc = "PRNG seed; every run is deterministic given the seed." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
 
-let jobs_arg =
-  let doc =
-    "Worker domains for parallel stages (default: the number of cores). \
-     Results are identical for any value."
-  in
-  Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"JOBS" ~doc)
-
-let set_jobs = function
-  | Some jobs when jobs >= 1 -> Sso_engine.Pool.set_default_jobs jobs
-  | Some jobs ->
-      Printf.eprintf "sso: --jobs must be >= 1, got %d\n" jobs;
-      exit 124
-  | None -> ()
+let set_jobs = Option.iter Sso_engine.Pool.set_default_jobs
 
 let read_file path =
   let ic = open_in path in
@@ -94,6 +82,9 @@ let read_graph path =
    the spelling as typed (reports echo it) next to the parsed value, and
    turns a malformed value into a one-line usage error that exits 124. *)
 
+(* How a flag is typed: a one-letter name takes one dash. *)
+let flag name = if String.length name = 1 then "-" ^ name else "--" ^ name
+
 let check_spec ~name ~expected parse spec =
   match parse spec with
   | Some value -> Ok (spec, value)
@@ -101,7 +92,7 @@ let check_spec ~name ~expected parse spec =
       Error
         (`Msg
            (Printf.sprintf
-              "option '--%s': invalid value '%s', expected one of: %s" name spec
+              "option '%s': invalid value '%s', expected one of: %s" (flag name) spec
               (String.concat ", " expected)))
 
 let spec_info ~name ~doc = Arg.info [ name ] ~docv:(String.uppercase_ascii name) ~doc
@@ -127,7 +118,7 @@ let spec_opt_arg ~name ~expected ~doc parse =
 let misfit ~name fmt =
   Printf.ksprintf
     (fun msg ->
-      Printf.eprintf "sso: option '--%s': %s\n" name msg;
+      Printf.eprintf "sso: option '%s': %s\n" (flag name) msg;
       exit 124)
     fmt
 
@@ -145,23 +136,51 @@ let int_at_least lo s =
 (* Numeric flags with a range: a value outside it is a one-line usage
    error (exit 124) at parse time, before any library call can reject
    it. *)
-let ranged_arg ~name ~default ~docv ~doc kind ~ok ~show ~expected =
-  let value = Arg.(value & opt kind default & info [ name ] ~docv ~doc) in
+let ranged_arg ?(aliases = []) ~name ~default ~docv ~doc kind ~ok ~show ~expected =
+  let value = Arg.(value & opt kind default & info (name :: aliases) ~docv ~doc) in
   let check v =
     if ok v then Ok v
     else
       Error
         (`Msg
-           (Printf.sprintf "option '--%s': invalid value '%s', expected %s" name (show v)
-              expected))
+           (Printf.sprintf "option '%s': invalid value '%s', expected %s" (flag name)
+              (show v) expected))
   in
   Term.(term_result (const check $ value))
+
+(* A ranged flag with no default: [None] when absent. *)
+let ranged_opt_arg ?aliases ~name ~docv ~doc kind ~ok ~show ~expected =
+  ranged_arg ?aliases ~name ~default:None ~docv ~doc (Arg.some kind)
+    ~ok:(Option.fold ~none:true ~some:ok)
+    ~show:(Option.fold ~none:"" ~some:show)
+    ~expected
 
 let int_arg ?(lo = 1) ~name ~default ~docv ~doc () =
   ranged_arg ~name ~default ~docv ~doc Arg.int
     ~ok:(fun n -> n >= lo)
     ~show:string_of_int
     ~expected:(Printf.sprintf "an integer >= %d" lo)
+
+let int_opt_arg ?(lo = 1) ?aliases ~name ~docv ~doc () =
+  ranged_opt_arg ?aliases ~name ~docv ~doc Arg.int
+    ~ok:(fun n -> n >= lo)
+    ~show:string_of_int
+    ~expected:(Printf.sprintf "an integer >= %d" lo)
+
+let positive_ms_arg ~name ~doc =
+  ranged_opt_arg ~name ~docv:"MS" ~doc Arg.float
+    ~ok:(fun ms -> ms > 0.0)
+    ~show:(Printf.sprintf "%g") ~expected:"a positive number of milliseconds"
+
+let jobs_arg =
+  int_opt_arg ~aliases:[ "j" ] ~name:"jobs" ~docv:"JOBS"
+    ~doc:
+      "Worker domains for parallel stages (default: the number of cores). \
+       Results are identical for any value."
+    ()
+
+(* A generator size below its family's minimum names its flag. *)
+let at_least ~name ~what lo v = if v < lo then misfit ~name "%s >= %d, got %d" what lo v
 
 let probability_arg ~name ~default ~doc =
   ranged_arg ~name ~default ~docv:"P" ~doc Arg.float
@@ -241,7 +260,7 @@ let family_arg ?(expander = false) ~doc () =
       | "torus" ->
           Some
             (fun _ size ->
-              if size < 3 then misfit ~name:"size" "a torus needs a side >= 3, got %d" size;
+              at_least ~name:"size" ~what:"a torus needs a side" 3 size;
               Gen.torus size size)
       | "fat-tree" ->
           Some
@@ -254,8 +273,7 @@ let family_arg ?(expander = false) ~doc () =
       | "expander" when expander ->
           Some
             (fun rng size ->
-              if size < 5 then
-                misfit ~name:"size" "a 4-regular expander needs >= 5 vertices, got %d" size;
+              at_least ~name:"size" ~what:"a 4-regular expander needs a vertex count" 5 size;
               Gen.random_regular rng size 4)
       | _ -> None)
 
@@ -357,18 +375,42 @@ let gen_cmd =
       ~doc:
         "Topology: hypercube, grid, torus, cycle, path, complete, expander, \
          two-cliques, abilene, c-gadget."
-      (function
-        | "hypercube" -> Some (fun _ size _ -> Gen.hypercube size)
-        | "grid" -> Some (fun _ size _ -> Gen.grid size size)
-        | "torus" -> Some (fun _ size _ -> Gen.torus size size)
-        | "cycle" -> Some (fun _ size _ -> Gen.cycle size)
-        | "path" -> Some (fun _ size _ -> Gen.path_graph size)
-        | "complete" -> Some (fun _ size _ -> Gen.complete size)
-        | "expander" -> Some (fun rng size aux -> Gen.random_regular rng size aux)
-        | "two-cliques" -> Some (fun _ size _ -> Gen.two_cliques size)
-        | "abilene" -> Some (fun _ _ _ -> fst (Gen.abilene ()))
-        | "c-gadget" -> Some (fun _ size aux -> (Gen.c_graph size aux).Gen.c_graph)
-        | _ -> None)
+      (* Each kind checks its sizes against the generator's bounds first. *)
+      (let sized what lo build _ size _ =
+         at_least ~name:"size" ~what lo size;
+         build size
+       in
+       function
+       | "hypercube" ->
+           Some
+             (fun _ size _ ->
+               at_least ~name:"size" ~what:"a hypercube needs a dimension" 1 size;
+               if size > 30 then
+                 misfit ~name:"size" "a hypercube needs a dimension <= 30, got %d" size;
+               Gen.hypercube size)
+       | "grid" -> Some (sized "a grid needs a side" 1 (fun n -> Gen.grid n n))
+       | "torus" -> Some (sized "a torus needs a side" 3 (fun n -> Gen.torus n n))
+       | "cycle" -> Some (sized "a cycle needs a vertex count" 3 Gen.cycle)
+       | "path" -> Some (sized "a path needs a vertex count" 2 Gen.path_graph)
+       | "complete" -> Some (sized "a complete graph needs a vertex count" 2 Gen.complete)
+       | "expander" ->
+           Some
+             (fun rng size aux ->
+               at_least ~name:"aux" ~what:"an expander needs a degree" 3 aux;
+               at_least ~name:"size" ~what:"an expander needs a vertex count" (aux + 1) size;
+               if size * aux mod 2 <> 0 then
+                 misfit ~name:"aux" "an expander needs size * degree even, got %d * %d" size
+                   aux;
+               Gen.random_regular rng size aux)
+       | "two-cliques" -> Some (sized "two cliques need a clique size" 2 Gen.two_cliques)
+       | "abilene" -> Some (fun _ _ _ -> fst (Gen.abilene ()))
+       | "c-gadget" ->
+           Some
+             (fun _ size aux ->
+               at_least ~name:"size" ~what:"a c-gadget needs a leaf count" 1 size;
+               at_least ~name:"aux" ~what:"a c-gadget needs a middle count" 1 aux;
+               (Gen.c_graph size aux).Gen.c_graph)
+       | _ -> None)
   in
   let size_arg =
     let doc =
@@ -512,8 +554,7 @@ let simulate_cmd =
   let module Simulator = Sso_sim.Simulator in
   let alpha_arg = alpha_arg ~doc:"Paths sampled per pair." () in
   let packets_arg =
-    let doc = "Number of random unit packets to inject." in
-    Arg.(value & opt int 16 & info [ "packets" ] ~docv:"N" ~doc)
+    int_arg ~name:"packets" ~default:16 ~docv:"N" ~doc:"Number of random unit packets to inject." ()
   in
   let run path alpha packets seed jobs cache no_cache cache_dir trace =
     set_jobs jobs;
@@ -766,20 +807,19 @@ let faults_cmd =
           | _ -> None)
     in
     let fail_at_arg =
-      let doc = "Step at which the failure strikes (mid-flight)." in
-      Arg.(value & opt int 2 & info [ "fail-at" ] ~docv:"STEP" ~doc)
+      int_arg ~name:"fail-at" ~default:2 ~docv:"STEP"
+        ~doc:"Step at which the failure strikes (mid-flight)." ()
     in
     let repair_at_arg =
       let doc = "Optional repair step (> fail step)." in
       Arg.(value & opt (some int) None & info [ "repair-at" ] ~docv:"STEP" ~doc)
     in
     let packets_arg =
-      let doc = "Number of random unit packets to inject." in
-      Arg.(value & opt int 12 & info [ "packets" ] ~docv:"N" ~doc)
+      int_arg ~name:"packets" ~default:12 ~docv:"N"
+        ~doc:"Number of random unit packets to inject." ()
     in
     let run ((family_name, _) as family) size alpha base (_, scenario) fail_at
         repair_at packets json seed jobs cache no_cache cache_dir trace =
-      if fail_at < 1 then misfit ~name:"fail-at" "the step must be >= 1, got %d" fail_at;
       (match repair_at with
       | Some r when r <= fail_at ->
           misfit ~name:"repair-at" "the step must come after --fail-at %d, got %d"
@@ -863,13 +903,10 @@ let faults_cmd =
         $ jobs_arg $ cache_arg $ no_cache_arg $ cache_dir_arg $ trace_arg)
   in
   let worst_k_cmd =
-    let k_arg =
-      let doc = "Failure-set size to search for." in
-      Arg.(value & opt int 2 & info [ "k" ] ~docv:"K" ~doc)
-    in
+    let k_arg = int_arg ~name:"k" ~default:2 ~docv:"K" ~doc:"Failure-set size to search for." () in
     let candidates_arg =
-      let doc = "Candidate pool: the N most damaging single edges." in
-      Arg.(value & opt int 8 & info [ "candidates" ] ~docv:"N" ~doc)
+      int_arg ~name:"candidates" ~default:8 ~docv:"N"
+        ~doc:"Candidate pool: the N most damaging single edges." ()
     in
     let run ((family_name, _) as family) size alpha base (_, demand) (_, solver)
         k candidates json seed jobs cache no_cache cache_dir trace =
@@ -995,8 +1032,8 @@ let serve_cmd =
         ~doc:"Virtual rounds the carried routing counts as." ()
     in
     let refresh_arg =
-      let doc = "Cold re-solve every $(docv) solves (0 = never)." in
-      Arg.(value & opt int 0 & info [ "refresh" ] ~docv:"N" ~doc)
+      int_arg ~lo:0 ~name:"refresh" ~default:0 ~docv:"N"
+        ~doc:"Cold re-solve every $(docv) solves (0 = never)." ()
     in
     let simulate_arg =
       let doc = "Push the replayed traffic through the packet simulator." in
@@ -1022,24 +1059,18 @@ let serve_cmd =
         & info [ "metrics-out" ] ~docv:"FILE" ~doc)
     in
     let slo_arg =
-      let doc =
-        "p99 budget for per-tick solve latency, in milliseconds.  After the \
-         replay, the SLO verdict is reported on stderr; a burned budget \
-         (p99 over $(docv)) exits 12.  Stdout stays byte-identical."
-      in
-      Arg.(
-        value & opt (some float) None
-        & info [ "slo-p99-ms" ] ~docv:"MS" ~doc)
+      positive_ms_arg ~name:"slo-p99-ms"
+        ~doc:
+          "p99 budget for per-tick solve latency, in milliseconds.  After the \
+           replay, the SLO verdict is reported on stderr; a burned budget \
+           (p99 over $(docv)) exits 12.  Stdout stays byte-identical."
     in
     let overload_arg =
-      let doc =
-        "Wall-clock overload budget for a whole tick (admission + solve), in \
-         milliseconds.  Verdict on stderr after the replay; any tick over \
-         budget exits 12.  Stdout stays byte-identical."
-      in
-      Arg.(
-        value & opt (some float) None
-        & info [ "overload-ms" ] ~docv:"MS" ~doc)
+      positive_ms_arg ~name:"overload-ms"
+        ~doc:
+          "Wall-clock overload budget for a whole tick (admission + solve), in \
+           milliseconds.  Verdict on stderr after the replay; any tick over \
+           budget exits 12.  Stdout stays byte-identical."
     in
     let faults_arg =
       let module Scenario = Sso_fault.Scenario in
@@ -1106,11 +1137,11 @@ let serve_cmd =
         (fun spec -> all_some (List.map item (String.split_on_char ',' spec)))
     in
     let checkpoint_every_arg =
-      let doc =
-        "Write a checkpoint to $(b,--checkpoint-dir) every $(docv) processed \
-         ticks (0 = never; a bare $(b,--checkpoint-dir) implies 1)."
-      in
-      Arg.(value & opt int 0 & info [ "checkpoint-every" ] ~docv:"N" ~doc)
+      int_arg ~lo:0 ~name:"checkpoint-every" ~default:0 ~docv:"N"
+        ~doc:
+          "Write a checkpoint to $(b,--checkpoint-dir) every $(docv) processed \
+           ticks (0 = never; a bare $(b,--checkpoint-dir) implies 1)."
+        ()
     in
     let checkpoint_dir_arg =
       let doc = "Directory for checkpoint files (created if missing)." in
@@ -1129,27 +1160,25 @@ let serve_cmd =
       Arg.(value & flag & info [ "resume" ] ~doc)
     in
     let crash_after_arg =
-      let doc =
-        "Kill the process (exit 137, no cleanup) right after processing tick \
-         $(docv) — the chaos harness's crash injection."
-      in
-      Arg.(
-        value & opt (some int) None
-        & info [ "crash-after" ] ~docv:"TICK" ~doc)
+      int_opt_arg ~lo:0 ~name:"crash-after" ~docv:"TICK"
+        ~doc:
+          "Kill the process (exit 137, no cleanup) right after processing tick \
+           $(docv) — the chaos harness's crash injection."
+        ()
     in
     let event_budget_arg =
-      let doc =
-        "Per-tick admission budget: apply at most $(docv) events per tick \
-         and defer the rest to the next tick (0 = unlimited)."
-      in
-      Arg.(value & opt int 0 & info [ "event-budget" ] ~docv:"N" ~doc)
+      int_arg ~lo:0 ~name:"event-budget" ~default:0 ~docv:"N"
+        ~doc:
+          "Per-tick admission budget: apply at most $(docv) events per tick \
+           and defer the rest to the next tick (0 = unlimited)."
+        ()
     in
     let max_staleness_arg =
-      let doc =
-        "Consecutive over-budget ticks allowed to serve the stale routing \
-         (degraded mode) before a re-solve is forced."
-      in
-      Arg.(value & opt int 4 & info [ "max-staleness" ] ~docv:"N" ~doc)
+      int_arg ~lo:0 ~name:"max-staleness" ~default:4 ~docv:"N"
+        ~doc:
+          "Consecutive over-budget ticks allowed to serve the stale routing \
+           (degraded mode) before a re-solve is forced."
+        ()
     in
     let mode_name = function
       | Serve.Cold -> "cold"
@@ -1175,33 +1204,8 @@ let serve_cmd =
         faults_spec checkpoint_every checkpoint_dir resume crash_after
         event_budget max_staleness seed jobs cache no_cache cache_dir trace =
       set_jobs jobs;
-      (match slo_p99_ms with
-      | Some b when not (b > 0.0) ->
-          Printf.eprintf "sso serve: --slo-p99-ms must be positive, got %g\n" b;
-          exit 124
-      | _ -> ());
-      (match overload_ms with
-      | Some b when not (b > 0.0) ->
-          Printf.eprintf "sso serve: --overload-ms must be positive, got %g\n" b;
-          exit 124
-      | _ -> ());
-      if event_budget < 0 then begin
-        Printf.eprintf "sso serve: --event-budget must be non-negative\n";
-        exit 124
-      end;
-      if max_staleness < 0 then begin
-        Printf.eprintf "sso serve: --max-staleness must be non-negative\n";
-        exit 124
-      end;
-      if checkpoint_every < 0 then begin
-        Printf.eprintf "sso serve: --checkpoint-every must be non-negative\n";
-        exit 124
-      end;
-      if (checkpoint_every > 0 || resume) && checkpoint_dir = None then begin
-        Printf.eprintf
-          "sso serve: --checkpoint-every/--resume need --checkpoint-dir\n";
-        exit 124
-      end;
+      if (checkpoint_every > 0 || resume) && checkpoint_dir = None then
+        misfit ~name:"checkpoint-dir" "required by --checkpoint-every and --resume";
       let checkpoint_every =
         if checkpoint_dir <> None && checkpoint_every = 0 then 1
         else checkpoint_every
@@ -1244,12 +1248,10 @@ let serve_cmd =
             Serve.faults_of_timeline
               (List.map (fun item -> item g system events fault_rng) items)
       in
-      if simulate && faults <> [] then begin
-        Printf.eprintf
-          "sso serve: --faults models routing-level failures; combine with \
-           the packet-level `sso faults timeline` instead of --simulate\n";
-        exit 124
-      end;
+      if simulate && faults <> [] then
+        misfit ~name:"faults"
+          "models routing-level failures; combine with the packet-level \
+           `sso faults timeline` instead of --simulate";
       (* The stream digest pins every checkpoint to the exact stream (and
          the config repr to the exact policy) it was taken under; a
          resume against anything else is corruption, not divergence. *)
@@ -1750,20 +1752,14 @@ let trace_cmd =
   in
   let flame_cmd =
     let weight_arg =
-      let doc =
-        "Stack weight: $(b,ns) (self time, the flamegraph default) or \
-         $(b,calls) (call counts — jobs-invariant, byte-identical for any \
-         $(b,--jobs) of the traced run)."
-      in
-      Arg.(value & opt string "ns" & info [ "weight" ] ~docv:"WEIGHT" ~doc)
+      spec_arg ~name:"weight" ~default:"ns" ~expected:[ "ns"; "calls" ]
+        ~doc:
+          "Stack weight: $(b,ns) (self time, the flamegraph default) or \
+           $(b,calls) (call counts — jobs-invariant, byte-identical for any \
+           $(b,--jobs) of the traced run)."
+        (function "ns" -> Some false | "calls" -> Some true | _ -> None)
     in
-    let run path weight =
-      (match weight with
-      | "ns" | "calls" -> ()
-      | other ->
-          Printf.eprintf "sso trace: --weight must be ns or calls, got %S\n"
-            other;
-          exit 124);
+    let run path (_, by_calls) =
       let t = load path in
       (* One folded line per distinct span path — feed to flamegraph.pl or
          speedscope.  Self time only: a parent's line excludes its
@@ -1771,7 +1767,7 @@ let trace_cmd =
       List.iter
         (fun (stack, calls, self_ns) ->
           Printf.printf "%s %d\n" stack
-            (if weight = "calls" then calls else self_ns))
+            (if by_calls then calls else self_ns))
         (Trace.folded_stacks t.Trace.events)
     in
     let doc = "folded flamegraph stacks (span path, self weight) from a trace" in
@@ -1785,14 +1781,8 @@ let trace_cmd =
 
 let theory_cmd =
   let module Theory = Sso_core.Theory in
-  let n_arg =
-    let doc = "Number of vertices." in
-    Arg.(value & opt int 1024 & info [ "n" ] ~docv:"N" ~doc)
-  in
-  let m_arg =
-    let doc = "Number of edges (defaults to 4n)." in
-    Arg.(value & opt (some int) None & info [ "m" ] ~docv:"M" ~doc)
-  in
+  let n_arg = int_arg ~name:"n" ~default:1024 ~docv:"N" ~doc:"Number of vertices." () in
+  let m_arg = int_opt_arg ~name:"m" ~docv:"M" ~doc:"Number of edges (defaults to 4n)." () in
   let run n m =
     let m = match m with Some m -> m | None -> 4 * n in
     Printf.printf "paper bounds for n = %d, m = %d\n\n" n m;

@@ -1,7 +1,6 @@
 module Graph = Sso_graph.Graph
 module Demand = Sso_demand.Demand
 module Routing = Sso_flow.Routing
-module Min_congestion = Sso_flow.Min_congestion
 
 let top_paths g routing ~alpha =
   if alpha <= 0 then invalid_arg "Oracle.top_paths: alpha must be positive";
@@ -17,13 +16,5 @@ let top_paths g routing ~alpha =
          ((s, t), take alpha sorted))
        (Routing.pairs routing))
 
-let demand_aware_system ?(solver = Semi_oblivious.default_solver) g demand ~alpha =
-  let routing =
-    match solver with
-    | Semi_oblivious.Lp ->
-        (* The edge LP has no path decomposition; use a high-iteration MWU
-           instead, which is path-based by construction. *)
-        fst (Min_congestion.mwu_unrestricted ~iters:800 g demand)
-    | Semi_oblivious.Mwu iters -> fst (Min_congestion.mwu_unrestricted ~iters g demand)
-  in
-  top_paths g routing ~alpha
+let demand_aware_system ?solver g demand ~alpha =
+  top_paths g (fst (Semi_oblivious.optimum ?solver g demand)) ~alpha

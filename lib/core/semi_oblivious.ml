@@ -29,10 +29,12 @@ let reoptimize ?(solver = default_solver) ?warm_start ?index g ps demand =
       (* The LP has no incremental form; a cold solve is the warm start. *)
       route ~solver ?index g ps demand
 
-let opt ?(solver = default_solver) g demand =
+let optimum ?(solver = default_solver) g demand =
   match solver with
   | Lp -> Min_congestion.lp_unrestricted g demand
-  | Mwu iters -> snd (Min_congestion.mwu_unrestricted ~iters g demand)
+  | Mwu iters -> Min_congestion.mwu_unrestricted ~iters g demand
+
+let opt ?solver g demand = snd (optimum ?solver g demand)
 
 let competitive_ratio ?solver g ps demand =
   if Demand.support_size demand = 0 then 1.0

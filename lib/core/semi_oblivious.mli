@@ -59,10 +59,17 @@ val reoptimize :
     bit-identical at any [--jobs].
     @raise Invalid_argument if some demanded pair has no candidates. *)
 
-val opt :
-  ?solver:solver -> Sso_graph.Graph.t -> Sso_demand.Demand.t -> float
-(** Offline optimum [opt_{G,ℝ}(d)] (Dijkstra-oracle MWU by default; exact
-    edge-LP when [solver = Lp]). *)
+val optimum :
+  ?solver:solver ->
+  Sso_graph.Graph.t -> Sso_demand.Demand.t -> Sso_flow.Routing.t * float
+(** Stage 5: a routing of [d] over all paths and its congestion, the
+    offline optimum [opt_{G,ℝ}(d)] — the Dijkstra-oracle MWU by default,
+    and with [solver = Lp] the exact path LP grown by column generation
+    ({!Sso_flow.Min_congestion.lp_unrestricted}).  Either routing is
+    path-based. *)
+
+val opt : ?solver:solver -> Sso_graph.Graph.t -> Sso_demand.Demand.t -> float
+(** The value of {!optimum}. *)
 
 val competitive_ratio :
   ?solver:solver ->

@@ -77,8 +77,3 @@ let kkt91_bound ~n ~max_degree =
   check_positive "n" n;
   check_positive "max_degree" max_degree;
   Float.sqrt (float_of_int n) /. float_of_int max_degree
-
-let completion_time_upper ~congestion ~dilation =
-  if congestion < 0.0 then invalid_arg "Theory: congestion must be non-negative";
-  if dilation < 0 then invalid_arg "Theory: dilation must be non-negative";
-  congestion +. float_of_int dilation

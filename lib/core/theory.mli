@@ -51,6 +51,3 @@ val lower_bound_gadget_k : n:int -> alpha:int -> int
 val kkt91_bound : n:int -> max_degree:int -> float
 (** [KKT91]: deterministic oblivious routing suffers [≥ √n / Δ] congestion
     on some permutation (constant dropped). *)
-
-val completion_time_upper : congestion:float -> dilation:int -> float
-(** [LMR94] shape: delivery in O(c + d) steps (unit constant). *)

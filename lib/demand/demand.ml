@@ -64,11 +64,6 @@ let scale c d =
 
 let equal d1 d2 = Pmap.equal (fun a b -> Float.abs (a -. b) < 1e-12) d1 d2
 
-let pp fmt d =
-  Format.fprintf fmt "@[<v>";
-  Pmap.iter (fun (s, t) v -> Format.fprintf fmt "%d -> %d : %g@," s t v) d;
-  Format.fprintf fmt "@]"
-
 let eps = 1e-9
 
 let is_integral d =

@@ -62,8 +62,6 @@ val scale : float -> t -> t
 
 val equal : t -> t -> bool
 
-val pp : Format.formatter -> t -> unit
-
 (** {1 Classifiers} *)
 
 val is_integral : t -> bool

@@ -23,16 +23,6 @@ let op_name = function
   | Depart -> "depart"
   | Set_rate _ -> "set"
 
-let pp fmt e =
-  match e.kind with
-  | Depart ->
-      Format.fprintf fmt "@[tick %d: depart %d->%d@]" e.tick e.src e.dst
-  | Arrive r ->
-      Format.fprintf fmt "@[tick %d: arrive %d->%d rate %g@]" e.tick e.src
-        e.dst r
-  | Set_rate r ->
-      Format.fprintf fmt "@[tick %d: set %d->%d rate %g@]" e.tick e.src e.dst r
-
 (* Stream invariants, shared by [save] (programmer error) and [load]
    (data error).  Returns a description of the first violation. *)
 let event_violation e =

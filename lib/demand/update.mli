@@ -62,5 +62,4 @@ val load : string -> t list
 (** @raise Unreadable when the file cannot be read, [Corrupt] when it
     parses wrong, is truncated, or breaks a stream invariant. *)
 
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

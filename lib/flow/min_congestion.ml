@@ -1,5 +1,7 @@
 module Graph = Sso_graph.Graph
 module Shortest = Sso_graph.Shortest
+module Path = Sso_graph.Path
+module Arena = Sso_graph.Arena
 module Maxflow = Sso_graph.Maxflow
 module Demand = Sso_demand.Demand
 module Simplex = Sso_lp.Simplex
@@ -16,87 +18,93 @@ let mwu_iterations = Obs.counter "mwu.iterations"
 let mwu_oracle_calls = Obs.counter "mwu.oracle_calls"
 let mwu_sssp_settled = Obs.counter "mwu.sssp_settled"
 
-(* ---------- Exact LP on a candidate index ---------- *)
+(* ---------- Exact path LP ---------- *)
+
+(* The path LP over a candidate index: minimize z subject to, per
+   demanded pair, its candidates' flows summing to its demand, and per
+   candidate edge, the flow crossing it at most cap · z.  Variables are
+   one flow per candidate — pairs in descending order, each pair's
+   candidates in generation order — then z; rows are the demand rows in
+   that pair order, then the capacity rows.  Returns the optimal routing
+   and congestion, each pair's demand-row dual (in support order) and
+   each capacity row's edge and dual. *)
+let path_lp g sc demand =
+  let support = Array.of_list (Demand.support demand) in
+  let positions = Slice_candidates.positions sc support in
+  let next = ref 0 in
+  let blocks =
+    List.map
+      (fun (pair, p) ->
+        let first, count = if p < 0 then (0, 0) else Slice_candidates.range sc p in
+        if count = 0 then
+          invalid_arg "Min_congestion.lp_on_slices: demanded pair has no candidates";
+        let v = !next in
+        next := v + count;
+        (pair, v, first, count))
+      (List.rev (Array.to_list (Array.map2 (fun pair p -> (pair, p)) support positions)))
+  in
+  let z = !next in
+  let demand_rows =
+    List.map
+      (fun ((s, t), v, _, count) ->
+        {
+          Simplex.coeffs = List.init count (fun k -> (v + k, 1.0));
+          relation = Simplex.Eq;
+          rhs = Demand.get demand s t;
+        })
+      blocks
+  in
+  let edges = Slice_candidates.edges sc in
+  let per_edge = Hashtbl.create 64 in
+  List.iter
+    (fun (_, v, first, count) ->
+      for k = 0 to count - 1 do
+        Slice_candidates.iter_edges sc (first + k) (fun slot ->
+            let e = edges.(slot) in
+            let cur = try Hashtbl.find per_edge e with Not_found -> [] in
+            Hashtbl.replace per_edge e ((v + k, 1.0) :: cur))
+      done)
+    blocks;
+  let row_edges, capacity_rows =
+    List.split
+      (Hashtbl.fold
+         (fun e coeffs acc ->
+           let coeffs = (z, -.Graph.cap g e) :: coeffs in
+           (e, { Simplex.coeffs; relation = Le; rhs = 0.0 }) :: acc)
+         per_edge [])
+  in
+  let problem =
+    {
+      Simplex.num_vars = z + 1;
+      objective = [ (z, 1.0) ];
+      constraints = demand_rows @ capacity_rows;
+    }
+  in
+  match Simplex.solve problem with
+  | Simplex.Infeasible | Simplex.Unbounded ->
+      failwith "Min_congestion: the path LP should always be feasible and bounded"
+  | Simplex.Optimal { objective; solution; duals } ->
+      let routing =
+        Routing.make
+          (List.map
+             (fun (pair, v, first, count) ->
+               (* Simplex solutions can carry -1e-15-scale noise. *)
+               ( pair,
+                 List.init count (fun k ->
+                     (Float.max 0.0 solution.(v + k), Slice_candidates.path sc (first + k))) ))
+             blocks)
+      in
+      let k = Array.length support in
+      ( routing,
+        Float.max 0.0 objective,
+        Array.init k (fun i -> duals.(k - 1 - i)),
+        List.mapi (fun r e -> (e, duals.(k + r))) row_edges )
 
 let lp_on_slices g sc demand =
   if Demand.support_size demand = 0 then (Routing.make [], 0.0)
-  else Obs.with_span span_lp @@ fun () -> begin
-    let support = Array.of_list (Demand.support demand) in
-    let positions = Slice_candidates.positions sc support in
-    (* Variables: one absolute flow per candidate — pairs in descending
-       order, each pair's candidates in generation order — plus the
-       congestion bound z as the last variable.  [blocks] holds, per
-       pair, its first variable and its candidate range. *)
-    let next = ref 0 in
-    let blocks =
-      List.map
-        (fun (((s, t) as pair), p) ->
-          let first, count = if p < 0 then (0, 0) else Slice_candidates.range sc p in
-          if count = 0 then
-            invalid_arg "Min_congestion.lp_on_slices: demanded pair has no candidates";
-          let v = !next in
-          next := v + count;
-          (pair, Demand.get demand s t, v, first, count))
-        (List.rev (Array.to_list (Array.map2 (fun pair p -> (pair, p)) support positions)))
-    in
-    let z = !next in
-    (* Demand satisfaction: sum of a pair's path flows = demand. *)
-    let demand_rows =
-      List.map
-        (fun (_, amount, v, _, count) ->
-          {
-            Simplex.coeffs = List.init count (fun k -> (v + k, 1.0));
-            relation = Simplex.Eq;
-            rhs = amount;
-          })
-        blocks
-    in
-    (* Capacity rows: per edge, total flow ≤ cap · z. *)
-    let edges = Slice_candidates.edges sc in
-    let per_edge = Hashtbl.create 64 in
-    List.iter
-      (fun (_, _, v, first, count) ->
-        for k = 0 to count - 1 do
-          Slice_candidates.iter_edges sc (first + k) (fun slot ->
-              let e = edges.(slot) in
-              let cur = try Hashtbl.find per_edge e with Not_found -> [] in
-              Hashtbl.replace per_edge e ((v + k, 1.0) :: cur))
-        done)
-      blocks;
-    let capacity_rows =
-      Hashtbl.fold
-        (fun e coeffs acc ->
-          {
-            Simplex.coeffs = (z, -.Graph.cap g e) :: coeffs;
-            relation = Simplex.Le;
-            rhs = 0.0;
-          }
-          :: acc)
-        per_edge []
-    in
-    let problem =
-      {
-        Simplex.num_vars = z + 1;
-        objective = [ (z, 1.0) ];
-        constraints = demand_rows @ capacity_rows;
-      }
-    in
-    match Simplex.solve problem with
-    | Simplex.Infeasible | Simplex.Unbounded ->
-        failwith "Min_congestion.lp_on_slices: LP should always be feasible and bounded"
-    | Simplex.Optimal { objective; solution } ->
-        let routing =
-          Routing.make
-            (List.map
-               (fun (pair, _, v, first, count) ->
-                 (* Simplex solutions can carry -1e-15-scale noise. *)
-                 ( pair,
-                   List.init count (fun k ->
-                       (Float.max 0.0 solution.(v + k), Slice_candidates.path sc (first + k))) ))
-               blocks)
-        in
-        (routing, Float.max 0.0 objective)
-  end
+  else Obs.with_span span_lp @@ fun () ->
+    let routing, value, _, _ = path_lp g sc demand in
+    (routing, value)
 
 (* ---------- Multiplicative weights ----------
 
@@ -331,63 +339,54 @@ let mwu_unrestricted_avoiding ?pool ?iters ~avoid g demand =
     (Best_response.dijkstra ?pool ~avoid g)
     demand
 
-(* ---------- Exact unrestricted LP (edge formulation) ---------- *)
+(* ---------- Exact unrestricted LP (column generation) ---------- *)
 
+(* opt_{G,ℝ}(d) as the path LP over all paths, grown by column
+   generation from one min-hop path per pair.  A path's reduced cost is
+   its length under w_e = -y_e (y_e ≤ 0 the capacity duals, 0 on edges
+   no column crosses) minus its pair's demand dual π, so one Dijkstra per
+   pair finds the most negative.  Each round adds every pair's shortest
+   path that beats π by more than the tolerance and is new to the pair,
+   so the loop ends; when none does, the duals prove the optimum. *)
 let lp_unrestricted g demand =
-  if Demand.support_size demand = 0 then 0.0
-  else Obs.with_span span_lp_unrestricted @@ fun () -> begin
-    let n = Graph.n g and m = Graph.m g in
-    let commodities = Demand.support demand in
-    let k = List.length commodities in
-    (* Variables: for commodity i and edge e, flow in the u→v direction is
-       var (i·2m + 2e) and v→u is var (i·2m + 2e + 1); z is the last. *)
-    let z = k * 2 * m in
-    let var i e dir = (i * 2 * m) + (2 * e) + dir in
-    let conservation =
-      List.concat
-        (List.mapi
-           (fun i (s, t) ->
-             let amount = Demand.get demand s t in
-             List.filter_map
-               (fun v ->
-                 let coeffs = ref [] in
-                 Array.iter
-                   (fun (e, _) ->
-                     let u, _ = Graph.endpoints g e in
-                     (* u→v direction leaves u and enters the other end. *)
-                     let dir_out = if v = u then 0 else 1 in
-                     coeffs := (var i e dir_out, 1.0) :: (var i e (1 - dir_out), -1.0) :: !coeffs)
-                   (Graph.adj g v);
-                 let rhs = if v = s then amount else if v = t then -.amount else 0.0 in
-                 if !coeffs = [] && rhs = 0.0 then None
-                 else Some { Simplex.coeffs = !coeffs; relation = Simplex.Eq; rhs })
-               (List.init n Fun.id))
-           commodities)
+  if Demand.support_size demand = 0 then (Routing.make [], 0.0)
+  else Obs.with_span span_lp_unrestricted @@ fun () ->
+    let support = Array.of_list (Demand.support demand) in
+    let columns =
+      Array.map
+        (fun (s, t) ->
+          match Shortest.bfs_path g s t with
+          | Some p -> [ p ]
+          | None -> invalid_arg "Min_congestion.lp_unrestricted: graph is disconnected")
+        support
     in
-    let capacity =
-      List.init m (fun e ->
-          let coeffs =
-            List.concat
-              (List.mapi (fun i _ -> [ (var i e 0, 1.0); (var i e 1, 1.0) ]) commodities)
-          in
-          {
-            Simplex.coeffs = (z, -.Graph.cap g e) :: coeffs;
-            relation = Simplex.Le;
-            rhs = 0.0;
-          })
+    let weights = Array.make (Graph.m g) 0.0 in
+    let rec solve () =
+      let arena = Arena.create g in
+      let piece pair paths =
+        let first = Arena.length arena in
+        List.iter (fun p -> ignore (Arena.append_path arena p)) paths;
+        (pair, Slice_candidates.unpack arena (first, List.length paths))
+      in
+      let sc = Slice_candidates.concat g (Array.to_list (Array.map2 piece support columns)) in
+      let ((_, _, pi, y) as optimum) = path_lp g sc demand in
+      Array.fill weights 0 (Graph.m g) 0.0;
+      List.iter (fun (e, ye) -> weights.(e) <- Float.max 0.0 (-.ye)) y;
+      let priced = ref false in
+      Array.iteri
+        (fun i (s, t) ->
+          match (Shortest.dijkstra_targets g ~weights s [| t |]).(0) with
+          | Some p
+            when Path.weight (Array.get weights) p < pi.(i) -. (1e-9 *. (1.0 +. Float.abs pi.(i)))
+                 && not (List.exists (Path.equal p) columns.(i)) ->
+              columns.(i) <- columns.(i) @ [ p ];
+              priced := true
+          | Some _ | None -> ())
+        support;
+      if !priced then solve () else optimum
     in
-    let problem =
-      {
-        Simplex.num_vars = z + 1;
-        objective = [ (z, 1.0) ];
-        constraints = conservation @ capacity;
-      }
-    in
-    match Simplex.solve problem with
-    | Simplex.Optimal { objective; _ } -> Float.max 0.0 objective
-    | Simplex.Infeasible | Simplex.Unbounded ->
-        failwith "Min_congestion.lp_unrestricted: LP should be feasible and bounded"
-  end
+    let routing, value, _, _ = solve () in
+    (routing, value)
 
 (* ---------- Certified lower bounds ---------- *)
 

@@ -7,7 +7,9 @@
 
     Two engines are provided and cross-validated in the test suite:
 
-    - an exact LP (path formulation, dense simplex) for small instances;
+    - an exact LP (path formulation, dense simplex) for small instances,
+      on the candidates for Stage 4 and grown by column generation for
+      the unrestricted optimum;
     - a multiplicative-weights (no-regret game) solver with one round loop
       whose best responses come from a {!Best_response} store: candidate
       indices for path-restricted routing and interned Dijkstra paths for
@@ -50,9 +52,14 @@ val mwu_on_slices :
     learned by the fresh rounds alone. *)
 
 val lp_unrestricted :
-  Sso_graph.Graph.t -> Sso_demand.Demand.t -> float
-(** Exact [opt_{G,ℝ}(d)]: edge-based LP over all flows (not just candidate
-    paths).  Exact but expensive — meant for small graphs in tests. *)
+  Sso_graph.Graph.t -> Sso_demand.Demand.t -> Routing.t * float
+(** Exact [opt_{G,ℝ}(d)] and an optimal routing: the path LP of
+    {!lp_on_slices} over all paths, grown by column generation from one
+    min-hop path per pair.  A pair gains its Dijkstra path under
+    [w_e = -y_e] (the capacity duals) when that is shorter than its
+    demand dual beyond a [1e-9] relative tolerance; once none does, the
+    duals prove the value.  Dense — meant for small graphs.
+    @raise Invalid_argument if a demanded pair is disconnected. *)
 
 val mwu_unrestricted :
   ?pool:Sso_engine.Pool.t ->

@@ -275,21 +275,6 @@ let compare_within_pair a i j =
     go 0
   end
 
-let unpack a ids =
-  let k = Array.length ids in
-  let off = Array.make (k + 1) 0 in
-  for i = 0 to k - 1 do
-    off.(i + 1) <- off.(i) + hops a ids.(i)
-  done;
-  let flat = Array.make off.(k) 0 in
-  for i = 0 to k - 1 do
-    let p = ref off.(i) in
-    iter a ids.(i) (fun e ->
-        Array.unsafe_set flat !p e;
-        incr p)
-  done;
-  (off, flat)
-
 let unpack_with_vertices a ids =
   let k = Array.length ids in
   let off = Array.make (k + 1) 0 in

@@ -139,15 +139,13 @@ val to_path : t -> int -> Path.t
 (** Rebuild the boxed representation (trusted; the walk was validated on
     append). *)
 
-val unpack : t -> int array -> int array * int array
-(** [unpack a ids] flattens the given slices into [(off, flat)] where the
-    edge ids of [ids.(i)] occupy [flat.(off.(i)) .. flat.(off.(i+1) - 1)].
-    Solvers unpack a candidate set once per solve and walk the flat arrays
-    every round. *)
-
 val unpack_with_vertices : t -> int array -> int array * int array * int array
-(** [(off, flat_edges, flat_verts)]: as {!unpack}, with the vertex sequence
-    of [ids.(i)] (length [hops + 1]) at [flat_verts.(off.(i) + i) ..]. *)
+(** [unpack_with_vertices a ids] flattens the given slices into
+    [(off, flat_edges, flat_verts)]: the edge ids of [ids.(i)] occupy
+    [flat_edges.(off.(i)) .. flat_edges.(off.(i+1) - 1)] and its vertex
+    sequence (length [hops + 1]) starts at [flat_verts.(off.(i) + i)].
+    The packet simulator unpacks its routes once and walks the flat
+    arrays every step. *)
 
 (** {1 Raw encoding access (codec)} *)
 

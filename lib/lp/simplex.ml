@@ -5,7 +5,7 @@ type constr = { coeffs : (int * float) list; relation : relation; rhs : float }
 type problem = { num_vars : int; objective : (int * float) list; constraints : constr list }
 
 type outcome =
-  | Optimal of { objective : float; solution : float array }
+  | Optimal of { objective : float; solution : float array; duals : float array }
   | Infeasible
   | Unbounded
 
@@ -42,8 +42,9 @@ let pivot t ~row ~col =
   t.basis.(row) <- col
 
 (* One simplex phase: minimize cost·x starting from the current basis.
-   [cost] has length ncols.  Returns [`Optimal] or [`Unbounded].  Bland's
-   rule (smallest eligible index) guarantees termination. *)
+   [cost] has length ncols.  Returns [`Optimal reduced] (the final
+   reduced costs) or [`Unbounded].  Bland's rule (smallest eligible
+   index) guarantees termination. *)
 let run_phase t ~cost ~allowed ~budget =
   let m = Array.length t.rows in
   (* Reduced costs: z.(j) = cost.(j) - cost_B · B^{-1} A_j, maintained by
@@ -72,7 +73,7 @@ let run_phase t ~cost ~allowed ~budget =
          end
        done
      with Exit -> ());
-    if !entering < 0 then `Optimal
+    if !entering < 0 then `Optimal reduced
     else begin
       let col = !entering in
       (* Ratio test; Bland tie-break on smallest basis index. *)
@@ -114,21 +115,21 @@ let solve ?(max_pivots = 200_000) { num_vars; objective; constraints } =
         if rhs < 0.0 then
           let coeffs = List.map (fun (j, a) -> (j, -.a)) coeffs in
           let relation = match relation with Le -> Ge | Ge -> Le | Eq -> Eq in
-          (coeffs, relation, -.rhs)
-        else (coeffs, relation, rhs))
+          (coeffs, relation, -.rhs, true)
+        else (coeffs, relation, rhs, false))
       constraints
   in
   (* Count extra columns. *)
   let num_slack =
     List.fold_left
-      (fun acc (_, rel, _) -> match rel with Le | Ge -> acc + 1 | Eq -> acc)
+      (fun acc (_, rel, _, _) -> match rel with Le | Ge -> acc + 1 | Eq -> acc)
       0 normalized
   in
   (* Every row gets an artificial except Le rows, whose slack can start
      basic. *)
   let num_art =
     List.fold_left
-      (fun acc (_, rel, _) -> match rel with Le -> acc | Ge | Eq -> acc + 1)
+      (fun acc (_, rel, _, _) -> match rel with Le -> acc | Ge | Eq -> acc + 1)
       0 normalized
   in
   let ncols = num_vars + num_slack + num_art in
@@ -136,8 +137,13 @@ let solve ?(max_pivots = 200_000) { num_vars; objective; constraints } =
   let basis = Array.make m (-1) in
   let slack_next = ref num_vars in
   let art_next = ref (num_vars + num_slack) in
+  (* Per row: the column whose reduced cost gives the row's dual, and
+     the factor that turns that reduced cost into the dual of the row as
+     given (before a negative rhs was flipped). *)
+  let dual_cols = Array.make m (0, 0.0) in
   List.iteri
-    (fun i (coeffs, rel, rhs) ->
+    (fun i (coeffs, rel, rhs, flipped) ->
+      let sign = if flipped then 1.0 else -1.0 in
       let row = rows.(i) in
       List.iter (fun (j, a) -> row.(j) <- row.(j) +. a) coeffs;
       row.(ncols) <- rhs;
@@ -145,9 +151,11 @@ let solve ?(max_pivots = 200_000) { num_vars; objective; constraints } =
       | Le ->
           row.(!slack_next) <- 1.0;
           basis.(i) <- !slack_next;
+          dual_cols.(i) <- (!slack_next, sign);
           incr slack_next
       | Ge ->
           row.(!slack_next) <- -1.0;
+          dual_cols.(i) <- (!slack_next, -.sign);
           incr slack_next;
           row.(!art_next) <- 1.0;
           basis.(i) <- !art_next;
@@ -155,13 +163,14 @@ let solve ?(max_pivots = 200_000) { num_vars; objective; constraints } =
       | Eq ->
           row.(!art_next) <- 1.0;
           basis.(i) <- !art_next;
+          dual_cols.(i) <- (!art_next, sign);
           incr art_next))
     normalized;
   let t = { rows; basis; ncols; rhs = ncols } in
   let art_start = num_vars + num_slack in
   (* Phase 1: minimize sum of artificials. *)
   let outcome =
-    if num_art = 0 then `Optimal
+    if num_art = 0 then `Feasible
     else begin
       let cost1 = Array.make ncols 0.0 in
       for j = art_start to ncols - 1 do
@@ -169,18 +178,18 @@ let solve ?(max_pivots = 200_000) { num_vars; objective; constraints } =
       done;
       match run_phase t ~cost:cost1 ~allowed:(fun _ -> true) ~budget:max_pivots with
       | `Unbounded -> assert false (* phase-1 objective is bounded below by 0 *)
-      | `Optimal ->
+      | `Optimal _ ->
           let value =
             Array.to_list t.basis
             |> List.mapi (fun i b -> if b >= art_start then t.rows.(i).(t.rhs) else 0.0)
             |> List.fold_left ( +. ) 0.0
           in
-          if value > 1e-6 then `Infeasible else `Optimal
+          if value > 1e-6 then `Infeasible else `Feasible
     end
   in
   match outcome with
   | `Infeasible -> Infeasible
-  | `Optimal -> (
+  | `Feasible -> (
       (* Phase 2: original objective; artificial columns barred from
          re-entering.  Degenerate artificials may linger in the basis at
          value 0, which is harmless. *)
@@ -189,18 +198,35 @@ let solve ?(max_pivots = 200_000) { num_vars; objective; constraints } =
       let allowed j = j < art_start in
       match run_phase t ~cost:cost2 ~allowed ~budget:max_pivots with
       | `Unbounded -> Unbounded
-      | `Optimal ->
+      | `Optimal reduced ->
           let solution = Array.make num_vars 0.0 in
           Array.iteri
             (fun i b -> if b < num_vars then solution.(b) <- t.rows.(i).(t.rhs))
             t.basis;
+          (* A tableau that drifted numerically (tiny pivots compound)
+             can end on a point that breaks its own rows: refuse it. *)
+          let breaks { coeffs; relation; rhs } =
+            let lhs, size =
+              List.fold_left
+                (fun (lhs, size) (j, a) ->
+                  let term = a *. solution.(j) in
+                  (lhs +. term, size +. Float.abs term))
+                (0.0, Float.abs rhs) coeffs
+            in
+            let tol = 1e-6 *. (1.0 +. size) in
+            match relation with
+            | Le -> lhs > rhs +. tol
+            | Ge -> lhs < rhs -. tol
+            | Eq -> Float.abs (lhs -. rhs) > tol
+          in
+          if Array.exists (fun x -> x < -1e-6) solution || List.exists breaks constraints then
+            failwith "Simplex: numerical breakdown (the solution breaks a constraint)";
           let objective =
             List.fold_left (fun acc (j, c) -> acc +. (c *. solution.(j))) 0.0 objective
           in
-          Optimal { objective; solution })
-
-let maximize ?max_pivots { num_vars; objective; constraints } =
-  let neg = List.map (fun (j, c) -> (j, -.c)) objective in
-  match solve ?max_pivots { num_vars; objective = neg; constraints } with
-  | Optimal { objective; solution } -> Optimal { objective = -.objective; solution }
-  | (Infeasible | Unbounded) as o -> o
+          (* Row i's unit column (slack, surplus or artificial) has phase-2
+             cost 0, so its reduced cost is -y_i times its coefficient. *)
+          let duals =
+            Array.map (fun (col, sign) -> sign *. reduced.(col)) dual_cols
+          in
+          Optimal { objective; solution; duals })

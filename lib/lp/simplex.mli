@@ -22,15 +22,18 @@ type problem = { num_vars : int; objective : (int * float) list; constraints : c
     Variable indices must lie in [0 .. num_vars-1]. *)
 
 type outcome =
-  | Optimal of { objective : float; solution : float array }
+  | Optimal of { objective : float; solution : float array; duals : float array }
+      (** [duals.(i)] is the dual y_i of constraint [i] as given, read from
+          the final reduced cost of its slack, surplus or artificial column
+          (sign flipped back for a row negated to make its rhs ≥ 0):
+          [y_i <= 0] on [Le], [>= 0] on [Ge], free on [Eq], [y·A_j <= c_j]
+          for every variable j, and [b·y = objective]. *)
   | Infeasible
   | Unbounded
 
 val solve : ?max_pivots:int -> problem -> outcome
 (** Solve the problem.  [max_pivots] (default [200_000]) bounds total pivot
-    steps across both phases; exceeding it raises [Failure], which on these
-    problem sizes indicates a bug rather than a hard instance. *)
-
-val maximize : ?max_pivots:int -> problem -> outcome
-(** Convenience wrapper: maximize instead of minimize (the reported
-    objective is the maximized value). *)
+    steps across both phases; exceeding it raises [Failure].  So does an
+    optimum that breaks a row by more than [1e-6] relative (or has a
+    variable below [-1e-6]): the tableau is never refactorized, so rounding
+    can compound on ill-conditioned or larger LPs. *)

@@ -868,13 +868,13 @@ let test_certified_bucket_count_logarithmic () =
   let d =
     Demand.of_list [ (0, 4, 1.0); (1, 5, 4.0); (2, 6, 16.0); (3, 7, 64.0) ]
   in
-  let count = Sso_core.Certified.bucket_count ~alpha:2 g d in
+  let count = Sso_core.Theorem53.bucket_count ~alpha:2 g d in
   Alcotest.(check bool) (Printf.sprintf "buckets %d" count) true (count <= 8);
   Alcotest.(check bool) "at least distinct octaves" true (count >= 4)
 
-(* Certified pipeline (Theorem 5.3 constructive) *)
+(* Theorem 5.3 pipeline (constructive) *)
 
-module Certified = Sso_core.Certified
+module Theorem53 = Sso_core.Theorem53
 
 let test_certified_routes_permutation () =
   let dim = 5 in
@@ -883,7 +883,7 @@ let test_certified_routes_permutation () =
   let rng = Rng.create 97 in
   let ps = Sampler.alpha_cut_sample rng obl ~alpha:(2 * dim) in
   let d = Demand.random_permutation rng (Graph.n g) in
-  let routing, cong = Certified.route ~gamma:60.0 ~alpha:(2 * dim) g ps d in
+  let routing, cong = Theorem53.route ~gamma:60.0 ~alpha:(2 * dim) g ps d in
   Alcotest.(check bool) "covers" true (Routing.covers routing d);
   (* Solver-free pipeline should land within a moderate factor of the
      solver-based Stage 4. *)
@@ -900,22 +900,22 @@ let test_certified_arbitrary_demand () =
   let rng = Rng.create 101 in
   let ps = Sampler.alpha_cut_sample rng obl ~alpha:3 in
   let d = Demand.of_list [ (0, 15, 0.3); (3, 12, 4.0); (5, 10, 17.0) ] in
-  Alcotest.(check bool) "several buckets" true (Certified.bucket_count ~alpha:3 g d >= 2);
-  let routing, cong = Certified.route ~gamma:40.0 ~alpha:3 g ps d in
+  Alcotest.(check bool) "several buckets" true (Theorem53.bucket_count ~alpha:3 g d >= 2);
+  let routing, cong = Theorem53.route ~gamma:40.0 ~alpha:3 g ps d in
   Alcotest.(check bool) "covers" true (Routing.covers routing d);
   Alcotest.(check bool) "finite congestion" true (Float.is_finite cong && cong > 0.0)
 
 let test_certified_empty () =
   let g = Gen.grid 3 3 in
   let ps = Path_system.of_pairs g [] in
-  let _, cong = Certified.route ~gamma:10.0 ~alpha:2 g ps Demand.empty in
+  let _, cong = Theorem53.route ~gamma:10.0 ~alpha:2 g ps Demand.empty in
   Alcotest.(check (float 1e-9)) "empty" 0.0 cong
 
 let test_certified_single_bucket_for_uniform () =
   let g = Gen.cycle 6 in
   (* All ratios equal → exactly one bucket. *)
   let d = Special.special_of_support g ~alpha:2 [ (0, 3); (1, 4) ] in
-  Alcotest.(check int) "one bucket" 1 (Certified.bucket_count ~alpha:2 g d)
+  Alcotest.(check int) "one bucket" 1 (Theorem53.bucket_count ~alpha:2 g d)
 
 (* Theory: closed-form bound calculators *)
 
@@ -1057,6 +1057,17 @@ let test_oracle_beats_or_matches_sample () =
     (Printf.sprintf "oracle %.3f <= sample %.3f (+tol)" oracle_cong sample_cong)
     true
     (oracle_cong <= sample_cong +. 0.15)
+
+let test_oracle_lp_keeps_the_optimum () =
+  (* With the exact solver and α at least every pair's support, the
+     demand-aware system holds the whole optimal routing, so the exact
+     Stage-4 LP on it reaches opt_{G,ℝ}(d). *)
+  let g = Gen.grid 4 4 in
+  let d = Demand.random_pairs (Rng.create 87) ~n:16 ~pairs:6 in
+  let opt = Semi_oblivious.opt ~solver:Semi_oblivious.Lp g d in
+  let oracle = Oracle.demand_aware_system ~solver:Semi_oblivious.Lp g d ~alpha:64 in
+  Alcotest.(check (float 1e-9)) "Stage 4 on the oracle = opt" opt
+    (Semi_oblivious.congestion ~solver:Semi_oblivious.Lp g oracle d)
 
 let test_oracle_only_covers_demand () =
   let g = Gen.grid 3 3 in
@@ -1432,7 +1443,7 @@ let prop_stage4_never_beats_unrestricted =
       let ps = Sampler.alpha_sample rng obl ~alpha:2 in
       let d = Demand.random_pairs rng ~n:9 ~pairs:3 in
       let restricted = Semi_oblivious.congestion ~solver:Semi_oblivious.Lp g ps d in
-      let unrestricted = Sso_flow.Min_congestion.lp_unrestricted g d in
+      let unrestricted = snd (Sso_flow.Min_congestion.lp_unrestricted g d) in
       restricted >= unrestricted -. 1e-6)
 
 let prop_certified_never_beats_exact_stage4 =
@@ -1444,7 +1455,7 @@ let prop_certified_never_beats_exact_stage4 =
       let rng = Rng.create (seed + 77) in
       let ps = Sampler.alpha_cut_sample rng obl ~alpha:3 in
       let d = Demand.random_pairs rng ~n:9 ~pairs:3 in
-      let _, pipeline = Sso_core.Certified.route ~gamma:10.0 ~alpha:3 g ps d in
+      let _, pipeline = Sso_core.Theorem53.route ~gamma:10.0 ~alpha:3 g ps d in
       let exact = Semi_oblivious.congestion ~solver:Semi_oblivious.Lp g ps d in
       pipeline >= exact -. 1e-6)
 
@@ -1588,6 +1599,7 @@ let () =
           Alcotest.test_case "top paths" `Quick test_oracle_top_paths;
           Alcotest.test_case "beats sample" `Slow test_oracle_beats_or_matches_sample;
           Alcotest.test_case "covers demand only" `Quick test_oracle_only_covers_demand;
+          Alcotest.test_case "lp keeps the optimum" `Quick test_oracle_lp_keeps_the_optimum;
         ] );
       ( "family graph (Lemma 8.2)",
         [

@@ -260,7 +260,7 @@ let test_unrestricted_lp_matches_mwu () =
   let rng = Rng.create 31 in
   let g = Gen.cycle 6 in
   let d = Demand.of_list [ (0, 3, 1.0); (1, 4, 1.0) ] in
-  let lp = Min_congestion.lp_unrestricted g d in
+  let lp = snd (Min_congestion.lp_unrestricted g d) in
   let _, mwu = Min_congestion.mwu_unrestricted ~iters:800 g d in
   ignore rng;
   Alcotest.(check bool)
@@ -272,7 +272,117 @@ let test_lp_unrestricted_known_value () =
   (* Two disjoint 2-hop routes for 2 units: optimum congestion 1. *)
   let g = square () in
   let d = Demand.single_pair 0 3 2.0 in
-  Alcotest.(check (float 1e-5)) "square optimum" 1.0 (Min_congestion.lp_unrestricted g d)
+  Alcotest.(check (float 1e-5)) "square optimum" 1.0 (snd (Min_congestion.lp_unrestricted g d))
+
+(* A test-local copy of the edge formulation of opt_{G,ℝ}(d) that
+   [lp_unrestricted] replaced: per commodity and edge, one flow variable
+   per direction, flow conservation at every vertex, and per edge the
+   summed flow at most cap · z.  The column-generation solver must agree
+   with it. *)
+let edge_lp g demand =
+  let module Simplex = Sso_lp.Simplex in
+  let n = Graph.n g and m = Graph.m g in
+  let commodities = Demand.support demand in
+  let z = List.length commodities * 2 * m in
+  let var i e dir = (i * 2 * m) + (2 * e) + dir in
+  let conservation =
+    List.concat
+      (List.mapi
+         (fun i (s, t) ->
+           let amount = Demand.get demand s t in
+           List.init n (fun v ->
+               let coeffs =
+                 Array.fold_left
+                   (fun acc (e, _) ->
+                     let dir_out = if v = fst (Graph.endpoints g e) then 0 else 1 in
+                     (var i e dir_out, 1.0) :: (var i e (1 - dir_out), -1.0) :: acc)
+                   [] (Graph.adj g v)
+               in
+               let rhs = if v = s then amount else if v = t then -.amount else 0.0 in
+               { Simplex.coeffs; relation = Simplex.Eq; rhs }))
+         commodities)
+  in
+  let capacity =
+    List.init m (fun e ->
+        {
+          Simplex.coeffs =
+            (z, -.Graph.cap g e)
+            :: List.concat
+                 (List.mapi (fun i _ -> [ (var i e 0, 1.0); (var i e 1, 1.0) ]) commodities);
+          relation = Simplex.Le;
+          rhs = 0.0;
+        })
+  in
+  match
+    Simplex.solve
+      { Simplex.num_vars = z + 1; objective = [ (z, 1.0) ]; constraints = conservation @ capacity }
+  with
+  | Simplex.Optimal { objective; _ } -> Float.max 0.0 objective
+  | Simplex.Infeasible | Simplex.Unbounded -> Alcotest.fail "edge LP: no optimum"
+
+(* G(10,0.4), G(14,0.3) or the 3x3 grid by [kind mod 3], and [pairs]
+   random pairs with amounts in [0.5, 2.5). *)
+let random_instance rng kind ~pairs =
+  let g =
+    match kind mod 3 with
+    | 0 -> Gen.erdos_renyi rng 10 0.4
+    | 1 -> Gen.erdos_renyi rng 14 0.3
+    | _ -> Gen.grid 3 3
+  in
+  let support = Demand.support (Demand.random_pairs rng ~n:(Graph.n g) ~pairs) in
+  (g, Demand.of_list (List.map (fun (s, t) -> (s, t, 0.5 +. (2.0 *. Rng.float rng))) support))
+
+(* Fixtures for the unrestricted optimum: the hand-built instances of
+   this file and test_oblivious, E6's two cliques, the lower-bound
+   instances below, then seeded random ones. *)
+let unrestricted_fixtures () =
+  let rng = Rng.create 41 in
+  let lower_bound =
+    List.init 5 (fun i ->
+        let g = Gen.erdos_renyi rng 10 0.4 in
+        (Printf.sprintf "G(10,0.4) seed 41 #%d" i, g, Demand.random_pairs rng ~n:10 ~pairs:4))
+  in
+  let random i =
+    let g, d = random_instance (Rng.create (700 + i)) i ~pairs:(3 + (i mod 4)) in
+    (Printf.sprintf "random %d" i, g, d)
+  in
+  [
+    ("square", square (), Demand.single_pair 0 3 2.0);
+    ("cycle 6", Gen.cycle 6, Demand.of_list [ (0, 3, 1.0); (1, 4, 1.0) ]);
+    ("grid 3x3", Gen.grid 3 3, Demand.of_list [ (0, 8, 1.0); (2, 6, 1.0); (1, 7, 1.0) ]);
+    ("two cliques 8", Gen.two_cliques 8, Demand.single_pair 0 15 8.0);
+  ]
+  @ lower_bound @ List.init 10 random
+
+(* Values of the edge formulation on the fixtures, printed with %.17g
+   before it was replaced by column generation.  Both are exact LPs, so
+   they agree up to float rounding. *)
+let test_unrestricted_pins () =
+  List.iter2
+    (fun (label, g, d) want ->
+      let want = float_of_string want in
+      let routing, got = Min_congestion.lp_unrestricted g d in
+      Alcotest.(check (float (1e-12 *. Float.max 1.0 want))) label want got;
+      Alcotest.(check bool) (label ^ ": covers d") true (Routing.covers routing d))
+    (unrestricted_fixtures ())
+    [
+      "1"; "1"; "0.99999999999999989"; "1";
+      "0.66666666666666652"; "1"; "0.74999999999999922"; "0.49999999999999989";
+      "0.49999999999999944";
+      "2.3771291639510741"; "1.1637817898605363"; "1.971409803930819"; "4.3689326253740939";
+      "1.3708138838707105"; "1.6799474482442194"; "1.2550193020646252"; "0.94585193076284857";
+      "1.2789083061532742"; "0.84284400999728826";
+    ]
+
+let prop_column_generation_matches_edge_lp =
+  QCheck.Test.make ~name:"column generation equals the edge LP; its routing attains it"
+    ~count:100 QCheck.small_nat (fun seed ->
+      let g, d = random_instance (Rng.create (9000 + seed)) seed ~pairs:(1 + (seed mod 5)) in
+      let routing, value = Min_congestion.lp_unrestricted g d in
+      let close a b = Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 b in
+      close value (edge_lp g d)
+      && Routing.covers routing d
+      && close (Routing.congestion g routing d) value)
 
 let test_lower_bound_sound () =
   let rng = Rng.create 41 in
@@ -280,7 +390,7 @@ let test_lower_bound_sound () =
     let g = Gen.erdos_renyi rng 10 0.4 in
     let d = Demand.random_pairs rng ~n:10 ~pairs:4 in
     let bound = Min_congestion.lower_bound_sparse_cut g d in
-    let opt = Min_congestion.lp_unrestricted g d in
+    let opt = snd (Min_congestion.lp_unrestricted g d) in
     Alcotest.(check bool)
       (Printf.sprintf "lower bound below optimum (%.3f <= %.3f)" bound opt)
       true (bound <= opt +. 1e-6)
@@ -904,6 +1014,8 @@ let () =
           Alcotest.test_case "missing candidates" `Quick test_lp_missing_candidates;
           Alcotest.test_case "empty demand" `Quick test_lp_empty_demand;
           Alcotest.test_case "unrestricted known value" `Quick test_lp_unrestricted_known_value;
+          Alcotest.test_case "unrestricted pins" `Quick test_unrestricted_pins;
+          QCheck_alcotest.to_alcotest prop_column_generation_matches_edge_lp;
         ] );
       ( "mwu",
         [

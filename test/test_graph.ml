@@ -1487,18 +1487,13 @@ let test_arena_unpack () =
   let a = Arena.create g in
   let paths = List.init 5 (fun i -> random_walk rng g (i mod 9) i) in
   let ids = Array.of_list (List.map (Arena.append_path a) paths) in
-  let off, flat = Arena.unpack a ids in
-  let off', fedges, fverts = Arena.unpack_with_vertices a ids in
-  Alcotest.(check (array int)) "offsets agree" off off';
+  let off, fedges, fverts = Arena.unpack_with_vertices a ids in
   Array.iteri
     (fun i id ->
       let h = Arena.hops a id in
       Alcotest.(check int) "unpack width" h (off.(i + 1) - off.(i));
       Alcotest.(check (array int))
         "unpack edges" (Arena.edges a id)
-        (Array.sub flat off.(i) h);
-      Alcotest.(check (array int))
-        "unpack edges'" (Arena.edges a id)
         (Array.sub fedges off.(i) h);
       Alcotest.(check (array int))
         "unpack vertices" (Arena.vertices a id)

@@ -40,11 +40,12 @@ let test_two_var () =
 
 let test_maximize () =
   (* max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18: the classic example,
-     optimum 36 at (2,6). *)
+     optimum 36 at (2,6), solved as min -3x - 5y.  Its duals are
+     (0, -3/2, -1): the first row is slack. *)
   let p =
     {
       Simplex.num_vars = 2;
-      objective = [ (0, 3.0); (1, 5.0) ];
+      objective = [ (0, -3.0); (1, -5.0) ];
       constraints =
         [
           { Simplex.coeffs = [ (0, 1.0) ]; relation = Simplex.Le; rhs = 4.0 };
@@ -53,11 +54,12 @@ let test_maximize () =
         ];
     }
   in
-  (match Simplex.maximize p with
-  | Simplex.Optimal { objective; solution } ->
-      Alcotest.(check (float 1e-6)) "objective" 36.0 objective;
+  (match solve p with
+  | Simplex.Optimal { objective; solution; duals } ->
+      Alcotest.(check (float 1e-6)) "objective" (-36.0) objective;
       Alcotest.(check (float 1e-6)) "x" 2.0 solution.(0);
-      Alcotest.(check (float 1e-6)) "y" 6.0 solution.(1)
+      Alcotest.(check (float 1e-6)) "y" 6.0 solution.(1);
+      Alcotest.(check (array (float 1e-9))) "duals" [| 0.0; -1.5; -1.0 |] duals
   | _ -> Alcotest.fail "expected optimal")
 
 let test_equality_constraint () =
@@ -74,7 +76,7 @@ let test_equality_constraint () =
     }
   in
   (match solve p with
-  | Simplex.Optimal { objective; solution } ->
+  | Simplex.Optimal { objective; solution; _ } ->
       Alcotest.(check (float 1e-6)) "objective" 7.0 objective;
       Alcotest.(check (float 1e-6)) "x" 3.0 solution.(0);
       Alcotest.(check (float 1e-6)) "y" 2.0 solution.(1)
@@ -187,6 +189,28 @@ let test_index_validation () =
     (Invalid_argument "Simplex.solve: variable index out of range") (fun () ->
       ignore (solve p))
 
+let test_numerical_breakdown () =
+  (* A 9x9 Hilbert system H x = H·1: feasible, but so ill-conditioned
+     that Bland's pivots on the never refactorized tableau end on a point
+     that breaks the rows.  The solver refuses it instead of calling it
+     optimal. *)
+  let n = 9 in
+  let row i = List.init n (fun j -> (j, 1.0 /. float_of_int (i + j + 1))) in
+  let p =
+    {
+      Simplex.num_vars = n;
+      objective = List.init n (fun j -> (j, 1.0));
+      constraints =
+        List.init n (fun i ->
+            let coeffs = row i in
+            let rhs = List.fold_left (fun acc (_, a) -> acc +. a) 0.0 coeffs in
+            { Simplex.coeffs; relation = Simplex.Eq; rhs });
+    }
+  in
+  Alcotest.check_raises "refused"
+    (Failure "Simplex: numerical breakdown (the solution breaks a constraint)") (fun () ->
+      ignore (solve p))
+
 (* Random LPs: cross-check weak duality style invariants. *)
 
 let random_lp rng nvars nrows =
@@ -209,7 +233,7 @@ let prop_random_le_lps_bounded_feasible =
     (fun (seed, nvars, nrows) ->
       let rng = Sso_prng.Rng.create seed in
       match solve (random_lp rng nvars nrows) with
-      | Simplex.Optimal { objective; solution } ->
+      | Simplex.Optimal { objective; solution; _ } ->
           objective <= 1e-9
           && Array.for_all (fun x -> x >= -1e-9) solution
       | Simplex.Infeasible | Simplex.Unbounded -> false)
@@ -234,6 +258,55 @@ let prop_solution_feasible =
             p.Simplex.constraints
       | _ -> false)
 
+(* Feasible by construction: every row holds at a random point x0 ≥ 0
+   (Le and Ge rows with some slack), coefficients of both signs give
+   negative right-hand sides too, and costs c ≥ 0 bound the minimum
+   below by 0. *)
+let random_feasible_lp rng nvars nrows =
+  let module Rng = Sso_prng.Rng in
+  let x0 = Array.init nvars (fun _ -> Rng.float rng *. 3.0) in
+  let constraints =
+    List.init nrows (fun _ ->
+        let coeffs = List.init nvars (fun j -> (j, (Rng.float rng *. 3.0) -. 1.0)) in
+        let at_x0 = List.fold_left (fun acc (j, a) -> acc +. (a *. x0.(j))) 0.0 coeffs in
+        let slack = Rng.float rng in
+        match Rng.int rng 3 with
+        | 0 -> { Simplex.coeffs; relation = Simplex.Le; rhs = at_x0 +. slack }
+        | 1 -> { Simplex.coeffs; relation = Simplex.Ge; rhs = at_x0 -. slack }
+        | _ -> { Simplex.coeffs; relation = Simplex.Eq; rhs = at_x0 })
+  in
+  let objective = List.init nvars (fun j -> (j, Rng.float rng)) in
+  { Simplex.num_vars = nvars; objective; constraints }
+
+let prop_duals_certify =
+  QCheck.Test.make ~name:"duals are feasible and b·y equals the optimum" ~count:200
+    QCheck.(triple small_int (int_range 1 6) (int_range 1 8))
+    (fun (seed, nvars, nrows) ->
+      let rng = Sso_prng.Rng.create (seed + 4242) in
+      let p = random_feasible_lp rng nvars nrows in
+      match solve p with
+      | Simplex.Optimal { objective; duals; _ } ->
+          let tol = 1e-7 *. (1.0 +. Float.abs objective) in
+          let reduced = Array.make nvars 0.0 in
+          List.iter (fun (j, c) -> reduced.(j) <- reduced.(j) +. c) p.Simplex.objective;
+          let by = ref 0.0 in
+          List.iteri
+            (fun i { Simplex.coeffs; rhs; _ } ->
+              by := !by +. (rhs *. duals.(i));
+              List.iter (fun (j, a) -> reduced.(j) <- reduced.(j) -. (a *. duals.(i))) coeffs)
+            p.Simplex.constraints;
+          Array.length duals = nrows
+          && Float.abs (!by -. objective) <= tol
+          && Array.for_all (fun r -> r >= -.tol) reduced
+          && List.for_all2
+               (fun { Simplex.relation; _ } y ->
+                 match relation with
+                 | Simplex.Le -> y <= tol
+                 | Simplex.Ge -> y >= -.tol
+                 | Simplex.Eq -> true)
+               p.Simplex.constraints (Array.to_list duals)
+      | Simplex.Infeasible | Simplex.Unbounded -> false)
+
 let () =
   Alcotest.run "lp"
     [
@@ -250,8 +323,9 @@ let () =
           Alcotest.test_case "Beale cycling example" `Quick test_beale_cycling_example;
           Alcotest.test_case "zero objective" `Quick test_zero_objective;
           Alcotest.test_case "index validation" `Quick test_index_validation;
+          Alcotest.test_case "numerical breakdown" `Quick test_numerical_breakdown;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_random_le_lps_bounded_feasible; prop_solution_feasible ] );
+          [ prop_random_le_lps_bounded_feasible; prop_solution_feasible; prop_duals_certify ] );
     ]
