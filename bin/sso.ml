@@ -182,6 +182,14 @@ let jobs_arg =
 (* A generator size below its family's minimum names its flag. *)
 let at_least ~name ~what lo v = if v < lo then misfit ~name "%s >= %d, got %d" what lo v
 
+(* The configuration-model sampler gives up on a size/degree pair it
+   cannot realize within its retry budget (a degree close to the vertex
+   count), which no parse-time bound rules out. *)
+let random_regular ~name rng n d =
+  try Gen.random_regular rng n d
+  with Invalid_argument _ ->
+    misfit ~name "rejection sampling found no connected %d-regular graph on %d vertices" d n
+
 let probability_arg ~name ~default ~doc =
   ranged_arg ~name ~default ~docv:"P" ~doc Arg.float
     ~ok:(fun p -> p >= 0.0 && p <= 1.0)
@@ -274,7 +282,7 @@ let family_arg ?(expander = false) ~doc () =
           Some
             (fun rng size ->
               at_least ~name:"size" ~what:"a 4-regular expander needs a vertex count" 5 size;
-              Gen.random_regular rng size 4)
+              random_regular ~name:"size" rng size 4)
       | _ -> None)
 
 (* ---- JSON writers ---- *)
@@ -401,7 +409,7 @@ let gen_cmd =
                if size * aux mod 2 <> 0 then
                  misfit ~name:"aux" "an expander needs size * degree even, got %d * %d" size
                    aux;
-               Gen.random_regular rng size aux)
+               random_regular ~name:"aux" rng size aux)
        | "two-cliques" -> Some (sized "two cliques need a clique size" 2 Gen.two_cliques)
        | "abilene" -> Some (fun _ _ _ -> fst (Gen.abilene ()))
        | "c-gadget" ->

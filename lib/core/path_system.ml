@@ -3,6 +3,7 @@ module Path = Sso_graph.Path
 module Path_arena = Sso_graph.Arena
 module Oblivious = Sso_oblivious.Oblivious
 module Pool = Sso_engine.Pool
+module Obs = Sso_obs.Obs
 module PS = Set.Make (Path)
 
 (* Where the slices of one pair live in the arena: [count] consecutive
@@ -14,11 +15,15 @@ type entry = { first : int; count : int }
    graph (views, preloaded payloads). *)
 type source = Paths of Path.t list | Slices of Path_arena.t * int list
 
+(* The index keys pair [(s, t)] by the immediate [s * n + t] ([key]), so a
+   lookup hashes one int rather than walking a tuple. *)
+module Index = Hashtbl.Make (Int)
+
 type t = {
   graph : Graph.t;
   generate : int -> int -> source;
   arena : Path_arena.t;
-  index : (int * int, entry) Hashtbl.t;
+  index : entry Index.t;
   (* Guards [index] and arena appends, so systems can be queried from pool
      workers.  A single-pair query ([entry]) generates under this lock, but
      [materialize_parallel] calls [generate] from pool workers outside it:
@@ -33,73 +38,84 @@ type t = {
 
 let compare_pair = Sso_demand.Demand.Pair.compare
 
+let key ps s t =
+  let n = Graph.n ps.graph in
+  if s < 0 || s >= n || t < 0 || t >= n then invalid_arg "Path_system: pair out of range";
+  (s * n) + t
+
 let locked ps f =
   Mutex.lock ps.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock ps.lock) f
 
-(* The candidate contract, checked on slices of [a]: every slice runs
-   s → t, and no path repeats.  Repeats are found by sorting the handles
-   by their byte hash ([Path_arena.hash_slice], ties broken by edge
-   order), O(k log k) for any list size: full oblivious supports offer
-   hundreds of paths per pair.  A list with both defects reports the one
+(* Up to this many candidates, repeats are found by comparing every two
+   slices: cheaper than hashing and sorting an α-sized list. *)
+let pairwise_limit = 8
+
+(* The candidate contract, checked on slices [first .. first + count - 1]
+   of [a]: every slice runs s → t, and no path repeats.  Small lists are
+   scanned pairwise with [Path_arena.equal_slices], allocating nothing;
+   larger ones (full oblivious supports offer hundreds of paths per pair)
+   sort their handles by byte hash ([Path_arena.hash_slice], ties broken
+   by edge order), O(k log k).  A list with both defects reports the one
    a scan in list order meets first: the repeat only if both copies lie
    before the first bad endpoint. *)
-let check a s t handles =
-  let n = Array.length handles in
-  (* Index of the first bad endpoint, [n] if none. *)
-  let bad = ref 0 in
+let check a s t first count =
+  (* Number of slices before the first bad endpoint, [count] if none. *)
+  let good = ref 0 in
   while
-    !bad < n && Path_arena.src a handles.(!bad) = s && Path_arena.dst a handles.(!bad) = t
+    !good < count
+    && Path_arena.src a (first + !good) = s
+    && Path_arena.dst a (first + !good) = t
   do
-    incr bad
+    incr good
   done;
-  let keyed = Array.init !bad (fun k -> (Path_arena.hash_slice a handles.(k), handles.(k))) in
-  Array.sort
-    (fun (h1, i1) (h2, i2) ->
-      match Int.compare h1 h2 with 0 -> Path_arena.compare_within_pair a i1 i2 | c -> c)
-    keyed;
-  for k = 1 to !bad - 1 do
-    let h1, i1 = keyed.(k - 1) and h2, i2 = keyed.(k) in
-    if h1 = h2 && Path_arena.equal_slices a i1 a i2 then
-      invalid_arg "Path_system: duplicate path in candidate set"
-  done;
-  if !bad < n then invalid_arg "Path_system: path endpoints do not match pair"
-
-let copy_slices into a handles =
-  let first = Path_arena.length into in
-  Array.iter (fun i -> ignore (Path_arena.append_slice into a i)) handles;
-  { first; count = Array.length handles }
+  let good = !good in
+  let duplicate () = invalid_arg "Path_system: duplicate path in candidate set" in
+  if good <= pairwise_limit then
+    for j = first + 1 to first + good - 1 do
+      for i = first to j - 1 do
+        if Path_arena.equal_slices a i a j then duplicate ()
+      done
+    done
+  else begin
+    let keyed = Array.init good (fun k -> (Path_arena.hash_slice a (first + k), first + k)) in
+    Array.sort
+      (fun (h1, i1) (h2, i2) ->
+        match Int.compare h1 h2 with 0 -> Path_arena.compare_within_pair a i1 i2 | c -> c)
+      keyed;
+    for k = 1 to good - 1 do
+      let h1, i1 = keyed.(k - 1) and h2, i2 = keyed.(k) in
+      if h1 = h2 && Path_arena.equal_slices a i1 a i2 then duplicate ()
+    done
+  end;
+  if good < count then invalid_arg "Path_system: path endpoints do not match pair"
 
 (* Append one pair's candidates to [into], in source order, and check
-   them.  Slices are checked where they live and then blitted; boxed
-   paths are encoded first, checked on their new slices and truncated
-   away if rejected.  Callers publish the entry only after this returns,
-   so a rejected list installs nothing. *)
-let append into s t = function
-  | Slices (a, handles) ->
-      let handles = Array.of_list handles in
-      check a s t handles;
-      copy_slices into a handles
-  | Paths paths -> (
-      let first = Path_arena.length into in
-      try
-        List.iter (fun p -> ignore (Path_arena.append_path into p)) paths;
-        let count = Path_arena.length into - first in
-        check into s t (Array.init count (fun k -> first + k));
-        { first; count }
-      with e ->
-        Path_arena.truncate into first;
-        raise e)
+   them on their new slices: boxed paths are encoded, slices are copied
+   as bytes.  A rejected list is truncated away, and callers publish the
+   entry only after this returns, so it installs nothing. *)
+let append into s t source =
+  let first = Path_arena.length into in
+  try
+    (match source with
+    | Paths paths -> List.iter (fun p -> ignore (Path_arena.append_path into p)) paths
+    | Slices (a, handles) -> List.iter (fun i -> ignore (Path_arena.append_slice into a i)) handles);
+    let count = Path_arena.length into - first in
+    check into s t first count;
+    { first; count }
+  with e ->
+    Path_arena.truncate into first;
+    raise e
 
 (* Lock held. *)
 let install_locked ps s t source =
   let e = append ps.arena s t source in
-  Hashtbl.replace ps.index (s, t) e;
+  Index.replace ps.index (key ps s t) e;
   e
 
 let entry ps s t =
   locked ps (fun () ->
-      match Hashtbl.find_opt ps.index (s, t) with
+      match Index.find_opt ps.index (key ps s t) with
       | Some e -> e
       | None -> install_locked ps s t (ps.generate s t))
 
@@ -108,7 +124,7 @@ let of_source graph generate =
     graph;
     generate;
     arena = Path_arena.create graph;
-    index = Hashtbl.create 64;
+    index = Index.create 64;
     lock = Mutex.create ();
   }
 
@@ -116,31 +132,75 @@ let of_pairs graph entries =
   let ps = of_source graph (fun _ _ -> Paths []) in
   List.iter
     (fun ((s, t), paths) ->
-      if Hashtbl.mem ps.index (s, t) then invalid_arg "Path_system.of_pairs: duplicate pair";
+      if Index.mem ps.index (key ps s t) then invalid_arg "Path_system.of_pairs: duplicate pair";
       ignore (install_locked ps s t (Paths paths)))
     entries;
   ps
 
 let of_generator graph generate = of_source graph (fun s t -> Paths (generate s t))
 
-let preload ps a ranges =
-  if not (Path_arena.graph a == ps.graph) then
-    invalid_arg "Path_system.preload: arena over another graph";
-  locked ps @@ fun () ->
-  (* Check every range before installing any: a rejected payload leaves
-     the system as it was. *)
-  let checked =
-    List.map
-      (fun (((s, t) as pair), (first, count)) ->
-        if Hashtbl.mem ps.index pair then invalid_arg "Path_system.preload: duplicate pair";
-        let handles = Array.init count (fun k -> first + k) in
-        check a s t handles;
-        (pair, handles))
-      ranges
-  in
+(* Lock held.  The check-and-install pass of [preload] and [adopt], over
+   ranges of an arena [a] that decoded a payload: one walk vets every pair
+   ([vet] first, then the install check on its slices of [a]) and a second
+   installs the pairs not yet in the index by copying their slices, so a
+   rejection raises before anything is installed. *)
+let vet_ranges ps a ranges vet =
   List.iter
-    (fun (pair, handles) -> Hashtbl.replace ps.index pair (copy_slices ps.arena a handles))
-    checked
+    (fun (((s, t) as pair), (first, count)) ->
+      vet pair (Index.find_opt ps.index (key ps s t)) first count;
+      check a s t first count)
+    ranges
+
+let install_ranges ps a ranges =
+  List.iter
+    (fun ((s, t), (first, count)) ->
+      let k = key ps s t in
+      if not (Index.mem ps.index k) then
+        Index.replace ps.index k
+          { first = Path_arena.append_range ps.arena a first count; count })
+    ranges
+
+let same_graph name ps a =
+  if not (Path_arena.graph a == ps.graph) then
+    invalid_arg (Printf.sprintf "Path_system.%s: arena over another graph" name)
+
+let preload ps a ranges =
+  same_graph "preload" ps a;
+  locked ps @@ fun () ->
+  vet_ranges ps a ranges (fun _ installed _ _ ->
+      if installed <> None then invalid_arg "Path_system.preload: duplicate pair");
+  install_ranges ps a ranges
+
+exception Disagree of (int * int)
+
+(* Does the pair's candidate list equal slices [first .. first + count - 1]
+   of [a]?  Installed pairs compare their installed slices; missing ones
+   ask the generator, without installing its answer. *)
+let agrees ps a (s, t) installed first count =
+  let rec same k matches = function
+    | [] -> k = count
+    | x :: rest -> k < count && matches x (first + k) && same (k + 1) matches rest
+  in
+  let equal_slice b h i = Path_arena.equal_slices b h a i in
+  match installed with
+  | Some e -> same 0 (equal_slice ps.arena) (List.init e.count (fun k -> e.first + k))
+  | None -> (
+      match ps.generate s t with
+      | Paths paths -> same 0 (fun p i -> Path_arena.equal_path a i p) paths
+      | Slices (b, handles) -> same 0 (equal_slice b) handles)
+
+let adopt ps a ranges =
+  same_graph "adopt" ps a;
+  locked ps @@ fun () ->
+  match
+    Obs.traced "restore.verify" (fun () ->
+        vet_ranges ps a ranges (fun pair installed first count ->
+            if not (agrees ps a pair installed first count) then raise (Disagree pair)))
+  with
+  | exception Disagree pair -> Error pair
+  | () ->
+      Obs.traced "restore.install" (fun () -> install_ranges ps a ranges);
+      Ok ()
 
 let graph ps = ps.graph
 let arena ps = ps.arena
@@ -169,19 +229,19 @@ let materialize ps pair_list = List.iter (fun (s, t) -> ignore (entry ps s t)) p
 let parallel_chunk = 16
 
 let materialize_parallel ?pool ps pair_list =
-  let seen = Hashtbl.create (List.length pair_list) in
-  Mutex.lock ps.lock;
+  let seen = Index.create (List.length pair_list) in
   let misses =
-    List.filter
-      (fun pair ->
-        if Hashtbl.mem seen pair then false
-        else begin
-          Hashtbl.add seen pair ();
-          not (Hashtbl.mem ps.index pair)
-        end)
-      pair_list
+    locked ps (fun () ->
+        List.filter
+          (fun (s, t) ->
+            let k = key ps s t in
+            if Index.mem seen k then false
+            else begin
+              Index.add seen k ();
+              not (Index.mem ps.index k)
+            end)
+          pair_list)
   in
-  Mutex.unlock ps.lock;
   if misses <> [] then begin
     let arr = Array.of_list misses in
     let total = Array.length arr in
@@ -206,16 +266,19 @@ let materialize_parallel ?pool ps pair_list =
           (fun (builder, entries) ->
             let base = Path_arena.append_all ps.arena builder in
             Array.iter
-              (fun (pair, e) ->
-                if not (Hashtbl.mem ps.index pair) then
-                  Hashtbl.replace ps.index pair { e with first = base + e.first })
+              (fun ((s, t), e) ->
+                let k = key ps s t in
+                if not (Index.mem ps.index k) then
+                  Index.replace ps.index k { e with first = base + e.first })
               entries)
           built)
   end
 
 let known_pairs ps =
   List.sort compare_pair
-    (locked ps (fun () -> Hashtbl.fold (fun pair _ acc -> pair :: acc) ps.index []))
+    (locked ps (fun () ->
+         let n = Graph.n ps.graph in
+         Index.fold (fun k _ acc -> (k / n, k mod n) :: acc) ps.index []))
 
 let sparsity_on ps pair_list =
   List.fold_left (fun acc (s, t) -> max acc (slice_count ps s t)) 0 pair_list

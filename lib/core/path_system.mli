@@ -21,23 +21,27 @@
     them. *)
 
 type t
+(** Pairs are ordered vertex pairs of {!graph}: any query or install of
+    a pair outside it raises
+    [Invalid_argument "Path_system: pair out of range"]. *)
 
 (** {1 Construction}
 
     Candidates enter a system through one install routine, whatever their
     source: boxed paths from a generator ({!of_pairs}, {!of_generator}),
     slices of another system's arena ({!filter}) or of a decoded payload
-    ({!preload}).  Every pair's list is checked on arena slices before its
-    index entry is published: each path must run from [s] to [t]
-    ([Invalid_argument "Path_system: path endpoints do not match pair"])
-    and no path may repeat within the pair
+    ({!preload}, {!adopt}).  Every pair's list is checked on arena slices
+    before its index entry is published: each path must run from [s] to
+    [t] ([Invalid_argument "Path_system: path endpoints do not match
+    pair"]) and no path may repeat within the pair
     ([Invalid_argument "Path_system: duplicate path in candidate set"]).
     A rejected list installs nothing: no index entry, and no bytes in
-    the arena.  Repeats are found by sorting the pair's handles by
-    {!Sso_graph.Arena.hash_slice}, O(k log k) for [k] candidates.  Boxed
-    paths must also be walks of the graph (the arena append checks that);
-    slices are copied as packed bytes, without building a
-    {!Sso_graph.Path.t}. *)
+    the arena.  Repeats in a list of up to 8 candidates are found by
+    comparing every two slices' packed bytes, allocating nothing; longer
+    lists sort their handles by {!Sso_graph.Arena.hash_slice}, O(k log k)
+    for [k] candidates.  Boxed paths must also be walks of the graph (the
+    arena append checks that); slices are copied as packed bytes, without
+    building a {!Sso_graph.Path.t}. *)
 
 val of_pairs : Sso_graph.Graph.t -> ((int * int) * Sso_graph.Path.t list) list -> t
 (** Eager construction over a graph; pairs must be distinct
@@ -51,14 +55,34 @@ val preload : t -> Sso_graph.Arena.t -> ((int * int) * (int * int)) list -> unit
 (** [preload ps a ranges] installs, per [(pair, (first, count))], the
     slices [first .. first + count - 1] of [a] as the pair's candidates,
     in slice order.  [a] must be over the system's graph (the same
-    value, e.g. a payload decoded against {!graph}).  Every range is
-    checked before any is installed, so on [Invalid_argument] the system
-    is unchanged.
+    value, e.g. a payload decoded against {!graph}).  One walk over
+    [ranges] checks every pair, a second copies their bytes, so on
+    [Invalid_argument] the system is unchanged.
     The pairs must not be installed yet
     ([Invalid_argument "Path_system.preload: duplicate pair"]).  They
     must also be distinct, which is not checked here: ranges come from
     [Codec.decode_path_system_slices], and the decoder rejects a
     repeated pair.  Other pairs still come from the system's generator. *)
+
+val adopt :
+  t -> Sso_graph.Arena.t -> ((int * int) * (int * int)) list -> (unit, int * int) result
+(** [adopt ps a ranges] is {!preload} for a payload that must match the
+    system: each pair's slices of [a] are verified, then the saved bytes
+    are installed.  Verification walks [ranges] in order.  A pair that is
+    not installed yet asks the system's generator, whose candidates must
+    equal the slices in count and, one by one, edge by edge
+    ({!Sso_graph.Arena.equal_path}, or {!Sso_graph.Arena.equal_slices}
+    for slice sources); the generator's answer itself is not installed.
+    An installed pair must hold the same slices.  Every pair also passes
+    the install check.  Then the pairs not yet installed are copied from
+    [a], in range order, as {!preload} copies them; installed pairs keep
+    their slices.  Over a fresh system the arena therefore holds the
+    bytes materializing the pairs in range order through the generator
+    would have written.
+    [Error pair] names the first pair that disagrees, and nothing is
+    installed; [Invalid_argument] from the install check also leaves the
+    system unchanged.  Ranges must be distinct pairs, as for {!preload}.
+    Traced as [restore.verify] and [restore.install]. *)
 
 val graph : t -> Sso_graph.Graph.t
 (** The graph the system's paths live on. *)

@@ -113,12 +113,11 @@ let append_walk a ~src ~dst (edge_ids : int array) =
 let append_path a (p : Path.t) =
   append_walk a ~src:p.Path.src ~dst:p.Path.dst p.Path.edges
 
-let byte_range a i =
-  let start = a.meta.(i) lsr hop_bits in
-  let stop =
-    if i + 1 < a.count then a.meta.(i + 1) lsr hop_bits else a.data_len
-  in
-  (start, stop)
+(* Where slice [i]'s packed bytes start and stop (exclusive).  Separate
+   functions, not a pair, so the comparison kernels allocate nothing. *)
+let byte_start a i = a.meta.(i) lsr hop_bits
+let byte_stop a i = if i + 1 < a.count then byte_start a (i + 1) else a.data_len
+let byte_range a i = (byte_start a i, byte_stop a i)
 
 let append_slice into from i =
   if not (into.graph == from.graph) then
@@ -139,23 +138,33 @@ let truncate a len =
     a.count <- len
   end
 
-let append_all into from =
+let append_range into from first count =
   if not (into.graph == from.graph) then
-    invalid_arg "Arena.append_all: arenas are over different graphs";
-  let first = into.count in
-  ensure_data into from.data_len;
-  Bytes.blit from.data 0 into.data into.data_len from.data_len;
-  let shift = into.data_len in
-  into.data_len <- into.data_len + from.data_len;
-  for i = 0 to from.count - 1 do
-    ensure_path into;
-    let byte_off = (from.meta.(i) lsr hop_bits) + shift in
-    if byte_off > max_offset then invalid_arg "Arena: data buffer exceeds 2^42 bytes";
-    into.meta.(into.count) <- (byte_off lsl hop_bits) lor (from.meta.(i) land max_hops);
-    into.ends.(into.count) <- from.ends.(i);
-    into.count <- into.count + 1
-  done;
-  first
+    invalid_arg "Arena.append_range: arenas are over different graphs";
+  if first < 0 || count < 0 || first + count > from.count then
+    invalid_arg "Arena.append_range: bad range";
+  let handle = into.count in
+  if count > 0 then begin
+    (* Consecutive slices' bytes are contiguous: one blit, then the
+       metadata shifted to the new offsets. *)
+    let start = byte_start from first in
+    let stop = byte_stop from (first + count - 1) in
+    ensure_data into (stop - start);
+    Bytes.blit from.data start into.data into.data_len (stop - start);
+    let shift = into.data_len - start in
+    into.data_len <- into.data_len + (stop - start);
+    for i = first to first + count - 1 do
+      ensure_path into;
+      let byte_off = (from.meta.(i) lsr hop_bits) + shift in
+      if byte_off > max_offset then invalid_arg "Arena: data buffer exceeds 2^42 bytes";
+      into.meta.(into.count) <- (byte_off lsl hop_bits) lor (from.meta.(i) land max_hops);
+      into.ends.(into.count) <- from.ends.(i);
+      into.count <- into.count + 1
+    done
+  end;
+  handle
+
+let append_all into from = append_range into from 0 from.count
 
 let equal_slices a i b j =
   if not (a.graph == b.graph) then
@@ -165,19 +174,51 @@ let equal_slices a i b j =
   a.ends.(i) = b.ends.(j)
   && hops a i = hops b j
   &&
-  let ai, a_stop = byte_range a i and bj, b_stop = byte_range b j in
-  let len = a_stop - ai in
-  let rec same k =
-    k = len
-    || Bytes.unsafe_get a.data (ai + k) = Bytes.unsafe_get b.data (bj + k)
-       && same (k + 1)
-  in
-  len = b_stop - bj && same 0
+  let ai = byte_start a i and bj = byte_start b j in
+  let len = byte_stop a i - ai in
+  len = byte_stop b j - bj
+  &&
+  let k = ref 0 in
+  while !k < len && Bytes.unsafe_get a.data (ai + !k) = Bytes.unsafe_get b.data (bj + !k) do
+    incr k
+  done;
+  !k = len
+
+let equal_path a i (p : Path.t) =
+  if i < 0 || i >= a.count then invalid_arg "Arena.equal_path: bad handle";
+  let h = hops a i in
+  src a i = p.Path.src
+  && dst a i = p.Path.dst
+  && h = Array.length p.Path.edges
+  &&
+  let g = a.graph in
+  let off = Graph.csr_offsets g in
+  let eids = Graph.csr_edge_ids g in
+  let tgts = Graph.csr_targets g in
+  let pos = ref (byte_start a i) in
+  let v = ref (src a i) in
+  let k = ref 0 and same = ref true in
+  while !same && !k < h do
+    let slot = ref 0 and shift = ref 0 and continue = ref true in
+    while !continue do
+      let b = Char.code (Bytes.unsafe_get a.data !pos) in
+      incr pos;
+      slot := !slot lor ((b land 0x7f) lsl !shift);
+      shift := !shift + 7;
+      continue := b >= 0x80
+    done;
+    let base = Array.unsafe_get off !v + !slot in
+    if Array.unsafe_get eids base = Array.unsafe_get p.Path.edges !k then begin
+      v := Array.unsafe_get tgts base;
+      incr k
+    end
+    else same := false
+  done;
+  !same
 
 let hash_slice a i =
-  let start, stop = byte_range a i in
   let h = ref (hops a i) in
-  for k = start to stop - 1 do
+  for k = byte_start a i to byte_stop a i - 1 do
     h := (!h * 0x100000001b3) lxor Char.code (Bytes.unsafe_get a.data k)
   done;
   !h

@@ -62,10 +62,17 @@ val append_slice : t -> t -> int -> int
     arenas must be over the same graph — physical equality).
     @raise Invalid_argument on a graph mismatch or bad handle. *)
 
+val append_range : t -> t -> int -> int -> int
+(** [append_range dst src first count] copies slices
+    [first .. first + count - 1] of [src] in order (one byte blit; both
+    arenas over the same graph, as {!append_slice}) and returns the
+    handle the first one received ([length dst] when [count = 0]).
+    @raise Invalid_argument on a graph mismatch or a range outside
+    [src]. *)
+
 val append_all : t -> t -> int
-(** [append_all dst src] appends every path of [src] in slice order and
-    returns the handle the first one received.  Used to merge per-worker
-    builder arenas deterministically. *)
+(** [append_all dst src] is [append_range dst src 0 (length src)].  Used
+    to merge per-worker builder arenas deterministically. *)
 
 val truncate : t -> int -> unit
 (** [truncate a len] drops slices [len ..] and their bytes, so a rejected
@@ -85,6 +92,12 @@ val equal_slices : t -> int -> t -> int -> bool
     varints, so over one graph equal bytes from the same source are
     exactly equal edge sequences.  @raise Invalid_argument on a graph
     mismatch (physical equality, as {!append_slice}) or a bad handle. *)
+
+val equal_path : t -> int -> Path.t -> bool
+(** [equal_path a i p] — does slice [i] of [a] hold the path [p]?
+    Compares endpoints and hop counts, then decodes the slice's edges in
+    place against [p]'s, stopping at the first difference; allocates
+    nothing.  @raise Invalid_argument on a bad handle. *)
 
 val hash_slice : t -> int -> int
 (** A hash of slice [i]'s hop count and packed slot bytes, allocating

@@ -63,12 +63,12 @@ type t = {
   graph : Graph.t;
   system : Path_system.t;
   config : config;
-  seen : ((int * int), unit) Hashtbl.t;  (* pairs materialized so far *)
+  seen : (int, unit) Hashtbl.t;  (* pairs materialized so far, by [pair_key] *)
   failed : (int, unit) Hashtbl.t;  (* edges currently down *)
   mutable survivors : Path_system.t option;
       (* cached filter view over [system]; dropped on any fault *)
   pieces : (int, Slice_candidates.piece) Hashtbl.t;
-      (* s·n + d -> the pair's candidates unpacked from [pieces_of], kept
+      (* [pair_key] -> the pair's candidates unpacked from [pieces_of], kept
          for active pairs only *)
   mutable pieces_of : Path_system.t option;  (* the live system of [pieces] *)
   mutable pending : Update.t list;  (* shed events, oldest first *)
@@ -102,6 +102,10 @@ let create ?(config = default_config) graph system =
     last_tick = -1;
     since_cold = 0;
     degraded_streak = 0 }
+
+(* A pair as one immediate int, cheaper to hash than a tuple; ascending
+   keys are pairs in lexicographic order. *)
+let pair_key t (s, d) = (s * Graph.n t.graph) + d
 
 let graph t = t.graph
 let system t = t.system
@@ -289,7 +293,7 @@ let step t ~tick ?(faults = []) events =
      deterministic chunk order on the pool.  Retired pairs keep their
      slices — a returning commodity is re-admitted for free. *)
   let fresh =
-    List.filter (fun p -> not (Hashtbl.mem t.seen p)) support
+    List.filter (fun p -> not (Hashtbl.mem t.seen (pair_key t p))) support
   in
   let admit_ns =
     if fresh = [] then 0
@@ -297,7 +301,7 @@ let step t ~tick ?(faults = []) events =
       let a0 = Obs.now_ns () in
       Obs.with_span admit_span (fun () ->
           Path_system.materialize_parallel t.system fresh;
-          List.iter (fun p -> Hashtbl.replace t.seen p ()) fresh);
+          List.iter (fun p -> Hashtbl.replace t.seen (pair_key t p) ()) fresh);
       Obs.now_ns () - a0
     end
   in
@@ -327,16 +331,15 @@ let step t ~tick ?(faults = []) events =
       Obs.incr resets_counter
   | Some _ | None -> ());
   t.pieces_of <- Some live;
-  let key (s, d) = (s * Graph.n t.graph) + d in
-  List.iter (fun p -> Hashtbl.remove t.pieces (key p)) retired_pairs;
+  List.iter (fun p -> Hashtbl.remove t.pieces (pair_key t p)) retired_pairs;
   let unpacked = ref 0 in
   let piece ((s, d) as p) =
-    match Hashtbl.find_opt t.pieces (key p) with
+    match Hashtbl.find_opt t.pieces (pair_key t p) with
     | Some pc -> pc
     | None ->
         incr unpacked;
         let pc = Path_system.unpack_pair live s d in
-        Hashtbl.replace t.pieces (key p) pc;
+        Hashtbl.replace t.pieces (pair_key t p) pc;
         pc
   in
   let routable_pair p = Slice_candidates.count (piece p) > 0 in
@@ -591,13 +594,14 @@ type state = {
 }
 
 let snapshot t =
-  let pairs =
-    List.sort compare (Hashtbl.fold (fun p () acc -> p :: acc) t.seen [])
-  in
+  let n = Graph.n t.graph in
+  let keys = List.sort Int.compare (Hashtbl.fold (fun k () acc -> k :: acc) t.seen []) in
   let ranges =
     List.map
-      (fun (s, d) -> ((s, d), Path_system.slice_range t.system s d))
-      pairs
+      (fun k ->
+        let s = k / n and d = k mod n in
+        ((s, d), Path_system.slice_range t.system s d))
+      keys
   in
   { s_tick = t.last_tick;
     s_since_cold = t.since_cold;
@@ -612,36 +616,23 @@ let snapshot t =
 let state_corrupt fmt =
   Printf.ksprintf (fun msg -> raise (Codec.Corrupt msg)) fmt
 
+let restore_span = Obs.span "serve.restore"
+
 let restore ?(config = default_config) graph system state =
+  Obs.with_span restore_span @@ fun () ->
   let t = create ~config graph system in
   let n = Graph.n graph in
   let m = Graph.m graph in
-  (* Re-derive the arena through the system's own generator, in the
-     payload's canonical pair order, and insist the candidates match:
-     a checkpoint taken against a different seed, α, or base routing
-     must be rejected, never silently resumed.  The payload decodes into
-     a scratch arena over the system's graph, so each regenerated slice
-     is compared with its saved one as packed slot bytes. *)
-  let arena = Path_system.arena system in
   let saved, ranges =
-    Codec.decode_path_system_slices (Path_system.graph system) state.s_system
+    Obs.traced "restore.decode" (fun () ->
+        Codec.decode_path_system_slices (Path_system.graph system) state.s_system)
   in
   List.iter
-    (fun ((s, d), (first, count)) ->
+    (fun ((s, d), _) ->
       if s < 0 || s >= n || d < 0 || d >= n then
         state_corrupt "checkpoint pair %d->%d out of range (graph has %d \
                        vertices)" s d n;
-      let first', count' = Path_system.slice_range system s d in
-      let rec same k =
-        k = count
-        || Arena.equal_slices arena (first' + k) saved (first + k)
-           && same (k + 1)
-      in
-      if not (count = count' && same 0) then
-        state_corrupt
-          "checkpoint pair %d->%d disagrees with the regenerated candidates \
-           (different sampler seed, alpha, or base routing?)" s d;
-      Hashtbl.replace t.seen (s, d) ())
+      Hashtbl.replace t.seen (pair_key t (s, d)) ())
     ranges;
   List.iter
     (fun (s, d) ->
@@ -667,6 +658,16 @@ let restore ?(config = default_config) graph system state =
         check_failed e rest
   in
   check_failed (-1) state.s_failed;
+  (* Last, so a rejected checkpoint leaves [system] as it was: the saved
+     candidates must equal what the system's own generator draws, or a
+     checkpoint taken against a different seed, α, or base routing would
+     be silently resumed. *)
+  (match Path_system.adopt system saved ranges with
+   | Ok () -> ()
+   | Error (s, d) ->
+       state_corrupt
+         "checkpoint pair %d->%d disagrees with the regenerated candidates \
+          (different sampler seed, alpha, or base routing?)" s d);
   t.demand <- state.s_demand;
   t.routing <- state.s_routing;
   t.pending <- state.s_pending;

@@ -203,12 +203,12 @@ val simulate :
     {!state} is the full value of a service between ticks — everything
     {!step} reads besides the graph and the path-system generator.  The
     arena is captured as the v2 slice payload of every materialized
-    pair ({!Sso_artifact.Codec.encode_path_system_slices}), and
-    {!restore} re-derives it from the (per-pair deterministic) generator
-    of a freshly sampled system, comparing every regenerated slice with
-    the payload's so a checkpoint from a different seed, α, or base
-    routing is rejected as {!Sso_artifact.Codec.Corrupt} rather than
-    silently resumed. *)
+    pair ({!Sso_artifact.Codec.encode_path_system_slices}).  {!restore}
+    verifies every saved pair against the (per-pair deterministic)
+    generator of a freshly sampled system and then installs the saved
+    bytes, so a checkpoint from a different seed, α, or base routing is
+    rejected as {!Sso_artifact.Codec.Corrupt} rather than silently
+    resumed. *)
 
 type state = {
   s_tick : int;  (** [last_tick]; [-1] before the first step. *)
@@ -231,15 +231,26 @@ val restore :
 (** Rebuild a service from a snapshot over a freshly created system
     (same graph, same sampler seed).  The payload is decoded into a
     scratch arena over the system's graph
-    ({!Sso_artifact.Codec.decode_path_system_slices}); every checkpointed
-    pair is then materialized through the system's generator in
-    canonical (sorted) order, and its candidate count and each slice
-    (endpoints, hops, packed slot bytes — {!Sso_graph.Arena.equal_slices})
-    must equal the saved ones.  The error names the first pair that
-    disagrees; no boxed path is built for the comparison.
+    ({!Sso_artifact.Codec.decode_path_system_slices}), and every pair,
+    demand endpoint, deferred event and failed edge is range-checked.
+    Then {!Sso_core.Path_system.adopt} verifies the checkpointed pairs
+    in canonical (sorted) order: each pair's candidate count and each
+    path, edge by edge, must equal what the system's generator draws
+    (or, for a pair the system already holds, its installed slices),
+    and every pair passes the install check.  Only then are the saved
+    bytes of the pairs not yet installed copied into the system's
+    arena, in that order, so over a fresh system the arena is
+    byte-identical to materializing the pairs in sorted order.  The
+    check costs one generator call per missing pair; no generated path
+    is encoded and no boxed path is built from the payload.  The error
+    names the first pair that disagrees.  Traced as [serve.restore],
+    with [restore.decode], [restore.verify] and [restore.install]
+    children.
     @raise Sso_artifact.Codec.Corrupt if the payload is damaged, the
     regenerated candidates differ (wrong seed/α/base), or any endpoint,
-    edge id, or failed-edge list is out of contract. *)
+    edge id, or failed-edge list is out of contract.  A rejected
+    snapshot leaves [system] unchanged: no index entry, no arena
+    bytes. *)
 
 (** {1 Telemetry and SLO}
 

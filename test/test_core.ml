@@ -145,6 +145,11 @@ let test_path_system_rejects_cleanly () =
       ignore (Path_system.slice_count ps 0 2));
   Alcotest.(check int) "no arena bytes" 0 (Sso_graph.Arena.length (Path_system.arena ps));
   Alcotest.(check (list (pair int int))) "no entry" [] (Path_system.known_pairs ps);
+  (* Index keys are s·n + t, so a pair outside the graph must not alias
+     one inside it. *)
+  Alcotest.check_raises "pair out of range"
+    (Invalid_argument "Path_system: pair out of range") (fun () ->
+      ignore (Path_system.slice_count ps 0 4));
   Alcotest.check_raises "repeat before the bad endpoint"
     (Invalid_argument "Path_system: duplicate path in candidate set") (fun () ->
       ignore (Path_system.of_pairs g [ ((0, 2), [ p; p; bad ]) ]));
@@ -157,6 +162,42 @@ let test_path_system_rejects_cleanly () =
   Alcotest.check_raises "repeat in a large support"
     (Invalid_argument "Path_system: duplicate path in candidate set") (fun () ->
       ignore (Path_system.of_pairs cube [ ((0, 63), full @ [ List.nth full 17 ]) ]))
+
+(* The install check scans lists of up to 8 candidates pairwise and sorts
+   longer ones by hash: both must report the same defects, whether the
+   list arrives as boxed paths ([of_pairs]) or as decoded slices
+   ([preload]). *)
+let test_path_system_check_cutoff () =
+  let cube = Gen.hypercube 6 in
+  let full = Path_system.paths (Path_system.of_oblivious_support (Valiant.routing cube)) 0 63 in
+  let bad = Path.of_vertices cube [ 0; 1 ] in
+  let dup = "Path_system: duplicate path in candidate set" in
+  let endpoint = "Path_system: path endpoints do not match pair" in
+  List.iter
+    (fun k ->
+      let cands = List.filteri (fun i _ -> i < k) full in
+      let c0 = List.hd cands in
+      let name what = Printf.sprintf "%d candidates: %s" k what in
+      let decoded paths =
+        let a = Sso_graph.Arena.create cube in
+        List.iter (fun p -> ignore (Sso_graph.Arena.append_path a p)) paths;
+        (a, [ ((0, 63), (0, List.length paths)) ])
+      in
+      Alcotest.(check int) (name "distinct paths install") k
+        (Path_system.slice_count (Path_system.of_pairs cube [ ((0, 63), cands) ]) 0 63);
+      let rejects what msg paths =
+        Alcotest.check_raises (name what) (Invalid_argument msg) (fun () ->
+            ignore (Path_system.of_pairs cube [ ((0, 63), paths) ]));
+        let a, ranges = decoded paths in
+        Alcotest.check_raises (name (what ^ ", preloaded")) (Invalid_argument msg) (fun () ->
+            Path_system.preload (Path_system.of_generator cube (fun _ _ -> [])) a ranges)
+      in
+      rejects "a repeat" dup (cands @ [ List.nth cands (k / 2) ]);
+      rejects "a bad endpoint" endpoint (cands @ [ bad ]);
+      rejects "both copies before the bad endpoint" dup (cands @ [ c0; bad ]);
+      rejects "the bad endpoint between the copies" endpoint ((c0 :: bad :: List.tl cands) @ [ c0 ]);
+      rejects "the bad endpoint first" endpoint ((bad :: cands) @ [ c0 ]))
+    [ 3; 20 ]
 
 let test_slice_view_matches_paths () =
   (* The arena slice index and the boxed compatibility view describe the
@@ -1497,6 +1538,8 @@ let () =
             test_path_system_preload;
           Alcotest.test_case "rejected lists install nothing" `Quick
             test_path_system_rejects_cleanly;
+          Alcotest.test_case "check on both sides of the pairwise cutoff" `Quick
+            test_path_system_check_cutoff;
         ] );
       ( "sampler",
         [

@@ -1549,6 +1549,77 @@ let prop_arena_equal_slices =
             (List.init 10 Fun.id))
         (List.init 10 Fun.id))
 
+(* [equal_path] agrees with boxed equality, like [equal_slices], over
+   random walks on both one-byte and two-byte slot encodings. *)
+let prop_arena_equal_path =
+  QCheck.Test.make ~name:"arena equal_path iff paths equal" ~count:100
+    QCheck.(pair small_int bool)
+    (fun (seed, wide) ->
+      let g = if wide then Gen.star 140 else Gen.grid 3 3 in
+      let rng = Rng.create seed in
+      let walks =
+        List.init 10 (fun _ ->
+            let s = if wide then 0 else Rng.int rng 9 in
+            random_walk rng g s (Rng.int rng 4))
+      in
+      let a = Arena.create g in
+      let ids = List.map (Arena.append_path a) walks in
+      List.for_all
+        (fun i ->
+          List.for_all
+            (fun p -> Arena.equal_path a i p = Path.equal (Arena.to_path a i) p)
+            walks)
+        ids)
+
+(* The comparison kernels run once per candidate when a path system
+   checks or verifies a pair, so they must not allocate. *)
+let test_arena_kernels_allocate_nothing () =
+  let g = Gen.star 140 in
+  let a = Arena.create g in
+  let p = Path.of_vertices g [ 1; 0; 139 ] and q = Path.of_vertices g [ 1; 0; 138 ] in
+  let ip = Arena.append_path a p and iq = Arena.append_path a q in
+  let check name f =
+    let before = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    Alcotest.(check (float 0.0)) (name ^ ": minor words over 1000 calls") 0.0
+      (Gc.minor_words () -. before)
+  in
+  check "equal_slices" (fun () -> Arena.equal_slices a ip a iq);
+  check "equal_slices (equal)" (fun () -> Arena.equal_slices a ip a ip);
+  check "equal_path" (fun () -> Arena.equal_path a ip p);
+  check "equal_path (unequal)" (fun () -> Arena.equal_path a ip q);
+  check "hash_slice" (fun () -> Arena.hash_slice a ip)
+
+let test_arena_append_range () =
+  let g = Gen.grid 3 3 in
+  let rng = Rng.create 8 in
+  let src = Arena.create g in
+  for i = 0 to 5 do
+    ignore (Arena.append_path src (random_walk rng g (i mod 9) (1 + i)))
+  done;
+  let dst = Arena.create g in
+  ignore (Arena.append_slice dst src 5);
+  Alcotest.(check int) "first handle" 1 (Arena.append_range dst src 2 3);
+  Alcotest.(check int) "empty range" 4 (Arena.append_range dst src 6 0);
+  Alcotest.(check int) "length" 4 (Arena.length dst);
+  List.iter
+    (fun (i, j) ->
+      Alcotest.(check bool) (Printf.sprintf "slice %d is source %d" i j) true
+        (Arena.equal_slices dst i src j))
+    [ (0, 5); (1, 2); (2, 3); (3, 4) ];
+  let size i =
+    let start, stop = Arena.byte_range src i in
+    stop - start + 16
+  in
+  Alcotest.(check int) "bytes" (size 5 + size 2 + size 3 + size 4) (Arena.memory_bytes dst);
+  Alcotest.check_raises "past the end" (Invalid_argument "Arena.append_range: bad range")
+    (fun () -> ignore (Arena.append_range dst src 4 3));
+  Alcotest.check_raises "graph mismatch"
+    (Invalid_argument "Arena.append_range: arenas are over different graphs")
+    (fun () -> ignore (Arena.append_range (Arena.create (Gen.grid 3 3)) src 0 1))
+
 let test_arena_truncate () =
   let g = Gen.grid 3 3 in
   let a = Arena.create g in
@@ -1737,6 +1808,9 @@ let () =
           Alcotest.test_case "merge" `Quick test_arena_merge;
           Alcotest.test_case "unpack" `Quick test_arena_unpack;
           Alcotest.test_case "truncate" `Quick test_arena_truncate;
+          Alcotest.test_case "append range" `Quick test_arena_append_range;
+          Alcotest.test_case "kernels allocate nothing" `Quick
+            test_arena_kernels_allocate_nothing;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -1752,6 +1826,7 @@ let () =
             prop_tree_path_valid;
             prop_tree_path_matches_root_walk;
             prop_arena_equal_slices;
+            prop_arena_equal_path;
             prop_settle_order_sorted;
             prop_core_matches_reference;
             prop_targets_match_full_run;

@@ -660,10 +660,11 @@ let test_budgeted_replay_converges () =
 
 (* ---- checkpoint / restore ---- *)
 
+let sample_on g = Sampler.alpha_sample (Rng.create 5) (Ksp.routing ~k:4 g) ~alpha:3
+
 let make_parts () =
   let g = Gen.grid 4 4 in
-  let obl = Ksp.routing ~k:4 g in
-  (g, Sampler.alpha_sample (Rng.create 5) obl ~alpha:3)
+  (g, sample_on g)
 
 (* The base of perf's wan-churn workload: an α=4 sample of a 4-tree uniform
    spanning-tree mixture. *)
@@ -944,6 +945,123 @@ let test_restore_rejects_damaged_system () =
   refused "populated out-of-range pair"
     (reencode (((0, n), (first, count)) :: rest));
   refused "trailing bytes" (payload ^ "\000")
+
+(* ---- restore: verify every saved pair, then install the saved bytes ---- *)
+
+let restore_state () =
+  let srv = make_service () in
+  ignore (Serve.replay srv (fst (split_events 3 churn_events)));
+  Serve.snapshot srv
+
+let arena_length system = Arena.length (Path_system.arena system)
+
+(* A refused checkpoint leaves the system it was given as it was: no new
+   index entry and no arena bytes, even when the disagreeing pair comes
+   after pairs that matched. *)
+let test_rejected_restore_installs_nothing () =
+  let state = restore_state () in
+  let g, _ = make_parts () in
+  let a, ranges = Codec.decode_path_system_slices g state.Serve.s_system in
+  let unchanged name (g, system) s_system =
+    (* One pair is installed beforehand, so "unchanged" is not "empty". *)
+    ignore (Path_system.slice_range system 0 15);
+    let pairs = Path_system.known_pairs system and length = arena_length system in
+    (match Serve.restore g system { state with Serve.s_system } with
+    | (_ : Serve.t) -> Alcotest.failf "%s: accepted" name
+    | exception Codec.Corrupt _ -> ());
+    Alcotest.(check (list (pair int int))) (name ^ ": no new index entry") pairs
+      (Path_system.known_pairs system);
+    Alcotest.(check int) (name ^ ": same arena length") length (arena_length system)
+  in
+  let payload = state.Serve.s_system in
+  let last = String.length payload - 1 in
+  List.iter
+    (fun mask ->
+      let b = Bytes.of_string payload in
+      Bytes.set b last (Char.chr (Char.code payload.[last] lxor mask));
+      unchanged (Printf.sprintf "last slot ^ %#x" mask) (make_parts ()) (Bytes.to_string b))
+    [ 0x01; 0x02 ];
+  (* The last pair with two distinct same-length candidates has them
+     swapped: the payload decodes, every earlier pair matches, and only
+     that pair's slot bytes disagree. *)
+  let first, earlier =
+    List.fold_left
+      (fun (found, k) (_, (first, count)) ->
+        let found =
+          if count >= 2 && Arena.hops a first = Arena.hops a (first + 1)
+             && not (Arena.equal_slices a first a (first + 1))
+          then Some (first, k)
+          else found
+        in
+        (found, k + 1))
+      (None, 0) ranges
+    |> fst |> Option.get
+  in
+  Alcotest.(check bool) "matching pairs precede the swapped one" true (earlier > 0);
+  let b = Arena.create g in
+  for i = 0 to Arena.length a - 1 do
+    let j = if i = first then first + 1 else if i = first + 1 then first else i in
+    ignore (Arena.append_slice b a j)
+  done;
+  unchanged "swapped slots" (make_parts ()) (Codec.encode_path_system_slices b ranges);
+  let other = Sampler.alpha_sample (Rng.create 6) (Ksp.routing ~k:4 g) ~alpha:3 in
+  unchanged "wrong seed" (g, other) state.Serve.s_system;
+  let other = Sampler.alpha_sample (Rng.create 5) (Ksp.routing ~k:4 g) ~alpha:2 in
+  unchanged "wrong alpha" (g, other) state.Serve.s_system
+
+(* A system that already holds some checkpointed pairs keeps their slices
+   and gains only the missing pairs; the service resumes with the same
+   snapshot. *)
+let test_restore_into_partly_installed () =
+  let state = restore_state () in
+  let g, system = make_parts () in
+  let a, ranges = Codec.decode_path_system_slices g state.Serve.s_system in
+  (* Every third pair, in reverse, so the held pairs' layout differs from
+     the payload's. *)
+  let held = List.rev (List.filteri (fun i _ -> i mod 3 = 0) (List.map fst ranges)) in
+  let held_ranges = List.map (fun (s, t) -> ((s, t), Path_system.slice_range system s t)) held in
+  let length = arena_length system in
+  let resumed = Serve.restore g system state in
+  List.iter
+    (fun ((s, t), r) ->
+      Alcotest.(check (pair int int)) (Printf.sprintf "held %d->%d keeps its slices" s t) r
+        (Path_system.slice_range system s t))
+    held_ranges;
+  let missing =
+    List.fold_left
+      (fun acc (pair, (_, count)) -> if List.mem pair held then acc else acc + count)
+      0 ranges
+  in
+  Alcotest.(check int) "only the missing pairs are installed" (length + missing)
+    (arena_length system);
+  Alcotest.(check int) "every slice was saved" (Arena.length a)
+    (arena_length system);
+  Alcotest.(check bool) "the snapshot round-trips" true
+    (Serve.snapshot resumed = state)
+
+(* Restoring into a fresh system lays the arena out exactly as
+   materializing the checkpointed pairs in sorted order would. *)
+let test_restored_arena_matches_fresh () =
+  let state = restore_state () in
+  let g, system = make_parts () in
+  ignore (Serve.restore g system state);
+  let fresh = sample_on g in
+  let pairs = List.map fst (snd (Codec.decode_path_system_slices g state.Serve.s_system)) in
+  Path_system.materialize fresh pairs;
+  let arena = Path_system.arena system and fresh_arena = Path_system.arena fresh in
+  Alcotest.(check int) "arena length" (Arena.length fresh_arena) (Arena.length arena);
+  Alcotest.(check int) "memory bytes" (Arena.memory_bytes fresh_arena) (Arena.memory_bytes arena);
+  List.iter
+    (fun (s, t) ->
+      let first, count = Path_system.slice_range system s t in
+      let first', count' = Path_system.slice_range fresh s t in
+      Alcotest.(check (pair int int)) (Printf.sprintf "%d->%d range" s t) (first', count')
+        (first, count);
+      for k = 0 to count - 1 do
+        Alcotest.(check bool) (Printf.sprintf "%d->%d slice %d" s t k) true
+          (Arena.equal_slices arena (first + k) fresh_arena (first' + k))
+      done)
+    pairs
 
 let test_checkpoint_files () =
   let dir =
@@ -1287,6 +1405,12 @@ let () =
           Alcotest.test_case "corruption contract" `Quick
             test_checkpoint_contract;
           Alcotest.test_case "files and latest" `Quick test_checkpoint_files;
+          Alcotest.test_case "rejected restore installs nothing" `Quick
+            test_rejected_restore_installs_nothing;
+          Alcotest.test_case "restore into a partly installed system" `Quick
+            test_restore_into_partly_installed;
+          Alcotest.test_case "restored arena matches a fresh one" `Quick
+            test_restored_arena_matches_fresh;
         ] );
       ( "metrics",
         [
