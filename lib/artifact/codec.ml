@@ -26,8 +26,12 @@ let expect_end r =
 
 let write_u8 w v = Buffer.add_char w (Char.chr (v land 0xFF))
 
+(* Reads check their whole width once before they load it. *)
+let need r bytes =
+  if String.length r.data - r.pos < bytes then corrupt "codec: truncated input"
+
 let read_u8 r =
-  if r.pos >= String.length r.data then corrupt "codec: truncated input";
+  need r 1;
   let v = Char.code r.data.[r.pos] in
   r.pos <- r.pos + 1;
   v
@@ -59,14 +63,24 @@ let write_i64 w v =
   done
 
 let read_i64 r =
-  let v = ref 0L in
-  for i = 0 to 7 do
-    v := Int64.logor !v (Int64.shift_left (Int64.of_int (read_u8 r)) (8 * i))
-  done;
-  !v
+  need r 8;
+  let v = String.get_int64_le r.data r.pos in
+  r.pos <- r.pos + 8;
+  v
 
 let write_f64 w v = write_i64 w (Int64.bits_of_float v)
 let read_f64 r = Int64.float_of_bits (read_i64 r)
+
+(* [count] floats straight into a float array; a count the remaining
+   bytes cannot hold is truncation, refused before anything is allocated. *)
+let read_f64_array r count =
+  if count > (String.length r.data - r.pos) / 8 then corrupt "codec: truncated input";
+  let a = Array.create_float count in
+  for i = 0 to count - 1 do
+    a.(i) <- Int64.float_of_bits (String.get_int64_le r.data (r.pos + (8 * i)))
+  done;
+  r.pos <- r.pos + (8 * count);
+  a
 
 let write_string w s =
   write_varint w (String.length s);
@@ -333,8 +347,7 @@ let read_parts r =
   let p_levels = read_varint r in
   let p_chain = read_table r in
   let p_cluster_id = read_table r in
-  let m = read_varint r in
-  let p_lengths = Array.init m (fun _ -> read_f64 r) in
+  let p_lengths = read_f64_array r (read_varint r) in
   { Frt.p_levels; p_chain; p_cluster_id; p_lengths }
 
 let encode_forest parts =

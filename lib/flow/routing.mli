@@ -6,8 +6,6 @@
     congestion of an edge is the total weight crossing it divided by its
     capacity (with unit capacities this is the paper's path count). *)
 
-module Pair_map : Map.S with type key = int * int
-
 type t
 (** Immutable routing. *)
 

@@ -60,50 +60,61 @@ let is_simple g p =
       end)
     vs
 
-(* Per-domain loop-erasure scratch.  [stamp.(v) = epoch] iff [v] is on the
-   retained prefix, at depth [pos.(v)]; [verts.(d)] is the prefix's vertex
-   at depth d and [kept.(d)] the edge entering [verts.(d + 1)].  A run
-   starts with one epoch bump (no O(n) clearing), the arrays grow to the
-   largest graph seen, and a stale stamp from another graph can never equal
-   a fresh epoch.  The prefix is simple, so n slots always suffice. *)
-type eraser = {
-  mutable stamp : int array;
-  mutable pos : int array;
-  mutable verts : int array;
-  mutable kept : int array;
-  mutable epoch : int;
-}
+(* Chronological loop erasure over a per-domain scratch.  [stamp.(v) =
+   epoch] iff [v] is on the retained prefix, at depth [pos.(v)];
+   [verts.(d)] is the prefix's vertex at depth d and [kept.(d)] the edge
+   entering [verts.(d + 1)].  A run starts with one epoch bump (no O(n)
+   clearing), the arrays grow to the largest graph seen, and a stale stamp
+   from another graph can never equal a fresh epoch.  The prefix is
+   simple, so n slots always suffice.  Walking left to right, a repeated
+   vertex drops the loop between its two occurrences; a single pass
+   suffices because excising a loop never creates an earlier repeat. *)
+module Erasure = struct
+  type t = {
+    mutable stamp : int array;
+    mutable pos : int array;
+    mutable verts : int array;
+    mutable kept : int array;
+    mutable epoch : int;
+    mutable graph : Graph.t;
+    mutable cur : int;
+    mutable depth : int;
+  }
 
-let eraser_key =
-  Domain.DLS.new_key (fun () ->
-      { stamp = [||]; pos = [||]; verts = [||]; kept = [||]; epoch = 0 })
+  (* [graph] is a one-vertex placeholder until the first [start]. *)
+  let key =
+    Domain.DLS.new_key (fun () ->
+        { stamp = [||]; pos = [||]; verts = [||]; kept = [||]; epoch = 0;
+          graph = Graph.Builder.build (Graph.Builder.create 1); cur = 0;
+          depth = 0 })
 
-let eraser_for n =
-  let er = Domain.DLS.get eraser_key in
-  if Array.length er.stamp < n then begin
-    er.stamp <- Array.make n (-1);
-    er.pos <- Array.make n 0;
-    er.verts <- Array.make n 0;
-    er.kept <- Array.make n 0
-  end;
-  er.epoch <- er.epoch + 1;
-  er
+  let start g src =
+    let er = Domain.DLS.get key in
+    let n = Graph.n g in
+    if Array.length er.stamp < n then begin
+      er.stamp <- Array.make n (-1);
+      er.pos <- Array.make n 0;
+      er.verts <- Array.make n 0;
+      er.kept <- Array.make n 0
+    end;
+    er.epoch <- er.epoch + 1;
+    er.graph <- g;
+    er.stamp.(src) <- er.epoch;
+    er.pos.(src) <- 0;
+    er.verts.(0) <- src;
+    er.cur <- src;
+    er.depth <- 0;
+    er
 
-let simplify g p =
-  (* Walk the path, and when a vertex repeats drop the loop between the two
-     occurrences.  A single left-to-right pass suffices because excising a
-     loop never creates an earlier repeat. *)
-  if Array.length p.edges = 0 then p
-  else begin
-    let er = eraser_for (Graph.n g) in
-    let epoch = er.epoch and stamp = er.stamp and pos = er.pos in
-    let verts = er.verts and kept = er.kept in
-    stamp.(p.src) <- epoch;
-    pos.(p.src) <- 0;
-    verts.(0) <- p.src;
-    let depth = ref 0 and cur = ref p.src in
-    for i = 0 to Array.length p.edges - 1 do
-      let e = p.edges.(i) in
+  (* The loop runs on locals; [cur] and [depth] are stored back once per
+     call. *)
+  let push_edges er ~rev edges =
+    let g = er.graph and epoch = er.epoch and stamp = er.stamp in
+    let pos = er.pos and verts = er.verts and kept = er.kept in
+    let cur = ref er.cur and depth = ref er.depth in
+    let last = Array.length edges - 1 in
+    for i = 0 to last do
+      let e = if rev then edges.(last - i) else edges.(i) in
       let v = Graph.other_end g e !cur in
       cur := v;
       if stamp.(v) = epoch then begin
@@ -122,7 +133,20 @@ let simplify g p =
         pos.(v) <- !depth
       end
     done;
-    { src = p.src; dst = p.dst; edges = Array.sub kept 0 !depth }
+    er.cur <- !cur;
+    er.depth <- !depth
+
+  let length er = er.depth
+  let edge er d = er.kept.(d)
+  let edges er = Array.sub er.kept 0 er.depth
+end
+
+let simplify g p =
+  if Array.length p.edges = 0 then p
+  else begin
+    let er = Erasure.start g p.src in
+    Erasure.push_edges er ~rev:false p.edges;
+    { src = p.src; dst = p.dst; edges = Erasure.edges er }
   end
 
 let concat g p q =

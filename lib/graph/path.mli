@@ -47,13 +47,38 @@ val is_simple : Graph.t -> t -> bool
 val simplify : Graph.t -> t -> t
 (** Excise loops so that the result is simple; endpoints are preserved and
     the edge set of the result is a subset of the input's.  Chronological
-    loop erasure: walking left to right, a repeated vertex drops the loop
-    since its first retained occurrence, so erasing a walk [a·b] equals
-    erasing [(simplify a)·b] — segments can be appended first and erased
-    once.  O(hops)
-    over a per-domain scratch of O(n) ints, grown on demand and reused
-    without clearing; the only allocation is the result.
+    loop erasure ({!Erasure}): walking left to right, a repeated vertex
+    drops the loop since its first retained occurrence, so erasing a walk
+    [a·b] equals erasing [(simplify a)·b] — segments can be appended first
+    and erased once.  O(hops); the only allocation is the result.
     @raise Invalid_argument if the edges do not form a walk from [src]. *)
+
+(** The loop-erasure kernel behind {!simplify}, for callers that produce a
+    walk segment by segment and only need to visit the erased edges: no
+    walk array and no result path is built.  It runs on a per-domain scratch of
+    O(n) ints, grown on demand and reused without clearing, so one domain
+    erases one walk at a time: {!start} abandons any erasure in progress
+    on the calling domain (including one inside {!simplify}). *)
+module Erasure : sig
+  type t
+
+  val start : Graph.t -> int -> t
+  (** [start g src] begins erasing a walk from [src]. *)
+
+  val push_edges : t -> rev:bool -> int array -> unit
+  (** Append edges to the walk: [edges] in order, or last first when
+      [rev] (a segment walked backwards).
+      @raise Invalid_argument if they do not continue the walk. *)
+
+  val length : t -> int
+  (** Edges retained so far. *)
+
+  val edge : t -> int -> int
+  (** [edge er d] is the [d]-th retained edge, [0 <= d < length er]. *)
+
+  val edges : t -> int array
+  (** The retained edges, copied. *)
+end
 
 val concat : Graph.t -> t -> t -> t
 (** [concat g p q] joins [p] ([s → x]) and [q] ([x → t]) into a walk

@@ -21,7 +21,11 @@ module Trace = Sso_obs.Trace
    [route] does not look hubs up per segment: a dense index with one slot
    per (vertex v, level i >= 1) holds the edges of the tree edge
    chain.(v).(i) -> chain.(v).(i-1), taken from the hub's paths on the
-   slot's first use.  A hit is one array read — no lock, no table. *)
+   slot's first use.  A hit is one array read — no lock, no table.  The
+   children table and the hub cache use the same (vertex, level) slot
+   numbering, so nothing here hashes a tuple. *)
+
+module Int_tbl = Hashtbl.Make (Int)
 
 type t = {
   graph : Graph.t;
@@ -30,13 +34,15 @@ type t = {
   cluster_id : int array array; (* cluster_id.(v).(i): equal iff same cluster *)
   lengths : float array; (* clamped per-edge metric, indexed by edge id *)
   delta : float; (* min clamped edge length ([infinity] when m = 0) *)
-  children : (int * int, int array) Hashtbl.t;
-      (* (hub, parent level) -> distinct child centers below it *)
+  children : int array array;
+      (* children.(hub·levels + l - 1): distinct child centers below the
+         hub at parent level l (empty where none) *)
   segments : int array array;
       (* segments.(v·levels + i - 1): edges of the tree edge from
          chain.(v).(i) down to chain.(v).(i-1), [unfilled] until first use *)
-  hub_cache : (int * int, (int, Path.t) Hashtbl.t) Hashtbl.t;
-      (* (hub, parent level) -> child center -> path hub -> child *)
+  hub_cache : (int, int array) Hashtbl.t Int_tbl.t;
+      (* hub·levels + l - 1 -> child center -> edges of the path
+         hub -> child *)
   hub_lock : Mutex.t; (* guards [hub_cache]: trees route from pool workers *)
 }
 
@@ -52,27 +58,23 @@ let hub_fill_counter = Obs.counter "frt.hub_fill"
 
 (* Enumerate the tree edges (hub at level i+1 -> child center at level i),
    grouped by hub.  O(n·levels); the same center can head several clusters
-   of a level (one per parent cluster), hence the triple-keyed dedup. *)
+   of a level (one per parent cluster), hence the per-level dedup on
+   hub·n + child. *)
 let children_table ~levels ~chain n =
-  let seen = Hashtbl.create 256 and groups = Hashtbl.create 256 in
+  let seen = Int_tbl.create 256 and groups = Array.make (n * levels) [] in
   for i = 0 to levels - 1 do
+    Int_tbl.clear seen;
     for v = 0 to n - 1 do
       let hub = chain.(v).(i + 1) and child = chain.(v).(i) in
-      if hub <> child && not (Hashtbl.mem seen (i, hub, child)) then begin
-        Hashtbl.add seen (i, hub, child) ();
-        let gkey = (hub, i + 1) in
-        let cur =
-          match Hashtbl.find_opt groups gkey with Some l -> l | None -> []
-        in
-        Hashtbl.replace groups gkey (child :: cur)
+      let key = (hub * n) + child in
+      if hub <> child && not (Int_tbl.mem seen key) then begin
+        Int_tbl.add seen key ();
+        let slot = (hub * levels) + i in
+        groups.(slot) <- child :: groups.(slot)
       end
     done
   done;
-  let table = Hashtbl.create (Hashtbl.length groups) in
-  Hashtbl.iter
-    (fun gkey l -> Hashtbl.replace table gkey (Array.of_list l))
-    groups;
-  table
+  Array.map Array.of_list groups
 
 let make_tree g ~levels ~chain ~cluster_id ~lengths ~delta =
   {
@@ -84,7 +86,7 @@ let make_tree g ~levels ~chain ~cluster_id ~lengths ~delta =
     delta;
     children = children_table ~levels ~chain (Graph.n g);
     segments = Array.make (Graph.n g * levels) unfilled;
-    hub_cache = Hashtbl.create 64;
+    hub_cache = Int_tbl.create 64;
     hub_lock = Mutex.create ();
   }
 
@@ -114,6 +116,25 @@ let check_connected g =
    of the claim state alone, never of the job count, so the resulting
    chains are bit-identical at any [--jobs]. *)
 let max_center_batch = 32
+
+(* The vertices a ball settled and their distances, in settle order: one
+   buffer per position in a center batch, grown on demand and reused by
+   every batch of a build.  Each is written by the one task that grows
+   that ball and read back after the batch joins. *)
+type ball = { mutable vs : int array; mutable ds : float array; mutable len : int }
+
+let ball_add ball v d =
+  if ball.len = Array.length ball.vs then begin
+    let cap = max 16 (2 * ball.len) in
+    let vs = Array.make cap 0 and ds = Array.make cap 0.0 in
+    Array.blit ball.vs 0 vs 0 ball.len;
+    Array.blit ball.ds 0 ds 0 ball.len;
+    ball.vs <- vs;
+    ball.ds <- ds
+  end;
+  ball.vs.(ball.len) <- v;
+  ball.ds.(ball.len) <- d;
+  ball.len <- ball.len + 1
 
 let build ?pool rng g ~length =
   let n = Graph.n g and m = Graph.m g in
@@ -192,6 +213,10 @@ let build ?pool rng g ~length =
      instead of |balls| Dijkstras. *)
   let claim_stamp = Array.make n (-1) in
   let best = Array.make n infinity in
+  let balls =
+    Array.init max_center_batch (fun _ -> { vs = [||]; ds = [||]; len = 0 })
+  in
+  let ids = Int_tbl.create 64 in
   let attrs =
     if Obs.tracing () then
       [
@@ -234,43 +259,41 @@ let build ?pool rng g ~length =
             while !unclaimed > 0 && !j < n do
               let b = min !batch (n - !j) in
               let first = !j in
-              let balls =
-                Pool.parallel_init ?pool b (fun k ->
-                    let c = pi.(first + k) in
-                    let ws = Shortest.Workspace.for_current_domain () in
-                    let acc = ref [] in
-                    Shortest.dijkstra_ball_into ws g ~weights:snapshot ~radius
-                      ~prune:(fun v d -> d >= best.(v))
-                      ~sources:[| c |] (fun v d -> acc := (v, d) :: !acc);
-                    List.rev !acc)
-              in
-              Array.iteri
-                (fun k ball ->
-                  let c = pi.(first + k) in
-                  List.iter
-                    (fun (v, d) ->
-                      if claim_stamp.(v) <> i then begin
-                        claim_stamp.(v) <- i;
-                        chain.(v).(i) <- c;
-                        decr unclaimed
-                      end;
-                      if d < best.(v) then best.(v) <- d)
-                    ball)
-                balls;
+              ignore
+                (Pool.parallel_init ?pool b (fun k ->
+                     let ws = Shortest.Workspace.for_current_domain () in
+                     let ball = balls.(k) in
+                     ball.len <- 0;
+                     Shortest.dijkstra_ball_into ws g ~weights:snapshot ~radius
+                       ~prune:(fun v d -> d >= best.(v))
+                       ~sources:[| pi.(first + k) |] (ball_add ball)));
+              for k = 0 to b - 1 do
+                let c = pi.(first + k) and ball = balls.(k) in
+                for h = 0 to ball.len - 1 do
+                  let v = ball.vs.(h) and d = ball.ds.(h) in
+                  if claim_stamp.(v) <> i then begin
+                    claim_stamp.(v) <- i;
+                    chain.(v).(i) <- c;
+                    decr unclaimed
+                  end;
+                  if d < best.(v) then best.(v) <- d
+                done
+              done;
               j := !j + b;
               batch := min max_center_batch (2 * !batch)
             done;
             (* Cluster ids in vertex order — the same first-encounter
-               numbering the serial matrix scan produced. *)
-            let ids = Hashtbl.create 64 in
+               numbering the serial matrix scan produced — keyed by
+               parent cluster id · n + center. *)
+            Int_tbl.clear ids;
             for v = 0 to n - 1 do
-              let key = (cluster_id.(v).(i + 1), chain.(v).(i)) in
+              let key = (cluster_id.(v).(i + 1) * n) + chain.(v).(i) in
               let id =
-                match Hashtbl.find_opt ids key with
-                | Some id -> id
-                | None ->
+                match Int_tbl.find ids key with
+                | id -> id
+                | exception Not_found ->
                     let id = fresh () in
-                    Hashtbl.add ids key id;
+                    Int_tbl.add ids key id;
                     id
               in
               cluster_id.(v).(i) <- id
@@ -322,24 +345,25 @@ let of_parts g p =
      exists, and the up- and down-chains reach the same center. *)
   let levels = p.p_levels and chain = p.p_chain and cid = p.p_cluster_id in
   let bad what = invalid_arg ("Frt.of_parts: " ^ what) in
-  let singletons = Hashtbl.create n in
+  let seen = Int_tbl.create n in
   for v = 0 to n - 1 do
     if chain.(v).(0) <> v then bad "level-0 cluster not centered at its vertex";
-    if Hashtbl.mem singletons cid.(v).(0) then bad "level-0 cluster ids repeat";
-    Hashtbl.add singletons cid.(v).(0) ()
+    if Int_tbl.mem seen cid.(v).(0) then bad "level-0 cluster ids repeat";
+    Int_tbl.add seen cid.(v).(0) v
   done;
   for v = 1 to n - 1 do
     if cid.(v).(levels) <> cid.(0).(levels) || chain.(v).(levels) <> chain.(0).(levels)
     then bad "more than one top-level cluster or center"
   done;
+  (* [seen] maps each level-i cluster id to the first vertex in it. *)
   for i = 1 to levels - 1 do
-    let parent = Hashtbl.create 64 in
+    Int_tbl.clear seen;
     for v = 0 to n - 1 do
-      match Hashtbl.find_opt parent cid.(v).(i) with
-      | None -> Hashtbl.add parent cid.(v).(i) (cid.(v).(i + 1), chain.(v).(i))
-      | Some (up, center) ->
-          if up <> cid.(v).(i + 1) || center <> chain.(v).(i) then
-            bad "clusters do not nest"
+      match Int_tbl.find seen cid.(v).(i) with
+      | w ->
+          if cid.(w).(i + 1) <> cid.(v).(i + 1) || chain.(w).(i) <> chain.(v).(i)
+          then bad "clusters do not nest"
+      | exception Not_found -> Int_tbl.add seen cid.(v).(i) v
     done
   done;
   let lengths = Array.copy p.p_lengths in
@@ -381,6 +405,13 @@ let rec path_by_search t hub v ~radius =
 
 exception Filled
 
+(* Per-domain want/got marks of [fill_hub]: [mark.(c) = want] while child
+   center c is awaited, [= want + 1] once it settled.  Each fill takes two
+   fresh epochs, so nothing is ever cleared. *)
+type marks = { mutable mark : int array; mutable epoch : int }
+
+let marks_key = Domain.DLS.new_key (fun () -> { mark = [||]; epoch = 0 })
+
 (* One truncated Dijkstra from [hub], stopped as soon as every child has
    settled, then a path per child read off the predecessor chains.  Only
    children the visitor saw settle are read back — a vertex that was
@@ -389,21 +420,21 @@ exception Filled
    misses by a float hair fall back to the escalating uncached search. *)
 let fill_hub t hub plevel =
   Obs.incr hub_fill_counter;
-  let kids =
-    match Hashtbl.find_opt t.children (hub, plevel) with
-    | Some k -> k
-    | None -> [||]
-  in
-  let want = Hashtbl.create (2 * Array.length kids) in
-  Array.iter (fun c -> Hashtbl.replace want c ()) kids;
-  let got = Hashtbl.create (2 * Array.length kids) in
-  let remaining = ref (Hashtbl.length want) in
+  let kids = t.children.((hub * t.levels) + plevel - 1) in
+  let marks = Domain.DLS.get marks_key in
+  let n = Graph.n t.graph in
+  if Array.length marks.mark < n then marks.mark <- Array.make n 0;
+  marks.epoch <- marks.epoch + 2;
+  let mark = marks.mark and want = marks.epoch in
+  let got = want + 1 in
+  Array.iter (fun c -> mark.(c) <- want) kids;
+  let remaining = ref (Array.length kids) in
   let ws = Shortest.Workspace.for_current_domain () in
   (try
      Shortest.dijkstra_ball_into ws t.graph ~weights:t.lengths
        ~radius:(hub_radius t plevel) ~sources:[| hub |] (fun v _ ->
-         if Hashtbl.mem want v && not (Hashtbl.mem got v) then begin
-           Hashtbl.replace got v ();
+         if mark.(v) = want then begin
+           mark.(v) <- got;
            decr remaining;
            if !remaining = 0 then raise Filled
          end)
@@ -412,9 +443,9 @@ let fill_hub t hub plevel =
   let missing = ref [] in
   Array.iter
     (fun c ->
-      if Hashtbl.mem got c then
+      if mark.(c) = got then
         match Shortest.Workspace.path ws t.graph c with
-        | Some p -> Hashtbl.replace paths c p
+        | Some p -> Hashtbl.replace paths c p.Path.edges
         | None -> missing := c :: !missing
       else missing := c :: !missing)
     kids;
@@ -423,13 +454,13 @@ let fill_hub t hub plevel =
   List.iter
     (fun c ->
       Hashtbl.replace paths c
-        (path_by_search t hub c ~radius:(4.0 *. hub_radius t plevel)))
+        (path_by_search t hub c ~radius:(4.0 *. hub_radius t plevel)).Path.edges)
     (List.rev !missing);
   paths
 
 let hub_entry t hub plevel =
-  let key = (hub, plevel) in
-  match Mutex.protect t.hub_lock (fun () -> Hashtbl.find_opt t.hub_cache key) with
+  let key = (hub * t.levels) + plevel - 1 in
+  match Mutex.protect t.hub_lock (fun () -> Int_tbl.find_opt t.hub_cache key) with
   | Some paths -> paths
   | None ->
       (* The Dijkstra runs outside the lock; a racing duplicate computes
@@ -438,10 +469,10 @@ let hub_entry t hub plevel =
          published: concurrent readers never see writes. *)
       let paths = fill_hub t hub plevel in
       Mutex.protect t.hub_lock (fun () ->
-          match Hashtbl.find_opt t.hub_cache key with
+          match Int_tbl.find_opt t.hub_cache key with
           | Some first -> first
           | None ->
-              Hashtbl.replace t.hub_cache key paths;
+              Int_tbl.replace t.hub_cache key paths;
               paths)
 
 (* The edges of v's level-[i] tree edge, from the index.  A miss takes
@@ -455,48 +486,46 @@ let segment t v i =
   if seg != unfilled then seg
   else begin
     let hub = t.chain.(v).(i) and child = t.chain.(v).(i - 1) in
-    let seg =
-      if hub = child then [||]
-      else (Hashtbl.find (hub_entry t hub i) child).Path.edges
-    in
+    let seg = if hub = child then [||] else Hashtbl.find (hub_entry t hub i) child in
     t.segments.(slot) <- seg;
     seg
   end
 
+(* Loop-erase the walk s -> hub -> t_ on the domain's {!Path.Erasure}
+   scratch, s <> t_.  Both chains root every segment at its parent (level
+   i >= 1) center — a bounded set of hubs whose trees truncate to the
+   cluster scale.  (Rooting the down-chain at the child, as the historical
+   code did, makes every routed destination a hub: an O(n)-entry cache of
+   full predecessor trees.)  The walk is the up-segments reversed, then
+   the down-segments, erased once: chronological loop erasure satisfies
+   LE(LE(a)·b) = LE(a·b), so this equals erasing segment by segment. *)
+let erase_route t s t_ =
+  (* Lowest level at which s and t share a cluster; vertices in a shared
+     cluster also share its center, so the up- and down-chains meet. *)
+  let j = ref 0 in
+  while t.cluster_id.(s).(!j) <> t.cluster_id.(t_).(!j) do
+    incr j
+  done;
+  let j = !j in
+  (* A slot may fill between two pushes: fills read their paths straight
+     off the Dijkstra workspace and never erase a walk. *)
+  let er = Path.Erasure.start t.graph s in
+  for i = 1 to j do
+    Path.Erasure.push_edges er ~rev:true (segment t s i)
+  done;
+  for i = j downto 1 do
+    Path.Erasure.push_edges er ~rev:false (segment t t_ i)
+  done;
+  er
+
 let route t s t_ =
   if s = t_ then Path.trivial s
-  else begin
-    (* Lowest level at which s and t share a cluster; vertices in a shared
-       cluster also share its center, so the up- and down-chains meet. *)
-    let rec meet i =
-      if t.cluster_id.(s).(i) = t.cluster_id.(t_).(i) then i else meet (i + 1)
-    in
-    let j = meet 0 in
-    (* Both chains root every segment at its parent (level i >= 1) center —
-       a bounded set of hubs whose trees truncate to the cluster scale.
-       (Rooting the down-chain at the child, as the historical code did,
-       makes every routed destination a hub: an O(n)-entry cache of full
-       predecessor trees.)  The walk s -> hub -> t is the up-segments
-       reversed, then the down-segments, loop-erased once: chronological
-       loop erasure satisfies LE(LE(a)·b) = LE(a·b), so this equals
-       erasing segment by segment. *)
-    let len = ref 0 in
-    for i = 1 to j do
-      len := !len + Array.length (segment t s i) + Array.length (segment t t_ i)
-    done;
-    let walk = Array.make !len 0 and pos = ref 0 in
-    for i = 1 to j do
-      let seg = segment t s i in
-      let k = Array.length seg in
-      for h = 0 to k - 1 do
-        walk.(!pos + h) <- seg.(k - 1 - h)
-      done;
-      pos := !pos + k
-    done;
-    for i = j downto 1 do
-      let seg = segment t t_ i in
-      Array.blit seg 0 walk !pos (Array.length seg);
-      pos := !pos + Array.length seg
-    done;
-    Path.simplify t.graph (Path.unsafe_of_edges ~src:s ~dst:t_ walk)
+  else Path.unsafe_of_edges ~src:s ~dst:t_ (Path.Erasure.edges (erase_route t s t_))
+
+let iter_route t s t_ f =
+  if s <> t_ then begin
+    let er = erase_route t s t_ in
+    for d = 0 to Path.Erasure.length er - 1 do
+      f (Path.Erasure.edge er d)
+    done
   end

@@ -53,8 +53,9 @@ val levels : t -> int
 
 val route : t -> int -> int -> Sso_graph.Path.t
 (** The unique tree path between two vertices, mapped into the graph: the
-    center-to-center shortest paths up from [s] and down to [t], appended
-    into one walk and loop-erased once by {!Sso_graph.Path.simplify}.
+    center-to-center shortest paths up from [s] and down to [t], taken as
+    one walk and loop-erased once by {!Sso_graph.Path.Erasure}, the kernel
+    of {!Sso_graph.Path.simplify}.
     Always a simple path from [s] to [t].
 
     Segments come from a dense per-tree index, one slot per (vertex,
@@ -65,6 +66,13 @@ val route : t -> int -> int -> Sso_graph.Path.t
     filled slot is read without a lock or a table lookup, so trees route
     concurrently from pool workers; racing fills store equal paths, and
     routes never depend on the order in which slots fill. *)
+
+val iter_route : t -> int -> int -> (int -> unit) -> unit
+(** [iter_route t s d f] calls [f] on each edge of [(route t s d).edges],
+    in order, without building the walk or the path: the segments are
+    loop-erased on the calling domain's {!Sso_graph.Path.Erasure} scratch
+    and read back from it.  [f] must not erase another walk on the same
+    domain (route, {!Sso_graph.Path.simplify}) while the visit runs. *)
 
 val cluster_center : t -> int -> int -> int
 (** [cluster_center t v level] is the center of the cluster containing [v]

@@ -1,5 +1,4 @@
 module Graph = Sso_graph.Graph
-module Path = Sso_graph.Path
 module Rng = Sso_prng.Rng
 module Pool = Sso_engine.Pool
 module Obs = Sso_obs.Obs
@@ -10,13 +9,15 @@ let tree_loads_span = Obs.span "racke.tree_loads"
 let trees_counter = Obs.counter "racke.trees"
 
 (* Edges are routed in fixed chunks (never a function of the job count):
-   each chunk sums its routes' loads into its domain's dense scratch, in
-   edge-index order, and emits the touched edges as a sparse
-   (edge, partial) array sorted by edge id; the chunks merge serially in
-   chunk order, so the float sums are identical at any [--jobs].  The
-   scratch is O(m) once per domain, not per chunk, and a chunk leaves it
-   zeroed.  Capacities are positive, so a zero sum marks an edge the chunk
-   has not touched yet. *)
+   each chunk streams its routes' edges ({!Frt.iter_route}) into its
+   domain's dense scratch, in edge-index order, and emits the edges it
+   touched, in first-touch order, beside their partial sums.  The chunks
+   merge serially in chunk order.  A chunk lists an edge at most once, so
+   each edge's total is its partials added in chunk order whatever the
+   order within a chunk: the float sums are identical at any [--jobs].
+   The scratch is O(m) once per domain, not per chunk, and a chunk leaves
+   it zeroed.  Capacities are positive, so a zero sum marks an edge the
+   chunk has not touched yet. *)
 let tree_load_chunks = 64
 
 type load_scratch = { mutable sums : float array; mutable touched : int array }
@@ -43,7 +44,14 @@ let tree_loads ?pool g tree =
           let lo = k * m / chunks and hi = (k + 1) * m / chunks in
           let sc = load_scratch_for m in
           let sums = sc.sums and touched = sc.touched in
-          let count = ref 0 in
+          let count = ref 0 and cap = [| 0.0 |] in
+          let add e' =
+            if sums.(e') = 0.0 then begin
+              touched.(!count) <- e';
+              incr count
+            end;
+            sums.(e') <- sums.(e') +. cap.(0)
+          in
           (* Zero what was touched even if a route raises, so the next
              chunk on this domain starts from clean scratch. *)
           Fun.protect
@@ -54,25 +62,27 @@ let tree_loads ?pool g tree =
             (fun () ->
               for idx = lo to hi - 1 do
                 let e : Graph.edge = edges.(idx) in
-                let hops = (Frt.route tree e.u e.v).Path.edges in
-                for h = 0 to Array.length hops - 1 do
-                  let e' = hops.(h) in
-                  if sums.(e') = 0.0 then begin
-                    touched.(!count) <- e';
-                    incr count
-                  end;
-                  sums.(e') <- sums.(e') +. e.cap
-                done
+                cap.(0) <- e.cap;
+                Frt.iter_route tree e.u e.v add
               done;
               let ids = Array.sub touched 0 !count in
-              Array.sort Int.compare ids;
-              Array.map (fun e' -> (e', sums.(e'))) ids))
+              let partial = Array.make !count 0.0 in
+              for i = 0 to !count - 1 do
+                partial.(i) <- sums.(ids.(i))
+              done;
+              (ids, partial)))
     in
     Array.iter
-      (Array.iter (fun (e', partial) -> loads.(e') <- loads.(e') +. partial))
-      partials
+      (fun (ids, partial) ->
+        for i = 0 to Array.length ids - 1 do
+          loads.(ids.(i)) <- loads.(ids.(i)) +. partial.(i)
+        done)
+      partials;
+    for e = 0 to m - 1 do
+      loads.(e) <- loads.(e) /. edges.(e).cap
+    done
   end;
-  Array.mapi (fun e load -> load /. Graph.cap g e) loads
+  loads
 
 let default_trees g =
   let n = Graph.n g in
@@ -107,7 +117,11 @@ let forest ?pool rng ?trees ?(batch = 4) g =
       while !built < count do
         let b = min batch (count - !built) in
         let first = !built in
-        let max_cum = Array.fold_left Float.max 0.0 cum in
+        let max_cum = ref 0.0 in
+        for e = 0 to m - 1 do
+          max_cum := Float.max !max_cum cum.(e)
+        done;
+        let max_cum = !max_cum in
         let length e = Float.exp (eta *. (cum.(e) -. max_cum)) /. Graph.cap g e in
         let round =
           Array.init b (fun i ->
@@ -121,8 +135,14 @@ let forest ?pool rng ?trees ?(batch = 4) g =
         Array.iteri
           (fun i (tree, loads) ->
             Obs.incr trees_counter;
-            let peak = Array.fold_left Float.max 1e-12 loads in
-            Array.iteri (fun e load -> cum.(e) <- cum.(e) +. (load /. peak)) loads;
+            let peak = ref 1e-12 in
+            for e = 0 to m - 1 do
+              peak := Float.max !peak loads.(e)
+            done;
+            let peak = !peak in
+            for e = 0 to m - 1 do
+              cum.(e) <- cum.(e) +. (loads.(e) /. peak)
+            done;
             if Obs.tracing () then
               Obs.event "racke.tree"
                 ~attrs:

@@ -50,8 +50,8 @@ val tree_loads :
 (** Relative load per edge when each graph edge routes its capacity along
     the tree path between its endpoints — the penalty signal of the MWU
     loop, exposed for tests and diagnostics.  Edges are routed in fixed
-    chunks on [pool]; each chunk sums into its domain's dense scratch
-    (O(m) once per domain, left zeroed) in edge-index order, and chunks
-    merge in chunk order, so the float sums are identical at any job
-    count.  Traced as one [racke.tree_loads] span per tree inside
+    chunks on [pool]; each chunk streams its routes ({!Frt.iter_route}, no
+    path is built) into its domain's dense scratch (O(m) once per domain,
+    left zeroed) in edge-index order, and chunks merge in chunk order, so
+    the float sums are identical at any job count.  Traced as one [racke.tree_loads] span per tree inside
     {!forest}. *)

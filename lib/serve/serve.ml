@@ -627,6 +627,9 @@ let restore ?(config = default_config) graph system state =
     Obs.traced "restore.decode" (fun () ->
         Codec.decode_path_system_slices (Path_system.graph system) state.s_system)
   in
+  (* Every range is inserted below: size the pair table for all of them
+     rather than rehash it from 256 buckets up. *)
+  let t = { t with seen = Hashtbl.create (List.length ranges) } in
   List.iter
     (fun ((s, d), _) ->
       if s < 0 || s >= n || d < 0 || d >= n then

@@ -105,6 +105,29 @@ let test_fixed_width_roundtrip () =
   Alcotest.(check string) "string" "artifact\x00binary" (Codec.read_string r);
   Codec.expect_end r
 
+let test_fixed_width_truncated () =
+  (* 0-7 bytes left, at the start of the input and after a prefix that
+     was read: both widths refuse as Corrupt, never as an index error. *)
+  for left = 0 to 7 do
+    List.iter
+      (fun (name, read) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s with %d bytes" name left)
+          true
+          (raises_corrupt (fun () -> read (Codec.reader (String.make left '\xff'))));
+        Alcotest.(check bool)
+          (Printf.sprintf "%s with %d bytes after a prefix" name left)
+          true
+          (raises_corrupt (fun () ->
+               let r = Codec.reader (String.make (3 + left) '\x01') in
+               for _ = 1 to 3 do ignore (Codec.read_u8 r) done;
+               read r)))
+      [
+        ("read_i64", fun r -> ignore (Codec.read_i64 r));
+        ("read_f64", fun r -> ignore (Codec.read_f64 r));
+      ]
+  done
+
 let test_expect_end_trailing () =
   let r = Codec.reader "xy" in
   ignore (Codec.read_u8 r);
@@ -252,6 +275,21 @@ let test_forest_roundtrip () =
             (path_equal (Frt.route a s t) (Frt.route b s t)))
         pairs)
     forest rebuilt
+
+let test_forest_truncated_is_corrupt () =
+  (* A forest payload cut at any byte decodes to Corrupt only: counts that
+     promise more bytes than remain never reach an allocation or a bulk
+     read. *)
+  let g = Gen.fat_tree 4 in
+  let payload =
+    Codec.encode_forest (List.map Frt.to_parts (Racke.forest (Rng.create 3) ~trees:3 g))
+  in
+  for cut = 0 to String.length payload - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "cut at %d of %d" cut (String.length payload))
+      true
+      (raises_corrupt (fun () -> Codec.decode_forest (String.sub payload 0 cut)))
+  done
 
 let test_codec_rejects_damage () =
   let g = Gen.grid 3 3 in
@@ -755,6 +793,7 @@ let () =
           Alcotest.test_case "varint damage" `Quick
             test_varint_truncated_and_overflow;
           Alcotest.test_case "i64/f64/string" `Quick test_fixed_width_roundtrip;
+          Alcotest.test_case "i64/f64 truncated" `Quick test_fixed_width_truncated;
           Alcotest.test_case "expect_end" `Quick test_expect_end_trailing;
           Alcotest.test_case "fnv1a64 vectors" `Quick test_fnv_vectors;
         ] );
@@ -767,6 +806,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_distributions_roundtrip;
           Alcotest.test_case "routing roundtrip" `Quick test_routing_roundtrip;
           Alcotest.test_case "forest roundtrip" `Quick test_forest_roundtrip;
+          Alcotest.test_case "forest truncated" `Quick test_forest_truncated_is_corrupt;
           Alcotest.test_case "damage detection" `Quick test_codec_rejects_damage;
           Alcotest.test_case "v1 path systems refused" `Quick
             test_path_system_v1_refused;

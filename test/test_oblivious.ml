@@ -308,28 +308,96 @@ let test_racke_fat_tree_golden () =
   Alcotest.(check string) "routes digest" "6475b718e7307d1cc9e8dd7cf86a9e62"
     (forest_routes_digest g forest)
 
+let test_racke_fat_tree_24_golden () =
+  (* The forest the fattree-install benchmark builds (k=24, default tree
+     count, the workload's seed-1 RNG child), pinned with the per-route
+     walk arrays and the sorted chunk merge that the streamed routes and
+     the chunk-order merge replaced: its parts and every tree's loads,
+     as raw float bits. *)
+  let g = Gen.fat_tree 24 in
+  let forest = Racke.forest (Rng.split_at (Rng.create 1) 0) g in
+  Alcotest.(check int) "default tree count" 24 (List.length forest);
+  Alcotest.(check string) "parts digest" "bb154ad68eaf7a864a4ab571612c285f"
+    (forest_parts_digest forest);
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun tree ->
+      Array.iter
+        (fun l -> Printf.bprintf b "%Lx," (Int64.bits_of_float l))
+        (Racke.tree_loads g tree);
+      Buffer.add_char b ';')
+    forest;
+  Alcotest.(check string) "tree-load digest" "675cf49a9d7840215cb4be3df8bc756e"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* The load pass as it stood with a materialized path per route: 64 fixed
+   edge chunks, each summing its routes' capacities per edge and emitting
+   its touched edges sorted by id as (edge, partial) pairs, merged in
+   chunk order. *)
+let reference_tree_loads g tree =
+  let m = Graph.m g in
+  let loads = Array.make m 0.0 in
+  let edges = Graph.edges g in
+  let chunks = min 64 m in
+  for k = 0 to chunks - 1 do
+    let lo = k * m / chunks and hi = (k + 1) * m / chunks in
+    let sums = Array.make m 0.0 and touched = ref [] in
+    for idx = lo to hi - 1 do
+      let e : Graph.edge = edges.(idx) in
+      Array.iter
+        (fun e' ->
+          if sums.(e') = 0.0 then touched := e' :: !touched;
+          sums.(e') <- sums.(e') +. e.cap)
+        (Frt.route tree e.u e.v).Path.edges
+    done;
+    List.sort Int.compare !touched
+    |> List.map (fun e' -> (e', sums.(e')))
+    |> List.iter (fun (e', partial) -> loads.(e') <- loads.(e') +. partial)
+  done;
+  Array.mapi (fun e load -> load /. Graph.cap g e) loads
+
+(* [g] with capacities drawn from [0.1, 3.1): sums of such partials round,
+   so they depend on the order in which they are added. *)
+let with_fractional_caps rng g =
+  let b = Graph.Builder.create (Graph.n g) in
+  Graph.fold_edges
+    (fun _ u v _ () ->
+      ignore (Graph.Builder.add_edge ~cap:(0.1 +. (Rng.float rng *. 3.0)) b u v))
+    g ();
+  Graph.Builder.build b
+
 let test_tree_loads_scratch_and_jobs () =
-  (* Dense per-domain sums: bit-identical at 1 and 4 jobs and across
-     back-to-back calls (each chunk leaves its scratch zeroed), on graphs
-     with fewer than 64 edges and with m not a multiple of 64. *)
+  (* Dense per-domain sums: bit-identical to the reference pass at 1 and
+     4 jobs and across back-to-back calls (each chunk leaves its scratch
+     zeroed), on graphs with fewer than 64 edges and with m not a multiple
+     of 64. *)
+  let bits a = Array.map Int64.bits_of_float a in
   let loads jobs g tree =
     let pool = Pool.create ~jobs () in
     Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () ->
-        Array.map Int64.bits_of_float (Racke.tree_loads ~pool g tree))
+        bits (Racke.tree_loads ~pool g tree))
   in
   List.iter
     (fun (name, g) ->
-      let tree = Frt.build (Rng.create 21) g ~length:(fun _ -> 1.0) in
+      let length e = 1.0 +. (float_of_int ((e * 7) mod 5) /. 3.0) in
+      let tree = Frt.build (Rng.create 21) g ~length in
+      let want = bits (reference_tree_loads g tree) in
       let serial = loads 1 g tree in
       let again = loads 1 g tree in
       let par = loads 4 g tree in
+      Alcotest.(check bool) (name ^ ": jobs 1 = reference") true (serial = want);
       Alcotest.(check bool) (name ^ ": back-to-back identical") true (serial = again);
-      Alcotest.(check bool) (name ^ ": jobs 1 = jobs 4") true (serial = par))
+      Alcotest.(check bool) (name ^ ": jobs 4 = reference") true (par = want))
     [
       ("cycle 6 (m=6)", Gen.cycle 6);
       ("grid 5x5 (m=40)", Gen.grid 5 5);
       ("hypercube 5 (m=80)", Gen.hypercube 5);
       ("grid 9x9 (m=144)", Gen.grid 9 9);
+      ("fat-tree 8", Gen.fat_tree 8);
+      ("two cliques 7", Gen.two_cliques 7);
+      ("grid 9x9, fractional caps", with_fractional_caps (Rng.create 10) (Gen.grid 9 9));
+      ( "random 3-regular 200, fractional caps",
+        with_fractional_caps (Rng.create 11) (Gen.random_regular (Rng.create 12) 200 3) );
     ]
 
 (* Structurally damaged parts: each violation [route] relies on is refused
@@ -717,6 +785,37 @@ let prop_frt_ball_growing_matches_all_pairs =
         && parts.Frt.p_cluster_id = cluster_id
       end)
 
+let prop_iter_route_matches_route =
+  (* The streamed route visits exactly the routed path's edges, in order,
+     on random connected graphs under random lengths, for every ordered
+     pair including s = d; the tree is fresh, so streaming also fills the
+     segment index that [route] then reads. *)
+  QCheck.Test.make ~name:"iter_route visits route's edges in order" ~count:40
+    QCheck.small_int (fun seed ->
+      let gr = Rng.create (seed + 2000) in
+      let g =
+        match seed mod 3 with
+        | 0 -> Gen.random_regular gr (8 + (2 * Rng.int gr 8)) 3
+        | 1 -> Gen.erdos_renyi gr (6 + Rng.int gr 14) 0.3
+        | _ -> Gen.grid (2 + Rng.int gr 4) (2 + Rng.int gr 4)
+      in
+      if not (Graph.is_connected g) then true
+      else begin
+        let lengths = Array.init (Graph.m g) (fun _ -> 0.1 +. (Rng.float gr *. 4.0)) in
+        let tree = Frt.build (Rng.create seed) g ~length:(fun e -> lengths.(e)) in
+        let n = Graph.n g in
+        let ok = ref true in
+        for s = 0 to n - 1 do
+          for d = 0 to n - 1 do
+            let seen = ref [] in
+            Frt.iter_route tree s d (fun e -> seen := e :: !seen);
+            let streamed = Array.of_list (List.rev !seen) in
+            if streamed <> (Frt.route tree s d).Path.edges then ok := false
+          done
+        done;
+        !ok
+      end)
+
 let prop_sample_matches_support =
   QCheck.Test.make ~name:"samples always come from the declared support" ~count:40
     QCheck.small_int
@@ -802,6 +901,7 @@ let () =
           Alcotest.test_case "tree loads scratch and jobs" `Quick
             test_tree_loads_scratch_and_jobs;
           Alcotest.test_case "fat-tree golden" `Quick test_racke_fat_tree_golden;
+          Alcotest.test_case "fat-tree k=24 golden" `Quick test_racke_fat_tree_24_golden;
           Alcotest.test_case "forest jobs invariant" `Quick
             test_frt_forest_jobs_invariant;
           Alcotest.test_case "forest rejects bad counts" `Quick
@@ -834,6 +934,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_frt_ball_growing_matches_all_pairs;
+            prop_iter_route_matches_route;
             prop_sample_matches_support;
             prop_to_routing_congestion_matches;
           ] );
