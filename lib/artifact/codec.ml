@@ -160,22 +160,6 @@ let encode_graph g =
     g ();
   contents w
 
-let decode_graph s =
-  let r = reader s in
-  read_header r tag_graph;
-  let n = read_varint r in
-  let m = read_varint r in
-  guarded @@ fun () ->
-  let b = Graph.Builder.create n in
-  for _ = 1 to m do
-    let u = read_varint r in
-    let v = read_varint r in
-    let cap = read_f64 r in
-    ignore (Graph.Builder.add_edge ~cap b u v)
-  done;
-  expect_end r;
-  Graph.Builder.build b
-
 let graph_digest g = fnv1a64 (encode_graph g)
 
 (* ---- demand ---- *)

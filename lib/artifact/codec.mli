@@ -16,7 +16,7 @@
 
     Candidate path collections have exactly one encoding, the arena slice
     layout of {!encode_path_system_slices}; only weighted distributions
-    ({!encode_distributions}) still carry paths as edge-id lists. *)
+    ({!encode_routing}) still carry paths as edge-id lists. *)
 
 exception Corrupt of string
 (** Raised by every [decode_*]/[read_*] on malformed, truncated, or
@@ -65,11 +65,10 @@ val hex_of_key : int64 -> string
 
 (** {1 Object codecs} *)
 
-val encode_graph : Sso_graph.Graph.t -> string
-val decode_graph : string -> Sso_graph.Graph.t
-
 val graph_digest : Sso_graph.Graph.t -> int64
-(** [fnv1a64 (encode_graph g)] — the graph component of recipe keys. *)
+(** FNV-1a of the graph's canonical encoding (vertex and edge counts,
+    then each edge's endpoints and capacity in id order) — the graph
+    component of recipe keys. *)
 
 val encode_demand : Sso_demand.Demand.t -> string
 val decode_demand : string -> Sso_demand.Demand.t
@@ -97,17 +96,11 @@ val decode_path_system_slices :
     retired v1 layout (edge-id varints per path) is refused as
     {!Corrupt}, which the store treats as a miss. *)
 
-val encode_distributions :
-  ((int * int) * (float * Sso_graph.Path.t) list) list -> string
-(** Per-pair weighted path distributions (oblivious-routing restrictions,
-    Stage-4 rate solutions), canonically ordered by pair. *)
-
-val decode_distributions :
-  Sso_graph.Graph.t -> string -> ((int * int) * (float * Sso_graph.Path.t) list) list
-
 val encode_routing : Sso_flow.Routing.t -> string
 val decode_routing : Sso_graph.Graph.t -> string -> Sso_flow.Routing.t
-(** Stage-4 rate solutions.  Decoding goes through
+(** Per-pair weighted path distributions (oblivious-routing restrictions,
+    Stage-4 rate solutions), canonically ordered by pair.  Decoding goes
+    through
     {!Sso_flow.Routing.of_normalized}, so weights round-trip bit-exactly. *)
 
 val encode_forest : Sso_oblivious.Frt.parts list -> string

@@ -37,24 +37,16 @@ val recipe : kind:string -> (string * string) list -> recipe
 val key : recipe -> int64
 (** FNV-1a of the canonical encoding of the recipe. *)
 
-val describe : recipe -> string
-(** Human-readable rendering, e.g. ["racke-forest(graph=
-    1a2b..., trees=12)"] — stored inside the entry and compared on read, so
-    a key collision between different recipes reads as a miss, never as the
-    wrong object. *)
-
 (** {1 The store} *)
 
 type t
 
-val default_dir : unit -> string
-(** Resolution order: [SSO_CACHE_DIR], [XDG_CACHE_HOME/sso],
-    [HOME/.cache/sso], then [_artifacts] in the working directory. *)
-
 val open_ : ?dir:string -> unit -> t
-(** Open (creating if needed) the store at [dir] (default
-    {!default_dir}).  @raise Unreadable if the directory cannot be created
-    or is not a directory. *)
+(** Open (creating if needed) the store at [dir].  Without [dir] the
+    location resolves, in order, to [SSO_CACHE_DIR], [XDG_CACHE_HOME/sso],
+    [HOME/.cache/sso], then [_artifacts] in the working directory.
+    @raise Unreadable if the directory cannot be created or is not a
+    directory. *)
 
 val dir : t -> string
 

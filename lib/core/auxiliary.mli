@@ -32,10 +32,6 @@ val lift_oblivious : t -> Sso_oblivious.Oblivious.t -> Sso_oblivious.Oblivious.t
 val lift_demand : t -> Sso_demand.Demand.t -> Sso_demand.Demand.t
 (** [d₂]: move each [d(s,t)] onto the corresponding terminal pair. *)
 
-val project_system : t -> Path_system.t -> Path_system.t
-(** Map a path system on [G₂] (between terminals) back to one on [G]
-    (between the original pairs) by stripping the two terminal edges. *)
-
 val alpha_sample_via_expansion :
   Sso_prng.Rng.t -> t -> Sso_oblivious.Oblivious.t -> alpha:int -> Path_system.t
 (** The Corollary 6.2 pipeline: an [(α−1+cut)]-sample of the lifted

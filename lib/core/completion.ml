@@ -11,12 +11,12 @@ let ladder_hops g =
   let rec build h acc = if h >= diameter then List.rev (diameter :: acc) else build (h * 2) (h :: acc) in
   build 1 []
 
-let ladder_system ?stretch ?paths_per_pair rng g ~alpha =
+let ladder_system rng g ~alpha =
   let rungs = ladder_hops g in
   let systems =
     List.map
       (fun h ->
-        let obl = Hop_constrained.routing ?stretch ?paths_per_pair ~max_hops:h g in
+        let obl = Hop_constrained.routing ~max_hops:h g in
         (* A rung's routing may not reach every pair within its budget;
            treat unreachable pairs as contributing no candidates. *)
         let sample = Sampler.alpha_sample (Rng.split rng) obl ~alpha in
@@ -27,8 +27,6 @@ let ladder_system ?stretch ?paths_per_pair rng g ~alpha =
   match systems with
   | [] -> assert false (* ladder_hops is never empty *)
   | first :: rest -> List.fold_left Path_system.union first rest
-
-let completion_time g r d = Routing.congestion g r d +. float_of_int (Routing.dilation r d)
 
 let route ?solver g ps demand =
   if Demand.support_size demand = 0 then (Routing.make [], 0.0, 0)

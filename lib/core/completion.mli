@@ -14,8 +14,6 @@ val ladder_hops : Sso_graph.Graph.t -> int list
     [O(log)] rungs too and gives finer resolution at our scales). *)
 
 val ladder_system :
-  ?stretch:int ->
-  ?paths_per_pair:int ->
   Sso_prng.Rng.t -> Sso_graph.Graph.t -> alpha:int -> Path_system.t
 (** Lemma 2.8's construction: the union over the hop ladder of α-samples
     of hop-constrained oblivious routings (one per rung; rungs that cannot
@@ -30,6 +28,3 @@ val route :
     the ≤[h]-hop restriction and keep the best [cong + dil].  Returns
     (routing, congestion, dilation).  @raise Invalid_argument if a demanded
     pair has no candidates at all. *)
-
-val completion_time : Sso_graph.Graph.t -> Sso_flow.Routing.t -> Sso_demand.Demand.t -> float
-(** [cong(R,d) + dil(R,d)] — the objective value of a given routing. *)

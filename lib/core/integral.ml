@@ -54,10 +54,3 @@ let brute_force ?(limit = 2_000_000) g ps demand =
   in
   explore 0;
   !best
-
-let opt_integral_upper ?(tries = 10) rng g demand =
-  if not (Demand.is_integral demand) then
-    invalid_arg "Integral.opt_integral_upper: demand must be integral";
-  let fractional, _ = Min_congestion.mwu_unrestricted g demand in
-  let rounded = Rounding.best_round ~tries rng g fractional demand in
-  Rounding.congestion g rounded

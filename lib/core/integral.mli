@@ -26,10 +26,3 @@ val brute_force :
 (** Exact [cong_ℤ(P,d)] for {0,1}-demands by enumerating all candidate
     combinations (at most [limit], default [2_000_000]; raises
     [Invalid_argument] beyond that or on non-{0,1} demands). *)
-
-val opt_integral_upper :
-  ?tries:int ->
-  Sso_prng.Rng.t -> Sso_graph.Graph.t -> Sso_demand.Demand.t -> float
-(** An upper estimate of [opt_{G,ℤ}(d)]: round the (approximately) optimal
-    fractional routing.  Together with the fractional lower bound
-    [opt_{G,ℝ}(d) ≤ opt_{G,ℤ}(d)] this brackets the integral optimum. *)

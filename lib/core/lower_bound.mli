@@ -28,9 +28,6 @@ val attack : ?pool:Sso_engine.Pool.t -> Sso_graph.Gen.c_graph -> Path_system.t -
     bottleneck sets are scored concurrently on [pool]; the winner is
     selected by the same deterministic fold regardless of job count. *)
 
-val middles_hit : Sso_graph.Gen.c_graph -> Sso_graph.Path.t -> int list
-(** The middle vertices a path crosses (sorted). *)
-
 val attack_in_family :
   ?pool:Sso_engine.Pool.t ->
   Sso_graph.Gen.g_graph -> alpha:int -> Path_system.t -> attack

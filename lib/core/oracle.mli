@@ -16,6 +16,3 @@ val demand_aware_system :
     the demand's support get no candidates).  Either [solver]'s optimum
     is a path-based routing: the MWU's interned Dijkstra paths, or the
     exact LP's generated columns. *)
-
-val top_paths : Sso_graph.Graph.t -> Sso_flow.Routing.t -> alpha:int -> Path_system.t
-(** Keep each pair's α heaviest paths of an arbitrary routing. *)

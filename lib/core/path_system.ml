@@ -274,6 +274,16 @@ let materialize_parallel ?pool ps pair_list =
           built)
   end
 
+(* Asked once per active pair per service tick.  [Index.mem] cannot
+   raise, so the lock is taken directly: [locked]'s closure and unwind
+   handler measurably slowed a tick. *)
+let installed ps s t =
+  let k = key ps s t in
+  Mutex.lock ps.lock;
+  let r = Index.mem ps.index k in
+  Mutex.unlock ps.lock;
+  r
+
 let known_pairs ps =
   List.sort compare_pair
     (locked ps (fun () ->

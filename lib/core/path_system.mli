@@ -128,8 +128,12 @@ val materialize_parallel : ?pool:Sso_engine.Pool.t -> t -> (int * int) list -> u
     deterministic (independent of query order); the α-samplers and
     oblivious supports qualify — their draws are keyed per pair. *)
 
+val installed : t -> int -> int -> bool
+(** Whether the pair is materialized, without generating it. *)
+
 val known_pairs : t -> (int * int) list
-(** Pairs materialized so far (all pairs for an eager system). *)
+(** Pairs materialized so far (all pairs for an eager system), in
+    lexicographic order. *)
 
 val sparsity_on : t -> (int * int) list -> int
 (** [max |P(s,t)|] over the given pairs — O(1) per pair on the arena

@@ -88,14 +88,13 @@ let greedy_first_candidates ps demand =
          | p :: _ -> ((s, t), [ (1.0, p) ]))
        (Demand.support demand))
 
-let route_by_halving ~gamma ?max_rounds g ps demand =
+let route_by_halving ~gamma g ps demand =
   if Demand.support_size demand = 0 then (Routing.make [], 0.0)
   else begin
     let m = Graph.m g in
-    let default_rounds =
+    let rounds =
       int_of_float (Float.ceil (Float.log (float_of_int (max 2 m)) /. Float.log 1.5)) + 8
     in
-    let rounds = match max_rounds with Some r -> r | None -> default_rounds in
     let threshold = Demand.siz demand /. float_of_int m in
     (* Accumulate (sub-demand, routing) parts; combine at the end. *)
     let rec go round remaining parts =

@@ -34,13 +34,12 @@ val weak_route :
 
 val route_by_halving :
   gamma:float ->
-  ?max_rounds:int ->
   Sso_graph.Graph.t -> Path_system.t -> Sso_demand.Demand.t ->
   Sso_flow.Routing.t * float
 (** Lemma 5.8's reduction: returns a routing of the full demand and its
     congestion.  Each round contributes ≤ 4γ congestion and the rounds
     stop once the residual demand is ≤ siz(d)/m (routed greedily on first
-    candidates) or [max_rounds] (default ⌈log_{3/2} m⌉ + 8) is hit — if the
+    candidates) or ⌈log_{3/2} m⌉ + 8 rounds have run — if the
     weak router keeps stalling (survived fraction ~0) the remaining demand
     is also routed greedily, so the returned congestion can then exceed
     [O(γ log m)]; the paper's high-probability regime avoids this. *)

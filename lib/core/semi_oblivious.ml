@@ -52,6 +52,3 @@ let competitive_with ?solver obl ps demand =
     let base = Oblivious.congestion obl demand in
     if base <= 0.0 then infinity else achieved /. base
   end
-
-let worst_ratio ?solver g ps demands =
-  List.fold_left (fun acc d -> Float.max acc (competitive_ratio ?solver g ps d)) 0.0 demands

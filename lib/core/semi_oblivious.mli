@@ -84,9 +84,3 @@ val competitive_with :
   Sso_oblivious.Oblivious.t -> Path_system.t -> Sso_demand.Demand.t -> float
 (** [cong_ℝ(P,d) / cong(R,d)] — competitiveness relative to the base
     oblivious routing (Definition 5.1's "C-competitive with R"). *)
-
-val worst_ratio :
-  ?solver:solver ->
-  Sso_graph.Graph.t -> Path_system.t -> Sso_demand.Demand.t list -> float
-(** Max competitive ratio over a set of demands — the empirical analogue of
-    "C-competitive on D". *)

@@ -18,14 +18,3 @@ let buckets g ~alpha d =
     d ();
   Hashtbl.fold (fun b entries acc -> (b, Demand.of_list entries) :: acc) table []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let random_special rng g ~alpha ~pairs =
-  let n = Graph.n g in
-  if pairs > n * (n - 1) then invalid_arg "Special.random_special: too many pairs";
-  let chosen = Hashtbl.create pairs in
-  while Hashtbl.length chosen < pairs do
-    let s = Rng.int rng n and t = Rng.int rng n in
-    if s <> t && not (Hashtbl.mem chosen (s, t)) then Hashtbl.add chosen (s, t) ()
-  done;
-  let support = Hashtbl.fold (fun p () acc -> p :: acc) chosen [] in
-  special_of_support g ~alpha support

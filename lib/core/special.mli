@@ -19,8 +19,3 @@ val buckets :
 (** Split [d] into dyadic-ratio buckets: bucket [i] holds the pairs with
     [d(s,t)/(α + cut_G(s,t)) ∈ [2^i, 2^{i+1})].  The buckets sum to [d]
     and there are at most O(log(max ratio / min ratio)) of them. *)
-
-val random_special :
-  Sso_prng.Rng.t -> Sso_graph.Graph.t -> alpha:int -> pairs:int -> Sso_demand.Demand.t
-(** A random α-special demand with [pairs] support pairs — workload
-    generator for tests of the special-demand machinery. *)

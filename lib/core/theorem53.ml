@@ -2,8 +2,6 @@ module Graph = Sso_graph.Graph
 module Demand = Sso_demand.Demand
 module Routing = Sso_flow.Routing
 
-let bucket_count ~alpha g d = List.length (Special.buckets g ~alpha d)
-
 let route ~gamma ~alpha g ps demand =
   if Demand.support_size demand = 0 then (Routing.make [], 0.0)
   else begin

@@ -30,7 +30,3 @@ val route :
     round).  Returns the routing of the original demand and its measured
     congestion.  @raise Invalid_argument if a demanded pair has no
     candidates. *)
-
-val bucket_count : alpha:int -> Sso_graph.Graph.t -> Sso_demand.Demand.t -> int
-(** Number of dyadic buckets the demand splits into — the [O(log m)]
-    factor Lemma 5.9 pays. *)

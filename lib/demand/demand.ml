@@ -43,16 +43,7 @@ let support_size d = Pmap.cardinal d
 
 let siz d = Pmap.fold (fun _ v acc -> acc +. v) d 0.0
 
-let max_entry d = Pmap.fold (fun _ v acc -> Float.max v acc) d 0.0
-
 let fold f d init = Pmap.fold (fun (s, t) v acc -> f s t v acc) d init
-
-let map f d =
-  Pmap.filter_map
-    (fun (s, t) v ->
-      let v' = f s t v in
-      if v' > 0.0 then Some v' else None)
-    d
 
 let filter f d = Pmap.filter (fun (s, t) v -> f s t v) d
 
@@ -62,28 +53,12 @@ let scale c d =
   if c < 0.0 then invalid_arg "Demand.scale: negative factor";
   if c = 0.0 then empty else Pmap.map (fun v -> c *. v) d
 
-let equal d1 d2 = Pmap.equal (fun a b -> Float.abs (a -. b) < 1e-12) d1 d2
-
 let eps = 1e-9
 
 let is_integral d =
   Pmap.for_all (fun _ v -> Float.abs (v -. Float.round v) < eps) d
 
 let is_zero_one d = Pmap.for_all (fun _ v -> Float.abs (v -. 1.0) < eps) d
-
-let is_permutation d =
-  is_zero_one d
-  &&
-  let out = Hashtbl.create 16 and in_ = Hashtbl.create 16 in
-  Pmap.for_all
-    (fun (s, t) _ ->
-      if Hashtbl.mem out s || Hashtbl.mem in_ t then false
-      else begin
-        Hashtbl.add out s ();
-        Hashtbl.add in_ t ();
-        true
-      end)
-    d
 
 let is_special g ~alpha d =
   Pmap.for_all
@@ -179,13 +154,6 @@ let gravity rng ~n ~total =
   let mass = List.fold_left (fun acc (_, _, v) -> acc +. v) 0.0 raw in
   of_list (List.map (fun (s, t, v) -> (s, t, v *. total /. mass)) raw)
 
-let to_string d =
-  let buf = Buffer.create 256 in
-  fold
-    (fun s t v () -> Buffer.add_string buf (Printf.sprintf "%d %d %.17g\n" s t v))
-    d ();
-  Buffer.contents buf
-
 let of_string text =
   let entries =
     List.filter_map
@@ -214,15 +182,3 @@ let hotspot ~n ~target =
 let ring_shift ~n ~shift =
   if shift mod n = 0 then invalid_arg "Demand.ring_shift: shift must be non-zero mod n";
   of_list (List.init n (fun s -> (s, (s + shift) mod n, 1.0)))
-
-let rec gcd a b = if b = 0 then a else gcd b (a mod b)
-
-let stride ~n ~stride:k =
-  if gcd n (((k mod n) + n) mod n) <> 1 then
-    invalid_arg "Demand.stride: stride must be coprime with n";
-  of_list
-    (List.filter_map
-       (fun s ->
-         let t = s * k mod n in
-         if t = s then None else Some (s, t, 1.0))
-       (List.init n Fun.id))

@@ -43,14 +43,8 @@ val support_size : t -> int
 val siz : t -> float
 (** [siz(d) = Σ_{s≠t} d(s,t)] (Definition 2.2). *)
 
-val max_entry : t -> float
-(** [max_{s,t} d(s,t)]; 0 for the empty demand. *)
-
 val fold : (int -> int -> float -> 'a -> 'a) -> t -> 'a -> 'a
 (** Fold over the support in lexicographic order. *)
-
-val map : (int -> int -> float -> float) -> t -> t
-(** Pointwise transform over the support (results ≤ 0 are dropped). *)
 
 val filter : (int -> int -> float -> bool) -> t -> t
 
@@ -60,8 +54,6 @@ val add : t -> t -> t
 val scale : float -> t -> t
 (** [scale c d] multiplies every entry by [c ≥ 0]. *)
 
-val equal : t -> t -> bool
-
 (** {1 Classifiers} *)
 
 val is_integral : t -> bool
@@ -69,9 +61,6 @@ val is_integral : t -> bool
 
 val is_zero_one : t -> bool
 (** Every entry equals 1 ({0,1}-demand). *)
-
-val is_permutation : t -> bool
-(** {0,1}-demand where every vertex sends ≤ 1 and receives ≤ 1. *)
 
 val is_special : Sso_graph.Graph.t -> alpha:int -> t -> bool
 (** α-special (Definition 5.5): every entry is [0] or
@@ -117,17 +106,10 @@ val ring_shift : n:int -> shift:int -> t
 (** [s → (s + shift) mod n] for every [s] — the canonical permutation on
     rings/tori.  [shift mod n] must be non-zero. *)
 
-val stride : n:int -> stride:int -> t
-(** [s → (s · stride) mod n] with [gcd(stride, n) = 1] — the strided-access
-    permutations of the parallel-computing literature.
-    @raise Invalid_argument if [stride] is not coprime with [n]. *)
-
 (** {1 Serialization}
 
     One [<s> <t> <amount>] line per support pair; [#]-comments and blank
-    lines ignored.  Round-trips through {!to_string}/{!of_string}. *)
-
-val to_string : t -> string
+    lines ignored. *)
 
 val of_string : string -> t
 (** @raise Failure on malformed input. *)

@@ -10,14 +10,6 @@ type kind = Arrive of float | Depart | Set_rate of float
 
 type t = { tick : int; src : int; dst : int; kind : kind }
 
-let equal a b =
-  a.tick = b.tick && a.src = b.src && a.dst = b.dst
-  &&
-  match (a.kind, b.kind) with
-  | Arrive x, Arrive y | Set_rate x, Set_rate y -> Float.equal x y
-  | Depart, Depart -> true
-  | (Arrive _ | Depart | Set_rate _), _ -> false
-
 let op_name = function
   | Arrive _ -> "arrive"
   | Depart -> "depart"

@@ -25,9 +25,6 @@ exception Corrupt of string
     rates finite and positive, departures and rate changes must refer to
     an active pair when applied). *)
 
-val schema_version : int
-(** Version written into (and required of) the header line. *)
-
 type kind =
   | Arrive of float  (** A flow of the given rate joins the pair. *)
   | Depart  (** The pair's flows leave; the pair goes inactive. *)
@@ -61,5 +58,3 @@ val save : string -> t list -> unit
 val load : string -> t list
 (** @raise Unreadable when the file cannot be read, [Corrupt] when it
     parses wrong, is truncated, or breaks a stream invariant. *)
-
-val equal : t -> t -> bool

@@ -105,12 +105,3 @@ let generate ?(rate_churn = 0.0) rng ~n ~ticks ~pairs ~churn =
   List.rev !events
 
 let hotspot_sweep ~n = List.init n (fun target -> Demand.hotspot ~n ~target)
-
-let peak = function
-  | [] -> Demand.empty
-  | first :: rest ->
-      List.fold_left
-        (fun best d -> if Demand.siz d > Demand.siz best then d else best)
-        first rest
-
-let total_epochs = List.length

@@ -41,8 +41,3 @@ val generate :
 val hotspot_sweep : n:int -> t
 (** One epoch per vertex, each an all-to-one incast on that vertex — the
     adversarial sweep where every vertex takes a turn being popular. *)
-
-val peak : t -> Demand.t
-(** The epoch with the largest [siz] (empty demand for an empty list). *)
-
-val total_epochs : t -> int

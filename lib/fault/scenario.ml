@@ -162,32 +162,4 @@ let encode s =
     s.failures;
   Codec.contents w
 
-let decode g data =
-  let r = Codec.reader data in
-  if Codec.read_u8 r <> Char.code tag then
-    raise (Codec.Corrupt "Scenario.decode: bad tag");
-  if Codec.read_u8 r <> Codec.format_version then
-    raise (Codec.Corrupt "Scenario.decode: bad version");
-  let label = Codec.read_string r in
-  let count = Codec.read_varint r in
-  let failures =
-    List.init count (fun _ ->
-        let fail_edge = Codec.read_varint r in
-        let fail_factor = Codec.read_f64 r in
-        { fail_edge; fail_factor })
-  in
-  Codec.expect_end r;
-  let m = Graph.m g in
-  let rec check prev = function
-    | [] -> ()
-    | f :: rest ->
-        if f.fail_edge <= prev || f.fail_edge >= m then
-          raise (Codec.Corrupt "Scenario.decode: edge ids not sorted or out of range");
-        if not (f.fail_factor >= 0.0 && f.fail_factor < 1.0) then
-          raise (Codec.Corrupt "Scenario.decode: factor out of range");
-        check f.fail_edge rest
-  in
-  check (-1) failures;
-  { label; failures }
-
 let digest s = Codec.fnv1a64 (encode s)

@@ -26,12 +26,6 @@ type t = {
   failures : failure list;  (** Sorted by edge id, no duplicates. *)
 }
 
-val make : ?label:string -> Sso_graph.Graph.t -> failure list -> t
-(** Validate against the graph: edge ids in range, factors in [0,1), no
-    duplicate edges ([Invalid_argument] otherwise).  Failures are sorted
-    by edge id, so equal sets compare equal.  The default label lists the
-    failed edges. *)
-
 val single : Sso_graph.Graph.t -> int -> t
 (** Remove one edge — the classic sweep scenario. *)
 
@@ -88,17 +82,9 @@ val apply : Sso_graph.Graph.t -> t -> Sso_graph.Graph.t
     path systems filter dead candidates explicitly.  When the scenario
     contains no degradation the original graph is returned unchanged. *)
 
-(** {1 Codec}
-
-    Versioned binary encoding over the artifact-store primitives, so
-    scenario identity participates in cache keys and scenarios round-trip
-    bit-exactly. *)
-
-val encode : t -> string
-
-val decode : Sso_graph.Graph.t -> string -> t
-(** Validates against the graph.  @raise Sso_artifact.Codec.Corrupt on
-    malformed input. *)
+(** {1 Identity} *)
 
 val digest : t -> int64
-(** FNV-1a of {!encode} — the scenario component of artifact recipes. *)
+(** FNV-1a of a versioned binary encoding of the label and failures
+    (over the artifact-store primitives) — the scenario component of
+    artifact recipes. *)

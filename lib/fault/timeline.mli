@@ -20,26 +20,6 @@ type t = entry list
 val entry : ?repair_at:int -> at:int -> Scenario.t -> entry
 (** @raise Invalid_argument if [at < 1] or [repair_at ≤ at]. *)
 
-val changes : t -> Sso_sim.Simulator.edge_change list
-(** The flat capacity-change schedule (failures plus repairs) the
-    simulator consumes. *)
-
-val candidate_failover :
-  Sso_graph.Graph.t ->
-  Sso_core.Path_system.t ->
-  pair:int * int ->
-  at_vertex:int ->
-  alive:(int -> bool) ->
-  Sso_graph.Path.t option
-(** The failover policy: among the pair's candidates whose edges are all
-    alive, prefer one already passing through the packet's current vertex
-    (continue on its suffix); otherwise bridge — BFS over alive edges from
-    the current vertex to the nearest vertex of the first surviving
-    candidate, then follow that candidate to the destination.  [None] when
-    no candidate survives or the bridge does not exist, in which case the
-    simulator counts the packet dropped.  Deterministic: candidates are
-    scanned in path-system order and the BFS visits edges in CSR order. *)
-
 val simulate :
   ?discipline:Sso_sim.Simulator.discipline ->
   ?max_steps:int ->
@@ -48,8 +28,16 @@ val simulate :
   Sso_flow.Rounding.assignment ->
   t ->
   Sso_sim.Simulator.fault_stats Sso_sim.Simulator.outcome
-(** Run the assignment under the timeline with {!candidate_failover}
-    drawing replacement routes from the path system.  Emits
+(** Run the assignment under the timeline with the candidate failover
+    policy drawing replacement routes from the path system: a packet
+    whose next edge is down continues on a surviving candidate of its
+    pair, preferring one already passing through the packet's current
+    vertex (it takes that candidate's suffix); otherwise it bridges — BFS
+    over alive edges from the current vertex to the nearest vertex of the
+    first surviving candidate, then that candidate to the destination.
+    With no surviving candidate, or no bridge, the packet is dropped.
+    Deterministic: candidates are scanned in path-system order and the
+    BFS visits edges in CSR order.  Emits
     [fault.timeline] spans and [fault.dropped]/[fault.rerouted] counters.
     When every demanded pair retains at least one surviving candidate and
     bridges exist (e.g. a torus row SRLG), the run reports [dropped = 0]. *)

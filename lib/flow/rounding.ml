@@ -18,21 +18,6 @@ let round rng routing demand =
   in
   Array.of_list entries
 
-let demand_of assignment =
-  Demand.of_list
-    (Array.to_list
-       (Array.map
-          (fun ((s, t), paths) -> (s, t, float_of_int (Array.length paths)))
-          assignment))
-
-let to_routing assignment =
-  Routing.make
-    (List.filter_map
-       (fun ((pair, paths) : (int * int) * Path.t array) ->
-         if Array.length paths = 0 then None
-         else Some (pair, Array.to_list (Array.map (fun p -> (1.0, p)) paths)))
-       (Array.to_list assignment))
-
 let edge_loads g assignment =
   let loads = Array.make (Graph.m g) 0.0 in
   Array.iter
@@ -67,12 +52,12 @@ let best_round ?(tries = 10) rng g routing demand =
   let first = round rng routing demand in
   go 1 first (congestion g first)
 
-let local_search ?max_moves g ~candidates assignment =
+let local_search g ~candidates assignment =
   let assignment = Array.map (fun (pair, paths) -> (pair, Array.copy paths)) assignment in
   let total_packets =
     Array.fold_left (fun acc (_, paths) -> acc + Array.length paths) 0 assignment
   in
-  let budget = match max_moves with Some b -> b | None -> 10 * max 1 total_packets in
+  let budget = 10 * max 1 total_packets in
   let loads = edge_loads g assignment in
   let cong_of e = loads.(e) /. Graph.cap g e in
   let max_cong () =

@@ -19,12 +19,6 @@ val round :
     of Lemma 6.3).  @raise Invalid_argument if the demand is not integral
     or a demanded pair is missing from the routing. *)
 
-val to_routing : assignment -> Routing.t
-(** The induced routing (weight of a path = its packet count / d(s,t)).
-    It is integral on the assignment's demand by construction. *)
-
-val demand_of : assignment -> Sso_demand.Demand.t
-
 val congestion : Sso_graph.Graph.t -> assignment -> float
 (** Max edge congestion of the assignment (load / capacity). *)
 
@@ -35,13 +29,12 @@ val best_round :
     draw. *)
 
 val local_search :
-  ?max_moves:int ->
   Sso_graph.Graph.t ->
   candidates:(int -> int -> Sso_graph.Path.t list) ->
   assignment -> assignment
 (** Greedy improvement: repeatedly take a packet crossing a maximally
     congested edge and move it to the candidate path minimizing the
     resulting maximum congestion over that edge's alternatives; stop at a
-    local optimum or after [max_moves] (default 10·packets) moves.  Only
+    local optimum or after 10·packets moves.  Only
     candidate paths for the packet's own pair are considered, so the result
     stays within the path system. *)

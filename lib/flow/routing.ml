@@ -39,8 +39,6 @@ let make entries =
       Pair_map.add pair (normalize pair dist) acc)
     Pair_map.empty entries
 
-let singleton_paths entries = make (List.map (fun (pair, p) -> (pair, [ (1.0, p) ])) entries)
-
 let of_normalized entries =
   List.fold_left
     (fun acc ((pair, dist) : (int * int) * (float * Path.t) list) ->
@@ -69,9 +67,6 @@ let pairs r = List.map fst (Pair_map.bindings r)
 let covers r d =
   List.for_all (fun (s, t) -> Pair_map.mem (s, t) r) (Demand.support d)
 
-let support_sparsity r =
-  Pair_map.fold (fun _ dist acc -> max acc (List.length dist)) r 0
-
 let edge_loads g r d =
   let loads = Array.make (Graph.m g) 0.0 in
   Demand.fold
@@ -98,10 +93,6 @@ let congestion g r d =
     loads;
   !best
 
-let edge_congestion g r d e =
-  let loads = edge_loads g r d in
-  loads.(e) /. Graph.cap g e
-
 let dilation r d =
   Demand.fold
     (fun s t _ acc ->
@@ -109,22 +100,6 @@ let dilation r d =
         (fun acc (w, p) -> if w > 0.0 then max acc (Path.hops p) else acc)
         acc (distribution r s t))
     d 0
-
-let is_integral_on r d =
-  let eps = 1e-9 in
-  Demand.fold
-    (fun s t amount acc ->
-      acc
-      && List.for_all
-           (fun (w, _) ->
-             let x = amount *. w in
-             Float.abs (x -. Float.round x) < eps)
-           (distribution r s t))
-    d true
-
-let restrict r keep =
-  let keep_set = List.fold_left (fun acc p -> Pair_map.add p () acc) Pair_map.empty keep in
-  Pair_map.filter (fun pair _ -> Pair_map.mem pair keep_set) r
 
 let merge_convex (d1, r1) (d2, r2) =
   Pair_map.merge

@@ -15,9 +15,6 @@ val make : ((int * int) * (float * Sso_graph.Path.t) list) list -> t
     Paths must connect the pair's endpoints.  Duplicate paths within a pair
     are merged.  @raise Invalid_argument on violations. *)
 
-val singleton_paths : ((int * int) * Sso_graph.Path.t) list -> t
-(** Deterministic routing: one path per pair. *)
-
 val of_normalized : ((int * int) * (float * Sso_graph.Path.t) list) list -> t
 (** Trusted constructor for distributions that are already normalized (as
     returned by {!distribution}): weights are installed {e without}
@@ -35,29 +32,12 @@ val covers : t -> Sso_demand.Demand.t -> bool
 (** Does the routing define a distribution for every pair in the demand's
     support? *)
 
-val support_sparsity : t -> int
-(** Maximum support size over pairs — the sparsity of [supp(R)] as a path
-    system. *)
-
-val edge_loads : Sso_graph.Graph.t -> t -> Sso_demand.Demand.t -> float array
-(** Absolute load (not divided by capacity) per edge id when routing the
-    demand.  @raise Invalid_argument if some demanded pair is missing. *)
-
 val congestion : Sso_graph.Graph.t -> t -> Sso_demand.Demand.t -> float
 (** [cong(R,d) = max_e load_e / cap_e]; [0] for the empty demand. *)
-
-val edge_congestion : Sso_graph.Graph.t -> t -> Sso_demand.Demand.t -> int -> float
-(** Congestion of one edge. *)
 
 val dilation : t -> Sso_demand.Demand.t -> int
 (** [dil(R,d)]: maximum hop count over paths with positive weight used by
     pairs in the demand's support; [0] for the empty demand. *)
-
-val is_integral_on : t -> Sso_demand.Demand.t -> bool
-(** Is [d(s,t) · P(R(s,t) = p)] a whole number for all [s, t, p]? *)
-
-val restrict : t -> (int * int) list -> t
-(** Keep only the listed pairs. *)
 
 val merge_convex :
   Sso_demand.Demand.t * t -> Sso_demand.Demand.t * t -> t

@@ -249,21 +249,6 @@ let iter_edges_vertices a i f =
 
 let iter a i f = iter_edges_vertices a i (fun e _ -> f e)
 
-let fold a i f init =
-  let acc = ref init in
-  iter a i (fun e -> acc := f !acc e);
-  !acc
-
-let weight a w i =
-  let acc = ref 0.0 in
-  iter a i (fun e -> acc := !acc +. w e);
-  !acc
-
-let mem_edge a i e =
-  let found = ref false in
-  iter a i (fun e' -> if e' = e then found := true);
-  !found
-
 let for_all a i f =
   let ok = ref true in
   iter a i (fun e -> if not (f e) then ok := false);

@@ -48,14 +48,12 @@ val memory_bytes : t -> int
 
 (** {1 Appending} *)
 
-val append_walk : t -> src:int -> dst:int -> int array -> int
-(** Validate [edge_ids] as a walk [src → dst] and append it; returns the
-    new slice handle.  @raise Invalid_argument if an edge is not incident
-    to the walk's current vertex, the walk does not end at [dst], an
-    endpoint is out of range, or the path exceeds the 2^21-hop limit. *)
-
 val append_path : t -> Path.t -> int
-(** {!append_walk} on a path's fields. *)
+(** Validate the path's edges as a walk [src → dst] and append it;
+    returns the new slice handle.  @raise Invalid_argument if an edge is
+    not incident to the walk's current vertex, the walk does not end at
+    [dst], an endpoint is out of range, or the path exceeds the 2^21-hop
+    limit. *)
 
 val append_slice : t -> t -> int -> int
 (** [append_slice dst src i] copies slice [i] of [src] (byte blit; both
@@ -114,19 +112,6 @@ val iter_edges_vertices : t -> int -> (int -> int -> unit) -> unit
 (** [iter_edges_vertices a i f] calls [f e v'] for each hop: edge id [e]
     entering vertex [v'].  The source vertex is [src a i]. *)
 
-val iter : t -> int -> (int -> unit) -> unit
-(** Edge ids in path order. *)
-
-val fold : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
-(** Left fold over edge ids. *)
-
-val weight : t -> (int -> float) -> int -> float
-(** Sum of a per-edge weight over the slice, accumulated in path order
-    (same float operation order as {!Path.weight}). *)
-
-val mem_edge : t -> int -> int -> bool
-(** [mem_edge a i e] — does slice [i] cross edge [e]? *)
-
 val for_all : t -> int -> (int -> bool) -> bool
 val exists : t -> int -> (int -> bool) -> bool
 
@@ -137,9 +122,6 @@ val compare_within_pair : t -> int -> int -> int
     order without materializing paths. *)
 
 (** {1 Materialization} *)
-
-val edges : t -> int -> int array
-(** The edge-id sequence as a fresh array. *)
 
 val suffix_edges : t -> int -> from_hop:int -> int array
 (** Edges from hop [from_hop] (0-based) to the end — the remaining route of
@@ -161,10 +143,6 @@ val unpack_with_vertices : t -> int array -> int array * int array * int array
     arrays every step. *)
 
 (** {1 Raw encoding access (codec)} *)
-
-val byte_range : t -> int -> int * int
-(** [(start, stop)] of the slice's packed-slot bytes inside the data
-    buffer ([stop - start] bytes, exclusive stop). *)
 
 val write_encoding : t -> int -> Buffer.t -> unit
 (** Append the slice's packed-slot bytes to a buffer verbatim. *)

@@ -52,14 +52,6 @@ let complete n =
   done;
   Graph.Builder.build b
 
-let star n =
-  if n < 1 then invalid_arg "Gen.star: need >= 1 leaf";
-  let b = Graph.Builder.create (n + 1) in
-  for leaf = 1 to n do
-    ignore (Graph.Builder.add_edge b 0 leaf)
-  done;
-  Graph.Builder.build b
-
 let path_graph n =
   if n < 2 then invalid_arg "Gen.path_graph: need >= 2 vertices";
   let b = Graph.Builder.create n in
@@ -293,38 +285,6 @@ let fat_tree k =
   done;
   Graph.Builder.build b
 
-let butterfly d =
-  if d < 1 then invalid_arg "Gen.butterfly: dimension must be >= 1";
-  let rows = 1 lsl d in
-  let id level row = (level * rows) + row in
-  let b = Graph.Builder.create ((d + 1) * rows) in
-  for level = 0 to d - 1 do
-    for row = 0 to rows - 1 do
-      ignore (Graph.Builder.add_edge b (id level row) (id (level + 1) row));
-      ignore (Graph.Builder.add_edge b (id level row) (id (level + 1) (row lxor (1 lsl level))))
-    done
-  done;
-  Graph.Builder.build b
-
-let de_bruijn d =
-  if d < 2 then invalid_arg "Gen.de_bruijn: dimension must be >= 2";
-  let n = 1 lsl d in
-  let b = Graph.Builder.create n in
-  let seen = Hashtbl.create (2 * n) in
-  for v = 0 to n - 1 do
-    List.iter
-      (fun w ->
-        if v <> w then begin
-          let key = (min v w, max v w) in
-          if not (Hashtbl.mem seen key) then begin
-            Hashtbl.add seen key ();
-            ignore (Graph.Builder.add_edge b v w)
-          end
-        end)
-      [ 2 * v mod n; ((2 * v) + 1) mod n ]
-  done;
-  Graph.Builder.build b
-
 let b4 () =
   let sites =
     [|
@@ -342,8 +302,3 @@ let b4 () =
   let b = Graph.Builder.create (Array.length sites) in
   List.iter (fun (u, v) -> ignore (Graph.Builder.add_edge ~cap:10.0 b u v)) links;
   (Graph.Builder.build b, sites)
-
-let with_unit_caps g =
-  let b = Graph.Builder.create (Graph.n g) in
-  Graph.fold_edges (fun _ u v _ () -> ignore (Graph.Builder.add_edge ~cap:1.0 b u v)) g ();
-  Graph.Builder.build b

@@ -20,9 +20,6 @@ val torus : int -> int -> Graph.t
 
 val complete : int -> Graph.t
 
-val star : int -> Graph.t
-(** [star n]: center [0] joined to leaves [1..n]. *)
-
 val path_graph : int -> Graph.t
 (** Path on [n] vertices [0 - 1 - ... - n-1]. *)
 
@@ -92,20 +89,7 @@ val fat_tree : int -> Graph.t
     omitted — routing is between edge switches).  Vertex layout: cores
     first, then per pod [k/2] aggregation then [k/2] edge switches. *)
 
-val butterfly : int -> Graph.t
-(** [butterfly d]: the d-dimensional wrapped butterfly on [(d+1)·2^d]
-    vertices — vertex [(level, row)] has id [level·2^d + row]; level [l]
-    connects to level [l+1] straight and crossing bit [l]. *)
-
-val de_bruijn : int -> Graph.t
-(** [de_bruijn d]: the undirected de Bruijn graph on [2^d] vertices;
-    [v] is adjacent to [2v mod 2^d] and [2v+1 mod 2^d] (parallel edges
-    collapsed, self-loops dropped). *)
-
 val b4 : unit -> Graph.t * string array
 (** A B4-like 12-site inter-datacenter WAN (19 links, uniform capacity)
     with site labels — a second realistic topology for the
     traffic-engineering experiments. *)
-
-val with_unit_caps : Graph.t -> Graph.t
-(** Copy of the graph with every capacity reset to 1. *)

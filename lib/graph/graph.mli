@@ -42,9 +42,6 @@ val n : t -> int
 val m : t -> int
 (** Number of edges. *)
 
-val edge : t -> int -> edge
-(** Edge by id.  @raise Invalid_argument if out of range. *)
-
 val edges : t -> edge array
 (** All edges, indexed by id.  Do not mutate. *)
 
@@ -83,9 +80,6 @@ val csr_targets : t -> int array
 val iter_adj : t -> int -> (int -> int -> unit) -> unit
 (** [iter_adj g v f] calls [f edge_id neighbor] for each incident edge of
     [v], in [adj] order, without materializing tuples. *)
-
-val degree : t -> int -> int
-(** Number of incident edges (with multiplicity). *)
 
 val max_degree : t -> int
 

@@ -138,29 +138,3 @@ let cut g s t =
     let net = build g (fun _ -> 1.0) in
     let value = run net s t in
     int_of_float (Float.round value)
-
-let min_cut_edges g s t =
-  if s = t then []
-  else begin
-    let net = build g (fun _ -> 1.0) in
-    let _ = run net s t in
-    (* Source side = vertices reachable in the residual graph. *)
-    let reach = Array.make net.nv false in
-    reach.(s) <- true;
-    let queue = Queue.create () in
-    Queue.add s queue;
-    while not (Queue.is_empty queue) do
-      let v = Queue.pop queue in
-      for i = net.out_off.(v) to net.out_off.(v + 1) - 1 do
-        let a = net.out_arc.(i) in
-        let w = net.head.(a) in
-        if net.residual.(a) > eps && not reach.(w) then begin
-          reach.(w) <- true;
-          Queue.add w queue
-        end
-      done
-    done;
-    Graph.fold_edges
-      (fun id u v _ acc -> if reach.(u) <> reach.(v) then id :: acc else acc)
-      g []
-  end

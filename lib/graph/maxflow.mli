@@ -16,7 +16,3 @@ val cut : Graph.t -> int -> int -> int
     (each counted once, ignoring real capacities) whose removal separates
     [s] from [t]; [0] when [s = t].  Computed as unit-capacity max-flow,
     rounded to the nearest integer. *)
-
-val min_cut_edges : Graph.t -> int -> int -> int list
-(** Edge ids of a minimum (unit-capacity) (s,t)-cut: edges from the
-    source-side set reached in the final residual graph to the rest. *)

@@ -34,8 +34,6 @@ val bfs_path : Graph.t -> int -> int -> Path.t option
 module Workspace : sig
   type t
 
-  val create : unit -> t
-
   val for_current_domain : unit -> t
   (** The calling domain's lazily-created private workspace. *)
 

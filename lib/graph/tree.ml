@@ -83,11 +83,6 @@ let wilson rng g =
   done;
   rooted g root parent_edge
 
-let edges t =
-  Array.to_list (Array.of_seq (Seq.filter (fun e -> e >= 0) (Array.to_seq t.parent_edge)))
-
-let depth t v = t.depth.(v)
-
 let path t s dst =
   if s = dst then Path.trivial s
   else begin

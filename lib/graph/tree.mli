@@ -27,13 +27,7 @@ val wilson : Sso_prng.Rng.t -> Graph.t -> t
     walks from each vertex to the growing tree), rooted at a random
     vertex.  @raise Invalid_argument if the graph is disconnected. *)
 
-val edges : t -> int list
-(** The n-1 tree edge ids. *)
-
 val path : t -> int -> int -> Path.t
 (** The unique tree path between two vertices (simple by construction),
     in O(depth): both endpoints climb to their lowest common ancestor and
     the edge array is written directly. *)
-
-val depth : t -> int -> int
-(** Hop distance to the root along the tree — O(1), read from [depth]. *)

@@ -41,11 +41,14 @@ let pivot t ~row ~col =
     t.rows;
   t.basis.(row) <- col
 
+(* Pivot steps allowed in one phase. *)
+let max_pivots = 200_000
+
 (* One simplex phase: minimize cost·x starting from the current basis.
    [cost] has length ncols.  Returns [`Optimal reduced] (the final
    reduced costs) or [`Unbounded].  Bland's rule (smallest eligible
    index) guarantees termination. *)
-let run_phase t ~cost ~allowed ~budget =
+let run_phase t ~cost ~allowed =
   let m = Array.length t.rows in
   (* Reduced costs: z.(j) = cost.(j) - cost_B · B^{-1} A_j, maintained by
      recomputation each iteration — simple and robust at our sizes. *)
@@ -61,7 +64,7 @@ let run_phase t ~cost ~allowed ~budget =
     done
   in
   let rec iterate steps =
-    if steps > budget then failwith "Simplex: pivot budget exceeded";
+    if steps > max_pivots then failwith "Simplex: pivot budget exceeded";
     objective_row ();
     (* Bland: entering column = smallest index with reduced cost < -eps. *)
     let entering = ref (-1) in
@@ -101,7 +104,7 @@ let run_phase t ~cost ~allowed ~budget =
   in
   iterate 0
 
-let solve ?(max_pivots = 200_000) { num_vars; objective; constraints } =
+let solve { num_vars; objective; constraints } =
   let check_index (j, _) =
     if j < 0 || j >= num_vars then invalid_arg "Simplex.solve: variable index out of range"
   in
@@ -176,7 +179,7 @@ let solve ?(max_pivots = 200_000) { num_vars; objective; constraints } =
       for j = art_start to ncols - 1 do
         cost1.(j) <- 1.0
       done;
-      match run_phase t ~cost:cost1 ~allowed:(fun _ -> true) ~budget:max_pivots with
+      match run_phase t ~cost:cost1 ~allowed:(fun _ -> true) with
       | `Unbounded -> assert false (* phase-1 objective is bounded below by 0 *)
       | `Optimal _ ->
           let value =
@@ -196,7 +199,7 @@ let solve ?(max_pivots = 200_000) { num_vars; objective; constraints } =
       let cost2 = Array.make ncols 0.0 in
       List.iter (fun (j, c) -> cost2.(j) <- cost2.(j) +. c) objective;
       let allowed j = j < art_start in
-      match run_phase t ~cost:cost2 ~allowed ~budget:max_pivots with
+      match run_phase t ~cost:cost2 ~allowed with
       | `Unbounded -> Unbounded
       | `Optimal reduced ->
           let solution = Array.make num_vars 0.0 in

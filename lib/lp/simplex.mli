@@ -31,9 +31,9 @@ type outcome =
   | Infeasible
   | Unbounded
 
-val solve : ?max_pivots:int -> problem -> outcome
-(** Solve the problem.  [max_pivots] (default [200_000]) bounds total pivot
-    steps across both phases; exceeding it raises [Failure].  So does an
-    optimum that breaks a row by more than [1e-6] relative (or has a
-    variable below [-1e-6]): the tableau is never refactorized, so rounding
-    can compound on ill-conditioned or larger LPs. *)
+val solve : problem -> outcome
+(** Solve the problem.  Each phase takes at most [200_000] pivot steps;
+    exceeding that raises [Failure].  So does an optimum that breaks a row
+    by more than [1e-6] relative (or has a variable below [-1e-6]): the
+    tableau is never refactorized, so rounding can compound on
+    ill-conditioned or larger LPs. *)

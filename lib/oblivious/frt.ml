@@ -374,10 +374,6 @@ let of_parts g p =
 
 let levels t = t.levels
 
-let cluster_center t v level =
-  if level < 0 || level > t.levels then invalid_arg "Frt.cluster_center: bad level";
-  t.chain.(v).(level)
-
 (* Truncation radius for a hub tree at parent level [l]: the hub claimed
    every vertex of its cluster within beta·2^{l-1}·δ, a child center sits
    within half that of some shared vertex, and beta < 2, so 2^{l+1}·δ

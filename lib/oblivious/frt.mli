@@ -73,7 +73,3 @@ val iter_route : t -> int -> int -> (int -> unit) -> unit
     loop-erased on the calling domain's {!Sso_graph.Path.Erasure} scratch
     and read back from it.  [f] must not erase another walk on the same
     domain (route, {!Sso_graph.Path.simplify}) while the visit runs. *)
-
-val cluster_center : t -> int -> int -> int
-(** [cluster_center t v level] is the center of the cluster containing [v]
-    at [level] (level 0 clusters are singletons centered at [v]). *)

@@ -114,8 +114,6 @@ let sampler r s t =
                 memo.(i) <- Some p;
                 p)
 
-let sample rng r s t = sampler r s t rng
-
 let to_routing r pairs =
   Routing.make
     (List.map (fun (s, t) -> ((s, t), distribution r s t)) (List.sort_uniq compare pairs))
@@ -123,10 +121,6 @@ let to_routing r pairs =
 let congestion r d =
   if Demand.support_size d = 0 then 0.0
   else Routing.congestion r.graph (to_routing r (Demand.support d)) d
-
-let dilation r d =
-  if Demand.support_size d = 0 then 0
-  else Routing.dilation (to_routing r (Demand.support d)) d
 
 let support_sparsity r pairs =
   List.fold_left (fun acc (s, t) -> max acc (List.length (distribution r s t))) 0 pairs

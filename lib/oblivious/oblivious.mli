@@ -66,18 +66,8 @@ val sampler : t -> int -> int -> Sso_prng.Rng.t -> Sso_graph.Path.t
     come out.  A drawer belongs to one caller; the routing itself may be
     shared by pool workers. *)
 
-val sample : Sso_prng.Rng.t -> t -> int -> int -> Sso_graph.Path.t
-(** Draw one path from [R(s,t)]: [sampler r s t rng]. *)
-
-val to_routing : t -> (int * int) list -> Sso_flow.Routing.t
-(** Restriction of the oblivious routing to a finite set of pairs, as a
-    {!Sso_flow.Routing.t} (used to evaluate [cong(R,d)]). *)
-
 val congestion : t -> Sso_demand.Demand.t -> float
 (** Expected congestion [cong(R,d)] of obliviously routing [d]. *)
-
-val dilation : t -> Sso_demand.Demand.t -> int
-(** Max hops over support paths of pairs in [supp(d)]. *)
 
 val support_sparsity : t -> (int * int) list -> int
 (** Largest per-pair support size among the given pairs — what "sparsity"

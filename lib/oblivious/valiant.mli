@@ -8,7 +8,7 @@
     (Section 5.1).
 
     The distribution enumerates all [2^d] intermediates, so only use
-    {!Oblivious.distribution} on moderate dimensions; {!Oblivious.sample}
+    {!Oblivious.distribution} on moderate dimensions; {!Oblivious.sampler}
     is what the α-sampler uses and is cheap: the routing is an
     {!Oblivious.mixture} over intermediates, so a draw concatenates only
     the two legs through the intermediate it picks. *)

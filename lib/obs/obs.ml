@@ -332,7 +332,6 @@ let with_span ?(attrs = []) sp f =
       end)
     f
 
-let time name f = with_span (span name) f
 let span_total_ns sp = Atomic.get sp.total_ns
 let span_calls sp = Atomic.get sp.calls
 

@@ -83,7 +83,6 @@ val with_span : ?attrs:(string * Trace.value) list -> span -> (unit -> 'a) -> 'a
     exceptions).  When tracing is on, additionally emits a span trace
     event carrying [attrs]. *)
 
-val time : string -> (unit -> 'a) -> 'a
 val span_total_ns : span -> int
 val span_calls : span -> int
 
@@ -104,13 +103,10 @@ val gauge : string -> gauge
 val set_gauge : gauge -> float -> unit
 val gauge_value : gauge -> float
 
-val default_quantile_window : int
-(** Window size used by {!quantile} when [?window] is omitted (1024). *)
-
 val quantile : ?window:int -> string -> quantile
 (** Find or create a rolling-window quantile sketch.  Observations land
     in log2 buckets (the {!histogram} scheme); only the most recent
-    [window] observations count toward estimates.  Deterministic given
+    [window] (default 1024) observations count toward estimates.  Deterministic given
     the same observation sequence.
     @raise Invalid_argument if [window < 1]. *)
 
@@ -164,10 +160,6 @@ val sample_gc_gauges : unit -> unit
     [Gc.quick_stat].  Sampling is explicit — never called from traced or
     digest-producing code — so deterministic outputs stay GC-invariant. *)
 
-val metrics_snapshot : unit -> (string * int) list * (string * int * int) list
-(** Non-zero counters [(name, value)] and spans [(name, total_ns, calls)],
-    sorted by name. *)
-
 val metrics_table : unit -> string
 (** Human-readable table of all non-zero counters and spans, sorted by
     name.  Empty string when nothing was recorded. *)
@@ -189,11 +181,6 @@ val events : unit -> Trace.event list
     no parallel region is in flight. *)
 
 val dropped_events : unit -> int
-
-val histogram_records : unit -> Trace.histogram list
-(** Non-empty registry histograms as trace trailer records, sorted by
-    name.  Span-duration histograms are timing-dependent; tools comparing
-    traces for determinism must ignore histogram lines. *)
 
 val clear_trace : unit -> unit
 (** Empty every ring, reset the slot cursor and current stream.  Call

@@ -441,11 +441,6 @@ let load path =
                 declared found));
       { meta; dropped; events; histograms = List.rev !histograms }
 
-let value_equal a b =
-  match (a, b) with
-  | Float x, Float y -> (Float.is_nan x && Float.is_nan y) || x = y
-  | a, b -> a = b
-
 (* ---------- aggregation ---------- *)
 
 let event_counts events =

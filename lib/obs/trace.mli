@@ -58,15 +58,10 @@ val load : string -> t
 (** @raise Unreadable when the file cannot be read, [Corrupt] when it
     parses wrong or is truncated. *)
 
-val value_equal : value -> value -> bool
-(** Structural equality with [NaN = NaN] (for round-trip tests). *)
-
 (** {1 Aggregation} *)
 
 val event_counts : event list -> (string * int) list
 (** Per point-event name: (name, count), sorted by name. *)
-
-val attr : event -> string -> value option
 
 (** {1 Span-tree profiling}
 

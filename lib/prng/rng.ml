@@ -60,8 +60,6 @@ let split_at t i =
   let s3 = splitmix_next state in
   { s0; s1; s2; s3 }
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
-
 let fingerprint t =
   (* FNV-1a fold of the four state words; reads without advancing, so the
      fingerprint identifies the stream a consumer is about to draw from. *)
@@ -89,8 +87,6 @@ let int t bound =
 let float t =
   let v = Int64.to_int (Int64.shift_right_logical (int64 t) 11) in
   float_of_int v *. 0x1.0p-53
-
-let bool t = Int64.compare (Int64.logand (int64 t) 1L) 0L <> 0
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
@@ -121,33 +117,3 @@ let discrete t w =
       if target < acc then i else scan (i + 1) acc
   in
   scan 0 0.0
-
-module Alias = struct
-  type table = { prob : float array; alias : int array }
-
-  let make w =
-    let n = Array.length w in
-    if n = 0 then invalid_arg "Rng.Alias.make: empty weights";
-    let total = Array.fold_left ( +. ) 0.0 w in
-    if not (total > 0.0) then invalid_arg "Rng.Alias.make: weights must have positive sum";
-    let scaled = Array.map (fun x -> x *. float_of_int n /. total) w in
-    let prob = Array.make n 1.0 in
-    let alias = Array.init n (fun i -> i) in
-    let small = Queue.create () and large = Queue.create () in
-    Array.iteri (fun i p -> Queue.add i (if p < 1.0 then small else large)) scaled;
-    while (not (Queue.is_empty small)) && not (Queue.is_empty large) do
-      let s = Queue.pop small and l = Queue.pop large in
-      prob.(s) <- scaled.(s);
-      alias.(s) <- l;
-      scaled.(l) <- scaled.(l) +. scaled.(s) -. 1.0;
-      Queue.add l (if scaled.(l) < 1.0 then small else large)
-    done;
-    (* Leftovers are 1.0 up to float error. *)
-    { prob; alias }
-
-  let sample t { prob; alias } =
-    let i = int t (Array.length prob) in
-    if float t < prob.(i) then i else alias.(i)
-
-  let size { prob; _ } = Array.length prob
-end

@@ -27,17 +27,11 @@ val split_at : t -> int -> t
     loop takes [split_at parent task_index], so results are independent of
     execution order and job count.  @raise Invalid_argument if [i < 0]. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state (same future draws as [t]). *)
-
 val fingerprint : t -> int64
 (** A digest of the current state {e without advancing} it.  Two generators
     with equal fingerprints produce identical future draws, so the
     fingerprint canonically names the randomness a construction is about to
     consume — the artifact store keys cached randomized objects by it. *)
-
-val int64 : t -> int64
-(** Next raw 64-bit output. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be positive and
@@ -45,9 +39,6 @@ val int : t -> int -> int
 
 val float : t -> float
 (** Uniform in [\[0, 1)] with 53 bits of precision. *)
-
-val bool : t -> bool
-(** Fair coin. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
@@ -61,20 +52,3 @@ val choose : t -> 'a array -> 'a
 val discrete : t -> float array -> int
 (** [discrete t w] samples index [i] with probability [w.(i) / sum w] by
     linear scan.  Weights must be non-negative with a positive sum. *)
-
-module Alias : sig
-  (** Walker alias tables: O(n) preprocessing, O(1) sampling from a fixed
-      discrete distribution.  Used when sampling many paths from the same
-      oblivious-routing distribution. *)
-
-  type table
-
-  val make : float array -> table
-  (** Build a table from non-negative weights with positive sum. *)
-
-  val sample : t -> table -> int
-  (** Draw an index distributed proportionally to the weights. *)
-
-  val size : table -> int
-  (** Number of outcomes. *)
-end

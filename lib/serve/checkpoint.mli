@@ -41,17 +41,6 @@ val encode :
   Serve.state -> string
 (** The checkpoint blob. *)
 
-val decode :
-  graph:Sso_graph.Graph.t -> string -> int64 * string * Serve.state
-(** [(stream_digest, config_repr, state)].  The caller compares the
-    digest and configuration against its own before {!Serve.restore}.
-    @raise Sso_artifact.Codec.Corrupt on checksum mismatch, bad tag or
-    version, or any malformed field. *)
-
-val filename : tick:int -> string
-(** [ckpt-<tick>.bin] (zero-padded so lexicographic = numeric order).
-    @raise Invalid_argument if [tick < 0]. *)
-
 val write :
   dir:string ->
   stream_digest:int64 ->
@@ -59,7 +48,8 @@ val write :
   config:Serve.config ->
   Serve.state -> string
 (** Encode and atomically publish the checkpoint under [dir] (created if
-    missing), returning its path.  The temporary sibling is removed on
+    missing) as [ckpt-<tick>.bin], tick zero-padded so lexicographic is
+    numeric order, returning its path.  The temporary sibling is removed on
     any failure.  @raise Unreadable when the filesystem says no,
     [Invalid_argument] if the state predates the first tick. *)
 
@@ -69,5 +59,8 @@ val latest : dir:string -> (int * string) option
 
 val load :
   graph:Sso_graph.Graph.t -> string -> int64 * string * Serve.state
-(** Read and {!decode} a checkpoint file.  @raise Unreadable on IO
-    failure, {!Sso_artifact.Codec.Corrupt} on damage. *)
+(** Read and decode a checkpoint file: [(stream_digest, config_repr,
+    state)].  The caller compares the digest and configuration against
+    its own before {!Serve.restore}.  @raise Unreadable on IO failure,
+    {!Sso_artifact.Codec.Corrupt} on checksum mismatch, bad tag or
+    version, or any malformed field. *)

@@ -63,7 +63,6 @@ type t = {
   graph : Graph.t;
   system : Path_system.t;
   config : config;
-  seen : (int, unit) Hashtbl.t;  (* pairs materialized so far, by [pair_key] *)
   failed : (int, unit) Hashtbl.t;  (* edges currently down *)
   mutable survivors : Path_system.t option;
       (* cached filter view over [system]; dropped on any fault *)
@@ -91,7 +90,6 @@ let create ?(config = default_config) graph system =
   if config.max_staleness < 0 then
     invalid_arg "Serve.create: max_staleness must be non-negative";
   { graph; system; config;
-    seen = Hashtbl.create 256;
     failed = Hashtbl.create 16;
     survivors = None;
     pieces = Hashtbl.create 256;
@@ -103,11 +101,9 @@ let create ?(config = default_config) graph system =
     since_cold = 0;
     degraded_streak = 0 }
 
-(* A pair as one immediate int, cheaper to hash than a tuple; ascending
-   keys are pairs in lexicographic order. *)
+(* A pair as one immediate int, cheaper to hash than a tuple. *)
 let pair_key t (s, d) = (s * Graph.n t.graph) + d
 
-let graph t = t.graph
 let system t = t.system
 let demand t = t.demand
 let routing t = t.routing
@@ -221,9 +217,9 @@ let live_system t =
 let count_rerouted t newly =
   match (t.routing, newly) with
   | Some r, _ :: _ ->
-      let hit (_, p) =
-        Array.exists (fun e -> List.mem e newly) p.Path.edges
-      in
+      let down = Array.make (Graph.m t.graph) false in
+      List.iter (fun e -> down.(e) <- true) newly;
+      let hit (_, p) = Array.exists (fun e -> down.(e)) p.Path.edges in
       List.length
         (List.filter
            (fun (s, d) -> List.exists hit (Routing.distribution r s d))
@@ -289,19 +285,17 @@ let step t ~tick ?(faults = []) events =
   let before = t.demand in
   let demand = Update.apply before applied in
   let support = Demand.support demand in
-  (* Admission: materialize never-seen pairs into the shared arena, in
-     deterministic chunk order on the pool.  Retired pairs keep their
-     slices — a returning commodity is re-admitted for free. *)
+  (* Admission: materialize pairs new to the system into the shared
+     arena, in deterministic chunk order on the pool.  Retired pairs keep
+     their slices — a returning commodity is re-admitted for free. *)
   let fresh =
-    List.filter (fun p -> not (Hashtbl.mem t.seen (pair_key t p))) support
+    List.filter (fun (s, d) -> not (Path_system.installed t.system s d)) support
   in
   let admit_ns =
     if fresh = [] then 0
     else begin
       let a0 = Obs.now_ns () in
-      Obs.with_span admit_span (fun () ->
-          Path_system.materialize_parallel t.system fresh;
-          List.iter (fun p -> Hashtbl.replace t.seen (pair_key t p) ()) fresh);
+      Obs.with_span admit_span (fun () -> Path_system.materialize_parallel t.system fresh);
       Obs.now_ns () - a0
     end
   in
@@ -594,14 +588,10 @@ type state = {
 }
 
 let snapshot t =
-  let n = Graph.n t.graph in
-  let keys = List.sort Int.compare (Hashtbl.fold (fun k () acc -> k :: acc) t.seen []) in
   let ranges =
     List.map
-      (fun k ->
-        let s = k / n and d = k mod n in
-        ((s, d), Path_system.slice_range t.system s d))
-      keys
+      (fun (s, d) -> ((s, d), Path_system.slice_range t.system s d))
+      (Path_system.known_pairs t.system)
   in
   { s_tick = t.last_tick;
     s_since_cold = t.since_cold;
@@ -627,15 +617,11 @@ let restore ?(config = default_config) graph system state =
     Obs.traced "restore.decode" (fun () ->
         Codec.decode_path_system_slices (Path_system.graph system) state.s_system)
   in
-  (* Every range is inserted below: size the pair table for all of them
-     rather than rehash it from 256 buckets up. *)
-  let t = { t with seen = Hashtbl.create (List.length ranges) } in
   List.iter
     (fun ((s, d), _) ->
       if s < 0 || s >= n || d < 0 || d >= n then
         state_corrupt "checkpoint pair %d->%d out of range (graph has %d \
-                       vertices)" s d n;
-      Hashtbl.replace t.seen (pair_key t (s, d)) ())
+                       vertices)" s d n)
     ranges;
   List.iter
     (fun (s, d) ->

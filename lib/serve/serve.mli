@@ -100,7 +100,11 @@ type report = {
   departures : int;
   rate_changes : int;
   active_pairs : int;  (** Commodities after folding the batch. *)
-  admitted : int;  (** Pairs newly materialized into the arena. *)
+  admitted : int;
+      (** Active pairs new to the path system, materialized into its
+          arena this tick.  A pair the system already held (a returning
+          commodity, or one installed before the service saw it) is not
+          counted. *)
   retired : int;  (** Pairs that left the active set this tick. *)
   deferred : int;
       (** Events shed to the next tick by the [event_budget] policy. *)
@@ -132,7 +136,6 @@ val create : ?config:config -> Sso_graph.Graph.t -> Sso_core.Path_system.t -> t
     α-sample, so admission generates paths on demand).  No solve happens
     until the first {!step}. *)
 
-val graph : t -> Sso_graph.Graph.t
 val system : t -> Sso_core.Path_system.t
 
 val demand : t -> Sso_demand.Demand.t
@@ -144,9 +147,6 @@ val routing : t -> Sso_flow.Routing.t option
 val pending : t -> Sso_demand.Update.t list
 (** Events shed by the budget policy, waiting (in order) for the next
     tick. *)
-
-val failed_edges : t -> int list
-(** Edges currently down, ascending. *)
 
 val step : t -> tick:int -> ?faults:fault list -> Sso_demand.Update.t list ->
   report
@@ -219,7 +219,8 @@ type state = {
   s_pending : Sso_demand.Update.t list;
   s_failed : int list;  (** Failed edge ids, strictly ascending. *)
   s_system : string;
-      (** v2 slice payload of the materialized pairs (sorted). *)
+      (** v2 slice payload of every pair the system has materialized
+          ({!Sso_core.Path_system.known_pairs}, sorted). *)
 }
 
 val snapshot : t -> state

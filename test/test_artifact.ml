@@ -143,25 +143,6 @@ let test_fnv_vectors () =
 
 (* ---- object codecs ---- *)
 
-let graphs_equal g g' =
-  Graph.n g = Graph.n g'
-  && Graph.m g = Graph.m g'
-  && List.for_all
-       (fun e ->
-         Graph.endpoints g e = Graph.endpoints g' e
-         && bits (Graph.cap g e) = bits (Graph.cap g' e))
-       (List.init (Graph.m g) Fun.id)
-
-let prop_graph_roundtrip =
-  QCheck.Test.make ~name:"graph codec round-trips (ids, endpoints, caps)"
-    ~count:50
-    QCheck.(pair small_int (int_range 4 25))
-    (fun (seed, n) ->
-      let g = Gen.erdos_renyi (Rng.create seed) n 0.3 in
-      let encoded = Codec.encode_graph g in
-      let g' = Codec.decode_graph encoded in
-      graphs_equal g g' && Codec.encode_graph g' = encoded)
-
 let prop_demand_roundtrip =
   QCheck.Test.make ~name:"demand codec round-trips (support, amounts)"
     ~count:50 QCheck.small_int
@@ -179,7 +160,7 @@ let prop_demand_roundtrip =
 let range_edges a ranges =
   List.map
     (fun (pair, (first, count)) ->
-      (pair, List.init count (fun k -> Arena.edges a (first + k))))
+      (pair, List.init count (fun k -> Arena.suffix_edges a (first + k) ~from_hop:0)))
     ranges
 
 (* Decoding returns the ranges in ascending pair order with every slice's
@@ -235,18 +216,20 @@ let prop_distributions_roundtrip =
           (fun (s, t) -> ((s, t), Oblivious.distribution base s t))
           pairs
       in
-      let entries' =
-        Codec.decode_distributions g (Codec.encode_distributions entries)
+      let routing' =
+        Codec.decode_routing g (Codec.encode_routing (Routing.of_normalized entries))
       in
-      List.for_all2
-        (fun (pair, dist) (pair', dist') -> pair = pair' && dist_equal dist dist')
-        entries entries')
+      List.for_all
+        (fun ((s, t), dist) -> dist_equal dist (Routing.distribution routing' s t))
+        entries)
 
 let test_routing_roundtrip () =
   let g = Gen.grid 4 4 in
   let base = Ksp.routing ~k:4 g in
   let pairs = [ (0, 15); (2, 13) ] in
-  let routing = Oblivious.to_routing base pairs in
+  let routing =
+    Routing.of_normalized (List.map (fun (s, t) -> ((s, t), Oblivious.distribution base s t)) pairs)
+  in
   let routing' = Codec.decode_routing g (Codec.encode_routing routing) in
   List.iter
     (fun (s, t) ->
@@ -292,27 +275,25 @@ let test_forest_truncated_is_corrupt () =
   done
 
 let test_codec_rejects_damage () =
-  let g = Gen.grid 3 3 in
-  let encoded = Codec.encode_graph g in
+  let encoded = Codec.encode_demand (Demand.random_pairs (Rng.create 3) ~n:9 ~pairs:4) in
   let flip i s =
     let b = Bytes.of_string s in
     Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xFF));
     Bytes.to_string b
   in
   Alcotest.(check bool) "empty input" true
-    (raises_corrupt (fun () -> Codec.decode_graph ""));
+    (raises_corrupt (fun () -> Codec.decode_demand ""));
   Alcotest.(check bool) "wrong tag" true
-    (raises_corrupt (fun () -> Codec.decode_graph (flip 0 encoded)));
+    (raises_corrupt (fun () -> Codec.decode_demand (flip 0 encoded)));
   Alcotest.(check bool) "wrong version" true
-    (raises_corrupt (fun () -> Codec.decode_graph (flip 1 encoded)));
+    (raises_corrupt (fun () -> Codec.decode_demand (flip 1 encoded)));
   Alcotest.(check bool) "truncated" true
     (raises_corrupt (fun () ->
-         Codec.decode_graph (String.sub encoded 0 (String.length encoded - 3))));
+         Codec.decode_demand (String.sub encoded 0 (String.length encoded - 3))));
   Alcotest.(check bool) "trailing bytes" true
-    (raises_corrupt (fun () -> Codec.decode_graph (encoded ^ "x")));
-  Alcotest.(check bool) "demand tag refused by graph codec" true
-    (raises_corrupt (fun () ->
-         Codec.decode_graph (Codec.encode_demand (Demand.all_to_all 3))))
+    (raises_corrupt (fun () -> Codec.decode_demand (encoded ^ "x")));
+  Alcotest.(check bool) "forest tag refused by demand codec" true
+    (raises_corrupt (fun () -> Codec.decode_demand (Codec.encode_forest [])))
 
 (* ---- v2 path systems ---- *)
 
@@ -412,8 +393,8 @@ let test_path_system_corrupt_contract () =
   Bytes.set future 1 (Char.chr 99);
   Alcotest.(check bool) "future version" true
     (raises_corrupt (fun () -> decode (Bytes.to_string future)));
-  Alcotest.(check bool) "graph codec tag refused" true
-    (raises_corrupt (fun () -> decode (Codec.encode_graph g)));
+  Alcotest.(check bool) "demand codec tag refused" true
+    (raises_corrupt (fun () -> decode (Codec.encode_demand (Demand.all_to_all 3))));
   (* Each pair is written once, in ascending order. *)
   Alcotest.(check bool) "repeated pair" true
     (raises_corrupt (fun () ->
@@ -571,13 +552,20 @@ let test_store_unreadable_dir () =
 
 let test_default_dir_env_override () =
   let saved = Sys.getenv_opt "SSO_CACHE_DIR" in
-  Unix.putenv "SSO_CACHE_DIR" "/tmp/sso-cache-override";
+  incr tmp_counter;
+  let override =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "sso-cache-override-%d-%d" (Unix.getpid ()) !tmp_counter)
+  in
+  Unix.putenv "SSO_CACHE_DIR" override;
+  let st = Store.open_ () in
   Fun.protect
     ~finally:(fun () ->
-      Unix.putenv "SSO_CACHE_DIR" (Option.value saved ~default:""))
-    (fun () ->
-      Alcotest.(check string) "SSO_CACHE_DIR wins" "/tmp/sso-cache-override"
-        (Store.default_dir ()))
+      Unix.putenv "SSO_CACHE_DIR" (Option.value saved ~default:"");
+      (try ignore (Store.clear st) with _ -> ());
+      try Unix.rmdir override with _ -> ())
+    (fun () -> Alcotest.(check string) "SSO_CACHE_DIR wins" override (Store.dir st))
 
 (* ---- memoizing wrappers ---- *)
 
@@ -799,7 +787,6 @@ let () =
         ] );
       ( "codec-objects",
         [
-          QCheck_alcotest.to_alcotest prop_graph_roundtrip;
           QCheck_alcotest.to_alcotest prop_demand_roundtrip;
           QCheck_alcotest.to_alcotest prop_path_roundtrip;
           QCheck_alcotest.to_alcotest prop_path_system_roundtrip;

@@ -16,12 +16,10 @@ let test_of_list_rejects () =
   Alcotest.check_raises "negative" (Invalid_argument "Demand.of_list: negative demand")
     (fun () -> ignore (Demand.of_list [ (0, 1, -1.0) ]))
 
-let test_siz_and_max () =
+let test_siz () =
   let d = Demand.of_list [ (0, 1, 2.0); (1, 0, 3.0); (2, 3, 0.5) ] in
   Alcotest.(check (float 1e-9)) "siz" 5.5 (Demand.siz d);
-  Alcotest.(check (float 1e-9)) "max entry" 3.0 (Demand.max_entry d);
-  Alcotest.(check (float 1e-9)) "empty siz" 0.0 (Demand.siz Demand.empty);
-  Alcotest.(check (float 1e-9)) "empty max" 0.0 (Demand.max_entry Demand.empty)
+  Alcotest.(check (float 1e-9)) "empty siz" 0.0 (Demand.siz Demand.empty)
 
 let test_support_ordered () =
   let d = Demand.of_list [ (2, 0, 1.0); (0, 2, 1.0); (0, 1, 1.0) ] in
@@ -39,22 +37,15 @@ let test_add_scale () =
   Alcotest.(check int) "scale by zero empties" 0
     (Demand.support_size (Demand.scale 0.0 sum))
 
-let test_map_filter () =
+let test_filter () =
   let d = Demand.of_list [ (0, 1, 1.0); (1, 2, 2.0) ] in
-  let doubled = Demand.map (fun _ _ v -> v *. 2.0) d in
-  Alcotest.(check (float 1e-9)) "map" 4.0 (Demand.get doubled 1 2);
   let only_big = Demand.filter (fun _ _ v -> v > 1.5) d in
-  Alcotest.(check int) "filter" 1 (Demand.support_size only_big);
-  let dropped = Demand.map (fun _ _ _ -> 0.0) d in
-  Alcotest.(check int) "map to zero drops" 0 (Demand.support_size dropped)
+  Alcotest.(check int) "filter" 1 (Demand.support_size only_big)
 
 let test_classifiers () =
   let perm = Demand.of_list [ (0, 1, 1.0); (1, 0, 1.0); (2, 3, 1.0) ] in
   Alcotest.(check bool) "integral" true (Demand.is_integral perm);
   Alcotest.(check bool) "zero-one" true (Demand.is_zero_one perm);
-  Alcotest.(check bool) "permutation" true (Demand.is_permutation perm);
-  let not_perm = Demand.of_list [ (0, 1, 1.0); (0, 2, 1.0) ] in
-  Alcotest.(check bool) "double sender" false (Demand.is_permutation not_perm);
   let not_01 = Demand.of_list [ (0, 1, 2.0) ] in
   Alcotest.(check bool) "not zero-one" false (Demand.is_zero_one not_01);
   Alcotest.(check bool) "but integral" true (Demand.is_integral not_01);
@@ -71,7 +62,7 @@ let test_is_special () =
 let test_random_permutation () =
   let rng = Rng.create 7 in
   let d = Demand.random_permutation rng 50 in
-  Alcotest.(check bool) "is permutation" true (Demand.is_permutation d);
+  Alcotest.(check bool) "is permutation" true (Support.is_permutation d);
   Alcotest.(check bool) "most vertices active" true (Demand.support_size d > 40)
 
 let test_random_pairs () =
@@ -82,7 +73,7 @@ let test_random_pairs () =
 
 let test_bit_reversal () =
   let d = Demand.bit_reversal 4 in
-  Alcotest.(check bool) "permutation" true (Demand.is_permutation d);
+  Alcotest.(check bool) "permutation" true (Support.is_permutation d);
   (* 0b0001 -> 0b1000 *)
   Alcotest.(check (float 1e-9)) "1 -> 8" 1.0 (Demand.get d 1 8);
   (* palindromic addresses are fixed points and dropped *)
@@ -91,7 +82,7 @@ let test_bit_reversal () =
 
 let test_transpose () =
   let d = Demand.transpose 4 in
-  Alcotest.(check bool) "permutation" true (Demand.is_permutation d);
+  Alcotest.(check bool) "permutation" true (Support.is_permutation d);
   (* low half 01, high half 10: 0b0110 -> 0b1001 *)
   Alcotest.(check (float 1e-9)) "6 -> 9" 1.0 (Demand.get d 6 9);
   Alcotest.check_raises "odd dimension rejected"
@@ -142,37 +133,17 @@ let test_hotspot () =
   Alcotest.(check int) "seven senders" 7 (Demand.support_size d);
   Alcotest.(check (float 1e-9)) "no self traffic" 0.0 (Demand.get d 3 3);
   Alcotest.(check bool) "zero-one" true (Demand.is_zero_one d);
-  Alcotest.(check bool) "not a permutation (many-to-one)" false (Demand.is_permutation d)
+  Alcotest.(check bool) "not a permutation (many-to-one)" false (Support.is_permutation d)
 
 let test_ring_shift () =
   let d = Demand.ring_shift ~n:6 ~shift:2 in
-  Alcotest.(check bool) "permutation" true (Demand.is_permutation d);
+  Alcotest.(check bool) "permutation" true (Support.is_permutation d);
   Alcotest.(check (float 1e-9)) "wraps" 1.0 (Demand.get d 5 1);
   Alcotest.check_raises "zero shift rejected"
     (Invalid_argument "Demand.ring_shift: shift must be non-zero mod n") (fun () ->
       ignore (Demand.ring_shift ~n:6 ~shift:6))
 
-let test_stride () =
-  let d = Demand.stride ~n:8 ~stride:3 in
-  Alcotest.(check bool) "permutation" true (Demand.is_permutation d);
-  Alcotest.(check (float 1e-9)) "2 -> 6" 1.0 (Demand.get d 2 6);
-  Alcotest.check_raises "non-coprime rejected"
-    (Invalid_argument "Demand.stride: stride must be coprime with n") (fun () ->
-      ignore (Demand.stride ~n:8 ~stride:2))
-
-let test_equal () =
-  let d1 = Demand.of_list [ (0, 1, 1.0); (1, 2, 2.0) ] in
-  let d2 = Demand.of_list [ (1, 2, 2.0); (0, 1, 1.0) ] in
-  Alcotest.(check bool) "order independent" true (Demand.equal d1 d2);
-  Alcotest.(check bool) "value sensitive" false
-    (Demand.equal d1 (Demand.of_list [ (0, 1, 1.0); (1, 2, 3.0) ]))
-
 (* Serialization *)
-
-let test_demand_roundtrip () =
-  let d = Demand.of_list [ (0, 1, 1.5); (3, 2, 4.0) ] in
-  let d' = Demand.of_string (Demand.to_string d) in
-  Alcotest.(check bool) "roundtrip" true (Demand.equal d d')
 
 let test_demand_of_string_comments () =
   let d = Demand.of_string "# comment\n0 1 2.0\n\n1 2 1\n" in
@@ -191,16 +162,6 @@ let test_demand_of_string_rejects () =
        false
      with Failure _ -> true)
 
-let prop_demand_roundtrip =
-  QCheck.Test.make ~name:"demand serialization round-trips" ~count:100
-    QCheck.(list (triple (int_range 0 9) (int_range 0 9) (float_range 0.01 100.0)))
-    (fun raw ->
-      (* Shift targets to a disjoint id range so pairs are never diagonal
-         (shrinkers may wander outside the declared ranges). *)
-      let entries = List.map (fun (s, t, v) -> (s, t + 10, v)) raw in
-      let d = Demand.of_list entries in
-      Demand.equal d (Demand.of_string (Demand.to_string d)))
-
 (* Workloads *)
 
 module Workload = Sso_demand.Workload
@@ -208,7 +169,7 @@ module Workload = Sso_demand.Workload
 let test_workload_diurnal () =
   let rng = Rng.create 3 in
   let day = Workload.diurnal rng ~n:8 ~epochs:12 ~peak_total:100.0 in
-  Alcotest.(check int) "epochs" 12 (Workload.total_epochs day);
+  Alcotest.(check int) "epochs" 12 (List.length day);
   List.iter
     (fun d ->
       let total = Demand.siz d in
@@ -224,7 +185,7 @@ let test_workload_diurnal () =
 let test_workload_random_walk () =
   let rng = Rng.create 5 in
   let epochs = Workload.random_walk rng ~n:10 ~epochs:8 ~pairs:6 ~churn:0.5 in
-  Alcotest.(check int) "epochs" 8 (Workload.total_epochs epochs);
+  Alcotest.(check int) "epochs" 8 (List.length epochs);
   List.iter
     (fun d ->
       Alcotest.(check int) "constant pair count" 6 (Demand.support_size d);
@@ -233,7 +194,7 @@ let test_workload_random_walk () =
   (* With churn, consecutive epochs differ (with overwhelming probability
      for this seed). *)
   match epochs with
-  | a :: b :: _ -> Alcotest.(check bool) "churn changes support" false (Demand.equal a b)
+  | a :: b :: _ -> Alcotest.(check bool) "churn changes support" false (Support.demand_equal a b)
   | _ -> Alcotest.fail "expected epochs"
 
 let test_workload_zero_churn_is_constant () =
@@ -242,13 +203,13 @@ let test_workload_zero_churn_is_constant () =
   match epochs with
   | first :: rest ->
       List.iter
-        (fun d -> Alcotest.(check bool) "identical" true (Demand.equal first d))
+        (fun d -> Alcotest.(check bool) "identical" true (Support.demand_equal first d))
         rest
   | [] -> Alcotest.fail "expected epochs"
 
 let test_workload_hotspot_sweep () =
   let sweep = Workload.hotspot_sweep ~n:5 in
-  Alcotest.(check int) "one epoch per vertex" 5 (Workload.total_epochs sweep);
+  Alcotest.(check int) "one epoch per vertex" 5 (List.length sweep);
   List.iteri
     (fun target d ->
       Alcotest.(check int) "incast size" 4 (Demand.support_size d);
@@ -256,14 +217,6 @@ let test_workload_hotspot_sweep () =
         (fun (_, t) -> Alcotest.(check int) "all to target" target t)
         (Demand.support d))
     sweep
-
-let test_workload_peak () =
-  let small = Demand.single_pair 0 1 1.0 in
-  let big = Demand.of_list [ (0, 1, 5.0); (1, 2, 5.0) ] in
-  Alcotest.(check bool) "picks the heavy epoch" true
-    (Demand.equal big (Workload.peak [ small; big; small ]));
-  Alcotest.(check bool) "empty workload" true
-    (Demand.equal Demand.empty (Workload.peak []))
 
 (* Update streams (the churn model as explicit events) *)
 
@@ -307,7 +260,7 @@ let prop_generate_deterministic =
         Workload.generate ~rate_churn:0.5 (Rng.create seed) ~n:10 ~ticks:6
           ~pairs:5 ~churn:0.4
       in
-      List.equal Update.equal (gen ()) (gen ()))
+      gen () = gen ())
 
 let prop_generate_full_churn_resamples_all =
   QCheck.Test.make
@@ -356,7 +309,7 @@ let prop_generate_folds_to_random_walk =
           (List.filter (fun e -> e.Update.tick <= k) events)
       in
       List.for_all
-        (fun k -> Demand.equal (demand_after k) (List.nth epochs (k - 1)))
+        (fun k -> Support.demand_equal (demand_after k) (List.nth epochs (k - 1)))
         (List.init (ticks - 1) (fun i -> i + 1)))
 
 let prop_add_siz =
@@ -380,7 +333,7 @@ let prop_random_permutation_always_valid =
     QCheck.(pair small_int (int_range 2 64))
     (fun (seed, n) ->
       let rng = Rng.create seed in
-      Demand.is_permutation (Demand.random_permutation rng n))
+      Support.is_permutation (Demand.random_permutation rng n))
 
 let () =
   Alcotest.run "demand"
@@ -389,11 +342,10 @@ let () =
         [
           Alcotest.test_case "normalizes" `Quick test_of_list_normalizes;
           Alcotest.test_case "rejects bad input" `Quick test_of_list_rejects;
-          Alcotest.test_case "siz and max" `Quick test_siz_and_max;
+          Alcotest.test_case "siz" `Quick test_siz;
           Alcotest.test_case "support ordered" `Quick test_support_ordered;
           Alcotest.test_case "add and scale" `Quick test_add_scale;
-          Alcotest.test_case "map and filter" `Quick test_map_filter;
-          Alcotest.test_case "equal" `Quick test_equal;
+          Alcotest.test_case "filter" `Quick test_filter;
         ] );
       ( "classifiers",
         [
@@ -413,11 +365,9 @@ let () =
           Alcotest.test_case "single pair" `Quick test_single_pair;
           Alcotest.test_case "hotspot" `Quick test_hotspot;
           Alcotest.test_case "ring shift" `Quick test_ring_shift;
-          Alcotest.test_case "stride" `Quick test_stride;
         ] );
       ( "serialization",
         [
-          Alcotest.test_case "roundtrip" `Quick test_demand_roundtrip;
           Alcotest.test_case "comments" `Quick test_demand_of_string_comments;
           Alcotest.test_case "rejects" `Quick test_demand_of_string_rejects;
         ] );
@@ -427,7 +377,6 @@ let () =
           Alcotest.test_case "random walk" `Quick test_workload_random_walk;
           Alcotest.test_case "zero churn" `Quick test_workload_zero_churn_is_constant;
           Alcotest.test_case "hotspot sweep" `Quick test_workload_hotspot_sweep;
-          Alcotest.test_case "peak" `Quick test_workload_peak;
         ] );
       ( "update streams",
         [
@@ -441,7 +390,6 @@ let () =
             prop_add_siz;
             prop_scale_linear;
             prop_random_permutation_always_valid;
-            prop_demand_roundtrip;
             prop_generate_deterministic;
             prop_generate_full_churn_resamples_all;
             prop_generate_folds_to_random_walk;

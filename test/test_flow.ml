@@ -21,6 +21,12 @@ module Best_response = Sso_flow.Best_response
 module Sampler = Sso_core.Sampler
 module Path_system = Sso_core.Path_system
 
+(* One path per pair, weight 1. *)
+let singleton_paths entries = Routing.make (List.map (fun (pair, p) -> (pair, [ (1.0, p) ])) entries)
+
+(* Packets per pair of an assignment. *)
+let packet_counts (a : Rounding.assignment) = Array.map (fun (pair, paths) -> (pair, Array.length paths)) a
+
 let square () =
   (* 0-1-3 and 0-2-3: two disjoint two-hop routes. *)
   let b = Graph.Builder.create 4 in
@@ -74,7 +80,7 @@ let test_routing_congestion () =
   let d = Demand.single_pair 0 3 2.0 in
   let split = Routing.make [ ((0, 3), [ (1.0, upper); (1.0, lower) ]) ] in
   Alcotest.(check (float 1e-9)) "even split" 1.0 (Routing.congestion g split d);
-  let solo = Routing.singleton_paths [ ((0, 3), upper) ] in
+  let solo = singleton_paths [ ((0, 3), upper) ] in
   Alcotest.(check (float 1e-9)) "single path" 2.0 (Routing.congestion g solo d);
   Alcotest.(check (float 1e-9)) "empty demand" 0.0 (Routing.congestion g solo Demand.empty)
 
@@ -83,7 +89,7 @@ let test_routing_respects_capacity () =
   ignore (Graph.Builder.add_edge ~cap:4.0 b 0 1);
   let g = Graph.Builder.build b in
   let p = Path.of_vertices g [ 0; 1 ] in
-  let r = Routing.singleton_paths [ ((0, 1), p) ] in
+  let r = singleton_paths [ ((0, 1), p) ] in
   Alcotest.(check (float 1e-9)) "load over capacity" 0.5
     (Routing.congestion g r (Demand.single_pair 0 1 2.0))
 
@@ -97,17 +103,6 @@ let test_routing_dilation () =
   Alcotest.(check int) "restricted support" 1
     (Routing.dilation r (Demand.single_pair 0 1 1.0))
 
-let test_routing_is_integral_on () =
-  let g = square () in
-  let upper, lower =
-    match square_paths g with [ a; b ] -> (a, b) | _ -> assert false
-  in
-  let r = Routing.make [ ((0, 3), [ (1.0, upper); (1.0, lower) ]) ] in
-  Alcotest.(check bool) "half-half on 2 packets" true
-    (Routing.is_integral_on r (Demand.single_pair 0 3 2.0));
-  Alcotest.(check bool) "half-half on 1 packet" false
-    (Routing.is_integral_on r (Demand.single_pair 0 3 1.0))
-
 let test_merge_convex_bound () =
   (* Lemma 5.15: cong(R, d1+d2) ≤ cong(R1,d1) + cong(R2,d2). *)
   let g = square () in
@@ -115,8 +110,8 @@ let test_merge_convex_bound () =
     match square_paths g with [ a; b ] -> (a, b) | _ -> assert false
   in
   let d1 = Demand.single_pair 0 3 1.0 and d2 = Demand.single_pair 0 3 2.0 in
-  let r1 = Routing.singleton_paths [ ((0, 3), upper) ] in
-  let r2 = Routing.singleton_paths [ ((0, 3), lower) ] in
+  let r1 = singleton_paths [ ((0, 3), upper) ] in
+  let r2 = singleton_paths [ ((0, 3), lower) ] in
   let merged = Routing.merge_convex (d1, r1) (d2, r2) in
   let total = Demand.add d1 d2 in
   Alcotest.(check bool) "demand-sum bound" true
@@ -403,42 +398,12 @@ let test_lower_bound_tight_on_bottleneck () =
 
 (* Extra routing coverage *)
 
-let test_routing_restrict () =
-  let g = square () in
-  let p = List.hd (square_paths g) in
-  let q = Path.of_vertices g [ 0; 1 ] in
-  let r = Routing.make [ ((0, 3), [ (1.0, p) ]); ((0, 1), [ (1.0, q) ]) ] in
-  let restricted = Routing.restrict r [ (0, 3) ] in
-  Alcotest.(check int) "kept one pair" 1 (List.length (Routing.pairs restricted));
-  Alcotest.(check bool) "dropped pair gone" true (Routing.distribution restricted 0 1 = [])
-
 let test_routing_covers () =
   let g = square () in
   let p = List.hd (square_paths g) in
-  let r = Routing.singleton_paths [ ((0, 3), p) ] in
+  let r = singleton_paths [ ((0, 3), p) ] in
   Alcotest.(check bool) "covers its pair" true (Routing.covers r (Demand.single_pair 0 3 1.0));
   Alcotest.(check bool) "missing pair" false (Routing.covers r (Demand.single_pair 1 2 1.0))
-
-let test_routing_support_sparsity () =
-  let g = square () in
-  let upper, lower =
-    match square_paths g with [ a; b ] -> (a, b) | _ -> assert false
-  in
-  let r =
-    Routing.make
-      [ ((0, 3), [ (1.0, upper); (1.0, lower) ]); ((0, 1), [ (1.0, Path.of_vertices g [ 0; 1 ]) ]) ]
-  in
-  Alcotest.(check int) "max support" 2 (Routing.support_sparsity r)
-
-let test_routing_edge_congestion () =
-  let g = square () in
-  let upper = List.hd (square_paths g) in
-  let r = Routing.singleton_paths [ ((0, 3), upper) ] in
-  let d = Demand.single_pair 0 3 3.0 in
-  Alcotest.(check (float 1e-9)) "used edge" 3.0
-    (Routing.edge_congestion g r d upper.Path.edges.(0));
-  (* Edge 2 belongs to the other route. *)
-  Alcotest.(check (float 1e-9)) "unused edge" 0.0 (Routing.edge_congestion g r d 2)
 
 let test_lower_bound_volume_on_long_path () =
   (* On a path graph, hop distances make the volume bound bite: 3 pairs of
@@ -475,7 +440,7 @@ let test_warm_start_recovers_from_bad_seed () =
     match square_paths g with [ a; b ] -> (a, b) | _ -> assert false
   in
   ignore lower;
-  let bad = Routing.singleton_paths [ ((0, 3), upper) ] in
+  let bad = singleton_paths [ ((0, 3), upper) ] in
   let cands = [ ((0, 3), square_paths g) ] in
   let d = Demand.single_pair 0 3 2.0 in
   let _, recovered =
@@ -526,13 +491,12 @@ let test_round_is_integral () =
   let d = Demand.single_pair 0 3 5.0 in
   let rng = Rng.create 5 in
   let a = Rounding.round rng r d in
-  Alcotest.(check (float 1e-9)) "demand preserved" 5.0 (Demand.siz (Rounding.demand_of a));
-  Alcotest.(check bool) "induced routing integral" true
-    (Routing.is_integral_on (Rounding.to_routing a) d)
+  Alcotest.(check (array (pair (pair int int) int))) "one whole path per packet"
+    [| ((0, 3), 5) |] (packet_counts a)
 
 let test_round_rejects_fractional_demand () =
   let g = square () in
-  let r = Routing.singleton_paths [ ((0, 3), List.hd (square_paths g)) ] in
+  let r = singleton_paths [ ((0, 3), List.hd (square_paths g)) ] in
   let rng = Rng.create 5 in
   Alcotest.check_raises "fractional"
     (Invalid_argument "Rounding.round: demand must be integral") (fun () ->
@@ -582,8 +546,7 @@ let test_local_search_preserves_demand () =
   in
   let a : Rounding.assignment = [| ((0, 3), [| upper; upper; lower |]) |] in
   let improved = Rounding.local_search g ~candidates:(fun _ _ -> [ upper; lower ]) a in
-  Alcotest.(check bool) "same demand" true
-    (Demand.equal (Rounding.demand_of a) (Rounding.demand_of improved))
+  Alcotest.(check bool) "same demand" true (packet_counts a = packet_counts improved)
 
 let prop_round_preserves_counts =
   QCheck.Test.make ~name:"rounding preserves per-pair packet counts" ~count:50
@@ -597,7 +560,7 @@ let prop_round_preserves_counts =
       let d = Demand.single_pair 0 3 (float_of_int packets) in
       let rng = Rng.create seed in
       let a = Rounding.round rng r d in
-      Demand.equal (Rounding.demand_of a) d)
+      packet_counts a = [| ((0, 3), packets) |])
 
 (* Source-batched oracles: the unrestricted MWU must return byte-identical
    routings at any pool size (E3/E14 depend on it).  That each batched
@@ -800,7 +763,11 @@ let test_stage4_golden () =
     (traced_stage4 (fun () -> Min_congestion.mwu_on_slices g (slices ps d) d));
   (* Warm from the cold routing of every other pair: the solve has seeded
      and unseeded pairs. *)
-  let warm = Routing.restrict cold (List.filteri (fun i _ -> i mod 2 = 0) (Demand.support d)) in
+  let warm =
+    Routing.of_normalized
+      (List.filteri (fun i _ -> i mod 2 = 0)
+         (List.map (fun (s, t) -> ((s, t), Routing.distribution cold s t)) (Demand.support d)))
+  in
   pin "fat-tree warm"
     "a12d7e47ce39b97a 3fff4e81b4e81b4e 2f9a11db00c7a5fe3c51eac2e4118401"
     (traced_stage4 (fun () ->
@@ -1002,7 +969,6 @@ let () =
           Alcotest.test_case "congestion" `Quick test_routing_congestion;
           Alcotest.test_case "capacity" `Quick test_routing_respects_capacity;
           Alcotest.test_case "dilation" `Quick test_routing_dilation;
-          Alcotest.test_case "integral on" `Quick test_routing_is_integral_on;
           Alcotest.test_case "merge convex (Lemma 5.15)" `Quick test_merge_convex_bound;
           Alcotest.test_case "sample path" `Quick test_sample_path;
         ] );
@@ -1040,10 +1006,7 @@ let () =
         ] );
       ( "routing extra",
         [
-          Alcotest.test_case "restrict" `Quick test_routing_restrict;
           Alcotest.test_case "covers" `Quick test_routing_covers;
-          Alcotest.test_case "support sparsity" `Quick test_routing_support_sparsity;
-          Alcotest.test_case "edge congestion" `Quick test_routing_edge_congestion;
           Alcotest.test_case "volume lower bound" `Quick test_lower_bound_volume_on_long_path;
         ] );
       ( "warm start",

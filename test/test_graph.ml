@@ -12,6 +12,17 @@ module Gen = Sso_graph.Gen
 module Gio = Sso_graph.Gio
 module Arena = Sso_graph.Arena
 
+let degree g v = Array.length (Graph.adj g v)
+let arena_edges a i = Arena.suffix_edges a i ~from_hop:0
+
+(* Center 0 joined to leaves 1..n. *)
+let star_graph n =
+  let b = Graph.Builder.create (n + 1) in
+  for leaf = 1 to n do
+    ignore (Graph.Builder.add_edge b 0 leaf)
+  done;
+  Graph.Builder.build b
+
 let triangle () =
   let b = Graph.Builder.create 3 in
   ignore (Graph.Builder.add_edge b 0 1);
@@ -27,7 +38,7 @@ let test_builder_basics () =
   Alcotest.(check int) "m" 3 (Graph.m g);
   Alcotest.(check (pair int int)) "endpoints" (0, 1) (Graph.endpoints g 0);
   Alcotest.(check int) "other end" 1 (Graph.other_end g 0 0);
-  Alcotest.(check int) "degree" 2 (Graph.degree g 1);
+  Alcotest.(check int) "degree" 2 (degree g 1);
   Alcotest.(check bool) "connected" true (Graph.is_connected g)
 
 let test_builder_rejects_self_loop () =
@@ -48,7 +59,7 @@ let test_parallel_edges () =
   let g = Graph.Builder.build b in
   Alcotest.(check bool) "distinct ids" true (e1 <> e2);
   Alcotest.(check int) "m" 2 (Graph.m g);
-  Alcotest.(check int) "degree counts multiplicity" 2 (Graph.degree g 0)
+  Alcotest.(check int) "degree counts multiplicity" 2 (degree g 0)
 
 let test_disconnected () =
   let b = Graph.Builder.create 4 in
@@ -277,7 +288,7 @@ let test_ball_matches_full_dijkstra () =
   let wr = Rng.create 32 in
   let weights = Array.init (Graph.m g) (fun _ -> 0.25 +. Rng.float wr) in
   let full, _ = Shortest.dijkstra g ~weight:(fun e -> weights.(e)) 5 in
-  let ws = Shortest.Workspace.create () in
+  let ws = Shortest.Workspace.for_current_domain () in
   List.iter
     (fun radius ->
       let settled = Hashtbl.create 64 in
@@ -298,7 +309,7 @@ let test_ball_multi_source () =
   let weights = Array.make (Graph.m g) 1.0 in
   let d0, _ = Shortest.dijkstra g ~weight:(fun _ -> 1.0) 0 in
   let d24, _ = Shortest.dijkstra g ~weight:(fun _ -> 1.0) 24 in
-  let ws = Shortest.Workspace.create () in
+  let ws = Shortest.Workspace.for_current_domain () in
   let settled = Array.make 25 infinity in
   Shortest.dijkstra_ball_into ws g ~weights ~radius:infinity
     ~sources:[| 0; 24 |] (fun v d -> settled.(v) <- d);
@@ -311,7 +322,7 @@ let test_ball_multi_source () =
 let test_ball_negative_radius_empty () =
   let g = Gen.grid 3 3 in
   let weights = Array.make (Graph.m g) 1.0 in
-  let ws = Shortest.Workspace.create () in
+  let ws = Shortest.Workspace.for_current_domain () in
   let count = ref 0 in
   Shortest.dijkstra_ball_into ws g ~weights ~radius:(-1.0) ~sources:[| 0 |]
     (fun _ _ -> incr count);
@@ -324,7 +335,7 @@ let test_ball_prune_equals_radius () =
   let g = Gen.random_regular (Rng.create 33) 30 4 in
   let wr = Rng.create 34 in
   let weights = Array.init (Graph.m g) (fun _ -> 0.5 +. Rng.float wr) in
-  let ws = Shortest.Workspace.create () in
+  let ws = Shortest.Workspace.for_current_domain () in
   let r = 2.0 in
   let a = Hashtbl.create 32 and b = Hashtbl.create 32 in
   Shortest.dijkstra_ball_into ws g ~weights ~radius:r ~sources:[| 3 |]
@@ -414,27 +425,6 @@ let test_max_flow_capacities () =
   let g = Graph.Builder.build b in
   Alcotest.(check (float 1e-6)) "bottleneck respected" 1.5 (Maxflow.max_flow g 0 2)
 
-let test_min_cut_edges_separate () =
-  let g = Gen.c_graph 4 3 in
-  let s = g.Gen.c_leaves1.(0) and t = g.Gen.c_leaves2.(0) in
-  Alcotest.(check int) "leaf pair cut is 1" 1 (Maxflow.cut g.Gen.c_graph s t);
-  let cut_edges = Maxflow.min_cut_edges g.Gen.c_graph s t in
-  Alcotest.(check int) "one cut edge" 1 (List.length cut_edges)
-
-let test_min_cut_edges_disconnect () =
-  let rng = Rng.create 9 in
-  let g = Gen.erdos_renyi rng 20 0.3 in
-  let cut_edges = Maxflow.min_cut_edges g 0 19 in
-  Alcotest.(check int) "cardinality matches cut value" (Maxflow.cut g 0 19)
-    (List.length cut_edges);
-  (* Removing the cut edges must disconnect 0 from 19. *)
-  let removed = List.sort_uniq compare cut_edges in
-  let blocked e = List.mem e removed in
-  let dist, _ =
-    Shortest.dijkstra g ~weight:(fun e -> if blocked e then infinity else 1.0) 0
-  in
-  Alcotest.(check bool) "disconnected after removal" true (dist.(19) = infinity)
-
 (* Matching *)
 
 let test_matching_perfect () =
@@ -462,7 +452,7 @@ let prop_matching_valid =
       let rng = Rng.create seed in
       let adjs =
         Array.init size (fun _ ->
-            List.filter (fun _ -> Rng.bool rng) (List.init size Fun.id))
+            List.filter (fun _ -> Rng.int rng 2 = 0) (List.init size Fun.id))
       in
       let pairs = Matching.maximum ~left:size ~right:size (fun l -> adjs.(l)) in
       let ls = Array.to_list (Array.map fst pairs) in
@@ -520,7 +510,7 @@ let test_gen_random_regular () =
   Alcotest.(check int) "n" 24 (Graph.n g);
   Alcotest.(check int) "m" 48 (Graph.m g);
   for v = 0 to 23 do
-    Alcotest.(check int) "regular" 4 (Graph.degree g v)
+    Alcotest.(check int) "regular" 4 (degree g v)
   done;
   Alcotest.(check bool) "connected" true (Graph.is_connected g)
 
@@ -538,10 +528,10 @@ let test_gen_c_graph () =
   Alcotest.(check int) "leaves1" 6 (Array.length c_leaves1);
   Alcotest.(check int) "leaves2" 6 (Array.length c_leaves2);
   Alcotest.(check int) "middles" 3 (Array.length c_middles);
-  Alcotest.(check int) "center1 degree" (6 + 3) (Graph.degree g c_center1);
-  Alcotest.(check int) "center2 degree" (6 + 3) (Graph.degree g c_center2);
+  Alcotest.(check int) "center1 degree" (6 + 3) (degree g c_center1);
+  Alcotest.(check int) "center2 degree" (6 + 3) (degree g c_center2);
   Array.iter
-    (fun mid -> Alcotest.(check int) "middle degree" 2 (Graph.degree g mid))
+    (fun mid -> Alcotest.(check int) "middle degree" 2 (degree g mid))
     c_middles;
   Alcotest.(check bool) "connected" true (Graph.is_connected g)
 
@@ -578,19 +568,6 @@ let test_gen_fat_tree () =
   let edge_sw pod i = 4 + (pod * 4) + 2 + i in
   Alcotest.(check int) "cross-pod cut" 2 (Maxflow.cut g (edge_sw 0 0) (edge_sw 1 0))
 
-let test_gen_butterfly () =
-  let g = Gen.butterfly 3 in
-  Alcotest.(check int) "n" (4 * 8) (Graph.n g);
-  Alcotest.(check int) "m" (3 * 8 * 2) (Graph.m g);
-  Alcotest.(check bool) "connected" true (Graph.is_connected g)
-
-let test_gen_de_bruijn () =
-  let g = Gen.de_bruijn 4 in
-  Alcotest.(check int) "n" 16 (Graph.n g);
-  Alcotest.(check bool) "connected" true (Graph.is_connected g);
-  (* Diameter of the de Bruijn graph is at most d. *)
-  Alcotest.(check bool) "small diameter" true (Shortest.diameter g <= 4)
-
 let test_gen_b4 () =
   let g, sites = Gen.b4 () in
   Alcotest.(check int) "n" 12 (Graph.n g);
@@ -598,12 +575,6 @@ let test_gen_b4 () =
   Alcotest.(check int) "labels" 12 (Array.length sites);
   Alcotest.(check bool) "connected" true (Graph.is_connected g);
   Alcotest.(check bool) "2-edge-connected" true (Maxflow.cut g 0 11 >= 2)
-
-let test_gen_with_unit_caps () =
-  let g, _ = Gen.abilene () in
-  let u = Gen.with_unit_caps g in
-  Alcotest.(check (float 1e-9)) "all caps one" (float_of_int (Graph.m g))
-    (Graph.total_capacity u)
 
 (* Heap: the Dijkstra core keeps its binary heap in the workspace and
    sifts it in place, so its pop order is observed as settle order —
@@ -616,7 +587,7 @@ let star weights =
   (Graph.Builder.build b, weights)
 
 let settle_order g weights src =
-  let ws = Shortest.Workspace.create () in
+  let ws = Shortest.Workspace.for_current_domain () in
   let order = ref [] in
   Shortest.dijkstra_ball_into ws g ~weights ~radius:infinity ~sources:[| src |]
     (fun v d -> order := (v, d) :: !order);
@@ -655,7 +626,7 @@ let test_heap_clear () =
   let wr = Rng.create 42 in
   let weights = Array.init (Graph.m g) (fun _ -> 0.25 +. Rng.float wr) in
   let weight e = weights.(e) in
-  let ws = Shortest.Workspace.create () in
+  let ws = Shortest.Workspace.for_current_domain () in
   ignore (Shortest.dijkstra_targets ~workspace:ws g ~weights 0 [| 1 |]);
   Shortest.dijkstra_into ws g ~weight 7;
   let dist, pred = Shortest.dijkstra g ~weight 7 in
@@ -669,7 +640,7 @@ let test_heap_int_clear () =
      star's leaves queued; the next run from leaf 3 must pop its own
      source first and settle every vertex exactly once. *)
   let g, weights = star [ 5.0; 1.0; 3.0; 2.0; 4.0 ] in
-  let ws = Shortest.Workspace.create () in
+  let ws = Shortest.Workspace.for_current_domain () in
   ignore (Shortest.dijkstra_targets ~workspace:ws g ~weights 0 [| 2 |]);
   let order = ref [] in
   Shortest.dijkstra_ball_into ws g ~weights ~radius:infinity ~sources:[| 3 |]
@@ -809,7 +780,7 @@ let prop_core_matches_reference =
     QCheck.(pair small_int (int_range 2 40))
     (fun (seed, n) ->
       let rng = Rng.create (4000 + seed) in
-      let ws = Shortest.Workspace.create () in
+      let ws = Shortest.Workspace.for_current_domain () in
       let never _ _ = false in
       let agrees g =
         let n = Graph.n g in
@@ -943,7 +914,7 @@ let prop_targets_match_full_run =
       let targets = if seed mod 3 = 0 then src :: (targets @ [ src ]) else targets in
       let targets = Array.of_list (targets @ targets) in
       let got = Shortest.dijkstra_targets g ~weights src targets in
-      let ws = Shortest.Workspace.create () in
+      let ws = Shortest.Workspace.for_current_domain () in
       Shortest.dijkstra_into ws g ~weight:(fun e -> weights.(e)) src;
       let want = Array.map (Shortest.Workspace.path ws g) targets in
       got = want
@@ -952,7 +923,7 @@ let prop_targets_match_full_run =
 let test_targets_stop_early () =
   let g = Gen.path_graph 6 in
   let weights = Array.make (Graph.m g) 1.0 in
-  let ws = Shortest.Workspace.create () in
+  let ws = Shortest.Workspace.for_current_domain () in
   (match Shortest.dijkstra_targets ~workspace:ws g ~weights 0 [| 2 |] with
   | [| Some p |] -> Alcotest.(check int) "two hops" 2 (Path.hops p)
   | _ -> Alcotest.fail "expected one path");
@@ -979,7 +950,7 @@ let test_targets_allocation () =
   let n = Graph.n g in
   let rng = Rng.create 43 in
   let weights = Array.init (Graph.m g) (fun _ -> 0.1 +. Rng.float rng) in
-  let ws = Shortest.Workspace.create () in
+  let ws = Shortest.Workspace.for_current_domain () in
   let targets = Array.init n (fun s -> [| ((s * 37) + 11) mod n |]) in
   let calls = 2000 in
   let run () =
@@ -1024,7 +995,7 @@ let test_targets_reject_nan () =
 
 let test_ball_rejects_nan () =
   let g, weights = nan_grid () in
-  let ws = Shortest.Workspace.create () in
+  let ws = Shortest.Workspace.for_current_domain () in
   rejects_nan "Shortest.dijkstra_ball" (fun () ->
       Shortest.dijkstra_ball_into ws g ~weights ~radius:infinity ~sources:[| 0 |] (fun _ _ -> ()))
 
@@ -1104,14 +1075,17 @@ let test_fat_tree_cross_pod_diversity () =
 
 module Tree = Sso_graph.Tree
 
-let count_tree_edges t = List.length (Tree.edges t)
+let tree_edges (t : Tree.t) =
+  List.filter (fun e -> e >= 0) (Array.to_list t.Tree.parent_edge)
+
+let count_tree_edges t = List.length (tree_edges t)
 
 let test_bfs_tree_structure () =
   let g = Gen.grid 3 3 in
   let t = Tree.bfs_tree g 0 in
   Alcotest.(check int) "n-1 edges" 8 (count_tree_edges t);
-  Alcotest.(check int) "root depth" 0 (Tree.depth t 0);
-  Alcotest.(check int) "corner depth = bfs dist" 4 (Tree.depth t 8)
+  Alcotest.(check int) "root depth" 0 t.Tree.depth.(0);
+  Alcotest.(check int) "corner depth = bfs dist" 4 t.Tree.depth.(8)
 
 let test_bfs_tree_disconnected () =
   let b = Graph.Builder.create 4 in
@@ -1130,7 +1104,7 @@ let test_wilson_is_spanning_tree () =
     Alcotest.(check int) "n-1 edges" (Graph.n g - 1) (count_tree_edges t);
     (* Every vertex reaches the root: depth terminates and paths exist. *)
     for v = 0 to Graph.n g - 1 do
-      Alcotest.(check bool) "depth finite" true (Tree.depth t v < Graph.n g)
+      Alcotest.(check bool) "depth finite" true (t.Tree.depth.(v) < Graph.n g)
     done
   done
 
@@ -1143,7 +1117,7 @@ let test_wilson_uniformity_on_triangle () =
   let trials = 3000 in
   for _ = 1 to trials do
     let t = Tree.wilson rng g in
-    let used = Tree.edges t in
+    let used = tree_edges t in
     for e = 0 to 2 do
       if not (List.mem e used) then counts.(e) <- counts.(e) + 1
     done
@@ -1203,7 +1177,7 @@ let prop_tree_path_matches_root_walk =
       in
       let vertices = List.init n Fun.id in
       let walked v = Path.hops (reference_tree_path g tree v tree.Tree.root) in
-      List.for_all (fun v -> Tree.depth tree v = walked v) vertices
+      List.for_all (fun v -> tree.Tree.depth.(v) = walked v) vertices
       && List.for_all
            (fun s ->
              List.for_all
@@ -1367,7 +1341,7 @@ let prop_cut_bounded_by_degree =
       QCheck.assume (s <> t);
       let rng = Rng.create (seed + 1000) in
       let g = Gen.erdos_renyi rng 15 0.3 in
-      Maxflow.cut g s t <= min (Graph.degree g s) (Graph.degree g t))
+      Maxflow.cut g s t <= min (degree g s) (degree g t))
 
 let prop_yen_sorted =
   QCheck.Test.make ~name:"yen output is sorted and simple" ~count:30
@@ -1405,10 +1379,10 @@ let test_arena_empty_and_trivial () =
   Alcotest.(check int) "trivial hops" 0 (Arena.hops a i);
   Alcotest.(check int) "trivial src" 1 (Arena.src a i);
   Alcotest.(check int) "trivial dst" 1 (Arena.dst a i);
-  Alcotest.(check (array int)) "trivial edges" [||] (Arena.edges a i);
+  Alcotest.(check (array int)) "trivial edges" [||] (arena_edges a i);
   Alcotest.(check (array int)) "trivial vertices" [| 1 |] (Arena.vertices a i);
   let visited = ref 0 in
-  Arena.iter a i (fun _ -> incr visited);
+  Arena.iter_edges_vertices a i (fun _ _ -> incr visited);
   Alcotest.(check int) "trivial iter" 0 !visited;
   Alcotest.(check bool) "trivial round-trip" true
     (Path.equal (Path.trivial 1) (Arena.to_path a i))
@@ -1423,16 +1397,12 @@ let test_arena_basics () =
   Alcotest.(check int) "length" 2 (Arena.length a);
   Alcotest.(check int) "hops p" 2 (Arena.hops a ip);
   Alcotest.(check int) "hops q" 1 (Arena.hops a iq);
-  Alcotest.(check (array int)) "edges p" p.Path.edges (Arena.edges a ip);
+  Alcotest.(check (array int)) "edges p" p.Path.edges (arena_edges a ip);
   Alcotest.(check (array int)) "vertices p" [| 0; 1; 2 |] (Arena.vertices a ip);
   Alcotest.(check bool) "to_path p" true (Path.equal p (Arena.to_path a ip));
   Alcotest.(check bool) "to_path q" true (Path.equal q (Arena.to_path a iq));
   Alcotest.(check bool) "memory" true (Arena.memory_bytes a > 0);
   (* Kernels agree with the boxed path. *)
-  let w e = 1.0 +. float_of_int e in
-  Alcotest.(check (float 1e-9)) "weight" (Path.weight w p) (Arena.weight a w ip);
-  Alcotest.(check int) "fold count" 2 (Arena.fold a ip (fun acc _ -> acc + 1) 0);
-  Alcotest.(check bool) "mem_edge hit" true (Arena.mem_edge a ip p.Path.edges.(0));
   Alcotest.(check bool) "for_all" true (Arena.for_all a ip (fun e -> e >= 0));
   Alcotest.(check bool) "exists" false (Arena.exists a ip (fun e -> e > 100));
   (* Canonical candidate order: shorter path first for equal endpoints. *)
@@ -1445,11 +1415,11 @@ let test_arena_rejects_non_walk () =
   let a = Arena.create g in
   Alcotest.check_raises "not incident"
     (Invalid_argument "Arena.append_walk: edge not incident to walk vertex") (fun () ->
-      ignore (Arena.append_walk a ~src:0 ~dst:8 [| Graph.m g - 1 |]));
+      ignore (Arena.append_path a (Path.unsafe_of_edges ~src:0 ~dst:8 [| Graph.m g - 1 |])));
   Alcotest.check_raises "wrong dst"
     (Invalid_argument "Arena.append_walk: walk does not end at dst") (fun () ->
       let e0, _ = (Graph.adj g 0).(0) in
-      ignore (Arena.append_walk a ~src:0 ~dst:8 [| e0 |]))
+      ignore (Arena.append_path a (Path.unsafe_of_edges ~src:0 ~dst:8 [| e0 |])))
 
 let test_arena_merge () =
   let g = Gen.grid 3 3 in
@@ -1493,7 +1463,7 @@ let test_arena_unpack () =
       let h = Arena.hops a id in
       Alcotest.(check int) "unpack width" h (off.(i + 1) - off.(i));
       Alcotest.(check (array int))
-        "unpack edges" (Arena.edges a id)
+        "unpack edges" (arena_edges a id)
         (Array.sub fedges off.(i) h);
       Alcotest.(check (array int))
         "unpack vertices" (Arena.vertices a id)
@@ -1502,7 +1472,7 @@ let test_arena_unpack () =
       let from_hop = h / 2 in
       Alcotest.(check (array int))
         "suffix"
-        (Array.sub (Arena.edges a id) from_hop (h - from_hop))
+        (Array.sub (arena_edges a id) from_hop (h - from_hop))
         (Arena.suffix_edges a id ~from_hop))
     ids
 
@@ -1516,20 +1486,18 @@ let prop_arena_path_roundtrip =
       let a = Arena.create g in
       let i = Arena.append_path a p in
       let q = Arena.to_path a i in
-      let w e = 1.0 +. (float_of_int e *. 0.5) in
       Path.equal p q
       && Arena.hops a i = Array.length p.Path.edges
       && Arena.src a i = p.Path.src
       && Arena.dst a i = p.Path.dst
-      && Arena.weight a w i = Path.weight w p
-      && Arena.edges a i = p.Path.edges)
+      && arena_edges a i = p.Path.edges)
 
 let prop_arena_equal_slices =
   QCheck.Test.make ~name:"arena equal_slices iff paths equal" ~count:100
     QCheck.(pair small_int bool)
     (fun (seed, wide) ->
       (* A 140-leaf star stores the hub's slots as two-byte varints. *)
-      let g = if wide then Gen.star 140 else Gen.grid 3 3 in
+      let g = if wide then star_graph 140 else Gen.grid 3 3 in
       let rng = Rng.create seed in
       let fill () =
         let a = Arena.create g in
@@ -1555,7 +1523,7 @@ let prop_arena_equal_path =
   QCheck.Test.make ~name:"arena equal_path iff paths equal" ~count:100
     QCheck.(pair small_int bool)
     (fun (seed, wide) ->
-      let g = if wide then Gen.star 140 else Gen.grid 3 3 in
+      let g = if wide then star_graph 140 else Gen.grid 3 3 in
       let rng = Rng.create seed in
       let walks =
         List.init 10 (fun _ ->
@@ -1574,7 +1542,7 @@ let prop_arena_equal_path =
 (* The comparison kernels run once per candidate when a path system
    checks or verifies a pair, so they must not allocate. *)
 let test_arena_kernels_allocate_nothing () =
-  let g = Gen.star 140 in
+  let g = star_graph 140 in
   let a = Arena.create g in
   let p = Path.of_vertices g [ 1; 0; 139 ] and q = Path.of_vertices g [ 1; 0; 138 ] in
   let ip = Arena.append_path a p and iq = Arena.append_path a q in
@@ -1610,8 +1578,9 @@ let test_arena_append_range () =
         (Arena.equal_slices dst i src j))
     [ (0, 5); (1, 2); (2, 3); (3, 4) ];
   let size i =
-    let start, stop = Arena.byte_range src i in
-    stop - start + 16
+    let one = Arena.create g in
+    ignore (Arena.append_slice one src i);
+    Arena.memory_bytes one
   in
   Alcotest.(check int) "bytes" (size 5 + size 2 + size 3 + size 4) (Arena.memory_bytes dst);
   Alcotest.check_raises "past the end" (Invalid_argument "Arena.append_range: bad range")
@@ -1648,14 +1617,12 @@ let prop_arena_byte_regions_contiguous =
       for _ = 1 to k do
         ignore (Arena.append_path a (random_walk rng g (Rng.int rng 16) (Rng.int rng 10)))
       done;
-      let ok = ref true in
-      let prev_stop = ref 0 in
-      for i = 0 to Arena.length a - 1 do
-        let start, stop = Arena.byte_range a i in
-        if start <> !prev_stop || stop < start then ok := false;
-        prev_stop := stop
-      done;
-      !ok)
+      let size i =
+        let one = Arena.create g in
+        ignore (Arena.append_slice one a i);
+        Arena.memory_bytes one
+      in
+      Arena.memory_bytes a = List.fold_left (fun acc i -> acc + size i) 0 (List.init (Arena.length a) Fun.id))
 
 let () =
   Alcotest.run "graph"
@@ -1715,8 +1682,6 @@ let () =
           Alcotest.test_case "parallel edges" `Quick test_cut_parallel_edges;
           Alcotest.test_case "self" `Quick test_cut_self;
           Alcotest.test_case "capacities" `Quick test_max_flow_capacities;
-          Alcotest.test_case "min cut edges separate" `Quick test_min_cut_edges_separate;
-          Alcotest.test_case "min cut edges disconnect" `Quick test_min_cut_edges_disconnect;
         ] );
       ( "matching",
         [
@@ -1739,10 +1704,7 @@ let () =
           Alcotest.test_case "multi_path" `Quick test_gen_multi_path;
           Alcotest.test_case "abilene" `Quick test_gen_abilene;
           Alcotest.test_case "fat tree" `Quick test_gen_fat_tree;
-          Alcotest.test_case "butterfly" `Quick test_gen_butterfly;
-          Alcotest.test_case "de bruijn" `Quick test_gen_de_bruijn;
           Alcotest.test_case "b4" `Quick test_gen_b4;
-          Alcotest.test_case "unit caps" `Quick test_gen_with_unit_caps;
         ] );
       ( "heap",
         [

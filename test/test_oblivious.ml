@@ -240,20 +240,6 @@ let test_frt_stretch_reasonable () =
   let avg = !total_stretch /. float_of_int !count in
   Alcotest.(check bool) (Printf.sprintf "avg stretch %.2f" avg) true (avg <= 8.0)
 
-let test_frt_cluster_centers () =
-  let rng = Rng.create 7 in
-  let g = Gen.cycle 6 in
-  let tree = Frt.build rng g ~length:(fun _ -> 1.0) in
-  for v = 0 to 5 do
-    Alcotest.(check int) "level 0 singleton" v (Frt.cluster_center tree v 0)
-  done;
-  (* Top level: everyone shares a center. *)
-  let top = Frt.levels tree in
-  let c0 = Frt.cluster_center tree 0 top in
-  for v = 1 to 5 do
-    Alcotest.(check int) "shared top center" c0 (Frt.cluster_center tree v top)
-  done
-
 let test_frt_rejects_disconnected () =
   let b = Graph.Builder.create 4 in
   ignore (Graph.Builder.add_edge b 0 1);
@@ -609,12 +595,6 @@ let test_hop_constrained_unreachable () =
 
 (* Extra coverage *)
 
-let test_oblivious_dilation () =
-  let g = Gen.path_graph 5 in
-  let obl = Deterministic.shortest_path g in
-  let d = Demand.of_list [ (0, 4, 1.0); (1, 2, 1.0) ] in
-  Alcotest.(check int) "longest support path" 4 (Oblivious.dilation obl d)
-
 let test_valiant_support_bounded () =
   let g = Gen.hypercube 4 in
   let obl = Valiant.routing g in
@@ -828,7 +808,7 @@ let prop_sample_matches_support =
       if s = t then true
       else begin
         let support = List.map snd (Oblivious.distribution obl s t) in
-        let p = Oblivious.sample rng obl s t in
+        let p = Oblivious.sampler obl s t rng in
         List.exists (Path.equal p) support
       end)
 
@@ -841,7 +821,10 @@ let prop_to_routing_congestion_matches =
       let obl = Ksp.routing ~k:2 g in
       let d = Demand.random_pairs rng ~n:9 ~pairs:4 in
       let via_routing =
-        Routing.congestion g (Oblivious.to_routing obl (Demand.support d)) d
+        Routing.congestion g
+          (Routing.make
+             (List.map (fun (s, t) -> ((s, t), Oblivious.distribution obl s t)) (Demand.support d)))
+          d
       in
       Float.abs (Oblivious.congestion obl d -. via_routing) < 1e-9)
 
@@ -885,7 +868,6 @@ let () =
           Alcotest.test_case "trivial pair" `Quick test_frt_trivial_pair;
           Alcotest.test_case "consistent" `Quick test_frt_consistent_routing;
           Alcotest.test_case "stretch reasonable" `Quick test_frt_stretch_reasonable;
-          Alcotest.test_case "cluster centers" `Quick test_frt_cluster_centers;
           Alcotest.test_case "rejects disconnected" `Quick test_frt_rejects_disconnected;
           Alcotest.test_case "segment index fills" `Quick test_frt_segment_index_fills;
           Alcotest.test_case "of_parts rejects bad structure" `Quick
@@ -922,7 +904,6 @@ let () =
         ] );
       ( "extra",
         [
-          Alcotest.test_case "dilation" `Quick test_oblivious_dilation;
           Alcotest.test_case "valiant support" `Quick test_valiant_support_bounded;
           Alcotest.test_case "racke deterministic" `Quick test_racke_deterministic_given_seed;
           Alcotest.test_case "frt levels" `Quick test_frt_levels_bounded;

@@ -34,10 +34,16 @@ let event_str (e : Trace.event) =
     (String.concat ";"
        (List.map (fun (k, v) -> k ^ "=" ^ value_str v) e.Trace.attrs))
 
+(* Structural equality with NaN = NaN. *)
+let value_equal (a : Trace.value) (b : Trace.value) =
+  match (a, b) with
+  | Trace.Float x, Trace.Float y -> (Float.is_nan x && Float.is_nan y) || x = y
+  | a, b -> a = b
+
 let attrs_equal a b =
   List.length a = List.length b
   && List.for_all2
-       (fun (ka, va) (kb, vb) -> ka = kb && Trace.value_equal va vb)
+       (fun (ka, va) (kb, vb) -> ka = kb && value_equal va vb)
        a b
 
 let event_equal (a : Trace.event) (b : Trace.event) =

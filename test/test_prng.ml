@@ -1,37 +1,30 @@
-(* Tests for Sso_prng.Rng: determinism, uniformity sanity, alias tables. *)
+(* Tests for Sso_prng.Rng: determinism and uniformity sanity. *)
 
 module Rng = Sso_prng.Rng
+
+(* One raw draw, for comparing streams. *)
+let draw rng = Rng.int rng max_int
 
 let test_deterministic () =
   let a = Rng.create 42 and b = Rng.create 42 in
   for _ = 1 to 100 do
-    Alcotest.(check int64) "same stream" (Rng.int64 a) (Rng.int64 b)
+    Alcotest.(check int) "same stream" (draw a) (draw b)
   done
 
 let test_seed_sensitivity () =
   let a = Rng.create 1 and b = Rng.create 2 in
   let differs = ref false in
   for _ = 1 to 10 do
-    if Rng.int64 a <> Rng.int64 b then differs := true
+    if draw a <> draw b then differs := true
   done;
   Alcotest.(check bool) "different seeds differ" true !differs
-
-let test_copy_independent () =
-  let a = Rng.create 7 in
-  let b = Rng.copy a in
-  Alcotest.(check int64) "copy replays" (Rng.int64 a) (Rng.int64 b);
-  ignore (Rng.int64 a);
-  let va = Rng.int64 a in
-  ignore (Rng.int64 b);
-  let vb = Rng.int64 b in
-  Alcotest.(check int64) "copy stays in lockstep" va vb
 
 let test_split_independent () =
   let a = Rng.create 7 in
   let b = Rng.split a in
   let matches = ref 0 in
   for _ = 1 to 50 do
-    if Rng.int64 a = Rng.int64 b then incr matches
+    if draw a = draw b then incr matches
   done;
   Alcotest.(check bool) "split streams diverge" true (!matches < 5)
 
@@ -39,7 +32,7 @@ let test_split_at_reproducible () =
   let a = Rng.create 7 and b = Rng.create 7 in
   let c1 = Rng.split_at a 5 and c2 = Rng.split_at b 5 in
   for _ = 1 to 20 do
-    Alcotest.(check int64) "same child stream" (Rng.int64 c1) (Rng.int64 c2)
+    Alcotest.(check int) "same child stream" (draw c1) (draw c2)
   done
 
 let test_split_at_does_not_advance () =
@@ -47,7 +40,7 @@ let test_split_at_does_not_advance () =
   ignore (Rng.split_at a 3);
   ignore (Rng.split_at a 9);
   for _ = 1 to 20 do
-    Alcotest.(check int64) "parent not advanced" (Rng.int64 b) (Rng.int64 a)
+    Alcotest.(check int) "parent not advanced" (draw b) (draw a)
   done
 
 let test_split_at_decorrelated () =
@@ -55,7 +48,7 @@ let test_split_at_decorrelated () =
   let c0 = Rng.split_at a 0 and c1 = Rng.split_at a 1 in
   let matches = ref 0 in
   for _ = 1 to 50 do
-    if Rng.int64 c0 = Rng.int64 c1 then incr matches
+    if draw c0 = draw c1 then incr matches
   done;
   Alcotest.(check bool) "adjacent-index children diverge" true (!matches < 5)
 
@@ -123,16 +116,6 @@ let test_float_mean () =
   let mean = !sum /. float_of_int trials in
   Alcotest.(check bool) "mean near 0.5" true (Float.abs (mean -. 0.5) < 0.01)
 
-let test_bool_balance () =
-  let rng = Rng.create 17 in
-  let trues = ref 0 in
-  let trials = 100_000 in
-  for _ = 1 to trials do
-    if Rng.bool rng then incr trues
-  done;
-  let frac = float_of_int !trues /. float_of_int trials in
-  Alcotest.(check bool) "balanced" true (Float.abs (frac -. 0.5) < 0.01)
-
 let test_permutation () =
   let rng = Rng.create 23 in
   let p = Rng.permutation rng 100 in
@@ -177,40 +160,6 @@ let test_discrete () =
   let frac0 = float_of_int counts.(0) /. float_of_int trials in
   Alcotest.(check bool) "proportional" true (Float.abs (frac0 -. 0.25) < 0.02)
 
-let test_alias_matches_weights () =
-  let rng = Rng.create 43 in
-  let w = [| 0.1; 0.2; 0.3; 0.4 |] in
-  let table = Rng.Alias.make w in
-  Alcotest.(check int) "size" 4 (Rng.Alias.size table);
-  let counts = Array.make 4 0 in
-  let trials = 200_000 in
-  for _ = 1 to trials do
-    let i = Rng.Alias.sample rng table in
-    counts.(i) <- counts.(i) + 1
-  done;
-  Array.iteri
-    (fun i c ->
-      let frac = float_of_int c /. float_of_int trials in
-      Alcotest.(check bool)
-        (Printf.sprintf "outcome %d near weight" i)
-        true
-        (Float.abs (frac -. w.(i)) < 0.01))
-    counts
-
-let test_alias_single () =
-  let rng = Rng.create 47 in
-  let table = Rng.Alias.make [| 2.5 |] in
-  for _ = 1 to 10 do
-    Alcotest.(check int) "only outcome" 0 (Rng.Alias.sample rng table)
-  done
-
-let test_alias_invalid () =
-  Alcotest.check_raises "empty" (Invalid_argument "Rng.Alias.make: empty weights")
-    (fun () -> ignore (Rng.Alias.make [||]));
-  Alcotest.check_raises "zero sum"
-    (Invalid_argument "Rng.Alias.make: weights must have positive sum") (fun () ->
-      ignore (Rng.Alias.make [| 0.0; 0.0 |]))
-
 (* Property-based checks. *)
 
 let prop_int_in_range =
@@ -248,7 +197,6 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick test_deterministic;
           Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
-          Alcotest.test_case "copy" `Quick test_copy_independent;
           Alcotest.test_case "split" `Quick test_split_independent;
           Alcotest.test_case "split_at reproducible" `Quick test_split_at_reproducible;
           Alcotest.test_case "split_at non-advancing" `Quick test_split_at_does_not_advance;
@@ -260,18 +208,11 @@ let () =
           Alcotest.test_case "int uniform" `Slow test_int_uniform;
           Alcotest.test_case "float range" `Quick test_float_range;
           Alcotest.test_case "float mean" `Slow test_float_mean;
-          Alcotest.test_case "bool balance" `Slow test_bool_balance;
           Alcotest.test_case "permutation" `Quick test_permutation;
           Alcotest.test_case "permutation varies" `Quick test_permutation_varies;
           Alcotest.test_case "shuffle preserves" `Quick test_shuffle_preserves;
           Alcotest.test_case "choose" `Quick test_choose;
           Alcotest.test_case "discrete" `Slow test_discrete;
-        ] );
-      ( "alias",
-        [
-          Alcotest.test_case "matches weights" `Slow test_alias_matches_weights;
-          Alcotest.test_case "single outcome" `Quick test_alias_single;
-          Alcotest.test_case "invalid input" `Quick test_alias_invalid;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -31,6 +31,12 @@ let with_temp_file f =
   Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () -> f path)
 
+(* A checkpoint blob read back the way a resume reads it. *)
+let decode_checkpoint ~graph blob =
+  with_temp_file (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc blob);
+      Checkpoint.load ~graph path)
+
 (* ---- update-stream codec ---- *)
 
 let test_update_roundtrip () =
@@ -46,7 +52,7 @@ let test_update_roundtrip () =
       Update.save path events;
       let events' = Update.load path in
       Alcotest.(check bool) "roundtrip" true
-        (List.equal Update.equal events events'))
+        (events = events'))
 
 let prop_stream_roundtrip =
   QCheck.Test.make ~name:"generated streams round-trip through the codec"
@@ -57,7 +63,7 @@ let prop_stream_roundtrip =
       in
       with_temp_file (fun path ->
           Update.save path events;
-          List.equal Update.equal events (Update.load path)))
+          events = Update.load path))
 
 let expect_corrupt name content =
   with_temp_file (fun path ->
@@ -488,7 +494,7 @@ let test_step_faults () =
   Alcotest.(check int) "one edge down" 1 r1.Serve.failed_edges;
   Alcotest.(check bool) "displaced pairs counted" true (r1.Serve.rerouted >= 1);
   Alcotest.(check (list int)) "failed_edges accessor" [ used_edge ]
-    (Serve.failed_edges srv);
+    (Serve.snapshot srv).Serve.s_failed;
   Alcotest.(check bool) "still serves both pairs" true
     (r1.Serve.active_pairs = 2 && r1.Serve.unroutable = 0);
   (* The degraded-graph routing must not touch the dead edge. *)
@@ -650,7 +656,7 @@ let test_budgeted_replay_converges () =
   let plain = make_service () in
   let plain_reports = Serve.replay plain churn_events in
   Alcotest.(check bool) "same final demand" true
-    (Demand.equal (Serve.demand budgeted) (Serve.demand plain));
+    (Support.demand_equal (Serve.demand budgeted) (Serve.demand plain));
   Alcotest.(check bool) "backlog drained" true (Serve.pending budgeted = []);
   Alcotest.(check bool) "drain ticks appended" true
     (List.length reports >= List.length plain_reports);
@@ -800,7 +806,7 @@ let check_kill_and_resume ?(parts = make_parts) ~faults ~cut jobs =
     Checkpoint.encode ~stream_digest ~graph:g ~config:Serve.default_config
       (Serve.snapshot interrupted)
   in
-  let digest', repr, state = Checkpoint.decode ~graph:g blob in
+  let digest', repr, state = decode_checkpoint ~graph:g blob in
   Alcotest.(check bool) "stream digest round-trips" true
     (Int64.equal digest' stream_digest);
   Alcotest.(check string) "config round-trips"
@@ -848,7 +854,7 @@ let test_checkpoint_contract () =
   let corrupt name blob =
     Alcotest.(check bool) name true
       (try
-         ignore (Checkpoint.decode ~graph:g blob);
+         ignore (decode_checkpoint ~graph:g blob);
          false
        with Codec.Corrupt _ -> true)
   in
@@ -863,7 +869,7 @@ let test_checkpoint_contract () =
   corrupt "empty" "";
   (* A checkpoint against a differently seeded sampler must be refused
      by restore, not silently resumed. *)
-  let _, _, state = Checkpoint.decode ~graph:g blob in
+  let _, _, state = decode_checkpoint ~graph:g blob in
   let other =
     Sampler.alpha_sample (Rng.create 6) (Ksp.routing ~k:4 g) ~alpha:3
   in
@@ -1169,7 +1175,7 @@ let test_writers_clean_up () =
   let srv = make_service () in
   let g, _ = make_parts () in
   ignore (Serve.step srv ~tick:0 [ ev 0 0 1 (Update.Arrive 1.0) ]);
-  leftovers_after_failed_write (Checkpoint.filename ~tick:0) (fun dir _ ->
+  leftovers_after_failed_write "ckpt-0000000000.bin" (fun dir _ ->
       match
         Checkpoint.write ~dir ~stream_digest:1L ~graph:g
           ~config:Serve.default_config (Serve.snapshot srv)
@@ -1259,7 +1265,7 @@ let prop_checkpoint_mutations_never_escape =
     QCheck.(triple small_nat small_nat small_nat)
     (fun (kind, pos, extra) ->
       let g, blob = Lazy.force fuzz_checkpoint_blob in
-      match Checkpoint.decode ~graph:g (mutate blob kind pos extra) with
+      match decode_checkpoint ~graph:g (mutate blob kind pos extra) with
       | (_ : int64 * string * Serve.state) -> true
       | exception Codec.Corrupt _ -> true
       | exception _ -> false)
