@@ -162,6 +162,28 @@ let test_demand_of_string_rejects () =
        false
      with Failure _ -> true)
 
+let prop_of_string_matches_of_list =
+  QCheck.Test.make ~name:"of_string reads the lines as of_list reads the entries"
+    ~count:100
+    QCheck.(list (triple (int_range 0 9) (int_range 0 9) (float_range 0.01 100.0)))
+    (fun raw ->
+      (* Shift targets to a disjoint id range so pairs are never diagonal
+         (shrinkers may wander outside the declared ranges). *)
+      let entries = List.map (fun (s, t, v) -> (s, t + 10, v)) raw in
+      let text =
+        String.concat ""
+          (List.map
+             (fun (s, t, v) -> Printf.sprintf "# entry\n  %d %d %h\n\n" s t v)
+             entries)
+      in
+      let d = Demand.of_list entries and d' = Demand.of_string text in
+      Demand.support d = Demand.support d'
+      && List.for_all
+           (fun (s, t) ->
+             Int64.bits_of_float (Demand.get d s t)
+             = Int64.bits_of_float (Demand.get d' s t))
+           (Demand.support d))
+
 (* Workloads *)
 
 module Workload = Sso_demand.Workload
@@ -390,6 +412,7 @@ let () =
             prop_add_siz;
             prop_scale_linear;
             prop_random_permutation_always_valid;
+            prop_of_string_matches_of_list;
             prop_generate_deterministic;
             prop_generate_full_churn_resamples_all;
             prop_generate_folds_to_random_walk;
