@@ -113,11 +113,24 @@ let install_locked ps s t source =
   Index.replace ps.index (key ps s t) e;
   e
 
+(* Asked per pair by every Stage-4 index build and service tick.  A hit
+   cannot raise, so it takes the lock directly, as [installed] does; a
+   miss calls the generator and the install check, which can raise, so
+   it goes through [locked] and looks again (another domain may have
+   installed the pair in between). *)
 let entry ps s t =
-  locked ps (fun () ->
-      match Index.find_opt ps.index (key ps s t) with
-      | Some e -> e
-      | None -> install_locked ps s t (ps.generate s t))
+  let k = key ps s t in
+  Mutex.lock ps.lock;
+  match Index.find_opt ps.index k with
+  | Some e ->
+      Mutex.unlock ps.lock;
+      e
+  | None ->
+      Mutex.unlock ps.lock;
+      locked ps (fun () ->
+          match Index.find_opt ps.index k with
+          | Some e -> e
+          | None -> install_locked ps s t (ps.generate s t))
 
 let of_source graph generate =
   {

@@ -145,6 +145,26 @@ let respond_all t weights =
 
 let edges t = t.edges
 
+(* The pass costs ~10 ns per candidate edge; a round spends ~16 ns per
+   slot on its max fold, weight fill and cum update, and a class repays
+   only the slots it merges.  So the pass runs when the rounds' slot
+   visits are at least eight times the candidate edges (it then costs at
+   most about a tenth of what merging could save; slots crossed by many
+   candidates rarely merge), and its classes are kept when they number
+   at most three quarters of the slots: past that, copying weights out
+   to the slots and loads back in costs about what the merged slots
+   save.  A search store may load any edge and learns its paths as it
+   goes, so it is never refined. *)
+let classes t ~rounds ~caps =
+  match t.store with
+  | Interned _ -> None
+  | Candidates (sc, _) ->
+      let slots = Array.length t.edges in
+      if rounds * slots < 8 * Slice_candidates.crossings sc then None
+      else
+        let ((_, first) as classes) = Slice_candidates.classes sc ~caps in
+        if 4 * Array.length first > 3 * slots then None else Some classes
+
 let iter_edges t h f =
   match t.store with
   | Candidates (sc, _) -> Slice_candidates.iter_edges sc h f

@@ -50,6 +50,18 @@ val edges : t -> int array
     ({!Slice_candidates.edges}), all m edges for a search store.  Do not
     mutate. *)
 
+val classes : t -> rounds:int -> caps:float array -> (int array * int array) option
+(** Slot classes for a solve of [rounds] rounds with per-slot [caps]:
+    [Some (cls, first)] maps each slot to its class and each class to its
+    lowest slot, where a class holds the slots crossed by exactly the same
+    candidates that have equal capacity ({!Slice_candidates.classes}).
+    Slots of one class receive the same loads in the same order, so a
+    solver may keep per-class state and copy it out to the slots.
+    [None] (keep every slot apart) for a search store; for a candidate
+    store whose [rounds · slots] is under eight times its candidate edges
+    ({!Slice_candidates.crossings}), without running the pass; and when
+    the classes number more than three quarters of the slots. *)
+
 val iter_edges : t -> int -> (int -> unit) -> unit
 (** The edge slots of a handle's path, in path order. *)
 

@@ -162,9 +162,10 @@ let mwu ?(iters = 300) ?warm ~span ~label g oracle demand =
       answers
     in
     let add_loads loads h amount = Best_response.add_loads oracle loads h amount in
-    (* The adversary weight is recomputed once per slot per round into a
-       flat buffer (hoisting the exp out of the oracles' inner loops, and
-       off of every edge visit), reused across rounds.  Its first use is
+    (* The adversary weight is recomputed once per slot class per round
+       and copied into a flat per-slot buffer (hoisting the exp out of the
+       oracles' inner loops, and off of every edge visit), reused across
+       rounds.  Its first use is
        the feasibility probe with uniform weights, which also yields the
        width normalizer U (congestion of the probe routing). *)
     let warr = Array.map (fun c -> 1.0 /. c) caps in
@@ -218,6 +219,24 @@ let mwu ?(iters = 300) ?warm ~span ~label g oracle demand =
             if !seeded then weight else 0
       in
       let round_loads = Array.make slots 0.0 in
+      (* The round state lives per slot class: slots crossed by the same
+         candidates, with equal capacity, receive the same loads in the
+         same order, so they hold equal [cum] bits and equal weights.
+         [ncls], [ccaps], [ccum], [cweights] and [cloads] are per class;
+         with no classes they are the slot arrays themselves, and the
+         rounds neither copy nor index through a class map. *)
+      let classes = Best_response.classes oracle ~rounds:iters ~caps in
+      let ncls, ccaps, ccum, cweights, cloads =
+        match classes with
+        | None -> (slots, caps, cum, warr, round_loads)
+        | Some (_, first) ->
+            let k = Array.length first in
+            ( k,
+              Array.map (Array.get caps) first,
+              Array.map (Array.get cum) first,
+              Array.make k 0.0,
+              Array.make k 0.0 )
+      in
       (* Telemetry only: a warm solve's unseeded pairs have played [round]
          times, not [base_plays + round], so their loads are averaged
          apart from the seeded ones. *)
@@ -228,16 +247,29 @@ let mwu ?(iters = 300) ?warm ~span ~label g oracle demand =
               Array.make slots 0.0 )
         else None
       in
+      (* Every max fold below is a plain [>] from 0.0, not [Float.max]
+         (which calls [caml_signbit_float] whenever its second operand is
+         not larger).  Its operands are never NaN ([ccum], loads and
+         capacities are finite, capacities positive), and the running max
+         starts at +0.0 and only takes larger values, so it never holds
+         -0.0: the two folds agree bit for bit. *)
       for round = 1 to iters do
         Obs.incr mwu_iterations;
         let max_cum = ref 0.0 in
-        for e = 0 to slots - 1 do
-          max_cum := Float.max !max_cum cum.(e)
+        for k = 0 to ncls - 1 do
+          let c = ccum.(k) in
+          if c > !max_cum then max_cum := c
         done;
         let max_cum = !max_cum in
-        for e = 0 to slots - 1 do
-          warr.(e) <- Float.exp (eta *. (cum.(e) -. max_cum)) /. caps.(e)
+        for k = 0 to ncls - 1 do
+          cweights.(k) <- Float.exp (eta *. (ccum.(k) -. max_cum)) /. ccaps.(k)
         done;
+        (match classes with
+        | None -> ()
+        | Some (cls, _) ->
+            for e = 0 to slots - 1 do
+              warr.(e) <- cweights.(cls.(e))
+            done);
         let responses, settled = best_responses warr in
         Array.fill round_loads 0 slots 0.0;
         Array.iteri
@@ -246,8 +278,14 @@ let mwu ?(iters = 300) ?warm ~span ~label g oracle demand =
             Best_response.add tally h 1.0;
             add_loads round_loads h amounts.(i))
           responses;
-        for e = 0 to slots - 1 do
-          cum.(e) <- cum.(e) +. (round_loads.(e) /. (caps.(e) *. u_norm))
+        (match classes with
+        | None -> ()
+        | Some (_, first) ->
+            for k = 0 to ncls - 1 do
+              cloads.(k) <- round_loads.(first.(k))
+            done);
+        for k = 0 to ncls - 1 do
+          ccum.(k) <- ccum.(k) +. (cloads.(k) /. (ccaps.(k) *. u_norm))
         done;
         (* Per-round convergence telemetry.  The cumulative normalized load
            satisfies cum(e)·u_norm = (total load on e so far)/cap(e), so
@@ -255,10 +293,10 @@ let mwu ?(iters = 300) ?warm ~span ~label g oracle demand =
            routing averaged over all plays. *)
         if Obs.tracing () then begin
           let round_peak = ref 0.0 and cum_peak = ref 0.0 in
-          for e = 0 to slots - 1 do
-            let rc = round_loads.(e) /. caps.(e) in
+          for k = 0 to ncls - 1 do
+            let rc = cloads.(k) /. ccaps.(k) in
             if rc > !round_peak then round_peak := rc;
-            if cum.(e) > !cum_peak then cum_peak := cum.(e)
+            if ccum.(k) > !cum_peak then cum_peak := ccum.(k)
           done;
           let plays = float_of_int (base_plays + round) in
           let avg_congestion =
@@ -269,13 +307,16 @@ let mwu ?(iters = 300) ?warm ~span ~label g oracle demand =
                   (fun i h -> if fresh.(i) then add_loads fresh_loads h amounts.(i))
                   responses;
                 let peak = ref 0.0 in
-                for e = 0 to slots - 1 do
-                  let total = cum.(e) *. u_norm *. caps.(e) in
-                  let load =
-                    ((total -. fresh_loads.(e)) /. plays)
-                    +. (fresh_loads.(e) /. float_of_int round)
+                for k = 0 to ncls - 1 do
+                  let fresh_load =
+                    fresh_loads.(match classes with None -> k | Some (_, first) -> first.(k))
                   in
-                  peak := Float.max !peak (load /. caps.(e))
+                  let total = ccum.(k) *. u_norm *. ccaps.(k) in
+                  let load =
+                    ((total -. fresh_load) /. plays) +. (fresh_load /. float_of_int round)
+                  in
+                  let c = load /. ccaps.(k) in
+                  if c > !peak then peak := c
                 done;
                 !peak
           in

@@ -40,6 +40,14 @@ val mwu_on_slices :
     are bit-identical for any [pool].
     @raise Invalid_argument if some demanded pair has no candidates.
 
+    The rounds keep their state per slot class
+    ({!Best_response.classes}: edges crossed by the same candidates,
+    with equal capacity) and copy each class weight out to its edges
+    before pricing.  Edges of a class receive the same loads in the same
+    order, so the result is bit-identical to a per-edge round loop; a
+    solve too short to repay the class pass, or whose classes barely
+    merge, runs the per-edge loop itself.
+
     [~warm:(r, w)] re-optimizes incrementally: the MWU starts from the
     routing [r] counted as [w] (positive) already-played rounds, then runs
     [iters] fresh rounds.  This is the traffic-engineering control loop —

@@ -127,6 +127,84 @@ let concat g entries =
   done;
   { pairs; cand_off; paths; rank; edge_off; flat; edges }
 
+(* ---------- Slot classes ---------- *)
+
+(* Per-domain scratch for [classes], grown on demand and never cleared:
+   each pass initializes the entries it reads.  [cls] holds each slot's
+   class; [mark] and [split] are per raw class, [first] per final class. *)
+type parts = {
+  mutable cls : int array;
+  mutable mark : int array;
+  mutable split : int array;
+  mutable first : int array;
+}
+
+let parts_key =
+  Domain.DLS.new_key (fun () -> { cls = [||]; mark = [||]; split = [||]; first = [||] })
+
+let parts_for ~slots ~raw =
+  let p = Domain.DLS.get parts_key in
+  if Array.length p.cls < slots then begin
+    p.cls <- Array.make slots 0;
+    p.first <- Array.make slots 0
+  end;
+  if Array.length p.mark < raw then begin
+    p.mark <- Array.make raw 0;
+    p.split <- Array.make raw 0
+  end;
+  p
+
+let crossings sc = Array.length sc.flat
+
+let classes sc ~(caps : float array) =
+  let slots = Array.length sc.edges and nedges = Array.length sc.flat in
+  let ncands = Array.length sc.edge_off - 1 in
+  let p = parts_for ~slots ~raw:(nedges + 1) in
+  let cls = p.cls and mark = p.mark and split = p.split in
+  (* Partition refinement: every slot starts in raw class 0; candidate
+     [c] moves each slot it crosses from class r to [split.(r)], a class
+     [c] opened for r on its first such move.  A slot [c] crosses twice
+     moves twice, so slots end up together iff they are crossed by the
+     same candidates, the same number of times. *)
+  Array.fill cls 0 slots 0;
+  mark.(0) <- -1;
+  let raw = ref 1 in
+  for c = 0 to ncands - 1 do
+    for k = sc.edge_off.(c) to sc.edge_off.(c + 1) - 1 do
+      let e = Array.unsafe_get sc.flat k in
+      let r = cls.(e) in
+      if mark.(r) <> c then begin
+        mark.(r) <- c;
+        split.(r) <- !raw;
+        mark.(!raw) <- -1;
+        incr raw
+      end;
+      cls.(e) <- split.(r)
+    done
+  done;
+  (* Number the classes by lowest slot, splitting a raw class by
+     capacity: [head.(r)] is r's latest final class and [next] chains
+     r's earlier ones, each named by its lowest slot's capacity. *)
+  let head = split and next = mark and first = p.first in
+  Array.fill head 0 !raw (-1);
+  let count = ref 0 in
+  for e = 0 to slots - 1 do
+    let r = cls.(e) in
+    let f = ref head.(r) in
+    while !f >= 0 && caps.(first.(!f)) <> caps.(e) do
+      f := next.(!f)
+    done;
+    if !f < 0 then begin
+      f := !count;
+      first.(!f) <- e;
+      next.(!f) <- head.(r);
+      head.(r) <- !f;
+      incr count
+    end;
+    cls.(e) <- !f
+  done;
+  (Array.sub cls 0 slots, Array.sub first 0 !count)
+
 let lt_pair ((s1 : int), (t1 : int)) (s2, t2) = s1 < s2 || (s1 = s2 && t1 < t2)
 
 (* A solve's index is usually built over its own support, in support

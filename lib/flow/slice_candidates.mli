@@ -81,6 +81,20 @@ val edges : t -> int array
 (** Slot -> edge id: the distinct edge ids of all candidates, ascending,
     collected once when the index is built.  Do not mutate. *)
 
+val crossings : t -> int
+(** Total number of edges over all candidates, counted with repetition:
+    what one pass over every candidate's edges visits. *)
+
+val classes : t -> caps:float array -> int array * int array
+(** The slots split into classes: two slots share a class iff the same
+    candidates cross them, each the same number of times, and their
+    [caps] (per slot) are equal.  [(cls, first)] maps each slot to its
+    class and each class to its lowest slot; classes are numbered in the
+    order of their lowest slots.  Slots of one class receive the same
+    loads in the same order from every solve on this index.  One
+    partition-refinement pass over the candidates' edges, on a
+    per-domain scratch; only the two results are allocated. *)
+
 val find : t -> int -> Sso_graph.Path.t -> int
 (** The candidate of pair position [i] whose path equals the given one,
     or [-1] — warm-start seeding. *)

@@ -117,9 +117,16 @@ let forest ?pool rng ?trees ?(batch = 4) g =
       while !built < count do
         let b = min batch (count - !built) in
         let first = !built in
+        (* Both max folds compare with [>], not [Float.max] (which calls
+           [caml_signbit_float] whenever its second operand is not
+           larger): [cum] and the tree loads are finite sums of
+           non-negative terms, never NaN, and each running max starts
+           at +0.0 or above, so it never holds -0.0 and the two agree
+           bit for bit. *)
         let max_cum = ref 0.0 in
         for e = 0 to m - 1 do
-          max_cum := Float.max !max_cum cum.(e)
+          let c = cum.(e) in
+          if c > !max_cum then max_cum := c
         done;
         let max_cum = !max_cum in
         let length e = Float.exp (eta *. (cum.(e) -. max_cum)) /. Graph.cap g e in
@@ -137,7 +144,8 @@ let forest ?pool rng ?trees ?(batch = 4) g =
             Obs.incr trees_counter;
             let peak = ref 1e-12 in
             for e = 0 to m - 1 do
-              peak := Float.max !peak loads.(e)
+              let l = loads.(e) in
+              if l > !peak then peak := l
             done;
             let peak = !peak in
             for e = 0 to m - 1 do

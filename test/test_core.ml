@@ -82,6 +82,26 @@ let test_path_system_generator_memoizes () =
   Alcotest.(check int) "one call" 1 !calls;
   Alcotest.(check (list (pair int int))) "known pairs" [ (0, 2) ] (Path_system.known_pairs ps)
 
+(* A generator that raises leaves the system's lock free: the next query
+   (here the same pair, now answered) succeeds, and so does a hit. *)
+let test_path_system_generator_raises () =
+  let g = Gen.cycle 4 in
+  let p = Path.of_vertices g [ 0; 1; 2 ] in
+  let fail = ref true in
+  let ps =
+    Path_system.of_generator g (fun _ _ ->
+        if !fail then begin
+          fail := false;
+          failwith "generator down"
+        end
+        else [ p ])
+  in
+  Alcotest.check_raises "the generator's exception" (Failure "generator down") (fun () ->
+      ignore (Path_system.slice_count ps 0 2));
+  Alcotest.(check int) "second query installs" 1 (Path_system.slice_count ps 0 2);
+  Alcotest.(check int) "a hit" 1 (Path_system.slice_count ps 0 2);
+  Alcotest.(check bool) "installed" true (Path_system.installed ps 0 2)
+
 let test_path_system_union () =
   let g = Gen.cycle 4 in
   let p = Path.of_vertices g [ 0; 1; 2 ] in
@@ -1527,6 +1547,8 @@ let () =
             test_path_system_rejects_cleanly;
           Alcotest.test_case "check on both sides of the pairwise cutoff" `Quick
             test_path_system_check_cutoff;
+          Alcotest.test_case "a raising generator frees the lock" `Quick
+            test_path_system_generator_raises;
         ] );
       ( "sampler",
         [

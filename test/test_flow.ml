@@ -958,6 +958,267 @@ let prop_store_edges_are_candidate_edges =
          = List.map scanned support
       && (support <> [] || snd (Min_congestion.mwu_on_slices g (Path_system.to_slice_candidates view []) d) = 0.0))
 
+(* ---------- Slot classes ---------- *)
+
+(* A per-slot Stage-4 MWU, written against the public store API: the
+   round loop as it ran before slot classes, one [cum], one [exp] weight
+   and one [Float.max] step per slot.  Returns the routing, its
+   congestion and the [mwu.round] attribute stream in the format of
+   [traced_stage4]. *)
+let per_slot_mwu ~iters ?warm g sc demand =
+  let support = Array.of_list (Demand.support demand) in
+  let pairs = Array.length support in
+  let store = Best_response.candidates sc support in
+  let edges = Best_response.edges store in
+  let slots = Array.length edges in
+  let amounts = Array.map (fun (s, t) -> Demand.get demand s t) support in
+  let caps = Array.map (Graph.cap g) edges in
+  let warr = Array.map (fun c -> 1.0 /. c) caps in
+  let probe, _ = Best_response.respond_all store warr in
+  let loads = Array.make slots 0.0 in
+  Array.iteri (fun i h -> Best_response.add_loads store loads h amounts.(i)) probe;
+  let u_norm = ref 1e-12 in
+  Array.iteri (fun e l -> if l /. caps.(e) > !u_norm then u_norm := l /. caps.(e)) loads;
+  let u_norm = !u_norm in
+  let eta = Float.sqrt (4.0 *. Float.log (float_of_int (max 2 (Graph.m g))) /. float_of_int iters) in
+  let cum = Array.make slots 0.0 in
+  let tally = Best_response.tally store in
+  let base_plays =
+    match warm with
+    | None -> 0
+    | Some (previous, weight) ->
+        let wf = float_of_int weight in
+        let seeded = ref false in
+        Array.iteri
+          (fun i (s, t) ->
+            let dist = Routing.distribution previous s t in
+            let kept =
+              List.filter_map
+                (fun (w, p) ->
+                  let h = Best_response.find store i p in
+                  if h < 0 then None else Some (w, h))
+                dist
+            in
+            let kept =
+              if List.compare_lengths kept dist = 0 then kept
+              else
+                let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 kept in
+                List.map (fun (w, h) -> (w /. total, h)) kept
+            in
+            List.iter
+              (fun (w, h) ->
+                seeded := true;
+                Best_response.add tally h (w *. wf);
+                Best_response.iter_edges store h (fun e ->
+                    cum.(e) <- cum.(e) +. (wf *. w *. amounts.(i) /. (caps.(e) *. u_norm))))
+              kept)
+          support;
+        if !seeded then weight else 0
+  in
+  let fresh = Array.init pairs (fun i -> Best_response.distribution store tally i = []) in
+  let fresh_loads = Array.make slots 0.0 in
+  let round_loads = Array.make slots 0.0 in
+  let b = Buffer.create 4096 in
+  (* An empty demand plays no round. *)
+  for round = 1 to if pairs = 0 then 0 else iters do
+    let max_cum = Array.fold_left Float.max 0.0 cum in
+    Array.iteri (fun e c -> warr.(e) <- Float.exp (eta *. (c -. max_cum)) /. caps.(e)) cum;
+    let responses, settled = Best_response.respond_all store warr in
+    Array.fill round_loads 0 slots 0.0;
+    Array.iteri
+      (fun i h ->
+        Best_response.add tally h 1.0;
+        Best_response.add_loads store round_loads h amounts.(i))
+      responses;
+    Array.iteri (fun e l -> cum.(e) <- cum.(e) +. (l /. (caps.(e) *. u_norm))) round_loads;
+    let round_peak = ref 0.0 and cum_peak = ref 0.0 in
+    for e = 0 to slots - 1 do
+      round_peak := Float.max !round_peak (round_loads.(e) /. caps.(e));
+      cum_peak := Float.max !cum_peak cum.(e)
+    done;
+    let plays = float_of_int (base_plays + round) in
+    let avg =
+      if base_plays = 0 then !cum_peak *. u_norm /. plays
+      else begin
+        Array.iteri
+          (fun i h -> if fresh.(i) then Best_response.add_loads store fresh_loads h amounts.(i))
+          responses;
+        let peak = ref 0.0 in
+        for e = 0 to slots - 1 do
+          let total = cum.(e) *. u_norm *. caps.(e) in
+          let load =
+            ((total -. fresh_loads.(e)) /. plays) +. (fresh_loads.(e) /. float_of_int round)
+          in
+          peak := Float.max !peak (load /. caps.(e))
+        done;
+        !peak
+      end
+    in
+    Printf.bprintf b
+      "solver=%s;round=%d;round_congestion=%Lx;avg_congestion=%Lx;potential=%Lx;support_paths=%d;sssp_settled=%d;\n"
+      (if Option.is_none warm then "on_paths" else "on_paths_warm")
+      round (Int64.bits_of_float !round_peak) (Int64.bits_of_float avg)
+      (Int64.bits_of_float !cum_peak) (Best_response.seen_count tally) settled
+  done;
+  let routing =
+    Routing.make
+      (Array.to_list
+         (Array.mapi (fun i pair -> (pair, Best_response.distribution store tally i)) support))
+  in
+  Printf.sprintf "%Lx %Lx %s"
+    (Codec.fnv1a64 (Codec.encode_routing routing))
+    (Int64.bits_of_float (Routing.congestion g routing demand))
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* [g] with each edge's capacity drawn from a fractional, non-uniform set
+   (or left at 1.0), ids kept. *)
+let with_random_caps rng g =
+  let b = Graph.Builder.create (Graph.n g) in
+  let choices = [| 1.0; 1.0; 0.5; 2.5; 1.25 |] in
+  let uniform = Rng.int rng 3 = 0 in
+  Array.iter
+    (fun (e : Graph.edge) ->
+      let cap = if uniform then 1.0 else choices.(Rng.int rng (Array.length choices)) in
+      ignore (Graph.Builder.add_edge ~cap b e.Graph.u e.Graph.v))
+    (Graph.edges g);
+  Graph.Builder.build b
+
+(* A random Stage-4 instance: a grid or random 3-regular graph with
+   random capacities, a Ksp or Räcke α-sample, a random failure view,
+   and a demand with fractional amounts over the pairs the view keeps. *)
+let class_instance seed ~on_grid ~racke =
+  let rng = Rng.create seed in
+  let g =
+    with_random_caps rng
+      (if on_grid then Gen.grid (3 + Rng.int rng 2) (3 + Rng.int rng 3)
+       else Gen.random_regular rng (8 + (2 * Rng.int rng 4)) 3)
+  in
+  let n = Graph.n g and m = Graph.m g in
+  let base = if racke then Racke.routing (Rng.split rng) g else Ksp.routing ~k:3 g in
+  let ps = Sampler.alpha_sample (Rng.split rng) base ~alpha:(1 + Rng.int rng 4) in
+  let down = List.init (Rng.int rng 4) (fun _ -> Rng.int rng m) in
+  let view = Path_system.filter (fun a i -> not (Arena.exists a i (fun e -> List.mem e down))) ps in
+  let pairs = Demand.support (Demand.random_pairs rng ~n ~pairs:(1 + Rng.int rng 8)) in
+  let amount () = 0.5 *. float_of_int (1 + Rng.int rng 5) in
+  let d = Demand.of_list (List.map (fun (s, t) -> (s, t, amount ())) pairs) in
+  let d_view =
+    Demand.of_list
+      (List.filter_map
+         (fun (s, t) ->
+           if Path_system.slice_count view s t > 0 then Some (s, t, Demand.get d s t) else None)
+         pairs)
+  in
+  (rng, g, ps, d, view, d_view)
+
+let candidate_edges ps d =
+  List.fold_left
+    (fun acc (s, t) ->
+      List.fold_left (fun acc p -> acc + Path.hops p) acc (Path_system.paths ps s t))
+    0 (Demand.support d)
+
+(* The class MWU ([mwu_on_slices]) equals the per-slot reference bit for
+   bit — routing digest, congestion bits and [mwu.round] stream — cold on
+   the full system and warm on a failure view from the cold routing
+   (pairs lose some or all of their warm paths), at an iteration count
+   below the refinement guard (identity classes) and one above it. *)
+let prop_class_mwu_matches_per_slot =
+  QCheck.Test.make ~name:"class MWU = per-slot MWU, bit for bit" ~count:60
+    QCheck.(triple small_nat bool bool)
+    (fun (seed, on_grid, racke) ->
+      let rng, g, ps, d, view, d_view = class_instance seed ~on_grid ~racke in
+      let slices ps d = Path_system.to_slice_candidates ps (Demand.support d) in
+      let guarded ps d =
+        let store = Best_response.candidates (slices ps d) (Array.of_list (Demand.support d)) in
+        let slots = Array.length (Best_response.edges store) in
+        let caps = Array.map (Graph.cap g) (Best_response.edges store) in
+        (* The largest count below the guard ([rounds * slots] under eight
+           times the candidate edges), when there is one, and one above. *)
+        let below = ((8 * candidate_edges ps d) - 1) / max 1 slots in
+        if below >= 1 then
+          assert (Best_response.classes store ~rounds:below ~caps = None);
+        List.filter (fun i -> i >= 1) [ below; max (below + 1) (30 + Rng.int rng 40) ]
+      in
+      let same ?warm ps d iters =
+        let sc () = slices ps d in
+        traced_stage4 (fun () -> Min_congestion.mwu_on_slices ~iters ?warm g (sc ()) d)
+        = per_slot_mwu ~iters ?warm g (sc ()) d
+      in
+      List.for_all (same ps d) (guarded ps d)
+      &&
+      let cold, _ = Min_congestion.mwu_on_slices ~iters:40 g (slices ps d) d in
+      let warm = (cold, 1 + Rng.int rng 80) in
+      List.for_all (same ~warm view d_view) (guarded view d_view))
+
+(* Two slots share a class iff the same candidates cross them, each the
+   same number of times, and their capacities are equal; classes are
+   numbered by lowest slot.  Checked against brute-force membership on
+   the random instances and on a walk that crosses one edge twice. *)
+let partition_agrees g sc support =
+  let store = Best_response.candidates sc (Array.of_list support) in
+  let edges = Best_response.edges store in
+  let slots = Array.length edges in
+  let caps = Array.map (Graph.cap g) edges in
+  let crossing = Array.make slots [] in
+  for c = Sso_flow.Slice_candidates.ncands sc - 1 downto 0 do
+    Best_response.iter_edges store c (fun e -> crossing.(e) <- c :: crossing.(e))
+  done;
+  let key e = (List.sort Int.compare crossing.(e), caps.(e)) in
+  let cls, firsts = Sso_flow.Slice_candidates.classes sc ~caps in
+  let numbered =
+    Array.for_all (fun k -> k >= 0) cls
+    && Array.to_list firsts
+       = List.filter (fun e -> not (List.exists (fun e' -> cls.(e') = cls.(e)) (List.init e Fun.id)))
+           (List.init slots Fun.id)
+  in
+  numbered
+  && List.for_all
+       (fun e ->
+         List.for_all (fun e' -> cls.(e) = cls.(e') = (key e = key e')) (List.init slots Fun.id))
+       (List.init slots Fun.id)
+
+let prop_classes_are_exact =
+  QCheck.Test.make ~name:"slot classes = brute-force candidate membership" ~count:40
+    QCheck.(triple small_nat bool bool)
+    (fun (seed, on_grid, racke) ->
+      let _, g, ps, d, view, d_view = class_instance seed ~on_grid ~racke in
+      let agrees ps d =
+        let support = Demand.support d in
+        partition_agrees g (Path_system.to_slice_candidates ps support) support
+      in
+      agrees ps d && agrees view d_view)
+
+let test_classes_count_walks () =
+  (* On the 8-cycle, the walk 0→1→2→1→2→3→4 crosses edge 1-2 twice and
+     0-1, 2-3, 3-4 once: one candidate crosses all four, yet 1-2 lands
+     apart from the others, while the four edges of 0→7→6→5→4 share a
+     class.  The class MWU still matches the per-slot one. *)
+  let g = Gen.cycle 8 in
+  let walk = Path.of_vertices g [ 0; 1; 2; 1; 2; 3; 4 ] in
+  let other = Path.of_vertices g [ 0; 7; 6; 5; 4 ] in
+  let d = Demand.of_list [ (0, 4, 1.5) ] in
+  let ps = Path_system.of_pairs g [ ((0, 4), [ walk; other ]) ] in
+  let sc = Path_system.to_slice_candidates ps (Demand.support d) in
+  Alcotest.(check bool) "partition" true (partition_agrees g sc (Demand.support d));
+  let store = Best_response.candidates sc (Array.of_list (Demand.support d)) in
+  let caps = Array.map (Graph.cap g) (Best_response.edges store) in
+  Alcotest.(check (option (pair (array int) (array int)))) "classes"
+    (Some ([| 0; 1; 0; 0; 2; 2; 2; 2 |], [| 0; 1; 4 |]))
+    (Best_response.classes store ~rounds:50 ~caps);
+  Alcotest.(check string) "class MWU = per-slot" (per_slot_mwu ~iters:50 g sc d)
+    (traced_stage4 (fun () -> Min_congestion.mwu_on_slices ~iters:50 g sc d))
+
+(* The k=8 fat-tree golden instance's 300-round cold solve runs on fewer
+   classes than slots: a silent fallback to one class per slot fails. *)
+let test_fat_tree_classes () =
+  let g, ps, d = fat_tree_instance () in
+  let support = Array.of_list (Demand.support d) in
+  let store = Best_response.candidates (Path_system.to_slice_candidates ps (Demand.support d)) support in
+  let caps = Array.map (Graph.cap g) (Best_response.edges store) in
+  Alcotest.(check int) "slots" 114 (Array.length caps);
+  Alcotest.(check (option int)) "classes" (Some 57)
+    (Option.map (fun (_, first) -> Array.length first)
+       (Best_response.classes store ~rounds:300 ~caps))
+
 let () =
   Alcotest.run "flow"
     [
@@ -1003,6 +1264,8 @@ let () =
           Alcotest.test_case "grid matches lp" `Slow test_mwu_grid_matches_lp;
           Alcotest.test_case "empty demand" `Quick test_mwu_empty_demand;
           Alcotest.test_case "missing candidates" `Quick test_mwu_missing_candidates;
+          Alcotest.test_case "classes count walks" `Quick test_classes_count_walks;
+          Alcotest.test_case "fat-tree classes" `Quick test_fat_tree_classes;
         ] );
       ( "routing extra",
         [
@@ -1032,5 +1295,7 @@ let () =
           [
             prop_round_preserves_counts;
             prop_store_edges_are_candidate_edges;
+            prop_class_mwu_matches_per_slot;
+            prop_classes_are_exact;
           ] );
     ]
