@@ -16,24 +16,25 @@ let semantic_corrupt () = Obs.incr (Obs.counter "artifact.corrupt")
 
 (* ---- Räcke forests ---- *)
 
-let racke_recipe ?trees ?batch ~rng g =
+(* ["batch"] is {!Racke.forest}'s round width, fixed at 4; the field
+   keeps the keys of forests cached when the width was a parameter. *)
+let racke_recipe ?trees ~rng g =
   let trees = match trees with Some t -> t | None -> Racke.default_trees g in
-  let batch = Option.value batch ~default:4 in
   Store.recipe ~kind:"racke-forest"
     [
       ("graph", hex (Codec.graph_digest g));
       ("trees", string_of_int trees);
-      ("batch", string_of_int batch);
+      ("batch", "4");
       ("rng", hex (Rng.fingerprint rng));
     ]
 
-let racke_forest ?store ?pool rng ?trees ?batch g =
+let racke_forest ?store rng ?trees g =
   match store with
-  | None -> Racke.forest ?pool rng ?trees ?batch g
+  | None -> Racke.forest rng ?trees g
   | Some st ->
-      let recipe = racke_recipe ?trees ?batch ~rng g in
+      let recipe = racke_recipe ?trees ~rng g in
       let rebuild () =
-        let forest = Racke.forest ?pool rng ?trees ?batch g in
+        let forest = Racke.forest rng ?trees g in
         Store.put st recipe
           (Codec.encode_forest (List.map Frt.to_parts forest));
         forest
@@ -47,8 +48,7 @@ let racke_forest ?store ?pool rng ?trees ?batch g =
               semantic_corrupt ();
               rebuild ()))
 
-let racke ?store ?pool rng ?trees ?batch g =
-  Racke.of_forest g (racke_forest ?store ?pool rng ?trees ?batch g)
+let racke ?store rng ?trees g = Racke.of_forest g (racke_forest ?store rng ?trees g)
 
 (* ---- α-samples ---- *)
 

@@ -18,24 +18,14 @@
       queries outside the cached pair set draw exactly what the cold run
       would have. *)
 
-val racke_recipe :
-  ?trees:int ->
-  ?batch:int ->
-  rng:Sso_prng.Rng.t ->
-  Sso_graph.Graph.t ->
-  Store.recipe
+val racke_recipe : ?trees:int -> rng:Sso_prng.Rng.t -> Sso_graph.Graph.t -> Store.recipe
 (** The recipe {!racke} uses: kind ["racke-forest"], keyed by graph
-    digest, tree count, batch size, and the RNG fingerprint.  Take it
-    {e before} the generator is consumed (fingerprinting does not advance
-    it). *)
+    digest, tree count, round width (always 4) and the RNG fingerprint.
+    Take it {e before} the generator is consumed (fingerprinting does not
+    advance it). *)
 
 val racke_forest :
-  ?store:Store.t ->
-  ?pool:Sso_engine.Pool.t ->
-  Sso_prng.Rng.t ->
-  ?trees:int ->
-  ?batch:int ->
-  Sso_graph.Graph.t ->
+  ?store:Store.t -> Sso_prng.Rng.t -> ?trees:int -> Sso_graph.Graph.t ->
   Sso_oblivious.Frt.t list
 (** The MWU tree mixture behind {!racke}, cached under the same
     ["racke-forest"] recipe: a hit decodes the stored {!Codec.encode_forest}
@@ -45,12 +35,7 @@ val racke_forest :
     mixture routing. *)
 
 val racke :
-  ?store:Store.t ->
-  ?pool:Sso_engine.Pool.t ->
-  Sso_prng.Rng.t ->
-  ?trees:int ->
-  ?batch:int ->
-  Sso_graph.Graph.t ->
+  ?store:Store.t -> Sso_prng.Rng.t -> ?trees:int -> Sso_graph.Graph.t ->
   Sso_oblivious.Oblivious.t
 (** {!Sso_oblivious.Racke.routing} with the MWU tree mixture cached as an
     {!Codec.encode_forest} payload.  A hit skips the entire construction

@@ -12,7 +12,10 @@ let congestion_upper ?solver ?(tries = 10) rng g ps demand =
   let improved = Rounding.local_search g ~candidates:(Path_system.paths ps) rounded in
   (improved, Rounding.congestion g improved)
 
-let brute_force ?(limit = 2_000_000) g ps demand =
+(* Most candidate combinations [brute_force] enumerates. *)
+let brute_force_limit = 2_000_000
+
+let brute_force g ps demand =
   if not (Demand.is_zero_one demand) then
     invalid_arg "Integral.brute_force: demand must be a {0,1}-demand";
   let pairs = Demand.support demand in
@@ -20,15 +23,14 @@ let brute_force ?(limit = 2_000_000) g ps demand =
   List.iter
     (fun c -> if Array.length c = 0 then invalid_arg "Integral.brute_force: pair without candidates")
     choices;
-  let total =
-    List.fold_left
-      (fun acc c ->
-        let acc = acc * Array.length c in
-        if acc > limit || acc <= 0 then invalid_arg "Integral.brute_force: search space too large"
-        else acc)
-      1 choices
-  in
-  ignore total;
+  ignore
+    (List.fold_left
+       (fun acc c ->
+         let acc = acc * Array.length c in
+         if acc > brute_force_limit || acc <= 0 then
+           invalid_arg "Integral.brute_force: search space too large"
+         else acc)
+       1 choices);
   let choices = Array.of_list choices in
   let k = Array.length choices in
   let loads = Array.make (Graph.m g) 0.0 in

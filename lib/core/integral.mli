@@ -20,9 +20,7 @@ val congestion_upper :
 (** Fractional solve + best-of-[tries] rounding (default 10) + local
     search.  The demand must be integral. *)
 
-val brute_force :
-  ?limit:int ->
-  Sso_graph.Graph.t -> Path_system.t -> Sso_demand.Demand.t -> float
+val brute_force : Sso_graph.Graph.t -> Path_system.t -> Sso_demand.Demand.t -> float
 (** Exact [cong_ℤ(P,d)] for {0,1}-demands by enumerating all candidate
-    combinations (at most [limit], default [2_000_000]; raises
+    combinations (at most [2_000_000]; raises
     [Invalid_argument] beyond that or on non-{0,1} demands). *)

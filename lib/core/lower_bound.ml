@@ -21,7 +21,7 @@ let middles_hit (c : Gen.c_graph) p =
   List.sort_uniq compare
     (List.filter (fun m -> Array.exists (fun v -> v = m) vs) middles)
 
-let attack ?pool (c : Gen.c_graph) ps =
+let attack (c : Gen.c_graph) ps =
   Obs.with_span attack_span @@ fun () ->
   let g = c.Gen.c_graph in
   ignore g;
@@ -67,7 +67,7 @@ let attack ?pool (c : Gen.c_graph) ps =
   (* Score every candidate bottleneck concurrently, then pick the winner by
      the same left-to-right fold the serial code used, so ties break
      identically for any job count. *)
-  let evaluated = Pool.parallel_map ?pool evaluate (Array.of_list keys) in
+  let evaluated = Pool.parallel_map evaluate (Array.of_list keys) in
   let best =
     Array.fold_left
       (fun acc ((score, _, _) as result) ->
@@ -91,7 +91,7 @@ let attack ?pool (c : Gen.c_graph) ps =
         predicted_congestion = score;
       }
 
-let attack_in_family ?pool (g : Gen.g_graph) ~alpha ps =
+let attack_in_family (g : Gen.g_graph) ~alpha ps =
   let view =
     match List.assoc_opt alpha g.Gen.g_copies with
     | Some view -> view
@@ -116,7 +116,7 @@ let attack_in_family ?pool (g : Gen.g_graph) ~alpha ps =
       c_middles = view.Gen.v_middles;
     }
   in
-  attack ?pool as_c_graph ps
+  attack as_c_graph ps
 
 let verify ?solver (c : Gen.c_graph) ps attack =
   Semi_oblivious.congestion ?solver c.Gen.c_graph ps attack.demand

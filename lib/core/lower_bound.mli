@@ -19,18 +19,16 @@ type attack = {
           [cong_ℝ(P, demand)]; the offline optimum is 1. *)
 }
 
-val attack : ?pool:Sso_engine.Pool.t -> Sso_graph.Gen.c_graph -> Path_system.t -> attack
+val attack : Sso_graph.Gen.c_graph -> Path_system.t -> attack
 (** Construct the adversarial demand for the given path system on
     [C(n,k)].  Works for any path system; the bound is strongest when the
     system is sparse (the hit-sets are then small).  The [demand] is a
     permutation demand with [opt_{G,ℤ} = 1] whenever [pairs_matched ≤ k]
     (each matched pair can use a private middle vertex).  Candidate
-    bottleneck sets are scored concurrently on [pool]; the winner is
-    selected by the same deterministic fold regardless of job count. *)
+    bottleneck sets are scored concurrently on the pool; the winner is
+    selected by the same deterministic fold at any [--jobs]. *)
 
-val attack_in_family :
-  ?pool:Sso_engine.Pool.t ->
-  Sso_graph.Gen.g_graph -> alpha:int -> Path_system.t -> attack
+val attack_in_family : Sso_graph.Gen.g_graph -> alpha:int -> Path_system.t -> attack
 (** The Lemma 8.2 argument on the composite graph [G(n)]: locate the
     [C(n, ⌊n^(1/2α)⌋)] copy matching [alpha] and run {!attack} inside it
     (bridges cannot be re-crossed by simple paths, so candidates between a

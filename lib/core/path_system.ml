@@ -241,7 +241,7 @@ let materialize ps pair_list = List.iter (fun (s, t) -> ignore (entry ps s t)) p
    only on the pair list, never on the job count. *)
 let parallel_chunk = 16
 
-let materialize_parallel ?pool ps pair_list =
+let materialize_parallel ps pair_list =
   let seen = Index.create (List.length pair_list) in
   let misses =
     locked ps (fun () ->
@@ -263,7 +263,7 @@ let materialize_parallel ?pool ps pair_list =
        the builders in chunk order, so the shared arena's layout is
        identical at any job count. *)
     let built =
-      Pool.parallel_init ?pool chunks (fun c ->
+      Pool.parallel_init chunks (fun c ->
           let lo = c * parallel_chunk in
           let hi = min total (lo + parallel_chunk) in
           let builder = Path_arena.create ~capacity:(4 * (hi - lo)) ps.graph in

@@ -119,7 +119,7 @@ val materialize : t -> (int * int) list -> unit
     generator-internal RNG draws — independent of the job count.  O(1) per
     already-installed pair. *)
 
-val materialize_parallel : ?pool:Sso_engine.Pool.t -> t -> (int * int) list -> unit
+val materialize_parallel : t -> (int * int) list -> unit
 (** Generate missing pairs on the pool: workers fill private arena
     builders (fixed-size chunks of the pair list), and the builders are
     merged into the shared arena in chunk order, so the resulting layout —

@@ -1,5 +1,5 @@
-(* Fixed-size domain pool with a shared task queue.  See pool.mli for the
-   determinism contract. *)
+(* The process-wide domain pool with a shared task queue.  See pool.mli
+   for the determinism contract. *)
 
 type t = {
   jobs : int;
@@ -38,11 +38,7 @@ let worker pool () =
   in
   loop ()
 
-let create ?jobs () =
-  let jobs =
-    match jobs with Some j -> j | None -> Domain.recommended_domain_count ()
-  in
-  if jobs < 1 then invalid_arg "Engine.Pool.create: jobs must be >= 1";
+let create jobs =
   let pool =
     {
       jobs;
@@ -57,62 +53,47 @@ let create ?jobs () =
     pool.domains <- List.init (jobs - 1) (fun _ -> Domain.spawn (worker pool));
   pool
 
-let jobs pool = pool.jobs
-
 let shutdown pool =
   Mutex.lock pool.lock;
   pool.stop <- true;
   Condition.broadcast pool.work;
   Mutex.unlock pool.lock;
-  List.iter Domain.join pool.domains;
-  pool.domains <- []
+  List.iter Domain.join pool.domains
 
-(* ---- default pool ---- *)
+(* ---- the process pool ---- *)
 
-let default_lock = Mutex.create ()
-let default_pool = ref None
-let requested_jobs = ref None
+(* Guards [jobs] and [current]; the pool is spawned on first use. *)
+let lock = Mutex.create ()
+let jobs = ref (Domain.recommended_domain_count ())
+let current = ref None
 
-let default_jobs () =
-  Mutex.lock default_lock;
-  let j =
-    match (!default_pool, !requested_jobs) with
-    | Some p, _ -> p.jobs
-    | None, Some j -> j
-    | None, None -> Domain.recommended_domain_count ()
-  in
-  Mutex.unlock default_lock;
-  j
+let default_jobs () = Mutex.protect lock (fun () -> !jobs)
 
 let set_default_jobs j =
   if j < 1 then invalid_arg "Engine.Pool.set_default_jobs: jobs must be >= 1";
-  Mutex.lock default_lock;
-  let old = !default_pool in
-  default_pool := None;
-  requested_jobs := Some j;
-  Mutex.unlock default_lock;
-  match old with Some p -> shutdown p | None -> ()
-
-let default () =
-  Mutex.lock default_lock;
-  let pool =
-    match !default_pool with
-    | Some p -> p
-    | None ->
-        let p = create ?jobs:!requested_jobs () in
-        default_pool := Some p;
-        p
+  let old =
+    Mutex.protect lock (fun () ->
+        let old = !current in
+        current := None;
+        jobs := j;
+        old)
   in
-  Mutex.unlock default_lock;
-  pool
+  Option.iter shutdown old
+
+let get () =
+  Mutex.protect lock (fun () ->
+      match !current with
+      | Some p -> p
+      | None ->
+          let p = create !jobs in
+          current := Some p;
+          p)
 
 let () =
   at_exit (fun () ->
-      match !default_pool with
-      | Some p ->
-          default_pool := None;
-          shutdown p
-      | None -> ())
+      let old = !current in
+      current := None;
+      Option.iter shutdown old)
 
 (* ---- parallel primitives ---- *)
 
@@ -180,33 +161,33 @@ let execute pool task n =
     | None -> Array.map (function Some v -> v | None -> assert false) results
   end
 
-let parallel_init ?pool n f =
+let parallel_init n f =
   if n < 0 then invalid_arg "Engine.Pool.parallel_init: negative length";
-  let pool = match pool with Some p -> p | None -> default () in
   if n = 0 then [||]
   else if inside_task () then Array.init n f
-  else if not (Obs.tracing ()) then
-    if pool.jobs = 1 || pool.stop || n = 1 then Array.init n f else execute pool f n
-  else begin
-    (* Tracing: pre-assign one stream slot per task, in submission order.
-       Event keys then depend only on the task index — not on which domain
-       runs a task or when — so the merged trace is identical at any
-       --jobs.  The serial path wraps tasks the same way (and marks the
-       domain busy so nested parallel calls degrade to Array.init exactly
-       as they would on a worker). *)
-    let base = Obs.reserve_slots n and depth = Obs.span_depth () in
-    let task i = Obs.in_task ~depth (base + i) (fun () -> f i) in
-    Fun.protect ~finally:Obs.fresh_stream (fun () ->
-        if pool.jobs = 1 || pool.stop || n = 1 then begin
-          Domain.DLS.set busy_key true;
-          Fun.protect
-            ~finally:(fun () -> Domain.DLS.set busy_key false)
-            (fun () -> Array.init n task)
-        end
-        else execute pool task n)
-  end
+  else
+    let pool = get () in
+    let serial = pool.jobs = 1 || n = 1 in
+    if not (Obs.tracing ()) then if serial then Array.init n f else execute pool f n
+    else begin
+      (* Tracing: pre-assign one stream slot per task, in submission order.
+         Event keys then depend only on the task index — not on which domain
+         runs a task or when — so the merged trace is identical at any
+         --jobs.  The serial path wraps tasks the same way (and marks the
+         domain busy so nested parallel calls degrade to Array.init exactly
+         as they would on a worker). *)
+      let base = Obs.reserve_slots n and depth = Obs.span_depth () in
+      let task i = Obs.in_task ~depth (base + i) (fun () -> f i) in
+      Fun.protect ~finally:Obs.fresh_stream (fun () ->
+          if serial then begin
+            Domain.DLS.set busy_key true;
+            Fun.protect
+              ~finally:(fun () -> Domain.DLS.set busy_key false)
+              (fun () -> Array.init n task)
+          end
+          else execute pool task n)
+    end
 
-let parallel_map ?pool f input = parallel_init ?pool (Array.length input) (fun i -> f input.(i))
+let parallel_map f input = parallel_init (Array.length input) (fun i -> f input.(i))
 
-let parallel_list_map ?pool f l =
-  Array.to_list (parallel_map ?pool f (Array.of_list l))
+let parallel_list_map f l = Array.to_list (parallel_map f (Array.of_list l))

@@ -1,13 +1,15 @@
-(** Deterministic fixed-size work pool over OCaml 5 domains.
+(** The process-wide deterministic work pool over OCaml 5 domains.
 
-    Every embarrassingly parallel loop in the repository (trial
-    repetitions, independent FRT tree samples, per-commodity oracle calls,
-    the single-link failure sweep, adversary trials) runs through this
-    module.  The hard invariant is {b determinism}: for a fixed input,
-    {!parallel_map} returns bit-identical results for any job count,
-    including [jobs = 1].  The pool guarantees its half of that contract by
-    assembling results in task-index order and never letting scheduling
-    order leak into outputs; call sites guarantee the other half by giving
+    Every fan-out in the repository (trial repetitions, per-level FRT
+    center batches, tree-load edge chunks, parallel path materialization,
+    Stage-5 per-source searches, the fault sweep, adversary scoring) runs
+    through this module, on the one pool that [--jobs N] sizes
+    ({!set_default_jobs}).  The hard invariant is {b determinism}: for a
+    fixed input, {!parallel_map} returns bit-identical results for any job
+    count, including [jobs = 1].  The pool guarantees its half of that
+    contract by assembling results in task-index order and never letting
+    scheduling order leak into outputs; call sites guarantee the other half
+    by fixing their chunking independently of the job count and by giving
     each task its own [Rng.split_at] child keyed by task index instead of
     drawing from a shared stream.
 
@@ -15,48 +17,30 @@
     inside a running task (a nested call) falls back to serial execution on
     the calling domain, so nesting is always safe and never deadlocks. *)
 
-type t
-(** A pool of worker domains.  The pool is safe to share; parallel
-    submissions are serviced by [jobs - 1] worker domains plus the
-    submitting domain itself. *)
-
-val create : ?jobs:int -> unit -> t
-(** [create ~jobs ()] spawns a pool executing at most [jobs] tasks
-    concurrently ([jobs - 1] worker domains; the caller participates).
-    [jobs] defaults to [Domain.recommended_domain_count ()].  [jobs = 1]
-    spawns no domains and makes every [parallel_*] call purely serial.
+val set_default_jobs : int -> unit
+(** Set the number of tasks the pool runs at once ([jobs - 1] worker
+    domains plus the submitting domain), joining the workers of the
+    previous size.  This is what [--jobs N] plumbs through; the default is
+    [Domain.recommended_domain_count ()].  [1] spawns no domains and makes
+    every [parallel_*] call serial.  Workers are spawned on the first
+    parallel call and joined at exit.
     @raise Invalid_argument if [jobs < 1]. *)
 
-val jobs : t -> int
-(** Concurrency bound the pool was created with. *)
-
-val shutdown : t -> unit
-(** Stop and join the worker domains.  Idempotent.  Calling [parallel_*]
-    on a shut-down pool runs serially. *)
-
-val default : unit -> t
-(** The process-wide pool, created lazily with {!set_default_jobs}'s value
-    (or the domain-count default).  Joined automatically at exit. *)
-
-val set_default_jobs : int -> unit
-(** Set the job count used by {!default}, shutting down any existing
-    default pool.  This is what [--jobs N] plumbs through. *)
-
 val default_jobs : unit -> int
-(** Job count the next {!default} call will use. *)
+(** The job count the pool runs at. *)
 
-val parallel_map : ?pool:t -> ('a -> 'b) -> 'a array -> 'b array
-(** [parallel_map f arr] is [Array.map f arr] computed on the pool
-    ([?pool] defaults to {!default}).  Results are placed by index, so the
-    output is independent of scheduling.  If any task raises, the exception
-    of the lowest-index failing task is re-raised (with its backtrace)
-    after all tasks finish — deterministically, regardless of job count. *)
+val parallel_map : ('a -> 'b) -> 'a array -> 'b array
+(** [parallel_map f arr] is [Array.map f arr] computed on the pool.
+    Results are placed by index, so the output is independent of
+    scheduling.  If any task raises, the exception of the lowest-index
+    failing task is re-raised (with its backtrace) after all tasks finish
+    — deterministically, regardless of job count. *)
 
-val parallel_init : ?pool:t -> int -> (int -> 'a) -> 'a array
+val parallel_init : int -> (int -> 'a) -> 'a array
 (** [parallel_init n f] is [Array.init n f] on the pool, with the same
     determinism and exception contract as {!parallel_map}. *)
 
-val parallel_list_map : ?pool:t -> ('a -> 'b) -> 'a list -> 'b list
+val parallel_list_map : ('a -> 'b) -> 'a list -> 'b list
 (** {!parallel_map} over lists, preserving order. *)
 
 val inside_task : unit -> bool

@@ -162,7 +162,7 @@ let evaluate ~solver ~iters ~recovery ~pre_routing g ps demand scenario =
         }
       end
 
-let run ?pool ?(solver = Semi_oblivious.default_solver) ?store ?system_key
+let run ?(solver = Semi_oblivious.default_solver) ?store ?system_key
     ?recovery g ps demand scenarios =
   let iters = match solver with Semi_oblivious.Mwu i -> i | Semi_oblivious.Lp -> 300 in
   let support = Demand.support demand in
@@ -191,7 +191,7 @@ let run ?pool ?(solver = Semi_oblivious.default_solver) ?store ?system_key
                 ~recovery scenario )
     | _ -> None
   in
-  Pool.parallel_list_map ?pool
+  Pool.parallel_list_map
     (fun scenario ->
       Obs.incr scenarios_counter;
       let cached =
@@ -262,12 +262,12 @@ let summary reports =
     mean_recovery_rounds = mean measured;
   }
 
-let worst_k ?pool ?(solver = Semi_oblivious.default_solver) ?store ?system_key
+let worst_k ?(solver = Semi_oblivious.default_solver) ?store ?system_key
     ?(candidates = 8) g ps demand ~k =
   if k < 1 then invalid_arg "Sweep.worst_k: k must be >= 1";
   Obs.with_span worst_k_span @@ fun () ->
   let score r = if not r.connected then neg_infinity else r.ratio in
-  let single_reports = run ?pool ~solver ?store ?system_key g ps demand (singles g) in
+  let single_reports = run ~solver ?store ?system_key g ps demand (singles g) in
   (* Candidate pool: the most damaging single edges, severity descending,
      ties by edge id — a deterministic ordering. *)
   let pool_edges =
@@ -297,7 +297,7 @@ let worst_k ?pool ?(solver = Semi_oblivious.default_solver) ?store ?system_key
       if options = [] then best
       else begin
         let scens = List.map (combined chosen) options in
-        let reports = run ?pool ~solver ?store ?system_key g ps demand scens in
+        let reports = run ~solver ?store ?system_key g ps demand scens in
         let round_best = best_of reports in
         let added =
           (* Recover which edge the winner added: its scenario's edges

@@ -11,7 +11,7 @@
     within tolerance of the from-scratch solution.
 
     Scenarios are evaluated concurrently on the engine pool; the report
-    list is identical for any job count.  With a store, per-scenario
+    list is identical for any [--jobs].  With a store, per-scenario
     results are cached under a recipe keyed by the graph, demand, path
     system, scenario, solver, and recovery settings, so warm sweeps skip
     the solves entirely and remain byte-identical to cold ones. *)
@@ -49,7 +49,6 @@ val singles : Sso_graph.Graph.t -> Scenario.t list
     classic sweep a special case of {!run}. *)
 
 val run :
-  ?pool:Sso_engine.Pool.t ->
   ?solver:Sso_core.Semi_oblivious.solver ->
   ?store:Sso_artifact.Store.t ->
   ?system_key:string ->
@@ -80,7 +79,6 @@ type summary = {
 val summary : report list -> summary
 
 val worst_k :
-  ?pool:Sso_engine.Pool.t ->
   ?solver:Sso_core.Semi_oblivious.solver ->
   ?store:Sso_artifact.Store.t ->
   ?system_key:string ->

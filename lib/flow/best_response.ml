@@ -34,15 +34,13 @@ type interned = {
 type store = Candidates of Slice_candidates.t * int array | Interned of interned
 
 type t = {
-  pool : Pool.t option;
   support : (int * int) array;
   store : store;
   edges : int array;  (* slot -> edge id; weights and path edges are slots *)
 }
 
-let candidates ?pool sc support =
+let candidates sc support =
   {
-    pool;
     support;
     store = Candidates (sc, Slice_candidates.positions sc support);
     edges = Slice_candidates.edges sc;
@@ -64,7 +62,7 @@ let source_groups support =
   done;
   Array.of_list (List.rev !acc)
 
-let dijkstra ?pool ?avoid g support =
+let dijkstra ?avoid g support =
   let view =
     match avoid with
     | None -> Fun.id
@@ -89,7 +87,7 @@ let dijkstra ?pool ?avoid g support =
     }
   in
   (* A search may load any edge, so slot [e] is edge [e]. *)
-  { pool; support; store = Interned store; edges = Array.init (Graph.m g) Fun.id }
+  { support; store = Interned store; edges = Array.init (Graph.m g) Fun.id }
 
 let intern st i (p : Path.t) =
   match Path_map.find_opt p st.known.(i) with
@@ -108,25 +106,23 @@ let intern st i (p : Path.t) =
 
 let intern_answer st i = function None -> -1 | Some p -> intern st i p
 
-(* Answers are independent within a call, so they fan out on the pool and
+(* A candidate answer is a few candidate sums (O(log n) candidates per
+   pair in an α-sparse system), too little work to repay a pool task:
+   candidates are priced serially, in support order.  Searches are
+   independent within a call, so they fan out on the pool per source and
    come back in support order; interning then runs serially in that
    order, so handles — and everything the solvers derive from them — are
-   the same for any job count.  Tiny supports stay serial: the dispatch
-   overhead would dominate (the cutoff is a constant, never the job count,
-   to preserve determinism). *)
+   the same for any job count.  Tiny supports search serially: the
+   dispatch overhead would dominate (the cutoff is a constant, never the
+   job count, to preserve determinism). *)
 let respond_all t weights =
-  let pairs = Array.length t.support in
   match t.store with
   | Candidates (sc, positions) ->
       let answer i =
         let p = positions.(i) in
         if p < 0 then -1 else Slice_candidates.cheapest sc ~weights p
       in
-      let handles =
-        if pairs < 4 then Array.init pairs answer
-        else Pool.parallel_init ?pool:t.pool pairs answer
-      in
-      (handles, 0)
+      (Array.init (Array.length t.support) answer, 0)
   | Interned st ->
       let weights = st.view weights in
       Obs.incr ~by:(Array.length st.groups) sssp_batches;
@@ -137,8 +133,8 @@ let respond_all t weights =
         (paths, Shortest.Workspace.settled_count (Shortest.Workspace.for_current_domain ()))
       in
       let answers =
-        if pairs < 4 then Array.map search st.groups
-        else Pool.parallel_map ?pool:t.pool search st.groups
+        if Array.length t.support < 4 then Array.map search st.groups
+        else Pool.parallel_map search st.groups
       in
       let paths = Array.concat (Array.to_list (Array.map fst answers)) in
       (Array.mapi (intern_answer st) paths, Array.fold_left (fun acc (_, k) -> acc + k) 0 answers)

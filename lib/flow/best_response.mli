@@ -22,13 +22,11 @@
 
 type t
 
-val candidates :
-  ?pool:Sso_engine.Pool.t -> Slice_candidates.t -> (int * int) array -> t
+val candidates : Slice_candidates.t -> (int * int) array -> t
 (** Cheapest-candidate responses over a slice index; pairs absent from the
     index have no admissible path. *)
 
 val dijkstra :
-  ?pool:Sso_engine.Pool.t ->
   ?avoid:(int -> bool) ->
   Sso_graph.Graph.t -> (int * int) array -> t
 (** Shortest-path responses over all simple paths.  [avoid]ed edges are
@@ -40,9 +38,10 @@ val dijkstra :
 val respond_all : t -> float array -> int array * int
 (** Every pair's handle under per-slot weights ([-1] when the pair has no
     admissible path), in support order, and the number of vertices the
-    searches settled ([0] for candidates).  Answers fan out on the pool;
-    interning then runs serially in support order, so handles are the
-    same for any job count. *)
+    searches settled ([0] for candidates).  Candidates are priced
+    serially; searches fan out on the pool, one per source, and interning
+    then runs serially in support order, so handles are the same for any
+    [--jobs]. *)
 
 val edges : t -> int array
 (** Slot -> edge id: every edge a response can load, ascending — a

@@ -358,26 +358,26 @@ let mwu ?(iters = 300) ?warm ~span ~label g oracle demand =
     end
   end
 
-let mwu_on_slices ?pool ?iters ?warm g sc demand =
+let mwu_on_slices ?iters ?warm g sc demand =
   let label = if Option.is_none warm then "on_paths" else "on_paths_warm" in
   match
-    mwu ?iters ?warm ~span:span_mwu ~label g (Best_response.candidates ?pool sc) demand
+    mwu ?iters ?warm ~span:span_mwu ~label g (Best_response.candidates sc) demand
   with
   | Some result -> result
   | None -> invalid_arg "Min_congestion.mwu_on_slices: demanded pair has no candidates"
 
-let mwu_unrestricted ?pool ?iters g demand =
+let mwu_unrestricted ?iters g demand =
   match
     mwu ?iters ~span:span_mwu_unrestricted ~label:"unrestricted" g
-      (Best_response.dijkstra ?pool g)
+      (Best_response.dijkstra g)
       demand
   with
   | Some result -> result
   | None -> invalid_arg "Min_congestion.mwu_unrestricted: graph is disconnected"
 
-let mwu_unrestricted_avoiding ?pool ?iters ~avoid g demand =
+let mwu_unrestricted_avoiding ?iters ~avoid g demand =
   mwu ?iters ~span:span_mwu_unrestricted ~label:"avoiding" g
-    (Best_response.dijkstra ?pool ~avoid g)
+    (Best_response.dijkstra ~avoid g)
     demand
 
 (* ---------- Exact unrestricted LP (column generation) ---------- *)

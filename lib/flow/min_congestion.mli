@@ -31,13 +31,12 @@ val lp_on_slices :
     (pair, path) variables. *)
 
 val mwu_on_slices :
-  ?pool:Sso_engine.Pool.t ->
   ?iters:int ->
   ?warm:Routing.t * int ->
   Sso_graph.Graph.t -> Slice_candidates.t -> Sso_demand.Demand.t -> Routing.t * float
 (** Approximate version of {!lp_on_slices} via multiplicative weights
     ([iters] defaults to 300; error decays as [O(1/√iters)]).  Results
-    are bit-identical for any [pool].
+    are bit-identical for any [--jobs].
     @raise Invalid_argument if some demanded pair has no candidates.
 
     The rounds keep their state per slot class
@@ -70,7 +69,6 @@ val lp_unrestricted :
     @raise Invalid_argument if a demanded pair is disconnected. *)
 
 val mwu_unrestricted :
-  ?pool:Sso_engine.Pool.t ->
   ?iters:int ->
   Sso_graph.Graph.t -> Sso_demand.Demand.t -> Routing.t * float
 (** Approximate [opt_{G,ℝ}(d)] with a Dijkstra best-response oracle.  The
@@ -81,11 +79,10 @@ val mwu_unrestricted :
     source's targets from one Dijkstra pass over the round's flat weight
     array that stops once they have settled
     ({!Sso_graph.Shortest.dijkstra_targets}).  The routing is
-    bit-identical for any [pool] size.  Each search adds its settled
+    bit-identical for any [--jobs].  Each search adds its settled
     vertices to the [mwu.sssp_settled] counter. *)
 
 val mwu_unrestricted_avoiding :
-  ?pool:Sso_engine.Pool.t ->
   ?iters:int ->
   avoid:(int -> bool) ->
   Sso_graph.Graph.t -> Sso_demand.Demand.t -> (Routing.t * float) option

@@ -136,7 +136,7 @@ let ball_add ball v d =
   ball.ds.(ball.len) <- d;
   ball.len <- ball.len + 1
 
-let build ?pool rng g ~length =
+let build rng g ~length =
   let n = Graph.n g and m = Graph.m g in
   check_connected g;
   (* Snapshot the clamped metric: callers (the Räcke MWU loop) pass
@@ -260,7 +260,7 @@ let build ?pool rng g ~length =
               let b = min !batch (n - !j) in
               let first = !j in
               ignore
-                (Pool.parallel_init ?pool b (fun k ->
+                (Pool.parallel_init b (fun k ->
                      let ws = Shortest.Workspace.for_current_domain () in
                      let ball = balls.(k) in
                      ball.len <- 0;

@@ -11,9 +11,7 @@
 type t
 (** One sampled decomposition tree over a graph. *)
 
-val build :
-  ?pool:Sso_engine.Pool.t ->
-  Sso_prng.Rng.t -> Sso_graph.Graph.t -> length:(int -> float) -> t
+val build : Sso_prng.Rng.t -> Sso_graph.Graph.t -> length:(int -> float) -> t
 (** Sample a decomposition w.r.t. the shortest-path metric induced by the
     per-edge [length] function (values are clamped below by a tiny positive
     constant, so zero lengths are safe).  Built level-wise by growing
@@ -21,7 +19,7 @@ val build :
     each vertex joins the first center within the level radius — so work is
     near-linear per level and memory is O(n·levels + m); no all-pairs
     distance matrix is ever formed.  Center batches within a level run on
-    [pool]; chains and cluster ids are bit-identical at any job count.
+    the pool; chains and cluster ids are bit-identical at any [--jobs].
     @raise Invalid_argument if the graph is disconnected. *)
 
 type parts = {

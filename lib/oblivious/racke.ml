@@ -20,6 +20,9 @@ let trees_counter = Obs.counter "racke.trees"
    chunk has not touched yet. *)
 let tree_load_chunks = 64
 
+(* Trees per MWU round (see {!forest}). *)
+let batch = 4
+
 type load_scratch = { mutable sums : float array; mutable touched : int array }
 
 let load_scratch_key =
@@ -33,14 +36,14 @@ let load_scratch_for m =
   end;
   sc
 
-let tree_loads ?pool g tree =
+let tree_loads g tree =
   let m = Graph.m g in
   let loads = Array.make m 0.0 in
   if m > 0 then begin
     let edges = Graph.edges g in
     let chunks = min tree_load_chunks m in
     let partials =
-      Pool.parallel_init ?pool chunks (fun k ->
+      Pool.parallel_init chunks (fun k ->
           let lo = k * m / chunks and hi = (k + 1) * m / chunks in
           let sc = load_scratch_for m in
           let sums = sc.sums and touched = sc.touched in
@@ -89,19 +92,18 @@ let default_trees g =
   let rec log2 acc v = if v <= 1 then acc else log2 (acc + 1) ((v + 1) / 2) in
   (2 * log2 0 n) + 4
 
-let forest ?pool rng ?trees ?(batch = 4) g =
+let forest rng ?trees g =
   let count = match trees with Some c -> c | None -> default_trees g in
   if count <= 0 then invalid_arg "Racke.forest: need at least one tree";
-  if batch <= 0 then invalid_arg "Racke.forest: batch must be positive";
   let m = Graph.m g in
   let cum = Array.make m 0.0 in
   (* Exponential penalties, normalized for stability; eta balances greed
      against diversity across the fixed number of rounds.  Trees are built
      in rounds of [batch]: every tree of a round shares the penalties
      accumulated by earlier rounds and gets its own index-keyed RNG child,
-     so the mixture depends on [batch] but never on [jobs].  The trees of a
-     round are built one after another — the parallelism lives {e inside}
-     each build (per-level center batches in {!Frt.build}) and inside each
+     so the mixture never depends on [--jobs].  The trees of a round are
+     built one after another — the parallelism lives {e inside} each build
+     (per-level center batches in {!Frt.build}) and inside each
      {!tree_loads} pass (edge chunks), where it scales with the graph
      instead of with the round width. *)
   let eta = 1.0 in
@@ -133,9 +135,9 @@ let forest ?pool rng ?trees ?(batch = 4) g =
         let round =
           Array.init b (fun i ->
               let tree_rng = Rng.split_at base_rng (first + i) in
-              let tree = Frt.build ?pool tree_rng g ~length in
+              let tree = Frt.build tree_rng g ~length in
               let loads =
-                Obs.with_span tree_loads_span (fun () -> tree_loads ?pool g tree)
+                Obs.with_span tree_loads_span (fun () -> tree_loads g tree)
               in
               (tree, loads))
         in
@@ -173,4 +175,4 @@ let of_forest g forest =
     (Array.make count (1.0 /. float_of_int count))
     (fun s t i -> Frt.route forest.(i) s t)
 
-let routing ?pool rng ?trees ?batch g = of_forest g (forest ?pool rng ?trees ?batch g)
+let routing rng ?trees g = of_forest g (forest rng ?trees g)

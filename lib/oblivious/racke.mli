@@ -14,43 +14,37 @@
     empirically polylog-competitive on our testbed, which suffices because
     Theorem 5.3 is stated relative to the base routing [R]. *)
 
-val routing :
-  ?pool:Sso_engine.Pool.t ->
-  Sso_prng.Rng.t -> ?trees:int -> ?batch:int -> Sso_graph.Graph.t -> Oblivious.t
+val routing : Sso_prng.Rng.t -> ?trees:int -> Sso_graph.Graph.t -> Oblivious.t
 (** Build the routing from [trees] sampled decompositions (default
     [2·⌈log₂ n⌉ + 4]).  Construction cost: [trees] FRT builds plus one
-    capacity-routing pass per tree.  Trees are sampled in rounds of
-    [batch] (default 4): trees within a round share the penalty state of
-    the previous rounds, each from its own index-keyed RNG child, so the
-    mixture depends on [batch] but never on the job count.  Parallelism
-    runs on [pool] (default: the process pool) {e inside} each tree —
-    per-level center batches in {!Frt.build} and edge chunks in
-    {!tree_loads} — where it scales with the graph instead of with the
-    round width; the result is bit-identical for any job count. *)
+    capacity-routing pass per tree.  Trees are sampled in rounds of 4:
+    trees within a round share the penalty state of the previous rounds,
+    each from its own index-keyed RNG child, so the mixture never depends
+    on the job count.  Parallelism runs on the process pool {e inside}
+    each tree — per-level center batches in {!Frt.build} and edge chunks
+    in {!tree_loads} — where it scales with the graph instead of with the
+    round width; the result is bit-identical for any [--jobs]. *)
 
 val default_trees : Sso_graph.Graph.t -> int
 (** The default tree count, [2·⌈log₂ n⌉ + 4]. *)
 
-val forest :
-  ?pool:Sso_engine.Pool.t ->
-  Sso_prng.Rng.t -> ?trees:int -> ?batch:int -> Sso_graph.Graph.t -> Frt.t list
+val forest : Sso_prng.Rng.t -> ?trees:int -> Sso_graph.Graph.t -> Frt.t list
 (** The MWU-sampled tree mixture behind {!routing}, exposed so the artifact
     store can persist it ({!Frt.to_parts}) and rebuild the routing without
     re-running the construction.
-    @raise Invalid_argument naming [Racke.forest] if [trees] or [batch] is
-    not positive ({!routing} raises the same). *)
+    @raise Invalid_argument naming [Racke.forest] if [trees] is not
+    positive ({!routing} raises the same). *)
 
 val of_forest : Sso_graph.Graph.t -> Frt.t list -> Oblivious.t
 (** The uniform {!Oblivious.mixture} over an already-built forest:
     sampling a pair routes only the trees it draws.
     [routing rng g = of_forest g (forest rng g)]. *)
 
-val tree_loads :
-  ?pool:Sso_engine.Pool.t -> Sso_graph.Graph.t -> Frt.t -> float array
+val tree_loads : Sso_graph.Graph.t -> Frt.t -> float array
 (** Relative load per edge when each graph edge routes its capacity along
     the tree path between its endpoints — the penalty signal of the MWU
     loop, exposed for tests and diagnostics.  Edges are routed in fixed
-    chunks on [pool]; each chunk streams its routes ({!Frt.iter_route}, no
+    chunks on the pool; each chunk streams its routes ({!Frt.iter_route}, no
     path is built) into its domain's dense scratch (O(m) once per domain,
     left zeroed) in edge-index order, and chunks merge in chunk order, so
     the float sums are identical at any job count.  Traced as one [racke.tree_loads] span per tree inside

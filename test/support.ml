@@ -1,4 +1,5 @@
-(* Demand predicates the test suites check generated demands against. *)
+(* Helpers the test suites share: demand predicates, the job-count
+   switch for jobs-invariance tests, and the property runner. *)
 
 module Demand = Sso_demand.Demand
 
@@ -15,3 +16,22 @@ let is_permutation d =
   let distinct l = List.length (List.sort_uniq compare l) = List.length l in
   let support = Demand.support d in
   Demand.is_zero_one d && distinct (List.map fst support) && distinct (List.map snd support)
+
+module Pool = Sso_engine.Pool
+
+(* [f ()] with the process pool at [jobs], the previous job count
+   restored afterwards, whether [f] returns or raises. *)
+let with_jobs jobs f =
+  let before = Pool.default_jobs () in
+  Pool.set_default_jobs jobs;
+  Fun.protect ~finally:(fun () -> Pool.set_default_jobs before) f
+
+(* The seed every property draws from, so a failing case reproduces run
+   after run.  Setting [QCHECK_SEED] overrides it: qcheck-alcotest reads
+   that variable itself when no generator is passed. *)
+let qcheck_seed = 424242
+
+let to_alcotest test =
+  match Sys.getenv_opt "QCHECK_SEED" with
+  | Some _ -> QCheck_alcotest.to_alcotest test
+  | None -> QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| qcheck_seed |]) test

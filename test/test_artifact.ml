@@ -3,7 +3,6 @@
    miss), and the memoizing wrappers' bit-identical warm starts. *)
 
 module Rng = Sso_prng.Rng
-module Pool = Sso_engine.Pool
 module Obs = Sso_obs.Obs
 module Graph = Sso_graph.Graph
 module Path = Sso_graph.Path
@@ -22,10 +21,6 @@ module Arena = Sso_graph.Arena
 module Codec = Sso_artifact.Codec
 module Store = Sso_artifact.Store
 module Memo = Sso_artifact.Memo
-
-let with_pool jobs f =
-  let p = Pool.create ~jobs () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
 
 let tmp_counter = ref 0
 
@@ -750,13 +745,13 @@ let test_e2e_cold_warm_jobs () =
   let g, _ = Gen.abilene () in
   let d = Demand.gravity (Rng.create 2) ~n:(Graph.n g) ~total:30.0 in
   let run jobs =
-    with_pool jobs @@ fun pool ->
+    Support.with_jobs jobs @@ fun () ->
     let rng = Rng.create 5 in
     let racke_rng = Rng.split rng in
     let base_key =
       Codec.hex_of_key (Store.key (Memo.racke_recipe ~rng:racke_rng g))
     in
-    let racke = Memo.racke ~store:st ~pool racke_rng g in
+    let racke = Memo.racke ~store:st racke_rng g in
     let system =
       Memo.alpha_sample ~store:st ~base_key (Rng.split rng) racke ~alpha:4
         ~pairs:(Demand.support d)
@@ -787,10 +782,10 @@ let () =
         ] );
       ( "codec-objects",
         [
-          QCheck_alcotest.to_alcotest prop_demand_roundtrip;
-          QCheck_alcotest.to_alcotest prop_path_roundtrip;
-          QCheck_alcotest.to_alcotest prop_path_system_roundtrip;
-          QCheck_alcotest.to_alcotest prop_distributions_roundtrip;
+          Support.to_alcotest prop_demand_roundtrip;
+          Support.to_alcotest prop_path_roundtrip;
+          Support.to_alcotest prop_path_system_roundtrip;
+          Support.to_alcotest prop_distributions_roundtrip;
           Alcotest.test_case "routing roundtrip" `Quick test_routing_roundtrip;
           Alcotest.test_case "forest roundtrip" `Quick test_forest_roundtrip;
           Alcotest.test_case "forest truncated" `Quick test_forest_truncated_is_corrupt;

@@ -23,7 +23,6 @@ module Process = Sso_core.Process
 module Completion = Sso_core.Completion
 module Lower_bound = Sso_core.Lower_bound
 module Special = Sso_core.Special
-module Pool = Sso_engine.Pool
 module Sweep = Sso_fault.Sweep
 
 let all_pairs n =
@@ -276,9 +275,7 @@ let test_materialize_parallel_jobs_invariant () =
     (match jobs with
     | None -> Path_system.materialize ps pairs
     | Some jobs ->
-        let pool = Pool.create ~jobs () in
-        Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () ->
-            Path_system.materialize_parallel ~pool ps pairs));
+        Support.with_jobs jobs (fun () -> Path_system.materialize_parallel ps pairs));
     let arena = Path_system.arena ps in
     ( List.map
         (fun (s, t) ->
@@ -1030,8 +1027,8 @@ let test_theory_validates_input () =
      with Invalid_argument _ -> true)
 
 (* Every single-link failure, evaluated by the fault sweep. *)
-let single_failures ?pool g ps d =
-  Sweep.run ?pool ~solver:(Semi_oblivious.Mwu 100) g ps d (Sweep.singles g)
+let single_failures g ps d =
+  Sweep.run ~solver:(Semi_oblivious.Mwu 100) g ps d (Sweep.singles g)
 
 (* A report as its exact bits: reports carry nan fields, so [=] between
    two identical report lists is false. *)
@@ -1272,7 +1269,9 @@ let test_robustness_parallel_edges_share_solves () =
   Alcotest.(check bool) "e0 survivable" true r0.Sweep.survivable;
   Alcotest.(check bool) "e1 survivable" true r1.Sweep.survivable;
   (* And the report list is bit-identical at any job count. *)
-  let at_jobs jobs = List.map report_bits (single_failures ~pool:(Pool.create ~jobs ()) g ps d) in
+  let at_jobs jobs =
+    Support.with_jobs jobs (fun () -> List.map report_bits (single_failures g ps d))
+  in
   Alcotest.(check (list string)) "jobs-invariant" (at_jobs 1) (at_jobs 4)
 
 (* Auxiliary graph (Corollary 6.2) *)
@@ -1682,7 +1681,7 @@ let () =
             test_aux_distribution_matches_direct_sample;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
+        List.map Support.to_alcotest
           [
             prop_alpha_sample_always_sparse;
             prop_stage4_never_beats_unrestricted;

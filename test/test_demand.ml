@@ -407,7 +407,7 @@ let () =
             test_generate_zero_churn_is_static;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
+        List.map Support.to_alcotest
           [
             prop_add_siz;
             prop_scale_linear;

@@ -13,70 +13,60 @@ module Semi_oblivious = Sso_core.Semi_oblivious
 module Lower_bound = Sso_core.Lower_bound
 module Sweep = Sso_fault.Sweep
 
-let with_pool jobs f =
-  let p = Pool.create ~jobs () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
+let with_jobs = Support.with_jobs
 
 (* ---- basic pool semantics ---- *)
 
 let test_map_matches_serial () =
-  with_pool 4 @@ fun p ->
+  with_jobs 4 @@ fun () ->
   let input = Array.init 100 (fun i -> i - 50) in
   let f x = (x * x) - (3 * x) in
   Alcotest.(check (array int))
     "jobs:4 equals Array.map" (Array.map f input)
-    (Pool.parallel_map ~pool:p f input)
+    (Pool.parallel_map f input)
 
 let test_init_matches_serial () =
-  with_pool 4 @@ fun p ->
+  with_jobs 4 @@ fun () ->
   let f i = Printf.sprintf "task-%d" (i * 7) in
   Alcotest.(check (array string))
     "jobs:4 equals Array.init" (Array.init 33 f)
-    (Pool.parallel_init ~pool:p 33 f)
+    (Pool.parallel_init 33 f)
 
 let test_jobs1_serial () =
-  with_pool 1 @@ fun p ->
-  Alcotest.(check int) "jobs" 1 (Pool.jobs p);
+  with_jobs 1 @@ fun () ->
+  Alcotest.(check int) "jobs" 1 (Pool.default_jobs ());
   Alcotest.(check (array int)) "still correct" [| 0; 2; 4 |]
-    (Pool.parallel_init ~pool:p 3 (fun i -> 2 * i))
+    (Pool.parallel_init 3 (fun i -> 2 * i))
 
 let test_empty_inputs () =
-  with_pool 4 @@ fun p ->
+  with_jobs 4 @@ fun () ->
   Alcotest.(check (array int)) "empty map" [||]
-    (Pool.parallel_map ~pool:p (fun x -> x) [||]);
+    (Pool.parallel_map (fun x -> x) [||]);
   Alcotest.(check (array int)) "zero init" [||]
-    (Pool.parallel_init ~pool:p 0 (fun _ -> assert false));
+    (Pool.parallel_init 0 (fun _ -> assert false));
   Alcotest.(check (list int)) "empty list" []
-    (Pool.parallel_list_map ~pool:p (fun x -> x) [])
+    (Pool.parallel_list_map (fun x -> x) [])
 
 let test_list_map_order () =
-  with_pool 4 @@ fun p ->
+  with_jobs 4 @@ fun () ->
   let l = List.init 50 (fun i -> i) in
   Alcotest.(check (list int)) "order preserved" (List.map (fun x -> x + 1) l)
-    (Pool.parallel_list_map ~pool:p (fun x -> x + 1) l)
+    (Pool.parallel_list_map (fun x -> x + 1) l)
 
 let test_exception_lowest_index () =
-  with_pool 4 @@ fun p ->
+  with_jobs 4 @@ fun () ->
   Alcotest.check_raises "lowest failing index wins" (Failure "task 3")
     (fun () ->
       ignore
-        (Pool.parallel_init ~pool:p 64 (fun i ->
+        (Pool.parallel_init 64 (fun i ->
              if i mod 7 = 3 then failwith (Printf.sprintf "task %d" i) else i)))
 
-let test_shutdown_fallback () =
-  let p = Pool.create ~jobs:4 () in
-  Pool.shutdown p;
-  Pool.shutdown p;
-  (* shut-down pools degrade to serial execution *)
-  Alcotest.(check (array int)) "serial fallback" [| 0; 1; 4; 9 |]
-    (Pool.parallel_init ~pool:p 4 (fun i -> i * i))
-
 let test_nested_calls_serialize () =
-  with_pool 4 @@ fun p ->
+  with_jobs 4 @@ fun () ->
   let results =
-    Pool.parallel_init ~pool:p 8 (fun i ->
+    Pool.parallel_init 8 (fun i ->
         let inside = Pool.inside_task () in
-        let inner = Pool.parallel_init ~pool:p 10 (fun j -> (i * 10) + j) in
+        let inner = Pool.parallel_init 10 (fun j -> (i * 10) + j) in
         (inside, Array.fold_left ( + ) 0 inner))
   in
   Array.iteri
@@ -90,11 +80,33 @@ let test_default_jobs_plumbing () =
   let before = Pool.default_jobs () in
   Pool.set_default_jobs 3;
   Alcotest.(check int) "set_default_jobs" 3 (Pool.default_jobs ());
-  Alcotest.(check int) "default pool adopts it" 3 (Pool.jobs (Pool.default ()));
   Pool.set_default_jobs before;
   Alcotest.check_raises "invalid jobs"
     (Invalid_argument "Engine.Pool.set_default_jobs: jobs must be >= 1")
     (fun () -> Pool.set_default_jobs 0)
+
+(* The jobs-invariance tests compare runs under [with_jobs]: it must
+   really run its body at the requested count, and hand the previous
+   count back however the body ends. *)
+let test_with_jobs () =
+  let before = Pool.default_jobs () in
+  let outer = if before = 3 then 2 else 3 in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check int)
+        (Printf.sprintf "body runs at jobs %d" jobs)
+        jobs
+        (with_jobs jobs Pool.default_jobs))
+    [ 1; 4 ];
+  Alcotest.(check int) "previous count restored" before (Pool.default_jobs ());
+  Pool.set_default_jobs outer;
+  Fun.protect ~finally:(fun () -> Pool.set_default_jobs before) @@ fun () ->
+  Alcotest.check_raises "the body's exception escapes" Exit (fun () ->
+      with_jobs 4 (fun () ->
+          Alcotest.(check int) "raising body runs at jobs 4" 4 (Pool.default_jobs ());
+          raise Exit));
+  Alcotest.(check int) "previous count restored after a raise" outer
+    (Pool.default_jobs ())
 
 (* ---- job-count invariance on randomized workloads ---- *)
 
@@ -111,17 +123,17 @@ let prop_job_count_invariant =
         done;
         !acc
       in
-      let serial = with_pool 1 (fun p -> Pool.parallel_map ~pool:p f input) in
-      let parallel = with_pool 4 (fun p -> Pool.parallel_map ~pool:p f input) in
+      let serial = with_jobs 1 (fun () -> Pool.parallel_map f input) in
+      let parallel = with_jobs 4 (fun () -> Pool.parallel_map f input) in
       serial = parallel)
 
 (* ---- end-to-end determinism: the E3 adversary table ---- *)
 
-let e3_table pool =
+let e3_table () =
   let k = 3 in
   let c = Gen.c_graph 6 k in
   let rows =
-    Pool.parallel_map ~pool
+    Pool.parallel_map
       (fun alpha ->
         let rng = Rng.create (300 + alpha) in
         let base = Ksp.routing ~k:(2 * k) c.Gen.c_graph in
@@ -139,8 +151,8 @@ let e3_table pool =
   String.concat "" (Array.to_list rows)
 
 let test_e3_table_determinism () =
-  let serial = with_pool 1 e3_table in
-  let parallel = with_pool 4 e3_table in
+  let serial = with_jobs 1 e3_table in
+  let parallel = with_jobs 4 e3_table in
   Alcotest.(check string) "byte-identical adversary table" serial parallel
 
 (* ---- end-to-end determinism: the E14 failure sweep ---- *)
@@ -156,9 +168,8 @@ let test_robustness_sweep_determinism () =
   in
   let run jobs =
     let d, system = make_inputs () in
-    with_pool jobs (fun p ->
-        Sweep.run ~pool:p ~solver:(Semi_oblivious.Mwu 40) g system d
-          (Sweep.singles g))
+    with_jobs jobs (fun () ->
+        Sweep.run ~solver:(Semi_oblivious.Mwu 40) g system d (Sweep.singles g))
   in
   let serial = run 1 and parallel = run 4 in
   Alcotest.(check int) "one report per edge" (Graph.m g) (List.length serial);
@@ -191,9 +202,9 @@ let test_counter_registry () =
 let test_counter_concurrent () =
   Obs.reset_metrics ();
   let c = Obs.counter "test.concurrent" in
-  with_pool 4 (fun p ->
+  with_jobs 4 (fun () ->
       ignore
-        (Pool.parallel_init ~pool:p 8 (fun _ ->
+        (Pool.parallel_init 8 (fun _ ->
              for _ = 1 to 1000 do
                Obs.incr c
              done)));
@@ -240,13 +251,13 @@ let () =
           Alcotest.test_case "list order" `Quick test_list_map_order;
           Alcotest.test_case "exception propagation" `Quick
             test_exception_lowest_index;
-          Alcotest.test_case "shutdown fallback" `Quick test_shutdown_fallback;
           Alcotest.test_case "nested calls" `Quick test_nested_calls_serialize;
           Alcotest.test_case "default jobs" `Quick test_default_jobs_plumbing;
+          Alcotest.test_case "with_jobs" `Quick test_with_jobs;
         ] );
       ( "determinism",
         [
-          QCheck_alcotest.to_alcotest prop_job_count_invariant;
+          Support.to_alcotest prop_job_count_invariant;
           Alcotest.test_case "E3 adversary table" `Slow test_e3_table_determinism;
           Alcotest.test_case "E14 failure sweep" `Slow
             test_robustness_sweep_determinism;

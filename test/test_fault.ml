@@ -13,7 +13,6 @@ module Path_system = Sso_core.Path_system
 module Sampler = Sso_core.Sampler
 module Semi_oblivious = Sso_core.Semi_oblivious
 module Ksp = Sso_oblivious.Ksp
-module Pool = Sso_engine.Pool
 module Codec = Sso_artifact.Codec
 module Simulator = Sso_sim.Simulator
 module Scenario = Sso_fault.Scenario
@@ -216,8 +215,8 @@ let torus_sweep_fixture seed =
 let test_sweep_jobs_invariance () =
   let g, system, d, scenarios = torus_sweep_fixture 5 in
   let at_jobs jobs =
-    let pool = Pool.create ~jobs () in
-    Sweep.run ~pool ~solver ~recovery:Sweep.default_recovery g system d scenarios
+    Support.with_jobs jobs (fun () ->
+        Sweep.run ~solver ~recovery:Sweep.default_recovery g system d scenarios)
   in
   let r1 = at_jobs 1 and r4 = at_jobs 4 in
   (* compare, not (=): unmeasured warm_congestion is nan. *)
@@ -226,8 +225,7 @@ let test_sweep_jobs_invariance () =
 let test_worst_k_jobs_invariance_and_monotone () =
   let g, system, d, _ = torus_sweep_fixture 6 in
   let at_jobs jobs =
-    let pool = Pool.create ~jobs () in
-    Sweep.worst_k ~pool ~solver ~candidates:4 g system d ~k:2
+    Support.with_jobs jobs (fun () -> Sweep.worst_k ~solver ~candidates:4 g system d ~k:2)
   in
   let w1 = at_jobs 1 and w4 = at_jobs 4 in
   Alcotest.(check bool) "jobs 1 = jobs 4" true (compare w1 w4 = 0);

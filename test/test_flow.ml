@@ -563,11 +563,9 @@ let prop_round_preserves_counts =
       packet_counts a = [| ((0, 3), packets) |])
 
 (* Source-batched oracles: the unrestricted MWU must return byte-identical
-   routings at any pool size (E3/E14 depend on it).  That each batched
+   routings at any job count (E3/E14 depend on it).  That each batched
    search returns the full run's path is the qcheck property
    [dijkstra_targets = full run + path] in test_graph.ml. *)
-
-module Pool = Sso_engine.Pool
 
 let exact_same_routing label r1 r2 =
   let dump r =
@@ -587,17 +585,15 @@ let batched_demand () =
   Demand.of_list
     [ (0, 5, 1.0); (0, 7, 2.0); (0, 11, 1.0); (2, 9, 1.5); (2, 13, 1.0); (4, 10, 0.5) ]
 
-let with_pool jobs f =
-  let p = Pool.create ~jobs () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
 
 let test_mwu_unrestricted_jobs_invariant () =
   let rng = Rng.create 21 in
   let g = Gen.random_regular rng 16 4 in
   let d = batched_demand () in
-  let solve pool = fst (Min_congestion.mwu_unrestricted ~pool ~iters:60 g d) in
-  with_pool 1 @@ fun p1 ->
-  with_pool 4 @@ fun p4 -> exact_same_routing "jobs 4" (solve p1) (solve p4)
+  let solve jobs =
+    Support.with_jobs jobs (fun () -> fst (Min_congestion.mwu_unrestricted ~iters:60 g d))
+  in
+  exact_same_routing "jobs 4" (solve 1) (solve 4)
 
 let test_sssp_settled_counter () =
   (* [mwu.sssp_settled] adds each search's settled vertices: the same at
@@ -607,15 +603,14 @@ let test_sssp_settled_counter () =
   let g = Gen.hypercube 5 in
   let d = Demand.bit_reversal 5 in
   let iters = 20 in
-  let count pool =
+  let count jobs =
+    Support.with_jobs jobs @@ fun () ->
     let before = Sso_obs.Obs.counter_value settled in
-    ignore (Min_congestion.mwu_unrestricted ~pool ~iters g d);
+    ignore (Min_congestion.mwu_unrestricted ~iters g d);
     Sso_obs.Obs.counter_value settled - before
   in
-  with_pool 1 @@ fun p1 ->
-  with_pool 4 @@ fun p4 ->
-  let bounded = count p1 in
-  Alcotest.(check int) "jobs 4" bounded (count p4);
+  let bounded = count 1 in
+  Alcotest.(check int) "jobs 4" bounded (count 4);
   let full = (iters + 1) * Demand.support_size d * Graph.n g in
   Alcotest.(check bool)
     (Printf.sprintf "early exit settles fewer (%d < %d)" bounded full)
@@ -1242,11 +1237,11 @@ let () =
           Alcotest.test_case "empty demand" `Quick test_lp_empty_demand;
           Alcotest.test_case "unrestricted known value" `Quick test_lp_unrestricted_known_value;
           Alcotest.test_case "unrestricted pins" `Quick test_unrestricted_pins;
-          QCheck_alcotest.to_alcotest prop_column_generation_matches_edge_lp;
+          Support.to_alcotest prop_column_generation_matches_edge_lp;
         ] );
       ( "mwu",
         [
-          QCheck_alcotest.to_alcotest prop_find_inverts_path;
+          Support.to_alcotest prop_find_inverts_path;
           Alcotest.test_case "matches lp" `Slow test_mwu_matches_lp;
           Alcotest.test_case "square" `Quick test_mwu_on_square;
           Alcotest.test_case "unrestricted square" `Quick test_mwu_unrestricted_square;
@@ -1291,7 +1286,7 @@ let () =
             test_local_search_preserves_demand;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
+        List.map Support.to_alcotest
           [
             prop_round_preserves_counts;
             prop_store_edges_are_candidate_edges;

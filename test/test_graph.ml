@@ -1646,7 +1646,7 @@ let () =
           Alcotest.test_case "concat" `Quick test_path_concat;
           Alcotest.test_case "concat cancels" `Quick test_path_concat_cancels;
           Alcotest.test_case "weight" `Quick test_path_weight;
-          QCheck_alcotest.to_alcotest prop_simplify_matches_reference;
+          Support.to_alcotest prop_simplify_matches_reference;
         ] );
       ( "shortest",
         [
@@ -1775,7 +1775,7 @@ let () =
             test_arena_kernels_allocate_nothing;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
+        List.map Support.to_alcotest
           [
             prop_matching_valid;
             prop_arena_path_roundtrip;

@@ -326,6 +326,6 @@ let () =
           Alcotest.test_case "numerical breakdown" `Quick test_numerical_breakdown;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
+        List.map Support.to_alcotest
           [ prop_random_le_lps_bounded_feasible; prop_solution_feasible; prop_duals_certify ] );
     ]

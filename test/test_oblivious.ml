@@ -17,7 +17,6 @@ module Ksp = Sso_oblivious.Ksp
 module Frt = Sso_oblivious.Frt
 module Racke = Sso_oblivious.Racke
 module Hop_constrained = Sso_oblivious.Hop_constrained
-module Pool = Sso_engine.Pool
 module Obs = Sso_obs.Obs
 
 let check_distribution_valid g obl pairs =
@@ -358,11 +357,7 @@ let test_tree_loads_scratch_and_jobs () =
      zeroed), on graphs with fewer than 64 edges and with m not a multiple
      of 64. *)
   let bits a = Array.map Int64.bits_of_float a in
-  let loads jobs g tree =
-    let pool = Pool.create ~jobs () in
-    Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () ->
-        bits (Racke.tree_loads ~pool g tree))
-  in
+  let loads jobs g tree = Support.with_jobs jobs (fun () -> bits (Racke.tree_loads g tree)) in
   List.iter
     (fun (name, g) ->
       let length e = 1.0 +. (float_of_int ((e * 7) mod 5) /. 3.0) in
@@ -443,16 +438,12 @@ let test_frt_segment_index_fills () =
      order pairs are routed; none of that may change a route or a load.
      Fresh trees keep the index cold, so jobs 4 races its fills. *)
   let bits a = Array.map Int64.bits_of_float a in
-  let with_pool jobs f =
-    let p = Pool.create ~jobs () in
-    Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
-  in
   List.iter
     (fun (name, g) ->
       let length e = 1.0 +. float_of_int (e mod 3) in
       let build () = Frt.build (Rng.create 31) g ~length in
       let loads jobs =
-        with_pool jobs (fun pool -> bits (Racke.tree_loads ~pool g (build ())))
+        Support.with_jobs jobs (fun () -> bits (Racke.tree_loads g (build ())))
       in
       Alcotest.(check bool) (name ^ ": cold-index loads, jobs 1 = jobs 4") true
         (loads 1 = loads 4);
@@ -642,22 +633,15 @@ let test_racke_forest_rejects_bad_counts () =
   let g = Gen.grid 3 3 in
   Alcotest.check_raises "no trees"
     (Invalid_argument "Racke.forest: need at least one tree") (fun () ->
-      ignore (Racke.forest (Rng.create 1) ~trees:0 g));
-  Alcotest.check_raises "no batch"
-    (Invalid_argument "Racke.forest: batch must be positive") (fun () ->
-      ignore (Racke.forest (Rng.create 1) ~batch:0 g))
+      ignore (Racke.forest (Rng.create 1) ~trees:0 g))
 
 let test_frt_forest_jobs_invariant () =
   (* Bit-identical forests at any job count: the batched ball-growing
      schedule is a function of the claim state alone, and batches merge
      serially in permutation order. *)
   let g = Gen.random_regular (Rng.create 51) 1000 4 in
-  let with_pool jobs f =
-    let p = Pool.create ~jobs () in
-    Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
-  in
-  let build pool = Racke.forest ~pool (Rng.create 52) ~trees:3 ~batch:2 g in
-  let f1 = with_pool 1 build and f4 = with_pool 4 build in
+  let build jobs = Support.with_jobs jobs (fun () -> Racke.forest (Rng.create 52) ~trees:5 g) in
+  let f1 = build 1 and f4 = build 4 in
   Alcotest.(check bool) "forests bit-identical across job counts" true
     (List.map Frt.to_parts f1 = List.map Frt.to_parts f4)
 
@@ -912,7 +896,7 @@ let () =
           Alcotest.test_case "ecube shortest" `Quick test_ecube_is_shortest_on_cube;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
+        List.map Support.to_alcotest
           [
             prop_frt_ball_growing_matches_all_pairs;
             prop_iter_route_matches_route;

@@ -160,7 +160,7 @@ let prop_attrs_roundtrip =
   let print attrs =
     String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ value_str v) attrs)
   in
-  QCheck_alcotest.to_alcotest
+  Support.to_alcotest
     (Test.make ~count:200 ~name:"attr lists survive save/load"
        (make ~print attrs_gen)
        (fun attrs ->
@@ -276,10 +276,9 @@ let test_multidomain_saturation () =
       Obs.clear_trace ())
   @@ fun () ->
   Obs.set_tracing true;
-  let pool = Pool.create ~jobs:4 () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  Support.with_jobs 4 @@ fun () ->
   ignore
-    (Pool.parallel_init ~pool tasks (fun i ->
+    (Pool.parallel_init tasks (fun i ->
          for j = 0 to per_task - 1 do
            Obs.event "sat.tick"
              ~attrs:[ ("task", Trace.Int i); ("j", Trace.Int j) ]
@@ -493,24 +492,22 @@ let test_histogram_trailer () =
 
 let normalize (e : Trace.event) = { e with Trace.ts_ns = 0; dur_ns = 0 }
 
-let workload pool =
+let workload () =
   let g = Gen.grid 4 4 in
-  ignore (Racke.routing ~pool (Rng.create 11) ~trees:6 ~batch:3 g);
+  ignore (Racke.routing (Rng.create 11) ~trees:6 g);
   let d = Demand.random_pairs (Rng.create 12) ~n:(Graph.n g) ~pairs:5 in
-  ignore (Min_congestion.mwu_unrestricted ~pool ~iters:8 g d);
+  ignore (Min_congestion.mwu_unrestricted ~iters:8 g d);
   ignore
-    (Pool.parallel_init ~pool 5 (fun i ->
+    (Pool.parallel_init 5 (fun i ->
          Obs.traced "task.body" (fun () ->
              Obs.event "task.tick" ~attrs:[ ("i", Trace.Int i) ];
              i)))
 
 let capture jobs =
-  let pool = Pool.create ~jobs () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  Support.with_jobs jobs @@ fun () ->
   Obs.clear_trace ();
   Obs.set_tracing true;
-  Fun.protect ~finally:(fun () -> Obs.set_tracing false) (fun () ->
-      workload pool);
+  Fun.protect ~finally:(fun () -> Obs.set_tracing false) workload;
   List.map (fun e -> event_str (normalize e)) (Obs.events ())
 
 let test_jobs_determinism () =
@@ -521,12 +518,10 @@ let test_jobs_determinism () =
   Obs.clear_trace ()
 
 let capture_events jobs =
-  let pool = Pool.create ~jobs () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  Support.with_jobs jobs @@ fun () ->
   Obs.clear_trace ();
   Obs.set_tracing true;
-  Fun.protect ~finally:(fun () -> Obs.set_tracing false) (fun () ->
-      workload pool);
+  Fun.protect ~finally:(fun () -> Obs.set_tracing false) workload;
   let events = List.map normalize (Obs.events ()) in
   Obs.clear_trace ();
   events
@@ -545,15 +540,14 @@ let test_flame_jobs_invariant () =
    count, one tree rather than an orphan root per task. *)
 let test_task_spans_nest () =
   let capture jobs =
-    let pool = Pool.create ~jobs () in
-    Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+    Support.with_jobs jobs @@ fun () ->
     Obs.clear_trace ();
     Obs.set_tracing true;
     Fun.protect ~finally:(fun () -> Obs.set_tracing false) (fun () ->
         Obs.traced "region.outer" (fun () ->
             Obs.traced "region.before" ignore;
             ignore
-              (Pool.parallel_init ~pool 6 (fun i ->
+              (Pool.parallel_init 6 (fun i ->
                    Obs.traced "region.task" (fun () ->
                        Obs.traced "region.leaf" (fun () -> Unix.sleepf 0.001);
                        i)))));

@@ -215,6 +215,6 @@ let () =
           Alcotest.test_case "discrete" `Slow test_discrete;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
+        List.map Support.to_alcotest
           [ prop_int_in_range; prop_permutation_valid; prop_discrete_respects_support ] );
     ]

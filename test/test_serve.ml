@@ -19,7 +19,6 @@ module Checkpoint = Sso_serve.Checkpoint
 module Scenario = Sso_fault.Scenario
 module Timeline = Sso_fault.Timeline
 module Simulator = Sso_sim.Simulator
-module Pool = Sso_engine.Pool
 module Codec = Sso_artifact.Codec
 module Obs = Sso_obs.Obs
 module Semi_oblivious = Sso_core.Semi_oblivious
@@ -344,9 +343,7 @@ let test_refresh_and_staleness () =
 let churn_events = Workload.generate (Rng.create 31) ~n:16 ~ticks:8 ~pairs:10 ~churn:0.3
 
 let check_warm_tracks_cold jobs =
-  let before = Pool.default_jobs () in
-  Fun.protect ~finally:(fun () -> Pool.set_default_jobs before) @@ fun () ->
-  Pool.set_default_jobs jobs;
+  Support.with_jobs jobs @@ fun () ->
   let warm_srv =
     make_service ~config:{ Serve.default_config with warm_iters = 60; warm_weight = 20 } ()
   in
@@ -371,9 +368,7 @@ let test_warm_tracks_cold_j4 () = check_warm_tracks_cold 4
 (* ---- jobs-invariance of a replayed stream ---- *)
 
 let replay_fingerprint jobs =
-  let before = Pool.default_jobs () in
-  Fun.protect ~finally:(fun () -> Pool.set_default_jobs before) @@ fun () ->
-  Pool.set_default_jobs jobs;
+  Support.with_jobs jobs @@ fun () ->
   let srv = make_service () in
   let reports = Serve.replay srv churn_events in
   let digest =
@@ -586,9 +581,7 @@ let test_faults_of_timeline () =
 let test_fault_replay_jobs_invariant () =
   let faults = [ (2, [ Serve.Fail 4; Serve.Fail 9 ]); (6, [ Serve.Repair 4 ]) ] in
   let fingerprint jobs =
-    let before = Pool.default_jobs () in
-    Fun.protect ~finally:(fun () -> Pool.set_default_jobs before) @@ fun () ->
-    Pool.set_default_jobs jobs;
+    Support.with_jobs jobs @@ fun () ->
     let srv = make_service () in
     let reports = Serve.replay ~faults srv churn_events in
     match Serve.routing srv with
@@ -696,9 +689,7 @@ let test_faulted_replay_golden () =
   let faults = [ (3, [ Serve.Fail 4 ]); (5, [ Serve.Repair 4 ]) ] in
   List.iter
     (fun jobs ->
-      let before = Pool.default_jobs () in
-      Fun.protect ~finally:(fun () -> Pool.set_default_jobs before) @@ fun () ->
-      Pool.set_default_jobs jobs;
+      Support.with_jobs jobs @@ fun () ->
       let srv = make_service () in
       let reports = Serve.replay ~faults srv churn_events in
       let congestion =
@@ -722,9 +713,7 @@ let test_faulted_replay_golden () =
    only a fault or repair tick, which replaces the live system, resets
    the index and unpacks the whole support. *)
 let check_index_matches_fresh jobs =
-  let before = Pool.default_jobs () in
-  Fun.protect ~finally:(fun () -> Pool.set_default_jobs before) @@ fun () ->
-  Pool.set_default_jobs jobs;
+  Support.with_jobs jobs @@ fun () ->
   let g, system = make_parts () in
   let config = Serve.default_config in
   let srv = Serve.create ~config g system in
@@ -783,9 +772,7 @@ let test_index_matches_fresh_j1 () = check_index_matches_fresh 1
 let test_index_matches_fresh_j4 () = check_index_matches_fresh 4
 
 let check_kill_and_resume ?(parts = make_parts) ~faults ~cut jobs =
-  let before = Pool.default_jobs () in
-  Fun.protect ~finally:(fun () -> Pool.set_default_jobs before) @@ fun () ->
-  Pool.set_default_jobs jobs;
+  Support.with_jobs jobs @@ fun () ->
   let make_service () =
     let g, system = parts () in
     Serve.create g system
@@ -1443,7 +1430,7 @@ let () =
       ( "simulation",
         [ Alcotest.test_case "timed load" `Quick test_simulate ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
+        List.map Support.to_alcotest
           [
             prop_stream_roundtrip;
             prop_apply_matches_rebuild;

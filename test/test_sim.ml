@@ -623,5 +623,5 @@ let () =
             test_timed_budget_partial_latency;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_makespan_at_least_dilation ] );
+        List.map Support.to_alcotest [ prop_makespan_at_least_dilation ] );
     ]

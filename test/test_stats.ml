@@ -130,5 +130,5 @@ let () =
           Alcotest.test_case "empirical tail" `Quick test_empirical_tail;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_mean_bounds; prop_percentile_monotone ] );
+        List.map Support.to_alcotest [ prop_mean_bounds; prop_percentile_monotone ] );
     ]
