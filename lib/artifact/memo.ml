@@ -75,11 +75,7 @@ let alpha_sample ?store ~base_key rng r ~alpha ~pairs =
          query), keeping caller-visible draws identical cold and warm. *)
       let fallback = Sampler.alpha_sample rng r ~alpha in
       let save () =
-        (* Parallel materialization is layout-deterministic, but workers
-           would interleave trace events; keep the serial path under
-           tracing so trace goldens stay stable. *)
-        if Obs.tracing () then Path_system.materialize fallback pairs
-        else Path_system.materialize_parallel fallback pairs;
+        Path_system.materialize fallback pairs;
         let ranges =
           List.map
             (fun (s, t) -> ((s, t), Path_system.slice_range fallback s t))

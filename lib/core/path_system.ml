@@ -2,7 +2,6 @@ module Graph = Sso_graph.Graph
 module Path = Sso_graph.Path
 module Path_arena = Sso_graph.Arena
 module Oblivious = Sso_oblivious.Oblivious
-module Pool = Sso_engine.Pool
 module Obs = Sso_obs.Obs
 module PS = Set.Make (Path)
 
@@ -25,14 +24,12 @@ type t = {
   arena : Path_arena.t;
   index : entry Index.t;
   (* Guards [index] and arena appends, so systems can be queried from pool
-     workers.  A single-pair query ([entry]) generates under this lock, but
-     [materialize_parallel] calls [generate] from pool workers outside it:
-     a generator must be safe to call concurrently and per-pair
-     deterministic, so that no result depends on which domain asks first.
-     The α-samplers qualify: each pair draws from its own RNG child, and
-     [Oblivious] serializes its routes under its own lock.  Reads of
-     installed slices are lock-free: arena regions are immutable once
-     their entry is published. *)
+     workers.  Every install generates under this lock, so a generator
+     runs on one domain at a time; it must be per-pair deterministic, so
+     that no result depends on which domain asks first.  The α-samplers
+     qualify: each pair draws from its own RNG child.  Reads of installed
+     slices are lock-free: arena regions are immutable once their entry
+     is published. *)
   lock : Mutex.t;
 }
 
@@ -90,26 +87,26 @@ let check a s t first count =
   end;
   if good < count then invalid_arg "Path_system: path endpoints do not match pair"
 
-(* Append one pair's candidates to [into], in source order, and check
-   them on their new slices: boxed paths are encoded, slices are copied
-   as bytes.  A rejected list is truncated away, and callers publish the
-   entry only after this returns, so it installs nothing. *)
-let append into s t source =
-  let first = Path_arena.length into in
-  try
-    (match source with
-    | Paths paths -> List.iter (fun p -> ignore (Path_arena.append_path into p)) paths
-    | Slices (a, handles) -> List.iter (fun i -> ignore (Path_arena.append_slice into a i)) handles);
-    let count = Path_arena.length into - first in
-    check into s t first count;
-    { first; count }
-  with e ->
-    Path_arena.truncate into first;
-    raise e
-
-(* Lock held. *)
+(* Lock held.  Append one pair's candidates to the arena, in source
+   order, check them on their new slices (boxed paths are encoded, slices
+   are copied as bytes), and publish the pair's entry.  A rejected list
+   is truncated away before its entry is published, so it installs
+   nothing. *)
 let install_locked ps s t source =
-  let e = append ps.arena s t source in
+  let a = ps.arena in
+  let first = Path_arena.length a in
+  let e =
+    try
+      (match source with
+      | Paths paths -> List.iter (fun p -> ignore (Path_arena.append_path a p)) paths
+      | Slices (b, handles) -> List.iter (fun i -> ignore (Path_arena.append_slice a b i)) handles);
+      let count = Path_arena.length a - first in
+      check a s t first count;
+      { first; count }
+    with e ->
+      Path_arena.truncate a first;
+      raise e
+  in
   Index.replace ps.index (key ps s t) e;
   e
 
@@ -235,57 +232,6 @@ let paths ps s t =
   List.init e.count (fun k -> Path_arena.to_path ps.arena (e.first + k))
 
 let materialize ps pair_list = List.iter (fun (s, t) -> ignore (entry ps s t)) pair_list
-
-(* Chunk size for parallel materialization: fixed, so the chunk structure —
-   and with it the merged arena layout and any per-chunk failure — depends
-   only on the pair list, never on the job count. *)
-let parallel_chunk = 16
-
-let materialize_parallel ps pair_list =
-  let seen = Index.create (List.length pair_list) in
-  let misses =
-    locked ps (fun () ->
-        List.filter
-          (fun (s, t) ->
-            let k = key ps s t in
-            if Index.mem seen k then false
-            else begin
-              Index.add seen k ();
-              not (Index.mem ps.index k)
-            end)
-          pair_list)
-  in
-  if misses <> [] then begin
-    let arr = Array.of_list misses in
-    let total = Array.length arr in
-    let chunks = (total + parallel_chunk - 1) / parallel_chunk in
-    (* Each worker fills a private builder arena; the merge below appends
-       the builders in chunk order, so the shared arena's layout is
-       identical at any job count. *)
-    let built =
-      Pool.parallel_init chunks (fun c ->
-          let lo = c * parallel_chunk in
-          let hi = min total (lo + parallel_chunk) in
-          let builder = Path_arena.create ~capacity:(4 * (hi - lo)) ps.graph in
-          let entries =
-            Array.init (hi - lo) (fun k ->
-                let s, t = arr.(lo + k) in
-                ((s, t), append builder s t (ps.generate s t)))
-          in
-          (builder, entries))
-    in
-    locked ps (fun () ->
-        Array.iter
-          (fun (builder, entries) ->
-            let base = Path_arena.append_all ps.arena builder in
-            Array.iter
-              (fun ((s, t), e) ->
-                let k = key ps s t in
-                if not (Index.mem ps.index k) then
-                  Index.replace ps.index k { e with first = base + e.first })
-              entries)
-          built)
-  end
 
 (* Asked once per active pair per service tick.  [Index.mem] cannot
    raise, so the lock is taken directly: [locked]'s closure and unwind

@@ -113,20 +113,15 @@ val iter_slices : t -> int -> int -> (int -> unit) -> unit
     generation order. *)
 
 val materialize : t -> (int * int) list -> unit
-(** Force generation for the given pairs (in list order) on the calling
-    domain.  Parallel call sites materialize the pairs a sweep will query
-    before fanning out, keeping generation order — and thus any
-    generator-internal RNG draws — independent of the job count.  O(1) per
-    already-installed pair. *)
-
-val materialize_parallel : t -> (int * int) list -> unit
-(** Generate missing pairs on the pool: workers fill private arena
-    builders (fixed-size chunks of the pair list), and the builders are
-    merged into the shared arena in chunk order, so the resulting layout —
-    and every subsequent answer — is identical at any job count.  Requires
-    the generator to be safe to call from pool workers and per-pair
-    deterministic (independent of query order); the α-samplers and
-    oblivious supports qualify — their draws are keyed per pair. *)
+(** The one bulk install: generate the given pairs in list order, on the
+    calling domain.  Each pair not yet installed appends its candidates to
+    {!arena}, so its slices start where the arena ended at the pair's
+    first occurrence in the list; a repeated or already-installed pair
+    costs one O(1) lookup and appends nothing.  The routing service's
+    admission and the α-sample cache's save rely on that layout.  Parallel
+    call sites materialize the pairs a sweep will query before fanning
+    out, keeping generation order — and thus any generator-internal RNG
+    draws — independent of the job count. *)
 
 val installed : t -> int -> int -> bool
 (** Whether the pair is materialized, without generating it. *)

@@ -1,9 +1,9 @@
 (** The process-wide deterministic work pool over OCaml 5 domains.
 
-    Every fan-out in the repository (trial repetitions, per-level FRT
-    center batches, tree-load edge chunks, parallel path materialization,
-    Stage-5 per-source searches, the fault sweep, adversary scoring) runs
-    through this module, on the one pool that [--jobs N] sizes
+    Every fan-out in the repository (trial repetitions in the bench
+    harness, tree-load edge chunks, Stage-5 per-source searches, the
+    fault sweep, adversary scoring) runs through this module, on the one
+    pool that [--jobs N] sizes
     ({!set_default_jobs}).  The hard invariant is {b determinism}: for a
     fixed input, {!parallel_map} returns bit-identical results for any job
     count, including [jobs = 1].  The pool guarantees its half of that

@@ -114,7 +114,12 @@ let intern_answer st i = function None -> -1 | Some p -> intern st i p
    order, so handles — and everything the solvers derive from them — are
    the same for any job count.  Tiny supports search serially: the
    dispatch overhead would dominate (the cutoff is a constant, never the
-   job count, to preserve determinism). *)
+   job count, to preserve determinism).  Keying it on source groups
+   instead would fan out more two- and three-group supports, which do
+   not pay.  [mwu_unrestricted] on hypercube-6, 300 rounds, medians of 7
+   on a 2-core x86-64 host, jobs 1 -> 2: 2 sources x 2 targets 6.4 ->
+   9.7 ms, 2 x 8 12.0 -> 16.4 ms, 3 x 2 11.8 -> 12.3 ms, 3 x 8 16.5 ->
+   15.2 ms, and a 64-source permutation 145 -> 91 ms. *)
 let respond_all t weights =
   match t.store with
   | Candidates (sc, positions) ->

@@ -11,14 +11,13 @@ let hop_bits = 21
 let max_hops = (1 lsl hop_bits) - 1
 let max_offset = (1 lsl 42) - 1
 
-let create ?(capacity = 16) graph =
-  let capacity = max capacity 1 in
+let create graph =
   {
     graph;
-    data = Bytes.create (capacity * 8);
+    data = Bytes.create 128;
     data_len = 0;
-    meta = Array.make capacity 0;
-    ends = Array.make capacity 0;
+    meta = Array.make 16 0;
+    ends = Array.make 16 0;
     count = 0;
   }
 
@@ -163,8 +162,6 @@ let append_range into from first count =
     done
   end;
   handle
-
-let append_all into from = append_range into from 0 from.count
 
 let equal_slices a i b j =
   if not (a.graph == b.graph) then

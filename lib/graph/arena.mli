@@ -27,14 +27,13 @@
 
     Appends are O(total row scan); every append validates that the edges
     form a walk from [src] to [dst] (the slot lookup {e is} the incidence
-    check).  All reads are lock-free; appending is not thread-safe — pool
-    workers fill private arenas that the caller {!append_all}s in task
-    order, which keeps the merged layout independent of the job count. *)
+    check).  All reads are lock-free; appending is not thread-safe: the
+    owner serializes appends (a path system appends under its lock). *)
 
 type t
 
-val create : ?capacity:int -> Graph.t -> t
-(** Fresh empty arena over [g].  [capacity] pre-sizes the path tables. *)
+val create : Graph.t -> t
+(** Fresh empty arena over [g]. *)
 
 val graph : t -> Graph.t
 (** The graph the slot encoding resolves against. *)
@@ -67,10 +66,6 @@ val append_range : t -> t -> int -> int -> int
     handle the first one received ([length dst] when [count = 0]).
     @raise Invalid_argument on a graph mismatch or a range outside
     [src]. *)
-
-val append_all : t -> t -> int
-(** [append_all dst src] is [append_range dst src 0 (length src)].  Used
-    to merge per-worker builder arenas deterministically. *)
 
 val truncate : t -> int -> unit
 (** [truncate a len] drops slices [len ..] and their bytes, so a rejected

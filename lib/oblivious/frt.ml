@@ -2,7 +2,6 @@ module Graph = Sso_graph.Graph
 module Path = Sso_graph.Path
 module Shortest = Sso_graph.Shortest
 module Rng = Sso_prng.Rng
-module Pool = Sso_engine.Pool
 module Obs = Sso_obs.Obs
 module Trace = Sso_obs.Trace
 
@@ -108,34 +107,6 @@ let check_connected g =
     done
   end
 
-(* How many centers were scanned before every vertex of a level was
-   claimed, batched geometrically: the first batch is a single ball (the
-   top levels are claimed whole by the first permutation center), then
-   batches double up to [max_center_batch] so fine levels — thousands of
-   tiny balls — amortize the fork/join cost.  The schedule is a function
-   of the claim state alone, never of the job count, so the resulting
-   chains are bit-identical at any [--jobs]. *)
-let max_center_batch = 32
-
-(* The vertices a ball settled and their distances, in settle order: one
-   buffer per position in a center batch, grown on demand and reused by
-   every batch of a build.  Each is written by the one task that grows
-   that ball and read back after the batch joins. *)
-type ball = { mutable vs : int array; mutable ds : float array; mutable len : int }
-
-let ball_add ball v d =
-  if ball.len = Array.length ball.vs then begin
-    let cap = max 16 (2 * ball.len) in
-    let vs = Array.make cap 0 and ds = Array.make cap 0.0 in
-    Array.blit ball.vs 0 vs 0 ball.len;
-    Array.blit ball.ds 0 ds 0 ball.len;
-    ball.vs <- vs;
-    ball.ds <- ds
-  end;
-  ball.vs.(ball.len) <- v;
-  ball.ds.(ball.len) <- d;
-  ball.len <- ball.len + 1
-
 let build rng g ~length =
   let n = Graph.n g and m = Graph.m g in
   check_connected g;
@@ -151,16 +122,18 @@ let build rng g ~length =
      edge length — no all-pairs pass needed. *)
   let delta = Array.fold_left Float.min infinity snapshot in
   let ws = Shortest.Workspace.for_current_domain () in
+  (* The farthest vertex from [src], the lowest-numbered one on ties.
+     Vertices settle in non-decreasing distance order, so the callback
+     keeps the last distance and the least vertex seen at it; an unbounded
+     ball reads the snapshot directly, boxing no weight per edge. *)
   let ecc src =
-    Shortest.dijkstra_into ws g ~weight:(fun e -> snapshot.(e)) src;
     let best = ref 0.0 and far = ref src in
-    for v = 0 to n - 1 do
-      let d = Shortest.Workspace.dist ws v in
-      if d > !best then begin
-        best := d;
-        far := v
-      end
-    done;
+    Shortest.dijkstra_ball_into ws g ~weights:snapshot ~radius:infinity
+      ~sources:[| src |] (fun v d ->
+        if d > !best || (d = !best && v < !far) then begin
+          best := d;
+          far := v
+        end);
     (!best, !far)
   in
   (* Double-sweep diameter upper bound: diam <= 2·ecc(v) for every v, and
@@ -205,17 +178,15 @@ let build rng g ~length =
   (* claim_stamp.(v) = i iff v has been claimed at level i: levels are
      processed top-down with distinct indices, so one array serves all of
      them without clearing.  best.(v) is the settle distance of v from the
-     closest center of an earlier batch (per level): a ball reaching v at
-     distance >= best.(v) stops expanding there, because everything beyond
-     is at least as close to that earlier — hence higher-priority —
-     center.  Each vertex improves its record O(log n) expected times
-     under a random permutation, which is what makes a level near-linear
-     instead of |balls| Dijkstras. *)
+     closest earlier center (per level): a ball reaching v at distance >=
+     best.(v) stops expanding there, because everything beyond is at least
+     as close to that earlier — hence higher-priority — center.  Each
+     vertex improves its record O(log n) expected times under a random
+     permutation, which is what makes a level near-linear instead of
+     |balls| Dijkstras. *)
   let claim_stamp = Array.make n (-1) in
   let best = Array.make n infinity in
-  let balls =
-    Array.init max_center_batch (fun _ -> { vs = [||]; ds = [||]; len = 0 })
-  in
+  let prune v d = d >= best.(v) in
   let ids = Int_tbl.create 64 in
   let attrs =
     if Obs.tracing () then
@@ -234,17 +205,12 @@ let build rng g ~length =
 
          Instead of scanning an all-pairs matrix row per vertex, grow
          bounded-radius Dijkstra balls from the centers in permutation
-         order: a ball claims every still-unclaimed vertex it covers, so a
+         order: a ball claims every still-unclaimed vertex it settles, so a
          vertex ends up with the first center within radius — identical
          cluster semantics, touching only distances that are actually
-         within radius.  Balls of a batch are grown concurrently against
-         the claim/record state frozen at batch start (workers only read
-         it) and merged serially in permutation order, so the outcome is
-         independent of scheduling.  Pruning on the frozen records is
-         sound within a batch: a path entering a recorded vertex certifies an
-         earlier center at least as close to everything downstream, so the
-         only vertices a batched ball misses (relative to its serial run)
-         are ones an earlier batch already claimed. *)
+         within radius.  A ball updates the records as it settles: the
+         kernel never relaxes an edge into a settled vertex, so a ball's
+         own records never prune it. *)
       for i = levels - 1 downto 1 do
         let radius = beta *. Float.pow 2.0 (float_of_int (i - 1)) *. scale in
         let level_sp = Obs.span (Printf.sprintf "frt.level.%02d" i) in
@@ -255,32 +221,18 @@ let build rng g ~length =
         in
         Obs.with_span ~attrs:level_attrs level_sp (fun () ->
             Array.fill best 0 n infinity;
-            let unclaimed = ref n and j = ref 0 and batch = ref 1 in
+            let unclaimed = ref n and j = ref 0 in
             while !unclaimed > 0 && !j < n do
-              let b = min !batch (n - !j) in
-              let first = !j in
-              ignore
-                (Pool.parallel_init b (fun k ->
-                     let ws = Shortest.Workspace.for_current_domain () in
-                     let ball = balls.(k) in
-                     ball.len <- 0;
-                     Shortest.dijkstra_ball_into ws g ~weights:snapshot ~radius
-                       ~prune:(fun v d -> d >= best.(v))
-                       ~sources:[| pi.(first + k) |] (ball_add ball)));
-              for k = 0 to b - 1 do
-                let c = pi.(first + k) and ball = balls.(k) in
-                for h = 0 to ball.len - 1 do
-                  let v = ball.vs.(h) and d = ball.ds.(h) in
+              let c = pi.(!j) in
+              Shortest.dijkstra_ball_into ws g ~weights:snapshot ~radius ~prune
+                ~sources:[| c |] (fun v d ->
                   if claim_stamp.(v) <> i then begin
                     claim_stamp.(v) <- i;
                     chain.(v).(i) <- c;
                     decr unclaimed
                   end;
-                  if d < best.(v) then best.(v) <- d
-                done
-              done;
-              j := !j + b;
-              batch := min max_center_batch (2 * !batch)
+                  if d < best.(v) then best.(v) <- d);
+              incr j
             done;
             (* Cluster ids in vertex order — the same first-encounter
                numbering the serial matrix scan produced — keyed by

@@ -18,8 +18,8 @@ val build : Sso_prng.Rng.t -> Sso_graph.Graph.t -> length:(int -> float) -> t
     bounded-radius Dijkstra balls from the centers in permutation order —
     each vertex joins the first center within the level radius — so work is
     near-linear per level and memory is O(n·levels + m); no all-pairs
-    distance matrix is ever formed.  Center batches within a level run on
-    the pool; chains and cluster ids are bit-identical at any [--jobs].
+    distance matrix is ever formed.  The build is serial: one ball at a
+    time, on the calling domain.
     @raise Invalid_argument if the graph is disconnected. *)
 
 type parts = {

@@ -102,10 +102,9 @@ let forest rng ?trees g =
      in rounds of [batch]: every tree of a round shares the penalties
      accumulated by earlier rounds and gets its own index-keyed RNG child,
      so the mixture never depends on [--jobs].  The trees of a round are
-     built one after another — the parallelism lives {e inside} each build
-     (per-level center batches in {!Frt.build}) and inside each
-     {!tree_loads} pass (edge chunks), where it scales with the graph
-     instead of with the round width. *)
+     built one after another, each by a serial {!Frt.build}; the
+     parallelism lives {e inside} each {!tree_loads} pass (edge chunks),
+     where it scales with the graph instead of with the round width. *)
   let eta = 1.0 in
   let base_rng = Rng.split rng in
   let forest_rev = ref [] in

@@ -20,10 +20,10 @@ val routing : Sso_prng.Rng.t -> ?trees:int -> Sso_graph.Graph.t -> Oblivious.t
     capacity-routing pass per tree.  Trees are sampled in rounds of 4:
     trees within a round share the penalty state of the previous rounds,
     each from its own index-keyed RNG child, so the mixture never depends
-    on the job count.  Parallelism runs on the process pool {e inside}
-    each tree — per-level center batches in {!Frt.build} and edge chunks
-    in {!tree_loads} — where it scales with the graph instead of with the
-    round width; the result is bit-identical for any [--jobs]. *)
+    on the job count.  Each tree is built serially ({!Frt.build}); its
+    {!tree_loads} pass runs edge chunks on the process pool, where the
+    parallelism scales with the graph instead of with the round width.
+    The result is bit-identical for any [--jobs]. *)
 
 val default_trees : Sso_graph.Graph.t -> int
 (** The default tree count, [2·⌈log₂ n⌉ + 4]. *)

@@ -286,8 +286,8 @@ let step t ~tick ?(faults = []) events =
   let demand = Update.apply before applied in
   let support = Demand.support demand in
   (* Admission: materialize pairs new to the system into the shared
-     arena, in deterministic chunk order on the pool.  Retired pairs keep
-     their slices — a returning commodity is re-admitted for free. *)
+     arena, in support order.  Retired pairs keep their slices — a
+     returning commodity is re-admitted for free. *)
   let fresh =
     List.filter (fun (s, d) -> not (Path_system.installed t.system s d)) support
   in
@@ -295,7 +295,7 @@ let step t ~tick ?(faults = []) events =
     if fresh = [] then 0
     else begin
       let a0 = Obs.now_ns () in
-      Obs.with_span admit_span (fun () -> Path_system.materialize_parallel t.system fresh);
+      Obs.with_span admit_span (fun () -> Path_system.materialize t.system fresh);
       Obs.now_ns () - a0
     end
   in

@@ -9,9 +9,8 @@
     - folds the batch into the active demand ({!Sso_demand.Update.apply});
     - {e admits} newly seen commodities by materializing their candidate
       slices into the shared path arena
-      ({!Sso_core.Path_system.materialize_parallel} — appends, never a
-      rebuild, sharded across the engine pool with a layout independent
-      of the job count);
+      ({!Sso_core.Path_system.materialize} — appends in support order,
+      never a rebuild);
     - {e retires} departed commodities (their distributions drop out of
       the warm routing; their arena slices stay, so a returning pair is
       re-admitted for free);

@@ -101,6 +101,37 @@ let test_path_system_generator_raises () =
   Alcotest.(check int) "a hit" 1 (Path_system.slice_count ps 0 2);
   Alcotest.(check bool) "installed" true (Path_system.installed ps 0 2)
 
+(* The arena layout both bulk callers (service admission, the α-sample
+   cache's save) rely on: a pair new to the system starts where the arena
+   ended at its first occurrence in the list; a repeat or an installed
+   pair appends nothing. *)
+let test_materialize_layout () =
+  let g = Gen.grid 5 5 in
+  let ps = Sampler.alpha_sample (Rng.create 7) (Ksp.routing ~k:4 g) ~alpha:3 in
+  let arena = Path_system.arena ps in
+  let before = Path_system.slice_range ps 6 18 in
+  let pairs = [ (0, 24); (3, 21); (0, 24); (6, 18); (12, 2); (3, 21); (24, 0) ] in
+  let start = Sso_graph.Arena.length arena in
+  Path_system.materialize ps pairs;
+  let next = ref start and seen = Hashtbl.create 8 in
+  List.iter
+    (fun (s, t) ->
+      if not (Hashtbl.mem seen (s, t)) then begin
+        Hashtbl.add seen (s, t) ();
+        let first, count = Path_system.slice_range ps s t in
+        if (s, t) = (6, 18) then
+          Alcotest.(check (pair int int)) "installed pair keeps its slices" before
+            (first, count)
+        else begin
+          Alcotest.(check int) (Printf.sprintf "%d->%d starts at the arena's end" s t) !next
+            first;
+          Alcotest.(check bool) "has candidates" true (count > 0);
+          next := first + count
+        end
+      end)
+    pairs;
+  Alcotest.(check int) "nothing else appended" !next (Sso_graph.Arena.length arena)
+
 let test_path_system_union () =
   let g = Gen.cycle 4 in
   let p = Path.of_vertices g [ 0; 1; 2 ] in
@@ -261,44 +292,6 @@ let test_slice_view_matches_paths () =
   Alcotest.(check bool) "trivial round-trip" true
     (Path.equal (Path.trivial 2) (List.hd (Path_system.paths tps 2 2)))
 
-let test_materialize_parallel_jobs_invariant () =
-  (* Chunked parallel materialization must produce the same arena layout
-     and the same candidate sets at any job count, and must agree with the
-     serial path on content: for a jointly generated base (KSP) and for
-     the mixtures, whose samplers route drawn components from pool
-     workers under the routing's lock. *)
-  let pairs = [ (0, 24); (1, 23); (2, 22); (3, 21); (4, 20); (5, 19);
-                (6, 18); (7, 17); (8, 16); (9, 15); (10, 14); (11, 13) ] in
-  let build base jobs =
-    let obl = base () in
-    let ps = Sampler.alpha_sample (Rng.create 7) obl ~alpha:3 in
-    (match jobs with
-    | None -> Path_system.materialize ps pairs
-    | Some jobs ->
-        Support.with_jobs jobs (fun () -> Path_system.materialize_parallel ps pairs));
-    let arena = Path_system.arena ps in
-    ( List.map
-        (fun (s, t) ->
-          ((s, t), Path_system.slice_range ps s t, Path_system.paths ps s t))
-        pairs,
-      Sso_graph.Arena.length arena,
-      Sso_graph.Arena.memory_bytes arena )
-  in
-  List.iter
-    (fun (name, base) ->
-      let j1 = build base (Some 1) in
-      let j4 = build base (Some 4) in
-      Alcotest.(check bool) (name ^ ": jobs 1 = jobs 4 (layout and content)") true (j1 = j4);
-      let content (entries, _, _) = List.map (fun (p, _, ps) -> (p, ps)) entries in
-      Alcotest.(check bool) (name ^ ": parallel content = serial content") true
-        (content j1 = content (build base None)))
-    [
-      ("ksp", fun () -> Ksp.routing ~k:4 (Gen.grid 5 5));
-      ("valiant", fun () -> Valiant.routing (Gen.hypercube 5));
-      ("wilson trees", fun () -> Trees.uniform (Rng.create 8) ~count:4 (Gen.grid 5 5));
-      ("racke", fun () -> Racke.routing (Rng.create 9) ~trees:4 (Gen.grid 5 5));
-    ]
-
 (* The packed arena against the boxed list-of-[Path.t] view of the same
    candidate sets, the representation it replaced: an α = 4 sample of a
    4-tree Wilson mixture on a k = 16 fat-tree, 256 distinct random pairs.
@@ -311,7 +304,7 @@ let test_arena_smaller_than_boxed () =
   let obl = Trees.uniform (seeded 131) ~count:4 g in
   let pairs = distinct_pairs (seeded 132) n 256 in
   let ps = Sampler.alpha_sample (seeded 133) obl ~alpha:4 in
-  Path_system.materialize_parallel ps pairs;
+  Path_system.materialize ps pairs;
   let arena_bytes = Sso_graph.Arena.memory_bytes (Path_system.arena ps) in
   let boxed = List.map (fun (s, t) -> ((s, t), Path_system.paths ps s t)) pairs in
   let boxed_bytes = Obj.reachable_words (Obj.repr boxed) * (Sys.word_size / 8) in
@@ -1536,8 +1529,6 @@ let () =
             test_of_oblivious_support_tree_mixture;
           Alcotest.test_case "slice view matches paths" `Quick
             test_slice_view_matches_paths;
-          Alcotest.test_case "materialize_parallel jobs-invariant" `Quick
-            test_materialize_parallel_jobs_invariant;
           Alcotest.test_case "arena 4x smaller than boxed paths" `Quick
             test_arena_smaller_than_boxed;
           Alcotest.test_case "preload checks before installing" `Quick
@@ -1548,6 +1539,8 @@ let () =
             test_path_system_check_cutoff;
           Alcotest.test_case "a raising generator frees the lock" `Quick
             test_path_system_generator_raises;
+          Alcotest.test_case "materialize lays pairs out in first-occurrence order"
+            `Quick test_materialize_layout;
         ] );
       ( "sampler",
         [

@@ -1433,7 +1433,7 @@ let test_arena_merge () =
         b)
   in
   let merged = Arena.create g in
-  let firsts = List.map (fun b -> Arena.append_all merged b) builders in
+  let firsts = List.map (fun b -> Arena.append_range merged b 0 (Arena.length b)) builders in
   Alcotest.(check (list int)) "merge offsets" [ 0; 4; 8 ] firsts;
   Alcotest.(check int) "merge length" 12 (Arena.length merged);
   List.iteri

@@ -636,9 +636,9 @@ let test_racke_forest_rejects_bad_counts () =
       ignore (Racke.forest (Rng.create 1) ~trees:0 g))
 
 let test_frt_forest_jobs_invariant () =
-  (* Bit-identical forests at any job count: the batched ball-growing
-     schedule is a function of the claim state alone, and batches merge
-     serially in permutation order. *)
+  (* Bit-identical forests at any job count: FRT builds are serial, so
+     this checks the one fan-out left in the construction — the
+     tree-load edge chunks, whose sums set the next round's lengths. *)
   let g = Gen.random_regular (Rng.create 51) 1000 4 in
   let build jobs = Support.with_jobs jobs (fun () -> Racke.forest (Rng.create 52) ~trees:5 g) in
   let f1 = build 1 and f4 = build 4 in
