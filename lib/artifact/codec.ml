@@ -101,12 +101,14 @@ let read_string r =
 
 (* ---- hashing ---- *)
 
+(* An index loop with no closure: the compiler keeps [h] unboxed, so no
+   [Int64] is allocated per byte. *)
 let fnv1a64 s =
-  let open Int64 in
   let h = ref 0xCBF29CE484222325L in
-  String.iter
-    (fun c -> h := mul (logxor !h (of_int (Char.code c))) 0x100000001B3L)
-    s;
+  for i = 0 to String.length s - 1 do
+    let byte = Int64.of_int (Char.code (String.unsafe_get s i)) in
+    h := Int64.mul (Int64.logxor !h byte) 0x100000001B3L
+  done;
   !h
 
 let hex_of_key k = Printf.sprintf "%016Lx" k

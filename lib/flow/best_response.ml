@@ -21,6 +21,7 @@ module Obs = Sso_obs.Obs
 module Path_map = Map.Make (Path)
 
 let sssp_batches = Obs.counter "mwu.sssp_batches"
+let edges_priced = Obs.counter "mwu.edges_priced"
 
 type interned = {
   graph : Graph.t;
@@ -123,11 +124,16 @@ let intern_answer st i = function None -> -1 | Some p -> intern st i p
 let respond_all t weights =
   match t.store with
   | Candidates (sc, positions) ->
+      (* Edges read, summed in a local so that solves sharing [sc] on
+         other domains do not race on a counter field. *)
+      let priced = ref 0 in
       let answer i =
         let p = positions.(i) in
-        if p < 0 then -1 else Slice_candidates.cheapest sc ~weights p
+        if p < 0 then -1 else Slice_candidates.cheapest sc ~weights ~priced p
       in
-      (Array.init (Array.length t.support) answer, 0)
+      let answers = Array.init (Array.length t.support) answer in
+      Obs.incr ~by:!priced edges_priced;
+      (answers, 0)
   | Interned st ->
       let weights = st.view weights in
       Obs.incr ~by:(Array.length st.groups) sssp_batches;

@@ -39,7 +39,9 @@ val respond_all : t -> float array -> int array * int
 (** Every pair's handle under per-slot weights ([-1] when the pair has no
     admissible path), in support order, and the number of vertices the
     searches settled ([0] for candidates).  Candidates are priced
-    serially; searches fan out on the pool, one per source, and interning
+    serially ({!Slice_candidates.cheapest}), and the candidate edges read
+    are added once per call to the [mwu.edges_priced] counter; searches
+    fan out on the pool, one per source, and interning
     then runs serially in support order, so handles are the same for any
     [--jobs]. *)
 

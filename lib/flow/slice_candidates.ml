@@ -229,23 +229,45 @@ let positions sc support =
 let ncands sc = sc.cand_off.(Array.length sc.cand_off - 1)
 let range sc i = (sc.cand_off.(i), sc.cand_off.(i + 1) - sc.cand_off.(i))
 
-(* Cheapest candidate of pair position [i] under per-slot [weights]: a
-   strict [<] left fold over the candidates in generation order, on the
-   flat arrays, with no boxed float per candidate.  [-1] when the pair
-   has no candidates. *)
-let cheapest sc ~weights i =
-  let best = ref (-1) and bw = ref 0.0 in
-  for c = sc.cand_off.(i) to sc.cand_off.(i + 1) - 1 do
-    let w = ref 0.0 in
-    for k = sc.edge_off.(c) to sc.edge_off.(c + 1) - 1 do
-      w := !w +. weights.(Array.unsafe_get sc.flat k)
+(* A strict [<] left fold over the candidates in generation order, on
+   the flat arrays, with no boxed float per candidate.  A later
+   candidate's loop stops once its partial sum is not below the best (see
+   the .mli for why that is exact); a NaN partial or best also stops it,
+   and loses as its full sum would.  The unchecked reads are in bounds:
+   every slot in [flat] is below the slot count, which the length check
+   covers, and the checked read of [edge_off.(hi)] covers the offsets of
+   candidates [lo + 1 .. hi].  Each candidate's loop starts where the
+   previous one's edges end; the edges it leaves unread are [skipped]. *)
+let cheapest sc ~weights ~priced i =
+  if Array.length weights < Array.length sc.edges then
+    invalid_arg "Slice_candidates.cheapest: fewer weights than slots";
+  let lo = sc.cand_off.(i) and hi = sc.cand_off.(i + 1) in
+  if lo = hi then -1
+  else begin
+    let flat = sc.flat and edge_off = sc.edge_off in
+    let first = edge_off.(lo) and last = edge_off.(hi) in
+    let stop = ref (Array.unsafe_get edge_off (lo + 1)) in
+    let bw = ref 0.0 in
+    for k = first to !stop - 1 do
+      bw := !bw +. Array.unsafe_get weights (Array.unsafe_get flat k)
     done;
-    if !best < 0 || !w < !bw then begin
-      bw := !w;
-      best := c
-    end
-  done;
-  !best
+    let best = ref lo and skipped = ref 0 in
+    for c = lo + 1 to hi - 1 do
+      let k = ref !stop and w = ref 0.0 in
+      stop := Array.unsafe_get edge_off (c + 1);
+      while !k < !stop && !w < !bw do
+        w := !w +. Array.unsafe_get weights (Array.unsafe_get flat !k);
+        incr k
+      done;
+      skipped := !skipped + (!stop - !k);
+      if !w < !bw then begin
+        bw := !w;
+        best := c
+      end
+    done;
+    priced := !priced + (last - first - !skipped);
+    !best
+  end
 
 let edges sc = sc.edges
 

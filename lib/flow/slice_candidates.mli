@@ -64,11 +64,21 @@ val range : t -> int -> int * int
 (** [(first, count)]: the candidates of pair position [i] are
     [first .. first + count - 1], in generation order. *)
 
-val cheapest : t -> weights:float array -> int -> int
-(** Cheapest candidate of pair position [i] under the per-slot [weights]:
-    a strict [<] left fold over candidates in generation order (ties keep
-    the first), each path's weight summed left to right.  [-1] when the
-    pair has no candidates. *)
+val cheapest : t -> weights:float array -> priced:int ref -> int -> int
+(** Cheapest candidate of pair position [i] under the per-slot [weights],
+    which must be [>= 0]: a strict [<] left fold over candidates in
+    generation order (ties keep the first), each path's weight summed
+    left to right.  [-1] when the pair has no candidates.
+
+    The first candidate is summed in full.  A later one stops summing as
+    soon as its partial sum is no longer below the best so far, and does
+    not win.  This is exact: adding a non-negative weight to a
+    non-negative sum under round-to-nearest never lowers it, so the full
+    sum of a stopped candidate could not have been strictly below the
+    best.  The pick is the full-sum fold's for any weights [>= 0],
+    [+inf] and NaN included.  The number of candidate edges read is added
+    to [priced].  Raises [Invalid_argument] when [weights] is shorter
+    than {!edges}. *)
 
 val iter_edges : t -> int -> (int -> unit) -> unit
 (** Edge slots of a candidate, in path order. *)

@@ -47,6 +47,16 @@ type t = {
 
 let min_length = 1e-9
 
+(* The least of clamped lengths, [infinity] for none: a plain [<] loop,
+   which boxes nothing and, on lengths >= [min_length] (no NaN, no signed
+   zero), agrees bit for bit with a [Float.min] fold. *)
+let min_length_of lengths =
+  let d = ref infinity in
+  for e = 0 to Array.length lengths - 1 do
+    if lengths.(e) < !d then d := lengths.(e)
+  done;
+  !d
+
 (* The empty-slot marker of [segments], told apart by physical equality: a
    trivial segment (hub = child) is the empty array. *)
 let unfilled = [| -1 |]
@@ -120,34 +130,23 @@ let build rng g ~length =
      least its heaviest edge, and any multi-edge path at least two minimum
      lengths), so the minimum pairwise distance is the minimum clamped
      edge length — no all-pairs pass needed. *)
-  let delta = Array.fold_left Float.min infinity snapshot in
+  let delta = min_length_of snapshot in
   let ws = Shortest.Workspace.for_current_domain () in
-  (* The farthest vertex from [src], the lowest-numbered one on ties.
-     Vertices settle in non-decreasing distance order, so the callback
-     keeps the last distance and the least vertex seen at it; an unbounded
-     ball reads the snapshot directly, boxing no weight per edge. *)
-  let ecc src =
-    let best = ref 0.0 and far = ref src in
-    Shortest.dijkstra_ball_into ws g ~weights:snapshot ~radius:infinity
-      ~sources:[| src |] (fun v d ->
-        if d > !best || (d = !best && v < !far) then begin
-          best := d;
-          far := v
-        end);
-    (!best, !far)
-  in
-  (* Double-sweep diameter upper bound: diam <= 2·ecc(v) for every v, and
-     sweeping again from the farthest vertex found can only tighten it.
-     Two Dijkstras replace the exact all-pairs maximum; the bound is at
-     most 2x the diameter, so it costs at most one extra (redundant,
-     single-cluster) level at the top of the decomposition. *)
+  (* Diameter upper bound: diam <= 2·ecc(0), from one unbounded ball
+     around vertex 0 that reads the snapshot directly, boxing no weight
+     per edge.  One Dijkstra replaces the exact all-pairs maximum; the
+     bound is at most 2x the diameter, so it costs at most one extra
+     (redundant, single-cluster) level at the top of the decomposition.
+     A second sweep from the farthest vertex [far] could not tighten it:
+     ecc(far) >= d(far, 0) = ecc(0). *)
   let diameter_ub =
     if n <= 1 then 0.0
     else
       Obs.with_span metric_span (fun () ->
-          let ecc0, far = ecc 0 in
-          let ecc1, _ = ecc far in
-          2.0 *. Float.min ecc0 ecc1)
+          let ecc0 = ref 0.0 in
+          Shortest.dijkstra_ball_into ws g ~weights:snapshot ~radius:infinity ~sources:[| 0 |]
+            (fun _ d -> if d > !ecc0 then ecc0 := d);
+          2.0 *. !ecc0)
   in
   let scale = delta in
   let diameter = diameter_ub /. scale in
@@ -319,7 +318,7 @@ let of_parts g p =
     done
   done;
   let lengths = Array.copy p.p_lengths in
-  let delta = Array.fold_left Float.min infinity lengths in
+  let delta = min_length_of lengths in
   make_tree g ~levels:p.p_levels ~chain:(Array.map Array.copy p.p_chain)
     ~cluster_id:(Array.map Array.copy p.p_cluster_id)
     ~lengths ~delta

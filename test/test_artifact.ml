@@ -133,8 +133,17 @@ let test_fnv_vectors () =
   (* Published FNV-1a 64-bit test vectors. *)
   Alcotest.(check int64) "empty" 0xCBF29CE484222325L (Codec.fnv1a64 "");
   Alcotest.(check int64) "a" 0xAF63DC4C8601EC8CL (Codec.fnv1a64 "a");
+  Alcotest.(check int64) "foobar" 0x85944171f73967e8L (Codec.fnv1a64 "foobar");
   Alcotest.(check string) "hex" "cbf29ce484222325"
-    (Codec.hex_of_key (Codec.fnv1a64 ""))
+    (Codec.hex_of_key (Codec.fnv1a64 ""));
+  (* Over 1 MB of every byte value, against a byte-by-byte fold. *)
+  let big = String.init ((1 lsl 20) + 7) (fun i -> Char.chr (((i * 131) + (i lsr 8)) land 0xff)) in
+  let folded =
+    String.fold_left
+      (fun h c -> Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) 0x100000001B3L)
+      0xCBF29CE484222325L big
+  in
+  Alcotest.(check int64) "1 MB" folded (Codec.fnv1a64 big)
 
 (* ---- object codecs ---- *)
 

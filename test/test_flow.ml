@@ -953,6 +953,115 @@ let prop_store_edges_are_candidate_edges =
          = List.map scanned support
       && (support <> [] || snd (Min_congestion.mwu_on_slices g (Path_system.to_slice_candidates view []) d) = 0.0))
 
+(* ---------- Candidate pricing ---------- *)
+
+(* [Slice_candidates.cheapest] stops summing a candidate once its partial
+   sum reaches the best; the reference sums every candidate in full and
+   keeps the first strict [<] minimum.  Weights come from a palette with
+   zeros, +inf and small exact values (so equal sums tie exactly) besides
+   random ones; α = 1 samples give single-candidate pairs and failure
+   views give pairs with no candidate. *)
+let full_fold sc ~weights i =
+  let module Slice_candidates = Sso_flow.Slice_candidates in
+  let first, count = Slice_candidates.range sc i in
+  let best = ref (-1) and bw = ref 0.0 in
+  for c = first to first + count - 1 do
+    let w = ref 0.0 in
+    Slice_candidates.iter_edges sc c (fun e -> w := !w +. weights.(e));
+    if !best < 0 || !w < !bw then begin
+      best := c;
+      bw := !w
+    end
+  done;
+  !best
+
+let prop_cheapest_matches_full_fold =
+  QCheck.Test.make ~name:"cheapest = full-sum strict-< fold" ~count:60
+    QCheck.(triple small_nat bool bool)
+    (fun (seed, on_grid, racke) ->
+      let module Slice_candidates = Sso_flow.Slice_candidates in
+      let rng = Rng.create seed in
+      let g =
+        if on_grid then Gen.grid (3 + Rng.int rng 2) (3 + Rng.int rng 3)
+        else Gen.random_regular rng (8 + (2 * Rng.int rng 4)) 3
+      in
+      let n = Graph.n g and m = Graph.m g in
+      let base = if racke then Racke.routing (Rng.split rng) g else Ksp.routing ~k:4 g in
+      let ps = Sampler.alpha_sample (Rng.split rng) base ~alpha:(1 + Rng.int rng 4) in
+      let down = List.init (Rng.int rng 4) (fun _ -> Rng.int rng m) in
+      let view = Path_system.filter (fun a i -> not (Arena.exists a i (fun e -> List.mem e down))) ps in
+      let support = Demand.support (Demand.random_pairs rng ~n ~pairs:(1 + Rng.int rng 8)) in
+      let sc = Path_system.to_slice_candidates view support in
+      let palette = [| 0.0; infinity; 1.0; 0.5; 2.0 |] in
+      let weight () =
+        match Rng.int rng 7 with k when k < 5 -> palette.(k) | _ -> Rng.float rng
+      in
+      List.for_all
+        (fun _ ->
+          let weights = Array.init (Array.length (Slice_candidates.edges sc)) (fun _ -> weight ()) in
+          List.for_all
+            (fun i ->
+              let priced = ref 0 in
+              let first, count = Slice_candidates.range sc i in
+              let all = ref 0 in
+              for c = first to first + count - 1 do
+                Slice_candidates.iter_edges sc c (fun _ -> incr all)
+              done;
+              Slice_candidates.cheapest sc ~weights ~priced i = full_fold sc ~weights i
+              && !priced <= !all)
+            (List.init (List.length support) Fun.id))
+        (List.init 8 Fun.id))
+
+(* Two boundary cases on the square's two routes, 0-1-3 (edges 0, 1)
+   then 0-2-3 (edges 2, 3), whose slots are their edge ids: equal sums
+   keep the first candidate, and a later candidate whose partial sum
+   equals the best before a zero-weight tail stops there and loses.  A
+   weight array shorter than the slots is rejected, not read past. *)
+let test_cheapest_boundaries () =
+  let module Slice_candidates = Sso_flow.Slice_candidates in
+  let g = square () in
+  let ps = Path_system.of_generator g (fun _ _ -> square_paths g) in
+  let sc = Path_system.to_slice_candidates ps [ (0, 3) ] in
+  let first, count = Slice_candidates.range sc 0 in
+  Alcotest.(check (pair int int)) "two candidates" (0, 2) (first, count);
+  Alcotest.(check (array int)) "slots are edge ids" [| 0; 1; 2; 3 |] (Slice_candidates.edges sc);
+  let price weights =
+    let priced = ref 0 in
+    let c = Slice_candidates.cheapest sc ~weights ~priced 0 in
+    (c, !priced)
+  in
+  Alcotest.(check (pair int int)) "equal sums keep the first" (0, 4) (price [| 1.0; 1.0; 1.0; 1.0 |]);
+  Alcotest.(check (pair int int)) "equal partial before a zero tail loses" (0, 3)
+    (price [| 1.0; 1.0; 2.0; 0.0 |]);
+  Alcotest.(check (pair int int)) "a strictly cheaper later candidate wins" (1, 4)
+    (price [| 1.0; 1.0; 1.0; 0.5 |]);
+  Alcotest.check_raises "fewer weights than slots"
+    (Invalid_argument "Slice_candidates.cheapest: fewer weights than slots") (fun () ->
+      ignore (price [| 1.0; 1.0; 1.0 |]))
+
+(* [mwu.edges_priced] counts the candidate edges pricing read: the same
+   at any job count, pinned on the k=8 fat-tree cold solve, and below
+   the full sums of every candidate in the probe and every round. *)
+let test_edges_priced_counter () =
+  let priced = Obs.counter "mwu.edges_priced" in
+  let g, ps, d = fat_tree_instance () in
+  let iters = 300 in
+  let count jobs =
+    Support.with_jobs jobs @@ fun () ->
+    let sc = Path_system.to_slice_candidates ps (Demand.support d) in
+    let before = Obs.counter_value priced in
+    ignore (Min_congestion.mwu_on_slices ~iters g sc d);
+    Obs.counter_value priced - before
+  in
+  let at1 = count 1 in
+  Alcotest.(check int) "jobs 4" at1 (count 4);
+  Alcotest.(check int) "k=8 fat-tree cold solve" 42281 at1;
+  let full =
+    (iters + 1)
+    * Sso_flow.Slice_candidates.crossings (Path_system.to_slice_candidates ps (Demand.support d))
+  in
+  Alcotest.(check bool) (Printf.sprintf "early exit reads fewer (%d < %d)" at1 full) true (at1 < full)
+
 (* ---------- Slot classes ---------- *)
 
 (* A per-slot Stage-4 MWU, written against the public store API: the
@@ -1249,6 +1358,8 @@ let () =
           Alcotest.test_case "unrestricted jobs-invariant" `Quick
             test_mwu_unrestricted_jobs_invariant;
           Alcotest.test_case "sssp settled counter" `Quick test_sssp_settled_counter;
+          Alcotest.test_case "edges priced counter" `Quick test_edges_priced_counter;
+          Alcotest.test_case "cheapest boundaries" `Quick test_cheapest_boundaries;
           Alcotest.test_case "lower bound sound" `Slow test_lower_bound_sound;
           Alcotest.test_case "lower bound bottleneck" `Quick test_lower_bound_tight_on_bottleneck;
           Alcotest.test_case "stage 5 golden pins" `Quick test_stage5_golden;
@@ -1290,6 +1401,7 @@ let () =
           [
             prop_round_preserves_counts;
             prop_store_edges_are_candidate_edges;
+            prop_cheapest_matches_full_fold;
             prop_class_mwu_matches_per_slot;
             prop_classes_are_exact;
           ] );
