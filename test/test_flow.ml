@@ -1358,8 +1358,6 @@ let () =
           Alcotest.test_case "unrestricted jobs-invariant" `Quick
             test_mwu_unrestricted_jobs_invariant;
           Alcotest.test_case "sssp settled counter" `Quick test_sssp_settled_counter;
-          Alcotest.test_case "edges priced counter" `Quick test_edges_priced_counter;
-          Alcotest.test_case "cheapest boundaries" `Quick test_cheapest_boundaries;
           Alcotest.test_case "lower bound sound" `Slow test_lower_bound_sound;
           Alcotest.test_case "lower bound bottleneck" `Quick test_lower_bound_tight_on_bottleneck;
           Alcotest.test_case "stage 5 golden pins" `Quick test_stage5_golden;
@@ -1372,6 +1370,8 @@ let () =
           Alcotest.test_case "missing candidates" `Quick test_mwu_missing_candidates;
           Alcotest.test_case "classes count walks" `Quick test_classes_count_walks;
           Alcotest.test_case "fat-tree classes" `Quick test_fat_tree_classes;
+          Alcotest.test_case "edges priced counter" `Quick test_edges_priced_counter;
+          Alcotest.test_case "cheapest boundaries" `Quick test_cheapest_boundaries;
         ] );
       ( "routing extra",
         [
