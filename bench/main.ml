@@ -1031,19 +1031,6 @@ let () =
   match find_value "--json" args with
   | None -> ()
   | Some path ->
-      let escape s =
-        let b = Buffer.create (String.length s + 8) in
-        String.iter
-          (fun c ->
-            match c with
-            | '"' -> Buffer.add_string b "\\\""
-            | '\\' -> Buffer.add_string b "\\\\"
-            | c when Char.code c < 0x20 ->
-                Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-            | c -> Buffer.add_char b c)
-          s;
-        Buffer.contents b
-      in
       let fields f entries =
         String.concat ", " (List.map f entries)
       in
@@ -1053,11 +1040,11 @@ let () =
       let json =
         Printf.sprintf
           "{\"meta\": {\"schema\": \"sso-bench\", \"version\": 1, \"seed\": \
-           %d, \"jobs\": %d, \"git\": \"%s\", \"trace_schema\": %d}, \
+           %d, \"jobs\": %d, \"git\": %s, \"trace_schema\": %d}, \
            \"seed\": %d, \"jobs\": %d, \"cache\": {%s}, \"experiments\": \
            [%s], \"scalars\": {%s}, \"metrics\": %s}\n"
           !master_seed (Pool.default_jobs ())
-          (escape (git_describe ()))
+          (Trace.json_string (git_describe ()))
           Trace.schema_version !master_seed (Pool.default_jobs ())
           (fields
              (fun name ->
@@ -1065,16 +1052,16 @@ let () =
              [ "hit"; "miss"; "corrupt"; "bytes_read"; "bytes_written" ])
           (fields
              (fun (id, seconds) ->
-               Printf.sprintf "{\"id\": \"%s\", \"seconds\": %.6f}" (escape id)
-                 seconds)
+               Printf.sprintf "{\"id\": %s, \"seconds\": %.6f}"
+                 (Trace.json_string id) seconds)
              !timings)
           (fields
              (fun (name, v) ->
                (* Non-finite values (unsurvivable ratios, unmeasured
                   recoveries) are not valid JSON numbers: quote them. *)
                if Float.is_finite v then
-                 Printf.sprintf "\"%s\": %.17g" (escape name) v
-               else Printf.sprintf "\"%s\": \"%.17g\"" (escape name) v)
+                 Printf.sprintf "%s: %.17g" (Trace.json_string name) v
+               else Printf.sprintf "%s: \"%.17g\"" (Trace.json_string name) v)
              !scalars)
           (Obs.metrics_json ())
       in

@@ -287,20 +287,7 @@ let family_arg ?(expander = false) ~doc () =
 
 (* ---- JSON writers ---- *)
 
-let jstr s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 32 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+let jstr = Trace.json_string
 
 (* Non-finite floats are quoted: JSON has no literal for them. *)
 let jfloat f =
@@ -740,9 +727,8 @@ let faults_cmd =
       let scenarios =
         scenarios ~srlgs:(fun () -> srlgs g family_name size) scen_rng g
       in
-      let recovery = if recovery then Some Fsweep.default_recovery else None in
       let reports =
-        Fsweep.run ~solver ?store ~system_key ?recovery g system demand
+        Fsweep.run ~solver ?store ~system_key ~recovery g system demand
           scenarios
       in
       let s = Fsweep.summary reports in

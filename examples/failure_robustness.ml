@@ -51,7 +51,7 @@ let () =
     @ List.init 4 (fun i -> Scenario.random_k (Rng.split_at (Rng.split rng) i) g ~k:2)
   in
   let reports =
-    Sweep.run ~recovery:Sweep.default_recovery g system demand scenarios
+    Sweep.run ~recovery:true g system demand scenarios
   in
   let s = Sweep.summary reports in
   Printf.printf

@@ -120,17 +120,6 @@ let route_by_halving ~gamma g ps demand =
       end
     in
     let parts = go 0 demand [] in
-    let combined =
-      match parts with
-      | [] -> Routing.make []
-      | (d0, r0) :: rest ->
-          let _, routing =
-            List.fold_left
-              (fun (dacc, racc) (d, r) ->
-                (Demand.add dacc d, Routing.merge_convex (dacc, racc) (d, r)))
-              (d0, r0) rest
-          in
-          routing
-    in
+    let combined = Routing.merge_convex parts in
     (combined, Routing.congestion g combined demand)
   end

@@ -19,17 +19,6 @@ let route ~gamma ~alpha g ps demand =
         buckets
     in
     (* Lemma 5.15: demand-proportional merge of the bucket routings. *)
-    let combined =
-      match parts with
-      | [] -> Routing.make []
-      | (d0, r0) :: rest ->
-          let _, routing =
-            List.fold_left
-              (fun (dacc, racc) (d, r) ->
-                (Demand.add dacc d, Routing.merge_convex (dacc, racc) (d, r)))
-              (d0, r0) rest
-          in
-          routing
-    in
+    let combined = Routing.merge_convex parts in
     (combined, Routing.congestion g combined demand)
   end

@@ -95,8 +95,9 @@ let by_tick events =
 
 (* ---- JSONL codec ---- *)
 
-(* Same float spelling as the trace codec: finite floats round-trip via
-   %.17g; non-finite rates are rejected before they reach the writer. *)
+(* Integral rates below 1e15 are written without a fraction ([1], where a
+   trace attribute writes [1.0]); other finite rates round-trip via %.17g.
+   Non-finite rates are rejected before they reach the writer. *)
 let add_rate buf r =
   if Float.is_integer r && Float.abs r < 1e15 then
     Buffer.add_string buf (Printf.sprintf "%.0f" r)

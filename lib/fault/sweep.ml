@@ -26,9 +26,12 @@ type report = {
   warm_congestion : float;
 }
 
-type recovery = { ladder : int list; tolerance : float; warm_weight : int }
-
-let default_recovery = { ladder = [ 10; 20; 40; 80 ]; tolerance = 1.05; warm_weight = 60 }
+(* Recovery tries these warm-started round counts in turn and accepts the
+   first with [warm <= recovery_tolerance *. achieved]; the pre-failure
+   routing counts as [recovery_warm_weight] virtual rounds. *)
+let recovery_ladder = [ 10; 20; 40; 80 ]
+let recovery_tolerance = 1.05
+let recovery_warm_weight = 60
 
 let singles g = List.init (Graph.m g) (Scenario.single g)
 
@@ -75,12 +78,12 @@ let solver_repr = function
   | Semi_oblivious.Lp -> "lp"
   | Semi_oblivious.Mwu i -> Printf.sprintf "mwu:%d" i
 
-let recovery_repr = function
-  | None -> "none"
-  | Some rc ->
-      Printf.sprintf "ladder=%s;tol=%.17g;w=%d"
-        (String.concat "," (List.map string_of_int rc.ladder))
-        rc.tolerance rc.warm_weight
+let recovery_repr recovery =
+  if not recovery then "none"
+  else
+    Printf.sprintf "ladder=%s;tol=%.17g;w=%d"
+      (String.concat "," (List.map string_of_int recovery_ladder))
+      recovery_tolerance recovery_warm_weight
 
 let report_recipe ~graph_digest ~demand_digest ~system_key ~solver ~recovery scenario =
   Store.recipe ~kind:"fault-report"
@@ -95,7 +98,7 @@ let report_recipe ~graph_digest ~demand_digest ~system_key ~solver ~recovery sce
 
 (* ---------- Evaluation ---------- *)
 
-let evaluate ~solver ~iters ~recovery ~pre_routing g ps demand scenario =
+let evaluate ~solver ~iters ~pre_routing g ps demand scenario =
   let support = Demand.support demand in
   let g' = Scenario.apply g scenario in
   let removed = Scenario.removed scenario in
@@ -134,21 +137,21 @@ let evaluate ~solver ~iters ~recovery ~pre_routing g ps demand scenario =
       else begin
         let achieved = Semi_oblivious.congestion ~solver g' survivors demand in
         let recovery_rounds, warm_congestion =
-          match (recovery, pre_routing) with
-          | Some rc, Some pre ->
+          match pre_routing with
+          | Some pre ->
               let rec climb = function
                 | [] -> (-1, nan)
                 | rounds :: rest ->
                     let _, warm =
                       Semi_oblivious.reoptimize ~solver:(Semi_oblivious.Mwu rounds)
-                        ~warm_start:(pre, rc.warm_weight) g' survivors demand
+                        ~warm_start:(pre, recovery_warm_weight) g' survivors demand
                     in
-                    if warm <= rc.tolerance *. achieved then (rounds, warm)
+                    if warm <= recovery_tolerance *. achieved then (rounds, warm)
                     else if rest = [] then (-1, warm)
                     else climb rest
               in
-              climb rc.ladder
-          | _ -> (-1, nan)
+              climb recovery_ladder
+          | None -> (-1, nan)
         in
         {
           scenario;
@@ -163,7 +166,7 @@ let evaluate ~solver ~iters ~recovery ~pre_routing g ps demand scenario =
       end
 
 let run ?(solver = Semi_oblivious.default_solver) ?store ?system_key
-    ?recovery g ps demand scenarios =
+    ?(recovery = false) g ps demand scenarios =
   let iters = match solver with Semi_oblivious.Mwu i -> i | Semi_oblivious.Lp -> 300 in
   let support = Demand.support demand in
   (* Materialize the parent system before fanning out: derived survivor
@@ -175,9 +178,8 @@ let run ?(solver = Semi_oblivious.default_solver) ?store ?system_key
   (* The pre-failure Stage-4 routing seeds every warm restart; solve it
      once, serially, so the fan-out only runs per-scenario work. *)
   let pre_routing =
-    match recovery with
-    | None -> None
-    | Some _ -> Some (fst (Semi_oblivious.route ~solver g ps demand))
+    if recovery then Some (fst (Semi_oblivious.route ~solver g ps demand))
+    else None
   in
   let cache =
     match (store, system_key) with
@@ -209,7 +211,7 @@ let run ?(solver = Semi_oblivious.default_solver) ?store ?system_key
         | Some r -> r
         | None ->
             let r =
-              evaluate ~solver ~iters ~recovery ~pre_routing g ps demand scenario
+              evaluate ~solver ~iters ~pre_routing g ps demand scenario
             in
             (match cache with
             | Some (store, recipe_of) ->

@@ -35,15 +35,6 @@ type report = {
       (** Congestion at the reported rung ([nan] when not measured). *)
 }
 
-type recovery = {
-  ladder : int list;  (** Round counts to try, ascending. *)
-  tolerance : float;  (** Accept [warm ≤ tolerance · achieved]. *)
-  warm_weight : int;  (** Virtual rounds granted to the pre-failure routing. *)
-}
-
-val default_recovery : recovery
-(** [{ ladder = [10; 20; 40; 80]; tolerance = 1.05; warm_weight = 60 }]. *)
-
 val singles : Sso_graph.Graph.t -> Scenario.t list
 (** One single-edge-removal scenario per edge, in id order — makes the
     classic sweep a special case of {!run}. *)
@@ -52,7 +43,7 @@ val run :
   ?solver:Sso_core.Semi_oblivious.solver ->
   ?store:Sso_artifact.Store.t ->
   ?system_key:string ->
-  ?recovery:recovery ->
+  ?recovery:bool ->
   Sso_graph.Graph.t ->
   Sso_core.Path_system.t ->
   Sso_demand.Demand.t ->
@@ -61,8 +52,11 @@ val run :
 (** One report per scenario, in input order.  [system_key] names the path
     system (e.g. the sampling fingerprint) and is required for caching:
     without it, results are computed but never stored.  [recovery]
-    additionally solves the pre-failure Stage-4 routing once and measures
-    warm-started time-to-recover per survivable scenario.  Emits the
+    (default [false]) additionally solves the pre-failure Stage-4 routing
+    once and measures warm-started time-to-recover per survivable
+    scenario: it tries 10, 20, 40 and 80 MWU rounds in turn, each warm
+    started with the pre-failure routing worth 60 rounds, and accepts the
+    first within [1.05 · achieved].  Emits the
     [fault.sweep] span and the [fault.scenarios] counter. *)
 
 type summary = {

@@ -101,7 +101,7 @@ let dilation r d =
         acc (distribution r s t))
     d 0
 
-let merge_convex (d1, r1) (d2, r2) =
+let merge_two (d1, r1) (d2, r2) =
   Pair_map.merge
     (fun pair dist1 dist2 ->
       match (dist1, dist2) with
@@ -117,6 +117,15 @@ let merge_convex (d1, r1) (d2, r2) =
             Some (normalize pair (scaled1 @ scaled2))
           end)
     r1 r2
+
+let merge_convex = function
+  | [] -> Pair_map.empty
+  | first :: rest ->
+      snd
+        (List.fold_left
+           (fun ((dacc, _) as acc) ((d, _) as part) ->
+             (Demand.add dacc d, merge_two acc part))
+           first rest)
 
 let sample_path rng r s t =
   match distribution r s t with

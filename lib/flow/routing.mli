@@ -39,12 +39,14 @@ val dilation : t -> Sso_demand.Demand.t -> int
 (** [dil(R,d)]: maximum hop count over paths with positive weight used by
     pairs in the demand's support; [0] for the empty demand. *)
 
-val merge_convex :
-  Sso_demand.Demand.t * t -> Sso_demand.Demand.t * t -> t
-(** Demand-weighted combination (Lemma 5.15): the routing that, for each
-    pair, mixes the two distributions proportionally to the two demands.
-    Pairs present in only one argument keep that argument's distribution.
-    Its congestion on [d1 + d2] is at most [cong(R1,d1) + cong(R2,d2)]. *)
+val merge_convex : (Sso_demand.Demand.t * t) list -> t
+(** Demand-weighted combination (Lemma 5.15) of parts [(d_i, R_i)]: the
+    routing that, for each pair, mixes the parts' distributions
+    proportionally to their demands.  Parts are folded left to right, each
+    into the merge of those before it weighted by their summed demand.  A
+    pair present in one part only keeps that part's distribution.  Its
+    congestion on [sum d_i] is at most [sum cong(R_i, d_i)]; the empty
+    list gives the empty routing. *)
 
 val sample_path : Sso_prng.Rng.t -> t -> int -> int -> Sso_graph.Path.t
 (** Draw a path from [R(s,t)].  @raise Invalid_argument if the pair is

@@ -1,11 +1,11 @@
 (** Bridge (cut-edge) detection.
 
-    A bridge is an edge whose removal disconnects its endpoints.  The
-    robustness experiments use bridges to separate "the network cannot
-    survive this failure" from "the candidate set failed to cover it", and
-    the lower-bound family graph [G(n)] is glued from gadgets precisely by
-    bridges.  Tarjan low-link DFS, O(n + m); parallel edges are never
-    bridges. *)
+    A bridge is an edge whose removal disconnects its endpoints.  No
+    program calls this module: it is the test oracle of [test_core]'s
+    "robustness agrees with bridges" case, which checks that the single
+    failures the fault sweep reports as disconnecting are exactly the
+    bridges separating the demanded pair.  Tarjan low-link DFS,
+    O(n + m); parallel edges are never bridges. *)
 
 val find : Graph.t -> int list
 (** Edge ids of all bridges, ascending. *)

@@ -134,7 +134,7 @@ let traced ?(attrs = []) name f =
 
 (* ---- metrics registry ----
 
-   Counters and accumulators are atomics so hot paths never take the
+   Counters and histograms are atomics so hot paths never take the
    registry lock; the lock only guards find-or-create and enumeration. *)
 
 type counter = { cname : string; value : int Atomic.t }
@@ -146,12 +146,8 @@ type histogram = {
   h_buckets : int Atomic.t array; (* index = floor(log2 sample), 0 for <= 1 *)
 }
 
-type span = {
-  sname : string;
-  total_ns : int Atomic.t;
-  calls : int Atomic.t;
-  shist : histogram;
-}
+(* A span's wall time and calls are its histogram's sum and count. *)
+type span = { sname : string; shist : histogram }
 
 type gauge = { gname : string; gvalue : float Atomic.t }
 
@@ -309,10 +305,7 @@ let span name =
   (* Register the histogram first: [registered]'s lock is not reentrant,
      so it must not be created inside the make closure. *)
   let shist = histogram ("span." ^ name) in
-  registered spans
-    (fun sname ->
-      { sname; total_ns = Atomic.make 0; calls = Atomic.make 0; shist })
-    name
+  registered spans (fun sname -> { sname; shist }) name
 
 let with_span ?(attrs = []) sp f =
   let trace = Atomic.get tracing_flag in
@@ -323,8 +316,6 @@ let with_span ?(attrs = []) sp f =
   Fun.protect
     ~finally:(fun () ->
       let dur = max 0 (now_ns () - t0) in
-      ignore (Atomic.fetch_and_add sp.total_ns dur);
-      ignore (Atomic.fetch_and_add sp.calls 1);
       observe sp.shist dur;
       if trace then begin
         d := depth0;
@@ -332,17 +323,12 @@ let with_span ?(attrs = []) sp f =
       end)
     f
 
-let span_total_ns sp = Atomic.get sp.total_ns
-let span_calls sp = Atomic.get sp.calls
+let span_total_ns sp = Atomic.get sp.shist.h_sum
+let span_calls sp = Atomic.get sp.shist.h_count
 
 let reset_metrics () =
   Mutex.lock lock;
   Hashtbl.iter (fun _ c -> Atomic.set c.value 0) counters;
-  Hashtbl.iter
-    (fun _ s ->
-      Atomic.set s.total_ns 0;
-      Atomic.set s.calls 0)
-    spans;
   Hashtbl.iter
     (fun _ h ->
       Atomic.set h.h_count 0;
@@ -361,67 +347,6 @@ let reset_metrics () =
       Mutex.unlock q.q_lock)
     quantiles;
   Mutex.unlock lock
-
-let metrics_snapshot () =
-  Mutex.lock lock;
-  let cs =
-    Hashtbl.fold (fun name c acc -> (name, Atomic.get c.value) :: acc) counters []
-  in
-  let ss =
-    Hashtbl.fold
-      (fun name s acc -> (name, Atomic.get s.total_ns, Atomic.get s.calls) :: acc)
-      spans []
-  in
-  Mutex.unlock lock;
-  ( List.sort compare (List.filter (fun (_, v) -> v <> 0) cs),
-    List.sort compare (List.filter (fun (_, _, c) -> c <> 0) ss) )
-
-let metrics_table () =
-  let cs, ss = metrics_snapshot () in
-  if cs = [] && ss = [] then ""
-  else begin
-    let buf = Buffer.create 256 in
-    if cs <> [] then begin
-      Buffer.add_string buf (Printf.sprintf "%-32s %14s\n" "counter" "value");
-      List.iter
-        (fun (name, v) ->
-          Buffer.add_string buf (Printf.sprintf "%-32s %14d\n" name v))
-        cs
-    end;
-    if ss <> [] then begin
-      if cs <> [] then Buffer.add_char buf '\n';
-      Buffer.add_string buf
-        (Printf.sprintf "%-32s %10s %12s %12s\n" "span" "calls" "total ms"
-           "ms/call");
-      List.iter
-        (fun (name, ns, calls) ->
-          let ms = float_of_int ns /. 1e6 in
-          Buffer.add_string buf
-            (Printf.sprintf "%-32s %10d %12.2f %12.3f\n" name calls ms
-               (ms /. float_of_int (max 1 calls))))
-        ss
-    end;
-    Buffer.contents buf
-  end
-
-let metrics_json () =
-  let cs, ss = metrics_snapshot () in
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "{\"counters\": {";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf (Printf.sprintf "%S: %d" name v))
-    cs;
-  Buffer.add_string buf "}, \"spans\": {";
-  List.iteri
-    (fun i (name, ns, calls) ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf
-        (Printf.sprintf "%S: {\"ns\": %d, \"calls\": %d}" name ns calls))
-    ss;
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
 
 (* ---- trace collection ---- *)
 
@@ -450,39 +375,14 @@ let events () =
 let dropped_events () =
   List.fold_left (fun acc b -> acc + b.dropped) 0 (snapshot_buffers ())
 
-let histogram_records () =
-  Mutex.lock lock;
-  let hs =
-    Hashtbl.fold
-      (fun name h acc ->
-        let count = Atomic.get h.h_count in
-        if count = 0 then acc
-        else begin
-          let buckets = ref [] in
-          for b = Array.length h.h_buckets - 1 downto 0 do
-            let c = Atomic.get h.h_buckets.(b) in
-            if c > 0 then buckets := (b, c) :: !buckets
-          done;
-          {
-            Trace.h_name = name;
-            h_count = count;
-            h_sum = Atomic.get h.h_sum;
-            h_buckets = !buckets;
-          }
-          :: acc
-        end)
-      histograms []
-  in
-  Mutex.unlock lock;
-  List.sort (fun a b -> compare a.Trace.h_name b.Trace.h_name) hs
+(* ---- registry snapshot and its renderings ----
 
-(* ---- Prometheus exposition ----
-
-   [snapshot] freezes the whole registry under the lock; [expose] renders
-   the frozen frame as Prometheus text exposition format v0.0.4.  Both
-   live outside every deterministic output path: exposition values carry
-   wall-clock latencies and GC state, so they must never feed digests or
-   byte-compared stdout — the same boundary [solve_ns] already draws. *)
+   [snapshot] freezes the whole registry under the lock; the [--metrics]
+   table and JSON and [expose] (Prometheus text exposition format v0.0.4)
+   render the frozen frame.  All live outside every deterministic output
+   path: their values carry wall-clock latencies and GC state, so they
+   must never feed digests or byte-compared stdout — the same boundary
+   [solve_ns] already draws. *)
 
 type exposition = {
   x_counters : (string * int) list;
@@ -507,7 +407,7 @@ let snapshot () =
   in
   let ss =
     Hashtbl.fold
-      (fun name s acc -> (name, Atomic.get s.total_ns, Atomic.get s.calls) :: acc)
+      (fun name s acc -> (name, span_total_ns s, span_calls s) :: acc)
       spans []
   in
   let hs =
@@ -542,6 +442,61 @@ let snapshot () =
     x_histograms = sorted_by_name (fun (n, _, _, _) -> n) hs;
     x_quantiles = sorted_by_name (fun (n, _, _, _) -> n) qs;
   }
+
+(* The [--metrics] renderings: the snapshot's non-zero counters and the
+   spans that ran. *)
+let recorded () =
+  let x = snapshot () in
+  ( List.filter (fun (_, v) -> v <> 0) x.x_counters,
+    List.filter (fun (_, _, calls) -> calls <> 0) x.x_spans )
+
+let metrics_table () =
+  let cs, ss = recorded () in
+  if cs = [] && ss = [] then ""
+  else begin
+    let buf = Buffer.create 256 in
+    if cs <> [] then begin
+      Buffer.add_string buf (Printf.sprintf "%-32s %14s\n" "counter" "value");
+      List.iter
+        (fun (name, v) ->
+          Buffer.add_string buf (Printf.sprintf "%-32s %14d\n" name v))
+        cs
+    end;
+    if ss <> [] then begin
+      if cs <> [] then Buffer.add_char buf '\n';
+      Buffer.add_string buf
+        (Printf.sprintf "%-32s %10s %12s %12s\n" "span" "calls" "total ms"
+           "ms/call");
+      List.iter
+        (fun (name, ns, calls) ->
+          let ms = float_of_int ns /. 1e6 in
+          Buffer.add_string buf
+            (Printf.sprintf "%-32s %10d %12.2f %12.3f\n" name calls ms
+               (ms /. float_of_int (max 1 calls))))
+        ss
+    end;
+    Buffer.contents buf
+  end
+
+let metrics_json () =
+  let cs, ss = recorded () in
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf "{\"counters\": {";
+  List.iteri
+    (fun i (name, v) ->
+      if i > 0 then Buffer.add_string buf ", ";
+      Buffer.add_string buf (Printf.sprintf "%s: %d" (Trace.json_string name) v))
+    cs;
+  Buffer.add_string buf "}, \"spans\": {";
+  List.iteri
+    (fun i (name, ns, calls) ->
+      if i > 0 then Buffer.add_string buf ", ";
+      Buffer.add_string buf
+        (Printf.sprintf "%s: {\"ns\": %d, \"calls\": %d}" (Trace.json_string name)
+           ns calls))
+    ss;
+  Buffer.add_string buf "}}";
+  Buffer.contents buf
 
 (* GC gauges are sampled only when this is called (the serve metrics
    writer does, right before each snapshot) — never from inside traced or
@@ -660,18 +615,4 @@ let clear_trace () =
   fresh_stream ()
 
 let write_trace ~path ~meta =
-  let dropped = dropped_events () in
-  (* Mirror the drop count into meta (unless the caller already set it):
-     the header [dropped] field is load-bearing for [sso trace summary]'s
-     truncation warning, and meta keeps it visible to generic readers. *)
-  let meta =
-    if List.mem_assoc "dropped_events" meta then meta
-    else meta @ [ ("dropped_events", Trace.Int dropped) ]
-  in
-  Trace.save path
-    {
-      Trace.meta;
-      dropped;
-      events = events ();
-      histograms = histogram_records ();
-    }
+  Trace.save path { Trace.meta; dropped = dropped_events (); events = events () }

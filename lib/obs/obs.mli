@@ -2,9 +2,10 @@
 
     Two layers share one module:
 
-    - {b Always-on aggregates} — counters, spans (wall time + calls), and
-      log-scale histograms in a thread-safe registry, rendered by
-      [metrics_table]/[metrics_json] for [--metrics].
+    - {b Always-on aggregates} — counters, spans and log-scale histograms
+      in a thread-safe registry, frozen by {!snapshot} and rendered from
+      it by [metrics_table]/[metrics_json] for [--metrics].  A span's wall
+      time and calls are its duration histogram's sum and count.
     - {b Trace events} — gated by [set_tracing].  When tracing is off,
       [event] is a flag test and [traced] runs its thunk directly; call
       sites guard attribute construction with [tracing ()] so the
@@ -75,16 +76,19 @@ val histogram : string -> histogram
 val observe : histogram -> int -> unit
 
 val span : string -> span
-(** Find or create.  Also registers a ["span." ^ name] duration histogram
-    fed by every [with_span] call. *)
+(** Find or create.  The span's aggregates live in a ["span." ^ name]
+    duration histogram fed by every [with_span] call. *)
 
 val with_span : ?attrs:(string * Trace.value) list -> span -> (unit -> 'a) -> 'a
-(** Run the closure, accumulating wall time and one call (also on
-    exceptions).  When tracing is on, additionally emits a span trace
-    event carrying [attrs]. *)
+(** Run the closure and observe its wall time in the span's histogram
+    (also on exceptions).  When tracing is on, additionally emits a span
+    trace event carrying [attrs]. *)
 
 val span_total_ns : span -> int
+(** The span histogram's sum. *)
+
 val span_calls : span -> int
+(** The span histogram's count. *)
 
 (** {1 Gauges and rolling quantiles}
 
@@ -144,7 +148,8 @@ type exposition = {
 
 val snapshot : unit -> exposition
 (** Freeze the full registry (counters, gauges, spans, histograms,
-    quantiles), each section sorted by name. *)
+    quantiles), each section sorted by name.  A span's entry repeats its
+    ["span." ^ name] histogram's sum and count. *)
 
 val expose : exposition -> string
 (** Render a frame as Prometheus text exposition format v0.0.4: dotted
@@ -161,8 +166,9 @@ val sample_gc_gauges : unit -> unit
     digest-producing code — so deterministic outputs stay GC-invariant. *)
 
 val metrics_table : unit -> string
-(** Human-readable table of all non-zero counters and spans, sorted by
-    name.  Empty string when nothing was recorded. *)
+(** Human-readable table of a {!snapshot}'s non-zero counters and of the
+    spans that ran, sorted by name.  Empty string when nothing was
+    recorded. *)
 
 val metrics_json : unit -> string
 (** The same data as a JSON object
@@ -187,8 +193,6 @@ val clear_trace : unit -> unit
     only between runs (no parallel region in flight). *)
 
 val write_trace : path:string -> meta:(string * Trace.value) list -> unit
-(** Snapshot events + histograms into a {!Trace.t} and [Trace.save] it.
-    The current {!dropped_events} count is recorded both in the trace
-    header and — unless the caller already supplied one — as a
-    [dropped_events] meta entry.
+(** Save the collected events as a {!Trace.t}, with [meta] as given and
+    the current {!dropped_events} count in the header's [dropped].
     @raise Trace.Unreadable on I/O failure. *)

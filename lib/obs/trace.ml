@@ -1,7 +1,7 @@
 exception Unreadable of string
 exception Corrupt of string
 
-let schema_version = 1
+let schema_version = 2
 
 type value = Int of int | Float of float | Bool of bool | String of string
 type kind = Span | Event
@@ -17,19 +17,7 @@ type event = {
   attrs : (string * value) list;
 }
 
-type histogram = {
-  h_name : string;
-  h_count : int;
-  h_sum : int;
-  h_buckets : (int * int) list;
-}
-
-type t = {
-  meta : (string * value) list;
-  dropped : int;
-  events : event list;
-  histograms : histogram list;
-}
+type t = { meta : (string * value) list; dropped : int; events : event list }
 
 (* ---------- encoding ---------- *)
 
@@ -50,6 +38,11 @@ let add_escaped buf s =
       | c -> Buffer.add_char buf c)
     s;
   Buffer.add_char buf '"'
+
+let json_string s =
+  let buf = Buffer.create (String.length s + 2) in
+  add_escaped buf s;
+  Buffer.contents buf
 
 (* JSON has no literals for nan/inf; null and the overflowing 1e999 (which
    float_of_string reads back as infinity) keep every float representable. *)
@@ -111,23 +104,6 @@ let encode_header buf t =
   Buffer.add_string buf (string_of_int (List.length t.events));
   Buffer.add_char buf '}'
 
-let encode_histogram buf h =
-  Buffer.add_string buf "{\"kind\":\"histogram\",\"name\":";
-  add_escaped buf h.h_name;
-  Buffer.add_string buf ",\"count\":";
-  Buffer.add_string buf (string_of_int h.h_count);
-  Buffer.add_string buf ",\"sum\":";
-  Buffer.add_string buf (string_of_int h.h_sum);
-  Buffer.add_string buf ",\"buckets\":{";
-  List.iteri
-    (fun i (b, c) ->
-      if i > 0 then Buffer.add_char buf ',';
-      add_escaped buf (string_of_int b);
-      Buffer.add_char buf ':';
-      Buffer.add_string buf (string_of_int c))
-    h.h_buckets;
-  Buffer.add_string buf "}}"
-
 let save path t =
   try
     Atomic_file.write path (fun oc ->
@@ -143,11 +119,6 @@ let save path t =
               Buffer.clear buf
             end)
           t.events;
-        List.iter
-          (fun h ->
-            encode_histogram buf h;
-            Buffer.add_char buf '\n')
-          t.histograms;
         Buffer.output_buffer oc buf)
   with Sys_error msg -> raise (Unreadable msg)
 
@@ -376,25 +347,6 @@ let decode_event j =
     attrs = attrs_of_fields "event" (get_obj "event" j "attrs");
   }
 
-let decode_histogram j =
-  let buckets =
-    List.map
-      (fun (k, v) ->
-        match (int_of_string_opt k, v) with
-        | Some b, Json.Num raw -> (
-            match int_of_string_opt raw with
-            | Some c -> (b, c)
-            | None -> raise (Corrupt "histogram: bad bucket count"))
-        | _ -> raise (Corrupt "histogram: bad bucket"))
-      (get_obj "histogram" j "buckets")
-  in
-  {
-    h_name = get_string "histogram" j "name";
-    h_count = get_int "histogram" j "count";
-    h_sum = get_int "histogram" j "sum";
-    h_buckets = buckets;
-  }
-
 let read_lines path =
   let ic = try open_in_bin path with Sys_error msg -> raise (Unreadable msg) in
   Fun.protect
@@ -423,23 +375,14 @@ let load path =
       let meta = attrs_of_fields "header" (get_obj "header" header "meta") in
       let dropped = get_int "header" header "dropped" in
       let declared = get_int "header" header "events" in
-      let events = ref [] and histograms = ref [] in
-      List.iter
-        (fun line ->
-          let j = Json.parse line in
-          match Json.member "kind" j with
-          | Some (Json.Str "histogram") ->
-              histograms := decode_histogram j :: !histograms
-          | _ -> events := decode_event j :: !events)
-        rest;
-      let events = List.rev !events in
+      let events = List.map (fun line -> decode_event (Json.parse line)) rest in
       let found = List.length events in
       if found <> declared then
         raise
           (Corrupt
              (Printf.sprintf "truncated trace: header declares %d events, found %d"
                 declared found));
-      { meta; dropped; events; histograms = List.rev !histograms }
+      { meta; dropped; events }
 
 (* ---------- aggregation ---------- *)
 

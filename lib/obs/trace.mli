@@ -1,8 +1,7 @@
 (** JSONL trace files: the on-disk form of the {!Obs} event streams.
 
     A trace is one JSON object per line — a versioned header, then every
-    event sorted by its deterministic [(slot, seq)] key, then one trailer
-    line per non-empty histogram.  The codec is hand-rolled (the project
+    event sorted by its deterministic [(slot, seq)] key.  The codec is hand-rolled (the project
     deliberately carries no JSON dependency) and restricted to the subset
     these lines use; [save] writes atomically (temp file + rename) so a
     crashed run never leaves a half-written trace behind. *)
@@ -18,7 +17,8 @@ exception Corrupt of string
     header declares).  [sso trace] maps this to exit code 11. *)
 
 val schema_version : int
-(** Version written into (and required of) the header line. *)
+(** Version written into (and required of) the header line: 2.  Version 1
+    files, which ended in histogram trailer lines, are refused. *)
 
 type value = Int of int | Float of float | Bool of bool | String of string
 (** Attribute values.  Finite floats round-trip exactly ([%.17g]);
@@ -37,18 +37,10 @@ type event = {
   attrs : (string * value) list;
 }
 
-type histogram = {
-  h_name : string;
-  h_count : int;
-  h_sum : int;
-  h_buckets : (int * int) list;  (** (log2 bucket, count), ascending, non-zero *)
-}
-
 type t = {
   meta : (string * value) list;  (** header metadata: seed, jobs, git, ... *)
   dropped : int;  (** events lost to ring-buffer saturation *)
   events : event list;  (** sorted by (slot, seq) *)
-  histograms : histogram list;
 }
 
 val save : string -> t -> unit
@@ -57,6 +49,11 @@ val save : string -> t -> unit
 val load : string -> t
 (** @raise Unreadable when the file cannot be read, [Corrupt] when it
     parses wrong or is truncated. *)
+
+val json_string : string -> string
+(** [s] as a quoted JSON string literal, escaped the way [save] escapes
+    names and string attributes; every JSON writer in the repository
+    uses it. *)
 
 (** {1 Aggregation} *)
 

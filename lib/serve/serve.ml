@@ -25,8 +25,8 @@ type config = {
 }
 
 let default_config =
-  (* warm_iters/warm_weight follow the fault-recovery ladder's sweet spot
-     (Fault.Sweep.default_recovery): 60 virtual rounds of history plus a
+  (* warm_iters/warm_weight follow the fault sweep's recovery ladder
+     (Sso_fault.Sweep.run ~recovery): 60 virtual rounds of history plus a
      few fresh rounds recover near-cold quality under small drifts. *)
   { solver = Semi_oblivious.default_solver;
     warm_iters = 20;

@@ -216,7 +216,7 @@ let test_sweep_jobs_invariance () =
   let g, system, d, scenarios = torus_sweep_fixture 5 in
   let at_jobs jobs =
     Support.with_jobs jobs (fun () ->
-        Sweep.run ~solver ~recovery:Sweep.default_recovery g system d scenarios)
+        Sweep.run ~solver ~recovery:true g system d scenarios)
   in
   let r1 = at_jobs 1 and r4 = at_jobs 4 in
   (* compare, not (=): unmeasured warm_congestion is nan. *)
@@ -244,16 +244,16 @@ let test_worst_k_jobs_invariance_and_monotone () =
 let test_sweep_recovery_measured () =
   let g, ps, d = redundant_fixture () in
   let reports =
-    Sweep.run ~solver ~recovery:Sweep.default_recovery g ps d (Sweep.singles g)
+    Sweep.run ~solver ~recovery:true g ps d (Sweep.singles g)
   in
   List.iter
     (fun r ->
       if r.Sweep.survivable then begin
+        (* The ladder and tolerance documented at [Sweep.run]. *)
         Alcotest.(check bool) "rung from the ladder" true
-          (List.mem r.Sweep.recovery_rounds Sweep.default_recovery.Sweep.ladder);
+          (List.mem r.Sweep.recovery_rounds [ 10; 20; 40; 80 ]);
         Alcotest.(check bool) "warm within tolerance" true
-          (r.Sweep.warm_congestion
-          <= (Sweep.default_recovery.Sweep.tolerance *. r.Sweep.achieved) +. 1e-9)
+          (r.Sweep.warm_congestion <= (1.05 *. r.Sweep.achieved) +. 1e-9)
       end
       else Alcotest.(check int) "unmeasured" (-1) r.Sweep.recovery_rounds)
     reports;

@@ -112,7 +112,7 @@ let test_merge_convex_bound () =
   let d1 = Demand.single_pair 0 3 1.0 and d2 = Demand.single_pair 0 3 2.0 in
   let r1 = singleton_paths [ ((0, 3), upper) ] in
   let r2 = singleton_paths [ ((0, 3), lower) ] in
-  let merged = Routing.merge_convex (d1, r1) (d2, r2) in
+  let merged = Routing.merge_convex [ (d1, r1); (d2, r2) ] in
   let total = Demand.add d1 d2 in
   Alcotest.(check bool) "demand-sum bound" true
     (Routing.congestion g merged total

@@ -58,7 +58,6 @@ let trace_equal (a : Trace.t) (b : Trace.t) =
   && a.Trace.dropped = b.Trace.dropped
   && List.length a.Trace.events = List.length b.Trace.events
   && List.for_all2 event_equal a.Trace.events b.Trace.events
-  && a.Trace.histograms = b.Trace.histograms
 
 (* ---- codec ---- *)
 
@@ -91,15 +90,6 @@ let sample_trace =
           ];
         ev 2 0 Trace.Span "stage4.mwu" 123456 2 [];
       ];
-    histograms =
-      [
-        {
-          Trace.h_name = "span.stage4.mwu";
-          h_count = 3;
-          h_sum = 4096;
-          h_buckets = [ (0, 1); (10, 2) ];
-        };
-      ];
   }
 
 let test_roundtrip () =
@@ -111,7 +101,7 @@ let test_roundtrip () =
 
 let test_empty_roundtrip () =
   let path = temp_trace () in
-  let t = { Trace.meta = []; dropped = 0; events = []; histograms = [] } in
+  let t = { Trace.meta = []; dropped = 0; events = [] } in
   Trace.save path t;
   let loaded = Trace.load path in
   Sys.remove path;
@@ -181,7 +171,6 @@ let prop_attrs_roundtrip =
                    attrs;
                  };
                ];
-             histograms = [];
            }
          in
          let path = temp_trace () in
@@ -211,12 +200,28 @@ let test_load_contract () =
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   write path "this is not json\n";
   expect_corrupt "garbage" (fun () -> Trace.load path);
-  write path "{\"schema\":\"other\",\"version\":1,\"meta\":{},\"dropped\":0,\"events\":0}\n";
+  write path "{\"schema\":\"other\",\"version\":2,\"meta\":{},\"dropped\":0,\"events\":0}\n";
   expect_corrupt "wrong schema tag" (fun () -> Trace.load path);
   write path "{\"schema\":\"sso-trace\",\"version\":999,\"meta\":{},\"dropped\":0,\"events\":0}\n";
   expect_corrupt "unsupported version" (fun () -> Trace.load path);
+  (* A version-1 file (events, then a histogram trailer) is refused by its
+     version; a trailer line under a version-2 header is not an event. *)
+  let event_line =
+    "{\"slot\":0,\"seq\":0,\"ts_ns\":1,\"kind\":\"event\",\"name\":\"e\",\"dur_ns\":0,\"depth\":0,\"attrs\":{}}\n"
+  and trailer_line =
+    "{\"kind\":\"histogram\",\"name\":\"span.e\",\"count\":1,\"sum\":5,\"buckets\":{\"2\":1}}\n"
+  in
+  let header version =
+    Printf.sprintf
+      "{\"schema\":\"sso-trace\",\"version\":%d,\"meta\":{},\"dropped\":0,\"events\":1}\n"
+      version
+  in
+  write path (header 1 ^ event_line ^ trailer_line);
+  expect_corrupt "version 1 with a trailer" (fun () -> Trace.load path);
+  write path (header 2 ^ event_line ^ trailer_line);
+  expect_corrupt "trailer line in version 2" (fun () -> Trace.load path);
   write path
-    "{\"schema\":\"sso-trace\",\"version\":1,\"meta\":{},\"dropped\":0,\"events\":2}\n\
+    "{\"schema\":\"sso-trace\",\"version\":2,\"meta\":{},\"dropped\":0,\"events\":2}\n\
      {\"slot\":0,\"seq\":0,\"ts_ns\":1,\"kind\":\"event\",\"name\":\"e\",\"dur_ns\":0,\"depth\":0,\"attrs\":{}}\n";
   expect_corrupt "truncated" (fun () -> Trace.load path);
   write path "";
@@ -373,6 +378,9 @@ let test_exposition () =
   let h = Obs.histogram "xp.h" in
   Obs.observe h 1;
   Obs.observe h 5;
+  let sp = Obs.span "xp.s" in
+  Obs.with_span sp ignore;
+  Obs.with_span sp ignore;
   let text = Obs.expose (Obs.snapshot ()) in
   let has line =
     Alcotest.(check bool) (Printf.sprintf "exposes %S" line) true
@@ -396,6 +404,12 @@ let test_exposition () =
   has "sso_xp_h_bucket{le=\"+Inf\"} 2";
   has "sso_xp_h_sum 6";
   has "sso_xp_h_count 2";
+  (* A span's counter pair is its duration histogram's sum and count. *)
+  let ns = Obs.span_total_ns sp in
+  has (Printf.sprintf "sso_xp_s_ns_total %d" ns);
+  has (Printf.sprintf "sso_span_xp_s_sum %d" ns);
+  has "sso_xp_s_calls_total 2";
+  has "sso_span_xp_s_count 2";
   (* Every line of the rendering is HELP, TYPE, or a sample. *)
   List.iter
     (fun line ->
@@ -447,46 +461,28 @@ let test_folded_stacks () =
        (fun (name, calls, _total, self) -> (name, calls, self))
        (Trace.self_totals events))
 
-(* ---- dropped_events recorded in trace meta ---- *)
+(* ---- the drop count lives in the trace header only ---- *)
 
 let test_write_trace_records_dropped () =
   Obs.clear_trace ();
+  Obs.set_ring_capacity 2;
+  Fun.protect ~finally:(fun () ->
+      Obs.set_ring_capacity (1 lsl 20);
+      Obs.set_tracing false;
+      Obs.clear_trace ())
+  @@ fun () ->
   Obs.set_tracing true;
-  Obs.event "meta.test";
+  for _ = 1 to 5 do
+    Obs.event "meta.test"
+  done;
   Obs.set_tracing false;
   let path = temp_trace () in
   Obs.write_trace ~path ~meta:[ ("seed", Trace.Int 1) ];
   let loaded = Trace.load path in
   Sys.remove path;
-  Obs.clear_trace ();
-  match List.assoc_opt "dropped_events" loaded.Trace.meta with
-  | Some (Trace.Int 0) -> ()
-  | Some v -> Alcotest.failf "unexpected dropped_events: %s" (value_str v)
-  | None -> Alcotest.fail "dropped_events missing from meta"
-
-(* ---- histograms through the trace file ---- *)
-
-let test_histogram_trailer () =
-  Obs.reset_metrics ();
-  Obs.clear_trace ();
-  let h = Obs.histogram "obs.test.payload" in
-  List.iter (Obs.observe h) [ 0; 1; 2; 3; 1024; 1500 ];
-  let path = temp_trace () in
-  Obs.write_trace ~path ~meta:[];
-  let loaded = Trace.load path in
-  Sys.remove path;
-  match
-    List.find_opt
-      (fun r -> r.Trace.h_name = "obs.test.payload")
-      loaded.Trace.histograms
-  with
-  | None -> Alcotest.fail "histogram trailer missing"
-  | Some r ->
-      Alcotest.(check int) "count" 6 r.Trace.h_count;
-      Alcotest.(check int) "sum" 2530 r.Trace.h_sum;
-      (* 0,1 -> bucket 0; 2,3 -> bucket 1; 1024,1500 -> bucket 10 *)
-      Alcotest.(check (list (pair int int)))
-        "log2 buckets" [ (0, 2); (1, 2); (10, 2) ] r.Trace.h_buckets
+  Alcotest.(check int) "header dropped" 3 loaded.Trace.dropped;
+  Alcotest.(check (list string)) "meta as given" [ "seed" ]
+    (List.map fst loaded.Trace.meta)
 
 (* ---- determinism across job counts ---- *)
 
@@ -727,8 +723,7 @@ let () =
           Alcotest.test_case "tracing off allocates nothing" `Quick
             test_tracing_off_allocates_nothing;
           Alcotest.test_case "exposition" `Quick test_exposition;
-          Alcotest.test_case "histogram trailer" `Quick test_histogram_trailer;
-          Alcotest.test_case "dropped in meta" `Quick
+          Alcotest.test_case "dropped in header" `Quick
             test_write_trace_records_dropped;
         ] );
       ( "determinism",
