@@ -32,6 +32,7 @@ module Sampler = Sso_core.Sampler
 module Path_system = Sso_core.Path_system
 module Semi_oblivious = Sso_core.Semi_oblivious
 module Lower_bound = Sso_core.Lower_bound
+module Simulator = Sso_sim.Simulator
 module Store = Sso_artifact.Store
 module Memo = Sso_artifact.Memo
 module Obs = Sso_obs.Obs
@@ -39,20 +40,27 @@ module Trace = Sso_obs.Trace
 
 open Cmdliner
 
-(* Exit codes for cache problems, distinct from cmdliner's 124/125:
-   10 = the store directory is unreadable, 11 = corrupt entries seen,
-   12 = a --slo-p99-ms budget burned during serve replay. *)
+(* Exit codes shared by every subcommand, distinct from cmdliner's
+   124/125: 10 = unreadable input (a file, the store directory), 11 =
+   corrupt input, 12 = a --slo-p99-ms or --overload-ms budget burned
+   during serve replay. *)
 let exit_unreadable = 10
 let exit_corrupt = 11
 let exit_slo = 12
+
+(* One line on stderr, then exit [code]. *)
+let die code fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "%s\n" msg;
+      exit code)
+    fmt
 
 (* ---- shared argument parsers ---- *)
 
 let seed_arg =
   let doc = "PRNG seed; every run is deterministic given the seed." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
-
-let set_jobs = Option.iter Sso_engine.Pool.set_default_jobs
 
 let read_file path =
   let ic = open_in path in
@@ -61,20 +69,30 @@ let read_file path =
   close_in ic;
   text
 
-(* A GRAPH file that cannot be read exits [exit_unreadable] and one that
-   does not parse exits [exit_corrupt], each with one stderr line naming
-   the file. *)
-let read_graph path =
+(* An input file ([what] is "graph" or "demand") that cannot be read
+   exits [exit_unreadable] and one that does not parse exits
+   [exit_corrupt], each with one stderr line naming the file. *)
+let read_input what parse path =
   match read_file path with
-  | exception Sys_error msg ->
-      Printf.eprintf "sso: cannot read graph %s: %s\n" path msg;
-      exit exit_unreadable
+  | exception Sys_error msg -> die exit_unreadable "sso: cannot read %s %s: %s" what path msg
   | text -> (
-      match Gio.of_string text with
-      | g -> g
-      | exception (Failure msg | Invalid_argument msg) ->
-          Printf.eprintf "sso: malformed graph %s: %s\n" path msg;
-          exit exit_corrupt)
+      try parse text
+      with Failure msg | Invalid_argument msg ->
+        die exit_corrupt "sso: malformed %s %s: %s" what path msg)
+
+let read_graph = read_input "graph" Gio.of_string
+
+(* A pair outside the graph is as malformed as a line that does not
+   parse. *)
+let read_demand path g =
+  let n = Graph.n g in
+  let check demand =
+    match List.find_opt (fun (s, t) -> max s t >= n || min s t < 0) (Demand.support demand) with
+    | Some (s, t) ->
+        invalid_arg (Printf.sprintf "pair %d->%d out of range (the graph has %d vertices)" s t n)
+    | None -> demand
+  in
+  read_input "demand" (fun text -> check (Demand.of_string text)) path
 
 (* ---- spec flags ----
 
@@ -115,12 +133,7 @@ let spec_opt_arg ~name ~expected ~doc parse =
 (* A value that parses but does not fit — an edge id past the graph's
    edges, a repair before the failure — is a usage error too: one line on
    stderr, exit 124. *)
-let misfit ~name fmt =
-  Printf.ksprintf
-    (fun msg ->
-      Printf.eprintf "sso: option '%s': %s\n" (flag name) msg;
-      exit 124)
-    fmt
+let misfit ~name fmt = die 124 ("sso: option '%s': " ^^ fmt) (flag name)
 
 let edge_id ~name g e =
   if e < Graph.m g then e
@@ -172,13 +185,6 @@ let positive_ms_arg ~name ~doc =
     ~ok:(fun ms -> ms > 0.0)
     ~show:(Printf.sprintf "%g") ~expected:"a positive number of milliseconds"
 
-let jobs_arg =
-  int_opt_arg ~aliases:[ "j" ] ~name:"jobs" ~docv:"JOBS"
-    ~doc:
-      "Worker domains for parallel stages (default: the number of cores). \
-       Results are identical for any value."
-    ()
-
 (* A generator size below its family's minimum names its flag. *)
 let at_least ~name ~what lo v = if v < lo then misfit ~name "%s >= %d, got %d" what lo v
 
@@ -214,6 +220,8 @@ let solver_arg ~doc =
 
 (* The base oblivious routing, built once the graph is known.  Only racke
    draws randomness, from its own split of [rng]. *)
+let racke_base ~store ~alpha:_ rng g = Memo.racke ?store (Rng.split rng) g
+
 let base_arg ?(ecube = false) ~doc () =
   spec_arg ~name:"base" ~default:"racke"
     ~expected:
@@ -221,8 +229,7 @@ let base_arg ?(ecube = false) ~doc () =
       @ if ecube then [ "ecube" ] else [])
     ~doc (fun spec ->
       match spec with
-      | "racke" ->
-          Some (fun ~store ~alpha:_ rng g -> Memo.racke ?store (Rng.split rng) g)
+      | "racke" -> Some racke_base
       | "valiant" -> Some (fun ~store:_ ~alpha:_ _ g -> Valiant.routing g)
       | "ksp" -> Some (fun ~store:_ ~alpha _ g -> Ksp.routing ~k:(max 4 alpha) g)
       | "shortest" ->
@@ -230,6 +237,21 @@ let base_arg ?(ecube = false) ~doc () =
       | "ecube" when ecube ->
           Some (fun ~store:_ ~alpha:_ _ g -> Deterministic.ecube g)
       | _ -> None)
+
+(* The paper's construction in the one draw order every command shares:
+   the base routing from [rng], then α paths per pair (α + cut with
+   [~with_cut]; α = 0: the base's whole support) from the next split of
+   [rng].  So one seed sees one sampled system in every command; the
+   caller's own draws come after. *)
+let sample_system ?(with_cut = false) ~store ~base ~alpha rng g =
+  let base = base ~store ~alpha rng g in
+  let sample = if with_cut then Sampler.alpha_cut_sample else Sampler.alpha_sample in
+  ( base,
+    if alpha = 0 then Path_system.of_oblivious_support base
+    else sample (Rng.split rng) base ~alpha )
+
+(* Whether a packet simulation delivered everything within its step budget. *)
+let completed = function Simulator.Completed _ -> true | Simulator.Out_of_budget _ -> false
 
 (* The demand workload, drawn from [rng] once the graph is known. *)
 let demand_arg ?(file = false) ~default ~doc () =
@@ -253,7 +275,7 @@ let demand_arg ?(file = false) ~default ~doc () =
           | _ -> None)
       | [ "all-to-all" ] -> Some (fun _ g -> Demand.all_to_all (Graph.n g))
       | [ "file"; path ] when file ->
-          Some (fun _ _ -> Demand.of_string (read_file path))
+          Some (fun _ g -> read_demand path g)
       | _ -> None)
 
 (* A generated graph family, for the commands that need the generator's
@@ -285,26 +307,72 @@ let family_arg ?(expander = false) ~doc () =
               random_regular ~name:"size" rng size 4)
       | _ -> None)
 
-(* ---- JSON writers ---- *)
+(* ---- JSON reports ---- *)
 
-let jstr = Trace.json_string
+module Json = Trace.Json
+
+let jint i = Json.Num (string_of_int i)
 
 (* Non-finite floats are quoted: JSON has no literal for them. *)
 let jfloat f =
-  if Float.is_nan f then "\"nan\""
-  else if f = infinity then "\"inf\""
-  else if f = neg_infinity then "\"-inf\""
-  else Printf.sprintf "%.17g" f
+  if Float.is_nan f then Json.Str "nan"
+  else if f = infinity then Json.Str "inf"
+  else if f = neg_infinity then Json.Str "-inf"
+  else Json.Num (Printf.sprintf "%.17g" f)
 
-(* The artifact-store hit/miss counts, as a trailing report field. *)
-let cache_json = function
-  | None -> ""
-  | Some _ ->
-      Printf.sprintf ",\n  \"cache\": {\"hit\": %d, \"miss\": %d}"
-        (Obs.counter_value (Obs.counter "artifact.hit"))
-        (Obs.counter_value (Obs.counter "artifact.miss"))
+let rec inline = function
+  | Json.Null -> "null"
+  | Json.Bool b -> string_of_bool b
+  | Json.Num s -> s
+  | Json.Str s -> Trace.json_string s
+  | Json.Arr items -> "[" ^ String.concat ", " (List.map inline items) ^ "]"
+  | Json.Obj fields ->
+      let field (key, value) = Trace.json_string key ^ ": " ^ inline value in
+      "{" ^ String.concat ", " (List.map field fields) ^ "}"
 
-(* ---- artifact-cache arguments ---- *)
+let json_arg =
+  let doc = "Emit deterministic JSON (byte-identical for any $(b,--jobs))." in
+  Arg.(value & flag & info [ "json" ] ~doc)
+
+(* A --json report: its schema and version, [fields], then the artifact
+   store's hit/miss counts when a store is open.  One line per top-level
+   field; a top-level array puts one item per line at a 4-space indent;
+   everything deeper is inline. *)
+let print_report ~schema ~version ~store fields =
+  let count name = jint (Obs.counter_value (Obs.counter name)) in
+  let cache =
+    match store with
+    | None -> []
+    | Some _ ->
+        [ ("cache", Json.Obj [ ("hit", count "artifact.hit"); ("miss", count "artifact.miss") ]) ]
+  in
+  let field (key, value) =
+    let value =
+      match value with
+      | Json.Arr items ->
+          "[" ^ String.concat "," (List.map (fun item -> "\n    " ^ inline item) items) ^ "\n  ]"
+      | value -> inline value
+    in
+    "  " ^ Trace.json_string key ^ ": " ^ value
+  in
+  let fields = (("schema", Json.Str schema) :: ("version", jint version) :: fields) @ cache in
+  print_string ("{\n" ^ String.concat ",\n" (List.map field fields) ^ "\n}\n")
+
+(* ---- run flags ---- *)
+
+let jobs_arg =
+  int_opt_arg ~aliases:[ "j" ] ~name:"jobs" ~docv:"JOBS"
+    ~doc:
+      "Worker domains for parallel stages (default: the number of cores). \
+       Results are identical for any value."
+    ()
+
+let trace_arg =
+  let doc =
+    "Record a structured execution trace (spans, per-round solver telemetry) \
+     to $(docv) as JSONL.  Inspect it with $(b,sso trace)."
+  in
+  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
 let cache_arg =
   let doc =
@@ -324,40 +392,47 @@ let cache_dir_arg =
   in
   Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
 
-let open_store cache no_cache cache_dir =
-  if no_cache || not (cache || cache_dir <> None) then None
-  else
-    match Store.open_ ?dir:cache_dir () with
-    | st -> Some st
-    | exception Store.Unreadable msg ->
-        Printf.eprintf "sso: cannot open the artifact store: %s\n" msg;
-        exit exit_unreadable
+(* What a pipeline command's body gets from the run flags. *)
+type run = { seed : int; store : Store.t option }
 
-(* ---- tracing arguments ---- *)
-
-let trace_arg =
-  let doc =
-    "Record a structured execution trace (spans, per-round solver telemetry) \
-     to $(docv) as JSONL.  Inspect it with $(b,sso trace)."
+(* The flags every pipeline command shares: --seed, --jobs, --trace and,
+   unless [~cache:false], --cache, --no-cache and --cache-dir.  Around
+   [body] they set the job count, start tracing and open the store, then
+   write the trace and hand back the body's result, so [serve replay]'s
+   SLO exit comes after its trace.  A body that exits writes no trace.
+   A body's flag checks that must come before the store is opened (a
+   usage error wins over a bad store) go ahead of its [fun run ->]: they
+   run when cmdliner evaluates the body's term. *)
+let run_flags ?(cache = true) body =
+  let store_flags =
+    if cache then
+      Term.(
+        const (fun cache no_cache dir -> ((cache || dir <> None) && not no_cache, dir))
+        $ cache_arg $ no_cache_arg $ cache_dir_arg)
+    else Term.const (false, None)
   in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-
-let start_trace = function None -> () | Some _ -> Obs.set_tracing true
-
-let finish_trace ~seed = function
-  | None -> ()
-  | Some path ->
-      let meta =
-        [
-          ("seed", Trace.Int seed);
-          ("jobs", Trace.Int (Sso_engine.Pool.default_jobs ()));
-        ]
-      in
-      (match Obs.write_trace ~path ~meta with
-      | () -> ()
-      | exception Trace.Unreadable msg ->
-          Printf.eprintf "sso: cannot write trace: %s\n" msg;
-          exit exit_unreadable)
+  let bracket seed jobs trace (use_store, dir) body =
+    Option.iter Sso_engine.Pool.set_default_jobs jobs;
+    if trace <> None then Obs.set_tracing true;
+    let store =
+      if not use_store then None
+      else
+        try Some (Store.open_ ?dir ())
+        with Store.Unreadable msg ->
+          die exit_unreadable "sso: cannot open the artifact store: %s" msg
+    in
+    let result = body { seed; store } in
+    Option.iter
+      (fun path ->
+        let meta =
+          [ ("seed", Trace.Int seed); ("jobs", Trace.Int (Sso_engine.Pool.default_jobs ())) ]
+        in
+        try Obs.write_trace ~path ~meta
+        with Trace.Unreadable msg -> die exit_unreadable "sso: cannot write trace: %s" msg)
+      trace;
+    result
+  in
+  Term.(const bracket $ seed_arg $ jobs_arg $ trace_arg $ store_flags $ body)
 
 (* ---- gen ---- *)
 
@@ -470,19 +545,10 @@ let route_cmd =
       ~doc:
         "Stage-4 solver: mwu[:ITERS] (default) or lp (exact, small instances)."
   in
-  let run path (_, base) alpha with_cut (_, demand) (_, solver) seed jobs cache
-      no_cache cache_dir trace =
-    set_jobs jobs;
-    start_trace trace;
-    let store = open_store cache no_cache cache_dir in
+  let run path (_, base) alpha with_cut (_, demand) (_, solver) { seed; store } =
     let g = read_graph path in
     let rng = Rng.create seed in
-    let base_routing = base ~store ~alpha rng g in
-    let system =
-      if alpha = 0 then Path_system.of_oblivious_support base_routing
-      else if with_cut then Sampler.alpha_cut_sample (Rng.split rng) base_routing ~alpha
-      else Sampler.alpha_sample (Rng.split rng) base_routing ~alpha
-    in
+    let base_routing, system = sample_system ~with_cut ~store ~base ~alpha rng g in
     (* The last draw: splitting for a workload that draws nothing leaves
        every result unchanged. *)
     let demand = demand (Rng.split rng) g in
@@ -496,15 +562,17 @@ let route_cmd =
     Printf.printf "semi-oblivious cong   %.4f\n" congestion;
     Printf.printf "base oblivious cong   %.4f\n" oblivious_congestion;
     Printf.printf "offline optimum (est) %.4f\n" opt;
-    Printf.printf "competitive ratio     %.3f\n" (congestion /. opt);
-    finish_trace ~seed trace
+    (* An empty demand is routed perfectly, as in
+       [Semi_oblivious.competitive_ratio]. *)
+    Printf.printf "competitive ratio     %.3f\n"
+      (if Demand.support_size demand = 0 then 1.0 else congestion /. opt)
   in
   let doc = "sample a path system from an oblivious routing and route a demand" in
   Cmd.v (Cmd.info "route" ~doc)
-    Term.(
-      const run $ graph_pos $ base_arg $ alpha_arg $ cut_arg $ demand_arg
-      $ solver_arg $ seed_arg $ jobs_arg $ cache_arg $ no_cache_arg
-      $ cache_dir_arg $ trace_arg)
+    (run_flags
+       Term.(
+         const run $ graph_pos $ base_arg $ alpha_arg $ cut_arg $ demand_arg
+         $ solver_arg))
 
 (* ---- attack ---- *)
 
@@ -516,9 +584,7 @@ let attack_cmd =
     int_arg ~name:"middles" ~default:6 ~docv:"K" ~doc:"Middle vertices in C(n,k)." ()
   in
   let alpha_arg = alpha_arg ~default:2 ~doc:"Sparsity of the sampled system under attack." () in
-  let run leaves middles alpha seed jobs trace =
-    set_jobs jobs;
-    start_trace trace;
+  let run leaves middles alpha { seed; _ } =
     let c = Gen.c_graph leaves middles in
     let rng = Rng.create seed in
     let base = Ksp.routing ~k:(2 * middles) c.Gen.c_graph in
@@ -534,31 +600,23 @@ let attack_cmd =
     Printf.printf "matched pairs        %d\n" attack.Lower_bound.pairs_matched;
     Printf.printf "certified bound      %.3f\n" attack.Lower_bound.predicted_congestion;
     Printf.printf "measured congestion  %.3f\n" measured;
-    Printf.printf "offline optimum      1.000\n";
-    finish_trace ~seed trace
+    Printf.printf "offline optimum      1.000\n"
   in
   let doc = "run the Section-8 lower-bound adversary on C(n,k)" in
   Cmd.v (Cmd.info "attack" ~doc)
-    Term.(
-      const run $ leaves_arg $ middles_arg $ alpha_arg $ seed_arg $ jobs_arg
-      $ trace_arg)
+    (run_flags ~cache:false Term.(const run $ leaves_arg $ middles_arg $ alpha_arg))
 
 (* ---- simulate ---- *)
 
 let simulate_cmd =
-  let module Simulator = Sso_sim.Simulator in
   let alpha_arg = alpha_arg ~doc:"Paths sampled per pair." () in
   let packets_arg =
     int_arg ~name:"packets" ~default:16 ~docv:"N" ~doc:"Number of random unit packets to inject." ()
   in
-  let run path alpha packets seed jobs cache no_cache cache_dir trace =
-    set_jobs jobs;
-    start_trace trace;
-    let store = open_store cache no_cache cache_dir in
+  let run path alpha packets { seed; store } =
     let g = read_graph path in
     let rng = Rng.create seed in
-    let base = Memo.racke ?store (Rng.split rng) g in
-    let system = Sampler.alpha_sample (Rng.split rng) base ~alpha in
+    let _, system = sample_system ~store ~base:racke_base ~alpha rng g in
     let demand =
       Demand.random_pairs (Rng.split rng) ~n:(Graph.n g)
         ~pairs:(min packets (Graph.n g * (Graph.n g - 1)))
@@ -578,23 +636,18 @@ let simulate_cmd =
       (Simulator.lower_bound g assignment);
     report "fifo" Simulator.Fifo;
     report "random-rank" (Simulator.Random_rank (Rng.split rng));
-    report "longest-remaining" Simulator.Longest_remaining;
-    finish_trace ~seed trace
+    report "longest-remaining" Simulator.Longest_remaining
   in
   let doc = "route packets semi-obliviously and simulate their delivery" in
   Cmd.v (Cmd.info "simulate" ~doc)
-    Term.(
-      const run $ graph_pos $ alpha_arg $ packets_arg $ seed_arg $ jobs_arg
-      $ cache_arg $ no_cache_arg $ cache_dir_arg $ trace_arg)
+    (run_flags Term.(const run $ graph_pos $ alpha_arg $ packets_arg))
 
 (* ---- faults ---- *)
 
 let faults_cmd =
-  let module Simulator = Sso_sim.Simulator in
   let module Scenario = Sso_fault.Scenario in
   let module Timeline = Sso_fault.Timeline in
   let module Fsweep = Sso_fault.Sweep in
-  let module Codec = Sso_artifact.Codec in
   (* Fault experiments generate their graph from a named family instead of
      reading a file: the SRLG derivations need the generator's vertex
      layout (torus rows, fat-tree pods). *)
@@ -614,10 +667,6 @@ let faults_cmd =
   let solver_arg =
     solver_arg ~doc:"Stage-4 solver: mwu[:ITERS] (default) or lp."
   in
-  let json_arg =
-    let doc = "Emit deterministic JSON (byte-identical for any $(b,--jobs))." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
   let srlgs g family size =
     match family with
     | "torus" -> Scenario.torus_rows g ~rows:size ~cols:size
@@ -626,15 +675,13 @@ let faults_cmd =
         (* WAN topologies: model node failures as shared-risk groups. *)
         List.init (Graph.n g) (Scenario.incident g)
   in
-  (* Same draw order as [sso route]/[sso simulate]: base, system, demand,
-     then scenario randomness — so every command sees the same sampled
-     system for the same seed.  The fault families draw nothing. *)
-  let setup ?store ~family:(family, build_graph) ~size ~base:(base, build_base)
-      ~alpha ~demand ~seed () =
+  (* After the graph and the sampled system: the demand, then scenario
+     randomness.  The fault families draw nothing. *)
+  let setup { seed; store } ~family:(family, build_graph) ~size
+      ~base:(base, build_base) ~alpha ~demand =
     let rng = Rng.create seed in
     let g = build_graph rng size in
-    let base_routing = build_base ~store ~alpha rng g in
-    let system = Sampler.alpha_sample (Rng.split rng) base_routing ~alpha in
+    let _, system = sample_system ~store ~base:build_base ~alpha rng g in
     let demand = demand (Rng.split rng) g in
     let scen_rng = Rng.split rng in
     let system_key =
@@ -643,27 +690,15 @@ let faults_cmd =
     in
     (g, system, demand, scen_rng, system_key)
   in
-  let jbool b = if b then "true" else "false" in
   let report_json (r : Fsweep.report) =
-    Printf.sprintf
-      "{\"label\": %s, \"edges\": [%s], \"connected\": %s, \"survivable\": %s, \
-       \"achieved\": %s, \"post_opt\": %s, \"ratio\": %s, \"recovery_rounds\": \
-       %d, \"warm_congestion\": %s}"
-      (jstr r.Fsweep.scenario.Scenario.label)
-      (String.concat ", "
-         (List.map string_of_int (Scenario.edges r.Fsweep.scenario)))
-      (jbool r.Fsweep.connected) (jbool r.Fsweep.survivable)
-      (jfloat r.Fsweep.achieved) (jfloat r.Fsweep.post_opt)
-      (jfloat r.Fsweep.ratio) r.Fsweep.recovery_rounds
-      (jfloat r.Fsweep.warm_congestion)
-  in
-  let summary_json (s : Fsweep.summary) =
-    Printf.sprintf
-      "{\"scenarios\": %d, \"disconnected\": %d, \"unsurvivable\": %d, \
-       \"mean_ratio\": %s, \"worst_ratio\": %s, \"mean_recovery_rounds\": %s}"
-      s.Fsweep.scenarios s.Fsweep.disconnected s.Fsweep.unsurvivable
-      (jfloat s.Fsweep.mean_ratio) (jfloat s.Fsweep.worst_ratio)
-      (jfloat s.Fsweep.mean_recovery_rounds)
+    Json.(
+      Obj
+        [ ("label", Str r.Fsweep.scenario.Scenario.label);
+          ("edges", Arr (List.map jint (Scenario.edges r.Fsweep.scenario)));
+          ("connected", Bool r.Fsweep.connected); ("survivable", Bool r.Fsweep.survivable);
+          ("achieved", jfloat r.Fsweep.achieved); ("post_opt", jfloat r.Fsweep.post_opt);
+          ("ratio", jfloat r.Fsweep.ratio); ("recovery_rounds", jint r.Fsweep.recovery_rounds);
+          ("warm_congestion", jfloat r.Fsweep.warm_congestion) ])
   in
   let print_report_line (r : Fsweep.report) =
     Printf.printf "%-20s %9s %9s  achieved %8s  opt %8s  ratio %8s%s\n"
@@ -717,12 +752,9 @@ let faults_cmd =
     in
     let run ((family_name, _) as family) size alpha ((base_name, _) as base)
         (demand_spec, demand) (solver_spec, solver) (scen_spec, scenarios)
-        recovery json seed jobs cache no_cache cache_dir trace =
-      set_jobs jobs;
-      start_trace trace;
-      let store = open_store cache no_cache cache_dir in
+        recovery json ({ seed; store } as run) =
       let g, system, demand, scen_rng, system_key =
-        setup ?store ~family ~size ~base ~alpha ~demand ~seed ()
+        setup run ~family ~size ~base ~alpha ~demand
       in
       let scenarios =
         scenarios ~srlgs:(fun () -> srlgs g family_name size) scen_rng g
@@ -732,22 +764,21 @@ let faults_cmd =
           scenarios
       in
       let s = Fsweep.summary reports in
-      if json then begin
-        Printf.printf
-          "{\n  \"schema\": \"sso-faults-sweep\",\n  \"version\": 1,\n  \
-           \"family\": %s,\n  \"size\": %d,\n  \"base\": %s,\n  \"alpha\": \
-           %d,\n  \"demand\": %s,\n  \"solver\": %s,\n  \"scenarios\": %s,\n  \
-           \"seed\": %d,\n  \"reports\": [\n"
-          (jstr family_name) size (jstr base_name) alpha (jstr demand_spec)
-          (jstr solver_spec) (jstr scen_spec) seed;
-        List.iteri
-          (fun i r ->
-            Printf.printf "    %s%s\n" (report_json r)
-              (if i < List.length reports - 1 then "," else ""))
-          reports;
-        Printf.printf "  ],\n  \"summary\": %s%s\n}\n" (summary_json s)
-          (cache_json store)
-      end
+      if json then
+        print_report ~schema:"sso-faults-sweep" ~version:1 ~store
+          Json.
+            [ ("family", Str family_name); ("size", jint size); ("base", Str base_name);
+              ("alpha", jint alpha); ("demand", Str demand_spec); ("solver", Str solver_spec);
+              ("scenarios", Str scen_spec); ("seed", jint seed);
+              ("reports", Arr (List.map report_json reports));
+              ( "summary",
+                Obj
+                  [ ("scenarios", jint s.Fsweep.scenarios);
+                    ("disconnected", jint s.Fsweep.disconnected);
+                    ("unsurvivable", jint s.Fsweep.unsurvivable);
+                    ("mean_ratio", jfloat s.Fsweep.mean_ratio);
+                    ("worst_ratio", jfloat s.Fsweep.worst_ratio);
+                    ("mean_recovery_rounds", jfloat s.Fsweep.mean_recovery_rounds) ] ) ]
       else begin
         Printf.printf "family %s  size %d  alpha %d  demand %s  scenarios %d\n\n"
           family_name size alpha demand_spec (List.length scenarios);
@@ -760,15 +791,14 @@ let faults_cmd =
         if s.Fsweep.mean_recovery_rounds = s.Fsweep.mean_recovery_rounds then
           Printf.printf "mean recovery %.1f warm MWU rounds\n"
             s.Fsweep.mean_recovery_rounds
-      end;
-      finish_trace ~seed trace
+      end
     in
     let doc = "sweep failure scenarios: congestion and recovery per scenario" in
     Cmd.v (Cmd.info "sweep" ~doc)
-      Term.(
-        const run $ family_arg $ size_arg $ alpha_arg $ base_arg $ demand_arg
-        $ solver_arg $ scenarios_arg $ recovery_arg $ json_arg $ seed_arg
-        $ jobs_arg $ cache_arg $ no_cache_arg $ cache_dir_arg $ trace_arg)
+      (run_flags
+         Term.(
+           const run $ family_arg $ size_arg $ alpha_arg $ base_arg $ demand_arg
+           $ solver_arg $ scenarios_arg $ recovery_arg $ json_arg))
   in
   let timeline_cmd =
     let scenario_arg =
@@ -813,20 +843,16 @@ let faults_cmd =
         ~doc:"Number of random unit packets to inject." ()
     in
     let run ((family_name, _) as family) size alpha base (_, scenario) fail_at
-        repair_at packets json seed jobs cache no_cache cache_dir trace =
+        repair_at packets json =
       (match repair_at with
       | Some r when r <= fail_at ->
           misfit ~name:"repair-at" "the step must come after --fail-at %d, got %d"
             fail_at r
       | _ -> ());
-      set_jobs jobs;
-      start_trace trace;
-      let store = open_store cache no_cache cache_dir in
+      fun ({ seed; store } as run) ->
       let g, system, demand, scen_rng, _system_key =
-        setup ?store ~family ~size ~base ~alpha
-          ~demand:(fun rng g ->
+        setup run ~family ~size ~base ~alpha ~demand:(fun rng g ->
             Demand.random_pairs rng ~n:(Graph.n g) ~pairs:packets)
-          ~seed ()
       in
       let scenario =
         scenario
@@ -839,7 +865,7 @@ let faults_cmd =
       let timeline = [ Timeline.entry ?repair_at ~at:fail_at scenario ] in
       let outcome = Timeline.simulate g system assignment timeline in
       let fs = Simulator.value outcome in
-      let completed = match outcome with Simulator.Completed _ -> true | _ -> false in
+      let completed = completed outcome in
       (* Does every demanded pair keep a candidate avoiding the dead
          edges?  When true, the failover policy delivers everything. *)
       let removed = Scenario.removed scenario in
@@ -853,25 +879,19 @@ let faults_cmd =
           (Demand.support demand)
       in
       if json then
-        Printf.printf
-          "{\n  \"schema\": \"sso-faults-timeline\",\n  \"version\": 1,\n  \
-           \"family\": %s,\n  \"size\": %d,\n  \"alpha\": %d,\n  \"scenario\": \
-           %s,\n  \"fail_at\": %d,\n  \"repair_at\": %s,\n  \"seed\": %d,\n  \
-           \"congestion\": %s,\n  \"completed\": %s,\n  \
-           \"all_pairs_retain_candidate\": %s,\n  \"makespan\": %d,\n  \
-           \"delivered\": %d,\n  \"dropped\": %d,\n  \"rerouted\": %d,\n  \
-           \"recovery_makespan\": %d,\n  \"max_queue\": %d,\n  \
-           \"total_waits\": %d%s\n}\n"
-          (jstr family_name) size alpha
-          (jstr scenario.Scenario.label)
-          fail_at
-          (match repair_at with Some r -> string_of_int r | None -> "null")
-          seed (jfloat congestion) (jbool completed) (jbool pairs_covered)
-          fs.Simulator.base.Simulator.makespan
-          fs.Simulator.base.Simulator.delivered fs.Simulator.dropped
-          fs.Simulator.rerouted fs.Simulator.recovery_makespan
-          fs.Simulator.base.Simulator.max_queue
-          fs.Simulator.base.Simulator.total_waits (cache_json store)
+        print_report ~schema:"sso-faults-timeline" ~version:1 ~store
+          Json.
+            [ ("family", Str family_name); ("size", jint size); ("alpha", jint alpha);
+              ("scenario", Str scenario.Scenario.label); ("fail_at", jint fail_at);
+              ("repair_at", Option.fold ~none:Null ~some:jint repair_at); ("seed", jint seed);
+              ("congestion", jfloat congestion); ("completed", Bool completed);
+              ("all_pairs_retain_candidate", Bool pairs_covered);
+              ("makespan", jint fs.Simulator.base.Simulator.makespan);
+              ("delivered", jint fs.Simulator.base.Simulator.delivered);
+              ("dropped", jint fs.Simulator.dropped); ("rerouted", jint fs.Simulator.rerouted);
+              ("recovery_makespan", jint fs.Simulator.recovery_makespan);
+              ("max_queue", jint fs.Simulator.base.Simulator.max_queue);
+              ("total_waits", jint fs.Simulator.base.Simulator.total_waits) ]
       else begin
         Printf.printf "scenario %s fails at step %d%s\n" scenario.Scenario.label
           fail_at
@@ -886,15 +906,14 @@ let faults_cmd =
           fs.Simulator.base.Simulator.delivered fs.Simulator.dropped
           fs.Simulator.rerouted fs.Simulator.recovery_makespan;
         if not completed then Printf.printf "WARNING: step budget exhausted\n"
-      end;
-      finish_trace ~seed trace
+      end
     in
     let doc = "simulate packets while an SRLG dies mid-flight (and recovers)" in
     Cmd.v (Cmd.info "timeline" ~doc)
-      Term.(
-        const run $ family_arg $ size_arg $ alpha_arg $ base_arg $ scenario_arg
-        $ fail_at_arg $ repair_at_arg $ packets_arg $ json_arg $ seed_arg
-        $ jobs_arg $ cache_arg $ no_cache_arg $ cache_dir_arg $ trace_arg)
+      (run_flags
+         Term.(
+           const run $ family_arg $ size_arg $ alpha_arg $ base_arg $ scenario_arg
+           $ fail_at_arg $ repair_at_arg $ packets_arg $ json_arg))
   in
   let worst_k_cmd =
     let k_arg = int_arg ~name:"k" ~default:2 ~docv:"K" ~doc:"Failure-set size to search for." () in
@@ -903,34 +922,28 @@ let faults_cmd =
         ~doc:"Candidate pool: the N most damaging single edges." ()
     in
     let run ((family_name, _) as family) size alpha base (_, demand) (_, solver)
-        k candidates json seed jobs cache no_cache cache_dir trace =
-      set_jobs jobs;
-      start_trace trace;
-      let store = open_store cache no_cache cache_dir in
+        k candidates json ({ seed; store } as run) =
       let g, system, demand, _scen_rng, system_key =
-        setup ?store ~family ~size ~base ~alpha ~demand ~seed ()
+        setup run ~family ~size ~base ~alpha ~demand
       in
       let worst =
         Fsweep.worst_k ~solver ?store ~system_key ~candidates g system demand ~k
       in
       if json then
-        Printf.printf
-          "{\n  \"schema\": \"sso-faults-worst-k\",\n  \"version\": 1,\n  \
-           \"family\": %s,\n  \"size\": %d,\n  \"alpha\": %d,\n  \"k\": %d,\n  \
-           \"seed\": %d,\n  \"worst\": %s%s\n}\n"
-          (jstr family_name) size alpha k seed (report_json worst) (cache_json store)
+        print_report ~schema:"sso-faults-worst-k" ~version:1 ~store
+          [ ("family", Json.Str family_name); ("size", jint size); ("alpha", jint alpha);
+            ("k", jint k); ("seed", jint seed); ("worst", report_json worst) ]
       else begin
         Printf.printf "greedy worst-%d on %s (pool %d):\n" k family_name candidates;
         print_report_line worst
-      end;
-      finish_trace ~seed trace
+      end
     in
     let doc = "greedy search for an adversarial correlated k-edge failure" in
     Cmd.v (Cmd.info "worst-k" ~doc)
-      Term.(
-        const run $ family_arg $ size_arg $ alpha_arg $ base_arg $ demand_arg
-        $ solver_arg $ k_arg $ candidates_arg $ json_arg $ seed_arg $ jobs_arg
-        $ cache_arg $ no_cache_arg $ cache_dir_arg $ trace_arg)
+      (run_flags
+         Term.(
+           const run $ family_arg $ size_arg $ alpha_arg $ base_arg $ demand_arg
+           $ solver_arg $ k_arg $ candidates_arg $ json_arg))
   in
   let doc = "fault injection: scenario sweeps, timelines, adversarial sets" in
   Cmd.group (Cmd.info "faults" ~doc) [ sweep_cmd; timeline_cmd; worst_k_cmd ]
@@ -940,7 +953,6 @@ let faults_cmd =
 let serve_cmd =
   let module Serve = Sso_serve.Serve in
   let module Checkpoint = Sso_serve.Checkpoint in
-  let module Simulator = Sso_sim.Simulator in
   let module Update = Sso_demand.Update in
   let module Workload = Sso_demand.Workload in
   let module Codec = Sso_artifact.Codec in
@@ -996,11 +1008,8 @@ let serve_cmd =
         Workload.generate ~rate_churn (Rng.split rng) ~n:(Graph.n g) ~ticks
           ~pairs ~churn
       in
-      (match Update.save output events with
-      | () -> ()
-      | exception Update.Unreadable msg ->
-          Printf.eprintf "sso serve: cannot write stream: %s\n" msg;
-          exit exit_unreadable);
+      (try Update.save output events
+       with Update.Unreadable msg -> die exit_unreadable "sso serve: cannot write stream: %s" msg);
       Printf.printf "wrote %d events (%d ticks, %d pairs, churn %g) to %s\n"
         (List.length events) ticks pairs churn output
     in
@@ -1036,10 +1045,6 @@ let serve_cmd =
     let period_arg =
       int_arg ~name:"period" ~default:4 ~docv:"STEPS"
         ~doc:"Simulator steps between ticks (with $(b,--simulate))." ()
-    in
-    let json_arg =
-      let doc = "Emit deterministic JSON (byte-identical for any $(b,--jobs))." in
-      Arg.(value & flag & info [ "json" ] ~doc)
     in
     let metrics_out_arg =
       let doc =
@@ -1180,49 +1185,38 @@ let serve_cmd =
       | Serve.Degraded -> "degraded"
     in
     let report_json (r : Serve.report) =
-      Printf.sprintf
-        "{\"tick\": %d, \"events\": %d, \"arrivals\": %d, \"departures\": %d, \
-         \"rate_changes\": %d, \"pairs\": %d, \"admitted\": %d, \"retired\": \
-         %d, \"deferred\": %d, \"failed_edges\": %d, \"rerouted\": %d, \
-         \"unroutable\": %d, \"congestion\": %s, \"mode\": %s, \
-         \"staleness\": %d}"
-        r.Serve.tick r.Serve.events r.Serve.arrivals r.Serve.departures
-        r.Serve.rate_changes r.Serve.active_pairs r.Serve.admitted
-        r.Serve.retired r.Serve.deferred r.Serve.failed_edges r.Serve.rerouted
-        r.Serve.unroutable (jfloat r.Serve.congestion)
-        (jstr (mode_name r.Serve.mode)) r.Serve.staleness
+      Json.(
+        Obj
+          [ ("tick", jint r.Serve.tick); ("events", jint r.Serve.events);
+            ("arrivals", jint r.Serve.arrivals); ("departures", jint r.Serve.departures);
+            ("rate_changes", jint r.Serve.rate_changes); ("pairs", jint r.Serve.active_pairs);
+            ("admitted", jint r.Serve.admitted); ("retired", jint r.Serve.retired);
+            ("deferred", jint r.Serve.deferred); ("failed_edges", jint r.Serve.failed_edges);
+            ("rerouted", jint r.Serve.rerouted); ("unroutable", jint r.Serve.unroutable);
+            ("congestion", jfloat r.Serve.congestion); ("mode", Str (mode_name r.Serve.mode));
+            ("staleness", jint r.Serve.staleness) ])
     in
     let run stream (family, build_graph) size alpha (base, build_base)
         (solver_spec, solver) warm_iters warm_weight
         refresh simulate period json metrics_out slo_p99_ms overload_ms
         faults_spec checkpoint_every checkpoint_dir resume crash_after
-        event_budget max_staleness seed jobs cache no_cache cache_dir trace =
-      set_jobs jobs;
+        event_budget max_staleness =
       if (checkpoint_every > 0 || resume) && checkpoint_dir = None then
         misfit ~name:"checkpoint-dir" "required by --checkpoint-every and --resume";
+      fun { seed; store } ->
       let checkpoint_every =
         if checkpoint_dir <> None && checkpoint_every = 0 then 1
         else checkpoint_every
       in
-      start_trace trace;
-      let store = open_store cache no_cache cache_dir in
       let events =
-        match Update.load stream with
-        | events -> events
-        | exception Update.Unreadable msg ->
-            Printf.eprintf "sso serve: %s\n" msg;
-            exit exit_unreadable
-        | exception Update.Corrupt msg ->
-            Printf.eprintf "sso serve: %s\n" msg;
-            exit exit_corrupt
+        try Update.load stream with
+        | Update.Unreadable msg -> die exit_unreadable "sso serve: %s" msg
+        | Update.Corrupt msg -> die exit_corrupt "sso serve: %s" msg
       in
-      (* Same draw order as the other commands: graph, base, system, then
-         consumer randomness — the same seed sees the same sampled system
-         everywhere. *)
+      (* After the graph and the sampled system: consumer randomness. *)
       let rng = Rng.create seed in
       let g = build_graph (Rng.split rng) size in
-      let base_routing = build_base ~store ~alpha rng g in
-      let system = Sampler.alpha_sample (Rng.split rng) base_routing ~alpha in
+      let _, system = sample_system ~store ~base:build_base ~alpha rng g in
       let sim_rng = Rng.split rng in
       let fault_rng = Rng.split rng in
       let config =
@@ -1259,35 +1253,27 @@ let serve_cmd =
           | None -> (Serve.create ~config g system, -1)
           | Some (_, path) -> (
               match Checkpoint.load ~graph:g path with
-              | exception Checkpoint.Unreadable msg ->
-                  Printf.eprintf "sso serve: %s\n" msg;
-                  exit exit_unreadable
+              | exception Checkpoint.Unreadable msg -> die exit_unreadable "sso serve: %s" msg
               | exception Codec.Corrupt msg ->
-                  Printf.eprintf "sso serve: checkpoint %s: %s\n" path msg;
-                  exit exit_corrupt
+                  die exit_corrupt "sso serve: checkpoint %s: %s" path msg
               | ckpt_digest, ckpt_config, state -> (
-                  if not (Int64.equal ckpt_digest stream_digest) then begin
-                    Printf.eprintf
-                      "sso serve: checkpoint %s was taken against a \
-                       different update stream\n"
+                  if not (Int64.equal ckpt_digest stream_digest) then
+                    die exit_corrupt
+                      "sso serve: checkpoint %s was taken against a different \
+                       update stream"
                       path;
-                    exit exit_corrupt
-                  end;
-                  if ckpt_config <> config_repr then begin
-                    Printf.eprintf
+                  if ckpt_config <> config_repr then
+                    die exit_corrupt
                       "sso serve: checkpoint %s was taken under a different \
-                       configuration (%s)\n"
+                       configuration (%s)"
                       path ckpt_config;
-                    exit exit_corrupt
-                  end;
                   match Serve.restore ~config g system state with
                   | srv ->
                       Printf.eprintf "resuming from %s (tick %d)\n" path
                         state.Serve.s_tick;
                       (srv, state.Serve.s_tick)
                   | exception Codec.Corrupt msg ->
-                      Printf.eprintf "sso serve: checkpoint %s: %s\n" path msg;
-                      exit exit_corrupt))
+                      die exit_corrupt "sso serve: checkpoint %s: %s" path msg))
       in
       let events =
         List.filter (fun (e : Update.t) -> e.Update.tick > resume_tick) events
@@ -1304,8 +1290,7 @@ let serve_cmd =
               (fun () ->
                 try Serve.write_metrics ~path
                 with Sys_error msg ->
-                  Printf.eprintf "sso serve: cannot write metrics: %s\n" msg;
-                  exit exit_unreadable)
+                  die exit_unreadable "sso serve: cannot write metrics: %s" msg)
       in
       let processed = ref 0 in
       let on_tick (r : Serve.report) (_ : Sso_flow.Routing.t) =
@@ -1320,8 +1305,7 @@ let serve_cmd =
               with
               | (_ : string) -> ()
               | exception Checkpoint.Unreadable msg ->
-                  Printf.eprintf "sso serve: %s\n" msg;
-                  exit exit_unreadable
+                  die exit_unreadable "sso serve: %s" msg
             end
         | _ -> ());
         match crash_after with
@@ -1344,9 +1328,7 @@ let serve_cmd =
           else (None, Serve.replay ?on_tick ~faults srv events)
         with
         | result -> result
-        | exception Update.Corrupt msg ->
-            Printf.eprintf "sso serve: %s\n" msg;
-            exit exit_corrupt
+        | exception Update.Corrupt msg -> die exit_corrupt "sso serve: %s" msg
       in
       Option.iter (fun write -> write ()) write_metrics;
       let wall_ns = Obs.now_ns () - t0 in
@@ -1361,45 +1343,34 @@ let serve_cmd =
       let final_pairs =
         match List.rev reports with r :: _ -> r.Serve.active_pairs | [] -> 0
       in
-      let sim_json =
-        match outcome with
-        | None -> ""
-        | Some outcome ->
-            let s = Simulator.value outcome in
-            Printf.sprintf
-              ",\n  \"sim\": {\"completed\": %s, \"packets\": %d, \
-               \"delivered\": %d, \"finish_time\": %d, \"mean_latency\": %s, \
-               \"p99_latency\": %s, \"peak_queue\": %d}"
-              (match outcome with
-              | Simulator.Completed _ -> "true"
-              | Simulator.Out_of_budget _ -> "false")
-              s.Simulator.packets s.Simulator.delivered s.Simulator.finish_time
-              (jfloat s.Simulator.mean_latency) (jfloat s.Simulator.p99_latency)
-              s.Simulator.peak_queue
-      in
-      if json then begin
-        Printf.printf
-          "{\n  \"schema\": \"sso-serve-replay\",\n  \"version\": 2,\n  \
-           \"family\": %s,\n  \"size\": %d,\n  \"alpha\": %d,\n  \"base\": \
-           %s,\n  \"solver\": %s,\n  \"warm_iters\": %d,\n  \"warm_weight\": \
-           %d,\n  \"refresh\": %d,\n  \"event_budget\": %d,\n  \
-           \"max_staleness\": %d,\n  \"faults\": %s,\n  \"seed\": %d,\n  \
-           \"events\": %d,\n  \"ticks\": [\n"
-          (jstr family) size alpha (jstr base) (jstr solver_spec) warm_iters
-          warm_weight refresh event_budget max_staleness
-          (match faults_spec with None -> "null" | Some (s, _) -> jstr s)
-          seed (List.length events);
-        List.iteri
-          (fun i r ->
-            Printf.printf "    %s%s\n" (report_json r)
-              (if i < List.length reports - 1 then "," else ""))
-          reports;
-        Printf.printf
-          "  ],\n  \"final\": {\"pairs\": %d, \"congestion\": %s, \"digest\": \
-           %s}%s%s\n}\n"
-          final_pairs (jfloat final_congestion) (jstr digest) sim_json
-          (cache_json store)
-      end
+      if json then
+        print_report ~schema:"sso-serve-replay" ~version:2 ~store
+          Json.(
+            [ ("family", Str family); ("size", jint size); ("alpha", jint alpha);
+              ("base", Str base); ("solver", Str solver_spec); ("warm_iters", jint warm_iters);
+              ("warm_weight", jint warm_weight); ("refresh", jint refresh);
+              ("event_budget", jint event_budget); ("max_staleness", jint max_staleness);
+              ("faults", Option.fold ~none:Null ~some:(fun (s, _) -> Str s) faults_spec);
+              ("seed", jint seed); ("events", jint (List.length events));
+              ("ticks", Arr (List.map report_json reports));
+              ( "final",
+                Obj
+                  [ ("pairs", jint final_pairs); ("congestion", jfloat final_congestion);
+                    ("digest", Str digest) ] ) ]
+            @
+            match outcome with
+            | None -> []
+            | Some outcome ->
+                let s = Simulator.value outcome in
+                [ ( "sim",
+                    Obj
+                      [ ("completed", Bool (completed outcome));
+                        ("packets", jint s.Simulator.packets);
+                        ("delivered", jint s.Simulator.delivered);
+                        ("finish_time", jint s.Simulator.finish_time);
+                        ("mean_latency", jfloat s.Simulator.mean_latency);
+                        ("p99_latency", jfloat s.Simulator.p99_latency);
+                        ("peak_queue", jint s.Simulator.peak_queue) ] ) ])
       else begin
         Printf.printf "family %s  size %d  alpha %d  base %s  solver %s\n"
           family size alpha base solver_spec;
@@ -1426,9 +1397,7 @@ let serve_cmd =
             Printf.printf
               "sim: %s  delivered %d/%d  finish %d  mean latency %.3f  p99 \
                %.3f  peak queue %d\n"
-              (match outcome with
-              | Simulator.Completed _ -> "completed"
-              | Simulator.Out_of_budget _ -> "OUT-OF-BUDGET")
+              (if completed outcome then "completed" else "OUT-OF-BUDGET")
               s.Simulator.delivered s.Simulator.packets s.Simulator.finish_time
               s.Simulator.mean_latency s.Simulator.p99_latency
               s.Simulator.peak_queue
@@ -1439,43 +1408,48 @@ let serve_cmd =
         (List.length events)
         (float_of_int wall_ns /. 1e6)
         (float_of_int (List.length events) /. (float_of_int wall_ns /. 1e9));
-      finish_trace ~seed trace;
-      (* SLO/overload verdicts last, on stderr only (wall clock): the
-         trace and all deterministic output are complete before a burn
-         exits 12. *)
-      (match slo_p99_ms with
-      | None -> ()
-      | Some budget_ms ->
-          let slo = Serve.check_slo ~budget_ms reports in
-          Printf.eprintf
-            "slo: p99 solve %.3f ms vs budget %.3f ms — %s (%d/%d ticks over \
-             budget)\n"
-            slo.Serve.p99_ms slo.Serve.p99_budget_ms
-            (if slo.Serve.burned then "BURNED" else "ok")
-            slo.Serve.burns (List.length reports);
-          if slo.Serve.burned then exit exit_slo);
-      match overload_ms with
-      | None -> ()
-      | Some budget_ms ->
-          let o = Serve.check_overload ~budget_ms reports in
-          Printf.eprintf
-            "overload: max tick %.3f ms vs budget %.3f ms — %s (%d/%d ticks \
-             over budget)\n"
-            o.Serve.max_tick_ms o.Serve.budget_tick_ms
-            (if o.Serve.overloaded then "OVERLOADED" else "ok")
-            o.Serve.slow_ticks (List.length reports);
-          if o.Serve.overloaded then exit exit_slo
+      (* SLO/overload verdicts last, on stderr only (wall clock).  A burned
+         SLO skips the overload check; either burn is the exit code the run
+         flags return once the trace is written. *)
+      let slo_burned () =
+        match slo_p99_ms with
+        | None -> false
+        | Some budget_ms ->
+            let slo = Serve.check_slo ~budget_ms reports in
+            Printf.eprintf
+              "slo: p99 solve %.3f ms vs budget %.3f ms — %s (%d/%d ticks over \
+               budget)\n"
+              slo.Serve.p99_ms slo.Serve.p99_budget_ms
+              (if slo.Serve.burned then "BURNED" else "ok")
+              slo.Serve.burns (List.length reports);
+            slo.Serve.burned
+      in
+      let overloaded () =
+        match overload_ms with
+        | None -> false
+        | Some budget_ms ->
+            let o = Serve.check_overload ~budget_ms reports in
+            Printf.eprintf
+              "overload: max tick %.3f ms vs budget %.3f ms — %s (%d/%d ticks \
+               over budget)\n"
+              o.Serve.max_tick_ms o.Serve.budget_tick_ms
+              (if o.Serve.overloaded then "OVERLOADED" else "ok")
+              o.Serve.slow_ticks (List.length reports);
+            o.Serve.overloaded
+      in
+      if slo_burned () || overloaded () then exit_slo else 0
     in
     let doc = "replay a logged update stream through the routing service" in
     Cmd.v (Cmd.info "replay" ~doc)
       Term.(
-        const run $ stream_pos $ family_arg $ size_arg $ alpha_arg $ base_arg
-        $ solver_arg $ warm_iters_arg $ warm_weight_arg $ refresh_arg
-        $ simulate_arg $ period_arg $ json_arg $ metrics_out_arg $ slo_arg
-        $ overload_arg $ faults_arg $ checkpoint_every_arg
-        $ checkpoint_dir_arg $ resume_arg $ crash_after_arg
-        $ event_budget_arg $ max_staleness_arg $ seed_arg $ jobs_arg
-        $ cache_arg $ no_cache_arg $ cache_dir_arg $ trace_arg)
+        const Stdlib.exit
+        $ run_flags
+            (const run $ stream_pos $ family_arg $ size_arg $ alpha_arg $ base_arg
+            $ solver_arg $ warm_iters_arg $ warm_weight_arg $ refresh_arg
+            $ simulate_arg $ period_arg $ json_arg $ metrics_out_arg $ slo_arg
+            $ overload_arg $ faults_arg $ checkpoint_every_arg
+            $ checkpoint_dir_arg $ resume_arg $ crash_after_arg
+            $ event_budget_arg $ max_staleness_arg))
   in
   let doc = "long-lived routing service: generate and replay update streams" in
   Cmd.group (Cmd.info "serve" ~doc) [ generate_cmd; replay_cmd ]
@@ -1487,22 +1461,13 @@ let cache_cmd =
      store directory cannot be opened or listed, and — for the read-only
      inspections — [exit_corrupt] (11) when damaged entries were seen. *)
   let with_store cache_dir f =
-    match
-      let store = Store.open_ ?dir:cache_dir () in
-      f store
-    with
-    | () -> ()
-    | exception Store.Unreadable msg ->
-        Printf.eprintf "sso cache: %s\n" msg;
-        exit exit_unreadable
+    try f (Store.open_ ?dir:cache_dir ())
+    with Store.Unreadable msg -> die exit_unreadable "sso cache: %s" msg
   in
   let report_corrupt corrupt =
-    if corrupt <> [] then begin
-      Printf.eprintf
-        "sso cache: %d corrupt entries (run 'sso cache gc' to remove them)\n"
-        (List.length corrupt);
-      exit exit_corrupt
-    end
+    if corrupt <> [] then
+      die exit_corrupt "sso cache: %d corrupt entries (run 'sso cache gc' to remove them)"
+        (List.length corrupt)
   in
   let ls_cmd =
     let run cache_dir =
@@ -1580,7 +1545,7 @@ let cache_cmd =
 
 let trace_cmd =
   (* Exit conventions mirror [sso cache]: 10 when the file cannot be
-     read, 11 when it is not a valid version-1 sso trace. *)
+     read, 11 when it is not a valid version-2 sso trace. *)
   let trace_pos p =
     let doc = "JSONL trace produced with $(b,--trace FILE)." in
     (* [string], not [file]: a missing path must surface as our exit 10,
@@ -1588,14 +1553,9 @@ let trace_cmd =
     Arg.(required & pos p (some string) None & info [] ~docv:"TRACE" ~doc)
   in
   let load path =
-    match Trace.load path with
-    | t -> t
-    | exception Trace.Unreadable msg ->
-        Printf.eprintf "sso trace: %s\n" msg;
-        exit exit_unreadable
-    | exception Trace.Corrupt msg ->
-        Printf.eprintf "sso trace: %s\n" msg;
-        exit exit_corrupt
+    try Trace.load path with
+    | Trace.Unreadable msg -> die exit_unreadable "sso trace: %s" msg
+    | Trace.Corrupt msg -> die exit_corrupt "sso trace: %s" msg
   in
   let ms ns = float_of_int ns /. 1e6 in
   let value_str = function
