@@ -1311,6 +1311,73 @@ let test_classes_count_walks () =
   Alcotest.(check string) "class MWU = per-slot" (per_slot_mwu ~iters:50 g sc d)
     (traced_stage4 (fun () -> Min_congestion.mwu_on_slices ~iters:50 g sc d))
 
+(* A warm Stage-4 re-solve at service scale, shaped like one wan-churn
+   tick: a random 4-regular graph, an α=4 sample of a 4-tree mixture, a
+   cold 40-round solve over 360 pairs, then six failed edges and churn
+   (a sixth of the pairs depart, 40 arrive) re-solved warm for 20 rounds
+   on the surviving candidates.  Above 256 pairs every per-pair array of
+   the solve is a major-heap block. *)
+let large_warm_instance () =
+  let rng = Rng.create 4101 in
+  let n = 128 in
+  let g = Gen.random_regular (Rng.split_at rng 0) n 4 in
+  let ps =
+    Sampler.alpha_sample (Rng.split_at rng 2)
+      (Sso_oblivious.Trees.uniform (Rng.split_at rng 1) ~count:4 g)
+      ~alpha:4
+  in
+  let amount () = 0.5 *. float_of_int (1 + Rng.int rng 5) in
+  let d =
+    Demand.of_list
+      (List.map (fun (s, t) -> (s, t, amount ()))
+         (Demand.support (Demand.random_pairs rng ~n ~pairs:360)))
+  in
+  let slices ps d = Path_system.to_slice_candidates ps (Demand.support d) in
+  let cold, _ = Min_congestion.mwu_on_slices ~iters:40 g (slices ps d) d in
+  let perm = Rng.permutation rng (Graph.m g) in
+  let down = List.init 6 (fun i -> perm.(i)) in
+  let view = Path_system.filter (fun a i -> not (Arena.exists a i (fun e -> List.mem e down))) ps in
+  let kept = List.filteri (fun i _ -> i mod 6 <> 0) (Demand.support d) in
+  let arrivals = Demand.support (Demand.random_pairs rng ~n ~pairs:40) in
+  let d_new =
+    Demand.of_list
+      (List.filter_map
+         (fun (s, t) ->
+           if Path_system.slice_count view s t = 0 then None
+           else Some (s, t, if Demand.mem d s t then Demand.get d s t else amount ()))
+         (List.sort_uniq Demand.Pair.compare (kept @ arrivals)))
+  in
+  let lost =
+    List.length
+      (List.filter
+         (fun (s, t) -> Path_system.slice_count view s t < Path_system.slice_count ps s t)
+         (Demand.support d_new))
+  in
+  (g, (fun () -> slices view d_new), (cold, 60), d_new, lost)
+
+(* Golden pin for the warm re-solve above, recorded before the solve's
+   per-pair bookkeeping (support and amounts, response handles, warm
+   seeding and emission) moved to flat arrays. *)
+let test_large_warm_golden () =
+  let g, sc, warm, d, lost = large_warm_instance () in
+  Alcotest.(check bool) (Printf.sprintf "over 300 pairs (%d)" (Demand.support_size d)) true
+    (Demand.support_size d > 300);
+  Alcotest.(check bool) (Printf.sprintf "pairs lost candidates (%d)" lost) true (lost >= 10);
+  Alcotest.(check string) "warm re-solve" "99334ddbf396a241a9a1af2d98bc6548"
+    (stage5_digest (Min_congestion.mwu_on_slices ~iters:20 ~warm g (sc ()) d))
+
+(* The minor words one warm re-solve of that instance allocates: a bound
+   about 1.5x the measured count, so a per-pair, per-round allocation
+   fails it. *)
+let test_large_warm_minor_words () =
+  let g, sc, warm, d, _ = large_warm_instance () in
+  let sc = sc () in
+  ignore (Min_congestion.mwu_on_slices ~iters:20 ~warm g sc d);
+  let before = Gc.minor_words () in
+  ignore (Min_congestion.mwu_on_slices ~iters:20 ~warm g sc d);
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) (Printf.sprintf "minor words %.0f < 160000" words) true (words < 160_000.)
+
 (* The k=8 fat-tree golden instance's 300-round cold solve runs on fewer
    classes than slots: a silent fallback to one class per slot fails. *)
 let test_fat_tree_classes () =
@@ -1372,6 +1439,8 @@ let () =
           Alcotest.test_case "fat-tree classes" `Quick test_fat_tree_classes;
           Alcotest.test_case "edges priced counter" `Quick test_edges_priced_counter;
           Alcotest.test_case "cheapest boundaries" `Quick test_cheapest_boundaries;
+          Alcotest.test_case "large warm golden pin" `Quick test_large_warm_golden;
+          Alcotest.test_case "large warm minor words" `Quick test_large_warm_minor_words;
         ] );
       ( "routing extra",
         [
