@@ -7,7 +7,7 @@
    name the paths the Dijkstra search has returned so far: the first
    sighting of a path for a pair appends it, and later sightings map back
    to the same handle.  The MWU loop tallies per-handle statistics in a
-   [tally] and emits routings through [distribution], so it never sees
+   [tally] and emits routings through [distributions], so it never sees
    which store it runs on.  Both stores address edges by slot ([edges]
    maps a slot to its edge id): a candidate store's slots are its
    candidates' distinct edges, a search store's are all m edges in
@@ -121,19 +121,18 @@ let intern_answer st i = function None -> -1 | Some p -> intern st i p
    on a 2-core x86-64 host, jobs 1 -> 2: 2 sources x 2 targets 6.4 ->
    9.7 ms, 2 x 8 12.0 -> 16.4 ms, 3 x 2 11.8 -> 12.3 ms, 3 x 8 16.5 ->
    15.2 ms, and a 64-source permutation 145 -> 91 ms. *)
-let respond_all t weights =
+let respond_all t weights handles =
   match t.store with
   | Candidates (sc, positions) ->
       (* Edges read, summed in a local so that solves sharing [sc] on
          other domains do not race on a counter field. *)
       let priced = ref 0 in
-      let answer i =
+      for i = 0 to Array.length t.support - 1 do
         let p = positions.(i) in
-        if p < 0 then -1 else Slice_candidates.cheapest sc ~weights ~priced p
-      in
-      let answers = Array.init (Array.length t.support) answer in
+        handles.(i) <- (if p < 0 then -1 else Slice_candidates.cheapest sc ~weights ~priced p)
+      done;
       Obs.incr ~by:!priced edges_priced;
-      (answers, 0)
+      0
   | Interned st ->
       let weights = st.view weights in
       Obs.incr ~by:(Array.length st.groups) sssp_batches;
@@ -147,8 +146,18 @@ let respond_all t weights =
         if Array.length t.support < 4 then Array.map search st.groups
         else Pool.parallel_map search st.groups
       in
-      let paths = Array.concat (Array.to_list (Array.map fst answers)) in
-      (Array.mapi (intern_answer st) paths, Array.fold_left (fun acc (_, k) -> acc + k) 0 answers)
+      (* The groups' answers, in group order, are the support in order. *)
+      let i = ref 0 and settled = ref 0 in
+      Array.iter
+        (fun (paths, k) ->
+          settled := !settled + k;
+          Array.iter
+            (fun p ->
+              handles.(!i) <- intern_answer st !i p;
+              incr i)
+            paths)
+        answers;
+      !settled
 
 let edges t = t.edges
 
@@ -172,15 +181,29 @@ let classes t ~rounds ~caps =
         let ((_, first) as classes) = Slice_candidates.classes sc ~caps in
         if 4 * Array.length first > 3 * slots then None else Some classes
 
-let iter_edges t h f =
+let add_loads t loads handles xs n =
   match t.store with
-  | Candidates (sc, _) -> Slice_candidates.iter_edges sc h f
-  | Interned st -> Array.iter f st.paths.(h).Path.edges
+  | Candidates (sc, _) -> Slice_candidates.add_loads sc loads handles xs n
+  | Interned st ->
+      for k = 0 to n - 1 do
+        let edges = st.paths.(handles.(k)).Path.edges and x = xs.(k) in
+        for j = 0 to Array.length edges - 1 do
+          let e = edges.(j) in
+          loads.(e) <- loads.(e) +. x
+        done
+      done
 
-let add_loads t loads h amount =
+let add_shares t loads ~per_slot handles xs n =
   match t.store with
-  | Candidates (sc, _) -> Slice_candidates.add_loads sc loads h amount
-  | Interned st -> Array.iter (fun e -> loads.(e) <- loads.(e) +. amount) st.paths.(h).Path.edges
+  | Candidates (sc, _) -> Slice_candidates.add_shares sc loads ~per_slot handles xs n
+  | Interned st ->
+      for k = 0 to n - 1 do
+        let edges = st.paths.(handles.(k)).Path.edges and x = xs.(k) in
+        for j = 0 to Array.length edges - 1 do
+          let e = edges.(j) in
+          loads.(e) <- loads.(e) +. (x /. per_slot.(e))
+        done
+      done
 
 let find t i p =
   match t.store with
@@ -210,17 +233,83 @@ let add tally h x =
   tally.weight.(h) <- tally.weight.(h) +. x;
   tally.seen.(h) <- true
 
+let credit tally handles n =
+  for k = 0 to n - 1 do
+    let h = handles.(k) in
+    if h < 0 then invalid_arg "Best_response.credit: pair without a response";
+    add tally h 1.0
+  done
+
 let seen tally h = h < Array.length tally.seen && tally.seen.(h)
 let seen_count tally = Array.fold_left (fun n s -> if s then n + 1 else n) 0 tally.seen
 
-(* The tallied distribution of pair [i] in descending path order, boxed
-   paths materialized here and only here. *)
-let distribution t tally i =
-  let acc = ref [] in
-  let emit path h = if seen tally h then acc := (tally.weight.(h), path h) :: !acc in
-  (match t.store with
+(* Pair [i]'s handles with positive tallied weight, written into [buf]
+   from [pos] on in descending path order; returns the end position. *)
+let credited t tally i buf pos =
+  match t.store with
   | Candidates (sc, positions) ->
-      if positions.(i) >= 0 then
-        Slice_candidates.iter_ascending sc positions.(i) (emit (Slice_candidates.path sc))
-  | Interned st -> Path_map.iter (fun _ h -> emit (Array.get st.paths) h) st.known.(i));
-  !acc
+      if positions.(i) < 0 then pos
+      else Slice_candidates.descending sc positions.(i) ~weights:tally.weight buf pos
+  | Interned st ->
+      let stop =
+        Path_map.fold
+          (fun _ h k ->
+            if seen tally h && tally.weight.(h) > 0.0 then begin
+              buf.(k) <- h;
+              k + 1
+            end
+            else k)
+          st.known.(i) pos
+      in
+      (* [known] folds ascending: reverse the run. *)
+      let lo = ref pos and hi = ref (stop - 1) in
+      while !lo < !hi do
+        let h = buf.(!lo) in
+        buf.(!lo) <- buf.(!hi);
+        buf.(!hi) <- h;
+        incr lo;
+        decr hi
+      done;
+      stop
+
+let path t h =
+  match t.store with
+  | Candidates (sc, _) -> Slice_candidates.path sc h
+  | Interned st -> st.paths.(h)
+
+(* Each pair's distribution is its credited handles in descending path
+   order, weighted by their tally over its sum in that order: the
+   distribution [Routing.make] would build from the same list (its merge
+   finds the paths distinct and already ordered), with one sum and one
+   division per path.  The loads are then added pair by pair in support
+   order, in that path order within a pair: [Routing.congestion]'s order,
+   over the slots. *)
+let distributions t tally amounts loads =
+  let pairs = Array.length t.support in
+  let entries = seen_count tally in
+  let handles = Array.make entries 0 and xs = Array.make entries 0.0 in
+  let dists = Array.make pairs [] in
+  let stop = ref 0 in
+  for i = 0 to pairs - 1 do
+    let lo = !stop in
+    let hi = credited t tally i handles lo in
+    let total = ref 0.0 in
+    for k = lo to hi - 1 do
+      total := !total +. tally.weight.(handles.(k))
+    done;
+    let total = !total in
+    if not (total > 0.0) then invalid_arg "Best_response.distributions: pair never credited";
+    let dist = ref [] in
+    for k = hi - 1 downto lo do
+      let h = handles.(k) in
+      dist := (tally.weight.(h) /. total, path t h) :: !dist
+    done;
+    dists.(i) <- !dist;
+    let amount = amounts.(i) in
+    for k = lo to hi - 1 do
+      xs.(k) <- amount *. (tally.weight.(handles.(k)) /. total)
+    done;
+    stop := hi
+  done;
+  add_loads t loads handles xs !stop;
+  dists

@@ -13,7 +13,7 @@
       its handle (Stage 5's [opt_{G,ℝ}(d)]).
 
     The solver tallies per-handle statistics in a {!tally} and emits each
-    pair's distribution through {!distribution}, in descending
+    pair's distribution through {!distributions}, in descending
     {!Sso_graph.Path.compare} order.
 
     Weights and path edges are addressed by slot, the position of an edge
@@ -35,15 +35,18 @@ val dijkstra :
     ({!Sso_graph.Shortest.dijkstra_targets}, counted in
     [mwu.sssp_batches]). *)
 
-val respond_all : t -> float array -> int array * int
-(** Every pair's handle under per-slot weights ([-1] when the pair has no
-    admissible path), in support order, and the number of vertices the
-    searches settled ([0] for candidates).  Candidates are priced
-    serially ({!Slice_candidates.cheapest}), and the candidate edges read
-    are added once per call to the [mwu.edges_priced] counter; searches
-    fan out on the pool, one per source, and interning
-    then runs serially in support order, so handles are the same for any
-    [--jobs]. *)
+val respond_all : t -> float array -> int array -> int
+(** [respond_all t weights handles] writes every pair's handle under
+    per-slot [weights] into [handles], in support order ([-1] when the
+    pair has no admissible path), and returns the number of vertices the
+    searches settled ([0] for candidates).  [handles] is the caller's:
+    one buffer at least as long as the support serves every call of a
+    solve, so a round allocates no pairs-long array.  Candidates are
+    priced serially ({!Slice_candidates.cheapest}), and the candidate
+    edges read are added once per call to the [mwu.edges_priced]
+    counter; searches fan out on the pool, one per source, and interning
+    then runs serially in support order, straight into [handles], so
+    handles are the same for any [--jobs]. *)
 
 val edges : t -> int array
 (** Slot -> edge id: every edge a response can load, ascending — a
@@ -63,13 +66,16 @@ val classes : t -> rounds:int -> caps:float array -> (int array * int array) opt
     ({!Slice_candidates.crossings}), without running the pass; and when
     the classes number more than three quarters of the slots. *)
 
-val iter_edges : t -> int -> (int -> unit) -> unit
-(** The edge slots of a handle's path, in path order. *)
+val add_loads : t -> float array -> int array -> float array -> int -> unit
+(** [add_loads t loads handles xs n] adds [xs.(k)] to [loads] at each
+    edge slot of handle [handles.(k)], in path order, for
+    [k = 0 .. n - 1] in turn: a round's loads from its responses and the
+    pairs' amounts, with no closure and no boxed float per pair. *)
 
-val add_loads : t -> float array -> int -> float -> unit
-(** [add_loads t loads h x] adds [x] to [loads] at each edge slot of
-    handle [h], in path order: {!iter_edges} specialized to the solvers'
-    load accumulation. *)
+val add_shares :
+  t -> float array -> per_slot:float array -> int array -> float array -> int -> unit
+(** {!add_loads} adding [xs.(k) /. per_slot.(e)] at slot [e]: warm
+    seeding's normalized loads. *)
 
 val find : t -> int -> Sso_graph.Path.t -> int
 (** The handle of a given path for pair [i] — warm-start seeding.  [-1]
@@ -84,9 +90,21 @@ val tally : t -> tally
 val add : tally -> int -> float -> unit
 (** Credit a handle. *)
 
+val credit : tally -> int array -> int -> unit
+(** [credit tally handles n] credits [handles.(k)] with [1.0] for
+    [k = 0 .. n - 1]: one round's play.  Raises [Invalid_argument] on a
+    negative handle. *)
+
 val seen_count : tally -> int
 (** Number of handles credited so far (the support of the routing). *)
 
-val distribution : t -> tally -> int -> (float * Sso_graph.Path.t) list
-(** Pair [i]'s credited handles with their weights, in descending path
-    order.  Boxed paths are materialized here and only here. *)
+val distributions : t -> tally -> float array -> float array -> (float * Sso_graph.Path.t) list array
+(** [distributions t tally amounts loads] emits every pair's credited
+    handles, in support order: each pair's distribution lists its paths
+    in descending path order, weighted by their tally over its sum taken
+    in that order — what {!Routing.make} builds from the same list, whose
+    merge finds these paths distinct and ordered.  It also adds
+    [amounts.(i)] times each weight to [loads] at the path's slots, pair
+    by pair and in list order: the loads {!Routing.congestion} sums, in
+    its order.  Boxed paths are materialized here and only here.  Raises
+    [Invalid_argument] when a pair was never credited. *)

@@ -124,14 +124,28 @@ let lp_on_slices g sc demand =
    store still offers: a pair that lost none seeds its distribution
    verbatim, a pair that lost some renormalizes the survivors (as
    [Routing.make] would), and a pair that lost all is learned by the fresh
-   rounds alone, like a pair the warm routing never covered. *)
+   rounds alone, like a pair the warm routing never covered.
+
+   Outside its rounds a solve does flat O(pairs) work: one demand fold
+   fills the support and amounts, one handle buffer serves every round,
+   seeding walks [previous] beside the support, and emission builds each
+   pair's distribution once and the routing from the two arrays.  Every
+   pairs-long array is filled from a constant (or an immediate), so none
+   forces a minor collection. *)
 let mwu ?(iters = 300) ?warm ~span ~label g oracle demand =
   if iters <= 0 then invalid_arg "Min_congestion: iters must be positive";
-  if Demand.support_size demand = 0 then Some (Routing.make [], 0.0)
+  let pairs = Demand.support_size demand in
+  if pairs = 0 then Some (Routing.make [], 0.0)
   else Obs.with_span span @@ fun () -> begin
     let m = Graph.m g in
-    let support = Array.of_list (Demand.support demand) in
-    let pairs = Array.length support in
+    let support = Array.make pairs (0, 0) and amounts = Array.make pairs 0.0 in
+    ignore
+      (Demand.fold
+         (fun s t amount i ->
+           support.(i) <- (s, t);
+           amounts.(i) <- amount;
+           i + 1)
+         demand 0);
     if Obs.tracing () then
       Obs.event "mwu.solve"
         ~attrs:
@@ -150,18 +164,18 @@ let mwu ?(iters = 300) ?warm ~span ~label g oracle demand =
        order-independent), and a solve on candidates allocates no m-float
        array. *)
     let slots = Array.length (Best_response.edges oracle) in
-    (* Per-round invariants, hoisted out of the relaxation/accumulation
-       inner loops: demand amounts and edge capacities are loop constants. *)
-    let amounts = Array.map (fun (s, t) -> Demand.get demand s t) support in
+    (* Edge capacities are loop constants, hoisted out of the
+       relaxation/accumulation inner loops like the amounts. *)
     let caps = Array.map (Graph.cap g) (Best_response.edges oracle) in
-    (* Handles in support order, and the vertices the searches settled. *)
+    (* Every round's handles, in support order. *)
+    let responses = Array.make pairs 0 in
+    (* Fills [responses]; the vertices the searches settled. *)
     let best_responses w =
       Obs.incr ~by:pairs mwu_oracle_calls;
-      let ((_, settled) as answers) = Best_response.respond_all oracle w in
+      let settled = Best_response.respond_all oracle w responses in
       Obs.incr ~by:settled mwu_sssp_settled;
-      answers
+      settled
     in
-    let add_loads loads h amount = Best_response.add_loads oracle loads h amount in
     (* The adversary weight is recomputed once per slot class per round
        and copied into a flat per-slot buffer (hoisting the exp out of the
        oracles' inner loops, and off of every edge visit), reused across
@@ -169,11 +183,11 @@ let mwu ?(iters = 300) ?warm ~span ~label g oracle demand =
        the feasibility probe with uniform weights, which also yields the
        width normalizer U (congestion of the probe routing). *)
     let warr = Array.map (fun c -> 1.0 /. c) caps in
-    let probe, _ = best_responses warr in
-    if Array.exists (fun h -> h < 0) probe then None
+    ignore (best_responses warr);
+    if Array.exists (fun h -> h < 0) responses then None
     else begin
       let loads = Array.make slots 0.0 in
-      Array.iteri (fun i h -> add_loads loads h amounts.(i)) probe;
+      Best_response.add_loads oracle loads responses amounts pairs;
       let u_norm = ref 1e-12 in
       Array.iteri
         (fun e load ->
@@ -184,38 +198,76 @@ let mwu ?(iters = 300) ?warm ~span ~label g oracle demand =
       let eta = Float.sqrt (4.0 *. Float.log (float_of_int (max 2 m)) /. float_of_int iters) in
       let cum = Array.make slots 0.0 in
       let tally = Best_response.tally oracle in
+      (* Telemetry only: the amounts of the pairs seeding leaves unseeded,
+         0.0 for the seeded ones. *)
+      let fresh_amounts =
+        if Option.is_some warm && Obs.tracing () then Array.copy amounts else [||]
+      in
       let base_plays =
         match warm with
         | None -> 0
         | Some (previous, weight) ->
             if weight <= 0 then invalid_arg "Min_congestion: warm-start weight must be positive";
             let wf = float_of_int weight in
+            let per_slot = Array.map (fun c -> c *. u_norm) caps in
+            (* One pair's kept handles and their seeded loads, grown to
+               the longest warm distribution. *)
+            let kept = ref (Array.make 8 0) and shares = ref (Array.make 8 0.0) in
             let seeded = ref false in
-            Array.iteri
-              (fun i (s, t) ->
-                let dist = Routing.distribution previous s t in
-                let kept =
-                  List.filter_map
-                    (fun (w, p) ->
-                      let h = Best_response.find oracle i p in
-                      if h < 0 then None else Some (w, h))
-                    dist
-                in
-                let kept =
-                  if List.compare_lengths kept dist = 0 then kept
-                  else
-                    let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 kept in
-                    List.map (fun (w, h) -> (w /. total, h)) kept
-                in
-                let amount = amounts.(i) in
-                List.iter
-                  (fun (w, h) ->
-                    seeded := true;
-                    Best_response.add tally h (w *. wf);
-                    Best_response.iter_edges oracle h (fun e ->
-                        cum.(e) <- cum.(e) +. (wf *. w *. amount /. (caps.(e) *. u_norm))))
-                  kept)
-              support;
+            let seed i dist =
+              (* The survivors and their weight, summed in distribution
+                 order. *)
+              let n = ref 0 and lost = ref false and total = ref 0.0 and l = ref dist in
+              while !l != [] do
+                let w, p = List.hd !l in
+                if Best_response.find oracle i p < 0 then lost := true
+                else begin
+                  incr n;
+                  total := !total +. w
+                end;
+                l := List.tl !l
+              done;
+              if Array.length !kept < !n then begin
+                kept := Array.make (2 * !n) 0;
+                shares := Array.make (2 * !n) 0.0
+              end;
+              let kept = !kept and shares = !shares and total = !total in
+              let amount = amounts.(i) and k = ref 0 and l = ref dist in
+              while !l != [] do
+                let w, p = List.hd !l in
+                let h = Best_response.find oracle i p in
+                if h >= 0 then begin
+                  let w = if !lost then w /. total else w in
+                  Best_response.add tally h (w *. wf);
+                  kept.(!k) <- h;
+                  shares.(!k) <- wf *. w *. amount;
+                  incr k
+                end;
+                l := List.tl !l
+              done;
+              if !k > 0 then begin
+                seeded := true;
+                if Array.length fresh_amounts > 0 then fresh_amounts.(i) <- 0.0;
+                Best_response.add_shares oracle cum ~per_slot kept shares !k
+              end
+            in
+            (* [previous] and the support both ascend: one merge walk. *)
+            let i = ref 0 in
+            Routing.fold
+              (fun (s, t) dist () ->
+                while
+                  !i < pairs
+                  &&
+                  let s', t' = support.(!i) in
+                  s' < s || (s' = s && t' < t)
+                do
+                  incr i
+                done;
+                if !i < pairs then begin
+                  let s', t' = support.(!i) in
+                  if s' = s && t' = t then seed !i dist
+                end)
+              previous ();
             if !seeded then weight else 0
       in
       let round_loads = Array.make slots 0.0 in
@@ -240,13 +292,7 @@ let mwu ?(iters = 300) ?warm ~span ~label g oracle demand =
       (* Telemetry only: a warm solve's unseeded pairs have played [round]
          times, not [base_plays + round], so their loads are averaged
          apart from the seeded ones. *)
-      let unseeded =
-        if base_plays > 0 && Obs.tracing () then
-          Some
-            ( Array.init pairs (fun i -> Best_response.distribution oracle tally i = []),
-              Array.make slots 0.0 )
-        else None
-      in
+      let fresh_loads = if base_plays > 0 && Obs.tracing () then Some (Array.make slots 0.0) else None in
       (* Every max fold below is a plain [>] from 0.0, not [Float.max]
          (which calls [caml_signbit_float] whenever its second operand is
          not larger).  Its operands are never NaN ([ccum], loads and
@@ -270,14 +316,11 @@ let mwu ?(iters = 300) ?warm ~span ~label g oracle demand =
             for e = 0 to slots - 1 do
               warr.(e) <- cweights.(cls.(e))
             done);
-        let responses, settled = best_responses warr in
+        let settled = best_responses warr in
         Array.fill round_loads 0 slots 0.0;
-        Array.iteri
-          (fun i h ->
-            if h < 0 then assert false (* probed feasible above *);
-            Best_response.add tally h 1.0;
-            add_loads round_loads h amounts.(i))
-          responses;
+        (* Every response is a handle: the probe found each pair one. *)
+        Best_response.credit tally responses pairs;
+        Best_response.add_loads oracle round_loads responses amounts pairs;
         (match classes with
         | None -> ()
         | Some (_, first) ->
@@ -300,12 +343,12 @@ let mwu ?(iters = 300) ?warm ~span ~label g oracle demand =
           done;
           let plays = float_of_int (base_plays + round) in
           let avg_congestion =
-            match unseeded with
+            match fresh_loads with
             | None -> !cum_peak *. u_norm /. plays
-            | Some (fresh, fresh_loads) ->
-                Array.iteri
-                  (fun i h -> if fresh.(i) then add_loads fresh_loads h amounts.(i))
-                  responses;
+            | Some fresh_loads ->
+                (* Seeded pairs add 0.0, which leaves a load of +0.0 or
+                   more unchanged. *)
+                Best_response.add_loads oracle fresh_loads responses fresh_amounts pairs;
                 let peak = ref 0.0 in
                 for k = 0 to ncls - 1 do
                   let fresh_load =
@@ -333,28 +376,18 @@ let mwu ?(iters = 300) ?warm ~span ~label g oracle demand =
               ]
         end
       done;
-      let routing =
-        Routing.make
-          (Array.to_list
-             (Array.mapi (fun i pair -> (pair, Best_response.distribution oracle tally i)) support))
-      in
-      (* [Routing.congestion] of the routing, summed over the slots: the
-         same loads in the same order (support order is the demand's fold
-         order), so the same bits, without an m-float array. *)
+      (* The routing's loads come back from emission, summed over the
+         slots in [Routing.congestion]'s order: the same bits, without an
+         m-float array. *)
       Array.fill loads 0 slots 0.0;
-      Array.iteri
-        (fun i (s, t) ->
-          List.iter
-            (fun (w, p) -> add_loads loads (Best_response.find oracle i p) (amounts.(i) *. w))
-            (Routing.distribution routing s t))
-        support;
+      let dists = Best_response.distributions oracle tally amounts loads in
       let congestion = ref 0.0 in
       Array.iteri
         (fun e load ->
           let c = load /. caps.(e) in
           if c > !congestion then congestion := c)
         loads;
-      Some (routing, !congestion)
+      Some (Routing.of_sorted support dists, !congestion)
     end
   end
 

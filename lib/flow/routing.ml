@@ -7,7 +7,12 @@ module Pair_map = Map.Make (Demand.Pair)
 
 module Path_map = Map.Make (Path)
 
-type t = (float * Path.t) list Pair_map.t
+type dist = (float * Path.t) list
+
+(* Pairs strictly ascending, and each pair's distribution at the same
+   position: a lookup is a binary search, and a solver that emits its
+   pairs in order builds a routing without a per-pair insertion. *)
+type t = { keys : (int * int) array; dists : dist array }
 
 let normalize pair entries =
   let s, t = pair in
@@ -32,54 +37,84 @@ let normalize pair entries =
     (fun p w acc -> if w > 0.0 then (w /. total, p) :: acc else acc)
     merged []
 
+let of_map m =
+  let n = Pair_map.cardinal m in
+  let keys = Array.make n (0, 0) and dists = Array.make n [] in
+  ignore
+    (Pair_map.fold
+       (fun pair dist i ->
+         keys.(i) <- pair;
+         dists.(i) <- dist;
+         i + 1)
+       m 0);
+  { keys; dists }
+
+let of_sorted keys dists = { keys; dists }
+
 let make entries =
-  List.fold_left
-    (fun acc (pair, dist) ->
-      if Pair_map.mem pair acc then invalid_arg "Routing.make: duplicate pair";
-      Pair_map.add pair (normalize pair dist) acc)
-    Pair_map.empty entries
+  of_map
+    (List.fold_left
+       (fun acc (pair, dist) ->
+         if Pair_map.mem pair acc then invalid_arg "Routing.make: duplicate pair";
+         Pair_map.add pair (normalize pair dist) acc)
+       Pair_map.empty entries)
 
 let of_normalized entries =
-  List.fold_left
-    (fun acc ((pair, dist) : (int * int) * (float * Path.t) list) ->
-      if Pair_map.mem pair acc then invalid_arg "Routing.of_normalized: duplicate pair";
-      let s, t = pair in
-      let total =
-        List.fold_left
-          (fun sum (w, (p : Path.t)) ->
-            if not (w > 0.0) then
-              invalid_arg "Routing.of_normalized: weights must be positive";
-            if p.Path.src <> s || p.Path.dst <> t then
-              invalid_arg "Routing.of_normalized: path endpoints do not match pair";
-            sum +. w)
-          0.0 dist
-      in
-      if Float.abs (total -. 1.0) > 1e-6 then
-        invalid_arg "Routing.of_normalized: weights must sum to 1";
-      Pair_map.add pair dist acc)
-    Pair_map.empty entries
+  of_map
+    (List.fold_left
+       (fun acc ((pair, dist) : (int * int) * dist) ->
+         if Pair_map.mem pair acc then invalid_arg "Routing.of_normalized: duplicate pair";
+         let s, t = pair in
+         let total =
+           List.fold_left
+             (fun sum (w, (p : Path.t)) ->
+               if not (w > 0.0) then
+                 invalid_arg "Routing.of_normalized: weights must be positive";
+               if p.Path.src <> s || p.Path.dst <> t then
+                 invalid_arg "Routing.of_normalized: path endpoints do not match pair";
+               sum +. w)
+             0.0 dist
+         in
+         if Float.abs (total -. 1.0) > 1e-6 then
+           invalid_arg "Routing.of_normalized: weights must sum to 1";
+         Pair_map.add pair dist acc)
+       Pair_map.empty entries)
 
-let distribution r s t =
-  match Pair_map.find_opt (s, t) r with Some d -> d | None -> []
+(* Position of [(s, t)] in [keys], or [-1]. *)
+let find r s t =
+  let keys = r.keys in
+  let lo = ref 0 and hi = ref (Array.length keys) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let s', t' = keys.(mid) in
+    if s' < s || (s' = s && t' < t) then lo := mid + 1 else hi := mid
+  done;
+  if !lo < Array.length keys && (let s', t' = keys.(!lo) in s' = s && t' = t) then !lo else -1
 
-let pairs r = List.map fst (Pair_map.bindings r)
+let distribution r s t = match find r s t with -1 -> [] | i -> r.dists.(i)
 
-let covers r d =
-  List.for_all (fun (s, t) -> Pair_map.mem (s, t) r) (Demand.support d)
+let fold f r acc =
+  let acc = ref acc in
+  Array.iteri (fun i pair -> acc := f pair r.dists.(i) !acc) r.keys;
+  !acc
+
+let pairs r = Array.to_list r.keys
+
+let covers r d = List.for_all (fun (s, t) -> find r s t >= 0) (Demand.support d)
 
 let edge_loads g r d =
   let loads = Array.make (Graph.m g) 0.0 in
   Demand.fold
     (fun s t amount () ->
-      match Pair_map.find_opt (s, t) r with
-      | None -> invalid_arg "Routing.edge_loads: demanded pair missing from routing"
-      | Some dist ->
+      match find r s t with
+      | -1 -> invalid_arg "Routing.edge_loads: demanded pair missing from routing"
+      | i ->
           List.iter
             (fun (w, p) ->
               Array.iter
                 (fun e -> loads.(e) <- loads.(e) +. (amount *. w))
                 p.Path.edges)
-            dist)
+            r.dists.(i))
     d ();
   loads
 
@@ -101,25 +136,45 @@ let dilation r d =
         acc (distribution r s t))
     d 0
 
+(* Both key arrays ascend, so one merge walk visits the union in order. *)
 let merge_two (d1, r1) (d2, r2) =
-  Pair_map.merge
-    (fun pair dist1 dist2 ->
-      match (dist1, dist2) with
-      | None, None -> None
-      | Some dist, None | None, Some dist -> Some dist
-      | Some dist1, Some dist2 ->
-          let s, t = pair in
-          let a = Demand.get d1 s t and b = Demand.get d2 s t in
-          if a +. b <= 0.0 then Some dist1
-          else begin
-            let scaled1 = List.map (fun (w, p) -> (w *. a, p)) dist1 in
-            let scaled2 = List.map (fun (w, p) -> (w *. b, p)) dist2 in
-            Some (normalize pair (scaled1 @ scaled2))
-          end)
-    r1 r2
+  let n1 = Array.length r1.keys and n2 = Array.length r2.keys in
+  let keys = Array.make (n1 + n2) (0, 0) and dists = Array.make (n1 + n2) [] in
+  let emit k pair dist =
+    keys.(k) <- pair;
+    dists.(k) <- dist
+  in
+  let rec walk i j k =
+    if i = n1 && j = n2 then k
+    else if j = n2 || (i < n1 && Demand.Pair.compare r1.keys.(i) r2.keys.(j) < 0) then begin
+      emit k r1.keys.(i) r1.dists.(i);
+      walk (i + 1) j (k + 1)
+    end
+    else if i = n1 || Demand.Pair.compare r1.keys.(i) r2.keys.(j) > 0 then begin
+      emit k r2.keys.(j) r2.dists.(j);
+      walk i (j + 1) (k + 1)
+    end
+    else begin
+      let ((s, t) as pair) = r1.keys.(i) in
+      let dist1 = r1.dists.(i) and dist2 = r2.dists.(j) in
+      let a = Demand.get d1 s t and b = Demand.get d2 s t in
+      emit k pair
+        (if a +. b <= 0.0 then dist1
+         else begin
+           let scaled1 = List.map (fun (w, p) -> (w *. a, p)) dist1 in
+           let scaled2 = List.map (fun (w, p) -> (w *. b, p)) dist2 in
+           normalize pair (scaled1 @ scaled2)
+         end);
+      walk (i + 1) (j + 1) (k + 1)
+    end
+  in
+  let n = walk 0 0 0 in
+  { keys = Array.sub keys 0 n; dists = Array.sub dists 0 n }
+
+let empty = { keys = [||]; dists = [||] }
 
 let merge_convex = function
-  | [] -> Pair_map.empty
+  | [] -> empty
   | first :: rest ->
       snd
         (List.fold_left

@@ -23,8 +23,21 @@ val of_normalized : ((int * int) * (float * Sso_graph.Path.t) list) list -> t
     non-positive weights, endpoint mismatches, or per-pair sums farther
     than [1e-6] from 1. *)
 
+val of_sorted : (int * int) array -> (float * Sso_graph.Path.t) list array -> t
+(** Trusted constructor for a solver's emission: [of_sorted pairs dists]
+    gives pair [pairs.(i)] the distribution [dists.(i)], installed as is,
+    with no check and no copy.  [pairs] must be strictly ascending (the
+    order of {!Sso_demand.Demand.support}), and each distribution
+    normalized, its paths distinct and in descending
+    {!Sso_graph.Path.compare} order, as {!make} would leave it.  Neither
+    array may be mutated afterwards. *)
+
 val distribution : t -> int -> int -> (float * Sso_graph.Path.t) list
-(** The distribution for a pair; [[]] if the pair is absent. *)
+(** The distribution for a pair; [[]] if the pair is absent.  A binary
+    search over the pairs. *)
+
+val fold : ((int * int) -> (float * Sso_graph.Path.t) list -> 'a -> 'a) -> t -> 'a -> 'a
+(** Fold over the pairs in ascending order, with their distributions. *)
 
 val pairs : t -> (int * int) list
 

@@ -276,10 +276,25 @@ let iter_edges sc c f =
     f (Array.unsafe_get sc.flat k)
   done
 
-let add_loads sc loads c amount =
-  for k = sc.edge_off.(c) to sc.edge_off.(c + 1) - 1 do
-    let e = Array.unsafe_get sc.flat k in
-    loads.(e) <- loads.(e) +. amount
+(* The unchecked reads are in bounds: [edge_off] has a checked read at
+   both ends of each range, and every slot in [flat] is below the slot
+   count. *)
+let add_loads sc loads cands xs n =
+  for k = 0 to n - 1 do
+    let c = cands.(k) and x = xs.(k) in
+    for j = sc.edge_off.(c) to sc.edge_off.(c + 1) - 1 do
+      let e = Array.unsafe_get sc.flat j in
+      loads.(e) <- loads.(e) +. x
+    done
+  done
+
+let add_shares sc loads ~per_slot cands xs n =
+  for k = 0 to n - 1 do
+    let c = cands.(k) and x = xs.(k) in
+    for j = sc.edge_off.(c) to sc.edge_off.(c + 1) - 1 do
+      let e = Array.unsafe_get sc.flat j in
+      loads.(e) <- loads.(e) +. (x /. per_slot.(e))
+    done
   done
 
 (* The candidate of pair position [i] whose path equals [p], for
@@ -291,9 +306,15 @@ let find sc i (p : Path.t) =
   let rec equal c = if c >= hi then -1 else if Path.equal sc.paths.(c) p then c else equal (c + 1) in
   match same lo with -1 -> equal lo | c -> c
 
-let iter_ascending sc i f =
-  for k = sc.cand_off.(i) to sc.cand_off.(i + 1) - 1 do
-    f sc.rank.(k)
-  done
+let descending sc i ~weights buf pos =
+  let k = ref pos in
+  for j = sc.cand_off.(i + 1) - 1 downto sc.cand_off.(i) do
+    let c = sc.rank.(j) in
+    if weights.(c) > 0.0 then begin
+      buf.(!k) <- c;
+      incr k
+    end
+  done;
+  !k
 
 let path sc c = sc.paths.(c)

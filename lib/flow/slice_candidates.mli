@@ -83,9 +83,15 @@ val cheapest : t -> weights:float array -> priced:int ref -> int -> int
 val iter_edges : t -> int -> (int -> unit) -> unit
 (** Edge slots of a candidate, in path order. *)
 
-val add_loads : t -> float array -> int -> float -> unit
-(** [add_loads sc loads c x] adds [x] to [loads] at each edge slot of
-    candidate [c], in path order: {!iter_edges} without a closure. *)
+val add_loads : t -> float array -> int array -> float array -> int -> unit
+(** [add_loads sc loads cands xs n] adds [xs.(k)] to [loads] at each edge
+    slot of candidate [cands.(k)], in path order, for [k = 0 .. n - 1] in
+    turn: {!iter_edges} without a closure or a boxed float per
+    candidate. *)
+
+val add_shares :
+  t -> float array -> per_slot:float array -> int array -> float array -> int -> unit
+(** {!add_loads} adding [xs.(k) /. per_slot.(e)] at slot [e]. *)
 
 val edges : t -> int array
 (** Slot -> edge id: the distinct edge ids of all candidates, ascending,
@@ -109,8 +115,10 @@ val find : t -> int -> Sso_graph.Path.t -> int
 (** The candidate of pair position [i] whose path equals the given one,
     or [-1] — warm-start seeding. *)
 
-val iter_ascending : t -> int -> (int -> unit) -> unit
-(** The candidates of pair position [i] in ascending path order. *)
+val descending : t -> int -> weights:float array -> int array -> int -> int
+(** [descending sc i ~weights buf pos] writes the candidates [c] of pair
+    position [i] with [weights.(c) > 0.0] into [buf] from [pos] on, in
+    descending path order, and returns the position after the last. *)
 
 val path : t -> int -> Sso_graph.Path.t
 (** A candidate as a boxed path: the piece's own value, not a copy. *)
