@@ -71,10 +71,18 @@ let read_file path =
 
 (* An input file ([what] is "graph" or "demand") that cannot be read
    exits [exit_unreadable] and one that does not parse exits
-   [exit_corrupt], each with one stderr line naming the file. *)
+   [exit_corrupt], each with one stderr line naming the file once (a
+   [Sys_error] from opening it already starts with the path). *)
 let read_input what parse path =
   match read_file path with
-  | exception Sys_error msg -> die exit_unreadable "sso: cannot read %s %s: %s" what path msg
+  | exception Sys_error msg ->
+      let prefix = path ^ ": " in
+      let reason =
+        if String.starts_with ~prefix msg then
+          String.sub msg (String.length prefix) (String.length msg - String.length prefix)
+        else msg
+      in
+      die exit_unreadable "sso: cannot read %s %s: %s" what path reason
   | text -> (
       try parse text
       with Failure msg | Invalid_argument msg ->
@@ -222,6 +230,23 @@ let solver_arg ~doc =
    draws randomness, from its own split of [rng]. *)
 let racke_base ~store ~alpha:_ rng g = Memo.racke ?store (Rng.split rng) g
 
+(* Valiant's and e-cube's bit-fixing paths exist only on a hypercube:
+   2^d vertices, each adjacent to every vertex one bit away.  Any other
+   graph is a usage error, caught before the base is built. *)
+let hypercube_only base g =
+  let n = Graph.n g in
+  let rec dim d = if 1 lsl d >= n then d else dim (d + 1) in
+  let d = dim 0 in
+  if 1 lsl d <> n then
+    misfit ~name:"base" "%s needs a hypercube, got %d vertices (not a power of two)" base n;
+  for v = 0 to n - 1 do
+    for b = 0 to d - 1 do
+      let u = v lxor (1 lsl b) in
+      if not (Array.exists (fun (_, w) -> w = u) (Graph.adj g v)) then
+        misfit ~name:"base" "%s needs a hypercube, vertices %d and %d are not adjacent" base v u
+    done
+  done
+
 let base_arg ?(ecube = false) ~doc () =
   spec_arg ~name:"base" ~default:"racke"
     ~expected:
@@ -230,12 +255,19 @@ let base_arg ?(ecube = false) ~doc () =
     ~doc (fun spec ->
       match spec with
       | "racke" -> Some racke_base
-      | "valiant" -> Some (fun ~store:_ ~alpha:_ _ g -> Valiant.routing g)
+      | "valiant" ->
+          Some
+            (fun ~store:_ ~alpha:_ _ g ->
+              hypercube_only "valiant" g;
+              Valiant.routing g)
       | "ksp" -> Some (fun ~store:_ ~alpha _ g -> Ksp.routing ~k:(max 4 alpha) g)
       | "shortest" ->
           Some (fun ~store:_ ~alpha:_ _ g -> Deterministic.shortest_path g)
       | "ecube" when ecube ->
-          Some (fun ~store:_ ~alpha:_ _ g -> Deterministic.ecube g)
+          Some
+            (fun ~store:_ ~alpha:_ _ g ->
+              hypercube_only "ecube" g;
+              Deterministic.ecube g)
       | _ -> None)
 
 (* The paper's construction in the one draw order every command shares:
@@ -253,7 +285,9 @@ let sample_system ?(with_cut = false) ~store ~base ~alpha rng g =
 (* Whether a packet simulation delivered everything within its step budget. *)
 let completed = function Simulator.Completed _ -> true | Simulator.Out_of_budget _ -> false
 
-(* The demand workload, drawn from [rng] once the graph is known. *)
+(* The demand workload, in two steps: given the graph, a demand file is
+   read and checked at once (so a bad one fails before any construction);
+   the result then draws the workload from [rng]. *)
 let demand_arg ?(file = false) ~default ~doc () =
   spec_arg ~name:"demand" ~default
     ~expected:
@@ -263,19 +297,22 @@ let demand_arg ?(file = false) ~default ~doc () =
     ~doc (fun spec ->
       match String.split_on_char ':' spec with
       | [ "permutation" ] ->
-          Some (fun rng g -> Demand.random_permutation rng (Graph.n g))
+          Some (fun g rng -> Demand.random_permutation rng (Graph.n g))
       | [ "pairs"; count ] ->
           Option.map
-            (fun pairs rng g -> Demand.random_pairs rng ~n:(Graph.n g) ~pairs)
+            (fun pairs g rng -> Demand.random_pairs rng ~n:(Graph.n g) ~pairs)
             (int_at_least 0 count)
       | [ "gravity"; total ] -> (
           match float_of_string_opt total with
           | Some total when total > 0.0 ->
-              Some (fun rng g -> Demand.gravity rng ~n:(Graph.n g) ~total)
+              Some (fun g rng -> Demand.gravity rng ~n:(Graph.n g) ~total)
           | _ -> None)
-      | [ "all-to-all" ] -> Some (fun _ g -> Demand.all_to_all (Graph.n g))
+      | [ "all-to-all" ] -> Some (fun g _ -> Demand.all_to_all (Graph.n g))
       | [ "file"; path ] when file ->
-          Some (fun _ g -> read_demand path g)
+          Some
+            (fun g ->
+              let demand = read_demand path g in
+              fun _ -> demand)
       | _ -> None)
 
 (* A generated graph family, for the commands that need the generator's
@@ -547,11 +584,12 @@ let route_cmd =
   in
   let run path (_, base) alpha with_cut (_, demand) (_, solver) { seed; store } =
     let g = read_graph path in
+    let draw_demand = demand g in
     let rng = Rng.create seed in
     let base_routing, system = sample_system ~with_cut ~store ~base ~alpha rng g in
     (* The last draw: splitting for a workload that draws nothing leaves
        every result unchanged. *)
-    let demand = demand (Rng.split rng) g in
+    let demand = draw_demand (Rng.split rng) in
     let congestion = Semi_oblivious.congestion ~solver g system demand in
     let opt = Semi_oblivious.opt g demand in
     let oblivious_congestion = Oblivious.congestion base_routing demand in
@@ -682,7 +720,7 @@ let faults_cmd =
     let rng = Rng.create seed in
     let g = build_graph rng size in
     let _, system = sample_system ~store ~base:build_base ~alpha rng g in
-    let demand = demand (Rng.split rng) g in
+    let demand = demand g (Rng.split rng) in
     let scen_rng = Rng.split rng in
     let system_key =
       Printf.sprintf "fam=%s;size=%d;base=%s;alpha=%d;seed=%d" family size base
@@ -851,7 +889,7 @@ let faults_cmd =
       | _ -> ());
       fun ({ seed; store } as run) ->
       let g, system, demand, scen_rng, _system_key =
-        setup run ~family ~size ~base ~alpha ~demand:(fun rng g ->
+        setup run ~family ~size ~base ~alpha ~demand:(fun g rng ->
             Demand.random_pairs rng ~n:(Graph.n g) ~pairs:packets)
       in
       let scenario =
