@@ -251,26 +251,15 @@ let credited t tally i buf pos =
       if positions.(i) < 0 then pos
       else Slice_candidates.descending sc positions.(i) ~weights:tally.weight buf pos
   | Interned st ->
-      let stop =
-        Path_map.fold
-          (fun _ h k ->
-            if seen tally h && tally.weight.(h) > 0.0 then begin
-              buf.(k) <- h;
-              k + 1
-            end
-            else k)
-          st.known.(i) pos
-      in
-      (* [known] folds ascending: reverse the run. *)
-      let lo = ref pos and hi = ref (stop - 1) in
-      while !lo < !hi do
-        let h = buf.(!lo) in
-        buf.(!lo) <- buf.(!hi);
-        buf.(!hi) <- h;
-        incr lo;
-        decr hi
-      done;
-      stop
+      (* [known] folds ascending, so the list comes out descending. *)
+      Path_map.fold
+        (fun _ h acc -> if seen tally h && tally.weight.(h) > 0.0 then h :: acc else acc)
+        st.known.(i) []
+      |> List.fold_left
+           (fun k h ->
+             buf.(k) <- h;
+             k + 1)
+           pos
 
 let path t h =
   match t.store with

@@ -7,12 +7,10 @@ module Pair_map = Map.Make (Demand.Pair)
 
 module Path_map = Map.Make (Path)
 
-type dist = (float * Path.t) list
-
 (* Pairs strictly ascending, and each pair's distribution at the same
    position: a lookup is a binary search, and a solver that emits its
    pairs in order builds a routing without a per-pair insertion. *)
-type t = { keys : (int * int) array; dists : dist array }
+type t = { keys : (int * int) array; dists : (float * Path.t) list array }
 
 let normalize pair entries =
   let s, t = pair in
@@ -52,33 +50,33 @@ let of_map m =
 let of_sorted keys dists = { keys; dists }
 
 let make entries =
-  of_map
-    (List.fold_left
-       (fun acc (pair, dist) ->
-         if Pair_map.mem pair acc then invalid_arg "Routing.make: duplicate pair";
-         Pair_map.add pair (normalize pair dist) acc)
-       Pair_map.empty entries)
+  List.fold_left
+    (fun acc (pair, dist) ->
+      if Pair_map.mem pair acc then invalid_arg "Routing.make: duplicate pair";
+      Pair_map.add pair (normalize pair dist) acc)
+    Pair_map.empty entries
+  |> of_map
 
 let of_normalized entries =
-  of_map
-    (List.fold_left
-       (fun acc ((pair, dist) : (int * int) * dist) ->
-         if Pair_map.mem pair acc then invalid_arg "Routing.of_normalized: duplicate pair";
-         let s, t = pair in
-         let total =
-           List.fold_left
-             (fun sum (w, (p : Path.t)) ->
-               if not (w > 0.0) then
-                 invalid_arg "Routing.of_normalized: weights must be positive";
-               if p.Path.src <> s || p.Path.dst <> t then
-                 invalid_arg "Routing.of_normalized: path endpoints do not match pair";
-               sum +. w)
-             0.0 dist
-         in
-         if Float.abs (total -. 1.0) > 1e-6 then
-           invalid_arg "Routing.of_normalized: weights must sum to 1";
-         Pair_map.add pair dist acc)
-       Pair_map.empty entries)
+  List.fold_left
+    (fun acc ((pair, dist) : (int * int) * (float * Path.t) list) ->
+      if Pair_map.mem pair acc then invalid_arg "Routing.of_normalized: duplicate pair";
+      let s, t = pair in
+      let total =
+        List.fold_left
+          (fun sum (w, (p : Path.t)) ->
+            if not (w > 0.0) then
+              invalid_arg "Routing.of_normalized: weights must be positive";
+            if p.Path.src <> s || p.Path.dst <> t then
+              invalid_arg "Routing.of_normalized: path endpoints do not match pair";
+            sum +. w)
+          0.0 dist
+      in
+      if Float.abs (total -. 1.0) > 1e-6 then
+        invalid_arg "Routing.of_normalized: weights must sum to 1";
+      Pair_map.add pair dist acc)
+    Pair_map.empty entries
+  |> of_map
 
 (* Position of [(s, t)] in [keys], or [-1]. *)
 let find r s t =
@@ -136,45 +134,28 @@ let dilation r d =
         acc (distribution r s t))
     d 0
 
-(* Both key arrays ascend, so one merge walk visits the union in order. *)
-let merge_two (d1, r1) (d2, r2) =
-  let n1 = Array.length r1.keys and n2 = Array.length r2.keys in
-  let keys = Array.make (n1 + n2) (0, 0) and dists = Array.make (n1 + n2) [] in
-  let emit k pair dist =
-    keys.(k) <- pair;
-    dists.(k) <- dist
-  in
-  let rec walk i j k =
-    if i = n1 && j = n2 then k
-    else if j = n2 || (i < n1 && Demand.Pair.compare r1.keys.(i) r2.keys.(j) < 0) then begin
-      emit k r1.keys.(i) r1.dists.(i);
-      walk (i + 1) j (k + 1)
-    end
-    else if i = n1 || Demand.Pair.compare r1.keys.(i) r2.keys.(j) > 0 then begin
-      emit k r2.keys.(j) r2.dists.(j);
-      walk i (j + 1) (k + 1)
-    end
-    else begin
-      let ((s, t) as pair) = r1.keys.(i) in
-      let dist1 = r1.dists.(i) and dist2 = r2.dists.(j) in
-      let a = Demand.get d1 s t and b = Demand.get d2 s t in
-      emit k pair
-        (if a +. b <= 0.0 then dist1
-         else begin
-           let scaled1 = List.map (fun (w, p) -> (w *. a, p)) dist1 in
-           let scaled2 = List.map (fun (w, p) -> (w *. b, p)) dist2 in
-           normalize pair (scaled1 @ scaled2)
-         end);
-      walk (i + 1) (j + 1) (k + 1)
-    end
-  in
-  let n = walk 0 0 0 in
-  { keys = Array.sub keys 0 n; dists = Array.sub dists 0 n }
+let to_map r = fold Pair_map.add r Pair_map.empty
 
-let empty = { keys = [||]; dists = [||] }
+let merge_two (d1, r1) (d2, r2) =
+  Pair_map.merge
+    (fun pair dist1 dist2 ->
+      match (dist1, dist2) with
+      | None, None -> None
+      | Some dist, None | None, Some dist -> Some dist
+      | Some dist1, Some dist2 ->
+          let s, t = pair in
+          let a = Demand.get d1 s t and b = Demand.get d2 s t in
+          if a +. b <= 0.0 then Some dist1
+          else begin
+            let scaled1 = List.map (fun (w, p) -> (w *. a, p)) dist1 in
+            let scaled2 = List.map (fun (w, p) -> (w *. b, p)) dist2 in
+            Some (normalize pair (scaled1 @ scaled2))
+          end)
+    (to_map r1) (to_map r2)
+  |> of_map
 
 let merge_convex = function
-  | [] -> empty
+  | [] -> of_map Pair_map.empty
   | first :: rest ->
       snd
         (List.fold_left
