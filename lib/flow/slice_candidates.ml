@@ -276,9 +276,8 @@ let iter_edges sc c f =
     f (Array.unsafe_get sc.flat k)
   done
 
-(* The unchecked reads are in bounds: [edge_off] has a checked read at
-   both ends of each range, and every slot in [flat] is below the slot
-   count. *)
+(* The unchecked reads of [flat] stay in bounds: [edge_off] ends at its
+   length. *)
 let add_loads sc loads cands xs n =
   for k = 0 to n - 1 do
     let c = cands.(k) and x = xs.(k) in
