@@ -989,7 +989,7 @@ let () =
   if (has "--cache" || cache_dir <> None) && not (has "--no-cache") then (
     match Store.open_ ?dir:cache_dir () with
     | st -> store := Some st
-    | exception Store.Unreadable msg ->
+    | exception Sso_obs.File.Unreadable msg ->
         Printf.eprintf "--cache: %s\n" msg;
         exit 1);
   let timings : (string * float) list ref = ref [] in

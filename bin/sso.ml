@@ -37,6 +37,7 @@ module Store = Sso_artifact.Store
 module Memo = Sso_artifact.Memo
 module Obs = Sso_obs.Obs
 module Trace = Sso_obs.Trace
+module File = Sso_obs.File
 
 open Cmdliner
 
@@ -56,33 +57,27 @@ let die code fmt =
       exit code)
     fmt
 
+(* [f ()], with damaged input from any file ending the run: one stderr
+   line [prefix: message], then exit [exit_unreadable] for
+   [File.Unreadable] or [exit_corrupt] for [File.Corrupt]. *)
+let guard prefix f =
+  try f () with
+  | File.Unreadable msg -> die exit_unreadable "%s: %s" prefix msg
+  | File.Corrupt msg -> die exit_corrupt "%s: %s" prefix msg
+
 (* ---- shared argument parsers ---- *)
 
 let seed_arg =
   let doc = "PRNG seed; every run is deterministic given the seed." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
 
-let read_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  text
-
 (* An input file ([what] is "graph" or "demand") that cannot be read
    exits [exit_unreadable] and one that does not parse exits
-   [exit_corrupt], each with one stderr line naming the file once (a
-   [Sys_error] from opening it already starts with the path). *)
+   [exit_corrupt], each with one stderr line naming the file once (the
+   [File.Unreadable] message starts with the path). *)
 let read_input what parse path =
-  match read_file path with
-  | exception Sys_error msg ->
-      let prefix = path ^ ": " in
-      let reason =
-        if String.starts_with ~prefix msg then
-          String.sub msg (String.length prefix) (String.length msg - String.length prefix)
-        else msg
-      in
-      die exit_unreadable "sso: cannot read %s %s: %s" what path reason
+  match File.read path with
+  | exception File.Unreadable msg -> die exit_unreadable "sso: cannot read %s %s" what msg
   | text -> (
       try parse text
       with Failure msg | Invalid_argument msg ->
@@ -453,19 +448,15 @@ let run_flags ?(cache = true) body =
     if trace <> None then Obs.set_tracing true;
     let store =
       if not use_store then None
-      else
-        try Some (Store.open_ ?dir ())
-        with Store.Unreadable msg ->
-          die exit_unreadable "sso: cannot open the artifact store: %s" msg
+      else guard "sso: cannot open the artifact store" (fun () -> Some (Store.open_ ?dir ()))
     in
-    let result = body { seed; store } in
+    let result = guard "sso" (fun () -> body { seed; store }) in
     Option.iter
       (fun path ->
         let meta =
           [ ("seed", Trace.Int seed); ("jobs", Trace.Int (Sso_engine.Pool.default_jobs ())) ]
         in
-        try Obs.write_trace ~path ~meta
-        with Trace.Unreadable msg -> die exit_unreadable "sso: cannot write trace: %s" msg)
+        guard "sso: cannot write trace" (fun () -> Obs.write_trace ~path ~meta))
       trace;
     result
   in
@@ -1046,8 +1037,7 @@ let serve_cmd =
         Workload.generate ~rate_churn (Rng.split rng) ~n:(Graph.n g) ~ticks
           ~pairs ~churn
       in
-      (try Update.save output events
-       with Update.Unreadable msg -> die exit_unreadable "sso serve: cannot write stream: %s" msg);
+      guard "sso serve: cannot write stream" (fun () -> Update.save output events);
       Printf.printf "wrote %d events (%d ticks, %d pairs, churn %g) to %s\n"
         (List.length events) ticks pairs churn output
     in
@@ -1242,15 +1232,12 @@ let serve_cmd =
       if (checkpoint_every > 0 || resume) && checkpoint_dir = None then
         misfit ~name:"checkpoint-dir" "required by --checkpoint-every and --resume";
       fun { seed; store } ->
+      guard "sso serve" @@ fun () ->
       let checkpoint_every =
         if checkpoint_dir <> None && checkpoint_every = 0 then 1
         else checkpoint_every
       in
-      let events =
-        try Update.load stream with
-        | Update.Unreadable msg -> die exit_unreadable "sso serve: %s" msg
-        | Update.Corrupt msg -> die exit_corrupt "sso serve: %s" msg
-      in
+      let events = Update.load stream in
       (* After the graph and the sampled system: consumer randomness. *)
       let rng = Rng.create seed in
       let g = build_graph (Rng.split rng) size in
@@ -1290,28 +1277,25 @@ let serve_cmd =
           match Checkpoint.latest ~dir with
           | None -> (Serve.create ~config g system, -1)
           | Some (_, path) -> (
-              match Checkpoint.load ~graph:g path with
-              | exception Checkpoint.Unreadable msg -> die exit_unreadable "sso serve: %s" msg
-              | exception Codec.Corrupt msg ->
+              match
+                let ckpt_digest, ckpt_config, state = Checkpoint.load ~graph:g path in
+                if not (Int64.equal ckpt_digest stream_digest) then
+                  die exit_corrupt
+                    "sso serve: checkpoint %s was taken against a different \
+                     update stream"
+                    path;
+                if ckpt_config <> config_repr then
+                  die exit_corrupt
+                    "sso serve: checkpoint %s was taken under a different \
+                     configuration (%s)"
+                    path ckpt_config;
+                (Serve.restore ~config g system state, state.Serve.s_tick)
+              with
+              | exception File.Corrupt msg ->
                   die exit_corrupt "sso serve: checkpoint %s: %s" path msg
-              | ckpt_digest, ckpt_config, state -> (
-                  if not (Int64.equal ckpt_digest stream_digest) then
-                    die exit_corrupt
-                      "sso serve: checkpoint %s was taken against a different \
-                       update stream"
-                      path;
-                  if ckpt_config <> config_repr then
-                    die exit_corrupt
-                      "sso serve: checkpoint %s was taken under a different \
-                       configuration (%s)"
-                      path ckpt_config;
-                  match Serve.restore ~config g system state with
-                  | srv ->
-                      Printf.eprintf "resuming from %s (tick %d)\n" path
-                        state.Serve.s_tick;
-                      (srv, state.Serve.s_tick)
-                  | exception Codec.Corrupt msg ->
-                      die exit_corrupt "sso serve: checkpoint %s: %s" path msg))
+              | (_, tick) as resumed ->
+                  Printf.eprintf "resuming from %s (tick %d)\n" path tick;
+                  resumed)
       in
       let events =
         List.filter (fun (e : Update.t) -> e.Update.tick > resume_tick) events
@@ -1326,9 +1310,7 @@ let serve_cmd =
         | Some path ->
             Some
               (fun () ->
-                try Serve.write_metrics ~path
-                with Sys_error msg ->
-                  die exit_unreadable "sso serve: cannot write metrics: %s" msg)
+                guard "sso serve: cannot write metrics" (fun () -> Serve.write_metrics ~path))
       in
       let processed = ref 0 in
       let on_tick (r : Serve.report) (_ : Sso_flow.Routing.t) =
@@ -1336,15 +1318,10 @@ let serve_cmd =
         (match checkpoint_dir with
         | Some dir when checkpoint_every > 0 ->
             incr processed;
-            if !processed mod checkpoint_every = 0 then begin
-              match
-                Checkpoint.write ~dir ~stream_digest ~graph:g ~config
-                  (Serve.snapshot srv)
-              with
-              | (_ : string) -> ()
-              | exception Checkpoint.Unreadable msg ->
-                  die exit_unreadable "sso serve: %s" msg
-            end
+            if !processed mod checkpoint_every = 0 then
+              ignore
+                (Checkpoint.write ~dir ~stream_digest ~graph:g ~config (Serve.snapshot srv)
+                  : string)
         | _ -> ());
         match crash_after with
         | Some t when r.Serve.tick >= t ->
@@ -1357,16 +1334,10 @@ let serve_cmd =
       let on_tick = Some on_tick in
       let t0 = Obs.now_ns () in
       let outcome, reports =
-        match
-          if simulate then
-            let outcome, reports =
-              Serve.simulate ?on_tick sim_rng ~period srv events
-            in
-            (Some outcome, reports)
-          else (None, Serve.replay ?on_tick ~faults srv events)
-        with
-        | result -> result
-        | exception Update.Corrupt msg -> die exit_corrupt "sso serve: %s" msg
+        if simulate then
+          let outcome, reports = Serve.simulate ?on_tick sim_rng ~period srv events in
+          (Some outcome, reports)
+        else (None, Serve.replay ?on_tick ~faults srv events)
       in
       Option.iter (fun write -> write ()) write_metrics;
       let wall_ns = Obs.now_ns () - t0 in
@@ -1498,10 +1469,7 @@ let cache_cmd =
   (* Every subcommand exits 0 on success, [exit_unreadable] (10) when the
      store directory cannot be opened or listed, and — for the read-only
      inspections — [exit_corrupt] (11) when damaged entries were seen. *)
-  let with_store cache_dir f =
-    try f (Store.open_ ?dir:cache_dir ())
-    with Store.Unreadable msg -> die exit_unreadable "sso cache: %s" msg
-  in
+  let with_store cache_dir f = guard "sso cache" (fun () -> f (Store.open_ ?dir:cache_dir ())) in
   let report_corrupt corrupt =
     if corrupt <> [] then
       die exit_corrupt "sso cache: %d corrupt entries (run 'sso cache gc' to remove them)"
@@ -1590,11 +1558,7 @@ let trace_cmd =
        not cmdliner's 124. *)
     Arg.(required & pos p (some string) None & info [] ~docv:"TRACE" ~doc)
   in
-  let load path =
-    try Trace.load path with
-    | Trace.Unreadable msg -> die exit_unreadable "sso trace: %s" msg
-    | Trace.Corrupt msg -> die exit_corrupt "sso trace: %s" msg
-  in
+  let load path = guard "sso trace" (fun () -> Trace.load path) in
   let ms ns = float_of_int ns /. 1e6 in
   let value_str = function
     | Trace.Int i -> string_of_int i

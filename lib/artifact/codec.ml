@@ -5,9 +5,7 @@ module Demand = Sso_demand.Demand
 module Routing = Sso_flow.Routing
 module Frt = Sso_oblivious.Frt
 
-exception Corrupt of string
-
-let corrupt fmt = Printf.ksprintf (fun msg -> raise (Corrupt msg)) fmt
+module File = Sso_obs.File
 
 let format_version = 1
 
@@ -22,13 +20,13 @@ let reader data = { data; pos = 0 }
 
 let expect_end r =
   if r.pos <> String.length r.data then
-    corrupt "codec: %d trailing bytes" (String.length r.data - r.pos)
+    File.corrupt "codec: %d trailing bytes" (String.length r.data - r.pos)
 
 let write_u8 w v = Buffer.add_char w (Char.chr (v land 0xFF))
 
 (* Reads check their whole width once before they load it. *)
 let need r bytes =
-  if String.length r.data - r.pos < bytes then corrupt "codec: truncated input"
+  if String.length r.data - r.pos < bytes then File.corrupt "codec: truncated input"
 
 let read_u8 r =
   need r 1;
@@ -49,7 +47,7 @@ let write_varint w v =
 
 let read_varint r =
   let rec go shift acc =
-    if shift > 62 then corrupt "codec: varint overflow";
+    if shift > 62 then File.corrupt "codec: varint overflow";
     let b = read_u8 r in
     let acc = acc lor ((b land 0x7F) lsl shift) in
     if b land 0x80 = 0 then acc else go (shift + 7) acc
@@ -74,7 +72,7 @@ let read_f64 r = Int64.float_of_bits (read_i64 r)
 (* [count] floats straight into a float array; a count the remaining
    bytes cannot hold is truncation, refused before anything is allocated. *)
 let read_f64_array r count =
-  if count > (String.length r.data - r.pos) / 8 then corrupt "codec: truncated input";
+  if count > (String.length r.data - r.pos) / 8 then File.corrupt "codec: truncated input";
   let a = Array.create_float count in
   for i = 0 to count - 1 do
     a.(i) <- Int64.float_of_bits (String.get_int64_le r.data (r.pos + (8 * i)))
@@ -94,7 +92,7 @@ let read_list n f =
 
 let read_string r =
   let len = read_varint r in
-  if r.pos + len > String.length r.data then corrupt "codec: truncated string";
+  if r.pos + len > String.length r.data then File.corrupt "codec: truncated string";
   let s = String.sub r.data r.pos len in
   r.pos <- r.pos + len;
   s
@@ -136,16 +134,16 @@ let write_header_v w tag v =
 
 let read_header_v r tag version =
   let got = read_u8 r in
-  if got <> tag then corrupt "codec: tag mismatch (want %#x, got %#x)" tag got;
+  if got <> tag then File.corrupt "codec: tag mismatch (want %#x, got %#x)" tag got;
   let v = read_u8 r in
-  if v <> version then corrupt "codec: unsupported format version %d" v
+  if v <> version then File.corrupt "codec: unsupported format version %d" v
 
 let read_header r tag = read_header_v r tag format_version
 
 (* Wrap Invalid_argument from reconstruction (Builder, Path.of_edges, ...)
    into Corrupt: a payload describing an impossible object is damage, not a
    programming error at the decode site. *)
-let guarded f = try f () with Invalid_argument msg -> corrupt "codec: %s" msg
+let guarded f = try f () with Invalid_argument msg -> File.corrupt "codec: %s" msg
 
 (* ---- graph ---- *)
 
@@ -260,7 +258,7 @@ let decode_path_system_slices g s =
     read_pairs r (fun src dst ->
         let ps, pt = !prev in
         if src < ps || (src = ps && dst <= pt) then
-          corrupt "codec: path-system pair %d->%d out of order" src dst;
+          File.corrupt "codec: path-system pair %d->%d out of order" src dst;
         prev := (src, dst);
         let count = read_varint r in
         let first = Arena.length a in

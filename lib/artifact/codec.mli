@@ -2,25 +2,23 @@
 
     Hand-rolled writer/reader over [Buffer]/[string] — deliberately not
     [Marshal]: the encoding is stable across OCaml versions and
-    architectures, every read is bounds-checked, and malformed input raises
-    {!Corrupt} instead of segfaulting or silently misreading.  Floats are
-    stored as their IEEE-754 bit patterns, so every round trip is
-    bit-identical — the property the determinism contract (DESIGN.md §6)
-    rests on: a warm run that decodes a cached object must behave exactly
-    like the cold run that built it.
+    architectures, every read is bounds-checked, and malformed input
+    raises {!Sso_obs.File.Corrupt} instead of segfaulting or silently
+    misreading.  Floats are stored as their IEEE-754 bit patterns, so
+    every round trip is bit-identical — the property the determinism
+    contract (DESIGN.md §6) rests on: a warm run that decodes a cached
+    object must behave exactly like the cold run that built it.
 
     Every top-level codec writes a one-byte kind tag and a format-version
     byte.  Bump {!format_version} on any layout change: old cache entries
-    then decode as {!Corrupt} and are treated as misses (never
-    half-deserialized).
+    then decode as [Corrupt] and are treated as misses (never
+    half-deserialized).  Every [decode_*]/[read_*] raises
+    {!Sso_obs.File.Corrupt} on malformed, truncated, or mis-tagged
+    input; the store maps it to a cache miss.
 
     Candidate path collections have exactly one encoding, the arena slice
     layout of {!encode_path_system_slices}; only weighted distributions
     ({!encode_routing}) still carry paths as edge-id lists. *)
-
-exception Corrupt of string
-(** Raised by every [decode_*]/[read_*] on malformed, truncated, or
-    mis-tagged input.  The store maps it to a cache miss. *)
 
 val format_version : int
 
@@ -34,7 +32,7 @@ val contents : writer -> string
 
 val reader : string -> reader
 val expect_end : reader -> unit
-(** @raise Corrupt if unread bytes remain. *)
+(** @raise Sso_obs.File.Corrupt if unread bytes remain. *)
 
 val write_u8 : writer -> int -> unit
 val read_u8 : reader -> int
@@ -88,13 +86,13 @@ val decode_path_system_slices :
 (** Decode straight into a fresh arena over the graph: every slice goes
     through {!Sso_graph.Arena.append_encoded}, which rejects slots outside
     their adjacency row, non-canonical varints, endpoints out of range and
-    walks that miss [dst] ({!Corrupt}).  Pairs must be strictly ascending
-    (a repeated or out-of-order pair is {!Corrupt}).  Returns the arena
+    walks that miss [dst] ([Corrupt]).  Pairs must be strictly ascending
+    (a repeated or out-of-order pair is [Corrupt]).  Returns the arena
     and, per pair in payload order, its [(first, count)] slice range.
     Candidate-set rules (no repeated path within a pair) are checked where
     the slices are installed, {!Sso_core.Path_system.preload}.  The
     retired v1 layout (edge-id varints per path) is refused as
-    {!Corrupt}, which the store treats as a miss. *)
+    [Corrupt], which the store treats as a miss. *)
 
 val encode_routing : Sso_flow.Routing.t -> string
 val decode_routing : Sso_graph.Graph.t -> string -> Sso_flow.Routing.t

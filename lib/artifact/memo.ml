@@ -1,6 +1,7 @@
 module Graph = Sso_graph.Graph
 module Rng = Sso_prng.Rng
 module Obs = Sso_obs.Obs
+module File = Sso_obs.File
 module Oblivious = Sso_oblivious.Oblivious
 module Racke = Sso_oblivious.Racke
 module Frt = Sso_oblivious.Frt
@@ -44,7 +45,7 @@ let racke_forest ?store rng ?trees g =
       | Some payload -> (
           match List.map (Frt.of_parts g) (Codec.decode_forest payload) with
           | forest -> forest
-          | exception (Codec.Corrupt _ | Invalid_argument _) ->
+          | exception (File.Corrupt _ | Invalid_argument _) ->
               semantic_corrupt ();
               rebuild ()))
 
@@ -93,9 +94,9 @@ let alpha_sample ?store ~base_key rng r ~alpha ~pairs =
           match
             let arena, ranges = Codec.decode_path_system_slices g payload in
             try Path_system.preload fallback arena ranges
-            with Invalid_argument msg -> raise (Codec.Corrupt msg)
+            with Invalid_argument msg -> raise (File.Corrupt msg)
           with
           | () -> fallback
-          | exception Codec.Corrupt _ ->
+          | exception File.Corrupt _ ->
               semantic_corrupt ();
               save ())

@@ -1,9 +1,6 @@
 module Obs = Sso_obs.Obs
 module Trace = Sso_obs.Trace
-
-exception Unreadable of string
-
-let unreadable fmt = Printf.ksprintf (fun msg -> raise (Unreadable msg)) fmt
+module File = Sso_obs.File
 
 let c_hit = Obs.counter "artifact.hit"
 let c_miss = Obs.counter "artifact.miss"
@@ -58,24 +55,21 @@ let encode_entry ~kind ~description payload =
   Codec.write_i64 w (Codec.fnv1a64 payload);
   Codec.contents w
 
-(* @raise Codec.Corrupt on any damage. *)
+(* @raise File.Corrupt on any damage. *)
 let decode_entry data =
   let r = Codec.reader data in
   String.iter
     (fun c ->
-      if Codec.read_u8 r <> Char.code c then
-        raise (Codec.Corrupt "store: bad magic"))
+      if Codec.read_u8 r <> Char.code c then File.corrupt "store: bad magic")
     magic;
   let v = Codec.read_u8 r in
-  if v <> store_version then
-    raise (Codec.Corrupt (Printf.sprintf "store: unsupported version %d" v));
+  if v <> store_version then File.corrupt "store: unsupported version %d" v;
   let kind = Codec.read_string r in
   let description = Codec.read_string r in
   let payload = Codec.read_string r in
   let checksum = Codec.read_i64 r in
   Codec.expect_end r;
-  if Codec.fnv1a64 payload <> checksum then
-    raise (Codec.Corrupt "store: checksum mismatch");
+  if Codec.fnv1a64 payload <> checksum then File.corrupt "store: checksum mismatch";
   (kind, description, payload)
 
 (* ---- the store ---- *)
@@ -94,29 +88,17 @@ let default_dir () =
           | Some h -> Filename.concat (Filename.concat h ".cache") "sso"
           | None -> "_artifacts"))
 
-let rec mkdir_p path =
-  if path = "" || path = "." || path = "/" || Sys.file_exists path then ()
-  else begin
-    mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755 with
-    | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    | Unix.Unix_error (err, _, _) ->
-        unreadable "cannot create %s: %s" path (Unix.error_message err)
-  end
-
 let open_ ?dir () =
   let dir = match dir with Some d -> d | None -> default_dir () in
-  mkdir_p dir;
+  File.mkdir_p dir;
   if not (try Sys.is_directory dir with Sys_error _ -> false) then
-    unreadable "%s is not a directory" dir;
+    File.unreadable "%s is not a directory" dir;
   { dir }
 
 let dir t = t.dir
 
 let entry_file t r = Filename.concat t.dir (Codec.hex_of_key (key r) ^ ".art")
 let manifest_file t = Filename.concat t.dir "manifest.txt"
-
-let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let find t r =
   let path = entry_file t r in
@@ -126,12 +108,12 @@ let find t r =
     None
   end
   else
-    match decode_entry (read_file path) with
-    | exception Sys_error _ ->
+    match decode_entry (File.read path) with
+    | exception File.Unreadable _ ->
         Obs.incr c_miss;
         cache_event "miss" r;
         None
-    | exception Codec.Corrupt _ ->
+    | exception File.Corrupt _ ->
         Obs.incr c_corrupt;
         Obs.incr c_miss;
         cache_event "corrupt" r;
@@ -163,8 +145,7 @@ let append_manifest t line =
 let put t r payload =
   let path = entry_file t r in
   let data = encode_entry ~kind:r.kind ~description:(describe r) payload in
-  (try Sso_obs.Atomic_file.write path (fun oc -> output_string oc data)
-   with Sys_error msg -> unreadable "cannot write %s: %s" path msg);
+  File.write path (fun oc -> output_string oc data);
   Obs.incr ~by:(String.length payload) c_bytes_written;
   Obs.observe h_payload (String.length payload);
   if Obs.tracing () then
@@ -193,7 +174,7 @@ type listing = { entries : entry list; corrupt : string list }
 
 let is_entry_file name = Filename.check_suffix name ".art"
 
-(* [put] writes "<key>.art.tmp.<pid>" (Sso_obs.Atomic_file). *)
+(* [put] writes "<key>.art.tmp.<pid>" (Sso_obs.File.write). *)
 let is_tmp_file name =
   let needle = ".tmp." in
   let n = String.length name and k = String.length needle in
@@ -201,11 +182,9 @@ let is_tmp_file name =
   go 0
 
 let list_dir t =
-  match Sys.readdir t.dir with
-  | files ->
-      Array.sort compare files;
-      Array.to_list files
-  | exception Sys_error msg -> unreadable "cannot list %s" msg
+  let files = File.readdir t.dir in
+  Array.sort compare files;
+  Array.to_list files
 
 let scan t =
   let files = list_dir t in
@@ -214,8 +193,8 @@ let scan t =
       if not (is_entry_file name) then acc
       else
         let path = Filename.concat t.dir name in
-        match decode_entry (read_file path) with
-        | exception (Sys_error _ | Codec.Corrupt _) ->
+        match decode_entry (File.read path) with
+        | exception (File.Unreadable _ | File.Corrupt _) ->
             { acc with corrupt = acc.corrupt @ [ name ] }
         | kind, description, payload ->
             let e =

@@ -17,11 +17,11 @@
     A human-readable [manifest.txt] in the store directory logs one line per
     write.  {!Sso_obs.Obs} counters [artifact.hit], [artifact.miss],
     [artifact.corrupt], [artifact.bytes_read], and [artifact.bytes_written]
-    expose cache behaviour to [--metrics]. *)
+    expose cache behaviour to [--metrics].
 
-exception Unreadable of string
-(** The store directory cannot be created, read, or is not a directory.
-    Distinct from per-entry corruption, which is silent (a miss). *)
+    The store directory raises {!Sso_obs.File.Unreadable} when it cannot
+    be created, read, or is not a directory; per-entry damage is silent
+    (a miss). *)
 
 (** {1 Recipes} *)
 
@@ -45,8 +45,8 @@ val open_ : ?dir:string -> unit -> t
 (** Open (creating if needed) the store at [dir].  Without [dir] the
     location resolves, in order, to [SSO_CACHE_DIR], [XDG_CACHE_HOME/sso],
     [HOME/.cache/sso], then [_artifacts] in the working directory.
-    @raise Unreadable if the directory cannot be created or is not a
-    directory. *)
+    @raise Sso_obs.File.Unreadable if the directory cannot be created or
+    is not a directory. *)
 
 val dir : t -> string
 
@@ -58,8 +58,8 @@ val find : t -> recipe -> string option
 
 val put : t -> recipe -> string -> unit
 (** Store a payload under the recipe's key (atomic: temp file + rename)
-    and append a manifest line.  @raise Unreadable if the directory has
-    disappeared or is not writable. *)
+    and append a manifest line.  @raise Sso_obs.File.Unreadable if the
+    directory has disappeared or is not writable. *)
 
 (** {1 Inspection and maintenance} *)
 
@@ -77,13 +77,14 @@ type listing = {
 
 val scan : t -> listing
 (** Inspect every entry without removing anything.
-    @raise Unreadable if the directory cannot be listed. *)
+    @raise Sso_obs.File.Unreadable if the directory cannot be listed. *)
 
 val gc : t -> int
 (** Remove corrupt entries and leftover temp files, rewrite the manifest
     from the survivors; returns the number of files removed.
-    @raise Unreadable if the directory cannot be listed. *)
+    @raise Sso_obs.File.Unreadable if the directory cannot be listed. *)
 
 val clear : t -> int
 (** Remove every entry (and the manifest); returns the number of entries
-    removed.  @raise Unreadable if the directory cannot be listed. *)
+    removed.  @raise Sso_obs.File.Unreadable if the directory cannot be
+    listed. *)

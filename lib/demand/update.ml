@@ -1,7 +1,6 @@
-module Json = Sso_obs.Trace.Json
-
-exception Unreadable of string
-exception Corrupt of string
+module File = Sso_obs.File
+module Trace = Sso_obs.Trace
+module Json = Trace.Json
 
 let schema_version = 1
 let schema_tag = "sso-serve-stream"
@@ -57,29 +56,25 @@ let apply demand events =
   List.fold_left
     (fun d e ->
       (match event_violation e with
-      | Some msg -> raise (Corrupt ("invalid event: " ^ msg))
+      | Some msg -> File.corrupt "invalid event: %s" msg
       | None -> ());
       match e.kind with
       | Arrive r -> Demand.set d e.src e.dst (Demand.get d e.src e.dst +. r)
       | Depart ->
           if not (Demand.mem d e.src e.dst) then
-            raise
-              (Corrupt
-                 (Printf.sprintf "tick %d: departure of inactive pair %d->%d"
-                    e.tick e.src e.dst));
+            File.corrupt "tick %d: departure of inactive pair %d->%d" e.tick e.src
+              e.dst;
           Demand.remove d e.src e.dst
       | Set_rate r ->
           if not (Demand.mem d e.src e.dst) then
-            raise
-              (Corrupt
-                 (Printf.sprintf "tick %d: rate change of inactive pair %d->%d"
-                    e.tick e.src e.dst));
+            File.corrupt "tick %d: rate change of inactive pair %d->%d" e.tick e.src
+              e.dst;
           Demand.set d e.src e.dst r)
     demand events
 
 let by_tick events =
   (match stream_violation events with
-  | Some msg -> raise (Corrupt ("invalid stream: " ^ msg))
+  | Some msg -> File.corrupt "invalid stream: %s" msg
   | None -> ());
   let rec go acc current current_tick = function
     | [] ->
@@ -123,90 +118,27 @@ let save path events =
     (Printf.sprintf "{\"schema\":%S,\"version\":%d,\"events\":%d}\n" schema_tag
        schema_version (List.length events));
   List.iter (add_event buf) events;
-  try Sso_obs.Atomic_file.write path (fun oc -> Buffer.output_buffer oc buf)
-  with Sys_error msg -> raise (Unreadable msg)
+  File.write path (fun oc -> Buffer.output_buffer oc buf)
 
-let corrupt fmt = Printf.ksprintf (fun msg -> raise (Corrupt msg)) fmt
-
-(* The borrowed JSON parser raises the trace codec's exception; translate
-   so callers only ever see this module's contract. *)
-let parse_json line =
-  match Json.parse line with
-  | v -> v
-  | exception Sso_obs.Trace.Corrupt msg -> raise (Corrupt msg)
-
-let get_field obj key =
-  match Json.member key obj with
-  | Some v -> v
-  | None -> corrupt "stream line is missing the %S field" key
-
-let get_int obj key =
-  match Json.number (get_field obj key) with
-  | Some f when Float.is_integer f -> int_of_float f
-  | Some _ | None -> corrupt "stream field %S is not an integer" key
-
-let get_string obj key =
-  match get_field obj key with
-  | Json.Str s -> s
-  | _ -> corrupt "stream field %S is not a string" key
-
-let get_rate obj =
-  match Json.number (get_field obj "rate") with
-  | Some r -> r
-  | None -> corrupt "stream field \"rate\" is not a number"
-
-let parse_event line =
-  let obj = parse_json line in
-  let tick = get_int obj "tick"
-  and src = get_int obj "src"
-  and dst = get_int obj "dst" in
+let parse_event obj =
+  let tick = Json.int "tick" obj
+  and src = Json.int "src" obj
+  and dst = Json.int "dst" obj in
   let kind =
-    match get_string obj "op" with
-    | "arrive" -> Arrive (get_rate obj)
+    match Json.string "op" obj with
+    | "arrive" -> Arrive (Json.float "rate" obj)
     | "depart" -> Depart
-    | "set" -> Set_rate (get_rate obj)
-    | other -> corrupt "unknown stream op %S" other
+    | "set" -> Set_rate (Json.float "rate" obj)
+    | other -> File.corrupt "unknown stream op %S" other
   in
   { tick; src; dst; kind }
 
 let load path =
-  let lines =
-    match
-      let ic = open_in_bin path in
-      let rec read acc =
-        match input_line ic with
-        | line -> read (line :: acc)
-        | exception End_of_file ->
-            close_in ic;
-            List.rev acc
-      in
-      read []
-    with
-    | lines -> lines
-    | exception Sys_error msg -> raise (Unreadable msg)
+  let _, events =
+    Trace.read_jsonl ~what:"stream" ~schema:schema_tag ~version:schema_version
+      parse_event path
   in
-  match List.filter (fun l -> String.trim l <> "") lines with
-  | [] -> corrupt "empty file is not an update stream"
-  | header :: body ->
-      let hdr = parse_json header in
-      (match Json.member "schema" hdr with
-      | Some (Json.Str s) when s = schema_tag -> ()
-      | Some (Json.Str s) -> corrupt "not an update stream (schema %S)" s
-      | _ -> corrupt "missing schema tag in the stream header");
-      (match Json.member "version" hdr with
-      | Some v when Json.number v = Some (float_of_int schema_version) -> ()
-      | Some v -> (
-          match Json.number v with
-          | Some f -> corrupt "unsupported stream version %g" f
-          | None -> corrupt "malformed stream version")
-      | None -> corrupt "missing version in the stream header");
-      let declared = get_int hdr "events" in
-      let events = List.map parse_event body in
-      let found = List.length events in
-      if found <> declared then
-        corrupt "stream declares %d events but contains %d%s" declared found
-          (if found < declared then " (truncated?)" else "");
-      (match stream_violation events with
-      | Some msg -> corrupt "invalid stream: %s" msg
-      | None -> ());
-      events
+  (match stream_violation events with
+  | Some msg -> File.corrupt "invalid stream: %s" msg
+  | None -> ());
+  events

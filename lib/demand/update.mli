@@ -7,23 +7,16 @@
     made explicit: one versioned event type, a JSONL codec for logging and
     replaying streams, and the fold that applies a batch to a demand.
 
-    The on-disk form mirrors the {!Sso_obs.Trace} codec: one JSON object
-    per line, a versioned header declaring the event count, atomic writes
-    (temp file + rename), and the same two-exception error contract —
-    [sso serve] maps {!Unreadable} to exit code 10 and {!Corrupt} to 11,
-    exactly like [sso cache] and [sso trace]. *)
-
-exception Unreadable of string
-(** The stream file (or its temp sibling during {!save}) cannot be read or
-    written — an I/O problem, not a format problem. *)
-
-exception Corrupt of string
-(** The stream is readable but invalid: bad JSON, a missing or wrong
-    schema tag, an unsupported version, a truncation (fewer events than
-    the header declares), or an event that breaks the stream invariants
-    (ticks must be non-decreasing, endpoints distinct and non-negative,
-    rates finite and positive, departures and rate changes must refer to
-    an active pair when applied). *)
+    The on-disk form is the {!Sso_obs.Trace} JSONL frame
+    ({!Sso_obs.Trace.read_jsonl}): one JSON object per line, a versioned
+    header declaring the event count, atomic writes (temp file + rename).
+    Every error is {!Sso_obs.File.Unreadable} (an I/O problem; [sso serve]
+    exits 10) or {!Sso_obs.File.Corrupt} (exit 11): bad JSON, a missing or
+    wrong schema tag, an unsupported version, a truncation (fewer events
+    than the header declares), or an event that breaks the stream
+    invariants (ticks must be non-decreasing, endpoints distinct and
+    non-negative, rates finite and positive, departures and rate changes
+    must refer to an active pair when applied). *)
 
 type kind =
   | Arrive of float  (** A flow of the given rate joins the pair. *)
@@ -39,22 +32,24 @@ val apply : Demand.t -> t list -> Demand.t
 (** Fold a batch into a demand, in list order.  [Arrive r] adds [r] to
     the pair's rate (concurrent flows between the same endpoints
     aggregate), [Depart] deactivates the pair, [Set_rate r] replaces its
-    aggregate rate.  @raise Corrupt when an event is inconsistent with the
-    demand it is applied to (departure or rate change of an inactive
-    pair, non-positive or non-finite rate, diagonal pair) — replaying a
-    logged stream against the wrong prefix is a data error, not a
-    programming error. *)
+    aggregate rate.  @raise Sso_obs.File.Corrupt when an event is
+    inconsistent with the demand it is applied to (departure or rate
+    change of an inactive pair, non-positive or non-finite rate, diagonal
+    pair) — replaying a logged stream against the wrong prefix is a data
+    error, not a programming error. *)
 
 val by_tick : t list -> (int * t list) list
 (** Group a stream into per-tick batches, in stream order.  Ticks need not
-    be contiguous (quiet ticks are simply absent).  @raise Corrupt if the
-    ticks are not non-decreasing. *)
+    be contiguous (quiet ticks are simply absent).
+    @raise Sso_obs.File.Corrupt if the ticks are not non-decreasing. *)
 
 val save : string -> t list -> unit
-(** Write a stream atomically ({!Sso_obs.Atomic_file.write}).  @raise Unreadable on I/O
-    errors, [Invalid_argument] if the events violate the stream
-    invariants (they would not round-trip). *)
+(** Write a stream atomically ({!Sso_obs.File.write}).
+    @raise Sso_obs.File.Unreadable on I/O errors, [Invalid_argument] if
+    the events violate the stream invariants (they would not
+    round-trip). *)
 
 val load : string -> t list
-(** @raise Unreadable when the file cannot be read, [Corrupt] when it
-    parses wrong, is truncated, or breaks a stream invariant. *)
+(** @raise Sso_obs.File.Unreadable when the file cannot be read,
+    {!Sso_obs.File.Corrupt} when it parses wrong, is truncated, or breaks
+    a stream invariant. *)

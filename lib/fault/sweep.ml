@@ -8,6 +8,7 @@ module Semi_oblivious = Sso_core.Semi_oblivious
 module Pool = Sso_engine.Pool
 module Obs = Sso_obs.Obs
 module Trace = Sso_obs.Trace
+module File = Sso_obs.File
 module Codec = Sso_artifact.Codec
 module Store = Sso_artifact.Store
 
@@ -55,14 +56,14 @@ let encode_report r =
 let decode_report scenario data =
   let r = Codec.reader data in
   if Codec.read_u8 r <> Char.code report_tag then
-    raise (Codec.Corrupt "Sweep.decode_report: bad tag");
+    File.corrupt "Sweep.decode_report: bad tag";
   if Codec.read_u8 r <> Codec.format_version then
-    raise (Codec.Corrupt "Sweep.decode_report: bad version");
+    File.corrupt "Sweep.decode_report: bad version";
   let flag name =
     match Codec.read_u8 r with
     | 0 -> false
     | 1 -> true
-    | _ -> raise (Codec.Corrupt ("Sweep.decode_report: bad " ^ name))
+    | _ -> File.corrupt "Sweep.decode_report: bad %s" name
   in
   let connected = flag "connected" in
   let survivable = flag "survivable" in
@@ -204,7 +205,7 @@ let run ?(solver = Semi_oblivious.default_solver) ?store ?system_key
             | None -> None
             | Some payload -> (
                 try Some (decode_report scenario payload)
-                with Codec.Corrupt _ -> None))
+                with File.Corrupt _ -> None))
       in
       let report =
         match cached with

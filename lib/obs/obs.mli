@@ -195,4 +195,4 @@ val clear_trace : unit -> unit
 val write_trace : path:string -> meta:(string * Trace.value) list -> unit
 (** Save the collected events as a {!Trace.t}, with [meta] as given and
     the current {!dropped_events} count in the header's [dropped].
-    @raise Trace.Unreadable on I/O failure. *)
+    @raise File.Unreadable on I/O failure. *)

@@ -1,6 +1,3 @@
-exception Unreadable of string
-exception Corrupt of string
-
 let schema_version = 2
 
 type value = Int of int | Float of float | Bool of bool | String of string
@@ -105,22 +102,20 @@ let encode_header buf t =
   Buffer.add_char buf '}'
 
 let save path t =
-  try
-    Atomic_file.write path (fun oc ->
-        let buf = Buffer.create 65536 in
-        encode_header buf t;
-        Buffer.add_char buf '\n';
-        List.iter
-          (fun e ->
-            encode_event buf e;
-            Buffer.add_char buf '\n';
-            if Buffer.length buf > 1_000_000 then begin
-              Buffer.output_buffer oc buf;
-              Buffer.clear buf
-            end)
-          t.events;
-        Buffer.output_buffer oc buf)
-  with Sys_error msg -> raise (Unreadable msg)
+  File.write path (fun oc ->
+      let buf = Buffer.create 65536 in
+      encode_header buf t;
+      Buffer.add_char buf '\n';
+      List.iter
+        (fun e ->
+          encode_event buf e;
+          Buffer.add_char buf '\n';
+          if Buffer.length buf > 1_000_000 then begin
+            Buffer.output_buffer oc buf;
+            Buffer.clear buf
+          end)
+        t.events;
+      Buffer.output_buffer oc buf)
 
 (* ---------- generic JSON parsing ---------- *)
 
@@ -132,8 +127,6 @@ module Json = struct
     | Str of string
     | Arr of t list
     | Obj of (string * t) list
-
-  let fail msg = raise (Corrupt msg)
 
   let parse s =
     let n = String.length s in
@@ -150,7 +143,7 @@ module Json = struct
     in
     let expect c =
       if !pos < n && s.[!pos] = c then incr pos
-      else fail (Printf.sprintf "expected %c at offset %d" c !pos)
+      else File.corrupt "expected %c at offset %d" c !pos
     in
     let literal lit v =
       let l = String.length lit in
@@ -158,19 +151,19 @@ module Json = struct
         pos := !pos + l;
         v
       end
-      else fail (Printf.sprintf "bad literal at offset %d" !pos)
+      else File.corrupt "bad literal at offset %d" !pos
     in
     let parse_string () =
       expect '"';
       let buf = Buffer.create 16 in
       let rec go () =
-        if !pos >= n then fail "unterminated string"
+        if !pos >= n then File.corrupt "unterminated string"
         else
           match s.[!pos] with
           | '"' -> advance ()
           | '\\' ->
               advance ();
-              if !pos >= n then fail "unterminated escape";
+              if !pos >= n then File.corrupt "unterminated escape";
               (match s.[!pos] with
               | '"' -> Buffer.add_char buf '"'; advance ()
               | '\\' -> Buffer.add_char buf '\\'; advance ()
@@ -182,12 +175,12 @@ module Json = struct
               | 'f' -> Buffer.add_char buf '\012'; advance ()
               | 'u' ->
                   advance ();
-                  if !pos + 4 > n then fail "truncated \\u escape";
+                  if !pos + 4 > n then File.corrupt "truncated \\u escape";
                   let hex = String.sub s !pos 4 in
                   pos := !pos + 4;
                   let code =
                     try int_of_string ("0x" ^ hex)
-                    with _ -> fail "bad \\u escape"
+                    with _ -> File.corrupt "bad \\u escape"
                   in
                   (* Encode the code point as UTF-8; traces only ever
                      escape control chars so surrogates are not handled. *)
@@ -202,7 +195,7 @@ module Json = struct
                       (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
                     Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
                   end
-              | c -> fail (Printf.sprintf "bad escape \\%c" c));
+              | c -> File.corrupt "bad escape \\%c" c);
               go ()
           | c -> Buffer.add_char buf c; advance (); go ()
       in
@@ -221,13 +214,13 @@ module Json = struct
       do
         advance ()
       done;
-      if !pos = start then fail (Printf.sprintf "bad number at offset %d" start);
+      if !pos = start then File.corrupt "bad number at offset %d" start;
       String.sub s start (!pos - start)
     in
     let rec parse_value () =
       skip_ws ();
       match peek () with
-      | None -> fail "unexpected end of input"
+      | None -> File.corrupt "unexpected end of input"
       | Some '{' ->
           advance ();
           skip_ws ();
@@ -245,7 +238,7 @@ module Json = struct
               match peek () with
               | Some ',' -> advance (); members_loop ()
               | Some '}' -> advance ()
-              | _ -> fail "expected , or } in object"
+              | _ -> File.corrupt "expected , or } in object"
             in
             members_loop ();
             Obj (List.rev !members)
@@ -263,7 +256,7 @@ module Json = struct
               match peek () with
               | Some ',' -> advance (); items_loop ()
               | Some ']' -> advance ()
-              | _ -> fail "expected , or ] in array"
+              | _ -> File.corrupt "expected , or ] in array"
             in
             items_loop ();
             Arr (List.rev !items)
@@ -276,7 +269,7 @@ module Json = struct
     in
     let v = parse_value () in
     skip_ws ();
-    if !pos <> n then fail (Printf.sprintf "trailing garbage at offset %d" !pos);
+    if !pos <> n then File.corrupt "trailing garbage at offset %d" !pos;
     v
 
   let member k = function
@@ -286,7 +279,55 @@ module Json = struct
   let number = function
     | Num raw -> ( try Some (float_of_string raw) with _ -> None)
     | _ -> None
+
+  let field k j =
+    match member k j with Some v -> v | None -> File.corrupt "missing field %S" k
+
+  (* An integer spelling, or an integral float below 2^62. *)
+  let int k j =
+    match field k j with
+    | Num raw -> (
+        match int_of_string_opt raw with
+        | Some i -> i
+        | None -> (
+            match float_of_string_opt raw with
+            | Some f when Float.is_integer f && Float.abs f < 0x1p62 -> int_of_float f
+            | _ -> File.corrupt "field %S is not an integer" k))
+    | _ -> File.corrupt "field %S is not an integer" k
+
+  let float k j =
+    match number (field k j) with
+    | Some f -> f
+    | None -> File.corrupt "field %S is not a number" k
+
+  let string k j =
+    match field k j with Str s -> s | _ -> File.corrupt "field %S is not a string" k
+
+  let fields k j =
+    match field k j with Obj fs -> fs | _ -> File.corrupt "field %S is not an object" k
 end
+
+(* ---------- JSONL files ---------- *)
+
+let read_jsonl ~what ~schema ~version decode path =
+  let lines = String.split_on_char '\n' (File.read path) in
+  match List.filter (fun l -> String.trim l <> "") lines with
+  | [] -> File.corrupt "empty %s file" what
+  | header :: body ->
+      let header = Json.parse header in
+      (match Json.member "schema" header with
+      | Some (Json.Str s) when s = schema -> ()
+      | Some (Json.Str s) -> File.corrupt "not an sso %s (schema %S)" what s
+      | _ -> File.corrupt "missing schema tag in the %s header" what);
+      let v = Json.int "version" header in
+      if v <> version then File.corrupt "unsupported %s version %d" what v;
+      let declared = Json.int "events" header in
+      let records = List.map (fun line -> decode (Json.parse line)) body in
+      let found = List.length records in
+      if found <> declared then
+        File.corrupt "%s declares %d events but contains %d%s" what declared found
+          (if found < declared then " (truncated?)" else "");
+      (header, records)
 
 (* ---------- decoding ---------- *)
 
@@ -303,86 +344,41 @@ let value_of_json = function
           | None -> None))
   | Json.Arr _ | Json.Obj _ -> None
 
-let get_int name j k =
-  match Json.member k j with
-  | Some (Json.Num raw) -> (
-      match int_of_string_opt raw with
-      | Some i -> i
-      | None -> raise (Corrupt (Printf.sprintf "%s: field %S not an int" name k)))
-  | _ -> raise (Corrupt (Printf.sprintf "%s: missing int field %S" name k))
-
-let get_string name j k =
-  match Json.member k j with
-  | Some (Json.Str s) -> s
-  | _ -> raise (Corrupt (Printf.sprintf "%s: missing string field %S" name k))
-
-let get_obj name j k =
-  match Json.member k j with
-  | Some (Json.Obj fields) -> fields
-  | _ -> raise (Corrupt (Printf.sprintf "%s: missing object field %S" name k))
-
-let attrs_of_fields name fields =
+let attrs_of_fields fields =
   List.map
     (fun (k, v) ->
       match value_of_json v with
       | Some v -> (k, v)
-      | None -> raise (Corrupt (Printf.sprintf "%s: bad attr %S" name k)))
+      | None -> File.corrupt "bad attr %S" k)
     fields
 
 let decode_event j =
   let kind =
-    match get_string "event" j "kind" with
+    match Json.string "kind" j with
     | "span" -> Span
     | "event" -> Event
-    | k -> raise (Corrupt (Printf.sprintf "unknown event kind %S" k))
+    | k -> File.corrupt "unknown event kind %S" k
   in
   {
-    slot = get_int "event" j "slot";
-    seq = get_int "event" j "seq";
-    ts_ns = get_int "event" j "ts_ns";
+    slot = Json.int "slot" j;
+    seq = Json.int "seq" j;
+    ts_ns = Json.int "ts_ns" j;
     kind;
-    name = get_string "event" j "name";
-    dur_ns = get_int "event" j "dur_ns";
-    depth = get_int "event" j "depth";
-    attrs = attrs_of_fields "event" (get_obj "event" j "attrs");
+    name = Json.string "name" j;
+    dur_ns = Json.int "dur_ns" j;
+    depth = Json.int "depth" j;
+    attrs = attrs_of_fields (Json.fields "attrs" j);
   }
 
-let read_lines path =
-  let ic = try open_in_bin path with Sys_error msg -> raise (Unreadable msg) in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let lines = ref [] in
-      (try
-         while true do
-           let line = input_line ic in
-           if String.trim line <> "" then lines := line :: !lines
-         done
-       with End_of_file -> ());
-      List.rev !lines)
-
 let load path =
-  match read_lines path with
-  | [] -> raise (Corrupt "empty trace file")
-  | header_line :: rest ->
-      let header = Json.parse header_line in
-      (match Json.member "schema" header with
-      | Some (Json.Str "sso-trace") -> ()
-      | _ -> raise (Corrupt "missing sso-trace schema tag"));
-      let version = get_int "header" header "version" in
-      if version <> schema_version then
-        raise (Corrupt (Printf.sprintf "unsupported trace version %d" version));
-      let meta = attrs_of_fields "header" (get_obj "header" header "meta") in
-      let dropped = get_int "header" header "dropped" in
-      let declared = get_int "header" header "events" in
-      let events = List.map (fun line -> decode_event (Json.parse line)) rest in
-      let found = List.length events in
-      if found <> declared then
-        raise
-          (Corrupt
-             (Printf.sprintf "truncated trace: header declares %d events, found %d"
-                declared found));
-      { meta; dropped; events }
+  let header, events =
+    read_jsonl ~what:"trace" ~schema:"sso-trace" ~version:schema_version decode_event path
+  in
+  {
+    meta = attrs_of_fields (Json.fields "meta" header);
+    dropped = Json.int "dropped" header;
+    events;
+  }
 
 (* ---------- aggregation ---------- *)
 

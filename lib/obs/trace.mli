@@ -4,17 +4,10 @@
     event sorted by its deterministic [(slot, seq)] key.  The codec is hand-rolled (the project
     deliberately carries no JSON dependency) and restricted to the subset
     these lines use; [save] writes atomically (temp file + rename) so a
-    crashed run never leaves a half-written trace behind. *)
-
-exception Unreadable of string
-(** The file (or its temp sibling during [save]) cannot be read/written —
-    an I/O problem, not a format problem.  [sso trace] maps this to exit
-    code 10, matching [sso cache]. *)
-
-exception Corrupt of string
-(** The file is readable but not a valid trace: bad JSON, a missing schema
-    tag, an unsupported version, or a truncation (fewer events than the
-    header declares).  [sso trace] maps this to exit code 11. *)
+    crashed run never leaves a half-written trace behind.  Loading and
+    saving raise only {!File.Unreadable} (exit 10 in [sso trace]) and
+    {!File.Corrupt} (exit 11): bad JSON, a missing schema tag, an
+    unsupported version, or fewer events than the header declares. *)
 
 val schema_version : int
 (** Version written into (and required of) the header line: 2.  Version 1
@@ -44,11 +37,11 @@ type t = {
 }
 
 val save : string -> t -> unit
-(** Write atomically ({!Atomic_file.write}).  @raise Unreadable on I/O errors. *)
+(** Write atomically ({!File.write}).  @raise File.Unreadable on I/O errors. *)
 
 val load : string -> t
-(** @raise Unreadable when the file cannot be read, [Corrupt] when it
-    parses wrong or is truncated. *)
+(** @raise File.Unreadable when the file cannot be read, {!File.Corrupt}
+    when it parses wrong or is truncated. *)
 
 val json_string : string -> string
 (** [s] as a quoted JSON string literal, escaped the way [save] escapes
@@ -117,8 +110,33 @@ module Json : sig
     | Obj of (string * t) list
 
   val parse : string -> t
-  (** @raise Corrupt on malformed input. *)
+  (** @raise File.Corrupt on malformed input. *)
 
   val member : string -> t -> t option
   val number : t -> float option
+
+  (** Field getters: [int k j] is field [k] of object [j].  Each raises
+      {!File.Corrupt} naming [k] when the field is missing or of the
+      wrong type. *)
+
+  val field : string -> t -> t
+
+  val int : string -> t -> int
+  (** An integer spelling, or an integral float below 2{^62}. *)
+
+  val float : string -> t -> float
+  val string : string -> t -> string
+  val fields : string -> t -> (string * t) list
 end
+
+val read_jsonl :
+  what:string -> schema:string -> version:int -> (Json.t -> 'a) -> string ->
+  Json.t * 'a list
+(** [read_jsonl ~what ~schema ~version decode path] reads a versioned
+    JSONL file: a header object, then one record per non-blank line.  It
+    checks the header's [schema] tag and [version] and that the header's
+    [events] count equals the number of records, and returns the header
+    with each record passed through [decode].  Messages name the file
+    kind [what] (["trace"], ["stream"]).
+    @raise File.Unreadable when the file cannot be read, {!File.Corrupt}
+    on any mismatch or when [decode] raises it. *)

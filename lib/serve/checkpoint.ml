@@ -2,11 +2,7 @@ module Graph = Sso_graph.Graph
 module Update = Sso_demand.Update
 module Semi_oblivious = Sso_core.Semi_oblivious
 module Codec = Sso_artifact.Codec
-
-exception Unreadable of string
-
-let corrupt fmt = Printf.ksprintf (fun msg -> raise (Codec.Corrupt msg)) fmt
-let unreadable fmt = Printf.ksprintf (fun msg -> raise (Unreadable msg)) fmt
+module File = Sso_obs.File
 
 let tag = 0x4B (* 'K' *)
 let version = 1
@@ -35,7 +31,7 @@ let read_event r : Update.t =
     | 0 -> Update.Arrive (Codec.read_f64 r)
     | 1 -> Update.Depart
     | 2 -> Update.Set_rate (Codec.read_f64 r)
-    | k -> corrupt "checkpoint: unknown event kind %d" k
+    | k -> File.corrupt "checkpoint: unknown event kind %d" k
   in
   { Update.tick; src; dst; kind }
 
@@ -88,20 +84,20 @@ let decode ~graph blob =
   let len = String.length blob in
   (* Checksum first: any flipped bit anywhere fails here, before a
      single field is parsed. *)
-  if len < 10 then corrupt "checkpoint: truncated (%d bytes)" len;
+  if len < 10 then File.corrupt "checkpoint: truncated (%d bytes)" len;
   let body = String.sub blob 0 (len - 8) in
   let declared = Codec.read_i64 (Codec.reader (String.sub blob (len - 8) 8)) in
   if not (Int64.equal declared (Codec.fnv1a64 body)) then
-    corrupt "checkpoint: checksum mismatch";
+    File.corrupt "checkpoint: checksum mismatch";
   let r = Codec.reader body in
   let t = Codec.read_u8 r in
-  if t <> tag then corrupt "checkpoint: bad tag 0x%02x" t;
+  if t <> tag then File.corrupt "checkpoint: bad tag 0x%02x" t;
   let v = Codec.read_u8 r in
-  if v <> version then corrupt "checkpoint: unsupported version %d" v;
+  if v <> version then File.corrupt "checkpoint: unsupported version %d" v;
   let stream_digest = Codec.read_i64 r in
   let graph_digest = Codec.read_i64 r in
   if not (Int64.equal graph_digest (Codec.graph_digest graph)) then
-    corrupt "checkpoint: graph digest mismatch (taken on a different graph)";
+    File.corrupt "checkpoint: graph digest mismatch (taken on a different graph)";
   let config = Codec.read_string r in
   let s_tick = Codec.read_varint r - 1 in
   let s_since_cold = Codec.read_varint r in
@@ -111,7 +107,7 @@ let decode ~graph blob =
     match Codec.read_u8 r with
     | 0 -> None
     | 1 -> Some (Codec.decode_routing graph (Codec.read_string r))
-    | f -> corrupt "checkpoint: bad routing flag %d" f
+    | f -> File.corrupt "checkpoint: bad routing flag %d" f
   in
   let n_pending = Codec.read_varint r in
   let s_pending = List.init n_pending (fun _ -> read_event r) in
@@ -147,20 +143,14 @@ let write ~dir ~stream_digest ~graph ~config state =
   if state.Serve.s_tick < 0 then
     invalid_arg "Checkpoint.write: no tick processed yet";
   let blob = encode ~stream_digest ~graph ~config state in
-  (try
-     if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-   with
-  | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  | Unix.Unix_error (err, _, _) ->
-      unreadable "checkpoint dir %s: %s" dir (Unix.error_message err));
+  File.mkdir_p dir;
   let path = Filename.concat dir (filename ~tick:state.Serve.s_tick) in
-  (try Sso_obs.Atomic_file.write path (fun oc -> output_string oc blob)
-   with Sys_error msg -> unreadable "checkpoint %s: %s" path msg);
+  File.write path (fun oc -> output_string oc blob);
   path
 
 let latest ~dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> None
+  match File.readdir dir with
+  | exception File.Unreadable _ -> None
   | names ->
       Array.fold_left
         (fun best name ->
@@ -171,15 +161,4 @@ let latest ~dir =
           | _ -> best)
         None names
 
-let load ~graph path =
-  let blob =
-    try
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
-    | Sys_error msg -> unreadable "%s" msg
-    | End_of_file -> unreadable "checkpoint %s: short read" path
-  in
-  decode ~graph blob
+let load ~graph path = decode ~graph (File.read path)

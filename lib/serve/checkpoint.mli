@@ -7,9 +7,11 @@
     routing, deferred events, failed edges, and the v2 slice payload of
     every materialized pair), and a trailing FNV-1a-64 checksum of
     everything before it.  Decoding verifies the checksum {e first}, so
-    any bit flip anywhere in the file surfaces as
-    {!Sso_artifact.Codec.Corrupt} before a single field is parsed —
-    a damaged checkpoint can never half-restore.
+    any bit flip anywhere in the file surfaces as {!Sso_obs.File.Corrupt}
+    before a single field is parsed — a damaged checkpoint can never
+    half-restore.  An I/O failure (missing directory, permission, a
+    directory where the file should be) is {!Sso_obs.File.Unreadable}:
+    exit 10 against 11 for damaged bytes.
 
     Files are written atomically (tmp + rename) as [ckpt-<tick>.bin]
     inside the checkpoint directory; {!latest} picks the highest tick.
@@ -17,12 +19,6 @@
     remaining ticks yields output byte-identical to an uninterrupted
     replay, at any [--jobs] (see the determinism argument in
     DESIGN.md §14). *)
-
-exception Unreadable of string
-(** IO-level failure (missing directory, permission, short write) —
-    distinct from {!Sso_artifact.Codec.Corrupt}, which means the bytes
-    were read fine but are damaged.  Mirrors the exit-code contract:
-    10 unreadable, 11 corrupt. *)
 
 val events_digest : Sso_demand.Update.t list -> int64
 (** Canonical digest of an update stream (binary event encoding, FNV-1a)
@@ -47,11 +43,12 @@ val write :
   graph:Sso_graph.Graph.t ->
   config:Serve.config ->
   Serve.state -> string
-(** Encode and atomically publish the checkpoint under [dir] (created if
-    missing) as [ckpt-<tick>.bin], tick zero-padded so lexicographic is
-    numeric order, returning its path.  The temporary sibling is removed on
-    any failure.  @raise Unreadable when the filesystem says no,
-    [Invalid_argument] if the state predates the first tick. *)
+(** Encode and atomically publish the checkpoint under [dir] (created with
+    its missing parents) as [ckpt-<tick>.bin], tick zero-padded so
+    lexicographic is numeric order, returning its path.  The temporary
+    sibling is removed on any failure.  @raise Sso_obs.File.Unreadable
+    when the filesystem says no, [Invalid_argument] if the state predates
+    the first tick. *)
 
 val latest : dir:string -> (int * string) option
 (** The highest-tick checkpoint in [dir] as [(tick, path)]; [None] when
@@ -61,6 +58,6 @@ val load :
   graph:Sso_graph.Graph.t -> string -> int64 * string * Serve.state
 (** Read and decode a checkpoint file: [(stream_digest, config_repr,
     state)].  The caller compares the digest and configuration against
-    its own before {!Serve.restore}.  @raise Unreadable on IO failure,
-    {!Sso_artifact.Codec.Corrupt} on checksum mismatch, bad tag or
+    its own before {!Serve.restore}.  @raise Sso_obs.File.Unreadable on
+    IO failure, {!Sso_obs.File.Corrupt} on checksum mismatch, bad tag or
     version, or any malformed field. *)

@@ -12,6 +12,7 @@ module Path_system = Sso_core.Path_system
 module Semi_oblivious = Sso_core.Semi_oblivious
 module Simulator = Sso_sim.Simulator
 module Codec = Sso_artifact.Codec
+module File = Sso_obs.File
 module Timeline = Sso_fault.Timeline
 module Scenario = Sso_fault.Scenario
 
@@ -136,20 +137,18 @@ let staleness_gauge = Obs.gauge "serve.staleness"
 let failed_gauge = Obs.gauge "serve.failed_edges"
 let updates_gauge = Obs.gauge "serve.updates_per_sec"
 
-let corrupt fmt = Printf.ksprintf (fun msg -> raise (Update.Corrupt msg)) fmt
-
 let check_batch t ~tick events =
   if tick <= t.last_tick then
-    corrupt "tick %d after tick %d (ticks must be strictly increasing)" tick
+    File.corrupt "tick %d after tick %d (ticks must be strictly increasing)" tick
       t.last_tick;
   let n = Graph.n t.graph in
   List.iter
     (fun (e : Update.t) ->
       if e.Update.tick <> tick then
-        corrupt "event for tick %d inside the batch of tick %d" e.Update.tick
+        File.corrupt "event for tick %d inside the batch of tick %d" e.Update.tick
           tick;
       if e.Update.src >= n || e.Update.dst >= n then
-        corrupt "tick %d: endpoint out of range in %d->%d (graph has %d \
+        File.corrupt "tick %d: endpoint out of range in %d->%d (graph has %d \
                  vertices)"
           tick e.Update.src e.Update.dst n)
     events
@@ -177,18 +176,18 @@ let apply_faults t ~tick faults =
         match f with
         | Fail e ->
             if e < 0 || e >= m then
-              corrupt "tick %d: Fail of edge %d out of range (graph has %d \
+              File.corrupt "tick %d: Fail of edge %d out of range (graph has %d \
                        edges)" tick e m;
             if Hashtbl.mem t.failed e then
-              corrupt "tick %d: edge %d failed while already down" tick e;
+              File.corrupt "tick %d: edge %d failed while already down" tick e;
             Hashtbl.replace t.failed e ();
             Some e
         | Repair e ->
             if e < 0 || e >= m then
-              corrupt "tick %d: Repair of edge %d out of range (graph has %d \
+              File.corrupt "tick %d: Repair of edge %d out of range (graph has %d \
                        edges)" tick e m;
             if not (Hashtbl.mem t.failed e) then
-              corrupt "tick %d: repair of healthy edge %d" tick e;
+              File.corrupt "tick %d: repair of healthy edge %d" tick e;
             Hashtbl.remove t.failed e;
             None)
       faults
@@ -603,9 +602,6 @@ let snapshot t =
     s_system =
       Codec.encode_path_system_slices (Path_system.arena t.system) ranges }
 
-let state_corrupt fmt =
-  Printf.ksprintf (fun msg -> raise (Codec.Corrupt msg)) fmt
-
 let restore_span = Obs.span "serve.restore"
 
 let restore ?(config = default_config) graph system state =
@@ -620,29 +616,29 @@ let restore ?(config = default_config) graph system state =
   List.iter
     (fun ((s, d), _) ->
       if s < 0 || s >= n || d < 0 || d >= n then
-        state_corrupt "checkpoint pair %d->%d out of range (graph has %d \
+        File.corrupt "checkpoint pair %d->%d out of range (graph has %d \
                        vertices)" s d n)
     ranges;
   List.iter
     (fun (s, d) ->
       if s < 0 || s >= n || d < 0 || d >= n then
-        state_corrupt "checkpoint demand pair %d->%d out of range" s d)
+        File.corrupt "checkpoint demand pair %d->%d out of range" s d)
     (Demand.support state.s_demand);
   List.iter
     (fun (e : Update.t) ->
       if e.Update.src < 0 || e.Update.src >= n || e.Update.dst < 0
          || e.Update.dst >= n then
-        state_corrupt "checkpoint deferred event endpoint out of range in \
+        File.corrupt "checkpoint deferred event endpoint out of range in \
                        %d->%d" e.Update.src e.Update.dst)
     state.s_pending;
   let rec check_failed prev = function
     | [] -> ()
     | e :: rest ->
         if e < 0 || e >= m then
-          state_corrupt "checkpoint failed edge %d out of range (graph has \
+          File.corrupt "checkpoint failed edge %d out of range (graph has \
                          %d edges)" e m;
         if e <= prev then
-          state_corrupt "checkpoint failed edges not strictly ascending";
+          File.corrupt "checkpoint failed edges not strictly ascending";
         Hashtbl.replace t.failed e ();
         check_failed e rest
   in
@@ -654,7 +650,7 @@ let restore ?(config = default_config) graph system state =
   (match Path_system.adopt system saved ranges with
    | Ok () -> ()
    | Error (s, d) ->
-       state_corrupt
+       File.corrupt
          "checkpoint pair %d->%d disagrees with the regenerated candidates \
           (different sampler seed, alpha, or base routing?)" s d);
   t.demand <- state.s_demand;
@@ -670,7 +666,7 @@ let restore ?(config = default_config) graph system state =
 let write_metrics ~path =
   Obs.sample_gc_gauges ();
   let body = Obs.expose (Obs.snapshot ()) in
-  Sso_obs.Atomic_file.write path (fun oc -> output_string oc body)
+  File.write path (fun oc -> output_string oc body)
 
 (* ---------- SLO ---------- *)
 

@@ -43,7 +43,7 @@
     - {e Checkpoint/restore}: {!snapshot} captures the full service state
       as a plain {!state} value and {!restore} rebuilds a service from
       it, re-deriving the arena from the system's own generator and
-      refusing ({!Sso_artifact.Codec.Corrupt}) if any regenerated
+      refusing ({!Sso_obs.File.Corrupt}) if any regenerated
       candidate slice differs, as packed slot bytes, from the
       checkpointed one.  See {!Checkpoint} for the on-disk format.
 
@@ -153,7 +153,7 @@ val step : t -> tick:int -> ?faults:fault list -> Sso_demand.Update.t list ->
     increasing across calls; every event must carry the given tick and
     endpoints within the graph.  [faults] are applied {e before} the
     batch: each [Fail] must name a live in-range edge and each [Repair]
-    a currently failed one.  @raise Sso_demand.Update.Corrupt on stream
+    a currently failed one.  @raise Sso_obs.File.Corrupt on stream
     inconsistencies (wrong tick, out-of-range endpoint, departure of an
     inactive pair, double failure, repair of a healthy edge, ...),
     [Invalid_argument] if a demanded pair has no candidate paths while
@@ -206,7 +206,7 @@ val simulate :
     verifies every saved pair against the (per-pair deterministic)
     generator of a freshly sampled system and then installs the saved
     bytes, so a checkpoint from a different seed, α, or base routing is
-    rejected as {!Sso_artifact.Codec.Corrupt} rather than silently
+    rejected as {!Sso_obs.File.Corrupt} rather than silently
     resumed. *)
 
 type state = {
@@ -246,7 +246,7 @@ val restore :
     names the first pair that disagrees.  Traced as [serve.restore],
     with [restore.decode], [restore.verify] and [restore.install]
     children.
-    @raise Sso_artifact.Codec.Corrupt if the payload is damaged, the
+    @raise Sso_obs.File.Corrupt if the payload is damaged, the
     regenerated candidates differ (wrong seed/α/base), or any endpoint,
     edge id, or failed-edge list is out of contract.  A rejected
     snapshot leaves [system] unchanged: no index entry, no arena
@@ -263,9 +263,9 @@ val restore :
 
 val write_metrics : path:string -> unit
 (** Snapshot the registry (GC gauges sampled) as Prometheus text
-    exposition to [path], atomically ({!Sso_obs.Atomic_file.write}): an
+    exposition to [path], atomically ({!Sso_obs.File.write}): an
     interrupted write never leaves a stale [.tmp] beside the target.
-    @raise Sys_error when the write fails. *)
+    @raise Sso_obs.File.Unreadable when the write fails. *)
 
 type slo = {
   p99_budget_ms : float;  (** The budget checked against. *)

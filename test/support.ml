@@ -1,5 +1,6 @@
 (* Helpers the test suites share: demand predicates, the job-count
-   switch for jobs-invariance tests, and the property runner. *)
+   switch for jobs-invariance tests, the property runner and the byte
+   mutator of the parser-fuzzing properties. *)
 
 module Demand = Sso_demand.Demand
 
@@ -35,3 +36,25 @@ let to_alcotest test =
   match Sys.getenv_opt "QCHECK_SEED" with
   | Some _ -> QCheck_alcotest.to_alcotest test
   | None -> QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| qcheck_seed |]) test
+
+(* One byte-level damage of [content], chosen by [kind]: a truncation at
+   [pos], a flipped bit at [pos], or an 8-byte chunk from [pos] inserted
+   again at [extra]. *)
+let mutate content kind pos extra =
+  let len = String.length content in
+  if len = 0 then content
+  else
+    match kind mod 3 with
+    | 0 -> String.sub content 0 (pos mod (len + 1))
+    | 1 ->
+        let b = Bytes.of_string content in
+        let i = pos mod len in
+        Bytes.set b i
+          (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (extra mod 8))));
+        Bytes.to_string b
+    | _ ->
+        let i = pos mod len in
+        let j = extra mod len in
+        let chunk = String.sub content i (min 8 (len - i)) in
+        String.sub content 0 j ^ chunk
+        ^ String.sub content j (len - j)

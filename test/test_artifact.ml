@@ -4,6 +4,7 @@
 
 module Rng = Sso_prng.Rng
 module Obs = Sso_obs.Obs
+module File = Sso_obs.File
 module Graph = Sso_graph.Graph
 module Path = Sso_graph.Path
 module Gen = Sso_graph.Gen
@@ -43,7 +44,7 @@ let cval name = Obs.counter_value (Obs.counter ("artifact." ^ name))
 let raises_corrupt f =
   match f () with
   | _ -> false
-  | exception Codec.Corrupt _ -> true
+  | exception File.Corrupt _ -> true
 
 let bits = Int64.bits_of_float
 
@@ -383,7 +384,7 @@ let test_path_system_corrupt_contract () =
     Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x5b));
     match decode (Bytes.to_string b) with
     | _ -> ()
-    | exception Codec.Corrupt _ -> ()
+    | exception File.Corrupt _ -> ()
     | exception _ -> flipped_ok := false
   done;
   Alcotest.(check bool) "only Corrupt escapes byte flips" true !flipped_ok;
@@ -552,7 +553,7 @@ let test_store_unreadable_dir () =
       Alcotest.(check bool) "regular file is not a store" true
         (match Store.open_ ~dir:file () with
         | _ -> false
-        | exception Store.Unreadable _ -> true))
+        | exception File.Unreadable _ -> true))
 
 let test_default_dir_env_override () =
   let saved = Sys.getenv_opt "SSO_CACHE_DIR" in

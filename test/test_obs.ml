@@ -4,6 +4,7 @@
 
 module Obs = Sso_obs.Obs
 module Trace = Sso_obs.Trace
+module File = Sso_obs.File
 module Pool = Sso_engine.Pool
 module Rng = Sso_prng.Rng
 module Graph = Sso_graph.Graph
@@ -128,7 +129,7 @@ let test_save_failure_cleans_up () =
   Alcotest.(check bool) "Unreadable" true
     (match Trace.save target sample_trace with
     | () -> false
-    | exception Trace.Unreadable _ -> true);
+    | exception File.Unreadable _ -> true);
   Alcotest.(check (list string)) "no temporary left" [ "trace.jsonl" ]
     (Array.to_list (Sys.readdir dir))
 
@@ -186,12 +187,12 @@ let write path text = Out_channel.with_open_bin path (fun oc -> Out_channel.outp
 let expect_unreadable name f =
   match f () with
   | (_ : Trace.t) -> Alcotest.failf "%s: expected Unreadable" name
-  | exception Trace.Unreadable _ -> ()
+  | exception File.Unreadable _ -> ()
 
 let expect_corrupt name f =
   match f () with
   | (_ : Trace.t) -> Alcotest.failf "%s: expected Corrupt" name
-  | exception Trace.Corrupt _ -> ()
+  | exception File.Corrupt _ -> ()
 
 let test_load_contract () =
   expect_unreadable "missing file" (fun () ->
@@ -226,6 +227,41 @@ let test_load_contract () =
   expect_corrupt "truncated" (fun () -> Trace.load path);
   write path "";
   expect_corrupt "empty file" (fun () -> Trace.load path)
+
+(* ---- parser fuzzing: byte mutations never escape the contract ---- *)
+
+let fuzz_trace_content =
+  lazy
+    (let span seq name depth =
+       { Trace.slot = 0; seq; ts_ns = 1000 * seq; kind = Trace.Span; name;
+         dur_ns = 100 * (3 - depth); depth;
+         attrs = [ ("pairs", Trace.Int seq); ("ratio", Trace.Float 1.25) ] }
+     in
+     let t =
+       { Trace.meta = [ ("seed", Trace.Int 7) ];
+         dropped = 0;
+         events =
+           [ span 0 "oracle" 2; span 1 "stage4.mwu" 1; span 2 "sample" 1;
+             span 3 "route" 0; span 4 "report" 0 ] }
+     in
+     let path = temp_trace () in
+     Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+     Trace.save path t;
+     In_channel.with_open_bin path In_channel.input_all)
+
+let prop_trace_mutations_never_escape =
+  Support.to_alcotest
+    (QCheck.Test.make ~count:500
+       ~name:"mutated traces load, or fail as Unreadable/Corrupt"
+       QCheck.(triple small_nat (int_bound 10_000) (int_bound 10_000))
+       (fun (kind, pos, extra) ->
+         let path = temp_trace () in
+         Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+         write path (Support.mutate (Lazy.force fuzz_trace_content) kind pos extra);
+         match Trace.load path with
+         | (_ : Trace.t) -> true
+         | exception (File.Unreadable _ | File.Corrupt _) -> true
+         | exception _ -> false))
 
 (* ---- ring saturation ---- *)
 
@@ -710,7 +746,10 @@ let () =
             test_save_failure_cleans_up;
         ] );
       ( "contract",
-        [ Alcotest.test_case "load errors" `Quick test_load_contract ] );
+        [
+          Alcotest.test_case "load errors" `Quick test_load_contract;
+          prop_trace_mutations_never_escape;
+        ] );
       ( "registry",
         [
           Alcotest.test_case "ring saturation" `Quick test_ring_saturation;

@@ -21,6 +21,7 @@ module Timeline = Sso_fault.Timeline
 module Simulator = Sso_sim.Simulator
 module Codec = Sso_artifact.Codec
 module Obs = Sso_obs.Obs
+module File = Sso_obs.File
 module Semi_oblivious = Sso_core.Semi_oblivious
 
 let ev tick src dst kind = { Update.tick; src; dst; kind }
@@ -73,14 +74,14 @@ let expect_corrupt name content =
         (try
            ignore (Update.load path);
            false
-         with Update.Corrupt _ -> true))
+         with File.Corrupt _ -> true))
 
 let test_load_contract () =
   Alcotest.(check bool) "missing file is unreadable" true
     (try
        ignore (Update.load "/nonexistent/sso-stream.jsonl");
        false
-     with Update.Unreadable _ -> true);
+     with File.Unreadable _ -> true);
   expect_corrupt "garbage" "not an update stream\n";
   expect_corrupt "empty" "";
   expect_corrupt "wrong schema"
@@ -136,7 +137,7 @@ let test_apply () =
       (try
          ignore (Update.apply d events);
          false
-       with Update.Corrupt _ -> true)
+       with File.Corrupt _ -> true)
   in
   corrupts "inactive depart" [ ev 3 0 1 Update.Depart ];
   corrupts "inactive set" [ ev 3 0 1 (Update.Set_rate 1.0) ]
@@ -167,7 +168,7 @@ let rebuild_apply demand events =
   List.iter
     (fun (e : Update.t) ->
       (match violation e with
-      | Some msg -> raise (Update.Corrupt ("invalid event: " ^ msg))
+      | Some msg -> raise (File.Corrupt ("invalid event: " ^ msg))
       | None -> ());
       let pair = (e.Update.src, e.Update.dst) in
       match e.Update.kind with
@@ -177,14 +178,14 @@ let rebuild_apply demand events =
       | Update.Depart ->
           if not (Hashtbl.mem table pair) then
             raise
-              (Update.Corrupt
+              (File.Corrupt
                  (Printf.sprintf "tick %d: departure of inactive pair %d->%d" e.Update.tick
                     e.Update.src e.Update.dst));
           Hashtbl.remove table pair
       | Update.Set_rate r ->
           if not (Hashtbl.mem table pair) then
             raise
-              (Update.Corrupt
+              (File.Corrupt
                  (Printf.sprintf "tick %d: rate change of inactive pair %d->%d" e.Update.tick
                     e.Update.src e.Update.dst));
           Hashtbl.replace table pair r)
@@ -217,7 +218,7 @@ let prop_apply_matches_rebuild =
       let outcome f =
         match f demand events with
         | d -> Ok (Demand.fold (fun s t v acc -> (s, t, Int64.bits_of_float v) :: acc) d [])
-        | exception Update.Corrupt msg -> Error msg
+        | exception File.Corrupt msg -> Error msg
       in
       outcome Update.apply = outcome rebuild_apply)
 
@@ -299,7 +300,7 @@ let test_step_rejects_bad_batches () =
       (try
          ignore (Serve.step srv ~tick events);
          false
-       with Update.Corrupt _ -> true)
+       with File.Corrupt _ -> true)
   in
   corrupts "non-increasing tick" 3 [ ev 3 1 2 (Update.Arrive 1.0) ];
   corrupts "mislabelled event" 5 [ ev 4 1 2 (Update.Arrive 1.0) ];
@@ -512,7 +513,7 @@ let test_step_faults () =
       (try
          ignore (Serve.step srv ~tick:9 ~faults []);
          false
-       with Update.Corrupt _ -> true)
+       with File.Corrupt _ -> true)
   in
   corrupts "repair of healthy edge" [ Serve.Repair used_edge ];
   corrupts "edge out of range" [ Serve.Fail 100000 ];
@@ -843,7 +844,7 @@ let test_checkpoint_contract () =
       (try
          ignore (decode_checkpoint ~graph:g blob);
          false
-       with Codec.Corrupt _ -> true)
+       with File.Corrupt _ -> true)
   in
   (* Any single flipped bit anywhere must be caught by the checksum. *)
   List.iter
@@ -862,7 +863,7 @@ let test_checkpoint_contract () =
   in
   match Serve.restore g other state with
   | (_ : Serve.t) -> Alcotest.fail "mismatched sampler accepted"
-  | exception Codec.Corrupt _ -> ()
+  | exception File.Corrupt _ -> ()
 
 (* Damage inside [s_system] itself, past the checkpoint checksum: the
    payload decoder or the per-pair comparison must refuse it as
@@ -878,7 +879,7 @@ let test_restore_rejects_damaged_system () =
     let _, system = make_parts () in
     match Serve.restore g system { state with Serve.s_system } with
     | (_ : Serve.t) -> Alcotest.failf "%s: damaged system accepted" name
-    | exception Codec.Corrupt _ -> ()
+    | exception File.Corrupt _ -> ()
     | exception e ->
         Alcotest.failf "%s: raised %s, not Corrupt" name (Printexc.to_string e)
   in
@@ -961,7 +962,7 @@ let test_rejected_restore_installs_nothing () =
     let pairs = Path_system.known_pairs system and length = arena_length system in
     (match Serve.restore g system { state with Serve.s_system } with
     | (_ : Serve.t) -> Alcotest.failf "%s: accepted" name
-    | exception Codec.Corrupt _ -> ());
+    | exception File.Corrupt _ -> ());
     Alcotest.(check (list (pair int int))) (name ^ ": no new index entry") pairs
       (Path_system.known_pairs system);
     Alcotest.(check int) (name ^ ": same arena length") length (arena_length system)
@@ -1097,7 +1098,7 @@ let test_checkpoint_files () =
        (Sys.readdir dir));
   match Checkpoint.load ~graph:g (Filename.concat dir "missing.bin") with
   | (_ : int64 * string * Serve.state) -> Alcotest.fail "missing file loaded"
-  | exception Checkpoint.Unreadable _ -> ()
+  | exception File.Unreadable _ -> ()
 
 (* ---- metrics snapshot hygiene ---- *)
 
@@ -1126,12 +1127,12 @@ let test_write_metrics_cleanup () =
   Unix.mkdir target 0o700;
   (match Serve.write_metrics ~path:target with
   | () -> Alcotest.fail "rename onto a directory succeeded"
-  | exception Sys_error _ -> ());
+  | exception File.Unreadable _ -> ());
   Alcotest.(check int) "no stale .tmp after failure" 1
     (Array.length (Sys.readdir dir))
 
 (* Every in-place writer, handed a target that is a directory, must fail
-   with its own error and leave nothing beside the target.  [write]
+   with [File.Unreadable] and leave nothing beside the target.  [write]
    receives the target path and raises; the result is what is left in the
    enclosing directory. *)
 let leftovers_after_failed_write name write =
@@ -1158,7 +1159,7 @@ let test_writers_clean_up () =
   leftovers_after_failed_write "stream.jsonl" (fun _ target ->
       match Update.save target [ ev 0 0 1 (Update.Arrive 1.0) ] with
       | () -> false
-      | exception Update.Unreadable _ -> true);
+      | exception File.Unreadable _ -> true);
   let srv = make_service () in
   let g, _ = make_parts () in
   ignore (Serve.step srv ~tick:0 [ ev 0 0 1 (Update.Arrive 1.0) ]);
@@ -1168,7 +1169,7 @@ let test_writers_clean_up () =
           ~config:Serve.default_config (Serve.snapshot srv)
       with
       | _ -> false
-      | exception Checkpoint.Unreadable _ -> true);
+      | exception File.Unreadable _ -> true);
   let recipe = Sso_artifact.Store.recipe ~kind:"writer-test" [] in
   leftovers_after_failed_write
     (Codec.hex_of_key (Sso_artifact.Store.key recipe) ^ ".art")
@@ -1176,32 +1177,13 @@ let test_writers_clean_up () =
       let st = Sso_artifact.Store.open_ ~dir () in
       match Sso_artifact.Store.put st recipe "payload" with
       | () -> false
-      | exception Sso_artifact.Store.Unreadable _ -> true);
+      | exception File.Unreadable _ -> true);
   leftovers_after_failed_write "metrics.prom" (fun _ target ->
       match Serve.write_metrics ~path:target with
       | () -> false
-      | exception Sys_error _ -> true)
+      | exception File.Unreadable _ -> true)
 
 (* ---- parser fuzzing: byte mutations never escape the contract ---- *)
-
-let mutate content kind pos extra =
-  let len = String.length content in
-  if len = 0 then content
-  else
-    match kind mod 3 with
-    | 0 -> String.sub content 0 (pos mod (len + 1))
-    | 1 ->
-        let b = Bytes.of_string content in
-        let i = pos mod len in
-        Bytes.set b i
-          (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (extra mod 8))));
-        Bytes.to_string b
-    | _ ->
-        let i = pos mod len in
-        let j = extra mod len in
-        let chunk = String.sub content i (min 8 (len - i)) in
-        String.sub content 0 j ^ chunk
-        ^ String.sub content j (len - j)
 
 let fuzz_stream_content =
   lazy
@@ -1222,15 +1204,15 @@ let prop_stream_mutations_never_escape =
     ~count:600
     QCheck.(triple small_nat small_nat small_nat)
     (fun (kind, pos, extra) ->
-      let mutated = mutate (Lazy.force fuzz_stream_content) kind pos extra in
+      let mutated = Support.mutate (Lazy.force fuzz_stream_content) kind pos extra in
       with_temp_file (fun path ->
           let oc = open_out_bin path in
           output_string oc mutated;
           close_out oc;
           match Update.load path with
           | (_ : Update.t list) -> true
-          | exception Update.Unreadable _ -> true
-          | exception Update.Corrupt _ -> true
+          | exception File.Unreadable _ -> true
+          | exception File.Corrupt _ -> true
           | exception _ -> false))
 
 let fuzz_checkpoint_blob =
@@ -1252,9 +1234,9 @@ let prop_checkpoint_mutations_never_escape =
     QCheck.(triple small_nat small_nat small_nat)
     (fun (kind, pos, extra) ->
       let g, blob = Lazy.force fuzz_checkpoint_blob in
-      match decode_checkpoint ~graph:g (mutate blob kind pos extra) with
+      match decode_checkpoint ~graph:g (Support.mutate blob kind pos extra) with
       | (_ : int64 * string * Serve.state) -> true
-      | exception Codec.Corrupt _ -> true
+      | exception File.Corrupt _ -> true
       | exception _ -> false)
 
 let test_create_rejects_bad_config () =
