@@ -450,13 +450,14 @@ let run_flags ?(cache = true) body =
       if not use_store then None
       else guard "sso: cannot open the artifact store" (fun () -> Some (Store.open_ ?dir ()))
     in
-    let result = guard "sso" (fun () -> body { seed; store }) in
+    guard "sso" @@ fun () ->
+    let result = body { seed; store } in
     Option.iter
       (fun path ->
         let meta =
           [ ("seed", Trace.Int seed); ("jobs", Trace.Int (Sso_engine.Pool.default_jobs ())) ]
         in
-        guard "sso: cannot write trace" (fun () -> Obs.write_trace ~path ~meta))
+        Obs.write_trace ~path ~meta)
       trace;
     result
   in
@@ -1037,7 +1038,7 @@ let serve_cmd =
         Workload.generate ~rate_churn (Rng.split rng) ~n:(Graph.n g) ~ticks
           ~pairs ~churn
       in
-      guard "sso serve: cannot write stream" (fun () -> Update.save output events);
+      guard "sso serve" (fun () -> Update.save output events);
       Printf.printf "wrote %d events (%d ticks, %d pairs, churn %g) to %s\n"
         (List.length events) ticks pairs churn output
     in
@@ -1304,14 +1305,7 @@ let serve_cmd =
       (* Periodic exposition writer: refresh GC gauges, freeze the whole
          registry, render, atomic write — wall-clock data flows only to
          this file, never to stdout or the digest. *)
-      let write_metrics =
-        match metrics_out with
-        | None -> None
-        | Some path ->
-            Some
-              (fun () ->
-                guard "sso serve: cannot write metrics" (fun () -> Serve.write_metrics ~path))
-      in
+      let write_metrics = Option.map (fun path () -> Serve.write_metrics ~path) metrics_out in
       let processed = ref 0 in
       let on_tick (r : Serve.report) (_ : Sso_flow.Routing.t) =
         (match write_metrics with Some write -> write () | None -> ());

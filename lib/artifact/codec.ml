@@ -72,7 +72,8 @@ let read_f64 r = Int64.float_of_bits (read_i64 r)
 (* [count] floats straight into a float array; a count the remaining
    bytes cannot hold is truncation, refused before anything is allocated. *)
 let read_f64_array r count =
-  if count > (String.length r.data - r.pos) / 8 then File.corrupt "codec: truncated input";
+  if count > (String.length r.data - r.pos) / 8 then
+    File.corrupt "codec: truncated input";
   let a = Array.create_float count in
   for i = 0 to count - 1 do
     a.(i) <- Int64.float_of_bits (String.get_int64_le r.data (r.pos + (8 * i)))

@@ -34,4 +34,4 @@ let write path f =
     Sys.rename tmp path
   with e ->
     (try Sys.remove tmp with Sys_error _ -> ());
-    match e with Sys_error msg -> raise (Unreadable msg) | e -> raise e
+    match e with Sys_error msg -> unreadable "cannot write %s: %s" path msg | e -> raise e

@@ -20,8 +20,9 @@ val corrupt : ('a, unit, string, 'b) format4 -> 'a
 (** [corrupt fmt ...] raises {!Corrupt} with the formatted message. *)
 
 val read : string -> string
-(** The whole file.  @raise Unreadable naming the path when it cannot be
-    opened or read (a directory included). *)
+(** The whole file.  @raise Unreadable with the message
+    [<path>: <reason>] when it cannot be opened or read (a directory
+    included). *)
 
 val readdir : string -> string array
 (** The directory's entries, as [Sys.readdir].  @raise Unreadable when it
@@ -36,4 +37,5 @@ val write : string -> (out_channel -> unit) -> unit
     artifact store's gc sweeps), closes it and renames it over [path],
     so readers see the old file or the whole new one.  On any failure the
     channel is closed and the temporary removed before the exception is
-    re-raised, with an I/O error ([Sys_error]) as {!Unreadable}. *)
+    re-raised, an I/O error ([Sys_error]) as {!Unreadable} with the
+    message [cannot write <path>: <reason>]. *)

@@ -119,8 +119,6 @@ module Json : sig
       {!File.Corrupt} naming [k] when the field is missing or of the
       wrong type. *)
 
-  val field : string -> t -> t
-
   val int : string -> t -> int
   (** An integer spelling, or an integral float below 2{^62}. *)
 

@@ -149,7 +149,7 @@ let check_batch t ~tick events =
           tick;
       if e.Update.src >= n || e.Update.dst >= n then
         File.corrupt "tick %d: endpoint out of range in %d->%d (graph has %d \
-                 vertices)"
+                      vertices)"
           tick e.Update.src e.Update.dst n)
     events
 
