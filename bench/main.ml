@@ -1,21 +1,8 @@
 (* Experiment harness: regenerates every quantitative claim of the paper
    (the experiments E1–E20 indexed in PAPER_MAP.md and EXPERIMENTS.md).
-   Performance is measured by the pipeline benchmark under perf/.
-
-   Usage:
-     dune exec bench/main.exe                 # all experiments
-     dune exec bench/main.exe -- --experiment E3
-     dune exec bench/main.exe -- --list
-     dune exec bench/main.exe -- --no-timing  # "-" in wall-clock columns
-     dune exec bench/main.exe -- --big        # widen instance ranges
-     dune exec bench/main.exe -- --jobs 4     # worker domains (default: cores)
-     dune exec bench/main.exe -- --seed 7     # master seed for every experiment
-     dune exec bench/main.exe -- --metrics    # dump counters/spans at exit
-     dune exec bench/main.exe -- --cache      # memoize constructions on disk
-     dune exec bench/main.exe -- --cache-dir D # cache in D (implies --cache)
-     dune exec bench/main.exe -- --no-cache   # force the cache off
-     dune exec bench/main.exe -- --json F     # write wall times / scalars to F
-     dune exec bench/main.exe -- --trace F    # write a JSONL trace to F *)
+   Performance is measured by the pipeline benchmark under perf/.  The
+   flags are the [specs] table at the bottom
+   ([dune exec bench/main.exe -- --help]). *)
 
 module Rng = Sso_prng.Rng
 module Graph = Sso_graph.Graph
@@ -39,6 +26,8 @@ module Stats = Sso_stats.Stats
 module Pool = Sso_engine.Pool
 module Obs = Sso_obs.Obs
 module Trace = Sso_obs.Trace
+module File = Sso_obs.File
+module Json = Trace.Json
 module Codec = Sso_artifact.Codec
 module Store = Sso_artifact.Store
 module Memo = Sso_artifact.Memo
@@ -79,10 +68,12 @@ let opt_solver = Semi_oblivious.Mwu 150
    keeps the full harness under ~20 s. *)
 let big_scale = ref false
 
-let ratio_on g system demand =
-  let cong = Semi_oblivious.congestion ~solver:stage4 g system demand in
-  let opt = Semi_oblivious.opt ~solver:opt_solver g demand in
-  (cong, opt, cong /. opt)
+(* Competitive ratios: [over_opt g demands] solves each demand's Stage-5
+   optimum once, and the function it returns divides a scheme's
+   congestions on [demands] (in the same order) by them. *)
+let over_opt g demands =
+  let opts = Pool.parallel_list_map (Semi_oblivious.opt ~solver:opt_solver g) demands in
+  fun congestions -> List.map2 ( /. ) congestions opts
 
 (* ------------------------------------------------------------------ *)
 (* E1 — Theorem 2.3: Θ(log n)-sparse samples are polylog-competitive on
@@ -99,13 +90,15 @@ let e1 () =
     let rng = seeded 11 in
     let system = Sampler.alpha_sample (Rng.split rng) base ~alpha in
     let trial_rng = Rng.split rng in
-    let results =
-      Pool.parallel_init trials (fun i ->
-          let d = Demand.random_permutation (Rng.split_at trial_rng i) n in
-          let _, opt, r = ratio_on g system d in
-          (r, Oblivious.congestion base d /. opt))
+    let demands =
+      List.init trials (fun i -> Demand.random_permutation (Rng.split_at trial_rng i) n)
     in
-    let arr = Array.map fst results and obl = Array.map snd results in
+    let ratio = over_opt g demands in
+    let arr =
+      Array.of_list
+        (ratio (Pool.parallel_list_map (Semi_oblivious.congestion ~solver:stage4 g system) demands))
+    in
+    let obl = Array.of_list (ratio (List.map (Oblivious.congestion base) demands)) in
     let med = Stats.median arr in
     scalar (Printf.sprintf "E1.%s.median" name) med;
     Printf.printf "%-18s %5d %5d %3d | %10.2f %10.2f %10.2f\n" name n
@@ -142,20 +135,15 @@ let e2 () =
     Demand.bit_reversal dim :: Demand.transpose dim
     :: List.init 3 (fun _ -> Demand.random_permutation (Rng.split rng) (Graph.n g))
   in
-  let opts = List.map (fun d -> Semi_oblivious.opt ~solver:opt_solver g d) demands in
+  let ratio = over_opt g demands in
   Printf.printf "hypercube-%d, worst over bit-reversal/transpose/3 random perms\n" dim;
   Printf.printf "%5s | %12s %12s\n" "alpha" "worst cong" "worst ratio";
+  let worst = List.fold_left Float.max 0.0 in
   List.iter
     (fun alpha ->
       let system = Sampler.alpha_sample (seeded (1000 + alpha)) base ~alpha in
-      let worst_cong = ref 0.0 and worst_ratio = ref 0.0 in
-      List.iter2
-        (fun d opt ->
-          let c = Semi_oblivious.congestion ~solver:stage4 g system d in
-          worst_cong := Float.max !worst_cong c;
-          worst_ratio := Float.max !worst_ratio (c /. opt))
-        demands opts;
-      Printf.printf "%5d | %12.2f %12.2f\n" alpha !worst_cong !worst_ratio)
+      let congs = List.map (Semi_oblivious.congestion ~solver:stage4 g system) demands in
+      Printf.printf "%5d | %12.2f %12.2f\n" alpha (worst congs) (worst (ratio congs)))
     [ 1; 2; 3; 4; 6; 8 ];
   Printf.printf "shape: steep improvement from alpha=1 to 2-4, then flattening\n";
   Printf.printf "near the optimum -- n^O(1/alpha) as claimed.\n"
@@ -268,19 +256,17 @@ let e5 () =
     List.init 5 (fun _ -> Demand.gravity (Rng.split rng) ~n:(Graph.n g) ~total:60.0)
   in
   let pairs = List.sort_uniq compare (List.concat_map Demand.support matrices) in
-  let opts = List.map (fun d -> Semi_oblivious.opt ~solver:opt_solver g d) matrices in
+  let ratio = over_opt g matrices in
   Printf.printf "%-26s %12s %12s\n" "scheme" "mean ratio" "max ratio";
-  let report name ratios =
-    let arr = Array.of_list ratios in
+  let report name congestion =
+    let arr = Array.of_list (ratio (List.map congestion matrices)) in
     let mean = Stats.mean arr and worst = Stats.max_value arr in
     scalar (Printf.sprintf "E5.%s.mean" name) mean;
     scalar (Printf.sprintf "E5.%s.max" name) worst;
     Printf.printf "%-26s %12.3f %12.3f\n" name mean worst
   in
-  report "KSP-4 (traditional TE)"
-    (List.map2 (fun d opt -> Oblivious.congestion ksp4 d /. opt) matrices opts);
-  report "oblivious (Racke full)"
-    (List.map2 (fun d opt -> Oblivious.congestion racke d /. opt) matrices opts);
+  report "KSP-4 (traditional TE)" (Oblivious.congestion ksp4);
+  report "oblivious (Racke full)" (Oblivious.congestion racke);
   List.iter
     (fun alpha ->
       let system =
@@ -290,9 +276,7 @@ let e5 () =
       in
       report
         (Printf.sprintf "semi-oblivious a=%d" alpha)
-        (List.map2
-           (fun d opt -> Semi_oblivious.congestion ~solver:stage4 g system d /. opt)
-           matrices opts))
+        (Semi_oblivious.congestion ~solver:stage4 g system))
     [ 1; 2; 4; 8 ];
   Printf.printf "shape: a=4 already tracks the optimum (SMORE's empirical pick);\n";
   Printf.printf "a=1 pays for obliviousness, KSP ignores capacity structure.\n"
@@ -401,30 +385,26 @@ let e9 () =
   let demands =
     List.init 3 (fun _ -> Demand.random_permutation (Rng.split rng) (Graph.n g))
   in
-  let opts = List.map (fun d -> Semi_oblivious.opt ~solver:opt_solver g d) demands in
+  let ratio = over_opt g demands in
   Printf.printf "hypercube-%d, worst ratio over 3 random permutations\n" dim;
   Printf.printf "%-30s %10s %12s\n" "scheme" "paths/pair" "worst ratio";
-  let report name sparsity ratios =
+  let report name sparsity congestion =
     Printf.printf "%-30s %10d %12.2f\n" name sparsity
-      (List.fold_left Float.max 0.0 ratios)
+      (List.fold_left Float.max 0.0 (ratio (List.map congestion demands)))
   in
-  let ecube = Deterministic.ecube g in
-  report "e-cube (oblivious, 1 path)" 1
-    (List.map2 (fun d opt -> Oblivious.congestion ecube d /. opt) demands opts);
+  report "e-cube (oblivious, 1 path)" 1 (Oblivious.congestion (Deterministic.ecube g));
   List.iter
     (fun alpha ->
       let system = Sampler.alpha_sample (seeded (900 + alpha)) valiant ~alpha in
       report
         (Printf.sprintf "semi-oblivious sample a=%d" alpha)
         alpha
-        (List.map2
-           (fun d opt -> Semi_oblivious.congestion ~solver:stage4 g system d /. opt)
-           demands opts))
+        (Semi_oblivious.congestion ~solver:stage4 g system))
     [ 2; 4; 6 ];
   let sample_pairs = List.concat_map Demand.support demands in
   report "Valiant (oblivious, full)"
     (Oblivious.support_sparsity valiant sample_pairs)
-    (List.map2 (fun d opt -> Oblivious.congestion valiant d /. opt) demands opts);
+    (Oblivious.congestion valiant);
   Printf.printf "shape: the oblivious routing needs Theta(n) support for its\n";
   Printf.printf "quality; a few adaptive paths already match it.\n"
 
@@ -504,7 +484,7 @@ let e11 () =
     Demand.ring_shift ~n:16 ~shift:5
     :: List.init 3 (fun _ -> Demand.random_permutation (Rng.split rng) 16)
   in
-  let opts = List.map (fun d -> Semi_oblivious.opt ~solver:opt_solver g d) demands in
+  let ratio = over_opt g demands in
   Printf.printf "4x4 torus, alpha = %d samples, worst ratio over 4 permutations\n" alpha;
   Printf.printf "%-34s %12s\n" "base oblivious routing R" "worst ratio";
   let bases =
@@ -519,10 +499,8 @@ let e11 () =
     (fun (name, base) ->
       let system = Sampler.alpha_sample (Rng.split rng) base ~alpha in
       let worst =
-        List.fold_left2
-          (fun acc d opt ->
-            Float.max acc (Semi_oblivious.congestion ~solver:stage4 g system d /. opt))
-          0.0 demands opts
+        List.fold_left Float.max 0.0
+          (ratio (List.map (Semi_oblivious.congestion ~solver:stage4 g system) demands))
       in
       Printf.printf "%-34s %12.2f\n" name worst)
     bases;
@@ -588,17 +566,18 @@ let e13 () =
                  (List.init side Fun.id))
              (List.init side Fun.id))
       in
-      let opt = Semi_oblivious.opt ~solver:opt_solver g d in
-      let xy = Oblivious.congestion (Deterministic.xy_grid ~cols:side g) d /. opt in
+      let over = over_opt g [ d ] in
+      let ratio congestion = List.hd (over [ congestion ]) in
+      let xy = ratio (Oblivious.congestion (Deterministic.xy_grid ~cols:side g) d) in
       let rng = seeded (600 + side) in
       let base = racke_routing (Rng.split rng) g in
-      let ratio alpha =
+      let semi alpha =
         let system = Sampler.alpha_sample (Rng.split rng) base ~alpha in
-        Semi_oblivious.congestion ~solver:stage4 g system d /. opt
+        ratio (Semi_oblivious.congestion ~solver:stage4 g system d)
       in
       Printf.printf "%-10s %5d | %10.2f %14.2f %14.2f\n"
         (Printf.sprintf "%dx%d" side side)
-        (side * side) xy (ratio 4) (ratio 8))
+        (side * side) xy (semi 4) (semi 8))
     [ 4; 5; 6; 7 ];
   Printf.printf "shape: sparse samples grow slowly with n (consistent with the\n";
   Printf.printf "HKL07 log n / log log n floor) and stay far below XY routing.\n"
@@ -651,7 +630,8 @@ let e15 () =
   let demands =
     List.init 3 (fun _ -> Demand.random_permutation (Rng.split rng) 25)
   in
-  let opts = List.map (fun d -> Semi_oblivious.opt ~solver:opt_solver g d) demands in
+  let ratio = over_opt g demands in
+  let mean congestion = List.fold_left ( +. ) 0.0 (ratio (List.map congestion demands)) /. 3.0 in
   Printf.printf "5x5 grid, 3 random permutations; mean ratio vs optimum\n";
   Printf.printf "%5s | %18s %18s %12s\n" "alpha" "oblivious sample"
     "clairvoyant top-a" "gap";
@@ -659,19 +639,12 @@ let e15 () =
     (fun alpha ->
       let sample_mean =
         let system = Sampler.alpha_sample (Rng.split rng) base ~alpha in
-        List.fold_left2
-          (fun acc d opt ->
-            acc +. (Semi_oblivious.congestion ~solver:stage4 g system d /. opt))
-          0.0 demands opts
-        /. 3.0
+        mean (Semi_oblivious.congestion ~solver:stage4 g system)
       in
       let oracle_mean =
-        List.fold_left2
-          (fun acc d opt ->
+        mean (fun d ->
             let system = Oracle.demand_aware_system ~solver:(Semi_oblivious.Mwu 400) g d ~alpha in
-            acc +. (Semi_oblivious.congestion ~solver:stage4 g system d /. opt))
-          0.0 demands opts
-        /. 3.0
+            Semi_oblivious.congestion ~solver:stage4 g system d)
       in
       Printf.printf "%5d | %18.3f %18.3f %11.1f%%\n" alpha sample_mean oracle_mean
         ((sample_mean /. oracle_mean -. 1.0) *. 100.0))
@@ -697,23 +670,15 @@ let e16 () =
   let day = Workload.diurnal (Rng.split rng) ~n:(Graph.n g) ~epochs:12 ~peak_total:80.0 in
   Printf.printf "Abilene, 12 diurnal gravity epochs (trough 25%% of peak)\n";
   Printf.printf "%-26s %12s %12s\n" "scheme" "mean ratio" "worst epoch";
-  let per_epoch f =
-    List.map
-      (fun d ->
-        let opt = Semi_oblivious.opt ~solver:opt_solver g d in
-        f d /. opt)
-      day
-  in
-  let report name ratios =
-    let arr = Array.of_list ratios in
+  let ratio = over_opt g day in
+  let report name congestion =
+    let arr = Array.of_list (ratio (List.map congestion day)) in
     Printf.printf "%-26s %12.3f %12.3f\n" name (Stats.mean arr) (Stats.max_value arr)
   in
   report "KSP-4 (rates adapted)"
-    (per_epoch (fun d ->
-         Semi_oblivious.congestion ~solver:stage4 g
-           (Path_system.of_oblivious_support ksp4) d));
-  report "oblivious (no adaptation)" (per_epoch (fun d -> Oblivious.congestion racke d));
-  report "semi-oblivious a=4" (per_epoch (fun d -> Semi_oblivious.congestion ~solver:stage4 g smore d));
+    (Semi_oblivious.congestion ~solver:stage4 g (Path_system.of_oblivious_support ksp4));
+  report "oblivious (no adaptation)" (Oblivious.congestion racke);
+  report "semi-oblivious a=4" (Semi_oblivious.congestion ~solver:stage4 g smore);
   Printf.printf "shape: the same 4 installed paths per pair track the optimum\n";
   Printf.printf "through the whole day; no epoch needs new path installation.\n"
 
@@ -943,127 +908,121 @@ let git_describe () =
       if line = "" then "unknown" else line
   | exception _ -> "unknown"
 
+(* The --json report: run metadata, the artifact-store counters, each
+   experiment's wall time, the named scalars and the metrics registry. *)
+let report_json timings =
+  let jobs = Json.of_int (Pool.default_jobs ()) and seed = Json.of_int !master_seed in
+  let counter name = (name, Json.of_int (Obs.counter_value (Obs.counter ("artifact." ^ name)))) in
+  Json.(
+    Obj
+      [
+        ( "meta",
+          Obj
+            [
+              ("schema", Str "sso-bench"); ("version", of_int 1); ("seed", seed); ("jobs", jobs);
+              ("git", Str (git_describe ())); ("trace_schema", of_int Trace.schema_version);
+            ] );
+        ("seed", seed);
+        ("jobs", jobs);
+        ("cache", Obj (List.map counter [ "hit"; "miss"; "corrupt"; "bytes_read"; "bytes_written" ]));
+        ( "experiments",
+          Arr
+            (List.map
+               (fun (id, seconds) ->
+                 Obj [ ("id", Str id); ("seconds", Num (Printf.sprintf "%.6f" seconds)) ])
+               timings) );
+        ("scalars", Obj (List.map (fun (name, v) -> (name, of_float v)) !scalars));
+        ("metrics", Obs.metrics_json ());
+      ])
+
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  (* Anything else is refused, so a mistyped flag cannot silently run the
-     whole harness. *)
-  let switches = [ "--list"; "--big"; "--no-timing"; "--metrics"; "--cache"; "--no-cache" ] in
-  let valued = [ "--experiment"; "--jobs"; "--seed"; "--cache-dir"; "--json"; "--trace" ] in
-  let rec check = function
-    | [] -> ()
-    | f :: rest when List.mem f switches -> check rest
-    | f :: _ :: rest when List.mem f valued -> check rest
-    | f :: _ ->
-        if List.mem f valued then Printf.eprintf "%s expects a value\n" f
-        else Printf.eprintf "unknown argument %s\n" f;
-        exit 1
+  let list = ref false and metrics = ref false and cache = ref false and no_cache = ref false in
+  let only = ref None and cache_dir = ref None and trace_path = ref None and json_path = ref None in
+  let some r = Arg.String (fun v -> r := Some v) in
+  let experiment id =
+    if List.exists (fun (eid, _, _) -> eid = id) experiments then only := Some id
+    else raise (Arg.Bad (Printf.sprintf "unknown experiment %s (try --list)" id))
   in
-  check args;
-  let has flag = List.mem flag args in
-  if has "--big" then big_scale := true;
-  if has "--no-timing" then no_timing := true;
-  let rec find_value flag = function
-    | f :: v :: _ when f = flag -> Some v
-    | _ :: rest -> find_value flag rest
-    | [] -> None
+  let jobs j =
+    if j >= 1 then Pool.set_default_jobs j
+    else raise (Arg.Bad (Printf.sprintf "--jobs expects a positive integer, got %d" j))
   in
-  (match find_value "--jobs" args with
-  | Some v -> (
-      match int_of_string_opt v with
-      | Some jobs when jobs >= 1 -> Pool.set_default_jobs jobs
-      | _ ->
-          Printf.eprintf "--jobs expects a positive integer, got %s\n" v;
-          exit 1)
-  | None -> ());
-  (match find_value "--seed" args with
-  | Some v -> (
-      match int_of_string_opt v with
-      | Some s -> master_seed := s
-      | None ->
-          Printf.eprintf "--seed expects an integer, got %s\n" v;
-          exit 1)
-  | None -> ());
-  let trace_path = find_value "--trace" args in
-  if trace_path <> None then Obs.set_tracing true;
-  let cache_dir = find_value "--cache-dir" args in
-  if (has "--cache" || cache_dir <> None) && not (has "--no-cache") then (
-    match Store.open_ ?dir:cache_dir () with
-    | st -> store := Some st
-    | exception Sso_obs.File.Unreadable msg ->
-        Printf.eprintf "--cache: %s\n" msg;
-        exit 1);
-  let timings : (string * float) list ref = ref [] in
-  let timed_run id run =
-    let t0 = Unix.gettimeofday () in
-    Obs.traced ("bench." ^ id) run;
-    timings := !timings @ [ (id, Unix.gettimeofday () -. t0) ]
+  let specs =
+    Arg.align
+      [
+        ("--experiment", Arg.String experiment, "ID Run one experiment (E1..E20; default: all)");
+        ("--list", Arg.Set list, " Print the experiment index");
+        ("--no-timing", Arg.Set no_timing, " Print \"-\" in wall-clock columns (byte-stable output)");
+        ("--big", Arg.Set big_scale, " Widen the instance ranges");
+        ("--jobs", Arg.Int jobs, "N Worker domains (default: the number of cores)");
+        ("--seed", Arg.Set_int master_seed, "S Master seed for every experiment (default: 0)");
+        ("--metrics", Arg.Set metrics, " Print the counters and span timers at exit");
+        ("--cache", Arg.Set cache, " Memoize constructions in the artifact store");
+        ("--cache-dir", some cache_dir, "DIR Keep the store in DIR (implies --cache)");
+        ("--no-cache", Arg.Set no_cache, " Force the cache off");
+        ("--json", some json_path, "FILE Write wall times, scalars and metrics to FILE");
+        ("--trace", some trace_path, "FILE Write a JSONL trace to FILE");
+      ]
   in
-  if has "--list" then
-    List.iter (fun (id, title, _) -> Printf.printf "%-4s %s\n" id title) experiments
-  else begin
-    match find_value "--experiment" args with
-    | Some id -> (
-        match List.find_opt (fun (eid, _, _) -> eid = id) experiments with
-        | Some (eid, _, run) -> timed_run eid run
-        | None ->
-            Printf.eprintf "unknown experiment %s (try --list)\n" id;
-            exit 1)
-    | None -> List.iter (fun (id, _, run) -> timed_run id run) experiments
-  end;
-  if has "--metrics" then begin
-    header
-      (Printf.sprintf "metrics  (jobs = %d)" (Pool.default_jobs ()));
-    print_string (Obs.metrics_table ())
-  end;
-  (match trace_path with
-  | None -> ()
-  | Some path ->
-      (* argv is deliberately left out of the meta: traces from the same
-         seed at different --jobs must differ only in the "jobs" field. *)
-      let meta =
-        [
-          ("seed", Trace.Int !master_seed);
-          ("jobs", Trace.Int (Pool.default_jobs ()));
-          ("git", Trace.String (git_describe ()));
-        ]
-      in
-      Obs.write_trace ~path ~meta);
-  match find_value "--json" args with
-  | None -> ()
-  | Some path ->
-      let fields f entries =
-        String.concat ", " (List.map f entries)
-      in
-      let cache_counter name =
-        Obs.counter_value (Obs.counter ("artifact." ^ name))
-      in
-      let json =
-        Printf.sprintf
-          "{\"meta\": {\"schema\": \"sso-bench\", \"version\": 1, \"seed\": \
-           %d, \"jobs\": %d, \"git\": %s, \"trace_schema\": %d}, \
-           \"seed\": %d, \"jobs\": %d, \"cache\": {%s}, \"experiments\": \
-           [%s], \"scalars\": {%s}, \"metrics\": %s}\n"
-          !master_seed (Pool.default_jobs ())
-          (Trace.json_string (git_describe ()))
-          Trace.schema_version !master_seed (Pool.default_jobs ())
-          (fields
-             (fun name ->
-               Printf.sprintf "\"%s\": %d" name (cache_counter name))
-             [ "hit"; "miss"; "corrupt"; "bytes_read"; "bytes_written" ])
-          (fields
-             (fun (id, seconds) ->
-               Printf.sprintf "{\"id\": %s, \"seconds\": %.6f}"
-                 (Trace.json_string id) seconds)
-             !timings)
-          (fields
-             (fun (name, v) ->
-               (* Non-finite values (unsurvivable ratios, unmeasured
-                  recoveries) are not valid JSON numbers: quote them. *)
-               if Float.is_finite v then
-                 Printf.sprintf "%s: %.17g" (Trace.json_string name) v
-               else Printf.sprintf "%s: \"%.17g\"" (Trace.json_string name) v)
-             !scalars)
-          (Obs.metrics_json ())
-      in
-      Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc json)
+  (* A bad argument exits 1 with the first line of Arg's message, so a
+     mistyped flag cannot silently run the whole harness. *)
+  let argv = Array.copy Sys.argv in
+  argv.(0) <- "bench";
+  (try
+     Arg.parse_argv argv specs
+       (fun arg -> raise (Arg.Bad ("unknown argument " ^ arg)))
+       "Usage: bench [OPTION]...\n\
+        Regenerates the paper's experiments (EXPERIMENTS.md); all of them by default.\n\
+        Options:"
+   with
+  | Arg.Help usage ->
+      print_string usage;
+      exit 0
+  | Arg.Bad msg ->
+      prerr_endline (List.hd (String.split_on_char '\n' msg));
+      exit 1);
+  (* Files follow the exit-code contract of README "Exit codes": 10 for
+     an unreadable or unwritable path, 11 for a corrupt file. *)
+  try
+    if !trace_path <> None then Obs.set_tracing true;
+    if (!cache || !cache_dir <> None) && not !no_cache then
+      store := Some (Store.open_ ?dir:!cache_dir ());
+    let timings = ref [] in
+    let timed_run (id, _, run) =
+      let t0 = Unix.gettimeofday () in
+      Obs.traced ("bench." ^ id) run;
+      timings := !timings @ [ (id, Unix.gettimeofday () -. t0) ]
+    in
+    if !list then List.iter (fun (id, title, _) -> Printf.printf "%-4s %s\n" id title) experiments
+    else
+      List.iter timed_run
+        (List.filter (fun (id, _, _) -> !only = None || !only = Some id) experiments);
+    if !metrics then begin
+      header (Printf.sprintf "metrics  (jobs = %d)" (Pool.default_jobs ()));
+      print_string (Obs.metrics_table ())
+    end;
+    Option.iter
+      (fun path ->
+        (* argv is deliberately left out of the meta: traces from the same
+           seed at different --jobs must differ only in the "jobs" field. *)
+        let meta =
+          [
+            ("seed", Trace.Int !master_seed);
+            ("jobs", Trace.Int (Pool.default_jobs ()));
+            ("git", Trace.String (git_describe ()));
+          ]
+        in
+        Obs.write_trace ~path ~meta)
+      !trace_path;
+    Option.iter
+      (fun path ->
+        let json = Json.to_string (report_json !timings) in
+        File.write path (fun oc -> output_string oc (json ^ "\n")))
+      !json_path
+  with
+  | File.Unreadable msg ->
+      Printf.eprintf "bench: %s\n" msg;
+      exit 10
+  | File.Corrupt msg ->
+      Printf.eprintf "bench: %s\n" msg;
+      exit 11

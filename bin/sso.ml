@@ -343,25 +343,6 @@ let family_arg ?(expander = false) ~doc () =
 
 module Json = Trace.Json
 
-let jint i = Json.Num (string_of_int i)
-
-(* Non-finite floats are quoted: JSON has no literal for them. *)
-let jfloat f =
-  if Float.is_nan f then Json.Str "nan"
-  else if f = infinity then Json.Str "inf"
-  else if f = neg_infinity then Json.Str "-inf"
-  else Json.Num (Printf.sprintf "%.17g" f)
-
-let rec inline = function
-  | Json.Null -> "null"
-  | Json.Bool b -> string_of_bool b
-  | Json.Num s -> s
-  | Json.Str s -> Trace.json_string s
-  | Json.Arr items -> "[" ^ String.concat ", " (List.map inline items) ^ "]"
-  | Json.Obj fields ->
-      let field (key, value) = Trace.json_string key ^ ": " ^ inline value in
-      "{" ^ String.concat ", " (List.map field fields) ^ "}"
-
 let json_arg =
   let doc = "Emit deterministic JSON (byte-identical for any $(b,--jobs))." in
   Arg.(value & flag & info [ "json" ] ~doc)
@@ -369,9 +350,9 @@ let json_arg =
 (* A --json report: its schema and version, [fields], then the artifact
    store's hit/miss counts when a store is open.  One line per top-level
    field; a top-level array puts one item per line at a 4-space indent;
-   everything deeper is inline. *)
+   everything deeper is on one line ([Json.to_string]). *)
 let print_report ~schema ~version ~store fields =
-  let count name = jint (Obs.counter_value (Obs.counter name)) in
+  let count name = Json.of_int (Obs.counter_value (Obs.counter name)) in
   let cache =
     match store with
     | None -> []
@@ -382,12 +363,15 @@ let print_report ~schema ~version ~store fields =
     let value =
       match value with
       | Json.Arr items ->
-          "[" ^ String.concat "," (List.map (fun item -> "\n    " ^ inline item) items) ^ "\n  ]"
-      | value -> inline value
+          "[" ^ String.concat "," (List.map (fun item -> "\n    " ^ Json.to_string item) items)
+          ^ "\n  ]"
+      | value -> Json.to_string value
     in
     "  " ^ Trace.json_string key ^ ": " ^ value
   in
-  let fields = (("schema", Json.Str schema) :: ("version", jint version) :: fields) @ cache in
+  let fields =
+    (("schema", Json.Str schema) :: ("version", Json.of_int version) :: fields) @ cache
+  in
   print_string ("{\n" ^ String.concat ",\n" (List.map field fields) ^ "\n}\n")
 
 (* ---- run flags ---- *)
@@ -724,11 +708,11 @@ let faults_cmd =
     Json.(
       Obj
         [ ("label", Str r.Fsweep.scenario.Scenario.label);
-          ("edges", Arr (List.map jint (Scenario.edges r.Fsweep.scenario)));
+          ("edges", Arr (List.map of_int (Scenario.edges r.Fsweep.scenario)));
           ("connected", Bool r.Fsweep.connected); ("survivable", Bool r.Fsweep.survivable);
-          ("achieved", jfloat r.Fsweep.achieved); ("post_opt", jfloat r.Fsweep.post_opt);
-          ("ratio", jfloat r.Fsweep.ratio); ("recovery_rounds", jint r.Fsweep.recovery_rounds);
-          ("warm_congestion", jfloat r.Fsweep.warm_congestion) ])
+          ("achieved", of_float r.Fsweep.achieved); ("post_opt", of_float r.Fsweep.post_opt);
+          ("ratio", of_float r.Fsweep.ratio); ("recovery_rounds", of_int r.Fsweep.recovery_rounds);
+          ("warm_congestion", of_float r.Fsweep.warm_congestion) ])
   in
   let print_report_line (r : Fsweep.report) =
     Printf.printf "%-20s %9s %9s  achieved %8s  opt %8s  ratio %8s%s\n"
@@ -797,18 +781,18 @@ let faults_cmd =
       if json then
         print_report ~schema:"sso-faults-sweep" ~version:1 ~store
           Json.
-            [ ("family", Str family_name); ("size", jint size); ("base", Str base_name);
-              ("alpha", jint alpha); ("demand", Str demand_spec); ("solver", Str solver_spec);
-              ("scenarios", Str scen_spec); ("seed", jint seed);
+            [ ("family", Str family_name); ("size", of_int size); ("base", Str base_name);
+              ("alpha", of_int alpha); ("demand", Str demand_spec); ("solver", Str solver_spec);
+              ("scenarios", Str scen_spec); ("seed", of_int seed);
               ("reports", Arr (List.map report_json reports));
               ( "summary",
                 Obj
-                  [ ("scenarios", jint s.Fsweep.scenarios);
-                    ("disconnected", jint s.Fsweep.disconnected);
-                    ("unsurvivable", jint s.Fsweep.unsurvivable);
-                    ("mean_ratio", jfloat s.Fsweep.mean_ratio);
-                    ("worst_ratio", jfloat s.Fsweep.worst_ratio);
-                    ("mean_recovery_rounds", jfloat s.Fsweep.mean_recovery_rounds) ] ) ]
+                  [ ("scenarios", of_int s.Fsweep.scenarios);
+                    ("disconnected", of_int s.Fsweep.disconnected);
+                    ("unsurvivable", of_int s.Fsweep.unsurvivable);
+                    ("mean_ratio", of_float s.Fsweep.mean_ratio);
+                    ("worst_ratio", of_float s.Fsweep.worst_ratio);
+                    ("mean_recovery_rounds", of_float s.Fsweep.mean_recovery_rounds) ] ) ]
       else begin
         Printf.printf "family %s  size %d  alpha %d  demand %s  scenarios %d\n\n"
           family_name size alpha demand_spec (List.length scenarios);
@@ -911,17 +895,17 @@ let faults_cmd =
       if json then
         print_report ~schema:"sso-faults-timeline" ~version:1 ~store
           Json.
-            [ ("family", Str family_name); ("size", jint size); ("alpha", jint alpha);
-              ("scenario", Str scenario.Scenario.label); ("fail_at", jint fail_at);
-              ("repair_at", Option.fold ~none:Null ~some:jint repair_at); ("seed", jint seed);
-              ("congestion", jfloat congestion); ("completed", Bool completed);
+            [ ("family", Str family_name); ("size", of_int size); ("alpha", of_int alpha);
+              ("scenario", Str scenario.Scenario.label); ("fail_at", of_int fail_at);
+              ("repair_at", Option.fold ~none:Null ~some:of_int repair_at); ("seed", of_int seed);
+              ("congestion", of_float congestion); ("completed", Bool completed);
               ("all_pairs_retain_candidate", Bool pairs_covered);
-              ("makespan", jint fs.Simulator.base.Simulator.makespan);
-              ("delivered", jint fs.Simulator.base.Simulator.delivered);
-              ("dropped", jint fs.Simulator.dropped); ("rerouted", jint fs.Simulator.rerouted);
-              ("recovery_makespan", jint fs.Simulator.recovery_makespan);
-              ("max_queue", jint fs.Simulator.base.Simulator.max_queue);
-              ("total_waits", jint fs.Simulator.base.Simulator.total_waits) ]
+              ("makespan", of_int fs.Simulator.base.Simulator.makespan);
+              ("delivered", of_int fs.Simulator.base.Simulator.delivered);
+              ("dropped", of_int fs.Simulator.dropped); ("rerouted", of_int fs.Simulator.rerouted);
+              ("recovery_makespan", of_int fs.Simulator.recovery_makespan);
+              ("max_queue", of_int fs.Simulator.base.Simulator.max_queue);
+              ("total_waits", of_int fs.Simulator.base.Simulator.total_waits) ]
       else begin
         Printf.printf "scenario %s fails at step %d%s\n" scenario.Scenario.label
           fail_at
@@ -961,8 +945,9 @@ let faults_cmd =
       in
       if json then
         print_report ~schema:"sso-faults-worst-k" ~version:1 ~store
-          [ ("family", Json.Str family_name); ("size", jint size); ("alpha", jint alpha);
-            ("k", jint k); ("seed", jint seed); ("worst", report_json worst) ]
+          Json.
+            [ ("family", Str family_name); ("size", of_int size); ("alpha", of_int alpha);
+              ("k", of_int k); ("seed", of_int seed); ("worst", report_json worst) ]
       else begin
         Printf.printf "greedy worst-%d on %s (pool %d):\n" k family_name candidates;
         print_report_line worst
@@ -1216,14 +1201,14 @@ let serve_cmd =
     let report_json (r : Serve.report) =
       Json.(
         Obj
-          [ ("tick", jint r.Serve.tick); ("events", jint r.Serve.events);
-            ("arrivals", jint r.Serve.arrivals); ("departures", jint r.Serve.departures);
-            ("rate_changes", jint r.Serve.rate_changes); ("pairs", jint r.Serve.active_pairs);
-            ("admitted", jint r.Serve.admitted); ("retired", jint r.Serve.retired);
-            ("deferred", jint r.Serve.deferred); ("failed_edges", jint r.Serve.failed_edges);
-            ("rerouted", jint r.Serve.rerouted); ("unroutable", jint r.Serve.unroutable);
-            ("congestion", jfloat r.Serve.congestion); ("mode", Str (mode_name r.Serve.mode));
-            ("staleness", jint r.Serve.staleness) ])
+          [ ("tick", of_int r.Serve.tick); ("events", of_int r.Serve.events);
+            ("arrivals", of_int r.Serve.arrivals); ("departures", of_int r.Serve.departures);
+            ("rate_changes", of_int r.Serve.rate_changes); ("pairs", of_int r.Serve.active_pairs);
+            ("admitted", of_int r.Serve.admitted); ("retired", of_int r.Serve.retired);
+            ("deferred", of_int r.Serve.deferred); ("failed_edges", of_int r.Serve.failed_edges);
+            ("rerouted", of_int r.Serve.rerouted); ("unroutable", of_int r.Serve.unroutable);
+            ("congestion", of_float r.Serve.congestion); ("mode", Str (mode_name r.Serve.mode));
+            ("staleness", of_int r.Serve.staleness) ])
     in
     let run stream (family, build_graph) size alpha (base, build_base)
         (solver_spec, solver) warm_iters warm_weight
@@ -1349,16 +1334,16 @@ let serve_cmd =
       if json then
         print_report ~schema:"sso-serve-replay" ~version:2 ~store
           Json.(
-            [ ("family", Str family); ("size", jint size); ("alpha", jint alpha);
-              ("base", Str base); ("solver", Str solver_spec); ("warm_iters", jint warm_iters);
-              ("warm_weight", jint warm_weight); ("refresh", jint refresh);
-              ("event_budget", jint event_budget); ("max_staleness", jint max_staleness);
+            [ ("family", Str family); ("size", of_int size); ("alpha", of_int alpha);
+              ("base", Str base); ("solver", Str solver_spec); ("warm_iters", of_int warm_iters);
+              ("warm_weight", of_int warm_weight); ("refresh", of_int refresh);
+              ("event_budget", of_int event_budget); ("max_staleness", of_int max_staleness);
               ("faults", Option.fold ~none:Null ~some:(fun (s, _) -> Str s) faults_spec);
-              ("seed", jint seed); ("events", jint (List.length events));
+              ("seed", of_int seed); ("events", of_int (List.length events));
               ("ticks", Arr (List.map report_json reports));
               ( "final",
                 Obj
-                  [ ("pairs", jint final_pairs); ("congestion", jfloat final_congestion);
+                  [ ("pairs", of_int final_pairs); ("congestion", of_float final_congestion);
                     ("digest", Str digest) ] ) ]
             @
             match outcome with
@@ -1368,12 +1353,12 @@ let serve_cmd =
                 [ ( "sim",
                     Obj
                       [ ("completed", Bool (completed outcome));
-                        ("packets", jint s.Simulator.packets);
-                        ("delivered", jint s.Simulator.delivered);
-                        ("finish_time", jint s.Simulator.finish_time);
-                        ("mean_latency", jfloat s.Simulator.mean_latency);
-                        ("p99_latency", jfloat s.Simulator.p99_latency);
-                        ("peak_queue", jint s.Simulator.peak_queue) ] ) ])
+                        ("packets", of_int s.Simulator.packets);
+                        ("delivered", of_int s.Simulator.delivered);
+                        ("finish_time", of_int s.Simulator.finish_time);
+                        ("mean_latency", of_float s.Simulator.mean_latency);
+                        ("p99_latency", of_float s.Simulator.p99_latency);
+                        ("peak_queue", of_int s.Simulator.peak_queue) ] ) ])
       else begin
         Printf.printf "family %s  size %d  alpha %d  base %s  solver %s\n"
           family size alpha base solver_spec;

@@ -480,23 +480,17 @@ let metrics_table () =
 
 let metrics_json () =
   let cs, ss = recorded () in
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "{\"counters\": {";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf (Printf.sprintf "%s: %d" (Trace.json_string name) v))
-    cs;
-  Buffer.add_string buf "}, \"spans\": {";
-  List.iteri
-    (fun i (name, ns, calls) ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf
-        (Printf.sprintf "%s: {\"ns\": %d, \"calls\": %d}" (Trace.json_string name)
-           ns calls))
-    ss;
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
+  Trace.Json.(
+    Obj
+      [
+        ("counters", Obj (List.map (fun (name, v) -> (name, of_int v)) cs));
+        ( "spans",
+          Obj
+            (List.map
+               (fun (name, ns, calls) ->
+                 (name, Obj [ ("ns", of_int ns); ("calls", of_int calls) ]))
+               ss) );
+      ])
 
 (* GC gauges are sampled only when this is called (the serve metrics
    writer does, right before each snapshot) — never from inside traced or

@@ -4,7 +4,7 @@
 
     - {b Always-on aggregates} — counters, spans and log-scale histograms
       in a thread-safe registry, frozen by {!snapshot} and rendered from
-      it by [metrics_table]/[metrics_json] for [--metrics].  A span's wall
+      it by [metrics_table]/[metrics_json] for [--metrics]/[--json].  A span's wall
       time and calls are its duration histogram's sum and count.
     - {b Trace events} — gated by [set_tracing].  When tracing is off,
       [event] is a flag test and [traced] runs its thunk directly; call
@@ -170,7 +170,7 @@ val metrics_table : unit -> string
     spans that ran, sorted by name.  Empty string when nothing was
     recorded. *)
 
-val metrics_json : unit -> string
+val metrics_json : unit -> Trace.Json.t
 (** The same data as a JSON object
     [{"counters": {...}, "spans": {name: {"ns": n, "calls": c}}}]. *)
 

@@ -117,7 +117,7 @@ let save path t =
         t.events;
       Buffer.output_buffer oc buf)
 
-(* ---------- generic JSON parsing ---------- *)
+(* ---------- generic JSON ---------- *)
 
 module Json = struct
   type t =
@@ -305,6 +305,27 @@ module Json = struct
 
   let fields k j =
     match field k j with Obj fs -> fs | _ -> File.corrupt "field %S is not an object" k
+
+  (* ---------- generic JSON writing ---------- *)
+
+  let of_int i = Num (string_of_int i)
+
+  (* Non-finite floats are quoted: JSON has no literal for them. *)
+  let of_float f =
+    if Float.is_nan f then Str "nan"
+    else if f = infinity then Str "inf"
+    else if f = neg_infinity then Str "-inf"
+    else Num (Printf.sprintf "%.17g" f)
+
+  let rec to_string = function
+    | Null -> "null"
+    | Bool b -> string_of_bool b
+    | Num s -> s
+    | Str s -> json_string s
+    | Arr items -> "[" ^ String.concat ", " (List.map to_string items) ^ "]"
+    | Obj fields ->
+        let field (key, value) = json_string key ^ ": " ^ to_string value in
+        "{" ^ String.concat ", " (List.map field fields) ^ "}"
 end
 
 (* ---------- JSONL files ---------- *)

@@ -95,11 +95,12 @@ val mwu_solves : event list -> solve list
     be in their sorted [(slot, seq)] order, as [load] returns them) into
     per-solve convergence trajectories. *)
 
-(** {1 Generic JSON access}
+(** {1 Generic JSON}
 
     The parser behind [load], exposed so other tools (the update-stream
     codec, the pipeline benchmark) can read small JSON files without a
-    dependency. *)
+    dependency, and the one printer of the JSON reports ([sso --json],
+    the experiment harness's [--json], {!Obs.metrics_json}). *)
 module Json : sig
   type t =
     | Null
@@ -125,6 +126,17 @@ module Json : sig
   val float : string -> t -> float
   val string : string -> t -> string
   val fields : string -> t -> (string * t) list
+
+  val of_int : int -> t
+
+  val of_float : float -> t
+  (** A finite float as [%.17g] (it reads back exactly); NaN and the
+      infinities, which JSON cannot spell as numbers, as the strings
+      ["nan"], ["inf"] and ["-inf"]. *)
+
+  val to_string : t -> string
+  (** One line: members and items separated by [", "], keys by [": "],
+      strings escaped by {!json_string}, a [Num] printed as spelled. *)
 end
 
 val read_jsonl :

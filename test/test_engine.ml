@@ -233,7 +233,7 @@ let test_table_and_json () =
   let tbl = Obs.metrics_table () in
   Alcotest.(check bool) "table lists the counter" true (contains tbl "test.table");
   Alcotest.(check bool) "table lists the span" true (contains tbl "test.tspan");
-  let js = Obs.metrics_json () in
+  let js = Sso_obs.Trace.Json.to_string (Obs.metrics_json ()) in
   Alcotest.(check bool) "json has the counter" true
     (contains js "\"test.table\": 7");
   Alcotest.(check bool) "json has the span" true (contains js "\"test.tspan\"");
