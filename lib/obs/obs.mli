@@ -4,8 +4,9 @@
 
     - {b Always-on aggregates} — counters, spans and log-scale histograms
       in a thread-safe registry, frozen by {!snapshot} and rendered from
-      it by [metrics_table]/[metrics_json] for [--metrics]/[--json].  A span's wall
-      time and calls are its duration histogram's sum and count.
+      it by [metrics_table]/[metrics_json] for [--metrics]/[--json].  A
+      span's wall time and calls are its duration histogram's sum and
+      count.
     - {b Trace events} — gated by [set_tracing].  When tracing is off,
       [event] is a flag test and [traced] runs its thunk directly; call
       sites guard attribute construction with [tracing ()] so the
