@@ -739,7 +739,7 @@ let e18 () =
         | None -> cold
         | Some prev ->
             snd
-              (Semi_oblivious.reoptimize ~solver:(Semi_oblivious.Mwu 20)
+              (Semi_oblivious.route ~solver:(Semi_oblivious.Mwu 20)
                  ~warm_start:(prev, 60) g system d)
       in
       (* Stale: keep yesterday's rates where defined, first candidate for
@@ -791,7 +791,7 @@ let e19 () =
         | Some p -> ((0, 1), p)
         | None -> assert false)
   in
-  let base = Sso_oblivious.Hop_constrained.routing ~paths_per_pair:8 ~max_hops:3 g in
+  let base = Sso_oblivious.Hop_constrained.routing ~max_hops:3 g in
   let system = Sampler.alpha_sample (Rng.split rng) base ~alpha:4 in
   let semi_raw, _ = Integral.congestion_upper ~solver:stage4 (Rng.split rng) g system d in
   let semi_assignment =

@@ -8,26 +8,19 @@ type solver = Lp | Mwu of int
 
 let default_solver = Mwu 300
 
-let slices ?index ps demand =
-  match index with
-  | Some sc -> sc
-  | None -> Path_system.to_slice_candidates ps (Demand.support demand)
-
-let route ?(solver = default_solver) ?index g ps demand =
-  let sc = slices ?index ps demand in
+let route ?(solver = default_solver) ?warm_start ?index g ps demand =
+  let sc =
+    match index with
+    | Some sc -> sc
+    | None -> Path_system.to_slice_candidates ps (Demand.support demand)
+  in
   match solver with
-  | Lp -> Min_congestion.lp_on_slices g sc demand
-  | Mwu iters -> Min_congestion.mwu_on_slices ~iters g sc demand
+  | Lp ->
+      (* The LP has no incremental form; it ignores a warm start. *)
+      Min_congestion.lp_on_slices g sc demand
+  | Mwu iters -> Min_congestion.mwu_on_slices ~iters ?warm:warm_start g sc demand
 
 let congestion ?solver g ps demand = snd (route ?solver g ps demand)
-
-let reoptimize ?(solver = default_solver) ?warm_start ?index g ps demand =
-  match (solver, warm_start) with
-  | Mwu iters, Some warm ->
-      Min_congestion.mwu_on_slices ~iters ~warm g (slices ?index ps demand) demand
-  | (Lp | Mwu _), _ ->
-      (* The LP has no incremental form; a cold solve is the warm start. *)
-      route ~solver ?index g ps demand
 
 let optimum ?(solver = default_solver) g demand =
   match solver with

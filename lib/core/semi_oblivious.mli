@@ -17,6 +17,7 @@ val default_solver : solver
 
 val route :
   ?solver:solver ->
+  ?warm_start:Sso_flow.Routing.t * int ->
   ?index:Sso_flow.Slice_candidates.t ->
   Sso_graph.Graph.t -> Path_system.t -> Sso_demand.Demand.t ->
   Sso_flow.Routing.t * float
@@ -27,37 +28,28 @@ val route :
     equal that one: the {!Path_system.unpack_pair} pieces of [supp d]
     in [P], in support order, joined by
     {!Sso_flow.Slice_candidates.concat} (the routing service passes the
-    pieces it keeps across ticks).
+    pieces it keeps across ticks, so admitting a commodity costs one
+    arena append and no path system rebuild).
+
+    [~warm_start:(r, w)] is the one warm start: Stage-4 re-optimization
+    after the demand, the path system or both changed, used by the
+    routing service on every warm tick (demand churn, with or without
+    failed edges) and by the fault experiments' recovery ladder.  With an
+    MWU solver the iteration starts from [r] counted as [w] virtual
+    rounds instead of from scratch, so few fresh rounds recover a good
+    routing.  [r] is restricted to the pairs [d] demands and to the paths
+    [P] still offers (looked up in the slice index): a pair that lost no
+    path keeps its distribution verbatim, a pair that lost some has its
+    surviving mass renormalized, and a pair left with nothing — or newly
+    arrived — is learned by the fresh rounds alone.  The [Lp] solver has
+    no incremental form and ignores it.  Output is bit-identical at any
+    [--jobs].
     @raise Invalid_argument if some demanded pair has no candidates. *)
 
 val congestion :
   ?solver:solver ->
   Sso_graph.Graph.t -> Path_system.t -> Sso_demand.Demand.t -> float
 (** [cong_ℝ(P,d)]. *)
-
-val reoptimize :
-  ?solver:solver ->
-  ?warm_start:Sso_flow.Routing.t * int ->
-  ?index:Sso_flow.Slice_candidates.t ->
-  Sso_graph.Graph.t -> Path_system.t -> Sso_demand.Demand.t ->
-  Sso_flow.Routing.t * float
-(** Stage-4 re-optimization after the demand, the path system or both
-    changed — the one warm start, used by the routing service on every
-    warm tick (demand churn, with or without failed edges) and by the
-    fault experiments' recovery ladder.  With [~warm_start:(r, w)] and an
-    MWU solver, the iteration starts from [r] counted as [w] virtual
-    rounds instead of from scratch, so few fresh rounds recover a good
-    routing.  [r] is restricted to the pairs [d] demands and to the paths
-    [P] still offers (looked up in the slice index): a pair that lost no
-    path keeps its distribution verbatim, a pair that lost some has its
-    surviving mass renormalized, and a pair left with nothing — or newly
-    arrived — is learned by the fresh rounds alone.  Runs on the slice
-    index ([index] as in {!route}), so admitting a commodity costs one
-    arena append and no path system rebuild.  Without [warm_start], or
-    with the [Lp] solver (which has no incremental form), this is
-    {!route}.  Output is
-    bit-identical at any [--jobs].
-    @raise Invalid_argument if some demanded pair has no candidates. *)
 
 val optimum :
   ?solver:solver ->

@@ -144,7 +144,7 @@ let evaluate ~solver ~iters ~pre_routing g ps demand scenario =
                 | [] -> (-1, nan)
                 | rounds :: rest ->
                     let _, warm =
-                      Semi_oblivious.reoptimize ~solver:(Semi_oblivious.Mwu rounds)
+                      Semi_oblivious.route ~solver:(Semi_oblivious.Mwu rounds)
                         ~warm_start:(pre, recovery_warm_weight) g' survivors demand
                     in
                     if warm <= recovery_tolerance *. achieved then (rounds, warm)

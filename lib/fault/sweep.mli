@@ -7,8 +7,8 @@
     it is the single-link failure analysis (bench E14); other scenario
     sets make it multi-failure and capacity-aware.  Optionally it also
     measures {e time-to-recover}: how many warm-started MWU rounds
-    ({!Sso_core.Semi_oblivious.reoptimize}) bring the post-failure routing
-    within tolerance of the from-scratch solution.
+    ({!Sso_core.Semi_oblivious.route} [~warm_start]) bring the
+    post-failure routing within tolerance of the from-scratch solution.
 
     Scenarios are evaluated concurrently on the engine pool; the report
     list is identical for any [--jobs].  With a store, per-scenario

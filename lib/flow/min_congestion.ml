@@ -451,7 +451,7 @@ let lp_unrestricted g demand =
         (fun i (s, t) ->
           match (Shortest.dijkstra_targets g ~weights s [| t |]).(0) with
           | Some p
-            when Path.weight (Array.get weights) p < pi.(i) -. (1e-9 *. (1.0 +. Float.abs pi.(i)))
+            when Path.weight weights p < pi.(i) -. (1e-9 *. (1.0 +. Float.abs pi.(i)))
                  && not (List.exists (Path.equal p) columns.(i)) ->
               columns.(i) <- columns.(i) @ [ p ];
               priced := true

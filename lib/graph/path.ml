@@ -182,4 +182,9 @@ let compare p q =
       | c -> c)
   | c -> c
 
-let weight w p = Array.fold_left (fun acc e -> acc +. w e) 0.0 p.edges
+let weight w p =
+  let sum = ref 0.0 in
+  for i = 0 to Array.length p.edges - 1 do
+    sum := !sum +. w.(p.edges.(i))
+  done;
+  !sum

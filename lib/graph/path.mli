@@ -90,6 +90,7 @@ val equal : t -> t -> bool
 
 val compare : t -> t -> int
 
-val weight : (int -> float) -> t -> float
-(** Sum of a per-edge weight function over the path's edges. *)
+val weight : float array -> t -> float
+(** [weight w p] sums the per-edge weights [w] (indexed by edge id) over
+    [p]'s edges, in path order from [0.0]. *)
 

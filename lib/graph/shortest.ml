@@ -70,7 +70,6 @@ module Workspace = struct
     mutable stamp : int array;
     mutable settled : int array;
     mutable target : int array;
-    mutable wbuf : float array; (* validated per-call edge weights *)
     mutable keys : float array; (* heap keys *)
     mutable vals : int array; (* heap payloads (vertices) *)
     mutable hsize : int;
@@ -89,7 +88,6 @@ module Workspace = struct
       stamp = [||];
       settled = [||];
       target = [||];
-      wbuf = [||];
       keys = Array.make 16 0.0;
       vals = Array.make 16 0;
       hsize = 0;
@@ -107,9 +105,6 @@ module Workspace = struct
       ws.settled <- Array.make n (-1);
       ws.target <- Array.make n (-1)
     end
-
-  let ensure_weights ws m =
-    if Array.length ws.wbuf < m then ws.wbuf <- Array.make m 0.0
 
   let settled_count ws = ws.nsettled
 
@@ -163,20 +158,6 @@ end
 let invalid_weight ~context ~negative =
   invalid_arg (context ^ if negative then ": negative edge weight" else ": NaN edge weight")
 
-(* Validate the weight function once per edge per call (not once per edge
-   visit) while snapshotting it into the workspace buffer; the traversal
-   then reads a flat float array. *)
-let fill_weights ws g ~weight ~context =
-  let m = Graph.m g in
-  Workspace.ensure_weights ws m;
-  let wbuf = ws.Workspace.wbuf in
-  for e = 0 to m - 1 do
-    let we = weight e in
-    if not (we >= 0.0) then invalid_weight ~context ~negative:(we < 0.0);
-    wbuf.(e) <- we
-  done;
-  wbuf
-
 (* ---------- The Dijkstra core ---------- *)
 
 (* The heap's only growth site: room for at least [need] entries. *)
@@ -214,12 +195,15 @@ let push_source ws s =
 
 (* Settle vertices in distance order until the heap drains or
    [remaining] wanted targets have all settled.  Relaxation admits a
-   candidate only when it is within [radius] and survives [prune]; each
-   edge weight is checked as it is relaxed.  [visit v d] runs at settle
-   time.  The per-vertex state, settle order and predecessor edges are
-   those of the historical full run (same CSR neighbor order, same heap,
-   same strict improvement test): an early exit only stops the loop, and
-   a settled vertex's predecessor chain is final.
+   candidate only when it is within [radius] and, if [bounded], below
+   [bound] at its vertex; settling a vertex lowers [bound] there to its
+   distance.  Each edge weight is checked as it is relaxed.  [visit v]
+   runs at settle time.  No float crosses a call: the bound is an array
+   read, and [visit] takes the vertex only.  The per-vertex state, settle
+   order and predecessor edges are those of the historical full run (same
+   CSR neighbor order, same heap, same strict improvement test): an early
+   exit only stops the loop, and a settled vertex's predecessor chain is
+   final.
 
    The heap is a binary min-heap over the workspace's [keys]/[vals],
    sifted inline so that no key crosses a call boundary as a boxed float.
@@ -235,8 +219,8 @@ let push_source ws s =
    Before a vertex's scan the heap grows to hold every push that scan can
    make, and a pop reads only slots below the size it starts from, so
    the pushes and both sifts index unchecked. *)
-let settle ws g (weights : float array) ~(radius : float) ~prune ~visit ~context
-    ~remaining =
+let settle ws g (weights : float array) ~(radius : float) ~bounded
+    ~(bound : float array) ~visit ~context ~remaining =
   let off = Graph.csr_offsets g
   and eids = Graph.csr_edge_ids g
   and dsts = Graph.csr_targets g in
@@ -270,7 +254,8 @@ let settle ws g (weights : float array) ~(radius : float) ~prune ~visit ~context
     if settled.(v) <> ep then begin
       settled.(v) <- ep;
       incr count;
-      (match visit with None -> () | Some f -> f v d);
+      if bounded && d < bound.(v) then bound.(v) <- d;
+      (match visit with None -> () | Some f -> f v);
       if target.(v) = ep then decr remaining;
       if !remaining > 0 then begin
         let lo = off.(v) and hi = off.(v + 1) in
@@ -283,10 +268,7 @@ let settle ws g (weights : float array) ~(radius : float) ~prune ~visit ~context
             let we = weights.(e) in
             if not (we >= 0.0) then invalid_weight ~context ~negative:(we < 0.0);
             let nd = d +. we in
-            if
-              nd <= radius
-              && (match prune with None -> true | Some p -> not (p w nd))
-            then begin
+            if nd <= radius && ((not bounded) || nd < Array.unsafe_get bound w) then begin
               let cur = if stamp.(w) = ep then dist.(w) else infinity in
               if nd < cur then begin
                 dist.(w) <- nd;
@@ -320,7 +302,7 @@ let check_weights g weights ~context =
 (* ---------- Truncated / multi-source Dijkstra (ball growing) ---------- *)
 
 (* Grow the ball of radius [radius] around [sources]: settle exactly the
-   vertices whose multi-source distance is <= radius, calling [visit v d]
+   vertices whose multi-source distance is <= radius, calling [visit v]
    at settle time (so in non-decreasing distance order).  Work is
    proportional to the ball and its frontier, never to the graph: pushes
    whose tentative distance exceeds the radius are pruned, so a unit-radius
@@ -332,57 +314,46 @@ let check_weights g weights ~context =
    <= its own (prefix distances along a shortest path are non-decreasing
    under non-negative weights), none of which are pruned.
 
-   [prune w nd] (checked at relaxation time, before pushing) discards the
-   candidate as if it lay outside the radius; sources are exempt.  The FRT
-   construction prunes candidates no closer than an earlier-permutation
-   center's recorded distance — discarding them at the push keeps even the
-   one-edge boundary of the surviving region out of the heap, which is
-   what turns a level's ball-growing pass from |balls| Dijkstras into
-   near-linear total work. *)
-let dijkstra_ball_into ws g ~weights ~radius ?prune ~sources visit =
+   [bound] (checked at relaxation time, before pushing) discards a
+   candidate whose tentative distance is [>= bound.(w)] as if it lay
+   outside the radius; sources are exempt, and settling lowers the bound
+   at the settled vertex to its distance.  The FRT construction passes
+   its per-level record of earlier centers' distances, so a ball stops
+   where an earlier-permutation center is no farther — discarding such
+   candidates at the push keeps even the one-edge boundary of the
+   surviving region out of the heap, which is what turns a level's
+   ball-growing pass from |balls| Dijkstras into near-linear total
+   work. *)
+let dijkstra_ball_into ws g ~weights ~radius ?bound ~sources visit =
   let context = "Shortest.dijkstra_ball" in
   check_weights g weights ~context;
   let n = Graph.n g in
+  let bounded, bound =
+    match bound with
+    | None -> (false, [||])
+    | Some b ->
+        if Array.length b < n then invalid_arg (context ^ ": bound shorter than vertex count");
+        (true, b)
+  in
   start ws g ~src:(if Array.length sources > 0 then sources.(0) else -1);
-  Array.iter
-    (fun s ->
-      if s < 0 || s >= n then invalid_arg (context ^ ": source out of range");
-      push_source ws s)
-    sources;
+  for i = 0 to Array.length sources - 1 do
+    let s = sources.(i) in
+    if s < 0 || s >= n then invalid_arg (context ^ ": source out of range");
+    push_source ws s
+  done;
   (* radius < 0 (or NaN) admits nothing, not even the sources. *)
   if 0.0 <= radius then
-    settle ws g weights ~radius ~prune ~visit:(Some visit) ~context
+    settle ws g weights ~radius ~bounded ~bound ~visit:(Some visit) ~context
       ~remaining:max_int
   else ws.Workspace.complete <- true
-
-let dijkstra_into ws g ~weight src =
-  let context = "Shortest.dijkstra" in
-  let wbuf = fill_weights ws g ~weight ~context in
-  start ws g ~src;
-  push_source ws src;
-  settle ws g wbuf ~radius:infinity ~prune:None ~visit:None ~context
-    ~remaining:max_int
-
-let dijkstra g ~weight src =
-  let ws = Workspace.for_current_domain () in
-  dijkstra_into ws g ~weight src;
-  let n = Graph.n g in
-  (Array.init n (Workspace.dist ws), Array.init n (Workspace.pred_edge ws))
-
-let dijkstra_path g ~weight src dst =
-  let ws = Workspace.for_current_domain () in
-  dijkstra_into ws g ~weight src;
-  Workspace.path ws g dst
 
 (* Target-bounded run: mark each distinct target with the epoch, stop as
    soon as the last one settles, and read every path straight off the
    (final) predecessor chains. *)
-let dijkstra_targets ?workspace g ~weights src targets =
+let dijkstra_targets g ~weights src targets =
   let context = "Shortest.dijkstra_targets" in
   check_weights g weights ~context;
-  let ws =
-    match workspace with Some ws -> ws | None -> Workspace.for_current_domain ()
-  in
+  let ws = Workspace.for_current_domain () in
   let n = Graph.n g in
   if src < 0 || src >= n then invalid_arg (context ^ ": source out of range");
   start ws g ~src;
@@ -397,8 +368,8 @@ let dijkstra_targets ?workspace g ~weights src targets =
     end
   done;
   push_source ws src;
-  settle ws g weights ~radius:infinity ~prune:None ~visit:None ~context
-    ~remaining:!wanted;
+  settle ws g weights ~radius:infinity ~bounded:false ~bound:[||] ~visit:None
+    ~context ~remaining:!wanted;
   Array.map
     (fun t ->
       if ws.Workspace.settled.(t) = ep then Some (Workspace.build_path ws g t)
@@ -410,12 +381,13 @@ let dijkstra_targets ?workspace g ~weights src targets =
 (* dist.(k).(v) = min weight of a walk src→v with at most k hops.  The
    per-level predecessor edge makes reconstruction hop-bounded even in
    the presence of zero-weight edges (a flat pred array could cycle). *)
-let hop_limited_path g ~weight ~max_hops src dst =
+let hop_limited_path g ~weights ~max_hops src dst =
+  let context = "Shortest.hop_limited_path" in
+  check_weights g weights ~context;
   if src = dst then Some (Path.trivial src)
   else if max_hops <= 0 then None
   else begin
-    let n = Graph.n g and context = "Shortest.hop_limited_path" in
-    let weights = Array.init (Graph.m g) weight in
+    let n = Graph.n g in
     let dist = Array.make_matrix (max_hops + 1) n infinity in
     let pred = Array.make_matrix (max_hops + 1) n (-1) in
     dist.(0).(src) <- 0.0;
@@ -454,17 +426,9 @@ let hop_limited_path g ~weight ~max_hops src dst =
     end
   end
 
-let eccentricity g v =
-  Array.fold_left
-    (fun acc d -> if d <> max_int && d > acc then d else acc)
-    0 (bfs_dist g v)
-
 let diameter g =
   let best = ref 0 in
   for v = 0 to Graph.n g - 1 do
-    let e = eccentricity g v in
-    if e > !best then best := e
+    Array.iter (fun d -> if d <> max_int && d > !best then best := d) (bfs_dist g v)
   done;
   !best
-
-let all_pairs_hops g = Array.init (Graph.n g) (fun s -> bfs_dist g s)

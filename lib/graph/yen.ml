@@ -1,28 +1,15 @@
 module PathSet = Set.Make (Path)
 
-let k_shortest g ~weight ~k s t =
+let k_shortest g ~k s t =
   if k <= 0 then []
   else if s = t then [ Path.trivial s ]
   else begin
-    (* Dijkstra that ignores banned edges and banned vertices.  Banning is
-       expressed through the weight function (infinity = unusable). *)
-    let masked_path banned_edges banned_vertices src =
-      let wf e =
-        if Hashtbl.mem banned_edges e then infinity
-        else
-          let u, v = Graph.endpoints g e in
-          if
-            (Hashtbl.mem banned_vertices u && u <> src)
-            || (Hashtbl.mem banned_vertices v && v <> src)
-          then infinity
-          else weight e
-      in
-      match Shortest.dijkstra_path g ~weight:wf src t with
-      | Some p when Path.weight wf p < infinity -> Some p
-      | _ -> None
-    in
-    let no_ban = Hashtbl.create 1 in
-    match masked_path no_ban no_ban s with
+    (* One unit-weight buffer serves every search.  A spur search bans
+       edges by setting them to [infinity] (the kernel never admits an
+       infinite distance), and [ban] restores them to 1.0 afterwards. *)
+    let weights = Array.make (Graph.m g) 1.0 in
+    let search src = (Shortest.dijkstra_targets g ~weights src [| t |]).(0) in
+    match search s with
     | None -> []
     | Some first ->
         let accepted = ref [ first ] in
@@ -36,21 +23,23 @@ let k_shortest g ~weight ~k s t =
           for i = 0 to Path.hops prev - 1 do
             let spur = prev_vertices.(i) in
             let root_edges = Array.sub prev.Path.edges 0 i in
-            let banned_edges = Hashtbl.create 8 in
-            let banned_vertices = Hashtbl.create 8 in
-            (* Ban the next edge of every accepted path sharing this root. *)
-            List.iter
-              (fun (p : Path.t) ->
-                if
-                  Path.hops p > i
-                  && Array.sub p.Path.edges 0 i = root_edges
-                then Hashtbl.replace banned_edges p.Path.edges.(i) ())
-              !accepted;
-            (* Ban root vertices (except the spur) to keep paths simple. *)
-            for j = 0 to i - 1 do
-              Hashtbl.replace banned_vertices prev_vertices.(j) ()
-            done;
-            match masked_path banned_edges banned_vertices spur with
+            let ban w =
+              (* Ban the next edge of every accepted path sharing this
+                 root, and every edge at a root vertex before the spur, to
+                 keep paths simple. *)
+              List.iter
+                (fun (p : Path.t) ->
+                  if Path.hops p > i && Array.sub p.Path.edges 0 i = root_edges then
+                    weights.(p.Path.edges.(i)) <- w)
+                !accepted;
+              for j = 0 to i - 1 do
+                Graph.iter_adj g prev_vertices.(j) (fun e _ -> weights.(e) <- w)
+              done
+            in
+            ban infinity;
+            let spur_path = search spur in
+            ban 1.0;
+            match spur_path with
             | None -> ()
             | Some spur_path ->
                 let candidate =
@@ -66,7 +55,7 @@ let k_shortest g ~weight ~k s t =
           let best = ref None in
           PathSet.iter
             (fun p ->
-              let w = Path.weight weight p in
+              let w = Path.weight weights p in
               match !best with
               | Some (bw, _) when bw <= w -> ()
               | _ -> best := Some (w, p))

@@ -117,14 +117,28 @@ let check_connected g =
     done
   end
 
-let build rng g ~length =
-  let n = Graph.n g and m = Graph.m g in
+(* Check [lengths] once up front and copy them clamped below by
+   [min_length]: the caller (the Räcke MWU loop) refills its array every
+   round, and the tree must keep routing under the lengths it was built
+   with — also what lets a tree round-trip through [to_parts]/[of_parts]
+   bit-identically.  On a checked length the clamp agrees bit for bit with
+   [Float.max min_length] (zero, either sign, becomes [min_length]). *)
+let clamped_lengths g lengths =
+  let m = Graph.m g in
+  if Array.length lengths <> m then invalid_arg "Frt.build: lengths size mismatch";
+  let snapshot = Array.make m min_length in
+  for e = 0 to m - 1 do
+    let l = lengths.(e) in
+    if Float.is_nan l then invalid_arg "Frt.build: NaN edge length";
+    if l < 0.0 then invalid_arg "Frt.build: negative edge length";
+    if l > min_length then snapshot.(e) <- l
+  done;
+  snapshot
+
+let build rng g ~lengths =
+  let n = Graph.n g in
   check_connected g;
-  (* Snapshot the clamped metric: callers (the Räcke MWU loop) pass
-     closures over mutable penalty state, and the tree must keep routing
-     under the lengths it was built with — also what lets a tree
-     round-trip through [to_parts]/[of_parts] bit-identically. *)
-  let snapshot = Array.init m (fun e -> Float.max min_length (length e)) in
+  let snapshot = clamped_lengths g lengths in
   (* delta_min: under a positive metric the closest pair of distinct
      vertices is always joined by a single edge (every path weighs at
      least its heaviest edge, and any multi-edge path at least two minimum
@@ -132,20 +146,33 @@ let build rng g ~length =
      edge length — no all-pairs pass needed. *)
   let delta = min_length_of snapshot in
   let ws = Shortest.Workspace.for_current_domain () in
+  (* best.(v) is the settle distance of v from the closest earlier center
+     (per level): the bound of every ball below.  A ball reaching v at
+     distance >= best.(v) stops expanding there, because everything
+     beyond is at least as close to that earlier — hence higher-priority —
+     center, and the kernel lowers best.(v) as it settles v.  Each vertex
+     improves its record O(log n) expected times under a random
+     permutation, which is what makes a level near-linear instead of
+     |balls| Dijkstras. *)
+  let best = Array.make n infinity in
   (* Diameter upper bound: diam <= 2·ecc(0), from one unbounded ball
-     around vertex 0 that reads the snapshot directly, boxing no weight
-     per edge.  One Dijkstra replaces the exact all-pairs maximum; the
-     bound is at most 2x the diameter, so it costs at most one extra
-     (redundant, single-cluster) level at the top of the decomposition.
-     A second sweep from the farthest vertex [far] could not tighten it:
+     around vertex 0 that records every distance in [best] (all-infinity,
+     so it prunes nothing: the kernel never admits an infinite distance).
+     One Dijkstra replaces the exact all-pairs maximum; the bound is at
+     most 2x the diameter, so it costs at most one extra (redundant,
+     single-cluster) level at the top of the decomposition.  A second
+     sweep from the farthest vertex [far] could not tighten it:
      ecc(far) >= d(far, 0) = ecc(0). *)
   let diameter_ub =
     if n <= 1 then 0.0
     else
       Obs.with_span metric_span (fun () ->
+          Shortest.dijkstra_ball_into ws g ~weights:snapshot ~radius:infinity ~bound:best
+            ~sources:[| 0 |] ignore;
           let ecc0 = ref 0.0 in
-          Shortest.dijkstra_ball_into ws g ~weights:snapshot ~radius:infinity ~sources:[| 0 |]
-            (fun _ d -> if d > !ecc0 then ecc0 := d);
+          for v = 0 to n - 1 do
+            if best.(v) > !ecc0 then ecc0 := best.(v)
+          done;
           2.0 *. !ecc0)
   in
   let scale = delta in
@@ -176,16 +203,8 @@ let build rng g ~length =
   done;
   (* claim_stamp.(v) = i iff v has been claimed at level i: levels are
      processed top-down with distinct indices, so one array serves all of
-     them without clearing.  best.(v) is the settle distance of v from the
-     closest earlier center (per level): a ball reaching v at distance >=
-     best.(v) stops expanding there, because everything beyond is at least
-     as close to that earlier — hence higher-priority — center.  Each
-     vertex improves its record O(log n) expected times under a random
-     permutation, which is what makes a level near-linear instead of
-     |balls| Dijkstras. *)
+     them without clearing. *)
   let claim_stamp = Array.make n (-1) in
-  let best = Array.make n infinity in
-  let prune v d = d >= best.(v) in
   let ids = Int_tbl.create 64 in
   let attrs =
     if Obs.tracing () then
@@ -207,9 +226,9 @@ let build rng g ~length =
          order: a ball claims every still-unclaimed vertex it settles, so a
          vertex ends up with the first center within radius — identical
          cluster semantics, touching only distances that are actually
-         within radius.  A ball updates the records as it settles: the
-         kernel never relaxes an edge into a settled vertex, so a ball's
-         own records never prune it. *)
+         within radius.  The kernel lowers the records as a ball settles
+         and never relaxes an edge into a settled vertex, so a ball's own
+         records never prune it. *)
       for i = levels - 1 downto 1 do
         let radius = beta *. Float.pow 2.0 (float_of_int (i - 1)) *. scale in
         let level_sp = Obs.span (Printf.sprintf "frt.level.%02d" i) in
@@ -223,14 +242,13 @@ let build rng g ~length =
             let unclaimed = ref n and j = ref 0 in
             while !unclaimed > 0 && !j < n do
               let c = pi.(!j) in
-              Shortest.dijkstra_ball_into ws g ~weights:snapshot ~radius ~prune
-                ~sources:[| c |] (fun v d ->
+              Shortest.dijkstra_ball_into ws g ~weights:snapshot ~radius ~bound:best
+                ~sources:[| c |] (fun v ->
                   if claim_stamp.(v) <> i then begin
                     claim_stamp.(v) <- i;
                     chain.(v).(i) <- c;
                     decr unclaimed
-                  end;
-                  if d < best.(v) then best.(v) <- d);
+                  end);
               incr j
             done;
             (* Cluster ids in vertex order — the same first-encounter
@@ -340,7 +358,7 @@ let hub_radius t plevel = Float.ldexp t.delta (plevel + 1)
 let rec path_by_search t hub v ~radius =
   let ws = Shortest.Workspace.for_current_domain () in
   Shortest.dijkstra_ball_into ws t.graph ~weights:t.lengths ~radius
-    ~sources:[| hub |] (fun _ _ -> ());
+    ~sources:[| hub |] ignore;
   match Shortest.Workspace.path ws t.graph v with
   | Some p -> p
   | None ->
@@ -379,7 +397,7 @@ let fill_hub t hub plevel =
   let ws = Shortest.Workspace.for_current_domain () in
   (try
      Shortest.dijkstra_ball_into ws t.graph ~weights:t.lengths
-       ~radius:(hub_radius t plevel) ~sources:[| hub |] (fun v _ ->
+       ~radius:(hub_radius t plevel) ~sources:[| hub |] (fun v ->
          if mark.(v) = want then begin
            mark.(v) <- got;
            decr remaining;

@@ -11,16 +11,20 @@
 type t
 (** One sampled decomposition tree over a graph. *)
 
-val build : Sso_prng.Rng.t -> Sso_graph.Graph.t -> length:(int -> float) -> t
+val build : Sso_prng.Rng.t -> Sso_graph.Graph.t -> lengths:float array -> t
 (** Sample a decomposition w.r.t. the shortest-path metric induced by the
-    per-edge [length] function (values are clamped below by a tiny positive
-    constant, so zero lengths are safe).  Built level-wise by growing
-    bounded-radius Dijkstra balls from the centers in permutation order —
-    each vertex joins the first center within the level radius — so work is
-    near-linear per level and memory is O(n·levels + m); no all-pairs
-    distance matrix is ever formed.  The build is serial: one ball at a
-    time, on the calling domain.
-    @raise Invalid_argument if the graph is disconnected. *)
+    per-edge [lengths] (indexed by edge id, one per edge).  They are
+    checked once up front and copied, clamped below by a tiny positive
+    constant, so zero lengths are safe and the caller may refill its
+    array afterwards.  Built level-wise by growing bounded-radius Dijkstra
+    balls from the centers in permutation order — each vertex joins the
+    first center within the level radius — so work is near-linear per
+    level and memory is O(n·levels + m); no all-pairs distance matrix is
+    ever formed.  The build is serial: one ball at a time, on the calling
+    domain.
+    @raise Invalid_argument if the graph is disconnected, if [lengths]
+    does not have one entry per edge, or on a NaN or negative length
+    ([Frt.build: NaN edge length], [Frt.build: negative edge length]). *)
 
 type parts = {
   p_levels : int;

@@ -8,19 +8,14 @@
     path downstream (sampling few paths from a hop-bounded distribution and
     adapting rates under the congestion + dilation objective):
 
-    for each pair we extract up to [paths_per_pair] simple paths of at most
-    [stretch · h] hops by repeated hop-limited shortest-path queries under
-    multiplicatively growing penalties on already-used edges (so the paths
-    are capacity-diverse), and spread uniformly over them. *)
+    for each pair we extract up to 8 simple paths of at most [2 · h] hops
+    by repeated hop-limited shortest-path queries under multiplicatively
+    growing penalties on already-used edges (so the paths are
+    capacity-diverse), and spread uniformly over them. *)
 
-val routing :
-  ?stretch:int ->
-  ?paths_per_pair:int ->
-  max_hops:int ->
-  Sso_graph.Graph.t ->
-  Oblivious.t
-(** [routing ~max_hops g]: every path has at most [stretch · max_hops] hops
-    ([stretch] defaults to 2, [paths_per_pair] to 8).
+val routing : max_hops:int -> Sso_graph.Graph.t -> Oblivious.t
+(** [routing ~max_hops g]: every path has at most [2 · max_hops] hops,
+    and a pair spreads over at most 8 paths.
     {!Oblivious.distribution} raises [Invalid_argument] for pairs that are
     unreachable within the budget — callers pick [max_hops] at least the
     pair's hop distance (Lemma 2.8's ladder does). *)

@@ -1,9 +1,9 @@
 module Yen = Sso_graph.Yen
 
-let routing ?(weight = fun _ -> 1.0) ~k g =
+let routing ~k g =
   if k <= 0 then invalid_arg "Ksp.routing: k must be positive";
   let generate s t =
-    let paths = Yen.k_shortest g ~weight ~k s t in
+    let paths = Yen.k_shortest g ~k s t in
     let module Obs = Sso_obs.Obs in
     if Obs.tracing () then
       Obs.event "ksp.generate"

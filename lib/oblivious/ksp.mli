@@ -1,12 +1,12 @@
 (** k-shortest-path spread — the "traditional traffic engineering"
     baseline from the SMORE comparison [KYY+18].
 
-    Each pair spreads uniformly over its [k] shortest paths (hop metric by
-    default).  Unlike Räcke-style routings this ignores global capacity
+    Each pair spreads uniformly over its [k] shortest paths in the hop
+    metric.  Unlike Räcke-style routings this ignores global capacity
     structure, which is exactly the weakness the SMORE experiment (E5)
     demonstrates. *)
 
-val routing : ?weight:(int -> float) -> k:int -> Sso_graph.Graph.t -> Oblivious.t
+val routing : k:int -> Sso_graph.Graph.t -> Oblivious.t
 (** [routing ~k g] spreads uniformly over the [k] shortest paths per pair
-    (fewer when the graph has fewer simple paths).  [weight] defaults to
-    hop count ([fun _ -> 1.0]). *)
+    in the hop metric ({!Sso_graph.Yen.k_shortest}; fewer when the graph
+    has fewer simple paths). *)

@@ -114,6 +114,9 @@ let forest rng ?trees g =
     else []
   in
   Obs.with_span ~attrs build_span (fun () ->
+      (* Each round's lengths, shared by its trees: every build copies
+         them, so the next round refills the same array. *)
+      let lengths = Array.make m 0.0 in
       let built = ref 0 in
       while !built < count do
         let b = min batch (count - !built) in
@@ -130,11 +133,13 @@ let forest rng ?trees g =
           if c > !max_cum then max_cum := c
         done;
         let max_cum = !max_cum in
-        let length e = Float.exp (eta *. (cum.(e) -. max_cum)) /. Graph.cap g e in
+        for e = 0 to m - 1 do
+          lengths.(e) <- Float.exp (eta *. (cum.(e) -. max_cum)) /. Graph.cap g e
+        done;
         let round =
           Array.init b (fun i ->
               let tree_rng = Rng.split_at base_rng (first + i) in
-              let tree = Frt.build tree_rng g ~length in
+              let tree = Frt.build tree_rng g ~lengths in
               let loads =
                 Obs.with_span tree_loads_span (fun () -> tree_loads g tree)
               in

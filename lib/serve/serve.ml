@@ -382,7 +382,7 @@ let step t ~tick ?(faults = []) events =
       | Warm, Some warm ->
           (* With failures in play [live] offers only the surviving
              candidates, and the warm start drops the dead ones. *)
-          Semi_oblivious.reoptimize
+          Semi_oblivious.route
             ~solver:(Semi_oblivious.Mwu t.config.warm_iters)
             ~warm_start:(warm, t.config.warm_weight)
             ~index:(index ()) t.graph live solve_demand

@@ -14,26 +14,26 @@
     - {e retires} departed commodities (their distributions drop out of
       the warm routing; their arena slices stay, so a returning pair is
       re-admitted for free);
-    - re-solves incrementally with {!Sso_core.Semi_oblivious.reoptimize},
-      carrying the previous routing as MWU warm-start weight, falling
-      back to a cold solve on the first tick and every [refresh_every]-th
-      solve thereafter.  The solve's slice index is joined from candidates
-      the service keeps unpacked for its active pairs
-      ({!Sso_core.Path_system.unpack_pair}): a tick unpacks only the pairs
-      new to it, a retired pair drops its candidates, and a tick that
-      changes the live system (a fault or repair) drops them all.
-      {!restore} unpacks nothing.
+    - re-solves incrementally with {!Sso_core.Semi_oblivious.route}
+      [~warm_start], carrying the previous routing as MWU warm-start
+      weight, falling back to a cold solve on the first tick and every
+      [refresh_every]-th solve thereafter.  The solve's slice index is
+      joined from candidates the service keeps unpacked for its active
+      pairs ({!Sso_core.Path_system.unpack_pair}): a tick unpacks only
+      the pairs new to it, a retired pair drops its candidates, and a
+      tick that changes the live system (a fault or repair) drops them
+      all.  {!restore} unpacks nothing.
 
     Three robustness layers wrap that loop (DESIGN.md §14):
 
     - {e Faults in the loop}: {!step} takes per-tick {!fault} events that
       fail or repair edges.  While edges are down the solve runs on the
       surviving candidates ({!Sso_core.Path_system.filter}), warm
-      ticks re-optimize with the same {!Sso_core.Semi_oblivious.reoptimize}
-      call (which drops the warm mass on dead paths), exactly like the
-      fault-recovery ladder, and pairs left with no surviving
-      candidate are excluded from the solve (counted [unroutable]) until
-      a repair brings them back.
+      ticks re-optimize with the same warm-started
+      {!Sso_core.Semi_oblivious.route} call (which drops the warm mass on
+      dead paths), exactly like the fault-recovery ladder, and pairs left
+      with no surviving candidate are excluded from the solve (counted
+      [unroutable]) until a repair brings them back.
     - {e Overload shedding}: with a positive [event_budget], a tick
       admits at most that many events; the excess is deferred — requeued
       in order ahead of the next tick's batch and counted in the report.

@@ -268,7 +268,7 @@ let test_resolve_warm_start_matches_cold_quality () =
   let pre, _ = Semi_oblivious.route ~solver g ps d in
   let _, cold = Semi_oblivious.route ~solver:(Semi_oblivious.Mwu 40) g ps d in
   let _, warm =
-    Semi_oblivious.reoptimize ~solver:(Semi_oblivious.Mwu 40) ~warm_start:(pre, 60) g ps d
+    Semi_oblivious.route ~solver:(Semi_oblivious.Mwu 40) ~warm_start:(pre, 60) g ps d
   in
   Alcotest.(check bool)
     (Printf.sprintf "warm %.4f <= 1.1 * cold %.4f" warm cold)
@@ -311,7 +311,7 @@ let test_warm_recovery_golden () =
   in
   Alcotest.(check string) "warm recovery on survivors" "af3752173c2c07ed7fd0f64a04e21cac"
     (routing_digest
-       (Semi_oblivious.reoptimize ~solver:(Semi_oblivious.Mwu 40) ~warm_start:(pre, 60) g
+       (Semi_oblivious.route ~solver:(Semi_oblivious.Mwu 40) ~warm_start:(pre, 60) g
           survivors d))
 
 (* ---------- Timeline / mid-flight failover ---------- *)

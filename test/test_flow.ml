@@ -181,7 +181,7 @@ let test_lp_empty_demand () =
 let random_candidates rng g k demand =
   List.map
     (fun (s, t) ->
-      let paths = Yen.k_shortest g ~weight:(fun _ -> 1.0) ~k s t in
+      let paths = Yen.k_shortest g ~k s t in
       ignore rng;
       ((s, t), paths))
     (Demand.support demand)
@@ -453,11 +453,11 @@ let test_warm_start_handles_new_pairs () =
   (* The new demand has a pair the warm routing never saw. *)
   let g = Gen.grid 3 3 in
   let d_old = Demand.single_pair 0 8 1.0 in
-  let cands_old = [ ((0, 8), Yen.k_shortest g ~weight:(fun _ -> 1.0) ~k:3 0 8) ] in
+  let cands_old = [ ((0, 8), Yen.k_shortest g ~k:3 0 8) ] in
   let warm, _ = Min_congestion.lp_on_slices g (index g cands_old) d_old in
   let d_new = Demand.of_list [ (0, 8, 1.0); (2, 6, 1.0) ] in
   let cands_new =
-    cands_old @ [ ((2, 6), Yen.k_shortest g ~weight:(fun _ -> 1.0) ~k:3 2 6) ]
+    cands_old @ [ ((2, 6), Yen.k_shortest g ~k:3 2 6) ]
   in
   let routing, cong =
     Min_congestion.mwu_on_slices ~iters:200 ~warm:(warm, 50) g
@@ -511,7 +511,7 @@ let test_rounding_lemma_bound () =
     let d = Demand.random_pairs rng ~n:12 ~pairs:6 in
     let cands =
       List.map
-        (fun (s, t) -> ((s, t), Yen.k_shortest g ~weight:(fun _ -> 1.0) ~k:3 s t))
+        (fun (s, t) -> ((s, t), Yen.k_shortest g ~k:3 s t))
         (Demand.support d)
     in
     let fractional, frac_cong = Min_congestion.lp_on_slices g (index g cands) d in

@@ -195,9 +195,18 @@ let test_path_weight () =
   let g = Gen.path_graph 4 in
   let p = Path.of_vertices g [ 0; 1; 2; 3 ] in
   Alcotest.(check (float 1e-9)) "weight" 6.0
-    (Path.weight (fun e -> float_of_int (e + 1)) p)
+    (Path.weight [| 1.0; 2.0; 3.0 |] p)
 
 (* Shortest paths *)
+
+(* A full single-source run: every distance and predecessor edge. *)
+let full_run g weights src =
+  let ws = Shortest.Workspace.for_current_domain () in
+  Shortest.dijkstra_ball_into ws g ~weights ~radius:infinity ~sources:[| src |] ignore;
+  let n = Graph.n g in
+  (Array.init n (Shortest.Workspace.dist ws), Array.init n (Shortest.Workspace.pred_edge ws))
+
+let path_to g ~weights src dst = (Shortest.dijkstra_targets g ~weights src [| dst |]).(0)
 
 let test_bfs_dist () =
   let g = Gen.grid 3 3 in
@@ -221,15 +230,15 @@ let test_dijkstra_weighted () =
   ignore (Graph.Builder.add_edge b 0 2);
   ignore (Graph.Builder.add_edge b 2 3);
   let g = Graph.Builder.build b in
-  let weight e = if e = e01 then 10.0 else 1.0 in
-  match Shortest.dijkstra_path g ~weight 0 3 with
+  let weights = Array.init (Graph.m g) (fun e -> if e = e01 then 10.0 else 1.0) in
+  match path_to g ~weights 0 3 with
   | None -> Alcotest.fail "expected a path"
   | Some p -> Alcotest.(check (array int)) "avoids heavy edge" [| 0; 2; 3 |] (Path.vertices g p)
 
 let test_dijkstra_dist_matches_bfs () =
   let rng = Rng.create 5 in
   let g = Gen.erdos_renyi rng 40 0.15 in
-  let dist, _ = Shortest.dijkstra g ~weight:(fun _ -> 1.0) 0 in
+  let dist, _ = full_run g (Array.make (Graph.m g) 1.0) 0 in
   let hops = Shortest.bfs_dist g 0 in
   for v = 0 to Graph.n g - 1 do
     Alcotest.(check (float 1e-9))
@@ -241,7 +250,7 @@ let test_dijkstra_dist_matches_bfs () =
 let test_hop_limited_loose () =
   let g = Gen.grid 3 3 in
   (* With enough hops the hop-limited path matches the shortest path. *)
-  match Shortest.hop_limited_path g ~weight:(fun _ -> 1.0) ~max_hops:10 0 8 with
+  match Shortest.hop_limited_path g ~weights:(Array.make (Graph.m g) 1.0) ~max_hops:10 0 8 with
   | None -> Alcotest.fail "expected a path"
   | Some p -> Alcotest.(check int) "hops" 4 (Path.hops p)
 
@@ -254,12 +263,12 @@ let test_hop_limited_tight () =
   ignore (Graph.Builder.add_edge b 1 2);
   ignore (Graph.Builder.add_edge b 2 3);
   let g = Graph.Builder.build b in
-  let weight e = if e = direct then 5.0 else 0.1 in
-  (match Shortest.hop_limited_path g ~weight ~max_hops:2 0 3 with
+  let weights = Array.init (Graph.m g) (fun e -> if e = direct then 5.0 else 0.1) in
+  (match Shortest.hop_limited_path g ~weights ~max_hops:2 0 3 with
   | None -> Alcotest.fail "expected a path"
   | Some p ->
       Alcotest.(check int) "forced direct" 1 (Path.hops p));
-  match Shortest.hop_limited_path g ~weight ~max_hops:3 0 3 with
+  match Shortest.hop_limited_path g ~weights ~max_hops:3 0 3 with
   | None -> Alcotest.fail "expected a path"
   | Some p -> Alcotest.(check int) "relaxed budget takes cheap route" 3 (Path.hops p)
 
@@ -267,17 +276,21 @@ let test_hop_limited_infeasible () =
   let g = Gen.path_graph 5 in
   Alcotest.(check bool)
     "budget too small" true
-    (Shortest.hop_limited_path g ~weight:(fun _ -> 1.0) ~max_hops:3 0 4 = None)
+    (Shortest.hop_limited_path g ~weights:(Array.make (Graph.m g) 1.0) ~max_hops:3 0 4 = None)
 
 let test_diameter () =
   Alcotest.(check int) "path graph" 4 (Shortest.diameter (Gen.path_graph 5));
   Alcotest.(check int) "hypercube" 4 (Shortest.diameter (Gen.hypercube 4))
 
 let test_all_pairs_hops () =
+  (* One BFS per source, as [diameter] runs them. *)
   let g = Gen.cycle 6 in
-  let d = Shortest.all_pairs_hops g in
-  Alcotest.(check int) "opposite" 3 d.(0).(3);
-  Alcotest.(check int) "adjacent" 1 d.(2).(3)
+  for s = 0 to 5 do
+    let d = Shortest.bfs_dist g s in
+    Alcotest.(check int) "opposite" 3 d.((s + 3) mod 6);
+    Alcotest.(check int) "adjacent" 1 d.((s + 1) mod 6)
+  done;
+  Alcotest.(check int) "diameter" 3 (Shortest.diameter g)
 
 (* Truncated / multi-source Dijkstra balls *)
 
@@ -287,13 +300,13 @@ let test_ball_matches_full_dijkstra () =
   let g = Gen.random_regular (Rng.create 31) 40 4 in
   let wr = Rng.create 32 in
   let weights = Array.init (Graph.m g) (fun _ -> 0.25 +. Rng.float wr) in
-  let full, _ = Shortest.dijkstra g ~weight:(fun e -> weights.(e)) 5 in
+  let full, _ = full_run g weights 5 in
   let ws = Shortest.Workspace.for_current_domain () in
   List.iter
     (fun radius ->
       let settled = Hashtbl.create 64 in
       Shortest.dijkstra_ball_into ws g ~weights ~radius ~sources:[| 5 |]
-        (fun v d -> Hashtbl.replace settled v d);
+        (fun v -> Hashtbl.replace settled v (Shortest.Workspace.dist ws v));
       for v = 0 to Graph.n g - 1 do
         match Hashtbl.find_opt settled v with
         | Some d ->
@@ -307,12 +320,12 @@ let test_ball_multi_source () =
   (* Multi-source distances are the pointwise minimum over the sources. *)
   let g = Gen.grid 5 5 in
   let weights = Array.make (Graph.m g) 1.0 in
-  let d0, _ = Shortest.dijkstra g ~weight:(fun _ -> 1.0) 0 in
-  let d24, _ = Shortest.dijkstra g ~weight:(fun _ -> 1.0) 24 in
+  let d0, _ = full_run g weights 0 in
+  let d24, _ = full_run g weights 24 in
   let ws = Shortest.Workspace.for_current_domain () in
   let settled = Array.make 25 infinity in
   Shortest.dijkstra_ball_into ws g ~weights ~radius:infinity
-    ~sources:[| 0; 24 |] (fun v d -> settled.(v) <- d);
+    ~sources:[| 0; 24 |] (fun v -> settled.(v) <- Shortest.Workspace.dist ws v);
   for v = 0 to 24 do
     Alcotest.(check (float 0.0)) "min over sources"
       (Float.min d0.(v) d24.(v))
@@ -325,13 +338,14 @@ let test_ball_negative_radius_empty () =
   let ws = Shortest.Workspace.for_current_domain () in
   let count = ref 0 in
   Shortest.dijkstra_ball_into ws g ~weights ~radius:(-1.0) ~sources:[| 0 |]
-    (fun _ _ -> incr count);
+    (fun _ -> incr count);
   Alcotest.(check int) "settles nothing" 0 !count
 
 let test_ball_prune_equals_radius () =
-  (* Pruning candidates past r under an infinite radius is the same run as
-     radius r with no pruning (the prune hook sees tentative distances,
-     which for an admitted vertex equal its settled distance). *)
+  (* A bound of [succ r] at every vertex under an infinite radius drops
+     exactly the candidates past r: the same run as radius r with no
+     bound.  Settling lowers the bound to each settled distance, so
+     afterwards it holds the ball's distances and [succ r] elsewhere. *)
   let g = Gen.random_regular (Rng.create 33) 30 4 in
   let wr = Rng.create 34 in
   let weights = Array.init (Graph.m g) (fun _ -> 0.5 +. Rng.float wr) in
@@ -339,24 +353,29 @@ let test_ball_prune_equals_radius () =
   let r = 2.0 in
   let a = Hashtbl.create 32 and b = Hashtbl.create 32 in
   Shortest.dijkstra_ball_into ws g ~weights ~radius:r ~sources:[| 3 |]
-    (fun v d -> Hashtbl.replace a v d);
-  Shortest.dijkstra_ball_into ws g ~weights ~radius:infinity
-    ~prune:(fun _ nd -> nd > r)
-    ~sources:[| 3 |]
-    (fun v d -> Hashtbl.replace b v d);
+    (fun v -> Hashtbl.replace a v (Shortest.Workspace.dist ws v));
+  let bound = Array.make (Graph.n g) (Float.succ r) in
+  Shortest.dijkstra_ball_into ws g ~weights ~radius:infinity ~bound ~sources:[| 3 |]
+    (fun v -> Hashtbl.replace b v (Shortest.Workspace.dist ws v));
   Alcotest.(check int) "same ball size" (Hashtbl.length a) (Hashtbl.length b);
   Hashtbl.iter
     (fun v d ->
-      Alcotest.(check (float 0.0)) "same distance" d (Hashtbl.find b v))
-    a
+      Alcotest.(check (float 0.0)) "same distance" d (Hashtbl.find b v);
+      Alcotest.(check (float 0.0)) "bound lowered to the distance" d bound.(v))
+    a;
+  Array.iteri
+    (fun v x ->
+      if not (Hashtbl.mem a v) then
+        Alcotest.(check (float 0.0)) "bound kept off the ball" (Float.succ r) x)
+    bound
 
 (* Yen's k shortest paths *)
 
 let test_yen_counts_and_order () =
   let g = Gen.grid 3 3 in
-  let paths = Yen.k_shortest g ~weight:(fun _ -> 1.0) ~k:6 0 8 in
+  let paths = Yen.k_shortest g ~k:6 0 8 in
   Alcotest.(check int) "found 6" 6 (List.length paths);
-  let weights = List.map (Path.weight (fun _ -> 1.0)) paths in
+  let weights = List.map (Path.weight (Array.make (Graph.m g) 1.0)) paths in
   let sorted = List.sort compare weights in
   Alcotest.(check (list (float 1e-9))) "non-decreasing" sorted weights;
   (* The 3x3 grid has exactly 6 monotone shortest paths of 4 hops. *)
@@ -364,7 +383,7 @@ let test_yen_counts_and_order () =
 
 let test_yen_distinct_and_simple () =
   let g = Gen.grid 3 4 in
-  let paths = Yen.k_shortest g ~weight:(fun _ -> 1.0) ~k:12 0 11 in
+  let paths = Yen.k_shortest g ~k:12 0 11 in
   let module PS = Set.Make (Path) in
   Alcotest.(check int) "all distinct" (List.length paths) (PS.cardinal (PS.of_list paths));
   List.iter
@@ -378,12 +397,12 @@ let test_yen_distinct_and_simple () =
 let test_yen_exhausts () =
   let g = Gen.cycle 5 in
   (* Only two simple paths between any pair on a cycle. *)
-  let paths = Yen.k_shortest g ~weight:(fun _ -> 1.0) ~k:10 0 2 in
+  let paths = Yen.k_shortest g ~k:10 0 2 in
   Alcotest.(check int) "exactly two" 2 (List.length paths)
 
 let test_yen_trivial () =
   let g = triangle () in
-  Alcotest.(check int) "s = t" 1 (List.length (Yen.k_shortest g ~weight:(fun _ -> 1.0) ~k:3 1 1))
+  Alcotest.(check int) "s = t" 1 (List.length (Yen.k_shortest g ~k:3 1 1))
 
 (* Max-flow / min-cut *)
 
@@ -590,7 +609,7 @@ let settle_order g weights src =
   let ws = Shortest.Workspace.for_current_domain () in
   let order = ref [] in
   Shortest.dijkstra_ball_into ws g ~weights ~radius:infinity ~sources:[| src |]
-    (fun v d -> order := (v, d) :: !order);
+    (fun v -> order := (v, Shortest.Workspace.dist ws v) :: !order);
   List.rev !order
 
 let test_heap_ordering () =
@@ -625,15 +644,11 @@ let test_heap_clear () =
   let g = Gen.random_regular (Rng.create 41) 30 4 in
   let wr = Rng.create 42 in
   let weights = Array.init (Graph.m g) (fun _ -> 0.25 +. Rng.float wr) in
-  let weight e = weights.(e) in
-  let ws = Shortest.Workspace.for_current_domain () in
-  ignore (Shortest.dijkstra_targets ~workspace:ws g ~weights 0 [| 1 |]);
-  Shortest.dijkstra_into ws g ~weight 7;
-  let dist, pred = Shortest.dijkstra g ~weight 7 in
-  for v = 0 to Graph.n g - 1 do
-    Alcotest.(check (float 0.0)) "dist" dist.(v) (Shortest.Workspace.dist ws v);
-    Alcotest.(check int) "pred" pred.(v) (Shortest.Workspace.pred_edge ws v)
-  done
+  ignore (Shortest.dijkstra_targets g ~weights 0 [| 1 |]);
+  let after_stop = full_run g weights 7 in
+  let after_drain = full_run g weights 7 in
+  Alcotest.(check (array (float 0.0))) "dist" (fst after_drain) (fst after_stop);
+  Alcotest.(check (array int)) "pred" (snd after_drain) (snd after_stop)
 
 let test_heap_int_clear () =
   (* Vertex-keyed reuse: a run stopped at its first target leaves the
@@ -641,10 +656,10 @@ let test_heap_int_clear () =
      source first and settle every vertex exactly once. *)
   let g, weights = star [ 5.0; 1.0; 3.0; 2.0; 4.0 ] in
   let ws = Shortest.Workspace.for_current_domain () in
-  ignore (Shortest.dijkstra_targets ~workspace:ws g ~weights 0 [| 2 |]);
+  ignore (Shortest.dijkstra_targets g ~weights 0 [| 2 |]);
   let order = ref [] in
   Shortest.dijkstra_ball_into ws g ~weights ~radius:infinity ~sources:[| 3 |]
-    (fun v d -> order := (v, d) :: !order);
+    (fun v -> order := (v, Shortest.Workspace.dist ws v) :: !order);
   match List.rev !order with
   | (v, d) :: _ as all ->
       Alcotest.(check int) "min value" 3 v;
@@ -668,7 +683,8 @@ let prop_settle_order_sorted =
    must match bit for bit: a lazy-deletion Dijkstra over [Graph.adj] on
    a standalone array heap with the same swap-based sift.  [run] follows
    the rules of every [Shortest] entry point: all [sources] start at 0,
-   a candidate is admitted only within [radius] and outside [prune], and
+   a candidate is admitted only within [radius] and below [bound] at its
+   vertex, settling a vertex lowers [bound] there to its distance, and
    the run stops once every vertex of [targets] has settled. *)
 module Reference = struct
   type heap = { mutable keys : float array; mutable vals : int array; mutable size : int }
@@ -715,7 +731,8 @@ module Reference = struct
 
   (* Returns the settled [dist]/[pred] (unsettled vertices read as
      unreached, as the core's do) and the settle order with keys. *)
-  let run g weights ~sources ~radius ~prune ~targets =
+  let run ?bound g weights ~sources ~radius ~targets =
+    let below w nd = match bound with None -> true | Some b -> nd < b.(w) in
     let n = Graph.n g in
     let dist = Array.make n infinity and pred = Array.make n (-1) in
     let settled = Array.make n false and order = ref [] in
@@ -743,6 +760,7 @@ module Reference = struct
         let d, v = pop h in
         if not settled.(v) then begin
           settled.(v) <- true;
+          (match bound with Some b when d < b.(v) -> b.(v) <- d | _ -> ());
           order := (v, d) :: !order;
           if wanted.(v) then decr remaining;
           if !remaining > 0 then
@@ -750,7 +768,7 @@ module Reference = struct
               (fun (e, w) ->
                 if not settled.(w) then begin
                   let nd = d +. weights.(e) in
-                  if nd <= radius && (not (prune w nd)) && nd < dist.(w) then begin
+                  if nd <= radius && below w nd && nd < dist.(w) then begin
                     dist.(w) <- nd;
                     pred.(w) <- e;
                     push h nd w
@@ -781,34 +799,31 @@ let prop_core_matches_reference =
     (fun (seed, n) ->
       let rng = Rng.create (4000 + seed) in
       let ws = Shortest.Workspace.for_current_domain () in
-      let never _ _ = false in
       let agrees g =
         let n = Graph.n g in
         let weights = Array.init (Graph.m g) (fun _ -> Float.round (3.0 *. Rng.float rng)) in
         let read () =
           (Array.init n (Shortest.Workspace.dist ws), Array.init n (Shortest.Workspace.pred_edge ws))
         in
-        let ball ?prune ~radius sources =
+        let ball ?bound ~radius sources =
           let order = ref [] in
-          Shortest.dijkstra_ball_into ws g ~weights ~radius ?prune ~sources (fun v d ->
-              order := (v, d) :: !order);
+          Shortest.dijkstra_ball_into ws g ~weights ~radius ?bound ~sources (fun v ->
+              order := (v, Shortest.Workspace.dist ws v) :: !order);
           List.rev !order
         in
         let src = Rng.int rng n in
         let rdist, rpred, rorder =
-          Reference.run g weights ~sources:[| src |] ~radius:infinity ~prune:never ~targets:None
+          Reference.run g weights ~sources:[| src |] ~radius:infinity ~targets:None
         in
-        Shortest.dijkstra_into ws g ~weight:(fun e -> weights.(e)) src;
         let full =
-          read () = (rdist, rpred) && ball ~radius:infinity [| src |] = rorder
+          ball ~radius:infinity [| src |] = rorder && read () = (rdist, rpred)
         in
         (* Target-bounded: the same early stop, settled count and paths. *)
         let targets = Array.init (Rng.int rng 5) (fun _ -> Rng.int rng n) in
         let _, rpred, rorder =
-          Reference.run g weights ~sources:[| src |] ~radius:infinity ~prune:never
-            ~targets:(Some targets)
+          Reference.run g weights ~sources:[| src |] ~radius:infinity ~targets:(Some targets)
         in
-        let got = Shortest.dijkstra_targets ~workspace:ws g ~weights src targets in
+        let got = Shortest.dijkstra_targets g ~weights src targets in
         let want =
           Array.map
             (fun t ->
@@ -819,12 +834,25 @@ let prop_core_matches_reference =
           Shortest.Workspace.settled_count ws = List.length rorder
           && Array.for_all2 (Option.equal Path.equal) got want
         in
-        (* Multi-source ball with a finite radius and a prune. *)
+        (* Multi-source ball with a finite radius and a random bound
+           (ties with the weights' half-integer distances, zeros and
+           gaps included); both runs lower their copy of it. *)
         let sources = Array.init (1 + Rng.int rng 3) (fun _ -> Rng.int rng n) in
         let radius = 0.5 *. float_of_int (Rng.int rng 8) in
-        let prune w nd = (w + int_of_float nd) mod 5 = 0 in
-        let rdist, rpred, rorder = Reference.run g weights ~sources ~radius ~prune ~targets:None in
-        let balled = ball ~prune ~radius sources = rorder && read () = (rdist, rpred) in
+        let bound =
+          Array.init n (fun _ ->
+              match Rng.int rng 4 with
+              | 0 -> infinity
+              | 1 -> 0.0
+              | _ -> 0.5 *. float_of_int (Rng.int rng 8))
+        in
+        let rbound = Array.copy bound in
+        let rdist, rpred, rorder =
+          Reference.run ~bound:rbound g weights ~sources ~radius ~targets:None
+        in
+        let balled =
+          ball ~bound ~radius sources = rorder && read () = (rdist, rpred) && bound = rbound
+        in
         full && targeted && balled
       in
       let big = Gen.erdos_renyi rng (60 + (seed mod 20)) 0.6 in
@@ -870,18 +898,20 @@ let test_iter_adj_matches_adj () =
 
 let test_dijkstra_rejects_negative_weight () =
   let g = Gen.grid 3 3 in
-  (* The negative edge sits away from the source component's frontier —
-     validation is per-call over all edges, not per visit. *)
-  let weight e = if e = Graph.m g - 1 then -1.0 else 1.0 in
-  Alcotest.check_raises "dijkstra raises"
-    (Invalid_argument "Shortest.dijkstra: negative edge weight") (fun () ->
-      ignore (Shortest.dijkstra g ~weight 0));
-  Alcotest.check_raises "dijkstra_path raises"
-    (Invalid_argument "Shortest.dijkstra: negative edge weight") (fun () ->
-      ignore (Shortest.dijkstra_path g ~weight 0 1));
+  (* The negative edge sits at the far corner, away from the source: it
+     is checked when a search first relaxes it, which a full run and a
+     run to the far corner both do. *)
+  let weights = Array.init (Graph.m g) (fun e -> if e = Graph.m g - 1 then -1.0 else 1.0) in
+  let ws = Shortest.Workspace.for_current_domain () in
+  Alcotest.check_raises "ball raises"
+    (Invalid_argument "Shortest.dijkstra_ball: negative edge weight") (fun () ->
+      Shortest.dijkstra_ball_into ws g ~weights ~radius:infinity ~sources:[| 0 |] ignore);
+  Alcotest.check_raises "targets raise"
+    (Invalid_argument "Shortest.dijkstra_targets: negative edge weight") (fun () ->
+      ignore (Shortest.dijkstra_targets g ~weights 0 [| 8 |]));
   Alcotest.check_raises "hop_limited raises"
     (Invalid_argument "Shortest.hop_limited_path: negative edge weight")
-    (fun () -> ignore (Shortest.hop_limited_path g ~weight ~max_hops:4 0 1))
+    (fun () -> ignore (Shortest.hop_limited_path g ~weights ~max_hops:4 0 1))
 
 (* Extra shortest-path coverage *)
 
@@ -915,7 +945,7 @@ let prop_targets_match_full_run =
       let targets = Array.of_list (targets @ targets) in
       let got = Shortest.dijkstra_targets g ~weights src targets in
       let ws = Shortest.Workspace.for_current_domain () in
-      Shortest.dijkstra_into ws g ~weight:(fun e -> weights.(e)) src;
+      Shortest.dijkstra_ball_into ws g ~weights ~radius:infinity ~sources:[| src |] ignore;
       let want = Array.map (Shortest.Workspace.path ws g) targets in
       got = want
       && (cut < 0 || Shortest.dijkstra_targets g ~weights src [| cut |] = [| None |]))
@@ -924,7 +954,7 @@ let test_targets_stop_early () =
   let g = Gen.path_graph 6 in
   let weights = Array.make (Graph.m g) 1.0 in
   let ws = Shortest.Workspace.for_current_domain () in
-  (match Shortest.dijkstra_targets ~workspace:ws g ~weights 0 [| 2 |] with
+  (match Shortest.dijkstra_targets g ~weights 0 [| 2 |] with
   | [| Some p |] -> Alcotest.(check int) "two hops" 2 (Path.hops p)
   | _ -> Alcotest.fail "expected one path");
   Alcotest.(check int) "settled through the target only" 3
@@ -950,13 +980,12 @@ let test_targets_allocation () =
   let n = Graph.n g in
   let rng = Rng.create 43 in
   let weights = Array.init (Graph.m g) (fun _ -> 0.1 +. Rng.float rng) in
-  let ws = Shortest.Workspace.for_current_domain () in
   let targets = Array.init n (fun s -> [| ((s * 37) + 11) mod n |]) in
   let calls = 2000 in
   let run () =
     for i = 0 to calls - 1 do
       let s = i mod n in
-      ignore (Sys.opaque_identity (Shortest.dijkstra_targets ~workspace:ws g ~weights s targets.(s)))
+      ignore (Sys.opaque_identity (Shortest.dijkstra_targets g ~weights s targets.(s)))
     done
   in
   run ();
@@ -983,10 +1012,13 @@ let rejects_nan context f =
   Alcotest.check_raises context (Invalid_argument (context ^ ": NaN edge weight")) f
 
 let test_dijkstra_rejects_nan () =
+  (* Searches from the far corner meet the NaN edges last. *)
   let g, weights = nan_grid () in
-  let weight e = weights.(e) in
-  rejects_nan "Shortest.dijkstra" (fun () -> ignore (Shortest.dijkstra g ~weight 0));
-  rejects_nan "Shortest.dijkstra" (fun () -> ignore (Shortest.dijkstra_path g ~weight 0 8))
+  let ws = Shortest.Workspace.for_current_domain () in
+  rejects_nan "Shortest.dijkstra_ball" (fun () ->
+      Shortest.dijkstra_ball_into ws g ~weights ~radius:infinity ~sources:[| 8 |] ignore);
+  rejects_nan "Shortest.dijkstra_targets" (fun () ->
+      ignore (Shortest.dijkstra_targets g ~weights 8 [| 0 |]))
 
 let test_targets_reject_nan () =
   let g, weights = nan_grid () in
@@ -997,19 +1029,19 @@ let test_ball_rejects_nan () =
   let g, weights = nan_grid () in
   let ws = Shortest.Workspace.for_current_domain () in
   rejects_nan "Shortest.dijkstra_ball" (fun () ->
-      Shortest.dijkstra_ball_into ws g ~weights ~radius:infinity ~sources:[| 0 |] (fun _ _ -> ()))
+      Shortest.dijkstra_ball_into ws g ~weights ~radius:infinity ~sources:[| 0 |] ignore)
 
 let test_hop_limited_rejects_nan () =
   let g, weights = nan_grid () in
   rejects_nan "Shortest.hop_limited_path" (fun () ->
-      ignore (Shortest.hop_limited_path g ~weight:(fun e -> weights.(e)) ~max_hops:4 0 8))
+      ignore (Shortest.hop_limited_path g ~weights ~max_hops:4 0 8))
 
 let test_dijkstra_infinite_weight_masks () =
   let g = Gen.cycle 4 in
   (* Mask edge 0 (between vertices 0 and 1): the path must go the other
      way around. *)
-  let weight e = if e = 0 then infinity else 1.0 in
-  match Shortest.dijkstra_path g ~weight 0 1 with
+  let weights = Array.init (Graph.m g) (fun e -> if e = 0 then infinity else 1.0) in
+  match path_to g ~weights 0 1 with
   | None -> Alcotest.fail "expected a path"
   | Some p -> Alcotest.(check int) "went the long way" 3 (Path.hops p)
 
@@ -1017,17 +1049,17 @@ let test_hop_limited_equals_dijkstra_when_loose () =
   let rng = Rng.create 55 in
   for _ = 1 to 5 do
     let g = Gen.erdos_renyi rng 15 0.3 in
-    let weight e = 1.0 +. (0.1 *. float_of_int (e mod 7)) in
+    let weights = Array.init (Graph.m g) (fun e -> 1.0 +. (0.1 *. float_of_int (e mod 7))) in
     let budget = Graph.n g in
     for t = 1 to Graph.n g - 1 do
       let d1 =
-        match Shortest.dijkstra_path g ~weight 0 t with
-        | Some p -> Path.weight weight p
+        match path_to g ~weights 0 t with
+        | Some p -> Path.weight weights p
         | None -> infinity
       in
       let d2 =
-        match Shortest.hop_limited_path g ~weight ~max_hops:budget 0 t with
-        | Some p -> Path.weight weight p
+        match Shortest.hop_limited_path g ~weights ~max_hops:budget 0 t with
+        | Some p -> Path.weight weights p
         | None -> infinity
       in
       Alcotest.(check (float 1e-9)) "same optimal weight" d1 d2
@@ -1037,13 +1069,12 @@ let test_hop_limited_equals_dijkstra_when_loose () =
 let test_eccentricity_bounds_diameter () =
   let g = Gen.grid 3 4 in
   let diameter = Shortest.diameter g in
+  let eccentricity v = Array.fold_left max 0 (Shortest.bfs_dist g v) in
   for v = 0 to Graph.n g - 1 do
-    Alcotest.(check bool) "ecc <= diam" true (Shortest.eccentricity g v <= diameter)
+    Alcotest.(check bool) "ecc <= diam" true (eccentricity v <= diameter)
   done;
   Alcotest.(check bool) "diam achieved" true
-    (List.exists
-       (fun v -> Shortest.eccentricity g v = diameter)
-       (List.init (Graph.n g) Fun.id))
+    (List.exists (fun v -> eccentricity v = diameter) (List.init (Graph.n g) Fun.id))
 
 (* Extra max-flow coverage *)
 
@@ -1069,7 +1100,7 @@ let test_fat_tree_cross_pod_diversity () =
   let g = Gen.fat_tree 4 in
   (* Edge switches in pods 0 and 1. *)
   let e0 = 4 + 2 and e1 = 4 + 4 + 2 in
-  let paths = Yen.k_shortest g ~weight:(fun _ -> 1.0) ~k:4 e0 e1 in
+  let paths = Yen.k_shortest g ~k:4 e0 e1 in
   Alcotest.(check int) "four equal-cost cross-pod routes" 4 (List.length paths);
   List.iter (fun p -> Alcotest.(check int) "all 4-hop" 4 (Path.hops p)) paths
 
@@ -1238,10 +1269,8 @@ let prop_bridges_match_cut_of_one =
       List.for_all
         (fun e ->
           let u, v = Graph.endpoints g e in
-          let blocked e' = e' = e in
-          let dist, _ =
-            Shortest.dijkstra g ~weight:(fun e' -> if blocked e' then infinity else 1.0) u
-          in
+          let weights = Array.init (Graph.m g) (fun e' -> if e' = e then infinity else 1.0) in
+          let dist, _ = full_run g weights u in
           let disconnected = dist.(v) = infinity in
           disconnected = List.mem e bridges)
         (List.init (Graph.m g) Fun.id))
@@ -1313,8 +1342,8 @@ let prop_bfs_triangle_inequality =
     (fun seed ->
       let rng = Rng.create seed in
       let g = Gen.erdos_renyi rng 25 0.25 in
-      let d = Shortest.all_pairs_hops g in
       let n = Graph.n g in
+      let d = Array.init n (Shortest.bfs_dist g) in
       let ok = ref true in
       for a = 0 to n - 1 do
         for b = 0 to n - 1 do
@@ -1349,8 +1378,8 @@ let prop_yen_sorted =
     (fun (seed, k) ->
       let rng = Rng.create seed in
       let g = Gen.erdos_renyi rng 15 0.3 in
-      let paths = Yen.k_shortest g ~weight:(fun _ -> 1.0) ~k 0 (Graph.n g - 1) in
-      let ws = List.map (Path.weight (fun _ -> 1.0)) paths in
+      let paths = Yen.k_shortest g ~k 0 (Graph.n g - 1) in
+      let ws = List.map (Path.weight (Array.make (Graph.m g) 1.0)) paths in
       ws = List.sort compare ws && List.for_all (Path.is_simple g) paths)
 
 (* Path arena *)

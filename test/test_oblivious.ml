@@ -18,6 +18,7 @@ module Frt = Sso_oblivious.Frt
 module Racke = Sso_oblivious.Racke
 module Hop_constrained = Sso_oblivious.Hop_constrained
 module Obs = Sso_obs.Obs
+module Codec = Sso_artifact.Codec
 
 let check_distribution_valid g obl pairs =
   List.iter
@@ -182,12 +183,14 @@ let test_ksp_handles_scarce_paths () =
 
 (* FRT *)
 
+let unit_lengths g = Array.make (Graph.m g) 1.0
+
 let test_frt_routes_valid () =
   (* Every route is an s->t walk [Path.of_edges] accepts, and simple —
      over every ordered pair of several topologies. *)
   List.iter
     (fun (name, g) ->
-      let tree = Frt.build (Rng.create 3) g ~length:(fun _ -> 1.0) in
+      let tree = Frt.build (Rng.create 3) g ~lengths:(unit_lengths g) in
       Alcotest.(check bool) "levels positive" true (Frt.levels tree >= 1);
       let n = Graph.n g in
       for s = 0 to n - 1 do
@@ -208,14 +211,14 @@ let test_frt_routes_valid () =
 let test_frt_trivial_pair () =
   let rng = Rng.create 3 in
   let g = Gen.cycle 5 in
-  let tree = Frt.build rng g ~length:(fun _ -> 1.0) in
+  let tree = Frt.build rng g ~lengths:(unit_lengths g) in
   Alcotest.(check int) "self route empty" 0 (Path.hops (Frt.route tree 2 2))
 
 let test_frt_consistent_routing () =
   (* Same tree → same route every time (it is deterministic given the tree). *)
   let rng = Rng.create 11 in
   let g = Gen.grid 3 3 in
-  let tree = Frt.build rng g ~length:(fun _ -> 1.0) in
+  let tree = Frt.build rng g ~lengths:(unit_lengths g) in
   let p1 = Frt.route tree 0 8 and p2 = Frt.route tree 0 8 in
   Alcotest.(check bool) "deterministic" true (Path.equal p1 p2)
 
@@ -224,8 +227,8 @@ let test_frt_stretch_reasonable () =
      for a fixed seed. *)
   let rng = Rng.create 5 in
   let g = Gen.grid 4 4 in
-  let tree = Frt.build rng g ~length:(fun _ -> 1.0) in
-  let hops = Shortest.all_pairs_hops g in
+  let tree = Frt.build rng g ~lengths:(unit_lengths g) in
+  let hops = Array.init (Graph.n g) (Shortest.bfs_dist g) in
   let total_stretch = ref 0.0 and count = ref 0 in
   for s = 0 to 15 do
     for t = 0 to 15 do
@@ -248,7 +251,50 @@ let test_frt_rejects_disconnected () =
     (Invalid_argument
        "Frt.build: graph is disconnected (vertex 2 is unreachable from \
         vertex 0)")
-    (fun () -> ignore (Frt.build (Rng.create 1) g ~length:(fun _ -> 1.0)))
+    (fun () -> ignore (Frt.build (Rng.create 1) g ~lengths:(unit_lengths g)))
+
+let test_frt_checks_lengths () =
+  (* Lengths are checked once, before the first ball: a NaN or negative
+     one is refused in the build's words, and zero clamps. *)
+  let g = Gen.grid 4 4 in
+  let with_length l =
+    let lengths = unit_lengths g in
+    lengths.(3) <- l;
+    Frt.build (Rng.create 1) g ~lengths
+  in
+  Alcotest.check_raises "NaN" (Invalid_argument "Frt.build: NaN edge length") (fun () ->
+      ignore (with_length Float.nan));
+  Alcotest.check_raises "negative" (Invalid_argument "Frt.build: negative edge length")
+    (fun () -> ignore (with_length (-5.0)));
+  let p = Frt.to_parts (with_length 0.0) in
+  Alcotest.(check (float 0.0)) "zero clamps" 1e-9 p.Frt.p_lengths.(3);
+  Alcotest.check_raises "size" (Invalid_argument "Frt.build: lengths size mismatch")
+    (fun () -> ignore (Frt.build (Rng.create 1) g ~lengths:[| 1.0 |]))
+
+let test_frt_allocation () =
+  (* Bounds, not pins, on the k=24 fat-tree under non-uniform lengths
+     (both warm).  When the kernel passed each settled vertex's distance
+     and each relaxation's tentative distance to closures, one build
+     allocated ~110,700 minor words and one ball pruned by FRT's
+     earlier-center records ~15,300. *)
+  let g = Gen.fat_tree 24 in
+  let lengths = Array.init (Graph.m g) (fun e -> 1.0 +. (float_of_int ((e * 7) mod 5) /. 3.0)) in
+  let words f =
+    f ();
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let build = words (fun () -> ignore (Sys.opaque_identity (Frt.build (Rng.create 1) g ~lengths))) in
+  Alcotest.(check bool) (Printf.sprintf "build: %.0f words <= 80000" build) true (build <= 80_000.0);
+  let ws = Shortest.Workspace.for_current_domain () in
+  let bound = Array.make (Graph.n g) infinity and sources = [| 5 |] in
+  let ball =
+    words (fun () ->
+        Array.fill bound 0 (Graph.n g) infinity;
+        Shortest.dijkstra_ball_into ws g ~weights:lengths ~radius:infinity ~bound ~sources ignore)
+  in
+  Alcotest.(check bool) (Printf.sprintf "ball: %.0f words <= 1000" ball) true (ball <= 1_000.0)
 
 (* Digests over a forest's parts (lengths as raw float bits) and over the
    routes of every ordered pair in every tree. *)
@@ -360,8 +406,8 @@ let test_tree_loads_scratch_and_jobs () =
   let loads jobs g tree = Support.with_jobs jobs (fun () -> bits (Racke.tree_loads g tree)) in
   List.iter
     (fun (name, g) ->
-      let length e = 1.0 +. (float_of_int ((e * 7) mod 5) /. 3.0) in
-      let tree = Frt.build (Rng.create 21) g ~length in
+      let lengths = Array.init (Graph.m g) (fun e -> 1.0 +. (float_of_int ((e * 7) mod 5) /. 3.0)) in
+      let tree = Frt.build (Rng.create 21) g ~lengths in
       let want = bits (reference_tree_loads g tree) in
       let serial = loads 1 g tree in
       let again = loads 1 g tree in
@@ -386,7 +432,7 @@ let test_tree_loads_scratch_and_jobs () =
 let test_frt_of_parts_rejects_bad_structure () =
   let g = Gen.grid 4 4 in
   let n = Graph.n g in
-  let tree = Frt.build (Rng.create 5) g ~length:(fun _ -> 1.0) in
+  let tree = Frt.build (Rng.create 5) g ~lengths:(unit_lengths g) in
   let levels = Frt.levels tree in
   let damaged what reason damage =
     let p = Frt.to_parts tree in
@@ -440,8 +486,8 @@ let test_frt_segment_index_fills () =
   let bits a = Array.map Int64.bits_of_float a in
   List.iter
     (fun (name, g) ->
-      let length e = 1.0 +. float_of_int (e mod 3) in
-      let build () = Frt.build (Rng.create 31) g ~length in
+      let lengths = Array.init (Graph.m g) (fun e -> 1.0 +. float_of_int (e mod 3)) in
+      let build () = Frt.build (Rng.create 31) g ~lengths in
       let loads jobs =
         Support.with_jobs jobs (fun () -> bits (Racke.tree_loads g (build ())))
       in
@@ -509,7 +555,7 @@ let test_racke_spreads_on_two_cliques () =
 let test_tree_loads_positive () =
   let rng = Rng.create 23 in
   let g = Gen.cycle 6 in
-  let tree = Frt.build rng g ~length:(fun _ -> 1.0) in
+  let tree = Frt.build rng g ~lengths:(unit_lengths g) in
   let loads = Racke.tree_loads g tree in
   Alcotest.(check int) "per edge" (Graph.m g) (Array.length loads);
   Alcotest.(check bool) "some edge carries load" true
@@ -559,7 +605,7 @@ let test_uniform_trees_beat_single () =
 let test_hop_constrained_respects_budget () =
   let g = Gen.grid 4 4 in
   let h = 6 in
-  let obl = Hop_constrained.routing ~stretch:2 ~max_hops:h g in
+  let obl = Hop_constrained.routing ~max_hops:h g in
   List.iter
     (fun (s, t) ->
       List.iter
@@ -571,13 +617,14 @@ let test_hop_constrained_respects_budget () =
 let test_hop_constrained_diverse () =
   (* On multi_path [3;3;3] the three disjoint routes should all appear. *)
   let g = Gen.multi_path [ 3; 3; 3 ] in
-  let obl = Hop_constrained.routing ~paths_per_pair:6 ~max_hops:3 g in
+  let obl = Hop_constrained.routing ~max_hops:3 g in
   let dist = Oblivious.distribution obl 0 1 in
   Alcotest.(check int) "three disjoint routes found" 3 (List.length dist)
 
 let test_hop_constrained_unreachable () =
+  (* 0 -> 5 takes 5 hops, past the budget of 2 · 2. *)
   let g = Gen.path_graph 6 in
-  let obl = Hop_constrained.routing ~stretch:1 ~max_hops:2 g in
+  let obl = Hop_constrained.routing ~max_hops:2 g in
   Alcotest.(check bool) "raises for unreachable pair" true
     (try
        ignore (Oblivious.distribution obl 0 5);
@@ -610,14 +657,14 @@ let test_frt_levels_bounded () =
   (* Levels ~ log2(diameter) + O(1) with unit lengths. *)
   let rng = Rng.create 9 in
   let g = Gen.grid 5 5 in
-  let tree = Frt.build rng g ~length:(fun _ -> 1.0) in
+  let tree = Frt.build rng g ~lengths:(unit_lengths g) in
   Alcotest.(check bool) "levels sane" true (Frt.levels tree >= 3 && Frt.levels tree <= 8)
 
 let test_hop_constrained_path_count_bounded () =
   let g = Gen.grid 4 4 in
-  let obl = Hop_constrained.routing ~paths_per_pair:3 ~max_hops:6 g in
-  Alcotest.(check bool) "at most 3 paths" true
-    (List.length (Oblivious.distribution obl 0 15) <= 3)
+  let obl = Hop_constrained.routing ~max_hops:6 g in
+  Alcotest.(check bool) "at most 8 paths" true
+    (List.length (Oblivious.distribution obl 0 15) <= 8)
 
 let test_ecube_is_shortest_on_cube () =
   let g = Gen.hypercube 4 in
@@ -645,6 +692,59 @@ let test_frt_forest_jobs_invariant () =
   Alcotest.(check bool) "forests bit-identical across job counts" true
     (List.map Frt.to_parts f1 = List.map Frt.to_parts f4)
 
+(* Pins of the shortest-path-based routings, recorded before their
+   searches moved to flat weight arrays: FNV digests over every ordered
+   pair's full support (weights as raw float bits, then path edges). *)
+let support_digest g obl =
+  let b = Buffer.create 65536 in
+  let n = Graph.n g in
+  for s = 0 to n - 1 do
+    for t = 0 to n - 1 do
+      if s <> t then begin
+        List.iter
+          (fun (w, (p : Path.t)) ->
+            Printf.bprintf b "%Lx:" (Int64.bits_of_float w);
+            Array.iter (fun e -> Printf.bprintf b "%d," e) p.Path.edges;
+            Buffer.add_char b '|')
+          (Oblivious.distribution obl s t);
+        Buffer.add_char b ';'
+      end
+    done
+  done;
+  Codec.hex_of_key (Codec.fnv1a64 (Buffer.contents b))
+
+let test_ksp_golden () =
+  let g = Gen.grid 4 5 in
+  Alcotest.(check string) "support digest" "7c65dff3f3fa9024"
+    (support_digest g (Ksp.routing ~k:4 g))
+
+let test_hop_constrained_golden () =
+  let g = with_fractional_caps (Rng.create 62) (Gen.random_regular (Rng.create 61) 20 3) in
+  Alcotest.(check string) "support digest" "9ec5a83306d7356b"
+    (support_digest g (Hop_constrained.routing ~max_hops:3 g))
+
+let test_frt_golden () =
+  (* One tree under non-uniform lengths: its parts and every route. *)
+  let g = Gen.random_regular (Rng.create 71) 60 4 in
+  let lr = Rng.create 72 in
+  let lengths = Array.init (Graph.m g) (fun _ -> 0.1 +. (Rng.float lr *. 4.0)) in
+  let tree = Frt.build (Rng.create 73) g ~lengths in
+  let b = Buffer.create 65536 in
+  let p = Frt.to_parts tree in
+  let ints = Array.iter (fun x -> Printf.bprintf b "%d," x) in
+  Printf.bprintf b "L%d;" p.Frt.p_levels;
+  Array.iter ints p.Frt.p_chain;
+  Array.iter ints p.Frt.p_cluster_id;
+  Array.iter (fun l -> Printf.bprintf b "%Lx," (Int64.bits_of_float l)) p.Frt.p_lengths;
+  for s = 0 to Graph.n g - 1 do
+    for t = 0 to Graph.n g - 1 do
+      ints (Frt.route tree s t).Path.edges;
+      Buffer.add_char b ';'
+    done
+  done;
+  Alcotest.(check string) "parts and routes digest" "8ba0b5e34908b653"
+    (Codec.hex_of_key (Codec.fnv1a64 (Buffer.contents b)))
+
 (* Cross-cutting properties *)
 
 (* Executable spec for Frt.build: the historical all-pairs construction —
@@ -656,8 +756,12 @@ let reference_frt_parts seed g ~lengths =
   let n = Graph.n g in
   let rng = Rng.create seed in
   let clamped = Array.map (Float.max 1e-9) lengths in
-  let weight e = clamped.(e) in
-  let dist = Array.init n (fun s -> fst (Shortest.dijkstra g ~weight s)) in
+  let ws = Shortest.Workspace.for_current_domain () in
+  let dist =
+    Array.init n (fun s ->
+        Shortest.dijkstra_ball_into ws g ~weights:clamped ~radius:infinity ~sources:[| s |] ignore;
+        Array.init n (Shortest.Workspace.dist ws))
+  in
   let delta = Array.fold_left Float.min infinity clamped in
   (* The build shortcuts delta_min to the minimum clamped edge length;
      check that against the real minimum pairwise distance. *)
@@ -741,7 +845,7 @@ let prop_frt_ball_growing_matches_all_pairs =
       else begin
         let lr = Rng.create (seed + 1000) in
         let lengths = Array.init (Graph.m g) (fun _ -> Rng.float lr *. 3.0) in
-        let tree = Frt.build (Rng.create seed) g ~length:(fun e -> lengths.(e)) in
+        let tree = Frt.build (Rng.create seed) g ~lengths in
         let parts = Frt.to_parts tree in
         let levels, chain, cluster_id = reference_frt_parts seed g ~lengths in
         parts.Frt.p_levels = levels
@@ -766,7 +870,7 @@ let prop_iter_route_matches_route =
       if not (Graph.is_connected g) then true
       else begin
         let lengths = Array.init (Graph.m g) (fun _ -> 0.1 +. (Rng.float gr *. 4.0)) in
-        let tree = Frt.build (Rng.create seed) g ~length:(fun e -> lengths.(e)) in
+        let tree = Frt.build (Rng.create seed) g ~lengths in
         let n = Graph.n g in
         let ok = ref true in
         for s = 0 to n - 1 do
@@ -845,6 +949,7 @@ let () =
         [
           Alcotest.test_case "spread" `Quick test_ksp_spread;
           Alcotest.test_case "scarce paths" `Quick test_ksp_handles_scarce_paths;
+          Alcotest.test_case "golden" `Quick test_ksp_golden;
         ] );
       ( "frt",
         [
@@ -856,6 +961,9 @@ let () =
           Alcotest.test_case "segment index fills" `Quick test_frt_segment_index_fills;
           Alcotest.test_case "of_parts rejects bad structure" `Quick
             test_frt_of_parts_rejects_bad_structure;
+          Alcotest.test_case "golden" `Quick test_frt_golden;
+          Alcotest.test_case "checks lengths" `Quick test_frt_checks_lengths;
+          Alcotest.test_case "allocation" `Quick test_frt_allocation;
         ] );
       ( "racke",
         [
@@ -885,6 +993,7 @@ let () =
           Alcotest.test_case "respects budget" `Quick test_hop_constrained_respects_budget;
           Alcotest.test_case "diverse" `Quick test_hop_constrained_diverse;
           Alcotest.test_case "unreachable" `Quick test_hop_constrained_unreachable;
+          Alcotest.test_case "golden" `Quick test_hop_constrained_golden;
         ] );
       ( "extra",
         [

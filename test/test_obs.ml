@@ -657,7 +657,7 @@ let test_mwu_convergence () =
      seeded pair has played [weight + round] times, the new pair only
      [round], and the averaged congestion must weigh each accordingly. *)
   let g = Gen.grid 3 3 in
-  let ksp s t = Yen.k_shortest g ~weight:(fun _ -> 1.0) ~k:3 s t in
+  let ksp s t = Yen.k_shortest g ~k:3 s t in
   let cands_old = [ ((0, 8), ksp 0 8) ] in
   let warm, _ = Min_congestion.lp_on_slices g (index g cands_old) (Demand.single_pair 0 8 1.0) in
   let sc = index g (cands_old @ [ ((2, 6), ksp 2 6) ]) in
@@ -679,7 +679,7 @@ let test_mwu_round_attrs_uniform () =
   let d = Demand.random_pairs (Rng.create 5) ~n:(Graph.n g) ~pairs:6 in
   let cands =
     List.map
-      (fun (s, t) -> ((s, t), Yen.k_shortest g ~weight:(fun _ -> 1.0) ~k:3 s t))
+      (fun (s, t) -> ((s, t), Yen.k_shortest g ~k:3 s t))
       (Demand.support d)
   in
   Obs.clear_trace ();

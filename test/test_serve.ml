@@ -707,8 +707,8 @@ let test_faulted_replay_golden () =
 
 (* The index the service keeps across ticks against a fresh one: every
    tick of a churn replay through a fail/repair window must serve the
-   routing, bit for bit, that [Semi_oblivious.reoptimize] (on a cold
-   tick, [route]) gives on a freshly built index of the live candidates,
+   routing, bit for bit, that [Semi_oblivious.route] (warm-started on a
+   warm tick) gives on a freshly built index of the live candidates,
    from the same warm routing.  The index counters must show that tick
    work follows the changes: a tick unpacks only the pairs new to it, and
    only a fault or repair tick, which replaces the live system, resets
@@ -747,7 +747,7 @@ let check_index_matches_fresh jobs =
       match (report.Serve.mode, warm) with
       | _ when Demand.support_size routable = 0 -> (Routing.make [], 0.0)
       | Serve.Warm, Some warm ->
-          Semi_oblivious.reoptimize
+          Semi_oblivious.route
             ~solver:(Semi_oblivious.Mwu config.Serve.warm_iters)
             ~warm_start:(warm, config.Serve.warm_weight) g live routable
       | (Serve.Cold | Serve.Warm | Serve.Degraded), _ ->
