@@ -293,7 +293,7 @@ let e6 () =
   let d = Demand.single_pair s t (float_of_int n) in
   let rng = seeded 23 in
   let base = racke_routing (Rng.split rng) g in
-  let opt = snd (Min_congestion.lp_unrestricted g d) in
+  let opt = (Min_congestion.lp_unrestricted g d).congestion in
   Printf.printf "graph: two %d-cliques + %d bridges; demand: %d units %d->%d\n" n n n s t;
   Printf.printf "cut_G(s,t) = %d, offline optimum = %.3f\n\n" (Maxflow.cut g s t) opt;
   Printf.printf "%-24s %10s %12s %10s\n" "system" "paths" "congestion" "ratio";
@@ -528,9 +528,9 @@ let e12 () =
       let base = Ksp.routing ~k:4 g in
       let system = Sampler.alpha_sample (Rng.split rng) base ~alpha:4 in
       let sc = Path_system.to_slice_candidates system (Demand.support d) in
-      let (_, lp), lp_t = timed (fun () -> Min_congestion.lp_on_slices g sc d) in
-      let (_, mwu), mwu_t =
-        timed (fun () -> Min_congestion.mwu_on_slices ~iters:400 g sc d)
+      let lp, lp_t = timed (fun () -> (Min_congestion.lp_on_slices g sc d).congestion) in
+      let mwu, mwu_t =
+        timed (fun () -> (Min_congestion.mwu_on_slices ~iters:400 g sc d).congestion)
       in
       let secs t = if !no_timing then "-" else Printf.sprintf "%.3f" t in
       Printf.printf "%8d %6d %6d | %10.3f %7s %10.3f %7s\n" n

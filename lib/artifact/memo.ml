@@ -1,6 +1,5 @@
 module Graph = Sso_graph.Graph
 module Rng = Sso_prng.Rng
-module Obs = Sso_obs.Obs
 module File = Sso_obs.File
 module Oblivious = Sso_oblivious.Oblivious
 module Racke = Sso_oblivious.Racke
@@ -9,11 +8,6 @@ module Sampler = Sso_core.Sampler
 module Path_system = Sso_core.Path_system
 
 let hex = Codec.hex_of_key
-
-(* A payload that passes the store checksum but fails semantic validation
-   on decode (e.g. after a format change without a version bump) is still
-   damage: count it and fall back to a rebuild. *)
-let semantic_corrupt () = Obs.incr (Obs.counter "artifact.corrupt")
 
 (* ---- Räcke forests ---- *)
 
@@ -46,7 +40,7 @@ let racke_forest ?store rng ?trees g =
           match List.map (Frt.of_parts g) (Codec.decode_forest payload) with
           | forest -> forest
           | exception (File.Corrupt _ | Invalid_argument _) ->
-              semantic_corrupt ();
+              Store.count_corrupt ();
               rebuild ()))
 
 let racke ?store rng ?trees g = Racke.of_forest g (racke_forest ?store rng ?trees g)
@@ -98,5 +92,5 @@ let alpha_sample ?store ~base_key rng r ~alpha ~pairs =
           with
           | () -> fallback
           | exception File.Corrupt _ ->
-              semantic_corrupt ();
+              Store.count_corrupt ();
               save ())

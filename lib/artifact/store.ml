@@ -8,6 +8,7 @@ let c_corrupt = Obs.counter "artifact.corrupt"
 let c_bytes_read = Obs.counter "artifact.bytes_read"
 let c_bytes_written = Obs.counter "artifact.bytes_written"
 let h_payload = Obs.histogram "artifact.payload_bytes"
+let count_corrupt () = Obs.incr c_corrupt
 
 (* ---- recipes ---- *)
 

@@ -56,6 +56,10 @@ val find : t -> recipe -> string option
     description disagrees with [recipe] count as misses; corrupt files are
     removed. *)
 
+val count_corrupt : unit -> unit
+(** Count in [artifact.corrupt] a payload that passed {!find}'s checksum
+    but not its decoder: damage too, which the caller rebuilds. *)
+
 val put : t -> recipe -> string -> unit
 (** Store a payload under the recipe's key (atomic: temp file + rename)
     and append a manifest line.  @raise Sso_obs.File.Unreadable if the

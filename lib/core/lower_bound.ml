@@ -117,6 +117,3 @@ let attack_in_family (g : Gen.g_graph) ~alpha ps =
     }
   in
   attack as_c_graph ps
-
-let verify ?solver (c : Gen.c_graph) ps attack =
-  Semi_oblivious.congestion ?solver c.Gen.c_graph ps attack.demand

@@ -34,9 +34,3 @@ val attack_in_family : Sso_graph.Gen.g_graph -> alpha:int -> Path_system.t -> at
     (bridges cannot be re-crossed by simple paths, so candidates between a
     copy's leaves stay inside the copy and the Lemma 8.1 analysis applies
     verbatim).  @raise Not_found if [G(n)] has no copy for this [alpha]. *)
-
-val verify :
-  ?solver:Semi_oblivious.solver ->
-  Sso_graph.Gen.c_graph -> Path_system.t -> attack -> float
-(** Measured [cong_ℝ(P, demand)] — tests check it is at least
-    [predicted_congestion] (up to solver tolerance). *)

@@ -17,4 +17,4 @@ let top_paths g routing ~alpha =
        (Routing.pairs routing))
 
 let demand_aware_system ?solver g demand ~alpha =
-  top_paths g (fst (Semi_oblivious.optimum ?solver g demand)) ~alpha
+  top_paths g (Semi_oblivious.optimum ?solver g demand).routing ~alpha

@@ -14,20 +14,27 @@ let route ?(solver = default_solver) ?warm_start ?index g ps demand =
     | Some sc -> sc
     | None -> Path_system.to_slice_candidates ps (Demand.support demand)
   in
-  match solver with
-  | Lp ->
-      (* The LP has no incremental form; it ignores a warm start. *)
-      Min_congestion.lp_on_slices g sc demand
-  | Mwu iters -> Min_congestion.mwu_on_slices ~iters ?warm:warm_start g sc demand
+  let { Min_congestion.routing; congestion } =
+    match solver with
+    | Lp ->
+        (* The LP has no incremental form; it ignores a warm start. *)
+        Min_congestion.lp_on_slices g sc demand
+    | Mwu iters -> Min_congestion.mwu_on_slices ~iters ?warm:warm_start g sc demand
+  in
+  (* The one record-to-pair conversion: perf/{cube,fattree}.ml read pairs. *)
+  (routing, congestion)
 
 let congestion ?solver g ps demand = snd (route ?solver g ps demand)
 
 let optimum ?(solver = default_solver) g demand =
   match solver with
   | Lp -> Min_congestion.lp_unrestricted g demand
-  | Mwu iters -> Min_congestion.mwu_unrestricted ~iters g demand
+  | Mwu iters -> (
+      match Min_congestion.mwu_unrestricted ~iters g demand with
+      | Some solution -> solution
+      | None -> invalid_arg "Min_congestion.mwu_unrestricted: graph is disconnected")
 
-let opt ?solver g demand = snd (optimum ?solver g demand)
+let opt ?solver g demand = (optimum ?solver g demand).congestion
 
 let competitive_ratio ?solver g ps demand =
   if Demand.support_size demand = 0 then 1.0

@@ -23,6 +23,9 @@ val route :
   Sso_flow.Routing.t * float
 (** Stage 4: the adaptive min-congestion routing of [d] on [P] and its
     congestion [cong_ℝ(P,d)] (exact for [Lp], near-optimal for [Mwu]).
+    The one solver entry point that returns a pair rather than a
+    {!Sso_flow.Min_congestion.solution}: the benchmark workloads in
+    [perf/] destructure it; once they read the record, so can [route].
     Either solver runs on [index] when given, otherwise on
     [Path_system.to_slice_candidates P (supp d)].  A given [index] must
     equal that one: the {!Path_system.unpack_pair} pieces of [supp d]
@@ -53,12 +56,13 @@ val congestion :
 
 val optimum :
   ?solver:solver ->
-  Sso_graph.Graph.t -> Sso_demand.Demand.t -> Sso_flow.Routing.t * float
+  Sso_graph.Graph.t -> Sso_demand.Demand.t -> Sso_flow.Min_congestion.solution
 (** Stage 5: a routing of [d] over all paths and its congestion, the
     offline optimum [opt_{G,ℝ}(d)] — the Dijkstra-oracle MWU by default,
     and with [solver = Lp] the exact path LP grown by column generation
     ({!Sso_flow.Min_congestion.lp_unrestricted}).  Either routing is
-    path-based. *)
+    path-based.  @raise Invalid_argument if a demanded pair is
+    disconnected. *)
 
 val opt : ?solver:solver -> Sso_graph.Graph.t -> Sso_demand.Demand.t -> float
 (** The value of {!optimum}. *)

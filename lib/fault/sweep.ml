@@ -109,7 +109,7 @@ let evaluate ~solver ~iters ~pre_routing g ps demand scenario =
   let candidates_remain =
     List.for_all (fun (s, t) -> Path_system.slice_count survivors s t > 0) support
   in
-  match Min_congestion.mwu_unrestricted_avoiding ~iters ~avoid:removed g' demand with
+  match Min_congestion.mwu_unrestricted ~iters ~avoid:removed g' demand with
   | None ->
       (* The damaged network cannot route the demand: not the path
          system's fault. *)
@@ -123,7 +123,7 @@ let evaluate ~solver ~iters ~pre_routing g ps demand scenario =
         recovery_rounds = -1;
         warm_congestion = nan;
       }
-  | Some (_, post_opt) ->
+  | Some { congestion = post_opt; _ } ->
       if not candidates_remain then
         {
           scenario;
@@ -205,7 +205,7 @@ let run ?(solver = Semi_oblivious.default_solver) ?store ?system_key
             | None -> None
             | Some payload -> (
                 try Some (decode_report scenario payload)
-                with File.Corrupt _ -> None))
+                with File.Corrupt _ -> Store.count_corrupt (); None))
       in
       let report =
         match cached with

@@ -18,6 +18,10 @@ let mwu_iterations = Obs.counter "mwu.iterations"
 let mwu_oracle_calls = Obs.counter "mwu.oracle_calls"
 let mwu_sssp_settled = Obs.counter "mwu.sssp_settled"
 
+type solution = { routing : Routing.t; congestion : float }
+
+let empty = { routing = Routing.make []; congestion = 0.0 }
+
 (* ---------- Exact path LP ---------- *)
 
 (* The path LP over a candidate index: minimize z subject to, per
@@ -25,9 +29,9 @@ let mwu_sssp_settled = Obs.counter "mwu.sssp_settled"
    candidate edge, the flow crossing it at most cap · z.  Variables are
    one flow per candidate — pairs in descending order, each pair's
    candidates in generation order — then z; rows are the demand rows in
-   that pair order, then the capacity rows.  Returns the optimal routing
-   and congestion, each pair's demand-row dual (in support order) and
-   each capacity row's edge and dual. *)
+   that pair order, then the capacity rows.  Returns the optimal
+   solution, then each pair's demand-row dual (in support order) and each
+   capacity row's edge and dual. *)
 let path_lp g sc demand =
   let support = Array.of_list (Demand.support demand) in
   let positions = Slice_candidates.positions sc support in
@@ -95,16 +99,13 @@ let path_lp g sc demand =
              blocks)
       in
       let k = Array.length support in
-      ( routing,
-        Float.max 0.0 objective,
-        Array.init k (fun i -> duals.(k - 1 - i)),
-        List.mapi (fun r e -> (e, duals.(k + r))) row_edges )
+      ( { routing; congestion = Float.max 0.0 objective },
+        ( Array.init k (fun i -> duals.(k - 1 - i)),
+          List.mapi (fun r e -> (e, duals.(k + r))) row_edges ) )
 
 let lp_on_slices g sc demand =
-  if Demand.support_size demand = 0 then (Routing.make [], 0.0)
-  else Obs.with_span span_lp @@ fun () ->
-    let routing, value, _, _ = path_lp g sc demand in
-    (routing, value)
+  if Demand.support_size demand = 0 then empty
+  else Obs.with_span span_lp @@ fun () -> fst (path_lp g sc demand)
 
 (* ---------- Multiplicative weights ----------
 
@@ -135,7 +136,7 @@ let lp_on_slices g sc demand =
 let mwu ?(iters = 300) ?warm ~span ~label g oracle demand =
   if iters <= 0 then invalid_arg "Min_congestion: iters must be positive";
   let pairs = Demand.support_size demand in
-  if pairs = 0 then Some (Routing.make [], 0.0)
+  if pairs = 0 then Some empty
   else Obs.with_span span @@ fun () -> begin
     let m = Graph.m g in
     let support = Array.make pairs (0, 0) and amounts = Array.make pairs 0.0 in
@@ -387,7 +388,7 @@ let mwu ?(iters = 300) ?warm ~span ~label g oracle demand =
           let c = load /. caps.(e) in
           if c > !congestion then congestion := c)
         loads;
-      Some (Routing.of_sorted support dists, !congestion)
+      Some { routing = Routing.of_sorted support dists; congestion = !congestion }
     end
   end
 
@@ -399,19 +400,9 @@ let mwu_on_slices ?iters ?warm g sc demand =
   | Some result -> result
   | None -> invalid_arg "Min_congestion.mwu_on_slices: demanded pair has no candidates"
 
-let mwu_unrestricted ?iters g demand =
-  match
-    mwu ?iters ~span:span_mwu_unrestricted ~label:"unrestricted" g
-      (Best_response.dijkstra g)
-      demand
-  with
-  | Some result -> result
-  | None -> invalid_arg "Min_congestion.mwu_unrestricted: graph is disconnected"
-
-let mwu_unrestricted_avoiding ?iters ~avoid g demand =
-  mwu ?iters ~span:span_mwu_unrestricted ~label:"avoiding" g
-    (Best_response.dijkstra ~avoid g)
-    demand
+let mwu_unrestricted ?iters ?avoid g demand =
+  let label = if Option.is_none avoid then "unrestricted" else "avoiding" in
+  mwu ?iters ~span:span_mwu_unrestricted ~label g (Best_response.dijkstra ?avoid g) demand
 
 (* ---------- Exact unrestricted LP (column generation) ---------- *)
 
@@ -423,7 +414,7 @@ let mwu_unrestricted_avoiding ?iters ~avoid g demand =
    path that beats π by more than the tolerance and is new to the pair,
    so the loop ends; when none does, the duals prove the optimum. *)
 let lp_unrestricted g demand =
-  if Demand.support_size demand = 0 then (Routing.make [], 0.0)
+  if Demand.support_size demand = 0 then empty
   else Obs.with_span span_lp_unrestricted @@ fun () ->
     let support = Array.of_list (Demand.support demand) in
     let columns =
@@ -443,7 +434,7 @@ let lp_unrestricted g demand =
         (pair, Slice_candidates.unpack arena (first, List.length paths))
       in
       let sc = Slice_candidates.concat g (Array.to_list (Array.map2 piece support columns)) in
-      let ((_, _, pi, y) as optimum) = path_lp g sc demand in
+      let ((_, (pi, y)) as optimum) = path_lp g sc demand in
       Array.fill weights 0 (Graph.m g) 0.0;
       List.iter (fun (e, ye) -> weights.(e) <- Float.max 0.0 (-.ye)) y;
       let priced = ref false in
@@ -459,8 +450,7 @@ let lp_unrestricted g demand =
         support;
       if !priced then solve () else optimum
     in
-    let routing, value, _, _ = solve () in
-    (routing, value)
+    fst (solve ())
 
 (* ---------- Certified lower bounds ---------- *)
 

@@ -21,19 +21,27 @@
     {!Sso_core.Path_system.to_slice_candidates}): the flat per-pair table
     the solvers walk in place. *)
 
+(** What every solver returns. *)
+type solution = {
+  routing : Routing.t;
+  congestion : float;
+      (** [Routing.congestion] of [routing]: recomputed from its loads by
+          the MWU solvers, the simplex objective for the LPs. *)
+}
+
 val lp_on_slices :
-  Sso_graph.Graph.t -> Slice_candidates.t -> Sso_demand.Demand.t -> Routing.t * float
+  Sso_graph.Graph.t -> Slice_candidates.t -> Sso_demand.Demand.t -> solution
 (** Exact minimum congestion of fractionally routing [d] where each pair
     only uses its candidate paths: one variable per candidate of each
-    demanded pair, in generation order.  Returns the optimal routing and
-    its congestion.  @raise Invalid_argument if some demanded pair has no
-    candidates.  Intended for instances with up to a few thousand
-    (pair, path) variables. *)
+    demanded pair, in generation order.  Returns an optimal routing.
+    @raise Invalid_argument if some demanded pair has no candidates.
+    Intended for instances with up to a few thousand (pair, path)
+    variables. *)
 
 val mwu_on_slices :
   ?iters:int ->
   ?warm:Routing.t * int ->
-  Sso_graph.Graph.t -> Slice_candidates.t -> Sso_demand.Demand.t -> Routing.t * float
+  Sso_graph.Graph.t -> Slice_candidates.t -> Sso_demand.Demand.t -> solution
 (** Approximate version of {!lp_on_slices} via multiplicative weights
     ([iters] defaults to 300; error decays as [O(1/√iters)]).  Results
     are bit-identical for any [--jobs].
@@ -58,8 +66,7 @@ val mwu_on_slices :
     renormalized, and a pair left with nothing (or absent from [r]) is
     learned by the fresh rounds alone. *)
 
-val lp_unrestricted :
-  Sso_graph.Graph.t -> Sso_demand.Demand.t -> Routing.t * float
+val lp_unrestricted : Sso_graph.Graph.t -> Sso_demand.Demand.t -> solution
 (** Exact [opt_{G,ℝ}(d)] and an optimal routing: the path LP of
     {!lp_on_slices} over all paths, grown by column generation from one
     min-hop path per pair.  A pair gains its Dijkstra path under
@@ -70,9 +77,13 @@ val lp_unrestricted :
 
 val mwu_unrestricted :
   ?iters:int ->
-  Sso_graph.Graph.t -> Sso_demand.Demand.t -> Routing.t * float
+  ?avoid:(int -> bool) ->
+  Sso_graph.Graph.t -> Sso_demand.Demand.t -> solution option
 (** Approximate [opt_{G,ℝ}(d)] with a Dijkstra best-response oracle.  The
-    returned routing is supported on the paths the oracle produced.
+    returned routing is supported on the paths the oracle produced, and
+    never uses an edge for which [avoid] holds (the post-failure optimum
+    of the robustness experiments; by default no edge is avoided).
+    [None] if a demanded pair has no path that avoids those edges.
 
     Each round groups the demand's support by source — [Demand.support]
     is sorted, so groups are consecutive runs — and answers all of a
@@ -81,14 +92,6 @@ val mwu_unrestricted :
     ({!Sso_graph.Shortest.dijkstra_targets}).  The routing is
     bit-identical for any [--jobs].  Each search adds its settled
     vertices to the [mwu.sssp_settled] counter. *)
-
-val mwu_unrestricted_avoiding :
-  ?iters:int ->
-  avoid:(int -> bool) ->
-  Sso_graph.Graph.t -> Sso_demand.Demand.t -> (Routing.t * float) option
-(** Like {!mwu_unrestricted} but never using edges for which [avoid] is
-    true — the post-failure optimum of the robustness experiments.
-    [None] if a demanded pair is disconnected by the failures. *)
 
 val lower_bound_sparse_cut : Sso_graph.Graph.t -> Sso_demand.Demand.t -> float
 (** A cheap certified lower bound on [opt_{G,ℝ}(d)]: the max over demanded

@@ -776,6 +776,46 @@ let test_e2e_cold_warm_jobs () =
   Alcotest.(check int64) "cold = warm at jobs 1" (bits cold) (bits warm1);
   Alcotest.(check int64) "cold = warm at jobs 4" (bits cold) (bits warm4)
 
+(* A fault report whose payload passes the store checksum but not the
+   report decoder (here a connected flag of 2) is damage too: the sweep
+   counts it, recomputes the report a storeless sweep returns, and stores
+   that, so the next sweep hits. *)
+let test_sweep_corrupt_report_recomputes () =
+  let module Sweep = Sso_fault.Sweep in
+  let module Scenario = Sso_fault.Scenario in
+  let g = Gen.grid 3 3 in
+  let ps = Sampler.alpha_sample (Rng.create 7) (Ksp.routing ~k:4 g) ~alpha:3 in
+  let d = Demand.of_list [ (0, 8, 1.0); (2, 6, 1.0) ] in
+  let scenario = Scenario.single g 0 in
+  let sweep ?store () =
+    Sweep.run ~solver:(Semi_oblivious.Mwu 40) ?store ~system_key:"ksp4" g ps d [ scenario ]
+  in
+  let bits = function
+    | [ (r : Sweep.report) ] ->
+        ( (r.connected, r.survivable, r.recovery_rounds),
+          List.map Int64.bits_of_float [ r.achieved; r.post_opt; r.ratio; r.warm_congestion ] )
+    | reports -> Alcotest.failf "expected one report, got %d" (List.length reports)
+  in
+  let cold = bits (sweep ()) in
+  with_store @@ fun st ->
+  Store.put st
+    (Store.recipe ~kind:"fault-report"
+       [
+         ("graph", Codec.hex_of_key (Codec.graph_digest g));
+         ("demand", Codec.hex_of_key (Codec.fnv1a64 (Codec.encode_demand d)));
+         ("system", "ksp4");
+         ("scenario", Codec.hex_of_key (Scenario.digest scenario));
+         ("solver", "mwu:40");
+         ("recovery", "none");
+       ])
+    (Printf.sprintf "W%c\002" (Char.chr Codec.format_version));
+  let c0 = cval "corrupt" and h0 = cval "hit" in
+  Alcotest.(check bool) "damaged entry: the cold report" true (bits (sweep ~store:st ()) = cold);
+  Alcotest.(check int) "counted as damage" (c0 + 1) (cval "corrupt");
+  Alcotest.(check bool) "rewritten entry: the cold report" true (bits (sweep ~store:st ()) = cold);
+  Alcotest.(check int) "two hits, no more damage" (h0 + 2) (cval "hit");
+  Alcotest.(check int) "still one" (c0 + 1) (cval "corrupt")
+
 let () =
   Alcotest.run "artifact"
     [
@@ -839,5 +879,7 @@ let () =
             test_memo_repeated_slice_is_damage;
           Alcotest.test_case "repeated pair in a sample is damage" `Quick
             test_memo_repeated_pair_is_damage;
+          Alcotest.test_case "corrupt fault report recomputes" `Quick
+            test_sweep_corrupt_report_recomputes;
         ] );
     ]

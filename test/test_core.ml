@@ -700,7 +700,10 @@ let test_attack_on_1_sparse () =
     (Printf.sprintf "predicted %.2f ≥ k" attack.Lower_bound.predicted_congestion)
     true
     (attack.Lower_bound.predicted_congestion >= float_of_int k -. 1e-9);
-  let measured = Lower_bound.verify ~solver:Semi_oblivious.Lp c ps attack in
+  let measured =
+    Semi_oblivious.congestion ~solver:Semi_oblivious.Lp c.Gen.c_graph ps
+      attack.Lower_bound.demand
+  in
   Alcotest.(check bool)
     (Printf.sprintf "measured %.2f ≥ predicted %.2f" measured
        attack.Lower_bound.predicted_congestion)
@@ -733,7 +736,9 @@ let test_attack_verified_measured_bound () =
   let rng = Rng.create 61 in
   let ps = Sampler.alpha_sample rng obl ~alpha:2 in
   let attack = Lower_bound.attack c ps in
-  let measured = Lower_bound.verify ~solver:Semi_oblivious.Lp c ps attack in
+  let measured =
+    Semi_oblivious.congestion ~solver:Semi_oblivious.Lp g ps attack.Lower_bound.demand
+  in
   Alcotest.(check bool)
     (Printf.sprintf "measured %.3f ≥ predicted %.3f" measured
        attack.Lower_bound.predicted_congestion)
@@ -1483,7 +1488,7 @@ let prop_stage4_never_beats_unrestricted =
       let ps = Sampler.alpha_sample rng obl ~alpha:2 in
       let d = Demand.random_pairs rng ~n:9 ~pairs:3 in
       let restricted = Semi_oblivious.congestion ~solver:Semi_oblivious.Lp g ps d in
-      let unrestricted = snd (Sso_flow.Min_congestion.lp_unrestricted g d) in
+      let unrestricted = (Sso_flow.Min_congestion.lp_unrestricted g d).congestion in
       restricted >= unrestricted -. 1e-6)
 
 let prop_certified_never_beats_exact_stage4 =

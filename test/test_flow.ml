@@ -142,15 +142,15 @@ let test_lp_splits () =
   let g = square () in
   let cands = [ ((0, 3), square_paths g) ] in
   let d = Demand.single_pair 0 3 2.0 in
-  let routing, cong = Min_congestion.lp_on_slices g (index g cands) d in
-  Alcotest.(check (float 1e-6)) "perfect split" 1.0 cong;
+  let { Min_congestion.routing; congestion } = Min_congestion.lp_on_slices g (index g cands) d in
+  Alcotest.(check (float 1e-6)) "perfect split" 1.0 congestion;
   Alcotest.(check (float 1e-6)) "consistent" 1.0 (Routing.congestion g routing d)
 
 let test_lp_single_candidate () =
   let g = square () in
   let cands = [ ((0, 3), [ List.hd (square_paths g) ]) ] in
   let d = Demand.single_pair 0 3 3.0 in
-  let _, cong = Min_congestion.lp_on_slices g (index g cands) d in
+  let cong = (Min_congestion.lp_on_slices g (index g cands) d).congestion in
   Alcotest.(check (float 1e-6)) "forced congestion" 3.0 cong
 
 let test_lp_competing_pairs () =
@@ -160,7 +160,7 @@ let test_lp_competing_pairs () =
   let p02 = Path.of_vertices g [ 0; 1; 2 ] in
   let cands = [ ((0, 1), [ p01 ]); ((0, 2), [ p02 ]) ] in
   let d = Demand.of_list [ (0, 1, 1.0); (0, 2, 1.0) ] in
-  let _, cong = Min_congestion.lp_on_slices g (index g cands) d in
+  let cong = (Min_congestion.lp_on_slices g (index g cands) d).congestion in
   Alcotest.(check (float 1e-6)) "shared edge" 2.0 cong
 
 let test_lp_missing_candidates () =
@@ -172,9 +172,11 @@ let test_lp_missing_candidates () =
 
 let test_lp_empty_demand () =
   let g = square () in
-  let r, cong = Min_congestion.lp_on_slices g (index g []) Demand.empty in
-  Alcotest.(check int) "no pairs" 0 (List.length (Routing.pairs r));
-  Alcotest.(check (float 1e-9)) "empty" 0.0 cong
+  let { Min_congestion.routing; congestion } =
+    Min_congestion.lp_on_slices g (index g []) Demand.empty
+  in
+  Alcotest.(check int) "no pairs" 0 (List.length (Routing.pairs routing));
+  Alcotest.(check (float 1e-9)) "empty" 0.0 congestion
 
 (* MWU vs LP cross-validation *)
 
@@ -187,8 +189,8 @@ let random_candidates rng g k demand =
     (Demand.support demand)
 
 let mwu_within_lp label g cands d =
-  let _, lp = Min_congestion.lp_on_slices g (index g cands) d in
-  let _, mwu = Min_congestion.mwu_on_slices ~iters:800 g (index g cands) d in
+  let lp = (Min_congestion.lp_on_slices g (index g cands) d).congestion in
+  let mwu = (Min_congestion.mwu_on_slices ~iters:800 g (index g cands) d).congestion in
   Alcotest.(check bool)
     (Printf.sprintf "%s: mwu within 15%% of lp (lp=%.3f mwu=%.3f)" label lp mwu)
     true
@@ -210,9 +212,11 @@ let test_mwu_grid_matches_lp () =
 
 let test_mwu_empty_demand () =
   let g = square () in
-  let r, cong = Min_congestion.mwu_on_slices g (index g []) Demand.empty in
-  Alcotest.(check int) "no pairs" 0 (List.length (Routing.pairs r));
-  Alcotest.(check (float 1e-9)) "empty" 0.0 cong
+  let { Min_congestion.routing; congestion } =
+    Min_congestion.mwu_on_slices g (index g []) Demand.empty
+  in
+  Alcotest.(check int) "no pairs" 0 (List.length (Routing.pairs routing));
+  Alcotest.(check (float 1e-9)) "empty" 0.0 congestion
 
 let test_mwu_missing_candidates () =
   let g = square () in
@@ -232,8 +236,9 @@ let test_mwu_respects_capacities () =
   let p1 = Path.of_edges g ~src:0 ~dst:1 [| 1 |] in
   let cands = [ ((0, 1), [ p0; p1 ]) ] in
   let d = Demand.single_pair 0 1 4.0 in
-  Alcotest.(check (float 1e-6)) "lp" 1.0 (snd (Min_congestion.lp_on_slices g (index g cands) d));
-  let _, cong = Min_congestion.mwu_on_slices g (index g cands) d in
+  Alcotest.(check (float 1e-6)) "lp" 1.0
+    (Min_congestion.lp_on_slices g (index g cands) d).congestion;
+  let cong = (Min_congestion.mwu_on_slices g (index g cands) d).congestion in
   Alcotest.(check bool) (Printf.sprintf "prop split (got %.3f)" cong) true
     (cong >= 1.0 -. 1e-9 && cong <= 1.1)
 
@@ -241,13 +246,13 @@ let test_mwu_on_square () =
   let g = square () in
   let cands = [ ((0, 3), square_paths g) ] in
   let d = Demand.single_pair 0 3 2.0 in
-  let _, cong = Min_congestion.mwu_on_slices ~iters:500 g (index g cands) d in
+  let cong = (Min_congestion.mwu_on_slices ~iters:500 g (index g cands) d).congestion in
   Alcotest.(check bool) "near 1.0" true (cong < 1.1)
 
 let test_mwu_unrestricted_square () =
   let g = square () in
   let d = Demand.single_pair 0 3 2.0 in
-  let _, cong = Min_congestion.mwu_unrestricted ~iters:500 g d in
+  let cong = (Option.get (Min_congestion.mwu_unrestricted ~iters:500 g d)).congestion in
   Alcotest.(check bool) "uses both routes" true (cong < 1.1);
   Alcotest.(check bool) "not below optimum" true (cong >= 1.0 -. 1e-6)
 
@@ -255,8 +260,8 @@ let test_unrestricted_lp_matches_mwu () =
   let rng = Rng.create 31 in
   let g = Gen.cycle 6 in
   let d = Demand.of_list [ (0, 3, 1.0); (1, 4, 1.0) ] in
-  let lp = snd (Min_congestion.lp_unrestricted g d) in
-  let _, mwu = Min_congestion.mwu_unrestricted ~iters:800 g d in
+  let lp = (Min_congestion.lp_unrestricted g d).congestion in
+  let mwu = (Option.get (Min_congestion.mwu_unrestricted ~iters:800 g d)).congestion in
   ignore rng;
   Alcotest.(check bool)
     (Printf.sprintf "cycle optimum (lp=%.3f mwu=%.3f)" lp mwu)
@@ -267,7 +272,8 @@ let test_lp_unrestricted_known_value () =
   (* Two disjoint 2-hop routes for 2 units: optimum congestion 1. *)
   let g = square () in
   let d = Demand.single_pair 0 3 2.0 in
-  Alcotest.(check (float 1e-5)) "square optimum" 1.0 (snd (Min_congestion.lp_unrestricted g d))
+  Alcotest.(check (float 1e-5)) "square optimum" 1.0
+    (Min_congestion.lp_unrestricted g d).congestion
 
 (* A test-local copy of the edge formulation of opt_{G,ℝ}(d) that
    [lp_unrestricted] replaced: per commodity and edge, one flow variable
@@ -356,7 +362,7 @@ let test_unrestricted_pins () =
   List.iter2
     (fun (label, g, d) want ->
       let want = float_of_string want in
-      let routing, got = Min_congestion.lp_unrestricted g d in
+      let { Min_congestion.routing; congestion = got } = Min_congestion.lp_unrestricted g d in
       Alcotest.(check (float (1e-12 *. Float.max 1.0 want))) label want got;
       Alcotest.(check bool) (label ^ ": covers d") true (Routing.covers routing d))
     (unrestricted_fixtures ())
@@ -373,7 +379,7 @@ let prop_column_generation_matches_edge_lp =
   QCheck.Test.make ~name:"column generation equals the edge LP; its routing attains it"
     ~count:100 QCheck.small_nat (fun seed ->
       let g, d = random_instance (Rng.create (9000 + seed)) seed ~pairs:(1 + (seed mod 5)) in
-      let routing, value = Min_congestion.lp_unrestricted g d in
+      let { Min_congestion.routing; congestion = value } = Min_congestion.lp_unrestricted g d in
       let close a b = Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 b in
       close value (edge_lp g d)
       && Routing.covers routing d
@@ -385,7 +391,7 @@ let test_lower_bound_sound () =
     let g = Gen.erdos_renyi rng 10 0.4 in
     let d = Demand.random_pairs rng ~n:10 ~pairs:4 in
     let bound = Min_congestion.lower_bound_sparse_cut g d in
-    let opt = snd (Min_congestion.lp_unrestricted g d) in
+    let opt = (Min_congestion.lp_unrestricted g d).congestion in
     Alcotest.(check bool)
       (Printf.sprintf "lower bound below optimum (%.3f <= %.3f)" bound opt)
       true (bound <= opt +. 1e-6)
@@ -422,10 +428,11 @@ let test_warm_start_preserves_good_solution () =
   let g = square () in
   let cands = [ ((0, 3), square_paths g) ] in
   let d = Demand.single_pair 0 3 2.0 in
-  let optimal, lp = Min_congestion.lp_on_slices g (index g cands) d in
-  let _, warm =
-    Min_congestion.mwu_on_slices ~iters:5 ~warm:(optimal, 100) g
-      (index g cands) d
+  let { Min_congestion.routing = optimal; congestion = lp } =
+    Min_congestion.lp_on_slices g (index g cands) d
+  in
+  let warm =
+    (Min_congestion.mwu_on_slices ~iters:5 ~warm:(optimal, 100) g (index g cands) d).congestion
   in
   Alcotest.(check bool)
     (Printf.sprintf "stays near optimum (lp %.3f warm %.3f)" lp warm)
@@ -443,9 +450,8 @@ let test_warm_start_recovers_from_bad_seed () =
   let bad = singleton_paths [ ((0, 3), upper) ] in
   let cands = [ ((0, 3), square_paths g) ] in
   let d = Demand.single_pair 0 3 2.0 in
-  let _, recovered =
-    Min_congestion.mwu_on_slices ~iters:600 ~warm:(bad, 1) g
-      (index g cands) d
+  let recovered =
+    (Min_congestion.mwu_on_slices ~iters:600 ~warm:(bad, 1) g (index g cands) d).congestion
   in
   Alcotest.(check bool) (Printf.sprintf "recovered %.3f" recovered) true (recovered <= 1.15)
 
@@ -454,23 +460,23 @@ let test_warm_start_handles_new_pairs () =
   let g = Gen.grid 3 3 in
   let d_old = Demand.single_pair 0 8 1.0 in
   let cands_old = [ ((0, 8), Yen.k_shortest g ~k:3 0 8) ] in
-  let warm, _ = Min_congestion.lp_on_slices g (index g cands_old) d_old in
+  let warm = (Min_congestion.lp_on_slices g (index g cands_old) d_old).routing in
   let d_new = Demand.of_list [ (0, 8, 1.0); (2, 6, 1.0) ] in
   let cands_new =
     cands_old @ [ ((2, 6), Yen.k_shortest g ~k:3 2 6) ]
   in
-  let routing, cong =
+  let { Min_congestion.routing; congestion } =
     Min_congestion.mwu_on_slices ~iters:200 ~warm:(warm, 50) g
       (index g cands_new) d_new
   in
   Alcotest.(check bool) "covers the new pair" true (Routing.covers routing d_new);
-  Alcotest.(check bool) "finite congestion" true (Float.is_finite cong && cong > 0.0)
+  Alcotest.(check bool) "finite congestion" true (Float.is_finite congestion && congestion > 0.0)
 
 let test_warm_start_rejects_bad_weight () =
   let g = square () in
   let cands = [ ((0, 3), square_paths g) ] in
   let d = Demand.single_pair 0 3 1.0 in
-  let warm, _ = Min_congestion.lp_on_slices g (index g cands) d in
+  let warm = (Min_congestion.lp_on_slices g (index g cands) d).routing in
   Alcotest.(check bool) "raises" true
     (try
        ignore
@@ -514,7 +520,9 @@ let test_rounding_lemma_bound () =
         (fun (s, t) -> ((s, t), Yen.k_shortest g ~k:3 s t))
         (Demand.support d)
     in
-    let fractional, frac_cong = Min_congestion.lp_on_slices g (index g cands) d in
+    let { Min_congestion.routing = fractional; congestion = frac_cong } =
+      Min_congestion.lp_on_slices g (index g cands) d
+    in
     let a = Rounding.best_round ~tries:20 rng g fractional d in
     let bound = (2.0 *. frac_cong) +. (3.0 *. Float.log (float_of_int (Graph.m g))) in
     Alcotest.(check bool)
@@ -591,7 +599,8 @@ let test_mwu_unrestricted_jobs_invariant () =
   let g = Gen.random_regular rng 16 4 in
   let d = batched_demand () in
   let solve jobs =
-    Support.with_jobs jobs (fun () -> fst (Min_congestion.mwu_unrestricted ~iters:60 g d))
+    Support.with_jobs jobs (fun () ->
+        (Option.get (Min_congestion.mwu_unrestricted ~iters:60 g d)).routing)
   in
   exact_same_routing "jobs 4" (solve 1) (solve 4)
 
@@ -622,7 +631,7 @@ let test_sssp_settled_counter () =
    Dijkstra oracle moved to flat weights and a target-bounded,
    allocation-free core.  Any change to float order, tie-breaking or path
    reconstruction moves them. *)
-let stage5_digest (r, value) =
+let stage5_digest { Min_congestion.routing = r; congestion = value } =
   let b = Buffer.create 4096 in
   List.iter
     (fun (s, t) ->
@@ -645,17 +654,19 @@ let test_stage5_golden () =
   let pin label want got = Alcotest.(check string) label want got in
   let opt = function Some x -> stage5_digest x | None -> "none" in
   pin "unrestricted bit-reversal" "b2dd69a31fcb5e8b97cfca1fb21ccac5"
-    (stage5_digest (Min_congestion.mwu_unrestricted ~iters:300 g bitrev));
+    (opt (Min_congestion.mwu_unrestricted ~iters:300 g bitrev));
   pin "unrestricted permutation" "052f53de9b1c5eeaf99edd587e8b8ce1"
-    (stage5_digest (Min_congestion.mwu_unrestricted ~iters:300 g perm));
+    (opt (Min_congestion.mwu_unrestricted ~iters:300 g perm));
+  pin "avoiding nothing" "052f53de9b1c5eeaf99edd587e8b8ce1"
+    (opt (Min_congestion.mwu_unrestricted ~iters:300 ~avoid:(fun _ -> false) g perm));
   pin "avoiding" "182498c02fd974352ce32846a98f0d7d"
     (opt
-       (Min_congestion.mwu_unrestricted_avoiding ~iters:300
+       (Min_congestion.mwu_unrestricted ~iters:300
           ~avoid:(fun e -> e mod 7 = 3)
           g perm));
   pin "avoiding, vertex 0 cut off" "none"
     (opt
-       (Min_congestion.mwu_unrestricted_avoiding ~iters:300
+       (Min_congestion.mwu_unrestricted ~iters:300
           ~avoid:(fun e ->
             let u, v = Graph.endpoints g e in
             u = 0 || v = 0)
@@ -675,7 +686,7 @@ let test_warm_golden () =
   let pin label want got = Alcotest.(check string) label want got in
   let rng, g, d, cands = erdos_renyi_instance () in
   let sc = index g cands in
-  let warm, _ = Min_congestion.mwu_on_slices ~iters:120 g sc d in
+  let warm = (Min_congestion.mwu_on_slices ~iters:120 g sc d).routing in
   let kept =
     List.filteri (fun i _ -> i mod 2 = 0) (Demand.support d)
     |> List.map (fun (s, t) -> (s, t, Demand.get d s t *. 1.5))
@@ -706,7 +717,9 @@ let test_warm_golden () =
 let traced_stage4 solve =
   Obs.clear_trace ();
   Obs.set_tracing true;
-  let r, c = Fun.protect ~finally:(fun () -> Obs.set_tracing false) solve in
+  let { Min_congestion.routing = r; congestion = c } =
+    Fun.protect ~finally:(fun () -> Obs.set_tracing false) solve
+  in
   let b = Buffer.create 4096 in
   List.iter
     (fun (e : Trace.event) ->
@@ -752,7 +765,7 @@ let test_stage4_golden () =
   in
   Alcotest.(check bool) "fat-tree candidates: a strict subset of E" true
     (covered ps d < Graph.m g);
-  let cold, _ = Min_congestion.mwu_on_slices g (slices ps d) d in
+  let cold = (Min_congestion.mwu_on_slices g (slices ps d) d).routing in
   pin "fat-tree cold"
     "37fc7a7d691e1c11 3ffc51eb851eb852 f4000e5a0cb61ed0a42387ef15e5fc0e"
     (traced_stage4 (fun () -> Min_congestion.mwu_on_slices g (slices ps d) d));
@@ -950,7 +963,9 @@ let prop_store_edges_are_candidate_edges =
       ignore (Best_response.respond_all store (Array.map (Array.get w) edges) handles);
       Array.to_list edges = union
       && List.map answered (Array.to_list handles) = List.map scanned support
-      && (support <> [] || snd (Min_congestion.mwu_on_slices g (Path_system.to_slice_candidates view []) d) = 0.0))
+      && (support <> []
+         || (Min_congestion.mwu_on_slices g (Path_system.to_slice_candidates view []) d).congestion
+            = 0.0))
 
 (* ---------- Candidate pricing ---------- *)
 
@@ -1267,7 +1282,7 @@ let prop_class_mwu_matches_per_slot =
       in
       List.for_all (same ps d) (guarded ps d)
       &&
-      let cold, _ = Min_congestion.mwu_on_slices ~iters:40 g (slices ps d) d in
+      let cold = (Min_congestion.mwu_on_slices ~iters:40 g (slices ps d) d).routing in
       let warm = (cold, 1 + Rng.int rng 80) in
       List.for_all (same ~warm view d_view) (guarded view d_view))
 
@@ -1351,7 +1366,7 @@ let large_warm_instance () =
          (Demand.support (Demand.random_pairs rng ~n ~pairs:360)))
   in
   let slices ps d = Path_system.to_slice_candidates ps (Demand.support d) in
-  let cold, _ = Min_congestion.mwu_on_slices ~iters:40 g (slices ps d) d in
+  let cold = (Min_congestion.mwu_on_slices ~iters:40 g (slices ps d) d).routing in
   let perm = Rng.permutation rng (Graph.m g) in
   let down = List.init 6 (fun i -> perm.(i)) in
   let view = Path_system.filter (fun a i -> not (Arena.exists a i (fun e -> List.mem e down))) ps in
@@ -1407,6 +1422,45 @@ let test_fat_tree_classes () =
   Alcotest.(check (option int)) "classes" (Some 57)
     (Option.map (fun (_, first) -> Array.length first)
        (Best_response.classes store ~rounds:300 ~caps))
+
+(* Every solver returns a congestion that is its routing's, over a
+   routing that covers the demand: bit for bit for the MWU solves (cold,
+   warm from a full and from a half routing, avoiding edges), which sum
+   their loads in [Routing.congestion]'s order, and within 1e-9 relative
+   for the LPs, which return the simplex objective. *)
+let prop_solution_congestion_is_its_routings =
+  QCheck.Test.make ~name:"every solver's congestion is its routing's" ~count:30 QCheck.small_nat
+    (fun seed ->
+      let rng = Rng.create (9500 + seed) in
+      let g, d = random_instance rng seed ~pairs:(1 + (seed mod 5)) in
+      let sc = index g (random_candidates rng g 3 d) in
+      let close (s : Min_congestion.solution) =
+        let c = Routing.congestion g s.routing d in
+        Routing.covers s.routing d && Float.abs (c -. s.congestion) <= 1e-9 *. Float.max 1.0 c
+      in
+      let exact (s : Min_congestion.solution) =
+        Routing.covers s.routing d
+        && Int64.equal
+             (Int64.bits_of_float s.congestion)
+             (Int64.bits_of_float (Routing.congestion g s.routing d))
+      in
+      let lp = Min_congestion.lp_on_slices g sc d in
+      let half =
+        Routing.of_normalized
+          (List.filteri (fun i _ -> i mod 2 = 0)
+             (List.map (fun (s, t) -> ((s, t), Routing.distribution lp.routing s t))
+                (Demand.support d)))
+      in
+      close lp
+      && close (Min_congestion.lp_unrestricted g d)
+      && exact (Min_congestion.mwu_on_slices ~iters:30 g sc d)
+      && exact (Min_congestion.mwu_on_slices ~iters:10 ~warm:(lp.routing, 20) g sc d)
+      && exact (Min_congestion.mwu_on_slices ~iters:10 ~warm:(half, 20) g sc d)
+      && exact (Option.get (Min_congestion.mwu_unrestricted ~iters:30 g d))
+      &&
+      match Min_congestion.mwu_unrestricted ~iters:30 ~avoid:(fun e -> e mod 4 = seed mod 4) g d with
+      | Some s -> exact s
+      | None -> true)
 
 let () =
   Alcotest.run "flow"
@@ -1491,5 +1545,6 @@ let () =
             prop_cheapest_matches_full_fold;
             prop_class_mwu_matches_per_slot;
             prop_classes_are_exact;
+            prop_solution_congestion_is_its_routings;
           ] );
     ]

@@ -532,7 +532,7 @@ let test_racke_competitive_small () =
   let obl = Racke.routing rng g in
   let d = Demand.of_list [ (0, 8, 1.0); (2, 6, 1.0); (1, 7, 1.0) ] in
   let cong = Oblivious.congestion obl d in
-  let opt = snd (Min_congestion.lp_unrestricted g d) in
+  let opt = (Min_congestion.lp_unrestricted g d).congestion in
   Alcotest.(check bool)
     (Printf.sprintf "racke %.2f vs opt %.2f" cong opt)
     true

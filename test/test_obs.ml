@@ -623,7 +623,9 @@ let test_task_spans_nest () =
 let traced_solve solve =
   Obs.clear_trace ();
   Obs.set_tracing true;
-  let _, congestion = Fun.protect ~finally:(fun () -> Obs.set_tracing false) solve in
+  let { Min_congestion.congestion; _ } =
+    Fun.protect ~finally:(fun () -> Obs.set_tracing false) solve
+  in
   let events = Obs.events () in
   Obs.clear_trace ();
   match Trace.mwu_solves events with
@@ -637,7 +639,7 @@ let test_mwu_convergence () =
   let g = Gen.grid 4 4 in
   let d = Demand.random_pairs (Rng.create 5) ~n:(Graph.n g) ~pairs:6 in
   let congestion, s =
-    traced_solve (fun () -> Min_congestion.mwu_unrestricted ~iters:8 g d)
+    traced_solve (fun () -> Option.get (Min_congestion.mwu_unrestricted ~iters:8 g d))
   in
   Alcotest.(check string) "solver label" "unrestricted" s.Trace.s_solver;
   Alcotest.(check int) "pairs" 6 s.Trace.s_pairs;
@@ -659,7 +661,9 @@ let test_mwu_convergence () =
   let g = Gen.grid 3 3 in
   let ksp s t = Yen.k_shortest g ~k:3 s t in
   let cands_old = [ ((0, 8), ksp 0 8) ] in
-  let warm, _ = Min_congestion.lp_on_slices g (index g cands_old) (Demand.single_pair 0 8 1.0) in
+  let warm =
+    (Min_congestion.lp_on_slices g (index g cands_old) (Demand.single_pair 0 8 1.0)).routing
+  in
   let sc = index g (cands_old @ [ ((2, 6), ksp 2 6) ]) in
   let d = Demand.of_list [ (0, 8, 1.0); (2, 6, 1.0) ] in
   let congestion, s =
