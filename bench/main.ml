@@ -749,7 +749,7 @@ let e18 () =
         | None -> cold
         | Some prev ->
             let patched =
-              Routing.make
+              Routing.make g
                 (List.map
                    (fun (s, t) ->
                      match Routing.distribution prev s t with

@@ -192,17 +192,6 @@ let decode_demand s =
   expect_end r;
   Demand.of_list triples
 
-(* ---- boxed path bodies (distributions) ---- *)
-
-let write_path_body w (p : Path.t) =
-  write_varint w (Array.length p.Path.edges);
-  Array.iter (write_varint w) p.Path.edges
-
-let read_path_body r g ~src ~dst =
-  let hops = read_varint r in
-  let edges = Array.init hops (fun _ -> read_varint r) in
-  guarded (fun () -> Path.of_edges g ~src ~dst edges)
-
 (* ---- pair tables (path systems and distributions) ---- *)
 
 let canonical entries = List.sort (fun (a, _) (b, _) -> compare a b) entries
@@ -271,39 +260,40 @@ let decode_path_system_slices g s =
   expect_end r;
   (a, ranges)
 
-let encode_distributions entries =
+(* A routing is written pair by pair, ascending, each entry as its
+   weight's bits, its hop count and its edge ids (varints) read off its
+   slice.  Decoding appends each path to a fresh arena. *)
+let encode_routing (r : Routing.t) =
   let w = writer () in
   write_header w tag_distributions;
-  write_pairs w entries (fun dist ->
-      write_varint w (List.length dist);
-      List.iter
-        (fun (weight, p) ->
-          write_f64 w weight;
-          write_path_body w p)
-        dist);
+  write_varint w (Array.length r.pairs);
+  Array.iteri
+    (fun i (s, t) ->
+      write_varint w s;
+      write_varint w t;
+      write_varint w (r.off.(i + 1) - r.off.(i));
+      for k = r.off.(i) to r.off.(i + 1) - 1 do
+        write_f64 w r.weights.(k);
+        write_varint w (Arena.hops r.arena r.slices.(k));
+        Arena.iter_edges_vertices r.arena r.slices.(k) (fun e _ -> write_varint w e)
+      done)
+    r.pairs;
   contents w
 
-let decode_distributions g s =
+let decode_routing g s =
   let r = reader s in
   read_header r tag_distributions;
+  let arena = Arena.create g in
   let entries =
     read_pairs r (fun src dst ->
         let count = read_varint r in
         read_list count (fun () ->
             let weight = read_f64 r in
-            (weight, read_path_body r g ~src ~dst)))
+            let edges = Array.init (read_varint r) (fun _ -> read_varint r) in
+            (weight, guarded (fun () -> Arena.append_path arena (Path.unsafe_of_edges ~src ~dst edges)))))
   in
   expect_end r;
-  entries
-
-let encode_routing routing =
-  encode_distributions
-    (List.map
-       (fun (s, t) -> ((s, t), Routing.distribution routing s t))
-       (Routing.pairs routing))
-
-let decode_routing g s =
-  guarded (fun () -> Routing.of_normalized (decode_distributions g s))
+  guarded (fun () -> Routing.of_normalized arena entries)
 
 (* ---- FRT forests ---- *)
 

@@ -34,14 +34,11 @@ let racke_forest ?store rng ?trees g =
           (Codec.encode_forest (List.map Frt.to_parts forest));
         forest
       in
-      (match Store.find st recipe with
-      | None -> rebuild ()
-      | Some payload -> (
-          match List.map (Frt.of_parts g) (Codec.decode_forest payload) with
-          | forest -> forest
-          | exception (File.Corrupt _ | Invalid_argument _) ->
-              Store.count_corrupt ();
-              rebuild ()))
+      let decode payload =
+        try List.map (Frt.of_parts g) (Codec.decode_forest payload)
+        with Invalid_argument msg -> raise (File.Corrupt msg)
+      in
+      match Store.find st recipe decode with Some forest -> forest | None -> rebuild ()
 
 let racke ?store rng ?trees g = Racke.of_forest g (racke_forest ?store rng ?trees g)
 
@@ -64,7 +61,6 @@ let alpha_sample ?store ~base_key rng r ~alpha ~pairs =
             ("pairs", hex (Codec.pairs_digest pairs));
           ]
       in
-      let found = Store.find st recipe in
       (* Construct the fallback in both paths: it consumes the same RNG
          state either way (one split now, per-pair split_at children on
          query), keeping caller-visible draws identical cold and warm. *)
@@ -80,17 +76,12 @@ let alpha_sample ?store ~base_key rng r ~alpha ~pairs =
           (Codec.encode_path_system_slices (Path_system.arena fallback) ranges);
         fallback
       in
-      match found with
-      | None -> save ()
-      | Some payload -> (
-          (* A payload that decodes but breaks the candidate contract (a
-             repeated path within a pair) is damage too. *)
-          match
-            let arena, ranges = Codec.decode_path_system_slices g payload in
-            try Path_system.preload fallback arena ranges
-            with Invalid_argument msg -> raise (File.Corrupt msg)
-          with
-          | () -> fallback
-          | exception File.Corrupt _ ->
-              Store.count_corrupt ();
-              save ())
+      (* A payload that decodes but breaks the candidate contract (a
+         repeated path within a pair) is damage too; a rejected preload
+         leaves [fallback] as it was. *)
+      let preload payload =
+        let arena, ranges = Codec.decode_path_system_slices g payload in
+        try Path_system.preload fallback arena ranges
+        with Invalid_argument msg -> raise (File.Corrupt msg)
+      in
+      match Store.find st recipe preload with Some () -> fallback | None -> save ()

@@ -8,7 +8,6 @@ let c_corrupt = Obs.counter "artifact.corrupt"
 let c_bytes_read = Obs.counter "artifact.bytes_read"
 let c_bytes_written = Obs.counter "artifact.bytes_written"
 let h_payload = Obs.histogram "artifact.payload_bytes"
-let count_corrupt () = Obs.incr c_corrupt
 
 (* ---- recipes ---- *)
 
@@ -101,39 +100,38 @@ let dir t = t.dir
 let entry_file t r = Filename.concat t.dir (Codec.hex_of_key (key r) ^ ".art")
 let manifest_file t = Filename.concat t.dir "manifest.txt"
 
-let find t r =
+let find t r decode =
   let path = entry_file t r in
-  if not (Sys.file_exists path) then begin
+  let miss () =
     Obs.incr c_miss;
     cache_event "miss" r;
     None
-  end
+  in
+  (* Damage, in the entry or in the payload its decoder refused. *)
+  let corrupt () =
+    Obs.incr c_corrupt;
+    Obs.incr c_miss;
+    cache_event "corrupt" r;
+    (try Sys.remove path with Sys_error _ -> ());
+    None
+  in
+  if not (Sys.file_exists path) then miss ()
   else
     match decode_entry (File.read path) with
-    | exception File.Unreadable _ ->
-        Obs.incr c_miss;
-        cache_event "miss" r;
-        None
-    | exception File.Corrupt _ ->
-        Obs.incr c_corrupt;
-        Obs.incr c_miss;
-        cache_event "corrupt" r;
-        (try Sys.remove path with Sys_error _ -> ());
-        None
-    | kind, description, payload ->
-        if kind <> r.kind || description <> describe r then begin
-          (* Key collision between distinct recipes: not our object. *)
-          Obs.incr c_miss;
-          cache_event "miss" r;
-          None
-        end
-        else begin
-          Obs.incr c_hit;
-          Obs.incr ~by:(String.length payload) c_bytes_read;
-          Obs.observe h_payload (String.length payload);
-          cache_event "hit" r;
-          Some payload
-        end
+    | exception File.Unreadable _ -> miss ()
+    | exception File.Corrupt _ -> corrupt ()
+    | kind, description, payload -> (
+        (* A key collision between distinct recipes: not our object. *)
+        if kind <> r.kind || description <> describe r then miss ()
+        else
+          match decode payload with
+          | exception File.Corrupt _ -> corrupt ()
+          | value ->
+              Obs.incr c_hit;
+              Obs.incr ~by:(String.length payload) c_bytes_read;
+              Obs.observe h_payload (String.length payload);
+              cache_event "hit" r;
+              Some value)
 
 let append_manifest t line =
   try

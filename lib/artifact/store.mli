@@ -50,15 +50,14 @@ val open_ : ?dir:string -> unit -> t
 
 val dir : t -> string
 
-val find : t -> recipe -> string option
-(** The cached payload, or [None] on miss.  Corrupt entries (bad magic,
-    version, checksum, or truncation) and entries whose stored recipe
-    description disagrees with [recipe] count as misses; corrupt files are
-    removed. *)
-
-val count_corrupt : unit -> unit
-(** Count in [artifact.corrupt] a payload that passed {!find}'s checksum
-    but not its decoder: damage too, which the caller rebuilds. *)
+val find : t -> recipe -> (string -> 'a) -> 'a option
+(** [find t recipe decode]: the cached payload, decoded, or [None] on
+    miss.  Entries whose stored recipe description disagrees with
+    [recipe] count as misses.  Corrupt entries (bad magic, version,
+    checksum, or truncation) and payloads [decode] rejects with
+    {!Sso_obs.File.Corrupt} count in [artifact.corrupt] and as misses,
+    and their files are removed.  [artifact.hit] counts only the payloads
+    [decode] accepts. *)
 
 val put : t -> recipe -> string -> unit
 (** Store a payload under the recipe's key (atomic: temp file + rename)

@@ -29,7 +29,7 @@ let ladder_system rng g ~alpha =
   | first :: rest -> List.fold_left Path_system.union first rest
 
 let route ?solver g ps demand =
-  if Demand.support_size demand = 0 then (Routing.make [], 0.0, 0)
+  if Demand.support_size demand = 0 then (Routing.make g [], 0.0, 0)
   else begin
     (* Hop thresholds worth trying: the distinct candidate path lengths
        that leave every demanded pair a candidate, i.e. at least each

@@ -282,5 +282,5 @@ let unpack_pair ps s t = Sso_flow.Slice_candidates.unpack ps.arena (slice_range 
 
 let to_slice_candidates ps pair_list =
   let pairs = List.sort_uniq compare_pair pair_list in
-  Sso_flow.Slice_candidates.concat ps.graph
+  Sso_flow.Slice_candidates.concat ps.arena
     (List.map (fun (s, t) -> ((s, t), unpack_pair ps s t)) pairs)

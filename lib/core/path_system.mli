@@ -15,7 +15,8 @@
     consecutive slice handles, so sparsity queries are O(1) per pair, the
     Stage-4 solvers index candidates without materializing path lists
     ({!unpack_pair}, {!to_slice_candidates}), and failover policies walk
-    candidate slices in place.  {!paths} reconstructs boxed
+    candidate slices in place.  The routings a Stage-4 solve returns are
+    slices of {!arena} too.  {!paths} reconstructs boxed
     {!Sso_graph.Path.t} values on demand, for callers that inspect a
     pair's candidates (samplers, failover, tests) rather than solve on
     them. *)

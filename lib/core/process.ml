@@ -60,7 +60,7 @@ let weak_route ~gamma g ps demand =
     if Demand.support_size kept_demand = 0 then None
     else
       Some
-        (Routing.make
+        (Routing.make g
            (List.map
               (fun (s, t) ->
                 let dist =
@@ -80,7 +80,7 @@ let weak_route ~gamma g ps demand =
   }
 
 let greedy_first_candidates ps demand =
-  Routing.make
+  Routing.make (Path_system.graph ps)
     (List.map
        (fun (s, t) ->
          match Path_system.paths ps s t with
@@ -89,7 +89,7 @@ let greedy_first_candidates ps demand =
        (Demand.support demand))
 
 let route_by_halving ~gamma g ps demand =
-  if Demand.support_size demand = 0 then (Routing.make [], 0.0)
+  if Demand.support_size demand = 0 then (Routing.make g [], 0.0)
   else begin
     let m = Graph.m g in
     let rounds =

@@ -32,7 +32,7 @@ let optimum ?(solver = default_solver) g demand =
   | Mwu iters -> (
       match Min_congestion.mwu_unrestricted ~iters g demand with
       | Some solution -> solution
-      | None -> invalid_arg "Min_congestion.mwu_unrestricted: graph is disconnected")
+      | None -> invalid_arg "Semi_oblivious.optimum: a demanded pair has no path")
 
 let opt ?solver g demand = (optimum ?solver g demand).congestion
 

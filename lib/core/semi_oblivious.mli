@@ -61,8 +61,9 @@ val optimum :
     offline optimum [opt_{G,ℝ}(d)] — the Dijkstra-oracle MWU by default,
     and with [solver = Lp] the exact path LP grown by column generation
     ({!Sso_flow.Min_congestion.lp_unrestricted}).  Either routing is
-    path-based.  @raise Invalid_argument if a demanded pair is
-    disconnected. *)
+    path-based.  @raise Invalid_argument if a demanded pair has no path
+    ([Invalid_argument "Semi_oblivious.optimum: a demanded pair has no
+    path"] from the MWU). *)
 
 val opt : ?solver:solver -> Sso_graph.Graph.t -> Sso_demand.Demand.t -> float
 (** The value of {!optimum}. *)

@@ -3,7 +3,7 @@ module Demand = Sso_demand.Demand
 module Routing = Sso_flow.Routing
 
 let route ~gamma ~alpha g ps demand =
-  if Demand.support_size demand = 0 then (Routing.make [], 0.0)
+  if Demand.support_size demand = 0 then (Routing.make g [], 0.0)
   else begin
     (* Lemma 5.9: dyadic buckets of the ratio d(s,t)/cnt(s,t). *)
     let buckets = Special.buckets g ~alpha demand in

@@ -201,11 +201,7 @@ let run ?(solver = Semi_oblivious.default_solver) ?store ?system_key
         match cache with
         | None -> None
         | Some (store, recipe_of) -> (
-            match Store.find store (recipe_of scenario) with
-            | None -> None
-            | Some payload -> (
-                try Some (decode_report scenario payload)
-                with File.Corrupt _ -> Store.count_corrupt (); None))
+            Store.find store (recipe_of scenario) (decode_report scenario))
       in
       let report =
         match cached with

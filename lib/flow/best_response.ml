@@ -4,21 +4,21 @@
    weight array, with the handle of the cheapest admissible path.  Two
    stores exist.  [Candidates] handles are the candidate indices of a
    slice index: the path set is fixed up front.  [Interned] handles
-   name the paths the Dijkstra search has returned so far: the first
-   sighting of a path for a pair appends it, and later sightings map back
-   to the same handle.  The MWU loop tallies per-handle statistics in a
-   [tally] and emits routings through [distributions], so it never sees
-   which store it runs on.  Both stores address edges by slot ([edges]
-   maps a slot to its edge id): a candidate store's slots are its
-   candidates' distinct edges, a search store's are all m edges in
-   order. *)
+   name the paths the Dijkstra search has returned so far, slices of the
+   store's own arena: the first sighting of a path for a pair appends
+   it, and later sightings map back to the same handle.  The MWU loop
+   tallies per-handle statistics in a [tally] and emits routings through
+   [routing], so it never sees which store it runs on.  Both stores
+   address edges by slot ([edges] maps a slot to its edge id): a
+   candidate store's slots are its candidates' distinct edges, a search
+   store's are all m edges in order. *)
 
 module Graph = Sso_graph.Graph
 module Path = Sso_graph.Path
+module Arena = Sso_graph.Arena
 module Shortest = Sso_graph.Shortest
 module Pool = Sso_engine.Pool
 module Obs = Sso_obs.Obs
-module Path_map = Map.Make (Path)
 
 let sssp_batches = Obs.counter "mwu.sssp_batches"
 let edges_priced = Obs.counter "mwu.edges_priced"
@@ -27,9 +27,8 @@ type interned = {
   graph : Graph.t;
   view : float array -> float array;  (* applied once per call, before the search *)
   groups : (int * int array) array;  (* source runs of the support *)
-  known : int Path_map.t array;  (* support position -> path -> handle *)
-  mutable paths : Path.t array;  (* handle -> path *)
-  mutable count : int;
+  arena : Arena.t;  (* handle [h] is slice [h] *)
+  known : int array array;  (* support position -> its handles, ascending by path *)
 }
 
 type store = Candidates of Slice_candidates.t * int array | Interned of interned
@@ -82,28 +81,33 @@ let dijkstra ?avoid g support =
       graph = g;
       view;
       groups = source_groups support;
-      known = Array.make (Array.length support) Path_map.empty;
-      paths = [||];
-      count = 0;
+      arena = Arena.create g;
+      known = Array.make (Array.length support) [||];
     }
   in
   (* A search may load any edge, so slot [e] is edge [e]. *)
   { support; store = Interned store; edges = Array.init (Graph.m g) Fun.id }
 
+(* A binary search of the pair's slices, ascending by path, each
+   compared in place: O(log k) for [k] paths.  A new path is appended
+   and its handle inserted. *)
 let intern st i (p : Path.t) =
-  match Path_map.find_opt p st.known.(i) with
-  | Some h -> h
-  | None ->
-      let h = st.count in
-      if h = Array.length st.paths then begin
-        let grown = Array.make (max 16 (2 * h)) p in
-        Array.blit st.paths 0 grown 0 h;
-        st.paths <- grown
-      end;
-      st.paths.(h) <- p;
-      st.count <- h + 1;
-      st.known.(i) <- Path_map.add p h st.known.(i);
-      h
+  let known = st.known.(i) in
+  let n = Array.length known in
+  let lo = ref 0 and hi = ref n and found = ref (-1) in
+  while !found < 0 && !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let c = Arena.compare_path st.arena known.(mid) p in
+    if c = 0 then found := known.(mid) else if c < 0 then lo := mid + 1 else hi := mid
+  done;
+  if !found >= 0 then !found
+  else begin
+    let at = !lo in
+    let h = Arena.append_path st.arena p in
+    st.known.(i) <-
+      Array.init (n + 1) (fun k -> if k < at then known.(k) else if k = at then h else known.(k - 1));
+    h
+  end
 
 let intern_answer st i = function None -> -1 | Some p -> intern st i p
 
@@ -186,11 +190,8 @@ let add_loads t loads handles xs n =
   | Candidates (sc, _) -> Slice_candidates.add_loads sc loads handles xs n
   | Interned st ->
       for k = 0 to n - 1 do
-        let edges = st.paths.(handles.(k)).Path.edges and x = xs.(k) in
-        for j = 0 to Array.length edges - 1 do
-          let e = edges.(j) in
-          loads.(e) <- loads.(e) +. x
-        done
+        let x = xs.(k) in
+        Arena.iter_edges_vertices st.arena handles.(k) (fun e _ -> loads.(e) <- loads.(e) +. x)
       done
 
 let add_shares t loads ~per_slot handles xs n =
@@ -198,19 +199,17 @@ let add_shares t loads ~per_slot handles xs n =
   | Candidates (sc, _) -> Slice_candidates.add_shares sc loads ~per_slot handles xs n
   | Interned st ->
       for k = 0 to n - 1 do
-        let edges = st.paths.(handles.(k)).Path.edges and x = xs.(k) in
-        for j = 0 to Array.length edges - 1 do
-          let e = edges.(j) in
-          loads.(e) <- loads.(e) +. (x /. per_slot.(e))
-        done
+        let x = xs.(k) in
+        Arena.iter_edges_vertices st.arena handles.(k) (fun e _ ->
+            loads.(e) <- loads.(e) +. (x /. per_slot.(e)))
       done
 
-let find t i p =
+let lookup t i a h =
   match t.store with
   | Candidates (sc, positions) ->
       let pos = positions.(i) in
-      if pos < 0 then -1 else Slice_candidates.find sc pos p
-  | Interned st -> intern st i p
+      if pos < 0 then -1 else Slice_candidates.lookup sc pos a h
+  | Interned st -> intern st i (Arena.to_path a h)
 
 (* ---------- Per-handle statistics ---------- *)
 
@@ -251,54 +250,57 @@ let credited t tally i buf pos =
       if positions.(i) < 0 then pos
       else Slice_candidates.descending sc positions.(i) ~weights:tally.weight buf pos
   | Interned st ->
-      (* [known] folds ascending, so the list comes out descending. *)
-      Path_map.fold
-        (fun _ h acc -> if seen tally h && tally.weight.(h) > 0.0 then h :: acc else acc)
-        st.known.(i) []
-      |> List.fold_left
-           (fun k h ->
-             buf.(k) <- h;
-             k + 1)
-           pos
-
-let path t h =
-  match t.store with
-  | Candidates (sc, _) -> Slice_candidates.path sc h
-  | Interned st -> st.paths.(h)
+      (* [known] ascends, so a right fold writes it descending. *)
+      Array.fold_right
+        (fun h k ->
+          if seen tally h && tally.weight.(h) > 0.0 then begin
+            buf.(k) <- h;
+            k + 1
+          end
+          else k)
+        st.known.(i) pos
 
 (* Each pair's distribution is its credited handles in descending path
    order, weighted by their tally over its sum in that order: the
-   distribution [Routing.make] would build from the same list (its merge
-   finds the paths distinct and already ordered), with one sum and one
-   division per path.  The loads are then added pair by pair in support
-   order, in that path order within a pair: [Routing.congestion]'s order,
-   over the slots. *)
-let distributions t tally amounts loads =
+   distribution [Routing.of_slices] would build from the same entries
+   (its merge finds the paths distinct and already ordered), with one
+   sum and one division per path.  The loads are then added pair by pair
+   in support order, in that path order within a pair:
+   [Routing.congestion]'s order, over the slots.  Last, the handles
+   become slices of the store's arena, in place. *)
+let routing t tally amounts loads =
   let pairs = Array.length t.support in
   let entries = seen_count tally in
-  let handles = Array.make entries 0 and xs = Array.make entries 0.0 in
-  let dists = Array.make pairs [] in
-  let stop = ref 0 in
+  let slices = Array.make entries 0 in
+  let weights = Array.make entries 0.0 and xs = Array.make entries 0.0 in
+  let off = Array.make (pairs + 1) 0 in
   for i = 0 to pairs - 1 do
-    let lo = !stop in
-    let hi = credited t tally i handles lo in
+    let lo = off.(i) in
+    let hi = credited t tally i slices lo in
     let total = ref 0.0 in
     for k = lo to hi - 1 do
-      total := !total +. tally.weight.(handles.(k))
+      total := !total +. tally.weight.(slices.(k))
     done;
     let total = !total in
-    if not (total > 0.0) then invalid_arg "Best_response.distributions: pair never credited";
-    let dist = ref [] in
-    for k = hi - 1 downto lo do
-      let h = handles.(k) in
-      dist := (tally.weight.(h) /. total, path t h) :: !dist
-    done;
-    dists.(i) <- !dist;
+    if not (total > 0.0) then invalid_arg "Best_response.routing: pair never credited";
     let amount = amounts.(i) in
     for k = lo to hi - 1 do
-      xs.(k) <- amount *. (tally.weight.(handles.(k)) /. total)
+      let w = tally.weight.(slices.(k)) /. total in
+      weights.(k) <- w;
+      xs.(k) <- amount *. w
     done;
-    stop := hi
+    off.(i + 1) <- hi
   done;
-  add_loads t loads handles xs !stop;
-  dists
+  let n = off.(pairs) in
+  add_loads t loads slices xs n;
+  let arena =
+    match t.store with
+    | Candidates (sc, _) ->
+        for k = 0 to n - 1 do
+          slices.(k) <- Slice_candidates.slice sc slices.(k)
+        done;
+        Slice_candidates.arena sc
+    | Interned st -> st.arena
+  in
+  let fit a = if n = entries then a else Array.sub a 0 n in
+  Routing.of_sorted arena t.support off (fit weights) (fit slices)

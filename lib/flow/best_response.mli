@@ -9,12 +9,12 @@
     - {!candidates}: the candidate index in a slice index — the
       path set P is fixed up front (Stage 4, [cong_ℝ(P,d)]);
     - {!dijkstra}: the search result interned per pair — the first
-      sighting of a path appends it to the store, later ones map back to
-      its handle (Stage 5's [opt_{G,ℝ}(d)]).
+      sighting of a path appends it to the store's own arena, later ones
+      map back to its slice (Stage 5's [opt_{G,ℝ}(d)]).
 
-    The solver tallies per-handle statistics in a {!tally} and emits each
-    pair's distribution through {!distributions}, in descending
-    {!Sso_graph.Path.compare} order.
+    The solver tallies per-handle statistics in a {!tally} and emits its
+    routing through {!routing}: each pair's entries in descending path
+    order, as slices of the index's arena or of the store's.
 
     Weights and path edges are addressed by slot, the position of an edge
     id in {!edges}: a candidate store's slots cover only its candidates'
@@ -77,9 +77,10 @@ val add_shares :
 (** {!add_loads} adding [xs.(k) /. per_slot.(e)] at slot [e]: warm
     seeding's normalized loads. *)
 
-val find : t -> int -> Sso_graph.Path.t -> int
-(** The handle of a given path for pair [i] — warm-start seeding.  [-1]
-    when a candidate store does not offer it; a search store interns it. *)
+val lookup : t -> int -> Sso_graph.Arena.t -> int -> int
+(** [lookup t i a h]: pair [i]'s handle of slice [h] of [a] — warm-start
+    seeding ({!Slice_candidates.lookup}); [-1] when a candidate store
+    does not offer the path.  A search store interns it. *)
 
 type tally
 (** Per-handle accumulated weight, and whether the handle was ever
@@ -98,13 +99,12 @@ val credit : tally -> int array -> int -> unit
 val seen_count : tally -> int
 (** Number of handles credited so far (the support of the routing). *)
 
-val distributions : t -> tally -> float array -> float array -> (float * Sso_graph.Path.t) list array
-(** [distributions t tally amounts loads] emits every pair's credited
-    handles, in support order: each pair's distribution lists its paths
-    in descending path order, weighted by their tally over its sum taken
-    in that order — what {!Routing.make} builds from the same list, whose
-    merge finds these paths distinct and ordered.  It also adds
-    [amounts.(i)] times each weight to [loads] at the path's slots, pair
-    by pair and in list order: the loads {!Routing.congestion} sums, in
-    its order.  Boxed paths are materialized here and only here.  Raises
+val routing : t -> tally -> float array -> float array -> Routing.t
+(** [routing t tally amounts loads]: every pair's credited handles, in
+    support order, each pair's in descending path order and weighted by
+    its tally over their sum in that order — what {!Routing.of_slices}
+    builds from the same entries.  It also adds [amounts.(i)] times each
+    weight to [loads] at the path's slots, in entry order: the loads
+    {!Routing.congestion} sums, in its order.  The pairs are the support
+    array, the paths slices of the index's arena or the store's.  Raises
     [Invalid_argument] when a pair was never credited. *)

@@ -20,7 +20,7 @@ let mwu_sssp_settled = Obs.counter "mwu.sssp_settled"
 
 type solution = { routing : Routing.t; congestion : float }
 
-let empty = { routing = Routing.make []; congestion = 0.0 }
+let empty g = { routing = Routing.make g []; congestion = 0.0 }
 
 (* ---------- Exact path LP ---------- *)
 
@@ -89,13 +89,13 @@ let path_lp g sc demand =
       failwith "Min_congestion: the path LP should always be feasible and bounded"
   | Simplex.Optimal { objective; solution; duals } ->
       let routing =
-        Routing.make
+        Routing.of_slices (Slice_candidates.arena sc)
           (List.map
              (fun (pair, v, first, count) ->
                (* Simplex solutions can carry -1e-15-scale noise. *)
                ( pair,
                  List.init count (fun k ->
-                     (Float.max 0.0 solution.(v + k), Slice_candidates.path sc (first + k))) ))
+                     (Float.max 0.0 solution.(v + k), Slice_candidates.slice sc (first + k))) ))
              blocks)
       in
       let k = Array.length support in
@@ -104,7 +104,7 @@ let path_lp g sc demand =
           List.mapi (fun r e -> (e, duals.(k + r))) row_edges ) )
 
 let lp_on_slices g sc demand =
-  if Demand.support_size demand = 0 then empty
+  if Demand.support_size demand = 0 then empty g
   else Obs.with_span span_lp @@ fun () -> fst (path_lp g sc demand)
 
 (* ---------- Multiplicative weights ----------
@@ -136,7 +136,7 @@ let lp_on_slices g sc demand =
 let mwu ?(iters = 300) ?warm ~span ~label g oracle demand =
   if iters <= 0 then invalid_arg "Min_congestion: iters must be positive";
   let pairs = Demand.support_size demand in
-  if pairs = 0 then Some empty
+  if pairs = 0 then Some (empty g)
   else Obs.with_span span @@ fun () -> begin
     let m = Graph.m g in
     let support = Array.make pairs (0, 0) and amounts = Array.make pairs 0.0 in
@@ -211,51 +211,45 @@ let mwu ?(iters = 300) ?warm ~span ~label g oracle demand =
             if weight <= 0 then invalid_arg "Min_congestion: warm-start weight must be positive";
             let wf = float_of_int weight in
             let per_slot = Array.map (fun c -> c *. u_norm) caps in
-            (* One pair's kept handles and their seeded loads, grown to
-               the longest warm distribution. *)
+            (* One pair's kept handles and their weights, then their
+               seeded loads, grown to the longest warm distribution. *)
             let kept = ref (Array.make 8 0) and shares = ref (Array.make 8 0.0) in
             let seeded = ref false in
-            let seed i dist =
-              (* The survivors and their weight, summed in distribution
-                 order. *)
-              let n = ref 0 and lost = ref false and total = ref 0.0 and l = ref dist in
-              while !l != [] do
-                let w, p = List.hd !l in
-                if Best_response.find oracle i p < 0 then lost := true
-                else begin
-                  incr n;
-                  total := !total +. w
-                end;
-                l := List.tl !l
-              done;
-              if Array.length !kept < !n then begin
-                kept := Array.make (2 * !n) 0;
-                shares := Array.make (2 * !n) 0.0
+            let { Routing.arena; weights; slices; _ } = previous in
+            (* Seed pair [i] from [previous]'s entries [lo .. hi - 1]: the
+               survivors and their weight, summed in entry order. *)
+            let seed i lo hi =
+              if Array.length !kept < hi - lo then begin
+                kept := Array.make (2 * (hi - lo)) 0;
+                shares := Array.make (2 * (hi - lo)) 0.0
               end;
-              let kept = !kept and shares = !shares and total = !total in
-              let amount = amounts.(i) and k = ref 0 and l = ref dist in
-              while !l != [] do
-                let w, p = List.hd !l in
-                let h = Best_response.find oracle i p in
+              let kept = !kept and shares = !shares in
+              let n = ref 0 and total = ref 0.0 in
+              for k = lo to hi - 1 do
+                let h = Best_response.lookup oracle i arena slices.(k) in
                 if h >= 0 then begin
-                  let w = if !lost then w /. total else w in
-                  Best_response.add tally h (w *. wf);
-                  kept.(!k) <- h;
-                  shares.(!k) <- wf *. w *. amount;
-                  incr k
-                end;
-                l := List.tl !l
+                  kept.(!n) <- h;
+                  shares.(!n) <- weights.(k);
+                  total := !total +. weights.(k);
+                  incr n
+                end
               done;
-              if !k > 0 then begin
+              let lost = !n < hi - lo and total = !total and amount = amounts.(i) in
+              for j = 0 to !n - 1 do
+                let w = if lost then shares.(j) /. total else shares.(j) in
+                Best_response.add tally kept.(j) (w *. wf);
+                shares.(j) <- wf *. w *. amount
+              done;
+              if !n > 0 then begin
                 seeded := true;
                 if Array.length fresh_amounts > 0 then fresh_amounts.(i) <- 0.0;
-                Best_response.add_shares oracle cum ~per_slot kept shares !k
+                Best_response.add_shares oracle cum ~per_slot kept shares !n
               end
             in
             (* [previous] and the support both ascend: one merge walk. *)
             let i = ref 0 in
-            Routing.fold
-              (fun (s, t) dist () ->
+            Array.iteri
+              (fun j (s, t) ->
                 while
                   !i < pairs
                   &&
@@ -266,9 +260,9 @@ let mwu ?(iters = 300) ?warm ~span ~label g oracle demand =
                 done;
                 if !i < pairs then begin
                   let s', t' = support.(!i) in
-                  if s' = s && t' = t then seed !i dist
+                  if s' = s && t' = t then seed !i previous.off.(j) previous.off.(j + 1)
                 end)
-              previous ();
+              previous.pairs;
             if !seeded then weight else 0
       in
       let round_loads = Array.make slots 0.0 in
@@ -381,14 +375,14 @@ let mwu ?(iters = 300) ?warm ~span ~label g oracle demand =
          slots in [Routing.congestion]'s order: the same bits, without an
          m-float array. *)
       Array.fill loads 0 slots 0.0;
-      let dists = Best_response.distributions oracle tally amounts loads in
+      let routing = Best_response.routing oracle tally amounts loads in
       let congestion = ref 0.0 in
       Array.iteri
         (fun e load ->
           let c = load /. caps.(e) in
           if c > !congestion then congestion := c)
         loads;
-      Some { routing = Routing.of_sorted support dists; congestion = !congestion }
+      Some { routing; congestion = !congestion }
     end
   end
 
@@ -414,7 +408,7 @@ let mwu_unrestricted ?iters ?avoid g demand =
    path that beats π by more than the tolerance and is new to the pair,
    so the loop ends; when none does, the duals prove the optimum. *)
 let lp_unrestricted g demand =
-  if Demand.support_size demand = 0 then empty
+  if Demand.support_size demand = 0 then empty g
   else Obs.with_span span_lp_unrestricted @@ fun () ->
     let support = Array.of_list (Demand.support demand) in
     let columns =
@@ -433,7 +427,7 @@ let lp_unrestricted g demand =
         List.iter (fun p -> ignore (Arena.append_path arena p)) paths;
         (pair, Slice_candidates.unpack arena (first, List.length paths))
       in
-      let sc = Slice_candidates.concat g (Array.to_list (Array.map2 piece support columns)) in
+      let sc = Slice_candidates.concat arena (Array.to_list (Array.map2 piece support columns)) in
       let ((_, (pi, y)) as optimum) = path_lp g sc demand in
       Array.fill weights 0 (Graph.m g) 0.0;
       List.iter (fun (e, ye) -> weights.(e) <- Float.max 0.0 (-.ye)) y;

@@ -1,123 +1,115 @@
-module Path = Sso_graph.Path
 module Graph = Sso_graph.Graph
+module Arena = Sso_graph.Arena
 module Demand = Sso_demand.Demand
 module Rng = Sso_prng.Rng
 
-module Pair_map = Map.Make (Demand.Pair)
+(* Pairs strictly ascending, each with a range of entries: a lookup is a
+   binary search, and a solver that emits its pairs in order builds a
+   routing from arrays it already holds. *)
+type t = {
+  arena : Arena.t;
+  pairs : (int * int) array;
+  off : int array;
+  weights : float array;
+  slices : int array;
+}
 
-module Path_map = Map.Make (Path)
+let of_sorted arena pairs off weights slices = { arena; pairs; off; weights; slices }
 
-(* Pairs strictly ascending, and each pair's distribution at the same
-   position: a lookup is a binary search, and a solver that emits its
-   pairs in order builds a routing without a per-pair insertion. *)
-type t = { keys : (int * int) array; dists : (float * Path.t) list array }
+(* Rows sorted by pair, a repeated pair refused, each pair's entries
+   mapped through [f], then flattened. *)
+let build name arena f entries =
+  let rows = List.stable_sort (fun (p, _) (q, _) -> Demand.Pair.compare p q) entries in
+  let pairs = Array.of_list (List.map fst rows) in
+  Array.iteri
+    (fun i p ->
+      if i > 0 && Demand.Pair.compare pairs.(i - 1) p = 0 then invalid_arg (name ^ ": duplicate pair"))
+    pairs;
+  let dists = List.map (fun (pair, dist) -> f pair dist) rows in
+  let off = Array.make (Array.length pairs + 1) 0 in
+  List.iteri (fun i dist -> off.(i + 1) <- off.(i) + List.length dist) dists;
+  let entries = List.concat dists in
+  let weights = Array.of_list (List.map fst entries) in
+  { arena; pairs; off; weights; slices = Array.of_list (List.map snd entries) }
 
-let normalize pair entries =
-  let s, t = pair in
-  let total =
-    List.fold_left
-      (fun acc (w, (p : Path.t)) ->
-        if w < 0.0 then invalid_arg "Routing.make: negative weight";
-        if p.Path.src <> s || p.Path.dst <> t then
-          invalid_arg "Routing.make: path endpoints do not match pair";
-        acc +. w)
-      0.0 entries
-  in
+(* A pair's weights, summed in list order, each entry checked. *)
+let weigh name ~positive arena (s, t) dist =
+  List.fold_left
+    (fun acc (w, h) ->
+      if (if positive then not (w > 0.0) else w < 0.0) then
+        invalid_arg (name ^ if positive then ": weights must be positive" else ": negative weight");
+      if Arena.src arena h <> s || Arena.dst arena h <> t then
+        invalid_arg (name ^ ": path endpoints do not match pair");
+      acc +. w)
+    0.0 dist
+
+(* One pair's entries: repeated paths merged (their weights summed in
+   list order), then the positive ones descending by path, each divided
+   by the pair's sum. *)
+let normalize arena pair entries =
+  let total = weigh "Routing.make" ~positive:false arena pair entries in
   if not (total > 0.0) then invalid_arg "Routing.make: weights must have positive sum";
-  (* Merge duplicate paths and normalize. *)
-  let merged =
-    List.fold_left
-      (fun acc (w, p) ->
-        Path_map.update p (function None -> Some w | Some w' -> Some (w +. w')) acc)
-      Path_map.empty entries
+  let order (_, h1) (_, h2) = Arena.compare_within_pair arena h1 h2 in
+  let rec merge = function
+    | ((w1, h) as e1) :: ((w2, _) as e2) :: rest when order e1 e2 = 0 -> merge ((w1 +. w2, h) :: rest)
+    | e :: rest -> e :: merge rest
+    | [] -> []
   in
-  Path_map.fold
-    (fun p w acc -> if w > 0.0 then (w /. total, p) :: acc else acc)
-    merged []
-
-let of_map m =
-  let n = Pair_map.cardinal m in
-  let keys = Array.make n (0, 0) and dists = Array.make n [] in
-  ignore
-    (Pair_map.fold
-       (fun pair dist i ->
-         keys.(i) <- pair;
-         dists.(i) <- dist;
-         i + 1)
-       m 0);
-  { keys; dists }
-
-let of_sorted keys dists = { keys; dists }
-
-let make entries =
   List.fold_left
-    (fun acc (pair, dist) ->
-      if Pair_map.mem pair acc then invalid_arg "Routing.make: duplicate pair";
-      Pair_map.add pair (normalize pair dist) acc)
-    Pair_map.empty entries
-  |> of_map
+    (fun acc (w, h) -> if w > 0.0 then (w /. total, h) :: acc else acc)
+    [] (merge (List.stable_sort order entries))
 
-let of_normalized entries =
-  List.fold_left
-    (fun acc ((pair, dist) : (int * int) * (float * Path.t) list) ->
-      if Pair_map.mem pair acc then invalid_arg "Routing.of_normalized: duplicate pair";
-      let s, t = pair in
-      let total =
-        List.fold_left
-          (fun sum (w, (p : Path.t)) ->
-            if not (w > 0.0) then
-              invalid_arg "Routing.of_normalized: weights must be positive";
-            if p.Path.src <> s || p.Path.dst <> t then
-              invalid_arg "Routing.of_normalized: path endpoints do not match pair";
-            sum +. w)
-          0.0 dist
-      in
-      if Float.abs (total -. 1.0) > 1e-6 then
+let of_slices arena entries = build "Routing.make" arena (normalize arena) entries
+
+let make g entries =
+  let arena = Arena.create g in
+  of_slices arena
+    (List.map
+       (fun (pair, dist) -> (pair, List.map (fun (w, p) -> (w, Arena.append_path arena p)) dist))
+       entries)
+
+let of_normalized arena entries =
+  build "Routing.of_normalized" arena
+    (fun pair dist ->
+      if Float.abs (weigh "Routing.of_normalized" ~positive:true arena pair dist -. 1.0) > 1e-6 then
         invalid_arg "Routing.of_normalized: weights must sum to 1";
-      Pair_map.add pair dist acc)
-    Pair_map.empty entries
-  |> of_map
+      dist)
+    entries
 
-(* Position of [(s, t)] in [keys], or [-1]. *)
-let find r s t =
-  let keys = r.keys in
-  let lo = ref 0 and hi = ref (Array.length keys) in
+let position r s t =
+  let pairs = r.pairs in
+  let lo = ref 0 and hi = ref (Array.length pairs) in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
-    let s', t' = keys.(mid) in
+    let s', t' = pairs.(mid) in
     if s' < s || (s' = s && t' < t) then lo := mid + 1 else hi := mid
   done;
-  if !lo < Array.length keys && (let s', t' = keys.(!lo) in s' = s && t' = t) then !lo else -1
+  if !lo < Array.length pairs && (let s', t' = pairs.(!lo) in s' = s && t' = t) then !lo else -1
 
-let distribution r s t = match find r s t with -1 -> [] | i -> r.dists.(i)
+let distribution r s t =
+  match position r s t with
+  | -1 -> []
+  | i ->
+      List.init (r.off.(i + 1) - r.off.(i)) (fun k ->
+          let e = r.off.(i) + k in
+          (r.weights.(e), Arena.to_path r.arena r.slices.(e)))
 
-let fold f r acc =
-  let acc = ref acc in
-  Array.iteri (fun i pair -> acc := f pair r.dists.(i) !acc) r.keys;
-  !acc
+let pairs r = Array.to_list r.pairs
 
-let pairs r = Array.to_list r.keys
+let covers r d = List.for_all (fun (s, t) -> position r s t >= 0) (Demand.support d)
 
-let covers r d = List.for_all (fun (s, t) -> find r s t >= 0) (Demand.support d)
-
-let edge_loads g r d =
+let congestion g r d =
   let loads = Array.make (Graph.m g) 0.0 in
   Demand.fold
     (fun s t amount () ->
-      match find r s t with
-      | -1 -> invalid_arg "Routing.edge_loads: demanded pair missing from routing"
+      match position r s t with
+      | -1 -> invalid_arg "Routing.congestion: demanded pair missing from routing"
       | i ->
-          List.iter
-            (fun (w, p) ->
-              Array.iter
-                (fun e -> loads.(e) <- loads.(e) +. (amount *. w))
-                p.Path.edges)
-            r.dists.(i))
+          for k = r.off.(i) to r.off.(i + 1) - 1 do
+            let x = amount *. r.weights.(k) in
+            Arena.iter_edges_vertices r.arena r.slices.(k) (fun e _ -> loads.(e) <- loads.(e) +. x)
+          done)
     d ();
-  loads
-
-let congestion g r d =
-  let loads = edge_loads g r d in
   let best = ref 0.0 in
   Array.iteri
     (fun e load ->
@@ -129,33 +121,40 @@ let congestion g r d =
 let dilation r d =
   Demand.fold
     (fun s t _ acc ->
-      List.fold_left
-        (fun acc (w, p) -> if w > 0.0 then max acc (Path.hops p) else acc)
-        acc (distribution r s t))
+      match position r s t with
+      | -1 -> acc
+      | i ->
+          let acc = ref acc in
+          for k = r.off.(i) to r.off.(i + 1) - 1 do
+            if r.weights.(k) > 0.0 then acc := max !acc (Arena.hops r.arena r.slices.(k))
+          done;
+          !acc)
     d 0
 
-let to_map r = fold Pair_map.add r Pair_map.empty
-
+(* Every pair of either part, its paths blitted into a fresh arena: a
+   pair in one part keeps its distribution, a pair in both mixes the two
+   in proportion to its demands. *)
 let merge_two (d1, r1) (d2, r2) =
-  Pair_map.merge
-    (fun pair dist1 dist2 ->
-      match (dist1, dist2) with
-      | None, None -> None
-      | Some dist, None | None, Some dist -> Some dist
-      | Some dist1, Some dist2 ->
-          let s, t = pair in
-          let a = Demand.get d1 s t and b = Demand.get d2 s t in
-          if a +. b <= 0.0 then Some dist1
-          else begin
-            let scaled1 = List.map (fun (w, p) -> (w *. a, p)) dist1 in
-            let scaled2 = List.map (fun (w, p) -> (w *. b, p)) dist2 in
-            Some (normalize pair (scaled1 @ scaled2))
-          end)
-    (to_map r1) (to_map r2)
-  |> of_map
+  let arena = Arena.create (Arena.graph r1.arena) in
+  let copy r x i =
+    List.init (r.off.(i + 1) - r.off.(i)) (fun k ->
+        let e = r.off.(i) + k in
+        (r.weights.(e) *. x, Arena.append_slice arena r.arena r.slices.(e)))
+  in
+  let mix ((s, t) as pair) () =
+    match (position r1 s t, position r2 s t) with
+    | i, -1 -> copy r1 1.0 i
+    | -1, j -> copy r2 1.0 j
+    | i, j ->
+        let a = Demand.get d1 s t and b = Demand.get d2 s t in
+        if a +. b <= 0.0 then copy r1 1.0 i else normalize arena pair (copy r1 a i @ copy r2 b j)
+  in
+  Array.append r1.pairs r2.pairs |> Array.to_list |> List.sort_uniq Demand.Pair.compare
+  |> List.map (fun pair -> (pair, ()))
+  |> build "Routing.merge_convex" arena mix
 
 let merge_convex = function
-  | [] -> of_map Pair_map.empty
+  | [] -> invalid_arg "Routing.merge_convex: no parts"
   | first :: rest ->
       snd
         (List.fold_left
@@ -164,9 +163,9 @@ let merge_convex = function
            first rest)
 
 let sample_path rng r s t =
-  match distribution r s t with
-  | [] -> invalid_arg "Routing.sample_path: pair missing from routing"
-  | dist ->
-      let weights = Array.of_list (List.map fst dist) in
-      let paths = Array.of_list (List.map snd dist) in
-      paths.(Rng.discrete rng weights)
+  match position r s t with
+  | -1 -> invalid_arg "Routing.sample_path: pair missing from routing"
+  | i ->
+      let lo = r.off.(i) in
+      let k = Rng.discrete rng (Array.sub r.weights lo (r.off.(i + 1) - lo)) in
+      Arena.to_path r.arena r.slices.(lo + k)

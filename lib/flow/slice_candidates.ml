@@ -2,16 +2,16 @@
    walk in place.
 
    An index is built in two steps.  [unpack] decodes one pair's slices
-   into a [piece]: the pair's candidates as boxed paths, in generation
-   order, plus their order ascending by [Path.compare] ([rank]), local
-   to the pair.  [concat] joins the pieces of a solve's support, in
-   support order, into [(cand_off, edge_off, flat)] int arrays, and
-   every round's oracle/accumulation loops run over those arrays.  A
-   piece depends only on its pair's slices, so a caller that solves many
-   overlapping supports over one arena (the routing service) keeps its
-   pieces and unpacks only the pairs that are new to it.  The routings a solve emits share the
-   pieces' boxed paths, so a kept piece is decoded once, not once per
-   solve.
+   into a [piece]: its slice range, the candidates' edge ids back to back
+   in generation order, and their order ascending by path ([rank]), local
+   to the pair.  [concat] joins the pieces of a solve's support, all cut
+   from one arena, in support order, into [(cand_off, edge_off, flat)]
+   int arrays, and every round's oracle/accumulation loops run over those
+   arrays.  A piece depends only on its pair's slices, so a caller that
+   solves many overlapping supports over one arena (the routing service)
+   keeps its pieces and unpacks only the pairs that are new to it.  Every
+   candidate keeps its slice handle, and the routings a solve emits are
+   slices of the index's arena: nothing is boxed or copied.
 
    Edges are stored as slots: [edges] lists the distinct edge ids of all
    candidates in ascending order, and [flat] holds each edge's position
@@ -21,20 +21,23 @@
 
    A pair's slices come from a path system, whose install check rejects
    a path repeated within a pair, so no index holds a path twice within
-   a pair: a path names at most one candidate ([find]). *)
+   a pair: a path names at most one candidate ([lookup]). *)
 
-module Path = Sso_graph.Path
 module Arena = Sso_graph.Arena
 
 type piece = {
-  cands : Path.t array;  (* generation order *)
+  arena : Arena.t;
+  first : int;  (* the candidates are slices [first ..] of [arena] *)
+  p_off : int array;  (* candidate -> its edge range in [p_edges], count + 1 *)
+  p_edges : int array;  (* the candidates' edge ids, generation order *)
   p_rank : int array;  (* candidates ascending by path order *)
 }
 
 type t = {
+  arena : Arena.t;  (* every piece's *)
   pairs : (int * int) array;  (* pair position -> pair *)
   cand_off : int array;  (* pair position -> candidate range, npairs + 1 *)
-  paths : Path.t array;  (* candidate -> path *)
+  slices : int array;  (* candidate -> its slice of [arena] *)
   rank : int array;  (* per pair range: candidates ascending by path order *)
   edge_off : int array;  (* candidate -> edge range, ncands + 1 *)
   flat : int array;  (* concatenated edge slots, path order *)
@@ -42,12 +45,12 @@ type t = {
 }
 
 let unpack arena (first, count) =
-  let cands = Array.init count (fun k -> Arena.to_path arena (first + k)) in
-  let rank = Array.init count Fun.id in
-  Array.sort (fun c1 c2 -> Path.compare cands.(c1) cands.(c2)) rank;
-  { cands; p_rank = rank }
+  let p_off, p_edges, _ = Arena.unpack_with_vertices arena (Array.init count (( + ) first)) in
+  let p_rank = Array.init count Fun.id in
+  Array.sort (fun c1 c2 -> Arena.compare_within_pair arena (first + c1) (first + c2)) p_rank;
+  { arena; first; p_off; p_edges; p_rank }
 
-let count p = Array.length p.cands
+let count p = Array.length p.p_rank
 
 (* Per-domain scratch for the slot pass, grown to the graph's m on
    demand and epoch-stamped, so a solve neither allocates nor clears an
@@ -67,46 +70,38 @@ let scratch_for m =
   sc.epoch <- sc.epoch + 1;
   sc
 
-(* Filler for fresh path arrays: a block allocated once, so filling a
-   large array with it does not force a minor collection (which
-   [Array.make] does for a young initial value). *)
-let no_path = Path.trivial 0
-
-let concat g entries =
+let concat arena entries =
   let npairs = List.length entries in
   let pairs = Array.make npairs (0, 0) in
   let cand_off = Array.make (npairs + 1) 0 in
+  let nedges = ref 0 in
   List.iteri
-    (fun i (pair, p) ->
+    (fun i (pair, (p : piece)) ->
+      if p.arena != arena then invalid_arg "Slice_candidates.concat: a piece from another arena";
       pairs.(i) <- pair;
-      cand_off.(i + 1) <- cand_off.(i) + count p)
+      cand_off.(i + 1) <- cand_off.(i) + count p;
+      nedges := !nedges + Array.length p.p_edges)
     entries;
-  let ncands = cand_off.(npairs) in
-  let paths = Array.make ncands no_path in
+  let ncands = cand_off.(npairs) and nedges = !nedges in
+  let slices = Array.make ncands 0 in
   let rank = Array.make ncands 0 in
   let edge_off = Array.make (ncands + 1) 0 in
+  let flat = Array.make nedges 0 in
   List.iteri
     (fun i (_, p) ->
       let cb = cand_off.(i) in
       for k = 0 to count p - 1 do
-        paths.(cb + k) <- p.cands.(k);
+        slices.(cb + k) <- p.first + k;
         rank.(cb + k) <- cb + p.p_rank.(k);
-        edge_off.(cb + k + 1) <- edge_off.(cb + k) + Path.hops p.cands.(k)
-      done)
+        edge_off.(cb + k + 1) <- edge_off.(cb) + p.p_off.(k + 1)
+      done;
+      Array.blit p.p_edges 0 flat edge_off.(cb) (Array.length p.p_edges))
     entries;
-  let nedges = edge_off.(ncands) in
-  let flat = Array.make nedges 0 in
-  let m = Sso_graph.Graph.m g in
+  let m = Sso_graph.Graph.m (Arena.graph arena) in
   let sc = scratch_for m in
   let stamp = sc.stamp and epoch = sc.epoch in
-  (* Copy the edge ids, stamping each on the way. *)
-  for c = 0 to ncands - 1 do
-    let pe = paths.(c).Path.edges and base = edge_off.(c) in
-    for k = 0 to Array.length pe - 1 do
-      let e = Array.unsafe_get pe k in
-      stamp.(e) <- epoch;
-      Array.unsafe_set flat (base + k) e
-    done
+  for k = 0 to nedges - 1 do
+    stamp.(flat.(k)) <- epoch
   done;
   (* Slots ascend with edge ids: one scan of the m stamps, then [flat]
      is rewritten from edge ids to slots in place. *)
@@ -125,7 +120,7 @@ let concat g entries =
     Array.unsafe_set edges s e;
     Array.unsafe_set flat k s
   done;
-  { pairs; cand_off; paths; rank; edge_off; flat; edges }
+  { arena; pairs; cand_off; slices; rank; edge_off; flat; edges }
 
 (* ---------- Slot classes ---------- *)
 
@@ -296,14 +291,21 @@ let add_shares sc loads ~per_slot cands xs n =
     done
   done
 
-(* The candidate of pair position [i] whose path equals [p], for
-   warm-start seeding.  A routing emitted from this index shares its
-   paths, so a physical match is tried first. *)
-let find sc i (p : Path.t) =
+(* Warm-start seeding.  Pieces are slice ranges, so a slice of the
+   index's own arena inside the pair's range names its candidate by
+   offset; any other slice is compared byte for byte with each
+   candidate. *)
+let lookup sc i a h =
   let lo = sc.cand_off.(i) and hi = sc.cand_off.(i + 1) in
-  let rec same c = if c >= hi then -1 else if sc.paths.(c) == p then c else same (c + 1) in
-  let rec equal c = if c >= hi then -1 else if Path.equal sc.paths.(c) p then c else equal (c + 1) in
-  match same lo with -1 -> equal lo | c -> c
+  if a == sc.arena && lo < hi && h >= sc.slices.(lo) && h - sc.slices.(lo) < hi - lo then
+    lo + h - sc.slices.(lo)
+  else begin
+    let c = ref lo in
+    while !c < hi && not (Arena.equal_slices sc.arena sc.slices.(!c) a h) do
+      incr c
+    done;
+    if !c < hi then !c else -1
+  end
 
 let descending sc i ~weights buf pos =
   let k = ref pos in
@@ -316,4 +318,5 @@ let descending sc i ~weights buf pos =
   done;
   !k
 
-let path sc c = sc.paths.(c)
+let arena sc = sc.arena
+let slice sc c = sc.slices.(c)

@@ -3,28 +3,29 @@
     The flat per-solve index the Stage-4 solvers walk in place: candidate
     edge ids are unpacked into contiguous int arrays ([cand_off] per pair,
     [edge_off] per candidate, [flat] edge ids), so per-round oracle and
-    accumulation loops never touch a boxed path.  Alongside the
-    generation order the index stores, per pair, the candidate permutation
-    ascending by {!Sso_graph.Path.compare}, the order routings are emitted
-    in.  Candidate indices are the handles {!Best_response} hands the
-    solvers.
+    accumulation loops decode no slice.  Alongside the generation order
+    the index stores, per pair, the candidate permutation ascending by
+    path (fewer hops first, then edge by edge), the order routings are
+    emitted in, and per candidate its slice handle.  Candidate indices
+    are the handles {!Best_response} hands the solvers.
 
     An index is built in two steps.  {!unpack} decodes one pair's slices
-    into a {!piece} (the boxed candidates and their ascending order, both
-    local to the pair); {!concat} joins the pieces of a
-    solve's support in support order, flattens their edges and assigns
-    the edge slots.  A piece depends only on its pair's slices, so it can
-    be kept across solves over the same arena: the routing service keeps
-    the pieces of its active pairs and unpacks, per tick, only the pairs
-    new to the solve (see {!Sso_core.Path_system.unpack_pair}).  Both
-    routes run the same [concat], so the index — and every solve on it —
-    is the same either way.  Routings emitted from an index share its
-    pieces' paths ({!path}).
+    into a {!piece} (the slice range, the candidates' edge ids in one
+    flat array and their ascending order, all local to the pair);
+    {!concat} joins the pieces of a solve's support, all cut from one
+    arena, in support order, flattens their edges and assigns the edge
+    slots.  A piece depends only on its pair's slices, so it can be kept
+    across solves over the same arena: the routing service keeps the
+    pieces of its active pairs and unpacks, per tick, only the pairs new
+    to the solve (see {!Sso_core.Path_system.unpack_pair}).  Both routes
+    run the same [concat], so the index — and every solve on it — is the
+    same either way.  Routings emitted from an index are slices of its
+    {!arena} ({!slice}): no path is boxed or copied.
 
     Every index is built from {!Sso_core.Path_system.unpack_pair}
     pieces, and a path system's install check rejects a path repeated
     within a pair, so no pair holds the same path twice: a path names at
-    most one candidate of its pair ({!find}), and per-candidate
+    most one candidate of its pair ({!lookup}), and per-candidate
     statistics need no duplicate map.
 
     Edges are addressed by slot: the position of an edge id in {!edges},
@@ -37,8 +38,8 @@
 type t
 
 type piece
-(** One pair's candidates, unpacked: immutable, and independent of the
-    arena once built. *)
+(** One pair's candidates, unpacked: a slice range of its arena and the
+    candidates' edge ids.  Immutable. *)
 
 val unpack : Sso_graph.Arena.t -> int * int -> piece
 (** [unpack arena (first, count)] decodes the [count] consecutive arena
@@ -48,9 +49,15 @@ val unpack : Sso_graph.Arena.t -> int * int -> piece
 val count : piece -> int
 (** Number of candidates in a piece. *)
 
-val concat : Sso_graph.Graph.t -> ((int * int) * piece) list -> t
-(** Index the pieces (of paths on [g]), with pair positions in list
-    order (the first binding of a duplicated pair wins a lookup). *)
+val concat : Sso_graph.Arena.t -> ((int * int) * piece) list -> t
+(** Index the pieces, every one unpacked from [arena], with pair
+    positions in list order (the first binding of a duplicated pair wins
+    a lookup).  @raise Invalid_argument on a piece of another arena. *)
+
+val arena : t -> Sso_graph.Arena.t
+
+val slice : t -> int -> int
+(** A candidate's slice of {!arena}. *)
 
 val positions : t -> (int * int) array -> int array
 (** Pair position of each pair, [-1] for a pair not in the index.  An
@@ -111,14 +118,13 @@ val classes : t -> caps:float array -> int array * int array
     partition-refinement pass over the candidates' edges, on a
     per-domain scratch; only the two results are allocated. *)
 
-val find : t -> int -> Sso_graph.Path.t -> int
-(** The candidate of pair position [i] whose path equals the given one,
-    or [-1] — warm-start seeding. *)
+val lookup : t -> int -> Sso_graph.Arena.t -> int -> int
+(** [lookup sc i a h]: the candidate of pair position [i] holding the
+    path of slice [h] of [a], or [-1] — warm-start seeding.  A slice of
+    {!arena} in the pair's range is found by offset; any other slice is
+    compared with each candidate by {!Sso_graph.Arena.equal_slices}. *)
 
 val descending : t -> int -> weights:float array -> int array -> int -> int
 (** [descending sc i ~weights buf pos] writes the candidates [c] of pair
     position [i] with [weights.(c) > 0.0] into [buf] from [pos] on, in
     descending path order, and returns the position after the last. *)
-
-val path : t -> int -> Sso_graph.Path.t
-(** A candidate as a boxed path: the piece's own value, not a copy. *)

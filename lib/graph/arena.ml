@@ -181,21 +181,20 @@ let equal_slices a i b j =
   done;
   !k = len
 
-let equal_path a i (p : Path.t) =
-  if i < 0 || i >= a.count then invalid_arg "Arena.equal_path: bad handle";
+let compare_path a i (p : Path.t) =
+  if i < 0 || i >= a.count then invalid_arg "Arena.compare_path: bad handle";
   let h = hops a i in
-  src a i = p.Path.src
-  && dst a i = p.Path.dst
-  && h = Array.length p.Path.edges
-  &&
+  let c = ref (Int.compare (src a i) p.Path.src) in
+  if !c = 0 then c := Int.compare (dst a i) p.Path.dst;
+  if !c = 0 then c := Int.compare h (Array.length p.Path.edges);
   let g = a.graph in
   let off = Graph.csr_offsets g in
   let eids = Graph.csr_edge_ids g in
   let tgts = Graph.csr_targets g in
   let pos = ref (byte_start a i) in
   let v = ref (src a i) in
-  let k = ref 0 and same = ref true in
-  while !same && !k < h do
+  let k = ref 0 in
+  while !c = 0 && !k < h do
     let slot = ref 0 and shift = ref 0 and continue = ref true in
     while !continue do
       let b = Char.code (Bytes.unsafe_get a.data !pos) in
@@ -205,13 +204,13 @@ let equal_path a i (p : Path.t) =
       continue := b >= 0x80
     done;
     let base = Array.unsafe_get off !v + !slot in
-    if Array.unsafe_get eids base = Array.unsafe_get p.Path.edges !k then begin
-      v := Array.unsafe_get tgts base;
-      incr k
-    end
-    else same := false
+    c := Int.compare (Array.unsafe_get eids base) (Array.unsafe_get p.Path.edges !k);
+    v := Array.unsafe_get tgts base;
+    incr k
   done;
-  !same
+  !c
+
+let equal_path a i p = compare_path a i p = 0
 
 let hash_slice a i =
   let h = ref (hops a i) in

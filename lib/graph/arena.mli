@@ -86,11 +86,14 @@ val equal_slices : t -> int -> t -> int -> bool
     exactly equal edge sequences.  @raise Invalid_argument on a graph
     mismatch (physical equality, as {!append_slice}) or a bad handle. *)
 
+val compare_path : t -> int -> Path.t -> int
+(** [compare_path a i p] orders slice [i] of [a] against [p] as
+    {!Path.compare} does, decoding the slice in place up to the first
+    difference; allocates nothing.  @raise Invalid_argument on a bad
+    handle. *)
+
 val equal_path : t -> int -> Path.t -> bool
-(** [equal_path a i p] — does slice [i] of [a] hold the path [p]?
-    Compares endpoints and hop counts, then decodes the slice's edges in
-    place against [p]'s, stopping at the first difference; allocates
-    nothing.  @raise Invalid_argument on a bad handle. *)
+(** Does slice [i] of [a] hold the path [p]? *)
 
 val hash_slice : t -> int -> int
 (** A hash of slice [i]'s hop count and packed slot bytes, allocating

@@ -115,7 +115,7 @@ let sampler r s t =
                 p)
 
 let to_routing r pairs =
-  Routing.make
+  Routing.make r.graph
     (List.map (fun (s, t) -> ((s, t), distribution r s t)) (List.sort_uniq compare pairs))
 
 let congestion r d =

@@ -251,7 +251,7 @@ let patch_stale t live stale pairs demand =
         ((s, d), dist))
       pairs
   in
-  let r = Routing.make entries in
+  let r = Routing.make t.graph entries in
   (r, Routing.congestion t.graph r demand)
 
 let rec take n = function
@@ -352,7 +352,7 @@ let step t ~tick ?(faults = []) events =
   in
   (* [routable] is [solve_demand]'s support, in order. *)
   let index () =
-    Slice_candidates.concat t.graph
+    Slice_candidates.concat (Path_system.arena live)
       (List.map (fun p -> (p, piece p)) routable)
   in
   let warm_capable =
@@ -375,7 +375,7 @@ let step t ~tick ?(faults = []) events =
   let t0 = Obs.now_ns () in
   let routing, congestion =
     Obs.with_span solve_span @@ fun () ->
-    if routable = [] then (Routing.make [], 0.0)
+    if routable = [] then (Routing.make t.graph [], 0.0)
     else
       match (mode, t.routing) with
       | Degraded, Some stale -> patch_stale t live stale routable solve_demand
@@ -553,7 +553,7 @@ let simulate ?discipline ?max_steps ?on_tick rng ~period t events =
             (* Pairs the routing does not cover (unroutable under
                failures, or absent from a degraded patch) inject
                nothing. *)
-            if Routing.distribution routing s d <> [] then begin
+            if Routing.position routing s d >= 0 then begin
               let copies = max 1 (int_of_float (Float.ceil (rate -. 1e-9))) in
               for _ = 1 to copies do
                 let route = Routing.sample_path tick_rng routing s d in

@@ -886,6 +886,17 @@ let test_semi_oblivious_opt_lp_exact () =
   Alcotest.(check (float 1e-6)) "exact optimum" 1.0
     (Semi_oblivious.opt ~solver:Semi_oblivious.Lp g d)
 
+(* Two components, 0-1 and 2-3, and a demand across them: the MWU
+   optimum names itself and what it found, no path. *)
+let test_semi_oblivious_optimum_no_path () =
+  let b = Graph.Builder.create 4 in
+  ignore (Graph.Builder.add_edge b 0 1);
+  ignore (Graph.Builder.add_edge b 2 3);
+  let g = Graph.Builder.build b in
+  Alcotest.check_raises "across components"
+    (Invalid_argument "Semi_oblivious.optimum: a demanded pair has no path") (fun () ->
+      ignore (Semi_oblivious.optimum g (Demand.of_list [ (0, 1, 1.0); (1, 2, 1.0) ])))
+
 let test_process_deterministic () =
   (* The dynamic process has no internal randomness: same inputs, same
      outcome. *)
@@ -1615,6 +1626,7 @@ let () =
           Alcotest.test_case "inner path no middles" `Quick
             test_lower_bound_middles_hit_empty_for_inner_path;
           Alcotest.test_case "opt lp exact" `Quick test_semi_oblivious_opt_lp_exact;
+          Alcotest.test_case "optimum without a path" `Quick test_semi_oblivious_optimum_no_path;
           Alcotest.test_case "process deterministic" `Quick test_process_deterministic;
           Alcotest.test_case "bucket count logarithmic" `Quick
             test_certified_bucket_count_logarithmic;

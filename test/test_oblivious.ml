@@ -910,7 +910,7 @@ let prop_to_routing_congestion_matches =
       let d = Demand.random_pairs rng ~n:9 ~pairs:4 in
       let via_routing =
         Routing.congestion g
-          (Routing.make
+          (Routing.make g
              (List.map (fun (s, t) -> ((s, t), Oblivious.distribution obl s t)) (Demand.support d)))
           d
       in

@@ -745,7 +745,7 @@ let check_index_matches_fresh jobs =
     let routable = Demand.filter (fun s d _ -> Path_system.slice_count live s d > 0) demand in
     let routing, congestion =
       match (report.Serve.mode, warm) with
-      | _ when Demand.support_size routable = 0 -> (Routing.make [], 0.0)
+      | _ when Demand.support_size routable = 0 -> (Routing.make g [], 0.0)
       | Serve.Warm, Some warm ->
           Semi_oblivious.route
             ~solver:(Semi_oblivious.Mwu config.Serve.warm_iters)
